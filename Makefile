@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt fmt-check vet-reclaim test race fuzz-smoke bench-smoke bench-diff bench-baseline bench check
+.PHONY: all build vet fmt fmt-check vet-reclaim test race fuzz-smoke bench-smoke bench-diff bench-baseline bench benchmark benchmark-smoke check
 
 all: check
 
@@ -108,6 +108,17 @@ bench-baseline: bench-smoke
 ## bench: the full benchmark suite through the testing.B interface
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ .
+
+## benchmark: the repository's benchmark (BENCHMARK.json; benchmark/README.md
+## defines every workload and metric). Needs >= 2 CPUs.
+benchmark:
+	$(GO) run ./benchmark -seed 1
+
+## benchmark-smoke: the benchmark's own tests plus the shortest run of one
+## workload, so CI notices when a change breaks what the driver runs
+benchmark-smoke:
+	$(GO) test ./benchmark/
+	$(GO) run ./benchmark -workload map_read_mostly -seed 1 -seconds 2 -trace 0
 
 ## check: everything CI checks, in one shot
 check: build vet fmt-check vet-reclaim test race

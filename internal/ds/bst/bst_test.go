@@ -502,6 +502,60 @@ func TestNoReclamationLeaks(t *testing.T) {
 	}
 }
 
+// TestReleaseHandsBackScratch is the slot-churn check of the parked scratch
+// records: a goroutine acquires a slot, runs an Insert that finds its key
+// present (parking the four records it pre-allocated) and a Delete that finds
+// its key absent, and releases the slot. The release must hand the parked
+// records to the pool, so the count of records that are neither in the pool
+// nor awaiting reclamation stays at what the tree itself holds, the allocator
+// stops being asked for fresh records after the first cycles, and Close
+// leaves Retired == Freed.
+func TestReleaseHandsBackScratch(t *testing.T) {
+	for _, scheme := range allSchemes() {
+		t.Run(scheme, func(t *testing.T) {
+			tree := newTree(t, scheme, 2)
+			mgr := tree.Manager()
+			h := tree.AcquireHandle()
+			for k := int64(0); k < 8; k++ {
+				h.Insert(k, k)
+			}
+			tree.ReleaseHandle(h)
+			// Records handed out and neither returned to the pool nor retired
+			// and waiting: the tree's own, plus anything stranded.
+			held := func() int64 {
+				st := mgr.Stats()
+				return st.Pool.Reused + st.Pool.FromAllocator - st.Pool.Freed - st.Unreclaimed
+			}
+			inTree, fresh := held(), int64(0)
+			for cycle := 0; cycle < 32; cycle++ {
+				h := tree.AcquireHandle()
+				if h.Insert(3, 0) || h.Delete(100) {
+					t.Fatal("a failing update succeeded")
+				}
+				tree.ReleaseHandle(h)
+				if got := held(); got != inTree {
+					t.Fatalf("cycle %d: %d records outside pool and limbo, the tree holds %d: scratch stranded", cycle, got, inTree)
+				}
+				switch allocated := mgr.Stats().Alloc.Allocated; {
+				case cycle == 1:
+					fresh = allocated
+				case cycle > 1 && allocated != fresh:
+					t.Fatalf("cycle %d: allocator served %d records, %d after the first cycles: parked records are not coming back", cycle, allocated, fresh)
+				}
+			}
+			h = tree.AcquireHandle()
+			for k := int64(0); k < 8; k++ {
+				h.Delete(k)
+			}
+			tree.ReleaseHandle(h)
+			mgr.Close()
+			if st := mgr.Stats().Reclaimer; scheme != recordmgr.SchemeNone && st.Retired != st.Freed {
+				t.Fatalf("after Close: retired %d, freed %d", st.Retired, st.Freed)
+			}
+		})
+	}
+}
+
 func TestTreeStatsCounters(t *testing.T) {
 	tree := newAggressiveDebraPlusTree(t, 2)
 	var wg sync.WaitGroup

@@ -36,13 +36,13 @@ func (hd Handle[V]) Insert(key int64, value V) bool {
 		panic("bst: key must be smaller than Infinity1")
 	}
 	t, rm := hd.t, hd.rm
-	// Quiescent preamble: allocate everything the body might publish.
+	// Quiescent preamble: obtain everything the body might publish.
 	// Allocation is not re-entrant, so it must not happen inside the body
 	// (which can be neutralized and re-run).
-	newLeaf := rm.Allocate()
-	sibling := rm.Allocate()
-	internal := rm.Allocate()
-	desc := rm.Allocate()
+	newLeaf := hd.scratch()
+	sibling := hd.scratch()
+	internal := hd.scratch()
+	desc := hd.scratch()
 	for {
 		outcome, oldLeaf := t.insertBody(hd, key, value, newLeaf, sibling, internal, desc)
 		switch outcome {
@@ -56,11 +56,11 @@ func (hd Handle[V]) Insert(key int64, value V) bool {
 			}
 			return true
 		case attemptKeyPresent:
-			// Nothing was published; recycle the scratch records.
-			rm.Deallocate(newLeaf)
-			rm.Deallocate(sibling)
-			rm.Deallocate(internal)
-			rm.Deallocate(desc)
+			// Nothing was published; keep the records for the next update.
+			hd.park(newLeaf)
+			hd.park(sibling)
+			hd.park(internal)
+			hd.park(desc)
 			return false
 		default:
 			hd.st.restarts.Inc()
@@ -83,7 +83,7 @@ func (t *Tree[V]) insertBody(hd Handle[V], key int64, value V,
 					hd.st.recov.Inc()
 					if rm.IsRProtected(desc) && t.ownerInsert(hd, desc, true) {
 						outcome = attemptSucceeded
-						oldLeaf = desc.l
+						oldLeaf = desc.infoL()
 					} else {
 						outcome = attemptRetry
 					}
@@ -163,11 +163,12 @@ func (t *Tree[V]) insertBody(hd Handle[V], key int64, value V,
 // operations, which recovery code must not do because it only holds
 // recovery protections for its own operation's records.
 func (t *Tree[V]) ownerInsert(hd Handle[V], desc *Record[V], inRecovery bool) bool {
+	p := desc.infoP()
 	for {
 		if desc.outcome.Load() == outcomeSucceeded {
 			return true
 		}
-		cur := desc.p.update.Load()
+		cur := p.update.Load()
 		switch cur {
 		case &desc.flagCell:
 			// Flag already installed (possibly before a neutralization).
@@ -177,7 +178,7 @@ func (t *Tree[V]) ownerInsert(hd Handle[V], desc *Record[V], inRecovery bool) bo
 			// Fully completed (possibly by a helper).
 			return true
 		case desc.pupdate:
-			if desc.p.update.CompareAndSwap(desc.pupdate, &desc.flagCell) {
+			if p.update.CompareAndSwap(desc.pupdate, &desc.flagCell) {
 				t.retireReplacedInfo(hd, desc.pupdate)
 				t.helpInsert(hd, desc)
 				return true
@@ -190,7 +191,7 @@ func (t *Tree[V]) ownerInsert(hd Handle[V], desc *Record[V], inRecovery bool) bo
 				return true
 			}
 			if !t.perRecord && !inRecovery && !t.crashRecovery {
-				t.help(hd, desc.p, cur)
+				t.help(hd, p, cur)
 			}
 			return false
 		}
@@ -201,9 +202,10 @@ func (t *Tree[V]) ownerInsert(hd Handle[V], desc *Record[V], inRecovery bool) bo
 // in place of the old leaf and unflag the parent. Idempotent; callable by
 // any thread that holds a safe reference to desc.
 func (t *Tree[V]) helpInsert(hd Handle[V], desc *Record[V]) {
-	t.casChild(desc.p, desc.l, desc.newChild, desc.searchK)
+	p := desc.infoP()
+	t.casChild(p, desc.infoL(), desc.infoNewChild(), desc.key)
 	desc.outcome.CompareAndSwap(outcomePending, outcomeSucceeded)
-	desc.p.update.CompareAndSwap(&desc.flagCell, &desc.cleanCell)
+	p.update.CompareAndSwap(&desc.flagCell, &desc.cleanCell)
 }
 
 // Delete removes key from the set, returning true if it was present.
@@ -216,7 +218,7 @@ func (hd Handle[V]) Delete(key int64) bool {
 	}
 	t, rm := hd.t, hd.rm
 	// Quiescent preamble.
-	desc := rm.Allocate()
+	desc := hd.scratch()
 	for {
 		outcome, removedParent, removedLeaf := t.deleteBody(hd, key, desc)
 		switch outcome {
@@ -232,14 +234,14 @@ func (hd Handle[V]) Delete(key int64) bool {
 			rm.Retire(removedLeaf)
 			return true
 		case attemptKeyAbsent:
-			rm.Deallocate(desc)
+			hd.park(desc)
 			return false
 		case attemptFailedPublished:
 			// The descriptor was flagged into gp and then backtracked; it
-			// stays reachable through gp's update field, so allocate a
+			// stays reachable through gp's update field, so obtain a
 			// fresh descriptor for the next attempt and let
 			// retire-on-replace dispose of this one.
-			desc = rm.Allocate()
+			desc = hd.scratch()
 			hd.st.restarts.Inc()
 		default:
 			hd.st.restarts.Inc()
@@ -265,7 +267,7 @@ func (t *Tree[V]) deleteBody(hd Handle[V], key int64, desc *Record[V]) (outcome 
 						switch t.ownerDelete(hd, desc, true) {
 						case outcomeSucceeded:
 							outcome = attemptSucceeded
-							removedParent, removedLeaf = desc.p, desc.l
+							removedParent, removedLeaf = desc.infoP(), desc.infoL()
 						case outcomeFailed:
 							outcome = attemptFailedPublished
 						default:
@@ -344,11 +346,12 @@ func (t *Tree[V]) deleteBody(hd Handle[V], key int64, desc *Record[V]) (outcome 
 // never installed; nothing was published). inRecovery suppresses helping
 // other operations (see ownerInsert).
 func (t *Tree[V]) ownerDelete(hd Handle[V], desc *Record[V], inRecovery bool) int32 {
+	gp := desc.infoGP()
 	for {
 		if o := desc.outcome.Load(); o != outcomePending {
 			return o
 		}
-		cur := desc.gp.update.Load()
+		cur := gp.update.Load()
 		switch cur {
 		case &desc.flagCell:
 			if t.helpDelete(hd, desc, inRecovery) {
@@ -356,7 +359,7 @@ func (t *Tree[V]) ownerDelete(hd Handle[V], desc *Record[V], inRecovery bool) in
 			}
 			return outcomeFailed
 		case desc.gpupdate:
-			if desc.gp.update.CompareAndSwap(desc.gpupdate, &desc.flagCell) {
+			if gp.update.CompareAndSwap(desc.gpupdate, &desc.flagCell) {
 				t.retireReplacedInfo(hd, desc.gpupdate)
 				if t.helpDelete(hd, desc, inRecovery) {
 					return outcomeSucceeded
@@ -371,7 +374,7 @@ func (t *Tree[V]) ownerDelete(hd Handle[V], desc *Record[V], inRecovery bool) in
 				return o
 			}
 			if !t.perRecord && !inRecovery && !t.crashRecovery {
-				t.help(hd, desc.gp, cur)
+				t.help(hd, gp, cur)
 			}
 			return outcomePending
 		}
@@ -384,21 +387,22 @@ func (t *Tree[V]) ownerDelete(hd Handle[V], desc *Record[V], inRecovery bool) in
 // out by unflagging the grandparent. Returns true when the deletion took
 // effect. inRecovery suppresses helping the obstructing operation.
 func (t *Tree[V]) helpDelete(hd Handle[V], desc *Record[V], inRecovery bool) bool {
-	marked := desc.p.update.CompareAndSwap(desc.pupdate, &desc.markCell)
+	p := desc.infoP()
+	marked := p.update.CompareAndSwap(desc.pupdate, &desc.markCell)
 	if marked {
 		// We removed the last tree reference to the parent's previous Info.
 		t.retireReplacedInfo(hd, desc.pupdate)
 	}
-	if marked || desc.p.update.Load() == &desc.markCell {
+	if marked || p.update.Load() == &desc.markCell {
 		t.helpMarked(hd, desc)
 		return true
 	}
 	// Something else is installed at p: the deletion must back out.
 	desc.outcome.CompareAndSwap(outcomePending, outcomeFailed)
 	if !t.perRecord && !inRecovery && !t.crashRecovery {
-		t.help(hd, desc.p, desc.p.update.Load())
+		t.help(hd, p, p.update.Load())
 	}
-	desc.gp.update.CompareAndSwap(&desc.flagCell, &desc.cleanCell)
+	desc.infoGP().update.CompareAndSwap(&desc.flagCell, &desc.cleanCell)
 	return false
 }
 
@@ -409,14 +413,13 @@ func (t *Tree[V]) helpMarked(hd Handle[V], desc *Record[V]) {
 	desc.outcome.CompareAndSwap(outcomePending, outcomeSucceeded)
 	// The sibling of the removed leaf under p. p is marked, so its children
 	// can no longer change and these reads are stable.
-	var other *Record[V]
-	if desc.p.right.Load() == desc.l {
-		other = desc.p.left.Load()
-	} else {
-		other = desc.p.right.Load()
+	gp, p := desc.infoGP(), desc.infoP()
+	other := p.right.Load()
+	if other == desc.infoL() {
+		other = p.left.Load()
 	}
-	t.casChild(desc.gp, desc.p, other, desc.searchK)
-	desc.gp.update.CompareAndSwap(&desc.flagCell, &desc.cleanCell)
+	t.casChild(gp, p, other, desc.key)
+	gp.update.CompareAndSwap(&desc.flagCell, &desc.cleanCell)
 }
 
 // help completes (or helps along) the operation owning the update cell that

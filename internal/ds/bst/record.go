@@ -13,6 +13,30 @@
 // All records managed by the tree — internal nodes, leaves and operation
 // descriptors (Info records) — are folded into a single Record type with a
 // kind discriminator, so one Record Manager instance serves the whole tree.
+// A record plays one role at a time, so the descriptor's fields are laid
+// over the node's. Byte map of Record[uint32] and Record[int64], both 128
+// bytes — two cache lines of a 64-byte-aligned slab, never a third:
+//
+//	off  field     internal node     leaf      IInfo               DInfo
+//	  0  meta      kind | poison     same      same                same
+//	  4  outcome   -                 -         pending/succeeded   pending/succeeded/failed
+//	  8  value     -                 value     -                   -
+//	 16  key       routing key       key       search key          search key
+//	 24  left      left child        nil       p  (leaf's parent)  p
+//	 32  right     right child       nil       l  (the leaf)       l
+//	 40  update    flag/mark/clean   nil       nil                 nil
+//	 48  aux       nil               nil       newChild            gp (grandparent)
+//	 56  pupdate   nil               nil       p's update, as the search saw it
+//	 64  gpupdate  nil               nil       nil                 gp's update, as seen
+//	 72  flagCell  } the three addresses a node's update field can hold while
+//	 88  markCell  } this record is an Info; untouched in the node roles
+//	104  cleanCell }
+//	120  (pad to 128)
+//
+// A search reads kind, key, one child and update of every node on its path:
+// bytes 0-48, all in the record's first line. The second line is touched only
+// by the operation that owns or helps a descriptor. A V wider than 8 bytes
+// grows the record from offset 8.
 //
 // The (state, Info*) pairs that Ellen et al. store in each internal node's
 // update field are represented without pointer tagging (which would hide
@@ -23,6 +47,12 @@
 // Cells are part of the Info record's allocation, so protecting the Info
 // protects the cells, and the unique cell addresses preserve the
 // ABA-prevention role the original algorithm assigns to the Info pointer.
+//
+// Re-initialising a recycled record stores only what the new role needs and
+// what the old role left set: a cell's owner pointer is written once in the
+// record's life (it only ever names the record itself), and the atomic fields
+// are cleared only when they hold something, because an atomic store is an
+// XCHG and a successful insert initialises four records.
 //
 // # Reclamation protocol
 //
@@ -95,40 +125,37 @@ func (c *UpdateCell[V]) State() State { return c.state }
 func (c *UpdateCell[V]) Info() *Record[V] { return c.info.Load() }
 
 // set initialises a cell in place (cells cannot be copy-assigned once they
-// contain an atomic pointer).
+// contain an atomic pointer). An embedded cell's owner is its record for the
+// record's whole life, so only the first initialisation stores it.
 func (c *UpdateCell[V]) set(state State, info *Record[V]) {
 	c.state = state
-	c.info.Store(info)
+	setPtr(&c.info, info)
 }
 
 // Record is the single managed record type of the tree: internal node, leaf
 // or operation descriptor, discriminated by kind. Folding the roles into one
 // type lets a single Record Manager (and therefore a single reclaimer
 // instance with one epoch announcement per operation) manage every
-// allocation the tree makes.
+// allocation the tree makes. The package comment has the byte map.
 type Record[V any] struct {
-	kind Kind
-
-	// Node fields (internal and leaf).
-	key    int64
-	value  V
-	left   atomic.Pointer[Record[V]]
-	right  atomic.Pointer[Record[V]]
-	update atomic.Pointer[UpdateCell[V]]
-
-	// Info fields (insertion and deletion descriptors).
-	gp       *Record[V]     // grandparent of the leaf (delete only)
-	p        *Record[V]     // parent of the leaf
-	l        *Record[V]     // the leaf the operation applies to
-	newChild *Record[V]     // replacement internal node (insert only)
-	pupdate  *UpdateCell[V] // p's update value observed by the search (delete)
-	gpupdate *UpdateCell[V] // gp's update value observed by the search (delete)
-	searchK  int64          // the key the operation searched for
-
+	// meta holds the kind in bits 0-7 and the reclaimtest poison flag in
+	// bit 8. It is atomic because the test pool wrappers set and clear the
+	// flag; the tree itself only loads it (a plain MOV).
+	meta atomic.Uint32
 	// outcome records whether a published operation succeeded (1) or was
 	// backtracked (2); 0 while undecided. It makes the owner's help
 	// procedure idempotent across neutralization and recovery.
 	outcome atomic.Int32
+	value   V
+
+	key    int64                     // Info: the key the operation searched for
+	left   atomic.Pointer[Record[V]] // Info: p, the parent of the leaf
+	right  atomic.Pointer[Record[V]] // Info: l, the leaf the operation applies to
+	update atomic.Pointer[UpdateCell[V]]
+
+	aux      *Record[V]     // IInfo: the replacement internal node; DInfo: gp, the leaf's grandparent
+	pupdate  *UpdateCell[V] // Info: p's update value observed by the search
+	gpupdate *UpdateCell[V] // DInfo: gp's update value observed by the search
 
 	// The three update-cell addresses this record provides when acting as
 	// an Info record.
@@ -136,21 +163,24 @@ type Record[V any] struct {
 	markCell  UpdateCell[V]
 	cleanCell UpdateCell[V]
 
-	// poisoned is test instrumentation for the reclaimtest poison-sink
-	// harness (see the hash map's Node for the contract); nothing on the
-	// tree's hot path reads it.
-	poisoned atomic.Bool
+	_ [8]byte // rounds Record[uint32] and Record[int64] up to two cache lines
 }
 
+const (
+	kindMask  uint32 = 0xff
+	poisonBit uint32 = 1 << 8
+)
+
 // Poison implements the reclaimtest Poisonable contract: mark the record as
-// freed, reporting whether it already was (a double free).
-func (r *Record[V]) Poison() bool { return r.poisoned.Swap(true) }
+// freed, reporting whether it already was (a double free). See the hash
+// map's Node for the contract; nothing on the tree's hot path reads the flag.
+func (r *Record[V]) Poison() bool { return r.meta.Or(poisonBit)&poisonBit != 0 }
 
 // Unpoison clears the freed mark (called by pool wrappers on reuse).
-func (r *Record[V]) Unpoison() { r.poisoned.Store(false) }
+func (r *Record[V]) Unpoison() { r.meta.And(^poisonBit) }
 
 // IsPoisoned reports whether the record is currently marked freed.
-func (r *Record[V]) IsPoisoned() bool { return r.poisoned.Load() }
+func (r *Record[V]) IsPoisoned() bool { return r.meta.Load()&poisonBit != 0 }
 
 // Operation outcomes stored in Record.outcome.
 const (
@@ -160,7 +190,7 @@ const (
 )
 
 // Kind returns the record's current role.
-func (r *Record[V]) Kind() Kind { return r.kind }
+func (r *Record[V]) Kind() Kind { return Kind(r.meta.Load() & kindMask) }
 
 // Key returns the record's key (meaningful for nodes).
 func (r *Record[V]) Key() int64 { return r.key }
@@ -169,94 +199,92 @@ func (r *Record[V]) Key() int64 { return r.key }
 func (r *Record[V]) Value() V { return r.value }
 
 // IsLeaf reports whether the record is currently a leaf node.
-func (r *Record[V]) IsLeaf() bool { return r.kind == KindLeaf }
+func (r *Record[V]) IsLeaf() bool { return r.Kind() == KindLeaf }
+
+// Descriptor views of the overlaid slots.
+
+func (r *Record[V]) infoP() *Record[V]        { return r.left.Load() }
+func (r *Record[V]) infoL() *Record[V]        { return r.right.Load() }
+func (r *Record[V]) infoGP() *Record[V]       { return r.aux }
+func (r *Record[V]) infoNewChild() *Record[V] { return r.aux }
+
+// setKind assigns the role of a record the caller owns exclusively. A record
+// handed out by an allocator or pool is never poisoned, so the whole word is
+// the kind.
+func (r *Record[V]) setKind(k Kind) {
+	if r.meta.Load() != uint32(k) {
+		r.meta.Store(uint32(k))
+	}
+}
+
+// setPtr stores v unless the field already holds it: re-initialisation
+// mostly finds nil where it wants nil, and the load is far cheaper than the
+// XCHG of an atomic store.
+func setPtr[T any](p *atomic.Pointer[T], v *T) {
+	if p.Load() != v {
+		p.Store(v)
+	}
+}
+
+// setNode fills the slots the node roles share; the descriptor-only slots
+// are cleared so a recycled record does not pin stale references.
+func (r *Record[V]) setNode(key int64, value V, left, right *Record[V], update *UpdateCell[V]) {
+	r.value = value
+	r.key = key
+	setPtr(&r.left, left)
+	setPtr(&r.right, right)
+	setPtr(&r.update, update)
+	r.aux, r.pupdate, r.gpupdate = nil, nil, nil
+}
 
 // initLeaf (re)initialises a record as a leaf.
 func initLeaf[V any](r *Record[V], key int64, value V) *Record[V] {
-	r.kind = KindLeaf
-	r.key = key
-	r.value = value
-	r.left.Store(nil)
-	r.right.Store(nil)
-	r.update.Store(nil)
-	r.resetInfoFields()
+	r.setKind(KindLeaf)
+	r.setNode(key, value, nil, nil, nil)
 	return r
 }
 
 // initInternal (re)initialises a record as an internal node with the given
-// children and a clean update field.
+// children and a clean update field. The kind is written last here and first
+// in every other role, so a record says KindInternal only while its child
+// slots hold children. Epoch-covered readers never see a record change role;
+// this keeps a hazard-pointer search that stepped onto a recycled record (the
+// window Tree.search describes) from following a descriptor's p or l as if it
+// were a child.
 func initInternal[V any](r *Record[V], key int64, left, right *Record[V], clean *UpdateCell[V]) *Record[V] {
 	var zero V
-	r.kind = KindInternal
-	r.key = key
+	r.setNode(key, zero, left, right, clean)
+	r.setKind(KindInternal)
+	return r
+}
+
+// initInfo fills the slots the two descriptor roles share.
+func (r *Record[V]) initInfo(k Kind, flag State, key int64, p, l, aux *Record[V], pupdate, gpupdate *UpdateCell[V]) *Record[V] {
+	var zero V
+	r.setKind(k)
+	if r.outcome.Load() != outcomePending {
+		r.outcome.Store(outcomePending)
+	}
 	r.value = zero
-	r.left.Store(left)
-	r.right.Store(right)
-	r.update.Store(clean)
-	r.resetInfoFields()
+	r.key = key
+	setPtr(&r.left, p)
+	setPtr(&r.right, l)
+	setPtr(&r.update, nil)
+	r.aux, r.pupdate, r.gpupdate = aux, pupdate, gpupdate
+	r.flagCell.set(flag, r)
+	r.markCell.set(StateMark, r)
+	r.cleanCell.set(StateClean, r)
 	return r
 }
 
 // initIInfo (re)initialises a record as an insertion descriptor.
 func initIInfo[V any](r *Record[V], key int64, p, l, newChild *Record[V], pupdate *UpdateCell[V]) *Record[V] {
-	var zero V
-	r.kind = KindIInfo
-	r.key = key
-	r.value = zero
-	r.left.Store(nil)
-	r.right.Store(nil)
-	r.update.Store(nil)
-	r.gp = nil
-	r.p = p
-	r.l = l
-	r.newChild = newChild
-	r.pupdate = pupdate
-	r.gpupdate = nil
-	r.searchK = key
-	r.outcome.Store(outcomePending)
-	r.flagCell.set(StateIFlag, r)
-	r.markCell.set(StateMark, r)
-	r.cleanCell.set(StateClean, r)
-	return r
+	return r.initInfo(KindIInfo, StateIFlag, key, p, l, newChild, pupdate, nil)
 }
 
 // initDInfo (re)initialises a record as a deletion descriptor.
 func initDInfo[V any](r *Record[V], key int64, gp, p, l *Record[V], pupdate, gpupdate *UpdateCell[V]) *Record[V] {
-	var zero V
-	r.kind = KindDInfo
-	r.key = key
-	r.value = zero
-	r.left.Store(nil)
-	r.right.Store(nil)
-	r.update.Store(nil)
-	r.gp = gp
-	r.p = p
-	r.l = l
-	r.newChild = nil
-	r.pupdate = pupdate
-	r.gpupdate = gpupdate
-	r.searchK = key
-	r.outcome.Store(outcomePending)
-	r.flagCell.set(StateDFlag, r)
-	r.markCell.set(StateMark, r)
-	r.cleanCell.set(StateClean, r)
-	return r
-}
-
-// resetInfoFields clears descriptor fields so recycled records do not pin
-// stale references.
-func (r *Record[V]) resetInfoFields() {
-	r.gp = nil
-	r.p = nil
-	r.l = nil
-	r.newChild = nil
-	r.pupdate = nil
-	r.gpupdate = nil
-	r.searchK = 0
-	r.outcome.Store(outcomePending)
-	r.flagCell.set(StateClean, nil)
-	r.markCell.set(StateClean, nil)
-	r.cleanCell.set(StateClean, nil)
+	return r.initInfo(KindDInfo, StateDFlag, key, p, l, gp, pupdate, gpupdate)
 }
 
 // Manager is the Record Manager type the tree programs against.

@@ -39,7 +39,7 @@ type Tree[V any] struct {
 	// made safe to access (set before concurrent use; see SetVisitHook).
 	visit func(tid int, r *Record[V])
 
-	stats []threadStats
+	threads []threadState[V]
 }
 
 // SetVisitHook installs fn to be called for every node the search path has
@@ -57,16 +57,24 @@ func (t *Tree[V]) observe(tid int, r *Record[V]) {
 	}
 }
 
-// threadStats is one thread's single-writer data-structure-level counters
-// (core.Counter contract: written only by the owning slot, read racily by
-// Stats), padded so neighbouring slots' cells do not share cache lines.
-// These used to be three global atomic.Int64 cells — a LOCK-prefixed RMW on
-// a line shared by every thread, once per restart, help and recovery.
-type threadStats struct {
+// threadState is one worker slot's single-writer state, padded so
+// neighbouring slots do not share cache lines: the data-structure-level
+// counters (core.Counter contract: written only by the owning slot, read
+// racily by Stats) and the slot's parked scratch records.
+type threadState[V any] struct {
 	restarts core.Counter // operation restarts (CAS failures, HP validation failures)
 	helps    core.Counter // help calls on other operations' descriptors
 	recov    core.Counter // recovery executions after neutralization
-	_        [core.PadBytes]byte
+
+	// scratch[:parked] are allocated records an Insert or Delete obtained in
+	// its quiescent preamble and did not publish (the key was present, or
+	// absent). The slot's next update takes them instead of paying
+	// Allocate+Deallocate per call; ReleaseHandle hands them back. An Insert
+	// takes four and a Delete one, and each parks no more than it took.
+	scratch [4]*Record[V]
+	parked  int
+
+	_ [core.PadBytes]byte
 }
 
 // Stats is a snapshot of the tree's operation counters.
@@ -87,7 +95,7 @@ func New[V any](mgr *Manager[V]) *Tree[V] {
 		mgr:           mgr,
 		perRecord:     mgr.NeedsPerRecordProtection(),
 		crashRecovery: mgr.SupportsCrashRecovery(),
-		stats:         make([]threadStats, mgr.WorkerSlots()),
+		threads:       make([]threadState[V], mgr.WorkerSlots()),
 	}
 	t.initialClean.set(StateClean, nil)
 	// The initial tree: a root with key Infinity2 whose children are the
@@ -112,7 +120,7 @@ func (t *Tree[V]) Manager() *Manager[V] { return t.mgr }
 type Handle[V any] struct {
 	t   *Tree[V]
 	rm  *core.ThreadHandle[Record[V]]
-	st  *threadStats
+	st  *threadState[V]
 	tid int
 }
 
@@ -120,7 +128,7 @@ type Handle[V any] struct {
 // slot for static dense-tid wiring (core.RecordManager.Handle does the
 // claim). Goroutines that come and go use AcquireHandle/ReleaseHandle.
 func (t *Tree[V]) Handle(tid int) Handle[V] {
-	return Handle[V]{t: t, rm: t.mgr.Handle(tid), st: &t.stats[tid], tid: tid}
+	return Handle[V]{t: t, rm: t.mgr.Handle(tid), st: &t.threads[tid], tid: tid}
 }
 
 // AcquireHandle binds the calling goroutine to a vacant worker slot of the
@@ -128,13 +136,42 @@ func (t *Tree[V]) Handle(tid int) Handle[V] {
 // dynamic binding style); release it with ReleaseHandle.
 func (t *Tree[V]) AcquireHandle() Handle[V] {
 	rm := t.mgr.AcquireHandle()
-	return Handle[V]{t: t, rm: rm, st: &t.stats[rm.Tid()], tid: rm.Tid()}
+	return Handle[V]{t: t, rm: rm, st: &t.threads[rm.Tid()], tid: rm.Tid()}
 }
 
 // ReleaseHandle returns an acquired slot to the manager's registry. The
 // calling goroutine must be quiescent (between operations) and must not use
-// the handle afterwards.
-func (t *Tree[V]) ReleaseHandle(hd Handle[V]) { t.mgr.ReleaseHandle(hd.rm) }
+// the handle afterwards. The slot's parked scratch records go back to the
+// pool first, so a goroutine that comes and goes strands nothing.
+func (t *Tree[V]) ReleaseHandle(hd Handle[V]) {
+	st := hd.st
+	for i, r := range st.scratch[:st.parked] {
+		hd.rm.Deallocate(r)
+		st.scratch[i] = nil
+	}
+	st.parked = 0
+	t.mgr.ReleaseHandle(hd.rm)
+}
+
+// scratch returns an unpublished record for an update's quiescent preamble:
+// one the slot parked, else a fresh allocation.
+func (hd Handle[V]) scratch() *Record[V] {
+	st := hd.st
+	if st.parked == 0 {
+		return hd.rm.Allocate()
+	}
+	st.parked--
+	r := st.scratch[st.parked]
+	st.scratch[st.parked] = nil
+	return r
+}
+
+// park keeps an update's unpublished record for the slot's next update.
+func (hd Handle[V]) park(r *Record[V]) {
+	st := hd.st
+	st.scratch[st.parked] = r
+	st.parked++
+}
 
 // Tid returns the dense thread id the handle is bound to.
 func (hd Handle[V]) Tid() int { return hd.tid }
@@ -147,8 +184,8 @@ func (hd Handle[V]) Tree() *Tree[V] { return hd.t }
 // quiescent).
 func (t *Tree[V]) Stats() Stats {
 	var s Stats
-	for i := range t.stats {
-		st := &t.stats[i]
+	for i := range t.threads {
+		st := &t.threads[i]
 		s.Restarts += st.restarts.Load()
 		s.Helps += st.helps.Load()
 		s.Recoveries += st.recov.Load()
@@ -202,9 +239,12 @@ func (t *Tree[V]) search(hd Handle[V], key int64) searchResult[V] {
 		p = l
 		pupdate = p.update.Load()
 		l = child(p, key)
-		if l == nil {
-			// A node is being initialised concurrently in a way we can no
-			// longer trust (can only happen if protection failed); restart.
+		if l == nil || (t.perRecord && p.Kind() != KindInternal) {
+			// p is no longer the internal node the search stepped onto: it
+			// was recycled as a leaf (nil children) or as a descriptor, whose
+			// p and l share the child slots. Can only happen if protection
+			// failed (the hazard-pointer window described at the p.update
+			// re-check below); restart.
 			res.ok = false
 			t.releaseSearchProtection(hd, gp, p, nil)
 			return res

@@ -67,7 +67,7 @@ func (t *Tree[V]) Validate() error {
 			err = fmt.Errorf("bst: nil child reached")
 			return false
 		}
-		switch n.kind {
+		switch n.Kind() {
 		case KindLeaf:
 			leaves++
 			if !inRange(n.key, lo, hi) && n.key < Infinity1 {
@@ -89,7 +89,7 @@ func (t *Tree[V]) Validate() error {
 			}
 			return walk(n.right.Load(), bound{set: true, key: n.key}, hi)
 		default:
-			err = fmt.Errorf("bst: node with unexpected kind %d reached from the root", n.kind)
+			err = fmt.Errorf("bst: node with unexpected kind %d reached from the root", n.Kind())
 			return false
 		}
 	}

@@ -18,6 +18,9 @@
 //     traversal maintains a sliding pred/curr/next window of protections,
 //     validating each announcement against the link it was read from and
 //     restarting the operation when validation fails.
+//   - Under the epoch schemes Get does none of that: it walks from the
+//     bucket dummy straight through marked and retired nodes without a CAS
+//     (lookup), which is what an epoch announcement buys a search.
 //   - Under DEBRA+ (SupportsCrashRecovery) every operation body is wrapped
 //     in a neutralization recovery: allocation happens in a quiescent
 //     preamble, the linearizing CAS result is captured in a local before any
@@ -114,13 +117,21 @@ type segment[V any] struct {
 	buckets []atomic.Pointer[Node[V]]
 }
 
-// spareSlot is a per-thread scratch holding a pre-allocated dummy node
-// across neutralization retries (allocation must not happen inside a
-// restartable body, so bucket initialisation parks its dummy here until the
-// splice succeeds). Padded to keep the single-writer slots off each other's
-// cache lines.
+// spareSlot is a per-thread scratch of allocated, unpublished records, padded
+// to keep the single-writer slots off each other's cache lines.
+//
+// node is the pre-allocated dummy of a bucket initialisation. It stays in
+// the slot until its splice succeeds, so a body restarted by neutralization
+// finds it again instead of allocating (allocation must not happen inside a
+// restartable body).
+//
+// rec is the node or marker an Insert, Delete or Upsert pre-allocated and did
+// not publish (the key was present, or absent). The next update of the slot
+// takes it instead of paying Allocate+Deallocate per call. Every update takes
+// before it parks and parks at most one record, so one slot is enough.
 type spareSlot[V any] struct {
 	node *Node[V]
+	rec  *Node[V]
 	_    [core.PadBytes]byte
 }
 
@@ -282,15 +293,32 @@ func (h *Map[V]) bindHandle(rm *core.ThreadHandle[Node[V]]) *Handle[V] {
 // ReleaseHandle returns an acquired slot to the manager's registry. The
 // calling goroutine must be quiescent (every map operation leaves the thread
 // quiescent, so between operations is always legal) and must not use the
-// handle afterwards. The slot's pre-allocated spare dummy, if any, is
-// returned to the pool rather than parked for the next occupant.
+// handle afterwards. The slot's parked scratch records (spare dummy, unused
+// node or marker), if any, are returned to the pool rather than left for the
+// next occupant, so a goroutine that comes and goes strands nothing.
 func (h *Map[V]) ReleaseHandle(hd *Handle[V]) {
-	if spare := hd.spare.node; spare != nil {
-		hd.spare.node = nil
-		hd.rm.Deallocate(spare)
+	sp := hd.spare
+	for _, r := range [...]*Node[V]{sp.node, sp.rec} {
+		if r != nil {
+			hd.rm.Deallocate(r)
+		}
 	}
+	sp.node, sp.rec = nil, nil
 	h.mgr.ReleaseHandle(hd.rm)
 }
+
+// scratch returns an unpublished record for an update's quiescent preamble:
+// the slot's parked one, else a fresh allocation.
+func (hd *Handle[V]) scratch() *Node[V] {
+	if r := hd.spare.rec; r != nil {
+		hd.spare.rec = nil
+		return r
+	}
+	return hd.rm.Allocate()
+}
+
+// park keeps an update's unpublished record for the slot's next update.
+func (hd *Handle[V]) park(r *Node[V]) { hd.spare.rec = r }
 
 // Tid returns the dense thread id the handle is bound to.
 func (hd *Handle[V]) Tid() int { return hd.tid }
@@ -516,7 +544,7 @@ func (h *Map[V]) find(hd *Handle[V], start *Node[V], sokey uint64, key int64) (f
 				}
 			}
 			h.observe(hd.tid, next)
-			if next.kind == kindMarker {
+			if next.kind() == kindMarker {
 				// curr is logically deleted; unlink the (curr, marker) pair.
 				// Only the winning CAS retires: curr leaves the list exactly
 				// once, and its next field froze at the marker when it was
@@ -604,16 +632,16 @@ func (h *Map[V]) Insert(tid int, key int64, value V) bool {
 // Insert adds key with the given value through the thread's handle.
 func (hd *Handle[V]) Insert(key int64, value V) bool {
 	h := hd.h
-	// Quiescent preamble: allocate the node the body may publish.
-	// Allocation is not re-entrant, so it must not happen inside the body
-	// (which can be neutralized and re-run).
-	node := hd.rm.Allocate()
+	// Quiescent preamble: obtain the node the body may publish. Allocation
+	// is not re-entrant, so it must not happen inside the body (which can be
+	// neutralized and re-run).
+	node := hd.scratch()
 	for {
 		switch h.insertBody(hd, key, value, node) {
 		case opTrue:
 			return true
 		case opFalse:
-			hd.rm.Deallocate(node)
+			hd.park(node)
 			return false
 		default:
 			hd.st.restarts.Inc()
@@ -675,8 +703,8 @@ func (h *Map[V]) Delete(tid int, key int64) bool { return h.Handle(tid).Delete(k
 // Delete removes key through the thread's handle.
 func (hd *Handle[V]) Delete(key int64) bool {
 	h := hd.h
-	// Quiescent preamble: allocate the marker the body may publish.
-	marker := hd.rm.Allocate()
+	// Quiescent preamble: obtain the marker the body may publish.
+	marker := hd.scratch()
 	for {
 		outcome, unlinkedN, unlinkedM := h.deleteBody(hd, key, marker)
 		switch outcome {
@@ -690,7 +718,7 @@ func (hd *Handle[V]) Delete(key int64) bool {
 			}
 			return true
 		case opFalse:
-			hd.rm.Deallocate(marker)
+			hd.park(marker)
 			return false
 		default:
 			hd.st.restarts.Inc()
@@ -758,7 +786,7 @@ func (h *Map[V]) deleteBody(hd *Handle[V], key int64, marker *Node[V]) (outcome 
 			}
 		}
 		h.observe(hd.tid, s)
-		if s.kind == kindMarker {
+		if s.kind() == kindMarker {
 			// Another delete already marked n: this delete linearizes after
 			// it and finds the key absent. The retry's find unlinks the pair
 			// and reports not-found.
@@ -826,22 +854,22 @@ func (h *Map[V]) Upsert(tid int, key int64, value V) (prev V, replaced bool) {
 // Upsert sets key to value through the thread's handle (see Map.Upsert).
 func (hd *Handle[V]) Upsert(key int64, value V) (prev V, replaced bool) {
 	h := hd.h
-	// Quiescent preamble: allocate the node the body publishes and the
-	// marker a replacement consumes (re-allocated when an attempt consumes
-	// it without finishing; allocation must not happen inside a body that
-	// can be neutralized and re-run).
-	node := hd.rm.Allocate()
+	// Quiescent preamble: obtain the node the body publishes and the marker
+	// a replacement consumes (obtained again when an attempt consumes it
+	// without finishing; allocation must not happen inside a body that can
+	// be neutralized and re-run).
+	node := hd.scratch()
 	var marker *Node[V]
 	for {
 		if marker == nil {
-			marker = hd.rm.Allocate()
+			marker = hd.scratch()
 		}
 		outcome, pv, uN, uM := h.upsertBody(hd, key, value, node, marker)
 		switch outcome {
 		case opUpsertInserted:
 			// prev/replaced may have been set by an earlier attempt that
 			// marked the old node but lost the replace CAS.
-			hd.rm.Deallocate(marker)
+			hd.park(marker)
 			return prev, replaced
 		case opUpsertReplaced:
 			if uN != nil {
@@ -933,7 +961,7 @@ func (h *Map[V]) upsertBody(hd *Handle[V], key int64, value V, node, marker *Nod
 			}
 		}
 		h.observe(hd.tid, s)
-		if s.kind == kindMarker {
+		if s.kind() == kindMarker {
 			// A concurrent delete marked n: retry; the next find unlinks the
 			// pair and reports the key absent.
 			rm.EnterQstate()
@@ -1010,20 +1038,61 @@ func (h *Map[V]) getBody(hd *Handle[V], key int64) (val V, found, done bool) {
 		rm.EnterQstate()
 		return val, false, false
 	}
+	if !h.perRecord {
+		// Read the value while the node is still safe to access, before
+		// EnterQstate can deliver a neutralization that would invalidate it.
+		if n := h.lookup(hd, start, sokey, key); n != nil {
+			val, found = n.value, true
+		}
+		rm.EnterQstate()
+		return val, found, true
+	}
 	pos, ok := h.find(hd, start, sokey, key)
 	if !ok {
 		rm.EnterQstate()
 		return val, false, false
 	}
 	if pos.found {
-		// Read the value while curr is still safe to access, before
-		// EnterQstate can deliver a neutralization that would invalidate it.
 		val = pos.curr.value
 		found = true
 	}
 	rm.EnterQstate()
 	h.releasePos(hd, pos)
 	return val, found, true
+}
+
+// lookup is the read path of the epoch schemes: a wait-free walk from the
+// bucket dummy to the live node holding (sokey, key), or nil. The thread's
+// epoch announcement covers every record reachable since the operation
+// began, including marked, unlinked and retired ones, so the walk follows
+// next pointers straight through them: a marker is skipped by its kind (its
+// next is the marked node's frozen successor, and every link leads to a
+// greater position, so the walk still ends), nothing is unlinked, no CAS is
+// issued, and no other record is dereferenced per hop. Only the node that
+// matches has its successor inspected, to tell a live node from a marked one;
+// Get linearizes at that load. Per-record schemes cannot take this path: a
+// hazard pointer protects one record, validated against the link it was read
+// from, and a link out of a marked node proves nothing about its target.
+func (h *Map[V]) lookup(hd *Handle[V], start *Node[V], sokey uint64, key int64) *Node[V] {
+	rm := hd.rm
+	for curr := start.next.Load(); curr != nil; curr = curr.next.Load() {
+		rm.Checkpoint()
+		h.observe(hd.tid, curr)
+		if curr.kind() == kindMarker || soLess(curr.sokey, curr.key, sokey, key) {
+			continue
+		}
+		if curr.sokey != sokey || curr.key != key {
+			return nil
+		}
+		if next := curr.next.Load(); next != nil {
+			h.observe(hd.tid, next)
+			if next.kind() == kindMarker {
+				return nil
+			}
+		}
+		return curr
+	}
+	return nil
 }
 
 // Contains reports whether key is in the map.
@@ -1040,7 +1109,7 @@ func (hd *Handle[V]) Contains(key int64) bool {
 // step follows a node's next link, skipping over a deletion marker.
 func step[V any](n *Node[V]) *Node[V] {
 	next := n.next.Load()
-	if next != nil && next.kind == kindMarker {
+	if next != nil && next.kind() == kindMarker {
 		return next.next.Load()
 	}
 	return next
@@ -1048,11 +1117,11 @@ func step[V any](n *Node[V]) *Node[V] {
 
 // isLive reports whether a node is an unmarked regular node.
 func isLive[V any](n *Node[V]) bool {
-	if n.kind != kindRegular {
+	if n.kind() != kindRegular {
 		return false
 	}
 	next := n.next.Load()
-	return next == nil || next.kind != kindMarker
+	return next == nil || next.kind() != kindMarker
 }
 
 // Len returns the number of live keys by walking the list (quiescent use
@@ -1087,7 +1156,7 @@ func (h *Map[V]) Validate() error {
 	prev := h.head
 	seen := map[*Node[V]]bool{h.head: true}
 	for curr := step(h.head); curr != nil; curr = step(curr) {
-		if curr.kind == kindMarker {
+		if curr.kind() == kindMarker {
 			return fmt.Errorf("hashmap: marker reachable as a primary node")
 		}
 		if seen[curr] {

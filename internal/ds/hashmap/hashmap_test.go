@@ -462,6 +462,29 @@ func TestStressAllSchemes(t *testing.T) {
 	}
 }
 
+// TestStressWaitFreeGet is the poison-sink stress of the epoch schemes' read
+// path: seven operations in ten are Contains, so the wait-free walk spends
+// the run stepping through marked, unlinked and retired nodes behind a
+// stream of deletes, and its per-hop visit hook fails the test if any of
+// them was already freed. Small enough for `go test -race -short`.
+func TestStressWaitFreeGet(t *testing.T) {
+	for _, scheme := range []string{recordmgr.SchemeEBR, recordmgr.SchemeQSBR, recordmgr.SchemeDEBRA, recordmgr.SchemeDEBRAPlus} {
+		t.Run(scheme, func(t *testing.T) {
+			factory := poisonedMapFactory(func(n int, sink core.FreeSink[hashmap.Node[int64]], dom *neutralize.Domain) core.Reclaimer[hashmap.Node[int64]] {
+				rcl, err := recordmgr.NewShardedReclaimer[hashmap.Node[int64]](scheme, n, sink, dom, core.ShardSpec{Shards: 1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return rcl
+			})
+			opts := reclaimtest.DefaultSetStressOptions()
+			opts.InsertPct, opts.DeletePct = 15, 15
+			opts.KeyRange = 128 // few keys: every chain a Get walks is being deleted from
+			reclaimtest.StressSet(t, factory, opts)
+		})
+	}
+}
+
 // TestStressBatchedRetirement runs the same poison harness with the Record
 // Manager's deferred-retire batching enabled: one full-block batch size (the
 // O(1) splice path) and one sub-block size (the per-record fallback), each

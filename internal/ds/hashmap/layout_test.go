@@ -1,0 +1,44 @@
+package hashmap
+
+import (
+	"testing"
+	"unsafe"
+
+	"repro/internal/arena"
+)
+
+// TestNodeLayout pins the record layout the read path is built on: a
+// Node[uint32] is half a cache line, so on a 64-byte-aligned slab two nodes
+// share a line and none straddles one. Adding a field, or reordering so that
+// padding appears, fails here rather than in a benchmark.
+func TestNodeLayout(t *testing.T) {
+	var n Node[uint32]
+	if got := unsafe.Sizeof(n); got != 32 {
+		t.Errorf("Sizeof(Node[uint32]) = %d, want 32", got)
+	}
+	for name, off := range map[string]uintptr{
+		"key": unsafe.Offsetof(n.key), "sokey": unsafe.Offsetof(n.sokey), "next": unsafe.Offsetof(n.next),
+		"value": unsafe.Offsetof(n.value), "meta": unsafe.Offsetof(n.meta),
+	} {
+		if off >= 64 {
+			t.Errorf("Node[uint32].%s at offset %d: past the first cache line", name, off)
+		}
+	}
+	// What every hop reads stays in front whatever V is.
+	var w Node[[]byte]
+	if got := unsafe.Sizeof(w); got != 56 {
+		t.Errorf("Sizeof(Node[[]byte]) = %d, want 56", got)
+	}
+	if end := unsafe.Offsetof(w.next) + unsafe.Sizeof(w.next); end > 24 {
+		t.Errorf("Node[[]byte]: key, sokey, next end at %d, want <= 24", end)
+	}
+}
+
+// TestSlabAlignment checks the assumption the layout rests on: the first
+// record of a default bump slab starts a cache line.
+func TestSlabAlignment(t *testing.T) {
+	alloc := arena.NewBump[Node[uint32]](1, 0)
+	if addr := uintptr(unsafe.Pointer(alloc.Allocate(0))); addr%64 != 0 {
+		t.Errorf("first record of a default slab at %#x: not 64-byte aligned", addr)
+	}
+}

@@ -9,10 +9,11 @@ import (
 
 // Node kinds. A node's kind is assigned before it is published and never
 // changes while the node is reachable, so readers that hold a safe reference
-// (epoch-covered or hazard-protected) may read it without synchronisation.
+// (epoch-covered or hazard-protected) see one value for as long as they may
+// look.
 const (
 	// kindRegular is a key/value node inserted by Insert.
-	kindRegular uint8 = iota
+	kindRegular uint32 = iota
 	// kindDummy is a bucket sentinel of the split-ordered list. Dummy nodes
 	// are never removed, so traversals may keep unprotected references to
 	// them (they are the stable re-entry points of every bucket).
@@ -22,28 +23,41 @@ const (
 	// the mark is a one-shot successor node that makes a deleted node's next
 	// field CAS-incomparable to any plain successor).
 	kindMarker
+
+	// kindMask selects the kind from Node.meta; poisonBit is the reclaimtest
+	// freed-mark that shares the word.
+	kindMask  uint32 = 0xff
+	poisonBit uint32 = 1 << 8
 )
 
 // Node is the hash map's managed record type. One record type covers the
 // three roles (regular, dummy, marker) so a single Record Manager manages
 // every allocation of the structure, as the paper recommends for multi-role
 // structures (fold the types into one record with a kind discriminator).
+//
+// Byte map of Node[uint32] — 32 bytes, so a 64-byte-aligned slab holds two
+// nodes per cache line and no node straddles one. Everything a traversal
+// reads of a node is therefore one line:
+//
+//	 0  key    int64            regular: the user key; dummy, marker: 0
+//	 8  sokey  uint64           regular: bit-reversed hash | 1; dummy: bit-reversed
+//	                            bucket index; marker: 0. The list is sorted by (sokey, key)
+//	16  next   *Node            successor; a marked node's next is its marker, a
+//	                            marker's next the frozen successor
+//	24  value  V                regular only
+//	28  meta   uint32           bits 0-7 kind, bit 8 reclaimtest poison flag
+//
+// A wider V grows the record from offset 24 (Node[[]byte] is 56 bytes); key,
+// sokey and next, which every hop reads, stay in the first 24.
 type Node[V any] struct {
 	key   int64
-	value V
-	// sokey is the split-order key: the bit-reversed mixed hash with the low
-	// bit set for regular nodes, or the bit-reversed bucket index (low bit
-	// clear) for dummy nodes. The list is sorted by (sokey, key).
 	sokey uint64
-	kind  uint8
 	next  atomic.Pointer[Node[V]]
-
-	// poisoned is test instrumentation: the reclaimtest poison wrappers set
-	// it when the record is handed to the free path and clear it on reuse,
-	// and the safety harness asserts through the map's visit hook that a
-	// traversal never observes it on a node protection made safe to access.
-	// It costs nothing on the hot path (nothing in this package reads it).
-	poisoned atomic.Bool
+	value V
+	// meta is atomic because the poison flag is set and cleared by the test
+	// pool wrappers while the kind sits beside it; on the hot path it is only
+	// ever loaded (a plain MOV).
+	meta atomic.Uint32
 }
 
 // Key returns the node's key (meaningful for regular nodes only).
@@ -55,21 +69,26 @@ func (n *Node[V]) Value() V { return n.value }
 // SplitOrderKey returns the node's split-order key.
 func (n *Node[V]) SplitOrderKey() uint64 { return n.sokey }
 
+func (n *Node[V]) kind() uint32 { return n.meta.Load() & kindMask }
+
 // IsDummy reports whether the node is a bucket sentinel.
-func (n *Node[V]) IsDummy() bool { return n.kind == kindDummy }
+func (n *Node[V]) IsDummy() bool { return n.kind() == kindDummy }
 
 // IsMarker reports whether the node is a logical-deletion marker.
-func (n *Node[V]) IsMarker() bool { return n.kind == kindMarker }
+func (n *Node[V]) IsMarker() bool { return n.kind() == kindMarker }
 
 // Poison implements the reclaimtest Poisonable contract: mark the record as
-// freed, reporting whether it already was (a double free).
-func (n *Node[V]) Poison() bool { return n.poisoned.Swap(true) }
+// freed, reporting whether it already was (a double free). The harness sets
+// the mark when the record is handed to the free path and clears it on reuse,
+// and asserts through the map's visit hook that a traversal never observes it
+// on a node protection made safe to access.
+func (n *Node[V]) Poison() bool { return n.meta.Or(poisonBit)&poisonBit != 0 }
 
 // Unpoison clears the freed mark (called by pool wrappers on reuse).
-func (n *Node[V]) Unpoison() { n.poisoned.Store(false) }
+func (n *Node[V]) Unpoison() { n.meta.And(^poisonBit) }
 
 // IsPoisoned reports whether the record is currently marked freed.
-func (n *Node[V]) IsPoisoned() bool { return n.poisoned.Load() }
+func (n *Node[V]) IsPoisoned() bool { return n.meta.Load()&poisonBit != 0 }
 
 // Manager is the Record Manager type the hash map programs against.
 type Manager[V any] = core.RecordManager[Node[V]]
@@ -115,12 +134,22 @@ func parentBucket(b uint64) uint64 {
 	return b &^ (1 << (bits.Len64(b) - 1))
 }
 
+// setKind assigns the role of a record the caller owns exclusively. The
+// store is skipped when the recycled record already has the kind (an atomic
+// store is an XCHG); a record handed out by an allocator or pool is never
+// poisoned, so the whole word is the kind.
+func (n *Node[V]) setKind(kind uint32) {
+	if n.meta.Load() != kind {
+		n.meta.Store(kind)
+	}
+}
+
 // initRegular (re)initialises a recycled record as a key/value node.
 func initRegular[V any](n *Node[V], key int64, value V, sokey uint64, next *Node[V]) {
 	n.key = key
 	n.value = value
 	n.sokey = sokey
-	n.kind = kindRegular
+	n.setKind(kindRegular)
 	n.next.Store(next)
 }
 
@@ -130,7 +159,7 @@ func initDummy[V any](n *Node[V], sokey uint64) {
 	n.key = 0
 	n.value = zero
 	n.sokey = sokey
-	n.kind = kindDummy
+	n.setKind(kindDummy)
 	n.next.Store(nil)
 }
 
@@ -141,6 +170,6 @@ func initMarker[V any](n *Node[V], next *Node[V]) {
 	n.key = 0
 	n.value = zero
 	n.sokey = 0
-	n.kind = kindMarker
+	n.setKind(kindMarker)
 	n.next.Store(next)
 }

@@ -221,3 +221,67 @@ func TestPartitionedConcurrent(t *testing.T) {
 		})
 	}
 }
+
+// TestReleaseHandsBackScratch is the slot-churn check of the parked scratch
+// records, at the level kvservice uses the map (it releases its slots every
+// Burst requests): acquire every partition's slot, run an Insert that finds
+// its key present, a Delete that finds its key absent and an Upsert of an
+// absent key (which leaves its marker unused), release. The release must
+// hand each slot's parked record to its pool: every record handed out is
+// then pooled again, awaiting reclamation, or part of a map — none stranded
+// — the allocators are asked for fresh records only as the maps grow, and
+// Close leaves Retired == Freed.
+func TestReleaseHandsBackScratch(t *testing.T) {
+	const partitions = 2
+	for _, scheme := range allSchemes() {
+		t.Run(scheme, func(t *testing.T) {
+			pm := newPartitioned(t, scheme, partitions, 1, 2)
+			h := pm.NewHandle()
+			h.Acquire()
+			for k := int64(0); k < 16; k++ {
+				h.Insert(k, k)
+			}
+			h.Release()
+			// Records the maps are made of: live nodes, spliced dummies and
+			// each partition's head.
+			inMaps := func() int64 { return int64(pm.Count()) + pm.Stats().Dummies + partitions }
+			var fresh int64
+			for cycle := 0; cycle < 32; cycle++ {
+				h.Acquire()
+				key := int64(100 + cycle)
+				if h.Insert(3, 0) || h.Delete(key) {
+					t.Fatal("a failing update succeeded")
+				}
+				if _, existed := h.Upsert(key, key); existed {
+					t.Fatalf("Upsert found absent key %d", key)
+				}
+				h.Release()
+				st := pm.ManagerStats()
+				if out := st.Pool.Reused + st.Pool.FromAllocator - st.Pool.Freed - st.Unreclaimed; out != inMaps() {
+					t.Fatalf("cycle %d: %d records outside pools and limbo, the maps hold %d: scratch stranded", cycle, out, inMaps())
+				}
+				// Each partition's pool settles at the two records one Upsert
+				// takes, once the keys have routed to it a few times.
+				const settled = 8
+				switch beyond := st.Alloc.Allocated - inMaps(); {
+				case cycle == settled:
+					fresh = beyond
+				case cycle > settled && beyond != fresh:
+					t.Fatalf("cycle %d: allocators served %d records beyond the maps' own, %d after the first cycles: parked records are not coming back", cycle, beyond, fresh)
+				}
+			}
+			if err := pm.Validate(); err != nil {
+				t.Fatal(err)
+			}
+			h.Acquire()
+			for k := int64(0); k < 16; k++ {
+				h.Delete(k)
+			}
+			h.Release()
+			pm.Close()
+			if st := pm.ManagerStats().Reclaimer; scheme != recordmgr.SchemeNone && st.Retired != st.Freed {
+				t.Fatalf("after Close: retired %d, freed %d", st.Retired, st.Freed)
+			}
+		})
+	}
+}

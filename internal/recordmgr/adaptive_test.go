@@ -8,6 +8,7 @@ package recordmgr_test
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -50,22 +51,27 @@ func TestAdaptiveLeakFreeShutdown(t *testing.T) {
 				t.Fatal("Adaptive manager has no controller")
 			}
 			var wg sync.WaitGroup
+			var total atomic.Int64
 			for tid := 0; tid < threads; tid++ {
 				wg.Add(1)
 				go func(tid int) {
 					defer wg.Done()
-					for i := 0; i < ops; i++ {
-						mgr.LeaveQstate(tid)
-						mgr.Retire(tid, mgr.Allocate(tid))
-						mgr.EnterQstate(tid)
+					// Keep retiring until the controller has ticked at least
+					// once: on a fast machine ops iterations can finish inside
+					// the first control period, and the test is about the two
+					// running together.
+					n := 0
+					for ; n < ops || mgr.Controller().Steps() == 0; n++ {
+						retireOne(mgr, tid)
 					}
+					total.Add(int64(n))
 				}(tid)
 			}
 			wg.Wait()
 			mgr.Close()
 			st := mgr.Stats()
-			if st.Reclaimer.Retired != int64(threads*ops) {
-				t.Fatalf("retired %d want %d", st.Reclaimer.Retired, threads*ops)
+			if st.Reclaimer.Retired != total.Load() {
+				t.Fatalf("retired %d want %d", st.Reclaimer.Retired, total.Load())
 			}
 			if st.Reclaimer.Freed != st.Reclaimer.Retired {
 				t.Fatalf("after Close: retired %d != freed %d (limbo %d, pending %d, handoff %d)",

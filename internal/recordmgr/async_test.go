@@ -50,9 +50,7 @@ func TestAsyncLeakFreeShutdown(t *testing.T) {
 					go func(tid int) {
 						defer wg.Done()
 						for i := 0; i < ops; i++ {
-							mgr.LeaveQstate(tid)
-							mgr.Retire(tid, mgr.Allocate(tid))
-							mgr.EnterQstate(tid)
+							retireOne(mgr, tid)
 						}
 					}(tid)
 				}
@@ -181,9 +179,7 @@ func TestSyncCloseAlsoDrains(t *testing.T) {
 				go func(tid int) {
 					defer wg.Done()
 					for i := 0; i < ops; i++ {
-						mgr.LeaveQstate(tid)
-						mgr.Retire(tid, mgr.Allocate(tid))
-						mgr.EnterQstate(tid)
+						retireOne(mgr, tid)
 					}
 				}(tid)
 			}

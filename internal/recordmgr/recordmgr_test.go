@@ -15,6 +15,26 @@ type node struct {
 	value int64
 }
 
+// retireOne is one allocate-and-retire operation, written as the data
+// structures write theirs so that it survives DEBRA+: the record is allocated
+// in a quiescent preamble (never inside a restartable body), and because
+// EnterQstate delivers a pending neutralization as a panic, the retire is
+// captured in a local before that checkpoint and recovery re-runs the body
+// only when the retire had not happened yet.
+func retireOne(mgr *core.RecordManager[node], tid int) {
+	rec := mgr.Allocate(tid)
+	body := func() (retired bool) {
+		defer neutralize.OnNeutralized(mgr, tid, func(neutralize.Neutralized) {})
+		mgr.LeaveQstate(tid)
+		mgr.Retire(tid, rec)
+		retired = true
+		mgr.EnterQstate(tid)
+		return true
+	}
+	for !body() {
+	}
+}
+
 func TestBuildEveryScheme(t *testing.T) {
 	for _, scheme := range recordmgr.Schemes() {
 		for _, usePool := range []bool{false, true} {
