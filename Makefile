@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt fmt-check vet-reclaim test race fuzz-smoke bench-smoke bench-diff bench-baseline bench benchmark benchmark-smoke check
+.PHONY: all build vet fmt fmt-check vet-reclaim test race stress-hashmap fuzz-smoke bench-smoke bench-diff bench-baseline bench benchmark benchmark-smoke check
 
 all: check
 
@@ -44,6 +44,12 @@ test:
 ## race: test suite under the race detector (short mode, as in CI)
 race:
 	$(GO) test -race -short ./...
+
+## stress-hashmap: the hash map's bucket-claim, unlink-before-return and
+## wait-free-Get tests, repeated under the race detector (contracts: the
+## package comment of internal/ds/hashmap)
+stress-hashmap:
+	$(GO) test -race -count=10 -timeout 10m -run 'Claim|Unlink|StressWaitFreeGet' ./internal/ds/hashmap
 
 ## fuzz-smoke: short fuzzing pass over the kvwire frame and request decoders.
 ## go test accepts one -fuzz target per invocation, so the targets run back to

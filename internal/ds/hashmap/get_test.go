@@ -10,13 +10,7 @@ import (
 // test can pick list neighbours.
 func oneBucketMap(t *testing.T, scheme string, threads int) *Map[int64] {
 	t.Helper()
-	mgr, err := recordmgr.Build[Node[int64]](recordmgr.Config{
-		Scheme: scheme, Threads: threads, Allocator: recordmgr.AllocBump, UsePool: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := New(mgr, threads, WithInitialBuckets(1), WithMaxBuckets(1))
+	m := buildMap(t, scheme, threads, WithInitialBuckets(1), WithMaxBuckets(1))
 	for k := int64(1); k <= 8; k++ {
 		if !m.Insert(0, k, k*10) {
 			t.Fatalf("insert %d failed", k)
@@ -34,49 +28,58 @@ func chain(m *Map[int64]) []int64 {
 
 // linked reports whether the regular node holding key is still on the list.
 func linked(m *Map[int64], key int64) bool {
-	for n := m.head; n != nil; n = n.next.Load() {
-		if n.kind() == kindRegular && n.key == key {
-			return true
-		}
-	}
-	return false
+	return nodeOf(m, key) != nil
 }
 
-// TestGetOnMarkedNode: a key whose node is marked but not yet unlinked reads
-// absent. Under the epoch schemes Get is the wait-free walk — it leaves the
-// pair where it is and never unlinks; under hazard pointers Get still runs
-// the helping find, which unlinks the pair on its way.
+// nodeOf returns the regular node holding key if it is on the list.
+func nodeOf(m *Map[int64], key int64) *Node[int64] {
+	for n := &m.head; n != nil; n = n.next.Load() {
+		if n.kind() == kindRegular && n.key == key {
+			return n
+		}
+	}
+	return nil
+}
+
+// markOnly marks key's node the way deleteBody does and stops there, as a
+// deleter that lost its unlink CAS and has not yet made its find pass would.
+func markOnly(m *Map[int64], key int64) {
+	n := nodeOf(m, key)
+	marker := m.Handle(0).rm.Allocate()
+	initMarker(marker, n.next.Load())
+	n.next.Store(marker)
+	m.count.Add(-1)
+}
+
+// TestGetOnMarkedNode: linked means present. A key whose node is marked but
+// still on the list — its Delete has not returned — reads present under the
+// epoch schemes, whose Get is the wait-free walk: it stops at the node, looks
+// no further and leaves the pair where it is. Under hazard pointers Get runs
+// the helping find, which unlinks the pair on its way and so reads absent.
+// Either way the next mutating traversal leaves the list whole.
 func TestGetOnMarkedNode(t *testing.T) {
 	for _, scheme := range recordmgr.Schemes() {
 		t.Run(scheme, func(t *testing.T) {
 			m := oneBucketMap(t, scheme, 1)
 			victim := chain(m)[3]
-			// Mark the victim the way deleteBody does, without its unlink.
-			var n *Node[int64]
-			for n = m.head; n.key != victim || n.kind() != kindRegular; n = n.next.Load() {
-			}
-			marker := m.Handle(0).rm.Allocate()
-			initMarker(marker, n.next.Load())
-			n.next.Store(marker)
-			m.count.Add(-1)
+			markOnly(m, victim)
 
 			before := m.Stats()
-			if v, ok := m.Get(0, victim); ok {
-				t.Fatalf("Get of a marked key = %d, true", v)
+			v, ok := m.Get(0, victim)
+			after := m.Stats()
+			if m.perRecord {
+				if ok || after.Unlinks != before.Unlinks+1 || linked(m, victim) {
+					t.Fatalf("hp: Get must go through find and unlink the pair (found %v, unlinks %d -> %d, linked %v)",
+						ok, before.Unlinks, after.Unlinks, linked(m, victim))
+				}
+			} else if !ok || v != victim*10 || after != before || !linked(m, victim) {
+				t.Fatalf("epoch Get of a marked, linked key = %d, %v; stats %+v -> %+v, linked %v",
+					v, ok, before, after, linked(m, victim))
 			}
 			for _, k := range chain(m) {
 				if v, ok := m.Get(0, k); !ok || v != k*10 {
 					t.Fatalf("Get(%d) = %d, %v beside a marked node", k, v, ok)
 				}
-			}
-			after := m.Stats()
-			if m.perRecord {
-				if after.Unlinks != before.Unlinks+1 || linked(m, victim) {
-					t.Fatalf("hp: Get must go through find and unlink the pair (unlinks %d -> %d, linked %v)",
-						before.Unlinks, after.Unlinks, linked(m, victim))
-				}
-			} else if after != before || !linked(m, victim) {
-				t.Fatalf("epoch Get touched the list: stats %+v -> %+v, victim linked %v", before, after, linked(m, victim))
 			}
 			// The next update's find cleans up, and the structure is whole.
 			if m.Delete(0, victim) {
@@ -84,6 +87,9 @@ func TestGetOnMarkedNode(t *testing.T) {
 			}
 			if linked(m, victim) {
 				t.Fatal("marked pair still linked after a mutating traversal")
+			}
+			if _, ok := m.Get(0, victim); ok {
+				t.Fatal("unlinked key still readable")
 			}
 			if err := m.Validate(); err != nil {
 				t.Fatal(err)
@@ -97,7 +103,7 @@ func TestGetOnMarkedNode(t *testing.T) {
 // through node, marker, node, marker and reaches the live successor, and the
 // only unlinks counted are the deletes' own.
 func TestGetCrossesUnlinkedPairs(t *testing.T) {
-	for _, scheme := range []string{recordmgr.SchemeEBR, recordmgr.SchemeQSBR, recordmgr.SchemeDEBRA, recordmgr.SchemeDEBRAPlus} {
+	for _, scheme := range epochSchemes {
 		t.Run(scheme, func(t *testing.T) {
 			m := oneBucketMap(t, scheme, 2)
 			keys := chain(m)

@@ -9,31 +9,88 @@
 //
 // Reclamation-relevant structure:
 //
-//   - All nodes — key/value nodes, bucket sentinels ("dummies") and deletion
-//     markers — are allocated, retired and recycled through one Record
-//     Manager, so retired nodes may be reused while slow readers still hold
-//     references to them: exactly the situation safe memory reclamation must
-//     make survivable.
+//   - Key/value nodes and deletion markers are allocated, retired and
+//     recycled through one Record Manager, so retired nodes may be reused
+//     while slow readers still hold references to them: exactly the situation
+//     safe memory reclamation must make survivable.
+//   - Bucket heads ("dummies") are not Record Manager records. A head is
+//     never removed, so it is never retired and nothing about it needs a
+//     grace period; it is an element of the bucket directory (bucket 0's is a
+//     field of Map), found by arithmetic, and it is a Node so that the list
+//     runs through it like through any other. Heads are the stable re-entry
+//     points that let a restarted traversal re-enter its bucket without
+//     re-running the whole operation from a global head.
 //   - Under hazard-pointer style schemes (NeedsPerRecordProtection) the
 //     traversal maintains a sliding pred/curr/next window of protections,
 //     validating each announcement against the link it was read from and
 //     restarting the operation when validation fails.
 //   - Under the epoch schemes Get does none of that: it walks from the
-//     bucket dummy straight through marked and retired nodes without a CAS
-//     (lookup), which is what an epoch announcement buys a search.
+//     bucket head straight through marked and retired nodes without a CAS
+//     and stops at the node it was looking for (lookup), which is what an
+//     epoch announcement buys a search.
 //   - Under DEBRA+ (SupportsCrashRecovery) every operation body is wrapped
 //     in a neutralization recovery: allocation happens in a quiescent
-//     preamble, the linearizing CAS result is captured in a local before any
-//     further checkpoint, and recovery inspects only that local state — it
-//     never touches shared records, so it needs no recovery protections.
-//   - Dummy nodes are never retired; they are the stable re-entry points
-//     that let a restarted traversal re-enter its bucket without re-running
-//     the whole operation from a global head.
+//     preamble, the result of every CAS that takes hold is captured in a
+//     local before any further checkpoint, and recovery inspects only that
+//     local state — it never touches shared records, so it needs no recovery
+//     protections.
 //
-// Resizing is incremental and lock-free: the bucket table is a lazily
-// allocated two-level segment directory, growing the table is a single CAS
-// on the bucket count, and new buckets splice their dummy node into the
+// Resizing is incremental and lock-free: the bucket directory is a two-level
+// table of segments, growing the table publishes the next segment and then
+// CASes the bucket count, and a new bucket's head is spliced into the
 // split-ordered list on first access (no node is ever rehashed or moved).
+//
+// # Entering a bucket: the claim protocol
+//
+// A head's meta word starts at zero ("unclaimed": segment memory is zeroed).
+// The first thread to enter the bucket claims the head with one CAS from zero
+// to linking|slot, splices it into the list behind the bucket's parent, and
+// stores kindDummy; from then on entering the bucket is one load. A thread
+// that finds a head claimed by another slot does not wait: it starts from the
+// nearest ancestor that is linked (bucket 0 always is), which is correct
+// because the list is globally split-ordered and costs a longer walk. A
+// claimer whose body restarts finds its slot in the word and resumes; a
+// claimer that never returns costs that bucket the longer walk and blocks
+// nobody (linkHead).
+//
+// # Linearization
+//
+// A key is in the map exactly while a regular node holding it is on the list
+// — reachable from bucket 0's head — marked or not. At most one node per key
+// is on the list at a time, because an insert's find unlinks a marked node at
+// its position before it reports the position free. The argument is about the
+// list alone and holds under every scheme.
+//
+//   - Insert and the insert half of Upsert take effect at the CAS that links
+//     the node. The predecessor is unmarked at that CAS (its next held a
+//     plain successor), and only marked nodes are ever unlinked, so the node
+//     is on the list.
+//   - Delete marks its victim (the CAS that decides which Delete owns the
+//     removal) and takes effect when the victim is unlinked, by the deleter
+//     or by any helper's find. Delete returns only after that: either its own
+//     unlink CAS won, or it runs one more find to the key's position, and a
+//     find that completes has unlinked every marked node it met. So a removal
+//     that has been reported cannot be contradicted by a later read.
+//   - A replacing Upsert marks the old node and swaps the marked pair for the
+//     new node with one CAS on the predecessor: the old binding leaves and
+//     the new one arrives at the same instant. If that CAS loses, the Upsert
+//     is a Delete (complete when the retry's find has unlinked the old node)
+//     followed by an Insert, and a reader may see the key absent in between.
+//   - Get under the epoch schemes is a walk that never checks a mark. Every
+//     node it reaches was on the list at some moment since the walk began. By
+//     induction: the head always is. If the node the walk stands on is still
+//     linked when its next is read, so is its successor. If it was unlinked
+//     in the meantime, its next froze when it was marked (node -> marker ->
+//     successor), and at the instant before the unlink that successor was on
+//     the list — because a node's successor cannot be unlinked while the node
+//     is marked but linked: unlinking CASes the predecessor's next from the
+//     victim, and the only link to that successor is the marker's next, which
+//     no CAS ever targets. So a Get that returns a node linearizes at a moment
+//     the node was linked, and a Get that passes the key's position between
+//     two nodes linearizes at a moment they were neighbours on the list.
+//   - Get under hazard pointers is find: it reports a node present only if
+//     it saw it unmarked, hence linked, and unlinks marked nodes itself
+//     before reporting them absent.
 package hashmap
 
 import (
@@ -55,7 +112,7 @@ const (
 	// DefaultInitialBuckets is the bucket count a map starts with.
 	DefaultInitialBuckets = 8
 	// DefaultMaxLoad is the mean nodes-per-bucket threshold above which the
-	// table doubles.
+	// table doubles (growPatienceShift says how soon).
 	DefaultMaxLoad = 4
 	// DefaultMaxBuckets caps table growth.
 	DefaultMaxBuckets = 1 << 26
@@ -104,6 +161,21 @@ func WithMaxBuckets(n int) Option {
 	}
 }
 
+// growPatienceShift sets how long a table stays over its load limit before
+// it doubles: until maxLoad·size>>growPatienceShift inserts (1/64 of the
+// limit) have found it there. A map that grows passes the limit once and
+// doubles that many inserts later; a map whose count hovers at the limit
+// doubles once it has come back over it that often. Doubling at the insert
+// that crosses the limit would put a table-sized allocation on the limit
+// itself, and a map filled with a power of two of keys reaches its limits
+// exactly where its user's phases end — on map_read_mostly within a few
+// hundred keys of the end of each worker's prefill, where a 1–2 MiB segment
+// more or less decides what the runtime's next collection still finds alive
+// (docs/ARCHITECTURE.md, "Record layout and the read path") — or never
+// leaves it, and then a few hundred keys decide the table's size and speed.
+// Tables below 64/maxLoad buckets double at the crossing insert.
+const growPatienceShift = 6
+
 func ceilPow2(v uint64) uint64 {
 	if v <= 1 {
 		return 1
@@ -111,28 +183,27 @@ func ceilPow2(v uint64) uint64 {
 	return 1 << bits.Len64(v-1)
 }
 
-// segment is one lazily allocated block of the bucket directory. Entries
-// hold the bucket's dummy node once the bucket has been initialised.
+// segment is one block of the bucket directory: the heads of the buckets
+// [2^p, 2^(p+1)), embedded, so entering a bucket is one load of its head and
+// not a load of a slot and then of the dummy it points at. The memory arrives
+// zeroed, which is every head's unclaimed state.
 type segment[V any] struct {
-	buckets []atomic.Pointer[Node[V]]
+	buckets []Node[V]
 }
 
-// spareSlot is a per-thread scratch of allocated, unpublished records, padded
-// to keep the single-writer slots off each other's cache lines.
-//
-// node is the pre-allocated dummy of a bucket initialisation. It stays in
-// the slot until its splice succeeds, so a body restarted by neutralization
-// finds it again instead of allocating (allocation must not happen inside a
-// restartable body).
-//
-// rec is the node or marker an Insert, Delete or Upsert pre-allocated and did
-// not publish (the key was present, or absent). The next update of the slot
-// takes it instead of paying Allocate+Deallocate per call. Every update takes
-// before it parks and parks at most one record, so one slot is enough.
+func newSegment[V any](p int) *segment[V] {
+	return &segment[V]{buckets: make([]Node[V], 1<<p)}
+}
+
+// spareSlot is a per-thread scratch record, padded to keep the single-writer
+// slots off each other's cache lines: the node or marker an Insert, Delete or
+// Upsert pre-allocated and did not publish (the key was present, or absent).
+// The next update of the slot takes it instead of paying Allocate+Deallocate
+// per call. Every update takes before it parks and parks at most one record,
+// so one slot is enough.
 type spareSlot[V any] struct {
-	node *Node[V]
-	rec  *Node[V]
-	_    [core.PadBytes]byte
+	rec *Node[V]
+	_   [core.PadBytes]byte
 }
 
 // threadStats is one thread's single-writer data-structure-level counters
@@ -145,7 +216,7 @@ type threadStats struct {
 	restarts core.Counter // operation restarts (CAS failures, HP validation failures)
 	unlinks  core.Counter // marked pairs physically unlinked by traversals
 	resizes  core.Counter // successful table doublings
-	dummies  core.Counter // bucket sentinels spliced into the list
+	dummies  core.Counter // bucket heads spliced into the list
 	_        [core.PadBytes]byte
 }
 
@@ -164,7 +235,7 @@ type Stats struct {
 // sentinel keys).
 type Map[V any] struct {
 	mgr  *Manager[V]
-	head *Node[V] // bucket 0's dummy: the head of the split-ordered list
+	head Node[V] // bucket 0's head: the head of the split-ordered list
 
 	size  atomic.Uint64 // current bucket count (power of two)
 	count atomic.Int64  // regular nodes inserted minus logically deleted
@@ -173,6 +244,8 @@ type Map[V any] struct {
 	maxBuckets uint64
 
 	segments [maxSegments]atomic.Pointer[segment[V]]
+	growing  atomic.Bool  // a thread is allocating the next segment (maybeGrow)
+	overFull atomic.Int64 // inserts that found the table over its load limit since it last doubled
 	spares   []spareSlot[V]
 	handles  []Handle[V]
 
@@ -225,8 +298,10 @@ func New[V any](mgr *Manager[V], threads int, opts ...Option) *Map[V] {
 		perRecord:     mgr.NeedsPerRecordProtection(),
 		crashRecovery: mgr.SupportsCrashRecovery(),
 	}
-	h.head = mgr.Allocate(0)
-	initDummy(h.head, dummySoKey(0))
+	h.head.meta.Store(kindDummy)
+	for p := 0; 1<<p < cfg.initialBuckets; p++ {
+		h.segments[p].Store(newSegment[V](p))
+	}
 	h.size.Store(cfg.initialBuckets)
 	h.stats = make([]threadStats, threads)
 	h.handles = make([]Handle[V], threads)
@@ -293,17 +368,14 @@ func (h *Map[V]) bindHandle(rm *core.ThreadHandle[Node[V]]) *Handle[V] {
 // ReleaseHandle returns an acquired slot to the manager's registry. The
 // calling goroutine must be quiescent (every map operation leaves the thread
 // quiescent, so between operations is always legal) and must not use the
-// handle afterwards. The slot's parked scratch records (spare dummy, unused
-// node or marker), if any, are returned to the pool rather than left for the
-// next occupant, so a goroutine that comes and goes strands nothing.
+// handle afterwards. The slot's parked scratch record (an unused node or
+// marker), if any, is returned to the pool rather than left for the next
+// occupant, so a goroutine that comes and goes strands nothing.
 func (h *Map[V]) ReleaseHandle(hd *Handle[V]) {
-	sp := hd.spare
-	for _, r := range [...]*Node[V]{sp.node, sp.rec} {
-		if r != nil {
-			hd.rm.Deallocate(r)
-		}
+	if r := hd.spare.rec; r != nil {
+		hd.spare.rec = nil
+		hd.rm.Deallocate(r)
 	}
-	sp.node, sp.rec = nil, nil
 	h.mgr.ReleaseHandle(hd.rm)
 }
 
@@ -370,100 +442,113 @@ func (h *Map[V]) observe(tid int, n *Node[V]) {
 
 // --- Bucket directory -------------------------------------------------------
 
-// bucketLoc returns the directory slot of bucket b >= 1, allocating the
-// owning segment on first touch.
-func (h *Map[V]) bucketLoc(b uint64) *atomic.Pointer[Node[V]] {
-	p := bits.Len64(b) - 1 // segment p covers [2^p, 2^(p+1))
-	seg := h.segments[p].Load()
-	if seg == nil {
-		ns := &segment[V]{buckets: make([]atomic.Pointer[Node[V]], 1<<p)}
-		h.segments[p].CompareAndSwap(nil, ns)
-		seg = h.segments[p].Load()
-	}
-	return &seg.buckets[b-1<<p]
+// headOf returns the head of bucket b >= 1, by arithmetic: segment p covers
+// [2^p, 2^(p+1)), and every segment below the table size is published (New,
+// maybeGrow).
+func (h *Map[V]) headOf(b uint64) *Node[V] {
+	p := bits.Len64(b) - 1
+	return &h.segments[p].Load().buckets[b-1<<p]
 }
 
-// bucketDummy returns the dummy node of bucket b, initialising the bucket
-// (and, recursively, its parents) on first access. It is called inside an
-// operation body: the thread is not quiescent, and ok=false propagates a
-// per-record protection failure to the body, which restarts.
-func (h *Map[V]) bucketDummy(hd *Handle[V], b uint64) (*Node[V], bool) {
+// bucketHead returns the node a traversal of bucket b starts from: the
+// bucket's head once it is on the list, else — while another thread is still
+// splicing it — the head of its nearest linked ancestor. It is called inside
+// an operation body: the thread is not quiescent, and ok=false propagates a
+// failed find to the body, which restarts.
+func (h *Map[V]) bucketHead(hd *Handle[V], b uint64) (*Node[V], bool) {
 	if b == 0 {
-		return h.head, true
+		return &h.head, true
 	}
-	loc := h.bucketLoc(b)
-	if d := loc.Load(); d != nil {
+	d := h.headOf(b)
+	if d.meta.Load() == kindDummy {
 		return d, true
 	}
-	parent, ok := h.bucketDummy(hd, parentBucket(b))
-	if !ok {
-		return nil, false
-	}
-	// The spare slot carries the pre-allocated dummy across neutralization
-	// retries so a restarted body does not allocate again.
-	spare := hd.spare.node
-	if spare == nil {
-		spare = hd.rm.Allocate()
-		hd.spare.node = spare
-	}
-	initDummy(spare, dummySoKey(b))
-	d, ok := h.insertDummy(hd, parent, spare)
-	if !ok {
-		return nil, false
-	}
-	if d == spare {
-		// Published: the slot no longer owns it. No checkpoint can run
-		// between the winning CAS (inside insertDummy) and this line.
-		hd.spare.node = nil
-		hd.st.dummies.Inc()
-	}
-	loc.CompareAndSwap(nil, d)
-	return d, true
+	return h.linkHead(hd, b, d)
 }
 
-// insertDummy splices dummy into the list starting at the parent dummy,
-// returning the list's sentinel for that split-order key: dummy itself when
-// our splice won, or the already-present sentinel when another initialiser
-// beat us (in which case the caller keeps its spare for later reuse).
-func (h *Map[V]) insertDummy(hd *Handle[V], start, dummy *Node[V]) (*Node[V], bool) {
+// linkHead is a bucket's first touch: the claim protocol of the package
+// comment. The claimer splices the head behind its parent (linked the same
+// way, recursively); everyone else gets the nearest linked ancestor. The
+// splice is idempotent — find reports whether the head is already on the list
+// — which is what lets a claimer whose body restarted resume here.
+func (h *Map[V]) linkHead(hd *Handle[V], b uint64, d *Node[V]) (*Node[V], bool) {
+	mine := linkingBy(hd.tid)
+	m := d.meta.Load()
+	if m == kindUnclaimed {
+		if d.meta.CompareAndSwap(kindUnclaimed, mine) {
+			m = mine
+		} else {
+			m = d.meta.Load()
+		}
+	}
+	if m == kindDummy {
+		return d, true
+	}
+	start, ok := h.bucketHead(hd, parentBucket(b))
+	if !ok || m != mine {
+		return start, ok
+	}
+	sokey := dummySoKey(b)
 	for {
-		pos, ok := h.find(hd, start, dummy.sokey, dummy.key)
+		pos, ok := h.find(hd, start, sokey, 0)
 		if !ok {
 			return nil, false
 		}
-		if pos.found {
-			d := pos.curr
-			h.releasePos(hd, pos)
-			return d, true
+		if !pos.found {
+			// Not on the list, so nobody else reads these fields yet.
+			d.sokey = sokey
+			d.next.Store(pos.curr)
+			if !pos.pred.next.CompareAndSwap(pos.curr, d) {
+				h.releasePos(hd, pos)
+				continue
+			}
 		}
-		dummy.next.Store(pos.curr)
-		if pos.pred.next.CompareAndSwap(pos.curr, dummy) {
-			h.releasePos(hd, pos)
-			return dummy, true
-		}
+		// No checkpoint between the splice and this store.
+		d.meta.Store(kindDummy)
 		h.releasePos(hd, pos)
+		hd.st.dummies.Inc()
+		return d, true
 	}
 }
 
-// startBucket locates the dummy node heading the bucket key hashes to under
-// the current table size.
+// startBucket locates the node heading the bucket hash falls in under the
+// current table size.
 func (h *Map[V]) startBucket(hd *Handle[V], hash uint64) (*Node[V], bool) {
-	return h.bucketDummy(hd, hash&(h.size.Load()-1))
+	return h.bucketHead(hd, hash&(h.size.Load()-1))
 }
 
-// maybeGrow doubles the table when the load factor is exceeded. A single CAS
-// publishes the new size; the new buckets initialise lazily on first access,
-// so growth is incremental and never moves a node. Touches no records, so it
-// is safe to call at any point of an operation (including recovery).
+// maybeGrow doubles the table once enough inserts have found the load factor
+// exceeded (growPatienceShift). The segment holding the new buckets' heads is
+// published first, so a thread that sees the new size can index them; then a
+// single CAS publishes the size. The new buckets link lazily on first access,
+// so growth is incremental and never moves a node. One thread at a time
+// allocates a segment — a segment is as large as the whole table below it,
+// and every insert that sees the load exceeded would otherwise make one and
+// all but the first throw theirs away — and the others do not wait for it:
+// they leave the doubling to a later insert. Touches no records, so it is
+// safe to call at any point of an operation (including recovery).
 func (h *Map[V]) maybeGrow(hd *Handle[V]) {
 	size := h.size.Load()
-	if size >= h.maxBuckets {
+	full := h.maxLoad * int64(size)
+	if size >= h.maxBuckets || h.count.Load() <= full {
 		return
 	}
-	if h.count.Load() > h.maxLoad*int64(size) {
-		if h.size.CompareAndSwap(size, size*2) {
-			hd.st.resizes.Inc()
+	if h.overFull.Add(1) <= full>>growPatienceShift {
+		return
+	}
+	p := bits.Len64(size) - 1 // the buckets [size, 2*size) are segment p
+	if h.segments[p].Load() == nil {
+		if !h.growing.CompareAndSwap(false, true) {
+			return
 		}
+		if h.segments[p].Load() == nil {
+			h.segments[p].Store(newSegment[V](p))
+		}
+		h.growing.Store(false)
+	}
+	if h.size.CompareAndSwap(size, size*2) {
+		h.overFull.Store(0)
+		hd.st.resizes.Inc()
 	}
 }
 
@@ -631,13 +716,19 @@ func (h *Map[V]) Insert(tid int, key int64, value V) bool {
 
 // Insert adds key with the given value through the thread's handle.
 func (hd *Handle[V]) Insert(key int64, value V) bool {
+	return hd.insertHashed(key, hashOf(key), value)
+}
+
+// insertHashed is Insert for a caller that already holds hashOf(key) (the
+// partitioned wrapper routes on it).
+func (hd *Handle[V]) insertHashed(key int64, hash uint64, value V) bool {
 	h := hd.h
 	// Quiescent preamble: obtain the node the body may publish. Allocation
 	// is not re-entrant, so it must not happen inside the body (which can be
 	// neutralized and re-run).
 	node := hd.scratch()
 	for {
-		switch h.insertBody(hd, key, value, node) {
+		switch h.insertBody(hd, key, hash, value, node) {
 		case opTrue:
 			return true
 		case opFalse:
@@ -653,7 +744,7 @@ func (hd *Handle[V]) Insert(key int64, value V) bool {
 // is captured in published before EnterQstate (which can deliver a pending
 // neutralization), so recovery decides retry-vs-success from local state
 // alone and never touches shared records.
-func (h *Map[V]) insertBody(hd *Handle[V], key int64, value V, node *Node[V]) (outcome int) {
+func (h *Map[V]) insertBody(hd *Handle[V], key int64, hash uint64, value V, node *Node[V]) (outcome int) {
 	rm := hd.rm
 	published := false
 	if h.crashRecovery {
@@ -666,7 +757,6 @@ func (h *Map[V]) insertBody(hd *Handle[V], key int64, value V, node *Node[V]) (o
 		})
 	}
 	rm.LeaveQstate()
-	hash := hashOf(key)
 	sokey := regularSoKey(hash)
 	start, ok := h.startBucket(hd, hash)
 	if !ok {
@@ -701,22 +791,34 @@ func (h *Map[V]) insertBody(hd *Handle[V], key int64, value V, node *Node[V]) (o
 func (h *Map[V]) Delete(tid int, key int64) bool { return h.Handle(tid).Delete(key) }
 
 // Delete removes key through the thread's handle.
-func (hd *Handle[V]) Delete(key int64) bool {
+func (hd *Handle[V]) Delete(key int64) bool { return hd.deleteHashed(key, hashOf(key)) }
+
+func (hd *Handle[V]) deleteHashed(key int64, hash uint64) bool {
 	h := hd.h
 	// Quiescent preamble: obtain the marker the body may publish.
 	marker := hd.scratch()
 	for {
-		outcome, unlinkedN, unlinkedM := h.deleteBody(hd, key, marker)
+		outcome, unlinkedN, unlinkedM := h.deleteBody(hd, key, hash, marker)
 		switch outcome {
 		case opTrue:
-			// Quiescent postamble: if our own unlink CAS won, the node and
-			// its marker are unreachable and it is on us to retire them
-			// (otherwise a later traversal unlinks and retires the pair).
+			// Quiescent postamble. The removal takes effect when the victim
+			// leaves the list, so Delete may not return before that. If our
+			// own unlink CAS won, the pair is unreachable and it is on us to
+			// retire it. Otherwise (the CAS lost, or the body was neutralized
+			// after its mark) one find to the key's position is enough: a
+			// find that completes has unlinked every marked node on its way,
+			// and whoever unlinks the pair retires it.
 			if unlinkedN != nil {
 				hd.rm.Retire(unlinkedN)
 				hd.rm.Retire(unlinkedM)
+				return true
 			}
-			return true
+			for {
+				if _, _, done := h.findBody(hd, key, hash); done {
+					return true
+				}
+				hd.st.restarts.Inc()
+			}
 		case opFalse:
 			hd.park(marker)
 			return false
@@ -726,11 +828,12 @@ func (hd *Handle[V]) Delete(key int64) bool {
 	}
 }
 
-// deleteBody is one execution of the delete body. Linearization is the
-// marker CAS on the victim's next field; its result is captured in marked
-// before any further checkpoint, so neutralization recovery never has to
-// guess whether the delete took effect.
-func (h *Map[V]) deleteBody(hd *Handle[V], key int64, marker *Node[V]) (outcome int, unlinkedN, unlinkedM *Node[V]) {
+// deleteBody is one execution of the delete body. The marker CAS on the
+// victim's next field decides which Delete owns the removal; its result is
+// captured in marked before any further checkpoint, so neutralization
+// recovery never has to guess whether the delete took hold. The removal
+// linearizes at the victim's unlink, which the caller sees through.
+func (h *Map[V]) deleteBody(hd *Handle[V], key int64, hash uint64, marker *Node[V]) (outcome int, unlinkedN, unlinkedM *Node[V]) {
 	rm := hd.rm
 	marked := false
 	if h.crashRecovery {
@@ -746,7 +849,6 @@ func (h *Map[V]) deleteBody(hd *Handle[V], key int64, marker *Node[V]) (outcome 
 		})
 	}
 	rm.LeaveQstate()
-	hash := hashOf(key)
 	sokey := regularSoKey(hash)
 	start, ok := h.startBucket(hd, hash)
 	if !ok {
@@ -788,8 +890,8 @@ func (h *Map[V]) deleteBody(hd *Handle[V], key int64, marker *Node[V]) (outcome 
 		h.observe(hd.tid, s)
 		if s.kind() == kindMarker {
 			// Another delete already marked n: this delete linearizes after
-			// it and finds the key absent. The retry's find unlinks the pair
-			// and reports not-found.
+			// that one's unlink and finds the key absent. The retry's find
+			// unlinks the pair and reports not-found.
 			rm.EnterQstate()
 			if h.perRecord {
 				rm.Unprotect(s)
@@ -800,9 +902,10 @@ func (h *Map[V]) deleteBody(hd *Handle[V], key int64, marker *Node[V]) (outcome 
 	}
 	initMarker(marker, s)
 	if n.next.CompareAndSwap(s, marker) {
-		// Linearized: key removed. Try to unlink the pair ourselves; on
-		// failure a later traversal's find will (helping is cheap here —
-		// unlinking needs no descriptor, just the pair itself).
+		// The removal is ours. Try to unlink the pair ourselves; on failure
+		// the postamble's find will, unless a helper gets there first
+		// (helping is cheap here — unlinking needs no descriptor, just the
+		// pair itself).
 		marked = true
 		h.count.Add(-1)
 		if pos.pred.next.CompareAndSwap(n, s) {
@@ -832,27 +935,31 @@ const (
 	// opUpsertReplaced: the existing node was marked and replaced by node in
 	// the same attempt (the caller retires the unlinked pair).
 	opUpsertReplaced
-	// opUpsertMarkedOnly: the existing node was marked (the delete
-	// linearized and the marker is consumed) but the replace CAS lost; the
-	// caller retries, which will insert.
+	// opUpsertMarkedOnly: the existing node was marked (the removal is ours
+	// and the marker is consumed) but the replace CAS lost; the caller
+	// retries, and the retry's find unlinks the old node before it inserts.
 	opUpsertMarkedOnly
 )
 
 // Upsert sets key to value: it inserts the key when absent and replaces the
 // existing binding otherwise, returning the previous value and whether the
-// key was present. A replacement is performed as a logical delete of the
-// current node (the linearization point of the removal) followed by the
-// insertion of the new node — when possible both happen in one window where
-// the second CAS simultaneously unlinks the marked pair and splices the new
-// node, but a concurrent reader may still observe the transient absence
-// between the two linearization points (Upsert is a Delete+Insert
-// composition, not a single atomic read-modify-write).
+// key was present. A replacement marks the current node and then swaps the
+// marked pair for the new node with one CAS on the predecessor, which is where
+// both the removal and the insertion take effect: a concurrent Get reads the
+// old value or the new one. Only when that CAS loses (the predecessor changed)
+// does the replacement fall apart into a Delete — complete when the retry's
+// find has unlinked the old node — followed by an Insert, and only then can a
+// concurrent reader observe the key absent in between.
 func (h *Map[V]) Upsert(tid int, key int64, value V) (prev V, replaced bool) {
 	return h.Handle(tid).Upsert(key, value)
 }
 
 // Upsert sets key to value through the thread's handle (see Map.Upsert).
 func (hd *Handle[V]) Upsert(key int64, value V) (prev V, replaced bool) {
+	return hd.upsertHashed(key, hashOf(key), value)
+}
+
+func (hd *Handle[V]) upsertHashed(key int64, hash uint64, value V) (prev V, replaced bool) {
 	h := hd.h
 	// Quiescent preamble: obtain the node the body publishes and the marker
 	// a replacement consumes (obtained again when an attempt consumes it
@@ -864,7 +971,7 @@ func (hd *Handle[V]) Upsert(key int64, value V) (prev V, replaced bool) {
 		if marker == nil {
 			marker = hd.scratch()
 		}
-		outcome, pv, uN, uM := h.upsertBody(hd, key, value, node, marker)
+		outcome, pv, uN, uM := h.upsertBody(hd, key, hash, value, node, marker)
 		switch outcome {
 		case opUpsertInserted:
 			// prev/replaced may have been set by an earlier attempt that
@@ -887,13 +994,13 @@ func (hd *Handle[V]) Upsert(key int64, value V) (prev V, replaced bool) {
 	}
 }
 
-// upsertBody is one execution of the upsert body. Two linearizing CASes can
-// happen: the marker CAS (removal of the old binding, captured in marked)
-// and the splice CAS (publication of the new one, captured in published);
-// both locals are set before any further checkpoint so neutralization
-// recovery reconstructs the outcome from local state alone, exactly as in
-// insertBody/deleteBody.
-func (h *Map[V]) upsertBody(hd *Handle[V], key int64, value V, node, marker *Node[V]) (outcome int, prevVal V, unlinkedN, unlinkedM *Node[V]) {
+// upsertBody is one execution of the upsert body. Two CASes of ours can take
+// hold: the marker CAS (the old binding's removal is ours, captured in
+// marked) and the splice CAS (publication of the new one, captured in
+// published); both locals are set before any further checkpoint so
+// neutralization recovery reconstructs the outcome from local state alone,
+// exactly as in insertBody/deleteBody.
+func (h *Map[V]) upsertBody(hd *Handle[V], key int64, hash uint64, value V, node, marker *Node[V]) (outcome int, prevVal V, unlinkedN, unlinkedM *Node[V]) {
 	rm := hd.rm
 	published := false
 	marked := false
@@ -915,7 +1022,6 @@ func (h *Map[V]) upsertBody(hd *Handle[V], key int64, value V, node, marker *Nod
 		})
 	}
 	rm.LeaveQstate()
-	hash := hashOf(key)
 	sokey := regularSoKey(hash)
 	start, ok := h.startBucket(hd, hash)
 	if !ok {
@@ -975,8 +1081,9 @@ func (h *Map[V]) upsertBody(hd *Handle[V], key int64, value V, node, marker *Nod
 	prevVal = n.value
 	initMarker(marker, s)
 	if n.next.CompareAndSwap(s, marker) {
-		// Removal linearized. Try to replace the pair with the new node:
-		// node takes n's place with n's frozen successor.
+		// The removal is ours. Replace the pair with the new node: node
+		// takes n's place with n's frozen successor, and this one CAS is
+		// where the old binding leaves and the new one arrives.
 		marked = true
 		h.count.Add(-1)
 		initRegular(node, key, value, sokey, s)
@@ -1008,10 +1115,18 @@ func (h *Map[V]) upsertBody(hd *Handle[V], key int64, value V, node, marker *Nod
 func (h *Map[V]) Get(tid int, key int64) (V, bool) { return h.Handle(tid).Get(key) }
 
 // Get returns the value associated with key through the thread's handle.
-func (hd *Handle[V]) Get(key int64) (V, bool) {
+func (hd *Handle[V]) Get(key int64) (V, bool) { return hd.getHashed(key, hashOf(key)) }
+
+func (hd *Handle[V]) getHashed(key int64, hash uint64) (V, bool) {
 	h := hd.h
 	for {
-		v, ok, done := h.getBody(hd, key)
+		var v V
+		var ok, done bool
+		if h.perRecord {
+			v, ok, done = h.findBody(hd, key, hash)
+		} else {
+			v, ok, done = h.lookupBody(hd, key, hash)
+		}
 		if done {
 			return v, ok
 		}
@@ -1019,10 +1134,12 @@ func (hd *Handle[V]) Get(key int64) (V, bool) {
 	}
 }
 
-// getBody is one attempt of Get. done=false means restart (protection
-// validation failed or the attempt was neutralized; read-only recovery is
-// trivially discard-and-retry).
-func (h *Map[V]) getBody(hd *Handle[V], key int64) (val V, found, done bool) {
+// lookupBody is one attempt of Get under the epoch schemes. done=false means
+// restart (the bucket's first touch lost a CAS, or the attempt was
+// neutralized; read-only recovery is trivially discard-and-retry). It is kept
+// apart from findBody, whose preamble it shares: folded into one function the
+// read path measured 3 % slower on map_read_mostly.
+func (h *Map[V]) lookupBody(hd *Handle[V], key int64, hash uint64) (val V, found, done bool) {
 	rm := hd.rm
 	if h.crashRecovery {
 		defer neutralize.OnNeutralized(h.mgr, hd.tid, func(neutralize.Neutralized) {
@@ -1031,30 +1148,45 @@ func (h *Map[V]) getBody(hd *Handle[V], key int64) (val V, found, done bool) {
 		})
 	}
 	rm.LeaveQstate()
-	hash := hashOf(key)
-	sokey := regularSoKey(hash)
 	start, ok := h.startBucket(hd, hash)
 	if !ok {
 		rm.EnterQstate()
 		return val, false, false
 	}
-	if !h.perRecord {
-		// Read the value while the node is still safe to access, before
-		// EnterQstate can deliver a neutralization that would invalidate it.
-		if n := h.lookup(hd, start, sokey, key); n != nil {
-			val, found = n.value, true
-		}
-		rm.EnterQstate()
-		return val, found, true
+	// Read the value while the node is still safe to access, before
+	// EnterQstate can deliver a neutralization that would invalidate it.
+	if n := h.lookup(hd, start, regularSoKey(hash), key); n != nil {
+		val, found = n.value, true
 	}
-	pos, ok := h.find(hd, start, sokey, key)
+	rm.EnterQstate()
+	return val, found, true
+}
+
+// findBody is one find to key's position: Get under per-record protection,
+// and the pass a Delete makes to see its victim unlinked. done=false means
+// restart (a protection validation or an unlink CAS failed, or the attempt
+// was neutralized).
+func (h *Map[V]) findBody(hd *Handle[V], key int64, hash uint64) (val V, found, done bool) {
+	rm := hd.rm
+	if h.crashRecovery {
+		defer neutralize.OnNeutralized(h.mgr, hd.tid, func(neutralize.Neutralized) {
+			var zero V
+			val, found, done = zero, false, false
+		})
+	}
+	rm.LeaveQstate()
+	start, ok := h.startBucket(hd, hash)
+	if !ok {
+		rm.EnterQstate()
+		return val, false, false
+	}
+	pos, ok := h.find(hd, start, regularSoKey(hash), key)
 	if !ok {
 		rm.EnterQstate()
 		return val, false, false
 	}
 	if pos.found {
-		val = pos.curr.value
-		found = true
+		val, found = pos.curr.value, true
 	}
 	rm.EnterQstate()
 	h.releasePos(hd, pos)
@@ -1062,17 +1194,18 @@ func (h *Map[V]) getBody(hd *Handle[V], key int64) (val V, found, done bool) {
 }
 
 // lookup is the read path of the epoch schemes: a wait-free walk from the
-// bucket dummy to the live node holding (sokey, key), or nil. The thread's
-// epoch announcement covers every record reachable since the operation
-// began, including marked, unlinked and retired ones, so the walk follows
-// next pointers straight through them: a marker is skipped by its kind (its
-// next is the marked node's frozen successor, and every link leads to a
-// greater position, so the walk still ends), nothing is unlinked, no CAS is
-// issued, and no other record is dereferenced per hop. Only the node that
-// matches has its successor inspected, to tell a live node from a marked one;
-// Get linearizes at that load. Per-record schemes cannot take this path: a
-// hazard pointer protects one record, validated against the link it was read
-// from, and a link out of a marked node proves nothing about its target.
+// bucket head to the node holding (sokey, key), or nil. The thread's epoch
+// announcement covers every record reachable since the operation began,
+// including marked, unlinked and retired ones, so the walk follows next
+// pointers straight through them: a marker is skipped by its kind (its next
+// is the marked node's frozen successor, and every link leads to a greater
+// position, so the walk still ends), nothing is unlinked, no CAS is issued,
+// and the walk stops at the node that matches without looking past it — a
+// node the walk reaches was on the list at some moment since the walk began,
+// and a key is in the map for as long as its node is on the list (see the
+// package comment). Per-record schemes cannot take this path: a hazard
+// pointer protects one record, validated against the link it was read from,
+// and a link out of a marked node proves nothing about its target.
 func (h *Map[V]) lookup(hd *Handle[V], start *Node[V], sokey uint64, key int64) *Node[V] {
 	rm := hd.rm
 	for curr := start.next.Load(); curr != nil; curr = curr.next.Load() {
@@ -1081,16 +1214,10 @@ func (h *Map[V]) lookup(hd *Handle[V], start *Node[V], sokey uint64, key int64) 
 		if curr.kind() == kindMarker || soLess(curr.sokey, curr.key, sokey, key) {
 			continue
 		}
-		if curr.sokey != sokey || curr.key != key {
-			return nil
+		if curr.sokey == sokey && curr.key == key {
+			return curr
 		}
-		if next := curr.next.Load(); next != nil {
-			h.observe(hd.tid, next)
-			if next.kind() == kindMarker {
-				return nil
-			}
-		}
-		return curr
+		return nil
 	}
 	return nil
 }
@@ -1115,47 +1242,32 @@ func step[V any](n *Node[V]) *Node[V] {
 	return next
 }
 
-// isLive reports whether a node is an unmarked regular node.
-func isLive[V any](n *Node[V]) bool {
-	if n.kind() != kindRegular {
-		return false
-	}
-	next := n.next.Load()
-	return next == nil || next.kind() != kindMarker
-}
-
-// Len returns the number of live keys by walking the list (quiescent use
-// only; Count is the O(1) counter-based alternative).
+// Len returns the number of keys by walking the list (quiescent use only;
+// Count is the O(1) counter-based alternative).
 func (h *Map[V]) Len() int {
 	n := 0
-	for curr := h.head; curr != nil; curr = step(curr) {
-		if isLive(curr) {
-			n++
-		}
-	}
+	h.ForEach(func(int64, V) bool { n++; return true })
 	return n
 }
 
-// ForEach visits every live key/value pair (quiescent use only). The order
-// is split-order, not key order.
+// ForEach visits every key/value pair (quiescent use only). The order is
+// split-order, not key order.
 func (h *Map[V]) ForEach(fn func(key int64, value V) bool) {
-	for curr := h.head; curr != nil; curr = step(curr) {
-		if isLive(curr) {
-			if !fn(curr.key, curr.value) {
-				return
-			}
+	for curr := step(&h.head); curr != nil; curr = step(curr) {
+		if curr.kind() == kindRegular && !fn(curr.key, curr.value) {
+			return
 		}
 	}
 }
 
 // Validate checks the structural invariants (quiescent use only): the list
 // is strictly sorted by (sokey, key), markers only follow regular nodes, and
-// every initialised bucket's dummy is reachable.
+// every head that says it is linked is reachable.
 func (h *Map[V]) Validate() error {
 	// Order along the list.
-	prev := h.head
-	seen := map[*Node[V]]bool{h.head: true}
-	for curr := step(h.head); curr != nil; curr = step(curr) {
+	prev := &h.head
+	seen := map[*Node[V]]bool{prev: true}
+	for curr := step(prev); curr != nil; curr = step(curr) {
 		if curr.kind() == kindMarker {
 			return fmt.Errorf("hashmap: marker reachable as a primary node")
 		}
@@ -1169,15 +1281,10 @@ func (h *Map[V]) Validate() error {
 		}
 		prev = curr
 	}
-	// Every initialised bucket's dummy is on the list.
-	size := h.size.Load()
-	for b := uint64(1); b < size; b++ {
-		p := bits.Len64(b) - 1
-		seg := h.segments[p].Load()
-		if seg == nil {
-			continue
-		}
-		if d := seg.buckets[b-1<<p].Load(); d != nil && !seen[d] {
+	// Every linked head is on the list. (A head still linking belongs to an
+	// operation in flight, or to a claimer that never came back.)
+	for b := uint64(1); b < h.size.Load(); b++ {
+		if d := h.headOf(b); d.kind() == kindDummy && !seen[d] {
 			return fmt.Errorf("hashmap: bucket %d dummy not reachable", b)
 		}
 	}

@@ -148,6 +148,43 @@ func TestResizeGrowth(t *testing.T) {
 	}
 }
 
+// TestGrowPatience: the table doubles once 1/64 of maxLoad*size inserts have
+// found it over the limit, whether the count climbed past the limit or keeps
+// coming back over it.
+func TestGrowPatience(t *testing.T) {
+	const size, full, patience = 64, hashmap.DefaultMaxLoad * 64, hashmap.DefaultMaxLoad * 64 / 64
+	t.Run("climbing", func(t *testing.T) {
+		m := newMap(t, recordmgr.SchemeDEBRA, 1, hashmap.WithInitialBuckets(size))
+		for key := int64(0); key < full+patience; key++ {
+			m.Insert(0, key, key)
+		}
+		if got := m.Buckets(); got != size {
+			t.Fatalf("%d keys in %d buckets: doubled before its patience ran out", m.Count(), got)
+		}
+		m.Insert(0, full+patience, 0)
+		if got := m.Buckets(); got != 2*size {
+			t.Fatalf("%d keys in %d buckets: did not double", m.Count(), got)
+		}
+	})
+	t.Run("hovering", func(t *testing.T) {
+		m := newMap(t, recordmgr.SchemeDEBRA, 1, hashmap.WithInitialBuckets(size))
+		for key := int64(0); key < full; key++ {
+			m.Insert(0, key, key)
+		}
+		for i := 0; i < patience; i++ { // full+1 keys and back, again and again
+			m.Insert(0, full, 0)
+			m.Delete(0, full)
+		}
+		if got := m.Buckets(); got != size {
+			t.Fatalf("%d keys in %d buckets: doubled before its patience ran out", m.Count(), got)
+		}
+		m.Insert(0, full, 0)
+		if got := m.Buckets(); got != 2*size {
+			t.Fatalf("%d keys in %d buckets: did not double", m.Count(), got)
+		}
+	})
+}
+
 func TestMaxBucketsCap(t *testing.T) {
 	m := newMap(t, recordmgr.SchemeNone, 1,
 		hashmap.WithInitialBuckets(2), hashmap.WithMaxLoad(1), hashmap.WithMaxBuckets(4))

@@ -34,6 +34,29 @@ func TestNodeLayout(t *testing.T) {
 	}
 }
 
+// TestHeadLayout pins what embedding the bucket heads rests on: the memory a
+// segment is made of is zeroed, so zero must read "unclaimed"; and a directory
+// element is a Node and nothing more, so bucket b's head is found by
+// arithmetic and costs the 32 bytes the record does.
+func TestHeadLayout(t *testing.T) {
+	var n Node[uint32]
+	if kindUnclaimed != 0 || n.kind() != kindUnclaimed || n.meta.Load() != 0 {
+		t.Errorf("a zeroed Node has kind %d, meta %#x: want unclaimed (0)", n.kind(), n.meta.Load())
+	}
+	seg := newSegment[uint32](3)
+	if len(seg.buckets) != 8 {
+		t.Errorf("segment 3 holds %d heads, want 8", len(seg.buckets))
+	}
+	stride := uintptr(unsafe.Pointer(&seg.buckets[1])) - uintptr(unsafe.Pointer(&seg.buckets[0]))
+	if stride != unsafe.Sizeof(n) || unsafe.Sizeof(seg.buckets[0]) != unsafe.Sizeof(n) {
+		t.Errorf("segment element: stride %d, size %d, want Sizeof(Node[uint32]) = %d",
+			stride, unsafe.Sizeof(seg.buckets[0]), unsafe.Sizeof(n))
+	}
+	if w := linkingBy(1<<22 + 5); w&kindMask != kindLinking || w&poisonBit != 0 || w>>slotShift != 1<<22+5 {
+		t.Errorf("linkingBy: word %#x does not keep kind, poison flag and slot apart", w)
+	}
+}
+
 // TestSlabAlignment checks the assumption the layout rests on: the first
 // record of a default bump slab starts a cache line.
 func TestSlabAlignment(t *testing.T) {

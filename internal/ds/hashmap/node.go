@@ -7,33 +7,50 @@ import (
 	"repro/internal/core"
 )
 
-// Node kinds. A node's kind is assigned before it is published and never
-// changes while the node is reachable, so readers that hold a safe reference
-// (epoch-covered or hazard-protected) see one value for as long as they may
-// look.
+// Node kinds, the low byte of Node.meta. A record's kind is assigned before it
+// is published and never changes while the record is reachable, so readers
+// that hold a safe reference (epoch-covered or hazard-protected) see one value
+// for as long as they may look. A bucket head is the exception: it lives in
+// the directory, not in a record, and its word moves once through
+// unclaimed -> linking -> dummy (Map.linkHead).
+//
+//	0  kindUnclaimed  a bucket head nobody has entered yet. Zero, because segment
+//	                  memory arrives zeroed and a head is found by arithmetic
+//	1  kindRegular    a key/value node
+//	2  kindDummy      a bucket head that is on the list. Heads are never removed,
+//	                  so traversals keep unprotected references to them: they are
+//	                  the stable re-entry points of every bucket
+//	3  kindMarker     the logical-deletion mark spliced after a deleted node (the
+//	                  Harris/CSLM marker-node technique: Go has no pointer mark
+//	                  bits, so the mark is a one-shot successor node that makes a
+//	                  deleted node's next field CAS-incomparable to any plain
+//	                  successor)
+//	4  kindLinking    a bucket head claimed by the worker slot named in bits 9-31,
+//	                  which is splicing it (it may already be on the list)
 const (
-	// kindRegular is a key/value node inserted by Insert.
-	kindRegular uint32 = iota
-	// kindDummy is a bucket sentinel of the split-ordered list. Dummy nodes
-	// are never removed, so traversals may keep unprotected references to
-	// them (they are the stable re-entry points of every bucket).
+	kindUnclaimed uint32 = iota
+	kindRegular
 	kindDummy
-	// kindMarker is the logical-deletion marker spliced after a deleted node
-	// (the Harris/CSLM marker-node technique: Go has no pointer mark bits, so
-	// the mark is a one-shot successor node that makes a deleted node's next
-	// field CAS-incomparable to any plain successor).
 	kindMarker
+	kindLinking
 
 	// kindMask selects the kind from Node.meta; poisonBit is the reclaimtest
-	// freed-mark that shares the word.
+	// freed-mark that shares the word; a linking head carries its claimer's
+	// slot from slotShift up.
 	kindMask  uint32 = 0xff
 	poisonBit uint32 = 1 << 8
+	slotShift        = 9
 )
 
-// Node is the hash map's managed record type. One record type covers the
-// three roles (regular, dummy, marker) so a single Record Manager manages
-// every allocation of the structure, as the paper recommends for multi-role
-// structures (fold the types into one record with a kind discriminator).
+// linkingBy is the meta word of a head claimed by worker slot tid.
+func linkingBy(tid int) uint32 { return kindLinking | uint32(tid)<<slotShift }
+
+// Node is the hash map's managed record type, and the element type of the
+// bucket directory. One type covers the three roles (regular, dummy, marker)
+// so a single Record Manager manages every allocation of the structure, as
+// the paper recommends for multi-role structures (fold the types into one
+// record with a kind discriminator), and so a bucket head embedded in the
+// directory is a list node like any other.
 //
 // Byte map of Node[uint32] — 32 bytes, so a 64-byte-aligned slab holds two
 // nodes per cache line and no node straddles one. Everything a traversal
@@ -45,7 +62,8 @@ const (
 //	16  next   *Node            successor; a marked node's next is its marker, a
 //	                            marker's next the frozen successor
 //	24  value  V                regular only
-//	28  meta   uint32           bits 0-7 kind, bit 8 reclaimtest poison flag
+//	28  meta   uint32           bits 0-7 kind, bit 8 reclaimtest poison flag,
+//	                            bits 9-31 the claimer's slot while a head is linking
 //
 // A wider V grows the record from offset 24 (Node[[]byte] is 56 bytes); key,
 // sokey and next, which every hop reads, stay in the first 24.
@@ -151,16 +169,6 @@ func initRegular[V any](n *Node[V], key int64, value V, sokey uint64, next *Node
 	n.sokey = sokey
 	n.setKind(kindRegular)
 	n.next.Store(next)
-}
-
-// initDummy (re)initialises a recycled record as a bucket sentinel.
-func initDummy[V any](n *Node[V], sokey uint64) {
-	var zero V
-	n.key = 0
-	n.value = zero
-	n.sokey = sokey
-	n.setKind(kindDummy)
-	n.next.Store(nil)
 }
 
 // initMarker (re)initialises a recycled record as a deletion marker whose

@@ -12,7 +12,8 @@ package hashmap
 // the low bits of, so the two levels stay uncorrelated: a partition receives
 // keys with every low-bit pattern and populates its bucket table uniformly
 // (routing on low bits would leave each partition's table with only every
-// N-th bucket occupied).
+// N-th bucket occupied). A keyed operation hashes once: the handle routes on
+// the hash and hands it to the partition's map.
 
 import (
 	"errors"
@@ -60,11 +61,12 @@ func (pm *Partitioned[V]) Partitions() int { return len(pm.parts) }
 func (pm *Partitioned[V]) Partition(p int) *Map[V] { return pm.parts[p] }
 
 // PartitionFor returns the partition index key routes to.
-func (pm *Partitioned[V]) PartitionFor(key int64) int {
-	// High half of the mixed hash: uncorrelated with the low bits the
-	// partition's bucket table indexes by.
-	return int((hashOf(key) >> 32) % uint64(len(pm.parts)))
-}
+func (pm *Partitioned[V]) PartitionFor(key int64) int { return route(hashOf(key), len(pm.parts)) }
+
+// route maps a mixed hash to one of n partitions: the high half of the hash
+// (uncorrelated with the low bits a partition's bucket table indexes by)
+// scaled into [0, n) by a multiply and a shift, no division.
+func route(hash uint64, n int) int { return int((hash >> 32) * uint64(n) >> 32) }
 
 // Len returns the number of live keys across all partitions (quiescent use
 // only, like Map.Len).
@@ -228,11 +230,6 @@ func (pm *Partitioned[V]) AcquireHandle() *PartitionedHandle[V] {
 // h.Release; mirrors the Map-level API shape).
 func (pm *Partitioned[V]) ReleaseHandle(h *PartitionedHandle[V]) { h.Release() }
 
-// part returns the bound per-partition handle for key.
-func (h *PartitionedHandle[V]) part(key int64) *Handle[V] {
-	return h.hs[h.pm.PartitionFor(key)]
-}
-
 // Part returns the bound handle for partition p (from PartitionFor). Batch
 // executors that group requests by partition resolve each partition's handle
 // once per batch through this instead of re-routing per request; the handle
@@ -240,23 +237,33 @@ func (h *PartitionedHandle[V]) part(key int64) *Handle[V] {
 func (h *PartitionedHandle[V]) Part(p int) *Handle[V] { return h.hs[p] }
 
 // Get returns the value associated with key and whether it is present.
-func (h *PartitionedHandle[V]) Get(key int64) (V, bool) { return h.part(key).Get(key) }
+func (h *PartitionedHandle[V]) Get(key int64) (V, bool) {
+	hash := hashOf(key)
+	return h.hs[route(hash, len(h.hs))].getHashed(key, hash)
+}
 
 // Contains reports whether key is present.
-func (h *PartitionedHandle[V]) Contains(key int64) bool { return h.part(key).Contains(key) }
+func (h *PartitionedHandle[V]) Contains(key int64) bool {
+	_, ok := h.Get(key)
+	return ok
+}
 
 // Insert adds key with the given value, returning false if it was already
 // present (set semantics, like Map.Insert).
 func (h *PartitionedHandle[V]) Insert(key int64, value V) bool {
-	return h.part(key).Insert(key, value)
+	hash := hashOf(key)
+	return h.hs[route(hash, len(h.hs))].insertHashed(key, hash, value)
 }
 
 // Delete removes key, returning true if it was present.
-func (h *PartitionedHandle[V]) Delete(key int64) bool { return h.part(key).Delete(key) }
+func (h *PartitionedHandle[V]) Delete(key int64) bool {
+	hash := hashOf(key)
+	return h.hs[route(hash, len(h.hs))].deleteHashed(key, hash)
+}
 
 // Upsert sets key to value, returning the previous value and whether the key
-// was present (see Map.Upsert for the replace protocol and its
-// transient-absence caveat).
+// was present (see Map.Upsert for the replace protocol).
 func (h *PartitionedHandle[V]) Upsert(key int64, value V) (V, bool) {
-	return h.part(key).Upsert(key, value)
+	hash := hashOf(key)
+	return h.hs[route(hash, len(h.hs))].upsertHashed(key, hash, value)
 }

@@ -19,7 +19,12 @@
 //     operation does not stop reclamation.
 //   - Block transfers: when a thread observes a new epoch it rotates its
 //     limbo bags and moves all full blocks of the oldest bag to the free
-//     sink in O(1) (whole blocks when the sink supports it).
+//     sink in O(1) (whole blocks when the sink supports it). The blocks
+//     travel one way, so a sink that keeps them (pool.Pool) lends each thread
+//     the block pool its emptied blocks go back to, and the limbo bags draw
+//     from that one: a reclaimer with a block pool of its own allocates a
+//     fresh 2 KiB block per BlockSize retired records for as long as it runs,
+//     while the sink's pool overflows and drops as many.
 //
 // Every operation (LeaveQstate, EnterQstate, Retire) takes O(1) worst-case
 // steps, matching the paper's complexity claim.
@@ -147,9 +152,16 @@ type thread[T any] struct {
 	_ [core.PadBytes]byte
 }
 
+// blockPoolLender is a sink that stores records in block bags and lends out
+// the per-thread pool its emptied blocks return to (pool.Pool). Thread tid's
+// pool is only ever used by the owner of tid.
+type blockPoolLender[T any] interface {
+	BlockPool(tid int) *blockbag.BlockPool[T]
+}
+
 // New creates a DEBRA reclaimer for n threads. Reclaimed records are given
 // to sink; if sink also implements core.BlockFreeSink, full blocks are moved
-// wholesale.
+// wholesale, and if it lends its block pools the limbo bags share them.
 func New[T any](n int, sink core.FreeSink[T], opts ...Option) *Reclaimer[T] {
 	if n <= 0 {
 		panic("debra: New requires n >= 1")
@@ -179,10 +191,15 @@ func New[T any](n int, sink core.FreeSink[T], opts ...Option) *Reclaimer[T] {
 	if bs, ok := sink.(core.BlockFreeSink[T]); ok {
 		r.blockSink = bs
 	}
+	lender, _ := sink.(blockPoolLender[T])
 	r.epoch.Store(epochInc)
 	for i := range r.threads {
 		t := &r.threads[i]
-		t.blockPool = blockbag.NewBlockPool[T](blockbag.DefaultBlockPoolCap)
+		if r.blockSink != nil && lender != nil {
+			t.blockPool = lender.BlockPool(i)
+		} else {
+			t.blockPool = blockbag.NewBlockPool[T](blockbag.DefaultBlockPoolCap)
+		}
 		for j := range t.bags {
 			t.bags[j] = blockbag.New(t.blockPool)
 		}

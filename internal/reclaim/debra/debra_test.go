@@ -3,8 +3,10 @@ package debra_test
 import (
 	"testing"
 
+	"repro/internal/arena"
 	"repro/internal/blockbag"
 	"repro/internal/core"
+	"repro/internal/pool"
 	"repro/internal/reclaim/debra"
 	"repro/internal/reclaimtest"
 )
@@ -224,6 +226,28 @@ func (s *blockRecordingSink) Free(tid int, rec *reclaimtest.Record) { s.singles+
 func (s *blockRecordingSink) FreeBlocks(tid int, chain *blockbag.Block[reclaimtest.Record]) {
 	for blk := chain; blk != nil; blk = blk.Next() {
 		s.blocks++
+	}
+}
+
+// TestSharesThePoolsBlocks: records cycling allocate -> retire -> limbo ->
+// pool -> allocate carry their blocks one way, from the limbo bags to the
+// pool's bag. The limbo bags must draw from the block pool those blocks are
+// emptied into, or every BlockSize retired records cost a fresh block.
+func TestSharesThePoolsBlocks(t *testing.T) {
+	pl := pool.New[reclaimtest.Record](1, arena.NewBump[reclaimtest.Record](1, 0))
+	r := debra.New[reclaimtest.Record](1, pl, fast()...)
+	cycle := func() {
+		for i := 0; i < 4*blockbag.BlockSize; i++ {
+			r.LeaveQstate(0)
+			r.Retire(0, pl.Allocate(0))
+			r.EnterQstate(0)
+		}
+	}
+	for i := 0; i < 8; i++ {
+		cycle() // fill the limbo bags, the pool bag and the block pool
+	}
+	if n := testing.AllocsPerRun(20, cycle); n != 0 {
+		t.Fatalf("a steady retire/reuse cycle allocates %.1f times per %d records, want 0", n, 4*blockbag.BlockSize)
 	}
 }
 
