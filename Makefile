@@ -24,16 +24,9 @@ fmt-check:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
-## vet-reclaim: the repository's own static-analysis gate. cmd/reclaimvet
-## runs six analyzers over every package (tests included) and fails on any
-## diagnostic: retirepin (raw scheme retires must be pin-dominated),
-## handlepair (every acquired slot handle must reach a release), singlewriter
-## (per-thread stat cells stay core.Counter — replaces the old
-## hotpathguard_test grep), protectorder (HP protect -> validate -> deref
-## ordering), noclock (no wall clock on Controller.Step paths or in
-## Step-driven tests) and exporteddoc (the old cmd/doclint, folded in).
-## Deliberate exceptions carry reasoned //lint:allow markers, which the
-## driver checks too.
+## vet-reclaim: cmd/reclaimvet's six reclamation-contract analyzers over every
+## package, tests included; fails on any diagnostic (docs/ARCHITECTURE.md,
+## "Statically enforced invariants")
 vet-reclaim:
 	$(GO) run ./cmd/reclaimvet ./...
 
@@ -63,37 +56,9 @@ fuzz-smoke:
 	$(GO) test ./internal/kvwire -run='^$$' -fuzz='^FuzzDecodeRequest$$' -fuzztime=5s
 	$(GO) test ./internal/kvwire -run='^$$' -fuzz='^FuzzDecodeRequests$$' -fuzztime=5s
 
-## bench-smoke: tiny experiment run, JSON report to bench-smoke.json (CI artifact).
-## Covers the hash map panels (experiment 4), the async-reclamation sweep
-## (experiment 6), the hot-path per-op microcost probes (experiment 7), the
-## goroutine-churn sweep over the slot registry (experiment 8), the KV
-## service end-to-end run over loopback TCP (experiment 9: mixed read/write
-## load from 4 connections, p50/p99/p999 request latencies, hard-failing if
-## any reclaiming scheme exits with Retired != Freed) and the self-tuning
-## runtime comparison (experiment 10: adaptive vs static-optimal vs
-## static-worst on a phase-changing workload, controller trajectories as
-## JSON columns, hard-failing on Retired != Freed with the controller
-## enabled) and the fault-injection experiment (11: per-scheme
-## bounded/unbounded unreclaimed growth under an injected stalled thread,
-## plus a chaos-mode service panel whose rows carry the shed/retry
-## counters; fault rows are excluded from the bench-diff throughput gate
-## but rendered as their own tables) and the pipelined-service experiment
-## (12: the service shapes repeated at pipeline depths 1/8/64 — the load
-## generator keeps a window in flight, the server batch-executes it — with
-## the depth-1 lockstep baseline making the batching amortisation visible
-## and an allocs_per_op column tracking the request path's zero-alloc steady
-## state) in one merged report.
-## The thread sweep is pinned so the row set matches BENCH_baseline.json on
-## any machine (the async reclaimer-count and churn sweeps are likewise
-## fixed, not machine-derived). The sweep runs 3 times and every cell keeps
-## its best-throughput run (-repeat 3): single 75ms trials swing far
-## outside the bench-diff gate's 30% margin on a loaded or single-core CI
-## machine, and its slow episodes outlast back-to-back repeats of one cell
-## but not the full sweep between sweep-level repeats — so the best-of-3
-## envelope is stable, suppressing the downward outliers the gate acts on.
-## Every smoke report is also archived under bench-history/ with a UTC
-## timestamp, so any two runs can be compared later (benchdiff takes two
-## positional artifact paths).
+## bench-smoke: the cmd/reclaimbench sweep's smoke run, best of 3 per cell, JSON to
+## bench-smoke.json (CI artifact, archived under bench-history/); the experiment
+## list is `go run ./cmd/reclaimbench -h` (-experiment)
 bench-smoke: build
 	$(GO) run ./cmd/reclaimbench -experiment hashmap,async,hotpath,churn,service,adaptive,faults,pipeline -quick -threads 4 -duration 75ms -repeat 3 -json > bench-smoke.json
 	@grep -q '"row_count"' bench-smoke.json

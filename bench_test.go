@@ -256,10 +256,12 @@ func BenchmarkReclaimerOperationOverhead(b *testing.B) {
 	for _, scheme := range recordmgr.Schemes() {
 		b.Run(scheme, func(b *testing.B) {
 			mgr := recordmgr.MustBuild[microRec](recordmgr.Config{Scheme: scheme, Threads: 1, UsePool: true})
+			h := mgr.AcquireHandle()
+			defer mgr.ReleaseHandle(h)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				mgr.LeaveQstate(0)
-				mgr.EnterQstate(0)
+				h.LeaveQstate()
+				h.EnterQstate()
 			}
 		})
 	}
@@ -269,12 +271,13 @@ func BenchmarkReclaimerRetireFree(b *testing.B) {
 	for _, scheme := range recordmgr.Schemes() {
 		b.Run(scheme, func(b *testing.B) {
 			mgr := recordmgr.MustBuild[microRec](recordmgr.Config{Scheme: scheme, Threads: 1, UsePool: true})
+			h := mgr.AcquireHandle()
+			defer mgr.ReleaseHandle(h)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				mgr.LeaveQstate(0)
-				rec := mgr.Allocate(0)
-				mgr.Retire(0, rec)
-				mgr.EnterQstate(0)
+				h.LeaveQstate()
+				h.Retire(h.Allocate())
+				h.EnterQstate()
 			}
 		})
 	}

@@ -10,7 +10,7 @@
 // -retirebatch, -async and -reclaimers apply the experiment 5-6 ablation
 // axes, and -churn (experiment 8's axis) makes workers release and
 // re-acquire their thread slot every N operations, so the footprint can be
-// measured under dynamic slot binding as well as the paper's static one.
+// measured under slot churn as well as with one slot per worker for the run.
 package main
 
 import (
@@ -34,7 +34,7 @@ func main() {
 		retireBatch = flag.Int("retirebatch", 0, "per-thread deferred-retire batch size (0 = direct retirement)")
 		async       = flag.Bool("async", false, "enable asynchronous reclamation (implies -reclaimers 1 when unset)")
 		reclaimers  = flag.Int("reclaimers", 0, "dedicated async reclaimer goroutines per trial (0 = reclamation on the workers; implies -async)")
-		churn       = flag.Int("churn", 0, "goroutine churn: workers release+acquire their thread slot every N operations (0 = static binding)")
+		churn       = flag.Int("churn", 0, "goroutine churn: workers release+acquire their thread slot every N operations (0 = keep one slot for the run)")
 	)
 	flag.Parse()
 	if _, err := core.ParsePlacement(*placement); err != nil {

@@ -72,7 +72,7 @@ func main() {
 		retireBatch = flag.Int("retirebatch", 0, "per-thread deferred-retire batch size (0 = direct retirement)")
 		async       = flag.Bool("async", false, "enable asynchronous reclamation (implies -reclaimers 1 when unset)")
 		reclaimers  = flag.Int("reclaimers", 0, "dedicated async reclaimer goroutines per trial (0 = reclamation on the workers; implies -async)")
-		churn       = flag.Int("churn", 0, "goroutine churn: workers release+acquire their thread slot every N operations (0 = static binding)")
+		churn       = flag.Int("churn", 0, "goroutine churn: workers release+acquire their thread slot every N operations (0 = keep one slot for the run)")
 		repeat      = flag.Int("repeat", 1, "run the whole experiment sweep N times and keep each cell's best-throughput run (suppresses scheduler-noise outliers on shared machines)")
 		cpuprofile  = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
 		memprofile  = flag.String("memprofile", "", "write a heap profile (after the run) to this file")

@@ -89,22 +89,19 @@
 // # Thread lifecycle
 //
 // The Record Manager's per-thread state — scheme announcement slots, limbo
-// bags, pool caches, retire buffers, handle tables — is still sized once,
-// at construction, for a fixed capacity of dense thread ids
+// bags, pool caches, retire buffers, handle tables — is sized once, at
+// construction, for a fixed capacity of dense thread ids
 // (recordmgr.Config.MaxThreads, defaulting to Threads). Which goroutine
-// owns which id is no longer fixed: a core.SlotRegistry hands slots out at
-// runtime through a lock-free free list. There are two binding styles, and
-// they compose on one manager:
-//
-//   - Static: RecordManager.Handle(tid) (and the data structures' tid-based
-//     methods) permanently claims tid's slot on first use — the historical
-//     fixed-Threads wiring, byte-for-byte compatible.
-//   - Dynamic: RecordManager.AcquireHandle() binds the calling goroutine to
-//     a vacant slot and returns its ThreadHandle; ReleaseHandle returns the
-//     slot for reuse. The data structures expose the same pair
-//     (AcquireHandle/ReleaseHandle), so a server's request goroutines can
-//     come and go without any tid bookkeeping (examples/kvstore is the
-//     usage demo; internal/kvservice is the production-shaped version).
+// owns which id is decided at runtime: a core.SlotRegistry hands slots out
+// through a lock-free free list. RecordManager.AcquireHandle() binds the
+// calling goroutine to a vacant slot and returns its ThreadHandle — the only
+// way to issue a per-thread operation — and ReleaseHandle returns the slot
+// for reuse. The data structures expose the same pair
+// (AcquireHandle/ReleaseHandle) and their operations are methods of the
+// handle it returns, so a server's request goroutines can come and go
+// without any tid bookkeeping (examples/kvstore is the usage demo;
+// internal/kvservice is the production-shaped version). A fresh manager
+// hands out slots 0, 1, 2, … in order.
 //
 // Release is only legal from a quiescent, flushed state — the slot-registry
 // sibling of the quiescent-retire contract: ReleaseHandle panics when the
@@ -150,19 +147,17 @@
 //     guard test in internal/core. Genuinely multi-writer cells (the global
 //     epoch and grace clocks, announcement words, shared-stack depths)
 //     stay atomic.
-//   - Per-thread handles devirtualize the fast path. A worker resolves
-//     RecordManager.Handle(tid) once at registration; the ThreadHandle
-//     caches direct pointers to the thread's deferred-retire buffer, pool
-//     fast path (core.PoolHandle), the scheme's per-thread view
-//     (core.ReclaimerHandle — announcement slot, limbo state, shard member
-//     list, counters resolved at construction) and the capability
-//     interfaces (core.RetirePinner) that the generic path type-asserts per
-//     call. A steady-state operation through a handle performs zero
-//     threads[tid] slice indexing and at most one interface call per
-//     primitive; a batched Retire is a buffer append with no interface call
-//     at all. All four data structures thread handles through their
-//     operation bodies and expose DS-level Handle types the bench workers
-//     use; the tid-based APIs remain as thin wrappers.
+//   - Per-thread handles devirtualize the fast path. A worker acquires its
+//     ThreadHandle once at registration; the handle caches direct pointers
+//     to the slot's deferred-retire buffer, pool fast path
+//     (core.PoolHandle), the scheme's per-slot view (core.ReclaimerHandle —
+//     announcement slot, limbo state, shard member list, counters resolved
+//     at construction) and the core.RetirePinner capability. A steady-state
+//     operation performs zero threads[tid] slice indexing and at most one
+//     interface call per primitive; a batched Retire is a buffer append
+//     with no interface call at all. All four data structures thread
+//     handles through their operation bodies and expose the DS-level Handle
+//     types their operations are methods of.
 //
 // What one steady-state operation costs per scheme, in Record Manager
 // primitives (data structure work excluded): none — nothing but the leak
@@ -267,8 +262,7 @@
 // included — and runs six repository-specific analyzers over the result:
 // retirepin (raw Retire/RetireBlock/FlushRetired call sites must be
 // dominated by LeaveQstate/PinRetire or go through the auto-pinning
-// RecordManager/ThreadHandle wrappers — the static face of the
-// quiescent-retire panic), handlepair (an acquired ThreadHandle must
+// ThreadHandle wrappers — the static face of the quiescent-retire panic), handlepair (an acquired ThreadHandle must
 // reach ReleaseHandle on every non-panic path, and a deferred release
 // must not sit inside the acquire loop), singlewriter (per-thread stat
 // carriers declare their counters as core.Counter and nothing applies an

@@ -32,20 +32,22 @@ func main() {
 	m := hashmap.New(mgr, workers)
 
 	var wg sync.WaitGroup
-	for tid := 0; tid < workers; tid++ {
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(tid int) {
+		go func(w int) {
 			defer wg.Done()
-			base := int64(tid) * keys
+			h := m.AcquireHandle()
+			defer m.ReleaseHandle(h)
+			base := int64(w) * keys
 			for i := int64(0); i < keys; i++ {
 				key := base + i
-				m.Insert(tid, key, fmt.Sprintf("value-%d", key))
+				h.Insert(key, fmt.Sprintf("value-%d", key))
 				if i%2 == 0 {
-					m.Delete(tid, key)
+					h.Delete(key)
 				}
-				m.Contains(tid, key-1)
+				h.Contains(key - 1)
 			}
-		}(tid)
+		}(w)
 	}
 	wg.Wait()
 

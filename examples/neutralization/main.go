@@ -66,29 +66,33 @@ func runWithScheme(scheme string) (limbo, bytes, neutralizations int64) {
 	default:
 		panic("unknown scheme " + scheme)
 	}
-	tree := bst.New(core.NewRecordManager[rec](alloc, pl, rcl))
+	mgr := core.NewRecordManager[rec](alloc, pl, rcl)
+	tree := bst.New(mgr)
 
-	// Worker 0 stalls in the middle of an operation: it announces the
-	// current epoch (leaves its quiescent state) and then goes to sleep,
-	// exactly like a thread preempted inside a data structure operation.
-	rcl.LeaveQstate(0)
+	// One worker stalls in the middle of an operation: it acquires a slot,
+	// announces the current epoch (leaves its quiescent state) and then goes
+	// to sleep, exactly like a thread preempted inside a data structure
+	// operation. The slot is never released — the thread never comes back.
+	mgr.AcquireHandle().LeaveQstate()
 
 	var stop atomic.Bool
 	var wg sync.WaitGroup
-	for tid := 1; tid < workers; tid++ {
+	for w := 1; w < workers; w++ {
 		wg.Add(1)
-		go func(tid int) {
+		go func(w int) {
 			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(tid)))
+			h := tree.AcquireHandle()
+			defer tree.ReleaseHandle(h)
+			rng := rand.New(rand.NewSource(int64(w)))
 			for !stop.Load() {
 				k := rng.Int63n(keyRange)
 				if rng.Intn(2) == 0 {
-					tree.Insert(tid, k, k)
+					h.Insert(k, k)
 				} else {
-					tree.Delete(tid, k)
+					h.Delete(k)
 				}
 			}
-		}(tid)
+		}(w)
 	}
 	time.Sleep(runFor)
 	stop.Store(true)

@@ -38,20 +38,26 @@ func main() {
 	q := queue.New(queueMgr)
 
 	var wg sync.WaitGroup
-	for tid := 0; tid < workers; tid++ {
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(tid int) {
+		go func(w int) {
 			defer wg.Done()
+			// A goroutine acquires a thread handle per structure for its
+			// working lifetime and issues every operation through it.
+			th := tree.AcquireHandle()
+			defer tree.ReleaseHandle(th)
+			qh := q.AcquireHandle()
+			defer q.ReleaseHandle(qh)
 			for i := 0; i < 10_000; i++ {
-				key := int64(tid*10_000 + i)
-				tree.Insert(tid, key, fmt.Sprintf("value-%d", key))
-				q.Enqueue(tid, int(key))
+				key := int64(w*10_000 + i)
+				th.Insert(key, fmt.Sprintf("value-%d", key))
+				qh.Enqueue(int(key))
 				if i%2 == 0 {
-					tree.Delete(tid, key)
-					q.Dequeue(tid)
+					th.Delete(key)
+					qh.Dequeue()
 				}
 			}
-		}(tid)
+		}(w)
 	}
 	wg.Wait()
 

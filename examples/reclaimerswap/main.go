@@ -59,31 +59,35 @@ func main() {
 // of completed operations.
 func run(tree *bst.Tree[int64], threads int) int64 {
 	// Prefill to half the key range.
+	pre := tree.AcquireHandle()
 	for k := int64(0); k < keyRange; k += 2 {
-		tree.Insert(0, k, k)
+		pre.Insert(k, k)
 	}
+	tree.ReleaseHandle(pre)
 	var (
 		stop  atomic.Bool
 		total atomic.Int64
 		wg    sync.WaitGroup
 	)
-	for tid := 0; tid < threads; tid++ {
+	for w := 0; w < threads; w++ {
 		wg.Add(1)
-		go func(tid int) {
+		go func(w int) {
 			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(tid) + 42))
+			h := tree.AcquireHandle()
+			defer tree.ReleaseHandle(h)
+			rng := rand.New(rand.NewSource(int64(w) + 42))
 			n := int64(0)
 			for !stop.Load() {
 				k := rng.Int63n(keyRange)
 				if rng.Intn(2) == 0 {
-					tree.Insert(tid, k, k)
+					h.Insert(k, k)
 				} else {
-					tree.Delete(tid, k)
+					h.Delete(k)
 				}
 				n++
 			}
 			total.Add(n)
-		}(tid)
+		}(w)
 	}
 	time.Sleep(duration)
 	stop.Store(true)

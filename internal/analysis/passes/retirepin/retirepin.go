@@ -1,5 +1,5 @@
 // Package retirepin is the static form of the PR 3 quiescent-retire panic:
-// a raw scheme-level Retire (Reclaimer.Retire, ReclaimerHandle.Retire,
+// a raw scheme-level Retire (ReclaimerHandle.Retire,
 // BlockReclaimer.RetireBlock, core.RetireChain) issued from a quiescent
 // context races the epoch advance — the retirer's observed epoch can go
 // arbitrarily stale before its records land in a limbo bag, so an advance
@@ -9,15 +9,14 @@
 // raw retire call site to be dominated by LeaveQstate or PinRetire on all
 // paths from the enclosing function's entry.
 //
-// The auto-pinning wrappers — core.RecordManager.Retire/FlushRetired and
-// core.ThreadHandle.Retire/FlushRetired — take the pin themselves when the
-// thread is quiescent and are therefore exempt: calling through them is the
-// recommended fix for any diagnostic this analyzer reports. The dominance
-// walk is structural (statement order, if/else joins, loops that may run
-// zero times), not a full SSA pass: calls reached through function literals
-// inherit the pin state at their creation point, deferred and spawned calls
-// are analysed as unpinned, and an EnterQstate or UnpinRetire kills the
-// dominating pin.
+// The auto-pinning wrappers — core.ThreadHandle.Retire/FlushRetired — take
+// the pin themselves when the thread is quiescent and are therefore exempt:
+// calling through them is the recommended fix for any diagnostic this
+// analyzer reports. The dominance walk is structural (statement order,
+// if/else joins, loops that may run zero times), not a full SSA pass: calls
+// reached through function literals inherit the pin state at their creation
+// point, deferred and spawned calls are analysed as unpinned, and an
+// EnterQstate or UnpinRetire kills the dominating pin.
 package retirepin
 
 import (
@@ -42,9 +41,9 @@ var (
 	unpinNames = map[string]bool{"EnterQstate": true, "UnpinRetire": true}
 )
 
-// autoPinRecv are the receiver types whose Retire/FlushRetired pin
-// internally (the wrappers data structures are supposed to use).
-var autoPinRecv = map[string]bool{"RecordManager": true, "ThreadHandle": true}
+// autoPinRecv is the receiver type whose Retire/FlushRetired pin internally
+// (the wrapper data structures are supposed to use).
+var autoPinRecv = map[string]bool{"ThreadHandle": true}
 
 func run(pass *analysis.Pass) error {
 	for _, f := range pass.Files {
@@ -64,8 +63,8 @@ func run(pass *analysis.Pass) error {
 }
 
 // forwarding reports whether fd is itself a retire-path entry point of the
-// reclamation stack (core.RetireChain, a scheme's Reclaimer.Retire
-// forwarding to its handle, ThreadHandle.Retire's fast path, ...). Raw
+// reclamation stack (core.RetireChain, the fault plane's handle.Retire
+// forwarding to the scheme's, ThreadHandle.Retire/FlushRetired, ...). Raw
 // retire calls inside such a function are forwarding edges: the pin
 // obligation belongs to the function's own callers, which the analyzer
 // checks at their sites — the same obligation-transfer reasoning handlepair
@@ -258,7 +257,7 @@ func (w *walker) call(c *ast.CallExpr, pinned bool) bool {
 				target = recv + "." + name
 			}
 			w.pass.Report(c.Pos(),
-				"raw %s is not dominated by LeaveQstate/PinRetire: a quiescent retirer races the epoch advance (PR 3); pin first or go through the auto-pinning RecordManager/ThreadHandle wrappers", target)
+				"raw %s is not dominated by LeaveQstate/PinRetire: a quiescent retirer races the epoch advance (PR 3); pin first or go through the auto-pinning ThreadHandle wrappers", target)
 		}
 	}
 	return pinned

@@ -19,14 +19,10 @@ func (c *Counter) Store(v int64) { c.v = v }
 // Inc bumps the cell by one.
 func (c *Counter) Inc() { c.v++ }
 
-// Reclaimer is the scheme-level reclamation interface (raw Retire requires a
-// pin).
+// Reclaimer is the scheme object; per-thread operations go through the
+// slot's ReclaimerHandle.
 type Reclaimer[T any] interface {
-	LeaveQstate(tid int) bool
-	EnterQstate(tid int)
-	Retire(tid int, rec *T)
-	Protect(tid int, rec *T) bool
-	Unprotect(tid int, rec *T)
+	Handle(slot int) ReclaimerHandle[T]
 }
 
 // BlockReclaimer is the block-granularity retire interface.
@@ -40,8 +36,8 @@ type RetirePinner interface {
 	UnpinRetire(tid int)
 }
 
-// ReclaimerHandle is the per-thread fast-path view of a scheme (raw Retire,
-// still requires a pin).
+// ReclaimerHandle is the per-thread view of a scheme (raw Retire requires a
+// pin).
 type ReclaimerHandle[T any] interface {
 	LeaveQstate() bool
 	EnterQstate()
@@ -51,19 +47,15 @@ type ReclaimerHandle[T any] interface {
 }
 
 // RetireChain hands a chain of records to the scheme (raw, requires a pin).
-func RetireChain[T any](r Reclaimer[T], tid int) {
+func RetireChain[T any](r Reclaimer[T], h ReclaimerHandle[T], tid int) {
 	_ = r
+	_ = h
 	_ = tid
 }
 
-// RecordManager is the auto-pinning wrapper layer.
+// RecordManager owns the worker slots; operations go through the acquired
+// ThreadHandle.
 type RecordManager[T any] struct{ _ int }
-
-// Retire auto-pins before handing the record to the scheme.
-func (m *RecordManager[T]) Retire(tid int, rec *T) {}
-
-// FlushRetired auto-pins before draining the retire buffer.
-func (m *RecordManager[T]) FlushRetired(tid int) {}
 
 // AcquireHandle binds a worker slot, blocking until one is free.
 func (m *RecordManager[T]) AcquireHandle() *ThreadHandle[T] { return &ThreadHandle[T]{} }

@@ -7,22 +7,23 @@ import "vettest/internal/core"
 
 type rec struct{ v int }
 
-// Reclaimer is a scheme whose Retire forwards to its per-thread handles.
-type Reclaimer struct{ hs []core.ReclaimerHandle[rec] }
+// handle is a wrapping per-thread handle (the fault plane's shape) whose
+// Retire forwards to the scheme's.
+type handle struct{ inner core.ReclaimerHandle[rec] }
 
-// Retire implements the scheme entry point by forwarding (exempt: the
-// enclosing function is itself a retire-path method).
-func (r *Reclaimer) Retire(tid int, x *rec) { r.hs[tid].Retire(x) }
+// Retire forwards to the wrapped handle (exempt: the enclosing function is
+// itself a retire-path method).
+func (h *handle) Retire(x *rec) { h.inner.Retire(x) }
 
 // FlushRetired forwards a whole buffer (exempt for the same reason).
-func (r *Reclaimer) FlushRetired(tid int, xs []*rec) {
+func (h *handle) FlushRetired(xs []*rec) {
 	for _, x := range xs {
-		r.hs[tid].Retire(x)
+		h.inner.Retire(x)
 	}
 }
 
 // drain is not a retire-path entry point, so its raw retire is still
 // checked.
-func (r *Reclaimer) drain(tid int, x *rec) {
-	r.hs[tid].Retire(x) // want `raw ReclaimerHandle\.Retire is not dominated`
+func (h *handle) drain(x *rec) {
+	h.inner.Retire(x) // want `raw ReclaimerHandle\.Retire is not dominated`
 }

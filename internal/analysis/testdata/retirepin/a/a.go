@@ -6,54 +6,53 @@ import "vettest/internal/core"
 
 type node struct{ v int }
 
-func raw(r core.Reclaimer[node], tid int, n *node) {
-	r.Retire(tid, n) // want `raw Reclaimer\.Retire is not dominated by LeaveQstate/PinRetire`
+func raw(h core.ReclaimerHandle[node], n *node) {
+	h.Retire(n) // want `raw ReclaimerHandle\.Retire is not dominated by LeaveQstate/PinRetire`
 }
 
-func pinned(r core.Reclaimer[node], tid int, n *node) {
-	r.LeaveQstate(tid)
-	r.Retire(tid, n)
-	r.EnterQstate(tid)
+func pinned(h core.ReclaimerHandle[node], n *node) {
+	h.LeaveQstate()
+	h.Retire(n)
+	h.EnterQstate()
 }
 
-func unpinnedAfterEnter(r core.Reclaimer[node], tid int, n *node) {
-	r.LeaveQstate(tid)
-	r.EnterQstate(tid)
-	r.Retire(tid, n) // want `raw Reclaimer\.Retire is not dominated`
+func unpinnedAfterEnter(h core.ReclaimerHandle[node], n *node) {
+	h.LeaveQstate()
+	h.EnterQstate()
+	h.Retire(n) // want `raw ReclaimerHandle\.Retire is not dominated`
 }
 
-func pinOnOneBranchOnly(r core.Reclaimer[node], tid int, n *node, cond bool) {
+func pinOnOneBranchOnly(h core.ReclaimerHandle[node], n *node, cond bool) {
 	if cond {
-		r.LeaveQstate(tid)
+		h.LeaveQstate()
 	}
-	r.Retire(tid, n) // want `raw Reclaimer\.Retire is not dominated`
+	h.Retire(n) // want `raw ReclaimerHandle\.Retire is not dominated`
 }
 
-func pinOnBothBranches(r core.Reclaimer[node], tid int, n *node, cond bool) {
+func pinOnBothBranches(h core.ReclaimerHandle[node], n *node, cond bool) {
 	if cond {
-		r.LeaveQstate(tid)
+		h.LeaveQstate()
 	} else {
-		r.LeaveQstate(tid)
+		h.LeaveQstate()
 	}
-	r.Retire(tid, n)
+	h.Retire(n)
 }
 
-func pinOrBail(r core.Reclaimer[node], tid int, n *node) {
-	if !r.LeaveQstate(tid) {
+func pinOrBail(h core.ReclaimerHandle[node], n *node) {
+	if !h.LeaveQstate() {
 		return
 	}
-	r.Retire(tid, n)
+	h.Retire(n)
 }
 
-func pinnedViaPinner(p core.RetirePinner, r core.Reclaimer[node], tid int, n *node) {
+func pinnedViaPinner(p core.RetirePinner, h core.ReclaimerHandle[node], tid int, n *node) {
 	p.PinRetire(tid)
 	defer p.UnpinRetire(tid) // the deferred unpin must not clear the live pin
-	r.Retire(tid, n)
+	h.Retire(n)
 }
 
-func autoPinManager(m *core.RecordManager[node], tid int, n *node) {
-	m.Retire(tid, n)    // auto-pinning wrapper: exempt
-	m.FlushRetired(tid) // auto-pinning wrapper: exempt
+func resolvedFromScheme(r core.Reclaimer[node], n *node) {
+	r.Handle(0).Retire(n) // want `raw ReclaimerHandle\.Retire is not dominated`
 }
 
 func autoPinHandle(h *core.ThreadHandle[node], n *node) {
@@ -61,36 +60,26 @@ func autoPinHandle(h *core.ThreadHandle[node], n *node) {
 	h.FlushRetired()
 }
 
-func rawHandle(h core.ReclaimerHandle[node], n *node) {
-	h.Retire(n) // want `raw ReclaimerHandle\.Retire is not dominated`
-}
-
-func pinnedHandle(h core.ReclaimerHandle[node], n *node) {
+func pinnedLoop(h core.ReclaimerHandle[node], ns []*node) {
 	h.LeaveQstate()
-	h.Retire(n)
+	for _, n := range ns {
+		h.Retire(n)
+	}
 	h.EnterQstate()
 }
 
-func pinnedLoop(r core.Reclaimer[node], tid int, ns []*node) {
-	r.LeaveQstate(tid)
-	for _, n := range ns {
-		r.Retire(tid, n)
-	}
-	r.EnterQstate(tid)
-}
-
-func pinnedClosure(r core.Reclaimer[node], tid int, n *node, drain func(func())) {
-	r.LeaveQstate(tid)
+func pinnedClosure(h core.ReclaimerHandle[node], n *node, drain func(func())) {
+	h.LeaveQstate()
 	drain(func() {
-		r.Retire(tid, n) // pinned at creation point (synchronous callback)
+		h.Retire(n) // pinned at creation point (synchronous callback)
 	})
-	r.EnterQstate(tid)
+	h.EnterQstate()
 }
 
-func spawnedRetire(r core.Reclaimer[node], tid int, n *node) {
-	r.LeaveQstate(tid)
-	go r.Retire(tid, n) // want `raw Reclaimer\.Retire is not dominated`
-	r.EnterQstate(tid)
+func spawnedRetire(h core.ReclaimerHandle[node], n *node) {
+	h.LeaveQstate()
+	go h.Retire(n) // want `raw ReclaimerHandle\.Retire is not dominated`
+	h.EnterQstate()
 }
 
 func rawBlock(b core.BlockReclaimer[node], tid int, blk *node) {
@@ -98,11 +87,11 @@ func rawBlock(b core.BlockReclaimer[node], tid int, blk *node) {
 }
 
 func rawChain(r core.Reclaimer[node], tid int) {
-	core.RetireChain(r, tid) // want `raw RetireChain is not dominated`
+	core.RetireChain(r, r.Handle(tid), tid) // want `raw RetireChain is not dominated`
 }
 
 func pinnedChain(p core.RetirePinner, r core.Reclaimer[node], tid int) {
 	p.PinRetire(tid)
-	core.RetireChain(r, tid)
+	core.RetireChain(r, r.Handle(tid), tid)
 	p.UnpinRetire(tid)
 }

@@ -6,33 +6,33 @@ import "vettest/internal/core"
 
 type node struct{ v int }
 
-func suppressedAbove(r core.Reclaimer[node], tid int, n *node) {
+func suppressedAbove(h core.ReclaimerHandle[node], n *node) {
 	//lint:allow retirepin golden: exercising line-above suppression
-	r.Retire(tid, n)
+	h.Retire(n)
 }
 
-func suppressedTrailing(r core.Reclaimer[node], tid int, n *node) {
-	r.Retire(tid, n) //lint:allow retirepin golden: exercising same-line suppression
+func suppressedTrailing(h core.ReclaimerHandle[node], n *node) {
+	h.Retire(n) //lint:allow retirepin golden: exercising same-line suppression
 }
 
-func bareMarker(r core.Reclaimer[node], tid int, n *node) {
+func bareMarker(h core.ReclaimerHandle[node], n *node) {
 	//lint:allow // want `bare //lint:allow marker`
-	r.Retire(tid, n) // want `raw Reclaimer\.Retire is not dominated`
+	h.Retire(n) // want `raw ReclaimerHandle\.Retire is not dominated`
 }
 
-func missingReason(r core.Reclaimer[node], tid int, n *node) {
+func missingReason(h core.ReclaimerHandle[node], n *node) {
 	//lint:allow retirepin // want `has no reason`
-	r.Retire(tid, n) // want `raw Reclaimer\.Retire is not dominated`
+	h.Retire(n) // want `raw ReclaimerHandle\.Retire is not dominated`
 }
 
-func unknownAnalyzer(r core.Reclaimer[node], tid int, n *node) {
+func unknownAnalyzer(h core.ReclaimerHandle[node], n *node) {
 	//lint:allow nosuchcheck the analyzer name is wrong // want `unknown analyzer "nosuchcheck"`
-	r.Retire(tid, n) // want `raw Reclaimer\.Retire is not dominated`
+	h.Retire(n) // want `raw ReclaimerHandle\.Retire is not dominated`
 }
 
-func staleMarker(r core.Reclaimer[node], tid int, n *node) {
+func staleMarker(h core.ReclaimerHandle[node], n *node) {
 	//lint:allow retirepin nothing on the next line violates anything // want `suppresses nothing`
-	r.LeaveQstate(tid)
-	r.Retire(tid, n)
-	r.EnterQstate(tid)
+	h.LeaveQstate()
+	h.Retire(n)
+	h.EnterQstate()
 }

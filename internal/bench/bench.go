@@ -88,12 +88,11 @@ type Config struct {
 	// (0 = reclamation on the worker threads; >0 implies retire batching,
 	// defaulted by recordmgr.Build to a full block).
 	Reclaimers int
-	// ChurnOps, when > 0, switches the workers to the dynamic binding style
-	// and makes each of them release its thread slot and acquire a fresh one
-	// every ChurnOps operations (goroutine churn: at throughput T ops/s the
-	// trial performs T/ChurnOps acquire+release cycles per second per
-	// worker). The acquire+release latency is measured and reported as
-	// ChurnNs/ChurnCycles.
+	// ChurnOps, when > 0, makes each worker release its thread slot and
+	// acquire a fresh one every ChurnOps operations (goroutine churn: at
+	// throughput T ops/s the trial performs T/ChurnOps acquire+release
+	// cycles per second per worker). The acquire+release latency is
+	// measured and reported as ChurnNs/ChurnCycles.
 	ChurnOps int
 	// Partitions, ServiceBurst and ServiceDist configure the service trials
 	// (DataStructure == DSService): the server's partition count, the
@@ -242,19 +241,13 @@ type Result struct {
 // set is the minimal data structure interface the harness drives. close
 // shuts the Record Manager's reclamation pipeline down once the workers are
 // joined (flush → async drain → limbo force-free), so trials never leak
-// reclaimer goroutines into the next trial. handle returns the per-thread
-// fast-path operations a worker resolves ONCE at registration — the measured
-// loop then runs through the data structure's thread handles (zero slice
-// indexing, at most one interface call per reclamation primitive), exactly
-// like a real client of the handle API would.
+// reclaimer goroutines into the next trial.
 type set interface {
-	insert(tid int, key int64) bool
-	delete(tid int, key int64) bool
-	contains(tid int, key int64) bool
-	handle(tid int) opHandle
-	// acquire binds the calling goroutine to a vacant thread slot (the
-	// dynamic binding style) and returns the slot-bound operations plus the
-	// release function; churn trials bind, work and release repeatedly.
+	// acquire binds the calling goroutine to a vacant thread slot and returns
+	// the slot-bound operations plus the release function. A worker acquires
+	// once at registration — the measured loop then runs through the data
+	// structure's thread handle, exactly like a real client would; churn
+	// trials bind, work and release repeatedly.
 	acquire() (opHandle, func())
 	stats() core.ManagerStats
 	// controller exposes the Record Manager's adaptive controller (nil when
@@ -271,85 +264,53 @@ type opHandle struct {
 	contains func(key int64) bool
 }
 
-// bstSet adapts bst.Tree to the harness interface.
-type bstSet struct{ t *bst.Tree[int64] }
-
-func (s bstSet) insert(tid int, key int64) bool   { return s.t.Insert(tid, key, key) }
-func (s bstSet) delete(tid int, key int64) bool   { return s.t.Delete(tid, key) }
-func (s bstSet) contains(tid int, key int64) bool { return s.t.Contains(tid, key) }
-func (s bstSet) stats() core.ManagerStats         { return s.t.Manager().Stats() }
-func (s bstSet) controller() *core.Controller     { return s.t.Manager().Controller() }
-func (s bstSet) close()                           { s.t.Manager().Close() }
-
-func (s bstSet) handle(tid int) opHandle {
-	return bstOps(s.t.Handle(tid))
-}
-
-func (s bstSet) acquire() (opHandle, func()) {
-	h := s.t.AcquireHandle()
-	return bstOps(h), func() { s.t.ReleaseHandle(h) }
-}
-
-func bstOps(h bst.Handle[int64]) opHandle {
+// setOps binds a data structure handle's operations as an opHandle.
+func setOps(h interface {
+	Insert(key, value int64) bool
+	Delete(key int64) bool
+	Contains(key int64) bool
+}) opHandle {
 	return opHandle{
 		insert:   func(key int64) bool { return h.Insert(key, key) },
 		remove:   h.Delete,
 		contains: h.Contains,
 	}
+}
+
+// bstSet adapts bst.Tree to the harness interface.
+type bstSet struct{ t *bst.Tree[int64] }
+
+func (s bstSet) stats() core.ManagerStats     { return s.t.Manager().Stats() }
+func (s bstSet) controller() *core.Controller { return s.t.Manager().Controller() }
+func (s bstSet) close()                       { s.t.Manager().Close() }
+
+func (s bstSet) acquire() (opHandle, func()) {
+	h := s.t.AcquireHandle()
+	return setOps(h), func() { s.t.ReleaseHandle(h) }
 }
 
 // skipSet adapts skiplist.List to the harness interface.
 type skipSet struct{ l *skiplist.List[int64] }
 
-func (s skipSet) insert(tid int, key int64) bool   { return s.l.Insert(tid, key, key) }
-func (s skipSet) delete(tid int, key int64) bool   { return s.l.Delete(tid, key) }
-func (s skipSet) contains(tid int, key int64) bool { return s.l.Contains(tid, key) }
-func (s skipSet) stats() core.ManagerStats         { return s.l.Manager().Stats() }
-func (s skipSet) controller() *core.Controller     { return s.l.Manager().Controller() }
-func (s skipSet) close()                           { s.l.Manager().Close() }
-
-func (s skipSet) handle(tid int) opHandle {
-	return skipOps(s.l.Handle(tid))
-}
+func (s skipSet) stats() core.ManagerStats     { return s.l.Manager().Stats() }
+func (s skipSet) controller() *core.Controller { return s.l.Manager().Controller() }
+func (s skipSet) close()                       { s.l.Manager().Close() }
 
 func (s skipSet) acquire() (opHandle, func()) {
 	h := s.l.AcquireHandle()
-	return skipOps(h), func() { s.l.ReleaseHandle(h) }
-}
-
-func skipOps(h *skiplist.Handle[int64]) opHandle {
-	return opHandle{
-		insert:   func(key int64) bool { return h.Insert(key, key) },
-		remove:   h.Delete,
-		contains: h.Contains,
-	}
+	return setOps(h), func() { s.l.ReleaseHandle(h) }
 }
 
 // hashSet adapts hashmap.Map to the harness interface.
 type hashSet struct{ m *hashmap.Map[int64] }
 
-func (s hashSet) insert(tid int, key int64) bool   { return s.m.Insert(tid, key, key) }
-func (s hashSet) delete(tid int, key int64) bool   { return s.m.Delete(tid, key) }
-func (s hashSet) contains(tid int, key int64) bool { return s.m.Contains(tid, key) }
-func (s hashSet) stats() core.ManagerStats         { return s.m.Manager().Stats() }
-func (s hashSet) controller() *core.Controller     { return s.m.Manager().Controller() }
-func (s hashSet) close()                           { s.m.Manager().Close() }
-
-func (s hashSet) handle(tid int) opHandle {
-	return hashOps(s.m.Handle(tid))
-}
+func (s hashSet) stats() core.ManagerStats     { return s.m.Manager().Stats() }
+func (s hashSet) controller() *core.Controller { return s.m.Manager().Controller() }
+func (s hashSet) close()                       { s.m.Manager().Close() }
 
 func (s hashSet) acquire() (opHandle, func()) {
 	h := s.m.AcquireHandle()
-	return hashOps(h), func() { s.m.ReleaseHandle(h) }
-}
-
-func hashOps(h *hashmap.Handle[int64]) opHandle {
-	return opHandle{
-		insert:   func(key int64) bool { return h.Insert(key, key) },
-		remove:   h.Delete,
-		contains: h.Contains,
-	}
+	return setOps(h), func() { s.m.ReleaseHandle(h) }
 }
 
 // hotRecord is the record type of the hotpath microcost probes: small, so a
@@ -382,7 +343,7 @@ func (s microSet) op(h *core.ThreadHandle[hotRecord]) bool {
 }
 
 func (s microSet) opRecovering(h *core.ThreadHandle[hotRecord]) (done bool) {
-	defer neutralize.OnNeutralized(h.Manager(), h.Tid(), func(neutralize.Neutralized) {
+	defer neutralize.OnNeutralized(h, func(neutralize.Neutralized) {
 		done = true
 	})
 	s.body(h)
@@ -402,18 +363,9 @@ func (s microSet) body(h *core.ThreadHandle[hotRecord]) {
 	}
 }
 
-func (s microSet) insert(tid int, key int64) bool   { return s.op(s.mgr.Handle(tid)) }
-func (s microSet) delete(tid int, key int64) bool   { return s.op(s.mgr.Handle(tid)) }
-func (s microSet) contains(tid int, key int64) bool { return s.op(s.mgr.Handle(tid)) }
-func (s microSet) stats() core.ManagerStats         { return s.mgr.Stats() }
-func (s microSet) controller() *core.Controller     { return s.mgr.Controller() }
-func (s microSet) close()                           { s.mgr.Close() }
-
-func (s microSet) handle(tid int) opHandle {
-	h := s.mgr.Handle(tid)
-	op := func(key int64) bool { return s.op(h) }
-	return opHandle{insert: op, remove: op, contains: op}
-}
+func (s microSet) stats() core.ManagerStats     { return s.mgr.Stats() }
+func (s microSet) controller() *core.Controller { return s.mgr.Controller() }
+func (s microSet) close()                       { s.mgr.Close() }
 
 func (s microSet) acquire() (opHandle, func()) {
 	h := s.mgr.AcquireHandle()
@@ -576,18 +528,9 @@ func RunTrial(cfg Config) (Result, error) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(cfg.Seed + int64(tid)*104729))
 			w := cfg.Workload
-			// Worker registration. Static binding resolves the thread's
-			// handles once; churn trials instead bind dynamically and cycle
-			// the slot every ChurnOps operations, timing each cycle.
-			var (
-				h       opHandle
-				release func()
-			)
-			if cfg.ChurnOps > 0 {
-				h, release = s.acquire()
-			} else {
-				h = s.handle(tid)
-			}
+			// Worker registration: acquire the slot once; churn trials cycle
+			// it every ChurnOps operations, timing each cycle.
+			h, release := s.acquire()
 			ops := int64(0)
 			cycles, spentNs := int64(0), int64(0)
 			for !stop.Load() {
@@ -610,9 +553,7 @@ func RunTrial(cfg Config) (Result, error) {
 					cycles++
 				}
 			}
-			if release != nil {
-				release()
-			}
+			release()
 			totalOps.Add(ops)
 			churnCycles.Add(cycles)
 			churnNs.Add(spentNs)
@@ -671,19 +612,8 @@ func prefill(s set, cfg Config) {
 		go func(tid int) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(cfg.Seed*31 + int64(tid)))
-			// Churn and phased trials must not wire the prefillers
-			// statically: a static claim is permanent and would leave nothing
-			// for the timed workers to acquire (and would pin the phased
-			// trials' occupancy signal at full). Bind dynamically and release
-			// at the end.
-			var h opHandle
-			if cfg.ChurnOps > 0 || len(cfg.Phases) > 0 {
-				var release func()
-				h, release = s.acquire()
-				defer release()
-			} else {
-				h = s.handle(tid)
-			}
+			h, release := s.acquire()
+			defer release()
 			for inserted.Load() < target {
 				key := rng.Int63n(cfg.Workload.KeyRange)
 				if h.insert(key) {

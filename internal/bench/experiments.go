@@ -42,7 +42,7 @@ type Panel struct {
 	Reclaimers int
 	// ChurnOps makes every cell's workers cycle their thread slot
 	// (release + acquire) every ChurnOps operations — goroutine churn over
-	// the dynamic slot registry (0 = static binding).
+	// the slot registry (0 = each worker keeps its slot for the trial).
 	ChurnOps int
 	// Partitions, ServiceBurst and ServiceDist configure service panels
 	// (DataStructure == DSService); see the Config fields of the same names.

@@ -21,8 +21,8 @@ type JSONRow struct {
 	RetireBatch   int    `json:"retire_batch"`
 	Reclaimers    int    `json:"reclaimers"`
 	// ChurnOps is the goroutine-churn cadence: workers released and
-	// re-acquired their thread slot every ChurnOps operations (0 = static
-	// binding, the fixed-Threads configuration).
+	// re-acquired their thread slot every ChurnOps operations (0 = each
+	// worker kept its slot for the trial).
 	ChurnOps   int     `json:"churn_ops"`
 	Ops        int64   `json:"ops"`
 	MopsPerSec float64 `json:"mops_per_sec"`
@@ -49,7 +49,7 @@ type JSONRow struct {
 	Scans          int64 `json:"scans"`
 	// ChurnCycles is the number of slot release+acquire cycles performed in
 	// the timed phase; ChurnNsPerCycle is their mean latency (0 when the
-	// trial ran with static binding).
+	// workers kept their slots).
 	ChurnCycles     int64   `json:"churn_cycles,omitempty"`
 	ChurnNsPerCycle float64 `json:"churn_ns_per_cycle,omitempty"`
 	// P50Ns/P99Ns/P999Ns are request-latency quantiles of the service rows

@@ -54,11 +54,14 @@ const spareCap = 16
 // emptied spare blocks the reclaimer hands back so the workers' retire
 // buffers keep circulating existing blocks instead of allocating (the
 // blockbag design's zero-allocation property, preserved across the
-// asynchronous hand-off).
+// asynchronous hand-off). rtid and h are the dedicated reclaimer's participant
+// tid and its scheme handle, resolved once at construction.
 type handoffQueue[T any] struct {
 	stack  blockbag.SharedStack[T]
 	spares blockbag.SharedStack[T]
 	wake   chan struct{}
+	rtid   int
+	h      ReclaimerHandle[T]
 	_      [PadBytes]byte
 }
 
@@ -67,9 +70,8 @@ type handoffQueue[T any] struct {
 // with NewAsyncReclaimer for custom stacks); Enqueue is the worker-side
 // hand-off, Close the deterministic shutdown.
 type AsyncReclaimer[T any] struct {
-	rec     Reclaimer[T]
-	workers int
-	queues  []handoffQueue[T]
+	rec    Reclaimer[T]
+	queues []handoffQueue[T]
 
 	// active is the number of queues currently in the steady rotation:
 	// Enqueue routes into queues [0, active) and goroutines with index >=
@@ -124,14 +126,16 @@ func NewAsyncReclaimer[T any](rec Reclaimer[T], workers, reclaimers int) *AsyncR
 		}
 	}
 	a := &AsyncReclaimer[T]{
-		rec:     rec,
-		workers: workers,
-		queues:  make([]handoffQueue[T], reclaimers),
-		counts:  make([]asyncCounters, workers+reclaimers),
-		stop:    make(chan struct{}),
+		rec:    rec,
+		queues: make([]handoffQueue[T], reclaimers),
+		counts: make([]asyncCounters, workers+reclaimers),
+		stop:   make(chan struct{}),
 	}
 	for i := range a.queues {
-		a.queues[i].wake = make(chan struct{}, 1)
+		q := &a.queues[i]
+		q.wake = make(chan struct{}, 1)
+		q.rtid = workers + i
+		q.h = rec.Handle(q.rtid)
 	}
 	a.active.Store(int32(reclaimers))
 	a.wg.Add(reclaimers)
@@ -275,7 +279,6 @@ func (a *AsyncReclaimer[T]) Stolen() int64 {
 func (a *AsyncReclaimer[T]) run(i int) {
 	defer a.wg.Done()
 	q := &a.queues[i]
-	rtid := a.workers + i
 	// Idle backoff: when there is no queued work but the scheme still holds
 	// limbo, keep performing pin/unpin cycles so grace periods advance and
 	// this tid's bags rotate; back off exponentially while no progress is
@@ -298,7 +301,7 @@ func (a *AsyncReclaimer[T]) run(i int) {
 	defer timer.Stop()
 	for {
 		if chain := q.stack.PopAll(); chain != nil {
-			a.drainChain(q, rtid, chain, pool)
+			a.drainChain(q, chain, pool)
 			idle = minIdle
 			staleFor = 0 // our own retires grew the limbo; force a re-read
 			continue
@@ -308,7 +311,7 @@ func (a *AsyncReclaimer[T]) run(i int) {
 			// Final deterministic drain: nothing new arrives for this queue
 			// once Close has been observed here and workers have flushed.
 			if chain := q.stack.PopAll(); chain != nil {
-				a.drainChain(q, rtid, chain, pool)
+				a.drainChain(q, chain, pool)
 			}
 			// Park the remaining cached spares on the queue's return stack
 			// (bounded) so Close can hand them back to the workers' retire
@@ -332,7 +335,7 @@ func (a *AsyncReclaimer[T]) run(i int) {
 		}
 		// Own queue is empty: steal a lagging or deactivated queue's backlog
 		// before falling into the idle path.
-		if a.steal(q, rtid, pool) {
+		if a.steal(q, pool) {
 			idle = minIdle
 			staleFor = 0
 			continue
@@ -349,7 +352,7 @@ func (a *AsyncReclaimer[T]) run(i int) {
 		}
 		staleFor--
 		if limbo > 0 {
-			a.cycle(rtid, nil, nil)
+			a.cycle(q, nil, nil)
 			timer.Reset(idle)
 			select {
 			case <-q.wake:
@@ -380,7 +383,7 @@ func (a *AsyncReclaimer[T]) run(i int) {
 // lagging reclaimer — or a deactivated queue's residue — from backing up
 // the whole pipeline. Spares from stolen chains refill the thief's own
 // return stack.
-func (a *AsyncReclaimer[T]) steal(own *handoffQueue[T], rtid int, pool *blockbag.BlockPool[T]) bool {
+func (a *AsyncReclaimer[T]) steal(own *handoffQueue[T], pool *blockbag.BlockPool[T]) bool {
 	if len(a.queues) == 1 {
 		return false
 	}
@@ -390,27 +393,27 @@ func (a *AsyncReclaimer[T]) steal(own *handoffQueue[T], rtid int, pool *blockbag
 			continue
 		}
 		if chain := q.stack.PopAll(); chain != nil {
-			a.counts[rtid].stolen.Add(int64(blockbag.ChainLen(chain)))
-			a.drainChain(own, rtid, chain, pool)
+			a.counts[own.rtid].stolen.Add(int64(blockbag.ChainLen(chain)))
+			a.drainChain(own, chain, pool)
 			return true
 		}
 	}
 	return false
 }
 
-// drainChain retires every record of a detached chain under rtid, one pinned
-// operation per chain, and hands the spare blocks the scheme exchange
-// returned back to the workers via the queue's bounded return stack. The
+// drainChain retires every record of a detached chain under q's reclaimer
+// tid, one pinned operation per chain, and hands the spare blocks the scheme
+// exchange returned back to the workers via q's bounded return stack. The
 // drained counter is bumped up front, before the records land in the
 // scheme's limbo counters: a chain mid-drain is therefore counted in
 // neither bucket for the duration of one cycle (a transient undercount of
 // Unreclaimed bounded by the in-flight chains) rather than in both — and
 // exactly once whenever the pipeline is idle or closed, which is when the
 // harnesses snapshot.
-func (a *AsyncReclaimer[T]) drainChain(q *handoffQueue[T], rtid int, chain *blockbag.Block[T], pool *blockbag.BlockPool[T]) {
+func (a *AsyncReclaimer[T]) drainChain(q *handoffQueue[T], chain *blockbag.Block[T], pool *blockbag.BlockPool[T]) {
 	n := int64(blockbag.ChainLen(chain))
-	a.counts[rtid].drained.Add(n)
-	a.cycle(rtid, chain, pool)
+	a.counts[q.rtid].drained.Add(n)
+	a.cycle(q, chain, pool)
 	if pool != nil {
 		for q.spares.Blocks() < spareCap {
 			blk := pool.TryGet()
@@ -422,25 +425,26 @@ func (a *AsyncReclaimer[T]) drainChain(q *handoffQueue[T], rtid int, chain *bloc
 	}
 }
 
-// cycle performs one full operation boundary on rtid — LeaveQstate, an
-// optional chain retire, EnterQstate — absorbing a neutralization delivery
-// (DEBRA+ may signal a reclaimer that lags the epoch; the delivery marks the
-// thread quiescent before unwinding, and a reclaimer holds no references and
-// computes nothing from shared records, so there is nothing to recover).
-func (a *AsyncReclaimer[T]) cycle(rtid int, chain *blockbag.Block[T], pool *blockbag.BlockPool[T]) {
+// cycle performs one full operation boundary on q's reclaimer tid —
+// LeaveQstate, an optional chain retire, EnterQstate — absorbing a
+// neutralization delivery (DEBRA+ may signal a reclaimer that lags the epoch;
+// the delivery marks the thread quiescent before unwinding, and a reclaimer
+// holds no references and computes nothing from shared records, so there is
+// nothing to recover).
+func (a *AsyncReclaimer[T]) cycle(q *handoffQueue[T], chain *blockbag.Block[T], pool *blockbag.BlockPool[T]) {
 	defer func() {
 		if v := recover(); v != nil {
-			if _, ok := v.(interface{ NeutralizationSignal() }); ok && a.rec.IsQuiescent(rtid) {
+			if _, ok := v.(interface{ NeutralizationSignal() }); ok && q.h.IsQuiescent() {
 				return
 			}
 			panic(v)
 		}
 	}()
-	a.rec.LeaveQstate(rtid)
+	q.h.LeaveQstate()
 	if chain != nil {
-		RetireChain(a.rec, rtid, chain, pool)
+		RetireChain(a.rec, q.h, q.rtid, chain, pool)
 	}
-	a.rec.EnterQstate(rtid)
+	q.h.EnterQstate()
 }
 
 // Close shuts the pipeline down deterministically: it stops the reclaimer
@@ -463,7 +467,7 @@ func (a *AsyncReclaimer[T]) Close() {
 		// collects them back into the workers' retire-buffer block pools via
 		// DrainSpares (they used to be dropped to the garbage collector).
 		if chain := a.queues[i].stack.PopAll(); chain != nil {
-			a.drainChain(&a.queues[i], a.workers+i, chain, pool)
+			a.drainChain(&a.queues[i], chain, pool)
 		}
 		a.returnSpares(&a.queues[i], pool)
 	}

@@ -47,13 +47,17 @@ func TestAsyncReclaimerCountersAndClose(t *testing.T) {
 	if got := r.Stats().Retired; got != 2*n {
 		t.Fatalf("scheme saw %d retires, want %d", got, 2*n)
 	}
-	// The EBR limbo still holds the records (Close does not force-free; that
-	// is DrainLimbo's job, under the all-quiescent contract).
-	if drained := r.DrainLimbo(0); drained != 2*n {
-		t.Fatalf("DrainLimbo freed %d want %d", drained, 2*n)
+	// Close does not force-free (that is DrainLimbo's job, under the
+	// all-quiescent contract), but the reclaimer goroutines' own LeaveQstate
+	// cycles may already have advanced the epoch and freed a chain: the drain
+	// must free exactly what the limbo still holds, and then everything is
+	// freed.
+	limbo := r.Stats().Limbo
+	if drained := r.DrainLimbo(0); drained != limbo {
+		t.Fatalf("DrainLimbo freed %d want the %d records still in limbo", drained, limbo)
 	}
 	if got := sink.Freed(); got != 2*n {
-		t.Fatalf("sink saw %d frees", got)
+		t.Fatalf("sink saw %d frees want %d", got, 2*n)
 	}
 }
 

@@ -17,9 +17,33 @@ package core
 
 import "repro/internal/blockbag"
 
-// Reclaimer is the safe-memory-reclamation component of a Record Manager.
-// All methods are invoked with the dense thread id (0 <= tid < n) of the
-// calling worker; a Reclaimer instance serves a fixed set of n threads.
+// Reclaimer is the safe-memory-reclamation component of a Record Manager: the
+// scheme object, shared by the fixed set of n thread slots it was built for.
+// It carries what is global to the scheme — its identity, its qualitative
+// properties and its counters — and hands out the per-slot ReclaimerHandle
+// through which every per-thread operation is issued.
+type Reclaimer[T any] interface {
+	// Name returns a short identifier such as "debra", "debra+", "hp".
+	Name() string
+
+	// Props describes the scheme's qualitative properties (Figure 2) and
+	// the two runtime flags data structures branch on (PerRecordProtection,
+	// CrashRecovery).
+	Props() Properties
+
+	// Handle returns slot's per-thread view (0 <= slot < n). The handle is
+	// owned by whoever holds the slot: only that thread may call its methods.
+	Handle(slot int) ReclaimerHandle[T]
+
+	// Stats returns a snapshot of the reclaimer's counters.
+	Stats() Stats
+}
+
+// ReclaimerHandle is one thread slot's view of a Reclaimer and the complete
+// per-thread contract. Schemes implement it with a concrete per-slot struct
+// that caches direct pointers to the slot's announcement word, limbo state
+// and counters, so the per-operation cost is one interface dispatch and no
+// per-thread slice indexing.
 //
 // The operation set is the union of what the schemes discussed in the paper
 // need (Section 6): epoch-style quiescence (LeaveQstate/EnterQstate),
@@ -28,75 +52,60 @@ import "repro/internal/blockbag"
 // (RProtect/RUnprotectAll/IsRProtected). Schemes implement unused operations
 // as cheap no-ops so that data-structure code can call them unconditionally,
 // or consult Props() once and skip the per-record calls entirely.
-type Reclaimer[T any] interface {
-	// Name returns a short identifier such as "debra", "debra+", "hp".
-	Name() string
-
-	// Props describes the scheme's qualitative properties (Figure 2).
-	Props() Properties
-
-	// LeaveQstate announces that thread tid is starting a data structure
+type ReclaimerHandle[T any] interface {
+	// LeaveQstate announces that the thread is starting a data structure
 	// operation (leaving its quiescent state). It must be called at the
 	// beginning of every operation. The return value reports whether the
 	// thread observed (and announced) a new epoch, which some callers use
 	// for instrumentation; most ignore it.
-	LeaveQstate(tid int) bool
+	LeaveQstate() bool
 
-	// EnterQstate announces that thread tid has finished its operation and
+	// EnterQstate announces that the thread has finished its operation and
 	// holds no pointers to records of the data structure.
-	EnterQstate(tid int)
+	EnterQstate()
 
-	// IsQuiescent reports whether thread tid is currently quiescent.
-	IsQuiescent(tid int) bool
+	// IsQuiescent reports whether the thread is currently quiescent.
+	IsQuiescent() bool
 
-	// Retire hands the reclaimer a record that has been removed from the
-	// data structure by thread tid. The record will be freed (passed to the
-	// free sink) once no thread can be holding a pointer to it.
-	Retire(tid int, rec *T)
+	// Retire hands the reclaimer a record the thread has removed from the
+	// data structure. The record will be freed (passed to the free sink)
+	// once no thread can be holding a pointer to it. The epoch schemes
+	// require the thread to be pinned (see RetirePinner).
+	Retire(rec *T)
 
-	// Protect announces that thread tid may access rec. For hazard-pointer
+	// Protect announces that the thread may access rec. For hazard-pointer
 	// style schemes this publishes an announcement and issues the required
 	// fence; the caller must afterwards validate that rec is still
 	// reachable (e.g. by re-reading the pointer it was loaded from) and
 	// call Unprotect/restart if not. Epoch-based schemes return true
 	// without doing anything. The bool result is false only when the
 	// scheme itself can already tell the protection failed.
-	Protect(tid int, rec *T) bool
+	Protect(rec *T) bool
 
-	// Unprotect revokes a previous Protect of rec by thread tid.
-	Unprotect(tid int, rec *T)
+	// Unprotect revokes a previous Protect of rec.
+	Unprotect(rec *T)
 
-	// IsProtected reports whether thread tid currently protects rec.
-	IsProtected(tid int, rec *T) bool
+	// IsProtected reports whether the thread currently protects rec.
+	IsProtected(rec *T) bool
 
 	// RProtect announces a recovery hazard pointer to rec (DEBRA+ only;
 	// a no-op for other schemes). Recovery protections survive
 	// neutralization and are released with RUnprotectAll.
-	RProtect(tid int, rec *T)
+	RProtect(rec *T)
 
-	// RUnprotectAll releases all recovery protections held by thread tid.
-	RUnprotectAll(tid int)
+	// RUnprotectAll releases all recovery protections held by the thread.
+	RUnprotectAll()
 
-	// IsRProtected reports whether thread tid holds a recovery protection
+	// IsRProtected reports whether the thread holds a recovery protection
 	// for rec. Schemes without crash recovery always return false.
-	IsRProtected(tid int, rec *T) bool
-
-	// SupportsCrashRecovery reports whether the scheme neutralizes stalled
-	// threads and therefore requires the data structure to provide recovery
-	// code (the paper's supportsCrashRecovery predicate). It mirrors
-	// Props().FaultTolerant for the schemes in this module but is kept as a
-	// separate method because data-structure fast paths branch on it.
-	SupportsCrashRecovery() bool
+	IsRProtected(rec *T) bool
 
 	// Checkpoint gives the reclaimer an opportunity to deliver a pending
-	// neutralization signal to thread tid. Data structure bodies call it at
+	// neutralization signal to the thread. Data structure bodies call it at
 	// least once per search-loop iteration. It is a no-op for every scheme
 	// except DEBRA+, where it may panic with a neutralization token that
 	// the operation wrapper recovers (the Go analogue of siglongjmp).
-	Checkpoint(tid int)
-
-	// Stats returns a snapshot of the reclaimer's counters.
-	Stats() Stats
+	Checkpoint()
 }
 
 // BlockReclaimer is the optional batched-retirement extension of the
@@ -105,8 +114,7 @@ type Reclaimer[T any] interface {
 // splice, cf. blockbag.Bag.AddBlock) instead of one Retire call per record.
 // The Record Manager's deferred-retire path hands over full blocks through
 // this interface when the scheme provides it and falls back to per-record
-// Retire calls otherwise (see RetireChain), so existing schemes compile and
-// run unchanged.
+// Retire calls on the slot's handle otherwise (see RetireChain).
 type BlockReclaimer[T any] interface {
 	Reclaimer[T]
 	// RetireBlock hands the reclaimer one detached FULL block of records
@@ -122,7 +130,7 @@ type BlockReclaimer[T any] interface {
 
 // RetirePinner is the pin-while-retiring extension of the Reclaimer
 // contract. The epoch schemes' Retire/RetireBlock paths are only safe while
-// the calling tid is non-quiescent: the thread's active announcement is what
+// the calling slot is non-quiescent: the thread's active announcement is what
 // bounds how far the global epoch can run ahead of the epoch a retire
 // observed, and therefore which limbo bag a concurrent advance winner may
 // drain. A retire from a quiescent context has no such pin — its observed
@@ -140,7 +148,7 @@ type BlockReclaimer[T any] interface {
 // (between LeaveQstate and EnterQstate): re-announcing mid-operation would
 // release the operation's own epoch pin while it may still hold references.
 // Callers that may be either pinned or quiescent consult IsQuiescent first,
-// as RecordManager.FlushRetired does.
+// as ThreadHandle.FlushRetired does.
 type RetirePinner interface {
 	// PinRetire marks tid as an active (non-quiescent) retirer.
 	PinRetire(tid int)
@@ -163,13 +171,13 @@ type LimboDrainer interface {
 	DrainLimbo(tid int) int64
 }
 
-// RetireChain retires every record of a detached block chain through r,
-// using the O(1) RetireBlock path for full blocks when the scheme supports
-// it and per-record Retire calls otherwise (and for any non-full block).
-// It returns the number of records retired. This is the default adapter for
-// callers without a block pool of their own; spare blocks the scheme hands
-// back are given to pool when non-nil and dropped otherwise.
-func RetireChain[T any](r Reclaimer[T], tid int, chain *blockbag.Block[T], pool *blockbag.BlockPool[T]) int {
+// RetireChain retires every record of a detached block chain on behalf of
+// slot tid of r, whose handle is h: the O(1) RetireBlock path for full blocks
+// when the scheme supports it, per-record h.Retire calls otherwise (and for
+// any non-full block). It returns the number of records retired. Spare
+// blocks the scheme hands back are given to pool when non-nil and dropped
+// otherwise.
+func RetireChain[T any](r Reclaimer[T], h ReclaimerHandle[T], tid int, chain *blockbag.Block[T], pool *blockbag.BlockPool[T]) int {
 	br, native := r.(BlockReclaimer[T])
 	n := 0
 	for blk := chain; blk != nil; {
@@ -181,7 +189,7 @@ func RetireChain[T any](r Reclaimer[T], tid int, chain *blockbag.Block[T], pool 
 			}
 		} else {
 			for i := 0; i < blk.Len(); i++ {
-				r.Retire(tid, blk.Record(i))
+				h.Retire(blk.Record(i))
 			}
 		}
 		blk = next

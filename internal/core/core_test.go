@@ -33,23 +33,31 @@ func TestRecordManagerComposition(t *testing.T) {
 		t.Fatal("DEBRA does not support crash recovery")
 	}
 
-	m.LeaveQstate(0)
-	r := m.Allocate(0)
+	h := m.AcquireHandle()
+	if h.Manager() != m || h.Tid() != 0 {
+		t.Fatalf("first handle of a fresh manager: Manager()==m is %v, Tid()=%d want 0", h.Manager() == m, h.Tid())
+	}
+	h.LeaveQstate()
+	r := h.Allocate()
 	if r == nil {
 		t.Fatal("Allocate returned nil")
 	}
-	if !m.Protect(0, r) || !m.IsProtected(0, r) {
+	if !h.Protect(r) || !h.IsProtected(r) {
 		t.Fatal("protect path failed")
 	}
-	m.Unprotect(0, r)
-	m.RProtect(0, r)
-	m.RUnprotectAll(0)
-	m.Checkpoint(0)
-	m.Retire(0, r)
-	m.EnterQstate(0)
-	if !m.IsQuiescent(0) {
+	h.Unprotect(r)
+	h.RProtect(r)
+	if h.IsRProtected(r) {
+		t.Fatal("DEBRA holds no recovery protections")
+	}
+	h.RUnprotectAll()
+	h.Checkpoint()
+	h.Retire(r)
+	h.EnterQstate()
+	if !h.IsQuiescent() {
 		t.Fatal("not quiescent after EnterQstate")
 	}
+	m.ReleaseHandle(h)
 
 	stats := m.Stats()
 	if stats.Reclaimer.Retired != 1 {
@@ -63,11 +71,13 @@ func TestRecordManagerComposition(t *testing.T) {
 func TestRecordManagerWithoutPool(t *testing.T) {
 	alloc := arena.NewBump[node](1, 64)
 	m := core.NewRecordManager[node](alloc, nil, none.New[node](1))
-	r := m.Allocate(0)
+	h := m.AcquireHandle()
+	defer m.ReleaseHandle(h)
+	r := h.Allocate()
 	if r == nil {
 		t.Fatal("Allocate returned nil")
 	}
-	m.Deallocate(0, r)
+	h.Deallocate(r)
 	if m.Pool() != nil {
 		t.Fatal("Pool should be nil")
 	}
@@ -80,9 +90,11 @@ func TestRecordManagerDeallocateUsesPool(t *testing.T) {
 	alloc := arena.NewBump[node](1, 64)
 	pl := pool.New[node](1, alloc)
 	m := core.NewRecordManager[node](alloc, pl, none.New[node](1))
-	r := m.Allocate(0)
-	m.Deallocate(0, r)
-	if got := m.Allocate(0); got != r {
+	h := m.AcquireHandle()
+	defer m.ReleaseHandle(h)
+	r := h.Allocate()
+	h.Deallocate(r)
+	if got := h.Allocate(); got != r {
 		t.Fatal("deallocated record was not recycled through the pool")
 	}
 }

@@ -3,46 +3,12 @@ package core
 // This file implements the per-thread handle layer: the Record Manager's
 // answer to the observation (Hart et al., and the paper's own O(1)-per-op
 // claim) that reclamation scheme comparisons are dominated by per-operation
-// constants. A ThreadHandle is resolved once, at worker registration, and
-// caches everything a steady-state operation needs — the thread's
-// deferred-retire buffer, its pool fast path, the scheme's per-thread
-// fast-path view, and the capability interfaces (RetirePinner, ...) that the
-// generic path would otherwise type-assert per call — so an operation issued
-// through the handle performs zero slice indexing and at most one interface
-// call per Record Manager primitive.
-
-// ReclaimerHandle is the per-thread fast-path view of a Reclaimer: the
-// operations a data structure issues on (nearly) every operation, with the
-// calling thread id bound at construction. Schemes implement it with a
-// concrete per-thread struct that caches direct pointers to the thread's
-// announcement slot, limbo state and counters, so the per-op cost is one
-// interface dispatch and no threads[tid] indexing at all. Rare operations
-// (RProtect, DrainLimbo, Stats, ...) stay on the tid-based Reclaimer
-// interface.
-type ReclaimerHandle[T any] interface {
-	// LeaveQstate starts an operation (Reclaimer.LeaveQstate).
-	LeaveQstate() bool
-	// EnterQstate ends an operation (Reclaimer.EnterQstate).
-	EnterQstate()
-	// Retire hands the reclaimer a removed record (Reclaimer.Retire); the
-	// thread must be pinned, exactly as for the tid-based call.
-	Retire(rec *T)
-	// Protect announces per-record protection (Reclaimer.Protect).
-	Protect(rec *T) bool
-	// Unprotect revokes a Protect (Reclaimer.Unprotect).
-	Unprotect(rec *T)
-	// Checkpoint delivers a pending neutralization (Reclaimer.Checkpoint).
-	Checkpoint()
-}
-
-// HandledReclaimer is implemented by schemes that provide per-thread
-// fast-path handles. Every scheme in this module does; the generic adapter
-// below covers external reclaimers.
-type HandledReclaimer[T any] interface {
-	// Handle returns thread tid's fast-path view. The returned handle is
-	// owned by tid: only that thread may call its methods.
-	Handle(tid int) ReclaimerHandle[T]
-}
+// constants. A goroutine acquires a ThreadHandle for its working lifetime;
+// the handle caches everything a steady-state operation needs — the slot's
+// deferred-retire buffer, its pool fast path, the scheme's per-slot
+// ReclaimerHandle, and the RetirePinner capability — so an operation performs
+// zero slice indexing and at most one interface call per Record Manager
+// primitive.
 
 // PoolHandle is the per-thread fast-path view of a Pool: allocation and free
 // with the thread's private pool bag resolved at construction.
@@ -59,21 +25,6 @@ type HandledPool[T any] interface {
 	Handle(tid int) PoolHandle[T]
 }
 
-// genericReclaimerHandle adapts any Reclaimer to ReclaimerHandle by routing
-// every call through the tid-based interface (the compatibility path for
-// reclaimers outside this module).
-type genericReclaimerHandle[T any] struct {
-	rec Reclaimer[T]
-	tid int
-}
-
-func (g *genericReclaimerHandle[T]) LeaveQstate() bool   { return g.rec.LeaveQstate(g.tid) }
-func (g *genericReclaimerHandle[T]) EnterQstate()        { g.rec.EnterQstate(g.tid) }
-func (g *genericReclaimerHandle[T]) Retire(rec *T)       { g.rec.Retire(g.tid, rec) }
-func (g *genericReclaimerHandle[T]) Protect(rec *T) bool { return g.rec.Protect(g.tid, rec) }
-func (g *genericReclaimerHandle[T]) Unprotect(rec *T)    { g.rec.Unprotect(g.tid, rec) }
-func (g *genericReclaimerHandle[T]) Checkpoint()         { g.rec.Checkpoint(g.tid) }
-
 // genericPoolHandle adapts any Pool to PoolHandle.
 type genericPoolHandle[T any] struct {
 	pool Pool[T]
@@ -83,17 +34,17 @@ type genericPoolHandle[T any] struct {
 func (g *genericPoolHandle[T]) Allocate() *T { return g.pool.Allocate(g.tid) }
 func (g *genericPoolHandle[T]) Free(rec *T)  { g.pool.Free(g.tid, rec) }
 
-// ThreadHandle is one thread's pre-resolved view of a RecordManager. Obtain
-// it once per worker with RecordManager.Handle(tid) — at registration, not
-// per operation — and issue the hot-path primitives through it. All methods
-// are owner-only (thread tid), like the tid-based calls they replace; the
-// handle stays valid for the manager's lifetime.
+// ThreadHandle is one worker slot's pre-resolved view of a RecordManager and
+// the only way to issue a per-thread operation on it. Obtain one with
+// RecordManager.AcquireHandle for the goroutine's working lifetime — not per
+// operation — and return it with ReleaseHandle. All methods are owner-only:
+// the goroutine that acquired the handle (or one it handed the handle to
+// with a happens-before edge) is the slot's single thread.
 type ThreadHandle[T any] struct {
 	tid int
 	m   *RecordManager[T]
 
-	rec    Reclaimer[T]       // full interface, for the rare operations
-	fast   ReclaimerHandle[T] // per-thread fast path (never nil)
+	fast   ReclaimerHandle[T] // the scheme's per-slot view (never nil)
 	buf    *retireBuf[T]      // deferred-retire buffer; nil when batching is off
 	pool   PoolHandle[T]      // pool fast path; nil when records are not reused
 	alloc  Allocator[T]
@@ -103,28 +54,19 @@ type ThreadHandle[T any] struct {
 	crashRecovery bool
 }
 
-// newHandle resolves thread tid's handle (see RecordManager.Handle).
+// newHandle resolves slot tid's handle.
 func (m *RecordManager[T]) newHandle(tid int) ThreadHandle[T] {
 	h := ThreadHandle[T]{
 		tid:           tid,
 		m:             m,
-		rec:           m.reclaimer,
+		fast:          m.reclaimer.Handle(tid),
 		alloc:         m.alloc,
 		pinner:        m.pinner,
 		perRecord:     m.perRecord,
 		crashRecovery: m.crashRecovery,
 	}
-	if m.batch > 0 && tid < len(m.bufs) {
+	if tid < len(m.bufs) {
 		h.buf = &m.bufs[tid]
-	}
-	// Only ask the scheme for a fast-path handle for the participant ids it
-	// was built for (the in-module schemes back Handle with a fixed table
-	// and would reject anything else); other ids get the tid-routing
-	// adapter, whose calls fail exactly where the tid-based API would.
-	if hr, ok := m.reclaimer.(HandledReclaimer[T]); ok && tid >= 0 && tid < len(m.handles) {
-		h.fast = hr.Handle(tid)
-	} else {
-		h.fast = &genericReclaimerHandle[T]{rec: m.reclaimer, tid: tid}
 	}
 	if m.pool != nil {
 		if hp, ok := m.pool.(HandledPool[T]); ok {
@@ -136,53 +78,18 @@ func (m *RecordManager[T]) newHandle(tid int) ThreadHandle[T] {
 	return h
 }
 
-// Handle returns thread tid's pre-resolved fast-path view of the manager.
-// For the dense ids the manager was constructed for this is a pointer into a
-// prebuilt table (no allocation); other ids get a freshly built
-// compatibility handle that routes through the tid-based interfaces — those
-// calls fail for ids the scheme was not built for, exactly as the tid-based
-// API always has. Resolve once at worker registration and reuse for the
-// worker's lifetime.
-//
-// Handle is the static binding style: it permanently claims tid's slot in
-// the manager's slot registry (a vacant slot is skipped by reclamation
-// scans, which would be unsafe for a thread operating on it), so the slot is
-// scanned forever — the fixed-Threads behaviour. Goroutines that come and go
-// use AcquireHandle/ReleaseHandle instead.
-func (m *RecordManager[T]) Handle(tid int) *ThreadHandle[T] {
-	if tid >= 0 && tid < len(m.handles) {
-		m.reg.EnsureStatic(tid)
-		return &m.handles[tid]
-	}
-	h := m.newHandle(tid)
-	return &h
-}
-
-// PeekHandle returns the same prebuilt handle as Handle without claiming the
-// slot. It exists for data structure constructors that prebuild per-thread
-// handle tables covering every slot: prebuilding must not mark slots
-// occupied, or nothing would be left for AcquireHandle and reclamation scans
-// could never skip anything. Any actual use of the returned handle must go
-// through a claimed or acquired slot.
-func (m *RecordManager[T]) PeekHandle(tid int) *ThreadHandle[T] {
-	if tid >= 0 && tid < len(m.handles) {
-		return &m.handles[tid]
-	}
-	h := m.newHandle(tid)
-	return &h
-}
-
 // AcquireHandle binds the calling goroutine to a vacant worker slot and
-// returns the slot's thread handle, re-initialised for its new owner. It is
-// the dynamic binding style: goroutines that come and go acquire a slot for
-// their working lifetime and release it with ReleaseHandle, so a server does
-// not need to know its peak goroutine count per worker — only the capacity
-// (recordmgr.Config.MaxThreads) of the manager. Panics when every slot is
-// claimed or held; use TryAcquireHandle to handle exhaustion gracefully.
+// returns the slot's thread handle, re-initialised for its new owner.
+// Goroutines acquire a slot for their working lifetime and release it with
+// ReleaseHandle, so a server does not need to know its peak goroutine count
+// per worker — only the capacity (recordmgr.Config.MaxThreads) of the
+// manager. A fresh manager hands out slots 0, 1, 2, … in shard order (see
+// NewSlotRegistry). Panics when every slot is held; use TryAcquireHandle to
+// handle exhaustion gracefully.
 func (m *RecordManager[T]) AcquireHandle() *ThreadHandle[T] {
 	h, ok := m.TryAcquireHandle()
 	if !ok {
-		panic("core: AcquireHandle: every worker slot is statically claimed or dynamically held (raise MaxThreads)")
+		panic("core: AcquireHandle: every worker slot is held (raise MaxThreads)")
 	}
 	return h
 }
@@ -203,32 +110,30 @@ func (m *RecordManager[T]) TryAcquireHandle() (*ThreadHandle[T], bool) {
 	return &m.handles[tid], true
 }
 
-// ReleaseHandle returns an acquired slot to the registry for reuse. The
-// contract mirrors the quiescent-retire fix: release is only legal from a
-// quiescent, flushed state. The slot must be quiescent (EnterQstate has run
-// and, for hazard pointers, every slot is released) — violations panic,
-// because a vacant slot is skipped by reclamation scans and an active
-// announcement left behind would be invisible. ReleaseHandle then drains the
-// slot's deferred-retire buffer (under the scheme's retire pin, exactly like
-// FlushRetired) and hands the slot's private pool cache back to the shared
-// pool, so a reused tid starts from a fresh, empty state and records freed
-// by the departed goroutine stay reusable by everyone.
+// ReleaseHandle returns an acquired slot to the registry for reuse. Release
+// is only legal from a quiescent state: EnterQstate has run and, for hazard
+// pointers, every protection is released — violations panic, because a
+// vacant slot is skipped by reclamation scans and an active announcement
+// left behind would be invisible. ReleaseHandle then drains the slot's
+// deferred-retire buffer (FlushRetired, under the scheme's retire pin) and
+// hands the slot's private pool cache back to the shared pool, so a reused
+// slot starts from a fresh, empty state and records freed by the departed
+// goroutine stay reusable by everyone.
 func (m *RecordManager[T]) ReleaseHandle(h *ThreadHandle[T]) {
 	if h == nil || h.m != m {
 		panic("core: ReleaseHandle of a handle from a different manager")
 	}
-	tid := h.tid
-	if !m.reclaimer.IsQuiescent(tid) {
+	if !h.fast.IsQuiescent() {
 		panic("core: ReleaseHandle from a non-quiescent slot; call EnterQstate (and release protections) first")
 	}
-	m.FlushRetired(tid)
+	h.FlushRetired()
 	if d, ok := m.pool.(ThreadDrainer); ok {
-		d.DrainThread(tid)
+		d.DrainThread(h.tid)
 	}
-	m.reg.Release(tid)
+	m.reg.Release(h.tid)
 }
 
-// Tid returns the dense thread id the handle is bound to.
+// Tid returns the dense thread id (worker slot) the handle is bound to.
 func (h *ThreadHandle[T]) Tid() int { return h.tid }
 
 // Manager returns the RecordManager the handle views.
@@ -246,23 +151,29 @@ func (h *ThreadHandle[T]) LeaveQstate() bool { return h.fast.LeaveQstate() }
 // EnterQstate marks the end of an operation by the handle's thread.
 func (h *ThreadHandle[T]) EnterQstate() { h.fast.EnterQstate() }
 
+// IsQuiescent reports whether the handle's thread is quiescent.
+func (h *ThreadHandle[T]) IsQuiescent() bool { return h.fast.IsQuiescent() }
+
 // Checkpoint delivers a pending neutralization signal, if any (DEBRA+).
 func (h *ThreadHandle[T]) Checkpoint() { h.fast.Checkpoint() }
 
-// Protect announces that the thread may access rec (Reclaimer.Protect).
+// Protect announces that the thread may access rec (ReclaimerHandle.Protect).
 func (h *ThreadHandle[T]) Protect(rec *T) bool { return h.fast.Protect(rec) }
 
 // Unprotect revokes a Protect.
 func (h *ThreadHandle[T]) Unprotect(rec *T) { h.fast.Unprotect(rec) }
 
-// RProtect announces a recovery protection (DEBRA+; recovery path, not hot).
-func (h *ThreadHandle[T]) RProtect(rec *T) { h.rec.RProtect(h.tid, rec) }
+// IsProtected reports whether the thread currently protects rec.
+func (h *ThreadHandle[T]) IsProtected(rec *T) bool { return h.fast.IsProtected(rec) }
+
+// RProtect announces a recovery protection (DEBRA+).
+func (h *ThreadHandle[T]) RProtect(rec *T) { h.fast.RProtect(rec) }
 
 // RUnprotectAll releases all recovery protections held by the thread.
-func (h *ThreadHandle[T]) RUnprotectAll() { h.rec.RUnprotectAll(h.tid) }
+func (h *ThreadHandle[T]) RUnprotectAll() { h.fast.RUnprotectAll() }
 
 // IsRProtected reports whether the thread holds a recovery protection of rec.
-func (h *ThreadHandle[T]) IsRProtected(rec *T) bool { return h.rec.IsRProtected(h.tid, rec) }
+func (h *ThreadHandle[T]) IsRProtected(rec *T) bool { return h.fast.IsRProtected(rec) }
 
 // Allocate returns a record for the handle's thread, preferring the pool.
 func (h *ThreadHandle[T]) Allocate() *T {
@@ -273,7 +184,8 @@ func (h *ThreadHandle[T]) Allocate() *T {
 }
 
 // Deallocate returns an unused (never inserted or already reclaimed) record
-// to the pool or allocator (RecordManager.Deallocate).
+// directly to the pool or allocator. Records that were inserted into the
+// data structure must be Retired instead.
 func (h *ThreadHandle[T]) Deallocate(rec *T) {
 	if h.pool != nil {
 		h.pool.Free(rec)
@@ -282,11 +194,14 @@ func (h *ThreadHandle[T]) Deallocate(rec *T) {
 	h.alloc.Deallocate(h.tid, rec)
 }
 
-// Retire hands a removed record to the reclaimer, exactly like
-// RecordManager.Retire (safe from any same-thread context): with batching it
-// is a buffer append with no interface call at all; without, the call goes
-// through the scheme's per-thread fast path, pinned first when the thread is
-// quiescent.
+// Retire hands a removed record to the reclaimer — through the slot's
+// deferred-retire buffer when batching is enabled (a buffer append with no
+// interface call at all), directly otherwise. Unlike the raw scheme Retire
+// (which the epoch schemes reject from a quiescent context), this is safe
+// from any same-thread context: a quiescent caller — a data-structure
+// postamble after EnterQstate, a DEBRA+ recovery path — is routed through the
+// scheme's pin-while-retiring entry point so the hand-off happens under an
+// active announcement.
 func (h *ThreadHandle[T]) Retire(rec *T) {
 	if b := h.buf; b != nil {
 		b.bag.Add(rec)
@@ -296,11 +211,11 @@ func (h *ThreadHandle[T]) Retire(rec *T) {
 		// controller the controller retunes it — an atomic load the thread's
 		// own pending publish already paid for the line fill of.
 		if b.pending.Load() >= b.limit.Load() {
-			h.m.flushBuf(h.tid, b)
+			h.FlushRetired()
 		}
 		return
 	}
-	if h.pinner != nil && h.rec.IsQuiescent(h.tid) {
+	if h.pinner != nil && h.fast.IsQuiescent() {
 		h.pinner.PinRetire(h.tid)
 		h.fast.Retire(rec)
 		h.pinner.UnpinRetire(h.tid)
@@ -309,10 +224,44 @@ func (h *ThreadHandle[T]) Retire(rec *T) {
 	h.fast.Retire(rec)
 }
 
-// FlushRetired hands every record parked in the thread's deferred-retire
-// buffer to the reclaimer (RecordManager.FlushRetired).
+// FlushRetired hands every record parked in the slot's deferred-retire
+// buffer to the reclaimer. Full blocks transfer as O(1) splices for schemes
+// implementing BlockReclaimer; the partial tail (always fewer than
+// blockbag.BlockSize records) is retired record-at-a-time. A no-op when
+// batching is disabled.
+//
+// Contract: when the thread is quiescent (ReleaseHandle, Close, tests), the
+// hand-off is wrapped in the scheme's pin-while-retiring entry point, because
+// the epoch schemes' retire paths are only safe under an active announcement
+// — a quiescent retirer's observed epoch can go arbitrarily stale before its
+// records land in a limbo bag, racing an advance winner's drain of that very
+// bag (see RetirePinner). When the thread is mid-operation the operation's
+// own pin already covers the hand-off and no extra pin is taken. With
+// asynchronous reclamation the flush is a lock-free queue push that never
+// touches the scheme, so no pin is needed at all.
 func (h *ThreadHandle[T]) FlushRetired() {
-	if h.buf != nil {
-		h.m.flushBuf(h.tid, h.buf)
+	b := h.buf
+	if b == nil || b.pending.Load() == 0 {
+		return
 	}
+	if a := h.m.async; a != nil {
+		a.Enqueue(h.tid, b.bag.DetachAll())
+		b.pending.Store(0)
+		// Refill the buffer's block pool from the reclaimers' spare-return
+		// stack, so batches keep circulating existing blocks instead of
+		// allocating one per hand-off.
+		if blk := a.TakeSpare(h.tid); blk != nil {
+			b.pool.Put(blk)
+		}
+		return
+	}
+	if h.pinner != nil && h.fast.IsQuiescent() {
+		h.pinner.PinRetire(h.tid)
+		defer h.pinner.UnpinRetire(h.tid)
+	}
+	if chain := b.bag.DetachAllFullBlocks(); chain != nil {
+		RetireChain(h.m.reclaimer, h.fast, h.tid, chain, b.pool)
+	}
+	b.bag.Drain(h.fast.Retire)
+	b.pending.Store(0)
 }

@@ -1,9 +1,11 @@
 package core_test
 
-// Tests for the per-thread handle layer: RecordManager.Handle and the
-// scheme/pool fast paths it caches.
+// Tests for the per-thread handle layer: ThreadHandle and the scheme/pool
+// fast paths it caches.
 
 import (
+	"reflect"
+	"repro/internal/reclaimtest"
 	"testing"
 
 	"repro/internal/arena"
@@ -13,6 +15,28 @@ import (
 	"repro/internal/reclaim/hp"
 )
 
+// TestOneOperationSurface guards the single binding style: a per-thread
+// operation exists only on a handle, so no method name of ReclaimerHandle may
+// appear in the method set of Reclaimer or *RecordManager.
+func TestOneOperationSurface(t *testing.T) {
+	handle := reflect.TypeOf((*core.ReclaimerHandle[node])(nil)).Elem()
+	for _, typ := range []reflect.Type{
+		reflect.TypeOf((*core.Reclaimer[node])(nil)).Elem(),
+		reflect.TypeOf((*core.RecordManager[node])(nil)),
+	} {
+		for i := 0; i < handle.NumMethod(); i++ {
+			if name := handle.Method(i).Name; hasMethod(typ, name) {
+				t.Errorf("%v has the per-thread operation %s; it belongs on a handle only", typ, name)
+			}
+		}
+	}
+}
+
+func hasMethod(typ reflect.Type, name string) bool {
+	_, ok := typ.MethodByName(name)
+	return ok
+}
+
 func TestThreadHandleBasics(t *testing.T) {
 	const n = 3
 	alloc := arena.NewBump[node](n, 64)
@@ -20,12 +44,9 @@ func TestThreadHandleBasics(t *testing.T) {
 	rec := debra.New[node](n, pl, debra.WithIncrThresh(1))
 	m := core.NewRecordManager[node](alloc, pl, rec)
 
-	h := m.Handle(1)
+	h := reclaimtest.AcquireSlots(2, m.AcquireHandle)[1]
 	if h.Tid() != 1 || h.Manager() != m {
 		t.Fatalf("handle identity wrong: tid=%d", h.Tid())
-	}
-	if h != m.Handle(1) {
-		t.Fatal("Handle(tid) must return a stable pointer for dense tids")
 	}
 	if h.NeedsPerRecordProtection() || h.SupportsCrashRecovery() {
 		t.Fatal("handle capability caching disagrees with DEBRA")
@@ -51,36 +72,37 @@ func TestThreadHandleBasics(t *testing.T) {
 	}
 }
 
-// TestThreadHandleQuiescentRetirePins: like RecordManager.Retire, a handle
-// Retire from a quiescent context must auto-pin on the epoch schemes rather
-// than panic or corrupt the scheme's bag rotation argument.
+// TestThreadHandleQuiescentRetire: a handle Retire from a quiescent context
+// must auto-pin on the epoch schemes rather than panic or corrupt the
+// scheme's bag rotation argument.
 func TestThreadHandleQuiescentRetire(t *testing.T) {
 	const n = 2
 	alloc := arena.NewBump[node](n, 64)
 	pl := pool.New[node](n, alloc)
 	rec := debra.New[node](n, pl)
 	m := core.NewRecordManager[node](alloc, pl, rec)
-	h := m.Handle(0)
+	h := m.AcquireHandle()
+	defer m.ReleaseHandle(h)
 	// Quiescent: no LeaveQstate. The handle must pin around the hand-off.
 	h.Retire(h.Allocate())
 	if got := m.Stats().Reclaimer.Retired; got != 1 {
 		t.Fatalf("retired = %d after quiescent handle Retire", got)
 	}
-	if !m.IsQuiescent(0) {
+	if !h.IsQuiescent() {
 		t.Fatal("thread left non-quiescent by the auto-pinned Retire")
 	}
 }
 
 // TestThreadHandleBatchedRetire: with batching, handle Retires park in the
-// thread's buffer and flush at the batch boundary through the same block
-// machinery the tid-based path uses.
+// thread's buffer and flush at the batch boundary.
 func TestThreadHandleBatchedRetire(t *testing.T) {
 	const n, batch = 2, 8
 	alloc := arena.NewBump[node](n, 64)
 	pl := pool.New[node](n, alloc)
 	rec := debra.New[node](n, pl, debra.WithIncrThresh(1))
 	m := core.NewRecordManager[node](alloc, pl, rec, core.WithRetireBatching(n, batch))
-	h := m.Handle(0)
+	h := m.AcquireHandle()
+	defer m.ReleaseHandle(h)
 	h.LeaveQstate()
 	for i := 0; i < batch-1; i++ {
 		h.Retire(h.Allocate())
@@ -110,23 +132,24 @@ func TestThreadHandleBatchedRetire(t *testing.T) {
 }
 
 // TestThreadHandleHPProtect: the hazard-pointer fast path goes through the
-// cached slot array and agrees with the tid-based interface.
+// cached slot array and agrees with the scheme's own per-slot view.
 func TestThreadHandleHPProtect(t *testing.T) {
 	const n = 2
 	alloc := arena.NewBump[node](n, 64)
 	pl := pool.New[node](n, alloc)
 	rec := hp.New[node](n, pl, hp.WithSlots(4))
 	m := core.NewRecordManager[node](alloc, pl, rec)
-	h := m.Handle(0)
+	h := m.AcquireHandle()
+	defer m.ReleaseHandle(h)
 	r := h.Allocate()
 	if !h.Protect(r) {
 		t.Fatal("handle Protect failed")
 	}
-	if !m.IsProtected(0, r) {
-		t.Fatal("tid-based IsProtected does not see the handle's announcement")
+	if !h.IsProtected(r) || !rec.Handle(h.Tid()).IsProtected(r) {
+		t.Fatal("IsProtected does not see the handle's announcement")
 	}
 	h.Unprotect(r)
-	if m.IsProtected(0, r) {
+	if h.IsProtected(r) || rec.Handle(h.Tid()).IsProtected(r) {
 		t.Fatal("handle Unprotect did not release the slot")
 	}
 }

@@ -46,7 +46,7 @@ func (p Progress) String() string {
 
 // Properties records the qualitative characteristics of a reclamation scheme
 // that the paper tabulates in Figure 2, plus two flags this reproduction
-// needs at runtime (PerRecordProtection, UsesPool).
+// needs at runtime (PerRecordProtection, CrashRecovery).
 type Properties struct {
 	// Scheme is the display name used in the Figure 2 table ("DEBRA+").
 	Scheme string
@@ -85,6 +85,13 @@ type Properties struct {
 	// reclaimer; epoch-based schemes set it to false so the calls are
 	// skipped entirely.
 	PerRecordProtection bool
+
+	// CrashRecovery tells data structures that the scheme neutralizes
+	// stalled threads mid-operation, so every operation body must be wrapped
+	// in recovery code (the paper's supportsCrashRecovery predicate; DEBRA+).
+	// It is not FaultTolerant: hazard pointers tolerate crashes without ever
+	// interrupting an operation.
+	CrashRecovery bool
 }
 
 // FigureTwoHeader returns the column headers of the Figure 2 comparison

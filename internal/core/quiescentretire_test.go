@@ -47,9 +47,9 @@ func TestQuiescentRetirePanics(t *testing.T) {
 	for name, r := range epochSchemes(2, reclaimtest.NewRecordingSink()) {
 		t.Run(name, func(t *testing.T) {
 			// Fresh threads start quiescent; make it explicit anyway.
-			r.EnterQstate(0)
+			r.Handle(0).EnterQstate()
 			//lint:allow retirepin the unpinned Retire is the point: this test asserts the runtime panic the analyzer proves absent elsewhere
-			if !panics(func() { r.Retire(0, &rec{ID: 1}) }) {
+			if !panics(func() { r.Handle(0).Retire(&rec{ID: 1}) }) {
 				t.Fatal("quiescent Retire did not panic")
 			}
 			br := r.(core.BlockReclaimer[rec])
@@ -77,13 +77,13 @@ func TestPinRetireMakesQuiescentRetireSafe(t *testing.T) {
 			r := epochSchemes(n, sink)[name]
 			p := r.(core.RetirePinner)
 
-			r.EnterQstate(0)
+			r.Handle(0).EnterQstate()
 			p.PinRetire(0)
 			for i := 0; i < 3*blockbag.BlockSize; i++ {
-				r.Retire(0, &rec{ID: int64(i)})
+				r.Handle(0).Retire(&rec{ID: int64(i)})
 			}
 			p.UnpinRetire(0)
-			if !r.IsQuiescent(0) {
+			if !r.Handle(0).IsQuiescent() {
 				t.Fatal("thread not quiescent after UnpinRetire")
 			}
 			// Drive grace periods with ordinary operations until the limbo
@@ -91,8 +91,8 @@ func TestPinRetireMakesQuiescentRetireSafe(t *testing.T) {
 			// records flow out through the normal epoch machinery too).
 			for i := 0; i < 2000 && r.Stats().Freed < r.Stats().Retired; i++ {
 				for tid := 0; tid < n; tid++ {
-					r.LeaveQstate(tid)
-					r.EnterQstate(tid)
+					r.Handle(tid).LeaveQstate()
+					r.Handle(tid).EnterQstate()
 				}
 			}
 			// DEBRA+ amortises its scan over large bags; force the tail out.
@@ -117,9 +117,9 @@ func TestPinRetireMakesQuiescentRetireSafe(t *testing.T) {
 	}
 }
 
-// TestManagerRetireFromQuiescentContextAutoPins: the Record Manager keeps
-// the historic "Retire works from a quiescent postamble" surface (the hash
-// map and BST rely on it) by routing quiescent callers through the pin.
+// TestManagerRetireFromQuiescentContextAutoPins: ThreadHandle.Retire works
+// from a quiescent postamble (the hash map and BST rely on it) by routing
+// quiescent callers through the pin.
 func TestManagerRetireFromQuiescentContextAutoPins(t *testing.T) {
 	for _, name := range []string{"ebr", "qsbr", "debra", "debra+"} {
 		t.Run(name, func(t *testing.T) {
@@ -127,10 +127,11 @@ func TestManagerRetireFromQuiescentContextAutoPins(t *testing.T) {
 			p := pool.New[rec](1, alloc)
 			r := epochSchemes(1, p)[name]
 			mgr := core.NewRecordManager[rec](alloc, p, r)
+			hs := reclaimtest.AcquireSlots(1, mgr.AcquireHandle)
 
-			mgr.EnterQstate(0)
-			mgr.Retire(0, mgr.Allocate(0)) // must not panic: auto-pinned
-			if !mgr.IsQuiescent(0) {
+			hs[0].EnterQstate()
+			hs[0].Retire(hs[0].Allocate()) // must not panic: auto-pinned
+			if !hs[0].IsQuiescent() {
 				t.Fatal("thread left non-quiescent by the auto-pinned retire")
 			}
 			if got := mgr.Stats().Reclaimer.Retired; got != 1 {
@@ -152,21 +153,22 @@ func TestFlushRetiredQuiescentPins(t *testing.T) {
 			r := epochSchemes(n, sink)[name]
 			alloc := arena.NewBump[rec](n, 0)
 			mgr := core.NewRecordManager[rec](alloc, nil, r, core.WithRetireBatching(n, blockbag.BlockSize))
+			hs := reclaimtest.AcquireSlots(1, mgr.AcquireHandle)
 
 			// Park records from a pinned operation, then quiesce with the
 			// buffer non-empty (batch not reached).
-			mgr.LeaveQstate(0)
+			hs[0].LeaveQstate()
 			for i := 0; i < blockbag.BlockSize+7; i++ {
-				mgr.Retire(0, mgr.Allocate(0))
+				hs[0].Retire(hs[0].Allocate())
 			}
-			mgr.EnterQstate(0)
+			hs[0].EnterQstate()
 			if got := mgr.Stats().RetirePending; got != 7 {
 				t.Fatalf("RetirePending = %d want 7", got)
 			}
 			// The quiescent flush: pre-fix this handed records to the scheme
 			// with no pin (the racy interleaving); now it pins around it.
-			mgr.FlushRetired(0)
-			if !mgr.IsQuiescent(0) {
+			hs[0].FlushRetired()
+			if !hs[0].IsQuiescent() {
 				t.Fatal("thread left non-quiescent by the quiescent flush")
 			}
 			st := mgr.Stats()
@@ -200,28 +202,29 @@ func TestQuiescentFlushRacesAdvance(t *testing.T) {
 			r := epochSchemes(2, sink)[name]
 			alloc := arena.NewBump[rec](2, 0)
 			mgr := core.NewRecordManager[rec](alloc, nil, r, core.WithRetireBatching(2, 32))
+			hs := reclaimtest.AcquireSlots(2, mgr.AcquireHandle)
 
 			var wg sync.WaitGroup
 			wg.Add(2)
 			go func() { // advancing worker: tid 0
 				defer wg.Done()
 				for i := 0; i < 50*iters; i++ {
-					mgr.LeaveQstate(0)
-					mgr.Retire(0, mgr.Allocate(0))
-					mgr.EnterQstate(0)
+					hs[0].LeaveQstate()
+					hs[0].Retire(hs[0].Allocate())
+					hs[0].EnterQstate()
 				}
 			}()
 			go func() { // quiescent flusher: tid 1
 				defer wg.Done()
 				for i := 0; i < iters; i++ {
-					mgr.LeaveQstate(1)
+					hs[1].LeaveQstate()
 					for j := 0; j < 8; j++ {
-						mgr.Retire(1, mgr.Allocate(1))
+						hs[1].Retire(hs[1].Allocate())
 					}
-					mgr.EnterQstate(1)
+					hs[1].EnterQstate()
 					// The racy hand-off: flush the partial batch while
 					// quiescent, concurrent with tid 0's epoch advances.
-					mgr.FlushRetired(1)
+					hs[1].FlushRetired()
 				}
 			}()
 			wg.Wait()

@@ -4,10 +4,13 @@ import "repro/internal/blockbag"
 
 // RecordManager composes an Allocator, a Pool and a Reclaimer into the
 // single object a data structure programs against (the paper's Record
-// Manager, Figure 7). It exposes the union of their operations; the
-// data structure never needs to know which concrete scheme is behind it,
-// so interchanging reclamation, pooling and allocation strategies is a
-// one-line change at construction time.
+// Manager, Figure 7). The manager itself carries construction, the slot
+// registry (AcquireHandle/ReleaseHandle), shutdown, statistics and the
+// capability queries; the union of the components' per-thread operations is
+// issued through the ThreadHandle a goroutine acquires. The data structure
+// never needs to know which concrete scheme is behind it, so interchanging
+// reclamation, pooling and allocation strategies is a one-line change at
+// construction time.
 //
 // The type parameter T is the record type managed (for example a tree node).
 // Data structures that use several record types create one RecordManager per
@@ -21,11 +24,11 @@ type RecordManager[T any] struct {
 	// perRecord caches Props().PerRecordProtection so hot paths can branch
 	// on a plain bool field.
 	perRecord bool
-	// crashRecovery caches SupportsCrashRecovery().
+	// crashRecovery caches Props().CrashRecovery.
 	crashRecovery bool
 
 	// batch is the deferred-retire batch size; 0 disables batching and
-	// Retire goes straight to the reclaimer (the historical behaviour).
+	// Retire goes straight to the reclaimer.
 	batch int
 	// bufs holds the per-thread deferred-retire buffers when batching is
 	// enabled. A retired record parks in its thread's buffer until the
@@ -34,20 +37,19 @@ type RecordManager[T any] struct {
 	// BlockReclaimer and the batch fills whole blocks.
 	bufs []retireBuf[T]
 	// pinner is the reclaimer's pin-while-retiring entry point (nil when the
-	// scheme does not provide one); FlushRetired uses it to make the
-	// hand-off from a quiescent caller safe.
+	// scheme does not need one); ThreadHandle.Retire/FlushRetired use it to
+	// make the hand-off from a quiescent caller safe.
 	pinner RetirePinner
 	// async is the asynchronous reclamation pipeline (nil when reclamation
 	// is synchronous). With async set, batch hand-offs become lock-free
 	// queue pushes instead of scheme retires.
 	async *AsyncReclaimer[T]
-	// handles is the prebuilt per-thread handle table (see Handle); sized to
-	// the scheme's participant count when that is discoverable. Worker slots
-	// are re-initialised in place when the slot registry reuses a tid.
+	// handles is the per-slot handle table AcquireHandle hands out pointers
+	// into, sized to the scheme's participant count. An entry is
+	// re-initialised in place each time the slot registry reuses the slot.
 	handles []ThreadHandle[T]
-	// reg is the dynamic thread-slot registry over the manager's worker
-	// slots: AcquireHandle/ReleaseHandle bind goroutines to dense tids at
-	// runtime, Handle(tid) claims slots permanently for static wiring.
+	// reg is the thread-slot registry over the manager's worker slots:
+	// AcquireHandle/ReleaseHandle bind goroutines to dense tids at runtime.
 	reg *SlotRegistry
 	// ctrl is the adaptive controller (nil unless WithController): the
 	// self-tuning loop over effective shards, retire batches and active
@@ -99,11 +101,12 @@ type managerConfig struct {
 //
 // Deferring retirement is always safe (a retired record is already
 // unreachable; delaying the hand-off only delays its reuse) but parks up to
-// batch records per thread indefinitely if the thread stops operating; call
-// FlushRetired to force the hand-off (quiescent shutdown paths, tests).
-// FlushRetired pins the thread around the hand-off when it is quiescent, so
-// it is safe from any same-thread context; the epoch schemes reject a raw
-// unpinned Retire (see RetirePinner for the contract and the hazard).
+// batch records per thread indefinitely if the thread stops operating;
+// ThreadHandle.FlushRetired forces the hand-off (ReleaseHandle and Close do
+// it for every slot). FlushRetired pins the thread around the hand-off when
+// it is quiescent, so it is safe from any same-thread context; the epoch
+// schemes reject a raw unpinned Retire (see RetirePinner for the contract and
+// the hazard).
 func WithRetireBatching(threads, batch int) ManagerOption {
 	return func(c *managerConfig) {
 		c.threads = threads
@@ -163,14 +166,15 @@ func NewRecordManager[T any](alloc Allocator[T], pool Pool[T], rec Reclaimer[T],
 	for _, o := range opts {
 		o(&cfg)
 	}
+	props := rec.Props()
 	m := &RecordManager[T]{
 		alloc:         alloc,
 		pool:          pool,
 		reclaimer:     rec,
-		perRecord:     rec.Props().PerRecordProtection,
-		crashRecovery: rec.SupportsCrashRecovery(),
+		perRecord:     props.PerRecordProtection,
+		crashRecovery: props.CrashRecovery,
 	}
-	if p, ok := rec.(RetirePinner); ok && rec.Props().ModPerOperation {
+	if p, ok := rec.(RetirePinner); ok && props.ModPerOperation {
 		// Only the per-operation (epoch) schemes need the quiescent-retire
 		// pin; for HP and the leaking baseline a pin would be a per-retire
 		// tax with nothing to protect (and HP's IsQuiescent is O(slots)).
@@ -194,9 +198,9 @@ func NewRecordManager[T any](alloc Allocator[T], pool Pool[T], rec Reclaimer[T],
 		}
 		m.async = NewAsyncReclaimer(rec, cfg.threads, cfg.reclaimers)
 	}
-	// Prebuild the per-thread handle table for every participant the scheme
-	// was constructed for (workers and async reclaimer tids alike), so
-	// Handle(tid) is a pointer into this table rather than an allocation.
+	// Build the per-slot handle table for every participant the scheme was
+	// constructed for, so AcquireHandle returns a pointer into this table
+	// rather than an allocation and Close can flush every worker slot.
 	n := cfg.threads
 	var smap *ShardMap
 	if sh, ok := rec.(Sharded); ok {
@@ -263,8 +267,7 @@ func (m *RecordManager[T]) SlotRegistry() *SlotRegistry { return m.reg }
 
 // WorkerSlots returns the number of acquirable worker slots (the slot
 // registry's capacity): the participant count minus the async reclaimer
-// tids. Data structures size their per-thread tables from this so both
-// binding styles — static dense tids and AcquireHandle — fit.
+// tids. Data structures size their per-slot tables from this.
 func (m *RecordManager[T]) WorkerSlots() int { return m.reg.Capacity() }
 
 // Participants returns the total number of dense thread ids the manager's
@@ -279,92 +282,6 @@ func (m *RecordManager[T]) Pool() Pool[T] { return m.pool }
 
 // Reclaimer returns the underlying reclaimer.
 func (m *RecordManager[T]) Reclaimer() Reclaimer[T] { return m.reclaimer }
-
-// Allocate returns a record for thread tid, preferring the pool.
-func (m *RecordManager[T]) Allocate(tid int) *T {
-	if m.pool != nil {
-		return m.pool.Allocate(tid)
-	}
-	return m.alloc.Allocate(tid)
-}
-
-// Deallocate returns an unused (never inserted or already reclaimed) record
-// directly to the pool or allocator. Records that were inserted into the
-// data structure must be Retired instead.
-func (m *RecordManager[T]) Deallocate(tid int, rec *T) {
-	if m.pool != nil {
-		m.pool.Free(tid, rec)
-		return
-	}
-	m.alloc.Deallocate(tid, rec)
-}
-
-// Retire hands a removed record to the reclaimer — directly, or through the
-// thread's deferred-retire buffer when batching is enabled. Unlike the raw
-// scheme Retire (which the epoch schemes reject from a quiescent context),
-// this is safe from any same-thread context: a quiescent caller — a
-// data-structure postamble after EnterQstate, a DEBRA+ recovery path — is
-// routed through the scheme's pin-while-retiring entry point so the hand-off
-// happens under an active announcement.
-func (m *RecordManager[T]) Retire(tid int, rec *T) { m.Handle(tid).Retire(rec) }
-
-// FlushRetired hands every record parked in thread tid's deferred-retire
-// buffer to the reclaimer. Full blocks transfer as O(1) splices for schemes
-// implementing BlockReclaimer; the partial tail (always fewer than
-// blockbag.BlockSize records) is retired record-at-a-time. A no-op when
-// batching is disabled.
-//
-// Contract: when thread tid is quiescent (shutdown paths, tests, a
-// coordinator flushing on behalf of finished workers), the hand-off is
-// wrapped in the scheme's pin-while-retiring entry point, because the epoch
-// schemes' retire paths are only safe under an active announcement — a
-// quiescent retirer's observed epoch can go arbitrarily stale before its
-// records land in a limbo bag, racing an advance winner's drain of that very
-// bag (see RetirePinner). When tid is mid-operation the operation's own pin
-// already covers the hand-off and no extra pin is taken. With asynchronous
-// reclamation the flush is a lock-free queue push that never touches the
-// scheme, so no pin is needed at all.
-func (m *RecordManager[T]) FlushRetired(tid int) {
-	if m.batch == 0 || tid < 0 || tid >= len(m.bufs) {
-		return
-	}
-	m.flushBuf(tid, &m.bufs[tid])
-}
-
-// flushBuf is FlushRetired's body, shared with the ThreadHandle fast path
-// (which holds a direct buffer pointer instead of re-indexing bufs[tid]).
-func (m *RecordManager[T]) flushBuf(tid int, b *retireBuf[T]) {
-	if b.pending.Load() == 0 {
-		return
-	}
-	if m.async != nil {
-		m.async.Enqueue(tid, b.bag.DetachAll())
-		b.pending.Store(0)
-		// Refill the buffer's block pool from the reclaimers' spare-return
-		// stack, so batches keep circulating existing blocks instead of
-		// allocating one per hand-off.
-		if blk := m.async.TakeSpare(tid); blk != nil {
-			b.pool.Put(blk)
-		}
-		return
-	}
-	if m.pinner != nil && m.reclaimer.IsQuiescent(tid) {
-		// The pin announces tid as an active retirer; the slot must be
-		// claimed first or scanners would skip the announcement (a no-op for
-		// slots already claimed or dynamically held, i.e. every caller that
-		// arrived through the public binding APIs).
-		m.reg.EnsureStatic(tid)
-		m.pinner.PinRetire(tid)
-		defer m.pinner.UnpinRetire(tid)
-	}
-	if chain := b.bag.DetachAllFullBlocks(); chain != nil {
-		//lint:allow retirepin flushBuf pins conditionally above: only a quiescent thread needs the PinRetire window
-		RetireChain(m.reclaimer, tid, chain, b.pool)
-	}
-	//lint:allow retirepin same conditional-pin window as the chain hand-off above
-	b.bag.Drain(func(rec *T) { m.reclaimer.Retire(tid, rec) })
-	b.pending.Store(0)
-}
 
 // AsyncReclaimers returns the number of dedicated reclaimer goroutines (0
 // when reclamation is synchronous).
@@ -388,12 +305,11 @@ func (m *RecordManager[T]) AsyncReclaimers() int {
 func (m *RecordManager[T]) Close() {
 	if m.ctrl != nil {
 		// Stop the adaptive controller first: after Stop no lever moves, so
-		// the flush/drain sequence below runs against frozen knobs and the
-		// PR 3 shutdown ordering is preserved verbatim.
+		// the flush/drain sequence below runs against frozen knobs.
 		m.ctrl.Stop()
 	}
 	for tid := range m.bufs {
-		m.FlushRetired(tid)
+		m.handles[tid].FlushRetired()
 	}
 	if m.async != nil {
 		m.async.Close()
@@ -433,18 +349,6 @@ func (m *RecordManager[T]) AsyncSpareBlocks() int64 {
 	return m.async.SpareBlocks()
 }
 
-// LeaveQstate marks the start of an operation by thread tid. Routed through
-// Handle(tid), so a static caller's first operation claims the slot in the
-// slot registry (a thread operating on a vacant slot would be invisible to
-// reclamation scans).
-func (m *RecordManager[T]) LeaveQstate(tid int) bool { return m.Handle(tid).LeaveQstate() }
-
-// EnterQstate marks the end of an operation by thread tid.
-func (m *RecordManager[T]) EnterQstate(tid int) { m.reclaimer.EnterQstate(tid) }
-
-// IsQuiescent reports whether thread tid is quiescent.
-func (m *RecordManager[T]) IsQuiescent(tid int) bool { return m.reclaimer.IsQuiescent(tid) }
-
 // NeedsPerRecordProtection reports whether the reclaimer requires Protect to
 // be called (and validated) for every record accessed. Data structures read
 // this once and skip the protection path entirely for epoch-based schemes,
@@ -454,33 +358,6 @@ func (m *RecordManager[T]) NeedsPerRecordProtection() bool { return m.perRecord 
 // SupportsCrashRecovery reports whether the reclaimer neutralizes stalled
 // threads, in which case operations must be wrapped in recovery code.
 func (m *RecordManager[T]) SupportsCrashRecovery() bool { return m.crashRecovery }
-
-// Protect announces that thread tid may access rec (see Reclaimer.Protect).
-// Routed through Handle(tid) so a hazard-pointer announcement always comes
-// from a claimed, scanner-visible slot.
-func (m *RecordManager[T]) Protect(tid int, rec *T) bool { return m.Handle(tid).Protect(rec) }
-
-// Unprotect revokes a Protect.
-func (m *RecordManager[T]) Unprotect(tid int, rec *T) { m.reclaimer.Unprotect(tid, rec) }
-
-// IsProtected reports whether rec is protected by thread tid.
-func (m *RecordManager[T]) IsProtected(tid int, rec *T) bool {
-	return m.reclaimer.IsProtected(tid, rec)
-}
-
-// RProtect announces a recovery protection (DEBRA+).
-func (m *RecordManager[T]) RProtect(tid int, rec *T) { m.reclaimer.RProtect(tid, rec) }
-
-// RUnprotectAll releases all recovery protections held by thread tid.
-func (m *RecordManager[T]) RUnprotectAll(tid int) { m.reclaimer.RUnprotectAll(tid) }
-
-// IsRProtected reports whether thread tid holds a recovery protection of rec.
-func (m *RecordManager[T]) IsRProtected(tid int, rec *T) bool {
-	return m.reclaimer.IsRProtected(tid, rec)
-}
-
-// Checkpoint delivers a pending neutralization signal, if any (DEBRA+).
-func (m *RecordManager[T]) Checkpoint(tid int) { m.reclaimer.Checkpoint(tid) }
 
 // Stats aggregates the statistics of all three components. RetirePending is
 // read from the single-writer deferred-retire buffers and is exact only when

@@ -9,6 +9,7 @@ import (
 	"repro/internal/pool"
 	"repro/internal/reclaim/debra"
 	"repro/internal/reclaim/ebr"
+	"repro/internal/reclaimtest"
 )
 
 func TestShardMapBlockPlacement(t *testing.T) {
@@ -104,7 +105,7 @@ func TestRetireChainNativeAndFallback(t *testing.T) {
 	sinkN := pool.NewDiscard[node]()
 	rN := ebr.New[node](1, sinkN)
 	rN.PinRetire(0)
-	if n := core.RetireChain[node](rN, 0, chainOf(t, 3), nil); n != 3*blockbag.BlockSize {
+	if n := core.RetireChain[node](rN, rN.Handle(0), 0, chainOf(t, 3), nil); n != 3*blockbag.BlockSize {
 		t.Fatalf("native RetireChain retired %d records", n)
 	}
 	rN.UnpinRetire(0)
@@ -117,7 +118,7 @@ func TestRetireChainNativeAndFallback(t *testing.T) {
 	rF := ebr.New[node](1, pool.NewDiscard[node]())
 	wrapped := plainReclaimer{rF}
 	rF.PinRetire(0)
-	if n := core.RetireChain[node](wrapped, 0, chainOf(t, 2), nil); n != 2*blockbag.BlockSize {
+	if n := core.RetireChain[node](wrapped, wrapped.Handle(0), 0, chainOf(t, 2), nil); n != 2*blockbag.BlockSize {
 		t.Fatalf("fallback RetireChain retired %d records", n)
 	}
 	rF.UnpinRetire(0)
@@ -139,12 +140,13 @@ func TestRecordManagerRetireBatching(t *testing.T) {
 	if mgr.RetireBatchSize() != batch {
 		t.Fatalf("RetireBatchSize = %d", mgr.RetireBatchSize())
 	}
+	hs := reclaimtest.AcquireSlots(n, mgr.AcquireHandle)
 
 	// Retire batch-1 records: everything parks in the buffer, nothing
 	// reaches the reclaimer.
-	mgr.LeaveQstate(0)
+	hs[0].LeaveQstate()
 	for i := 0; i < batch-1; i++ {
-		mgr.Retire(0, mgr.Allocate(0))
+		hs[0].Retire(hs[0].Allocate())
 	}
 	if got := rec.Stats().Retired; got != 0 {
 		t.Fatalf("reclaimer saw %d retires before the batch filled", got)
@@ -153,21 +155,21 @@ func TestRecordManagerRetireBatching(t *testing.T) {
 		t.Fatalf("RetirePending = %d want %d", got, batch-1)
 	}
 	// The batch-th retire hands the whole block over.
-	mgr.Retire(0, mgr.Allocate(0))
+	hs[0].Retire(hs[0].Allocate())
 	if got := rec.Stats().Retired; got != batch {
 		t.Fatalf("reclaimer saw %d retires after the batch filled, want %d", got, batch)
 	}
 	if got := mgr.Stats().RetirePending; got != 0 {
 		t.Fatalf("RetirePending = %d after flush", got)
 	}
-	mgr.EnterQstate(0)
+	hs[0].EnterQstate()
 
 	// FlushRetired drains a partial buffer on demand.
-	mgr.LeaveQstate(1)
-	mgr.Retire(1, mgr.Allocate(1))
-	mgr.Retire(1, mgr.Allocate(1))
-	mgr.FlushRetired(1)
-	mgr.EnterQstate(1)
+	hs[1].LeaveQstate()
+	hs[1].Retire(hs[1].Allocate())
+	hs[1].Retire(hs[1].Allocate())
+	hs[1].FlushRetired()
+	hs[1].EnterQstate()
 	if got := rec.Stats().Retired; got != batch+2 {
 		t.Fatalf("after FlushRetired: reclaimer saw %d retires, want %d", got, batch+2)
 	}
@@ -181,12 +183,13 @@ func TestRecordManagerBatchingDisabledByDefault(t *testing.T) {
 	p := pool.New[node](1, alloc)
 	rec := debra.New[node](1, p)
 	mgr := core.NewRecordManager[node](alloc, p, rec)
-	mgr.LeaveQstate(0)
-	mgr.Retire(0, mgr.Allocate(0))
-	mgr.EnterQstate(0)
+	hs := reclaimtest.AcquireSlots(1, mgr.AcquireHandle)
+	hs[0].LeaveQstate()
+	hs[0].Retire(hs[0].Allocate())
+	hs[0].EnterQstate()
 	if got := rec.Stats().Retired; got != 1 {
 		t.Fatalf("direct retire did not reach the reclaimer (saw %d)", got)
 	}
 	// FlushRetired is a no-op without batching.
-	mgr.FlushRetired(0)
+	hs[0].FlushRetired()
 }

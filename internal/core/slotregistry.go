@@ -5,34 +5,22 @@ import (
 	"sync/atomic"
 )
 
-// This file implements the dynamic thread-slot registry: the layer that
-// refactors the fixed-Threads contract out of the Record Manager stack. The
-// schemes, pool, allocator and handle tables are still sized once, at
-// construction, for a fixed capacity of dense thread ids — that is what makes
-// their per-thread state a flat padded array with no indirection on the hot
-// path — but which goroutine owns which id is no longer wired by hand:
-// slots are acquired and released at runtime through a lock-free free list,
-// and per-shard occupancy summary words let the schemes' announcement scans
-// skip slots nobody currently owns.
+// This file implements the thread-slot registry. The schemes, pool,
+// allocator and handle tables are sized once, at construction, for a fixed
+// capacity of dense thread ids — that is what makes their per-thread state a
+// flat padded array with no indirection on the hot path — and the registry
+// decides which goroutine owns which id: slots are acquired and released at
+// runtime through a lock-free free list, and per-shard occupancy summary
+// words let the schemes' announcement scans skip slots nobody currently owns.
 //
-// # Slot states and the two binding styles
+// # Slot states
 //
-// Every worker slot is in one of three states:
+// Every worker slot is in one of two states:
 //
 //   - vacant: unowned. A vacant slot is quiescent by construction (see the
 //     release contract below), so reclamation scans may skip it.
-//   - dynamic: owned by a goroutine that called Acquire; Release returns it
-//     to the free list for reuse.
-//   - static: permanently claimed by the legacy dense-tid wiring. The first
-//     RecordManager.Handle(tid) (or data structure tid-method) touch of a
-//     slot claims it; it is never released and is scanned forever — exactly
-//     the fixed-Threads behaviour every existing caller relies on.
-//
-// The two styles compose on one manager (static claims simply remove slots
-// from the acquirable pool), but a single tid must not be used both ways at
-// once: Acquire never hands out a statically claimed slot, and a static
-// claim of a dynamically held slot is the caller wiring two goroutines to
-// one tid — the same misuse the fixed-Threads contract always had.
+//   - held: owned by a goroutine that called Acquire; Release returns it to
+//     the free list for reuse.
 //
 // # Why skipping a vacant slot is safe
 //
@@ -54,9 +42,9 @@ import (
 // # Why a reused slot cannot inherit a stale announcement
 //
 // Release requires quiescence (the epoch/HP announcement is already
-// withdrawn, enforced with a panic — the same contract family as the
-// quiescent-retire fix) and drains the slot's deferred-retire buffer under
-// the scheme's retire pin before the slot is pushed onto the free list. The
+// withdrawn, enforced with a panic) and drains the slot's deferred-retire
+// buffer under the scheme's retire pin before the slot is pushed onto the
+// free list. The
 // free-list push/pop CAS pair is the happens-before edge to the next
 // acquirer, so by the time Acquire returns the tid, its last announcement is
 // visibly quiescent and its buffers are empty: the new owner starts from the
@@ -64,16 +52,15 @@ import (
 
 // Slot states (the values of a slot's state word).
 const (
-	slotVacant  int32 = iota // unowned; scans may skip it
-	slotDynamic              // owned via Acquire; Release returns it
-	slotStatic               // permanently claimed by dense-tid wiring
+	slotVacant int32 = iota // unowned; scans may skip it
+	slotHeld                // owned via Acquire; Release returns it
 )
 
 // slotState is one slot's registry state, padded so the state words of
 // neighbouring slots (written on acquire/release, read by scanners) do not
 // share cache lines.
 type slotState struct {
-	// state is the slot's occupancy word (slotVacant/slotDynamic/slotStatic).
+	// state is the slot's occupancy word (slotVacant/slotHeld).
 	state atomic.Int32
 	// next is the slot's free-list link: the (index+1) of the next free slot,
 	// 0 for end-of-list. Written by the pusher before the head CAS publishes
@@ -83,7 +70,7 @@ type slotState struct {
 }
 
 // shardOcc is one shard's occupancy summary word: the number of registry
-// slots in the shard that are currently occupied (dynamic or static), padded
+// slots in the shard that are currently held, padded
 // onto its own cache lines. extra counts the shard's members that are not
 // registry slots at all (async reclaimer tids) and is immutable after
 // construction; the shard's live count is occ + extra.
@@ -262,11 +249,10 @@ func (r *SlotRegistry) noteVacant(tid int) {
 	}
 }
 
-// Acquire pops a vacant slot and marks it dynamically owned, returning its
-// dense tid. ok is false when every slot is statically claimed or
-// dynamically held. The occupancy summary is published before Acquire
-// returns, so the slot is visible to scanners before its new owner can
-// announce anything.
+// Acquire pops a vacant slot and marks it held, returning its dense tid. ok
+// is false when every slot is held. The occupancy summary is published
+// before Acquire returns, so the slot is visible to scanners before its new
+// owner can announce anything.
 //
 // Placement: the shards below the effective count are scanned first (in
 // ascending order, so low tids are preferred — the dense-id habit), the
@@ -287,62 +273,33 @@ func (r *SlotRegistry) Acquire() (int, bool) {
 			lo, hi = eff, len(r.heads)
 		}
 		for l := lo; l < hi; l++ {
-			for {
-				idx, ok := r.popFree(l)
-				if !ok {
-					break
-				}
-				if r.slots[idx].state.CompareAndSwap(slotVacant, slotDynamic) {
-					r.noteOccupied(idx)
-					return idx, true
-				}
-				// The slot was claimed statically while parked on the free
-				// list; a static claim is permanent, so drop it and keep
-				// popping.
+			if idx, ok := r.popFree(l); ok {
+				r.slots[idx].state.Store(slotHeld)
+				r.noteOccupied(idx)
+				return idx, true
 			}
 		}
 	}
 	return -1, false
 }
 
-// Release marks a dynamically acquired slot vacant and returns it to the
-// free list. It panics when tid is not currently dynamically held — a
-// double release, or a release of a statically wired tid. The caller
+// Release marks a held slot vacant and returns it to the free list. It
+// panics when tid is not currently held (a double release). The caller
 // (RecordManager.ReleaseHandle) has already verified quiescence and drained
 // the slot's buffers; after the push the slot is immediately reusable.
 func (r *SlotRegistry) Release(tid int) {
 	if tid < 0 || tid >= r.capacity {
 		panic(fmt.Sprintf("core: SlotRegistry.Release(%d) out of range [0,%d)", tid, r.capacity))
 	}
-	if !r.slots[tid].state.CompareAndSwap(slotDynamic, slotVacant) {
-		panic(fmt.Sprintf("core: SlotRegistry.Release(%d): slot is not dynamically held (double release, or a statically wired tid)", tid))
+	if !r.slots[tid].state.CompareAndSwap(slotHeld, slotVacant) {
+		panic(fmt.Sprintf("core: SlotRegistry.Release(%d): slot is not held (double release)", tid))
 	}
 	r.noteVacant(tid)
 	r.pushFree(tid)
 }
 
-// EnsureStatic permanently claims tid for static dense-id wiring if it is
-// still vacant; a slot already owned (statically or dynamically) is left
-// untouched. Out-of-range tids (async reclaimer participants) are no-ops.
-// The fast path is one atomic load and a predicted branch, cheap enough for
-// the tid-based compatibility wrappers to call on every operation.
-func (r *SlotRegistry) EnsureStatic(tid int) {
-	if tid < 0 || tid >= r.capacity {
-		return
-	}
-	if r.slots[tid].state.Load() != slotVacant {
-		return
-	}
-	if r.slots[tid].state.CompareAndSwap(slotVacant, slotStatic) {
-		r.noteOccupied(tid)
-	}
-	// A statically claimed slot stays on the free list until an Acquire pops
-	// and discards it; the state word is what makes it unacquirable.
-}
-
-// Occupied reports whether tid is currently owned (statically or
-// dynamically). Tids beyond the registry's capacity — async reclaimer
-// participants — are always occupied.
+// Occupied reports whether tid is currently held. Tids beyond the registry's
+// capacity — async reclaimer participants — are always occupied.
 func (r *SlotRegistry) Occupied(tid int) bool {
 	if tid < 0 || tid >= r.capacity {
 		return true

@@ -1,10 +1,9 @@
 package core_test
 
-// Tests for the dynamic thread-slot registry: the lock-free free list, the
-// static/dynamic claim interplay, the per-shard occupancy summaries, and the
-// Record Manager's acquire/release contract — including the headline
-// regression that releasing a non-quiescent slot panics (the slot-registry
-// sibling of the quiescent-retire contract).
+// Tests for the thread-slot registry: the lock-free free list, the per-shard
+// occupancy summaries, and the Record Manager's acquire/release contract —
+// including the headline regression that releasing a non-quiescent slot
+// panics (the slot-registry sibling of the quiescent-retire contract).
 
 import (
 	"sync"
@@ -52,37 +51,10 @@ func TestSlotRegistryAcquireRelease(t *testing.T) {
 	if !panics(func() { r.Release(99) }) {
 		t.Fatal("out-of-range Release did not panic")
 	}
-}
-
-func TestSlotRegistryStaticClaim(t *testing.T) {
-	r := core.NewSlotRegistry(3, nil)
-	r.EnsureStatic(0)
-	r.EnsureStatic(0) // idempotent
-	if !r.Occupied(0) {
-		t.Fatal("slot 0 not occupied after EnsureStatic")
-	}
-	// Acquire skips the statically claimed slot.
-	if tid, ok := r.Acquire(); !ok || tid == 0 {
-		t.Fatalf("Acquire = (%d, %v); must skip the static slot 0", tid, ok)
-	}
-	if tid, ok := r.Acquire(); !ok || tid == 0 {
-		t.Fatalf("Acquire = (%d, %v); must skip the static slot 0", tid, ok)
-	}
-	if _, ok := r.Acquire(); ok {
-		t.Fatal("Acquire succeeded with every slot claimed or held")
-	}
-	// A static claim is permanent: Release rejects it.
-	if !panics(func() { r.Release(0) }) {
-		t.Fatal("Release of a statically claimed slot did not panic")
-	}
-	// EnsureStatic of a dynamically held slot is a no-op, not a takeover.
-	r.EnsureStatic(1)
-	r.Release(1) // still dynamically held, so this must succeed
 	// Out-of-range tids (async reclaimer participants) are always occupied.
 	if !r.Occupied(17) {
 		t.Fatal("out-of-range tid not reported occupied")
 	}
-	r.EnsureStatic(17) // must not panic
 }
 
 func TestSlotRegistryShardOccupancy(t *testing.T) {
@@ -105,13 +77,15 @@ func TestSlotRegistryShardOccupancy(t *testing.T) {
 	if smap.SlotOccupied(1) {
 		t.Fatal("slot 1 occupied before any claim")
 	}
-	r.EnsureStatic(3) // shard 1
+	for i := 1; i < 4; i++ { // slots 1 and 2 (shard 0), then 3 (shard 1)
+		r.Acquire()
+	}
 	if got := smap.ShardLive(1); got != 3 {
-		t.Fatalf("shard 1 live = %d want 3 after static claim", got)
+		t.Fatalf("shard 1 live = %d want 3 with slot 3 held", got)
 	}
 	r.Release(tid)
-	if got := smap.ShardLive(0); got != 0 {
-		t.Fatalf("shard 0 live = %d want 0 after release", got)
+	if got := smap.ShardLive(0); got != 2 {
+		t.Fatalf("shard 0 live = %d want 2 after release", got)
 	}
 	// A map without a registry reports occupancy unknown/occupied.
 	bare := core.NewShardMap(2, core.ShardSpec{})
@@ -375,7 +349,7 @@ func TestReleaseHandleRequiresQuiescence(t *testing.T) {
 			if name == "hp" {
 				// HP has no epoch announcement; "non-quiescent" means a held
 				// protection slot.
-				h.Protect(mgr.Allocate(h.Tid()))
+				h.Protect(h.Allocate())
 			} else {
 				h.LeaveQstate()
 			}
@@ -395,8 +369,8 @@ func TestReleaseHandleRequiresQuiescence(t *testing.T) {
 	}
 }
 
-// TestAcquireReleaseRetireDrains: records retired through a dynamically
-// bound slot are flushed at release (nothing is stranded in the slot's
+// TestAcquireReleaseRetireDrains: records retired through an acquired slot
+// are flushed at release (nothing is stranded in the slot's
 // retire buffer) and fully reclaimed by Close, across slot reuse.
 func TestAcquireReleaseRetireDrains(t *testing.T) {
 	for _, name := range []string{"ebr", "qsbr", "debra", "debra+"} {
@@ -432,19 +406,25 @@ func TestAcquireReleaseRetireDrains(t *testing.T) {
 	}
 }
 
-// TestStaticClaimBlocksAcquire: the two binding styles compose on one
-// manager — tid-based wiring claims slots permanently, AcquireHandle hands
-// out the rest.
-func TestStaticClaimBlocksAcquire(t *testing.T) {
-	alloc := arena.NewBump[rec](3, 0)
-	p := pool.New[rec](3, alloc)
-	mgr := core.NewRecordManager[rec](alloc, p, epochSchemes(3, p)["debra"])
+// TestAcquireHandleSlotOrderAndReuse pins the property tests that need slot k
+// lean on: a fresh manager hands out slots 0..n-1 in order, exhaustion is
+// reported (TryAcquireHandle) or panics (AcquireHandle), and a released slot
+// is the next one acquired.
+func TestAcquireHandleSlotOrderAndReuse(t *testing.T) {
+	const n = 3
+	alloc := arena.NewBump[rec](n, 0)
+	p := pool.New[rec](n, alloc)
+	mgr := core.NewRecordManager[rec](alloc, p, epochSchemes(n, p)["debra"])
+	if mgr.WorkerSlots() != n {
+		t.Fatalf("WorkerSlots = %d want %d", mgr.WorkerSlots(), n)
+	}
 
-	mgr.Handle(0) // static claim
-	h1 := mgr.AcquireHandle()
-	h2 := mgr.AcquireHandle()
-	if h1.Tid() == 0 || h2.Tid() == 0 || h1.Tid() == h2.Tid() {
-		t.Fatalf("acquired tids %d, %d must be distinct and skip the static slot 0", h1.Tid(), h2.Tid())
+	hs := make([]*core.ThreadHandle[rec], n)
+	for i := range hs {
+		hs[i] = mgr.AcquireHandle()
+		if hs[i].Tid() != i {
+			t.Fatalf("acquire #%d of a fresh manager returned slot %d", i, hs[i].Tid())
+		}
 	}
 	//lint:allow handlepair exhaustion probe: ok is asserted false, so there is no handle to release
 	if _, ok := mgr.TryAcquireHandle(); ok {
@@ -454,6 +434,16 @@ func TestStaticClaimBlocksAcquire(t *testing.T) {
 	if !panics(func() { mgr.AcquireHandle() }) {
 		t.Fatal("AcquireHandle did not panic on exhaustion")
 	}
-	mgr.ReleaseHandle(h1)
-	mgr.ReleaseHandle(h2)
+	mgr.ReleaseHandle(hs[1])
+	if got := mgr.SlotRegistry().Live(); got != n-1 {
+		t.Fatalf("Live = %d after one release, want %d", got, n-1)
+	}
+	h := mgr.AcquireHandle()
+	if h.Tid() != 1 {
+		t.Fatalf("re-acquire returned slot %d, want the released slot 1", h.Tid())
+	}
+	hs[1] = h
+	for _, h := range hs {
+		mgr.ReleaseHandle(h)
+	}
 }

@@ -15,12 +15,13 @@ import (
 	"repro/internal/recordmgr"
 )
 
-// treeAdapter adapts Tree to the reclaimtest.Set surface.
-type treeAdapter struct{ t *bst.Tree[int64] }
+// treeWorker adapts an acquired tree handle to the reclaimtest.Worker surface.
+type treeWorker struct{ h bst.Handle[int64] }
 
-func (a treeAdapter) Insert(tid int, key int64) bool   { return a.t.Insert(tid, key, key) }
-func (a treeAdapter) Delete(tid int, key int64) bool   { return a.t.Delete(tid, key) }
-func (a treeAdapter) Contains(tid int, key int64) bool { return a.t.Contains(tid, key) }
+func (w treeWorker) Insert(key int64) bool   { return w.h.Insert(key, key) }
+func (w treeWorker) Delete(key int64) bool   { return w.h.Delete(key) }
+func (w treeWorker) Contains(key int64) bool { return w.h.Contains(key) }
+func (w treeWorker) Release()                { w.h.Tree().ReleaseHandle(w.h) }
 
 // poisonedTreeFactory builds a tree whose pool poisons freed records and
 // whose visit hook counts observations of poisoned records on the search
@@ -48,10 +49,10 @@ func poisonedTreeFactory(t *testing.T, scheme string, spec core.ShardSpec, batch
 		mgr := core.NewRecordManager[rec](alloc, pp, rcl, mopts...)
 		tree := bst.New[int64](mgr)
 		su := reclaimtest.SetUnderTest{
-			Set:         treeAdapter{tree},
-			DoubleFrees: pp.DoubleFrees,
-			Stats:       rcl.Stats,
-			Validate:    tree.Validate,
+			AcquireWorker: func() reclaimtest.Worker { return treeWorker{tree.AcquireHandle()} },
+			DoubleFrees:   pp.DoubleFrees,
+			Stats:         rcl.Stats,
+			Validate:      tree.Validate,
 		}
 		if scheme != recordmgr.SchemeHP {
 			var violations atomic.Int64

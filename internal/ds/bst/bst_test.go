@@ -3,6 +3,7 @@ package bst_test
 import (
 	"fmt"
 	"math/rand"
+	"repro/internal/reclaimtest"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -93,10 +94,11 @@ func allSchemes() []string { return recordmgr.Schemes() }
 
 func TestEmptyTree(t *testing.T) {
 	tree := newTree(t, recordmgr.SchemeDEBRA, 1)
-	if _, ok := tree.Get(0, 42); ok {
+	hs := reclaimtest.AcquireSlots(1, tree.AcquireHandle)
+	if _, ok := hs[0].Get(42); ok {
 		t.Fatal("empty tree claims to contain a key")
 	}
-	if tree.Delete(0, 42) {
+	if hs[0].Delete(42) {
 		t.Fatal("Delete on empty tree returned true")
 	}
 	if tree.Len() != 0 {
@@ -111,28 +113,29 @@ func TestBasicInsertGetDelete(t *testing.T) {
 	for _, scheme := range allSchemes() {
 		t.Run(scheme, func(t *testing.T) {
 			tree := newTree(t, scheme, 1)
-			if !tree.Insert(0, 10, 100) {
+			hs := reclaimtest.AcquireSlots(1, tree.AcquireHandle)
+			if !hs[0].Insert(10, 100) {
 				t.Fatal("insert of fresh key returned false")
 			}
-			if tree.Insert(0, 10, 200) {
+			if hs[0].Insert(10, 200) {
 				t.Fatal("insert of duplicate key returned true")
 			}
-			if v, ok := tree.Get(0, 10); !ok || v != 100 {
+			if v, ok := hs[0].Get(10); !ok || v != 100 {
 				t.Fatalf("Get(10) = %d, %v", v, ok)
 			}
-			if !tree.Contains(0, 10) {
+			if !hs[0].Contains(10) {
 				t.Fatal("Contains(10) = false")
 			}
-			if tree.Contains(0, 11) {
+			if hs[0].Contains(11) {
 				t.Fatal("Contains(11) = true")
 			}
-			if !tree.Delete(0, 10) {
+			if !hs[0].Delete(10) {
 				t.Fatal("delete of present key returned false")
 			}
-			if tree.Delete(0, 10) {
+			if hs[0].Delete(10) {
 				t.Fatal("delete of absent key returned true")
 			}
-			if _, ok := tree.Get(0, 10); ok {
+			if _, ok := hs[0].Get(10); ok {
 				t.Fatal("Get after delete found the key")
 			}
 			if err := tree.Validate(); err != nil {
@@ -146,6 +149,7 @@ func TestSequentialAgainstModel(t *testing.T) {
 	for _, scheme := range allSchemes() {
 		t.Run(scheme, func(t *testing.T) {
 			tree := newTree(t, scheme, 1)
+			hs := reclaimtest.AcquireSlots(1, tree.AcquireHandle)
 			model := map[int64]int64{}
 			rng := rand.New(rand.NewSource(12345))
 			const ops = 6000
@@ -155,7 +159,7 @@ func TestSequentialAgainstModel(t *testing.T) {
 				switch rng.Intn(3) {
 				case 0:
 					_, inModel := model[k]
-					inserted := tree.Insert(0, k, k*10)
+					inserted := hs[0].Insert(k, k*10)
 					if inserted == inModel {
 						t.Fatalf("op %d: Insert(%d)=%v but model present=%v", i, k, inserted, inModel)
 					}
@@ -164,13 +168,13 @@ func TestSequentialAgainstModel(t *testing.T) {
 					}
 				case 1:
 					_, inModel := model[k]
-					deleted := tree.Delete(0, k)
+					deleted := hs[0].Delete(k)
 					if deleted != inModel {
 						t.Fatalf("op %d: Delete(%d)=%v but model present=%v", i, k, deleted, inModel)
 					}
 					delete(model, k)
 				default:
-					v, ok := tree.Get(0, k)
+					v, ok := hs[0].Get(k)
 					mv, inModel := model[k]
 					if ok != inModel || (ok && v != mv) {
 						t.Fatalf("op %d: Get(%d)=(%d,%v) model=(%d,%v)", i, k, v, ok, mv, inModel)
@@ -201,6 +205,7 @@ func TestQuickSequentialModel(t *testing.T) {
 	// records are actually recycled during the run).
 	f := func(ops []uint16, seed int64) bool {
 		tree := newFastDebraTree(t, 1)
+		hs := reclaimtest.AcquireSlots(1, tree.AcquireHandle)
 		model := map[int64]int64{}
 		rng := rand.New(rand.NewSource(seed))
 		for _, op := range ops {
@@ -208,18 +213,18 @@ func TestQuickSequentialModel(t *testing.T) {
 			switch rng.Intn(3) {
 			case 0:
 				_, inModel := model[k]
-				if tree.Insert(0, k, k) == inModel {
+				if hs[0].Insert(k, k) == inModel {
 					return false
 				}
 				model[k] = k
 			case 1:
 				_, inModel := model[k]
-				if tree.Delete(0, k) != inModel {
+				if hs[0].Delete(k) != inModel {
 					return false
 				}
 				delete(model, k)
 			default:
-				_, ok := tree.Get(0, k)
+				_, ok := hs[0].Get(k)
 				_, inModel := model[k]
 				if ok != inModel {
 					return false
@@ -236,14 +241,15 @@ func TestQuickSequentialModel(t *testing.T) {
 
 func TestNegativeAndBoundaryKeys(t *testing.T) {
 	tree := newTree(t, recordmgr.SchemeDEBRA, 1)
+	hs := reclaimtest.AcquireSlots(1, tree.AcquireHandle)
 	keys := []int64{-1 << 40, -7, 0, 7, 1 << 40, bst.Infinity1 - 1}
 	for _, k := range keys {
-		if !tree.Insert(0, k, k) {
+		if !hs[0].Insert(k, k) {
 			t.Fatalf("Insert(%d) failed", k)
 		}
 	}
 	for _, k := range keys {
-		if v, ok := tree.Get(0, k); !ok || v != k {
+		if v, ok := hs[0].Get(k); !ok || v != k {
 			t.Fatalf("Get(%d) = %d, %v", k, v, ok)
 		}
 	}
@@ -251,7 +257,7 @@ func TestNegativeAndBoundaryKeys(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, k := range keys {
-		if !tree.Delete(0, k) {
+		if !hs[0].Delete(k) {
 			t.Fatalf("Delete(%d) failed", k)
 		}
 	}
@@ -262,17 +268,19 @@ func TestNegativeAndBoundaryKeys(t *testing.T) {
 
 func TestInsertRejectsSentinelKeys(t *testing.T) {
 	tree := newTree(t, recordmgr.SchemeDEBRA, 1)
+	hs := reclaimtest.AcquireSlots(1, tree.AcquireHandle)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic for sentinel key")
 		}
 	}()
-	tree.Insert(0, bst.Infinity1, 0)
+	hs[0].Insert(bst.Infinity1, 0)
 }
 
 func TestDeleteSentinelKeyIsNoop(t *testing.T) {
 	tree := newTree(t, recordmgr.SchemeDEBRA, 1)
-	if tree.Delete(0, bst.Infinity2) {
+	hs := reclaimtest.AcquireSlots(1, tree.AcquireHandle)
+	if hs[0].Delete(bst.Infinity2) {
 		t.Fatal("deleting a sentinel key must fail")
 	}
 }
@@ -282,6 +290,7 @@ func TestDeleteSentinelKeyIsNoop(t *testing.T) {
 func concurrentStripes(t *testing.T, tree *bst.Tree[int64], threads, opsPerThread int) {
 	t.Helper()
 	const stripe = 1 << 20
+	hs := reclaimtest.AcquireSlots(threads, tree.AcquireHandle)
 	finals := make([]map[int64]int64, threads)
 	var wg sync.WaitGroup
 	for tid := 0; tid < threads; tid++ {
@@ -296,20 +305,20 @@ func concurrentStripes(t *testing.T, tree *bst.Tree[int64], threads, opsPerThrea
 				switch rng.Intn(3) {
 				case 0:
 					_, inModel := model[k]
-					if tree.Insert(tid, k, k) == inModel {
+					if hs[tid].Insert(k, k) == inModel {
 						t.Errorf("tid %d: Insert(%d) inconsistent with thread-local model", tid, k)
 						return
 					}
 					model[k] = k
 				case 1:
 					_, inModel := model[k]
-					if tree.Delete(tid, k) != inModel {
+					if hs[tid].Delete(k) != inModel {
 						t.Errorf("tid %d: Delete(%d) inconsistent with thread-local model", tid, k)
 						return
 					}
 					delete(model, k)
 				default:
-					_, ok := tree.Get(tid, k)
+					_, ok := hs[tid].Get(k)
 					if _, inModel := model[k]; ok != inModel {
 						t.Errorf("tid %d: Get(%d) inconsistent with thread-local model", tid, k)
 						return
@@ -393,6 +402,7 @@ func TestConcurrentSharedKeys(t *testing.T) {
 			default:
 				tree = newTree(t, scheme, threads)
 			}
+			hs := reclaimtest.AcquireSlots(threads, tree.AcquireHandle)
 			var wg sync.WaitGroup
 			var inserted, deleted [64]int64
 			var mu sync.Mutex
@@ -407,15 +417,15 @@ func TestConcurrentSharedKeys(t *testing.T) {
 						k := rng.Int63n(64)
 						switch rng.Intn(3) {
 						case 0:
-							if tree.Insert(tid, k, k) {
+							if hs[tid].Insert(k, k) {
 								localIns[k]++
 							}
 						case 1:
-							if tree.Delete(tid, k) {
+							if hs[tid].Delete(k) {
 								localDel[k]++
 							}
 						default:
-							tree.Get(tid, k)
+							hs[tid].Get(k)
 						}
 					}
 					mu.Lock()
@@ -460,11 +470,12 @@ func TestConcurrentSharedKeys(t *testing.T) {
 // recycled.
 func TestReclamationActuallyRecyclesRecords(t *testing.T) {
 	tree := newFastDebraTree(t, 1)
+	hs := reclaimtest.AcquireSlots(1, tree.AcquireHandle)
 	const churns = 20000
 	for i := 0; i < churns; i++ {
 		k := int64(i % 64)
-		tree.Insert(0, k, k)
-		tree.Delete(0, k)
+		hs[0].Insert(k, k)
+		hs[0].Delete(k)
 	}
 	st := tree.Manager().Stats()
 	if st.Reclaimer.Freed == 0 {
@@ -491,11 +502,13 @@ func TestNoReclamationLeaks(t *testing.T) {
 		UsePool: false,
 	})
 	tree := bst.New(mgr)
+	h := tree.AcquireHandle()
+	defer tree.ReleaseHandle(h)
 	const churns = 2000
 	for i := 0; i < churns; i++ {
 		k := int64(i % 16)
-		tree.Insert(0, k, k)
-		tree.Delete(0, k)
+		h.Insert(k, k)
+		h.Delete(k)
 	}
 	if got := mgr.Stats().Alloc.Allocated; got < churns {
 		t.Fatalf("expected the leaky configuration to keep allocating (got %d allocations)", got)
@@ -558,6 +571,7 @@ func TestReleaseHandsBackScratch(t *testing.T) {
 
 func TestTreeStatsCounters(t *testing.T) {
 	tree := newAggressiveDebraPlusTree(t, 2)
+	hs := reclaimtest.AcquireSlots(2, tree.AcquireHandle)
 	var wg sync.WaitGroup
 	for tid := 0; tid < 2; tid++ {
 		wg.Add(1)
@@ -565,8 +579,8 @@ func TestTreeStatsCounters(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 5000; i++ {
 				k := int64(i % 32)
-				tree.Insert(tid, k, k)
-				tree.Delete(tid, k)
+				hs[tid].Insert(k, k)
+				hs[tid].Delete(k)
 			}
 		}(tid)
 	}
@@ -591,10 +605,11 @@ func TestNewTreeRequiresManager(t *testing.T) {
 
 func TestManyKeysSorted(t *testing.T) {
 	tree := newTree(t, recordmgr.SchemeDEBRA, 1)
+	hs := reclaimtest.AcquireSlots(1, tree.AcquireHandle)
 	const n = 5000
 	perm := rand.New(rand.NewSource(7)).Perm(n)
 	for _, k := range perm {
-		if !tree.Insert(0, int64(k), int64(k)*3) {
+		if !hs[0].Insert(int64(k), int64(k)*3) {
 			t.Fatalf("Insert(%d) failed", k)
 		}
 	}
@@ -617,7 +632,7 @@ func TestManyKeysSorted(t *testing.T) {
 	}
 	// Delete every other key and re-validate.
 	for k := 0; k < n; k += 2 {
-		if !tree.Delete(0, int64(k)) {
+		if !hs[0].Delete(int64(k)) {
 			t.Fatalf("Delete(%d) failed", k)
 		}
 	}
@@ -636,11 +651,13 @@ func ExampleTree() {
 		UsePool: true,
 	})
 	tree := bst.New(mgr)
-	tree.Insert(0, 1, "one")
-	tree.Insert(0, 2, "two")
-	v, ok := tree.Get(0, 1)
+	h := tree.AcquireHandle() // once per goroutine
+	defer tree.ReleaseHandle(h)
+	h.Insert(1, "one")
+	h.Insert(2, "two")
+	v, ok := h.Get(1)
 	fmt.Println(v, ok)
-	fmt.Println(tree.Delete(0, 3))
+	fmt.Println(h.Delete(3))
 	// Output:
 	// one true
 	// false

@@ -26,11 +26,6 @@ const (
 // key was inserted and false if it was already present (the value is not
 // replaced, matching the set semantics used in the paper's experiments).
 // key must be smaller than Infinity1.
-func (t *Tree[V]) Insert(tid int, key int64, value V) bool {
-	return t.Handle(tid).Insert(key, value)
-}
-
-// Insert adds key with the given value through the thread's handle.
 func (hd Handle[V]) Insert(key int64, value V) bool {
 	if key >= Infinity1 {
 		panic("bst: key must be smaller than Infinity1")
@@ -209,9 +204,6 @@ func (t *Tree[V]) helpInsert(hd Handle[V], desc *Record[V]) {
 }
 
 // Delete removes key from the set, returning true if it was present.
-func (t *Tree[V]) Delete(tid int, key int64) bool { return t.Handle(tid).Delete(key) }
-
-// Delete removes key from the set through the thread's handle.
 func (hd Handle[V]) Delete(key int64) bool {
 	if key >= Infinity1 {
 		return false

@@ -17,9 +17,8 @@ const (
 )
 
 // Tree is a lock-free external binary search tree storing int64 keys and
-// values of type V. All concurrent operations take the dense thread id of
-// the calling worker, which must be in [0, n) for the Record Manager the
-// tree was built with.
+// values of type V. Operations are issued through a Handle a goroutine
+// acquires with AcquireHandle.
 type Tree[V any] struct {
 	mgr  *Manager[V]
 	root *Record[V]
@@ -84,9 +83,7 @@ type Stats struct {
 	Recoveries int64
 }
 
-// New creates an empty tree whose records are managed by mgr. The Record
-// Manager must have been built for the same number of threads that will
-// operate on the tree.
+// New creates an empty tree whose records are managed by mgr.
 func New[V any](mgr *Manager[V]) *Tree[V] {
 	if mgr == nil {
 		panic("bst: New requires a RecordManager")
@@ -99,24 +96,24 @@ func New[V any](mgr *Manager[V]) *Tree[V] {
 	}
 	t.initialClean.set(StateClean, nil)
 	// The initial tree: a root with key Infinity2 whose children are the
-	// two sentinel leaves. These records are allocated from the manager
-	// (thread 0) but never retired.
+	// two sentinel leaves. These records are never retired, so they come
+	// straight from the allocator (slot 0, before any goroutine holds it).
 	var zero V
-	left := initLeaf(mgr.Allocate(0), Infinity1, zero)
-	right := initLeaf(mgr.Allocate(0), Infinity2, zero)
-	t.root = initInternal(mgr.Allocate(0), Infinity2, left, right, &t.initialClean)
+	alloc := mgr.Allocator()
+	left := initLeaf(alloc.Allocate(0), Infinity1, zero)
+	right := initLeaf(alloc.Allocate(0), Infinity2, zero)
+	t.root = initInternal(alloc.Allocate(0), Infinity2, left, right, &t.initialClean)
 	return t
 }
 
 // Manager returns the tree's Record Manager (for instrumentation).
 func (t *Tree[V]) Manager() *Manager[V] { return t.mgr }
 
-// Handle is one worker thread's pre-resolved view of the tree: the Record
-// Manager thread handle bound once, so steady-state operations index no
-// per-thread slices and pay at most one interface call per reclamation
-// primitive. It is a small value type — resolve it once at worker
-// registration and reuse it; the tid-based Tree methods remain as thin
-// wrappers.
+// Handle is one worker slot's view of the tree and the only way to operate
+// on it: the Record Manager thread handle and the slot's scratch state bound
+// at AcquireHandle, so steady-state operations index no per-thread slices
+// and pay at most one interface call per reclamation primitive. It is a small
+// value type — acquire it once per goroutine and reuse it.
 type Handle[V any] struct {
 	t   *Tree[V]
 	rm  *core.ThreadHandle[Record[V]]
@@ -124,16 +121,9 @@ type Handle[V any] struct {
 	tid int
 }
 
-// Handle returns thread tid's pre-resolved operation handle, claiming the
-// slot for static dense-tid wiring (core.RecordManager.Handle does the
-// claim). Goroutines that come and go use AcquireHandle/ReleaseHandle.
-func (t *Tree[V]) Handle(tid int) Handle[V] {
-	return Handle[V]{t: t, rm: t.mgr.Handle(tid), st: &t.threads[tid], tid: tid}
-}
-
 // AcquireHandle binds the calling goroutine to a vacant worker slot of the
-// tree's Record Manager and returns the slot's operation handle (the
-// dynamic binding style); release it with ReleaseHandle.
+// tree's Record Manager and returns the slot's operation handle; release it
+// with ReleaseHandle.
 func (t *Tree[V]) AcquireHandle() Handle[V] {
 	rm := t.mgr.AcquireHandle()
 	return Handle[V]{t: t, rm: rm, st: &t.threads[rm.Tid()], tid: rm.Tid()}
@@ -374,9 +364,6 @@ func (t *Tree[V]) releaseAllProtection(hd Handle[V], res searchResult[V]) {
 }
 
 // Get returns the value associated with key and whether it is present.
-func (t *Tree[V]) Get(tid int, key int64) (V, bool) { return t.Handle(tid).Get(key) }
-
-// Get returns the value associated with key through the thread's handle.
 func (hd Handle[V]) Get(key int64) (V, bool) {
 	t := hd.t
 	var zero V
@@ -426,9 +413,6 @@ func (t *Tree[V]) getAttempt(hd Handle[V], key int64) (val V, found, done bool) 
 }
 
 // Contains reports whether key is in the set.
-func (t *Tree[V]) Contains(tid int, key int64) bool { return t.Handle(tid).Contains(key) }
-
-// Contains reports whether key is in the set through the thread's handle.
 func (hd Handle[V]) Contains(key int64) bool {
 	_, ok := hd.Get(key)
 	return ok

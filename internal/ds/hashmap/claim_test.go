@@ -10,6 +10,7 @@ import (
 	"repro/internal/neutralize"
 	"repro/internal/pool"
 	"repro/internal/reclaim/debraplus"
+	"repro/internal/reclaimtest"
 	"repro/internal/recordmgr"
 )
 
@@ -49,6 +50,7 @@ func TestClaimParkedClaimer(t *testing.T) {
 	for _, scheme := range recordmgr.Schemes() {
 		t.Run(scheme, func(t *testing.T) {
 			m := buildMap(t, scheme, 3, WithInitialBuckets(4), WithMaxLoad(1), WithMaxBuckets(16))
+			hs := reclaimtest.AcquireSlots(3, m.AcquireHandle)
 			parked := m.headOf(2)
 			if parked.kind() != kindUnclaimed {
 				t.Fatalf("untouched head has kind %d", parked.kind())
@@ -59,7 +61,7 @@ func TestClaimParkedClaimer(t *testing.T) {
 			// 2|6 of 8 and 2|6|10|14 of 16.
 			keys := keysOfBucket(2, 4, 0, 48)
 			for i, k := range keys {
-				if !m.Insert(i%2, k, k*10) {
+				if !hs[i%2].Insert(k, k*10) {
 					t.Fatalf("Insert(%d) behind a parked claimer failed", k)
 				}
 			}
@@ -67,12 +69,12 @@ func TestClaimParkedClaimer(t *testing.T) {
 				t.Fatalf("table has %d buckets, want it grown to 16", m.Buckets())
 			}
 			for i, k := range keys {
-				if v, ok := m.Get(i%2, k); !ok || v != k*10 {
+				if v, ok := hs[i%2].Get(k); !ok || v != k*10 {
 					t.Fatalf("Get(%d) = %d, %v behind a parked claimer", k, v, ok)
 				}
 			}
 			for i, k := range keys {
-				if i%3 == 0 && !m.Delete(i%2, k) {
+				if i%3 == 0 && !hs[i%2].Delete(k) {
 					t.Fatalf("Delete(%d) behind a parked claimer failed", k)
 				}
 			}
@@ -95,7 +97,7 @@ func TestClaimParkedClaimer(t *testing.T) {
 			// The claimer comes back, with a key still in bucket 2 of 16.
 			before := m.Stats().Dummies
 			own := keysOfBucket(2, 16, 0, 1)[0]
-			m.Get(2, own)
+			hs[2].Get(own)
 			if parked.meta.Load() != kindDummy || m.Stats().Dummies != before+1 {
 				t.Fatalf("claimer did not finish its splice: meta %#x, dummies %d -> %d",
 					parked.meta.Load(), before, m.Stats().Dummies)
@@ -104,7 +106,7 @@ func TestClaimParkedClaimer(t *testing.T) {
 				t.Fatalf("after the claimer resumed: %v", err)
 			}
 			for i, k := range keys {
-				if _, ok := m.Get(2, k); ok != (i%3 != 0) {
+				if _, ok := hs[2].Get(k); ok != (i%3 != 0) {
 					t.Fatalf("Get(%d) present=%v after the splice", k, ok)
 				}
 			}
@@ -119,12 +121,12 @@ func TestClaimParkedClaimer(t *testing.T) {
 // break that attempt from inside the claimer's find, once, while the head
 // says "linking, slot 0". The operation must restart, find its own claim and
 // finish the splice rather than walk away from it.
-func claimRestart(t *testing.T, m *Map[int64], interrupt func(visited *Node[int64])) {
+func claimRestart(t *testing.T, m *Map[int64], hs []*Handle[int64], interrupt func(visited *Node[int64])) {
 	t.Helper()
 	// Bucket 0's keys sort before bucket 1's head, so the claimer's find from
 	// head 0 walks over them.
 	for _, k := range keysOfBucket(0, 2, 0, 6) {
-		m.Insert(0, k, k)
+		hs[0].Insert(k, k)
 	}
 	head := m.headOf(1)
 	if head.kind() != kindUnclaimed {
@@ -143,7 +145,7 @@ func claimRestart(t *testing.T, m *Map[int64], interrupt func(visited *Node[int6
 	})
 	before := m.Stats()
 	key := keysOfBucket(1, 2, 0, 1)[0]
-	if !m.Insert(0, key, key) {
+	if !hs[0].Insert(key, key) {
 		t.Fatalf("Insert(%d) failed", key)
 	}
 	after := m.Stats()
@@ -157,7 +159,7 @@ func claimRestart(t *testing.T, m *Map[int64], interrupt func(visited *Node[int6
 		t.Fatalf("restarted claimer abandoned its claim: meta %#x, dummies %d -> %d",
 			head.meta.Load(), before.Dummies, after.Dummies)
 	}
-	if v, ok := m.Get(0, key); !ok || v != key {
+	if v, ok := hs[0].Get(key); !ok || v != key {
 		t.Fatalf("Get(%d) = %d, %v", key, v, ok)
 	}
 	if err := m.Validate(); err != nil {
@@ -169,8 +171,9 @@ func claimRestart(t *testing.T, m *Map[int64], interrupt func(visited *Node[int6
 // (the node it stands on is deleted by another slot).
 func TestClaimRestartHP(t *testing.T) {
 	m := buildMap(t, recordmgr.SchemeHP, 2, WithInitialBuckets(2), WithMaxBuckets(2))
-	claimRestart(t, m, func(visited *Node[int64]) {
-		if !m.Delete(1, visited.key) {
+	hs := reclaimtest.AcquireSlots(2, m.AcquireHandle)
+	claimRestart(t, m, hs, func(visited *Node[int64]) {
+		if !hs[1].Delete(visited.key) {
 			t.Errorf("Delete(%d) under the claimer failed", visited.key)
 		}
 	})
@@ -186,7 +189,7 @@ func TestClaimRestartNeutralized(t *testing.T) {
 	dom := neutralize.NewDomain(n)
 	mgr := core.NewRecordManager[rec](alloc, pl, debraplus.New[rec](n, pl, debraplus.WithDomain(dom)))
 	m := New[int64](mgr, n, WithInitialBuckets(2), WithMaxBuckets(2))
-	claimRestart(t, m, func(*Node[int64]) { dom.Signal(0) })
+	claimRestart(t, m, reclaimtest.AcquireSlots(n, m.AcquireHandle), func(*Node[int64]) { dom.Signal(0) })
 }
 
 // unlinkFixture is a one-bucket map, a victim in the middle of its chain, and
@@ -194,9 +197,9 @@ func TestClaimRestartNeutralized(t *testing.T) {
 // has slot 1 insert a key directly in front of it. The mark then succeeds and
 // the CAS on the predecessor that would have unlinked (or replaced) the
 // victim loses.
-func unlinkFixture(t *testing.T, scheme string) (m *Map[int64], victim int64, fired *bool) {
+func unlinkFixture(t *testing.T, scheme string) (m *Map[int64], hs []*Handle[int64], victim int64, fired *bool) {
 	t.Helper()
-	m = oneBucketMap(t, scheme, 2)
+	m, hs = oneBucketMap(t, scheme, 2)
 	keys := chain(m)
 	pred, n := nodeOf(m, keys[2]), nodeOf(m, keys[3])
 	succ := step(n)
@@ -221,11 +224,11 @@ func unlinkFixture(t *testing.T, scheme string) (m *Map[int64], victim int64, fi
 			return
 		}
 		*fired = true
-		if !m.Insert(1, wedge, wedge*10) {
+		if !hs[1].Insert(wedge, wedge*10) {
 			t.Errorf("Insert(%d) in front of the victim failed", wedge)
 		}
 	})
-	return m, keys[3], fired
+	return m, hs, keys[3], fired
 }
 
 // TestUnlinkBeforeDeleteReturns: a Delete whose own unlink CAS lost does not
@@ -233,8 +236,8 @@ func unlinkFixture(t *testing.T, scheme string) (m *Map[int64], victim int64, fi
 func TestUnlinkBeforeDeleteReturns(t *testing.T) {
 	for _, scheme := range recordmgr.Schemes() {
 		t.Run(scheme, func(t *testing.T) {
-			m, victim, fired := unlinkFixture(t, scheme)
-			if !m.Delete(0, victim) {
+			m, hs, victim, fired := unlinkFixture(t, scheme)
+			if !hs[0].Delete(victim) {
 				t.Fatal("Delete failed")
 			}
 			if !*fired {
@@ -243,7 +246,7 @@ func TestUnlinkBeforeDeleteReturns(t *testing.T) {
 			if linked(m, victim) {
 				t.Fatal("Delete returned with its victim still linked")
 			}
-			if _, ok := m.Get(1, victim); ok {
+			if _, ok := hs[1].Get(victim); ok {
 				t.Fatal("Get after Delete returned sees the key")
 			}
 			if err := m.Validate(); err != nil {
@@ -259,9 +262,9 @@ func TestUnlinkBeforeDeleteReturns(t *testing.T) {
 func TestUnlinkBeforeUpsertReturns(t *testing.T) {
 	for _, scheme := range recordmgr.Schemes() {
 		t.Run(scheme, func(t *testing.T) {
-			m, victim, fired := unlinkFixture(t, scheme)
+			m, hs, victim, fired := unlinkFixture(t, scheme)
 			old := nodeOf(m, victim)
-			if prev, replaced := m.Upsert(0, victim, -1); !replaced || prev != victim*10 {
+			if prev, replaced := hs[0].Upsert(victim, -1); !replaced || prev != victim*10 {
 				t.Fatalf("Upsert = %d, %v", prev, replaced)
 			}
 			if !*fired {
@@ -270,7 +273,7 @@ func TestUnlinkBeforeUpsertReturns(t *testing.T) {
 			if n := nodeOf(m, victim); n == old || n == nil {
 				t.Fatalf("Upsert returned with the old node linked (%v) or no node at all", n == old)
 			}
-			if v, ok := m.Get(1, victim); !ok || v != -1 {
+			if v, ok := hs[1].Get(victim); !ok || v != -1 {
 				t.Fatalf("Get after Upsert returned = %d, %v", v, ok)
 			}
 			if m.Len() != m.Count() {
@@ -299,7 +302,7 @@ func TestUnlinkOrdersGetAfterUpdate(t *testing.T) {
 	}
 	for _, scheme := range epochSchemes {
 		t.Run(scheme, func(t *testing.T) {
-			m := oneBucketMap(t, scheme, 4)
+			m, hs := oneBucketMap(t, scheme, 4)
 			keys := chain(m)
 			neighbour, key := keys[2], keys[3]
 			var floor atomic.Int64 // values below this were removed by calls that have returned
@@ -309,7 +312,7 @@ func TestUnlinkOrdersGetAfterUpdate(t *testing.T) {
 			go func() { // writer
 				defer wg.Done()
 				defer stop.Store(true)
-				update, read := m.Handle(0), m.Handle(3)
+				update, read := hs[0], hs[3]
 				for v := int64(1000); v < 1000+iters; v++ {
 					if v%4 == 0 {
 						update.Delete(key)
@@ -329,7 +332,7 @@ func TestUnlinkOrdersGetAfterUpdate(t *testing.T) {
 			}()
 			go func() { // neighbour churn
 				defer wg.Done()
-				h := m.Handle(1)
+				h := hs[1]
 				for !stop.Load() {
 					h.Delete(neighbour)
 					h.Insert(neighbour, neighbour*10)
@@ -337,7 +340,7 @@ func TestUnlinkOrdersGetAfterUpdate(t *testing.T) {
 			}()
 			go func() { // reader
 				defer wg.Done()
-				h := m.Handle(2)
+				h := hs[2]
 				for !stop.Load() {
 					lo := floor.Load()
 					if v, ok := h.Get(key); ok && v >= 1000 && v < lo {

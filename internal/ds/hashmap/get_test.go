@@ -3,20 +3,22 @@ package hashmap
 import (
 	"testing"
 
+	"repro/internal/reclaimtest"
 	"repro/internal/recordmgr"
 )
 
 // oneBucketMap builds a map that keeps every key in bucket 0's chain, so a
-// test can pick list neighbours.
-func oneBucketMap(t *testing.T, scheme string, threads int) *Map[int64] {
+// test can pick list neighbours, and returns it with a handle per slot.
+func oneBucketMap(t *testing.T, scheme string, threads int) (*Map[int64], []*Handle[int64]) {
 	t.Helper()
 	m := buildMap(t, scheme, threads, WithInitialBuckets(1), WithMaxBuckets(1))
+	hs := reclaimtest.AcquireSlots(threads, m.AcquireHandle)
 	for k := int64(1); k <= 8; k++ {
-		if !m.Insert(0, k, k*10) {
+		if !hs[0].Insert(k, k*10) {
 			t.Fatalf("insert %d failed", k)
 		}
 	}
-	return m
+	return m, hs
 }
 
 // chain returns the keys of the map in list (split) order.
@@ -43,9 +45,9 @@ func nodeOf(m *Map[int64], key int64) *Node[int64] {
 
 // markOnly marks key's node the way deleteBody does and stops there, as a
 // deleter that lost its unlink CAS and has not yet made its find pass would.
-func markOnly(m *Map[int64], key int64) {
+func markOnly(m *Map[int64], h *Handle[int64], key int64) {
 	n := nodeOf(m, key)
-	marker := m.Handle(0).rm.Allocate()
+	marker := h.rm.Allocate()
 	initMarker(marker, n.next.Load())
 	n.next.Store(marker)
 	m.count.Add(-1)
@@ -60,12 +62,12 @@ func markOnly(m *Map[int64], key int64) {
 func TestGetOnMarkedNode(t *testing.T) {
 	for _, scheme := range recordmgr.Schemes() {
 		t.Run(scheme, func(t *testing.T) {
-			m := oneBucketMap(t, scheme, 1)
+			m, hs := oneBucketMap(t, scheme, 1)
 			victim := chain(m)[3]
-			markOnly(m, victim)
+			markOnly(m, hs[0], victim)
 
 			before := m.Stats()
-			v, ok := m.Get(0, victim)
+			v, ok := hs[0].Get(victim)
 			after := m.Stats()
 			if m.perRecord {
 				if ok || after.Unlinks != before.Unlinks+1 || linked(m, victim) {
@@ -77,18 +79,18 @@ func TestGetOnMarkedNode(t *testing.T) {
 					v, ok, before, after, linked(m, victim))
 			}
 			for _, k := range chain(m) {
-				if v, ok := m.Get(0, k); !ok || v != k*10 {
+				if v, ok := hs[0].Get(k); !ok || v != k*10 {
 					t.Fatalf("Get(%d) = %d, %v beside a marked node", k, v, ok)
 				}
 			}
 			// The next update's find cleans up, and the structure is whole.
-			if m.Delete(0, victim) {
+			if hs[0].Delete(victim) {
 				t.Fatal("Delete of a marked key succeeded")
 			}
 			if linked(m, victim) {
 				t.Fatal("marked pair still linked after a mutating traversal")
 			}
-			if _, ok := m.Get(0, victim); ok {
+			if _, ok := hs[0].Get(victim); ok {
 				t.Fatal("unlinked key still readable")
 			}
 			if err := m.Validate(); err != nil {
@@ -105,7 +107,7 @@ func TestGetOnMarkedNode(t *testing.T) {
 func TestGetCrossesUnlinkedPairs(t *testing.T) {
 	for _, scheme := range epochSchemes {
 		t.Run(scheme, func(t *testing.T) {
-			m := oneBucketMap(t, scheme, 2)
+			m, hs := oneBucketMap(t, scheme, 2)
 			keys := chain(m)
 			a, b, target := keys[2], keys[3], keys[4]
 			fired := false
@@ -114,7 +116,7 @@ func TestGetCrossesUnlinkedPairs(t *testing.T) {
 					return
 				}
 				fired = true
-				if !m.Delete(1, a) || !m.Delete(1, b) {
+				if !hs[1].Delete(a) || !hs[1].Delete(b) {
 					t.Error("concurrent deletes failed")
 				}
 				if linked(m, a) || linked(m, b) {
@@ -122,7 +124,7 @@ func TestGetCrossesUnlinkedPairs(t *testing.T) {
 				}
 			})
 			before := m.Stats().Unlinks
-			if v, ok := m.Get(0, target); !ok || v != target*10 {
+			if v, ok := hs[0].Get(target); !ok || v != target*10 {
 				t.Fatalf("Get(%d) across two unlinked pairs = %d, %v", target, v, ok)
 			}
 			if !fired {
@@ -131,7 +133,7 @@ func TestGetCrossesUnlinkedPairs(t *testing.T) {
 			if got := m.Stats().Unlinks - before; got != 2 {
 				t.Fatalf("unlinks during the Get = %d, want the two deletes' own", got)
 			}
-			if m.Contains(0, a) || m.Contains(0, b) {
+			if hs[0].Contains(a) || hs[0].Contains(b) {
 				t.Fatal("deleted keys still readable")
 			}
 			if err := m.Validate(); err != nil {

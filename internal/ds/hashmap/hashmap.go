@@ -228,11 +228,10 @@ type Stats struct {
 	Dummies  int64
 }
 
-// Map is a lock-free hash map from int64 keys to values of type V. All
-// concurrent operations take the dense thread id of the calling worker,
-// which must be in [0, n) for the Record Manager the map was built with.
-// The whole int64 key range is usable (the split-ordered list needs no
-// sentinel keys).
+// Map is a lock-free hash map from int64 keys to values of type V.
+// Operations are issued through a Handle a goroutine acquires with
+// AcquireHandle. The whole int64 key range is usable (the split-ordered list
+// needs no sentinel keys).
 type Map[V any] struct {
 	mgr  *Manager[V]
 	head Node[V] // bucket 0's head: the head of the split-ordered list
@@ -262,10 +261,9 @@ type Map[V any] struct {
 }
 
 // New creates an empty map whose records are managed by mgr, for the given
-// number of worker threads (which must match the manager's). When the
-// manager has more worker slots than threads (recordmgr.Config.MaxThreads),
-// the per-thread tables cover every slot, so both binding styles — static
-// dense tids and AcquireHandle/ReleaseHandle — work.
+// number of worker threads. When the manager has more worker slots than
+// threads (recordmgr.Config.MaxThreads), the per-slot tables cover every
+// slot.
 func New[V any](mgr *Manager[V], threads int, opts ...Option) *Map[V] {
 	if mgr == nil {
 		panic("hashmap: New requires a RecordManager")
@@ -305,21 +303,14 @@ func New[V any](mgr *Manager[V], threads int, opts ...Option) *Map[V] {
 	h.size.Store(cfg.initialBuckets)
 	h.stats = make([]threadStats, threads)
 	h.handles = make([]Handle[V], threads)
-	for i := range h.handles {
-		// PeekHandle: prebuilding the table must not claim the slots, or
-		// nothing would remain acquirable and reclamation scans could never
-		// skip a vacant slot. Handle(tid) claims on first static use.
-		h.handles[i] = Handle[V]{h: h, rm: mgr.PeekHandle(i), spare: &h.spares[i], st: &h.stats[i], tid: i}
-	}
 	return h
 }
 
-// Handle is one worker thread's pre-resolved view of the map: the Record
-// Manager thread handle and the thread's scratch state bound once, so
-// steady-state operations index no per-thread slices and pay at most one
-// interface call per reclamation primitive. Resolve it once at worker
-// registration (h.Handle(tid)) and call the operation methods on it; the
-// tid-based Map methods remain as thin wrappers.
+// Handle is one worker slot's view of the map and the only way to operate on
+// it: the Record Manager thread handle and the slot's scratch state bound at
+// AcquireHandle, so steady-state operations index no per-thread slices and
+// pay at most one interface call per reclamation primitive. Acquire it once
+// per goroutine and call the operation methods on it.
 type Handle[V any] struct {
 	h     *Map[V]
 	rm    *core.ThreadHandle[Node[V]]
@@ -328,18 +319,9 @@ type Handle[V any] struct {
 	tid   int
 }
 
-// Handle returns thread tid's pre-resolved operation handle, claiming the
-// slot for static dense-tid wiring (see core.RecordManager.Handle; a slot a
-// thread operates on must be visible to reclamation scans). Goroutines that
-// come and go use AcquireHandle/ReleaseHandle instead.
-func (h *Map[V]) Handle(tid int) *Handle[V] {
-	h.mgr.Handle(tid)
-	return &h.handles[tid]
-}
-
 // AcquireHandle binds the calling goroutine to a vacant worker slot of the
-// map's Record Manager and returns the slot's operation handle (the dynamic
-// binding style). Release it with ReleaseHandle once the goroutine is done;
+// map's Record Manager and returns the slot's operation handle. Release it
+// with ReleaseHandle once the goroutine is done;
 // the slot — and everything cached under its tid — is then reused by later
 // acquirers.
 func (h *Map[V]) AcquireHandle() *Handle[V] {
@@ -358,7 +340,7 @@ func (h *Map[V]) TryAcquireHandle() (*Handle[V], bool) {
 	return h.bindHandle(rm), true
 }
 
-// bindHandle rebuilds the slot's pre-resolved handle for a fresh acquirer.
+// bindHandle builds the slot's operation handle for a fresh acquirer.
 func (h *Map[V]) bindHandle(rm *core.ThreadHandle[Node[V]]) *Handle[V] {
 	tid := rm.Tid()
 	h.handles[tid] = Handle[V]{h: h, rm: rm, spare: &h.spares[tid], st: &h.stats[tid], tid: tid}
@@ -710,11 +692,6 @@ const (
 // Insert adds key with the given value to the map. It returns true if the
 // key was inserted and false if it was already present (the value is not
 // replaced, matching the set semantics of the module's other structures).
-func (h *Map[V]) Insert(tid int, key int64, value V) bool {
-	return h.Handle(tid).Insert(key, value)
-}
-
-// Insert adds key with the given value through the thread's handle.
 func (hd *Handle[V]) Insert(key int64, value V) bool {
 	return hd.insertHashed(key, hashOf(key), value)
 }
@@ -748,7 +725,7 @@ func (h *Map[V]) insertBody(hd *Handle[V], key int64, hash uint64, value V, node
 	rm := hd.rm
 	published := false
 	if h.crashRecovery {
-		defer neutralize.OnNeutralized(h.mgr, hd.tid, func(neutralize.Neutralized) {
+		defer neutralize.OnNeutralized(hd.rm, func(neutralize.Neutralized) {
 			if published {
 				outcome = opTrue
 			} else {
@@ -788,9 +765,6 @@ func (h *Map[V]) insertBody(hd *Handle[V], key int64, hash uint64, value V, node
 }
 
 // Delete removes key from the map, returning true if it was present.
-func (h *Map[V]) Delete(tid int, key int64) bool { return h.Handle(tid).Delete(key) }
-
-// Delete removes key through the thread's handle.
 func (hd *Handle[V]) Delete(key int64) bool { return hd.deleteHashed(key, hashOf(key)) }
 
 func (hd *Handle[V]) deleteHashed(key int64, hash uint64) bool {
@@ -837,7 +811,7 @@ func (h *Map[V]) deleteBody(hd *Handle[V], key int64, hash uint64, marker *Node[
 	rm := hd.rm
 	marked := false
 	if h.crashRecovery {
-		defer neutralize.OnNeutralized(h.mgr, hd.tid, func(neutralize.Neutralized) {
+		defer neutralize.OnNeutralized(hd.rm, func(neutralize.Neutralized) {
 			if marked {
 				// The named unlinked pair (set before EnterQstate) rides
 				// out through the named returns.
@@ -950,11 +924,6 @@ const (
 // does the replacement fall apart into a Delete — complete when the retry's
 // find has unlinked the old node — followed by an Insert, and only then can a
 // concurrent reader observe the key absent in between.
-func (h *Map[V]) Upsert(tid int, key int64, value V) (prev V, replaced bool) {
-	return h.Handle(tid).Upsert(key, value)
-}
-
-// Upsert sets key to value through the thread's handle (see Map.Upsert).
 func (hd *Handle[V]) Upsert(key int64, value V) (prev V, replaced bool) {
 	return hd.upsertHashed(key, hashOf(key), value)
 }
@@ -1005,7 +974,7 @@ func (h *Map[V]) upsertBody(hd *Handle[V], key int64, hash uint64, value V, node
 	published := false
 	marked := false
 	if h.crashRecovery {
-		defer neutralize.OnNeutralized(h.mgr, hd.tid, func(neutralize.Neutralized) {
+		defer neutralize.OnNeutralized(hd.rm, func(neutralize.Neutralized) {
 			switch {
 			case published && marked:
 				outcome = opUpsertReplaced // unlinked pair rides the named returns
@@ -1112,9 +1081,6 @@ func (h *Map[V]) upsertBody(hd *Handle[V], key int64, hash uint64, value V, node
 }
 
 // Get returns the value associated with key and whether it is present.
-func (h *Map[V]) Get(tid int, key int64) (V, bool) { return h.Handle(tid).Get(key) }
-
-// Get returns the value associated with key through the thread's handle.
 func (hd *Handle[V]) Get(key int64) (V, bool) { return hd.getHashed(key, hashOf(key)) }
 
 func (hd *Handle[V]) getHashed(key int64, hash uint64) (V, bool) {
@@ -1142,7 +1108,7 @@ func (hd *Handle[V]) getHashed(key int64, hash uint64) (V, bool) {
 func (h *Map[V]) lookupBody(hd *Handle[V], key int64, hash uint64) (val V, found, done bool) {
 	rm := hd.rm
 	if h.crashRecovery {
-		defer neutralize.OnNeutralized(h.mgr, hd.tid, func(neutralize.Neutralized) {
+		defer neutralize.OnNeutralized(hd.rm, func(neutralize.Neutralized) {
 			var zero V
 			val, found, done = zero, false, false
 		})
@@ -1169,7 +1135,7 @@ func (h *Map[V]) lookupBody(hd *Handle[V], key int64, hash uint64) (val V, found
 func (h *Map[V]) findBody(hd *Handle[V], key int64, hash uint64) (val V, found, done bool) {
 	rm := hd.rm
 	if h.crashRecovery {
-		defer neutralize.OnNeutralized(h.mgr, hd.tid, func(neutralize.Neutralized) {
+		defer neutralize.OnNeutralized(hd.rm, func(neutralize.Neutralized) {
 			var zero V
 			val, found, done = zero, false, false
 		})
@@ -1223,9 +1189,6 @@ func (h *Map[V]) lookup(hd *Handle[V], start *Node[V], sokey uint64, key int64) 
 }
 
 // Contains reports whether key is in the map.
-func (h *Map[V]) Contains(tid int, key int64) bool { return h.Handle(tid).Contains(key) }
-
-// Contains reports whether key is in the map through the thread's handle.
 func (hd *Handle[V]) Contains(key int64) bool {
 	_, ok := hd.Get(key)
 	return ok

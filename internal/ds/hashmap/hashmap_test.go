@@ -41,13 +41,14 @@ func newMap(t testing.TB, scheme string, threads int, opts ...hashmap.Option) *h
 
 func TestEmptyMap(t *testing.T) {
 	m := newMap(t, recordmgr.SchemeDEBRA, 1)
-	if m.Contains(0, 42) {
+	hs := reclaimtest.AcquireSlots(1, m.AcquireHandle)
+	if hs[0].Contains(42) {
 		t.Fatal("empty map claims to contain a key")
 	}
-	if m.Delete(0, 42) {
+	if hs[0].Delete(42) {
 		t.Fatal("empty map deleted a key")
 	}
-	if _, ok := m.Get(0, 42); ok {
+	if _, ok := hs[0].Get(42); ok {
 		t.Fatal("empty map returned a value")
 	}
 	if m.Len() != 0 || m.Count() != 0 {
@@ -62,29 +63,30 @@ func TestInsertGetDelete(t *testing.T) {
 	for _, scheme := range allSchemes() {
 		t.Run(scheme, func(t *testing.T) {
 			m := newMap(t, scheme, 1)
-			if !m.Insert(0, 1, 100) {
+			hs := reclaimtest.AcquireSlots(1, m.AcquireHandle)
+			if !hs[0].Insert(1, 100) {
 				t.Fatal("first insert failed")
 			}
-			if m.Insert(0, 1, 200) {
+			if hs[0].Insert(1, 200) {
 				t.Fatal("duplicate insert succeeded")
 			}
-			if v, ok := m.Get(0, 1); !ok || v != 100 {
+			if v, ok := hs[0].Get(1); !ok || v != 100 {
 				t.Fatalf("Get(1) = %d,%v want 100,true (duplicate insert must not replace)", v, ok)
 			}
-			if !m.Delete(0, 1) {
+			if !hs[0].Delete(1) {
 				t.Fatal("delete of present key failed")
 			}
-			if m.Delete(0, 1) {
+			if hs[0].Delete(1) {
 				t.Fatal("delete of absent key succeeded")
 			}
-			if m.Contains(0, 1) {
+			if hs[0].Contains(1) {
 				t.Fatal("deleted key still present")
 			}
 			// Reinsertion after delete recycles through the pool.
-			if !m.Insert(0, 1, 300) {
+			if !hs[0].Insert(1, 300) {
 				t.Fatal("reinsert failed")
 			}
-			if v, _ := m.Get(0, 1); v != 300 {
+			if v, _ := hs[0].Get(1); v != 300 {
 				t.Fatalf("reinserted value = %d want 300", v)
 			}
 			if err := m.Validate(); err != nil {
@@ -98,14 +100,15 @@ func TestFullKeyRange(t *testing.T) {
 	// The split-ordered list needs no sentinel keys: the extremes of int64
 	// are usable, including negatives.
 	m := newMap(t, recordmgr.SchemeDEBRA, 1)
+	hs := reclaimtest.AcquireSlots(1, m.AcquireHandle)
 	keys := []int64{0, -1, 1, 1<<63 - 1, -1 << 63, 1234567890123456789}
 	for _, k := range keys {
-		if !m.Insert(0, k, k) {
+		if !hs[0].Insert(k, k) {
 			t.Fatalf("insert %d failed", k)
 		}
 	}
 	for _, k := range keys {
-		if v, ok := m.Get(0, k); !ok || v != k {
+		if v, ok := hs[0].Get(k); !ok || v != k {
 			t.Fatalf("Get(%d) = %d,%v", k, v, ok)
 		}
 	}
@@ -121,9 +124,10 @@ func TestResizeGrowth(t *testing.T) {
 	for _, scheme := range allSchemes() {
 		t.Run(scheme, func(t *testing.T) {
 			m := newMap(t, scheme, 1, hashmap.WithInitialBuckets(2), hashmap.WithMaxLoad(2))
+			hs := reclaimtest.AcquireSlots(1, m.AcquireHandle)
 			const n = 2000
 			for i := int64(0); i < n; i++ {
-				if !m.Insert(0, i, i*10) {
+				if !hs[0].Insert(i, i*10) {
 					t.Fatalf("insert %d failed", i)
 				}
 			}
@@ -134,7 +138,7 @@ func TestResizeGrowth(t *testing.T) {
 				t.Fatalf("expected resizes and dummy splices, got %+v", s)
 			}
 			for i := int64(0); i < n; i++ {
-				if v, ok := m.Get(0, i); !ok || v != i*10 {
+				if v, ok := hs[0].Get(i); !ok || v != i*10 {
 					t.Fatalf("after resize Get(%d) = %d,%v", i, v, ok)
 				}
 			}
@@ -155,30 +159,32 @@ func TestGrowPatience(t *testing.T) {
 	const size, full, patience = 64, hashmap.DefaultMaxLoad * 64, hashmap.DefaultMaxLoad * 64 / 64
 	t.Run("climbing", func(t *testing.T) {
 		m := newMap(t, recordmgr.SchemeDEBRA, 1, hashmap.WithInitialBuckets(size))
+		hs := reclaimtest.AcquireSlots(1, m.AcquireHandle)
 		for key := int64(0); key < full+patience; key++ {
-			m.Insert(0, key, key)
+			hs[0].Insert(key, key)
 		}
 		if got := m.Buckets(); got != size {
 			t.Fatalf("%d keys in %d buckets: doubled before its patience ran out", m.Count(), got)
 		}
-		m.Insert(0, full+patience, 0)
+		hs[0].Insert(full+patience, 0)
 		if got := m.Buckets(); got != 2*size {
 			t.Fatalf("%d keys in %d buckets: did not double", m.Count(), got)
 		}
 	})
 	t.Run("hovering", func(t *testing.T) {
 		m := newMap(t, recordmgr.SchemeDEBRA, 1, hashmap.WithInitialBuckets(size))
+		hs := reclaimtest.AcquireSlots(1, m.AcquireHandle)
 		for key := int64(0); key < full; key++ {
-			m.Insert(0, key, key)
+			hs[0].Insert(key, key)
 		}
 		for i := 0; i < patience; i++ { // full+1 keys and back, again and again
-			m.Insert(0, full, 0)
-			m.Delete(0, full)
+			hs[0].Insert(full, 0)
+			hs[0].Delete(full)
 		}
 		if got := m.Buckets(); got != size {
 			t.Fatalf("%d keys in %d buckets: doubled before its patience ran out", m.Count(), got)
 		}
-		m.Insert(0, full, 0)
+		hs[0].Insert(full, 0)
 		if got := m.Buckets(); got != 2*size {
 			t.Fatalf("%d keys in %d buckets: did not double", m.Count(), got)
 		}
@@ -188,8 +194,9 @@ func TestGrowPatience(t *testing.T) {
 func TestMaxBucketsCap(t *testing.T) {
 	m := newMap(t, recordmgr.SchemeNone, 1,
 		hashmap.WithInitialBuckets(2), hashmap.WithMaxLoad(1), hashmap.WithMaxBuckets(4))
+	hs := reclaimtest.AcquireSlots(1, m.AcquireHandle)
 	for i := int64(0); i < 200; i++ {
-		m.Insert(0, i, i)
+		hs[0].Insert(i, i)
 	}
 	if got := m.Buckets(); got > 4 {
 		t.Fatalf("table grew past the cap: %d buckets", got)
@@ -201,13 +208,14 @@ func TestMaxBucketsCap(t *testing.T) {
 
 func TestForEachAndLen(t *testing.T) {
 	m := newMap(t, recordmgr.SchemeEBR, 1)
+	hs := reclaimtest.AcquireSlots(1, m.AcquireHandle)
 	want := map[int64]int64{}
 	for i := int64(0); i < 300; i++ {
-		m.Insert(0, i, i*i)
+		hs[0].Insert(i, i*i)
 		want[i] = i * i
 	}
 	for i := int64(0); i < 300; i += 3 {
-		m.Delete(0, i)
+		hs[0].Delete(i)
 		delete(want, i)
 	}
 	got := map[int64]int64{}
@@ -238,6 +246,7 @@ func TestAgainstModelSequential(t *testing.T) {
 	for _, scheme := range allSchemes() {
 		t.Run(scheme, func(t *testing.T) {
 			m := newMap(t, scheme, 1, hashmap.WithInitialBuckets(2), hashmap.WithMaxLoad(2))
+			hs := reclaimtest.AcquireSlots(1, m.AcquireHandle)
 			model := map[int64]int64{}
 			rng := rand.New(rand.NewSource(7))
 			for i := 0; i < 20000; i++ {
@@ -245,19 +254,19 @@ func TestAgainstModelSequential(t *testing.T) {
 				switch rng.Intn(3) {
 				case 0:
 					_, present := model[key]
-					if m.Insert(0, key, key) == present {
+					if hs[0].Insert(key, key) == present {
 						t.Fatalf("op %d: Insert(%d) disagrees with model (present=%v)", i, key, present)
 					}
 					model[key] = key
 				case 1:
 					_, present := model[key]
-					if m.Delete(0, key) != present {
+					if hs[0].Delete(key) != present {
 						t.Fatalf("op %d: Delete(%d) disagrees with model (present=%v)", i, key, present)
 					}
 					delete(model, key)
 				default:
 					_, present := model[key]
-					if m.Contains(0, key) != present {
+					if hs[0].Contains(key) != present {
 						t.Fatalf("op %d: Contains(%d) disagrees with model (present=%v)", i, key, present)
 					}
 				}
@@ -274,12 +283,19 @@ func TestAgainstModelSequential(t *testing.T) {
 
 // --- reclaimtest wiring: poison-sink safety harness under every scheme ------
 
-// setAdapter adapts Map to the reclaimtest.Set surface.
-type setAdapter struct{ m *hashmap.Map[int64] }
+// mapWorker adapts an acquired hashmap.Handle to the reclaimtest.Worker
+// surface.
+type mapWorker struct{ h *hashmap.Handle[int64] }
 
-func (s setAdapter) Insert(tid int, key int64) bool   { return s.m.Insert(tid, key, key) }
-func (s setAdapter) Delete(tid int, key int64) bool   { return s.m.Delete(tid, key) }
-func (s setAdapter) Contains(tid int, key int64) bool { return s.m.Contains(tid, key) }
+func (w mapWorker) Insert(key int64) bool   { return w.h.Insert(key, key) }
+func (w mapWorker) Delete(key int64) bool   { return w.h.Delete(key) }
+func (w mapWorker) Contains(key int64) bool { return w.h.Contains(key) }
+func (w mapWorker) Release()                { w.h.Map().ReleaseHandle(w.h) }
+
+// acquireMapWorker is the SetUnderTest.AcquireWorker of a map.
+func acquireMapWorker(m *hashmap.Map[int64]) func() reclaimtest.Worker {
+	return func() reclaimtest.Worker { return mapWorker{m.AcquireHandle()} }
+}
 
 // poisonedMapFactory builds a map whose pool poisons freed records and whose
 // visit hook counts observations of poisoned records, for the given
@@ -317,11 +333,11 @@ func poisonedBatchedMapFactory(batch int, newReclaimer func(n int, sink core.Fre
 			}
 		})
 		return reclaimtest.SetUnderTest{
-			Set:         setAdapter{m},
-			Violations:  violations.Load,
-			DoubleFrees: pp.DoubleFrees,
-			Stats:       rcl.Stats,
-			Validate:    m.Validate,
+			AcquireWorker: acquireMapWorker(m),
+			Violations:    violations.Load,
+			DoubleFrees:   pp.DoubleFrees,
+			Stats:         rcl.Stats,
+			Validate:      m.Validate,
 		}
 	}
 }
@@ -354,27 +370,15 @@ func poisonedAsyncMapFactory(t *testing.T, scheme string, reclaimers int, spec c
 			}
 		})
 		return reclaimtest.SetUnderTest{
-			Set:         setAdapter{m},
-			Violations:  violations.Load,
-			DoubleFrees: pp.DoubleFrees,
-			Stats:       rcl.Stats,
-			Validate:    m.Validate,
-			Close:       mgr.Close,
+			AcquireWorker: acquireMapWorker(m),
+			Violations:    violations.Load,
+			DoubleFrees:   pp.DoubleFrees,
+			Stats:         rcl.Stats,
+			Validate:      m.Validate,
+			Close:         mgr.Close,
 		}
 	}
 }
-
-// churnMapWorker adapts an acquired hashmap.Handle to the
-// reclaimtest.ChurnWorker surface.
-type churnMapWorker struct {
-	m *hashmap.Map[int64]
-	h *hashmap.Handle[int64]
-}
-
-func (w churnMapWorker) Insert(key int64) bool   { return w.h.Insert(key, key) }
-func (w churnMapWorker) Delete(key int64) bool   { return w.h.Delete(key) }
-func (w churnMapWorker) Contains(key int64) bool { return w.h.Contains(key) }
-func (w churnMapWorker) Release()                { w.m.ReleaseHandle(w.h) }
 
 // poisonedChurnMapFactory builds a poison-instrumented map whose Record
 // Manager has more worker slots than stress goroutines (MaxThreads-style
@@ -403,8 +407,7 @@ func poisonedChurnMapFactory(t *testing.T, scheme string, spec core.ShardSpec) r
 			}
 		})
 		return reclaimtest.SetUnderTest{
-			Set:           setAdapter{m},
-			AcquireWorker: func() reclaimtest.ChurnWorker { return churnMapWorker{m: m, h: m.AcquireHandle()} },
+			AcquireWorker: acquireMapWorker(m),
 			Violations:    violations.Load,
 			DoubleFrees:   pp.DoubleFrees,
 			Stats:         rcl.Stats,
@@ -605,6 +608,7 @@ func TestConcurrentChurn(t *testing.T) {
 	for _, scheme := range allSchemes() {
 		t.Run(scheme, func(t *testing.T) {
 			m := newMap(t, scheme, threads, hashmap.WithInitialBuckets(2), hashmap.WithMaxLoad(2))
+			hs := reclaimtest.AcquireSlots(threads, m.AcquireHandle)
 			var wg sync.WaitGroup
 			for tid := 0; tid < threads; tid++ {
 				wg.Add(1)
@@ -614,17 +618,17 @@ func TestConcurrentChurn(t *testing.T) {
 					// Insert a private band, churn a shared band, then
 					// delete every other private key.
 					for i := int64(0); i < iters; i++ {
-						if !m.Insert(tid, base+i, base+i) {
+						if !hs[tid].Insert(base+i, base+i) {
 							t.Errorf("tid %d: insert %d failed", tid, base+i)
 							return
 						}
 						shared := -1 - (i % 97) // negative: disjoint from bands
-						m.Insert(tid, shared, shared)
-						m.Contains(tid, shared)
-						m.Delete(tid, shared)
+						hs[tid].Insert(shared, shared)
+						hs[tid].Contains(shared)
+						hs[tid].Delete(shared)
 					}
 					for i := int64(0); i < iters; i += 2 {
-						if !m.Delete(tid, base+i) {
+						if !hs[tid].Delete(base + i) {
 							t.Errorf("tid %d: delete %d failed", tid, base+i)
 							return
 						}
@@ -639,11 +643,11 @@ func TestConcurrentChurn(t *testing.T) {
 			for tid := 0; tid < threads; tid++ {
 				base := int64(tid) * iters
 				for i := int64(1); i < iters; i += 2 {
-					if !m.Contains(0, base+i) {
+					if !hs[0].Contains(base + i) {
 						t.Fatalf("surviving key %d missing", base+i)
 					}
 				}
-				if m.Contains(0, base) {
+				if hs[0].Contains(base) {
 					t.Fatalf("deleted key %d still present", base)
 				}
 			}
@@ -662,9 +666,10 @@ func TestConcurrentChurn(t *testing.T) {
 func TestConcurrentReaders(t *testing.T) {
 	threads := 4
 	m := newMap(t, recordmgr.SchemeHP, threads, hashmap.WithInitialBuckets(4))
+	hs := reclaimtest.AcquireSlots(threads, m.AcquireHandle)
 	const keys = 128
 	for i := int64(0); i < keys; i++ {
-		m.Insert(0, i, i)
+		hs[0].Insert(i, i)
 	}
 	var stop atomic.Bool
 	var wg sync.WaitGroup
@@ -675,8 +680,8 @@ func TestConcurrentReaders(t *testing.T) {
 		rng := rand.New(rand.NewSource(1))
 		for !stop.Load() {
 			k := rng.Int63n(keys)
-			if !m.Delete(0, k) {
-				m.Insert(0, k, k)
+			if !hs[0].Delete(k) {
+				hs[0].Insert(k, k)
 			}
 		}
 	}()
@@ -687,7 +692,7 @@ func TestConcurrentReaders(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(tid)))
 			for !stop.Load() {
 				k := rng.Int63n(keys)
-				if v, ok := m.Get(tid, k); ok && v != k {
+				if v, ok := hs[tid].Get(k); ok && v != k {
 					t.Errorf("Get(%d) returned foreign value %d", k, v)
 					return
 				}
@@ -705,6 +710,7 @@ func TestUpsertSequential(t *testing.T) {
 	for _, scheme := range allSchemes() {
 		t.Run(scheme, func(t *testing.T) {
 			m := newMap(t, scheme, 1, hashmap.WithInitialBuckets(2), hashmap.WithMaxLoad(2))
+			hs := reclaimtest.AcquireSlots(1, m.AcquireHandle)
 			model := map[int64]int64{}
 			rng := rand.New(rand.NewSource(11))
 			for i := 0; i < 10000; i++ {
@@ -712,20 +718,20 @@ func TestUpsertSequential(t *testing.T) {
 				switch rng.Intn(4) {
 				case 0:
 					want, present := model[key]
-					prev, replaced := m.Upsert(0, key, int64(i))
+					prev, replaced := hs[0].Upsert(key, int64(i))
 					if replaced != present || (present && prev != want) {
 						t.Fatalf("op %d: Upsert(%d) = (%d,%v), model (%d,%v)", i, key, prev, replaced, want, present)
 					}
 					model[key] = int64(i)
 				case 1:
 					_, present := model[key]
-					if m.Delete(0, key) != present {
+					if hs[0].Delete(key) != present {
 						t.Fatalf("op %d: Delete(%d) disagrees with model", i, key)
 					}
 					delete(model, key)
 				case 2:
 					_, present := model[key]
-					if m.Insert(0, key, int64(i)) == present {
+					if hs[0].Insert(key, int64(i)) == present {
 						t.Fatalf("op %d: Insert(%d) disagrees with model", i, key)
 					}
 					if !present {
@@ -733,7 +739,7 @@ func TestUpsertSequential(t *testing.T) {
 					}
 				default:
 					want, present := model[key]
-					got, ok := m.Get(0, key)
+					got, ok := hs[0].Get(key)
 					if ok != present || (present && got != want) {
 						t.Fatalf("op %d: Get(%d) = (%d,%v), model (%d,%v)", i, key, got, ok, want, present)
 					}
@@ -763,6 +769,7 @@ func TestUpsertConcurrent(t *testing.T) {
 	for _, scheme := range allSchemes() {
 		t.Run(scheme, func(t *testing.T) {
 			m := newMap(t, scheme, threads, hashmap.WithInitialBuckets(2), hashmap.WithMaxLoad(2))
+			hs := reclaimtest.AcquireSlots(threads, m.AcquireHandle)
 			var wg sync.WaitGroup
 			for tid := 0; tid < threads; tid++ {
 				wg.Add(1)
@@ -772,14 +779,14 @@ func TestUpsertConcurrent(t *testing.T) {
 					for i := int64(0); i < iters; i++ {
 						key := rng.Int63n(keys)
 						if rng.Intn(4) == 0 {
-							if v, ok := m.Get(tid, key); ok && v%keys != key {
+							if v, ok := hs[tid].Get(key); ok && v%keys != key {
 								t.Errorf("Get(%d) observed value %d written for key %d", key, v, v%keys)
 								return
 							}
 						} else {
 							// value encodes the key so readers can detect
 							// cross-key corruption.
-							m.Upsert(tid, key, key+keys*(int64(tid)*iters+i))
+							hs[tid].Upsert(key, key+keys*(int64(tid)*iters+i))
 						}
 					}
 				}(tid)
@@ -830,12 +837,14 @@ func BenchmarkMapSequential(b *testing.B) {
 				Scheme: scheme, Threads: 1, UsePool: true,
 			})
 			m := hashmap.New(mgr, 1)
+			h := m.AcquireHandle()
+			defer m.ReleaseHandle(h)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				k := int64(i % 4096)
-				m.Insert(0, k, k)
-				m.Contains(0, k)
-				m.Delete(0, k)
+				h.Insert(k, k)
+				h.Contains(k)
+				h.Delete(k)
 			}
 		})
 	}

@@ -131,9 +131,9 @@ func (pm *Partitioned[V]) ManagerStats() core.ManagerStats {
 }
 
 // Close shuts every partition's reclamation pipeline down (see
-// core.RecordManager.Close): every handle must have been released and every
-// statically wired thread quiesced first. After Close, Retired == Freed
-// holds per partition for every reclaiming scheme.
+// core.RecordManager.Close): every handle must have been released (or its
+// goroutine quiesced and joined) first. After Close, Retired == Freed holds
+// per partition for every reclaiming scheme.
 func (pm *Partitioned[V]) Close() {
 	for _, m := range pm.parts {
 		m.Manager().Close()
@@ -171,8 +171,8 @@ func (pm *Partitioned[V]) NewHandle() *PartitionedHandle[V] {
 }
 
 // Acquire binds the calling goroutine to a vacant worker slot in every
-// partition (the dynamic binding style, per partition). Panics when any
-// partition's slots are exhausted; use TryAcquire to back off instead.
+// partition. Panics when any partition's slots are exhausted; use TryAcquire
+// to back off instead.
 func (h *PartitionedHandle[V]) Acquire() {
 	if !h.TryAcquire() {
 		panic("hashmap: PartitionedHandle.Acquire: a partition's worker slots are exhausted (raise MaxThreads)")
@@ -249,7 +249,7 @@ func (h *PartitionedHandle[V]) Contains(key int64) bool {
 }
 
 // Insert adds key with the given value, returning false if it was already
-// present (set semantics, like Map.Insert).
+// present (set semantics, like Handle.Insert).
 func (h *PartitionedHandle[V]) Insert(key int64, value V) bool {
 	hash := hashOf(key)
 	return h.hs[route(hash, len(h.hs))].insertHashed(key, hash, value)
@@ -262,7 +262,7 @@ func (h *PartitionedHandle[V]) Delete(key int64) bool {
 }
 
 // Upsert sets key to value, returning the previous value and whether the key
-// was present (see Map.Upsert for the replace protocol).
+// was present (see Handle.Upsert for the replace protocol).
 func (h *PartitionedHandle[V]) Upsert(key int64, value V) (V, bool) {
 	hash := hashOf(key)
 	return h.hs[route(hash, len(h.hs))].upsertHashed(key, hash, value)

@@ -74,7 +74,9 @@ func New[V any](mgr *Manager[V]) *Queue[V] {
 		perRecord:     mgr.NeedsPerRecordProtection(),
 		crashRecovery: mgr.SupportsCrashRecovery(),
 	}
-	dummy := mgr.Allocate(0)
+	// The pool is empty before the first free, so the initial dummy comes
+	// straight from the allocator (slot 0, before any goroutine holds it).
+	dummy := mgr.Allocator().Allocate(0)
 	var zero V
 	dummy.value = zero
 	dummy.next.Store(nil)
@@ -86,28 +88,20 @@ func New[V any](mgr *Manager[V]) *Queue[V] {
 // Manager returns the queue's Record Manager.
 func (q *Queue[V]) Manager() *Manager[V] { return q.mgr }
 
-// Handle is one worker thread's pre-resolved view of the queue: the Record
-// Manager thread handle bound once, so steady-state operations index no
-// per-thread slices and pay at most one interface call per reclamation
-// primitive. It is a small value type — resolve it once at worker
-// registration and reuse it; the tid-based Queue methods remain as thin
-// wrappers.
+// Handle is one worker slot's view of the queue and the only way to operate
+// on it: the Record Manager thread handle bound at AcquireHandle, so
+// steady-state operations index no per-thread slices and pay at most one
+// interface call per reclamation primitive. It is a small value type —
+// acquire it once per goroutine and reuse it.
 type Handle[V any] struct {
 	q   *Queue[V]
 	rm  *core.ThreadHandle[Node[V]]
 	tid int
 }
 
-// Handle returns thread tid's pre-resolved operation handle, claiming the
-// slot for static dense-tid wiring (core.RecordManager.Handle does the
-// claim). Goroutines that come and go use AcquireHandle/ReleaseHandle.
-func (q *Queue[V]) Handle(tid int) Handle[V] {
-	return Handle[V]{q: q, rm: q.mgr.Handle(tid), tid: tid}
-}
-
 // AcquireHandle binds the calling goroutine to a vacant worker slot of the
-// queue's Record Manager and returns the slot's operation handle (the
-// dynamic binding style); release it with ReleaseHandle.
+// queue's Record Manager and returns the slot's operation handle; release it
+// with ReleaseHandle.
 func (q *Queue[V]) AcquireHandle() Handle[V] {
 	rm := q.mgr.AcquireHandle()
 	return Handle[V]{q: q, rm: rm, tid: rm.Tid()}
@@ -125,9 +119,6 @@ func (hd Handle[V]) Tid() int { return hd.tid }
 func (hd Handle[V]) Queue() *Queue[V] { return hd.q }
 
 // Enqueue appends value to the tail of the queue.
-func (q *Queue[V]) Enqueue(tid int, value V) { q.Handle(tid).Enqueue(value) }
-
-// Enqueue appends value through the thread's handle.
 func (hd Handle[V]) Enqueue(value V) {
 	// Quiescent preamble: allocate the node the body publishes (allocation
 	// is not re-entrant, so it must not happen inside a body that can be
@@ -147,7 +138,7 @@ func (q *Queue[V]) enqueueBody(hd Handle[V], node *Node[V]) (done bool) {
 	rm := hd.rm
 	published := false
 	if q.crashRecovery {
-		defer neutralize.OnNeutralized(q.mgr, hd.tid, func(neutralize.Neutralized) {
+		defer neutralize.OnNeutralized(hd.rm, func(neutralize.Neutralized) {
 			done = published
 		})
 	}
@@ -189,9 +180,6 @@ func (q *Queue[V]) enqueueBody(hd Handle[V], node *Node[V]) (done bool) {
 
 // Dequeue removes and returns the value at the head of the queue; ok is
 // false when the queue is empty.
-func (q *Queue[V]) Dequeue(tid int) (V, bool) { return q.Handle(tid).Dequeue() }
-
-// Dequeue removes and returns the head value through the thread's handle.
 func (hd Handle[V]) Dequeue() (V, bool) {
 	for {
 		value, ok, done := hd.q.dequeueBody(hd)
@@ -208,7 +196,7 @@ func (hd Handle[V]) Dequeue() (V, bool) {
 func (q *Queue[V]) dequeueBody(hd Handle[V]) (value V, ok, done bool) {
 	rm := hd.rm
 	if q.crashRecovery {
-		defer neutralize.OnNeutralized(q.mgr, hd.tid, func(neutralize.Neutralized) {
+		defer neutralize.OnNeutralized(hd.rm, func(neutralize.Neutralized) {
 			if !done {
 				var zero V
 				value, ok = zero, false

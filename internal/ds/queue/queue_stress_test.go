@@ -15,11 +15,13 @@ import (
 	"repro/internal/recordmgr"
 )
 
-// queueAdapter adapts Queue to the reclaimtest.QueueIface surface.
-type queueAdapter struct{ q *queue.Queue[int64] }
+// queueWorker adapts an acquired queue handle to the reclaimtest.QueueWorker
+// surface.
+type queueWorker struct{ h queue.Handle[int64] }
 
-func (a queueAdapter) Enqueue(tid int, v int64)      { a.q.Enqueue(tid, v) }
-func (a queueAdapter) Dequeue(tid int) (int64, bool) { return a.q.Dequeue(tid) }
+func (w queueWorker) Enqueue(v int64)        { w.h.Enqueue(v) }
+func (w queueWorker) Dequeue() (int64, bool) { return w.h.Dequeue() }
+func (w queueWorker) Release()               { w.h.Queue().ReleaseHandle(w.h) }
 
 // poisonedQueueFactory builds a queue whose pool poisons freed records and
 // whose visit hook counts observations of poisoned records, mirroring the
@@ -50,11 +52,11 @@ func poisonedQueueFactory(t *testing.T, scheme string, spec core.ShardSpec, batc
 			}
 		})
 		return reclaimtest.QueueUnderTest{
-			Queue:       queueAdapter{q},
-			Violations:  violations.Load,
-			DoubleFrees: pp.DoubleFrees,
-			Stats:       rcl.Stats,
-			Len:         q.Len,
+			AcquireWorker: func() reclaimtest.QueueWorker { return queueWorker{q.AcquireHandle()} },
+			Violations:    violations.Load,
+			DoubleFrees:   pp.DoubleFrees,
+			Stats:         rcl.Stats,
+			Len:           q.Len,
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/ds/queue"
+	"repro/internal/reclaimtest"
 	"repro/internal/recordmgr"
 )
 
@@ -28,23 +29,24 @@ func TestFIFOOrderSingleThread(t *testing.T) {
 	for _, scheme := range schemes() {
 		t.Run(scheme, func(t *testing.T) {
 			q := newQueue(t, scheme, 1)
-			if _, ok := q.Dequeue(0); ok {
+			hs := reclaimtest.AcquireSlots(1, q.AcquireHandle)
+			if _, ok := hs[0].Dequeue(); ok {
 				t.Fatal("dequeue on empty queue returned a value")
 			}
 			const n = 1000
 			for i := int64(0); i < n; i++ {
-				q.Enqueue(0, i)
+				hs[0].Enqueue(i)
 			}
 			if q.Len() != n {
 				t.Fatalf("Len=%d want %d", q.Len(), n)
 			}
 			for i := int64(0); i < n; i++ {
-				v, ok := q.Dequeue(0)
+				v, ok := hs[0].Dequeue()
 				if !ok || v != i {
 					t.Fatalf("Dequeue = (%d,%v), want %d", v, ok, i)
 				}
 			}
-			if _, ok := q.Dequeue(0); ok {
+			if _, ok := hs[0].Dequeue(); ok {
 				t.Fatal("queue should be empty")
 			}
 		})
@@ -58,6 +60,7 @@ func TestConcurrentProducersConsumers(t *testing.T) {
 			const consumers = 4
 			const perProducer = 3000
 			q := newQueue(t, scheme, producers+consumers)
+			hs := reclaimtest.AcquireSlots(producers+consumers, q.AcquireHandle)
 
 			var wg sync.WaitGroup
 			results := make([][]int64, consumers)
@@ -77,7 +80,7 @@ func TestConcurrentProducersConsumers(t *testing.T) {
 					tid := producers + c
 					var got []int64
 					for {
-						v, ok := q.Dequeue(tid)
+						v, ok := hs[tid].Dequeue()
 						if ok {
 							got = append(got, v)
 							continue
@@ -86,7 +89,7 @@ func TestConcurrentProducersConsumers(t *testing.T) {
 						case <-done:
 							// Drain whatever is left.
 							for {
-								v, ok := q.Dequeue(tid)
+								v, ok := hs[tid].Dequeue()
 								if !ok {
 									results[c] = got
 									return
@@ -104,7 +107,7 @@ func TestConcurrentProducersConsumers(t *testing.T) {
 					defer wg.Done()
 					defer remaining.Done()
 					for i := 0; i < perProducer; i++ {
-						q.Enqueue(p, int64(p*perProducer+i))
+						hs[p].Enqueue(int64(p*perProducer + i))
 					}
 				}(p)
 			}
@@ -141,9 +144,10 @@ func TestConcurrentProducersConsumers(t *testing.T) {
 
 func TestReclamationRecyclesNodes(t *testing.T) {
 	q := newQueue(t, recordmgr.SchemeDEBRA, 1)
+	hs := reclaimtest.AcquireSlots(1, q.AcquireHandle)
 	for i := 0; i < 50000; i++ {
-		q.Enqueue(0, int64(i))
-		q.Dequeue(0)
+		hs[0].Enqueue(int64(i))
+		hs[0].Dequeue()
 	}
 	st := q.Manager().Stats()
 	if st.Reclaimer.Freed == 0 || st.Pool.Reused == 0 {

@@ -107,10 +107,8 @@ type seedState struct {
 }
 
 // New creates an empty skip list for the given Record Manager and number of
-// worker threads (which must match the manager's). When the manager has
-// more worker slots than threads (recordmgr.Config.MaxThreads), the
-// per-thread tables cover every slot, so both binding styles — static dense
-// tids and AcquireHandle/ReleaseHandle — work.
+// worker threads. When the manager has more worker slots than threads
+// (recordmgr.Config.MaxThreads), the per-slot tables cover every slot.
 func New[V any](mgr *Manager[V], threads int) *List[V] {
 	if mgr == nil {
 		panic("skiplist: New requires a RecordManager")
@@ -125,9 +123,11 @@ func New[V any](mgr *Manager[V], threads int) *List[V] {
 		panic("skiplist: lock-based updates cannot be used with a neutralizing reclaimer (DEBRA+); use DEBRA or HP")
 	}
 	l := &List[V]{mgr: mgr, perRecord: mgr.NeedsPerRecordProtection()}
+	// The sentinels are never retired, so they come straight from the
+	// allocator (slot 0, before any goroutine holds it).
 	var zero V
-	l.head = mgr.Allocate(0)
-	l.tail = mgr.Allocate(0)
+	l.head = mgr.Allocator().Allocate(0)
+	l.tail = mgr.Allocator().Allocate(0)
 	initNode(l.head, headKey, zero, MaxLevel-1)
 	initNode(l.tail, tailKey, zero, MaxLevel-1)
 	l.head.fullyLinked.Store(true)
@@ -140,19 +140,13 @@ func New[V any](mgr *Manager[V], threads int) *List[V] {
 		l.seeds[i].rng = rand.New(rand.NewSource(int64(i)*2654435761 + 1))
 	}
 	l.handles = make([]Handle[V], threads)
-	for i := range l.handles {
-		// PeekHandle: prebuilding must not claim the slots (see hashmap.New).
-		l.handles[i] = Handle[V]{l: l, rm: mgr.PeekHandle(i), seed: &l.seeds[i], tid: i}
-	}
 	return l
 }
 
-// Handle is one worker thread's pre-resolved view of the list: the Record
-// Manager thread handle and the thread's level generator bound once, so
-// steady-state operations index no per-thread slices and pay at most one
-// interface call per reclamation primitive. Resolve it once at worker
-// registration (l.Handle(tid)); the tid-based List methods remain as thin
-// wrappers.
+// Handle is one worker slot's view of the list and the only way to operate on
+// it: the Record Manager thread handle and the slot's level generator bound
+// at AcquireHandle, so steady-state operations index no per-thread slices and
+// pay at most one interface call per reclamation primitive.
 type Handle[V any] struct {
 	l    *List[V]
 	rm   *core.ThreadHandle[Node[V]]
@@ -160,17 +154,9 @@ type Handle[V any] struct {
 	tid  int
 }
 
-// Handle returns thread tid's pre-resolved operation handle, claiming the
-// slot for static dense-tid wiring (core.RecordManager.Handle does the
-// claim). Goroutines that come and go use AcquireHandle/ReleaseHandle.
-func (l *List[V]) Handle(tid int) *Handle[V] {
-	l.mgr.Handle(tid)
-	return &l.handles[tid]
-}
-
 // AcquireHandle binds the calling goroutine to a vacant worker slot of the
-// list's Record Manager and returns the slot's operation handle (the
-// dynamic binding style); release it with ReleaseHandle.
+// list's Record Manager and returns the slot's operation handle; release it
+// with ReleaseHandle.
 func (l *List[V]) AcquireHandle() *Handle[V] {
 	rm := l.mgr.AcquireHandle()
 	tid := rm.Tid()
@@ -274,18 +260,12 @@ func (l *List[V]) isRecorded(node *Node[V], preds, succs *[MaxLevel]*Node[V], ab
 }
 
 // Contains reports whether key is present (wait-free, lock-free reads).
-func (l *List[V]) Contains(tid int, key int64) bool { return l.Handle(tid).Contains(key) }
-
-// Contains reports whether key is present through the thread's handle.
 func (hd *Handle[V]) Contains(key int64) bool {
 	_, ok := hd.Get(key)
 	return ok
 }
 
 // Get returns the value stored for key.
-func (l *List[V]) Get(tid int, key int64) (V, bool) { return l.Handle(tid).Get(key) }
-
-// Get returns the value stored for key through the thread's handle.
 func (hd *Handle[V]) Get(key int64) (V, bool) {
 	l, rm := hd.l, hd.rm
 	var zero V
@@ -316,11 +296,6 @@ func (hd *Handle[V]) Get(key int64) (V, bool) {
 
 // Insert adds key to the set, returning true if it was inserted and false if
 // it was already present.
-func (l *List[V]) Insert(tid int, key int64, value V) bool {
-	return l.Handle(tid).Insert(key, value)
-}
-
-// Insert adds key to the set through the thread's handle.
 func (hd *Handle[V]) Insert(key int64, value V) bool {
 	if key <= headKey || key >= tailKey {
 		panic("skiplist: key out of supported range")
@@ -388,9 +363,6 @@ func (hd *Handle[V]) Insert(key int64, value V) bool {
 }
 
 // Delete removes key from the set, returning true if it was present.
-func (l *List[V]) Delete(tid int, key int64) bool { return l.Handle(tid).Delete(key) }
-
-// Delete removes key from the set through the thread's handle.
 func (hd *Handle[V]) Delete(key int64) bool {
 	if key <= headKey || key >= tailKey {
 		return false

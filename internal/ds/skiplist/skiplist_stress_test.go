@@ -24,12 +24,13 @@ func stressSchemes() []string {
 	}
 }
 
-// listAdapter adapts List to the reclaimtest.Set surface.
-type listAdapter struct{ l *skiplist.List[int64] }
+// listWorker adapts an acquired list handle to the reclaimtest.Worker surface.
+type listWorker struct{ h *skiplist.Handle[int64] }
 
-func (a listAdapter) Insert(tid int, key int64) bool   { return a.l.Insert(tid, key, key) }
-func (a listAdapter) Delete(tid int, key int64) bool   { return a.l.Delete(tid, key) }
-func (a listAdapter) Contains(tid int, key int64) bool { return a.l.Contains(tid, key) }
+func (w listWorker) Insert(key int64) bool   { return w.h.Insert(key, key) }
+func (w listWorker) Delete(key int64) bool   { return w.h.Delete(key) }
+func (w listWorker) Contains(key int64) bool { return w.h.Contains(key) }
+func (w listWorker) Release()                { w.h.List().ReleaseHandle(w.h) }
 
 // poisonedListFactory builds a skip list whose pool poisons freed records
 // and whose visit hook counts observations of poisoned records. Under hazard
@@ -54,10 +55,10 @@ func poisonedListFactory(t *testing.T, scheme string, spec core.ShardSpec, batch
 		mgr := core.NewRecordManager[rec](alloc, pp, rcl, mopts...)
 		l := skiplist.New[int64](mgr, n)
 		su := reclaimtest.SetUnderTest{
-			Set:         listAdapter{l},
-			DoubleFrees: pp.DoubleFrees,
-			Stats:       rcl.Stats,
-			Validate:    l.Validate,
+			AcquireWorker: func() reclaimtest.Worker { return listWorker{l.AcquireHandle()} },
+			DoubleFrees:   pp.DoubleFrees,
+			Stats:         rcl.Stats,
+			Validate:      l.Validate,
 		}
 		if scheme != recordmgr.SchemeHP {
 			var violations atomic.Int64

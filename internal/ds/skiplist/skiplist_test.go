@@ -2,6 +2,7 @@ package skiplist_test
 
 import (
 	"math/rand"
+	"repro/internal/reclaimtest"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -76,25 +77,26 @@ func TestBasicOperations(t *testing.T) {
 	for _, scheme := range schemes() {
 		t.Run(scheme, func(t *testing.T) {
 			l := newList(t, scheme, 1)
-			if l.Contains(0, 5) {
+			hs := reclaimtest.AcquireSlots(1, l.AcquireHandle)
+			if hs[0].Contains(5) {
 				t.Fatal("empty list contains 5")
 			}
-			if !l.Insert(0, 5, 50) {
+			if !hs[0].Insert(5, 50) {
 				t.Fatal("insert failed")
 			}
-			if l.Insert(0, 5, 51) {
+			if hs[0].Insert(5, 51) {
 				t.Fatal("duplicate insert succeeded")
 			}
-			if v, ok := l.Get(0, 5); !ok || v != 50 {
+			if v, ok := hs[0].Get(5); !ok || v != 50 {
 				t.Fatalf("Get(5) = %d, %v", v, ok)
 			}
-			if l.Delete(0, 6) {
+			if hs[0].Delete(6) {
 				t.Fatal("deleted a missing key")
 			}
-			if !l.Delete(0, 5) {
+			if !hs[0].Delete(5) {
 				t.Fatal("delete failed")
 			}
-			if l.Contains(0, 5) {
+			if hs[0].Contains(5) {
 				t.Fatal("contains after delete")
 			}
 			if err := l.Validate(); err != nil {
@@ -108,6 +110,7 @@ func TestSequentialAgainstModel(t *testing.T) {
 	for _, scheme := range schemes() {
 		t.Run(scheme, func(t *testing.T) {
 			l := newList(t, scheme, 1)
+			hs := reclaimtest.AcquireSlots(1, l.AcquireHandle)
 			model := map[int64]int64{}
 			rng := rand.New(rand.NewSource(99))
 			for i := 0; i < 5000; i++ {
@@ -115,18 +118,18 @@ func TestSequentialAgainstModel(t *testing.T) {
 				switch rng.Intn(3) {
 				case 0:
 					_, in := model[k]
-					if l.Insert(0, k, k) == in {
+					if hs[0].Insert(k, k) == in {
 						t.Fatalf("Insert(%d) disagrees with model at op %d", k, i)
 					}
 					model[k] = k
 				case 1:
 					_, in := model[k]
-					if l.Delete(0, k) != in {
+					if hs[0].Delete(k) != in {
 						t.Fatalf("Delete(%d) disagrees with model at op %d", k, i)
 					}
 					delete(model, k)
 				default:
-					_, ok := l.Get(0, k)
+					_, ok := hs[0].Get(k)
 					if _, in := model[k]; ok != in {
 						t.Fatalf("Get(%d) disagrees with model at op %d", k, i)
 					}
@@ -151,22 +154,23 @@ func TestSequentialAgainstModel(t *testing.T) {
 func TestQuickSequentialModel(t *testing.T) {
 	f := func(ops []uint16) bool {
 		l := newFastDebraList(t, 1)
+		hs := reclaimtest.AcquireSlots(1, l.AcquireHandle)
 		model := map[int64]bool{}
 		for i, op := range ops {
 			k := int64(op % 64)
 			switch i % 3 {
 			case 0:
-				if l.Insert(0, k, k) == model[k] {
+				if hs[0].Insert(k, k) == model[k] {
 					return false
 				}
 				model[k] = true
 			case 1:
-				if l.Delete(0, k) != model[k] {
+				if hs[0].Delete(k) != model[k] {
 					return false
 				}
 				delete(model, k)
 			default:
-				if l.Contains(0, k) != model[k] {
+				if hs[0].Contains(k) != model[k] {
 					return false
 				}
 			}
@@ -181,6 +185,7 @@ func TestQuickSequentialModel(t *testing.T) {
 func concurrentStripes(t *testing.T, l *skiplist.List[int64], threads, ops int) {
 	t.Helper()
 	const stripe = 1 << 20
+	hs := reclaimtest.AcquireSlots(threads, l.AcquireHandle)
 	finals := make([]map[int64]int64, threads)
 	var wg sync.WaitGroup
 	for tid := 0; tid < threads; tid++ {
@@ -195,20 +200,20 @@ func concurrentStripes(t *testing.T, l *skiplist.List[int64], threads, ops int) 
 				switch rng.Intn(3) {
 				case 0:
 					_, in := model[k]
-					if l.Insert(tid, k, k) == in {
+					if hs[tid].Insert(k, k) == in {
 						t.Errorf("tid %d: Insert(%d) inconsistent", tid, k)
 						return
 					}
 					model[k] = k
 				case 1:
 					_, in := model[k]
-					if l.Delete(tid, k) != in {
+					if hs[tid].Delete(k) != in {
 						t.Errorf("tid %d: Delete(%d) inconsistent", tid, k)
 						return
 					}
 					delete(model, k)
 				default:
-					if _, ok := l.Get(tid, k); ok != (model[k] != 0) {
+					if _, ok := hs[tid].Get(k); ok != (model[k] != 0) {
 						_, in := model[k]
 						if ok != in {
 							t.Errorf("tid %d: Get(%d) inconsistent", tid, k)
@@ -268,6 +273,7 @@ func TestConcurrentSharedKeys(t *testing.T) {
 		t.Run(scheme, func(t *testing.T) {
 			const threads = 8
 			l := newList(t, scheme, threads)
+			hs := reclaimtest.AcquireSlots(threads, l.AcquireHandle)
 			var wg sync.WaitGroup
 			for tid := 0; tid < threads; tid++ {
 				wg.Add(1)
@@ -278,11 +284,11 @@ func TestConcurrentSharedKeys(t *testing.T) {
 						k := rng.Int63n(48)
 						switch rng.Intn(3) {
 						case 0:
-							l.Insert(tid, k, k)
+							hs[tid].Insert(k, k)
 						case 1:
-							l.Delete(tid, k)
+							hs[tid].Delete(k)
 						default:
-							l.Get(tid, k)
+							hs[tid].Get(k)
 						}
 					}
 				}(tid)
@@ -305,10 +311,11 @@ func TestConcurrentSharedKeys(t *testing.T) {
 
 func TestReclamationRecyclesNodes(t *testing.T) {
 	l := newFastDebraList(t, 1)
+	hs := reclaimtest.AcquireSlots(1, l.AcquireHandle)
 	for i := 0; i < 20000; i++ {
 		k := int64(i % 32)
-		l.Insert(0, k, k)
-		l.Delete(0, k)
+		hs[0].Insert(k, k)
+		hs[0].Delete(k)
 	}
 	st := l.Manager().Stats()
 	if st.Reclaimer.Freed == 0 || st.Pool.Reused == 0 {
@@ -327,7 +334,7 @@ func TestNewValidation(t *testing.T) {
 	if !panics(func() { skiplist.New(mgr, 0) }) {
 		t.Fatal("expected panic for zero threads")
 	}
-	if !panics(func() { newList(t, recordmgr.SchemeDEBRA, 1).Insert(0, -1<<63, 0) }) {
+	if !panics(func() { newList(t, recordmgr.SchemeDEBRA, 1).AcquireHandle().Insert(-1<<63, 0) }) {
 		t.Fatal("expected panic for out-of-range key")
 	}
 }

@@ -39,12 +39,14 @@ import (
 	"repro/internal/recordmgr"
 )
 
-// chaosSet adapts hashmap.Map to the reclaimtest.Set surface.
-type chaosSet struct{ m *hashmap.Map[int64] }
+// chaosWorker adapts an acquired hashmap.Handle to the reclaimtest.Worker
+// surface.
+type chaosWorker struct{ h *hashmap.Handle[int64] }
 
-func (s chaosSet) Insert(tid int, key int64) bool   { return s.m.Insert(tid, key, key) }
-func (s chaosSet) Delete(tid int, key int64) bool   { return s.m.Delete(tid, key) }
-func (s chaosSet) Contains(tid int, key int64) bool { return s.m.Contains(tid, key) }
+func (w chaosWorker) Insert(key int64) bool   { return w.h.Insert(key, key) }
+func (w chaosWorker) Delete(key int64) bool   { return w.h.Delete(key) }
+func (w chaosWorker) Contains(key int64) bool { return w.h.Contains(key) }
+func (w chaosWorker) Release()                { w.h.Map().ReleaseHandle(w.h) }
 
 // chaosMapFactory builds a poison-instrumented hash map whose reclaimer is
 // wrapped with a seeded chaos plan: every worker tid gets a repeating timed
@@ -93,11 +95,11 @@ func chaosMapFactory(t *testing.T, scheme string, seed int64) reclaimtest.SetFac
 			}
 		})
 		return reclaimtest.SetUnderTest{
-			Set:         chaosSet{m},
-			Violations:  violations.Load,
-			DoubleFrees: pp.DoubleFrees,
-			Stats:       rcl.Stats,
-			Validate:    m.Validate,
+			AcquireWorker: func() reclaimtest.Worker { return chaosWorker{m.AcquireHandle()} },
+			Violations:    violations.Load,
+			DoubleFrees:   pp.DoubleFrees,
+			Stats:         rcl.Stats,
+			Validate:      m.Validate,
 			Close: func() {
 				plan.Close()
 				mgr.Close()

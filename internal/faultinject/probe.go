@@ -81,11 +81,13 @@ func NewStallPlan(stallTids []int) (*Plan, []*Armed) {
 // Probe measures m's Unreclaimed growth with and without the plan's stall
 // triggers parked and classifies the scheme (see ProbeResult). The manager
 // must have been built over plan (recordmgr.Config.FaultPlan or Wrap) with
-// the stall triggers disabled; Probe arms the plan, runs the baseline phase
-// with every worker live, parks the stall tids, runs the stalled phase on
-// the remaining workers, then releases and joins the victims — neutralized
-// ones recover through the standard neutralize.OnNeutralized path — leaving
-// every thread quiescent so the caller can Close the manager normally.
+// the stall triggers disabled; Probe acquires cfg.Workers handles (the stall
+// tids must be among the slots they land on — on a fresh manager, the first
+// cfg.Workers slots), arms the plan, runs the baseline phase with every
+// worker live, parks the stall tids, runs the stalled phase on the remaining
+// workers, then releases and joins the victims — neutralized ones recover
+// through the standard neutralize.OnNeutralized path — and releases the
+// handles, so the caller can Close the manager normally.
 func Probe[T any](m *core.RecordManager[T], plan *Plan, stalls []*Armed, cfg ProbeConfig) ProbeResult {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 4
@@ -106,14 +108,23 @@ func Probe[T any](m *core.RecordManager[T], plan *Plan, stalls []*Armed, cfg Pro
 	for _, a := range stalls {
 		stalled[a.Trigger().Tid] = true
 	}
-	live := make([]int, 0, cfg.Workers)
-	victims := make([]int, 0, len(stalls))
-	for tid := 0; tid < cfg.Workers; tid++ {
-		if stalled[tid] {
-			victims = append(victims, tid)
+	live := make([]*core.ThreadHandle[T], 0, cfg.Workers)
+	victims := make([]*core.ThreadHandle[T], 0, len(stalls))
+	for i := 0; i < cfg.Workers; i++ {
+		if h := m.AcquireHandle(); stalled[h.Tid()] {
+			victims = append(victims, h)
 		} else {
-			live = append(live, tid)
+			live = append(live, h)
 		}
+	}
+	all := append(append([]*core.ThreadHandle[T](nil), live...), victims...)
+	defer func() {
+		for _, h := range all {
+			m.ReleaseHandle(h)
+		}
+	}()
+	if len(victims) != len(stalls) {
+		panic("faultinject: Probe: a stall tid is not among the worker slots acquired")
 	}
 
 	res := ProbeResult{
@@ -127,7 +138,7 @@ func Probe[T any](m *core.RecordManager[T], plan *Plan, stalls []*Armed, cfg Pro
 	// the scheme's steady-state plateau — limbo a few epochs deep, batching
 	// residue — is measured and subtracted out by the delta.
 	s0 := m.Stats().Unreclaimed
-	runWorkers(m, append(append([]int(nil), live...), victims...), cfg.OpsPerWorker)
+	runWorkers(all, cfg.OpsPerWorker)
 	s1 := m.Stats().Unreclaimed
 	res.BaselineOps = int64(cfg.Workers) * int64(cfg.OpsPerWorker)
 	res.BaselineGrowth = s1 - s0
@@ -140,12 +151,12 @@ func Probe[T any](m *core.RecordManager[T], plan *Plan, stalls []*Armed, cfg Pro
 		a.Enable()
 	}
 	var victimWG sync.WaitGroup
-	for _, tid := range victims {
+	for _, h := range victims {
 		victimWG.Add(1)
-		go func(tid int) {
+		go func(h *core.ThreadHandle[T]) {
 			defer victimWG.Done()
-			runOps(m, tid, 1)
-		}(tid)
+			opOnce(h)
+		}(h)
 	}
 	for _, a := range stalls {
 		// The gate has no timeout here by design: a victim that never
@@ -155,7 +166,7 @@ func Probe[T any](m *core.RecordManager[T], plan *Plan, stalls []*Armed, cfg Pro
 
 	// Stalled phase: only the live workers run.
 	s2 := m.Stats().Unreclaimed
-	runWorkers(m, live, cfg.OpsPerWorker)
+	runWorkers(live, cfg.OpsPerWorker)
 	s3 := m.Stats().Unreclaimed
 	res.StalledOps = int64(len(live)) * int64(cfg.OpsPerWorker)
 	res.StalledGrowth = s3 - s2
@@ -163,7 +174,7 @@ func Probe[T any](m *core.RecordManager[T], plan *Plan, stalls []*Armed, cfg Pro
 
 	// Recovery: open the gates and join the victims. A neutralized victim
 	// panics at its next checkpoint and recovers through OnNeutralized in
-	// runOps; either way every thread ends quiescent and the caller's Close
+	// opOnce; either way every thread ends quiescent and the caller's Close
 	// (flush → drain → DrainLimbo) runs on a fault-free plan.
 	for _, a := range stalls {
 		a.Release()
@@ -177,34 +188,29 @@ func Probe[T any](m *core.RecordManager[T], plan *Plan, stalls []*Armed, cfg Pro
 	return res
 }
 
-// runWorkers runs n operations on each tid concurrently and joins them.
-func runWorkers[T any](m *core.RecordManager[T], tids []int, n int) {
+// runWorkers runs n alloc→retire probe operations on each handle concurrently
+// and joins them. Each operation absorbs a neutralization delivery the way a
+// real data structure would: the retire precedes the delivery point
+// (EnterQstate), so a doomed operation loses nothing, and the thread comes
+// out quiescent.
+func runWorkers[T any](hs []*core.ThreadHandle[T], n int) {
 	var wg sync.WaitGroup
-	for _, tid := range tids {
+	for _, h := range hs {
 		wg.Add(1)
-		go func(tid int) {
+		go func(h *core.ThreadHandle[T]) {
 			defer wg.Done()
-			runOps(m, tid, n)
-		}(tid)
+			for i := 0; i < n; i++ {
+				opOnce(h)
+			}
+		}(h)
 	}
 	wg.Wait()
-}
-
-// runOps performs n alloc→retire probe operations on tid's handle. Each
-// operation absorbs a neutralization delivery the way a real data structure
-// would: the retire precedes the delivery point (EnterQstate), so a doomed
-// operation loses nothing, and the thread comes out quiescent.
-func runOps[T any](m *core.RecordManager[T], tid, n int) {
-	h := m.Handle(tid)
-	for i := 0; i < n; i++ {
-		opOnce(h)
-	}
 }
 
 // opOnce is one pin → allocate → retire → unpin round-trip with
 // neutralization recovery.
 func opOnce[T any](h *core.ThreadHandle[T]) {
-	defer neutralize.OnNeutralized(h.Manager(), h.Tid(), func(neutralize.Neutralized) {})
+	defer neutralize.OnNeutralized(h, func(neutralize.Neutralized) {})
 	h.LeaveQstate()
 	rec := h.Allocate()
 	h.Retire(rec)

@@ -11,6 +11,7 @@ package faultinject_test
 
 import (
 	"testing"
+	"time"
 
 	"repro/internal/faultinject"
 	"repro/internal/raceenabled"
@@ -113,5 +114,38 @@ func TestProbeSurvivesBatchingAndAsync(t *testing.T) {
 	}
 	if res.BaselineOps == 0 || res.StalledOps == 0 {
 		t.Fatalf("probe phases ran no operations: %+v", res)
+	}
+}
+
+// TestWrapCrossesEachPointOnce: an operation issued through a manager built
+// over a plan crosses each of its boundaries exactly once — the wrapper has
+// one hook site per injection point.
+func TestWrapCrossesEachPointOnce(t *testing.T) {
+	plan := faultinject.NewPlan()
+	points := []faultinject.Point{faultinject.PointPinned, faultinject.PointBeforeUnpin, faultinject.PointRetire}
+	armed := make([]*faultinject.Armed, len(points))
+	for i, p := range points {
+		armed[i] = plan.AddDisabled(faultinject.Trigger{Tid: 0, Point: p, Hold: time.Microsecond})
+	}
+	mgr, err := recordmgr.Build[proberec](recordmgr.Config{
+		Scheme: recordmgr.SchemeDEBRA, Threads: 1, UsePool: true, FaultPlan: plan,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mgr.Close()
+	plan.Arm()
+	h := mgr.AcquireHandle()
+	defer mgr.ReleaseHandle(h)
+	const ops = 5
+	for i := 0; i < ops; i++ {
+		h.LeaveQstate()
+		h.Retire(h.Allocate())
+		h.EnterQstate()
+	}
+	for i, a := range armed {
+		if got := a.Crossings(); got != ops {
+			t.Errorf("%v crossed %d times in %d operations", points[i], got, ops)
+		}
 	}
 }

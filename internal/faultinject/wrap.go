@@ -1,12 +1,11 @@
 package faultinject
 
 // This file interposes a Plan on a core.Reclaimer. The wrapper forwards the
-// whole extended reclaimer surface — BlockReclaimer, RetirePinner,
-// LimboDrainer, Sharded, HandledReclaimer — with safe fallbacks where the
-// wrapped scheme lacks a capability, and fires the plan's hooks at the three
-// injected boundaries. The per-thread fast path is covered too: Handle(tid)
-// wraps the *scheme's* handle directly (not the tid-routing methods below),
-// so an injection point crossed through a ThreadHandle fires exactly once.
+// scheme object and its extension interfaces — BlockReclaimer, RetirePinner,
+// LimboDrainer, Sharded — with safe fallbacks where the wrapped scheme lacks
+// a capability, and Handle(slot) wraps the scheme's per-slot handle with the
+// plan's hooks at the three injected boundaries, so every crossing fires
+// exactly once.
 
 import (
 	"repro/internal/blockbag"
@@ -24,7 +23,6 @@ type Reclaimer[T any] struct {
 	pinner  core.RetirePinner
 	drainer core.LimboDrainer
 	sharded core.Sharded
-	handled core.HandledReclaimer[T]
 }
 
 // Wrap interposes plan on inner. The wrapper claims the full extended
@@ -39,7 +37,6 @@ func Wrap[T any](inner core.Reclaimer[T], plan *Plan) *Reclaimer[T] {
 	w.pinner, _ = inner.(core.RetirePinner)
 	w.drainer, _ = inner.(core.LimboDrainer)
 	w.sharded, _ = inner.(core.Sharded)
-	w.handled, _ = inner.(core.HandledReclaimer[T])
 	return w
 }
 
@@ -56,28 +53,13 @@ func (w *Reclaimer[T]) Name() string { return w.inner.Name() }
 // Props forwards to the wrapped scheme.
 func (w *Reclaimer[T]) Props() core.Properties { return w.inner.Props() }
 
-// LeaveQstate forwards, then crosses PointPinned: the stall happens with the
-// thread's announcement live, the adversarial timing the paper describes.
-func (w *Reclaimer[T]) LeaveQstate(tid int) bool {
-	v := w.inner.LeaveQstate(tid)
-	w.plan.hook(tid, PointPinned)
-	return v
-}
+// Stats forwards to the wrapped scheme.
+func (w *Reclaimer[T]) Stats() core.Stats { return w.inner.Stats() }
 
-// EnterQstate crosses PointBeforeUnpin, then forwards: the stall happens
-// after the operation's work but before the thread quiesces.
-func (w *Reclaimer[T]) EnterQstate(tid int) {
-	w.plan.hook(tid, PointBeforeUnpin)
-	w.inner.EnterQstate(tid)
-}
-
-// IsQuiescent forwards to the wrapped scheme.
-func (w *Reclaimer[T]) IsQuiescent(tid int) bool { return w.inner.IsQuiescent(tid) }
-
-// Retire crosses PointRetire, then forwards.
-func (w *Reclaimer[T]) Retire(tid int, rec *T) {
-	w.plan.hook(tid, PointRetire)
-	w.inner.Retire(tid, rec)
+// Handle returns slot's injecting handle: the scheme's own per-slot handle
+// with the plan's hooks at the three boundaries.
+func (w *Reclaimer[T]) Handle(slot int) core.ReclaimerHandle[T] {
+	return &handle[T]{ReclaimerHandle: w.inner.Handle(slot), plan: w.plan, tid: slot}
 }
 
 // RetireBlock crosses PointRetire once per block, then forwards — or, for a
@@ -88,39 +70,12 @@ func (w *Reclaimer[T]) RetireBlock(tid int, blk *blockbag.Block[T]) *blockbag.Bl
 	if w.block != nil {
 		return w.block.RetireBlock(tid, blk)
 	}
+	h := w.inner.Handle(tid)
 	for i := 0; i < blk.Len(); i++ {
-		w.inner.Retire(tid, blk.Record(i))
+		h.Retire(blk.Record(i))
 	}
 	return nil
 }
-
-// Protect forwards to the wrapped scheme.
-func (w *Reclaimer[T]) Protect(tid int, rec *T) bool { return w.inner.Protect(tid, rec) }
-
-// Unprotect forwards to the wrapped scheme.
-func (w *Reclaimer[T]) Unprotect(tid int, rec *T) { w.inner.Unprotect(tid, rec) }
-
-// IsProtected forwards to the wrapped scheme.
-func (w *Reclaimer[T]) IsProtected(tid int, rec *T) bool { return w.inner.IsProtected(tid, rec) }
-
-// RProtect forwards to the wrapped scheme.
-func (w *Reclaimer[T]) RProtect(tid int, rec *T) { w.inner.RProtect(tid, rec) }
-
-// RUnprotectAll forwards to the wrapped scheme.
-func (w *Reclaimer[T]) RUnprotectAll(tid int) { w.inner.RUnprotectAll(tid) }
-
-// IsRProtected forwards to the wrapped scheme.
-func (w *Reclaimer[T]) IsRProtected(tid int, rec *T) bool { return w.inner.IsRProtected(tid, rec) }
-
-// SupportsCrashRecovery forwards to the wrapped scheme.
-func (w *Reclaimer[T]) SupportsCrashRecovery() bool { return w.inner.SupportsCrashRecovery() }
-
-// Checkpoint forwards to the wrapped scheme (neutralization delivery is the
-// scheme's own business; the fault plane only delays and parks).
-func (w *Reclaimer[T]) Checkpoint(tid int) { w.inner.Checkpoint(tid) }
-
-// Stats forwards to the wrapped scheme.
-func (w *Reclaimer[T]) Stats() core.Stats { return w.inner.Stats() }
 
 // PinRetire forwards when the wrapped scheme pins retires; otherwise it is
 // the same no-op schemes without epoch state use.
@@ -155,77 +110,34 @@ func (w *Reclaimer[T]) ShardMap() *core.ShardMap {
 	return nil
 }
 
-// Handle returns tid's injecting fast-path handle: the scheme's own handle
-// (or a tid-routing adapter) with the plan's hooks at the same boundaries as
-// the tid-based methods above. The scheme handle is wrapped directly, so a
-// crossing through a ThreadHandle fires exactly once.
-func (w *Reclaimer[T]) Handle(tid int) core.ReclaimerHandle[T] {
-	var inner core.ReclaimerHandle[T]
-	if w.handled != nil {
-		inner = w.handled.Handle(tid)
-	} else {
-		inner = &tidHandle[T]{rec: w.inner, tid: tid}
-	}
-	return &handle[T]{inner: inner, plan: w.plan, tid: tid}
-}
-
-// handle is the injecting ReclaimerHandle: the scheme's per-thread fast path
-// with hook crossings at the boundaries the plan knows.
+// handle is the injecting ReclaimerHandle: the scheme's per-slot handle
+// (embedded, so everything the plan does not touch forwards as is) with hook
+// crossings at the boundaries the plan knows. Neutralization delivery
+// (Checkpoint) is the scheme's own business; the fault plane only delays and
+// parks.
 type handle[T any] struct {
-	inner core.ReclaimerHandle[T]
-	plan  *Plan
-	tid   int
+	core.ReclaimerHandle[T]
+	plan *Plan
+	tid  int
 }
 
-// LeaveQstate forwards, then crosses PointPinned.
+// LeaveQstate forwards, then crosses PointPinned: the stall happens with the
+// thread's announcement live, the adversarial timing the paper describes.
 func (h *handle[T]) LeaveQstate() bool {
-	v := h.inner.LeaveQstate()
+	v := h.ReclaimerHandle.LeaveQstate()
 	h.plan.hook(h.tid, PointPinned)
 	return v
 }
 
-// EnterQstate crosses PointBeforeUnpin, then forwards.
+// EnterQstate crosses PointBeforeUnpin, then forwards: the stall happens
+// after the operation's work but before the thread quiesces.
 func (h *handle[T]) EnterQstate() {
 	h.plan.hook(h.tid, PointBeforeUnpin)
-	h.inner.EnterQstate()
+	h.ReclaimerHandle.EnterQstate()
 }
 
 // Retire crosses PointRetire, then forwards.
 func (h *handle[T]) Retire(rec *T) {
 	h.plan.hook(h.tid, PointRetire)
-	h.inner.Retire(rec)
+	h.ReclaimerHandle.Retire(rec)
 }
-
-// Protect forwards to the scheme handle.
-func (h *handle[T]) Protect(rec *T) bool { return h.inner.Protect(rec) }
-
-// Unprotect forwards to the scheme handle.
-func (h *handle[T]) Unprotect(rec *T) { h.inner.Unprotect(rec) }
-
-// Checkpoint forwards to the scheme handle.
-func (h *handle[T]) Checkpoint() { h.inner.Checkpoint() }
-
-// tidHandle routes handle calls through the tid-based interface for wrapped
-// reclaimers without per-thread handles of their own.
-type tidHandle[T any] struct {
-	rec core.Reclaimer[T]
-	tid int
-}
-
-// LeaveQstate routes through the tid-based interface.
-func (g *tidHandle[T]) LeaveQstate() bool { return g.rec.LeaveQstate(g.tid) }
-
-// EnterQstate routes through the tid-based interface.
-func (g *tidHandle[T]) EnterQstate() { g.rec.EnterQstate(g.tid) }
-
-// Retire routes through the tid-based interface.
-func (g *tidHandle[T]) Retire(rec *T) { g.rec.Retire(g.tid, rec) }
-
-// Protect routes through the tid-based interface.
-func (g *tidHandle[T]) Protect(rec *T) bool { return g.rec.Protect(g.tid, rec) }
-
-// Unprotect routes through the tid-based interface.
-func (g *tidHandle[T]) Unprotect(rec *T) { g.rec.Unprotect(g.tid, rec) }
-
-// Checkpoint routes through the tid-based interface.
-func (g *tidHandle[T]) Checkpoint() { g.rec.Checkpoint(g.tid) }

@@ -663,40 +663,38 @@ func (s *Server) fill(conn net.Conn, cs *connState, bound bool, frameStart *time
 // partition — each partition's handle is resolved once per batch — which
 // reorders execution across partitions but never within one; since a key
 // always routes to the same partition, per-key operation order is exactly
-// request order. A batch containing STATS (whose inline snapshot must see
-// the requests before it) falls back to strict request-order execution.
+// request order. Every other batch — a single request, a single partition,
+// or one carrying STATS (whose inline snapshot must see the requests before
+// it) or an unknown opcode — executes in strict request order.
 func (s *Server) executeBatch(cs *connState, h *hashmap.PartitionedHandle[[]byte], local *tally) {
-	for i := range cs.reqs {
-		if op := cs.reqs[i].Op; op != kvwire.OpGet && op != kvwire.OpPut && op != kvwire.OpDel {
-			for j := range cs.reqs {
-				cs.out = s.serveRequest(cs.out, h, cs.reqs[j], local, &cs.arena)
-			}
-			return
+	grouped := s.cfg.Partitions > 1 && len(cs.reqs) > 1
+	for i := 0; grouped && i < len(cs.reqs); i++ {
+		op := cs.reqs[i].Op
+		grouped = op == kvwire.OpGet || op == kvwire.OpPut || op == kvwire.OpDel
+	}
+	if !grouped {
+		for i := range cs.reqs {
+			r := s.execute(h, cs.reqs[i], &cs.arena, local)
+			cs.emit(&r)
 		}
+		return
 	}
 	if cap(cs.results) < len(cs.reqs) {
 		cs.results = make([]reqResult, len(cs.reqs))
 	}
 	cs.results = cs.results[:len(cs.reqs)]
-	if s.cfg.Partitions > 1 && len(cs.reqs) > 1 {
-		// Route every request once, then enter each partition exactly once
-		// and run its requests in arrival order.
-		cs.parts = cs.parts[:0]
+	// Route every request once, then enter each partition exactly once and
+	// run its requests in arrival order.
+	cs.parts = cs.parts[:0]
+	for i := range cs.reqs {
+		cs.parts = append(cs.parts, s.pm.PartitionFor(cs.reqs[i].Key))
+	}
+	for p := 0; p < s.cfg.Partitions; p++ {
+		hd := h.Part(p)
 		for i := range cs.reqs {
-			cs.parts = append(cs.parts, s.pm.PartitionFor(cs.reqs[i].Key))
-		}
-		for p := 0; p < s.cfg.Partitions; p++ {
-			hd := h.Part(p)
-			for i := range cs.reqs {
-				if cs.parts[i] == p {
-					cs.results[i] = executeOne(hd, cs.reqs[i], &cs.arena, local)
-				}
+			if cs.parts[i] == p {
+				cs.results[i] = executeOne(hd, cs.reqs[i], &cs.arena, local)
 			}
-		}
-	} else {
-		for i := range cs.reqs {
-			hd := h.Part(s.pm.PartitionFor(cs.reqs[i].Key))
-			cs.results[i] = executeOne(hd, cs.reqs[i], &cs.arena, local)
 		}
 	}
 	for i := range cs.results {
@@ -704,7 +702,28 @@ func (s *Server) executeBatch(cs *connState, h *hashmap.PartitionedHandle[[]byte
 	}
 }
 
+// execute runs one request of any opcode: the data plane through executeOne
+// on the key's partition, STATS as an inline snapshot that observes the
+// operations before it in the same batch, anything else as ERR.
+func (s *Server) execute(h *hashmap.PartitionedHandle[[]byte], req kvwire.Request, arena *valueArena, local *tally) reqResult {
+	switch req.Op {
+	case kvwire.OpGet, kvwire.OpPut, kvwire.OpDel:
+		return executeOne(h.Part(s.pm.PartitionFor(req.Key)), req, arena, local)
+	case kvwire.OpStats:
+		local.statsReqs++
+		body, err := json.Marshal(s.snapshotLocked(local))
+		if err != nil {
+			return reqResult{status: kvwire.StatusErr, body: []byte(err.Error())}
+		}
+		return reqResult{status: kvwire.StatusOK, body: body}
+	default:
+		return reqResult{status: kvwire.StatusErr, body: []byte(kvwire.ErrUnknownOp.Error())}
+	}
+}
+
 // executeOne runs one data-plane request against its partition's handle.
+// Mutating requests copy their value bytes into the arena before the map sees
+// them (the inbound buffer is reused; stored values must own their memory).
 func executeOne(hd *hashmap.Handle[[]byte], req kvwire.Request, arena *valueArena, local *tally) reqResult {
 	switch req.Op {
 	case kvwire.OpGet:
@@ -723,7 +742,7 @@ func executeOne(hd *hashmap.Handle[[]byte], req kvwire.Request, arena *valueAren
 			r.flag = 1
 		}
 		return r
-	default: // kvwire.OpDel — executeBatch admits no other opcode
+	default: // kvwire.OpDel — the callers admit no other opcode
 		local.dels++
 		r := reqResult{status: kvwire.StatusOK, isFlag: true}
 		if hd.Delete(req.Key) {
@@ -847,50 +866,6 @@ func (s *Server) acquire(h *hashmap.PartitionedHandle[[]byte]) (res acquireResul
 		if wait < time.Millisecond {
 			wait *= 2
 		}
-	}
-}
-
-// serveRequest appends req's response frame to out: the strict
-// request-order execution path, used for batches that carry a STATS request
-// (whose inline snapshot must observe the operations before it in the same
-// batch). Mutating requests copy their value bytes into the arena before the
-// map sees them (the inbound buffer is reused; stored values must own their
-// memory).
-func (s *Server) serveRequest(out []byte, h *hashmap.PartitionedHandle[[]byte], req kvwire.Request, local *tally, arena *valueArena) []byte {
-	switch req.Op {
-	case kvwire.OpGet:
-		local.gets++
-		if v, ok := h.Get(req.Key); ok {
-			local.getHits++
-			return kvwire.AppendResponse(out, kvwire.StatusOK, v)
-		}
-		return kvwire.AppendResponse(out, kvwire.StatusNotFound, nil)
-	case kvwire.OpPut:
-		local.puts++
-		_, replaced := h.Upsert(req.Key, arena.copyOf(req.Value))
-		flag := byte(0)
-		if replaced {
-			local.putReplaced++
-			flag = 1
-		}
-		return kvwire.AppendResponse(out, kvwire.StatusOK, []byte{flag})
-	case kvwire.OpDel:
-		local.dels++
-		flag := byte(0)
-		if h.Delete(req.Key) {
-			local.delHits++
-			flag = 1
-		}
-		return kvwire.AppendResponse(out, kvwire.StatusOK, []byte{flag})
-	case kvwire.OpStats:
-		local.statsReqs++
-		body, err := json.Marshal(s.snapshotLocked(local))
-		if err != nil {
-			return kvwire.AppendResponse(out, kvwire.StatusErr, []byte(err.Error()))
-		}
-		return kvwire.AppendResponse(out, kvwire.StatusOK, body)
-	default:
-		return kvwire.AppendResponse(out, kvwire.StatusErr, []byte(kvwire.ErrUnknownOp.Error()))
 	}
 }
 

@@ -125,16 +125,16 @@ func Recover(v any) (Neutralized, bool) {
 	panic(v)
 }
 
-// RUnprotector is the slice of the Record Manager surface recovery needs
-// (satisfied by core.RecordManager and core.Reclaimer).
+// RUnprotector is the slice of a thread handle recovery needs (satisfied by
+// core.ThreadHandle and core.ReclaimerHandle).
 type RUnprotector interface {
-	RUnprotectAll(tid int)
+	RUnprotectAll()
 }
 
 // OnNeutralized is the shared recovery wrapper for operation bodies. It must
 // be deferred directly (so its recover sees the body's panic):
 //
-//	defer neutralize.OnNeutralized(m, tid, func(neutralize.Neutralized) {
+//	defer neutralize.OnNeutralized(h, func(neutralize.Neutralized) {
 //		// inspect locals captured before the panic point, set the
 //		// body's named results
 //	})
@@ -143,7 +143,7 @@ type RUnprotector interface {
 // thread is quiescent — and then releases the thread's recovery
 // protections; any other panic is re-thrown, and a normal return does
 // nothing.
-func OnNeutralized(m RUnprotector, tid int, fn func(Neutralized)) {
+func OnNeutralized(h RUnprotector, fn func(Neutralized)) {
 	v := recover()
 	if v == nil {
 		return
@@ -153,5 +153,5 @@ func OnNeutralized(m RUnprotector, tid int, fn func(Neutralized)) {
 		return
 	}
 	fn(n)
-	m.RUnprotectAll(tid)
+	h.RUnprotectAll()
 }

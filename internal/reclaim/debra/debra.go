@@ -101,8 +101,8 @@ type Reclaimer[T any] struct {
 	blockSink core.BlockFreeSink[T] // sink if it supports whole blocks, else nil
 }
 
-// handle is one thread's fast-path view (core.ReclaimerHandle): the thread's
-// private state, announcement slot and shard scan set resolved once at
+// handle is one thread slot's view (core.ReclaimerHandle): the slot's
+// private state, announcement word and shard scan set resolved once at
 // construction, so per-operation calls index no slices at all.
 type handle[T any] struct {
 	r       *Reclaimer[T]
@@ -224,7 +224,7 @@ func New[T any](n int, sink core.FreeSink[T], opts ...Option) *Reclaimer[T] {
 	return r
 }
 
-// Handle implements core.HandledReclaimer.
+// Handle implements core.Reclaimer.
 func (r *Reclaimer[T]) Handle(tid int) core.ReclaimerHandle[T] { return &r.handles[tid] }
 
 // Name implements core.Reclaimer.
@@ -243,20 +243,12 @@ func (r *Reclaimer[T]) Props() core.Properties {
 	}
 }
 
-// getQuiescentBit returns thread other's quiescent flag.
-func (r *Reclaimer[T]) getQuiescentBit(other int) bool {
-	return r.shared[other].v.Load()&quiescentBit != 0
-}
-
 // isEqual reports whether announcement ann announces epoch readEpoch.
 func isEqual(readEpoch, ann int64) bool { return readEpoch == ann&^quiescentBit }
 
-// LeaveQstate implements core.Reclaimer (Figure 4, leaveQstate).
-func (r *Reclaimer[T]) LeaveQstate(tid int) bool { return r.handles[tid].LeaveQstate() }
-
-// LeaveQstate implements core.ReclaimerHandle (Figure 4, leaveQstate): the
-// same incremental scan as the tid-based entry point, with the thread's
-// private state, announcement slot and shard member list pre-resolved.
+// LeaveQstate implements core.ReclaimerHandle (Figure 4, leaveQstate), with
+// the thread's private state, announcement slot and shard member list
+// pre-resolved.
 func (h *handle[T]) LeaveQstate() bool {
 	r, t := h.r, h.t
 	result := false
@@ -346,16 +338,13 @@ func (r *Reclaimer[T]) shardAt(tid, s int, readEpoch int64) bool {
 // ShardMap implements core.Sharded.
 func (r *Reclaimer[T]) ShardMap() *core.ShardMap { return r.smap }
 
-// EnterQstate implements core.Reclaimer: set the quiescent bit.
-func (r *Reclaimer[T]) EnterQstate(tid int) { r.handles[tid].EnterQstate() }
-
-// EnterQstate implements core.ReclaimerHandle.
+// EnterQstate implements core.ReclaimerHandle: set the quiescent bit.
 func (h *handle[T]) EnterQstate() {
 	h.slot.v.Store(h.slot.v.Load() | quiescentBit)
 }
 
-// IsQuiescent implements core.Reclaimer.
-func (r *Reclaimer[T]) IsQuiescent(tid int) bool { return r.getQuiescentBit(tid) }
+// IsQuiescent implements core.ReclaimerHandle.
+func (h *handle[T]) IsQuiescent() bool { return h.slot.v.Load()&quiescentBit != 0 }
 
 // PinRetire implements core.RetirePinner: clear the quiescent bit while
 // keeping the announced epoch, without LeaveQstate's rotation and scan
@@ -383,17 +372,14 @@ func (r *Reclaimer[T]) UnpinRetire(tid int) {
 // uniform epoch-scheme contract (core.RetirePinner) is that quiescent
 // callers pin first.
 func (r *Reclaimer[T]) requirePinned(tid int) {
-	if r.getQuiescentBit(tid) {
+	if r.shared[tid].v.Load()&quiescentBit != 0 {
 		panic("debra: Retire from a quiescent context; pin the thread first (PinRetire or LeaveQstate)")
 	}
 }
 
-// Retire implements core.Reclaimer: add the record to the current limbo bag
-// (O(1) worst case). The caller must be pinned (mid-operation, or inside a
-// PinRetire/UnpinRetire window).
-func (r *Reclaimer[T]) Retire(tid int, rec *T) { r.handles[tid].Retire(rec) }
-
-// Retire implements core.ReclaimerHandle.
+// Retire implements core.ReclaimerHandle: add the record to the current limbo
+// bag (O(1) worst case). The caller must be pinned (mid-operation, or inside
+// a PinRetire/UnpinRetire window).
 func (h *handle[T]) Retire(rec *T) {
 	if rec == nil {
 		panic("debra: Retire(nil)")
@@ -405,11 +391,26 @@ func (h *handle[T]) Retire(rec *T) {
 	h.t.retired.Inc()
 }
 
-// Protect implements core.ReclaimerHandle (no-op for DEBRA).
+// Protect implements core.ReclaimerHandle. DEBRA needs no per-record
+// protection; the call is a no-op that always succeeds (and is skipped
+// entirely by data structures that consult Props().PerRecordProtection).
 func (h *handle[T]) Protect(rec *T) bool { return true }
 
 // Unprotect implements core.ReclaimerHandle (no-op).
 func (h *handle[T]) Unprotect(rec *T) {}
+
+// IsProtected implements core.ReclaimerHandle.
+func (h *handle[T]) IsProtected(rec *T) bool { return true }
+
+// RProtect implements core.ReclaimerHandle (no-op; DEBRA has no crash
+// recovery).
+func (h *handle[T]) RProtect(rec *T) {}
+
+// RUnprotectAll implements core.ReclaimerHandle (no-op).
+func (h *handle[T]) RUnprotectAll() {}
+
+// IsRProtected implements core.ReclaimerHandle.
+func (h *handle[T]) IsRProtected(rec *T) bool { return false }
 
 // Checkpoint implements core.ReclaimerHandle (no-op).
 func (h *handle[T]) Checkpoint() {}
@@ -461,58 +462,10 @@ func (r *Reclaimer[T]) rotateAndReclaim(tid int) {
 	t := &r.threads[tid]
 	t.index = (t.index + 1) % 3
 	t.currentBag = t.bags[t.index]
-	r.freeFullBlocks(tid, t.currentBag)
-}
-
-// freeFullBlocks moves every full block of bag to the free sink, using the
-// block interface when available.
-func (r *Reclaimer[T]) freeFullBlocks(tid int, bag *blockbag.Bag[T]) {
-	t := &r.threads[tid]
-	chain := bag.DetachAllFullBlocks()
-	if chain == nil {
-		return
+	if chain := t.currentBag.DetachAllFullBlocks(); chain != nil {
+		t.freed.Add(core.FreeChain(r.sink, r.blockSink, t.blockPool, tid, chain))
 	}
-	n := int64(blockbag.ChainLen(chain))
-	if r.blockSink != nil {
-		r.blockSink.FreeBlocks(tid, chain)
-	} else {
-		for blk := chain; blk != nil; {
-			next := blk.Next()
-			for i := 0; i < blk.Len(); i++ {
-				r.sink.Free(tid, blk.Record(i))
-			}
-			t.blockPool.Put(blk)
-			blk = next
-		}
-	}
-	t.freed.Add(n)
 }
-
-// Protect implements core.Reclaimer. DEBRA needs no per-record protection;
-// the call is a no-op that always succeeds (and is skipped entirely by data
-// structures that consult Props().PerRecordProtection).
-func (r *Reclaimer[T]) Protect(tid int, rec *T) bool { return true }
-
-// Unprotect implements core.Reclaimer (no-op).
-func (r *Reclaimer[T]) Unprotect(tid int, rec *T) {}
-
-// IsProtected implements core.Reclaimer.
-func (r *Reclaimer[T]) IsProtected(tid int, rec *T) bool { return true }
-
-// RProtect implements core.Reclaimer (no-op; DEBRA has no crash recovery).
-func (r *Reclaimer[T]) RProtect(tid int, rec *T) {}
-
-// RUnprotectAll implements core.Reclaimer (no-op).
-func (r *Reclaimer[T]) RUnprotectAll(tid int) {}
-
-// IsRProtected implements core.Reclaimer.
-func (r *Reclaimer[T]) IsRProtected(tid int, rec *T) bool { return false }
-
-// SupportsCrashRecovery implements core.Reclaimer.
-func (r *Reclaimer[T]) SupportsCrashRecovery() bool { return false }
-
-// Checkpoint implements core.Reclaimer (no-op).
-func (r *Reclaimer[T]) Checkpoint(tid int) {}
 
 // Epoch returns the current global epoch (instrumentation).
 func (r *Reclaimer[T]) Epoch() int64 { return r.epoch.Load() }
@@ -544,10 +497,9 @@ func (r *Reclaimer[T]) Stats() core.Stats {
 }
 
 var (
-	_ core.Reclaimer[int]        = (*Reclaimer[int])(nil)
-	_ core.BlockReclaimer[int]   = (*Reclaimer[int])(nil)
-	_ core.Sharded               = (*Reclaimer[int])(nil)
-	_ core.RetirePinner          = (*Reclaimer[int])(nil)
-	_ core.LimboDrainer          = (*Reclaimer[int])(nil)
-	_ core.HandledReclaimer[int] = (*Reclaimer[int])(nil)
+	_ core.Reclaimer[int]      = (*Reclaimer[int])(nil)
+	_ core.BlockReclaimer[int] = (*Reclaimer[int])(nil)
+	_ core.Sharded             = (*Reclaimer[int])(nil)
+	_ core.RetirePinner        = (*Reclaimer[int])(nil)
+	_ core.LimboDrainer        = (*Reclaimer[int])(nil)
 )

@@ -37,11 +37,11 @@ func TestStressDefaultPacing(t *testing.T) {
 func retireMany(r *debra.Reclaimer[reclaimtest.Record], tid, n int) []*reclaimtest.Record {
 	recs := make([]*reclaimtest.Record, 0, n)
 	for i := 0; i < n; i++ {
-		r.LeaveQstate(tid)
+		r.Handle(tid).LeaveQstate()
 		rec := &reclaimtest.Record{ID: int64(i)}
-		r.Retire(tid, rec)
+		r.Handle(tid).Retire(rec)
 		recs = append(recs, rec)
-		r.EnterQstate(tid)
+		r.Handle(tid).EnterQstate()
 	}
 	return recs
 }
@@ -56,8 +56,8 @@ func TestSingleThreadReclaims(t *testing.T) {
 	retireMany(r, 0, n)
 	// A few empty operations to advance epochs and rotate bags.
 	for i := 0; i < 10; i++ {
-		r.LeaveQstate(0)
-		r.EnterQstate(0)
+		r.Handle(0).LeaveQstate()
+		r.Handle(0).EnterQstate()
 	}
 	if sink.Freed() == 0 {
 		t.Fatalf("no records freed after %d retires (stats=%+v epoch=%d)", n, r.Stats(), r.Epoch())
@@ -81,14 +81,14 @@ func TestRecordNotFreedBeforeTwoEpochs(t *testing.T) {
 
 	// Thread 1 is in the middle of an operation: it announced the current
 	// epoch and holds (conceptually) pointers into the structure.
-	r.LeaveQstate(1)
+	r.Handle(1).LeaveQstate()
 
 	// Thread 0 retires many records; thread 1 never finishes its operation,
 	// so no record may be freed.
 	for i := 0; i < 3*blockbag.BlockSize; i++ {
-		r.LeaveQstate(0)
-		r.Retire(0, &reclaimtest.Record{ID: int64(i)})
-		r.EnterQstate(0)
+		r.Handle(0).LeaveQstate()
+		r.Handle(0).Retire(&reclaimtest.Record{ID: int64(i)})
+		r.Handle(0).EnterQstate()
 	}
 	if got := sink.Freed(); got != 0 {
 		t.Fatalf("%d records freed while thread 1 was still in its operation", got)
@@ -96,10 +96,10 @@ func TestRecordNotFreedBeforeTwoEpochs(t *testing.T) {
 
 	// Thread 1 finishes; after thread 0 performs more operations the epoch
 	// advances and reclamation proceeds.
-	r.EnterQstate(1)
+	r.Handle(1).EnterQstate()
 	for i := 0; i < 20; i++ {
-		r.LeaveQstate(0)
-		r.EnterQstate(0)
+		r.Handle(0).LeaveQstate()
+		r.Handle(0).EnterQstate()
 	}
 	if sink.Freed() == 0 {
 		t.Fatal("records never freed after thread 1 became quiescent")
@@ -117,8 +117,8 @@ func TestQuiescentThreadDoesNotBlock(t *testing.T) {
 	// fill several blocks per bag.
 	retireMany(r, 0, 12*blockbag.BlockSize)
 	for i := 0; i < 10; i++ {
-		r.LeaveQstate(0)
-		r.EnterQstate(0)
+		r.Handle(0).LeaveQstate()
+		r.Handle(0).EnterQstate()
 	}
 	if sink.Freed() == 0 {
 		t.Fatal("quiescent threads blocked reclamation (they must not)")
@@ -131,7 +131,7 @@ func TestQuiescentThreadDoesNotBlock(t *testing.T) {
 func TestStalledOperationBlocksReclamation(t *testing.T) {
 	sink := reclaimtest.NewRecordingSink()
 	r := debra.New(2, sink, fast()...)
-	r.LeaveQstate(1) // stalled mid-operation
+	r.Handle(1).LeaveQstate() // stalled mid-operation
 	retireMany(r, 0, 4*blockbag.BlockSize)
 	if got := sink.Freed(); got != 0 {
 		t.Fatalf("%d records freed despite a thread stalled mid-operation", got)
@@ -151,15 +151,15 @@ func TestEpochAdvancesRequireFullScan(t *testing.T) {
 	// All threads must participate (or be quiescent); with every thread
 	// quiescent except thread 0, thread 0 still needs at least n checks.
 	for i := 0; i < n-1; i++ {
-		r.LeaveQstate(0)
-		r.EnterQstate(0)
+		r.Handle(0).LeaveQstate()
+		r.Handle(0).EnterQstate()
 	}
 	if r.Epoch() != start {
 		t.Fatalf("epoch advanced after only %d operations (scan cannot have covered all %d threads)", n-1, n)
 	}
 	for i := 0; i < n+2; i++ {
-		r.LeaveQstate(0)
-		r.EnterQstate(0)
+		r.Handle(0).LeaveQstate()
+		r.Handle(0).EnterQstate()
 	}
 	if r.Epoch() == start {
 		t.Fatal("epoch never advanced even though all other threads are quiescent")
@@ -174,15 +174,15 @@ func TestIncrThreshDelaysAdvance(t *testing.T) {
 	r := debra.New(1, sink, debra.WithCheckThresh(1), debra.WithIncrThresh(100))
 	start := r.Epoch()
 	for i := 0; i < 50; i++ {
-		r.LeaveQstate(0)
-		r.EnterQstate(0)
+		r.Handle(0).LeaveQstate()
+		r.Handle(0).EnterQstate()
 	}
 	if r.Epoch() != start {
 		t.Fatal("epoch advanced before INCR_THRESH operations")
 	}
 	for i := 0; i < 200; i++ {
-		r.LeaveQstate(0)
-		r.EnterQstate(0)
+		r.Handle(0).LeaveQstate()
+		r.Handle(0).EnterQstate()
 	}
 	if r.Epoch() == start {
 		t.Fatal("epoch never advanced after INCR_THRESH operations")
@@ -196,8 +196,8 @@ func TestBlockSinkReceivesWholeBlocks(t *testing.T) {
 	r := debra.New[reclaimtest.Record](1, sink, fast()...)
 	retireMany2(r, 0, 3*blockbag.BlockSize)
 	for i := 0; i < 10; i++ {
-		r.LeaveQstate(0)
-		r.EnterQstate(0)
+		r.Handle(0).LeaveQstate()
+		r.Handle(0).EnterQstate()
 	}
 	if sink.blocks == 0 {
 		t.Fatal("block sink never received a block")
@@ -209,9 +209,9 @@ func TestBlockSinkReceivesWholeBlocks(t *testing.T) {
 
 func retireMany2(r *debra.Reclaimer[reclaimtest.Record], tid, n int) {
 	for i := 0; i < n; i++ {
-		r.LeaveQstate(tid)
-		r.Retire(tid, &reclaimtest.Record{ID: int64(i)})
-		r.EnterQstate(tid)
+		r.Handle(tid).LeaveQstate()
+		r.Handle(tid).Retire(&reclaimtest.Record{ID: int64(i)})
+		r.Handle(tid).EnterQstate()
 	}
 }
 
@@ -238,9 +238,9 @@ func TestSharesThePoolsBlocks(t *testing.T) {
 	r := debra.New[reclaimtest.Record](1, pl, fast()...)
 	cycle := func() {
 		for i := 0; i < 4*blockbag.BlockSize; i++ {
-			r.LeaveQstate(0)
-			r.Retire(0, pl.Allocate(0))
-			r.EnterQstate(0)
+			r.Handle(0).LeaveQstate()
+			r.Handle(0).Retire(pl.Allocate(0))
+			r.Handle(0).EnterQstate()
 		}
 	}
 	for i := 0; i < 8; i++ {
@@ -259,7 +259,7 @@ func TestNewValidation(t *testing.T) {
 		t.Fatal("expected panic for nil sink")
 	}
 	//lint:allow retirepin deliberate contract violation: asserts the Retire(nil) panic fires before any pin check matters
-	if !panics(func() { debra.New[reclaimtest.Record](1, reclaimtest.NewRecordingSink()).Retire(0, nil) }) {
+	if !panics(func() { debra.New[reclaimtest.Record](1, reclaimtest.NewRecordingSink()).Handle(0).Retire(nil) }) {
 		t.Fatal("expected panic for Retire(nil)")
 	}
 }
@@ -279,27 +279,27 @@ func TestShardedCrossShardSafety(t *testing.T) {
 	sink := reclaimtest.NewRecordingSink()
 	r := debra.New[reclaimtest.Record](4, sink,
 		append(fast(), debra.WithShards(core.ShardSpec{Shards: 2}))...)
-	r.LeaveQstate(3) // other-shard thread mid-operation, not quiescent
+	r.Handle(3).LeaveQstate() // other-shard thread mid-operation, not quiescent
 	// Retire several blocks' worth: the retires may straddle one epoch
 	// rotation, but at least one limbo bag then holds a full block (partial
 	// head blocks stay behind by design, so assertions below are on freed
 	// counts, not individual records).
 	for i := 0; i < 4*blockbag.BlockSize; i++ {
-		r.LeaveQstate(0)
-		r.Retire(0, &reclaimtest.Record{ID: int64(i)})
-		r.EnterQstate(0)
+		r.Handle(0).LeaveQstate()
+		r.Handle(0).Retire(&reclaimtest.Record{ID: int64(i)})
+		r.Handle(0).EnterQstate()
 	}
 	for i := 0; i < 400; i++ {
-		r.LeaveQstate(0)
-		r.EnterQstate(0)
+		r.Handle(0).LeaveQstate()
+		r.Handle(0).EnterQstate()
 	}
 	if got := sink.Freed(); got != 0 {
 		t.Fatalf("%d records freed while a thread of another shard was mid-operation", got)
 	}
-	r.EnterQstate(3)
+	r.Handle(3).EnterQstate()
 	for i := 0; i < 400; i++ {
-		r.LeaveQstate(0)
-		r.EnterQstate(0)
+		r.Handle(0).LeaveQstate()
+		r.Handle(0).EnterQstate()
 	}
 	if got := sink.Freed(); got < int64(blockbag.BlockSize) {
 		t.Fatalf("only %d records freed after the other shard became quiescent", got)
@@ -313,9 +313,9 @@ func TestShardedQuiescentShardDoesNotBlock(t *testing.T) {
 	r := debra.New[reclaimtest.Record](6, sink,
 		append(fast(), debra.WithShards(core.ShardSpec{Shards: 3}))...)
 	for i := 0; i < 2000; i++ {
-		r.LeaveQstate(0)
-		r.Retire(0, &reclaimtest.Record{ID: int64(i)})
-		r.EnterQstate(0)
+		r.Handle(0).LeaveQstate()
+		r.Handle(0).Retire(&reclaimtest.Record{ID: int64(i)})
+		r.Handle(0).EnterQstate()
 	}
 	if sink.Freed() == 0 {
 		t.Fatal("quiescent shards blocked reclamation")
@@ -343,15 +343,15 @@ func TestRetireBlockSplice(t *testing.T) {
 	for i := 0; i < blockbag.BlockSize; i++ {
 		bag.Add(&reclaimtest.Record{ID: int64(i)})
 	}
-	r.LeaveQstate(0)
+	r.Handle(0).LeaveQstate()
 	r.RetireBlock(0, bag.DetachAllFullBlocks())
-	r.EnterQstate(0)
+	r.Handle(0).EnterQstate()
 	if got := r.Stats().Retired; got != int64(blockbag.BlockSize) {
 		t.Fatalf("Retired = %d want %d", got, blockbag.BlockSize)
 	}
 	for i := 0; i < 10; i++ {
-		r.LeaveQstate(0)
-		r.EnterQstate(0)
+		r.Handle(0).LeaveQstate()
+		r.Handle(0).EnterQstate()
 	}
 	if sink.blocks == 0 {
 		t.Fatal("spliced block never reached the sink as a whole block")

@@ -123,13 +123,14 @@ type Reclaimer[T any] struct {
 	handles []handle[T]
 }
 
-// handle is one thread's fast-path view (core.ReclaimerHandle): the thread's
-// private state, announcement slot and shard scan set resolved once, so
-// per-operation calls index no slices at all.
+// handle is one thread slot's view (core.ReclaimerHandle): the slot's
+// private state, announcement word, recovery table and shard scan set
+// resolved once, so per-operation calls index no slices at all.
 type handle[T any] struct {
 	r       *Reclaimer[T]
 	t       *thread[T]
 	slot    *announceSlot
+	rp      *rprotectSlots[T]
 	tid     int
 	members []int
 	self    int
@@ -256,6 +257,7 @@ func New[T any](n int, sink core.FreeSink[T], opts ...Option) *Reclaimer[T] {
 			r:       r,
 			t:       &r.threads[i],
 			slot:    &r.shared[i],
+			rp:      &r.rprot[i],
 			tid:     i,
 			self:    self,
 			members: smap.Members(self),
@@ -264,7 +266,7 @@ func New[T any](n int, sink core.FreeSink[T], opts ...Option) *Reclaimer[T] {
 	return r
 }
 
-// Handle implements core.HandledReclaimer.
+// Handle implements core.Reclaimer.
 func (r *Reclaimer[T]) Handle(tid int) core.ReclaimerHandle[T] { return &r.handles[tid] }
 
 // Name implements core.Reclaimer.
@@ -281,6 +283,7 @@ func (r *Reclaimer[T]) Props() core.Properties {
 		TraverseRetiredToRetired: true,
 		FaultTolerant:            true,
 		BoundedGarbage:           true,
+		CrashRecovery:            true,
 	}
 }
 
@@ -298,9 +301,6 @@ func (r *Reclaimer[T]) deliver(tid int) {
 	r.threads[tid].selfNeutralized.Inc()
 	panic(neutralize.Neutralized{Tid: tid})
 }
-
-// LeaveQstate implements core.Reclaimer (Figure 6, leaveQstate).
-func (r *Reclaimer[T]) LeaveQstate(tid int) bool { return r.handles[tid].LeaveQstate() }
 
 // LeaveQstate implements core.ReclaimerHandle (Figure 6, leaveQstate).
 func (h *handle[T]) LeaveQstate() bool {
@@ -427,14 +427,11 @@ func (r *Reclaimer[T]) suspectNeutralized(tid, other int) bool {
 	return true
 }
 
-// EnterQstate implements core.Reclaimer. A signal that is pending when the
-// body finishes is delivered rather than swallowed, so an operation never
+// EnterQstate implements core.ReclaimerHandle. A signal that is pending when
+// the body finishes is delivered rather than swallowed, so an operation never
 // returns a result computed from records that may have been reclaimed behind
 // its back (the neutralization-window argument; see the package doc and
 // internal/neutralize).
-func (r *Reclaimer[T]) EnterQstate(tid int) { r.handles[tid].EnterQstate() }
-
-// EnterQstate implements core.ReclaimerHandle.
 func (h *handle[T]) EnterQstate() {
 	s := h.slot
 	if s.v.Load()&quiescentBit == 0 && h.r.domain.Pending(h.tid) {
@@ -443,17 +440,12 @@ func (h *handle[T]) EnterQstate() {
 	s.v.Store(s.v.Load() | quiescentBit)
 }
 
-// IsQuiescent implements core.Reclaimer.
-func (r *Reclaimer[T]) IsQuiescent(tid int) bool {
-	return r.shared[tid].v.Load()&quiescentBit != 0
-}
+// IsQuiescent implements core.ReclaimerHandle.
+func (h *handle[T]) IsQuiescent() bool { return h.slot.v.Load()&quiescentBit != 0 }
 
-// Checkpoint implements core.Reclaimer: deliver a pending signal to a
+// Checkpoint implements core.ReclaimerHandle: deliver a pending signal to a
 // non-quiescent thread. Data structure bodies call this once per search-loop
 // iteration.
-func (r *Reclaimer[T]) Checkpoint(tid int) { r.handles[tid].Checkpoint() }
-
-// Checkpoint implements core.ReclaimerHandle.
 func (h *handle[T]) Checkpoint() {
 	if h.slot.v.Load()&quiescentBit != 0 {
 		return
@@ -490,11 +482,8 @@ func (r *Reclaimer[T]) requirePinned(tid int) {
 	}
 }
 
-// Retire implements core.Reclaimer. The caller must be pinned
+// Retire implements core.ReclaimerHandle. The caller must be pinned
 // (mid-operation, or inside a PinRetire/UnpinRetire window).
-func (r *Reclaimer[T]) Retire(tid int, rec *T) { r.handles[tid].Retire(rec) }
-
-// Retire implements core.ReclaimerHandle.
 func (h *handle[T]) Retire(rec *T) {
 	if rec == nil {
 		panic("debraplus: Retire(nil)")
@@ -512,6 +501,9 @@ func (h *handle[T]) Protect(rec *T) bool { return true }
 
 // Unprotect implements core.ReclaimerHandle (no-op).
 func (h *handle[T]) Unprotect(rec *T) {}
+
+// IsProtected implements core.ReclaimerHandle.
+func (h *handle[T]) IsProtected(rec *T) bool { return true }
 
 // RetireBlock implements core.BlockReclaimer: splice one detached full block
 // into the caller's current limbo bag in O(1) (single-owner, no
@@ -579,46 +571,35 @@ func (r *Reclaimer[T]) DrainLimbo(tid int) int64 {
 	return total
 }
 
-// Protect implements core.Reclaimer (epoch protection; nothing per record).
-func (r *Reclaimer[T]) Protect(tid int, rec *T) bool { return true }
-
-// Unprotect implements core.Reclaimer (no-op).
-func (r *Reclaimer[T]) Unprotect(tid int, rec *T) {}
-
-// IsProtected implements core.Reclaimer.
-func (r *Reclaimer[T]) IsProtected(tid int, rec *T) bool { return true }
-
-// RProtect implements core.Reclaimer: announce a recovery hazard pointer to
-// rec. RProtect is called in the non-quiescent body, so it may deliver a
+// RProtect implements core.ReclaimerHandle: announce a recovery hazard pointer
+// to rec. RProtect is called in the non-quiescent body, so it may deliver a
 // pending neutralization; in that case the protections announced so far are
 // withdrawn before jumping to recovery, which guarantees that recovery never
 // relies on a protection a concurrent scanner might have missed (the
 // announce-then-recheck handshake).
-func (r *Reclaimer[T]) RProtect(tid int, rec *T) {
+func (h *handle[T]) RProtect(rec *T) {
 	if rec == nil {
 		return
 	}
-	rp := &r.rprot[tid]
+	rp := h.rp
 	n := rp.count.Load()
 	if int(n) >= len(rp.slots) {
 		panic("debraplus: RProtect capacity exceeded; raise WithMaxRProtect")
 	}
 	rp.slots[n].Store(rec)
 	rp.count.Store(n + 1)
-	if r.domain.Pending(tid) && r.shared[tid].v.Load()&quiescentBit == 0 {
-		r.RUnprotectAll(tid)
-		r.deliver(tid)
+	if h.r.domain.Pending(h.tid) && h.slot.v.Load()&quiescentBit == 0 {
+		h.RUnprotectAll()
+		h.r.deliver(h.tid)
 	}
 }
 
-// RUnprotectAll implements core.Reclaimer.
-func (r *Reclaimer[T]) RUnprotectAll(tid int) {
-	r.rprot[tid].count.Store(0)
-}
+// RUnprotectAll implements core.ReclaimerHandle.
+func (h *handle[T]) RUnprotectAll() { h.rp.count.Store(0) }
 
-// IsRProtected implements core.Reclaimer.
-func (r *Reclaimer[T]) IsRProtected(tid int, rec *T) bool {
-	rp := &r.rprot[tid]
+// IsRProtected implements core.ReclaimerHandle.
+func (h *handle[T]) IsRProtected(rec *T) bool {
+	rp := h.rp
 	n := int(rp.count.Load())
 	for i := 0; i < n; i++ {
 		if rp.slots[i].Load() == rec {
@@ -627,9 +608,6 @@ func (r *Reclaimer[T]) IsRProtected(tid int, rec *T) bool {
 	}
 	return false
 }
-
-// SupportsCrashRecovery implements core.Reclaimer.
-func (r *Reclaimer[T]) SupportsCrashRecovery() bool { return true }
 
 // rotateAndReclaim implements Figure 6's rotateAndReclaim: rotate the limbo
 // bags and, once the rotated bag is large enough to amortise the scan, free
@@ -669,24 +647,9 @@ func (r *Reclaimer[T]) rotateAndReclaim(tid int) {
 		}
 	}
 	// Everything after it2 is unprotected; move its full blocks to the sink.
-	chain := bag.DetachFullBlocksAfter(it2)
-	if chain == nil {
-		return
+	if chain := bag.DetachFullBlocksAfter(it2); chain != nil {
+		t.freed.Add(core.FreeChain(r.sink, r.blockSink, t.blockPool, tid, chain))
 	}
-	n := int64(blockbag.ChainLen(chain))
-	if r.blockSink != nil {
-		r.blockSink.FreeBlocks(tid, chain)
-	} else {
-		for blk := chain; blk != nil; {
-			next := blk.Next()
-			for i := 0; i < blk.Len(); i++ {
-				r.sink.Free(tid, blk.Record(i))
-			}
-			t.blockPool.Put(blk)
-			blk = next
-		}
-	}
-	t.freed.Add(n)
 }
 
 // Epoch returns the current global epoch (instrumentation).
@@ -729,6 +692,4 @@ var (
 	_ core.Sharded             = (*Reclaimer[int])(nil)
 	_ core.RetirePinner        = (*Reclaimer[int])(nil)
 	_ core.LimboDrainer        = (*Reclaimer[int])(nil)
-
-	_ core.HandledReclaimer[int] = (*Reclaimer[int])(nil)
 )

@@ -40,9 +40,9 @@ func TestStressDefault(t *testing.T) {
 // drive runs tid through n operations retiring one fresh record each.
 func drive(r *debraplus.Reclaimer[reclaimtest.Record], tid, n int) {
 	for i := 0; i < n; i++ {
-		r.LeaveQstate(tid)
-		r.Retire(tid, &reclaimtest.Record{ID: int64(i)})
-		r.EnterQstate(tid)
+		r.Handle(tid).LeaveQstate()
+		r.Handle(tid).Retire(&reclaimtest.Record{ID: int64(i)})
+		r.Handle(tid).EnterQstate()
 	}
 }
 
@@ -55,7 +55,7 @@ func TestNeutralizationUnblocksReclamation(t *testing.T) {
 
 	// Thread 1 stalls inside an operation (it never reaches EnterQstate and
 	// never executes another checkpoint — a crashed or descheduled thread).
-	r.LeaveQstate(1)
+	r.Handle(1).LeaveQstate()
 
 	drive(r, 0, 20*blockbag.BlockSize)
 	if sink.Freed() == 0 {
@@ -76,7 +76,7 @@ func TestNeutralizationUnblocksReclamation(t *testing.T) {
 func TestStalledThreadIsNeutralizedAtNextCheckpoint(t *testing.T) {
 	sink := reclaimtest.NewRecordingSink()
 	r := debraplus.New(2, sink, fast()...)
-	r.LeaveQstate(1)
+	r.Handle(1).LeaveQstate()
 	drive(r, 0, 20*blockbag.BlockSize) // forces thread 0 to signal thread 1
 	if r.Domain().SignalsSent() == 0 {
 		t.Fatal("no signal was sent to the stalled thread")
@@ -92,13 +92,13 @@ func TestStalledThreadIsNeutralizedAtNextCheckpoint(t *testing.T) {
 				d = true
 			}
 		}()
-		r.Checkpoint(1)
+		r.Handle(1).Checkpoint()
 		return false
 	}()
 	if !delivered {
 		t.Fatal("pending signal was not delivered at the next checkpoint")
 	}
-	if !r.IsQuiescent(1) {
+	if !r.Handle(1).IsQuiescent() {
 		t.Fatal("neutralized thread must be left in a quiescent state")
 	}
 	if r.SelfNeutralizations(1) != 1 {
@@ -107,11 +107,11 @@ func TestStalledThreadIsNeutralizedAtNextCheckpoint(t *testing.T) {
 	// Once quiescent, further checkpoints are no-ops even if more signals
 	// arrive (the paper's handler returns immediately for quiescent threads).
 	r.Domain().Signal(1)
-	r.Checkpoint(1) // must not panic
+	r.Handle(1).Checkpoint() // must not panic
 	// And the next operation consumes stale signals silently.
-	r.LeaveQstate(1)
-	r.Checkpoint(1) // must not panic: signal was sent while quiescent
-	r.EnterQstate(1)
+	r.Handle(1).LeaveQstate()
+	r.Handle(1).Checkpoint() // must not panic: signal was sent while quiescent
+	r.Handle(1).EnterQstate()
 }
 
 // TestEnterQstateDeliversPendingSignal: an operation that finishes its body
@@ -120,7 +120,7 @@ func TestStalledThreadIsNeutralizedAtNextCheckpoint(t *testing.T) {
 func TestEnterQstateDeliversPendingSignal(t *testing.T) {
 	sink := reclaimtest.NewRecordingSink()
 	r := debraplus.New(2, sink, fast()...)
-	r.LeaveQstate(1)
+	r.Handle(1).LeaveQstate()
 	r.Domain().Signal(1)
 	neutralized := false
 	func() {
@@ -130,7 +130,7 @@ func TestEnterQstateDeliversPendingSignal(t *testing.T) {
 				neutralized = ok
 			}
 		}()
-		r.EnterQstate(1)
+		r.Handle(1).EnterQstate()
 	}()
 	if !neutralized {
 		t.Fatal("EnterQstate must deliver a pending signal to a non-quiescent thread")
@@ -145,16 +145,16 @@ func TestRProtectPreventsReclamation(t *testing.T) {
 	r := debraplus.New(2, sink, fast()...)
 
 	victim := &reclaimtest.Record{ID: 7}
-	r.LeaveQstate(1)
-	r.RProtect(1, victim)
-	if !r.IsRProtected(1, victim) {
+	r.Handle(1).LeaveQstate()
+	r.Handle(1).RProtect(victim)
+	if !r.Handle(1).IsRProtected(victim) {
 		t.Fatal("IsRProtected returned false after RProtect")
 	}
 	// Thread 1 now stalls; thread 0 retires the victim and lots of other
 	// records, neutralizing thread 1 and reclaiming.
-	r.LeaveQstate(0)
-	r.Retire(0, victim)
-	r.EnterQstate(0)
+	r.Handle(0).LeaveQstate()
+	r.Handle(0).Retire(victim)
+	r.Handle(0).EnterQstate()
 	drive(r, 0, 20*blockbag.BlockSize)
 	if sink.Freed() == 0 {
 		t.Fatal("nothing was reclaimed")
@@ -163,7 +163,7 @@ func TestRProtectPreventsReclamation(t *testing.T) {
 		t.Fatal("RProtected record was freed")
 	}
 	// Releasing the protection lets a later scan free the victim.
-	r.RUnprotectAll(1)
+	r.Handle(1).RUnprotectAll()
 	drive(r, 0, 20*blockbag.BlockSize)
 	if !sink.Contains(victim) {
 		t.Fatal("record never freed after RUnprotectAll")
@@ -177,7 +177,7 @@ func TestRProtectDeliversPendingSignalAndWithdraws(t *testing.T) {
 	sink := reclaimtest.NewRecordingSink()
 	r := debraplus.New(2, sink, fast()...)
 	victim := &reclaimtest.Record{ID: 9}
-	r.LeaveQstate(1)
+	r.Handle(1).LeaveQstate()
 	r.Domain().Signal(1)
 	neutralized := false
 	func() {
@@ -187,12 +187,12 @@ func TestRProtectDeliversPendingSignalAndWithdraws(t *testing.T) {
 				neutralized = ok
 			}
 		}()
-		r.RProtect(1, victim)
+		r.Handle(1).RProtect(victim)
 	}()
 	if !neutralized {
 		t.Fatal("RProtect did not deliver the pending signal")
 	}
-	if r.IsRProtected(1, victim) {
+	if r.Handle(1).IsRProtected(victim) {
 		t.Fatal("protection must be withdrawn when RProtect is neutralized")
 	}
 }
@@ -203,13 +203,13 @@ func TestRProtectDeliversPendingSignalAndWithdraws(t *testing.T) {
 func TestBoundedGarbageUnderStall(t *testing.T) {
 	sink := reclaimtest.NewRecordingSink()
 	r := debraplus.New(2, sink, fast()...)
-	r.LeaveQstate(1) // stalled forever
+	r.Handle(1).LeaveQstate() // stalled forever
 	const total = 60 * blockbag.BlockSize
 	maxLimbo := int64(0)
 	for i := 0; i < total; i++ {
-		r.LeaveQstate(0)
-		r.Retire(0, &reclaimtest.Record{ID: int64(i)})
-		r.EnterQstate(0)
+		r.Handle(0).LeaveQstate()
+		r.Handle(0).Retire(&reclaimtest.Record{ID: int64(i)})
+		r.Handle(0).EnterQstate()
 		if l := r.Stats().Limbo; l > maxLimbo {
 			maxLimbo = l
 		}
@@ -230,7 +230,7 @@ func TestNeutralizationDisabledBehavesLikeDEBRA(t *testing.T) {
 		debraplus.WithCheckThresh(1), debraplus.WithIncrThresh(1),
 		debraplus.WithSuspectThresholdBlocks(1), debraplus.WithScanThresholdBlocks(1),
 		debraplus.WithNeutralizationDisabled())
-	r.LeaveQstate(1)
+	r.Handle(1).LeaveQstate()
 	drive(r, 0, 20*blockbag.BlockSize)
 	if sink.Freed() != 0 {
 		t.Fatal("records were freed even though neutralization was disabled and a thread is stalled")
@@ -252,15 +252,15 @@ func TestSharedDomain(t *testing.T) {
 // error and must be reported loudly.
 func TestRProtectCapacity(t *testing.T) {
 	r := debraplus.New(1, reclaimtest.NewRecordingSink(), debraplus.WithMaxRProtect(2))
-	r.LeaveQstate(0)
-	r.RProtect(0, &reclaimtest.Record{ID: 1})
-	r.RProtect(0, &reclaimtest.Record{ID: 2})
+	r.Handle(0).LeaveQstate()
+	r.Handle(0).RProtect(&reclaimtest.Record{ID: 1})
+	r.Handle(0).RProtect(&reclaimtest.Record{ID: 2})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic when RProtect capacity is exceeded")
 		}
 	}()
-	r.RProtect(0, &reclaimtest.Record{ID: 3})
+	r.Handle(0).RProtect(&reclaimtest.Record{ID: 3})
 }
 
 func TestNewValidation(t *testing.T) {
@@ -289,7 +289,7 @@ func TestShardedCrossShardNeutralization(t *testing.T) {
 
 	// Thread 3 (shard 1) stalls inside an operation; thread 0 (shard 0)
 	// does all the work.
-	r.LeaveQstate(3)
+	r.Handle(3).LeaveQstate()
 	drive(r, 0, 20*blockbag.BlockSize)
 
 	s := r.Stats()
@@ -306,9 +306,9 @@ func TestShardedCrossShardNeutralization(t *testing.T) {
 				t.Fatal("stalled thread's checkpoint did not deliver the neutralization")
 			}
 		}()
-		r.Checkpoint(3)
+		r.Handle(3).Checkpoint()
 	}()
-	if !r.IsQuiescent(3) {
+	if !r.Handle(3).IsQuiescent() {
 		t.Fatal("neutralized thread should be quiescent")
 	}
 }

@@ -85,8 +85,8 @@ type threadStats struct {
 	_             [core.PadBytes]byte
 }
 
-// handle is one thread's fast-path view (core.ReclaimerHandle): the thread's
-// announcement slot, stats, shard state and member list resolved once.
+// handle is one thread slot's view (core.ReclaimerHandle): the slot's
+// announcement word, stats, shard state and member list resolved once.
 type handle[T any] struct {
 	r       *Reclaimer[T]
 	t       *thread
@@ -161,7 +161,7 @@ func New[T any](n int, sink core.FreeSink[T], opts ...Option) *Reclaimer[T] {
 	return r
 }
 
-// Handle implements core.HandledReclaimer.
+// Handle implements core.Reclaimer.
 func (r *Reclaimer[T]) Handle(tid int) core.ReclaimerHandle[T] { return &r.handles[tid] }
 
 // Name implements core.Reclaimer.
@@ -190,13 +190,11 @@ func (r *Reclaimer[T]) passes(i int, e int64) bool {
 	return !t.active.Load() || t.announce.Load() == e
 }
 
-// LeaveQstate implements core.Reclaimer: announce the current epoch and scan
-// the caller's shard; when the whole shard has been verified at the current
-// epoch, publish that in the shard summary, and advance the epoch once every
-// shard's summary (or, for lagging shards, a direct member scan) passes.
-func (r *Reclaimer[T]) LeaveQstate(tid int) bool { return r.handles[tid].LeaveQstate() }
-
-// LeaveQstate implements core.ReclaimerHandle.
+// LeaveQstate implements core.ReclaimerHandle: announce the current epoch and
+// scan the caller's shard; when the whole shard has been verified at the
+// current epoch, publish that in the shard summary, and advance the epoch
+// once every shard's summary (or, for lagging shards, a direct member scan)
+// passes.
 func (h *handle[T]) LeaveQstate() bool {
 	r, t := h.r, h.t
 	e := r.epoch.Load()
@@ -310,17 +308,19 @@ func (r *Reclaimer[T]) reclaimEpoch(tid int, newEpoch int64) {
 	}
 }
 
-// EnterQstate implements core.Reclaimer. Classical EBR has no quiescent bit,
-// but we record inactivity so that threads which never perform another
+// EnterQstate implements core.ReclaimerHandle. Classical EBR has no quiescent
+// bit, but we record inactivity so that threads which never perform another
 // operation do not block the epoch forever in long-running processes; a
 // thread that stalls *inside* an operation still blocks reclamation, which
 // is the failure mode the paper highlights.
-func (r *Reclaimer[T]) EnterQstate(tid int) { r.threads[tid].active.Store(false) }
-
-// EnterQstate implements core.ReclaimerHandle.
 func (h *handle[T]) EnterQstate() { h.t.active.Store(false) }
 
-// Retire implements core.ReclaimerHandle.
+// IsQuiescent implements core.ReclaimerHandle.
+func (h *handle[T]) IsQuiescent() bool { return !h.t.active.Load() }
+
+// Retire implements core.ReclaimerHandle: append to the caller's shard's limbo
+// bag of the current epoch. The caller must be pinned (mid-operation, or
+// inside a PinRetire/UnpinRetire window).
 func (h *handle[T]) Retire(rec *T) {
 	if rec == nil {
 		panic("ebr: Retire(nil)")
@@ -343,11 +343,20 @@ func (h *handle[T]) Protect(rec *T) bool { return true }
 // Unprotect implements core.ReclaimerHandle (no-op).
 func (h *handle[T]) Unprotect(rec *T) {}
 
+// IsProtected implements core.ReclaimerHandle.
+func (h *handle[T]) IsProtected(rec *T) bool { return true }
+
+// RProtect implements core.ReclaimerHandle (no-op).
+func (h *handle[T]) RProtect(rec *T) {}
+
+// RUnprotectAll implements core.ReclaimerHandle (no-op).
+func (h *handle[T]) RUnprotectAll() {}
+
+// IsRProtected implements core.ReclaimerHandle.
+func (h *handle[T]) IsRProtected(rec *T) bool { return false }
+
 // Checkpoint implements core.ReclaimerHandle (no-op).
 func (h *handle[T]) Checkpoint() {}
-
-// IsQuiescent implements core.Reclaimer.
-func (r *Reclaimer[T]) IsQuiescent(tid int) bool { return !r.threads[tid].active.Load() }
 
 // PinRetire implements core.RetirePinner: announce the current epoch and
 // mark the thread active, without the scan/advance work of LeaveQstate. The
@@ -370,17 +379,12 @@ func (r *Reclaimer[T]) UnpinRetire(tid int) { r.threads[tid].active.Store(false)
 // epoch advancing twice in that window, at which point the append races the
 // advance winner's reclaimEpoch drain of that very bag index. Quiescent
 // callers must pin first (core.RetirePinner), which is what
-// RecordManager.FlushRetired does on shutdown paths.
+// core.ThreadHandle.FlushRetired does on shutdown paths.
 func (r *Reclaimer[T]) requirePinned(tid int) {
 	if !r.threads[tid].active.Load() {
 		panic("ebr: Retire from a quiescent context; pin the thread first (PinRetire or LeaveQstate)")
 	}
 }
-
-// Retire implements core.Reclaimer: append to the caller's shard's limbo bag
-// of the current epoch. The caller must be pinned (mid-operation, or inside
-// a PinRetire/UnpinRetire window).
-func (r *Reclaimer[T]) Retire(tid int, rec *T) { r.handles[tid].Retire(rec) }
 
 // RetireBlock implements core.BlockReclaimer: splice one detached full block
 // into the caller's shard's current limbo bag — O(1) under one lock
@@ -442,30 +446,6 @@ func (r *Reclaimer[T]) DrainLimbo(tid int) int64 {
 	return total
 }
 
-// Protect implements core.Reclaimer (no per-record work for EBR).
-func (r *Reclaimer[T]) Protect(tid int, rec *T) bool { return true }
-
-// Unprotect implements core.Reclaimer (no-op).
-func (r *Reclaimer[T]) Unprotect(tid int, rec *T) {}
-
-// IsProtected implements core.Reclaimer.
-func (r *Reclaimer[T]) IsProtected(tid int, rec *T) bool { return true }
-
-// RProtect implements core.Reclaimer (no-op).
-func (r *Reclaimer[T]) RProtect(tid int, rec *T) {}
-
-// RUnprotectAll implements core.Reclaimer (no-op).
-func (r *Reclaimer[T]) RUnprotectAll(tid int) {}
-
-// IsRProtected implements core.Reclaimer.
-func (r *Reclaimer[T]) IsRProtected(tid int, rec *T) bool { return false }
-
-// SupportsCrashRecovery implements core.Reclaimer.
-func (r *Reclaimer[T]) SupportsCrashRecovery() bool { return false }
-
-// Checkpoint implements core.Reclaimer (no-op).
-func (r *Reclaimer[T]) Checkpoint(tid int) {}
-
 // Epoch returns the current global epoch (instrumentation).
 func (r *Reclaimer[T]) Epoch() int64 { return r.epoch.Load() }
 
@@ -489,6 +469,4 @@ var (
 	_ core.Sharded             = (*Reclaimer[int])(nil)
 	_ core.RetirePinner        = (*Reclaimer[int])(nil)
 	_ core.LimboDrainer        = (*Reclaimer[int])(nil)
-
-	_ core.HandledReclaimer[int] = (*Reclaimer[int])(nil)
 )

@@ -24,15 +24,15 @@ func TestSingleThreadEventuallyFrees(t *testing.T) {
 	sink := reclaimtest.NewRecordingSink()
 	r := ebr.New[reclaimtest.Record](1, sink)
 	rec := &reclaimtest.Record{ID: 42}
-	r.LeaveQstate(0)
-	r.Retire(0, rec)
-	r.EnterQstate(0)
+	r.Handle(0).LeaveQstate()
+	r.Handle(0).Retire(rec)
+	r.Handle(0).EnterQstate()
 	if sink.Contains(rec) {
 		t.Fatal("record freed immediately after retire")
 	}
 	for i := 0; i < 10; i++ {
-		r.LeaveQstate(0)
-		r.EnterQstate(0)
+		r.Handle(0).LeaveQstate()
+		r.Handle(0).EnterQstate()
 	}
 	if !sink.Contains(rec) {
 		t.Fatalf("record not freed after 10 idle operations (epoch=%d, stats=%+v)", r.Epoch(), r.Stats())
@@ -47,12 +47,12 @@ func TestStalledOperationBlocksReclamation(t *testing.T) {
 	r := ebr.New[reclaimtest.Record](2, sink)
 
 	// Thread 1 starts an operation and stalls (never calls EnterQstate).
-	r.LeaveQstate(1)
+	r.Handle(1).LeaveQstate()
 
 	for i := 0; i < 10_000; i++ {
-		r.LeaveQstate(0)
-		r.Retire(0, &reclaimtest.Record{ID: int64(i)})
-		r.EnterQstate(0)
+		r.Handle(0).LeaveQstate()
+		r.Handle(0).Retire(&reclaimtest.Record{ID: int64(i)})
+		r.Handle(0).EnterQstate()
 	}
 	if got := sink.Freed(); got != 0 {
 		t.Fatalf("stalled thread should block reclamation, but %d records were freed", got)
@@ -62,10 +62,10 @@ func TestStalledOperationBlocksReclamation(t *testing.T) {
 	}
 
 	// Once the stalled thread finishes, reclamation resumes.
-	r.EnterQstate(1)
+	r.Handle(1).EnterQstate()
 	for i := 0; i < 10; i++ {
-		r.LeaveQstate(0)
-		r.EnterQstate(0)
+		r.Handle(0).LeaveQstate()
+		r.Handle(0).EnterQstate()
 	}
 	if got := sink.Freed(); got == 0 {
 		t.Fatal("reclamation did not resume after the stalled thread finished")
@@ -79,9 +79,9 @@ func TestIdleThreadDoesNotBlockForever(t *testing.T) {
 	sink := reclaimtest.NewRecordingSink()
 	r := ebr.New[reclaimtest.Record](4, sink) // threads 1..3 never run
 	for i := 0; i < 1000; i++ {
-		r.LeaveQstate(0)
-		r.Retire(0, &reclaimtest.Record{ID: int64(i)})
-		r.EnterQstate(0)
+		r.Handle(0).LeaveQstate()
+		r.Handle(0).Retire(&reclaimtest.Record{ID: int64(i)})
+		r.Handle(0).EnterQstate()
 	}
 	if sink.Freed() == 0 {
 		t.Fatal("idle registered threads blocked reclamation")
@@ -95,22 +95,22 @@ func TestNoFreeWhileRetireeCouldBeReferenced(t *testing.T) {
 	sink := reclaimtest.NewRecordingSink()
 	r := ebr.New[reclaimtest.Record](2, sink)
 
-	r.LeaveQstate(1) // thread 1 is mid-operation and may hold pointers
+	r.Handle(1).LeaveQstate() // thread 1 is mid-operation and may hold pointers
 	rec := &reclaimtest.Record{ID: 7}
-	r.LeaveQstate(0)
-	r.Retire(0, rec)
-	r.EnterQstate(0)
+	r.Handle(0).LeaveQstate()
+	r.Handle(0).Retire(rec)
+	r.Handle(0).EnterQstate()
 	for i := 0; i < 100; i++ {
-		r.LeaveQstate(0)
-		r.EnterQstate(0)
+		r.Handle(0).LeaveQstate()
+		r.Handle(0).EnterQstate()
 	}
 	if sink.Contains(rec) {
 		t.Fatal("record freed while thread 1 was still inside its operation")
 	}
-	r.EnterQstate(1)
+	r.Handle(1).EnterQstate()
 	for i := 0; i < 100; i++ {
-		r.LeaveQstate(0)
-		r.EnterQstate(0)
+		r.Handle(0).LeaveQstate()
+		r.Handle(0).EnterQstate()
 	}
 	if !sink.Contains(rec) {
 		t.Fatal("record never freed after thread 1 became quiescent")
@@ -144,22 +144,22 @@ func TestShardedCrossShardSafety(t *testing.T) {
 		t.Fatal("tids 0 and 3 should be in different shards")
 	}
 
-	r.LeaveQstate(3) // other-shard thread is mid-operation and may hold pointers
+	r.Handle(3).LeaveQstate() // other-shard thread is mid-operation and may hold pointers
 	rec := &reclaimtest.Record{ID: 7}
-	r.LeaveQstate(0)
-	r.Retire(0, rec)
-	r.EnterQstate(0)
+	r.Handle(0).LeaveQstate()
+	r.Handle(0).Retire(rec)
+	r.Handle(0).EnterQstate()
 	for i := 0; i < 200; i++ {
-		r.LeaveQstate(0)
-		r.EnterQstate(0)
+		r.Handle(0).LeaveQstate()
+		r.Handle(0).EnterQstate()
 	}
 	if sink.Contains(rec) {
 		t.Fatal("record freed while a thread of another shard was mid-operation")
 	}
-	r.EnterQstate(3)
+	r.Handle(3).EnterQstate()
 	for i := 0; i < 200; i++ {
-		r.LeaveQstate(0)
-		r.EnterQstate(0)
+		r.Handle(0).LeaveQstate()
+		r.Handle(0).EnterQstate()
 	}
 	if !sink.Contains(rec) {
 		t.Fatal("record never freed after the other shard became quiescent")
@@ -172,9 +172,9 @@ func TestShardedIdleShardDoesNotBlock(t *testing.T) {
 	sink := reclaimtest.NewRecordingSink()
 	r := ebr.New[reclaimtest.Record](4, sink, ebr.WithShards(core.ShardSpec{Shards: 4}))
 	for i := 0; i < 1000; i++ {
-		r.LeaveQstate(0)
-		r.Retire(0, &reclaimtest.Record{ID: int64(i)})
-		r.EnterQstate(0)
+		r.Handle(0).LeaveQstate()
+		r.Handle(0).Retire(&reclaimtest.Record{ID: int64(i)})
+		r.Handle(0).EnterQstate()
 	}
 	if sink.Freed() == 0 {
 		t.Fatal("idle shards blocked reclamation")
@@ -204,15 +204,15 @@ func TestRetireBlockSplice(t *testing.T) {
 		recs[i] = &reclaimtest.Record{ID: int64(i)}
 		bag.Add(recs[i])
 	}
-	r.LeaveQstate(0)
+	r.Handle(0).LeaveQstate()
 	r.RetireBlock(0, bag.DetachAllFullBlocks())
-	r.EnterQstate(0)
+	r.Handle(0).EnterQstate()
 	if got := r.Stats().Retired; got != int64(blockbag.BlockSize) {
 		t.Fatalf("Retired = %d want %d", got, blockbag.BlockSize)
 	}
 	for i := 0; i < 10; i++ {
-		r.LeaveQstate(0)
-		r.EnterQstate(0)
+		r.Handle(0).LeaveQstate()
+		r.Handle(0).EnterQstate()
 	}
 	for _, rec := range recs {
 		if !sink.Contains(rec) {

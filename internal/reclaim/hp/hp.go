@@ -77,7 +77,7 @@ type Reclaimer[T any] struct {
 	handles []handle[T]
 }
 
-// handle is one thread's fast-path view (core.ReclaimerHandle): the thread's
+// handle is one thread slot's view (core.ReclaimerHandle): the slot's
 // hazard pointer array and retire state resolved once, so a Protect —
 // hazard pointers' per-record hot path — indexes no per-thread slices.
 type handle[T any] struct {
@@ -149,7 +149,7 @@ func New[T any](n int, sink core.FreeSink[T], opts ...Option) *Reclaimer[T] {
 	return r
 }
 
-// Handle implements core.HandledReclaimer.
+// Handle implements core.Reclaimer.
 func (r *Reclaimer[T]) Handle(tid int) core.ReclaimerHandle[T] { return &r.handles[tid] }
 
 // Name implements core.Reclaimer.
@@ -173,17 +173,11 @@ func (r *Reclaimer[T]) Props() core.Properties {
 	}
 }
 
-// LeaveQstate implements core.Reclaimer (nothing to do for HP).
-func (r *Reclaimer[T]) LeaveQstate(tid int) bool { return false }
-
-// LeaveQstate implements core.ReclaimerHandle (no-op).
+// LeaveQstate implements core.ReclaimerHandle (nothing to do for HP).
 func (h *handle[T]) LeaveQstate() bool { return false }
 
-// EnterQstate implements core.Reclaimer: release every hazard pointer held
-// by the thread.
-func (r *Reclaimer[T]) EnterQstate(tid int) { r.handles[tid].EnterQstate() }
-
-// EnterQstate implements core.ReclaimerHandle.
+// EnterQstate implements core.ReclaimerHandle: release every hazard pointer
+// held by the thread.
 func (h *handle[T]) EnterQstate() {
 	ptrs := h.ptrs
 	for i := range ptrs {
@@ -193,23 +187,20 @@ func (h *handle[T]) EnterQstate() {
 	}
 }
 
-// IsQuiescent implements core.Reclaimer. Hazard pointers have no notion of
-// quiescence; a thread is "quiescent" when it holds no announcements.
-func (r *Reclaimer[T]) IsQuiescent(tid int) bool {
-	for i := range r.slots[tid].ptrs {
-		if r.slots[tid].ptrs[i].Load() != nil {
+// IsQuiescent implements core.ReclaimerHandle. Hazard pointers have no notion
+// of quiescence; a thread is "quiescent" when it holds no announcements.
+func (h *handle[T]) IsQuiescent() bool {
+	for i := range h.ptrs {
+		if h.ptrs[i].Load() != nil {
 			return false
 		}
 	}
 	return true
 }
 
-// Protect implements core.Reclaimer: announce a hazard pointer to rec. The
-// sequentially consistent store doubles as the required memory barrier. The
-// caller must validate reachability afterwards.
-func (r *Reclaimer[T]) Protect(tid int, rec *T) bool { return r.handles[tid].Protect(rec) }
-
-// Protect implements core.ReclaimerHandle (see Reclaimer.Protect).
+// Protect implements core.ReclaimerHandle: announce a hazard pointer to rec.
+// The sequentially consistent store doubles as the required memory barrier.
+// The caller must validate reachability afterwards.
 func (h *handle[T]) Protect(rec *T) bool {
 	if rec == nil {
 		return true
@@ -235,10 +226,8 @@ func (h *handle[T]) Protect(rec *T) bool {
 	return true
 }
 
-// Unprotect implements core.Reclaimer: release the hazard pointer to rec.
-func (r *Reclaimer[T]) Unprotect(tid int, rec *T) { r.handles[tid].Unprotect(rec) }
-
-// Unprotect implements core.ReclaimerHandle.
+// Unprotect implements core.ReclaimerHandle: release the hazard pointer to
+// rec.
 func (h *handle[T]) Unprotect(rec *T) {
 	if rec == nil {
 		return
@@ -252,40 +241,30 @@ func (h *handle[T]) Unprotect(rec *T) {
 	}
 }
 
-// Checkpoint implements core.ReclaimerHandle (no-op).
-func (h *handle[T]) Checkpoint() {}
-
-// IsProtected implements core.Reclaimer.
-func (r *Reclaimer[T]) IsProtected(tid int, rec *T) bool {
-	ptrs := r.slots[tid].ptrs
-	for i := range ptrs {
-		if ptrs[i].Load() == rec {
+// IsProtected implements core.ReclaimerHandle.
+func (h *handle[T]) IsProtected(rec *T) bool {
+	for i := range h.ptrs {
+		if h.ptrs[i].Load() == rec {
 			return true
 		}
 	}
 	return false
 }
 
-// RProtect implements core.Reclaimer (no crash recovery for HP; no-op).
-func (r *Reclaimer[T]) RProtect(tid int, rec *T) {}
+// RProtect implements core.ReclaimerHandle (no crash recovery for HP; no-op).
+func (h *handle[T]) RProtect(rec *T) {}
 
-// RUnprotectAll implements core.Reclaimer (no-op).
-func (r *Reclaimer[T]) RUnprotectAll(tid int) {}
+// RUnprotectAll implements core.ReclaimerHandle (no-op).
+func (h *handle[T]) RUnprotectAll() {}
 
-// IsRProtected implements core.Reclaimer.
-func (r *Reclaimer[T]) IsRProtected(tid int, rec *T) bool { return false }
+// IsRProtected implements core.ReclaimerHandle.
+func (h *handle[T]) IsRProtected(rec *T) bool { return false }
 
-// SupportsCrashRecovery implements core.Reclaimer.
-func (r *Reclaimer[T]) SupportsCrashRecovery() bool { return false }
+// Checkpoint implements core.ReclaimerHandle (no-op).
+func (h *handle[T]) Checkpoint() {}
 
-// Checkpoint implements core.Reclaimer (no-op).
-func (r *Reclaimer[T]) Checkpoint(tid int) {}
-
-// Retire implements core.Reclaimer: buffer the record and scan once the
+// Retire implements core.ReclaimerHandle: buffer the record and scan once the
 // buffer is large enough to amortise the cost.
-func (r *Reclaimer[T]) Retire(tid int, rec *T) { r.handles[tid].Retire(rec) }
-
-// Retire implements core.ReclaimerHandle.
 func (h *handle[T]) Retire(rec *T) {
 	if rec == nil {
 		panic("hp: Retire(nil)")
@@ -381,8 +360,8 @@ func (r *Reclaimer[T]) UnpinRetire(tid int) {}
 // drains. (A held slot would not make the free unsafe, but it reveals a
 // worker that may still be mid-operation and racing its own bag.)
 func (r *Reclaimer[T]) DrainLimbo(tid int) int64 {
-	for i := range r.threads {
-		if !r.IsQuiescent(i) {
+	for i := range r.handles {
+		if !r.handles[i].IsQuiescent() {
 			panic("hp: DrainLimbo while a thread still holds hazard pointers")
 		}
 	}
@@ -417,6 +396,4 @@ var (
 	_ core.Sharded             = (*Reclaimer[int])(nil)
 	_ core.RetirePinner        = (*Reclaimer[int])(nil)
 	_ core.LimboDrainer        = (*Reclaimer[int])(nil)
-
-	_ core.HandledReclaimer[int] = (*Reclaimer[int])(nil)
 )

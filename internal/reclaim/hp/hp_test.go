@@ -28,49 +28,49 @@ func TestProtectUnprotect(t *testing.T) {
 	r := hp.New[reclaimtest.Record](2, reclaimtest.NewRecordingSink())
 	a := &reclaimtest.Record{ID: 1}
 	b := &reclaimtest.Record{ID: 2}
-	if !r.Protect(0, a) || !r.Protect(0, b) {
+	if !r.Handle(0).Protect(a) || !r.Handle(0).Protect(b) {
 		t.Fatal("Protect failed")
 	}
-	if !r.IsProtected(0, a) || !r.IsProtected(0, b) {
+	if !r.Handle(0).IsProtected(a) || !r.Handle(0).IsProtected(b) {
 		t.Fatal("IsProtected lost an announcement")
 	}
-	if r.IsProtected(1, a) {
+	if r.Handle(1).IsProtected(a) {
 		t.Fatal("thread 1 reports protection it never acquired")
 	}
-	r.Unprotect(0, a)
-	if r.IsProtected(0, a) {
+	r.Handle(0).Unprotect(a)
+	if r.Handle(0).IsProtected(a) {
 		t.Fatal("record still protected after Unprotect")
 	}
-	if !r.IsProtected(0, b) {
+	if !r.Handle(0).IsProtected(b) {
 		t.Fatal("Unprotect removed the wrong announcement")
 	}
-	r.EnterQstate(0)
-	if r.IsProtected(0, b) {
+	r.Handle(0).EnterQstate()
+	if r.Handle(0).IsProtected(b) {
 		t.Fatal("EnterQstate must release every hazard pointer")
 	}
-	if !r.IsQuiescent(0) {
+	if !r.Handle(0).IsQuiescent() {
 		t.Fatal("thread with no hazard pointers should be quiescent")
 	}
 }
 
 func TestProtectNilIsNoop(t *testing.T) {
 	r := hp.New[reclaimtest.Record](1, reclaimtest.NewRecordingSink())
-	if !r.Protect(0, nil) {
+	if !r.Handle(0).Protect(nil) {
 		t.Fatal("Protect(nil) must succeed trivially")
 	}
-	r.Unprotect(0, nil)
+	r.Handle(0).Unprotect(nil)
 }
 
 func TestSlotExhaustionPanics(t *testing.T) {
 	r := hp.New[reclaimtest.Record](1, reclaimtest.NewRecordingSink(), hp.WithSlots(2))
-	r.Protect(0, &reclaimtest.Record{ID: 1})
-	r.Protect(0, &reclaimtest.Record{ID: 2})
+	r.Handle(0).Protect(&reclaimtest.Record{ID: 1})
+	r.Handle(0).Protect(&reclaimtest.Record{ID: 2})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic when slots are exhausted")
 		}
 	}()
-	r.Protect(0, &reclaimtest.Record{ID: 3})
+	r.Handle(0).Protect(&reclaimtest.Record{ID: 3})
 }
 
 // TestProtectedRecordSurvivesScan is the fundamental hazard pointer
@@ -80,15 +80,15 @@ func TestProtectedRecordSurvivesScan(t *testing.T) {
 	sink := reclaimtest.NewRecordingSink()
 	r := hp.New(2, sink, hp.WithRetireThreshold(32))
 	victim := &reclaimtest.Record{ID: 99}
-	if !r.Protect(1, victim) {
+	if !r.Handle(1).Protect(victim) {
 		t.Fatal("Protect failed")
 	}
 	// Thread 0 retires the victim plus enough records to trigger scans.
 	//lint:allow retirepin hp is a membership scheme with no quiescent state; Retire is legal from any context
-	r.Retire(0, victim)
+	r.Handle(0).Retire(victim)
 	for i := 0; i < 200; i++ {
 		//lint:allow retirepin hp is a membership scheme with no quiescent state; Retire is legal from any context
-		r.Retire(0, &reclaimtest.Record{ID: int64(i)})
+		r.Handle(0).Retire(&reclaimtest.Record{ID: int64(i)})
 	}
 	if sink.Freed() == 0 {
 		t.Fatal("scan never freed anything")
@@ -98,10 +98,10 @@ func TestProtectedRecordSurvivesScan(t *testing.T) {
 	}
 	// Release the announcement; further retiring triggers another scan that
 	// may now free the victim.
-	r.Unprotect(1, victim)
+	r.Handle(1).Unprotect(victim)
 	for i := 0; i < 200; i++ {
 		//lint:allow retirepin hp is a membership scheme with no quiescent state; Retire is legal from any context
-		r.Retire(0, &reclaimtest.Record{ID: int64(1000 + i)})
+		r.Handle(0).Retire(&reclaimtest.Record{ID: int64(1000 + i)})
 	}
 	if !sink.Contains(victim) {
 		t.Fatal("record never freed after its hazard pointer was released")
@@ -116,7 +116,7 @@ func TestBoundedGarbage(t *testing.T) {
 	r := hp.New(2, sink, hp.WithRetireThreshold(threshold))
 	for i := 0; i < 10_000; i++ {
 		//lint:allow retirepin hp is a membership scheme with no quiescent state; Retire is legal from any context
-		r.Retire(0, &reclaimtest.Record{ID: int64(i)})
+		r.Handle(0).Retire(&reclaimtest.Record{ID: int64(i)})
 		if limbo := r.Stats().Limbo; limbo > 2*threshold+512 {
 			t.Fatalf("limbo=%d exceeds bound at iteration %d", limbo, i)
 		}
@@ -128,7 +128,7 @@ func TestStatsConsistency(t *testing.T) {
 	r := hp.New(1, sink, hp.WithRetireThreshold(32))
 	for i := 0; i < 500; i++ {
 		//lint:allow retirepin hp is a membership scheme with no quiescent state; Retire is legal from any context
-		r.Retire(0, &reclaimtest.Record{ID: int64(i)})
+		r.Handle(0).Retire(&reclaimtest.Record{ID: int64(i)})
 	}
 	s := r.Stats()
 	if s.Retired != 500 {

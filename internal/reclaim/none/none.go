@@ -35,8 +35,8 @@ type thread struct {
 	_       [core.PadBytes]byte
 }
 
-// handle is one thread's fast-path view (core.ReclaimerHandle): everything
-// is a no-op except the leak counter.
+// handle is one thread slot's view (core.ReclaimerHandle): everything is a
+// no-op except the leak counter.
 type handle[T any] struct {
 	t *thread
 }
@@ -58,7 +58,7 @@ func New[T any](n int, opts ...Option) *Reclaimer[T] {
 	return r
 }
 
-// Handle implements core.HandledReclaimer.
+// Handle implements core.Reclaimer.
 func (r *Reclaimer[T]) Handle(tid int) core.ReclaimerHandle[T] { return &r.handles[tid] }
 
 // LeaveQstate implements core.ReclaimerHandle (no-op).
@@ -66,6 +66,9 @@ func (h *handle[T]) LeaveQstate() bool { return false }
 
 // EnterQstate implements core.ReclaimerHandle (no-op).
 func (h *handle[T]) EnterQstate() {}
+
+// IsQuiescent implements core.ReclaimerHandle.
+func (h *handle[T]) IsQuiescent() bool { return true }
 
 // Retire implements core.ReclaimerHandle: count and leak.
 func (h *handle[T]) Retire(rec *T) {
@@ -80,6 +83,18 @@ func (h *handle[T]) Protect(rec *T) bool { return true }
 
 // Unprotect implements core.ReclaimerHandle (no-op).
 func (h *handle[T]) Unprotect(rec *T) {}
+
+// IsProtected implements core.ReclaimerHandle.
+func (h *handle[T]) IsProtected(rec *T) bool { return true }
+
+// RProtect implements core.ReclaimerHandle (no-op).
+func (h *handle[T]) RProtect(rec *T) {}
+
+// RUnprotectAll implements core.ReclaimerHandle (no-op).
+func (h *handle[T]) RUnprotectAll() {}
+
+// IsRProtected implements core.ReclaimerHandle.
+func (h *handle[T]) IsRProtected(rec *T) bool { return false }
 
 // Checkpoint implements core.ReclaimerHandle (no-op).
 func (h *handle[T]) Checkpoint() {}
@@ -114,48 +129,12 @@ func (r *Reclaimer[T]) Props() core.Properties {
 	}
 }
 
-// LeaveQstate implements core.Reclaimer (no-op).
-func (r *Reclaimer[T]) LeaveQstate(tid int) bool { return false }
-
-// EnterQstate implements core.Reclaimer (no-op).
-func (r *Reclaimer[T]) EnterQstate(tid int) {}
-
-// IsQuiescent implements core.Reclaimer.
-func (r *Reclaimer[T]) IsQuiescent(tid int) bool { return true }
-
-// Retire implements core.Reclaimer; the record is counted and leaked.
-func (r *Reclaimer[T]) Retire(tid int, rec *T) { r.handles[tid].Retire(rec) }
-
 // PinRetire implements core.RetirePinner (no-op: the leaking baseline has no
 // epoch state for a retire to race).
 func (r *Reclaimer[T]) PinRetire(tid int) {}
 
 // UnpinRetire implements core.RetirePinner (no-op).
 func (r *Reclaimer[T]) UnpinRetire(tid int) {}
-
-// Protect implements core.Reclaimer (always succeeds).
-func (r *Reclaimer[T]) Protect(tid int, rec *T) bool { return true }
-
-// Unprotect implements core.Reclaimer (no-op).
-func (r *Reclaimer[T]) Unprotect(tid int, rec *T) {}
-
-// IsProtected implements core.Reclaimer.
-func (r *Reclaimer[T]) IsProtected(tid int, rec *T) bool { return true }
-
-// RProtect implements core.Reclaimer (no-op).
-func (r *Reclaimer[T]) RProtect(tid int, rec *T) {}
-
-// RUnprotectAll implements core.Reclaimer (no-op).
-func (r *Reclaimer[T]) RUnprotectAll(tid int) {}
-
-// IsRProtected implements core.Reclaimer.
-func (r *Reclaimer[T]) IsRProtected(tid int, rec *T) bool { return false }
-
-// SupportsCrashRecovery implements core.Reclaimer.
-func (r *Reclaimer[T]) SupportsCrashRecovery() bool { return false }
-
-// Checkpoint implements core.Reclaimer (no-op).
-func (r *Reclaimer[T]) Checkpoint(tid int) {}
 
 // Stats implements core.Reclaimer.
 func (r *Reclaimer[T]) Stats() core.Stats {
@@ -172,6 +151,4 @@ var (
 	_ core.BlockReclaimer[int] = (*Reclaimer[int])(nil)
 	_ core.Sharded             = (*Reclaimer[int])(nil)
 	_ core.RetirePinner        = (*Reclaimer[int])(nil)
-
-	_ core.HandledReclaimer[int] = (*Reclaimer[int])(nil)
 )

@@ -21,9 +21,9 @@ func TestNeverFrees(t *testing.T) {
 	r := none.New[reclaimtest.Record](1)
 	_ = sink
 	for i := 0; i < 10_000; i++ {
-		r.LeaveQstate(0)
-		r.Retire(0, &reclaimtest.Record{ID: int64(i)})
-		r.EnterQstate(0)
+		r.Handle(0).LeaveQstate()
+		r.Handle(0).Retire(&reclaimtest.Record{ID: int64(i)})
+		r.Handle(0).EnterQstate()
 	}
 	s := r.Stats()
 	if s.Retired != 10_000 {
@@ -44,7 +44,7 @@ func TestRetireNilPanics(t *testing.T) {
 		}
 	}()
 	//lint:allow retirepin deliberate Retire(nil): asserts the validation panic; the none scheme has no quiescent state
-	none.New[reclaimtest.Record](1).Retire(0, nil)
+	none.New[reclaimtest.Record](1).Handle(0).Retire(nil)
 }
 
 func TestNewValidation(t *testing.T) {

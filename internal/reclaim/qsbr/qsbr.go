@@ -54,9 +54,9 @@ type Reclaimer[T any] struct {
 	handles []handle[T]
 }
 
-// handle is one thread's fast-path view (core.ReclaimerHandle): private
-// state, announcement slot and shard scan set resolved once, so per-op calls
-// index no slices.
+// handle is one thread slot's view (core.ReclaimerHandle): private state,
+// announcement word and shard scan set resolved once, so per-op calls index
+// no slices.
 type handle[T any] struct {
 	r       *Reclaimer[T]
 	t       *thread[T]
@@ -147,7 +147,7 @@ func New[T any](n int, sink core.FreeSink[T], opts ...Option) *Reclaimer[T] {
 	return r
 }
 
-// Handle implements core.HandledReclaimer.
+// Handle implements core.Reclaimer.
 func (r *Reclaimer[T]) Handle(tid int) core.ReclaimerHandle[T] { return &r.handles[tid] }
 
 // Name implements core.Reclaimer.
@@ -167,11 +167,8 @@ func (r *Reclaimer[T]) Props() core.Properties {
 	}
 }
 
-// LeaveQstate implements core.Reclaimer: mark the thread online for the
+// LeaveQstate implements core.ReclaimerHandle: mark the thread online for the
 // current grace period.
-func (r *Reclaimer[T]) LeaveQstate(tid int) bool { return r.handles[tid].LeaveQstate() }
-
-// LeaveQstate implements core.ReclaimerHandle.
 func (h *handle[T]) LeaveQstate() bool {
 	g := h.r.grace.Load()
 	prev := h.slot.v.Load()
@@ -179,13 +176,10 @@ func (h *handle[T]) LeaveQstate() bool {
 	return prev&^offlineBit != g
 }
 
-// EnterQstate implements core.Reclaimer: announce a quiescent state, try to
-// advance the grace period (scanning the caller's shard and then the shard
+// EnterQstate implements core.ReclaimerHandle: announce a quiescent state, try
+// to advance the grace period (scanning the caller's shard and then the shard
 // summaries), and reclaim the oldest local bag when the thread observes a
 // new grace period.
-func (r *Reclaimer[T]) EnterQstate(tid int) { r.handles[tid].EnterQstate() }
-
-// EnterQstate implements core.ReclaimerHandle.
 func (h *handle[T]) EnterQstate() {
 	r, t := h.r, h.t
 	g := r.grace.Load()
@@ -221,11 +215,19 @@ func (h *handle[T]) EnterQstate() {
 	if t.grace.Load() != g {
 		t.grace.Store(g)
 		t.current = (t.current + 1) % 3
-		r.freeFullBlocks(h.tid, t.bags[t.current])
+		// A lone thread observes a new period on every operation, so an empty
+		// bag must cost nothing here.
+		if chain := t.bags[t.current].DetachAllFullBlocks(); chain != nil {
+			t.freed.Add(core.FreeChain(r.sink, r.blockSink, t.blockPool, h.tid, chain))
+		}
 	}
 }
 
-// Retire implements core.ReclaimerHandle.
+// IsQuiescent implements core.ReclaimerHandle.
+func (h *handle[T]) IsQuiescent() bool { return h.slot.v.Load()&offlineBit != 0 }
+
+// Retire implements core.ReclaimerHandle. The caller must be pinned
+// (mid-operation, or inside a PinRetire/UnpinRetire window).
 func (h *handle[T]) Retire(rec *T) {
 	if rec == nil {
 		panic("qsbr: Retire(nil)")
@@ -242,6 +244,18 @@ func (h *handle[T]) Protect(rec *T) bool { return true }
 
 // Unprotect implements core.ReclaimerHandle (no-op).
 func (h *handle[T]) Unprotect(rec *T) {}
+
+// IsProtected implements core.ReclaimerHandle.
+func (h *handle[T]) IsProtected(rec *T) bool { return true }
+
+// RProtect implements core.ReclaimerHandle (no-op).
+func (h *handle[T]) RProtect(rec *T) {}
+
+// RUnprotectAll implements core.ReclaimerHandle (no-op).
+func (h *handle[T]) RUnprotectAll() {}
+
+// IsRProtected implements core.ReclaimerHandle.
+func (h *handle[T]) IsRProtected(rec *T) bool { return false }
 
 // Checkpoint implements core.ReclaimerHandle (no-op).
 func (h *handle[T]) Checkpoint() {}
@@ -282,33 +296,6 @@ func (r *Reclaimer[T]) allShardsAt(g int64) bool {
 // ShardMap implements core.Sharded.
 func (r *Reclaimer[T]) ShardMap() *core.ShardMap { return r.smap }
 
-func (r *Reclaimer[T]) freeFullBlocks(tid int, bag *blockbag.Bag[T]) {
-	t := &r.threads[tid]
-	chain := bag.DetachAllFullBlocks()
-	if chain == nil {
-		return
-	}
-	n := int64(blockbag.ChainLen(chain))
-	if r.blockSink != nil {
-		r.blockSink.FreeBlocks(tid, chain)
-	} else {
-		for blk := chain; blk != nil; {
-			next := blk.Next()
-			for i := 0; i < blk.Len(); i++ {
-				r.sink.Free(tid, blk.Record(i))
-			}
-			t.blockPool.Put(blk)
-			blk = next
-		}
-	}
-	t.freed.Add(n)
-}
-
-// IsQuiescent implements core.Reclaimer.
-func (r *Reclaimer[T]) IsQuiescent(tid int) bool {
-	return r.shared[tid].v.Load()&offlineBit != 0
-}
-
 // PinRetire implements core.RetirePinner: mark the thread online at the
 // current grace period, without EnterQstate's scan/advance/rotation work.
 // While the pin stands, the thread blocks grace periods exactly like a
@@ -337,10 +324,6 @@ func (r *Reclaimer[T]) requirePinned(tid int) {
 		panic("qsbr: Retire from a quiescent (offline) context; pin the thread first (PinRetire or LeaveQstate)")
 	}
 }
-
-// Retire implements core.Reclaimer. The caller must be pinned
-// (mid-operation, or inside a PinRetire/UnpinRetire window).
-func (r *Reclaimer[T]) Retire(tid int, rec *T) { r.handles[tid].Retire(rec) }
 
 // RetireBlock implements core.BlockReclaimer: splice one detached full block
 // into the caller's current limbo bag in O(1) (the bag is single-owner, so
@@ -384,30 +367,6 @@ func (r *Reclaimer[T]) DrainLimbo(tid int) int64 {
 	return total
 }
 
-// Protect implements core.Reclaimer (no per-record work).
-func (r *Reclaimer[T]) Protect(tid int, rec *T) bool { return true }
-
-// Unprotect implements core.Reclaimer (no-op).
-func (r *Reclaimer[T]) Unprotect(tid int, rec *T) {}
-
-// IsProtected implements core.Reclaimer.
-func (r *Reclaimer[T]) IsProtected(tid int, rec *T) bool { return true }
-
-// RProtect implements core.Reclaimer (no-op).
-func (r *Reclaimer[T]) RProtect(tid int, rec *T) {}
-
-// RUnprotectAll implements core.Reclaimer (no-op).
-func (r *Reclaimer[T]) RUnprotectAll(tid int) {}
-
-// IsRProtected implements core.Reclaimer.
-func (r *Reclaimer[T]) IsRProtected(tid int, rec *T) bool { return false }
-
-// SupportsCrashRecovery implements core.Reclaimer.
-func (r *Reclaimer[T]) SupportsCrashRecovery() bool { return false }
-
-// Checkpoint implements core.Reclaimer (no-op).
-func (r *Reclaimer[T]) Checkpoint(tid int) {}
-
 // Stats implements core.Reclaimer.
 func (r *Reclaimer[T]) Stats() core.Stats {
 	var s core.Stats
@@ -421,10 +380,9 @@ func (r *Reclaimer[T]) Stats() core.Stats {
 }
 
 var (
-	_ core.Reclaimer[int]        = (*Reclaimer[int])(nil)
-	_ core.BlockReclaimer[int]   = (*Reclaimer[int])(nil)
-	_ core.Sharded               = (*Reclaimer[int])(nil)
-	_ core.RetirePinner          = (*Reclaimer[int])(nil)
-	_ core.LimboDrainer          = (*Reclaimer[int])(nil)
-	_ core.HandledReclaimer[int] = (*Reclaimer[int])(nil)
+	_ core.Reclaimer[int]      = (*Reclaimer[int])(nil)
+	_ core.BlockReclaimer[int] = (*Reclaimer[int])(nil)
+	_ core.Sharded             = (*Reclaimer[int])(nil)
+	_ core.RetirePinner        = (*Reclaimer[int])(nil)
+	_ core.LimboDrainer        = (*Reclaimer[int])(nil)
 )

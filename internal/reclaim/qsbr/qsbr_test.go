@@ -21,9 +21,9 @@ func TestSingleThreadReclaims(t *testing.T) {
 	sink := reclaimtest.NewRecordingSink()
 	r := qsbr.New[reclaimtest.Record](1, sink)
 	for i := 0; i < 6*blockbag.BlockSize; i++ {
-		r.LeaveQstate(0)
-		r.Retire(0, &reclaimtest.Record{ID: int64(i)})
-		r.EnterQstate(0)
+		r.Handle(0).LeaveQstate()
+		r.Handle(0).Retire(&reclaimtest.Record{ID: int64(i)})
+		r.Handle(0).EnterQstate()
 	}
 	if sink.Freed() == 0 {
 		t.Fatalf("no records freed: %+v", r.Stats())
@@ -33,11 +33,11 @@ func TestSingleThreadReclaims(t *testing.T) {
 func TestStalledThreadBlocksReclamation(t *testing.T) {
 	sink := reclaimtest.NewRecordingSink()
 	r := qsbr.New[reclaimtest.Record](2, sink)
-	r.LeaveQstate(1) // stalled inside an operation, never announces quiescence
+	r.Handle(1).LeaveQstate() // stalled inside an operation, never announces quiescence
 	for i := 0; i < 6*blockbag.BlockSize; i++ {
-		r.LeaveQstate(0)
-		r.Retire(0, &reclaimtest.Record{ID: int64(i)})
-		r.EnterQstate(0)
+		r.Handle(0).LeaveQstate()
+		r.Handle(0).Retire(&reclaimtest.Record{ID: int64(i)})
+		r.Handle(0).EnterQstate()
 	}
 	if sink.Freed() != 0 {
 		t.Fatal("QSBR freed records while a thread never passed a quiescent state")
@@ -48,9 +48,9 @@ func TestOfflineThreadDoesNotBlock(t *testing.T) {
 	sink := reclaimtest.NewRecordingSink()
 	r := qsbr.New[reclaimtest.Record](4, sink) // threads 1..3 never run
 	for i := 0; i < 6*blockbag.BlockSize; i++ {
-		r.LeaveQstate(0)
-		r.Retire(0, &reclaimtest.Record{ID: int64(i)})
-		r.EnterQstate(0)
+		r.Handle(0).LeaveQstate()
+		r.Handle(0).Retire(&reclaimtest.Record{ID: int64(i)})
+		r.Handle(0).EnterQstate()
 	}
 	if sink.Freed() == 0 {
 		t.Fatal("offline threads blocked reclamation")
@@ -79,27 +79,27 @@ func panics(fn func()) (p bool) {
 func TestShardedCrossShardSafety(t *testing.T) {
 	sink := reclaimtest.NewRecordingSink()
 	r := qsbr.New[reclaimtest.Record](4, sink, qsbr.WithShards(core.ShardSpec{Shards: 2}))
-	r.LeaveQstate(3) // other-shard thread online, never announcing quiescence
+	r.Handle(3).LeaveQstate() // other-shard thread online, never announcing quiescence
 	// Retire several blocks' worth: the retires may straddle one epoch
 	// rotation, but at least one limbo bag then holds a full block (partial
 	// head blocks stay behind by design, so assertions below are on freed
 	// counts, not individual records).
 	for i := 0; i < 4*blockbag.BlockSize; i++ {
-		r.LeaveQstate(0)
-		r.Retire(0, &reclaimtest.Record{ID: int64(i)})
-		r.EnterQstate(0)
+		r.Handle(0).LeaveQstate()
+		r.Handle(0).Retire(&reclaimtest.Record{ID: int64(i)})
+		r.Handle(0).EnterQstate()
 	}
 	for i := 0; i < 200; i++ {
-		r.LeaveQstate(0)
-		r.EnterQstate(0)
+		r.Handle(0).LeaveQstate()
+		r.Handle(0).EnterQstate()
 	}
 	if got := sink.Freed(); got != 0 {
 		t.Fatalf("%d records freed while an online thread of another shard had not passed a quiescent state", got)
 	}
-	r.EnterQstate(3)
+	r.Handle(3).EnterQstate()
 	for i := 0; i < 200; i++ {
-		r.LeaveQstate(0)
-		r.EnterQstate(0)
+		r.Handle(0).LeaveQstate()
+		r.Handle(0).EnterQstate()
 	}
 	if got := sink.Freed(); got < int64(blockbag.BlockSize) {
 		t.Fatalf("only %d records freed after the other shard went quiescent", got)
@@ -112,9 +112,9 @@ func TestShardedOfflineShardDoesNotBlock(t *testing.T) {
 	sink := reclaimtest.NewRecordingSink()
 	r := qsbr.New[reclaimtest.Record](4, sink, qsbr.WithShards(core.ShardSpec{Shards: 4}))
 	for i := 0; i < 1000; i++ {
-		r.LeaveQstate(0)
-		r.Retire(0, &reclaimtest.Record{ID: int64(i)})
-		r.EnterQstate(0)
+		r.Handle(0).LeaveQstate()
+		r.Handle(0).Retire(&reclaimtest.Record{ID: int64(i)})
+		r.Handle(0).EnterQstate()
 	}
 	if sink.Freed() == 0 {
 		t.Fatal("offline shards blocked reclamation")
@@ -142,15 +142,15 @@ func TestRetireBlockSplice(t *testing.T) {
 		recs[i] = &reclaimtest.Record{ID: int64(i)}
 		bag.Add(recs[i])
 	}
-	r.LeaveQstate(0)
+	r.Handle(0).LeaveQstate()
 	r.RetireBlock(0, bag.DetachAllFullBlocks())
-	r.EnterQstate(0)
+	r.Handle(0).EnterQstate()
 	if got := r.Stats().Retired; got != int64(blockbag.BlockSize) {
 		t.Fatalf("Retired = %d want %d", got, blockbag.BlockSize)
 	}
 	for i := 0; i < 10; i++ {
-		r.LeaveQstate(0)
-		r.EnterQstate(0)
+		r.Handle(0).LeaveQstate()
+		r.Handle(0).EnterQstate()
 	}
 	for _, rec := range recs {
 		if !sink.Contains(rec) {

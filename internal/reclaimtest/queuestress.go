@@ -10,19 +10,22 @@ import (
 	"repro/internal/core"
 )
 
-// QueueIface is the minimal concurrent FIFO surface the queue-level stress
-// drives (the Michael-Scott queue's shape). Values are int64 so the harness
-// can encode (producer tid, sequence number) pairs and verify exactly-once
-// delivery.
-type QueueIface interface {
-	Enqueue(tid int, value int64)
-	Dequeue(tid int) (int64, bool)
+// QueueWorker is one worker of a queue under stress: an acquired thread slot
+// with the FIFO operations bound to it (the Michael-Scott queue's shape).
+// Values are int64 so the harness can encode (producer, sequence number)
+// pairs and verify exactly-once delivery. Release returns the slot.
+type QueueWorker interface {
+	Enqueue(value int64)
+	Dequeue() (int64, bool)
+	Release()
 }
 
 // QueueUnderTest couples the queue being stressed with its observation
 // counters, mirroring SetUnderTest.
 type QueueUnderTest struct {
-	Queue QueueIface
+	// AcquireWorker binds the calling goroutine to a vacant thread slot and
+	// returns the slot-bound operations.
+	AcquireWorker func() QueueWorker
 	// Violations returns the number of freed-record observations made by the
 	// queue's traversal instrumentation (visit hook + poison wrappers). Nil
 	// disables the check.
@@ -69,8 +72,8 @@ func StressQueue(t *testing.T, factory QueueFactory, opts QueueStressOptions) {
 		opts = DefaultQueueStressOptions()
 	}
 	qu := factory(opts.Threads)
-	if qu.Queue == nil {
-		t.Fatal("QueueFactory returned a nil Queue")
+	if qu.AcquireWorker == nil {
+		t.Fatal("QueueFactory returned no AcquireWorker")
 	}
 
 	var (
@@ -84,13 +87,15 @@ func StressQueue(t *testing.T, factory QueueFactory, opts QueueStressOptions) {
 		go func(tid int) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(tid)*7919 + 3))
+			w := qu.AcquireWorker()
+			defer w.Release()
 			seq := int64(0)
 			for !stop.Load() {
 				if rng.Intn(100) < opts.EnqueuePct {
-					qu.Queue.Enqueue(tid, int64(tid)<<seqShift|seq)
+					w.Enqueue(int64(tid)<<seqShift | seq)
 					seq++
 					enqCount[tid].Store(seq)
-				} else if v, ok := qu.Queue.Dequeue(tid); ok {
+				} else if v, ok := w.Dequeue(); ok {
 					dequeued[tid] = append(dequeued[tid], v)
 				}
 			}

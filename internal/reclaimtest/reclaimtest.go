@@ -94,6 +94,18 @@ func (s *PoisonSink) Freed() int64 { return s.count.Load() }
 // DoubleFrees returns the number of records freed more than once.
 func (s *PoisonSink) DoubleFrees() int64 { return s.doubleFrees.Load() }
 
+// AcquireSlots calls acquire n times and returns the handles indexed by slot
+// (Tid): on a manager or data structure nobody has acquired from yet these
+// are slots 0..n-1, which is how a test that needs slot k gets it.
+func AcquireSlots[H interface{ Tid() int }](n int, acquire func() H) []H {
+	hs := make([]H, n)
+	for i := 0; i < n; i++ {
+		h := acquire()
+		hs[h.Tid()] = h
+	}
+	return hs
+}
+
 // Factory constructs the reclaimer under test for n threads with the given
 // free sink.
 type Factory func(n int, sink core.FreeSink[Record]) core.Reclaimer[Record]
@@ -156,8 +168,9 @@ func Stress(t *testing.T, factory Factory, opts StressOptions) {
 		go func(tid int) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(tid)*7919 + 13))
+			h := rec.Handle(tid)
 			for !stop.Load() {
-				completed, observedFreed := runStressOp(rec, slots, &nextID, rng, tid, opts.OpsPerEpoch, perRecord)
+				completed, observedFreed := runStressOp(h, slots, &nextID, rng, opts.OpsPerEpoch, perRecord)
 				if completed {
 					totalOps.Add(1)
 					violations.Add(observedFreed)
@@ -190,8 +203,8 @@ func Stress(t *testing.T, factory Factory, opts StressOptions) {
 // runStressOp performs one leaveQstate/enterQstate cycle of slot operations.
 // It returns whether the operation completed (was not neutralized) and the
 // number of freed-record observations made during it.
-func runStressOp(rec core.Reclaimer[Record], slots []atomic.Pointer[Record], nextID *atomic.Int64,
-	rng *rand.Rand, tid, opsPerEpoch int, perRecord bool) (completed bool, observedFreed int64) {
+func runStressOp(h core.ReclaimerHandle[Record], slots []atomic.Pointer[Record], nextID *atomic.Int64,
+	rng *rand.Rand, opsPerEpoch int, perRecord bool) (completed bool, observedFreed int64) {
 	defer func() {
 		if v := recover(); v != nil {
 			if _, ok := neutralize.Recover(v); ok {
@@ -204,21 +217,21 @@ func runStressOp(rec core.Reclaimer[Record], slots []atomic.Pointer[Record], nex
 			}
 		}
 	}()
-	rec.LeaveQstate(tid)
+	h.LeaveQstate()
 	for k := 0; k < opsPerEpoch; k++ {
-		rec.Checkpoint(tid)
+		h.Checkpoint()
 		idx := rng.Intn(len(slots))
 		cur := slots[idx].Load()
 		if cur == nil {
 			continue
 		}
 		if perRecord {
-			if !rec.Protect(tid, cur) {
+			if !h.Protect(cur) {
 				continue
 			}
 			if slots[idx].Load() != cur {
 				// The record may already be retired; abandon it.
-				rec.Unprotect(tid, cur)
+				h.Unprotect(cur)
 				continue
 			}
 		}
@@ -230,14 +243,14 @@ func runStressOp(rec core.Reclaimer[Record], slots []atomic.Pointer[Record], nex
 			// Replace the record and retire the old one.
 			repl := &Record{ID: nextID.Add(1)}
 			if slots[idx].CompareAndSwap(cur, repl) {
-				rec.Retire(tid, cur)
+				h.Retire(cur)
 			}
 		}
 		if perRecord {
-			rec.Unprotect(tid, cur)
+			h.Unprotect(cur)
 		}
 	}
-	rec.EnterQstate(tid)
+	h.EnterQstate()
 	return true, observedFreed
 }
 
@@ -260,25 +273,26 @@ func Conformance(t *testing.T, factory Factory) {
 		t.Fatal("Properties.Row length does not match FigureTwoHeader")
 	}
 
-	rec.LeaveQstate(0)
+	h := rec.Handle(0)
+	h.LeaveQstate()
 	r1 := &Record{ID: 1}
 	r2 := &Record{ID: 2}
-	if !rec.Protect(0, r1) {
+	if !h.Protect(r1) {
 		t.Fatal("Protect returned false for a live record")
 	}
-	if !rec.IsProtected(0, r1) {
+	if !h.IsProtected(r1) {
 		t.Fatal("IsProtected returned false right after Protect")
 	}
-	rec.Retire(0, r2)
-	rec.Unprotect(0, r1)
-	rec.RProtect(0, r1)
-	if rec.SupportsCrashRecovery() && !rec.IsRProtected(0, r1) {
+	h.Retire(r2)
+	h.Unprotect(r1)
+	h.RProtect(r1)
+	if props.CrashRecovery && !h.IsRProtected(r1) {
 		t.Fatal("IsRProtected returned false right after RProtect on a crash-recovery scheme")
 	}
-	rec.RUnprotectAll(0)
-	rec.Checkpoint(0)
-	rec.EnterQstate(0)
-	if !rec.IsQuiescent(0) {
+	h.RUnprotectAll()
+	h.Checkpoint()
+	h.EnterQstate()
+	if !h.IsQuiescent() {
 		t.Fatal("thread 0 not quiescent after EnterQstate")
 	}
 

@@ -14,20 +14,13 @@ import (
 // cover on this machine (see core.DefaultShardSweep).
 func ShardCounts() []int { return core.DefaultShardSweep() }
 
-// Set is the minimal concurrent-set surface the data-structure-level stress
-// drives. Implementations take the dense thread id of the calling worker and
-// are expected to handle their own restarts and neutralization recovery
-// internally (a real data structure, unlike the raw-reclaimer Stress above).
-type Set interface {
-	Insert(tid int, key int64) bool
-	Delete(tid int, key int64) bool
-	Contains(tid int, key int64) bool
-}
-
-// ChurnWorker is one dynamically bound worker of a set under churn stress:
-// an acquired thread slot with the set's operations bound to it. Release
-// returns the slot for reuse; the worker must not be used afterwards.
-type ChurnWorker interface {
+// Worker is one worker of a set under stress: an acquired thread slot with
+// the set's operations bound to it (the data structures' AcquireHandle
+// surface). Implementations are expected to handle their own restarts and
+// neutralization recovery internally (a real data structure, unlike the
+// raw-reclaimer Stress above). Release returns the slot for reuse; the worker
+// must not be used afterwards.
+type Worker interface {
 	Insert(key int64) bool
 	Delete(key int64) bool
 	Contains(key int64) bool
@@ -37,11 +30,9 @@ type ChurnWorker interface {
 // SetUnderTest couples the set being stressed with the observation counters
 // its instrumentation exposes.
 type SetUnderTest struct {
-	Set Set
 	// AcquireWorker binds the calling goroutine to a vacant thread slot and
-	// returns the slot-bound operations (the data structures' AcquireHandle
-	// surface). Required by StressSetChurn; nil elsewhere.
-	AcquireWorker func() ChurnWorker
+	// returns the slot-bound operations.
+	AcquireWorker func() Worker
 	// RequireDrained, when true, makes the churn stress assert
 	// Retired == Freed after Close (every reclaiming scheme; the leaking
 	// baseline leaves it false).
@@ -113,8 +104,8 @@ func StressSet(t *testing.T, factory SetFactory, opts SetStressOptions) {
 		opts = DefaultSetStressOptions()
 	}
 	su := factory(opts.Threads)
-	if su.Set == nil {
-		t.Fatal("SetFactory returned a nil Set")
+	if su.AcquireWorker == nil {
+		t.Fatal("SetFactory returned no AcquireWorker")
 	}
 
 	var (
@@ -128,6 +119,8 @@ func StressSet(t *testing.T, factory SetFactory, opts SetStressOptions) {
 		go func(tid int) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(tid)*104729 + 17))
+			w := su.AcquireWorker()
+			defer w.Release()
 			// Private keys live above the shared range, in per-thread bands.
 			privBase := opts.KeyRange + int64(tid)*opts.PrivateKeys
 			model := make([]bool, opts.PrivateKeys)
@@ -138,18 +131,18 @@ func StressSet(t *testing.T, factory SetFactory, opts SetStressOptions) {
 					key := privBase + k
 					switch rng.Intn(3) {
 					case 0:
-						if su.Set.Insert(tid, key) == model[k] {
+						if w.Insert(key) == model[k] {
 							// Insert succeeds iff the key was absent.
 							semanticFailures.Add(1)
 						}
 						model[k] = true
 					case 1:
-						if su.Set.Delete(tid, key) != model[k] {
+						if w.Delete(key) != model[k] {
 							semanticFailures.Add(1)
 						}
 						model[k] = false
 					default:
-						if su.Set.Contains(tid, key) != model[k] {
+						if w.Contains(key) != model[k] {
 							semanticFailures.Add(1)
 						}
 					}
@@ -158,11 +151,11 @@ func StressSet(t *testing.T, factory SetFactory, opts SetStressOptions) {
 					p := rng.Intn(100)
 					switch {
 					case p < opts.InsertPct:
-						su.Set.Insert(tid, key)
+						w.Insert(key)
 					case p < opts.InsertPct+opts.DeletePct:
-						su.Set.Delete(tid, key)
+						w.Delete(key)
 					default:
-						su.Set.Contains(tid, key)
+						w.Contains(key)
 					}
 				}
 				ops++
@@ -253,7 +246,7 @@ func StressSetChurn(t *testing.T, factory SetFactory, opts SetStressOptions) {
 	}
 	su := factory(opts.Threads)
 	if su.AcquireWorker == nil {
-		t.Fatal("SetFactory returned no AcquireWorker; StressSetChurn needs the dynamic binding surface")
+		t.Fatal("SetFactory returned no AcquireWorker")
 	}
 
 	var (

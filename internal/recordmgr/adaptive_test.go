@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/reclaimtest"
 	"repro/internal/recordmgr"
 )
 
@@ -50,6 +51,7 @@ func TestAdaptiveLeakFreeShutdown(t *testing.T) {
 			if mgr.Controller() == nil {
 				t.Fatal("Adaptive manager has no controller")
 			}
+			hs := reclaimtest.AcquireSlots(threads, mgr.AcquireHandle)
 			var wg sync.WaitGroup
 			var total atomic.Int64
 			for tid := 0; tid < threads; tid++ {
@@ -62,7 +64,7 @@ func TestAdaptiveLeakFreeShutdown(t *testing.T) {
 					// running together.
 					n := 0
 					for ; n < ops || mgr.Controller().Steps() == 0; n++ {
-						retireOne(mgr, tid)
+						retireOne(hs[tid])
 					}
 					total.Add(int64(n))
 				}(tid)

@@ -7,6 +7,7 @@ package recordmgr_test
 
 import (
 	"fmt"
+	"repro/internal/reclaimtest"
 	"sync"
 	"testing"
 	"time"
@@ -44,13 +45,14 @@ func TestAsyncLeakFreeShutdown(t *testing.T) {
 				if got := mgr.AsyncReclaimers(); got != reclaimers {
 					t.Fatalf("AsyncReclaimers = %d want %d", got, reclaimers)
 				}
+				hs := reclaimtest.AcquireSlots(threads, mgr.AcquireHandle)
 				var wg sync.WaitGroup
 				for tid := 0; tid < threads; tid++ {
 					wg.Add(1)
 					go func(tid int) {
 						defer wg.Done()
 						for i := 0; i < ops; i++ {
-							retireOne(mgr, tid)
+							retireOne(hs[tid])
 						}
 					}(tid)
 				}
@@ -94,15 +96,16 @@ func TestAsyncCloseReturnsSpareBlocks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	hs := reclaimtest.AcquireSlots(threads, mgr.AcquireHandle)
 	var wg sync.WaitGroup
 	for tid := 0; tid < threads; tid++ {
 		wg.Add(1)
 		go func(tid int) {
 			defer wg.Done()
 			for i := 0; i < ops; i++ {
-				mgr.LeaveQstate(tid)
-				mgr.Retire(tid, mgr.Allocate(tid))
-				mgr.EnterQstate(tid)
+				hs[tid].LeaveQstate()
+				hs[tid].Retire(hs[tid].Allocate())
+				hs[tid].EnterQstate()
 			}
 		}(tid)
 	}
@@ -129,13 +132,13 @@ func TestAsyncCloseReturnsSpareBlocks(t *testing.T) {
 	// consume nothing), then produce one last full-block hand-off whose
 	// drain parks an exchange spare that only DrainSpares can pick up.
 	for tid := 0; tid < threads; tid++ {
-		mgr.FlushRetired(tid)
+		hs[tid].FlushRetired()
 	}
-	mgr.LeaveQstate(0)
+	hs[0].LeaveQstate()
 	for i := 0; i < blockbag.BlockSize; i++ {
-		mgr.Retire(0, mgr.Allocate(0))
+		hs[0].Retire(hs[0].Allocate())
 	}
-	mgr.EnterQstate(0) // the 256th retire flushed the batch: buffers all empty
+	hs[0].EnterQstate() // the 256th retire flushed the batch: buffers all empty
 	for time.Now().Before(deadline) {
 		if mgr.Stats().HandoffPending == 0 && mgr.AsyncSpareBlocks() > 0 {
 			break
@@ -173,13 +176,14 @@ func TestSyncCloseAlsoDrains(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			hs := reclaimtest.AcquireSlots(threads, mgr.AcquireHandle)
 			var wg sync.WaitGroup
 			for tid := 0; tid < threads; tid++ {
 				wg.Add(1)
 				go func(tid int) {
 					defer wg.Done()
 					for i := 0; i < ops; i++ {
-						retireOne(mgr, tid)
+						retireOne(hs[tid])
 					}
 				}(tid)
 			}
@@ -212,13 +216,14 @@ func TestAsyncDrainsBehindIdleWorkers(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer mgr.Close()
+			hs := reclaimtest.AcquireSlots(2, mgr.AcquireHandle)
 			// Retire two full batches from pinned ops, then go idle.
 			for tid := 0; tid < 2; tid++ {
-				mgr.LeaveQstate(tid)
+				hs[tid].LeaveQstate()
 				for i := 0; i < 2*blockbag.BlockSize; i++ {
-					mgr.Retire(tid, mgr.Allocate(tid))
+					hs[tid].Retire(hs[tid].Allocate())
 				}
-				mgr.EnterQstate(tid)
+				hs[tid].EnterQstate()
 			}
 			// The workers are quiescent; only the reclaimer goroutine can
 			// make progress now. Wait (bounded) for the frees — DEBRA paces
@@ -269,11 +274,12 @@ func TestAsyncCloseIdempotent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mgr.LeaveQstate(0)
+	hs := reclaimtest.AcquireSlots(1, mgr.AcquireHandle)
+	hs[0].LeaveQstate()
 	for i := 0; i < 10; i++ {
-		mgr.Retire(0, mgr.Allocate(0))
+		hs[0].Retire(hs[0].Allocate())
 	}
-	mgr.EnterQstate(0)
+	hs[0].EnterQstate()
 	mgr.Close()
 	st1 := mgr.Stats()
 	mgr.Close()

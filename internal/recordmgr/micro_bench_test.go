@@ -2,9 +2,8 @@ package recordmgr_test
 
 // Microbenchmarks for the Record Manager's per-operation primitives — the
 // constants the hot-path work (single-writer counters, per-thread handles)
-// exists to shrink. The *Handle variants are the fast path workers are meant
-// to use (resolve Handle(tid) once, then zero slice indexing per op); the
-// tid-based variants measure the compatibility wrappers. Run with:
+// exists to shrink — issued the way a worker does: acquire a handle once,
+// then zero slice indexing per op. Run with:
 //
 //	go test -bench Micro -run '^$' ./internal/recordmgr/
 
@@ -18,10 +17,12 @@ func BenchmarkMicroPinUnpin(b *testing.B) {
 	for _, scheme := range recordmgr.Schemes() {
 		b.Run(scheme, func(b *testing.B) {
 			mgr := recordmgr.MustBuild[node](recordmgr.Config{Scheme: scheme, Threads: 2, UsePool: true})
+			h := mgr.AcquireHandle()
+			defer mgr.ReleaseHandle(h)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				mgr.LeaveQstate(0)
-				mgr.EnterQstate(0)
+				h.LeaveQstate()
+				h.EnterQstate()
 			}
 		})
 	}
@@ -34,38 +35,8 @@ func BenchmarkMicroAllocRetire(b *testing.B) {
 		}
 		b.Run(scheme, func(b *testing.B) {
 			mgr := recordmgr.MustBuild[node](recordmgr.Config{Scheme: scheme, Threads: 2, UsePool: true})
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				mgr.LeaveQstate(0)
-				mgr.Retire(0, mgr.Allocate(0))
-				mgr.EnterQstate(0)
-			}
-		})
-	}
-}
-
-func BenchmarkMicroPinUnpinHandle(b *testing.B) {
-	for _, scheme := range recordmgr.Schemes() {
-		b.Run(scheme, func(b *testing.B) {
-			mgr := recordmgr.MustBuild[node](recordmgr.Config{Scheme: scheme, Threads: 2, UsePool: true})
-			h := mgr.Handle(0)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				h.LeaveQstate()
-				h.EnterQstate()
-			}
-		})
-	}
-}
-
-func BenchmarkMicroAllocRetireHandle(b *testing.B) {
-	for _, scheme := range recordmgr.Schemes() {
-		if scheme == recordmgr.SchemeNone {
-			continue
-		}
-		b.Run(scheme, func(b *testing.B) {
-			mgr := recordmgr.MustBuild[node](recordmgr.Config{Scheme: scheme, Threads: 2, UsePool: true})
-			h := mgr.Handle(0)
+			h := mgr.AcquireHandle()
+			defer mgr.ReleaseHandle(h)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				h.LeaveQstate()

@@ -58,16 +58,15 @@ const (
 type Config struct {
 	// Scheme is the reclamation scheme name (see Schemes).
 	Scheme string
-	// Threads is the number of worker threads (dense ids 0..Threads-1).
+	// Threads is the nominal number of worker threads.
 	Threads int
-	// MaxThreads is the capacity of the dynamic thread-slot registry: the
-	// total number of worker slots goroutines can bind to, statically via
-	// Handle(tid) or at runtime via AcquireHandle/ReleaseHandle. 0 defaults
-	// to Threads (the fixed-Threads compatibility configuration: every slot
-	// corresponds to one static worker). Setting MaxThreads > Threads gives
-	// a churning goroutine population headroom beyond the nominal worker
-	// count; every per-thread component (scheme, allocator, pool, retire
-	// buffers, handles) is sized for MaxThreads worker slots.
+	// MaxThreads is the capacity of the thread-slot registry: the total
+	// number of worker slots goroutines can bind to with
+	// AcquireHandle/ReleaseHandle. 0 defaults to Threads. Setting
+	// MaxThreads > Threads gives a churning goroutine population headroom
+	// beyond the nominal worker count; every per-thread component (scheme,
+	// allocator, pool, retire buffers, handles) is sized for MaxThreads
+	// worker slots.
 	MaxThreads int
 	// Allocator selects bump or heap allocation; defaults to bump.
 	Allocator AllocatorKind

@@ -21,14 +21,14 @@ type node struct {
 // EnterQstate delivers a pending neutralization as a panic, the retire is
 // captured in a local before that checkpoint and recovery re-runs the body
 // only when the retire had not happened yet.
-func retireOne(mgr *core.RecordManager[node], tid int) {
-	rec := mgr.Allocate(tid)
+func retireOne(h *core.ThreadHandle[node]) {
+	rec := h.Allocate()
 	body := func() (retired bool) {
-		defer neutralize.OnNeutralized(mgr, tid, func(neutralize.Neutralized) {})
-		mgr.LeaveQstate(tid)
-		mgr.Retire(tid, rec)
+		defer neutralize.OnNeutralized(h, func(neutralize.Neutralized) {})
+		h.LeaveQstate()
+		h.Retire(rec)
 		retired = true
-		mgr.EnterQstate(tid)
+		h.EnterQstate()
 		return true
 	}
 	for !body() {
@@ -57,11 +57,17 @@ func TestBuildEveryScheme(t *testing.T) {
 				if !usePool && m.Pool() != nil {
 					t.Fatalf("Build(%s) without UsePool attached a pool", scheme)
 				}
+				// Only the neutralizing scheme asks for recovery code — HP and
+				// the leaking baseline are fault tolerant without it.
+				if got := m.SupportsCrashRecovery(); got != (scheme == recordmgr.SchemeDEBRAPlus) {
+					t.Fatalf("Build(%s): SupportsCrashRecovery = %v", scheme, got)
+				}
 				// Smoke: one allocate/retire cycle.
-				m.LeaveQstate(0)
-				r := m.Allocate(0)
-				m.Retire(0, r)
-				m.EnterQstate(0)
+				h := m.AcquireHandle()
+				h.LeaveQstate()
+				h.Retire(h.Allocate())
+				h.EnterQstate()
+				m.ReleaseHandle(h)
 			}
 		}
 	}
@@ -156,7 +162,7 @@ func TestNewReclaimerSharedDomain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !r.SupportsCrashRecovery() {
+	if !r.Props().CrashRecovery {
 		t.Fatal("DEBRA+ must support crash recovery")
 	}
 }
