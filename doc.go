@@ -19,26 +19,23 @@
 // shards (recordmgr.Config.Shards; -shards on the CLIs) under a tid→shard
 // placement policy (core.PlaceBlock keeps contiguous worker ids together,
 // the NUMA-style default; core.PlaceStripe round-robins — the
-// recordmgr.Config.Placement / -placement knob). Inside the epoch schemes
-// the per-operation announcement scan then covers only the caller's shard,
-// each shard publishes its verified epoch in a padded summary word, and the
-// global epoch advances once every summary matches — with a direct member
-// scan as the slow path for lagging or idle shards (in DEBRA+ that slow
-// path also neutralizes cross-shard laggards, preserving fault tolerance).
-// EBR's shared limbo bags and their lock are likewise per-shard. Safety is
-// unchanged: no record is freed until every thread in every shard has been
-// verified quiescent or at the current epoch; shards=1 reproduces the
-// classic single-domain behaviour exactly. Hazard pointers and the leaking
-// baseline are already fully distributed, so for them the spec is
-// informational.
+// recordmgr.Config.Placement / -placement knob). The four epoch schemes are
+// policies on one machine, internal/reclaim/epoch, which verifies shard by
+// shard — the caller's own members, then one padded summary word per shard,
+// with a direct member scan for a shard whose summary lags; what the machine
+// owns and what each scheme adds to it is docs/ARCHITECTURE.md, "The epoch
+// schemes". Safety is unchanged: no record is freed until every thread in
+// every shard has been verified quiescent or at the current epoch; shards=1
+// reproduces the classic single-domain behaviour exactly. Hazard pointers
+// and the leaking baseline are already fully distributed, so for them the
+// spec is informational.
 //
 // Retirement batches the same way: core.WithRetireBatching gives the Record
 // Manager per-thread deferred-retire buffers (recordmgr.Config.RetireBatch;
-// -retirebatch on the CLIs) that hand full blocks to the scheme through the
-// core.BlockReclaimer interface — an O(1) block splice per batch in EBR,
-// QSBR, DEBRA, DEBRA+ and HP, with a per-record fallback adapter
-// (core.RetireChain) for sub-block batch sizes or schemes without native
-// support. Experiment 5 of cmd/reclaimbench ("shards") sweeps the
+// -retirebatch on the CLIs) that hand full blocks to the scheme through
+// core.Reclaimer.RetireBlock — an O(1) block splice per batch in every
+// scheme, with core.RetireChain retiring a sub-block remainder record by
+// record. Experiment 5 of cmd/reclaimbench ("shards") sweeps the
 // shards × batch axes over the update-heavy hash map panel.
 //
 // # The quiescent-retire contract
@@ -49,8 +46,8 @@
 // the time the record lands in a limbo bag — without it the epoch can
 // advance arbitrarily in the window, racing the advance winner's drain of
 // that very bag. EBR, QSBR, DEBRA and DEBRA+ therefore panic on a Retire or
-// RetireBlock from a quiescent thread and expose core.RetirePinner
-// (PinRetire/UnpinRetire), a pin-while-retiring entry point without the
+// RetireBlock from a quiescent thread and implement core.Reclaimer's
+// PinRetire/UnpinRetire as a pin-while-retiring entry point without the
 // scan, advance, rotation or neutralization side effects of a full
 // operation boundary. Callers rarely see any of this: RecordManager.Retire
 // routes quiescent callers (data structure postambles after EnterQstate,
@@ -116,11 +113,11 @@
 //
 // Vacant slots are quiescent by that contract, so the schemes' scan paths
 // skip them: per-shard occupancy summary words (maintained by the registry,
-// exposed through core.ShardMap) let the epoch schemes verify an idle shard
+// exposed through core.ShardMap) let the epoch machine verify an idle shard
 // in O(1) and a shard's only live occupant skip its member scan entirely,
-// DEBRA/DEBRA+ fast-forward their incremental scan cycle past vacant
-// members (keeping the cycle proportional to the live population, not the
-// capacity), DEBRA+ never signals a vacant slot, and the hazard-pointer
+// every member scan passes over vacant slots for free (keeping DEBRA's
+// incremental cycle proportional to the live population, not the capacity,
+// and DEBRA+ from ever signalling a vacant slot), and the hazard-pointer
 // reclamation scan skips vacant threads' slot arrays. The remaining race —
 // a scanner observes a slot vacant while a goroutine concurrently acquires
 // it — is exactly the quiescent-thread-wakes race every scheme already
@@ -152,7 +149,7 @@
 //     to the slot's deferred-retire buffer, pool fast path
 //     (core.PoolHandle), the scheme's per-slot view (core.ReclaimerHandle —
 //     announcement slot, limbo state, shard member list, counters resolved
-//     at construction) and the core.RetirePinner capability. A steady-state
+//     at construction) and whether its retires need a pin. A steady-state
 //     operation performs zero threads[tid] slice indexing and at most one
 //     interface call per primitive; a batched Retire is a buffer append
 //     with no interface call at all. All four data structures thread

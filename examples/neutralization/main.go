@@ -23,6 +23,7 @@ import (
 	"repro/internal/pool"
 	"repro/internal/reclaim/debra"
 	"repro/internal/reclaim/debraplus"
+	"repro/internal/reclaim/epoch"
 )
 
 const (
@@ -57,10 +58,10 @@ func runWithScheme(scheme string) (limbo, bytes, neutralizations int64) {
 	var rcl core.Reclaimer[rec]
 	switch scheme {
 	case "debra":
-		rcl = debra.New[rec](workers, pl, debra.WithIncrThresh(16))
+		rcl = debra.New[rec](workers, pl, epoch.WithIncrThresh(16))
 	case "debra+":
 		rcl = debraplus.New[rec](workers, pl,
-			debraplus.WithIncrThresh(16),
+			epoch.WithIncrThresh(16),
 			debraplus.WithSuspectThresholdBlocks(1),
 			debraplus.WithScanThresholdBlocks(1))
 	default:

@@ -1,6 +1,6 @@
 // Package retirepin is the static form of the PR 3 quiescent-retire panic:
 // a raw scheme-level Retire (ReclaimerHandle.Retire,
-// BlockReclaimer.RetireBlock, core.RetireChain) issued from a quiescent
+// Reclaimer.RetireBlock, core.RetireChain) issued from a quiescent
 // context races the epoch advance — the retirer's observed epoch can go
 // arbitrarily stale before its records land in a limbo bag, so an advance
 // winner may free them while the retirer still holds the chain. The runtime

@@ -23,9 +23,9 @@ import (
 // cycle is a complete LeaveQstate / retire / EnterQstate operation on that
 // tid, which is what makes handing another thread's retired records to an
 // epoch scheme sound: the reclaimer's own active announcement pins the epoch
-// exactly as a worker's would (see RetirePinner for why an unpinned retire is
-// not), and the records land in the reclaimer tid's own limbo state, so no
-// single-owner invariant is crossed. Idle reclaimers keep cycling
+// exactly as a worker's would (see Reclaimer.PinRetire for why an unpinned
+// retire is not), and the records land in the reclaimer tid's own limbo
+// state, so no single-owner invariant is crossed. Idle reclaimers keep cycling
 // pin/unpin — with backoff — while the scheme still holds limbo, because
 // per-thread schemes (QSBR, DEBRA, DEBRA+) only rotate a tid's bags from that
 // tid's own operation boundaries.
@@ -110,8 +110,8 @@ type asyncCounters struct {
 // NewAsyncReclaimer spawns reclaimers dedicated goroutines draining retired
 // blocks into rec under tids workers..workers+reclaimers-1. rec (and every
 // per-thread component behind its free sink) must have been constructed for
-// at least workers+reclaimers dense thread ids; when rec exposes a ShardMap
-// this is verified at construction.
+// at least workers+reclaimers dense thread ids, which is verified at
+// construction.
 func NewAsyncReclaimer[T any](rec Reclaimer[T], workers, reclaimers int) *AsyncReclaimer[T] {
 	if rec == nil {
 		panic("core: NewAsyncReclaimer requires a Reclaimer")
@@ -119,11 +119,9 @@ func NewAsyncReclaimer[T any](rec Reclaimer[T], workers, reclaimers int) *AsyncR
 	if workers <= 0 || reclaimers <= 0 {
 		panic("core: NewAsyncReclaimer requires workers >= 1 and reclaimers >= 1")
 	}
-	if sh, ok := rec.(Sharded); ok {
-		if n := sh.ShardMap().Threads(); n < workers+reclaimers {
-			panic(fmt.Sprintf("core: async reclamation needs %d participants (%d workers + %d reclaimers) but the reclaimer was built for %d threads",
-				workers+reclaimers, workers, reclaimers, n))
-		}
+	if n := rec.ShardMap().Threads(); n < workers+reclaimers {
+		panic(fmt.Sprintf("core: async reclamation needs %d participants (%d workers + %d reclaimers) but the reclaimer was built for %d threads",
+			workers+reclaimers, workers, reclaimers, n))
 	}
 	a := &AsyncReclaimer[T]{
 		rec:    rec,

@@ -20,8 +20,11 @@ import "repro/internal/blockbag"
 // Reclaimer is the safe-memory-reclamation component of a Record Manager: the
 // scheme object, shared by the fixed set of n thread slots it was built for.
 // It carries what is global to the scheme — its identity, its qualitative
-// properties and its counters — and hands out the per-slot ReclaimerHandle
-// through which every per-thread operation is issued.
+// properties, its counters and its shard map — hands out the per-slot
+// ReclaimerHandle through which every per-thread operation is issued, and
+// takes the Record Manager's batched hand-offs (RetireBlock, under
+// PinRetire/UnpinRetire when the slot is quiescent). All six schemes and the
+// fault plane's wrapper implement all of it; only LimboDrainer is optional.
 type Reclaimer[T any] interface {
 	// Name returns a short identifier such as "debra", "debra+", "hp".
 	Name() string
@@ -37,6 +40,40 @@ type Reclaimer[T any] interface {
 
 	// Stats returns a snapshot of the reclaimer's counters.
 	Stats() Stats
+
+	// ShardMap returns the resolved placement of the n slots onto reclamation
+	// shards. It also carries the slot registry through which scans skip
+	// vacant slots, so schemes with nothing to shard (hazard pointers, the
+	// leaking baseline) hold one too.
+	ShardMap() *ShardMap
+
+	// RetireBlock hands the reclaimer one detached FULL block of records
+	// retired by slot tid — an O(1) splice into the scheme's block bags
+	// instead of one Retire per record; ownership of the block transfers. In
+	// exchange the scheme returns an empty block from its own caches when it
+	// has one (nil otherwise), which the caller recycles into the buffer the
+	// batch came from: at steady state blocks circulate between retire
+	// buffers, limbo bags and the free sink without being reallocated. The
+	// caller must be pinned as for Retire.
+	RetireBlock(tid int, blk *blockbag.Block[T]) *blockbag.Block[T]
+
+	// PinRetire marks slot tid as an active (non-quiescent) retirer and
+	// UnpinRetire returns it to quiescence. The epoch schemes' Retire and
+	// RetireBlock are only safe while the calling slot is non-quiescent: the
+	// thread's announcement is what bounds how far the epoch can run ahead
+	// of the one a retire observed, and therefore which limbo bag a
+	// concurrent advance winner may drain. A retire from a quiescent context
+	// has no such bound, so those schemes panic on it and offer this pair
+	// instead — an announcement without the scan, rotation or neutralization
+	// side effects of an operation boundary. Schemes with no epoch state
+	// (hazard pointers, the leaking baseline) implement both as no-ops.
+	//
+	// A pair must not be issued inside an operation (between LeaveQstate and
+	// EnterQstate): re-announcing would release the operation's own pin
+	// while it may still hold references. Callers that may be either consult
+	// IsQuiescent first, as ThreadHandle.FlushRetired does.
+	PinRetire(tid int)
+	UnpinRetire(tid int)
 }
 
 // ReclaimerHandle is one thread slot's view of a Reclaimer and the complete
@@ -70,7 +107,7 @@ type ReclaimerHandle[T any] interface {
 	// Retire hands the reclaimer a record the thread has removed from the
 	// data structure. The record will be freed (passed to the free sink)
 	// once no thread can be holding a pointer to it. The epoch schemes
-	// require the thread to be pinned (see RetirePinner).
+	// require the thread to be pinned (see Reclaimer.PinRetire).
 	Retire(rec *T)
 
 	// Protect announces that the thread may access rec. For hazard-pointer
@@ -108,54 +145,6 @@ type ReclaimerHandle[T any] interface {
 	Checkpoint()
 }
 
-// BlockReclaimer is the optional batched-retirement extension of the
-// Reclaimer contract: schemes that keep their limbo state in block bags can
-// accept a whole detached full block of retired records in O(1) (a block
-// splice, cf. blockbag.Bag.AddBlock) instead of one Retire call per record.
-// The Record Manager's deferred-retire path hands over full blocks through
-// this interface when the scheme provides it and falls back to per-record
-// Retire calls on the slot's handle otherwise (see RetireChain).
-type BlockReclaimer[T any] interface {
-	Reclaimer[T]
-	// RetireBlock hands the reclaimer one detached FULL block of records
-	// retired by thread tid; ownership of that block transfers to the
-	// reclaimer. In exchange the scheme returns an empty block from its own
-	// block caches when one is available (nil otherwise), which the caller
-	// recycles into the buffer the batch came from — at steady state blocks
-	// circulate between the retire buffers, the limbo bags and the free
-	// sink without ever being reallocated, preserving the blockbag design's
-	// zero-allocation property.
-	RetireBlock(tid int, blk *blockbag.Block[T]) *blockbag.Block[T]
-}
-
-// RetirePinner is the pin-while-retiring extension of the Reclaimer
-// contract. The epoch schemes' Retire/RetireBlock paths are only safe while
-// the calling slot is non-quiescent: the thread's active announcement is what
-// bounds how far the global epoch can run ahead of the epoch a retire
-// observed, and therefore which limbo bag a concurrent advance winner may
-// drain. A retire from a quiescent context has no such pin — its observed
-// epoch can be arbitrarily stale by the time the record lands in a bag, which
-// is exactly the window an advance winner's drain races. Those schemes
-// therefore panic on a quiescent Retire and expose this entry point instead:
-// PinRetire announces the thread as an active retirer (without the
-// scan/advance/rotation work of a full LeaveQstate, and without the
-// neutralization side effects of an operation boundary), Retire/RetireBlock
-// are safe in between, and UnpinRetire returns the thread to its quiescent
-// state. Schemes with no epoch state (hazard pointers, the leaking baseline)
-// implement both as no-ops.
-//
-// PinRetire/UnpinRetire pairs must not be issued from inside an operation
-// (between LeaveQstate and EnterQstate): re-announcing mid-operation would
-// release the operation's own epoch pin while it may still hold references.
-// Callers that may be either pinned or quiescent consult IsQuiescent first,
-// as ThreadHandle.FlushRetired does.
-type RetirePinner interface {
-	// PinRetire marks tid as an active (non-quiescent) retirer.
-	PinRetire(tid int)
-	// UnpinRetire reverses PinRetire, returning tid to quiescence.
-	UnpinRetire(tid int)
-}
-
 // LimboDrainer is the quiescent-shutdown extension of the Reclaimer
 // contract: DrainLimbo frees every record still parked in the scheme's limbo
 // structures, returning the number freed. It is only safe once every
@@ -172,19 +161,17 @@ type LimboDrainer interface {
 }
 
 // RetireChain retires every record of a detached block chain on behalf of
-// slot tid of r, whose handle is h: the O(1) RetireBlock path for full blocks
-// when the scheme supports it, per-record h.Retire calls otherwise (and for
-// any non-full block). It returns the number of records retired. Spare
-// blocks the scheme hands back are given to pool when non-nil and dropped
-// otherwise.
+// slot tid of r, whose handle is h: full blocks as O(1) RetireBlock splices,
+// a partial one record by record. It returns the number of records retired.
+// Spare blocks the scheme hands back are given to pool when non-nil and
+// dropped otherwise.
 func RetireChain[T any](r Reclaimer[T], h ReclaimerHandle[T], tid int, chain *blockbag.Block[T], pool *blockbag.BlockPool[T]) int {
-	br, native := r.(BlockReclaimer[T])
 	n := 0
 	for blk := chain; blk != nil; {
 		next := blk.Next()
 		n += blk.Len()
-		if native && blk.Full() {
-			if spare := br.RetireBlock(tid, blk); spare != nil && pool != nil {
+		if blk.Full() {
+			if spare := r.RetireBlock(tid, blk); spare != nil && pool != nil {
 				pool.Put(spare)
 			}
 		} else {
@@ -286,7 +273,7 @@ type Stats struct {
 	Freed           int64 // records handed to the free sink
 	Limbo           int64 // records currently retired but not yet freed
 	EpochAdvances   int64 // successful epoch CASes (epoch-based schemes)
-	Scans           int64 // full scans of announcements / hazard pointers
+	Scans           int64 // completed verification passes (epoch schemes) / hazard pointer scans
 	Neutralizations int64 // signals sent (DEBRA+ only)
 	Restarts        int64 // operations restarted because of the scheme (HP)
 }

@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/pool"
 	"repro/internal/reclaim/debra"
+	"repro/internal/reclaim/epoch"
 	"repro/internal/reclaim/none"
 )
 
@@ -20,7 +21,7 @@ func TestRecordManagerComposition(t *testing.T) {
 	const n = 2
 	alloc := arena.NewBump[node](n, 64)
 	pl := pool.New[node](n, alloc)
-	rec := debra.New[node](n, pl, debra.WithIncrThresh(1))
+	rec := debra.New[node](n, pl, epoch.WithIncrThresh(1))
 	m := core.NewRecordManager[node](alloc, pl, rec)
 
 	if m.Allocator() != core.Allocator[node](alloc) || m.Pool() == nil || m.Reclaimer() == nil {

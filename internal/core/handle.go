@@ -6,9 +6,9 @@ package core
 // constants. A goroutine acquires a ThreadHandle for its working lifetime;
 // the handle caches everything a steady-state operation needs — the slot's
 // deferred-retire buffer, its pool fast path, the scheme's per-slot
-// ReclaimerHandle, and the RetirePinner capability — so an operation performs
-// zero slice indexing and at most one interface call per Record Manager
-// primitive.
+// ReclaimerHandle, and whether its retires need a pin — so an operation
+// performs zero slice indexing and at most one interface call per Record
+// Manager primitive.
 
 // PoolHandle is the per-thread fast-path view of a Pool: allocation and free
 // with the thread's private pool bag resolved at construction.
@@ -48,7 +48,7 @@ type ThreadHandle[T any] struct {
 	buf    *retireBuf[T]      // deferred-retire buffer; nil when batching is off
 	pool   PoolHandle[T]      // pool fast path; nil when records are not reused
 	alloc  Allocator[T]
-	pinner RetirePinner // asserted once at construction, not per Retire
+	pinner Reclaimer[T] // the scheme when its retires need a pin, else nil
 
 	perRecord     bool
 	crashRecovery bool
@@ -225,8 +225,8 @@ func (h *ThreadHandle[T]) Retire(rec *T) {
 }
 
 // FlushRetired hands every record parked in the slot's deferred-retire
-// buffer to the reclaimer. Full blocks transfer as O(1) splices for schemes
-// implementing BlockReclaimer; the partial tail (always fewer than
+// buffer to the reclaimer. Full blocks transfer as O(1) splices
+// (Reclaimer.RetireBlock); the partial tail (always fewer than
 // blockbag.BlockSize records) is retired record-at-a-time. A no-op when
 // batching is disabled.
 //
@@ -235,10 +235,10 @@ func (h *ThreadHandle[T]) Retire(rec *T) {
 // the epoch schemes' retire paths are only safe under an active announcement
 // — a quiescent retirer's observed epoch can go arbitrarily stale before its
 // records land in a limbo bag, racing an advance winner's drain of that very
-// bag (see RetirePinner). When the thread is mid-operation the operation's
-// own pin already covers the hand-off and no extra pin is taken. With
-// asynchronous reclamation the flush is a lock-free queue push that never
-// touches the scheme, so no pin is needed at all.
+// bag (see Reclaimer.PinRetire). When the thread is mid-operation the
+// operation's own pin already covers the hand-off and no extra pin is taken.
+// With asynchronous reclamation the flush is a lock-free queue push that
+// never touches the scheme, so no pin is needed at all.
 func (h *ThreadHandle[T]) FlushRetired() {
 	b := h.buf
 	if b == nil || b.pending.Load() == 0 {

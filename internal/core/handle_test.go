@@ -12,6 +12,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/pool"
 	"repro/internal/reclaim/debra"
+	"repro/internal/reclaim/epoch"
 	"repro/internal/reclaim/hp"
 )
 
@@ -41,7 +42,7 @@ func TestThreadHandleBasics(t *testing.T) {
 	const n = 3
 	alloc := arena.NewBump[node](n, 64)
 	pl := pool.New[node](n, alloc)
-	rec := debra.New[node](n, pl, debra.WithIncrThresh(1))
+	rec := debra.New[node](n, pl, epoch.WithIncrThresh(1))
 	m := core.NewRecordManager[node](alloc, pl, rec)
 
 	h := reclaimtest.AcquireSlots(2, m.AcquireHandle)[1]
@@ -99,7 +100,7 @@ func TestThreadHandleBatchedRetire(t *testing.T) {
 	const n, batch = 2, 8
 	alloc := arena.NewBump[node](n, 64)
 	pl := pool.New[node](n, alloc)
-	rec := debra.New[node](n, pl, debra.WithIncrThresh(1))
+	rec := debra.New[node](n, pl, epoch.WithIncrThresh(1))
 	m := core.NewRecordManager[node](alloc, pl, rec, core.WithRetireBatching(n, batch))
 	h := m.AcquireHandle()
 	defer m.ReleaseHandle(h)

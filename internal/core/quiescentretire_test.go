@@ -44,24 +44,11 @@ func epochSchemes(n int, sink core.FreeSink[rec]) map[string]core.Reclaimer[rec]
 // pre-fix retire path (which accepted the unpinned hand-off and let the
 // loaded epoch go stale) this test fails.
 func TestQuiescentRetirePanics(t *testing.T) {
-	for name, r := range epochSchemes(2, reclaimtest.NewRecordingSink()) {
+	for _, name := range []string{"ebr", "qsbr", "debra", "debra+"} {
 		t.Run(name, func(t *testing.T) {
-			// Fresh threads start quiescent; make it explicit anyway.
-			r.Handle(0).EnterQstate()
-			//lint:allow retirepin the unpinned Retire is the point: this test asserts the runtime panic the analyzer proves absent elsewhere
-			if !panics(func() { r.Handle(0).Retire(&rec{ID: 1}) }) {
-				t.Fatal("quiescent Retire did not panic")
-			}
-			br := r.(core.BlockReclaimer[rec])
-			bag := blockbag.New[rec](nil)
-			for i := 0; i < blockbag.BlockSize; i++ {
-				bag.Add(&rec{ID: int64(i)})
-			}
-			blk := bag.DetachAllFullBlocks()
-			//lint:allow retirepin deliberate unpinned RetireBlock: asserts the quiescent-retire panic
-			if !panics(func() { br.RetireBlock(0, blk) }) {
-				t.Fatal("quiescent RetireBlock did not panic")
-			}
+			reclaimtest.QuiescentRetirePanics(t, func(n int, sink core.FreeSink[rec]) core.Reclaimer[rec] {
+				return epochSchemes(n, sink)[name]
+			})
 		})
 	}
 }
@@ -75,14 +62,13 @@ func TestPinRetireMakesQuiescentRetireSafe(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			sink := reclaimtest.NewRecordingSink()
 			r := epochSchemes(n, sink)[name]
-			p := r.(core.RetirePinner)
 
 			r.Handle(0).EnterQstate()
-			p.PinRetire(0)
+			r.PinRetire(0)
 			for i := 0; i < 3*blockbag.BlockSize; i++ {
 				r.Handle(0).Retire(&rec{ID: int64(i)})
 			}
-			p.UnpinRetire(0)
+			r.UnpinRetire(0)
 			if !r.Handle(0).IsQuiescent() {
 				t.Fatal("thread not quiescent after UnpinRetire")
 			}

@@ -33,13 +33,13 @@ type RecordManager[T any] struct {
 	// bufs holds the per-thread deferred-retire buffers when batching is
 	// enabled. A retired record parks in its thread's buffer until the
 	// buffer reaches the batch size, then the whole batch is handed to the
-	// reclaimer — as an O(1) block splice when the scheme implements
-	// BlockReclaimer and the batch fills whole blocks.
+	// reclaimer — as an O(1) block splice (Reclaimer.RetireBlock) when the
+	// batch fills whole blocks.
 	bufs []retireBuf[T]
-	// pinner is the reclaimer's pin-while-retiring entry point (nil when the
-	// scheme does not need one); ThreadHandle.Retire/FlushRetired use it to
-	// make the hand-off from a quiescent caller safe.
-	pinner RetirePinner
+	// pinner is the reclaimer when its retires need a pin (nil otherwise);
+	// ThreadHandle.Retire/FlushRetired use its PinRetire/UnpinRetire to make
+	// the hand-off from a quiescent caller safe.
+	pinner Reclaimer[T]
 	// async is the asynchronous reclamation pipeline (nil when reclamation
 	// is synchronous). With async set, batch hand-offs become lock-free
 	// queue pushes instead of scheme retires.
@@ -95,9 +95,9 @@ type managerConfig struct {
 // number of worker threads: Retire parks records in a thread-local buffer
 // and hands them to the reclaimer batch-at-a-time once the buffer holds
 // batch records. Batches of blockbag.BlockSize (or multiples) transfer as
-// whole detached blocks — O(1) per batch for schemes implementing
-// BlockReclaimer; other sizes fall back to one Retire call per record,
-// still amortising the per-call overhead over the batch.
+// whole detached blocks, O(1) per batch (Reclaimer.RetireBlock); other sizes
+// fall back to one Retire call per record, still amortising the per-call
+// overhead over the batch.
 //
 // Deferring retirement is always safe (a retired record is already
 // unreachable; delaying the hand-off only delays its reuse) but parks up to
@@ -105,8 +105,8 @@ type managerConfig struct {
 // ThreadHandle.FlushRetired forces the hand-off (ReleaseHandle and Close do
 // it for every slot). FlushRetired pins the thread around the hand-off when
 // it is quiescent, so it is safe from any same-thread context; the epoch
-// schemes reject a raw unpinned Retire (see RetirePinner for the contract and
-// the hazard).
+// schemes reject a raw unpinned Retire (see Reclaimer.PinRetire for the
+// contract and the hazard).
 func WithRetireBatching(threads, batch int) ManagerOption {
 	return func(c *managerConfig) {
 		c.threads = threads
@@ -174,11 +174,11 @@ func NewRecordManager[T any](alloc Allocator[T], pool Pool[T], rec Reclaimer[T],
 		perRecord:     props.PerRecordProtection,
 		crashRecovery: props.CrashRecovery,
 	}
-	if p, ok := rec.(RetirePinner); ok && props.ModPerOperation {
+	if props.ModPerOperation {
 		// Only the per-operation (epoch) schemes need the quiescent-retire
 		// pin; for HP and the leaking baseline a pin would be a per-retire
 		// tax with nothing to protect (and HP's IsQuiescent is O(slots)).
-		m.pinner = p
+		m.pinner = rec
 	}
 	if cfg.batch > 0 {
 		if cfg.threads <= 0 {
@@ -201,14 +201,8 @@ func NewRecordManager[T any](alloc Allocator[T], pool Pool[T], rec Reclaimer[T],
 	// Build the per-slot handle table for every participant the scheme was
 	// constructed for, so AcquireHandle returns a pointer into this table
 	// rather than an allocation and Close can flush every worker slot.
-	n := cfg.threads
-	var smap *ShardMap
-	if sh, ok := rec.(Sharded); ok {
-		smap = sh.ShardMap()
-		if t := smap.Threads(); t > n {
-			n = t
-		}
-	}
+	smap := rec.ShardMap()
+	n := max(cfg.threads, smap.Threads())
 	m.handles = make([]ThreadHandle[T], n)
 	for i := range m.handles {
 		m.handles[i] = m.newHandle(i)
@@ -222,9 +216,7 @@ func NewRecordManager[T any](alloc Allocator[T], pool Pool[T], rec Reclaimer[T],
 		workers = 1
 	}
 	m.reg = NewSlotRegistry(workers, smap)
-	if smap != nil {
-		smap.AttachRegistry(m.reg)
-	}
+	smap.AttachRegistry(m.reg)
 	if cfg.ctrl != nil {
 		var scaler ReclaimerScaler
 		if m.async != nil {

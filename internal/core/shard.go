@@ -197,12 +197,3 @@ func DefaultShardSweep() []int {
 	}
 	return out
 }
-
-// Sharded is implemented by reclaimers that support sharded domains; it
-// exposes the resolved shard map for instrumentation (tests, the bench
-// harness). Every scheme in this module implements it — schemes with no
-// shared reclamation state (hazard pointers, the leaking baseline) hold a
-// map but have nothing to shard, which the package comments document.
-type Sharded interface {
-	ShardMap() *ShardMap
-}

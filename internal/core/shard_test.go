@@ -9,6 +9,7 @@ import (
 	"repro/internal/pool"
 	"repro/internal/reclaim/debra"
 	"repro/internal/reclaim/ebr"
+	"repro/internal/reclaim/epoch"
 	"repro/internal/reclaimtest"
 )
 
@@ -98,44 +99,35 @@ func chainOf(t *testing.T, blocks int) *blockbag.Block[node] {
 	return chain
 }
 
-func TestRetireChainNativeAndFallback(t *testing.T) {
-	// Native path: EBR implements BlockReclaimer. The retiring thread is
-	// quiescent, so the hand-off must happen inside a pin-while-retiring
-	// window (the epoch schemes reject an unpinned retire).
-	sinkN := pool.NewDiscard[node]()
-	rN := ebr.New[node](1, sinkN)
-	rN.PinRetire(0)
-	if n := core.RetireChain[node](rN, rN.Handle(0), 0, chainOf(t, 3), nil); n != 3*blockbag.BlockSize {
-		t.Fatalf("native RetireChain retired %d records", n)
+// TestRetireChainFullAndPartialBlocks: full blocks go through RetireBlock, a
+// partial one record by record. The retiring thread is quiescent, so the
+// hand-off must happen inside a pin-while-retiring window (the epoch schemes
+// reject an unpinned retire).
+func TestRetireChainFullAndPartialBlocks(t *testing.T) {
+	r := ebr.New[node](1, pool.NewDiscard[node]())
+	r.PinRetire(0)
+	if n := core.RetireChain[node](r, r.Handle(0), 0, chainOf(t, 3), nil); n != 3*blockbag.BlockSize {
+		t.Fatalf("RetireChain retired %d records of 3 full blocks", n)
 	}
-	rN.UnpinRetire(0)
-	if got := rN.Stats().Retired; got != int64(3*blockbag.BlockSize) {
-		t.Fatalf("native: Retired = %d", got)
+	bag := blockbag.New[node](nil)
+	for i := 0; i < blockbag.BlockSize+5; i++ {
+		bag.Add(&node{key: int64(i)})
 	}
-
-	// Fallback path: a reclaimer hidden behind a wrapper that strips the
-	// BlockReclaimer interface must still retire every record.
-	rF := ebr.New[node](1, pool.NewDiscard[node]())
-	wrapped := plainReclaimer{rF}
-	rF.PinRetire(0)
-	if n := core.RetireChain[node](wrapped, wrapped.Handle(0), 0, chainOf(t, 2), nil); n != 2*blockbag.BlockSize {
-		t.Fatalf("fallback RetireChain retired %d records", n)
+	if n := core.RetireChain[node](r, r.Handle(0), 0, bag.DetachAll(), nil); n != blockbag.BlockSize+5 {
+		t.Fatalf("RetireChain retired %d records of a full and a partial block", n)
 	}
-	rF.UnpinRetire(0)
-	if got := rF.Stats().Retired; got != int64(2*blockbag.BlockSize) {
-		t.Fatalf("fallback: Retired = %d", got)
+	r.UnpinRetire(0)
+	if got := r.Stats().Retired; got != int64(4*blockbag.BlockSize+5) {
+		t.Fatalf("Retired = %d", got)
 	}
 }
-
-// plainReclaimer hides the concrete type so only core.Reclaimer is visible.
-type plainReclaimer struct{ core.Reclaimer[node] }
 
 func TestRecordManagerRetireBatching(t *testing.T) {
 	const n = 2
 	const batch = blockbag.BlockSize
 	alloc := arena.NewBump[node](n, 0)
 	p := pool.New[node](n, alloc)
-	rec := debra.New[node](n, p, debra.WithCheckThresh(1), debra.WithIncrThresh(1))
+	rec := debra.New[node](n, p, epoch.WithCheckThresh(1), epoch.WithIncrThresh(1))
 	mgr := core.NewRecordManager[node](alloc, p, rec, core.WithRetireBatching(n, batch))
 	if mgr.RetireBatchSize() != batch {
 		t.Fatalf("RetireBatchSize = %d", mgr.RetireBatchSize())

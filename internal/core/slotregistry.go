@@ -112,7 +112,7 @@ type freeHead struct {
 // working off the per-shard occupancy summaries exactly as before.
 type SlotRegistry struct {
 	capacity int
-	smap     *ShardMap // nil when the reclaimer exposes no shard map
+	smap     *ShardMap // nil for a registry built on its own
 
 	// heads is one free-list head per shard (length 1 when smap is nil);
 	// homes maps a slot to its immutable free-list index.

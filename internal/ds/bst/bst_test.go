@@ -15,6 +15,7 @@ import (
 	"repro/internal/raceenabled"
 	"repro/internal/reclaim/debra"
 	"repro/internal/reclaim/debraplus"
+	"repro/internal/reclaim/epoch"
 	"repro/internal/reclaim/hp"
 	"repro/internal/recordmgr"
 )
@@ -50,8 +51,8 @@ func newAggressiveDebraPlusTree(t testing.TB, threads int) *bst.Tree[int64] {
 	alloc := arena.NewBump[rec](threads, 0)
 	pl := pool.New[rec](threads, alloc)
 	rcl := debraplus.New[rec](threads, pl,
-		debraplus.WithCheckThresh(1),
-		debraplus.WithIncrThresh(1),
+		epoch.WithCheckThresh(1),
+		epoch.WithIncrThresh(1),
 		debraplus.WithSuspectThresholdBlocks(1),
 		debraplus.WithScanThresholdBlocks(1),
 	)
@@ -86,7 +87,7 @@ func newFastDebraTree(t testing.TB, threads int) *bst.Tree[int64] {
 	type rec = bst.Record[int64]
 	alloc := arena.NewBump[rec](threads, 0)
 	pl := pool.New[rec](threads, alloc)
-	rcl := debra.New[rec](threads, pl, debra.WithIncrThresh(4))
+	rcl := debra.New[rec](threads, pl, epoch.WithIncrThresh(4))
 	return bst.New(core.NewRecordManager[rec](alloc, pl, rcl))
 }
 

@@ -17,6 +17,7 @@ import (
 	"repro/internal/pool"
 	"repro/internal/raceenabled"
 	"repro/internal/reclaim/debraplus"
+	"repro/internal/reclaim/epoch"
 	"repro/internal/reclaim/hp"
 	"repro/internal/reclaimtest"
 	"repro/internal/recordmgr"
@@ -567,8 +568,8 @@ func TestStressAggressiveDebraPlus(t *testing.T) {
 	factory := poisonedMapFactory(func(n int, sink core.FreeSink[rec], dom *neutralize.Domain) core.Reclaimer[rec] {
 		rcl = debraplus.New[rec](n, sink,
 			debraplus.WithDomain(dom),
-			debraplus.WithCheckThresh(1),
-			debraplus.WithIncrThresh(1),
+			epoch.WithCheckThresh(1),
+			epoch.WithIncrThresh(1),
 			debraplus.WithSuspectThresholdBlocks(1),
 			debraplus.WithScanThresholdBlocks(1),
 		)

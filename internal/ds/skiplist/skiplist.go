@@ -427,8 +427,8 @@ func (hd *Handle[V]) Delete(key int64) bool {
 		// searches; hand it to the reclaimer while the operation's epoch pin
 		// still stands. (This used to happen after EnterQstate — a quiescent
 		// retire whose observed epoch nothing pins, which is exactly the
-		// advance-drain race core.RetirePinner describes; the epoch schemes
-		// now reject that ordering.)
+		// advance-drain race core.Reclaimer.PinRetire describes; the epoch
+		// schemes now reject that ordering.)
 		rm.Retire(victim)
 		rm.EnterQstate()
 		return true

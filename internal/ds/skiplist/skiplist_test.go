@@ -12,6 +12,7 @@ import (
 	"repro/internal/ds/skiplist"
 	"repro/internal/pool"
 	"repro/internal/reclaim/debra"
+	"repro/internal/reclaim/epoch"
 	"repro/internal/reclaim/hp"
 	"repro/internal/recordmgr"
 )
@@ -46,7 +47,7 @@ func newFastDebraList(t testing.TB, threads int) *skiplist.List[int64] {
 	type node = skiplist.Node[int64]
 	alloc := arena.NewBump[node](threads, 0)
 	pl := pool.New[node](threads, alloc)
-	rcl := debra.New[node](threads, pl, debra.WithIncrThresh(4))
+	rcl := debra.New[node](threads, pl, epoch.WithIncrThresh(4))
 	return skiplist.New(core.NewRecordManager[node](alloc, pl, rcl), threads)
 }
 

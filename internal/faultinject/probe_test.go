@@ -89,8 +89,8 @@ func TestProbeClassifiesSchemes(t *testing.T) {
 // TestProbeSurvivesBatchingAndAsync: the probe's quiescence recovery (release
 // victims, join, Close) must hold with deferred-retire batching and the async
 // hand-off pipeline interposed, where Unreclaimed spans three buffers — the
-// wrapper forwards the capability interfaces (BlockReclaimer, Sharded) the
-// manager sizes those paths by.
+// wrapper forwards RetireBlock and the shard map the manager sizes those
+// paths by.
 func TestProbeSurvivesBatchingAndAsync(t *testing.T) {
 	plan, stalls := faultinject.NewStallPlan([]int{2})
 	m, err := recordmgr.Build[proberec](recordmgr.Config{

@@ -1,9 +1,7 @@
 package faultinject
 
 // This file interposes a Plan on a core.Reclaimer. The wrapper forwards the
-// scheme object and its extension interfaces — BlockReclaimer, RetirePinner,
-// LimboDrainer, Sharded — with safe fallbacks where the wrapped scheme lacks
-// a capability, and Handle(slot) wraps the scheme's per-slot handle with the
+// scheme object, and Handle(slot) wraps the scheme's per-slot handle with the
 // plan's hooks at the three injected boundaries, so every crossing fires
 // exactly once.
 
@@ -15,99 +13,44 @@ import (
 // Reclaimer wraps an inner reclamation scheme with a fault Plan. Construct
 // with Wrap.
 type Reclaimer[T any] struct {
-	inner core.Reclaimer[T]
-	plan  *Plan
-
-	// Capabilities resolved once at Wrap, not per call.
-	block   core.BlockReclaimer[T]
-	pinner  core.RetirePinner
-	drainer core.LimboDrainer
-	sharded core.Sharded
+	core.Reclaimer[T]
+	plan *Plan
 }
 
-// Wrap interposes plan on inner. The wrapper claims the full extended
-// reclaimer surface; capabilities inner lacks degrade safely (per-record
-// RetireBlock, no-op PinRetire, zero DrainLimbo). Note that
-// core.NewRecordManager sizes its handle table from core.Sharded — every
-// scheme in this module implements it, and Wrap forwards it; wrapping an
-// external reclaimer without it is only supported for direct use.
+// Wrap interposes plan on inner. Identity, properties, counters, the shard
+// map and the retire pin forward to inner untouched — the fault plane is
+// orthogonal to all of them, and bench rows and tests keep seeing the scheme's
+// own name.
 func Wrap[T any](inner core.Reclaimer[T], plan *Plan) *Reclaimer[T] {
-	w := &Reclaimer[T]{inner: inner, plan: plan}
-	w.block, _ = inner.(core.BlockReclaimer[T])
-	w.pinner, _ = inner.(core.RetirePinner)
-	w.drainer, _ = inner.(core.LimboDrainer)
-	w.sharded, _ = inner.(core.Sharded)
-	return w
+	return &Reclaimer[T]{Reclaimer: inner, plan: plan}
 }
 
 // Unwrap returns the wrapped scheme.
-func (w *Reclaimer[T]) Unwrap() core.Reclaimer[T] { return w.inner }
+func (w *Reclaimer[T]) Unwrap() core.Reclaimer[T] { return w.Reclaimer }
 
 // Plan returns the interposed fault plan.
 func (w *Reclaimer[T]) Plan() *Plan { return w.plan }
 
-// Name forwards to the wrapped scheme (bench rows and tests keep seeing the
-// scheme's own name; the fault plane is orthogonal to identity).
-func (w *Reclaimer[T]) Name() string { return w.inner.Name() }
-
-// Props forwards to the wrapped scheme.
-func (w *Reclaimer[T]) Props() core.Properties { return w.inner.Props() }
-
-// Stats forwards to the wrapped scheme.
-func (w *Reclaimer[T]) Stats() core.Stats { return w.inner.Stats() }
-
 // Handle returns slot's injecting handle: the scheme's own per-slot handle
 // with the plan's hooks at the three boundaries.
 func (w *Reclaimer[T]) Handle(slot int) core.ReclaimerHandle[T] {
-	return &handle[T]{ReclaimerHandle: w.inner.Handle(slot), plan: w.plan, tid: slot}
+	return &handle[T]{ReclaimerHandle: w.Reclaimer.Handle(slot), plan: w.plan, tid: slot}
 }
 
-// RetireBlock crosses PointRetire once per block, then forwards — or, for a
-// scheme without the block fast path, retires the block's records one by
-// one (returning no spare, exactly as core.RetireChain would have).
+// RetireBlock crosses PointRetire once per block, then forwards.
 func (w *Reclaimer[T]) RetireBlock(tid int, blk *blockbag.Block[T]) *blockbag.Block[T] {
 	w.plan.hook(tid, PointRetire)
-	if w.block != nil {
-		return w.block.RetireBlock(tid, blk)
-	}
-	h := w.inner.Handle(tid)
-	for i := 0; i < blk.Len(); i++ {
-		h.Retire(blk.Record(i))
-	}
-	return nil
+	return w.Reclaimer.RetireBlock(tid, blk)
 }
 
-// PinRetire forwards when the wrapped scheme pins retires; otherwise it is
-// the same no-op schemes without epoch state use.
-func (w *Reclaimer[T]) PinRetire(tid int) {
-	if w.pinner != nil {
-		w.pinner.PinRetire(tid)
-	}
-}
-
-// UnpinRetire reverses PinRetire (forwarded or no-op, matching it).
-func (w *Reclaimer[T]) UnpinRetire(tid int) {
-	if w.pinner != nil {
-		w.pinner.UnpinRetire(tid)
-	}
-}
-
-// DrainLimbo forwards when the wrapped scheme supports quiescent shutdown
-// draining, and reports nothing drainable otherwise.
+// DrainLimbo implements core.LimboDrainer: it forwards when the wrapped
+// scheme has limbo to drain at shutdown (every scheme but the leaking
+// baseline) and reports nothing drainable otherwise.
 func (w *Reclaimer[T]) DrainLimbo(tid int) int64 {
-	if w.drainer != nil {
-		return w.drainer.DrainLimbo(tid)
+	if d, ok := w.Reclaimer.(core.LimboDrainer); ok {
+		return d.DrainLimbo(tid)
 	}
 	return 0
-}
-
-// ShardMap forwards the wrapped scheme's shard map (nil for a non-sharded
-// external reclaimer; see Wrap).
-func (w *Reclaimer[T]) ShardMap() *core.ShardMap {
-	if w.sharded != nil {
-		return w.sharded.ShardMap()
-	}
-	return nil
 }
 
 // handle is the injecting ReclaimerHandle: the scheme's per-slot handle

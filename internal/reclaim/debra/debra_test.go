@@ -3,21 +3,24 @@ package debra_test
 import (
 	"testing"
 
-	"repro/internal/arena"
 	"repro/internal/blockbag"
 	"repro/internal/core"
-	"repro/internal/pool"
 	"repro/internal/reclaim/debra"
+	"repro/internal/reclaim/epoch"
 	"repro/internal/reclaimtest"
 )
 
 // fast returns options that make epochs advance quickly in unit tests.
-func fast() []debra.Option {
-	return []debra.Option{debra.WithCheckThresh(1), debra.WithIncrThresh(1)}
+func fast() []epoch.Option {
+	return []epoch.Option{epoch.WithCheckThresh(1), epoch.WithIncrThresh(1)}
+}
+
+func sharded(n int, sink core.FreeSink[reclaimtest.Record], spec core.ShardSpec) core.Reclaimer[reclaimtest.Record] {
+	return debra.New(n, sink, append(fast(), epoch.WithShards(spec))...)
 }
 
 func factory(n int, sink core.FreeSink[reclaimtest.Record]) core.Reclaimer[reclaimtest.Record] {
-	return debra.New(n, sink, fast()...)
+	return sharded(n, sink, core.ShardSpec{})
 }
 
 func factoryDefault(n int, sink core.FreeSink[reclaimtest.Record]) core.Reclaimer[reclaimtest.Record] {
@@ -31,6 +34,20 @@ func TestStressFastEpochs(t *testing.T) {
 }
 func TestStressDefaultPacing(t *testing.T) {
 	reclaimtest.Stress(t, factoryDefault, reclaimtest.DefaultStressOptions())
+}
+
+// What DEBRA does because it is a sharded, block-bag core.Reclaimer
+// (internal/reclaimtest/schemesuite.go).
+func TestNewValidation(t *testing.T)         { reclaimtest.NewValidation(t, factory) }
+func TestQuiescentRetirePanics(t *testing.T) { reclaimtest.QuiescentRetirePanics(t, factory) }
+func TestRetireBlockSplice(t *testing.T)     { reclaimtest.RetireBlockSplice(t, factory) }
+func TestSharesThePoolsBlocks(t *testing.T)  { reclaimtest.SharesThePoolsBlocks(t, factory) }
+func TestShardedStress(t *testing.T)         { reclaimtest.ShardedStress(t, sharded) }
+func TestShardedCrossShardSafety(t *testing.T) {
+	reclaimtest.ShardedCrossShardSafety(t, sharded)
+}
+func TestShardedQuiescentShardDoesNotBlock(t *testing.T) {
+	reclaimtest.ShardedIdleShardDoesNotBlock(t, sharded)
 }
 
 // retireMany drives tid through ops, retiring fresh records, and returns them.
@@ -171,7 +188,7 @@ func TestEpochAdvancesRequireFullScan(t *testing.T) {
 // every operation.
 func TestIncrThreshDelaysAdvance(t *testing.T) {
 	sink := reclaimtest.NewRecordingSink()
-	r := debra.New(1, sink, debra.WithCheckThresh(1), debra.WithIncrThresh(100))
+	r := debra.New(1, sink, epoch.WithCheckThresh(1), epoch.WithIncrThresh(100))
 	start := r.Epoch()
 	for i := 0; i < 50; i++ {
 		r.Handle(0).LeaveQstate()
@@ -192,171 +209,17 @@ func TestIncrThreshDelaysAdvance(t *testing.T) {
 // TestBlockSinkReceivesWholeBlocks verifies the O(1) block transfer path:
 // when the sink supports blocks, records arrive in multiples of BlockSize.
 func TestBlockSinkReceivesWholeBlocks(t *testing.T) {
-	sink := &blockRecordingSink{}
+	sink := &reclaimtest.BlockSink{}
 	r := debra.New[reclaimtest.Record](1, sink, fast()...)
-	retireMany2(r, 0, 3*blockbag.BlockSize)
+	retireMany(r, 0, 3*blockbag.BlockSize)
 	for i := 0; i < 10; i++ {
 		r.Handle(0).LeaveQstate()
 		r.Handle(0).EnterQstate()
 	}
-	if sink.blocks == 0 {
+	if sink.Blocks == 0 {
 		t.Fatal("block sink never received a block")
 	}
-	if sink.singles != 0 {
-		t.Fatalf("block sink received %d individual records; expected whole blocks only", sink.singles)
-	}
-}
-
-func retireMany2(r *debra.Reclaimer[reclaimtest.Record], tid, n int) {
-	for i := 0; i < n; i++ {
-		r.Handle(tid).LeaveQstate()
-		r.Handle(tid).Retire(&reclaimtest.Record{ID: int64(i)})
-		r.Handle(tid).EnterQstate()
-	}
-}
-
-// blockRecordingSink counts whole-block versus individual frees.
-type blockRecordingSink struct {
-	blocks  int
-	singles int
-}
-
-func (s *blockRecordingSink) Free(tid int, rec *reclaimtest.Record) { s.singles++ }
-
-func (s *blockRecordingSink) FreeBlocks(tid int, chain *blockbag.Block[reclaimtest.Record]) {
-	for blk := chain; blk != nil; blk = blk.Next() {
-		s.blocks++
-	}
-}
-
-// TestSharesThePoolsBlocks: records cycling allocate -> retire -> limbo ->
-// pool -> allocate carry their blocks one way, from the limbo bags to the
-// pool's bag. The limbo bags must draw from the block pool those blocks are
-// emptied into, or every BlockSize retired records cost a fresh block.
-func TestSharesThePoolsBlocks(t *testing.T) {
-	pl := pool.New[reclaimtest.Record](1, arena.NewBump[reclaimtest.Record](1, 0))
-	r := debra.New[reclaimtest.Record](1, pl, fast()...)
-	cycle := func() {
-		for i := 0; i < 4*blockbag.BlockSize; i++ {
-			r.Handle(0).LeaveQstate()
-			r.Handle(0).Retire(pl.Allocate(0))
-			r.Handle(0).EnterQstate()
-		}
-	}
-	for i := 0; i < 8; i++ {
-		cycle() // fill the limbo bags, the pool bag and the block pool
-	}
-	if n := testing.AllocsPerRun(20, cycle); n != 0 {
-		t.Fatalf("a steady retire/reuse cycle allocates %.1f times per %d records, want 0", n, 4*blockbag.BlockSize)
-	}
-}
-
-func TestNewValidation(t *testing.T) {
-	if !panics(func() { debra.New[reclaimtest.Record](0, reclaimtest.NewRecordingSink()) }) {
-		t.Fatal("expected panic for n=0")
-	}
-	if !panics(func() { debra.New[reclaimtest.Record](1, nil) }) {
-		t.Fatal("expected panic for nil sink")
-	}
-	//lint:allow retirepin deliberate contract violation: asserts the Retire(nil) panic fires before any pin check matters
-	if !panics(func() { debra.New[reclaimtest.Record](1, reclaimtest.NewRecordingSink()).Handle(0).Retire(nil) }) {
-		t.Fatal("expected panic for Retire(nil)")
-	}
-}
-
-func panics(fn func()) (p bool) {
-	defer func() { p = recover() != nil }()
-	fn()
-	return false
-}
-
-// --- sharded domains ---------------------------------------------------------
-
-// TestShardedCrossShardSafety: with shard-local incremental scans, a record
-// retired in shard 0 must still not be freed while a thread of shard 1 is
-// mid-operation.
-func TestShardedCrossShardSafety(t *testing.T) {
-	sink := reclaimtest.NewRecordingSink()
-	r := debra.New[reclaimtest.Record](4, sink,
-		append(fast(), debra.WithShards(core.ShardSpec{Shards: 2}))...)
-	r.Handle(3).LeaveQstate() // other-shard thread mid-operation, not quiescent
-	// Retire several blocks' worth: the retires may straddle one epoch
-	// rotation, but at least one limbo bag then holds a full block (partial
-	// head blocks stay behind by design, so assertions below are on freed
-	// counts, not individual records).
-	for i := 0; i < 4*blockbag.BlockSize; i++ {
-		r.Handle(0).LeaveQstate()
-		r.Handle(0).Retire(&reclaimtest.Record{ID: int64(i)})
-		r.Handle(0).EnterQstate()
-	}
-	for i := 0; i < 400; i++ {
-		r.Handle(0).LeaveQstate()
-		r.Handle(0).EnterQstate()
-	}
-	if got := sink.Freed(); got != 0 {
-		t.Fatalf("%d records freed while a thread of another shard was mid-operation", got)
-	}
-	r.Handle(3).EnterQstate()
-	for i := 0; i < 400; i++ {
-		r.Handle(0).LeaveQstate()
-		r.Handle(0).EnterQstate()
-	}
-	if got := sink.Freed(); got < int64(blockbag.BlockSize) {
-		t.Fatalf("only %d records freed after the other shard became quiescent", got)
-	}
-}
-
-// TestShardedQuiescentShardDoesNotBlock: a shard whose members are all
-// quiescent passes through the summary-phase slow path.
-func TestShardedQuiescentShardDoesNotBlock(t *testing.T) {
-	sink := reclaimtest.NewRecordingSink()
-	r := debra.New[reclaimtest.Record](6, sink,
-		append(fast(), debra.WithShards(core.ShardSpec{Shards: 3}))...)
-	for i := 0; i < 2000; i++ {
-		r.Handle(0).LeaveQstate()
-		r.Handle(0).Retire(&reclaimtest.Record{ID: int64(i)})
-		r.Handle(0).EnterQstate()
-	}
-	if sink.Freed() == 0 {
-		t.Fatal("quiescent shards blocked reclamation")
-	}
-}
-
-// TestShardedStress runs the generic reclaimer stress over both placements.
-func TestShardedStress(t *testing.T) {
-	for _, placement := range []core.ShardPlacement{core.PlaceBlock, core.PlaceStripe} {
-		t.Run(string(placement), func(t *testing.T) {
-			reclaimtest.Stress(t, func(n int, sink core.FreeSink[reclaimtest.Record]) core.Reclaimer[reclaimtest.Record] {
-				return debra.New[reclaimtest.Record](n, sink,
-					append(fast(), debra.WithShards(core.ShardSpec{Shards: 2, Placement: placement}))...)
-			}, reclaimtest.DefaultStressOptions())
-		})
-	}
-}
-
-// TestRetireBlockSplice checks the O(1) batched-retire path: the spliced
-// block's records rotate through the limbo bags and reach the sink whole.
-func TestRetireBlockSplice(t *testing.T) {
-	sink := &blockRecordingSink{}
-	r := debra.New[reclaimtest.Record](1, sink, fast()...)
-	bag := blockbag.New[reclaimtest.Record](nil)
-	for i := 0; i < blockbag.BlockSize; i++ {
-		bag.Add(&reclaimtest.Record{ID: int64(i)})
-	}
-	r.Handle(0).LeaveQstate()
-	r.RetireBlock(0, bag.DetachAllFullBlocks())
-	r.Handle(0).EnterQstate()
-	if got := r.Stats().Retired; got != int64(blockbag.BlockSize) {
-		t.Fatalf("Retired = %d want %d", got, blockbag.BlockSize)
-	}
-	for i := 0; i < 10; i++ {
-		r.Handle(0).LeaveQstate()
-		r.Handle(0).EnterQstate()
-	}
-	if sink.blocks == 0 {
-		t.Fatal("spliced block never reached the sink as a whole block")
-	}
-	if sink.singles != 0 {
-		t.Fatalf("%d records arrived individually", sink.singles)
+	if sink.Singles != 0 {
+		t.Fatalf("block sink received %d individual records; expected whole blocks only", sink.Singles)
 	}
 }

@@ -1,15 +1,14 @@
 // Package debraplus implements DEBRA+, the fault-tolerant distributed epoch
-// based reclamation scheme of Section 5 of the paper (Figure 6 pseudocode).
-//
-// DEBRA+ extends DEBRA with neutralization: a thread that cannot advance the
-// epoch because another thread has been non-quiescent for too long sends
-// that thread a signal and then treats it as quiescent. The signalled thread
-// delivers the signal at its next checkpoint, enters a quiescent state and
-// jumps (via a typed panic recovered by the operation wrapper) into recovery
-// code. Recovery uses a limited form of hazard pointers — RProtect /
-// RUnprotectAll / IsRProtected — so that a neutralized thread can still help
-// its own announced operation to completion even though other threads have
-// stopped waiting for it.
+// based reclamation scheme of Section 5 of the paper (Figure 6), as DEBRA
+// (internal/reclaim/debra) plus what the paper adds to it: neutralization. A
+// thread that cannot advance the epoch because another has been non-quiescent
+// for too long sends that thread a signal and then treats it as quiescent.
+// The signalled thread delivers the signal at its next checkpoint, enters a
+// quiescent state and jumps (via a typed panic recovered by the operation
+// wrapper) into recovery code. Recovery uses a limited form of hazard
+// pointers — RProtect / RUnprotectAll / IsRProtected — so that a neutralized
+// thread can still help its own announced operation to completion even though
+// other threads have stopped waiting for it.
 //
 // Consequences reproduced here:
 //
@@ -26,7 +25,9 @@
 //
 // See the internal/neutralize package documentation for how POSIX signal
 // delivery and siglongjmp are simulated, and for the argument that the
-// weaker "delivery at the next checkpoint" guarantee preserves safety.
+// weaker "delivery at the next checkpoint" guarantee preserves safety;
+// docs/ARCHITECTURE.md ("The epoch schemes") sets the scheme beside the other
+// three.
 package debraplus
 
 import (
@@ -36,10 +37,10 @@ import (
 	"repro/internal/core"
 	"repro/internal/neutralize"
 	"repro/internal/reclaim/debra"
+	"repro/internal/reclaim/epoch"
 )
 
-// Defaults for the DEBRA+ specific thresholds. The DEBRA pacing constants
-// (CHECK_THRESH, INCR_THRESH) are reused from the debra package.
+// Defaults for the DEBRA+ specific thresholds.
 const (
 	// DefaultSuspectThresholdBlocks is the number of blocks the caller's
 	// current limbo bag must reach before it suspects (and neutralizes) a
@@ -51,216 +52,115 @@ const (
 	DefaultMaxRProtect = 32
 )
 
-// Option configures the reclaimer.
-type Option func(*config)
-
+// config is DEBRA+'s own settings, carried in epoch.Config.Policy.
 type config struct {
-	checkThresh           int64
-	incrThresh            int64
 	suspectThresholdBlks  int
 	scanThresholdBlks     int
 	maxRProtect           int
 	domain                *neutralize.Domain
 	disableNeutralization bool
-	spec                  core.ShardSpec
 }
 
-// WithShards partitions the incremental announcement scan into sharded
-// domains, exactly as in DEBRA (see debra.WithShards): the fast path checks
-// only shard-local announcements plus per-shard summary words. Fault
-// tolerance is preserved across shard boundaries: when a lagging shard
-// blocks the summary phase, the scanning thread falls back to that shard's
-// members directly and neutralizes the laggards once its own limbo bag has
-// grown past the suspicion threshold — so a thread stalled mid-operation in
-// ANY shard is eventually signalled by whichever thread is trying to
-// advance, not only by its shard mates.
-func WithShards(spec core.ShardSpec) Option { return func(c *config) { c.spec = spec } }
-
-// WithCheckThresh sets the announcement-check pacing (CHECK_THRESH).
-func WithCheckThresh(v int) Option { return func(c *config) { c.checkThresh = int64(v) } }
-
-// WithIncrThresh sets the epoch-advance pacing (INCR_THRESH).
-func WithIncrThresh(v int) Option { return func(c *config) { c.incrThresh = int64(v) } }
+// settings returns DEBRA+'s settings within c, created with their defaults on
+// first use.
+func settings(c *epoch.Config) *config {
+	if c.Policy == nil {
+		c.Policy = &config{suspectThresholdBlks: DefaultSuspectThresholdBlocks, maxRProtect: DefaultMaxRProtect}
+	}
+	return c.Policy.(*config)
+}
 
 // WithSuspectThresholdBlocks sets how large (in blocks) a thread's current
 // limbo bag must grow before it starts neutralizing laggards.
-func WithSuspectThresholdBlocks(v int) Option {
-	return func(c *config) { c.suspectThresholdBlks = v }
+func WithSuspectThresholdBlocks(v int) epoch.Option {
+	return func(c *epoch.Config) { settings(c).suspectThresholdBlks = v }
 }
 
 // WithScanThresholdBlocks sets how large (in blocks) a rotated limbo bag must
 // be before it is scanned against the RProtect table and reclaimed. The
 // default is derived from n and the RProtect capacity so that each scan frees
 // Omega(nk) records, giving O(1) amortised cost per record.
-func WithScanThresholdBlocks(v int) Option { return func(c *config) { c.scanThresholdBlks = v } }
+func WithScanThresholdBlocks(v int) epoch.Option {
+	return func(c *epoch.Config) { settings(c).scanThresholdBlks = v }
+}
 
 // WithMaxRProtect sets the number of recovery hazard pointer slots per
 // thread.
-func WithMaxRProtect(v int) Option { return func(c *config) { c.maxRProtect = v } }
+func WithMaxRProtect(v int) epoch.Option {
+	return func(c *epoch.Config) { settings(c).maxRProtect = v }
+}
 
 // WithDomain supplies an externally created neutralization domain so that
 // several reclaimers (or the test harness) can share one set of signal
 // words. By default each reclaimer creates its own domain.
-func WithDomain(d *neutralize.Domain) Option { return func(c *config) { c.domain = d } }
+func WithDomain(d *neutralize.Domain) epoch.Option {
+	return func(c *epoch.Config) { settings(c).domain = d }
+}
 
-// WithNeutralizationDisabled turns off signalling entirely (the reclaimer
-// then degrades to DEBRA's behaviour); used by ablation benchmarks.
-func WithNeutralizationDisabled() Option { return func(c *config) { c.disableNeutralization = true } }
+// WithNeutralizationDisabled turns off signalling entirely: no suspicion hook
+// is installed and the reclaimer verifies exactly as DEBRA does. Used under
+// the race detector and by ablation benchmarks.
+func WithNeutralizationDisabled() epoch.Option {
+	return func(c *epoch.Config) { settings(c).disableNeutralization = true }
+}
 
 // Reclaimer implements core.Reclaimer with DEBRA+.
 type Reclaimer[T any] struct {
-	sink      core.FreeSink[T]
-	blockSink core.BlockFreeSink[T]
-	cfg       config
-	domain    *neutralize.Domain
-
-	epoch   atomic.Int64
-	smap    *core.ShardMap
-	shards  []shardSummary
-	shared  []announceSlot
-	rprot   []rprotectSlots[T]
-	threads []thread[T]
+	epoch.Bags[T]
+	cfg     config
+	domain  *neutralize.Domain
 	handles []handle[T]
 }
 
-// handle is one thread slot's view (core.ReclaimerHandle): the slot's
-// private state, announcement word, recovery table and shard scan set
-// resolved once, so per-operation calls index no slices at all.
+// handle is one thread slot's view (core.ReclaimerHandle): DEBRA's, plus the
+// thread's recovery table and the scratch its sweeps reuse.
 type handle[T any] struct {
-	r       *Reclaimer[T]
-	t       *thread[T]
-	slot    *announceSlot
-	rp      *rprotectSlots[T]
-	tid     int
-	members []int
-	self    int
-}
+	debra.Handle[T]
+	r *Reclaimer[T]
 
-// shardSummary is a shard's verified-epoch word (see debra.WithShards).
-type shardSummary struct {
-	v atomic.Int64
-	_ [core.PadBytes]byte
-}
+	// The recovery-hazard-pointer table: written only by the owner, read by
+	// every thread that sweeps before freeing.
+	rpCount atomic.Int32
+	rpSlots []atomic.Pointer[T]
 
-type announceSlot struct {
-	v atomic.Int64
-	_ [core.PadBytes]byte
-}
+	scanSet map[*T]struct{} // the protections the last sweep hashed
 
-// rprotectSlots is one thread's recovery-hazard-pointer table: written only
-// by its owner, read by every thread that scans before freeing.
-type rprotectSlots[T any] struct {
-	count atomic.Int32
-	slots []atomic.Pointer[T]
-	_     [core.PadBytes]byte
-}
-
-type thread[T any] struct {
-	bags       [3]*blockbag.Bag[T]
-	currentBag *blockbag.Bag[T]
-	index      int
-
-	checkNext     int64
-	opsSinceCheck int64
-	opsSinceIncr  int64
-
-	blockPool *blockbag.BlockPool[T]
-	scanSet   map[*T]struct{} // scratch hash table reused across scans
-
-	// Single-writer statistics counters (core.Counter): written by the
-	// owning tid (neutralizations by the signalling tid, selfNeutralized by
-	// the delivering tid — both single-writer), read racily by Stats.
-	retired         core.Counter
-	freed           core.Counter
-	epochAdvances   core.Counter
-	scans           core.Counter
+	// Single-writer counters: neutralizations by the signalling thread,
+	// selfNeutralized by the delivering one, sweeps by the sweeping one.
 	neutralizations core.Counter
 	selfNeutralized core.Counter
+	sweeps          core.Counter
 
 	_ [core.PadBytes]byte
 }
-
-const (
-	epochInc     = 2
-	quiescentBit = 1
-)
 
 // New creates a DEBRA+ reclaimer for n threads. Reclaimed records are handed
 // to sink (whole blocks when it implements core.BlockFreeSink).
-func New[T any](n int, sink core.FreeSink[T], opts ...Option) *Reclaimer[T] {
-	if n <= 0 {
-		panic("debraplus: New requires n >= 1")
-	}
-	if sink == nil {
-		panic("debraplus: New requires a FreeSink")
-	}
-	cfg := config{
-		checkThresh:          debra.DefaultCheckThresh,
-		incrThresh:           debra.DefaultIncrThresh,
-		suspectThresholdBlks: DefaultSuspectThresholdBlocks,
-		maxRProtect:          DefaultMaxRProtect,
-	}
-	for _, o := range opts {
-		o(&cfg)
-	}
-	if cfg.checkThresh < 1 {
-		cfg.checkThresh = 1
-	}
-	if cfg.incrThresh < 1 {
-		cfg.incrThresh = 1
-	}
-	if cfg.maxRProtect < 1 {
-		cfg.maxRProtect = 1
-	}
-	if cfg.suspectThresholdBlks < 1 {
-		cfg.suspectThresholdBlks = 1
-	}
+func New[T any](n int, sink core.FreeSink[T], opts ...epoch.Option) *Reclaimer[T] {
+	r := &Reclaimer[T]{Bags: epoch.NewBags("debra+", n, sink, opts), handles: make([]handle[T], n)}
+	cfg := *settings(&r.Config)
+	cfg.maxRProtect = max(cfg.maxRProtect, 1)
+	cfg.suspectThresholdBlks = max(cfg.suspectThresholdBlks, 1)
 	if cfg.scanThresholdBlks <= 0 {
 		// Scan once the bag holds at least n*k records (rounded up to
 		// blocks) plus one block, so each scan can free Omega(nk) records.
 		cfg.scanThresholdBlks = (n*cfg.maxRProtect)/blockbag.BlockSize + 2
 	}
-	dom := cfg.domain
-	if dom == nil {
-		dom = neutralize.NewDomain(n)
+	r.cfg = cfg
+	r.domain = cfg.domain
+	if r.domain == nil {
+		r.domain = neutralize.NewDomain(n)
 	}
-	smap := core.NewShardMap(n, cfg.spec)
-	r := &Reclaimer[T]{
-		sink:    sink,
-		cfg:     cfg,
-		domain:  dom,
-		smap:    smap,
-		shards:  make([]shardSummary, smap.Shards()),
-		shared:  make([]announceSlot, n),
-		rprot:   make([]rprotectSlots[T], n),
-		threads: make([]thread[T], n),
-	}
-	if bs, ok := sink.(core.BlockFreeSink[T]); ok {
-		r.blockSink = bs
-	}
-	r.epoch.Store(epochInc)
-	for i := range r.threads {
-		t := &r.threads[i]
-		t.blockPool = blockbag.NewBlockPool[T](blockbag.DefaultBlockPoolCap)
-		for j := range t.bags {
-			t.bags[j] = blockbag.New(t.blockPool)
-		}
-		t.currentBag = t.bags[0]
-		t.scanSet = make(map[*T]struct{}, n*cfg.maxRProtect)
-		r.shared[i].v.Store(quiescentBit)
-		r.rprot[i].slots = make([]atomic.Pointer[T], cfg.maxRProtect)
-	}
-	r.handles = make([]handle[T], n)
 	for i := range r.handles {
-		self := smap.ShardOf(i)
-		r.handles[i] = handle[T]{
-			r:       r,
-			t:       &r.threads[i],
-			slot:    &r.shared[i],
-			rp:      &r.rprot[i],
-			tid:     i,
-			self:    self,
-			members: smap.Members(self),
+		h := &r.handles[i]
+		h.Init(&r.Bags, i)
+		h.r = r
+		h.rpSlots = make([]atomic.Pointer[T], cfg.maxRProtect)
+		h.scanSet = make(map[*T]struct{}, n*cfg.maxRProtect)
+		h.Sweep = h.sweep
+		h.Held = h.held
+		if !cfg.disableNeutralization {
+			h.Suspect = h.suspect
 		}
 	}
 	return r
@@ -268,9 +168,6 @@ func New[T any](n int, sink core.FreeSink[T], opts ...Option) *Reclaimer[T] {
 
 // Handle implements core.Reclaimer.
 func (r *Reclaimer[T]) Handle(tid int) core.ReclaimerHandle[T] { return &r.handles[tid] }
-
-// Name implements core.Reclaimer.
-func (r *Reclaimer[T]) Name() string { return "debra+" }
 
 // Props implements core.Reclaimer.
 func (r *Reclaimer[T]) Props() core.Properties {
@@ -290,140 +187,40 @@ func (r *Reclaimer[T]) Props() core.Properties {
 // Domain returns the neutralization domain used by this reclaimer.
 func (r *Reclaimer[T]) Domain() *neutralize.Domain { return r.domain }
 
-func isEqual(readEpoch, ann int64) bool { return readEpoch == ann&^quiescentBit }
-
 // deliver performs the signal-handler action for a non-quiescent thread:
 // enter the quiescent state and jump (panic) to recovery.
-func (r *Reclaimer[T]) deliver(tid int) {
-	s := &r.shared[tid]
-	s.v.Store(s.v.Load() | quiescentBit)
-	r.domain.Consume(tid)
-	r.threads[tid].selfNeutralized.Inc()
-	panic(neutralize.Neutralized{Tid: tid})
+func (h *handle[T]) deliver() {
+	h.Thread.EnterQstate()
+	h.r.domain.Consume(h.Tid)
+	h.selfNeutralized.Inc()
+	panic(neutralize.Neutralized{Tid: h.Tid})
 }
 
-// LeaveQstate implements core.ReclaimerHandle (Figure 6, leaveQstate).
+// LeaveQstate implements core.ReclaimerHandle (Figure 6, leaveQstate):
+// DEBRA's, after signals that arrived while the thread was quiescent are
+// dropped, exactly as the paper's signal handler returns immediately for
+// quiescent threads.
 func (h *handle[T]) LeaveQstate() bool {
-	r, t, tid := h.r, h.t, h.tid
-	// Signals that arrived while we were quiescent are ignored, exactly as
-	// the paper's signal handler returns immediately for quiescent threads.
-	r.domain.Consume(tid)
-
-	result := false
-	readEpoch := r.epoch.Load()
-	if !isEqual(readEpoch, h.slot.v.Load()) {
-		t.opsSinceCheck = 0
-		t.checkNext = 0
-		t.opsSinceIncr = 0
-		r.rotateAndReclaim(tid)
-		result = true
-	}
-	t.opsSinceCheck++
-	t.opsSinceIncr++
-	if t.opsSinceCheck >= r.cfg.checkThresh {
-		t.opsSinceCheck = 0
-		nm := int64(len(h.members))
-		total := nm + int64(len(r.shards))
-		if t.checkNext < nm {
-			// Member phase: vacant slots are quiescent by the release
-			// contract and are fast-forwarded wholesale (and must never be
-			// signalled — see suspectNeutralized); then one live shard-local
-			// announcement is checked per operation, and a laggard holding
-			// the epoch back for too long is neutralized and treated as
-			// quiescent (Figure 6).
-			for t.checkNext < nm && !r.smap.SlotOccupied(h.members[t.checkNext]) {
-				t.checkNext++
-			}
-			if t.checkNext < nm {
-				other := h.members[t.checkNext]
-				ann := r.shared[other].v.Load()
-				if isEqual(readEpoch, ann) || ann&quiescentBit != 0 || r.suspectNeutralized(tid, other) {
-					t.checkNext++
-				}
-			}
-			if t.checkNext == nm {
-				r.shards[h.self].v.Store(readEpoch)
-			}
-		} else {
-			// Summary phase: one shard summary per operation; lagging
-			// shards are verified (and their laggards neutralized) by a
-			// direct member scan.
-			s := int((t.checkNext - nm) % int64(len(r.shards)))
-			if r.shardAt(tid, s, readEpoch) {
-				t.checkNext++
-			}
-		}
-		if t.checkNext >= total && t.opsSinceIncr >= r.cfg.incrThresh {
-			if r.epoch.CompareAndSwap(readEpoch, readEpoch+epochInc) {
-				t.epochAdvances.Inc()
-			}
-		}
-	}
-	h.slot.v.Store(readEpoch)
-	return result
+	h.r.domain.Consume(h.Tid)
+	return h.Handle.LeaveQstate()
 }
 
-// shardAt reports whether shard s has been verified at epoch readEpoch: its
-// summary matches, or every member is quiescent, at the epoch, or freshly
-// neutralized (in which case the summary is helped forward). This is the
-// cross-shard slow path that preserves DEBRA+'s fault tolerance when
-// threads span multiple domains.
-func (r *Reclaimer[T]) shardAt(tid, s int, readEpoch int64) bool {
-	if r.shards[s].v.Load() == readEpoch {
-		return true
-	}
-	if r.smap.ShardLive(s) == 0 {
-		// Zero live occupants: every member is vacant, hence quiescent; the
-		// lagging shard is verified in O(1) and nobody gets signalled.
-		r.shards[s].v.Store(readEpoch)
-		return true
-	}
-	for _, m := range r.smap.Members(s) {
-		if !r.smap.SlotOccupied(m) {
-			// Vacant: quiescent by the release contract, never signalled.
-			continue
-		}
-		ann := r.shared[m].v.Load()
-		if isEqual(readEpoch, ann) || ann&quiescentBit != 0 || r.suspectNeutralized(tid, m) {
-			continue
-		}
+// suspect is the epoch machine's suspicion hook (Figure 6): other is live,
+// inside an operation and behind the epoch. Once the caller's current limbo
+// bag has grown past the suspicion threshold, other is signalled and may be
+// treated as quiescent. Because the hook runs wherever a member fails
+// verification, a thread stalled in ANY shard is eventually signalled by
+// whichever thread is trying to advance, not only by its shard mates.
+func (h *handle[T]) suspect(other int) bool {
+	if other == h.Tid || h.Current().LenBlocks() < h.r.cfg.suspectThresholdBlks {
 		return false
 	}
-	r.shards[s].v.Store(readEpoch)
-	return true
-}
-
-// ShardMap implements core.Sharded.
-func (r *Reclaimer[T]) ShardMap() *core.ShardMap { return r.smap }
-
-// suspectNeutralized neutralizes thread other if the caller's current limbo
-// bag has grown past the suspicion threshold. Returns true when a signal was
-// sent, in which case the caller may treat other as quiescent.
-func (r *Reclaimer[T]) suspectNeutralized(tid, other int) bool {
-	if r.cfg.disableNeutralization || other == tid {
-		return false
+	// A signal that has not been consumed yet makes the thread as good as
+	// neutralized; real signals are not free, so no second one is sent.
+	if !h.r.domain.Pending(other) {
+		h.r.domain.Signal(other)
+		h.neutralizations.Inc()
 	}
-	if !r.smap.SlotOccupied(other) {
-		// Never signal a vacant slot: nobody owns it, and a pending signal
-		// would land on whatever goroutine acquires the slot next (harmless —
-		// the first LeaveQstate consumes stale signals, and a mid-operation
-		// delivery is an ordinary restartable neutralization — but a wasted
-		// signal and a spurious restart). Vacant slots are quiescent by the
-		// release contract, so the member passes without one.
-		return true
-	}
-	t := &r.threads[tid]
-	if t.currentBag.LenBlocks() < r.cfg.suspectThresholdBlks {
-		return false
-	}
-	if r.domain.Pending(other) {
-		// A signal we (or someone else) already sent has not been consumed
-		// yet; the thread is as good as neutralized, so there is no need to
-		// send another one (real signals are not free).
-		return true
-	}
-	r.domain.Signal(other)
-	t.neutralizations.Inc()
 	return true
 }
 
@@ -433,142 +230,20 @@ func (r *Reclaimer[T]) suspectNeutralized(tid, other int) bool {
 // its back (the neutralization-window argument; see the package doc and
 // internal/neutralize).
 func (h *handle[T]) EnterQstate() {
-	s := h.slot
-	if s.v.Load()&quiescentBit == 0 && h.r.domain.Pending(h.tid) {
-		h.r.deliver(h.tid)
-	}
-	s.v.Store(s.v.Load() | quiescentBit)
+	h.Checkpoint()
+	h.Thread.EnterQstate()
 }
-
-// IsQuiescent implements core.ReclaimerHandle.
-func (h *handle[T]) IsQuiescent() bool { return h.slot.v.Load()&quiescentBit != 0 }
 
 // Checkpoint implements core.ReclaimerHandle: deliver a pending signal to a
 // non-quiescent thread. Data structure bodies call this once per search-loop
-// iteration.
+// iteration. A pinned retirer (PinRetire … UnpinRetire) contains no
+// checkpoint: it computes nothing from shared records, so there is nothing a
+// neutralization would need to discard, and a signal sent meanwhile is
+// dropped at the owner's next LeaveQstate.
 func (h *handle[T]) Checkpoint() {
-	if h.slot.v.Load()&quiescentBit != 0 {
-		return
+	if !h.IsQuiescent() && h.r.domain.Pending(h.Tid) {
+		h.deliver()
 	}
-	if h.r.domain.Pending(h.tid) {
-		h.r.deliver(h.tid)
-	}
-}
-
-// PinRetire implements core.RetirePinner: clear the quiescent bit while
-// keeping the announced epoch (see debra.Reclaimer.PinRetire; the same
-// conservative pin). A signal arriving while pinned stays pending: Retire
-// and RetireBlock contain no checkpoint, UnpinRetire sets the bit back
-// without delivering — a pinned retirer computes nothing from shared
-// records, so there is nothing a neutralization would need to discard — and
-// the signal is consumed (ignored, as for any quiescent thread) at the
-// owner's next LeaveQstate.
-func (r *Reclaimer[T]) PinRetire(tid int) {
-	s := &r.shared[tid]
-	s.v.Store(s.v.Load() &^ quiescentBit)
-}
-
-// UnpinRetire implements core.RetirePinner.
-func (r *Reclaimer[T]) UnpinRetire(tid int) {
-	s := &r.shared[tid]
-	s.v.Store(s.v.Load() | quiescentBit)
-}
-
-// requirePinned panics on a quiescent retire (core.RetirePinner contract;
-// see the debra package for the rationale).
-func (r *Reclaimer[T]) requirePinned(tid int) {
-	if r.shared[tid].v.Load()&quiescentBit != 0 {
-		panic("debraplus: Retire from a quiescent context; pin the thread first (PinRetire or LeaveQstate)")
-	}
-}
-
-// Retire implements core.ReclaimerHandle. The caller must be pinned
-// (mid-operation, or inside a PinRetire/UnpinRetire window).
-func (h *handle[T]) Retire(rec *T) {
-	if rec == nil {
-		panic("debraplus: Retire(nil)")
-	}
-	if h.slot.v.Load()&quiescentBit != 0 {
-		panic("debraplus: Retire from a quiescent context; pin the thread first (PinRetire or LeaveQstate)")
-	}
-	h.t.currentBag.Add(rec)
-	h.t.retired.Inc()
-}
-
-// Protect implements core.ReclaimerHandle (epoch protection; no per-record
-// work).
-func (h *handle[T]) Protect(rec *T) bool { return true }
-
-// Unprotect implements core.ReclaimerHandle (no-op).
-func (h *handle[T]) Unprotect(rec *T) {}
-
-// IsProtected implements core.ReclaimerHandle.
-func (h *handle[T]) IsProtected(rec *T) bool { return true }
-
-// RetireBlock implements core.BlockReclaimer: splice one detached full block
-// into the caller's current limbo bag in O(1) (single-owner, no
-// synchronisation), returning a recycled empty block from the thread's pool
-// in exchange when one is cached. The spliced records take part in the
-// RProtect scan of rotateAndReclaim like individually retired ones.
-func (r *Reclaimer[T]) RetireBlock(tid int, blk *blockbag.Block[T]) *blockbag.Block[T] {
-	if blk == nil {
-		return nil
-	}
-	r.requirePinned(tid)
-	t := &r.threads[tid]
-	n := int64(blk.Len())
-	t.currentBag.AddBlock(blk)
-	t.retired.Add(n)
-	return t.blockPool.TryGet()
-}
-
-// DrainLimbo implements core.LimboDrainer: free every record in every
-// thread's limbo bags that is not covered by a recovery protection (records
-// still RProtected are left in place — at a clean shutdown every recovery
-// table is empty and everything drains). Only safe once every thread is
-// quiescent for good and the caller holds a happens-before edge from their
-// last operation.
-func (r *Reclaimer[T]) DrainLimbo(tid int) int64 {
-	for i := range r.shared {
-		if r.shared[i].v.Load()&quiescentBit == 0 {
-			panic("debraplus: DrainLimbo while a thread is still non-quiescent")
-		}
-	}
-	protected := make(map[*T]struct{})
-	for i := range r.rprot {
-		rp := &r.rprot[i]
-		n := int(rp.count.Load())
-		if n > len(rp.slots) {
-			n = len(rp.slots)
-		}
-		for j := 0; j < n; j++ {
-			if rec := rp.slots[j].Load(); rec != nil {
-				protected[rec] = struct{}{}
-			}
-		}
-	}
-	var total int64
-	for i := range r.threads {
-		t := &r.threads[i]
-		var n int64
-		for _, bag := range t.bags {
-			var keep []*T
-			bag.Drain(func(rec *T) {
-				if _, ok := protected[rec]; ok {
-					keep = append(keep, rec)
-					return
-				}
-				r.sink.Free(tid, rec)
-				n++
-			})
-			for _, rec := range keep {
-				bag.Add(rec)
-			}
-		}
-		t.freed.Add(n)
-		total += n
-	}
-	return total
 }
 
 // RProtect implements core.ReclaimerHandle: announce a recovery hazard pointer
@@ -581,63 +256,52 @@ func (h *handle[T]) RProtect(rec *T) {
 	if rec == nil {
 		return
 	}
-	rp := h.rp
-	n := rp.count.Load()
-	if int(n) >= len(rp.slots) {
-		panic("debraplus: RProtect capacity exceeded; raise WithMaxRProtect")
+	n := h.rpCount.Load()
+	if int(n) >= len(h.rpSlots) {
+		panic("debra+: RProtect capacity exceeded; raise WithMaxRProtect")
 	}
-	rp.slots[n].Store(rec)
-	rp.count.Store(n + 1)
-	if h.r.domain.Pending(h.tid) && h.slot.v.Load()&quiescentBit == 0 {
+	h.rpSlots[n].Store(rec)
+	h.rpCount.Store(n + 1)
+	if h.r.domain.Pending(h.Tid) && !h.IsQuiescent() {
 		h.RUnprotectAll()
-		h.r.deliver(h.tid)
+		h.deliver()
 	}
 }
 
 // RUnprotectAll implements core.ReclaimerHandle.
-func (h *handle[T]) RUnprotectAll() { h.rp.count.Store(0) }
+func (h *handle[T]) RUnprotectAll() { h.rpCount.Store(0) }
 
 // IsRProtected implements core.ReclaimerHandle.
 func (h *handle[T]) IsRProtected(rec *T) bool {
-	rp := h.rp
-	n := int(rp.count.Load())
+	n := int(h.rpCount.Load())
 	for i := 0; i < n; i++ {
-		if rp.slots[i].Load() == rec {
+		if h.rpSlots[i].Load() == rec {
 			return true
 		}
 	}
 	return false
 }
 
-// rotateAndReclaim implements Figure 6's rotateAndReclaim: rotate the limbo
-// bags and, once the rotated bag is large enough to amortise the scan, free
-// every record in it that is not RProtected, moving whole blocks to the free
-// sink after swapping protected records to the front of the bag.
-func (r *Reclaimer[T]) rotateAndReclaim(tid int) {
-	t := &r.threads[tid]
-	t.index = (t.index + 1) % 3
-	t.currentBag = t.bags[t.index]
-	bag := t.currentBag
-	if bag.LenBlocks() < r.cfg.scanThresholdBlks {
-		return
+// sweep is the epoch machine's rotation hook (Figure 6, rotateAndReclaim):
+// once bag is large enough to amortise a scan of the RProtect table (or
+// force is set), swap the records some thread RProtects to the front and
+// detach the full blocks behind them.
+func (h *handle[T]) sweep(bag *blockbag.Bag[T], force bool) *blockbag.Block[T] {
+	if !force && bag.LenBlocks() < h.r.cfg.scanThresholdBlks {
+		return nil
 	}
-	t.scans.Inc()
-	// Hash every announced recovery protection.
-	set := t.scanSet
+	h.sweeps.Inc()
+	set := h.scanSet
 	clear(set)
-	for i := range r.rprot {
-		rp := &r.rprot[i]
-		n := int(rp.count.Load())
-		if n > len(rp.slots) {
-			n = len(rp.slots)
-		}
+	for i := range h.r.handles {
+		o := &h.r.handles[i]
+		n := min(int(o.rpCount.Load()), len(o.rpSlots))
 		for j := 0; j < n; j++ {
-			if rec := rp.slots[j].Load(); rec != nil {
+			if rec := o.rpSlots[j].Load(); rec != nil {
 				set[rec] = struct{}{}
 			}
 		}
 	}
-	// Swap protected records to the front of the bag.
 	it1 := bag.Begin()
 	it2 := bag.Begin()
 	for ; !it1.Done(); it1.Next() {
@@ -646,50 +310,44 @@ func (r *Reclaimer[T]) rotateAndReclaim(tid int) {
 			it2.Next()
 		}
 	}
-	// Everything after it2 is unprotected; move its full blocks to the sink.
-	if chain := bag.DetachFullBlocksAfter(it2); chain != nil {
-		t.freed.Add(core.FreeChain(r.sink, r.blockSink, t.blockPool, tid, chain))
-	}
+	return bag.DetachFullBlocksAfter(it2)
 }
 
-// Epoch returns the current global epoch (instrumentation).
-func (r *Reclaimer[T]) Epoch() int64 { return r.epoch.Load() }
-
-// LimboSize returns the number of records waiting in thread tid's limbo bags.
-func (r *Reclaimer[T]) LimboSize(tid int) int {
-	t := &r.threads[tid]
-	total := 0
-	for _, b := range t.bags {
-		total += b.Len()
-	}
-	return total
+// held reports whether the last sweep found rec RProtected; DrainLimbo leaves
+// such records in place (at a clean shutdown every table is empty and
+// everything drains).
+func (h *handle[T]) held(rec *T) bool {
+	_, ok := h.scanSet[rec]
+	return ok
 }
 
 // Stats implements core.Reclaimer.
 func (r *Reclaimer[T]) Stats() core.Stats {
-	var s core.Stats
-	for i := range r.threads {
-		t := &r.threads[i]
-		s.Retired += t.retired.Load()
-		s.Freed += t.freed.Load()
-		s.EpochAdvances += t.epochAdvances.Load()
-		s.Scans += t.scans.Load()
-		s.Neutralizations += t.neutralizations.Load()
+	s := r.Bags.Stats()
+	for i := range r.handles {
+		s.Neutralizations += r.handles[i].neutralizations.Load()
 	}
-	s.Limbo = s.Retired - s.Freed
 	return s
 }
 
 // SelfNeutralizations returns how many times thread tid delivered a signal
 // to itself (jumped to recovery); instrumentation for tests.
 func (r *Reclaimer[T]) SelfNeutralizations(tid int) int64 {
-	return r.threads[tid].selfNeutralized.Load()
+	return r.handles[tid].selfNeutralized.Load()
+}
+
+// TableSweeps returns how many times limbo bags were scanned against the
+// RProtect table (instrumentation; core.Stats.Scans counts verification
+// passes, as for every epoch scheme).
+func (r *Reclaimer[T]) TableSweeps() int64 {
+	var n int64
+	for i := range r.handles {
+		n += r.handles[i].sweeps.Load()
+	}
+	return n
 }
 
 var (
-	_ core.Reclaimer[int]      = (*Reclaimer[int])(nil)
-	_ core.BlockReclaimer[int] = (*Reclaimer[int])(nil)
-	_ core.Sharded             = (*Reclaimer[int])(nil)
-	_ core.RetirePinner        = (*Reclaimer[int])(nil)
-	_ core.LimboDrainer        = (*Reclaimer[int])(nil)
+	_ core.Reclaimer[int] = (*Reclaimer[int])(nil)
+	_ core.LimboDrainer   = (*Reclaimer[int])(nil)
 )

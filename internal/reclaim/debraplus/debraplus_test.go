@@ -7,21 +7,26 @@ import (
 	"repro/internal/core"
 	"repro/internal/neutralize"
 	"repro/internal/reclaim/debraplus"
+	"repro/internal/reclaim/epoch"
 	"repro/internal/reclaimtest"
 )
 
 // fast makes epochs advance and suspicion trigger quickly for unit tests.
-func fast() []debraplus.Option {
-	return []debraplus.Option{
-		debraplus.WithCheckThresh(1),
-		debraplus.WithIncrThresh(1),
+func fast() []epoch.Option {
+	return []epoch.Option{
+		epoch.WithCheckThresh(1),
+		epoch.WithIncrThresh(1),
 		debraplus.WithSuspectThresholdBlocks(1),
 		debraplus.WithScanThresholdBlocks(1),
 	}
 }
 
+func sharded(n int, sink core.FreeSink[reclaimtest.Record], spec core.ShardSpec) core.Reclaimer[reclaimtest.Record] {
+	return debraplus.New(n, sink, append(fast(), epoch.WithShards(spec))...)
+}
+
 func factory(n int, sink core.FreeSink[reclaimtest.Record]) core.Reclaimer[reclaimtest.Record] {
-	return debraplus.New(n, sink, fast()...)
+	return sharded(n, sink, core.ShardSpec{})
 }
 
 func factoryDefault(n int, sink core.FreeSink[reclaimtest.Record]) core.Reclaimer[reclaimtest.Record] {
@@ -35,6 +40,19 @@ func TestStressFast(t *testing.T) {
 }
 func TestStressDefault(t *testing.T) {
 	reclaimtest.Stress(t, factoryDefault, reclaimtest.DefaultStressOptions())
+}
+
+// What DEBRA+ does because it is a sharded, block-bag core.Reclaimer
+// (internal/reclaimtest/schemesuite.go). ShardedCrossShardSafety is not among
+// them: a thread stalled in another shard is neutralized, not waited for
+// (TestShardedCrossShardNeutralization).
+func TestNewValidation(t *testing.T)         { reclaimtest.NewValidation(t, factory) }
+func TestQuiescentRetirePanics(t *testing.T) { reclaimtest.QuiescentRetirePanics(t, factory) }
+func TestRetireBlockSplice(t *testing.T)     { reclaimtest.RetireBlockSplice(t, factory) }
+func TestSharesThePoolsBlocks(t *testing.T)  { reclaimtest.SharesThePoolsBlocks(t, factory) }
+func TestShardedStress(t *testing.T)         { reclaimtest.ShardedStress(t, sharded) }
+func TestShardedIdleShardDoesNotBlock(t *testing.T) {
+	reclaimtest.ShardedIdleShardDoesNotBlock(t, sharded)
 }
 
 // drive runs tid through n operations retiring one fresh record each.
@@ -162,6 +180,9 @@ func TestRProtectPreventsReclamation(t *testing.T) {
 	if sink.Contains(victim) {
 		t.Fatal("RProtected record was freed")
 	}
+	if r.TableSweeps() == 0 {
+		t.Fatal("records were freed without a sweep of the RProtect table")
+	}
 	// Releasing the protection lets a later scan free the victim.
 	r.Handle(1).RUnprotectAll()
 	drive(r, 0, 20*blockbag.BlockSize)
@@ -226,10 +247,7 @@ func TestBoundedGarbageUnderStall(t *testing.T) {
 // stalled thread blocks reclamation again (ablation switch).
 func TestNeutralizationDisabledBehavesLikeDEBRA(t *testing.T) {
 	sink := reclaimtest.NewRecordingSink()
-	r := debraplus.New(2, sink,
-		debraplus.WithCheckThresh(1), debraplus.WithIncrThresh(1),
-		debraplus.WithSuspectThresholdBlocks(1), debraplus.WithScanThresholdBlocks(1),
-		debraplus.WithNeutralizationDisabled())
+	r := debraplus.New(2, sink, append(fast(), debraplus.WithNeutralizationDisabled())...)
 	r.Handle(1).LeaveQstate()
 	drive(r, 0, 20*blockbag.BlockSize)
 	if sink.Freed() != 0 {
@@ -263,21 +281,6 @@ func TestRProtectCapacity(t *testing.T) {
 	r.Handle(0).RProtect(&reclaimtest.Record{ID: 3})
 }
 
-func TestNewValidation(t *testing.T) {
-	if !panics(func() { debraplus.New[reclaimtest.Record](0, reclaimtest.NewRecordingSink()) }) {
-		t.Fatal("expected panic for n=0")
-	}
-	if !panics(func() { debraplus.New[reclaimtest.Record](1, nil) }) {
-		t.Fatal("expected panic for nil sink")
-	}
-}
-
-func panics(fn func()) (p bool) {
-	defer func() { p = recover() != nil }()
-	fn()
-	return false
-}
-
 // --- sharded domains ---------------------------------------------------------
 
 // TestShardedCrossShardNeutralization: fault tolerance survives sharding. A
@@ -285,7 +288,7 @@ func panics(fn func()) (p bool) {
 // advancing thread's summary-phase slow path, so reclamation continues.
 func TestShardedCrossShardNeutralization(t *testing.T) {
 	sink := reclaimtest.NewRecordingSink()
-	r := debraplus.New(4, sink, append(fast(), debraplus.WithShards(core.ShardSpec{Shards: 2}))...)
+	r := debraplus.New(4, sink, append(fast(), epoch.WithShards(core.ShardSpec{Shards: 2}))...)
 
 	// Thread 3 (shard 1) stalls inside an operation; thread 0 (shard 0)
 	// does all the work.
@@ -310,17 +313,5 @@ func TestShardedCrossShardNeutralization(t *testing.T) {
 	}()
 	if !r.Handle(3).IsQuiescent() {
 		t.Fatal("neutralized thread should be quiescent")
-	}
-}
-
-// TestShardedStress runs the generic reclaimer stress over both placements.
-func TestShardedStress(t *testing.T) {
-	for _, placement := range []core.ShardPlacement{core.PlaceBlock, core.PlaceStripe} {
-		t.Run(string(placement), func(t *testing.T) {
-			reclaimtest.Stress(t, func(n int, sink core.FreeSink[reclaimtest.Record]) core.Reclaimer[reclaimtest.Record] {
-				return debraplus.New[reclaimtest.Record](n, sink,
-					append(fast(), debraplus.WithShards(core.ShardSpec{Shards: 2, Placement: placement}))...)
-			}, reclaimtest.DefaultStressOptions())
-		})
 	}
 }

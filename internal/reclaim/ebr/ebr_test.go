@@ -3,19 +3,36 @@ package ebr_test
 import (
 	"testing"
 
-	"repro/internal/blockbag"
 	"repro/internal/core"
 	"repro/internal/reclaim/ebr"
+	"repro/internal/reclaim/epoch"
 	"repro/internal/reclaimtest"
 )
 
+func sharded(n int, sink core.FreeSink[reclaimtest.Record], spec core.ShardSpec) core.Reclaimer[reclaimtest.Record] {
+	return ebr.New(n, sink, epoch.WithShards(spec))
+}
+
 func factory(n int, sink core.FreeSink[reclaimtest.Record]) core.Reclaimer[reclaimtest.Record] {
-	return ebr.New[reclaimtest.Record](n, sink)
+	return sharded(n, sink, core.ShardSpec{})
 }
 
 func TestConformance(t *testing.T) { reclaimtest.Conformance(t, factory) }
 
 func TestStress(t *testing.T) { reclaimtest.Stress(t, factory, reclaimtest.DefaultStressOptions()) }
+
+// What EBR does because it is a sharded, block-bag core.Reclaimer
+// (internal/reclaimtest/schemesuite.go).
+func TestNewValidation(t *testing.T)         { reclaimtest.NewValidation(t, factory) }
+func TestQuiescentRetirePanics(t *testing.T) { reclaimtest.QuiescentRetirePanics(t, factory) }
+func TestRetireBlockSplice(t *testing.T)     { reclaimtest.RetireBlockSplice(t, factory) }
+func TestShardedStress(t *testing.T)         { reclaimtest.ShardedStress(t, sharded) }
+func TestShardedCrossShardSafety(t *testing.T) {
+	reclaimtest.ShardedCrossShardSafety(t, sharded)
+}
+func TestShardedIdleShardDoesNotBlock(t *testing.T) {
+	reclaimtest.ShardedIdleShardDoesNotBlock(t, sharded)
+}
 
 // TestSingleThreadEventuallyFrees drives one thread through many operations
 // and checks that retired records are eventually handed to the sink, and
@@ -114,109 +131,5 @@ func TestNoFreeWhileRetireeCouldBeReferenced(t *testing.T) {
 	}
 	if !sink.Contains(rec) {
 		t.Fatal("record never freed after thread 1 became quiescent")
-	}
-}
-
-func TestNewValidation(t *testing.T) {
-	if !panics(func() { ebr.New[reclaimtest.Record](0, reclaimtest.NewRecordingSink()) }) {
-		t.Fatal("expected panic for n=0")
-	}
-	if !panics(func() { ebr.New[reclaimtest.Record](1, nil) }) {
-		t.Fatal("expected panic for nil sink")
-	}
-}
-
-func panics(fn func()) (p bool) {
-	defer func() { p = recover() != nil }()
-	fn()
-	return false
-}
-
-// --- sharded domains ---------------------------------------------------------
-
-// TestShardedCrossShardSafety is the critical sharding property: a record
-// retired by a thread of shard 0 must not be freed while a thread of shard 1
-// is mid-operation, even though the fast-path scans are shard-local.
-func TestShardedCrossShardSafety(t *testing.T) {
-	sink := reclaimtest.NewRecordingSink()
-	r := ebr.New[reclaimtest.Record](4, sink, ebr.WithShards(core.ShardSpec{Shards: 2}))
-	if r.ShardMap().ShardOf(0) == r.ShardMap().ShardOf(3) {
-		t.Fatal("tids 0 and 3 should be in different shards")
-	}
-
-	r.Handle(3).LeaveQstate() // other-shard thread is mid-operation and may hold pointers
-	rec := &reclaimtest.Record{ID: 7}
-	r.Handle(0).LeaveQstate()
-	r.Handle(0).Retire(rec)
-	r.Handle(0).EnterQstate()
-	for i := 0; i < 200; i++ {
-		r.Handle(0).LeaveQstate()
-		r.Handle(0).EnterQstate()
-	}
-	if sink.Contains(rec) {
-		t.Fatal("record freed while a thread of another shard was mid-operation")
-	}
-	r.Handle(3).EnterQstate()
-	for i := 0; i < 200; i++ {
-		r.Handle(0).LeaveQstate()
-		r.Handle(0).EnterQstate()
-	}
-	if !sink.Contains(rec) {
-		t.Fatal("record never freed after the other shard became quiescent")
-	}
-}
-
-// TestShardedIdleShardDoesNotBlock checks the lagging-shard slow path: a
-// shard whose members never run at all must not stall the epoch.
-func TestShardedIdleShardDoesNotBlock(t *testing.T) {
-	sink := reclaimtest.NewRecordingSink()
-	r := ebr.New[reclaimtest.Record](4, sink, ebr.WithShards(core.ShardSpec{Shards: 4}))
-	for i := 0; i < 1000; i++ {
-		r.Handle(0).LeaveQstate()
-		r.Handle(0).Retire(&reclaimtest.Record{ID: int64(i)})
-		r.Handle(0).EnterQstate()
-	}
-	if sink.Freed() == 0 {
-		t.Fatal("idle shards blocked reclamation")
-	}
-}
-
-// TestShardedStress runs the generic reclaimer stress over both placements.
-func TestShardedStress(t *testing.T) {
-	for _, placement := range []core.ShardPlacement{core.PlaceBlock, core.PlaceStripe} {
-		t.Run(string(placement), func(t *testing.T) {
-			reclaimtest.Stress(t, func(n int, sink core.FreeSink[reclaimtest.Record]) core.Reclaimer[reclaimtest.Record] {
-				return ebr.New[reclaimtest.Record](n, sink, ebr.WithShards(core.ShardSpec{Shards: 2, Placement: placement}))
-			}, reclaimtest.DefaultStressOptions())
-		})
-	}
-}
-
-// TestRetireBlockSplice checks the O(1) batched-retire path: a full block
-// splices into the shard limbo bag and its records are freed after the usual
-// two epochs.
-func TestRetireBlockSplice(t *testing.T) {
-	sink := reclaimtest.NewRecordingSink()
-	r := ebr.New[reclaimtest.Record](1, sink)
-	bag := blockbag.New[reclaimtest.Record](nil)
-	recs := make([]*reclaimtest.Record, blockbag.BlockSize)
-	for i := range recs {
-		recs[i] = &reclaimtest.Record{ID: int64(i)}
-		bag.Add(recs[i])
-	}
-	r.Handle(0).LeaveQstate()
-	r.RetireBlock(0, bag.DetachAllFullBlocks())
-	r.Handle(0).EnterQstate()
-	if got := r.Stats().Retired; got != int64(blockbag.BlockSize) {
-		t.Fatalf("Retired = %d want %d", got, blockbag.BlockSize)
-	}
-	for i := 0; i < 10; i++ {
-		r.Handle(0).LeaveQstate()
-		r.Handle(0).EnterQstate()
-	}
-	for _, rec := range recs {
-		if !sink.Contains(rec) {
-			t.Fatalf("record %d from the spliced block was never freed", rec.ID)
-		}
 	}
 }

@@ -1,0 +1,383 @@
+// Package epoch is the one epoch machine the four epoch schemes are policies
+// on. It owns the three decisions every such scheme makes the same way:
+//
+//   - the announcement word: one padded slot per thread holding the epoch
+//     the thread last announced, with bit 0 set while the thread is quiescent;
+//   - verification: a thread may move the epoch from e once every other
+//     thread has been seen quiescent or announcing e. A pass checks the
+//     members of the thread's own shard, publishes the result in the shard's
+//     summary word, then reads the other shards' summaries; a summary that
+//     lags is replaced by a direct scan of that shard's members, which helps
+//     it forward. Vacant slots are quiescent by the release contract and are
+//     never read (or, under debra+, signalled);
+//   - the private limbo: three block bags per thread, rotated each time the
+//     thread observes a new epoch, the oldest one's full blocks going to the
+//     free sink.
+//
+// A policy decides where the pass runs and how much of it runs per
+// operation; docs/ARCHITECTURE.md ("The epoch schemes") has the table.
+package epoch
+
+import (
+	"math"
+	"sync/atomic"
+
+	"repro/internal/blockbag"
+	"repro/internal/core"
+)
+
+const (
+	// Inc is the epoch step: bit 0 of an announcement is the quiescent flag,
+	// so epochs are even.
+	Inc = 2
+
+	quiescentBit = 1
+
+	// The paper's pacing for DEBRA's incremental scan.
+	defaultCheckThresh = 1
+	defaultIncrThresh  = 100
+)
+
+// All is a Verify budget no pass exhausts.
+const All = math.MaxInt
+
+// Config is what the options set, normalised by New.
+type Config struct {
+	Shards core.ShardSpec
+	// CheckThresh and IncrThresh pace the incremental scan (debra, debra+).
+	CheckThresh, IncrThresh int64
+	// Policy holds the settings of the one policy package that has its own
+	// options (debra+); nil for the others.
+	Policy any
+}
+
+// Option configures an epoch scheme.
+type Option func(*Config)
+
+// WithShards partitions verification into sharded domains (core.ShardSpec):
+// a pass covers the thread's own shard and then one summary word per shard,
+// n/s + s reads instead of n, and the reads stay shard-local. With one shard
+// every scheme behaves as its unsharded original.
+func WithShards(spec core.ShardSpec) Option { return func(c *Config) { c.Shards = spec } }
+
+// WithCheckThresh sets how many operations pass between checks of the
+// incremental scan (the paper's CHECK_THRESH, there to space out cross-socket
+// reads).
+func WithCheckThresh(v int) Option { return func(c *Config) { c.CheckThresh = int64(v) } }
+
+// WithIncrThresh sets the minimum number of operations between attempts to
+// advance the epoch (the paper's INCR_THRESH).
+func WithIncrThresh(v int) Option { return func(c *Config) { c.IncrThresh = int64(v) } }
+
+// word is an atomic cell on its own cache lines: an announcement (written by
+// its owner, read by every verifier) or a shard summary (written by whoever
+// verifies the shard, read by every verifier).
+type word struct {
+	v atomic.Int64
+	_ [core.PadBytes]byte
+}
+
+// Domain is the shared half of an epoch scheme: the epoch, the announcements
+// and the shard summaries. Scheme objects embed it.
+type Domain[T any] struct {
+	// Config is the normalised configuration the domain was built with.
+	Config Config
+
+	name      string
+	sink      core.FreeSink[T]
+	blockSink core.BlockFreeSink[T] // sink when it takes whole blocks, else nil
+
+	epoch     atomic.Int64
+	smap      *core.ShardMap
+	summaries []word
+	slots     []word
+	threads   []*Thread[T]
+}
+
+// New builds the domain of scheme name for n threads freeing into sink.
+func New[T any](name string, n int, sink core.FreeSink[T], opts []Option) *Domain[T] {
+	if n <= 0 {
+		panic(name + ": New requires n >= 1")
+	}
+	if sink == nil {
+		panic(name + ": New requires a FreeSink")
+	}
+	cfg := Config{CheckThresh: defaultCheckThresh, IncrThresh: defaultIncrThresh}
+	for _, o := range opts {
+		o(&cfg)
+	}
+	cfg.CheckThresh = max(cfg.CheckThresh, 1)
+	cfg.IncrThresh = max(cfg.IncrThresh, 1)
+	smap := core.NewShardMap(n, cfg.Shards)
+	d := &Domain[T]{
+		Config:    cfg,
+		name:      name,
+		sink:      sink,
+		smap:      smap,
+		summaries: make([]word, smap.Shards()),
+		slots:     make([]word, n),
+		threads:   make([]*Thread[T], n),
+	}
+	d.blockSink, _ = sink.(core.BlockFreeSink[T])
+	d.epoch.Store(Inc)
+	for i := range d.slots {
+		// Quiescent, at an epoch that never was: the first announcement
+		// observes a new epoch, and nobody waits for the slot until then.
+		d.slots[i].v.Store(quiescentBit)
+	}
+	return d
+}
+
+// Bind makes t slot tid's thread. Every slot is bound once, before use.
+func (d *Domain[T]) Bind(tid int, t *Thread[T]) {
+	self := d.smap.ShardOf(tid)
+	t.Tid = tid
+	t.d = d
+	t.ann = &d.slots[tid].v
+	t.self = self
+	t.members = d.smap.Members(self)
+	t.passLen = len(t.members) + len(d.summaries)
+	d.threads[tid] = t
+}
+
+// Name implements core.Reclaimer.
+func (d *Domain[T]) Name() string { return d.name }
+
+// ShardMap implements core.Reclaimer.
+func (d *Domain[T]) ShardMap() *core.ShardMap { return d.smap }
+
+// Epoch returns the current epoch (instrumentation).
+func (d *Domain[T]) Epoch() int64 { return d.epoch.Load() }
+
+// PinRetire implements core.Reclaimer: clear the quiescent bit and keep the
+// announced epoch, with none of an operation's verification or rotation. A
+// possibly stale announcement with the bit clear reads as a thread in the
+// middle of an operation, so the epoch moves at most once while the pin
+// stands — the bound a retire needs on how stale the epoch it loads may be.
+func (d *Domain[T]) PinRetire(tid int) {
+	a := &d.slots[tid].v
+	a.Store(a.Load() &^ quiescentBit)
+}
+
+// UnpinRetire implements core.Reclaimer: set the quiescent bit again. The
+// records retired in between wait in limbo for the owner's next operations,
+// or for DrainLimbo.
+func (d *Domain[T]) UnpinRetire(tid int) {
+	a := &d.slots[tid].v
+	a.Store(a.Load() | quiescentBit)
+}
+
+// RequireAllQuiescent panics unless every thread is quiescent, the announced
+// half of DrainLimbo's precondition (references are the caller's contract).
+func (d *Domain[T]) RequireAllQuiescent() {
+	for i := range d.slots {
+		if d.slots[i].v.Load()&quiescentBit == 0 {
+			panic(d.name + ": DrainLimbo while a thread is still non-quiescent")
+		}
+	}
+}
+
+// Stats implements core.Reclaimer. Scans counts completed verification
+// passes (see Thread.Verify); the epoch itself counts its advances.
+func (d *Domain[T]) Stats() core.Stats {
+	s := core.Stats{EpochAdvances: d.epoch.Load()/Inc - 1}
+	for _, t := range d.threads {
+		s.Retired += t.Retired.Load()
+		s.Freed += t.freed.Load()
+		s.Scans += t.scans.Load()
+	}
+	s.Limbo = s.Retired - s.Freed
+	return s
+}
+
+// Thread is one slot's half of the machine: its announcement and its place in
+// the verification topology. Scheme handles embed it (through Limbo when the
+// scheme keeps private bags) in a struct that ends in core.PadBytes of
+// padding, because the counters and the embedding policy's cursor are written
+// on every operation.
+type Thread[T any] struct {
+	NoProtect[T]
+
+	// Tid is the slot the thread is bound to.
+	Tid int
+	// Suspect, when non-nil, is consulted about a member that fails
+	// verification: true means the member may be counted as quiescent
+	// anyway (debra+ has signalled it).
+	Suspect func(other int) bool
+	// Retired counts the records the thread retired (single-writer; a scheme
+	// that files retires in bags of its own adds to it itself).
+	Retired core.Counter
+
+	d       *Domain[T]
+	ann     *atomic.Int64
+	self    int
+	members []int
+	passLen int
+
+	freed, scans core.Counter
+}
+
+// Epoch returns the current epoch.
+func (t *Thread[T]) Epoch() int64 { return t.d.epoch.Load() }
+
+// Announce publishes that the thread is inside an operation that began at
+// epoch e, and reports whether that is a new epoch to the thread.
+func (t *Thread[T]) Announce(e int64) bool {
+	fresh := t.ann.Load()&^quiescentBit != e
+	t.ann.Store(e)
+	return fresh
+}
+
+// Quiesce publishes that the thread passed a quiescent state at epoch e and
+// is now between operations.
+func (t *Thread[T]) Quiesce(e int64) { t.ann.Store(e | quiescentBit) }
+
+// EnterQstate implements core.ReclaimerHandle: set the quiescent bit, keep
+// the announced epoch.
+func (t *Thread[T]) EnterQstate() { t.ann.Store(t.ann.Load() | quiescentBit) }
+
+// IsQuiescent implements core.ReclaimerHandle.
+func (t *Thread[T]) IsQuiescent() bool { return t.ann.Load()&quiescentBit != 0 }
+
+// CheckRetire panics when rec is nil or the thread is not pinned.
+func (t *Thread[T]) CheckRetire(rec *T) {
+	if rec == nil {
+		panic(t.d.name + ": Retire(nil)")
+	}
+	t.RequirePinned()
+}
+
+// RequirePinned panics when the thread is quiescent. A retire files records
+// under the epoch it loads (or the bag the thread last rotated to), and only
+// the thread's own non-quiescent announcement bounds how far the epoch can
+// move before they land; without it the retire can race the reclamation of
+// the very bag it appends to. Quiescent callers pin first
+// (core.Reclaimer.PinRetire), as core.ThreadHandle does for them.
+func (t *Thread[T]) RequirePinned() {
+	if t.ann.Load()&quiescentBit != 0 {
+		panic(t.d.name + ": Retire from a quiescent context; pin the thread first (PinRetire or LeaveQstate)")
+	}
+}
+
+// Free hands a detached chain of full blocks to the sink and returns the
+// number of records in it; the emptied blocks go to pool when the sink takes
+// records one at a time.
+func (t *Thread[T]) Free(chain *blockbag.Block[T], pool *blockbag.BlockPool[T]) int64 {
+	n := core.FreeChain(t.d.sink, t.d.blockSink, pool, t.Tid, chain)
+	t.freed.Add(n)
+	return n
+}
+
+// FreeRecord hands one record to the sink.
+func (t *Thread[T]) FreeRecord(rec *T) {
+	t.d.sink.Free(t.Tid, rec)
+	t.freed.Inc()
+}
+
+// PassLen is the position at which a verification pass is complete.
+func (t *Thread[T]) PassLen() int { return t.passLen }
+
+// Verify resumes the thread's verification pass for epoch e at position pos
+// and returns the position reached after at most budget checks, stopping at
+// the first check that fails. Positions below len(members) are the members of
+// the thread's own shard, the rest one shard summary each; reaching PassLen
+// means every thread has been seen quiescent or at e, and counts as one scan.
+// A pass that starts over at 0 every operation and one that keeps its
+// position across operations of the same epoch are both sound: for a fixed e,
+// a thread once seen passing cannot come to hold a reference older than e.
+func (t *Thread[T]) Verify(pos int, e int64, budget int) int {
+	d := t.d
+	nm := len(t.members)
+	if pos < nm {
+		if live := d.smap.ShardLive(t.self); live == 0 || live == 1 {
+			// The thread is its shard's only occupant: the rest are vacant.
+			pos = nm
+		}
+		for ; pos < nm; pos++ {
+			m := t.members[pos]
+			if !d.smap.SlotOccupied(m) {
+				// Skipping vacant slots for free keeps an incremental pass
+				// proportional to the live threads, not the slot capacity.
+				continue
+			}
+			if budget == 0 {
+				return pos
+			}
+			budget--
+			if !t.passes(m, e) {
+				return pos
+			}
+		}
+		if s := &d.summaries[t.self].v; s.Load() != e {
+			s.Store(e)
+		}
+	}
+	for ; pos < t.passLen; pos++ {
+		if budget == 0 {
+			return pos
+		}
+		budget--
+		if !t.shardAt(pos-nm, e) {
+			return pos
+		}
+	}
+	t.scans.Inc()
+	return pos
+}
+
+// passes reports whether member m does not hold epoch e back.
+func (t *Thread[T]) passes(m int, e int64) bool {
+	a := t.d.slots[m].v.Load()
+	return a&quiescentBit != 0 || a&^quiescentBit == e || (t.Suspect != nil && t.Suspect(m))
+}
+
+// shardAt reports whether shard s is verified at epoch e: its summary says
+// so, or it has no live member, or a direct scan of its members passes — in
+// which cases the summary is helped forward. The scan is the slow path for
+// shards nobody is running in.
+func (t *Thread[T]) shardAt(s int, e int64) bool {
+	d := t.d
+	sum := &d.summaries[s].v
+	if sum.Load() == e {
+		return true
+	}
+	if d.smap.ShardLive(s) != 0 {
+		for _, m := range d.smap.Members(s) {
+			if d.smap.SlotOccupied(m) && !t.passes(m, e) {
+				return false
+			}
+		}
+	}
+	sum.Store(e)
+	return true
+}
+
+// Advance moves the epoch on from e, which the caller has verified, and
+// reports whether this thread's attempt was the one that did.
+func (t *Thread[T]) Advance(e int64) bool { return t.d.epoch.CompareAndSwap(e, e+Inc) }
+
+// NoProtect is the seven per-record calls of core.ReclaimerHandle for a
+// scheme that protects by epoch: they succeed and do nothing (data structures
+// skip them altogether when Props().PerRecordProtection is false).
+type NoProtect[T any] struct{}
+
+// Protect implements core.ReclaimerHandle.
+func (NoProtect[T]) Protect(*T) bool { return true }
+
+// Unprotect implements core.ReclaimerHandle.
+func (NoProtect[T]) Unprotect(*T) {}
+
+// IsProtected implements core.ReclaimerHandle.
+func (NoProtect[T]) IsProtected(*T) bool { return true }
+
+// RProtect implements core.ReclaimerHandle.
+func (NoProtect[T]) RProtect(*T) {}
+
+// RUnprotectAll implements core.ReclaimerHandle.
+func (NoProtect[T]) RUnprotectAll() {}
+
+// IsRProtected implements core.ReclaimerHandle.
+func (NoProtect[T]) IsRProtected(*T) bool { return false }
+
+// Checkpoint implements core.ReclaimerHandle.
+func (NoProtect[T]) Checkpoint() {}

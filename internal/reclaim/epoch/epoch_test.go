@@ -1,0 +1,273 @@
+package epoch
+
+import (
+	"testing"
+
+	"repro/internal/arena"
+	"repro/internal/blockbag"
+	"repro/internal/core"
+	"repro/internal/pool"
+	"repro/internal/reclaimtest"
+)
+
+type rec = reclaimtest.Record
+
+// machine is the epoch machine with no policy on it: n bound limbos over a
+// recording sink, with a slot registry attached so that slots can be vacant.
+type machine struct {
+	Bags[rec]
+	l    []Limbo[rec]
+	sink *reclaimtest.RecordingSink
+}
+
+// newMachine builds the machine over shards shards and leaves exactly the
+// given slots occupied (it acquires all n and releases the rest).
+func newMachine(t *testing.T, n, shards int, occupied ...int) *machine {
+	t.Helper()
+	m := &machine{sink: reclaimtest.NewRecordingSink(), l: make([]Limbo[rec], n)}
+	m.Bags = NewBags[rec]("test", n, m.sink, []Option{WithShards(core.ShardSpec{Shards: shards})})
+	for i := range m.l {
+		m.BindLimbo(i, &m.l[i])
+	}
+	reg := core.NewSlotRegistry(n, m.smap)
+	m.smap.AttachRegistry(reg)
+	keep := make(map[int]bool)
+	for _, tid := range occupied {
+		keep[tid] = true
+	}
+	for i := 0; i < n; i++ {
+		if _, ok := reg.Acquire(); !ok {
+			t.Fatal("registry exhausted")
+		}
+	}
+	for i := 0; i < n; i++ {
+		if !keep[i] {
+			reg.Release(i)
+		}
+	}
+	return m
+}
+
+// stall leaves slot tid inside an operation at an epoch that is not e.
+func (m *machine) stall(tid int, e int64) { m.slots[tid].v.Store(e - Inc) }
+
+func TestVerifySkipsVacantSlots(t *testing.T) {
+	m := newMachine(t, 4, 1, 0, 1)
+	e := m.Epoch()
+	// Slot 2 is vacant; a stale non-quiescent announcement left in it (which
+	// the release contract forbids) shows that vacant slots are not read.
+	m.stall(2, e)
+	v := &m.l[0]
+	if got := v.Verify(0, e, All); got != v.PassLen() {
+		t.Fatalf("pass stopped at %d of %d on a vacant slot", got, v.PassLen())
+	}
+	if got := m.Stats().Scans; got != 1 {
+		t.Fatalf("Scans = %d after one completed pass", got)
+	}
+	// The same announcement in an occupied slot holds the epoch back.
+	m.stall(1, e)
+	if got := v.Verify(0, e, All); got != 1 {
+		t.Fatalf("pass reached %d, want it stopped at member 1", got)
+	}
+	if got := m.Stats().Scans; got != 1 {
+		t.Fatalf("Scans = %d, a failed pass was counted", got)
+	}
+}
+
+func TestVerifyBudgetCountsLiveMembersOnly(t *testing.T) {
+	m := newMachine(t, 6, 1, 0, 4, 5)
+	e := m.Epoch()
+	v := &m.l[0]
+	// One check per call: members 0, 4 and 5 are live; the vacant 1-3 are
+	// passed over for free on the way to the next live member.
+	pos := 0
+	for _, want := range []int{4, 5, 6, 7} {
+		if pos = v.Verify(pos, e, 1); pos != want {
+			t.Fatalf("Verify reached %d, want %d", pos, want)
+		}
+	}
+	if pos != v.PassLen() {
+		t.Fatalf("PassLen = %d", v.PassLen())
+	}
+}
+
+func TestAllVacantShardVerifiedWithoutReadingIt(t *testing.T) {
+	m := newMachine(t, 4, 2, 0, 1)
+	e := m.Epoch()
+	m.stall(2, e)
+	m.stall(3, e)
+	v := &m.l[0]
+	if got := v.Verify(0, e, All); got != v.PassLen() {
+		t.Fatalf("pass stopped at %d of %d on an all-vacant shard", got, v.PassLen())
+	}
+	if got := m.summaries[1].v.Load(); got != e {
+		t.Fatalf("vacant shard's summary = %d, want it helped forward to %d", got, e)
+	}
+}
+
+func TestLaggingSummaryHelpedForward(t *testing.T) {
+	m := newMachine(t, 4, 2, 0, 1, 2, 3)
+	e := m.Epoch()
+	// Shard 1's members are quiescent and never run, so nobody publishes its
+	// summary: the verifier scans the members directly and publishes for them.
+	v := &m.l[0]
+	if m.summaries[1].v.Load() == e {
+		t.Fatal("summary already current")
+	}
+	if got := v.Verify(0, e, All); got != v.PassLen() {
+		t.Fatalf("pass stopped at %d of %d", got, v.PassLen())
+	}
+	if got := m.summaries[1].v.Load(); got != e {
+		t.Fatalf("lagging summary = %d, want %d", got, e)
+	}
+	// A live member of the lagging shard inside an operation fails the scan.
+	if !v.Advance(e) {
+		t.Fatal("Advance failed after a complete pass")
+	}
+	e += Inc
+	m.stall(3, e)
+	if got := v.Verify(0, e, All); got != len(v.members)+1 {
+		t.Fatalf("pass reached %d, want it stopped at shard 1's summary", got)
+	}
+	if got := m.summaries[1].v.Load(); got == e {
+		t.Fatal("summary published for a shard with a stalled member")
+	}
+}
+
+func TestSuspectHookOnlyOnFailingMembers(t *testing.T) {
+	m := newMachine(t, 3, 1, 0, 1, 2)
+	e := m.Epoch()
+	var asked []int
+	v := &m.l[0]
+	v.Suspect = func(other int) bool { asked = append(asked, other); return true }
+	m.stall(2, e)
+	if got := v.Verify(0, e, All); got != v.PassLen() {
+		t.Fatalf("pass stopped at %d though the hook vouched for the laggard", got)
+	}
+	if len(asked) != 1 || asked[0] != 2 {
+		t.Fatalf("hook consulted about %v, want [2]", asked)
+	}
+}
+
+func TestRotationOrder(t *testing.T) {
+	m := newMachine(t, 1, 1, 0)
+	l := &m.l[0]
+	// Fill one block in each of three epochs' bags.
+	var batches [3][]*rec
+	for b := range batches {
+		m.PinRetire(0)
+		for i := 0; i < blockbag.BlockSize; i++ {
+			r := &rec{ID: int64(b)}
+			batches[b] = append(batches[b], r)
+			l.Retire(r)
+		}
+		m.UnpinRetire(0)
+		if b < 2 {
+			l.Rotate()
+		}
+	}
+	if m.sink.Freed() != 0 || m.LimboSize(0) != 3*blockbag.BlockSize {
+		t.Fatalf("freed %d, limbo %d before the bags came round", m.sink.Freed(), m.LimboSize(0))
+	}
+	// Each further rotation frees the oldest batch, and only it.
+	for b := range batches {
+		l.Rotate()
+		if got := m.sink.Freed(); got != int64((b+1)*blockbag.BlockSize) {
+			t.Fatalf("rotation %d: %d records freed", b, got)
+		}
+		for _, r := range batches[b] {
+			if !m.sink.Contains(r) {
+				t.Fatalf("rotation %d did not free its own batch", b)
+			}
+		}
+	}
+	if s := m.Stats(); s.Retired != s.Freed || s.Limbo != 0 {
+		t.Fatalf("stats %+v", s)
+	}
+}
+
+func TestSweepHookChoosesWhatRotationFrees(t *testing.T) {
+	m := newMachine(t, 1, 1, 0)
+	l := &m.l[0]
+	var forced []bool
+	l.Sweep = func(bag *blockbag.Bag[rec], force bool) *blockbag.Block[rec] {
+		forced = append(forced, force)
+		if !force {
+			return nil
+		}
+		return bag.DetachAllFullBlocks()
+	}
+	held := &rec{ID: -1}
+	l.Held = func(r *rec) bool { return r == held }
+	m.PinRetire(0)
+	for i := 0; i < blockbag.BlockSize; i++ {
+		l.Retire(&rec{ID: int64(i)})
+	}
+	l.Retire(held)
+	m.UnpinRetire(0)
+	for i := 0; i < 6; i++ {
+		l.Rotate()
+	}
+	if m.sink.Freed() != 0 {
+		t.Fatal("rotation freed records the hook withheld")
+	}
+	if got := m.DrainLimbo(0); got != int64(blockbag.BlockSize) {
+		t.Fatalf("DrainLimbo freed %d, want everything but the held record", got)
+	}
+	if m.sink.Contains(held) || m.LimboSize(0) != 1 {
+		t.Fatalf("held record was not left in limbo (size %d)", m.LimboSize(0))
+	}
+	if !forced[len(forced)-1] || forced[0] {
+		t.Fatalf("force flags %v: only DrainLimbo forces", forced)
+	}
+}
+
+func TestBlockPoolBorrowing(t *testing.T) {
+	// A sink that keeps whole blocks and lends its block pools: borrowed.
+	pl := pool.New[rec](2, arena.NewBump[rec](2, 0))
+	b := NewBags[rec]("test", 2, pl, nil)
+	ls := make([]Limbo[rec], 2)
+	for i := range ls {
+		b.BindLimbo(i, &ls[i])
+		if ls[i].blockPool != pl.BlockPool(i) {
+			t.Fatalf("limbo %d does not draw from the pool's block pool", i)
+		}
+	}
+	// A sink that takes single records: a block pool of the limbo's own.
+	m := newMachine(t, 2, 1, 0, 1)
+	if m.l[0].blockPool == nil || m.l[0].blockPool == m.l[1].blockPool {
+		t.Fatal("limbos over a plain sink must each own a block pool")
+	}
+}
+
+func TestDrainLimboRefusesNonQuiescentSlot(t *testing.T) {
+	m := newMachine(t, 2, 1, 0, 1)
+	m.l[1].Announce(m.Epoch())
+	if !reclaimtest.Panics(func() { m.DrainLimbo(0) }) {
+		t.Fatal("DrainLimbo ran while slot 1 was inside an operation")
+	}
+	m.l[1].EnterQstate()
+	m.PinRetire(0)
+	m.l[0].Retire(&rec{ID: 1})
+	m.UnpinRetire(0)
+	if got := m.DrainLimbo(0); got != 1 {
+		t.Fatalf("DrainLimbo freed %d, want the partial block's one record", got)
+	}
+}
+
+func TestPinKeepsAnnouncedEpoch(t *testing.T) {
+	m := newMachine(t, 2, 1, 0, 1)
+	e := m.Epoch()
+	l := &m.l[0]
+	l.Announce(e)
+	l.EnterQstate()
+	m.PinRetire(0)
+	if l.IsQuiescent() {
+		t.Fatal("pinned slot reads quiescent")
+	}
+	l.Retire(&rec{ID: 1}) // must not panic
+	m.UnpinRetire(0)
+	if !l.IsQuiescent() || l.Announce(e) {
+		t.Fatal("pin and unpin must leave the announced epoch as it was")
+	}
+}

@@ -277,7 +277,7 @@ func (h *handle[T]) Retire(rec *T) {
 	}
 }
 
-// RetireBlock implements core.BlockReclaimer: splice one detached full block
+// RetireBlock implements core.Reclaimer: splice one detached full block
 // into the caller's retire bag in O(1), run the threshold check once for
 // the whole batch, and return a recycled empty block from the thread's pool
 // in exchange when one is cached.
@@ -294,7 +294,7 @@ func (r *Reclaimer[T]) RetireBlock(tid int, blk *blockbag.Block[T]) *blockbag.Bl
 	return t.blockPool.TryGet()
 }
 
-// ShardMap implements core.Sharded (see WithShards: informational only).
+// ShardMap implements core.Reclaimer (see WithShards: informational only).
 func (r *Reclaimer[T]) ShardMap() *core.ShardMap { return r.smap }
 
 // scanAndFree hashes every announced hazard pointer, frees every record in
@@ -341,13 +341,13 @@ func (r *Reclaimer[T]) scanAndFree(tid int) {
 	t.freed.Add(freed)
 }
 
-// PinRetire implements core.RetirePinner (no-op: hazard pointer retire bags
+// PinRetire implements core.Reclaimer (no-op: hazard pointer retire bags
 // are per-thread and the scan consults announcements, not epochs, so a
 // retire needs no pin — the uniform entry point exists so callers can treat
 // every scheme alike).
 func (r *Reclaimer[T]) PinRetire(tid int) {}
 
-// UnpinRetire implements core.RetirePinner (no-op).
+// UnpinRetire implements core.Reclaimer (no-op).
 func (r *Reclaimer[T]) UnpinRetire(tid int) {}
 
 // DrainLimbo implements core.LimboDrainer: run a forced scan for every
@@ -391,9 +391,6 @@ func (r *Reclaimer[T]) Stats() core.Stats {
 }
 
 var (
-	_ core.Reclaimer[int]      = (*Reclaimer[int])(nil)
-	_ core.BlockReclaimer[int] = (*Reclaimer[int])(nil)
-	_ core.Sharded             = (*Reclaimer[int])(nil)
-	_ core.RetirePinner        = (*Reclaimer[int])(nil)
-	_ core.LimboDrainer        = (*Reclaimer[int])(nil)
+	_ core.Reclaimer[int] = (*Reclaimer[int])(nil)
+	_ core.LimboDrainer   = (*Reclaimer[int])(nil)
 )

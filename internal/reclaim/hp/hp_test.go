@@ -145,17 +145,4 @@ func TestStatsConsistency(t *testing.T) {
 	}
 }
 
-func TestNewValidation(t *testing.T) {
-	if !panics(func() { hp.New[reclaimtest.Record](0, reclaimtest.NewRecordingSink()) }) {
-		t.Fatal("expected panic for n=0")
-	}
-	if !panics(func() { hp.New[reclaimtest.Record](1, nil) }) {
-		t.Fatal("expected panic for nil sink")
-	}
-}
-
-func panics(fn func()) (p bool) {
-	defer func() { p = recover() != nil }()
-	fn()
-	return false
-}
+func TestNewValidation(t *testing.T) { reclaimtest.NewValidation(t, factory) }

@@ -99,10 +99,10 @@ func (h *handle[T]) IsRProtected(rec *T) bool { return false }
 // Checkpoint implements core.ReclaimerHandle (no-op).
 func (h *handle[T]) Checkpoint() {}
 
-// ShardMap implements core.Sharded (informational only).
+// ShardMap implements core.Reclaimer (informational only).
 func (r *Reclaimer[T]) ShardMap() *core.ShardMap { return r.smap }
 
-// RetireBlock implements core.BlockReclaimer: the whole batch is counted and
+// RetireBlock implements core.Reclaimer: the whole batch is counted and
 // leaked in O(1). The block itself holds leaked records forever, so there is
 // no spare to hand back.
 func (r *Reclaimer[T]) RetireBlock(tid int, blk *blockbag.Block[T]) *blockbag.Block[T] {
@@ -129,11 +129,11 @@ func (r *Reclaimer[T]) Props() core.Properties {
 	}
 }
 
-// PinRetire implements core.RetirePinner (no-op: the leaking baseline has no
+// PinRetire implements core.Reclaimer (no-op: the leaking baseline has no
 // epoch state for a retire to race).
 func (r *Reclaimer[T]) PinRetire(tid int) {}
 
-// UnpinRetire implements core.RetirePinner (no-op).
+// UnpinRetire implements core.Reclaimer (no-op).
 func (r *Reclaimer[T]) UnpinRetire(tid int) {}
 
 // Stats implements core.Reclaimer.
@@ -146,9 +146,4 @@ func (r *Reclaimer[T]) Stats() core.Stats {
 	return s
 }
 
-var (
-	_ core.Reclaimer[int]      = (*Reclaimer[int])(nil)
-	_ core.BlockReclaimer[int] = (*Reclaimer[int])(nil)
-	_ core.Sharded             = (*Reclaimer[int])(nil)
-	_ core.RetirePinner        = (*Reclaimer[int])(nil)
-)
+var _ core.Reclaimer[int] = (*Reclaimer[int])(nil)

@@ -2,7 +2,6 @@ package reclaimtest
 
 import (
 	"math/rand"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -77,33 +76,25 @@ func StressQueue(t *testing.T, factory QueueFactory, opts QueueStressOptions) {
 	}
 
 	var (
-		stop     atomic.Bool
-		wg       sync.WaitGroup
 		enqCount = make([]atomic.Int64, opts.Threads)
 		dequeued = make([][]int64, opts.Threads)
 	)
-	for tid := 0; tid < opts.Threads; tid++ {
-		wg.Add(1)
-		go func(tid int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(tid)*7919 + 3))
-			w := qu.AcquireWorker()
-			defer w.Release()
-			seq := int64(0)
-			for !stop.Load() {
-				if rng.Intn(100) < opts.EnqueuePct {
-					w.Enqueue(int64(tid)<<seqShift | seq)
-					seq++
-					enqCount[tid].Store(seq)
-				} else if v, ok := w.Dequeue(); ok {
-					dequeued[tid] = append(dequeued[tid], v)
-				}
+	runStress(t, opts.Threads, opts.Duration, func(tid int, stop *atomic.Bool, done *atomic.Int64) {
+		rng := rand.New(rand.NewSource(int64(tid)*7919 + 3))
+		w := qu.AcquireWorker()
+		defer w.Release()
+		seq := int64(0)
+		for ops := int64(1); !stop.Load(); ops++ {
+			if rng.Intn(100) < opts.EnqueuePct {
+				w.Enqueue(int64(tid)<<seqShift | seq)
+				seq++
+				enqCount[tid].Store(seq)
+			} else if v, ok := w.Dequeue(); ok {
+				dequeued[tid] = append(dequeued[tid], v)
 			}
-		}(tid)
-	}
-	time.Sleep(opts.Duration)
-	stop.Store(true)
-	wg.Wait()
+			done.Store(ops)
+		}
+	})
 
 	// Exactly-once delivery: every dequeued value decodes to a (tid, seq)
 	// that was actually enqueued, and no value appears twice.

@@ -157,30 +157,18 @@ func Stress(t *testing.T, factory Factory, opts StressOptions) {
 		slots[i].Store(&Record{ID: nextID.Add(1)})
 	}
 
-	var (
-		violations atomic.Int64
-		totalOps   atomic.Int64
-		stop       atomic.Bool
-		wg         sync.WaitGroup
-	)
-	for tid := 0; tid < opts.Threads; tid++ {
-		wg.Add(1)
-		go func(tid int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(tid)*7919 + 13))
-			h := rec.Handle(tid)
-			for !stop.Load() {
-				completed, observedFreed := runStressOp(h, slots, &nextID, rng, opts.OpsPerEpoch, perRecord)
-				if completed {
-					totalOps.Add(1)
-					violations.Add(observedFreed)
-				}
+	var violations atomic.Int64
+	totalOps := runStress(t, opts.Threads, opts.Duration, func(tid int, stop *atomic.Bool, done *atomic.Int64) {
+		rng := rand.New(rand.NewSource(int64(tid)*7919 + 13))
+		h := rec.Handle(tid)
+		for !stop.Load() {
+			completed, observedFreed := runStressOp(h, slots, &nextID, rng, opts.OpsPerEpoch, perRecord)
+			if completed {
+				done.Add(1)
+				violations.Add(observedFreed)
 			}
-		}(tid)
-	}
-	time.Sleep(opts.Duration)
-	stop.Store(true)
-	wg.Wait()
+		}
+	})
 
 	if v := violations.Load(); v != 0 {
 		t.Fatalf("use-after-free: %d protected reads observed a freed record", v)
@@ -195,7 +183,7 @@ func Stress(t *testing.T, factory Factory, opts StressOptions) {
 	if stats.Limbo < 0 {
 		t.Fatalf("negative limbo count: %d", stats.Limbo)
 	}
-	if totalOps.Load() == 0 {
+	if totalOps == 0 {
 		t.Fatal("stress performed no operations")
 	}
 }

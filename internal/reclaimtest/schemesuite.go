@@ -1,0 +1,209 @@
+package reclaimtest
+
+import (
+	"testing"
+
+	"repro/internal/arena"
+	"repro/internal/blockbag"
+	"repro/internal/core"
+	"repro/internal/pool"
+)
+
+// This file holds the test bodies every scheme package runs against its own
+// constructor: what a scheme must do because it is a core.Reclaimer over
+// sharded domains and block bags, whichever policy it is. Scheme packages
+// keep tests of their policy only.
+
+// ShardedFactory constructs the reclaimer under test for n threads over the
+// given shard spec (the zero spec is one domain).
+type ShardedFactory func(n int, sink core.FreeSink[Record], spec core.ShardSpec) core.Reclaimer[Record]
+
+// BlockSink is a core.BlockFreeSink that tells records arriving in whole
+// blocks from records arriving one at a time. Single-goroutine use.
+type BlockSink struct {
+	Blocks, Singles int
+	freed           map[*Record]bool
+}
+
+// Free implements core.FreeSink.
+func (s *BlockSink) Free(tid int, rec *Record) {
+	s.Singles++
+	s.note(rec)
+}
+
+// FreeBlocks implements core.BlockFreeSink.
+func (s *BlockSink) FreeBlocks(tid int, chain *blockbag.Block[Record]) {
+	for blk := chain; blk != nil; blk = blk.Next() {
+		s.Blocks++
+		for i := 0; i < blk.Len(); i++ {
+			s.note(blk.Record(i))
+		}
+	}
+}
+
+func (s *BlockSink) note(rec *Record) {
+	if s.freed == nil {
+		s.freed = make(map[*Record]bool)
+	}
+	s.freed[rec] = true
+}
+
+// Freed returns the number of distinct records freed.
+func (s *BlockSink) Freed() int { return len(s.freed) }
+
+// Panics reports whether fn panics.
+func Panics(fn func()) (p bool) {
+	defer func() { p = recover() != nil }()
+	fn()
+	return false
+}
+
+// operate runs tid through ops operations, retiring one fresh record in each
+// of the first retires.
+func operate(r core.Reclaimer[Record], tid, ops, retires int) {
+	h := r.Handle(tid)
+	for i := 0; i < ops; i++ {
+		h.LeaveQstate()
+		if i < retires {
+			h.Retire(&Record{ID: int64(i)})
+		}
+		h.EnterQstate()
+	}
+}
+
+// NewValidation: the constructor rejects n = 0 and a nil sink, and Retire
+// rejects nil before the pin check matters.
+func NewValidation(t *testing.T, f Factory) {
+	t.Helper()
+	if !Panics(func() { f(0, NewRecordingSink()) }) {
+		t.Fatal("expected panic for n=0")
+	}
+	if !Panics(func() { f(1, nil) }) {
+		t.Fatal("expected panic for nil sink")
+	}
+	//lint:allow retirepin deliberate contract violation: asserts the Retire(nil) panic fires before any pin check matters
+	if !Panics(func() { f(1, NewRecordingSink()).Handle(0).Retire(nil) }) {
+		t.Fatal("expected panic for Retire(nil)")
+	}
+}
+
+// QuiescentRetirePanics: an epoch scheme rejects Retire and RetireBlock from a
+// quiescent thread loudly instead of filing the records under a stale epoch.
+func QuiescentRetirePanics(t *testing.T, f Factory) {
+	t.Helper()
+	r := f(2, NewRecordingSink())
+	// Fresh threads start quiescent; make it explicit anyway.
+	r.Handle(0).EnterQstate()
+	//lint:allow retirepin the unpinned Retire is the point: this test asserts the runtime panic the analyzer proves absent elsewhere
+	if !Panics(func() { r.Handle(0).Retire(&Record{ID: 1}) }) {
+		t.Fatal("quiescent Retire did not panic")
+	}
+	blk := fullBlock()
+	//lint:allow retirepin deliberate unpinned RetireBlock: asserts the quiescent-retire panic
+	if !Panics(func() { r.RetireBlock(0, blk) }) {
+		t.Fatal("quiescent RetireBlock did not panic")
+	}
+}
+
+// fullBlock returns one detached full block of fresh records.
+func fullBlock() *blockbag.Block[Record] {
+	bag := blockbag.New[Record](nil)
+	for i := 0; i < blockbag.BlockSize; i++ {
+		bag.Add(&Record{ID: int64(i)})
+	}
+	return bag.DetachAllFullBlocks()
+}
+
+// RetireBlockSplice checks the O(1) batched-retire path: a spliced block is
+// counted, waits out the grace period like single retires, and reaches a
+// block sink whole. One record is retired singly beside it, because debra+
+// keeps back the first non-empty block of a bag it sweeps.
+func RetireBlockSplice(t *testing.T, f Factory) {
+	t.Helper()
+	sink := &BlockSink{}
+	r := f(1, sink)
+	r.Handle(0).LeaveQstate()
+	r.RetireBlock(0, fullBlock())
+	r.Handle(0).Retire(&Record{ID: -1})
+	r.Handle(0).EnterQstate()
+	if got := r.Stats().Retired; got != int64(blockbag.BlockSize)+1 {
+		t.Fatalf("Retired = %d want %d", got, blockbag.BlockSize+1)
+	}
+	if sink.Freed() != 0 {
+		t.Fatalf("%d records freed right after the splice", sink.Freed())
+	}
+	operate(r, 0, 20, 0)
+	if sink.Blocks != 1 || sink.Singles > 1 {
+		t.Fatalf("spliced block arrived as %d blocks and %d single records", sink.Blocks, sink.Singles)
+	}
+}
+
+// ShardedCrossShardSafety is the critical sharding property: records retired
+// by a thread of shard 0 are not freed while a thread of shard 1 is inside an
+// operation, even though the fast path of verification is shard-local.
+func ShardedCrossShardSafety(t *testing.T, f ShardedFactory) {
+	t.Helper()
+	sink := NewRecordingSink()
+	r := f(4, sink, core.ShardSpec{Shards: 2})
+	if m := r.ShardMap(); m.ShardOf(0) == m.ShardOf(3) {
+		t.Fatal("tids 0 and 3 should be in different shards")
+	}
+	r.Handle(3).LeaveQstate() // may hold pointers; never quiesces
+	// Several blocks' worth: schemes with private bags free full blocks only,
+	// so the assertions below are on counts, not on individual records.
+	operate(r, 0, 4*blockbag.BlockSize+400, 4*blockbag.BlockSize)
+	if got := sink.Freed(); got != 0 {
+		t.Fatalf("%d records freed while a thread of another shard was mid-operation", got)
+	}
+	r.Handle(3).EnterQstate()
+	operate(r, 0, 400, 0)
+	if got := sink.Freed(); got < int64(blockbag.BlockSize) {
+		t.Fatalf("only %d records freed after the other shard became quiescent", got)
+	}
+}
+
+// ShardedIdleShardDoesNotBlock checks the lagging-shard slow path: shards
+// whose members never run at all do not stall the epoch.
+func ShardedIdleShardDoesNotBlock(t *testing.T, f ShardedFactory) {
+	t.Helper()
+	sink := NewRecordingSink()
+	r := f(6, sink, core.ShardSpec{Shards: 3})
+	operate(r, 0, 2000, 2000)
+	if sink.Freed() == 0 {
+		t.Fatal("idle shards blocked reclamation")
+	}
+}
+
+// ShardedStress runs the generic reclaimer stress over both placements.
+func ShardedStress(t *testing.T, f ShardedFactory) {
+	for _, placement := range []core.ShardPlacement{core.PlaceBlock, core.PlaceStripe} {
+		t.Run(string(placement), func(t *testing.T) {
+			Stress(t, func(n int, sink core.FreeSink[Record]) core.Reclaimer[Record] {
+				return f(n, sink, core.ShardSpec{Shards: 2, Placement: placement})
+			}, DefaultStressOptions())
+		})
+	}
+}
+
+// SharesThePoolsBlocks: records cycling allocate -> retire -> limbo -> pool ->
+// allocate carry their blocks one way, from the limbo bags to the pool's bag.
+// The limbo bags must draw from the block pool those blocks are emptied into,
+// or every BlockSize retired records cost a fresh block.
+func SharesThePoolsBlocks(t *testing.T, f Factory) {
+	t.Helper()
+	pl := pool.New[Record](1, arena.NewBump[Record](1, 0))
+	h := f(1, pl).Handle(0)
+	cycle := func() {
+		for i := 0; i < 4*blockbag.BlockSize; i++ {
+			h.LeaveQstate()
+			h.Retire(pl.Allocate(0))
+			h.EnterQstate()
+		}
+	}
+	for i := 0; i < 8; i++ {
+		cycle() // fill the limbo bags, the pool bag and the block pool
+	}
+	if n := testing.AllocsPerRun(20, cycle); n != 0 {
+		t.Fatalf("a steady retire/reuse cycle allocates %.1f times per %d records, want 0", n, 4*blockbag.BlockSize)
+	}
+}

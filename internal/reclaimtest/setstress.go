@@ -2,7 +2,6 @@ package reclaimtest
 
 import (
 	"math/rand"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -108,73 +107,61 @@ func StressSet(t *testing.T, factory SetFactory, opts SetStressOptions) {
 		t.Fatal("SetFactory returned no AcquireWorker")
 	}
 
-	var (
-		semanticFailures atomic.Int64
-		totalOps         atomic.Int64
-		stop             atomic.Bool
-		wg               sync.WaitGroup
-	)
-	for tid := 0; tid < opts.Threads; tid++ {
-		wg.Add(1)
-		go func(tid int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(tid)*104729 + 17))
-			w := su.AcquireWorker()
-			defer w.Release()
-			// Private keys live above the shared range, in per-thread bands.
-			privBase := opts.KeyRange + int64(tid)*opts.PrivateKeys
-			model := make([]bool, opts.PrivateKeys)
-			ops := int64(0)
-			for !stop.Load() {
-				if opts.PrivateKeys > 0 && ops%4 == 3 {
-					k := rng.Int63n(opts.PrivateKeys)
-					key := privBase + k
-					switch rng.Intn(3) {
-					case 0:
-						if w.Insert(key) == model[k] {
-							// Insert succeeds iff the key was absent.
-							semanticFailures.Add(1)
-						}
-						model[k] = true
-					case 1:
-						if w.Delete(key) != model[k] {
-							semanticFailures.Add(1)
-						}
-						model[k] = false
-					default:
-						if w.Contains(key) != model[k] {
-							semanticFailures.Add(1)
-						}
+	var semanticFailures atomic.Int64
+	totalOps := runStress(t, opts.Threads, opts.Duration, func(tid int, stop *atomic.Bool, done *atomic.Int64) {
+		rng := rand.New(rand.NewSource(int64(tid)*104729 + 17))
+		w := su.AcquireWorker()
+		defer w.Release()
+		// Private keys live above the shared range, in per-thread bands.
+		privBase := opts.KeyRange + int64(tid)*opts.PrivateKeys
+		model := make([]bool, opts.PrivateKeys)
+		ops := int64(0)
+		for !stop.Load() {
+			if opts.PrivateKeys > 0 && ops%4 == 3 {
+				k := rng.Int63n(opts.PrivateKeys)
+				key := privBase + k
+				switch rng.Intn(3) {
+				case 0:
+					if w.Insert(key) == model[k] {
+						// Insert succeeds iff the key was absent.
+						semanticFailures.Add(1)
 					}
-				} else {
-					key := rng.Int63n(opts.KeyRange)
-					p := rng.Intn(100)
-					switch {
-					case p < opts.InsertPct:
-						w.Insert(key)
-					case p < opts.InsertPct+opts.DeletePct:
-						w.Delete(key)
-					default:
-						w.Contains(key)
+					model[k] = true
+				case 1:
+					if w.Delete(key) != model[k] {
+						semanticFailures.Add(1)
+					}
+					model[k] = false
+				default:
+					if w.Contains(key) != model[k] {
+						semanticFailures.Add(1)
 					}
 				}
-				ops++
+			} else {
+				key := rng.Int63n(opts.KeyRange)
+				p := rng.Intn(100)
+				switch {
+				case p < opts.InsertPct:
+					w.Insert(key)
+				case p < opts.InsertPct+opts.DeletePct:
+					w.Delete(key)
+				default:
+					w.Contains(key)
+				}
 			}
-			totalOps.Add(ops)
-		}(tid)
-	}
-	time.Sleep(opts.Duration)
-	stop.Store(true)
-	wg.Wait()
+			ops++
+			done.Store(ops)
+		}
+	})
 
-	checkSetStress(t, su, &semanticFailures, &totalOps)
+	checkSetStress(t, su, semanticFailures.Load(), totalOps)
 }
 
 // checkSetStress runs the shared post-stress verification: poison counters,
 // semantic model failures, counter sanity, structural validation, and the
 // shutdown-drain re-checks (including Retired == Freed when the set demands
 // it via RequireDrained).
-func checkSetStress(t *testing.T, su SetUnderTest, semanticFailures, totalOps *atomic.Int64) {
+func checkSetStress(t *testing.T, su SetUnderTest, semanticFailures, totalOps int64) {
 	t.Helper()
 	if su.Violations != nil {
 		if v := su.Violations(); v != 0 {
@@ -186,7 +173,7 @@ func checkSetStress(t *testing.T, su SetUnderTest, semanticFailures, totalOps *a
 			t.Fatalf("%d records were freed more than once", d)
 		}
 	}
-	if s := semanticFailures.Load(); s != 0 {
+	if s := semanticFailures; s != 0 {
 		t.Fatalf("%d operations on thread-private keys returned the wrong answer", s)
 	}
 	if su.Stats != nil {
@@ -198,7 +185,7 @@ func checkSetStress(t *testing.T, su SetUnderTest, semanticFailures, totalOps *a
 			t.Fatalf("negative limbo count: %d", stats.Limbo)
 		}
 	}
-	if totalOps.Load() == 0 {
+	if totalOps == 0 {
 		t.Fatal("stress performed no operations")
 	}
 	if su.Validate != nil {
@@ -249,66 +236,54 @@ func StressSetChurn(t *testing.T, factory SetFactory, opts SetStressOptions) {
 		t.Fatal("SetFactory returned no AcquireWorker")
 	}
 
-	var (
-		semanticFailures atomic.Int64
-		totalOps         atomic.Int64
-		stop             atomic.Bool
-		wg               sync.WaitGroup
-	)
-	for g := 0; g < opts.Threads; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(g)*104729 + 23))
-			// Private keys are per-goroutine, not per-slot: the model must
-			// stay correct while the goroutine migrates across slots.
-			privBase := opts.KeyRange + int64(g)*opts.PrivateKeys
-			model := make([]bool, opts.PrivateKeys)
-			ops := int64(0)
-			for !stop.Load() {
-				w := su.AcquireWorker()
-				for burst := 0; burst < opts.OpsPerSlot && !stop.Load(); burst++ {
-					if opts.PrivateKeys > 0 && ops%4 == 3 {
-						k := rng.Int63n(opts.PrivateKeys)
-						key := privBase + k
-						switch rng.Intn(3) {
-						case 0:
-							if w.Insert(key) == model[k] {
-								semanticFailures.Add(1)
-							}
-							model[k] = true
-						case 1:
-							if w.Delete(key) != model[k] {
-								semanticFailures.Add(1)
-							}
-							model[k] = false
-						default:
-							if w.Contains(key) != model[k] {
-								semanticFailures.Add(1)
-							}
+	var semanticFailures atomic.Int64
+	totalOps := runStress(t, opts.Threads, opts.Duration, func(g int, stop *atomic.Bool, done *atomic.Int64) {
+		rng := rand.New(rand.NewSource(int64(g)*104729 + 23))
+		// Private keys are per-goroutine, not per-slot: the model must
+		// stay correct while the goroutine migrates across slots.
+		privBase := opts.KeyRange + int64(g)*opts.PrivateKeys
+		model := make([]bool, opts.PrivateKeys)
+		ops := int64(0)
+		for !stop.Load() {
+			w := su.AcquireWorker()
+			for burst := 0; burst < opts.OpsPerSlot && !stop.Load(); burst++ {
+				if opts.PrivateKeys > 0 && ops%4 == 3 {
+					k := rng.Int63n(opts.PrivateKeys)
+					key := privBase + k
+					switch rng.Intn(3) {
+					case 0:
+						if w.Insert(key) == model[k] {
+							semanticFailures.Add(1)
 						}
-					} else {
-						key := rng.Int63n(opts.KeyRange)
-						p := rng.Intn(100)
-						switch {
-						case p < opts.InsertPct:
-							w.Insert(key)
-						case p < opts.InsertPct+opts.DeletePct:
-							w.Delete(key)
-						default:
-							w.Contains(key)
+						model[k] = true
+					case 1:
+						if w.Delete(key) != model[k] {
+							semanticFailures.Add(1)
+						}
+						model[k] = false
+					default:
+						if w.Contains(key) != model[k] {
+							semanticFailures.Add(1)
 						}
 					}
-					ops++
+				} else {
+					key := rng.Int63n(opts.KeyRange)
+					p := rng.Intn(100)
+					switch {
+					case p < opts.InsertPct:
+						w.Insert(key)
+					case p < opts.InsertPct+opts.DeletePct:
+						w.Delete(key)
+					default:
+						w.Contains(key)
+					}
 				}
-				w.Release()
+				ops++
+				done.Store(ops)
 			}
-			totalOps.Add(ops)
-		}(g)
-	}
-	time.Sleep(opts.Duration)
-	stop.Store(true)
-	wg.Wait()
+			w.Release()
+		}
+	})
 
-	checkSetStress(t, su, &semanticFailures, &totalOps)
+	checkSetStress(t, su, semanticFailures.Load(), totalOps)
 }

@@ -20,6 +20,7 @@ import (
 	"repro/internal/reclaim/debra"
 	"repro/internal/reclaim/debraplus"
 	"repro/internal/reclaim/ebr"
+	"repro/internal/reclaim/epoch"
 	"repro/internal/reclaim/hp"
 	"repro/internal/reclaim/none"
 	"repro/internal/reclaim/qsbr"
@@ -237,17 +238,17 @@ func NewReclaimer[T any](scheme string, n int, sink core.FreeSink[T], domain *ne
 // one global domain). domain may be nil (a private one is created for
 // DEBRA+).
 func NewShardedReclaimer[T any](scheme string, n int, sink core.FreeSink[T], domain *neutralize.Domain, spec core.ShardSpec) (core.Reclaimer[T], error) {
+	opts := []epoch.Option{epoch.WithShards(spec)}
 	switch scheme {
 	case SchemeNone, "":
 		return none.New[T](n, none.WithShards(spec)), nil
 	case SchemeEBR:
-		return ebr.New[T](n, sink, ebr.WithShards(spec)), nil
+		return ebr.New[T](n, sink, opts...), nil
 	case SchemeQSBR:
-		return qsbr.New[T](n, sink, qsbr.WithShards(spec)), nil
+		return qsbr.New[T](n, sink, opts...), nil
 	case SchemeDEBRA:
-		return debra.New[T](n, sink, debra.WithShards(spec)), nil
+		return debra.New[T](n, sink, opts...), nil
 	case SchemeDEBRAPlus:
-		opts := []debraplus.Option{debraplus.WithShards(spec)}
 		if domain != nil {
 			opts = append(opts, debraplus.WithDomain(domain))
 		}
