@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt fmt-check vet-reclaim test race stress-hashmap fuzz-smoke bench-smoke bench-diff bench-baseline bench benchmark benchmark-smoke check
+.PHONY: all build vet fmt fmt-check vet-reclaim test race stress-hashmap stress-kvservice fuzz-smoke bench-smoke bench-diff bench-baseline bench benchmark benchmark-smoke check
 
 all: check
 
@@ -46,6 +46,11 @@ race:
 ## package comment of internal/ds/hashmap)
 stress-hashmap:
 	$(GO) test -race -count=10 -timeout 10m -run 'Claim|Unlink|StressWaitFreeGet' ./internal/ds/hashmap
+
+## stress-kvservice: the service's shared-key value-integrity stress (stored
+## bytes recycled with their nodes), repeated under the race detector
+stress-kvservice:
+	$(GO) test -race -count=10 -timeout 10m -run 'StressValueIntegrity' ./internal/kvservice
 
 ## fuzz-smoke: short fuzzing pass over the kvwire frame and request decoders.
 ## go test accepts one -fuzz target per invocation, so the targets run back to

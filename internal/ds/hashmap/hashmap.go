@@ -91,6 +91,19 @@
 //   - Get under hazard pointers is find: it reports a node present only if
 //     it saw it unmarked, hence linked, and unlinks marked nodes itself
 //     before reporting them absent.
+//
+// # Value storage
+//
+// A node's value never changes while the node is reachable: a replacing
+// Upsert publishes a new node. So the storage a value refers to (a []byte's
+// array, say) can share its node's grace period, and UpsertFunc reuses it:
+// its fill builds the new value from what the published record held when the
+// scheme last freed it. Storage is reused only there, and only after the
+// scheme has freed the record, so no traversal can still reach it. A map
+// filled that way hands its values' storage to the map — a value passed to
+// Insert or Upsert may come back to a later fill — and is read with View,
+// whose fn runs while the node is still protected; a value Get or Upsert
+// returns may be overwritten once its node is freed.
 package hashmap
 
 import (
@@ -788,7 +801,7 @@ func (hd *Handle[V]) deleteHashed(key int64, hash uint64) bool {
 				return true
 			}
 			for {
-				if _, _, done := h.findBody(hd, key, hash); done {
+				if _, _, done := h.findBody(hd, key, hash, nil); done {
 					return true
 				}
 				hd.st.restarts.Inc()
@@ -925,16 +938,35 @@ const (
 // find has unlinked the old node — followed by an Insert, and only then can a
 // concurrent reader observe the key absent in between.
 func (hd *Handle[V]) Upsert(key int64, value V) (prev V, replaced bool) {
-	return hd.upsertHashed(key, hashOf(key), value)
+	return hd.upsertHashed(key, hashOf(key), value, nil)
 }
 
-func (hd *Handle[V]) upsertHashed(key int64, hash uint64, value V) (prev V, replaced bool) {
+// UpsertFunc is Upsert for a map that recycles its values' storage (see
+// "Value storage" in the package comment): the stored value is fill(old),
+// where old is what the record the operation publishes last held — the zero
+// value for a fresh record — so fill can write into old's storage instead of
+// allocating. fill runs exactly once, before the operation enters the map,
+// on a record no other thread can reach. It reports whether the key was
+// present; the previous value is not returned, because its storage goes to a
+// later fill once the scheme frees its node.
+func (hd *Handle[V]) UpsertFunc(key int64, fill func(old V) V) (replaced bool) {
+	var zero V
+	_, replaced = hd.upsertHashed(key, hashOf(key), zero, fill)
+	return replaced
+}
+
+// upsertHashed is Upsert, or UpsertFunc when fill is non-nil (value is then
+// unused).
+func (hd *Handle[V]) upsertHashed(key int64, hash uint64, value V, fill func(V) V) (prev V, replaced bool) {
 	h := hd.h
 	// Quiescent preamble: obtain the node the body publishes and the marker
 	// a replacement consumes (obtained again when an attempt consumes it
 	// without finishing; allocation must not happen inside a body that can
-	// be neutralized and re-run).
+	// be neutralized and re-run), and build the value in the node.
 	node := hd.scratch()
+	if fill != nil {
+		value = fill(node.value)
+	}
 	var marker *Node[V]
 	for {
 		if marker == nil {
@@ -1081,17 +1113,30 @@ func (h *Map[V]) upsertBody(hd *Handle[V], key int64, hash uint64, value V, node
 }
 
 // Get returns the value associated with key and whether it is present.
-func (hd *Handle[V]) Get(key int64) (V, bool) { return hd.getHashed(key, hashOf(key)) }
+func (hd *Handle[V]) Get(key int64) (V, bool) { return hd.getHashed(key, hashOf(key), nil) }
 
-func (hd *Handle[V]) getHashed(key int64, hash uint64) (V, bool) {
+// View calls fn with key's value while the node holding it is still
+// protected, and reports whether the key was present; fn is not called for
+// an absent key. It is the read of a map whose storage UpsertFunc recycles:
+// the value is only valid during the call, so fn copies out what it needs. A
+// neutralized attempt (DEBRA+) is retried, so fn may run more than once per
+// View and must let the last call win.
+func (hd *Handle[V]) View(key int64, fn func(V)) bool {
+	_, ok := hd.getHashed(key, hashOf(key), fn)
+	return ok
+}
+
+// getHashed is Get, calling fn (when non-nil) on the value before the
+// protection ends.
+func (hd *Handle[V]) getHashed(key int64, hash uint64, fn func(V)) (V, bool) {
 	h := hd.h
 	for {
 		var v V
 		var ok, done bool
 		if h.perRecord {
-			v, ok, done = h.findBody(hd, key, hash)
+			v, ok, done = h.findBody(hd, key, hash, fn)
 		} else {
-			v, ok, done = h.lookupBody(hd, key, hash)
+			v, ok, done = h.lookupBody(hd, key, hash, fn)
 		}
 		if done {
 			return v, ok
@@ -1105,7 +1150,7 @@ func (hd *Handle[V]) getHashed(key int64, hash uint64) (V, bool) {
 // neutralized; read-only recovery is trivially discard-and-retry). It is kept
 // apart from findBody, whose preamble it shares: folded into one function the
 // read path measured 3 % slower on map_read_mostly.
-func (h *Map[V]) lookupBody(hd *Handle[V], key int64, hash uint64) (val V, found, done bool) {
+func (h *Map[V]) lookupBody(hd *Handle[V], key int64, hash uint64, fn func(V)) (val V, found, done bool) {
 	rm := hd.rm
 	if h.crashRecovery {
 		defer neutralize.OnNeutralized(hd.rm, func(neutralize.Neutralized) {
@@ -1123,6 +1168,9 @@ func (h *Map[V]) lookupBody(hd *Handle[V], key int64, hash uint64) (val V, found
 	// EnterQstate can deliver a neutralization that would invalidate it.
 	if n := h.lookup(hd, start, regularSoKey(hash), key); n != nil {
 		val, found = n.value, true
+		if fn != nil {
+			fn(val)
+		}
 	}
 	rm.EnterQstate()
 	return val, found, true
@@ -1131,8 +1179,8 @@ func (h *Map[V]) lookupBody(hd *Handle[V], key int64, hash uint64) (val V, found
 // findBody is one find to key's position: Get under per-record protection,
 // and the pass a Delete makes to see its victim unlinked. done=false means
 // restart (a protection validation or an unlink CAS failed, or the attempt
-// was neutralized).
-func (h *Map[V]) findBody(hd *Handle[V], key int64, hash uint64) (val V, found, done bool) {
+// was neutralized). fn, when non-nil, sees the value of a found node.
+func (h *Map[V]) findBody(hd *Handle[V], key int64, hash uint64, fn func(V)) (val V, found, done bool) {
 	rm := hd.rm
 	if h.crashRecovery {
 		defer neutralize.OnNeutralized(hd.rm, func(neutralize.Neutralized) {
@@ -1153,6 +1201,9 @@ func (h *Map[V]) findBody(hd *Handle[V], key int64, hash uint64) (val V, found, 
 	}
 	if pos.found {
 		val, found = pos.curr.value, true
+		if fn != nil {
+			fn(val)
+		}
 	}
 	rm.EnterQstate()
 	h.releasePos(hd, pos)

@@ -61,7 +61,7 @@ func linkingBy(tid int) uint32 { return kindLinking | uint32(tid)<<slotShift }
 //	                            bucket index; marker: 0. The list is sorted by (sokey, key)
 //	16  next   *Node            successor; a marked node's next is its marker, a
 //	                            marker's next the frozen successor
-//	24  value  V                regular only
+//	24  value  V                regular: the value; marker: whatever it last held
 //	28  meta   uint32           bits 0-7 kind, bit 8 reclaimtest poison flag,
 //	                            bits 9-31 the claimer's slot while a head is linking
 //
@@ -172,11 +172,11 @@ func initRegular[V any](n *Node[V], key int64, value V, sokey uint64, next *Node
 }
 
 // initMarker (re)initialises a recycled record as a deletion marker whose
-// frozen successor is next.
+// frozen successor is next. The value is left alone: nobody reads a marker's
+// value, and the storage it holds comes back to UpsertFunc's fill when the
+// record is a node again.
 func initMarker[V any](n *Node[V], next *Node[V]) {
-	var zero V
 	n.key = 0
-	n.value = zero
 	n.sokey = 0
 	n.setKind(kindMarker)
 	n.next.Store(next)

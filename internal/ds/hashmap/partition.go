@@ -239,7 +239,7 @@ func (h *PartitionedHandle[V]) Part(p int) *Handle[V] { return h.hs[p] }
 // Get returns the value associated with key and whether it is present.
 func (h *PartitionedHandle[V]) Get(key int64) (V, bool) {
 	hash := hashOf(key)
-	return h.hs[route(hash, len(h.hs))].getHashed(key, hash)
+	return h.hs[route(hash, len(h.hs))].getHashed(key, hash, nil)
 }
 
 // Contains reports whether key is present.
@@ -265,5 +265,5 @@ func (h *PartitionedHandle[V]) Delete(key int64) bool {
 // was present (see Handle.Upsert for the replace protocol).
 func (h *PartitionedHandle[V]) Upsert(key int64, value V) (V, bool) {
 	hash := hashOf(key)
-	return h.hs[route(hash, len(h.hs))].upsertHashed(key, hash, value)
+	return h.hs[route(hash, len(h.hs))].upsertHashed(key, hash, value, nil)
 }

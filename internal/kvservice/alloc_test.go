@@ -2,6 +2,7 @@ package kvservice_test
 
 import (
 	"net"
+	"runtime"
 	"testing"
 
 	"repro/internal/kvservice"
@@ -10,15 +11,15 @@ import (
 )
 
 // These tests enforce the zero-alloc steady state of the server's request
-// path with testing.AllocsPerRun. The count is process-wide (the server's
-// goroutines run in this process), so the client loop below must itself be
-// allocation-free: a pre-encoded request frame, one Write, one ReadFrame
-// into a reused buffer. Whatever AllocsPerRun reports is then the server's
-// per-request cost plus the amortised tails (arena chunk growth, pool block
-// recycling), which is exactly the bound the batch path is designed to hold.
+// path. The counts are process-wide (the server's goroutines run in this
+// process), so the client loop below must itself be allocation-free: a
+// pre-encoded request frame, one Write, one ReadFrame into a reused buffer.
+// Whatever is measured is then the server's per-request cost plus the
+// amortised tails (pool block recycling), which is exactly the bound the
+// batch path is designed to hold.
 
-// allocClient is the zero-allocation closed-loop client driven inside
-// AllocsPerRun.
+// allocClient is the zero-allocation closed-loop client driven inside the
+// measurements.
 type allocClient struct {
 	t    *testing.T
 	conn net.Conn
@@ -37,10 +38,9 @@ func (c *allocClient) do() {
 	c.buf = payload
 }
 
-// measureServerAllocs starts a server, warms the connection's buffers and the
-// map past every growth tail, and returns the steady-state allocations per
-// round trip of the given request frame.
-func measureServerAllocs(t *testing.T, req []byte) float64 {
+// warmClient starts a server and returns a client that sends req, with the
+// connection's buffers and the map warmed past every growth tail.
+func warmClient(t *testing.T, req []byte) *allocClient {
 	t.Helper()
 	srv, addr := startServer(t, kvservice.Config{
 		Scheme:  recordmgr.SchemeDEBRA,
@@ -49,31 +49,32 @@ func measureServerAllocs(t *testing.T, req []byte) float64 {
 		// measurement: the test bounds the request path, not slot turnover.
 		Burst: 1 << 20,
 	})
-	defer srv.Close()
+	t.Cleanup(srv.Close)
 	conn, err := net.Dial(addr.Network(), addr.String())
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}
-	defer conn.Close()
+	t.Cleanup(func() { conn.Close() })
 
 	c := &allocClient{t: t, conn: conn, buf: make([]byte, 256)}
 	// Seed the key so GETs hit and PUTs replace, then warm: the first requests
-	// grow the connection's read/write buffers, the value arena and the map
-	// node pool, all of which must be out of the way before counting.
+	// grow the connection's read/write buffers, the map node pool and the
+	// stored-value arrays its records carry, all of which must be out of the
+	// way before counting.
 	c.req = kvwire.AppendPut(nil, 1, make([]byte, 16))
 	c.do()
 	c.req = req
 	for i := 0; i < 2000; i++ {
 		c.do()
 	}
-	return testing.AllocsPerRun(5000, c.do)
+	return c
 }
 
 func TestSteadyStateGetAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation measurement is a long loop")
 	}
-	allocs := measureServerAllocs(t, kvwire.AppendGet(nil, 1))
+	allocs := testing.AllocsPerRun(5000, warmClient(t, kvwire.AppendGet(nil, 1)).do)
 	t.Logf("steady-state GET: %.3f allocs/op (process-wide)", allocs)
 	if allocs > 1 {
 		t.Fatalf("steady-state GET allocates %.3f/op, want <= 1", allocs)
@@ -84,12 +85,35 @@ func TestSteadyStatePutAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation measurement is a long loop")
 	}
-	allocs := measureServerAllocs(t, kvwire.AppendPut(nil, 1, make([]byte, 16)))
+	allocs := testing.AllocsPerRun(5000, warmClient(t, kvwire.AppendPut(nil, 1, make([]byte, 16))).do)
 	t.Logf("steady-state PUT: %.3f allocs/op (process-wide)", allocs)
-	// PUT carries the amortised tails GET does not: a fresh 64KiB value-arena
-	// chunk every ~4096 16-byte values and the pool's block recycling under
-	// retire pressure.
+	// PUT carries an amortised tail GET does not: the pool's block recycling
+	// under retire pressure.
 	if allocs > 2 {
 		t.Fatalf("steady-state PUT allocates %.3f/op, want <= 2", allocs)
+	}
+}
+
+// TestSteadyStatePutBytes bounds the bytes, not the allocations, of a
+// steady-state PUT: the value is written into the array its recycled node
+// last held, so a replacing PUT allocates nothing for it. AllocsPerRun cannot
+// see a 16-byte copy per request that is carved out of a larger chunk — it
+// rounds one chunk per few thousand requests down to zero — TotalAlloc can.
+func TestSteadyStatePutBytes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation measurement is a long loop")
+	}
+	c := warmClient(t, kvwire.AppendPut(nil, 1, make([]byte, 16)))
+	const rounds = 20000
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < rounds; i++ {
+		c.do()
+	}
+	runtime.ReadMemStats(&after)
+	perOp := float64(after.TotalAlloc-before.TotalAlloc) / rounds
+	t.Logf("steady-state PUT: %.3f B/op (process-wide)", perOp)
+	if perOp > 1 {
+		t.Fatalf("steady-state PUT allocates %.3f B/op, want <= 1", perOp)
 	}
 }

@@ -8,9 +8,13 @@
 // executed under a single slot acquisition with each partition's handle
 // entered once, and answered with a single flushed write — so a pipelining
 // client amortises the per-request syscall and framing cost, and the
-// steady-state GET/PUT path performs no per-request heap allocation
-// (per-connection reusable buffers plus an arena for stored values; see
-// alloc_test.go for the enforced bounds).
+// steady-state GET/PUT path performs no per-request heap allocation (see
+// alloc_test.go for the enforced bounds). The connection's buffers are
+// reused, and so are stored values' bytes: a value lives in an array owned
+// by its map node, a PUT writes into the array the recycled node last held
+// (hashmap UpsertFunc), so the bytes are reused when the scheme frees the
+// node, and a GET copies the value out while the node is still protected
+// (hashmap View). No response body refers to stored bytes.
 //
 // The server is the library's deployment story made concrete (the paper
 // pitches epoch-based reclamation exactly at long-running services, where
@@ -38,6 +42,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math/bits"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -416,61 +421,41 @@ type connState struct {
 	parts   []int            // reqs[i]'s partition, when grouping
 	results []reqResult      // reqs[i]'s outcome, emitted in request order
 
-	out   []byte   // staged response bytes, flushed once per batch
-	big   [][]byte // large bodies spliced into the write vector uncopied
-	marks []int    // out offsets where big[i] splices in
-	vecs  [][]byte // write-vector assembly scratch (net.Buffers)
-
-	flagByte [1]byte    // scratch for 1-byte PUT/DEL flag bodies
-	arena    valueArena // owns the memory of stored PUT values
+	vals []byte // the batch's response bodies, which results index
+	out  []byte // staged response bytes, flushed once per batch
 }
 
 // reqResult is one request's outcome, buffered so a partition-grouped batch
 // can execute out of request order but respond in it.
 type reqResult struct {
 	status kvwire.Status
-	body   []byte // GET hit value (aliases the stored value); nil otherwise
-	flag   byte   // PUT replaced / DEL existed flag
-	isFlag bool   // the response body is the single flag byte
+	lo, hi int // the response body is vals[lo:hi]
 }
 
-// bigBodyMin is the response-body size past which flush splices the body
-// into the write vector (net.Buffers) instead of copying it through the
-// staging buffer.
-const bigBodyMin = 2048
-
-// valueArena carves stored map values out of large chunks, so a steady-state
-// PUT costs one bulk allocation per ~64 KiB of value bytes instead of one
-// allocation per request. Carved regions are never reused: a chunk's memory
-// is owned by the values cut from it and reclaimed by the garbage collector
-// when the map no longer references them.
-type valueArena struct {
-	chunk []byte
+// body appends a response body to the batch's vals and returns its result.
+func (cs *connState) body(status kvwire.Status, b ...byte) reqResult {
+	lo := len(cs.vals)
+	cs.vals = append(cs.vals, b...)
+	return reqResult{status: status, lo: lo, hi: len(cs.vals)}
 }
 
-// arenaChunkSize is the arena's allocation granule.
-const arenaChunkSize = 64 << 10
+// minValueClass is the smallest stored-value array. Arrays come in
+// power-of-two classes from it, and a PUT reuses a node's array only for a
+// value of the array's class, so no node holds more than twice its value.
+const minValueClass = 16
 
-// emptyValue is the shared backing for zero-length PUT values.
-var emptyValue = []byte{}
-
-// copyOf returns a stable copy of v carved from the arena.
-func (a *valueArena) copyOf(v []byte) []byte {
-	n := len(v)
-	if n == 0 {
-		return emptyValue
+// store returns v copied into old — the array of the recycled node a PUT
+// publishes — when old is of v's class, else into a fresh array of that
+// class.
+func store(old, v []byte) []byte {
+	class := minValueClass
+	if len(v) > class {
+		class = 1 << bits.Len(uint(len(v)-1))
 	}
-	if n > len(a.chunk) {
-		size := arenaChunkSize
-		if n > size {
-			size = n
-		}
-		a.chunk = make([]byte, size)
+	if cap(old) != class {
+		old = make([]byte, 0, class)
 	}
-	dst := a.chunk[:n:n]
-	a.chunk = a.chunk[n:]
-	copy(dst, v)
-	return dst
+	return append(old[:0], v...)
 }
 
 // serveConn runs one connection batch-at-a-time: decode every complete
@@ -667,6 +652,7 @@ func (s *Server) fill(conn net.Conn, cs *connState, bound bool, frameStart *time
 // or one carrying STATS (whose inline snapshot must see the requests before
 // it) or an unknown opcode — executes in strict request order.
 func (s *Server) executeBatch(cs *connState, h *hashmap.PartitionedHandle[[]byte], local *tally) {
+	cs.vals = cs.vals[:0]
 	grouped := s.cfg.Partitions > 1 && len(cs.reqs) > 1
 	for i := 0; grouped && i < len(cs.reqs); i++ {
 		op := cs.reqs[i].Op
@@ -674,7 +660,7 @@ func (s *Server) executeBatch(cs *connState, h *hashmap.PartitionedHandle[[]byte
 	}
 	if !grouped {
 		for i := range cs.reqs {
-			r := s.execute(h, cs.reqs[i], &cs.arena, local)
+			r := s.execute(h, cs, cs.reqs[i], local)
 			cs.emit(&r)
 		}
 		return
@@ -693,7 +679,7 @@ func (s *Server) executeBatch(cs *connState, h *hashmap.PartitionedHandle[[]byte
 		hd := h.Part(p)
 		for i := range cs.reqs {
 			if cs.parts[i] == p {
-				cs.results[i] = executeOne(hd, cs.reqs[i], &cs.arena, local)
+				cs.results[i] = cs.executeOne(hd, cs.reqs[i], local)
 			}
 		}
 	}
@@ -705,106 +691,67 @@ func (s *Server) executeBatch(cs *connState, h *hashmap.PartitionedHandle[[]byte
 // execute runs one request of any opcode: the data plane through executeOne
 // on the key's partition, STATS as an inline snapshot that observes the
 // operations before it in the same batch, anything else as ERR.
-func (s *Server) execute(h *hashmap.PartitionedHandle[[]byte], req kvwire.Request, arena *valueArena, local *tally) reqResult {
+func (s *Server) execute(h *hashmap.PartitionedHandle[[]byte], cs *connState, req kvwire.Request, local *tally) reqResult {
 	switch req.Op {
 	case kvwire.OpGet, kvwire.OpPut, kvwire.OpDel:
-		return executeOne(h.Part(s.pm.PartitionFor(req.Key)), req, arena, local)
+		return cs.executeOne(h.Part(s.pm.PartitionFor(req.Key)), req, local)
 	case kvwire.OpStats:
 		local.statsReqs++
 		body, err := json.Marshal(s.snapshotLocked(local))
 		if err != nil {
-			return reqResult{status: kvwire.StatusErr, body: []byte(err.Error())}
+			return cs.body(kvwire.StatusErr, []byte(err.Error())...)
 		}
-		return reqResult{status: kvwire.StatusOK, body: body}
+		return cs.body(kvwire.StatusOK, body...)
 	default:
-		return reqResult{status: kvwire.StatusErr, body: []byte(kvwire.ErrUnknownOp.Error())}
+		return cs.body(kvwire.StatusErr, []byte(kvwire.ErrUnknownOp.Error())...)
 	}
 }
 
 // executeOne runs one data-plane request against its partition's handle.
-// Mutating requests copy their value bytes into the arena before the map sees
-// them (the inbound buffer is reused; stored values must own their memory).
-func executeOne(hd *hashmap.Handle[[]byte], req kvwire.Request, arena *valueArena, local *tally) reqResult {
+// PUT copies its value out of the inbound buffer, which is reused, into the
+// stored array; GET copies the stored value into vals before its node's
+// protection ends, after which the scheme may recycle the array.
+func (cs *connState) executeOne(hd *hashmap.Handle[[]byte], req kvwire.Request, local *tally) reqResult {
+	var flag byte
 	switch req.Op {
 	case kvwire.OpGet:
 		local.gets++
-		if v, ok := hd.Get(req.Key); ok {
-			local.getHits++
-			return reqResult{status: kvwire.StatusOK, body: v}
+		lo := len(cs.vals)
+		// Truncating to lo first makes a retried (neutralized) read idempotent.
+		if !hd.View(req.Key, func(v []byte) { cs.vals = append(cs.vals[:lo], v...) }) {
+			return cs.body(kvwire.StatusNotFound)
 		}
-		return reqResult{status: kvwire.StatusNotFound}
+		local.getHits++
+		return reqResult{status: kvwire.StatusOK, lo: lo, hi: len(cs.vals)}
 	case kvwire.OpPut:
 		local.puts++
-		_, replaced := hd.Upsert(req.Key, arena.copyOf(req.Value))
-		r := reqResult{status: kvwire.StatusOK, isFlag: true}
-		if replaced {
+		if hd.UpsertFunc(req.Key, func(old []byte) []byte { return store(old, req.Value) }) {
 			local.putReplaced++
-			r.flag = 1
+			flag = 1
 		}
-		return r
 	default: // kvwire.OpDel — the callers admit no other opcode
 		local.dels++
-		r := reqResult{status: kvwire.StatusOK, isFlag: true}
 		if hd.Delete(req.Key) {
 			local.delHits++
-			r.flag = 1
+			flag = 1
 		}
-		return r
 	}
+	return cs.body(kvwire.StatusOK, flag)
 }
 
-// emit stages one response. Small bodies are copied into the staging buffer;
-// bodies past bigBodyMin are framed there but spliced into the write vector
-// uncopied (flush turns the splice points into a net.Buffers vectored
-// write).
+// emit stages one response in the output buffer.
 func (cs *connState) emit(r *reqResult) {
-	switch {
-	case r.isFlag:
-		cs.flagByte[0] = r.flag
-		cs.out = kvwire.AppendResponse(cs.out, r.status, cs.flagByte[:])
-	case len(r.body) >= bigBodyMin:
-		cs.out = kvwire.AppendResponseHeader(cs.out, r.status, len(r.body))
-		cs.marks = append(cs.marks, len(cs.out))
-		cs.big = append(cs.big, r.body)
-	default:
-		cs.out = kvwire.AppendResponse(cs.out, r.status, r.body)
-	}
+	cs.out = kvwire.AppendResponse(cs.out, r.status, cs.vals[r.lo:r.hi])
 }
 
-// flush writes every staged response in one call: a plain Write when all
-// bodies were copied into the staging buffer, a net.Buffers vectored write
-// when large bodies were spliced in. The whole batch shares one
+// flush writes every staged response in one call. The whole batch shares one
 // WriteTimeout, like the single response it replaces on the wire.
 func (cs *connState) flush(conn net.Conn, timeout time.Duration) error {
-	if len(cs.out) == 0 && len(cs.big) == 0 {
+	if len(cs.out) == 0 {
 		return nil
 	}
 	conn.SetWriteDeadline(time.Now().Add(timeout))
-	var err error
-	if len(cs.big) == 0 {
-		_, err = conn.Write(cs.out)
-	} else {
-		vecs := cs.vecs[:0]
-		prev := 0
-		for i, m := range cs.marks {
-			if m > prev {
-				vecs = append(vecs, cs.out[prev:m])
-			}
-			vecs = append(vecs, cs.big[i])
-			prev = m
-		}
-		if prev < len(cs.out) {
-			vecs = append(vecs, cs.out[prev:])
-		}
-		bufs := net.Buffers(vecs)
-		_, err = bufs.WriteTo(conn)
-		cs.vecs = vecs[:0]
-		for i := range cs.big {
-			cs.big[i] = nil // drop the stored-value references
-		}
-		cs.big = cs.big[:0]
-		cs.marks = cs.marks[:0]
-	}
+	_, err := conn.Write(cs.out)
 	cs.out = cs.out[:0]
 	return err
 }

@@ -17,16 +17,6 @@ func TestAppendResponseAllocs(t *testing.T) {
 	}
 }
 
-func TestAppendResponseHeaderAllocs(t *testing.T) {
-	dst := AppendResponseHeader(nil, StatusOK, 4096)
-	allocs := testing.AllocsPerRun(1000, func() {
-		dst = AppendResponseHeader(dst[:0], StatusOK, 4096)
-	})
-	if allocs != 0 {
-		t.Fatalf("AppendResponseHeader into a reused buffer allocates %.1f/op, want 0", allocs)
-	}
-}
-
 func TestDecodeRequestsAllocs(t *testing.T) {
 	var stream []byte
 	for i := int64(0); i < 8; i++ {

@@ -210,21 +210,6 @@ func AppendResponse(dst []byte, status Status, body []byte) []byte {
 	return patchLen(dst, off)
 }
 
-// AppendResponseHeader appends a response frame's length prefix and status
-// byte for a body of bodyLen bytes the caller will put on the wire itself
-// (vectored writes: a large body is framed here but not copied through the
-// staging buffer — see net.Buffers). Panics for bodies too long to frame, as
-// for AppendResponse.
-func AppendResponseHeader(dst []byte, status Status, bodyLen int) []byte {
-	if bodyLen > MaxPayload-1 {
-		panic(ErrFrameTooLarge)
-	}
-	dst, off := appendPrefix(dst)
-	dst = append(dst, byte(status))
-	binary.BigEndian.PutUint32(dst[off:], uint32(bodyLen+1))
-	return dst
-}
-
 // ReadFrame reads one frame from r and returns its payload, reusing buf when
 // it is large enough. It returns ErrFrameTooLarge for a length prefix above
 // MaxPayload and ErrEmptyFrame for a zero length — both before consuming any
