@@ -52,17 +52,15 @@ stress-hashmap:
 stress-kvservice:
 	$(GO) test -race -count=10 -timeout 10m -run 'StressValueIntegrity' ./internal/kvservice
 
-## fuzz-smoke: short fuzzing pass over the kvwire frame and request decoders.
-## go test accepts one -fuzz target per invocation, so the targets run back to
-## back; the anchored patterns keep FuzzDecodeRequest from also matching
-## FuzzDecodeRequests (the batch decoder, which additionally cross-checks
-## itself against the sequential ReadFrame+DecodeRequest path). The committed
-## seed corpora plus a few seconds of mutation per target catch frame-parsing
-## regressions without turning CI into a fuzz farm.
+## fuzz-smoke: 5 s of fuzzing per target — the kvwire frame and request
+## decoders, and the hash map's key <-> split-order key round trip. go test
+## takes one -fuzz target per run, and the anchors keep FuzzDecodeRequest from
+## also matching FuzzDecodeRequests.
 fuzz-smoke:
 	$(GO) test ./internal/kvwire -run='^$$' -fuzz='^FuzzReadFrame$$' -fuzztime=5s
 	$(GO) test ./internal/kvwire -run='^$$' -fuzz='^FuzzDecodeRequest$$' -fuzztime=5s
 	$(GO) test ./internal/kvwire -run='^$$' -fuzz='^FuzzDecodeRequests$$' -fuzztime=5s
+	$(GO) test ./internal/ds/hashmap -run='^$$' -fuzz='^FuzzSoKeyRoundTrip$$' -fuzztime=5s
 
 ## bench-smoke: the cmd/reclaimbench sweep's smoke run, best of 3 per cell, JSON to
 ## bench-smoke.json (CI artifact, archived under bench-history/); the experiment

@@ -173,8 +173,8 @@ func TestClaimRestartHP(t *testing.T) {
 	m := buildMap(t, recordmgr.SchemeHP, 2, WithInitialBuckets(2), WithMaxBuckets(2))
 	hs := reclaimtest.AcquireSlots(2, m.AcquireHandle)
 	claimRestart(t, m, hs, func(visited *Node[int64]) {
-		if !hs[1].Delete(visited.key) {
-			t.Errorf("Delete(%d) under the claimer failed", visited.key)
+		if !hs[1].Delete(visited.Key()) {
+			t.Errorf("Delete(%d) under the claimer failed", visited.Key())
 		}
 	})
 }
@@ -208,7 +208,7 @@ func unlinkFixture(t *testing.T, scheme string) (m *Map[int64], hs []*Handle[int
 	wedge := int64(100)
 	for ; ; wedge++ {
 		so := regularSoKey(hashOf(wedge))
-		if soLess(pred.sokey, pred.key, so, wedge) && soLess(so, wedge, n.sokey, n.key) {
+		if pred.cmp(so, rankRegular) < 0 && n.cmp(so, rankRegular) > 0 {
 			break
 		}
 	}

@@ -36,7 +36,7 @@ func linked(m *Map[int64], key int64) bool {
 // nodeOf returns the regular node holding key if it is on the list.
 func nodeOf(m *Map[int64], key int64) *Node[int64] {
 	for n := &m.head; n != nil; n = n.next.Load() {
-		if n.kind() == kindRegular && n.key == key {
+		if n.kind() == kindRegular && n.Key() == key {
 			return n
 		}
 	}
@@ -112,7 +112,7 @@ func TestGetCrossesUnlinkedPairs(t *testing.T) {
 			a, b, target := keys[2], keys[3], keys[4]
 			fired := false
 			m.SetVisitHook(func(tid int, n *Node[int64]) {
-				if tid != 0 || fired || n.kind() != kindRegular || n.key != a {
+				if tid != 0 || fired || n.kind() != kindRegular || n.Key() != a {
 					return
 				}
 				fired = true

@@ -40,6 +40,14 @@
 // CASes the bucket count, and a new bucket's head is spliced into the
 // split-ordered list on first access (no node is ever rehashed or moved).
 //
+// A node stores no user key. A regular node's split-order key is its mixed
+// hash bit-reversed, and both steps are bijections, so the sokey is the key
+// (Node.Key inverts it) and no two regular nodes share one. Bucket b's head
+// carries b bit-reversed, which is at most the sokey of every key in the
+// bucket and equal to exactly one: the key whose hash is b. The list is
+// sorted by (sokey, rank), where a head ranks before a regular node, so
+// placing a node against a search target reads its kind only on a sokey tie.
+//
 // # Entering a bucket: the claim protocol
 //
 // A head's meta word starts at zero ("unclaimed": segment memory is zeroed).
@@ -249,15 +257,12 @@ type Map[V any] struct {
 	mgr  *Manager[V]
 	head Node[V] // bucket 0's head: the head of the split-ordered list
 
-	size  atomic.Uint64 // current bucket count (power of two)
-	count atomic.Int64  // regular nodes inserted minus logically deleted
+	size atomic.Uint64 // current bucket count (power of two)
 
 	maxLoad    int64
 	maxBuckets uint64
 
 	segments [maxSegments]atomic.Pointer[segment[V]]
-	growing  atomic.Bool  // a thread is allocating the next segment (maybeGrow)
-	overFull atomic.Int64 // inserts that found the table over its load limit since it last doubled
 	spares   []spareSlot[V]
 	handles  []Handle[V]
 
@@ -271,6 +276,15 @@ type Map[V any] struct {
 	visit func(tid int, n *Node[V])
 
 	stats []threadStats
+
+	// The words every insert or delete writes, padded off the lines above:
+	// every operation loads size, segments and head, and an RMW here on one
+	// core would otherwise evict them from the other's cache.
+	_        [core.PadBytes]byte
+	count    atomic.Int64 // regular nodes inserted minus logically deleted
+	overFull atomic.Int64 // inserts that found the table over its load limit since it last doubled
+	growing  atomic.Bool  // a thread is allocating the next segment (maybeGrow)
+	_        [core.PadBytes]byte
 }
 
 // New creates an empty map whose records are managed by mgr, for the given
@@ -485,7 +499,7 @@ func (h *Map[V]) linkHead(hd *Handle[V], b uint64, d *Node[V]) (*Node[V], bool) 
 	}
 	sokey := dummySoKey(b)
 	for {
-		pos, ok := h.find(hd, start, sokey, 0)
+		pos, ok := h.find(hd, start, sokey, rankHead)
 		if !ok {
 			return nil, false
 		}
@@ -572,16 +586,16 @@ func (h *Map[V]) releasePos(hd *Handle[V], pos findPos[V]) {
 	}
 }
 
-// find walks the bucket list from start to the position of (sokey, key),
+// find walks the bucket list from start to the position of (sokey, rank),
 // physically unlinking any marked node it passes (Michael's find). ok=false
 // means a protection validation or an unlink CAS failed and the operation
 // must restart; every protection has been released in that case.
 //
 // On ok=true the returned position holds: pred protected (unless it is
 // start, which is a dummy and never retired), curr protected (when non-nil),
-// and found reporting whether curr's (sokey, key) equals the search key.
+// and found reporting whether curr is the node at (sokey, rank).
 // The caller must eventually releasePos.
-func (h *Map[V]) find(hd *Handle[V], start *Node[V], sokey uint64, key int64) (findPos[V], bool) {
+func (h *Map[V]) find(hd *Handle[V], start *Node[V], sokey uint64, rank int) (findPos[V], bool) {
 	rm := hd.rm
 	pos := findPos[V]{pred: start}
 	curr := start.next.Load()
@@ -655,13 +669,13 @@ func (h *Map[V]) find(hd *Handle[V], start *Node[V], sokey uint64, key int64) (f
 				return pos, false
 			}
 		}
-		if !soLess(curr.sokey, curr.key, sokey, key) {
+		if c := curr.cmp(sokey, rank); c >= 0 {
 			if h.perRecord && next != nil {
 				rm.Unprotect(next)
 			}
 			pos.curr = curr
 			pos.currProt = h.perRecord
-			pos.found = curr.sokey == sokey && curr.key == key
+			pos.found = c == 0
 			return pos, true
 		}
 		// Advance the window: curr's protection slides to the pred slot,
@@ -706,19 +720,20 @@ const (
 // key was inserted and false if it was already present (the value is not
 // replaced, matching the set semantics of the module's other structures).
 func (hd *Handle[V]) Insert(key int64, value V) bool {
-	return hd.insertHashed(key, hashOf(key), value)
+	return hd.insertHashed(hashOf(key), value)
 }
 
 // insertHashed is Insert for a caller that already holds hashOf(key) (the
-// partitioned wrapper routes on it).
-func (hd *Handle[V]) insertHashed(key int64, hash uint64, value V) bool {
+// partitioned wrapper routes on it). The hash is the key: hashing is a
+// bijection, and the keyed operations below all take the hash alone.
+func (hd *Handle[V]) insertHashed(hash uint64, value V) bool {
 	h := hd.h
 	// Quiescent preamble: obtain the node the body may publish. Allocation
 	// is not re-entrant, so it must not happen inside the body (which can be
 	// neutralized and re-run).
 	node := hd.scratch()
 	for {
-		switch h.insertBody(hd, key, hash, value, node) {
+		switch h.insertBody(hd, hash, value, node) {
 		case opTrue:
 			return true
 		case opFalse:
@@ -734,7 +749,7 @@ func (hd *Handle[V]) insertHashed(key int64, hash uint64, value V) bool {
 // is captured in published before EnterQstate (which can deliver a pending
 // neutralization), so recovery decides retry-vs-success from local state
 // alone and never touches shared records.
-func (h *Map[V]) insertBody(hd *Handle[V], key int64, hash uint64, value V, node *Node[V]) (outcome int) {
+func (h *Map[V]) insertBody(hd *Handle[V], hash uint64, value V, node *Node[V]) (outcome int) {
 	rm := hd.rm
 	published := false
 	if h.crashRecovery {
@@ -753,7 +768,7 @@ func (h *Map[V]) insertBody(hd *Handle[V], key int64, hash uint64, value V, node
 		rm.EnterQstate()
 		return opRetry
 	}
-	pos, ok := h.find(hd, start, sokey, key)
+	pos, ok := h.find(hd, start, sokey, rankRegular)
 	if !ok {
 		rm.EnterQstate()
 		return opRetry
@@ -763,7 +778,7 @@ func (h *Map[V]) insertBody(hd *Handle[V], key int64, hash uint64, value V, node
 		h.releasePos(hd, pos)
 		return opFalse
 	}
-	initRegular(node, key, value, sokey, pos.curr)
+	initRegular(node, value, sokey, pos.curr)
 	if pos.pred.next.CompareAndSwap(pos.curr, node) {
 		published = true
 		h.count.Add(1)
@@ -778,14 +793,14 @@ func (h *Map[V]) insertBody(hd *Handle[V], key int64, hash uint64, value V, node
 }
 
 // Delete removes key from the map, returning true if it was present.
-func (hd *Handle[V]) Delete(key int64) bool { return hd.deleteHashed(key, hashOf(key)) }
+func (hd *Handle[V]) Delete(key int64) bool { return hd.deleteHashed(hashOf(key)) }
 
-func (hd *Handle[V]) deleteHashed(key int64, hash uint64) bool {
+func (hd *Handle[V]) deleteHashed(hash uint64) bool {
 	h := hd.h
 	// Quiescent preamble: obtain the marker the body may publish.
 	marker := hd.scratch()
 	for {
-		outcome, unlinkedN, unlinkedM := h.deleteBody(hd, key, hash, marker)
+		outcome, unlinkedN, unlinkedM := h.deleteBody(hd, hash, marker)
 		switch outcome {
 		case opTrue:
 			// Quiescent postamble. The removal takes effect when the victim
@@ -801,7 +816,7 @@ func (hd *Handle[V]) deleteHashed(key int64, hash uint64) bool {
 				return true
 			}
 			for {
-				if _, _, done := h.findBody(hd, key, hash, nil); done {
+				if _, _, done := h.findBody(hd, hash, nil); done {
 					return true
 				}
 				hd.st.restarts.Inc()
@@ -820,7 +835,7 @@ func (hd *Handle[V]) deleteHashed(key int64, hash uint64) bool {
 // captured in marked before any further checkpoint, so neutralization
 // recovery never has to guess whether the delete took hold. The removal
 // linearizes at the victim's unlink, which the caller sees through.
-func (h *Map[V]) deleteBody(hd *Handle[V], key int64, hash uint64, marker *Node[V]) (outcome int, unlinkedN, unlinkedM *Node[V]) {
+func (h *Map[V]) deleteBody(hd *Handle[V], hash uint64, marker *Node[V]) (outcome int, unlinkedN, unlinkedM *Node[V]) {
 	rm := hd.rm
 	marked := false
 	if h.crashRecovery {
@@ -842,7 +857,7 @@ func (h *Map[V]) deleteBody(hd *Handle[V], key int64, hash uint64, marker *Node[
 		rm.EnterQstate()
 		return opRetry, nil, nil
 	}
-	pos, ok := h.find(hd, start, sokey, key)
+	pos, ok := h.find(hd, start, sokey, rankRegular)
 	if !ok {
 		rm.EnterQstate()
 		return opRetry, nil, nil
@@ -938,7 +953,7 @@ const (
 // find has unlinked the old node — followed by an Insert, and only then can a
 // concurrent reader observe the key absent in between.
 func (hd *Handle[V]) Upsert(key int64, value V) (prev V, replaced bool) {
-	return hd.upsertHashed(key, hashOf(key), value, nil)
+	return hd.upsertHashed(hashOf(key), value, nil)
 }
 
 // UpsertFunc is Upsert for a map that recycles its values' storage (see
@@ -951,13 +966,13 @@ func (hd *Handle[V]) Upsert(key int64, value V) (prev V, replaced bool) {
 // later fill once the scheme frees its node.
 func (hd *Handle[V]) UpsertFunc(key int64, fill func(old V) V) (replaced bool) {
 	var zero V
-	_, replaced = hd.upsertHashed(key, hashOf(key), zero, fill)
+	_, replaced = hd.upsertHashed(hashOf(key), zero, fill)
 	return replaced
 }
 
 // upsertHashed is Upsert, or UpsertFunc when fill is non-nil (value is then
 // unused).
-func (hd *Handle[V]) upsertHashed(key int64, hash uint64, value V, fill func(V) V) (prev V, replaced bool) {
+func (hd *Handle[V]) upsertHashed(hash uint64, value V, fill func(V) V) (prev V, replaced bool) {
 	h := hd.h
 	// Quiescent preamble: obtain the node the body publishes and the marker
 	// a replacement consumes (obtained again when an attempt consumes it
@@ -972,7 +987,7 @@ func (hd *Handle[V]) upsertHashed(key int64, hash uint64, value V, fill func(V) 
 		if marker == nil {
 			marker = hd.scratch()
 		}
-		outcome, pv, uN, uM := h.upsertBody(hd, key, hash, value, node, marker)
+		outcome, pv, uN, uM := h.upsertBody(hd, hash, value, node, marker)
 		switch outcome {
 		case opUpsertInserted:
 			// prev/replaced may have been set by an earlier attempt that
@@ -1001,7 +1016,7 @@ func (hd *Handle[V]) upsertHashed(key int64, hash uint64, value V, fill func(V) 
 // published); both locals are set before any further checkpoint so
 // neutralization recovery reconstructs the outcome from local state alone,
 // exactly as in insertBody/deleteBody.
-func (h *Map[V]) upsertBody(hd *Handle[V], key int64, hash uint64, value V, node, marker *Node[V]) (outcome int, prevVal V, unlinkedN, unlinkedM *Node[V]) {
+func (h *Map[V]) upsertBody(hd *Handle[V], hash uint64, value V, node, marker *Node[V]) (outcome int, prevVal V, unlinkedN, unlinkedM *Node[V]) {
 	rm := hd.rm
 	published := false
 	marked := false
@@ -1029,14 +1044,14 @@ func (h *Map[V]) upsertBody(hd *Handle[V], key int64, hash uint64, value V, node
 		rm.EnterQstate()
 		return opRetry, prevVal, nil, nil
 	}
-	pos, ok := h.find(hd, start, sokey, key)
+	pos, ok := h.find(hd, start, sokey, rankRegular)
 	if !ok {
 		rm.EnterQstate()
 		return opRetry, prevVal, nil, nil
 	}
 	if !pos.found {
 		// Absent: plain insert (cf. insertBody).
-		initRegular(node, key, value, sokey, pos.curr)
+		initRegular(node, value, sokey, pos.curr)
 		if pos.pred.next.CompareAndSwap(pos.curr, node) {
 			published = true
 			h.count.Add(1)
@@ -1084,15 +1099,16 @@ func (h *Map[V]) upsertBody(hd *Handle[V], key int64, hash uint64, value V, node
 	if n.next.CompareAndSwap(s, marker) {
 		// The removal is ours. Replace the pair with the new node: node
 		// takes n's place with n's frozen successor, and this one CAS is
-		// where the old binding leaves and the new one arrives.
+		// where the old binding leaves and the new one arrives. The count
+		// moves only if the replacement falls apart into a removal.
 		marked = true
-		h.count.Add(-1)
-		initRegular(node, key, value, sokey, s)
+		initRegular(node, value, sokey, s)
 		if pos.pred.next.CompareAndSwap(n, node) {
 			published = true
-			h.count.Add(1)
 			unlinkedN, unlinkedM = n, marker
 			hd.st.unlinks.Inc()
+		} else {
+			h.count.Add(-1)
 		}
 		rm.EnterQstate()
 		if h.perRecord && s != nil {
@@ -1113,7 +1129,7 @@ func (h *Map[V]) upsertBody(hd *Handle[V], key int64, hash uint64, value V, node
 }
 
 // Get returns the value associated with key and whether it is present.
-func (hd *Handle[V]) Get(key int64) (V, bool) { return hd.getHashed(key, hashOf(key), nil) }
+func (hd *Handle[V]) Get(key int64) (V, bool) { return hd.getHashed(hashOf(key), nil) }
 
 // View calls fn with key's value while the node holding it is still
 // protected, and reports whether the key was present; fn is not called for
@@ -1122,21 +1138,21 @@ func (hd *Handle[V]) Get(key int64) (V, bool) { return hd.getHashed(key, hashOf(
 // neutralized attempt (DEBRA+) is retried, so fn may run more than once per
 // View and must let the last call win.
 func (hd *Handle[V]) View(key int64, fn func(V)) bool {
-	_, ok := hd.getHashed(key, hashOf(key), fn)
+	_, ok := hd.getHashed(hashOf(key), fn)
 	return ok
 }
 
 // getHashed is Get, calling fn (when non-nil) on the value before the
 // protection ends.
-func (hd *Handle[V]) getHashed(key int64, hash uint64, fn func(V)) (V, bool) {
+func (hd *Handle[V]) getHashed(hash uint64, fn func(V)) (V, bool) {
 	h := hd.h
 	for {
 		var v V
 		var ok, done bool
 		if h.perRecord {
-			v, ok, done = h.findBody(hd, key, hash, fn)
+			v, ok, done = h.findBody(hd, hash, fn)
 		} else {
-			v, ok, done = h.lookupBody(hd, key, hash, fn)
+			v, ok, done = h.lookupBody(hd, hash, fn)
 		}
 		if done {
 			return v, ok
@@ -1150,7 +1166,7 @@ func (hd *Handle[V]) getHashed(key int64, hash uint64, fn func(V)) (V, bool) {
 // neutralized; read-only recovery is trivially discard-and-retry). It is kept
 // apart from findBody, whose preamble it shares: folded into one function the
 // read path measured 3 % slower on map_read_mostly.
-func (h *Map[V]) lookupBody(hd *Handle[V], key int64, hash uint64, fn func(V)) (val V, found, done bool) {
+func (h *Map[V]) lookupBody(hd *Handle[V], hash uint64, fn func(V)) (val V, found, done bool) {
 	rm := hd.rm
 	if h.crashRecovery {
 		defer neutralize.OnNeutralized(hd.rm, func(neutralize.Neutralized) {
@@ -1166,7 +1182,7 @@ func (h *Map[V]) lookupBody(hd *Handle[V], key int64, hash uint64, fn func(V)) (
 	}
 	// Read the value while the node is still safe to access, before
 	// EnterQstate can deliver a neutralization that would invalidate it.
-	if n := h.lookup(hd, start, regularSoKey(hash), key); n != nil {
+	if n := h.lookup(hd, start, regularSoKey(hash)); n != nil {
 		val, found = n.value, true
 		if fn != nil {
 			fn(val)
@@ -1180,7 +1196,7 @@ func (h *Map[V]) lookupBody(hd *Handle[V], key int64, hash uint64, fn func(V)) (
 // and the pass a Delete makes to see its victim unlinked. done=false means
 // restart (a protection validation or an unlink CAS failed, or the attempt
 // was neutralized). fn, when non-nil, sees the value of a found node.
-func (h *Map[V]) findBody(hd *Handle[V], key int64, hash uint64, fn func(V)) (val V, found, done bool) {
+func (h *Map[V]) findBody(hd *Handle[V], hash uint64, fn func(V)) (val V, found, done bool) {
 	rm := hd.rm
 	if h.crashRecovery {
 		defer neutralize.OnNeutralized(hd.rm, func(neutralize.Neutralized) {
@@ -1194,7 +1210,7 @@ func (h *Map[V]) findBody(hd *Handle[V], key int64, hash uint64, fn func(V)) (va
 		rm.EnterQstate()
 		return val, false, false
 	}
-	pos, ok := h.find(hd, start, regularSoKey(hash), key)
+	pos, ok := h.find(hd, start, regularSoKey(hash), rankRegular)
 	if !ok {
 		rm.EnterQstate()
 		return val, false, false
@@ -1211,30 +1227,31 @@ func (h *Map[V]) findBody(hd *Handle[V], key int64, hash uint64, fn func(V)) (va
 }
 
 // lookup is the read path of the epoch schemes: a wait-free walk from the
-// bucket head to the node holding (sokey, key), or nil. The thread's epoch
-// announcement covers every record reachable since the operation began,
-// including marked, unlinked and retired ones, so the walk follows next
-// pointers straight through them: a marker is skipped by its kind (its next
-// is the marked node's frozen successor, and every link leads to a greater
-// position, so the walk still ends), nothing is unlinked, no CAS is issued,
-// and the walk stops at the node that matches without looking past it — a
-// node the walk reaches was on the list at some moment since the walk began,
-// and a key is in the map for as long as its node is on the list (see the
-// package comment). Per-record schemes cannot take this path: a hazard
-// pointer protects one record, validated against the link it was read from,
-// and a link out of a marked node proves nothing about its target.
-func (h *Map[V]) lookup(hd *Handle[V], start *Node[V], sokey uint64, key int64) *Node[V] {
+// bucket head to the regular node with the given sokey, or nil. The thread's
+// epoch announcement covers every record reachable since the operation
+// began, including marked, unlinked and retired ones, so the walk follows
+// next pointers straight through them: a marker sorts before every regular
+// position (Node.cmp) and is stepped over (its next is the marked node's
+// frozen successor, and every link leads to a greater position, so the walk
+// still ends), nothing is unlinked, no CAS is issued, and the walk stops at
+// the node that matches without looking past it — a node the walk reaches
+// was on the list at some moment since the walk began, and a key is in the
+// map for as long as its node is on the list (see the package comment). A hop
+// reads sokey and next, and the kind only on a sokey tie. Per-record schemes
+// cannot take this path: a hazard pointer protects one record, validated
+// against the link it was read from, and a link out of a marked node proves
+// nothing about its target.
+func (h *Map[V]) lookup(hd *Handle[V], start *Node[V], sokey uint64) *Node[V] {
 	rm := hd.rm
 	for curr := start.next.Load(); curr != nil; curr = curr.next.Load() {
 		rm.Checkpoint()
 		h.observe(hd.tid, curr)
-		if curr.kind() == kindMarker || soLess(curr.sokey, curr.key, sokey, key) {
-			continue
-		}
-		if curr.sokey == sokey && curr.key == key {
+		switch c := curr.cmp(sokey, rankRegular); {
+		case c == 0:
 			return curr
+		case c > 0:
+			return nil
 		}
-		return nil
 	}
 	return nil
 }
@@ -1268,14 +1285,14 @@ func (h *Map[V]) Len() int {
 // split-order, not key order.
 func (h *Map[V]) ForEach(fn func(key int64, value V) bool) {
 	for curr := step(&h.head); curr != nil; curr = step(curr) {
-		if curr.kind() == kindRegular && !fn(curr.key, curr.value) {
+		if curr.kind() == kindRegular && !fn(curr.Key(), curr.value) {
 			return
 		}
 	}
 }
 
 // Validate checks the structural invariants (quiescent use only): the list
-// is strictly sorted by (sokey, key), markers only follow regular nodes, and
+// is strictly sorted by (sokey, rank), markers only follow regular nodes, and
 // every head that says it is linked is reachable.
 func (h *Map[V]) Validate() error {
 	// Order along the list.
@@ -1289,9 +1306,9 @@ func (h *Map[V]) Validate() error {
 			return fmt.Errorf("hashmap: cycle at sokey %#x", curr.sokey)
 		}
 		seen[curr] = true
-		if !soLess(prev.sokey, prev.key, curr.sokey, curr.key) {
+		if prev.cmp(curr.sokey, curr.rank()) >= 0 {
 			return fmt.Errorf("hashmap: out of split order: (%#x,%d) before (%#x,%d)",
-				prev.sokey, prev.key, curr.sokey, curr.key)
+				prev.sokey, prev.rank(), curr.sokey, curr.rank())
 		}
 		prev = curr
 	}

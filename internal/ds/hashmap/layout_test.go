@@ -7,37 +7,38 @@ import (
 	"repro/internal/arena"
 )
 
-// TestNodeLayout pins the record layout the read path is built on: a
-// Node[uint32] is half a cache line, so on a 64-byte-aligned slab two nodes
-// share a line and none straddles one. Adding a field, or reordering so that
+// TestNodeLayout pins the record layout the read path is built on: a node is
+// its split-order key, link and meta word followed by the value, with no key
+// and no padding for a 4-byte V. Adding a field, or reordering so that
 // padding appears, fails here rather than in a benchmark.
 func TestNodeLayout(t *testing.T) {
 	var n Node[uint32]
-	if got := unsafe.Sizeof(n); got != 32 {
-		t.Errorf("Sizeof(Node[uint32]) = %d, want 32", got)
+	if got := unsafe.Sizeof(n); got != 24 {
+		t.Errorf("Sizeof(Node[uint32]) = %d, want 24", got)
 	}
-	for name, off := range map[string]uintptr{
-		"key": unsafe.Offsetof(n.key), "sokey": unsafe.Offsetof(n.sokey), "next": unsafe.Offsetof(n.next),
-		"value": unsafe.Offsetof(n.value), "meta": unsafe.Offsetof(n.meta),
-	} {
-		if off >= 64 {
-			t.Errorf("Node[uint32].%s at offset %d: past the first cache line", name, off)
-		}
-	}
-	// What every hop reads stays in front whatever V is.
 	var w Node[[]byte]
-	if got := unsafe.Sizeof(w); got != 56 {
-		t.Errorf("Sizeof(Node[[]byte]) = %d, want 56", got)
+	if got := unsafe.Sizeof(w); got != 48 {
+		t.Errorf("Sizeof(Node[[]byte]) = %d, want 48", got)
 	}
-	if end := unsafe.Offsetof(w.next) + unsafe.Sizeof(w.next); end > 24 {
-		t.Errorf("Node[[]byte]: key, sokey, next end at %d, want <= 24", end)
+	// What a hop reads stays in front whatever V is.
+	for name, end := range map[string]uintptr{
+		"Node[uint32].sokey": unsafe.Offsetof(n.sokey) + unsafe.Sizeof(n.sokey),
+		"Node[uint32].next":  unsafe.Offsetof(n.next) + unsafe.Sizeof(n.next),
+		"Node[uint32].meta":  unsafe.Offsetof(n.meta) + unsafe.Sizeof(n.meta),
+		"Node[[]byte].sokey": unsafe.Offsetof(w.sokey) + unsafe.Sizeof(w.sokey),
+		"Node[[]byte].next":  unsafe.Offsetof(w.next) + unsafe.Sizeof(w.next),
+		"Node[[]byte].meta":  unsafe.Offsetof(w.meta) + unsafe.Sizeof(w.meta),
+	} {
+		if end > 20 {
+			t.Errorf("%s ends at byte %d, want <= 20", name, end)
+		}
 	}
 }
 
 // TestHeadLayout pins what embedding the bucket heads rests on: the memory a
 // segment is made of is zeroed, so zero must read "unclaimed"; and a directory
 // element is a Node and nothing more, so bucket b's head is found by
-// arithmetic and costs the 32 bytes the record does.
+// arithmetic and costs the bytes the record does.
 func TestHeadLayout(t *testing.T) {
 	var n Node[uint32]
 	if kindUnclaimed != 0 || n.kind() != kindUnclaimed || n.meta.Load() != 0 {

@@ -52,34 +52,36 @@ func linkingBy(tid int) uint32 { return kindLinking | uint32(tid)<<slotShift }
 // record with a kind discriminator), and so a bucket head embedded in the
 // directory is a list node like any other.
 //
-// Byte map of Node[uint32] — 32 bytes, so a 64-byte-aligned slab holds two
-// nodes per cache line and no node straddles one. Everything a traversal
-// reads of a node is therefore one line:
+// A node stores no user key: its split-order key determines it (keyOf), and
+// a copy would cost a quarter of the record. Byte map of Node[uint32] — 24
+// bytes:
 //
-//	 0  key    int64            regular: the user key; dummy, marker: 0
-//	 8  sokey  uint64           regular: bit-reversed hash | 1; dummy: bit-reversed
-//	                            bucket index; marker: 0. The list is sorted by (sokey, key)
-//	16  next   *Node            successor; a marked node's next is its marker, a
+//	 0  sokey  uint64           regular: bit-reversed hash; head: bit-reversed
+//	                            bucket index; marker: 0. The list is sorted by
+//	                            (sokey, rank), a head ranking before a regular node
+//	 8  next   *Node            successor; a marked node's next is its marker, a
 //	                            marker's next the frozen successor
-//	24  value  V                regular: the value; marker: whatever it last held
-//	28  meta   uint32           bits 0-7 kind, bit 8 reclaimtest poison flag,
+//	16  meta   uint32           bits 0-7 kind, bit 8 reclaimtest poison flag,
 //	                            bits 9-31 the claimer's slot while a head is linking
+//	20  value  V                regular: the value; marker: whatever it last held
 //
-// A wider V grows the record from offset 24 (Node[[]byte] is 56 bytes); key,
-// sokey and next, which every hop reads, stay in the first 24.
+// A wider V grows the record from offset 20 (Node[[]byte] is 48 bytes, its
+// value aligned to 24); sokey, next and meta, all a hop reads, stay in the
+// first 20. At a stride of 24 bytes, two of every eight slab positions
+// straddle a cache line. The epoch read path (lookup) reads a node's sokey
+// and next, and its meta only on a sokey tie.
 type Node[V any] struct {
-	key   int64
 	sokey uint64
 	next  atomic.Pointer[Node[V]]
-	value V
 	// meta is atomic because the poison flag is set and cleared by the test
 	// pool wrappers while the kind sits beside it; on the hot path it is only
 	// ever loaded (a plain MOV).
-	meta atomic.Uint32
+	meta  atomic.Uint32
+	value V
 }
 
 // Key returns the node's key (meaningful for regular nodes only).
-func (n *Node[V]) Key() int64 { return n.key }
+func (n *Node[V]) Key() int64 { return keyOf(n.sokey) }
 
 // Value returns the node's value (meaningful for regular nodes only).
 func (n *Node[V]) Value() V { return n.value }
@@ -124,26 +126,64 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
+// unmix64 inverts mix64: each xor-shift is undone by xoring in the shifted
+// copies that recover the high bits first, each multiplier by its inverse
+// modulo 2^64.
+func unmix64(x uint64) uint64 {
+	x ^= x>>31 ^ x>>62
+	x *= 0x319642b2d24d8ec3
+	x ^= x>>27 ^ x>>54
+	x *= 0x96de1b173f119089
+	x ^= x>>30 ^ x>>60
+	return x
+}
+
 // hashOf returns the mixed hash of a user key.
 func hashOf(key int64) uint64 { return mix64(uint64(key)) }
 
 // regularSoKey converts a mixed hash to a regular node's split-order key.
-// Setting the low bit sacrifices the hash's top bit (two hashes differing
-// only there share a sokey), which is why the list order and equality tests
-// tiebreak on the full user key.
-func regularSoKey(hash uint64) uint64 { return bits.Reverse64(hash) | 1 }
+// Both steps are bijections, so no two keys share a sokey.
+func regularSoKey(hash uint64) uint64 { return bits.Reverse64(hash) }
 
-// dummySoKey converts a bucket index to its dummy node's split-order key.
-// Bucket indexes are < 2^63, so the result always has the low bit clear and
-// sorts immediately before every regular key hashing into the bucket.
+// keyOf recovers the user key a regular node's split-order key encodes.
+func keyOf(sokey uint64) int64 { return int64(unmix64(bits.Reverse64(sokey))) }
+
+// dummySoKey converts a bucket index to its head's split-order key. Every
+// hash h in bucket b of a 2^k-bucket table has b as its low k bits, so
+// dummySoKey(b) <= regularSoKey(h), equal only when h == b: the head sorts
+// no later than every regular key of its bucket, and the one it ties with is
+// ordered by rank.
 func dummySoKey(bucket uint64) uint64 { return bits.Reverse64(bucket) }
 
-// soLess reports whether position a=(aSo,aKey) precedes b in split order.
-func soLess(aSo uint64, aKey int64, bSo uint64, bKey int64) bool {
-	if aSo != bSo {
-		return aSo < bSo
+// Ranks order the two nodes that can share a sokey: bucket b's head, and the
+// regular node whose hash is b.
+const (
+	rankHead = iota
+	rankRegular
+)
+
+// rank is the node's place among nodes of equal sokey. A head ranks as one
+// whatever stage of its claim it is in.
+func (n *Node[V]) rank() int {
+	if n.kind() == kindRegular {
+		return rankRegular
 	}
-	return aKey < bKey
+	return rankHead
+}
+
+// cmp places n against the list position (sokey, rank): negative if n comes
+// before it, zero if n is the node at it, positive if n comes after it. The
+// kind is read only on a sokey tie. A marker, whose sokey is 0 and which
+// ranks as a head, comes before every regular node's position, so a walk
+// looking for one passes markers without telling them apart.
+func (n *Node[V]) cmp(sokey uint64, rank int) int {
+	switch {
+	case n.sokey < sokey:
+		return -1
+	case n.sokey > sokey:
+		return 1
+	}
+	return n.rank() - rank
 }
 
 // parentBucket returns the parent of bucket b in the split-order recursive
@@ -163,8 +203,7 @@ func (n *Node[V]) setKind(kind uint32) {
 }
 
 // initRegular (re)initialises a recycled record as a key/value node.
-func initRegular[V any](n *Node[V], key int64, value V, sokey uint64, next *Node[V]) {
-	n.key = key
+func initRegular[V any](n *Node[V], value V, sokey uint64, next *Node[V]) {
 	n.value = value
 	n.sokey = sokey
 	n.setKind(kindRegular)
@@ -176,7 +215,6 @@ func initRegular[V any](n *Node[V], key int64, value V, sokey uint64, next *Node
 // value, and the storage it holds comes back to UpsertFunc's fill when the
 // record is a node again.
 func initMarker[V any](n *Node[V], next *Node[V]) {
-	n.key = 0
 	n.sokey = 0
 	n.setKind(kindMarker)
 	n.next.Store(next)

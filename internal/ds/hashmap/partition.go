@@ -239,7 +239,7 @@ func (h *PartitionedHandle[V]) Part(p int) *Handle[V] { return h.hs[p] }
 // Get returns the value associated with key and whether it is present.
 func (h *PartitionedHandle[V]) Get(key int64) (V, bool) {
 	hash := hashOf(key)
-	return h.hs[route(hash, len(h.hs))].getHashed(key, hash, nil)
+	return h.hs[route(hash, len(h.hs))].getHashed(hash, nil)
 }
 
 // Contains reports whether key is present.
@@ -252,18 +252,18 @@ func (h *PartitionedHandle[V]) Contains(key int64) bool {
 // present (set semantics, like Handle.Insert).
 func (h *PartitionedHandle[V]) Insert(key int64, value V) bool {
 	hash := hashOf(key)
-	return h.hs[route(hash, len(h.hs))].insertHashed(key, hash, value)
+	return h.hs[route(hash, len(h.hs))].insertHashed(hash, value)
 }
 
 // Delete removes key, returning true if it was present.
 func (h *PartitionedHandle[V]) Delete(key int64) bool {
 	hash := hashOf(key)
-	return h.hs[route(hash, len(h.hs))].deleteHashed(key, hash)
+	return h.hs[route(hash, len(h.hs))].deleteHashed(hash)
 }
 
 // Upsert sets key to value, returning the previous value and whether the key
 // was present (see Handle.Upsert for the replace protocol).
 func (h *PartitionedHandle[V]) Upsert(key int64, value V) (V, bool) {
 	hash := hashOf(key)
-	return h.hs[route(hash, len(h.hs))].upsertHashed(key, hash, value, nil)
+	return h.hs[route(hash, len(h.hs))].upsertHashed(hash, value, nil)
 }
