@@ -24,7 +24,7 @@ fmt-check:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
-## vet-reclaim: cmd/reclaimvet's six reclamation-contract analyzers over every
+## vet-reclaim: cmd/reclaimvet's five reclamation-contract analyzers over every
 ## package, tests included; fails on any diagnostic (docs/ARCHITECTURE.md,
 ## "Statically enforced invariants")
 vet-reclaim:
@@ -66,7 +66,7 @@ fuzz-smoke:
 ## bench-smoke.json (CI artifact, archived under bench-history/); the experiment
 ## list is `go run ./cmd/reclaimbench -h` (-experiment)
 bench-smoke: build
-	$(GO) run ./cmd/reclaimbench -experiment hashmap,async,hotpath,churn,service,adaptive,faults,pipeline -quick -threads 4 -duration 75ms -repeat 3 -json > bench-smoke.json
+	$(GO) run ./cmd/reclaimbench -experiment hashmap,hotpath,churn,service,faults,pipeline -quick -threads 4 -duration 75ms -repeat 3 -json > bench-smoke.json
 	@grep -q '"row_count"' bench-smoke.json
 	@mkdir -p bench-history
 	@cp bench-smoke.json "bench-history/$$(date -u +%Y%m%dT%H%M%SZ).json"

@@ -93,12 +93,6 @@ func main() {
 	if pl := bench.RenderPipeline(baseline, current); pl != "" {
 		fmt.Print(pl)
 	}
-	// And the per-phase throughput and controller-lever trajectories of the
-	// self-tuning rows (experiment 10) — where adaptive-vs-static lives and
-	// where a controller that stopped making decisions is visible.
-	if at := bench.RenderAdaptiveTrajectories(baseline, current); at != "" {
-		fmt.Print(at)
-	}
 	// And the fault-injection rows (experiment 11): the bounded/unbounded
 	// unreclaimed-growth classification per scheme under a stalled thread and
 	// the chaos-mode service resilience counters. Excluded from the gate,

@@ -21,7 +21,7 @@
 // clients (kvload -pipeline) amortise the per-request syscall cost.
 //
 //	kvserver -addr :7070 -scheme debra -partitions 4 -maxconns 64
-//	kvserver -scheme hp -pool -shards 4 -reclaimers 1
+//	kvserver -scheme hp -pool -shards 4 -retirebatch 256
 //	kvserver -pprof 127.0.0.1:6060     # live CPU/alloc profiles during load
 //
 // On SIGINT/SIGTERM the server drains connections, closes every partition's
@@ -63,10 +63,7 @@ func main() {
 		shards      = flag.Int("shards", 0, "sharded reclamation domains per partition (0/1 = one global domain)")
 		placement   = flag.String("placement", "", "tid->shard placement policy: block or stripe")
 		retireBatch = flag.Int("retirebatch", 0, "per-slot deferred-retire batch size (0 = direct retirement)")
-		reclaimers  = flag.Int("reclaimers", 0, "dedicated async reclaimer goroutines per partition (0 = reclamation on the connections)")
 		buckets     = flag.Int("buckets", 0, "initial bucket count per partition (0 = map default)")
-		adaptive    = flag.Bool("adaptive", false, "self-tuning runtime: a controller retunes effective shards, retire batches and active reclaimers from live load (shards/retirebatch/reclaimers become starting points)")
-		adaptiveInt = flag.Duration("adaptive-interval", 0, "adaptive controller decision period (0 = library default)")
 		pprofAddr   = flag.String("pprof", "", "serve net/http/pprof on this address (host:port; empty = disabled)")
 	)
 	flag.Parse()
@@ -91,24 +88,21 @@ func main() {
 		fatal(err)
 	}
 	srv, err := kvservice.New(kvservice.Config{
-		Scheme:           *scheme,
-		Partitions:       *partitions,
-		MaxConns:         *maxConns,
-		Burst:            *burst,
-		PipelineDepth:    *pipeDepth,
-		IdleHold:         *idleHold,
-		ReadTimeout:      *readTO,
-		WriteTimeout:     *writeTO,
-		AcquireWait:      *acquireWait,
-		ReapAfter:        *reapAfter,
-		UsePool:          *pool,
-		Shards:           *shards,
-		Placement:        pl,
-		RetireBatch:      *retireBatch,
-		Reclaimers:       *reclaimers,
-		Adaptive:         *adaptive,
-		AdaptiveInterval: *adaptiveInt,
-		InitialBuckets:   *buckets,
+		Scheme:         *scheme,
+		Partitions:     *partitions,
+		MaxConns:       *maxConns,
+		Burst:          *burst,
+		PipelineDepth:  *pipeDepth,
+		IdleHold:       *idleHold,
+		ReadTimeout:    *readTO,
+		WriteTimeout:   *writeTO,
+		AcquireWait:    *acquireWait,
+		ReapAfter:      *reapAfter,
+		UsePool:        *pool,
+		Shards:         *shards,
+		Placement:      pl,
+		RetireBatch:    *retireBatch,
+		InitialBuckets: *buckets,
 	})
 	if err != nil {
 		fatal(err)
@@ -130,8 +124,8 @@ func main() {
 
 	srv.Close()
 	// The post-Close snapshot is the authoritative one: every connection's
-	// tally has merged and the reclaimers have drained (Retired == Freed for
-	// every reclaiming scheme).
+	// tally has merged and every partition's limbo has drained (Retired ==
+	// Freed for every reclaiming scheme).
 	out, err := json.MarshalIndent(srv.Stats(), "", "  ")
 	if err != nil {
 		fatal(err)

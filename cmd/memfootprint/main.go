@@ -6,9 +6,8 @@
 // neutralizes the preempted threads and keeps the footprint bounded, close
 // to hazard pointers.
 //
-// The per-trial knobs mirror reclaimbench's: -shards, -placement,
-// -retirebatch, -async and -reclaimers apply the experiment 5-6 ablation
-// axes, and -churn (experiment 8's axis) makes workers release and
+// The per-trial knobs mirror reclaimbench's: -shards, -placement and
+// -retirebatch apply the experiment 5 ablation axes, and -churn (experiment 8's axis) makes workers release and
 // re-acquire their thread slot every N operations, so the footprint can be
 // measured under slot churn as well as with one slot per worker for the run.
 package main
@@ -32,8 +31,6 @@ func main() {
 		shards      = flag.Int("shards", 0, "sharded reclamation domains per trial (0/1 = one global domain)")
 		placement   = flag.String("placement", "", "tid->shard placement policy: block or stripe")
 		retireBatch = flag.Int("retirebatch", 0, "per-thread deferred-retire batch size (0 = direct retirement)")
-		async       = flag.Bool("async", false, "enable asynchronous reclamation (implies -reclaimers 1 when unset)")
-		reclaimers  = flag.Int("reclaimers", 0, "dedicated async reclaimer goroutines per trial (0 = reclamation on the workers; implies -async)")
 		churn       = flag.Int("churn", 0, "goroutine churn: workers release+acquire their thread slot every N operations (0 = keep one slot for the run)")
 	)
 	flag.Parse()
@@ -45,9 +42,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "memfootprint: -churn must be >= 0, got", *churn)
 		os.Exit(1)
 	}
-	if *async && *reclaimers == 0 {
-		*reclaimers = core.DefaultAsyncReclaimers
-	}
 	max := *maxThreads
 	if max == 0 {
 		max = 4 * runtime.NumCPU()
@@ -55,7 +49,7 @@ func main() {
 	rows, schemes, err := bench.MemoryExperiment(bench.Options{
 		Duration: *duration, MaxThreads: max, Seed: 1, DataStructure: *ds,
 		Shards: *shards, Placement: *placement, RetireBatch: *retireBatch,
-		Reclaimers: *reclaimers, ChurnOps: *churn,
+		ChurnOps: *churn,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "memfootprint:", err)

@@ -1,8 +1,8 @@
 // Command reclaimbench regenerates the paper's evaluation: it runs the
 // requested experiment (1, 2 or 3), the hash map panels (4), the sharding
-// (5) and async-reclamation (6) ablations, the hot-path microcosts (7), the
-// goroutine-churn (8), KV-service (9), self-tuning-runtime (10),
-// fault-injection (11) and pipelined-service (12) experiments, the Figure 9
+// ablation (5), the hot-path microcosts (7), the goroutine-churn (8),
+// KV-service (9), fault-injection (11) and pipelined-service (12)
+// experiments, the Figure 9
 // memory-footprint measurement, or the headline summary, and prints one
 // throughput table per figure panel.
 //
@@ -13,13 +13,10 @@
 //	reclaimbench -experiment 3 -duration 2s    # Figure 10
 //	reclaimbench -experiment hashmap           # hash map panels, all six schemes
 //	reclaimbench -experiment hashmap -shards 4 # ... over 4 sharded reclamation domains
-//	reclaimbench -experiment hashmap -async    # ... with one async reclaimer goroutine
 //	reclaimbench -experiment shards            # shard x batch ablation sweep
-//	reclaimbench -experiment async             # async on/off x reclaimer-count sweep
 //	reclaimbench -experiment hotpath           # per-op microcosts (pin, alloc+retire)
 //	reclaimbench -experiment churn             # goroutine churn over the slot registry
 //	reclaimbench -experiment service           # KV service over loopback TCP (p50/p99/p999)
-//	reclaimbench -experiment adaptive          # self-tuning runtime vs static configs
 //	reclaimbench -experiment faults            # stalled threads + chaos service panel
 //	reclaimbench -experiment pipeline          # pipelined KV service, depth sweep + allocs/op
 //	reclaimbench -experiment hashmap -churn 256  # ... any experiment under slot churn
@@ -27,13 +24,12 @@
 //	reclaimbench -experiment memory            # Figure 9 (right)
 //	reclaimbench -experiment summary           # headline ratios from Experiment 2
 //	reclaimbench -experiment 2 -csv            # machine-readable CSV
-//	reclaimbench -experiment hashmap,async -json  # merged JSON (the CI artifact)
+//	reclaimbench -experiment hashmap,churn -json  # merged JSON (the CI artifact)
 //
-// The -shards, -placement, -retirebatch, -async, -reclaimers and -churn
-// flags apply the sharded-domain, deferred-retirement, async-reclamation
-// and goroutine-churn knobs to every trial of experiments 1-4, 7 and
-// memory; the "shards", "async" and "churn" experiments sweep their own
-// axis. Several experiments may be given comma-separated; their panels are
+// The -shards, -placement, -retirebatch and -churn flags apply the
+// sharded-domain, deferred-retirement and goroutine-churn knobs to every
+// trial of experiments 1-4, 7 and memory; the "shards" and "churn"
+// experiments sweep their own axes. Several experiments may be given comma-separated; their panels are
 // concatenated into one report. -repeat N runs the whole sweep N times and
 // reports each cell's best-throughput run — repeats of any one cell land a
 // full sweep apart, straddling a noisy machine's slow episodes — so the
@@ -60,7 +56,7 @@ import (
 
 func main() {
 	var (
-		experiment  = flag.String("experiment", "2", "experiment(s) to run, comma-separated: 1, 2, 3, 4|hashmap, 5|shards, 6|async, 7|hotpath, 8|churn, 9|service, 10|adaptive, 11|faults, 12|pipeline, memory, or summary")
+		experiment  = flag.String("experiment", "2", "experiment(s) to run, comma-separated: 1, 2, 3, 4|hashmap, 5|shards, 7|hotpath, 8|churn, 9|service, 11|faults, 12|pipeline, memory, or summary")
 		duration    = flag.Duration("duration", 500*time.Millisecond, "duration of each trial")
 		maxThreads  = flag.Int("threads", 0, "maximum thread count of the sweep (0 = 2 x NumCPU)")
 		quick       = flag.Bool("quick", false, "shrink key ranges and the thread sweep for a fast smoke run")
@@ -70,8 +66,6 @@ func main() {
 		shards      = flag.Int("shards", 0, "sharded reclamation domains per trial (0/1 = one global domain)")
 		placement   = flag.String("placement", "", "tid->shard placement policy: block or stripe")
 		retireBatch = flag.Int("retirebatch", 0, "per-thread deferred-retire batch size (0 = direct retirement)")
-		async       = flag.Bool("async", false, "enable asynchronous reclamation (implies -reclaimers 1 when unset)")
-		reclaimers  = flag.Int("reclaimers", 0, "dedicated async reclaimer goroutines per trial (0 = reclamation on the workers; implies -async)")
 		churn       = flag.Int("churn", 0, "goroutine churn: workers release+acquire their thread slot every N operations (0 = keep one slot for the run)")
 		repeat      = flag.Int("repeat", 1, "run the whole experiment sweep N times and keep each cell's best-throughput run (suppresses scheduler-noise outliers on shared machines)")
 		cpuprofile  = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
@@ -117,12 +111,6 @@ func main() {
 	if _, err := core.ParsePlacement(*placement); err != nil {
 		fatal(err)
 	}
-	if *reclaimers < 0 {
-		fatal(fmt.Errorf("-reclaimers must be >= 0, got %d", *reclaimers))
-	}
-	if *async && *reclaimers == 0 {
-		*reclaimers = core.DefaultAsyncReclaimers
-	}
 	if *churn < 0 {
 		fatal(fmt.Errorf("-churn must be >= 0, got %d", *churn))
 	}
@@ -132,7 +120,7 @@ func main() {
 	opts := bench.Options{
 		Duration: *duration, MaxThreads: *maxThreads, Quick: *quick, Seed: *seed,
 		Shards: *shards, Placement: *placement, RetireBatch: *retireBatch,
-		Reclaimers: *reclaimers, ChurnOps: *churn,
+		ChurnOps: *churn,
 	}
 
 	names := strings.Split(*experiment, ",")
@@ -145,7 +133,7 @@ func main() {
 	}
 
 	switch names[0] {
-	case "1", "2", "3", "4", "hashmap", "5", "shards", "6", "async", "7", "hotpath", "8", "churn", "9", "service", "10", "adaptive", "11", "faults", "12", "pipeline":
+	case "1", "2", "3", "4", "hashmap", "5", "shards", "7", "hotpath", "8", "churn", "9", "service", "11", "faults", "12", "pipeline":
 		var exps []int
 		tabular := false
 		seen := map[int]bool{}
@@ -156,21 +144,17 @@ func main() {
 				exp = bench.ExperimentHashMap
 			case "shards":
 				exp = bench.ExperimentSharding
-			case "async":
-				exp = bench.ExperimentAsync
 			case "hotpath":
 				exp = bench.ExperimentHotPath
 			case "churn":
 				exp = bench.ExperimentChurn
 			case "service":
 				exp = bench.ExperimentService
-			case "adaptive", "10":
-				exp = bench.ExperimentAdaptive
 			case "faults", "11":
 				exp = bench.ExperimentFaults
 			case "pipeline", "12":
 				exp = bench.ExperimentPipeline
-			case "1", "2", "3", "4", "5", "6", "7", "8", "9":
+			case "1", "2", "3", "4", "5", "7", "8", "9":
 				exp = int(name[0] - '0')
 			default:
 				fatal(fmt.Errorf("unknown experiment %q in list", name))
@@ -183,9 +167,8 @@ func main() {
 			}
 			seen[exp] = true
 			if exp != bench.ExperimentHashMap && exp != bench.ExperimentSharding &&
-				exp != bench.ExperimentAsync && exp != bench.ExperimentHotPath &&
-				exp != bench.ExperimentChurn && exp != bench.ExperimentService &&
-				exp != bench.ExperimentAdaptive && exp != bench.ExperimentFaults &&
+				exp != bench.ExperimentHotPath && exp != bench.ExperimentChurn &&
+				exp != bench.ExperimentService && exp != bench.ExperimentFaults &&
 				exp != bench.ExperimentPipeline {
 				tabular = true
 			}
@@ -252,7 +235,7 @@ func main() {
 		}
 		fmt.Println(bench.RenderSummary(bench.Summarize(results)))
 	default:
-		fatal(fmt.Errorf("unknown experiment %q (want 1, 2, 3, 4, hashmap, 5, shards, 6, async, 7, hotpath, 8, churn, 9, service, 10, adaptive, 11, faults, 12, pipeline, memory or summary)", *experiment))
+		fatal(fmt.Errorf("unknown experiment %q (want 1, 2, 3, 4, hashmap, 5, shards, 7, hotpath, 8, churn, 9, service, 11, faults, 12, pipeline, memory or summary)", *experiment))
 	}
 }
 

@@ -1,7 +1,7 @@
 // Command reclaimvet is the repository's static-analysis gate: a
-// multichecker running the six reclamation-contract analyzers (retirepin,
-// handlepair, singlewriter, protectorder, noclock, exporteddoc) over the
-// named packages. It exits non-zero on any diagnostic, so CI wires it as a
+// multichecker running the five reclamation-contract analyzers (retirepin,
+// handlepair, singlewriter, protectorder, exporteddoc) over the named
+// packages. It exits non-zero on any diagnostic, so CI wires it as a
 // hard gate (`make vet-reclaim`); deliberate exceptions are annotated in the
 // source with reasoned `//lint:allow <analyzer> <reason>` markers, which the
 // driver checks (a bare marker, an unknown analyzer name, or a marker that

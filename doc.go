@@ -56,32 +56,17 @@
 // which is what makes its documented "safe from quiescent shutdown paths"
 // contract actually hold.
 //
-// # Asynchronous reclamation
+// # Shutdown
 //
-// recordmgr.Config.Reclaimers (core.WithAsyncReclaim; -async / -reclaimers
-// on the CLIs) moves reclamation off the workers' critical path entirely: N
-// dedicated reclaimer goroutines register as extra epoch participants (the
-// scheme, allocator and pool are built for Threads+Reclaimers dense ids) and
-// drain per-shard hand-off queues of retired blocks behind the workers. A
-// worker's Retire becomes an O(1) append to its deferred-retire buffer plus,
-// once per batch, an O(1) lock-free push of the detached blocks
-// (blockbag.SharedStack) — the worker never touches the scheme's retire
-// path. Each reclaimer drain cycle is a complete pinned operation on the
-// reclaimer's own tid, so the hand-off is sound under the same epoch
-// argument as a worker's retire, and idle reclaimers keep cycling (with
-// backoff) while limbo remains, so grace periods advance even when every
-// worker is quiescent. ManagerStats reports the pipeline's true footprint:
-// Unreclaimed = scheme limbo + deferred-retire buffers + hand-off queues
-// (the "unreclaimed" column in the bench JSON/CSV; scheme limbo alone
-// understates it).
-//
-// Shutdown follows a fixed ordering — workers quiesce, buffers flush,
-// reclaimers drain, limbo is force-freed: RecordManager.Close performs all
-// four steps (the force-free through core.LimboDrainer, which every
+// Retired records can sit in two places besides the free sink: the
+// per-thread deferred-retire buffers and the scheme's limbo bags.
+// ManagerStats reports both: Unreclaimed = scheme limbo + deferred-retire
+// buffers (the "unreclaimed" column in the bench JSON/CSV; scheme limbo
+// alone understates it). Shutdown follows a fixed ordering — workers
+// quiesce, buffers flush, limbo is force-freed: RecordManager.Close performs
+// the last two steps (the force-free through core.LimboDrainer, which every
 // reclaiming scheme implements for the all-quiescent shutdown case), after
-// which Retired == Freed. Experiment 6 of cmd/reclaimbench ("async") sweeps
-// async off/on × reclaimer count over the update-heavy hash map panel
-// across all six schemes.
+// which Retired == Freed.
 //
 // # Thread lifecycle
 //
@@ -164,39 +149,11 @@
 // sequentially consistent announcement store per record visited (the
 // paper's dominant HP cost) plus an amortised scan per retireThreshold
 // retires. Retirement adds a bag append (plus, per batch, one O(1) block
-// splice or lock-free hand-off push under batching/async); allocation is a
+// splice under batching); allocation is a
 // pool bag pop. Experiment 7 of cmd/reclaimbench ("hotpath") measures these
 // per-op microcosts directly — a pin/unpin probe and an allocate/retire
 // round-trip probe per scheme — and cmd/benchdiff reports the ns/op columns
 // of those probes alongside the trend gate.
-//
-// # Self-tuning runtime
-//
-// The sharding, batching and async-reclamation knobs above are static
-// per-run configuration — right for a benchmark, wrong for a service whose
-// traffic shifts. recordmgr.Config.Adaptive (core.WithController; -adaptive
-// on cmd/kvserver) attaches a core.Controller: a feedback loop, one
-// observation and at most three lever writes per control period
-// (AdaptiveInterval, default 10ms), that moves all three knobs with the
-// live workload. Effective shards track live slot occupancy
-// (SlotRegistry.SetEffectiveShards biases placement onto a shard prefix so
-// the occupancy-aware scans skip the rest); the per-thread retire batch
-// follows the observed retire rate by AIMD between configurable bounds
-// (MinRetireBatch/MaxRetireBatch), growing while retirement is hot and the
-// Unreclaimed backlog is modest or shrinking, halving on lulls — written
-// only to the existing padded per-thread limit cells, so the hot path gains
-// no atomics; and the active reclaimer count scales with the hand-off
-// backlog between 1 and the constructed pool, with lock-free work stealing
-// (blockbag.SharedStack detach) draining a deactivated reclaimer's queue so
-// scale-down never strands a record and the Close invariant
-// (Retired == Freed) is preserved. Every lever is a bias, not a safety
-// input: extreme settings degenerate to configurations the stack already
-// runs, so a mis-tuned controller costs throughput, never correctness.
-// Experiment 10 of cmd/reclaimbench ("adaptive") runs a phase-changing
-// workload comparing static-optimal, static-worst and adaptive
-// configurations, publishing the controller's decision trajectory
-// (traj_live/traj_shards/traj_batch/traj_reclaimers) into the bench JSON,
-// and docs/OPERATIONS.md covers when to pin the knobs instead.
 //
 // # The KV service layer
 //
@@ -256,7 +213,7 @@
 // The contracts above are also proven at build time. cmd/reclaimvet is a
 // multichecker (internal/analysis, self-contained on the standard
 // library) that typechecks every package in the module — test files
-// included — and runs six repository-specific analyzers over the result:
+// included — and runs five repository-specific analyzers over the result:
 // retirepin (raw Retire/RetireBlock/FlushRetired call sites must be
 // dominated by LeaveQstate/PinRetire or go through the auto-pinning
 // ThreadHandle wrappers — the static face of the quiescent-retire panic), handlepair (an acquired ThreadHandle must
@@ -267,9 +224,7 @@
 // model, previously a grep-based test), protectorder (in internal/ds
 // packages a pointer loaded before Protect is re-validated before
 // dereference and never dereferenced after Unprotect — the hazard-pointer
-// idiom), noclock (no wall clock on paths reachable from
-// core.Controller.Step, nor in test files that drive Step, keeping the
-// self-tuning controller deterministic), and exporteddoc (exported
+// idiom), and exporteddoc (exported
 // identifiers in the API-surface packages carry doc comments). Deliberate
 // exceptions are annotated //lint:allow <analyzer> <reason>; the driver
 // rejects bare, reasonless, unknown-analyzer and stale markers, so the

@@ -8,8 +8,8 @@
 // RMW buys nothing.
 //
 // Two rules, both scoped to the known per-thread carrier structs (thread,
-// threadStats, poolThread, bumpThread, heapThread, retireBuf,
-// asyncCounters) in the hot-path packages (internal/{core,pool,arena},
+// threadStats, poolThread, bumpThread, heapThread, retireBuf) in the
+// hot-path packages (internal/{core,pool,arena},
 // internal/reclaim/..., internal/ds/...):
 //
 //  1. declaration: a field named like a stat counter (retired, freed,
@@ -43,7 +43,6 @@ var Analyzer = &analysis.Analyzer{
 var carrierNames = map[string]bool{
 	"thread": true, "threadStats": true, "poolThread": true,
 	"bumpThread": true, "heapThread": true, "retireBuf": true,
-	"asyncCounters": true,
 }
 
 // statNames are the per-thread statistics fields (the old guard's name set).
@@ -52,8 +51,7 @@ var statNames = map[string]bool{
 	"grace": true, "neutralizations": true, "selfNeutralized": true,
 	"reused": true, "fromAllocator": true, "toShared": true,
 	"fromShared": true, "allocated": true, "deallocated": true,
-	"slabs": true, "pending": true, "enqueued": true, "drained": true,
-	"handoff": true, "restarts": true, "unlinks": true, "resizes": true,
+	"slabs": true, "pending": true, "restarts": true, "unlinks": true, "resizes": true,
 	"dummies": true, "helps": true, "recov": true,
 }
 

@@ -1,4 +1,4 @@
-// Package suite assembles the repository's full analyzer set — the six
+// Package suite assembles the repository's full analyzer set — the five
 // reclamation-contract checks cmd/reclaimvet runs as one multichecker. The
 // set is defined here (not in the command) so tests and future drivers share
 // a single source of truth for which contracts are statically enforced.
@@ -8,7 +8,6 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/analysis/passes/exporteddoc"
 	"repro/internal/analysis/passes/handlepair"
-	"repro/internal/analysis/passes/noclock"
 	"repro/internal/analysis/passes/protectorder"
 	"repro/internal/analysis/passes/retirepin"
 	"repro/internal/analysis/passes/singlewriter"
@@ -21,7 +20,6 @@ func All() []*analysis.Analyzer {
 		handlepair.Analyzer,
 		singlewriter.Analyzer,
 		protectorder.Analyzer,
-		noclock.Analyzer,
 		exporteddoc.Analyzer,
 	}
 }

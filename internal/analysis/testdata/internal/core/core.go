@@ -88,10 +88,3 @@ func (h *ThreadHandle[T]) Protect(rec *T) bool { return true }
 
 // Unprotect withdraws the hazard announcement for rec.
 func (h *ThreadHandle[T]) Unprotect(rec *T) {}
-
-// Controller is the adaptive-runtime controller stub (its Step is the
-// noclock root; the stub itself is clock-free).
-type Controller struct{ steps int }
-
-// Step advances the controller one decision epoch.
-func (c *Controller) Step() { c.steps++ }

@@ -84,10 +84,6 @@ type Config struct {
 	// RetireBatch is the per-thread deferred-retire batch size (0 = direct
 	// retirement).
 	RetireBatch int
-	// Reclaimers is the number of dedicated async reclaimer goroutines
-	// (0 = reclamation on the worker threads; >0 implies retire batching,
-	// defaulted by recordmgr.Build to a full block).
-	Reclaimers int
 	// ChurnOps, when > 0, makes each worker release its thread slot and
 	// acquire a fresh one every ChurnOps operations (goroutine churn: at
 	// throughput T ops/s the trial performs T/ChurnOps acquire+release
@@ -109,11 +105,6 @@ type Config struct {
 	// generator in request/response lockstep against the server's default
 	// batching, which is the experiment-9 configuration.
 	PipelineDepth int
-	// Phases, when non-empty, switches the trial to the phase-changing style
-	// of experiment 10 (runPhasedTrial): the phases run back-to-back for
-	// Duration/len(Phases) each, workers binding their slots dynamically per
-	// phase, and Threads is derived from the busiest phase.
-	Phases []Phase
 	// StallThreads configures the fault-probe trials (DataStructure ==
 	// DSFaultProbe): how many of the trial's threads are parked while pinned
 	// during the stalled measurement phase (see internal/faultinject.Probe).
@@ -125,13 +116,6 @@ type Config struct {
 	// no chaos). Ignored by every other data structure.
 	ChaosStallEvery int
 	ChaosKillEvery  int
-	// Adaptive enables the self-tuning runtime: the Record Manager's
-	// controller retunes effective shards, retire batches and active
-	// reclaimers from live load, with Shards/RetireBatch/Reclaimers as the
-	// starting points. AdaptiveInterval is the decision period (0 picks a
-	// default scaled to Duration for phased trials).
-	Adaptive         bool
-	AdaptiveInterval time.Duration
 	// Repeat, when > 1, runs the trial that many times and keeps the
 	// best-throughput result (every run builds a fresh data structure and
 	// Record Manager). Best-of-N is the standard defense against scheduler
@@ -163,14 +147,9 @@ type Result struct {
 	// RetirePending is the number of records parked in deferred-retire
 	// buffers at the end of the trial (0 unless RetireBatch is set).
 	RetirePending int64
-	// HandoffPending is the number of records parked in async hand-off
-	// queues at the end of the trial (0 unless Reclaimers is set) — the
-	// reclaimers' backlog behind the workers.
-	HandoffPending int64
 	// Unreclaimed is the true retired-but-not-freed count at the end of the
-	// trial: Reclaimer.Limbo + RetirePending + HandoffPending. Limbo alone
-	// understates memory held whenever batching or async hand-off parks
-	// records outside the scheme.
+	// trial: Reclaimer.Limbo + RetirePending. Limbo alone understates memory
+	// held whenever batching parks records outside the scheme.
 	Unreclaimed int64
 	// ChurnCycles is the number of release+acquire slot cycles the workers
 	// performed during the timed phase (0 unless ChurnOps is set).
@@ -192,23 +171,6 @@ type Result struct {
 	P50Ns  int64
 	P99Ns  int64
 	P999Ns int64
-	// PhaseMops is the per-phase throughput of a phased trial (experiment
-	// 10), in the order of Config.Phases; empty elsewhere. The adaptive
-	// acceptance comparisons (arm vs arm per phase) read these, not the
-	// blended MopsPerSec.
-	PhaseMops []float64
-	// TrajLive, TrajShards, TrajBatch and TrajReclaimers are the adaptive
-	// controller's decision trajectory (downsampled, parallel slices): live
-	// slot occupancy and the three lever positions at each retained control
-	// step. Empty unless the trial ran with Adaptive.
-	TrajLive       []int
-	TrajShards     []int
-	TrajBatch      []int
-	TrajReclaimers []int
-	// ControllerSteps and ControllerDecisions count the controller's control
-	// periods and applied lever changes over the whole trial.
-	ControllerSteps     int
-	ControllerDecisions int64
 	// FaultStalled is the number of threads parked while pinned during a
 	// fault-probe trial's stalled phase (0 elsewhere). FaultBaselineSlope and
 	// FaultStalledSlope are the Unreclaimed growth per operation measured
@@ -240,8 +202,7 @@ type Result struct {
 
 // set is the minimal data structure interface the harness drives. close
 // shuts the Record Manager's reclamation pipeline down once the workers are
-// joined (flush → async drain → limbo force-free), so trials never leak
-// reclaimer goroutines into the next trial.
+// joined (flush → limbo force-free).
 type set interface {
 	// acquire binds the calling goroutine to a vacant thread slot and returns
 	// the slot-bound operations plus the release function. A worker acquires
@@ -250,10 +211,6 @@ type set interface {
 	// trials bind, work and release repeatedly.
 	acquire() (opHandle, func())
 	stats() core.ManagerStats
-	// controller exposes the Record Manager's adaptive controller (nil when
-	// the trial runs without one) so phased trials can report its decision
-	// trajectory.
-	controller() *core.Controller
 	close()
 }
 
@@ -280,9 +237,8 @@ func setOps(h interface {
 // bstSet adapts bst.Tree to the harness interface.
 type bstSet struct{ t *bst.Tree[int64] }
 
-func (s bstSet) stats() core.ManagerStats     { return s.t.Manager().Stats() }
-func (s bstSet) controller() *core.Controller { return s.t.Manager().Controller() }
-func (s bstSet) close()                       { s.t.Manager().Close() }
+func (s bstSet) stats() core.ManagerStats { return s.t.Manager().Stats() }
+func (s bstSet) close()                   { s.t.Manager().Close() }
 
 func (s bstSet) acquire() (opHandle, func()) {
 	h := s.t.AcquireHandle()
@@ -292,9 +248,8 @@ func (s bstSet) acquire() (opHandle, func()) {
 // skipSet adapts skiplist.List to the harness interface.
 type skipSet struct{ l *skiplist.List[int64] }
 
-func (s skipSet) stats() core.ManagerStats     { return s.l.Manager().Stats() }
-func (s skipSet) controller() *core.Controller { return s.l.Manager().Controller() }
-func (s skipSet) close()                       { s.l.Manager().Close() }
+func (s skipSet) stats() core.ManagerStats { return s.l.Manager().Stats() }
+func (s skipSet) close()                   { s.l.Manager().Close() }
 
 func (s skipSet) acquire() (opHandle, func()) {
 	h := s.l.AcquireHandle()
@@ -304,9 +259,8 @@ func (s skipSet) acquire() (opHandle, func()) {
 // hashSet adapts hashmap.Map to the harness interface.
 type hashSet struct{ m *hashmap.Map[int64] }
 
-func (s hashSet) stats() core.ManagerStats     { return s.m.Manager().Stats() }
-func (s hashSet) controller() *core.Controller { return s.m.Manager().Controller() }
-func (s hashSet) close()                       { s.m.Manager().Close() }
+func (s hashSet) stats() core.ManagerStats { return s.m.Manager().Stats() }
+func (s hashSet) close()                   { s.m.Manager().Close() }
 
 func (s hashSet) acquire() (opHandle, func()) {
 	h := s.m.AcquireHandle()
@@ -363,9 +317,8 @@ func (s microSet) body(h *core.ThreadHandle[hotRecord]) {
 	}
 }
 
-func (s microSet) stats() core.ManagerStats     { return s.mgr.Stats() }
-func (s microSet) controller() *core.Controller { return s.mgr.Controller() }
-func (s microSet) close()                       { s.mgr.Close() }
+func (s microSet) stats() core.ManagerStats { return s.mgr.Stats() }
+func (s microSet) close()                   { s.mgr.Close() }
 
 func (s microSet) acquire() (opHandle, func()) {
 	h := s.mgr.AcquireHandle()
@@ -406,11 +359,6 @@ func managerConfig(cfg Config) recordmgr.Config {
 		Shards:      cfg.Shards,
 		Placement:   core.ShardPlacement(cfg.Placement),
 		RetireBatch: cfg.RetireBatch,
-		Reclaimers:  cfg.Reclaimers,
-		Adaptive:    cfg.Adaptive,
-		// Only valid alongside Adaptive (recordmgr validates); bench sets it
-		// exclusively for adaptive trials.
-		AdaptiveInterval: cfg.AdaptiveInterval,
 	}
 }
 
@@ -472,8 +420,7 @@ func RunTrial(cfg Config) (Result, error) {
 		}
 		return best, nil
 	}
-	if cfg.Threads <= 0 && len(cfg.Phases) == 0 {
-		// Phased trials derive Threads from the busiest phase.
+	if cfg.Threads <= 0 {
 		return Result{}, fmt.Errorf("bench: Threads must be >= 1")
 	}
 	if cfg.Duration <= 0 {
@@ -496,21 +443,13 @@ func RunTrial(cfg Config) (Result, error) {
 		// unreclaimed-growth probe; op counts are fixed, not duration-scaled.
 		return runFaultProbeTrial(cfg)
 	}
-	if len(cfg.Phases) > 0 {
-		// The phase-changing arm (experiment 10) owns its worker lifecycle:
-		// workers come and go at phase boundaries, which is the load signal
-		// the adaptive controller exists to track.
-		return runPhasedTrial(cfg)
-	}
 	s, err := buildSet(cfg)
 	if err != nil {
 		return Result{}, err
 	}
 	// Close no matter how the trial ends: runSafely converts panics (scheme
-	// contract violations, escaped neutralizations) into errors, and an
-	// unclosed manager would leak its async reclaimer goroutines into every
-	// later trial of the sweep. Close is idempotent, so the normal-path
-	// close below is unaffected.
+	// contract violations, escaped neutralizations) into errors. Close is
+	// idempotent, so the normal-path close below is unaffected.
 	defer s.close()
 	prefill(s, cfg)
 
@@ -565,9 +504,8 @@ func RunTrial(cfg Config) (Result, error) {
 	elapsed := time.Since(start)
 
 	// Snapshot before Close: the pending counters show how far reclamation
-	// ran behind the workers (with async on, the reclaimers' backlog), which
-	// is part of what the experiment measures. Close then drains everything
-	// so reclaimer goroutines never outlive their trial.
+	// ran behind the workers, which is part of what the experiment measures.
+	// Close then drains everything.
 	st := s.stats()
 	s.close()
 	ops := totalOps.Load()
@@ -580,7 +518,6 @@ func RunTrial(cfg Config) (Result, error) {
 		Reclaimer:        st.Reclaimer,
 		PoolReused:       st.Pool.Reused,
 		RetirePending:    st.RetirePending,
-		HandoffPending:   st.HandoffPending,
 		Unreclaimed:      st.Unreclaimed,
 		ChurnCycles:      churnCycles.Load(),
 		ChurnNs:          churnNs.Load(),

@@ -57,15 +57,15 @@ type DiffResult struct {
 
 // rowKey identifies a cell across runs. The title already encodes the data
 // structure, key range, mix and table regime; scheme, threads and the
-// sharding/placement/batching/async/churn axes complete the identity.
+// sharding/placement/batching/churn axes complete the identity.
 // (Baselines recorded before an axis existed decode its value as 0 — the
 // configuration they actually measured — but adding an axis changes every
 // key, so the committed baseline must be regenerated with make
 // bench-baseline when one lands, which the degenerate-comparison error
 // below enforces loudly.)
 func rowKey(r JSONRow) string {
-	return fmt.Sprintf("%s | %s | threads=%d shards=%d/%s batch=%d async=%d churn=%d",
-		r.Title, r.Scheme, r.Threads, r.Shards, r.Placement, r.RetireBatch, r.Reclaimers, r.ChurnOps)
+	return fmt.Sprintf("%s | %s | threads=%d shards=%d/%s batch=%d churn=%d",
+		r.Title, r.Scheme, r.Threads, r.Shards, r.Placement, r.RetireBatch, r.ChurnOps)
 }
 
 // faultRow reports whether a row belongs to the fault-injection experiment
@@ -412,87 +412,6 @@ func RenderPipeline(baseline, current JSONReport) string {
 			allocs = fmt.Sprintf("%.2f", c.cur.AllocsPerOp)
 		}
 		fmt.Fprintf(&sb, "  %-96s %10s %10s %8s %12s\n", k, base, cur, ratio, allocs)
-	}
-	return sb.String()
-}
-
-// RenderAdaptiveTrajectories renders the phase-changing rows of the
-// self-tuning runtime experiment (experiment 10) from both reports: cell
-// identity, baseline and current per-phase Mops/s, and — for adaptive rows —
-// what the controller actually did: the range each lever (effective shards,
-// retire batch, active reclaimers) travelled over the trial and the number of
-// applied decisions. The per-phase columns are where the adaptive-vs-static
-// comparison lives (the blended Mops/s hides the lull); the lever ranges make
-// a controller that sat still (decisions=0, every range flat) visible at a
-// glance. Rows missing from one side print a dash; reports recorded before
-// the adaptive experiment existed simply produce no table.
-func RenderAdaptiveTrajectories(baseline, current JSONReport) string {
-	type cell struct{ base, cur JSONRow }
-	cells := map[string]*cell{}
-	var keys []string
-	get := func(r JSONRow) *cell {
-		k := rowKey(r)
-		c, ok := cells[k]
-		if !ok {
-			c = &cell{}
-			cells[k] = c
-			keys = append(keys, k)
-		}
-		return c
-	}
-	for _, r := range baseline.Rows {
-		if len(r.PhaseMops) > 0 {
-			get(r).base = r
-		}
-	}
-	for _, r := range current.Rows {
-		if len(r.PhaseMops) > 0 {
-			get(r).cur = r
-		}
-	}
-	if len(cells) == 0 {
-		return ""
-	}
-	sort.Strings(keys)
-	phases := func(r JSONRow) string {
-		if len(r.PhaseMops) == 0 {
-			return "-"
-		}
-		parts := make([]string, len(r.PhaseMops))
-		for i, m := range r.PhaseMops {
-			parts[i] = fmt.Sprintf("%.2f", m)
-		}
-		return strings.Join(parts, "/")
-	}
-	span := func(xs []int) string {
-		if len(xs) == 0 {
-			return "-"
-		}
-		lo, hi := xs[0], xs[0]
-		for _, x := range xs {
-			if x < lo {
-				lo = x
-			}
-			if x > hi {
-				hi = x
-			}
-		}
-		if lo == hi {
-			return fmt.Sprintf("%d", lo)
-		}
-		return fmt.Sprintf("%d..%d", lo, hi)
-	}
-	var sb strings.Builder
-	sb.WriteString("self-tuning runtime, per-phase Mops/s and controller levers (experiment 10):\n")
-	fmt.Fprintf(&sb, "  %-88s %18s %18s %-26s\n", "cell", "base per-phase", "cur per-phase", "cur levers shards/batch/recl")
-	for _, k := range keys {
-		c := cells[k]
-		levers := "-"
-		if c.cur.ControllerSteps > 0 {
-			levers = fmt.Sprintf("%s/%s/%s (%d decisions)",
-				span(c.cur.TrajShards), span(c.cur.TrajBatch), span(c.cur.TrajReclaimers), c.cur.ControllerDecisions)
-		}
-		fmt.Fprintf(&sb, "  %-88s %18s %18s %-26s\n", k, phases(c.base), phases(c.cur), levers)
 	}
 	return sb.String()
 }

@@ -103,17 +103,6 @@ func TestDiffShardAxisDistinguishesCells(t *testing.T) {
 	}
 }
 
-func TestDiffAsyncAxisDistinguishesCells(t *testing.T) {
-	// Same identity except the reclaimer-goroutine count: distinct cells.
-	a := mkRow("p", "ebr", 2, 0, 256, 5)
-	b := mkRow("p", "ebr", 2, 0, 256, 9)
-	b.Reclaimers = 2
-	res := mustDiff(t, mkReport(a, b), mkReport(a, b), DefaultDiffOptions())
-	if res.Compared != 2 || len(res.Regressions) != 0 {
-		t.Fatalf("async-axis cells mismatched: %+v", res)
-	}
-}
-
 func TestDiffChurnAxisDistinguishesCells(t *testing.T) {
 	// Same identity except the churn cadence: distinct cells.
 	a := mkRow("p", "ebr", 2, 0, 256, 5)

@@ -37,9 +37,6 @@ type Panel struct {
 	Shards      int
 	Placement   string
 	RetireBatch int
-	// Reclaimers enables asynchronous reclamation for every cell of the
-	// panel (0 = reclamation on the worker threads).
-	Reclaimers int
 	// ChurnOps makes every cell's workers cycle their thread slot
 	// (release + acquire) every ChurnOps operations — goroutine churn over
 	// the slot registry (0 = each worker keeps its slot for the trial).
@@ -58,14 +55,6 @@ type Panel struct {
 	// panels encode the depth in the Title instead, keeping every pre-pipeline
 	// baseline row's key stable.
 	PipelineDepth int
-	// Phases, Adaptive and AdaptiveInterval configure the phase-changing
-	// adaptive panels (experiment 10); see the Config fields of the same
-	// names. Like the service axes they are NOT part of the trend gate's row
-	// identity — the adaptive panels encode arm and phase schedule in the
-	// Title, keeping every pre-adaptive baseline row's key stable.
-	Phases           []Phase
-	Adaptive         bool
-	AdaptiveInterval time.Duration
 	// StallThreads, ChaosStallEvery and ChaosKillEvery configure the fault
 	// panels (experiment 11); see the Config fields of the same names. Like
 	// the service axes they are NOT part of the trend gate's row identity —
@@ -98,15 +87,13 @@ type Options struct {
 	// (default DSBST, the paper's configuration; DSHashMap is also
 	// supported since it runs every scheme the experiment compares).
 	DataStructure string
-	// Shards, Placement, RetireBatch and Reclaimers apply the
-	// sharded-domain, deferred-retire and async-reclamation knobs to every
-	// trial of the run (the -shards, -placement, -retirebatch and
-	// -reclaimers CLI flags). The sharding and async experiments sweep
-	// their own axis and ignore the corresponding Options value.
+	// Shards, Placement and RetireBatch apply the sharded-domain and
+	// deferred-retire knobs to every trial of the run (the -shards,
+	// -placement and -retirebatch CLI flags). The sharding experiment sweeps
+	// its own axes and ignores the corresponding Options values.
 	Shards      int
 	Placement   string
 	RetireBatch int
-	Reclaimers  int
 	// ChurnOps applies goroutine churn (slot release + acquire every
 	// ChurnOps operations) to every trial (the -churn CLI flag); the churn
 	// experiment sweeps its own axis and ignores this value.
@@ -159,12 +146,6 @@ const (
 	// effect of partitioning the reclamation domains is measurable per
 	// scheme and thread count.
 	ExperimentSharding = 5
-	// ExperimentAsync is the asynchronous-reclamation ablation (beyond the
-	// paper): the update-heavy hash map panel with all six schemes, async
-	// off versus on at a sweep of reclaimer-goroutine counts, all at the
-	// same full-block retire batch so the measured axis is purely where the
-	// grace-period work runs — on the workers or behind them.
-	ExperimentAsync = 6
 	// ExperimentHotPath sweeps the Record Manager's per-operation microcosts
 	// per scheme (beyond the paper): a pin/unpin probe (LeaveQstate +
 	// EnterQstate through a thread handle) and an allocate/retire round-trip
@@ -191,11 +172,6 @@ const (
 // machine-derived so smoke rows match across machines for the trend gate.
 var ChurnOpsSweep = []int{64, 1024}
 
-// AsyncReclaimerSweep is the reclaimer-goroutine counts ExperimentAsync
-// covers (0 = the synchronous baseline). Fixed rather than machine-derived
-// so smoke rows match across machines for the trend gate.
-var AsyncReclaimerSweep = []int{0, 1, 2}
-
 // ExperimentPanels returns the panels of the given experiment, mirroring the
 // rows of Figures 8 and 10: BST with key ranges 10^6 and 10^4 and the skip
 // list with key range 2*10^5, each under the 50i-50d and 25i-25d-50s mixes.
@@ -214,16 +190,12 @@ func ExperimentPanels(experiment int, opts Options) ([]Panel, error) {
 		return HashMapPanels(opts), nil
 	case ExperimentSharding:
 		return ShardingPanels(opts), nil
-	case ExperimentAsync:
-		return AsyncPanels(opts), nil
 	case ExperimentHotPath:
 		return HotPathPanels(opts), nil
 	case ExperimentChurn:
 		return ChurnPanels(opts), nil
 	case ExperimentService:
 		return ServicePanels(opts), nil
-	case ExperimentAdaptive:
-		return AdaptivePanels(opts), nil
 	case ExperimentFaults:
 		return FaultPanels(opts), nil
 	case ExperimentPipeline:
@@ -257,7 +229,6 @@ func ExperimentPanels(experiment int, opts Options) ([]Panel, error) {
 				Shards:        opts.Shards,
 				Placement:     opts.Placement,
 				RetireBatch:   opts.RetireBatch,
-				Reclaimers:    opts.Reclaimers,
 				ChurnOps:      opts.ChurnOps,
 			})
 		}
@@ -311,7 +282,6 @@ func HashMapPanels(opts Options) []Panel {
 				Shards:         opts.Shards,
 				Placement:      opts.Placement,
 				RetireBatch:    opts.RetireBatch,
-				Reclaimers:     opts.Reclaimers,
 				ChurnOps:       opts.ChurnOps,
 			})
 		}
@@ -360,46 +330,12 @@ func ShardingPanels(opts Options) []Panel {
 	return panels
 }
 
-// AsyncPanels returns the asynchronous-reclamation ablation: the
-// update-heavy hash map panel (pre-sized table, so reclamation dominates)
-// for every reclaimer count of AsyncReclaimerSweep, across all six schemes.
-// Every arm — the synchronous baseline included — uses the same full-block
-// retire batch, so the sweep isolates where the grace-period wait and the
-// free run (on the workers, or behind them) rather than re-measuring
-// batching itself.
-func AsyncPanels(opts Options) []Panel {
-	const figure = "Async reclamation (beyond the paper), Experiment 6"
-	w := withRange(MixUpdateHeavy, opts.scaleRange(100_000))
-	initial := int(w.KeyRange / 2 / hashmap.DefaultMaxLoad)
-	var panels []Panel
-	for _, reclaimers := range AsyncReclaimerSweep {
-		panels = append(panels, Panel{
-			Figure: figure,
-			Title: fmt.Sprintf("%s range [0,%d) %di-%dd async=%d",
-				DSHashMap, w.KeyRange, w.InsertPct, w.DeletePct, reclaimers),
-			DataStructure:  DSHashMap,
-			Workload:       w,
-			Allocator:      recordmgr.AllocBump,
-			UsePool:        true,
-			Schemes:        SupportedSchemes(DSHashMap),
-			Threads:        opts.threads(),
-			InitialBuckets: initial,
-			Shards:         opts.Shards,
-			Placement:      opts.Placement,
-			RetireBatch:    blockbag.BlockSize,
-			Reclaimers:     reclaimers,
-			ChurnOps:       opts.ChurnOps,
-		})
-	}
-	return panels
-}
-
 // HotPathPanels returns the per-op microcost probes of ExperimentHotPath:
 // one panel per probe kind, all schemes as columns. The pin/unpin probe runs
 // every scheme; the allocate/retire probe excludes the leaking baseline
 // ("none" never frees, so an unbounded-allocation microbenchmark would
 // measure the allocator's slab growth, not the scheme). Probes use the
-// trial's sharding/batching/async knobs like every other experiment, so the
+// trial's sharding/batching knobs like every other experiment, so the
 // microcosts are measured in the same configuration the hash map panels run.
 func HotPathPanels(opts Options) []Panel {
 	const figure = "Hot-path per-op microcosts (beyond the paper), Experiment 7"
@@ -429,7 +365,6 @@ func HotPathPanels(opts Options) []Panel {
 			Shards:        opts.Shards,
 			Placement:     opts.Placement,
 			RetireBatch:   opts.RetireBatch,
-			Reclaimers:    opts.Reclaimers,
 			ChurnOps:      opts.ChurnOps,
 		})
 	}
@@ -463,7 +398,6 @@ func ChurnPanels(opts Options) []Panel {
 			Shards:         opts.Shards,
 			Placement:      opts.Placement,
 			RetireBatch:    opts.RetireBatch,
-			Reclaimers:     opts.Reclaimers,
 			ChurnOps:       churn,
 		})
 	}
@@ -477,30 +411,26 @@ func RunPanel(p Panel, opts Options) PanelResult {
 		out.Results[scheme] = map[int]Result{}
 		for _, threads := range p.Threads {
 			cfg := Config{
-				DataStructure:    p.DataStructure,
-				Scheme:           scheme,
-				Threads:          threads,
-				Duration:         opts.Duration,
-				Workload:         p.Workload,
-				Allocator:        p.Allocator,
-				UsePool:          p.UsePool,
-				Seed:             opts.Seed,
-				InitialBuckets:   p.InitialBuckets,
-				Shards:           p.Shards,
-				Placement:        p.Placement,
-				RetireBatch:      p.RetireBatch,
-				Reclaimers:       p.Reclaimers,
-				ChurnOps:         p.ChurnOps,
-				Partitions:       p.Partitions,
-				ServiceBurst:     p.ServiceBurst,
-				ServiceDist:      p.ServiceDist,
-				PipelineDepth:    p.PipelineDepth,
-				Phases:           p.Phases,
-				Adaptive:         p.Adaptive,
-				AdaptiveInterval: p.AdaptiveInterval,
-				StallThreads:     p.StallThreads,
-				ChaosStallEvery:  p.ChaosStallEvery,
-				ChaosKillEvery:   p.ChaosKillEvery,
+				DataStructure:   p.DataStructure,
+				Scheme:          scheme,
+				Threads:         threads,
+				Duration:        opts.Duration,
+				Workload:        p.Workload,
+				Allocator:       p.Allocator,
+				UsePool:         p.UsePool,
+				Seed:            opts.Seed,
+				InitialBuckets:  p.InitialBuckets,
+				Shards:          p.Shards,
+				Placement:       p.Placement,
+				RetireBatch:     p.RetireBatch,
+				ChurnOps:        p.ChurnOps,
+				Partitions:      p.Partitions,
+				ServiceBurst:    p.ServiceBurst,
+				ServiceDist:     p.ServiceDist,
+				PipelineDepth:   p.PipelineDepth,
+				StallThreads:    p.StallThreads,
+				ChaosStallEvery: p.ChaosStallEvery,
+				ChaosKillEvery:  p.ChaosKillEvery,
 			}
 			res, err := runSafely(cfg)
 			if err != nil {
@@ -576,9 +506,6 @@ func RenderThroughputTable(pr PanelResult) string {
 	if pr.Panel.Shards > 1 || pr.Panel.RetireBatch > 0 {
 		fmt.Fprintf(&sb, " shards=%d batch=%d", pr.Panel.Shards, pr.Panel.RetireBatch)
 	}
-	if pr.Panel.Reclaimers > 0 {
-		fmt.Fprintf(&sb, " reclaimers=%d", pr.Panel.Reclaimers)
-	}
 	if pr.Panel.ChurnOps > 0 {
 		fmt.Fprintf(&sb, " churn=%d", pr.Panel.ChurnOps)
 	}
@@ -606,13 +533,12 @@ func RenderThroughputTable(pr PanelResult) string {
 }
 
 // RenderCSV renders a panel result as CSV rows. The unreclaimed column is
-// the true retired-but-not-freed count (limbo + deferred-retire buffers +
-// async hand-off queues); limbo alone understates it under batching or async
-// reclamation.
+// the true retired-but-not-freed count (limbo + deferred-retire buffers);
+// limbo alone understates it under batching.
 func RenderCSV(pr PanelResult, includeHeader bool) string {
 	var sb strings.Builder
 	if includeHeader {
-		sb.WriteString("figure,title,scheme,threads,shards,retire_batch,reclaimers,churn_ops,mops,allocated_bytes,retired,freed,limbo,unreclaimed,neutralizations\n")
+		sb.WriteString("figure,title,scheme,threads,shards,retire_batch,churn_ops,mops,allocated_bytes,retired,freed,limbo,unreclaimed,neutralizations\n")
 	}
 	for _, s := range pr.Panel.Schemes {
 		for _, th := range pr.Panel.Threads {
@@ -620,8 +546,8 @@ func RenderCSV(pr PanelResult, includeHeader bool) string {
 			if !ok {
 				continue
 			}
-			fmt.Fprintf(&sb, "%q,%q,%s,%d,%d,%d,%d,%d,%.4f,%d,%d,%d,%d,%d,%d\n",
-				pr.Panel.Figure, pr.Panel.Title, s, th, r.Config.Shards, r.Config.RetireBatch, r.Config.Reclaimers, r.Config.ChurnOps,
+			fmt.Fprintf(&sb, "%q,%q,%s,%d,%d,%d,%d,%.4f,%d,%d,%d,%d,%d,%d\n",
+				pr.Panel.Figure, pr.Panel.Title, s, th, r.Config.Shards, r.Config.RetireBatch, r.Config.ChurnOps,
 				r.MopsPerSec, r.AllocatedBytes,
 				r.Reclaimer.Retired, r.Reclaimer.Freed, r.Reclaimer.Limbo, r.Unreclaimed, r.Reclaimer.Neutralizations)
 		}
@@ -640,9 +566,9 @@ func allocName(a recordmgr.AllocatorKind) string {
 // total memory allocated for records during an Experiment-2 style trial of
 // the BST (key range 10^4, 50i-50d), per scheme, at a given thread count.
 // Unreclaimed is the end-of-trial retired-but-not-freed record count
-// (scheme limbo + deferred-retire buffers + async hand-off queues) — the
-// reclamation component of the footprint; reporting scheme limbo alone
-// understates it whenever batching or async hand-off is enabled.
+// (scheme limbo + deferred-retire buffers) — the reclamation component of
+// the footprint; reporting scheme limbo alone understates it whenever
+// batching is enabled.
 type MemoryFootprintRow struct {
 	Threads     int
 	Bytes       map[string]int64
@@ -689,7 +615,6 @@ func MemoryExperiment(opts Options) ([]MemoryFootprintRow, []string, error) {
 				Shards:        opts.Shards,
 				Placement:     opts.Placement,
 				RetireBatch:   opts.RetireBatch,
-				Reclaimers:    opts.Reclaimers,
 				ChurnOps:      opts.ChurnOps,
 			}
 			res, err := runSafely(cfg)
@@ -715,7 +640,7 @@ func RenderMemoryTable(rows []MemoryFootprintRow, schemes []string, ds string) s
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "Figure 9 (right): memory allocated for records (MB), %s range [0,1e4), 50i-50d\n", ds)
 	fmt.Fprintf(&sb, "(unreclaimed = retired-but-not-freed records at the end of the trial:\n")
-	fmt.Fprintf(&sb, " scheme limbo + deferred-retire buffers + async hand-off queues)\n")
+	fmt.Fprintf(&sb, " scheme limbo + deferred-retire buffers)\n")
 	fmt.Fprintf(&sb, "%8s", "threads")
 	for _, s := range schemes {
 		fmt.Fprintf(&sb, "%12s", s)

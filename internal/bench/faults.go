@@ -90,7 +90,6 @@ func FaultPanels(opts Options) []Panel {
 			Shards:        opts.Shards,
 			Placement:     opts.Placement,
 			RetireBatch:   opts.RetireBatch,
-			Reclaimers:    opts.Reclaimers,
 			StallThreads:  stall,
 		})
 	}
@@ -109,7 +108,6 @@ func FaultPanels(opts Options) []Panel {
 		Shards:          opts.Shards,
 		Placement:       opts.Placement,
 		RetireBatch:     opts.RetireBatch,
-		Reclaimers:      opts.Reclaimers,
 		Partitions:      2,
 		ServiceBurst:    ServiceBurstSweep[0],
 		ServiceDist:     kvload.DistZipf,
@@ -172,7 +170,6 @@ func runFaultProbeTrial(cfg Config) (Result, error) {
 		PoolReused:          st.Pool.Reused,
 		Reclaimer:           st.Reclaimer,
 		RetirePending:       st.RetirePending,
-		HandoffPending:      st.HandoffPending,
 		Unreclaimed:         st.Unreclaimed,
 		Elapsed:             elapsed,
 		FaultStalled:        pres.Stalled,

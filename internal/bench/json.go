@@ -19,7 +19,6 @@ type JSONRow struct {
 	Shards        int    `json:"shards"`
 	Placement     string `json:"placement,omitempty"`
 	RetireBatch   int    `json:"retire_batch"`
-	Reclaimers    int    `json:"reclaimers"`
 	// ChurnOps is the goroutine-churn cadence: workers released and
 	// re-acquired their thread slot every ChurnOps operations (0 = each
 	// worker kept its slot for the trial).
@@ -39,10 +38,9 @@ type JSONRow struct {
 	Freed          int64   `json:"freed"`
 	Limbo          int64   `json:"limbo"`
 	RetirePending  int64   `json:"retire_pending"`
-	HandoffPending int64   `json:"handoff_pending"`
 	// Unreclaimed is the true retired-but-not-freed count at the end of the
-	// trial (limbo + retire_pending + handoff_pending); limbo alone
-	// understates memory held under batching or async reclamation.
+	// trial (limbo + retire_pending); limbo alone understates memory held
+	// under batching.
 	Unreclaimed    int64 `json:"unreclaimed"`
 	Neutralization int64 `json:"neutralizations"`
 	EpochAdvances  int64 `json:"epoch_advances"`
@@ -68,22 +66,6 @@ type JSONRow struct {
 	// an upper bound on the server's per-request allocations.
 	PipelineDepth int     `json:"pipeline_depth,omitempty"`
 	AllocsPerOp   float64 `json:"allocs_per_op,omitempty"`
-	// PhaseMops is the per-phase throughput of the phase-changing rows
-	// (experiment 10), in phase order — the columns the adaptive-vs-static
-	// comparison reads; omitted for single-phase trials.
-	PhaseMops []float64 `json:"phase_mops,omitempty"`
-	// TrajLive/TrajShards/TrajBatch/TrajReclaimers are the adaptive
-	// controller's decision trajectory (parallel slices, downsampled): live
-	// slot occupancy and the effective-shard / retire-batch /
-	// active-reclaimer lever positions at each retained control step.
-	// Omitted for non-adaptive rows. ControllerSteps and ControllerDecisions
-	// count control periods and applied lever changes over the whole trial.
-	TrajLive            []int `json:"traj_live,omitempty"`
-	TrajShards          []int `json:"traj_shards,omitempty"`
-	TrajBatch           []int `json:"traj_batch,omitempty"`
-	TrajReclaimers      []int `json:"traj_reclaimers,omitempty"`
-	ControllerSteps     int   `json:"controller_steps,omitempty"`
-	ControllerDecisions int64 `json:"controller_decisions,omitempty"`
 	// StallThreads marks a fault-probe row (experiment 11): how many threads
 	// were parked while pinned during the stalled phase. The slope columns
 	// are the probe's Unreclaimed growth per operation without and with the
@@ -157,7 +139,6 @@ func BuildJSONReport(results []PanelResult) JSONReport {
 					Shards:                  r.Config.Shards,
 					Placement:               r.Config.Placement,
 					RetireBatch:             r.Config.RetireBatch,
-					Reclaimers:              r.Config.Reclaimers,
 					ChurnOps:                r.Config.ChurnOps,
 					Ops:                     r.Ops,
 					MopsPerSec:              r.MopsPerSec,
@@ -170,7 +151,6 @@ func BuildJSONReport(results []PanelResult) JSONReport {
 					Freed:                   r.Reclaimer.Freed,
 					Limbo:                   r.Reclaimer.Limbo,
 					RetirePending:           r.RetirePending,
-					HandoffPending:          r.HandoffPending,
 					Unreclaimed:             r.Unreclaimed,
 					Neutralization:          r.Reclaimer.Neutralizations,
 					EpochAdvances:           r.Reclaimer.EpochAdvances,
@@ -182,13 +162,6 @@ func BuildJSONReport(results []PanelResult) JSONReport {
 					P999Ns:                  r.P999Ns,
 					PipelineDepth:           r.Config.PipelineDepth,
 					AllocsPerOp:             r.AllocsPerOp,
-					PhaseMops:               r.PhaseMops,
-					TrajLive:                r.TrajLive,
-					TrajShards:              r.TrajShards,
-					TrajBatch:               r.TrajBatch,
-					TrajReclaimers:          r.TrajReclaimers,
-					ControllerSteps:         r.ControllerSteps,
-					ControllerDecisions:     r.ControllerDecisions,
 					StallThreads:            r.FaultStalled,
 					FaultClass:              faultClass,
 					UnreclaimedSlopeBase:    r.FaultBaselineSlope,

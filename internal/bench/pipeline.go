@@ -68,7 +68,6 @@ func PipelinePanels(opts Options) []Panel {
 				Shards:        opts.Shards,
 				Placement:     opts.Placement,
 				RetireBatch:   opts.RetireBatch,
-				Reclaimers:    opts.Reclaimers,
 				Partitions:    sh.partitions,
 				ServiceBurst:  sh.burst,
 				ServiceDist:   sh.dist,

@@ -74,7 +74,6 @@ func ServicePanels(opts Options) []Panel {
 			Shards:        opts.Shards,
 			Placement:     opts.Placement,
 			RetireBatch:   opts.RetireBatch,
-			Reclaimers:    opts.Reclaimers,
 			Partitions:    sh.partitions,
 			ServiceBurst:  sh.burst,
 			ServiceDist:   sh.dist,
@@ -100,7 +99,6 @@ func runServiceTrial(cfg Config) (Result, error) {
 		Shards:         cfg.Shards,
 		Placement:      core.ShardPlacement(cfg.Placement),
 		RetireBatch:    cfg.RetireBatch,
-		Reclaimers:     cfg.Reclaimers,
 		InitialBuckets: cfg.InitialBuckets,
 	})
 	if err != nil {

@@ -46,6 +46,7 @@ type ThreadHandle[T any] struct {
 
 	fast   ReclaimerHandle[T] // the scheme's per-slot view (never nil)
 	buf    *retireBuf[T]      // deferred-retire buffer; nil when batching is off
+	batch  int64              // buf's flush threshold (the manager's batch size)
 	pool   PoolHandle[T]      // pool fast path; nil when records are not reused
 	alloc  Allocator[T]
 	pinner Reclaimer[T] // the scheme when its retires need a pin, else nil
@@ -67,6 +68,7 @@ func (m *RecordManager[T]) newHandle(tid int) ThreadHandle[T] {
 	}
 	if tid < len(m.bufs) {
 		h.buf = &m.bufs[tid]
+		h.batch = int64(m.batch)
 	}
 	if m.pool != nil {
 		if hp, ok := m.pool.(HandledPool[T]); ok {
@@ -206,11 +208,7 @@ func (h *ThreadHandle[T]) Retire(rec *T) {
 	if b := h.buf; b != nil {
 		b.bag.Add(rec)
 		b.pending.Inc()
-		// The flush threshold is the buffer's limit cell, not a cached
-		// constant: statically it never changes, and under an adaptive
-		// controller the controller retunes it — an atomic load the thread's
-		// own pending publish already paid for the line fill of.
-		if b.pending.Load() >= b.limit.Load() {
+		if b.pending.Load() >= h.batch {
 			h.FlushRetired()
 		}
 		return
@@ -237,22 +235,9 @@ func (h *ThreadHandle[T]) Retire(rec *T) {
 // records land in a limbo bag, racing an advance winner's drain of that very
 // bag (see Reclaimer.PinRetire). When the thread is mid-operation the
 // operation's own pin already covers the hand-off and no extra pin is taken.
-// With asynchronous reclamation the flush is a lock-free queue push that
-// never touches the scheme, so no pin is needed at all.
 func (h *ThreadHandle[T]) FlushRetired() {
 	b := h.buf
 	if b == nil || b.pending.Load() == 0 {
-		return
-	}
-	if a := h.m.async; a != nil {
-		a.Enqueue(h.tid, b.bag.DetachAll())
-		b.pending.Store(0)
-		// Refill the buffer's block pool from the reclaimers' spare-return
-		// stack, so batches keep circulating existing blocks instead of
-		// allocating one per hand-off.
-		if blk := a.TakeSpare(h.tid); blk != nil {
-			b.pool.Put(blk)
-		}
 		return
 	}
 	if h.pinner != nil && h.fast.IsQuiescent() {

@@ -182,7 +182,7 @@ func (m *ShardMap) ShardLive(s int) int {
 	if m.reg == nil || m.reg.shards == nil {
 		return -1
 	}
-	return int(m.reg.shardLive(s))
+	return int(m.reg.shards[s].occ.Load())
 }
 
 // DefaultShardSweep returns the shard counts the ablation experiments and

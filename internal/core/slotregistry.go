@@ -70,14 +70,11 @@ type slotState struct {
 }
 
 // shardOcc is one shard's occupancy summary word: the number of registry
-// slots in the shard that are currently held, padded
-// onto its own cache lines. extra counts the shard's members that are not
-// registry slots at all (async reclaimer tids) and is immutable after
-// construction; the shard's live count is occ + extra.
+// slots in the shard that are currently held, padded onto its own cache
+// lines.
 type shardOcc struct {
-	occ   atomic.Int64
-	extra int64
-	_     [PadBytes]byte
+	occ atomic.Int64
+	_   [PadBytes]byte
 }
 
 // freeHead is one shard's free-list head word, padded so neighbouring
@@ -97,19 +94,13 @@ type freeHead struct {
 // drained buffers) is enforced by RecordManager.ReleaseHandle, which is the
 // entry point applications use.
 //
-// # Per-shard free lists and the effective shard count
+// # Per-shard free lists
 //
 // The free list is partitioned by shard (one Treiber stack per shard of the
 // attached ShardMap; a single stack when there is none): a slot is pushed to
 // and popped from its home shard's list only, so slots never migrate between
-// lists. Acquire prefers the shards below the registry's *effective* shard
-// count — a runtime lever (SetEffectiveShards) the adaptive Controller moves
-// with live occupancy — and falls back to the remaining shards only when the
-// preferred ones are exhausted, so shrinking the effective count concentrates
-// placement (and therefore the schemes' announcement scans) on a prefix of
-// the shards without ever stranding capacity. Correctness does not depend on
-// the effective count at all: it biases placement, while the scan paths keep
-// working off the per-shard occupancy summaries exactly as before.
+// lists. Acquire scans the lists in ascending shard order, so low tids are
+// preferred.
 type SlotRegistry struct {
 	capacity int
 	smap     *ShardMap // nil for a registry built on its own
@@ -119,24 +110,24 @@ type SlotRegistry struct {
 	heads []freeHead
 	homes []int
 
-	// effective is the number of preferred shards: Acquire scans the free
-	// lists of shards [0, effective) first. Always in [1, len(heads)].
-	effective atomic.Int32
-
 	slots  []slotState
 	shards []shardOcc // nil when smap is nil
 }
 
 // NewSlotRegistry creates a registry for capacity worker slots. smap, when
 // non-nil, is the reclaimer's shard map; the registry then maintains one
-// occupancy summary word and one free list per shard (members of the map
-// beyond the registry's capacity — async reclaimer tids — count as
-// permanently occupied). All slots start vacant, with each shard's free list
-// ordered ascending and every shard effective, so the first Acquire returns
-// slot 0 — the dense-id habit everything downstream relies on.
+// occupancy summary word and one free list per shard. All slots start
+// vacant, with each shard's free list ordered ascending, so the first
+// Acquire returns slot 0 — the dense-id habit everything downstream relies
+// on.
 func NewSlotRegistry(capacity int, smap *ShardMap) *SlotRegistry {
 	if capacity <= 0 {
 		panic("core: NewSlotRegistry requires capacity >= 1")
+	}
+	if smap != nil && smap.Threads() > capacity {
+		// A map member with no slot would never count as live, so the scans
+		// would skip it while it runs.
+		panic(fmt.Sprintf("core: NewSlotRegistry: shard map covers %d threads but capacity is %d", smap.Threads(), capacity))
 	}
 	lists := 1
 	if smap != nil {
@@ -154,7 +145,6 @@ func NewSlotRegistry(capacity int, smap *ShardMap) *SlotRegistry {
 			r.homes[i] = smap.ShardOf(i)
 		}
 	}
-	r.effective.Store(int32(lists))
 	// Build the initial free lists in descending push order so pops come out
 	// ascending within each shard (slot 0 first in shard 0), matching the
 	// dense-id habits of everything downstream (shard placement, NUMA
@@ -164,13 +154,6 @@ func NewSlotRegistry(capacity int, smap *ShardMap) *SlotRegistry {
 	}
 	if smap != nil {
 		r.shards = make([]shardOcc, smap.Shards())
-		for s := range r.shards {
-			for _, m := range smap.Members(s) {
-				if m >= capacity {
-					r.shards[s].extra++
-				}
-			}
-		}
 	}
 	return r
 }
@@ -180,28 +163,6 @@ func (r *SlotRegistry) Capacity() int { return r.capacity }
 
 // Shards returns the number of per-shard free lists (1 without a shard map).
 func (r *SlotRegistry) Shards() int { return len(r.heads) }
-
-// EffectiveShards returns the current number of preferred shards: Acquire
-// places new bindings into shards [0, EffectiveShards()) while they have
-// vacancies. Equal to Shards() unless SetEffectiveShards shrank it.
-func (r *SlotRegistry) EffectiveShards() int { return int(r.effective.Load()) }
-
-// SetEffectiveShards sets the number of preferred shards, clamped to
-// [1, Shards()], and returns the applied value. It is a placement bias, not
-// a capacity limit: slots homed beyond the effective prefix remain
-// acquirable through Acquire's fallback pass, and slots already held there
-// are untouched — so the adaptive Controller may shrink and grow the value
-// concurrently with Acquire/Release traffic without any coordination.
-func (r *SlotRegistry) SetEffectiveShards(n int) int {
-	if n < 1 {
-		n = 1
-	}
-	if n > len(r.heads) {
-		n = len(r.heads)
-	}
-	r.effective.Store(int32(n))
-	return n
-}
 
 // pushFree pushes slot i onto its home shard's free list.
 func (r *SlotRegistry) pushFree(i int) {
@@ -254,30 +215,16 @@ func (r *SlotRegistry) noteVacant(tid int) {
 // before Acquire returns, so the slot is visible to scanners before its new
 // owner can announce anything.
 //
-// Placement: the shards below the effective count are scanned first (in
-// ascending order, so low tids are preferred — the dense-id habit), the
-// remaining shards only as a fallback, which is what lets the adaptive
-// Controller concentrate live slots on a shard prefix without making any
-// slot unacquirable. The multi-list scan is not one atomic snapshot, but it
-// stays linearizable: slots never migrate between lists, so a scan that
-// finds every list empty while a concurrent Release pushes is
-// indistinguishable from the Acquire having run entirely before the Release.
+// The multi-list scan is not one atomic snapshot, but it stays
+// linearizable: slots never migrate between lists, so a scan that finds
+// every list empty while a concurrent Release pushes is indistinguishable
+// from the Acquire having run entirely before the Release.
 func (r *SlotRegistry) Acquire() (int, bool) {
-	eff := int(r.effective.Load())
-	if eff < 1 || eff > len(r.heads) {
-		eff = len(r.heads)
-	}
-	for pass := 0; pass < 2; pass++ {
-		lo, hi := 0, eff
-		if pass == 1 {
-			lo, hi = eff, len(r.heads)
-		}
-		for l := lo; l < hi; l++ {
-			if idx, ok := r.popFree(l); ok {
-				r.slots[idx].state.Store(slotHeld)
-				r.noteOccupied(idx)
-				return idx, true
-			}
+	for l := range r.heads {
+		if idx, ok := r.popFree(l); ok {
+			r.slots[idx].state.Store(slotHeld)
+			r.noteOccupied(idx)
+			return idx, true
 		}
 	}
 	return -1, false
@@ -298,19 +245,9 @@ func (r *SlotRegistry) Release(tid int) {
 	r.pushFree(tid)
 }
 
-// Occupied reports whether tid is currently held. Tids beyond the registry's
-// capacity — async reclaimer participants — are always occupied.
+// Occupied reports whether tid is currently held.
 func (r *SlotRegistry) Occupied(tid int) bool {
-	if tid < 0 || tid >= r.capacity {
-		return true
-	}
 	return r.slots[tid].state.Load() != slotVacant
-}
-
-// shardLive returns the number of occupied members of shard s (registry
-// slots plus the shard's permanent non-registry members).
-func (r *SlotRegistry) shardLive(s int) int64 {
-	return r.shards[s].occ.Load() + r.shards[s].extra
 }
 
 // Live returns the number of currently occupied slots (instrumentation).

@@ -51,24 +51,21 @@ func TestSlotRegistryAcquireRelease(t *testing.T) {
 	if !panics(func() { r.Release(99) }) {
 		t.Fatal("out-of-range Release did not panic")
 	}
-	// Out-of-range tids (async reclaimer participants) are always occupied.
-	if !r.Occupied(17) {
-		t.Fatal("out-of-range tid not reported occupied")
-	}
 }
 
 func TestSlotRegistryShardOccupancy(t *testing.T) {
-	// 4 worker slots + 2 permanent (reclaimer-style) members over 2 shards.
+	// 6 worker slots over 2 shards. Block placement: shard 0 = {0,1,2},
+	// shard 1 = {3,4,5}.
 	smap := core.NewShardMap(6, core.ShardSpec{Shards: 2})
-	r := core.NewSlotRegistry(4, smap)
-	smap.AttachRegistry(r)
-	// Block placement: shard 0 = {0,1,2}, shard 1 = {3,4,5}; tids 4 and 5
-	// are beyond the registry and count as permanently live in shard 1.
-	if got := smap.ShardLive(0); got != 0 {
-		t.Fatalf("shard 0 live = %d want 0", got)
+	if !panics(func() { core.NewSlotRegistry(4, smap) }) {
+		t.Fatal("a registry with fewer slots than map members was accepted")
 	}
-	if got := smap.ShardLive(1); got != 2 {
-		t.Fatalf("shard 1 live = %d want 2 (permanent members)", got)
+	r := core.NewSlotRegistry(6, smap)
+	smap.AttachRegistry(r)
+	for s := 0; s < 2; s++ {
+		if got := smap.ShardLive(s); got != 0 {
+			t.Fatalf("shard %d live = %d want 0", s, got)
+		}
 	}
 	tid, _ := r.Acquire() // slot 0, shard 0
 	if got := smap.ShardLive(0); got != 1 {
@@ -80,8 +77,8 @@ func TestSlotRegistryShardOccupancy(t *testing.T) {
 	for i := 1; i < 4; i++ { // slots 1 and 2 (shard 0), then 3 (shard 1)
 		r.Acquire()
 	}
-	if got := smap.ShardLive(1); got != 3 {
-		t.Fatalf("shard 1 live = %d want 3 with slot 3 held", got)
+	if got := smap.ShardLive(1); got != 1 {
+		t.Fatalf("shard 1 live = %d want 1 with slot 3 held", got)
 	}
 	r.Release(tid)
 	if got := smap.ShardLive(0); got != 2 {
@@ -138,118 +135,9 @@ func TestSlotRegistryConcurrentChurn(t *testing.T) {
 	}
 }
 
-// TestSlotRegistryReleaseVsResize interleaves Release (and Acquire) traffic
-// with concurrent SetEffectiveShards churn — the adaptive controller's
-// shard lever moving while workers come and go. The ordering property under
-// test: a release pushes the slot onto its HOME shard's free list no matter
-// what the effective count is at that instant, and Acquire's fallback pass
-// covers the shards beyond the effective prefix — so a shrink decision can
-// never strand a slot or lose one. Run under -race in CI.
-func TestSlotRegistryReleaseVsResize(t *testing.T) {
-	const (
-		capacity   = 16
-		shards     = 4
-		goroutines = 8
-		iters      = 2000
-	)
-	smap := core.NewShardMap(capacity, core.ShardSpec{Shards: shards})
-	r := core.NewSlotRegistry(capacity, smap)
-	smap.AttachRegistry(r)
-
-	stop := make(chan struct{})
-	var resizer sync.WaitGroup
-	resizer.Add(1)
-	go func() {
-		defer resizer.Done()
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			if got := r.SetEffectiveShards(1 + i%shards); got != 1+i%shards {
-				t.Errorf("SetEffectiveShards(%d) applied %d", 1+i%shards, got)
-				return
-			}
-		}
-	}()
-
-	owners := make([]int32, capacity)
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < iters; i++ {
-				tid, ok := r.Acquire()
-				if !ok {
-					// capacity >= goroutines and slots are never stranded, so
-					// exhaustion here would be exactly the lost-slot bug.
-					t.Errorf("goroutine %d: Acquire failed with %d slots for %d goroutines", g, capacity, goroutines)
-					return
-				}
-				mu.Lock()
-				if owners[tid] != 0 {
-					mu.Unlock()
-					t.Errorf("slot %d acquired by goroutine %d while held by %d", tid, g+1, owners[tid])
-					return
-				}
-				owners[tid] = int32(g + 1)
-				mu.Unlock()
-				if eff := r.EffectiveShards(); eff < 1 || eff > shards {
-					t.Errorf("EffectiveShards = %d outside [1, %d]", eff, shards)
-					return
-				}
-				mu.Lock()
-				owners[tid] = 0
-				mu.Unlock()
-				r.Release(tid)
-			}
-		}(g)
-	}
-	wg.Wait()
-	close(stop)
-	resizer.Wait()
-	if t.Failed() {
-		return
-	}
-
-	if got := r.Live(); got != 0 {
-		t.Fatalf("Live = %d after all goroutines released, want 0", got)
-	}
-	// With the effective count pinned at 1, every slot — including those
-	// homed in shards the prefix no longer prefers — must still come back
-	// through the fallback pass: releases under a shrunken prefix did not
-	// strand anything.
-	r.SetEffectiveShards(1)
-	seen := make(map[int]bool)
-	for i := 0; i < capacity; i++ {
-		tid, ok := r.Acquire()
-		if !ok {
-			t.Fatalf("re-Acquire #%d failed: a slot was stranded by the resize churn", i)
-		}
-		if seen[tid] {
-			t.Fatalf("slot %d handed out twice", tid)
-		}
-		seen[tid] = true
-	}
-	total := 0
-	for s := 0; s < shards; s++ {
-		live := smap.ShardLive(s)
-		if live < 0 || live > len(smap.Members(s)) {
-			t.Fatalf("shard %d live = %d outside [0, %d]", s, live, len(smap.Members(s)))
-		}
-		total += live
-	}
-	if total != capacity {
-		t.Fatalf("occupancy summaries total %d with every slot held, want %d", total, capacity)
-	}
-}
-
 // TestShardMapOccupancyUnderChurn hammers acquire/release churn while
 // reader goroutines continuously poll ShardMap.SlotOccupied and ShardLive —
-// the controller's input signal and the schemes' scan-skip predicate. The
+// the schemes' scan-skip predicates. The
 // summaries may lag individual transitions but must stay within [0,
 // members] per shard, and must be exact once the churn quiesces. Run under
 // -race in CI.

@@ -343,44 +343,6 @@ func poisonedBatchedMapFactory(batch int, newReclaimer func(n int, sink core.Fre
 	}
 }
 
-// poisonedAsyncMapFactory builds a map whose Record Manager runs the
-// asynchronous reclamation pipeline (reclaimer goroutines as extra epoch
-// participants) over the given sharded-domain spec, with the same poison
-// instrumentation as the synchronous factories. Everything per-thread — the
-// allocator, the poison pool, the neutralization domain and the scheme — is
-// sized for n workers + reclaimers participants, mirroring recordmgr.Build.
-func poisonedAsyncMapFactory(t *testing.T, scheme string, reclaimers int, spec core.ShardSpec) reclaimtest.SetFactory {
-	return func(n int) reclaimtest.SetUnderTest {
-		type rec = hashmap.Node[int64]
-		participants := n + reclaimers
-		alloc := arena.NewBump[rec](participants, 0)
-		pp := reclaimtest.NewPoisonPool[rec, *rec](pool.New[rec](participants, alloc))
-		dom := neutralize.NewDomain(participants)
-		rcl, err := recordmgr.NewShardedReclaimer[rec](scheme, participants, pp, dom, spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mgr := core.NewRecordManager[rec](alloc, pp, rcl,
-			core.WithRetireBatching(n, blockbag.BlockSize),
-			core.WithAsyncReclaim(reclaimers))
-		m := hashmap.New[int64](mgr, n, hashmap.WithInitialBuckets(2), hashmap.WithMaxLoad(2))
-		var violations atomic.Int64
-		m.SetVisitHook(func(tid int, nd *hashmap.Node[int64]) {
-			if nd.IsPoisoned() && !dom.Pending(tid) {
-				violations.Add(1)
-			}
-		})
-		return reclaimtest.SetUnderTest{
-			AcquireWorker: acquireMapWorker(m),
-			Violations:    violations.Load,
-			DoubleFrees:   pp.DoubleFrees,
-			Stats:         rcl.Stats,
-			Validate:      m.Validate,
-			Close:         mgr.Close,
-		}
-	}
-}
-
 // poisonedChurnMapFactory builds a poison-instrumented map whose Record
 // Manager has more worker slots than stress goroutines (MaxThreads-style
 // headroom), exposing the AcquireHandle/ReleaseHandle surface so the churn
@@ -445,34 +407,6 @@ func TestStressSlotChurn(t *testing.T) {
 				opts.OpsPerSlot = 48
 				reclaimtest.StressSetChurn(t, factory, opts)
 			})
-		}
-	}
-}
-
-// TestStressAsyncReclaim runs the poison-sink safety stress with
-// asynchronous reclamation enabled, across shard counts {1, NumCPU} and
-// reclaimer counts {1, 2}, for every scheme. The reclaimer goroutines
-// perform the grace-period wait and the free behind the workers, so this is
-// the end-to-end safety check of the hand-off path: a freed-record
-// observation or double free here means the async pipeline broke the
-// scheme's reclamation contract. After the stress, Close drains the
-// pipeline and the poison counters are re-checked.
-func TestStressAsyncReclaim(t *testing.T) {
-	shardCounts := []int{1, runtime.NumCPU()}
-	if shardCounts[1] == 1 {
-		shardCounts = shardCounts[:1]
-	}
-	for _, scheme := range allSchemes() {
-		for _, shards := range shardCounts {
-			for _, reclaimers := range []int{1, 2} {
-				t.Run(fmt.Sprintf("%s/shards=%d/reclaimers=%d", scheme, shards, reclaimers), func(t *testing.T) {
-					spec := core.ShardSpec{Shards: shards}
-					factory := poisonedAsyncMapFactory(t, scheme, reclaimers, spec)
-					opts := reclaimtest.DefaultSetStressOptions()
-					opts.Duration = 80 * time.Millisecond
-					reclaimtest.StressSet(t, factory, opts)
-				})
-			}
 		}
 	}
 }

@@ -17,8 +17,8 @@
 //     the three operation boundaries that matter for reclamation: right
 //     after LeaveQstate (stalled while pinned, announcement live), right
 //     before EnterQstate (stalled before unpin), and before Retire /
-//     RetireBlock (stalled retirer; on an async reclaimer's tid this is a
-//     delayed drain). recordmgr.Config.FaultPlan threads it through Build.
+//     RetireBlock (stalled retirer). recordmgr.Config.FaultPlan threads it
+//     through Build.
 //   - Probe (probe.go) measures ManagerStats.Unreclaimed growth with and
 //     without a stalled thread and classifies the scheme as bounded or
 //     unbounded-growth — the paper's Figure-style robustness result as a
@@ -53,9 +53,8 @@ const (
 	// PointBeforeUnpin fires at EnterQstate, before the announcement is
 	// withdrawn: the thread finished its operation but never got to quiesce.
 	PointBeforeUnpin
-	// PointRetire fires before each Retire/RetireBlock hand-off. Armed on an
-	// async reclaimer's participant tid it delays the drain behind the
-	// workers; armed on a worker it stalls the retire path itself.
+	// PointRetire fires before each Retire/RetireBlock hand-off: it stalls
+	// the thread's retire path itself.
 	PointRetire
 )
 
@@ -76,8 +75,7 @@ func (p Point) String() string {
 // Trigger describes one injection: which thread, which boundary, when, and
 // what kind of fault.
 type Trigger struct {
-	// Tid is the dense thread id the trigger arms (workers 0..Threads-1;
-	// async reclaimer goroutines are Threads+i).
+	// Tid is the dense thread id the trigger arms (workers 0..Threads-1).
 	Tid int
 	// Point is the operation boundary the trigger fires at.
 	Point Point

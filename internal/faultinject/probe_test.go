@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/blockbag"
 	"repro/internal/faultinject"
 	"repro/internal/raceenabled"
 	"repro/internal/recordmgr"
@@ -86,19 +87,18 @@ func TestProbeClassifiesSchemes(t *testing.T) {
 	}
 }
 
-// TestProbeSurvivesBatchingAndAsync: the probe's quiescence recovery (release
-// victims, join, Close) must hold with deferred-retire batching and the async
-// hand-off pipeline interposed, where Unreclaimed spans three buffers — the
-// wrapper forwards RetireBlock and the shard map the manager sizes those
-// paths by.
-func TestProbeSurvivesBatchingAndAsync(t *testing.T) {
+// TestProbeSurvivesBatching: the probe's quiescence recovery (release
+// victims, join, Close) must hold with deferred-retire batching interposed,
+// where Unreclaimed spans the scheme's limbo and the retire buffers. The
+// batch is a whole block, so flushes reach the scheme through the wrapper's
+// forwarded RetireBlock.
+func TestProbeSurvivesBatching(t *testing.T) {
 	plan, stalls := faultinject.NewStallPlan([]int{2})
 	m, err := recordmgr.Build[proberec](recordmgr.Config{
 		Scheme:      recordmgr.SchemeDEBRA,
 		Threads:     3,
 		UsePool:     true,
-		RetireBatch: 16,
-		Reclaimers:  1,
+		RetireBatch: blockbag.BlockSize,
 		FaultPlan:   plan,
 	})
 	if err != nil {

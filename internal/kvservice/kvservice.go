@@ -93,19 +93,11 @@ type Config struct {
 	// UsePool recycles reclaimed nodes through the record pool (default
 	// false; set it for steady-state serving).
 	UsePool bool
-	// Shards, Placement, RetireBatch and Reclaimers configure each
-	// partition's Record Manager exactly as in recordmgr.Config.
+	// Shards, Placement and RetireBatch configure each partition's Record
+	// Manager exactly as in recordmgr.Config.
 	Shards      int
 	Placement   core.ShardPlacement
 	RetireBatch int
-	Reclaimers  int
-	// Adaptive attaches the self-tuning controller to every partition's
-	// Record Manager (recordmgr.Config.Adaptive): effective shards, retire
-	// batches and active reclaimers then track the live connection load
-	// instead of staying pinned at the knobs above. AdaptiveInterval is the
-	// controller's decision period (0 = core.DefaultControllerInterval).
-	Adaptive         bool
-	AdaptiveInterval time.Duration
 	// InitialBuckets sizes each partition's bucket table (0 = map default).
 	InitialBuckets int
 
@@ -254,35 +246,32 @@ func New(cfg Config) (*Server, error) {
 	if cfg.AcquireQueue < 1 {
 		return nil, fmt.Errorf("kvservice: AcquireQueue must be >= 1, got %d", cfg.AcquireQueue)
 	}
-	// Build partition 0's manager first so configuration errors surface as
-	// errors rather than panics out of the builder callback.
+	// Build every partition's manager up front so configuration errors
+	// surface as errors rather than panics out of the builder callback.
 	mcfg := recordmgr.Config{
-		Scheme:           cfg.Scheme,
-		Threads:          1,
-		MaxThreads:       cfg.MaxConns,
-		Allocator:        recordmgr.AllocBump,
-		UsePool:          cfg.UsePool,
-		Shards:           cfg.Shards,
-		Placement:        cfg.Placement,
-		RetireBatch:      cfg.RetireBatch,
-		Reclaimers:       cfg.Reclaimers,
-		Adaptive:         cfg.Adaptive,
-		AdaptiveInterval: cfg.AdaptiveInterval,
+		Scheme:      cfg.Scheme,
+		Threads:     1,
+		MaxThreads:  cfg.MaxConns,
+		Allocator:   recordmgr.AllocBump,
+		UsePool:     cfg.UsePool,
+		Shards:      cfg.Shards,
+		Placement:   cfg.Placement,
+		RetireBatch: cfg.RetireBatch,
 	}
-	probe, err := recordmgr.Build[hashmap.Node[[]byte]](mcfg)
-	if err != nil {
-		return nil, fmt.Errorf("kvservice: %w", err)
+	mgrs := make([]*hashmap.Manager[[]byte], cfg.Partitions)
+	for p := range mgrs {
+		m, err := recordmgr.Build[hashmap.Node[[]byte]](mcfg)
+		if err != nil {
+			return nil, fmt.Errorf("kvservice: %w", err)
+		}
+		mgrs[p] = m
 	}
-	// The probe exists only to surface configuration errors; Close it so the
-	// goroutines a valid configuration starts (async reclaimers, the adaptive
-	// controller) do not outlive the check.
-	probe.Close()
 	var opts []hashmap.Option
 	if cfg.InitialBuckets > 0 {
 		opts = append(opts, hashmap.WithInitialBuckets(cfg.InitialBuckets))
 	}
-	pm := hashmap.NewPartitioned(cfg.Partitions, func(int) *hashmap.Manager[[]byte] {
-		return recordmgr.MustBuild[hashmap.Node[[]byte]](mcfg)
+	pm := hashmap.NewPartitioned(cfg.Partitions, func(p int) *hashmap.Manager[[]byte] {
+		return mgrs[p]
 	}, cfg.MaxConns, opts...)
 	return &Server{
 		cfg:      cfg,
@@ -855,28 +844,6 @@ type Snapshot struct {
 	WriteErrors int64 `json:"write_errors"`
 
 	Manager ManagerSnapshot `json:"manager"`
-
-	// Adaptive holds one entry per partition's self-tuning controller
-	// (Config.Adaptive); empty when the server runs with static knobs.
-	Adaptive []ControllerSnapshot `json:"adaptive,omitempty"`
-}
-
-// ControllerSnapshot is one partition controller's current lever positions
-// and activity counters (see core.Controller).
-type ControllerSnapshot struct {
-	// EffectiveShards, RetireBatch and ActiveReclaimers are the current
-	// lever positions (RetireBatch 0 when batching is off, ActiveReclaimers
-	// 0 when reclamation is synchronous).
-	EffectiveShards  int `json:"effective_shards"`
-	RetireBatch      int `json:"retire_batch"`
-	ActiveReclaimers int `json:"active_reclaimers"`
-	// Live is the partition's bound worker-slot count at the controller's
-	// last observation.
-	Live int `json:"live"`
-	// Steps and Decisions count control steps taken and lever writes made
-	// (a converged controller steps often and decides rarely).
-	Steps     int   `json:"steps"`
-	Decisions int64 `json:"decisions"`
 }
 
 // ManagerSnapshot is the reclamation half of a Snapshot, summed over the
@@ -913,23 +880,8 @@ func (s *Server) snapshotLocked(inline *tally) Snapshot {
 		t.add(*inline)
 	}
 	live := 0
-	var adaptive []ControllerSnapshot
 	for p := 0; p < s.pm.Partitions(); p++ {
-		m := s.pm.Partition(p).Manager()
-		live += m.SlotRegistry().Live()
-		if c := m.Controller(); c != nil {
-			cs := ControllerSnapshot{
-				EffectiveShards: m.SlotRegistry().EffectiveShards(),
-				Steps:           c.Steps(),
-				Decisions:       c.Decisions(),
-			}
-			if last, ok := c.Last(); ok {
-				cs.RetireBatch = last.RetireBatch
-				cs.ActiveReclaimers = last.ActiveReclaimers
-				cs.Live = last.Live
-			}
-			adaptive = append(adaptive, cs)
-		}
+		live += s.pm.Partition(p).Manager().SlotRegistry().Live()
 	}
 	ms := s.pm.ManagerStats()
 	return Snapshot{
@@ -951,7 +903,6 @@ func (s *Server) snapshotLocked(inline *tally) Snapshot {
 		ReapedConns:  reaped,
 		Batches:      t.batches,
 		WriteErrors:  t.writeErrs,
-		Adaptive:     adaptive,
 		Manager: ManagerSnapshot{
 			Retired:         ms.Reclaimer.Retired,
 			Freed:           ms.Reclaimer.Freed,

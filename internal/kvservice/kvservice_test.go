@@ -155,12 +155,12 @@ func TestServerLifecycle(t *testing.T) {
 	for _, scheme := range recordmgr.Schemes() {
 		t.Run(scheme, func(t *testing.T) {
 			srv, addr := startServer(t, kvservice.Config{
-				Scheme:     scheme,
-				Partitions: partitions,
-				MaxConns:   maxConns,
-				Burst:      burst,
-				UsePool:    true,
-				Reclaimers: 1,
+				Scheme:      scheme,
+				Partitions:  partitions,
+				MaxConns:    maxConns,
+				Burst:       burst,
+				UsePool:     true,
+				RetireBatch: 16,
 			})
 			var wg sync.WaitGroup
 			for w := 0; w < conns; w++ {
@@ -246,8 +246,6 @@ func TestServerIdleConnDoesNotStarveOthers(t *testing.T) {
 		Burst:      8,
 		IdleHold:   2 * time.Millisecond,
 		UsePool:    true,
-		Reclaimers: 1,
-		Adaptive:   true, // the original wedge surfaced under the adaptive controller
 	})
 	defer srv.Close()
 

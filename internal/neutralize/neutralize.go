@@ -106,12 +106,6 @@ func (n Neutralized) Error() string {
 	return fmt.Sprintf("thread %d neutralized", n.Tid)
 }
 
-// NeutralizationSignal marks the type so packages that must not import this
-// one (core, which neutralize itself imports) can recognise a recovered
-// neutralization through an anonymous interface assertion — the async
-// reclaimer goroutines absorb a delivery this way.
-func (n Neutralized) NeutralizationSignal() {}
-
 // Recover converts a recover() result into (*Neutralized, true) when the
 // panic was a neutralization, and re-panics for anything else. A nil input
 // returns (nil, false).

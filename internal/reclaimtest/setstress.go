@@ -49,7 +49,7 @@ type SetUnderTest struct {
 	// stress (for example the hash map's split-order validation).
 	Validate func() error
 	// Close, when non-nil, shuts the reclamation pipeline down after all
-	// checks (Record Manager Close: flush, async drain, limbo force-free).
+	// checks (Record Manager Close: flush, limbo force-free).
 	// StressSet re-checks the double-free counter afterwards, so shutdown
 	// draining is covered by the same poison instrumentation.
 	Close func()

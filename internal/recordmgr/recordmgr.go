@@ -8,10 +8,8 @@ package recordmgr
 import (
 	"fmt"
 	"sort"
-	"time"
 
 	"repro/internal/arena"
-	"repro/internal/blockbag"
 	"repro/internal/core"
 	"repro/internal/faultinject"
 	"repro/internal/neutralize"
@@ -89,34 +87,6 @@ type Config struct {
 	// batch size (0 = retire records directly). Batches of
 	// blockbag.BlockSize transfer to the scheme as O(1) block splices.
 	RetireBatch int
-	// Reclaimers enables asynchronous reclamation with the given number of
-	// dedicated reclaimer goroutines (0 = reclamation stays on the worker
-	// threads). The reclaimers register as extra epoch participants: the
-	// scheme, allocator and pool are constructed for Threads+Reclaimers
-	// dense ids, workers use tids 0..Threads-1, and retirement becomes an
-	// O(1) hand-off drained behind the workers. Implies RetireBatch
-	// (defaulted to blockbag.BlockSize when unset); callers must Close the
-	// manager after the workers have quiesced.
-	Reclaimers int
-	// Adaptive attaches the self-tuning controller (core.Controller): a
-	// feedback loop that retunes the effective shard count from live slot
-	// occupancy, the per-thread retire batch from the retire rate and
-	// Unreclaimed backlog (AIMD between MinRetireBatch and MaxRetireBatch),
-	// and the active reclaimer-goroutine count from the hand-off backlog.
-	// Each lever only engages when its subsystem is configured (Shards > 1,
-	// RetireBatch > 0, Reclaimers > 0 respectively); with none of them the
-	// controller observes but has nothing to move. The static knobs above
-	// become starting points rather than pinned values.
-	Adaptive bool
-	// AdaptiveInterval is the controller's decision period (0 defaults to
-	// core.DefaultControllerInterval). Only meaningful with Adaptive.
-	AdaptiveInterval time.Duration
-	// MinRetireBatch and MaxRetireBatch bound the adaptive batch lever
-	// (0 defaults: floor 8, ceiling 4*blockbag.BlockSize). Only meaningful
-	// with Adaptive; a static RetireBatch outside the bounds is clamped at
-	// controller attach.
-	MinRetireBatch int
-	MaxRetireBatch int
 	// FaultPlan, when non-nil, interposes the deterministic fault plane on
 	// the reclaimer (faultinject.Wrap): the plan's triggers inject stalls
 	// and crashes at the scheme's operation boundaries, per tid, exactly as
@@ -136,41 +106,19 @@ func Build[T any](cfg Config) (*core.RecordManager[T], error) {
 	if cfg.MaxThreads > 0 && cfg.MaxThreads < cfg.Threads {
 		return nil, fmt.Errorf("recordmgr: MaxThreads (%d) must be >= Threads (%d)", cfg.MaxThreads, cfg.Threads)
 	}
-	if cfg.Reclaimers < 0 {
-		return nil, fmt.Errorf("recordmgr: Reclaimers must be >= 0, got %d", cfg.Reclaimers)
-	}
 	if cfg.RetireBatch < 0 {
 		return nil, fmt.Errorf("recordmgr: RetireBatch must be >= 0, got %d", cfg.RetireBatch)
 	}
-	if cfg.MinRetireBatch < 0 || cfg.MaxRetireBatch < 0 {
-		return nil, fmt.Errorf("recordmgr: MinRetireBatch/MaxRetireBatch must be >= 0, got %d/%d", cfg.MinRetireBatch, cfg.MaxRetireBatch)
-	}
-	if cfg.MinRetireBatch > 0 && cfg.MaxRetireBatch > 0 && cfg.MaxRetireBatch < cfg.MinRetireBatch {
-		return nil, fmt.Errorf("recordmgr: MaxRetireBatch (%d) must be >= MinRetireBatch (%d)", cfg.MaxRetireBatch, cfg.MinRetireBatch)
-	}
-	if !cfg.Adaptive && (cfg.AdaptiveInterval != 0 || cfg.MinRetireBatch != 0 || cfg.MaxRetireBatch != 0) {
-		return nil, fmt.Errorf("recordmgr: AdaptiveInterval/MinRetireBatch/MaxRetireBatch require Adaptive")
-	}
-	if cfg.Reclaimers > 0 && cfg.RetireBatch == 0 {
-		// Async hand-off granularity is the retire batch; a full block is the
-		// O(1)-splice sweet spot.
-		cfg.RetireBatch = blockbag.BlockSize
-	}
 	// Worker slots: the slot-registry capacity every per-thread component is
-	// sized for. The async reclaimer goroutines are extra participants
-	// beyond the worker slots.
-	workers := cfg.Threads
-	if cfg.MaxThreads > workers {
-		workers = cfg.MaxThreads
-	}
-	participants := workers + cfg.Reclaimers
+	// sized for.
+	workers := max(cfg.Threads, cfg.MaxThreads)
 
 	var alloc core.Allocator[T]
 	switch cfg.Allocator {
 	case AllocBump, "":
-		alloc = arena.NewBump[T](participants, 0)
+		alloc = arena.NewBump[T](workers, 0)
 	case AllocHeap:
-		alloc = arena.NewHeap[T](participants)
+		alloc = arena.NewHeap[T](workers)
 	default:
 		return nil, fmt.Errorf("recordmgr: unknown allocator kind %q", cfg.Allocator)
 	}
@@ -178,7 +126,7 @@ func Build[T any](cfg Config) (*core.RecordManager[T], error) {
 	var p core.Pool[T]
 	var sink core.FreeSink[T]
 	if cfg.UsePool {
-		pl := pool.New(participants, alloc)
+		pl := pool.New(workers, alloc)
 		p = pl
 		sink = pl
 	} else {
@@ -189,7 +137,7 @@ func Build[T any](cfg Config) (*core.RecordManager[T], error) {
 		return nil, err
 	}
 	spec := core.ShardSpec{Shards: cfg.Shards, Placement: cfg.Placement}
-	rec, err := NewShardedReclaimer[T](cfg.Scheme, participants, sink, cfg.Domain, spec)
+	rec, err := NewShardedReclaimer[T](cfg.Scheme, workers, sink, cfg.Domain, spec)
 	if err != nil {
 		return nil, err
 	}
@@ -203,16 +151,6 @@ func Build[T any](cfg Config) (*core.RecordManager[T], error) {
 	var mopts []core.ManagerOption
 	if cfg.RetireBatch > 0 {
 		mopts = append(mopts, core.WithRetireBatching(workers, cfg.RetireBatch))
-	}
-	if cfg.Reclaimers > 0 {
-		mopts = append(mopts, core.WithAsyncReclaim(cfg.Reclaimers))
-	}
-	if cfg.Adaptive {
-		mopts = append(mopts, core.WithController(core.ControllerConfig{
-			Interval: cfg.AdaptiveInterval,
-			MinBatch: cfg.MinRetireBatch,
-			MaxBatch: cfg.MaxRetireBatch,
-		}))
 	}
 	return core.NewRecordManager(alloc, p, rec, mopts...), nil
 }

@@ -93,19 +93,18 @@ func TestBuildErrors(t *testing.T) {
 
 // TestMaxThreadsDynamicBinding: Config.MaxThreads sizes the slot registry
 // (and every per-thread component) beyond the nominal worker count, so
-// goroutines can bind and release slots at runtime across every scheme —
-// including with retire batching and async reclamation, whose reclaimer
-// tids must stay out of the acquirable range.
+// goroutines can bind and release slots at runtime across every scheme, with
+// and without retire batching.
 func TestMaxThreadsDynamicBinding(t *testing.T) {
 	for _, scheme := range recordmgr.Schemes() {
-		for _, reclaimers := range []int{0, 1} {
-			t.Run(fmt.Sprintf("%s/reclaimers=%d", scheme, reclaimers), func(t *testing.T) {
+		for _, batch := range []int{0, 16} {
+			t.Run(fmt.Sprintf("%s/batch=%d", scheme, batch), func(t *testing.T) {
 				mgr, err := recordmgr.Build[node](recordmgr.Config{
-					Scheme:     scheme,
-					Threads:    2,
-					MaxThreads: 4,
-					UsePool:    true,
-					Reclaimers: reclaimers,
+					Scheme:      scheme,
+					Threads:     2,
+					MaxThreads:  4,
+					UsePool:     true,
+					RetireBatch: batch,
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -113,10 +112,6 @@ func TestMaxThreadsDynamicBinding(t *testing.T) {
 				if got := mgr.WorkerSlots(); got != 4 {
 					t.Fatalf("WorkerSlots = %d want 4", got)
 				}
-				if got := mgr.Participants(); got != 4+reclaimers {
-					t.Fatalf("Participants = %d want %d", got, 4+reclaimers)
-				}
-				// All four slots are acquirable; the async reclaimer tids are not.
 				handles := make([]*core.ThreadHandle[node], 4)
 				for i := range handles {
 					handles[i] = mgr.AcquireHandle()
