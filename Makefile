@@ -2,8 +2,9 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt fmt-check vet-reclaim test race stress-hashmap stress-kvservice fuzz-smoke bench-smoke bench-diff bench-baseline bench benchmark benchmark-smoke check
+.PHONY: all build vet fmt fmt-check vet-reclaim test race stress-hashmap stress-kvservice fuzz-smoke benchmark benchmark-smoke check
 
+## all: same as check
 all: check
 
 ## build: compile every package and binary
@@ -24,15 +25,11 @@ fmt-check:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
-## vet-reclaim: cmd/reclaimvet's five reclamation-contract analyzers over every
-## package, tests included; fails on any diagnostic (docs/ARCHITECTURE.md,
-## "Statically enforced invariants")
+## vet-reclaim: the reclamation-contract analyzers over every package, tests included (docs/ARCHITECTURE.md)
 vet-reclaim:
 	$(GO) run ./cmd/reclaimvet ./...
 
-## test: full test suite, then the scheme packages five times over: they run
-## in under a second each and share internal/reclaim/epoch, so one flake there
-## is four
+## test: full test suite, then the epoch-sharing scheme packages five times over
 test:
 	$(GO) test ./...
 	$(GO) test -count=5 ./internal/reclaim/...
@@ -41,58 +38,26 @@ test:
 race:
 	$(GO) test -race -short ./...
 
-## stress-hashmap: the hash map's bucket-claim, unlink-before-return and
-## wait-free-Get tests, repeated under the race detector (contracts: the
-## package comment of internal/ds/hashmap)
+## stress-hashmap: the hash map's bucket-claim, unlink and wait-free-Get tests under -race
 stress-hashmap:
 	$(GO) test -race -count=10 -timeout 10m -run 'Claim|Unlink|StressWaitFreeGet' ./internal/ds/hashmap
 
-## stress-kvservice: the service's shared-key value-integrity stress (stored
-## bytes recycled with their nodes), repeated under the race detector
+## stress-kvservice: the service's shared-key value-integrity stress under -race
 stress-kvservice:
 	$(GO) test -race -count=10 -timeout 10m -run 'StressValueIntegrity' ./internal/kvservice
 
-## fuzz-smoke: 5 s of fuzzing per target — the kvwire frame and request
-## decoders, and the hash map's key <-> split-order key round trip. go test
-## takes one -fuzz target per run, and the anchors keep FuzzDecodeRequest from
-## also matching FuzzDecodeRequests.
+## fuzz-smoke: 5 s per fuzz target (go test takes one anchored -fuzz pattern per run)
 fuzz-smoke:
 	$(GO) test ./internal/kvwire -run='^$$' -fuzz='^FuzzReadFrame$$' -fuzztime=5s
 	$(GO) test ./internal/kvwire -run='^$$' -fuzz='^FuzzDecodeRequest$$' -fuzztime=5s
 	$(GO) test ./internal/kvwire -run='^$$' -fuzz='^FuzzDecodeRequests$$' -fuzztime=5s
 	$(GO) test ./internal/ds/hashmap -run='^$$' -fuzz='^FuzzSoKeyRoundTrip$$' -fuzztime=5s
 
-## bench-smoke: the cmd/reclaimbench sweep's smoke run, best of 3 per cell, JSON to
-## bench-smoke.json (CI artifact, archived under bench-history/); the experiment
-## list is `go run ./cmd/reclaimbench -h` (-experiment)
-bench-smoke: build
-	$(GO) run ./cmd/reclaimbench -experiment hashmap,hotpath,churn,service,faults,pipeline -quick -threads 4 -duration 75ms -repeat 3 -json > bench-smoke.json
-	@grep -q '"row_count"' bench-smoke.json
-	@mkdir -p bench-history
-	@cp bench-smoke.json "bench-history/$$(date -u +%Y%m%dT%H%M%SZ).json"
-	@echo "wrote bench-smoke.json (archived under bench-history/)"
-
-## bench-diff: compare the fresh bench-smoke artifact against the committed
-## baseline, failing on >30% (median-normalised) throughput regressions.
-bench-diff: bench-smoke
-	$(GO) run ./cmd/benchdiff -baseline BENCH_baseline.json -current bench-smoke.json
-
-## bench-baseline: refresh the committed baseline from a fresh smoke run
-bench-baseline: bench-smoke
-	cp bench-smoke.json BENCH_baseline.json
-	@echo "updated BENCH_baseline.json; commit it"
-
-## bench: the full benchmark suite through the testing.B interface
-bench:
-	$(GO) test -bench=. -benchtime=1x -run=^$$ .
-
-## benchmark: the repository's benchmark (BENCHMARK.json; benchmark/README.md
-## defines every workload and metric). Needs >= 2 CPUs.
+## benchmark: the repository's benchmark, every workload (benchmark/README.md; needs >= 2 CPUs)
 benchmark:
 	$(GO) run ./benchmark -seed 1
 
-## benchmark-smoke: the benchmark's own tests plus the shortest run of one
-## workload, so CI notices when a change breaks what the driver runs
+## benchmark-smoke: the benchmark's own tests plus one 2-second workload
 benchmark-smoke:
 	$(GO) test ./benchmark/
 	$(GO) run ./benchmark -workload map_read_mostly -seed 1 -seconds 2 -trace 0

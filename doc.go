@@ -1,22 +1,23 @@
 // Package repro is a Go reproduction of "Reclaiming Memory for Lock-Free
 // Data Structures: There has to be a Better Way" (Trevor Brown, PODC 2015):
 // DEBRA, DEBRA+, the Record Manager abstraction, the competing reclamation
-// schemes the paper evaluates against, the data structures used in its
-// evaluation, and a benchmark harness that regenerates every table and
-// figure of the paper's evaluation section.
+// schemes the paper evaluates against and the data structures used in its
+// evaluation. cmd/reclaimbench regenerates the paper's figures (Experiments
+// 1–3, the Figure 9 memory footprint, and the stalled-thread claim); `go run
+// ./benchmark` measures everything else, end to end and per layer, with
+// every workload and metric defined in benchmark/README.md.
 //
 // Beyond the paper's own benchmarks, internal/ds/hashmap adds a lock-free
 // split-ordered hash map with incremental resizing (and an Upsert/replace
 // operation) as the first structure demonstrating that the Record Manager
 // generalises: it is programmed once against the abstraction and runs with
-// all six reclamation schemes (none, ebr, qsbr, debra, debra+, hp). Its
-// panels are experiment 4 of cmd/reclaimbench.
+// all six reclamation schemes (none, ebr, qsbr, debra, debra+, hp).
 //
 // # Sharded reclamation domains and batched retirement
 //
 // The Record Manager stack scales past one global reclamation domain. A
 // core.ShardSpec partitions the dense thread ids of a Record Manager into N
-// shards (recordmgr.Config.Shards; -shards on the CLIs) under a tid→shard
+// shards (recordmgr.Config.Shards; -shards on cmd/kvserver) under a tid→shard
 // placement policy (core.PlaceBlock keeps contiguous worker ids together,
 // the NUMA-style default; core.PlaceStripe round-robins — the
 // recordmgr.Config.Placement / -placement knob). The four epoch schemes are
@@ -32,11 +33,10 @@
 //
 // Retirement batches the same way: core.WithRetireBatching gives the Record
 // Manager per-thread deferred-retire buffers (recordmgr.Config.RetireBatch;
-// -retirebatch on the CLIs) that hand full blocks to the scheme through
+// -retirebatch on cmd/kvserver) that hand full blocks to the scheme through
 // core.Reclaimer.RetireBlock — an O(1) block splice per batch in every
-// scheme, with core.RetireChain retiring a sub-block remainder record by
-// record. Experiment 5 of cmd/reclaimbench ("shards") sweeps the
-// shards × batch axes over the update-heavy hash map panel.
+// scheme (core.RetireChain) — and retire the sub-block remainder of a flush
+// record by record.
 //
 // # The quiescent-retire contract
 //
@@ -61,8 +61,8 @@
 // Retired records can sit in two places besides the free sink: the
 // per-thread deferred-retire buffers and the scheme's limbo bags.
 // ManagerStats reports both: Unreclaimed = scheme limbo + deferred-retire
-// buffers (the "unreclaimed" column in the bench JSON/CSV; scheme limbo
-// alone understates it). Shutdown follows a fixed ordering — workers
+// buffers (what the benchmark's unreclaimed_mean_records samples; scheme
+// limbo alone understates it). Shutdown follows a fixed ordering — workers
 // quiesce, buffers flush, limbo is force-freed: RecordManager.Close performs
 // the last two steps (the force-free through core.LimboDrainer, which every
 // reclaiming scheme implements for the all-quiescent shutdown case), after
@@ -106,10 +106,8 @@
 // reclamation scan skips vacant threads' slot arrays. The remaining race —
 // a scanner observes a slot vacant while a goroutine concurrently acquires
 // it — is exactly the quiescent-thread-wakes race every scheme already
-// tolerates. Experiment 8 of cmd/reclaimbench ("churn"; -churn applies the
-// knob to any experiment) measures throughput and the acquire/release
-// latency under goroutine churn, and cmd/benchdiff reports the per-cycle
-// ns columns alongside the trend gate.
+// tolerates. The benchmark's core.slot_acquire_ns row measures one
+// acquire/release cycle.
 //
 // # Hot-path cost model
 //
@@ -149,11 +147,9 @@
 // sequentially consistent announcement store per record visited (the
 // paper's dominant HP cost) plus an amortised scan per retireThreshold
 // retires. Retirement adds a bag append (plus, per batch, one O(1) block
-// splice under batching); allocation is a
-// pool bag pop. Experiment 7 of cmd/reclaimbench ("hotpath") measures these
-// per-op microcosts directly — a pin/unpin probe and an allocate/retire
-// round-trip probe per scheme — and cmd/benchdiff reports the ns/op columns
-// of those probes alongside the trend gate.
+// splice under batching); allocation is a pool bag pop. The benchmark's
+// core.pin_unpin_ns and core.alloc_retire_ns.<scheme> rows measure these
+// per-op costs directly.
 //
 // # The KV service layer
 //
@@ -168,11 +164,10 @@
 // connections can vastly outnumber slots and an idle or slow client holds
 // no reclamation state at all. cmd/kvserver and cmd/kvload are the server
 // and load-generator binaries (docs/OPERATIONS.md covers every flag,
-// scheme selection and how to read the latency tail), and experiment 9 of
-// cmd/reclaimbench ("service") runs the pair in-process, publishing
-// p50/p99/p999 request latencies per scheme into the bench JSON and
-// hard-failing any trial whose reclaiming scheme exits with
-// Retired != Freed.
+// scheme selection and how to read the latency tail), and the benchmark's
+// svc_lockstep_read and svc_pipelined_churn workloads run the pair
+// in-process, failing any run whose server does not exit with
+// Retired == Freed.
 //
 // # Fault injection and graceful degradation
 //
@@ -190,13 +185,9 @@
 // without a stalled thread — and classifies each scheme bounded or
 // unbounded by the slope delta: DEBRA+ (neutralization) and HP (bounded by
 // construction) stay flat, EBR/QSBR/DEBRA approach one record per
-// operation behind the stalled announcement. Experiment 11 of
-// cmd/reclaimbench ("faults") sweeps the probe over every scheme and
-// stall count and adds a chaos-mode KV service panel (client-side
-// mid-frame stalls and connection kills via internal/kvload's chaos
-// flags) that must still shut down with Retired == Freed; cmd/benchdiff
-// excludes the fault rows from the throughput gate and renders them as
-// classification and resilience tables instead.
+// operation behind the stalled announcement. `reclaimbench -experiment
+// faults` sweeps the probe over every scheme and stall count and prints
+// the verdict per cell.
 //
 // The service layer holds up its own end: every read and write carries a
 // deadline, slot acquisition is bounded in time and queue depth with an
@@ -206,7 +197,10 @@
 // it would bind. internal/kvload retries transient failures with
 // exponential backoff and jitter, reconnects through connection loss, and
 // reports the recovery work (busy/retries/reconnects/gaveup) in its
-// results. docs/OPERATIONS.md ("Fault tolerance") is the operator's view.
+// results; its chaos flags (mid-frame stalls, connection kills) turn it
+// into the adversary, and its tests run them against a live server that
+// must still shut down with Retired == Freed. docs/OPERATIONS.md ("Fault
+// tolerance") is the operator's view.
 //
 // # Static analysis
 //
@@ -235,13 +229,7 @@
 // The implementation lives under internal/ (see docs/ARCHITECTURE.md for
 // the layer map and the stack's two load-bearing contracts stated as
 // invariants); runnable entry points are the programs under cmd/ and
-// examples/ (indexed in examples/README.md), and the benchmarks in
-// bench_test.go. CI (.github/workflows/ci.yml) and local development share
-// the Makefile targets: build, vet, gofmt check, the reclamation-contract
-// analyzers over every package (`make vet-reclaim`), the test suite, the
-// race-detector run (`make race`), a benchmark smoke run whose JSON report
-// is archived per commit (`make bench-smoke`), and a throughput trend gate
-// (`make bench-diff`) that compares the smoke report against the committed
-// BENCH_baseline.json with cmd/benchdiff, failing on >30%
-// median-normalised regressions.
+// examples/ (indexed in examples/README.md) and the benchmark under
+// benchmark/. CI (.github/workflows/ci.yml) and local development share the
+// Makefile targets, each described there in one line.
 package repro

@@ -1,8 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
-	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -59,266 +57,6 @@ func TestRunTrialSkipListSchemes(t *testing.T) {
 		if res.Ops == 0 {
 			t.Fatalf("%s: no operations", scheme)
 		}
-	}
-}
-
-func TestRunTrialHashMapAllSchemes(t *testing.T) {
-	schemes := SupportedSchemes(DSHashMap)
-	if len(schemes) != 6 {
-		t.Fatalf("hash map must support all six schemes, got %v", schemes)
-	}
-	for _, scheme := range schemes {
-		t.Run(scheme, func(t *testing.T) {
-			res, err := RunTrial(Config{
-				DataStructure:  DSHashMap,
-				Scheme:         scheme,
-				Threads:        2,
-				Duration:       30 * time.Millisecond,
-				Workload:       withRange(MixUpdateHeavy, 1024),
-				Allocator:      recordmgr.AllocBump,
-				UsePool:        true,
-				InitialBuckets: 8,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Ops == 0 || res.Throughput <= 0 {
-				t.Fatalf("no work performed: %+v", res)
-			}
-			if scheme != recordmgr.SchemeNone && res.Reclaimer.Retired == 0 {
-				t.Fatal("nothing retired during an update-heavy trial")
-			}
-		})
-	}
-}
-
-// TestRunTrialChurnAllSchemes drives the goroutine-churn binding (workers
-// release and re-acquire their thread slot every ChurnOps operations)
-// through every scheme and every data structure kind the harness supports,
-// asserting the cycles actually happened and were timed.
-func TestRunTrialChurnAllSchemes(t *testing.T) {
-	for _, scheme := range SupportedSchemes(DSHashMap) {
-		t.Run(scheme, func(t *testing.T) {
-			res, err := RunTrial(Config{
-				DataStructure:  DSHashMap,
-				Scheme:         scheme,
-				Threads:        2,
-				Duration:       30 * time.Millisecond,
-				Workload:       withRange(MixUpdateHeavy, 1024),
-				Allocator:      recordmgr.AllocBump,
-				UsePool:        true,
-				InitialBuckets: 8,
-				ChurnOps:       32,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Ops == 0 {
-				t.Fatalf("no work performed: %+v", res)
-			}
-			if res.ChurnCycles == 0 {
-				t.Fatal("churn trial performed no slot cycles")
-			}
-			if res.ChurnNs <= 0 {
-				t.Fatal("churn cycles were not timed")
-			}
-		})
-	}
-	// The other binding surfaces: BST, skip list and the hotpath probes all
-	// accept the dynamic style too.
-	for _, ds := range []string{DSBST, DSSkipList, DSHotPathPin} {
-		t.Run(ds, func(t *testing.T) {
-			res, err := RunTrial(Config{
-				DataStructure: ds,
-				Scheme:        recordmgr.SchemeDEBRA,
-				Threads:       2,
-				Duration:      20 * time.Millisecond,
-				Workload:      withRange(MixUpdateHeavy, 512),
-				Allocator:     recordmgr.AllocBump,
-				UsePool:       true,
-				ChurnOps:      32,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.ChurnCycles == 0 {
-				t.Fatalf("%s churn trial performed no slot cycles", ds)
-			}
-		})
-	}
-}
-
-func TestChurnPanels(t *testing.T) {
-	panels, err := ExperimentPanels(ExperimentChurn, QuickOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(panels) != len(ChurnOpsSweep) {
-		t.Fatalf("got %d churn panels want %d", len(panels), len(ChurnOpsSweep))
-	}
-	for i, p := range panels {
-		if p.ChurnOps != ChurnOpsSweep[i] {
-			t.Fatalf("panel %d ChurnOps = %d want %d", i, p.ChurnOps, ChurnOpsSweep[i])
-		}
-		if len(p.Schemes) != 6 {
-			t.Fatalf("churn panel must cover all six schemes, got %v", p.Schemes)
-		}
-	}
-}
-
-func TestHashMapPanels(t *testing.T) {
-	panels, err := ExperimentPanels(ExperimentHashMap, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(panels) != 6 {
-		t.Fatalf("%d hash map panels, want 6 (3 shapes x 2 mixes)", len(panels))
-	}
-	sawGrow, sawPresized := false, false
-	for _, p := range panels {
-		if p.DataStructure != DSHashMap {
-			t.Fatalf("panel %q has wrong structure %q", p.Title, p.DataStructure)
-		}
-		if len(p.Schemes) != 6 {
-			t.Fatalf("panel %q runs %d schemes, want all 6", p.Title, len(p.Schemes))
-		}
-		if p.InitialBuckets == 0 {
-			sawGrow = true
-		} else {
-			sawPresized = true
-		}
-	}
-	if !sawGrow || !sawPresized {
-		t.Fatal("panel family must cover both table-sizing regimes")
-	}
-}
-
-func TestRenderJSON(t *testing.T) {
-	opts := tinyOptions()
-	p := Panel{
-		Figure:        "smoke",
-		Title:         "hashmap tiny",
-		DataStructure: DSHashMap,
-		Workload:      withRange(MixUpdateHeavy, 512),
-		Allocator:     recordmgr.AllocBump,
-		UsePool:       true,
-		Schemes:       SupportedSchemes(DSHashMap),
-		Threads:       []int{1, 2},
-	}
-	pr := RunPanel(p, opts)
-	if len(pr.Errors) != 0 {
-		t.Fatalf("panel errors: %v", pr.Errors)
-	}
-	rep := BuildJSONReport([]PanelResult{pr})
-	if rep.RowCount != len(p.Schemes)*len(p.Threads) || len(rep.Rows) != rep.RowCount {
-		t.Fatalf("report has %d rows, want %d", rep.RowCount, len(p.Schemes)*len(p.Threads))
-	}
-	if rep.NumCPU <= 0 || rep.GOOS == "" {
-		t.Fatalf("report missing environment: %+v", rep)
-	}
-	out, err := RenderJSON([]PanelResult{pr})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var decoded JSONReport
-	if err := json.Unmarshal([]byte(out), &decoded); err != nil {
-		t.Fatalf("output is not valid JSON: %v", err)
-	}
-	if decoded.RowCount != rep.RowCount {
-		t.Fatalf("decoded row count %d != %d", decoded.RowCount, rep.RowCount)
-	}
-	for _, row := range decoded.Rows {
-		if row.Scheme == "" || row.Threads == 0 || row.Ops == 0 {
-			t.Fatalf("incomplete row: %+v", row)
-		}
-	}
-}
-
-func TestMemoryExperimentHashMap(t *testing.T) {
-	opts := tinyOptions()
-	opts.DataStructure = DSHashMap
-	rows, schemes, err := MemoryExperiment(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) == 0 || len(schemes) != 3 {
-		t.Fatalf("rows=%d schemes=%v", len(rows), schemes)
-	}
-}
-
-func TestRunTrialRepeatKeepsBestRun(t *testing.T) {
-	res, err := RunTrial(Config{
-		DataStructure: DSHashMap,
-		Scheme:        recordmgr.SchemeDEBRA,
-		Threads:       2,
-		Duration:      10 * time.Millisecond,
-		Workload:      withRange(MixUpdateHeavy, 1024),
-		Allocator:     recordmgr.AllocBump,
-		UsePool:       true,
-		Repeat:        3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Ops == 0 || res.Throughput <= 0 {
-		t.Fatalf("no work performed: %+v", res)
-	}
-	// The retained Result must be one internally consistent run, not a
-	// merge: an update-heavy DEBRA trial retires records and frees them by
-	// Close, so the run's own invariant must hold on whichever run won.
-	if res.Reclaimer.Retired == 0 {
-		t.Fatal("nothing retired during an update-heavy trial")
-	}
-	if res.Unreclaimed != res.Reclaimer.Retired-res.Reclaimer.Freed {
-		t.Fatalf("inconsistent counters across repeat runs: unreclaimed=%d retired=%d freed=%d",
-			res.Unreclaimed, res.Reclaimer.Retired, res.Reclaimer.Freed)
-	}
-	// Repeat on an invalid config still fails on the first run.
-	if _, err := RunTrial(Config{DataStructure: DSBST, Scheme: "bogus", Threads: 1,
-		Workload: withRange(MixUpdateHeavy, 10), Repeat: 3}); err == nil {
-		t.Fatal("expected error from repeated invalid trial")
-	}
-}
-
-func TestMergeBestResults(t *testing.T) {
-	panel := func() PanelResult {
-		return PanelResult{
-			Panel:   Panel{Figure: "f", Title: "t", Schemes: []string{"debra"}, Threads: []int{1, 2}},
-			Results: map[string]map[int]Result{"debra": {}},
-		}
-	}
-	a, b := panel(), panel()
-	a.Results["debra"][1] = Result{Throughput: 100}
-	a.Results["debra"][2] = Result{Throughput: 900}
-	a.Errors = append(a.Errors, fmt.Errorf("sweep-a failure"))
-	b.Results["debra"][1] = Result{Throughput: 300}
-	// threads=2 missing from sweep b (its trial errored there).
-	b.Errors = append(b.Errors, fmt.Errorf("sweep-b failure"))
-
-	merged, err := MergeBestResults([]PanelResult{a}, []PanelResult{b})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := merged[0].Results["debra"][1].Throughput; got != 300 {
-		t.Fatalf("cell 1: kept %v, want the best run (300)", got)
-	}
-	if got := merged[0].Results["debra"][2].Throughput; got != 900 {
-		t.Fatalf("cell 2: kept %v, want the only run (900)", got)
-	}
-	if len(merged[0].Errors) != 2 {
-		t.Fatalf("errors from every sweep must survive the merge, got %d", len(merged[0].Errors))
-	}
-
-	if _, err := MergeBestResults(); err == nil {
-		t.Fatal("expected error for zero sweeps")
-	}
-	if _, err := MergeBestResults([]PanelResult{panel()}, nil); err == nil {
-		t.Fatal("expected error for sweeps of different lengths")
-	}
-	other := panel()
-	other.Panel.Title = "different"
-	if _, err := MergeBestResults([]PanelResult{panel()}, []PanelResult{other}); err == nil {
-		t.Fatal("expected error for mismatched panels")
 	}
 }
 
@@ -400,9 +138,6 @@ func TestRunPanelAndRendering(t *testing.T) {
 	if out := RenderSummary(summary); !strings.Contains(out, "DEBRA+ vs HP") {
 		t.Fatalf("summary rendering incomplete:\n%s", out)
 	}
-	if got := SortedSchemes(pr); len(got) != len(p.Schemes) {
-		t.Fatalf("SortedSchemes returned %v", got)
-	}
 }
 
 func TestMemoryExperiment(t *testing.T) {
@@ -420,7 +155,7 @@ func TestMemoryExperiment(t *testing.T) {
 			}
 		}
 	}
-	out := RenderMemoryTable(rows, schemes, "")
+	out := RenderMemoryTable(rows, schemes)
 	if !strings.Contains(out, "Figure 9") || !strings.Contains(out, "neutralizations") || !strings.Contains(out, DSBST) {
 		t.Fatalf("memory table incomplete:\n%s", out)
 	}
@@ -452,20 +187,36 @@ func TestWorkloadString(t *testing.T) {
 	}
 }
 
+// TestRunExperimentQuick runs every experiment reclaimbench offers end to end
+// under tinyOptions: the throughput panels of experiments 1–3, the fault
+// probe and the memory footprint. A failed cell fails the test.
 func TestRunExperimentQuick(t *testing.T) {
 	if testing.Short() {
-		t.Skip("skipping multi-panel experiment in -short mode")
+		t.Skip("skipping multi-panel experiments in -short mode")
 	}
-	results, err := RunExperiment(Experiment2, tinyOptions())
-	if err != nil {
-		t.Fatal(err)
+	opts := tinyOptions()
+	for _, exp := range []struct {
+		name string
+		id   int
+	}{{"1", Experiment1}, {"2", Experiment2}, {"3", Experiment3}, {"faults", ExperimentFaults}} {
+		t.Run(exp.name, func(t *testing.T) {
+			results, err := RunExperiment(exp.id, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(results) == 0 {
+				t.Fatal("experiment has no panels")
+			}
+			for _, pr := range results {
+				if len(pr.Errors) != 0 {
+					t.Fatalf("panel %q errors: %v", pr.Panel.Title, pr.Errors)
+				}
+			}
+		})
 	}
-	if len(results) != 6 {
-		t.Fatalf("expected 6 panels, got %d", len(results))
-	}
-	for _, pr := range results {
-		if len(pr.Errors) != 0 {
-			t.Fatalf("panel %q errors: %v", pr.Panel.Title, pr.Errors)
+	t.Run("memory", func(t *testing.T) {
+		if _, _, err := MemoryExperiment(opts); err != nil {
+			t.Fatal(err)
 		}
-	}
+	})
 }

@@ -12,39 +12,22 @@ import (
 func TestFaultPanels(t *testing.T) {
 	opts := Options{Quick: true, MaxThreads: 4, Duration: 50 * time.Millisecond}
 	panels := FaultPanels(opts)
-	if len(panels) != len(FaultStallSweep)+1 {
-		t.Fatalf("got %d panels, want %d probe panels + 1 chaos panel", len(panels), len(FaultStallSweep))
+	if len(panels) != len(FaultStallSweep) {
+		t.Fatalf("got %d panels, want one per stall count %v", len(panels), FaultStallSweep)
 	}
-	var chaos int
 	for _, p := range panels {
-		switch p.DataStructure {
-		case DSFaultProbe:
-			if p.StallThreads < 1 {
-				t.Fatalf("probe panel %q has StallThreads=%d", p.Title, p.StallThreads)
-			}
-			for _, th := range p.Threads {
-				if th <= p.StallThreads {
-					t.Fatalf("probe panel %q has thread row %d <= StallThreads %d (no live worker)",
-						p.Title, th, p.StallThreads)
-				}
-			}
-			if !strings.Contains(p.Title, "stalls=") {
-				t.Fatalf("probe panel title %q does not encode the stall axis", p.Title)
-			}
-		case DSService:
-			chaos++
-			if p.ChaosStallEvery == 0 || p.ChaosKillEvery == 0 {
-				t.Fatalf("chaos panel %q has no chaos cadences", p.Title)
-			}
-			if !strings.Contains(p.Title, DSService+"-chaos") {
-				t.Fatalf("chaos panel title %q is not marked chaos (diff-gate exclusion keys on it)", p.Title)
-			}
-		default:
+		if p.DataStructure != DSFaultProbe {
 			t.Fatalf("unexpected panel data structure %q", p.DataStructure)
 		}
-	}
-	if chaos != 1 {
-		t.Fatalf("got %d chaos service panels, want 1", chaos)
+		if p.StallThreads < 1 {
+			t.Fatalf("probe panel %q has StallThreads=%d", p.Title, p.StallThreads)
+		}
+		for _, th := range p.Threads {
+			if th <= p.StallThreads {
+				t.Fatalf("probe panel %q has thread row %d <= StallThreads %d (no live worker)",
+					p.Title, th, p.StallThreads)
+			}
+		}
 	}
 }
 
@@ -99,74 +82,41 @@ func TestRunFaultProbeTrial(t *testing.T) {
 	}
 }
 
-// TestDiffExcludesFaultRows: fault rows never enter the throughput gate —
-// a probe cell or chaos cell collapsing (or appearing fresh) must not fail
-// or skew the comparison — but they are counted and surfaced.
-func TestDiffExcludesFaultRows(t *testing.T) {
-	probeRow := func(mops float64) JSONRow {
-		return JSONRow{Title: "faultprobe alloc-retire stalls=1", DataStructure: DSFaultProbe,
-			Scheme: "ebr", Threads: 4, MopsPerSec: mops, StallThreads: 1, FaultClass: "unbounded"}
-	}
-	chaosRow := func(mops float64) JSONRow {
-		return JSONRow{Title: "service-chaos parts=2 burst=64", DataStructure: DSService,
-			Scheme: "ebr", Threads: 4, MopsPerSec: mops}
-	}
-	base := mkReport(
-		mkRow("p", "debra", 1, 0, 0, 10),
-		mkRow("p", "hp", 1, 0, 0, 10),
-		probeRow(9),
-		chaosRow(9),
-	)
-	cur := mkReport(
-		mkRow("p", "debra", 1, 0, 0, 10),
-		mkRow("p", "hp", 1, 0, 0, 10),
-		probeRow(0.1), // collapsed 90x: would trip any gate if compared
-		chaosRow(0.1),
-	)
-	res := mustDiff(t, base, cur, DefaultDiffOptions())
-	if res.Compared != 2 {
-		t.Fatalf("Compared = %d, want 2 (fault rows excluded)", res.Compared)
-	}
-	if res.FaultRows != 2 {
-		t.Fatalf("FaultRows = %d, want 2", res.FaultRows)
-	}
-	if len(res.Regressions) != 0 {
-		t.Fatalf("fault rows leaked into the gate: %+v", res.Regressions)
-	}
-	if res.MissingInBaseline != 0 || res.MissingInCurrent != 0 {
-		t.Fatalf("fault rows counted as missing: %+v", res)
-	}
-	out := RenderDiff(res, DefaultDiffOptions())
-	if !strings.Contains(out, "fault-injection cells excluded") {
-		t.Fatalf("RenderDiff does not mention the exclusion:\n%s", out)
-	}
-}
-
+// TestRenderFaults: one verdict row per (stall count, scheme, thread count)
+// cell, with the unbounded schemes flagged.
 func TestRenderFaults(t *testing.T) {
-	base := mkReport(JSONRow{
-		Title: "faultprobe alloc-retire stalls=1", DataStructure: DSFaultProbe,
-		Scheme: "debra+", Threads: 4, StallThreads: 1, FaultClass: "bounded",
-		UnreclaimedSlopeDelta: 0.1,
-	})
-	cur := mkReport(
-		JSONRow{
-			Title: "faultprobe alloc-retire stalls=1", DataStructure: DSFaultProbe,
-			Scheme: "debra+", Threads: 4, StallThreads: 1, FaultClass: "unbounded",
-			UnreclaimedSlopeDelta: 0.9, FaultMaxUnreclaimed: 9000,
-		},
-		JSONRow{
-			Title: "service-chaos parts=2 burst=64", DataStructure: DSService,
-			Scheme: "ebr", Threads: 4, Busy: 3, Retries: 7, Reconnects: 5, ChaosKills: 5,
-		},
-	)
-	out := RenderFaults(base, cur)
-	if !strings.Contains(out, "CLASSIFICATION CHANGED") {
-		t.Fatalf("a bounded->unbounded flip is not flagged:\n%s", out)
+	cell := func(bounded bool, delta float64) Result {
+		return Result{FaultBounded: bounded, FaultSlopeDelta: delta, FaultMaxUnreclaimed: 4000}
 	}
-	if !strings.Contains(out, "chaos-mode KV service") || !strings.Contains(out, "3/7/5/0") {
-		t.Fatalf("chaos counters not rendered:\n%s", out)
+	var results []PanelResult
+	for _, stall := range []int{1, 2} {
+		results = append(results, PanelResult{
+			Panel: Panel{StallThreads: stall, Schemes: []string{recordmgr.SchemeEBR, recordmgr.SchemeHP}, Threads: []int{3, 4}},
+			Results: map[string]map[int]Result{
+				recordmgr.SchemeEBR: {3: cell(false, 0.98), 4: cell(false, 0.97)},
+				recordmgr.SchemeHP:  {3: cell(true, 0.01), 4: cell(true, 0)},
+			},
+		})
 	}
-	if RenderFaults(mkReport(mkRow("p", "hp", 1, 0, 0, 1)), mkReport(mkRow("p", "hp", 1, 0, 0, 1))) != "" {
-		t.Fatal("RenderFaults emitted a table for reports with no fault rows")
+	out := RenderFaults(results)
+	var rows, unbounded int
+	for _, line := range strings.Split(out, "\n") {
+		f := strings.Fields(line)
+		if len(f) != 6 || f[0] == "stalls" {
+			continue
+		}
+		rows++
+		if f[5] == "UNBOUNDED" {
+			unbounded++
+			if f[1] != recordmgr.SchemeEBR {
+				t.Fatalf("%s rendered UNBOUNDED:\n%s", f[1], out)
+			}
+		}
+	}
+	if rows != 2*2*2 {
+		t.Fatalf("got %d verdict rows, want 8 (2 stalls x 2 schemes x 2 thread counts):\n%s", rows, out)
+	}
+	if unbounded != 4 {
+		t.Fatalf("got %d UNBOUNDED rows, want 4 (every ebr cell):\n%s", unbounded, out)
 	}
 }

@@ -233,31 +233,6 @@ func (b *Bag[T]) DetachAllFullBlocks() *Block[T] {
 	return chain
 }
 
-// DetachAll detaches and returns every block of the bag — the full blocks
-// AND the partial head — as one chain (partial block first when non-empty),
-// leaving the bag empty with a fresh head block from the pool. O(1). Unlike
-// DetachAllFullBlocks the returned chain may start with a non-full block, so
-// consumers must route it through interfaces that accept partial blocks
-// (core.RetireChain, SharedStack). Returns nil when the bag is empty.
-func (b *Bag[T]) DetachAll() *Block[T] {
-	if b.size == 0 {
-		return nil
-	}
-	chain := b.head
-	if chain.n == 0 {
-		// Empty partial head: reuse it as the new head and hand off only the
-		// full blocks behind it.
-		next := chain.next
-		chain.next = nil
-		b.head = chain
-		chain = next
-	} else {
-		b.head = b.pool.Get()
-	}
-	b.size = 0
-	return chain
-}
-
 // TakeFullBlock detaches and returns one full block from the bag, or nil when
 // the bag has no full blocks. O(1).
 func (b *Bag[T]) TakeFullBlock() *Block[T] {

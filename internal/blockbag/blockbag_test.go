@@ -84,50 +84,6 @@ func TestBagHeadBlockInvariant(t *testing.T) {
 	}
 }
 
-func TestDetachAllTakesPartialHeadAndFulls(t *testing.T) {
-	for _, n := range []int{0, 1, BlockSize - 1, BlockSize, BlockSize + 7, 3*BlockSize + 5} {
-		bag := New[rec](nil)
-		recs := mkRecs(n)
-		for _, r := range recs {
-			bag.Add(r)
-		}
-		chain := bag.DetachAll()
-		if n == 0 {
-			if chain != nil {
-				t.Fatalf("DetachAll on empty bag returned a chain")
-			}
-			continue
-		}
-		if got := ChainLen(chain); got != n {
-			t.Fatalf("DetachAll(%d records): chain holds %d", n, got)
-		}
-		if bag.Len() != 0 || !bag.Empty() {
-			t.Fatalf("bag not empty after DetachAll: %d", bag.Len())
-		}
-		// The bag must remain usable with a fresh head.
-		bag.Add(&rec{id: -1})
-		if bag.Len() != 1 {
-			t.Fatalf("bag unusable after DetachAll")
-		}
-		// Every record must appear exactly once in the chain.
-		seen := map[*rec]bool{}
-		for blk := chain; blk != nil; blk = blk.Next() {
-			for i := 0; i < blk.Len(); i++ {
-				r := blk.Record(i)
-				if seen[r] {
-					t.Fatalf("record duplicated in DetachAll chain")
-				}
-				seen[r] = true
-			}
-		}
-		for _, r := range recs {
-			if !seen[r] {
-				t.Fatalf("record lost by DetachAll")
-			}
-		}
-	}
-}
-
 func TestBagContentPreservation(t *testing.T) {
 	// Property: any sequence of adds followed by a full drain returns exactly
 	// the added multiset.

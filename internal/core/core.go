@@ -160,24 +160,18 @@ type LimboDrainer interface {
 	DrainLimbo(tid int) int64
 }
 
-// RetireChain retires every record of a detached block chain on behalf of
-// slot tid of r, whose handle is h: full blocks as O(1) RetireBlock splices,
-// a partial one record by record. It returns the number of records retired.
+// RetireChain retires every record of a detached chain of full blocks (as
+// Bag.DetachAllFullBlocks returns it) on behalf of slot tid of r, one O(1)
+// RetireBlock splice per block. It returns the number of records retired.
 // Spare blocks the scheme hands back are given to pool when non-nil and
 // dropped otherwise.
-func RetireChain[T any](r Reclaimer[T], h ReclaimerHandle[T], tid int, chain *blockbag.Block[T], pool *blockbag.BlockPool[T]) int {
+func RetireChain[T any](r Reclaimer[T], tid int, chain *blockbag.Block[T], pool *blockbag.BlockPool[T]) int {
 	n := 0
 	for blk := chain; blk != nil; {
 		next := blk.Next()
 		n += blk.Len()
-		if blk.Full() {
-			if spare := r.RetireBlock(tid, blk); spare != nil && pool != nil {
-				pool.Put(spare)
-			}
-		} else {
-			for i := 0; i < blk.Len(); i++ {
-				h.Retire(blk.Record(i))
-			}
+		if spare := r.RetireBlock(tid, blk); spare != nil && pool != nil {
+			pool.Put(spare)
 		}
 		blk = next
 	}

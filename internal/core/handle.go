@@ -245,7 +245,7 @@ func (h *ThreadHandle[T]) FlushRetired() {
 		defer h.pinner.UnpinRetire(h.tid)
 	}
 	if chain := b.bag.DetachAllFullBlocks(); chain != nil {
-		RetireChain(h.m.reclaimer, h.fast, h.tid, chain, b.pool)
+		RetireChain(h.m.reclaimer, h.tid, chain, b.pool)
 	}
 	b.bag.Drain(h.fast.Retire)
 	b.pending.Store(0)

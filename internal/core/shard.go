@@ -185,8 +185,8 @@ func (m *ShardMap) ShardLive(s int) int {
 	return int(m.reg.shards[s].occ.Load())
 }
 
-// DefaultShardSweep returns the shard counts the ablation experiments and
-// the DS-level safety stresses cover on this machine: 1 (the single-domain
+// DefaultShardSweep returns the shard counts the DS-level safety stresses
+// cover on this machine: 1 (the single-domain
 // baseline), 2, and NumCPU, deduplicated and ascending.
 func DefaultShardSweep() []int {
 	out := []int{1}
