@@ -29,10 +29,10 @@ fmt-check:
 vet-reclaim:
 	$(GO) run ./cmd/reclaimvet ./...
 
-## test: full test suite, then the epoch-sharing scheme packages five times over
+## test: full test suite, then the epoch-sharing scheme packages and the bags and pool they free through five times over
 test:
 	$(GO) test ./...
-	$(GO) test -count=5 ./internal/reclaim/...
+	$(GO) test -count=5 ./internal/reclaim/... ./internal/pool ./internal/blockbag
 
 ## race: test suite under the race detector (short mode, as in CI)
 race:

@@ -4,10 +4,9 @@
 // A block bag is a singly-linked list of blocks, each holding up to B record
 // pointers. The head block always contains fewer than B records and every
 // subsequent block contains exactly B records. With this invariant, adding a
-// record, removing a record, and moving all full blocks from one bag to
-// another are all constant-time operations. Operating on whole blocks rather
-// than individual records is what makes DEBRA's epoch rotation and pool
-// transfers cheap.
+// record, removing a record, and detaching every block of a bag are all
+// constant-time operations. Operating on whole blocks rather than individual
+// records is what makes DEBRA's epoch rotation and pool transfers cheap.
 //
 // A bag is owned by a single thread and is NOT safe for concurrent use; the
 // lock-free SharedStack type is provided for the one place the paper shares
@@ -166,14 +165,9 @@ func (b *Bag[T]) LenBlocks() int {
 	return n
 }
 
-// FullBlocks returns the number of completely full blocks in the bag.
-func (b *Bag[T]) FullBlocks() int {
-	n := 0
-	for blk := b.head.next; blk != nil; blk = blk.next {
-		n++
-	}
-	return n
-}
+// FullBlocks returns the number of completely full blocks in the bag. O(1):
+// every record outside the head block is in a full block.
+func (b *Bag[T]) FullBlocks() int { return (b.size - b.head.n) / BlockSize }
 
 // Add appends a record to the bag in O(1).
 func (b *Bag[T]) Add(rec *T) {
@@ -221,15 +215,54 @@ func (b *Bag[T]) AddBlock(blk *Block[T]) {
 	b.size += blk.n
 }
 
+// Merge adds every record of a detached block, full or not, to the bag
+// without allocating a block, moving at most BlockSize-1 records. A full
+// block is spliced in as by AddBlock. Otherwise the block's records fill the
+// head block if they fit, and the emptied block goes to the bag's block pool;
+// if they do not fit, records from the head top the block up and it is
+// spliced in full.
+func (b *Bag[T]) Merge(blk *Block[T]) {
+	blk.next = nil
+	b.size += blk.n
+	switch {
+	case blk.Full():
+	case b.head.n+blk.n < BlockSize:
+		for blk.n > 0 {
+			b.head.push(blk.pop())
+		}
+		b.pool.Put(blk)
+		return
+	default:
+		for !blk.Full() {
+			blk.push(b.head.pop())
+		}
+	}
+	blk.next = b.head.next
+	b.head.next = blk
+}
+
 // DetachAllFullBlocks detaches and returns the chain of every full block in
 // the bag (or nil when there are none), leaving only the partial head block
 // behind. O(1).
 func (b *Bag[T]) DetachAllFullBlocks() *Block[T] {
 	chain := b.head.next
 	b.head.next = nil
-	for blk := chain; blk != nil; blk = blk.next {
-		b.size -= blk.n
+	b.size = b.head.n
+	return chain
+}
+
+// DetachAll detaches and returns every record of the bag as one chain, the
+// partial head block first and every other block full (or nil when the bag is
+// empty), leaving the bag empty. A non-empty head is replaced by an empty
+// block from the bag's block pool; an empty head stays in the bag rather than
+// travel in the chain. O(1).
+func (b *Bag[T]) DetachAll() *Block[T] {
+	if b.head.n == 0 {
+		return b.DetachAllFullBlocks()
 	}
+	chain := b.head
+	b.head = b.pool.Get()
+	b.size = 0
 	return chain
 }
 
@@ -244,40 +277,6 @@ func (b *Bag[T]) TakeFullBlock() *Block[T] {
 	blk.next = nil
 	b.size -= blk.n
 	return blk
-}
-
-// MoveAllTo moves every record (including the partial head block's records)
-// from b into dst, leaving b empty. Full blocks are moved wholesale; the
-// records of the partial head block are re-added individually. Returns the
-// number of records moved.
-func (b *Bag[T]) MoveAllTo(dst *Bag[T]) int {
-	moved := b.MoveFullBlocksTo(dst)
-	for {
-		rec, ok := b.Remove()
-		if !ok {
-			break
-		}
-		dst.Add(rec)
-		moved++
-	}
-	return moved
-}
-
-// MoveFullBlocksTo moves every full block from b into dst in O(#blocks)
-// pointer operations (no per-record work). Records in the partial head block
-// stay behind, exactly as in the paper: they are at most BlockSize-1 records
-// that will be moved once their block fills. Returns the number of records
-// moved.
-func (b *Bag[T]) MoveFullBlocksTo(dst *Bag[T]) int {
-	moved := 0
-	for {
-		blk := b.TakeFullBlock()
-		if blk == nil {
-			return moved
-		}
-		moved += blk.n
-		dst.AddBlock(blk)
-	}
 }
 
 // Drain removes every record from the bag, invoking fn on each. Blocks are

@@ -152,48 +152,137 @@ func TestBagRandomAddRemoveQuick(t *testing.T) {
 	}
 }
 
-func TestMoveFullBlocksTo(t *testing.T) {
-	pool := NewBlockPool[rec](0)
-	src := New(pool)
-	dst := New(pool)
-	n := 3*BlockSize + 10
-	for _, r := range mkRecs(n) {
-		src.Add(r)
+// checkShape fails unless the bag's block chain matches its counters: the
+// head is partial, every other block full, and FullBlocks (computed from the
+// size) equals the walked block count less the head.
+func checkShape(t *testing.T, b *Bag[rec], step string) {
+	t.Helper()
+	if b.head.n >= BlockSize {
+		t.Fatalf("%s: head block holds %d records", step, b.head.n)
 	}
-	moved := src.MoveFullBlocksTo(dst)
-	if moved != 3*BlockSize {
-		t.Fatalf("moved %d records, want %d", moved, 3*BlockSize)
-	}
-	if src.Len() != 10 {
-		t.Fatalf("src len=%d want 10", src.Len())
-	}
-	if dst.Len() != 3*BlockSize {
-		t.Fatalf("dst len=%d want %d", dst.Len(), 3*BlockSize)
-	}
-	// The destination must keep the head-partial/others-full invariant.
-	for blk := dst.head.next; blk != nil; blk = blk.next {
+	n := b.head.n
+	for blk := b.head.next; blk != nil; blk = blk.next {
 		if !blk.Full() {
-			t.Fatalf("dst non-head block has %d records", blk.n)
+			t.Fatalf("%s: non-head block holds %d records", step, blk.n)
+		}
+		n += blk.n
+	}
+	if n != b.Len() {
+		t.Fatalf("%s: blocks hold %d records, Len = %d", step, n, b.Len())
+	}
+	if b.FullBlocks() != b.LenBlocks()-1 {
+		t.Fatalf("%s: FullBlocks = %d, LenBlocks = %d", step, b.FullBlocks(), b.LenBlocks())
+	}
+}
+
+func TestFullBlocksTracksChain(t *testing.T) {
+	pool := NewBlockPool[rec](0)
+	b := New(pool)
+	checkShape(t, b, "new")
+	for _, r := range mkRecs(2*BlockSize + 3) {
+		b.Add(r)
+	}
+	checkShape(t, b, "add")
+	for i := 0; i < 5; i++ {
+		b.Remove()
+	}
+	// The head emptied and was replaced by a full block popped to partial.
+	checkShape(t, b, "remove across a block boundary")
+	full := New(pool)
+	for _, r := range mkRecs(BlockSize) {
+		full.Add(r)
+	}
+	b.AddBlock(full.TakeFullBlock())
+	checkShape(t, b, "AddBlock")
+	b.TakeFullBlock()
+	checkShape(t, b, "TakeFullBlock")
+	b.DetachAll()
+	checkShape(t, b, "DetachAll")
+	for _, r := range mkRecs(BlockSize) {
+		b.Add(r)
+	}
+	if b.head.n != 0 {
+		t.Fatalf("head holds %d records after exactly one block of adds", b.head.n)
+	}
+	b.DetachAll()
+	checkShape(t, b, "DetachAll with an empty head")
+}
+
+func TestDetachAll(t *testing.T) {
+	for _, n := range []int{0, 1, BlockSize - 1, BlockSize, BlockSize + 1, 3*BlockSize + 10} {
+		b := New[rec](nil)
+		for _, r := range mkRecs(n) {
+			b.Add(r)
+		}
+		head := b.head
+		chain := b.DetachAll()
+		if !b.Empty() || b.LenBlocks() != 1 || b.head.n != 0 {
+			t.Fatalf("n=%d: bag left with %d records in %d blocks", n, b.Len(), b.LenBlocks())
+		}
+		if got := ChainLen(chain); got != n {
+			t.Fatalf("n=%d: chain holds %d records", n, got)
+		}
+		for blk := chain; blk != nil; blk = blk.next {
+			if blk.n == 0 {
+				t.Fatalf("n=%d: an empty block travelled in the chain", n)
+			}
+			if blk != chain && !blk.Full() {
+				t.Fatalf("n=%d: a block after the first holds %d records", n, blk.n)
+			}
+		}
+		if head.n == 0 && b.head != head {
+			t.Fatalf("n=%d: the empty head block left the bag", n)
+		}
+		if head.n > 0 && chain != head {
+			t.Fatalf("n=%d: the partial head block is not first in the chain", n)
+		}
+		b.Add(&rec{})
+		if b.Len() != 1 {
+			t.Fatalf("n=%d: bag unusable after DetachAll", n)
 		}
 	}
 }
 
-func TestMoveAllTo(t *testing.T) {
-	src := New[rec](nil)
-	dst := New[rec](nil)
-	recs := mkRecs(2*BlockSize + 5)
-	for _, r := range recs {
-		src.Add(r)
+func TestMerge(t *testing.T) {
+	// block returns a detached block holding k fresh records.
+	block := func(k int) *Block[rec] {
+		blk := &Block[rec]{}
+		for _, r := range mkRecs(k) {
+			blk.push(r)
+		}
+		return blk
 	}
-	moved := src.MoveAllTo(dst)
-	if moved != len(recs) {
-		t.Fatalf("moved %d want %d", moved, len(recs))
+	cases := []struct{ have, merge int }{
+		{0, 0}, {0, 3}, {10, 3}, {BlockSize - 4, 3}, {BlockSize - 3, 3},
+		{200, 200}, {BlockSize + 7, BlockSize - 1}, {5, BlockSize},
 	}
-	if !src.Empty() {
-		t.Fatalf("src not empty: %d", src.Len())
-	}
-	if dst.Len() != len(recs) {
-		t.Fatalf("dst len=%d want %d", dst.Len(), len(recs))
+	for _, c := range cases {
+		pool := NewBlockPool[rec](0)
+		b := New(pool)
+		for _, r := range mkRecs(c.have) {
+			b.Add(r)
+		}
+		blk := block(c.merge)
+		want := map[*rec]bool{}
+		for i := 0; i < blk.n; i++ {
+			want[blk.recs[i]] = true
+		}
+		cached, allocated := len(pool.blocks), pool.Allocated()
+		b.Merge(blk)
+		checkShape(t, b, "Merge")
+		if b.Len() != c.have+c.merge {
+			t.Fatalf("%+v: Len = %d", c, b.Len())
+		}
+		if pool.Allocated() != allocated {
+			t.Fatalf("%+v: Merge allocated a block", c)
+		}
+		if returned := len(pool.blocks) - cached; c.merge < BlockSize && c.have%BlockSize+c.merge < BlockSize && returned != 1 {
+			t.Fatalf("%+v: %d blocks returned to the pool, want the emptied one", c, returned)
+		}
+		b.Drain(func(r *rec) { delete(want, r) })
+		if len(want) != 0 {
+			t.Fatalf("%+v: %d merged records lost", c, len(want))
+		}
 	}
 }
 

@@ -181,8 +181,10 @@ func RetireChain[T any](r Reclaimer[T], tid int, chain *blockbag.Block[T], pool 
 // FreeChain hands every record of a detached block chain to sink — whole
 // blocks when blockSink is non-nil (ownership of the blocks transfers with
 // them), record-at-a-time otherwise, recycling the emptied blocks into pool
-// when one is supplied. Returns the number of records freed. This is the
-// shared chain-freeing idiom of the schemes' drain paths.
+// when one is supplied. Returns the number of records freed. The chain's
+// first block may be partial, as Bag.DetachAll returns a whole limbo bag;
+// every later block is full. This is the shared chain-freeing idiom of the
+// schemes' rotation and drain paths.
 func FreeChain[T any](sink FreeSink[T], blockSink BlockFreeSink[T], pool *blockbag.BlockPool[T], tid int, chain *blockbag.Block[T]) int64 {
 	if chain == nil {
 		return 0
@@ -217,10 +219,13 @@ type FreeSink[T any] interface {
 // BlockFreeSink is an optional optimisation interface: sinks that store
 // records in block bags can accept whole detached blocks in O(1), which is
 // how DEBRA moves the contents of a limbo bag to the pool without touching
-// individual records.
+// individual records. A rotation frees the whole oldest bag, so a chain may
+// lead with the bag's partial head block; a scheme never hands a
+// BlockFreeSink single records.
 type BlockFreeSink[T any] interface {
 	FreeSink[T]
-	// FreeBlocks accepts a detached chain of full blocks.
+	// FreeBlocks accepts a detached block chain whose first block may be
+	// partial (or even empty) and whose every other block is full.
 	FreeBlocks(tid int, chain *blockbag.Block[T])
 }
 

@@ -58,7 +58,10 @@ import (
 // the field defaults applied by New.
 type Config struct {
 	// Scheme is the reclamation scheme every partition uses (recordmgr
-	// scheme names; defaults to "debra").
+	// scheme names; defaults to "debra"). New refuses debra+: a neutralized
+	// operation keeps running until its next checkpoint, and a GET's copy of
+	// a value can then read the []byte header of a node that was freed and
+	// refilled in the meantime.
 	Scheme string
 	// Partitions is the number of independent map namespaces, each with its
 	// own Record Manager (defaults to 1). Keys route by hash.
@@ -245,6 +248,9 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.AcquireQueue < 1 {
 		return nil, fmt.Errorf("kvservice: AcquireQueue must be >= 1, got %d", cfg.AcquireQueue)
+	}
+	if cfg.Scheme == recordmgr.SchemeDEBRAPlus {
+		return nil, fmt.Errorf("kvservice: scheme %s is refused: neutralization is not sound for stored values", cfg.Scheme)
 	}
 	// Build every partition's manager up front so configuration errors
 	// surface as errors rather than panics out of the builder callback.

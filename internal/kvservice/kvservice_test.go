@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -154,6 +155,14 @@ func TestServerLifecycle(t *testing.T) {
 	)
 	for _, scheme := range recordmgr.Schemes() {
 		t.Run(scheme, func(t *testing.T) {
+			if scheme == recordmgr.SchemeDEBRAPlus {
+				// New refuses it (TestServerConfigValidation); that is the
+				// lifecycle there is to test.
+				if _, err := kvservice.New(kvservice.Config{Scheme: scheme}); err == nil {
+					t.Fatal("New accepted debra+")
+				}
+				return
+			}
 			srv, addr := startServer(t, kvservice.Config{
 				Scheme:      scheme,
 				Partitions:  partitions,
@@ -321,6 +330,9 @@ func TestServerCloseIdempotentAndStartAfterClose(t *testing.T) {
 func TestServerConfigValidation(t *testing.T) {
 	if _, err := kvservice.New(kvservice.Config{Scheme: "bogus"}); err == nil {
 		t.Fatal("New accepted an unknown scheme")
+	}
+	if _, err := kvservice.New(kvservice.Config{Scheme: recordmgr.SchemeDEBRAPlus}); err == nil || !strings.Contains(err.Error(), "debra+") {
+		t.Fatalf("New accepted debra+, or refused it without naming it: %v", err)
 	}
 	if _, err := kvservice.New(kvservice.Config{Partitions: -1}); err == nil {
 		t.Fatal("New accepted negative Partitions")

@@ -149,7 +149,10 @@ func (p *Pool[T]) Allocate(tid int) *T { return p.handles[tid].Allocate() }
 // its bound.
 func (p *Pool[T]) Free(tid int, rec *T) { p.handles[tid].Free(rec) }
 
-// FreeBlocks accepts a detached chain of full blocks (core.BlockFreeSink).
+// FreeBlocks accepts a detached block chain (core.BlockFreeSink). Full
+// blocks are spliced into thread tid's private bag whole; a partial first
+// block is merged in with at most BlockSize-1 record moves, and a block it
+// leaves empty goes to the thread's block pool. Spill runs once, after.
 func (p *Pool[T]) FreeBlocks(tid int, chain *blockbag.Block[T]) {
 	if chain == nil {
 		return
@@ -159,9 +162,9 @@ func (p *Pool[T]) FreeBlocks(tid int, chain *blockbag.Block[T]) {
 	for blk := chain; blk != nil; {
 		next := blk.Next()
 		n += int64(blk.Len())
-		// AddBlock rewrites the block's chain pointer, so no explicit
-		// detaching is needed; the loop variable already captured next.
-		t.bag.AddBlock(blk)
+		// Merge rewrites the block's chain pointer, so no explicit detaching
+		// is needed; the loop variable already captured next.
+		t.bag.Merge(blk)
 		blk = next
 	}
 	t.freed.Add(n)

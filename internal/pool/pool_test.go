@@ -120,6 +120,49 @@ func TestPoolFreeBlocks(t *testing.T) {
 	}
 }
 
+// A whole limbo bag arrives as its partial head block followed by its full
+// blocks. The pool merges the head's records into the thread's bag without
+// allocating a block, and the emptied block goes to the thread's block pool.
+func TestPoolFreeBlocksPartialFirstBlock(t *testing.T) {
+	for _, n := range []int{0, 3, blockbag.BlockSize - 1, 2*blockbag.BlockSize + 3, 3*blockbag.BlockSize - 2} {
+		p, _ := newPool(1, WithMaxPrivateBlocks(100))
+		bp := p.BlockPool(0)
+		// Records already pooled, so that the merge can overflow the head.
+		for i := 0; i < blockbag.BlockSize-2; i++ {
+			p.Free(0, &rec{id: -i})
+		}
+		bag := blockbag.New(bp)
+		for i := 0; i < n; i++ {
+			bag.Add(&rec{id: i})
+		}
+		var chain *blockbag.Block[rec]
+		if n == 0 {
+			chain = bp.Get() // an empty first block
+		} else {
+			chain = bag.DetachAll()
+		}
+		before, allocated := p.Stats().Freed, bp.Allocated()
+		p.FreeBlocks(0, chain)
+		if got := p.Stats().Freed - before; got != int64(n) {
+			t.Fatalf("n=%d: Freed grew by %d", n, got)
+		}
+		if bp.Allocated() != allocated {
+			t.Fatalf("n=%d: FreeBlocks allocated %d blocks", n, bp.Allocated()-allocated)
+		}
+		seen := map[*rec]bool{}
+		for i := 0; i < n+blockbag.BlockSize-2; i++ {
+			r := p.Allocate(0)
+			if seen[r] {
+				t.Fatalf("n=%d: record %d allocated twice", n, r.id)
+			}
+			seen[r] = true
+		}
+		if got := p.Stats().FromAllocator; got != 0 {
+			t.Fatalf("n=%d: %d records came from the allocator, want every one pooled", n, got)
+		}
+	}
+}
+
 func TestPoolConcurrentFreeAllocate(t *testing.T) {
 	const threads = 8
 	const iters = 3000

@@ -1,7 +1,7 @@
 // Package debra implements DEBRA, the distributed epoch based reclamation
 // scheme of Section 4 of the paper (Figure 4), as a policy on
 // internal/reclaim/epoch: private limbo bags, a quiescent bit so that a thread
-// stopped between operations holds nothing back, whole-block transfers to the
+// stopped between operations holds nothing back, whole-bag transfers to the
 // free sink — and, the part that is DEBRA's own, an incremental scan. Instead
 // of reading every announcement at the start of every operation, a thread
 // checks one every CHECK_THRESH operations and tries to advance the epoch
@@ -40,7 +40,7 @@ type Handle[T any] struct {
 }
 
 // New creates a DEBRA reclaimer for n threads. Reclaimed records are given
-// to sink, full blocks at a time when it implements core.BlockFreeSink.
+// to sink, a whole limbo bag at a time when it implements core.BlockFreeSink.
 func New[T any](n int, sink core.FreeSink[T], opts ...epoch.Option) *Reclaimer[T] {
 	r := &Reclaimer[T]{Bags: epoch.NewBags("debra", n, sink, opts), slots: make([]slot[T], n)}
 	for i := range r.slots {

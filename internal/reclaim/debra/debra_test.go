@@ -49,6 +49,9 @@ func TestShardedCrossShardSafety(t *testing.T) {
 func TestShardedQuiescentShardDoesNotBlock(t *testing.T) {
 	reclaimtest.ShardedIdleShardDoesNotBlock(t, sharded)
 }
+func TestLimboEmptiesAfterThreeEpochs(t *testing.T) {
+	reclaimtest.LimboEmptiesAfterThreeEpochs(t, factory)
+}
 
 // retireMany drives tid through ops, retiring fresh records, and returns them.
 func retireMany(r *debra.Reclaimer[reclaimtest.Record], tid, n int) []*reclaimtest.Record {
@@ -64,8 +67,7 @@ func retireMany(r *debra.Reclaimer[reclaimtest.Record], tid, n int) []*reclaimte
 }
 
 // TestSingleThreadReclaims checks that a single thread reclaims its own
-// retired records once enough operations (and therefore epochs) pass. Only
-// full blocks move to the pool, so we retire several blocks' worth.
+// retired records once enough operations (and therefore epochs) pass.
 func TestSingleThreadReclaims(t *testing.T) {
 	sink := reclaimtest.NewRecordingSink()
 	r := debra.New(1, sink, fast()...)
@@ -79,13 +81,8 @@ func TestSingleThreadReclaims(t *testing.T) {
 	if sink.Freed() == 0 {
 		t.Fatalf("no records freed after %d retires (stats=%+v epoch=%d)", n, r.Stats(), r.Epoch())
 	}
-	s := r.Stats()
-	if s.Freed > s.Retired {
+	if s := r.Stats(); s.Freed > s.Retired {
 		t.Fatalf("freed %d > retired %d", s.Freed, s.Retired)
-	}
-	// At most 3 partial head blocks (one per limbo bag) may be withheld.
-	if s.Limbo > 3*int64(blockbag.BlockSize) {
-		t.Fatalf("limbo=%d exceeds the 3 partial-block bound", s.Limbo)
 	}
 }
 
@@ -129,9 +126,6 @@ func TestRecordNotFreedBeforeTwoEpochs(t *testing.T) {
 func TestQuiescentThreadDoesNotBlock(t *testing.T) {
 	sink := reclaimtest.NewRecordingSink()
 	r := debra.New(8, sink, fast()...) // threads 1..7 never run at all
-	// With fast epochs the retires are spread across the three limbo bags,
-	// and only full blocks are ever moved to the sink, so retire enough to
-	// fill several blocks per bag.
 	retireMany(r, 0, 12*blockbag.BlockSize)
 	for i := 0; i < 10; i++ {
 		r.Handle(0).LeaveQstate()
@@ -207,19 +201,25 @@ func TestIncrThreshDelaysAdvance(t *testing.T) {
 }
 
 // TestBlockSinkReceivesWholeBlocks verifies the O(1) block transfer path:
-// when the sink supports blocks, records arrive in multiples of BlockSize.
+// when the sink supports blocks, a bag filled within one epoch arrives as its
+// full blocks plus one partial block, in one chain, and never as single
+// records.
 func TestBlockSinkReceivesWholeBlocks(t *testing.T) {
 	sink := &reclaimtest.BlockSink{}
 	r := debra.New[reclaimtest.Record](1, sink, fast()...)
-	retireMany(r, 0, 3*blockbag.BlockSize)
+	n := 3*blockbag.BlockSize + 10
+	h := r.Handle(0)
+	h.LeaveQstate()
+	for i := 0; i < n; i++ {
+		h.Retire(&reclaimtest.Record{ID: int64(i)})
+	}
+	h.EnterQstate()
 	for i := 0; i < 10; i++ {
-		r.Handle(0).LeaveQstate()
-		r.Handle(0).EnterQstate()
+		h.LeaveQstate()
+		h.EnterQstate()
 	}
-	if sink.Blocks == 0 {
-		t.Fatal("block sink never received a block")
-	}
-	if sink.Singles != 0 {
-		t.Fatalf("block sink received %d individual records; expected whole blocks only", sink.Singles)
+	if sink.Freed() != n || sink.Chains != 1 || sink.Full != 3 || sink.Partial != 1 || sink.Singles != 0 {
+		t.Fatalf("%d records arrived as %d full and %d partial blocks in %d chains and %d single records",
+			sink.Freed(), sink.Full, sink.Partial, sink.Chains, sink.Singles)
 	}
 }

@@ -112,21 +112,13 @@ func (h *handle[T]) LeaveQstate() bool {
 func (h *handle[T]) reclaim(idx int) {
 	for si := range h.r.shards {
 		s := &h.r.shards[si]
-		var rest []*T
 		s.mu.Lock()
-		bag := s.limbo[idx]
-		chain := bag.DetachAllFullBlocks()
-		for rec, ok := bag.Remove(); ok; rec, ok = bag.Remove() {
-			rest = append(rest, rec)
-		}
+		chain := s.limbo[idx].DetachAll()
 		s.mu.Unlock()
 		if chain != nil {
 			// The chain is ours now, but the shard's block pool is not: the
 			// emptied blocks are dropped when the sink takes single records.
 			h.Free(chain, nil)
-		}
-		for _, rec := range rest {
-			h.FreeRecord(rec)
 		}
 	}
 }
@@ -175,8 +167,7 @@ func (r *Reclaimer[T]) DrainLimbo(tid int) int64 {
 	for si := range r.shards {
 		s := &r.shards[si]
 		for _, bag := range s.limbo {
-			n += h.Free(bag.DetachAllFullBlocks(), s.pool)
-			n += int64(bag.Drain(h.FreeRecord))
+			n += h.Free(bag.DetachAll(), s.pool)
 		}
 	}
 	return n

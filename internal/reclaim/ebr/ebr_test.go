@@ -33,6 +33,9 @@ func TestShardedCrossShardSafety(t *testing.T) {
 func TestShardedIdleShardDoesNotBlock(t *testing.T) {
 	reclaimtest.ShardedIdleShardDoesNotBlock(t, sharded)
 }
+func TestLimboEmptiesAfterThreeEpochs(t *testing.T) {
+	reclaimtest.LimboEmptiesAfterThreeEpochs(t, factory)
+}
 
 // TestSingleThreadEventuallyFrees drives one thread through many operations
 // and checks that retired records are eventually handed to the sink, and

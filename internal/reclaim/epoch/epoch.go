@@ -11,8 +11,8 @@
 //     it forward. Vacant slots are quiescent by the release contract and are
 //     never read (or, under debra+, signalled);
 //   - the private limbo: three block bags per thread, rotated each time the
-//     thread observes a new epoch, the oldest one's full blocks going to the
-//     free sink.
+//     thread observes a new epoch, the whole oldest bag going to the free
+//     sink (debra+'s Sweep frees full blocks only and keeps the tails).
 //
 // A policy decides where the pass runs and how much of it runs per
 // operation; docs/ARCHITECTURE.md ("The epoch schemes") has the table.
@@ -259,9 +259,9 @@ func (t *Thread[T]) RequirePinned() {
 	}
 }
 
-// Free hands a detached chain of full blocks to the sink and returns the
-// number of records in it; the emptied blocks go to pool when the sink takes
-// records one at a time.
+// Free hands a detached block chain (core.FreeChain) to the sink and returns
+// the number of records in it; the emptied blocks go to pool when the sink
+// takes records one at a time.
 func (t *Thread[T]) Free(chain *blockbag.Block[T], pool *blockbag.BlockPool[T]) int64 {
 	n := core.FreeChain(t.d.sink, t.d.blockSink, pool, t.Tid, chain)
 	t.freed.Add(n)

@@ -68,6 +68,8 @@ func (b *Bags[T]) DrainLimbo(tid int) int64 {
 	for _, l := range b.limbos {
 		for _, bag := range l.bags {
 			n += by.Free(l.freeable(bag, true), l.blockPool)
+			// Only a Sweep (debra+) leaves records behind: the tails it
+			// keeps and the records it holds.
 			var held []*T
 			bag.Drain(func(rec *T) {
 				if l.Held != nil && l.Held(rec) {
@@ -98,15 +100,16 @@ func (b *Bags[T]) LimboSize(tid int) int {
 // Limbo is a Thread with a private three-bag limbo: records retired under
 // the epoch the thread last observed go to the current bag, and each newly
 // observed epoch reuses the oldest bag, whose records were retired at least
-// two epochs ago.
+// two epochs ago and are all freed then.
 type Limbo[T any] struct {
 	Thread[T]
 
-	// Sweep, when non-nil, chooses what a rotation frees in place of "every
-	// full block of the oldest bag": it detaches and returns the full blocks
-	// of bag that may go now (debra+: those behind the records a recovery
-	// protection covers, and nothing until the bag is worth a table scan —
-	// unless force is set, as it is at shutdown).
+	// Sweep, when non-nil, chooses what a rotation frees in place of "the
+	// whole oldest bag": it detaches and returns the full blocks of bag that
+	// may go now (debra+: those behind the records a recovery protection
+	// covers, and nothing until the bag is worth a table scan — unless force
+	// is set, as it is at shutdown). The bag's partial head block stays
+	// behind.
 	Sweep func(bag *blockbag.Bag[T], force bool) *blockbag.Block[T]
 	// Held, when non-nil, reports whether the last Sweep found rec protected.
 	Held func(rec *T) bool
@@ -141,10 +144,11 @@ func (l *Limbo[T]) Rotate() {
 	}
 }
 
-// freeable detaches the full blocks of bag that may be freed now.
+// freeable detaches the blocks of bag that may be freed now: all of them,
+// partial head included, unless a Sweep chooses.
 func (l *Limbo[T]) freeable(bag *blockbag.Bag[T], force bool) *blockbag.Block[T] {
 	if l.Sweep != nil {
 		return l.Sweep(bag, force)
 	}
-	return bag.DetachAllFullBlocks()
+	return bag.DetachAll()
 }

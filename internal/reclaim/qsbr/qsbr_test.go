@@ -35,6 +35,9 @@ func TestShardedCrossShardSafety(t *testing.T) {
 func TestShardedOfflineShardDoesNotBlock(t *testing.T) {
 	reclaimtest.ShardedIdleShardDoesNotBlock(t, sharded)
 }
+func TestLimboEmptiesAfterThreeEpochs(t *testing.T) {
+	reclaimtest.LimboEmptiesAfterThreeEpochs(t, factory)
+}
 
 func TestSingleThreadReclaims(t *testing.T) {
 	sink := reclaimtest.NewRecordingSink()

@@ -18,11 +18,16 @@ import (
 // given shard spec (the zero spec is one domain).
 type ShardedFactory func(n int, sink core.FreeSink[Record], spec core.ShardSpec) core.Reclaimer[Record]
 
-// BlockSink is a core.BlockFreeSink that tells records arriving in whole
-// blocks from records arriving one at a time. Single-goroutine use.
+// BlockSink is a core.BlockFreeSink that tells how records arrive: in full
+// blocks, in partial blocks, or one at a time. Single-goroutine use.
 type BlockSink struct {
-	Blocks, Singles int
-	freed           map[*Record]bool
+	// Chains counts FreeBlocks calls, Full and Partial the blocks they
+	// carried, and Singles the calls to Free.
+	Chains, Full, Partial, Singles int
+	// Misplaced counts partial blocks that were not the first of their chain,
+	// which core.BlockFreeSink does not allow.
+	Misplaced int
+	freed     map[*Record]bool
 }
 
 // Free implements core.FreeSink.
@@ -33,11 +38,29 @@ func (s *BlockSink) Free(tid int, rec *Record) {
 
 // FreeBlocks implements core.BlockFreeSink.
 func (s *BlockSink) FreeBlocks(tid int, chain *blockbag.Block[Record]) {
+	s.Chains++
 	for blk := chain; blk != nil; blk = blk.Next() {
-		s.Blocks++
+		switch {
+		case blk.Full():
+			s.Full++
+		case blk == chain:
+			s.Partial++
+		default:
+			s.Misplaced++
+		}
 		for i := 0; i < blk.Len(); i++ {
 			s.note(blk.Record(i))
 		}
+	}
+}
+
+// check fails t unless every record arrived as core.BlockFreeSink allows:
+// in chains, a partial block only as a chain's first.
+func (s *BlockSink) check(t *testing.T) {
+	t.Helper()
+	if s.Singles != 0 || s.Misplaced != 0 {
+		t.Fatalf("block sink got %d single records and %d partial blocks not first in their chain",
+			s.Singles, s.Misplaced)
 	}
 }
 
@@ -117,7 +140,8 @@ func fullBlock() *blockbag.Block[Record] {
 // RetireBlockSplice checks the O(1) batched-retire path: a spliced block is
 // counted, waits out the grace period like single retires, and reaches a
 // block sink whole. One record is retired singly beside it, because debra+
-// keeps back the first non-empty block of a bag it sweeps.
+// keeps back the first non-empty block of a bag it sweeps; the other schemes
+// free it in the same chain, as a partial first block.
 func RetireBlockSplice(t *testing.T, f Factory) {
 	t.Helper()
 	sink := &BlockSink{}
@@ -133,8 +157,47 @@ func RetireBlockSplice(t *testing.T, f Factory) {
 		t.Fatalf("%d records freed right after the splice", sink.Freed())
 	}
 	operate(r, 0, 20, 0)
-	if sink.Blocks != 1 || sink.Singles > 1 {
-		t.Fatalf("spliced block arrived as %d blocks and %d single records", sink.Blocks, sink.Singles)
+	if sink.Full != 1 {
+		t.Fatalf("%d full blocks freed, want the spliced one", sink.Full)
+	}
+	sink.check(t)
+}
+
+// LimboEmptiesAfterThreeEpochs is the bound a rotation that frees the whole
+// oldest bag gives: whatever the size of the tail, nothing a thread retired is
+// left in limbo once the epoch has advanced three times since its retiring
+// operation began — the two of the grace period, and one because the epoch a
+// retire is filed under may be one behind — and the thread has run an
+// operation since. Records reach a block sink in chains and a plain sink one
+// at a time, all of them.
+func LimboEmptiesAfterThreeEpochs(t *testing.T, f Factory) {
+	t.Helper()
+	for _, k := range []int{1, blockbag.BlockSize - 1, blockbag.BlockSize + 1} {
+		blocks, records := &BlockSink{}, NewRecordingSink()
+		for _, sink := range []core.FreeSink[Record]{blocks, records} {
+			r := f(1, sink)
+			h := r.Handle(0)
+			start := r.Stats().EpochAdvances
+			h.LeaveQstate()
+			for i := 0; i < k; i++ {
+				h.Retire(&Record{ID: int64(i)})
+			}
+			h.EnterQstate()
+			for ops := 0; r.Stats().EpochAdvances < start+3; ops++ {
+				if ops == 1000 {
+					t.Fatalf("k=%d: epoch stuck after %d operations: %+v", k, ops, r.Stats())
+				}
+				operate(r, 0, 1, 0)
+			}
+			operate(r, 0, 1, 0)
+			if s := r.Stats(); s.Limbo != 0 || s.Freed != int64(k) {
+				t.Fatalf("k=%d, %T: three epochs on, stats %+v", k, sink, s)
+			}
+		}
+		if blocks.Freed() != k || records.Freed() != int64(k) {
+			t.Fatalf("k=%d: block sink holds %d records, plain sink %d", k, blocks.Freed(), records.Freed())
+		}
+		blocks.check(t)
 	}
 }
 
@@ -149,8 +212,8 @@ func ShardedCrossShardSafety(t *testing.T, f ShardedFactory) {
 		t.Fatal("tids 0 and 3 should be in different shards")
 	}
 	r.Handle(3).LeaveQstate() // may hold pointers; never quiesces
-	// Several blocks' worth: schemes with private bags free full blocks only,
-	// so the assertions below are on counts, not on individual records.
+	// Several blocks' worth: debra+ frees full blocks only, so the
+	// assertions below are on counts, not on individual records.
 	operate(r, 0, 4*blockbag.BlockSize+400, 4*blockbag.BlockSize)
 	if got := sink.Freed(); got != 0 {
 		t.Fatalf("%d records freed while a thread of another shard was mid-operation", got)
