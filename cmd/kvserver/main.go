@@ -21,7 +21,7 @@
 // clients (kvload -pipeline) amortise the per-request syscall cost.
 //
 //	kvserver -addr :7070 -scheme debra -partitions 4 -maxconns 64
-//	kvserver -scheme hp -pool -shards 4 -retirebatch 256
+//	kvserver -scheme hp -pool -retirebatch 256
 //	kvserver -pprof 127.0.0.1:6060     # live CPU/alloc profiles during load
 //
 // On SIGINT/SIGTERM the server drains connections, closes every partition's
@@ -41,7 +41,6 @@ import (
 	"os/signal"
 	"syscall"
 
-	"repro/internal/core"
 	"repro/internal/kvservice"
 	"repro/internal/recordmgr"
 )
@@ -60,8 +59,6 @@ func main() {
 		acquireWait = flag.Duration("acquirewait", 0, "how long a request may wait for a worker slot before the ERR_BUSY fast-fail (0 = library default, 100ms)")
 		reapAfter   = flag.Duration("reapafter", 0, "slow-peer reaper threshold: connections completing no frame within it are closed (0 = library default, 2x readtimeout)")
 		pool        = flag.Bool("pool", false, "recycle reclaimed nodes through the record pool")
-		shards      = flag.Int("shards", 0, "sharded reclamation domains per partition (0/1 = one global domain)")
-		placement   = flag.String("placement", "", "tid->shard placement policy: block or stripe")
 		retireBatch = flag.Int("retirebatch", 0, "per-slot deferred-retire batch size (0 = direct retirement)")
 		buckets     = flag.Int("buckets", 0, "initial bucket count per partition (0 = map default)")
 		pprofAddr   = flag.String("pprof", "", "serve net/http/pprof on this address (host:port; empty = disabled)")
@@ -83,10 +80,6 @@ func main() {
 		}()
 	}
 
-	pl, err := core.ParsePlacement(*placement)
-	if err != nil {
-		fatal(err)
-	}
 	srv, err := kvservice.New(kvservice.Config{
 		Scheme:         *scheme,
 		Partitions:     *partitions,
@@ -99,8 +92,6 @@ func main() {
 		AcquireWait:    *acquireWait,
 		ReapAfter:      *reapAfter,
 		UsePool:        *pool,
-		Shards:         *shards,
-		Placement:      pl,
 		RetireBatch:    *retireBatch,
 		InitialBuckets: *buckets,
 	})

@@ -9,7 +9,7 @@ type PartitionedHandle struct{ _ int }
 // Release returns the handle's slot.
 func (h *PartitionedHandle) Release() {}
 
-// Partitioned is a sharded structure handing out slot-backed handles.
+// Partitioned is a partitioned structure handing out slot-backed handles.
 type Partitioned struct{ _ int }
 
 // AcquireHandle binds a worker slot.

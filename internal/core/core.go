@@ -20,7 +20,7 @@ import "repro/internal/blockbag"
 // Reclaimer is the safe-memory-reclamation component of a Record Manager: the
 // scheme object, shared by the fixed set of n thread slots it was built for.
 // It carries what is global to the scheme — its identity, its qualitative
-// properties, its counters and its shard map — hands out the per-slot
+// properties, its counters and its slot occupancy — hands out the per-slot
 // ReclaimerHandle through which every per-thread operation is issued, and
 // takes the Record Manager's batched hand-offs (RetireBlock, under
 // PinRetire/UnpinRetire when the slot is quiescent). All six schemes and the
@@ -41,11 +41,10 @@ type Reclaimer[T any] interface {
 	// Stats returns a snapshot of the reclaimer's counters.
 	Stats() Stats
 
-	// ShardMap returns the resolved placement of the n slots onto reclamation
-	// shards. It also carries the slot registry through which scans skip
-	// vacant slots, so schemes with nothing to shard (hazard pointers, the
-	// leaking baseline) hold one too.
-	ShardMap() *ShardMap
+	// Occupancy returns the scheme's view of its n slots, through which the
+	// Record Manager attaches its slot registry and the scans skip vacant
+	// slots.
+	Occupancy() *Occupancy
 
 	// RetireBlock hands the reclaimer one detached FULL block of records
 	// retired by slot tid — an O(1) splice into the scheme's block bags
@@ -155,7 +154,7 @@ type ReclaimerHandle[T any] interface {
 // references). Records that are still individually protected (hazard
 // pointers, DEBRA+ recovery protections) are skipped, not freed.
 type LimboDrainer interface {
-	// DrainLimbo frees the drainable limbo of every thread/shard; tid is the
+	// DrainLimbo frees the drainable limbo of every thread; tid is the
 	// dense id charged for the sink hand-off.
 	DrainLimbo(tid int) int64
 }

@@ -85,7 +85,7 @@ func (m *RecordManager[T]) newHandle(tid int) ThreadHandle[T] {
 // Goroutines acquire a slot for their working lifetime and release it with
 // ReleaseHandle, so a server does not need to know its peak goroutine count
 // per worker — only the capacity (recordmgr.Config.MaxThreads) of the
-// manager. A fresh manager hands out slots 0, 1, 2, … in shard order (see
+// manager. A fresh manager hands out slots 0, 1, 2, … in order (see
 // NewSlotRegistry). Panics when every slot is held; use TryAcquireHandle to
 // handle exhaustion gracefully.
 func (m *RecordManager[T]) AcquireHandle() *ThreadHandle[T] {

@@ -136,16 +136,16 @@ func NewRecordManager[T any](alloc Allocator[T], pool Pool[T], rec Reclaimer[T],
 	// Build the per-slot handle table for every participant the scheme was
 	// constructed for, so AcquireHandle returns a pointer into this table
 	// rather than an allocation and Close can flush every worker slot.
-	smap := rec.ShardMap()
-	n := max(cfg.threads, smap.Threads())
+	occ := rec.Occupancy()
+	n := max(cfg.threads, occ.Threads())
 	m.handles = make([]ThreadHandle[T], n)
 	for i := range m.handles {
 		m.handles[i] = m.newHandle(i)
 	}
-	// Attaching the slot registry to the scheme's shard map is what lets
-	// the schemes' scan paths consult occupancy.
-	m.reg = NewSlotRegistry(n, smap)
-	smap.AttachRegistry(m.reg)
+	// Attaching the slot registry is what lets the schemes' scan paths
+	// consult occupancy.
+	m.reg = NewSlotRegistry(n)
+	occ.Attach(m.reg)
 	return m
 }
 

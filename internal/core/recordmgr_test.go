@@ -13,78 +13,6 @@ import (
 	"repro/internal/reclaimtest"
 )
 
-func TestShardMapBlockPlacement(t *testing.T) {
-	m := core.NewShardMap(8, core.ShardSpec{Shards: 4, Placement: core.PlaceBlock})
-	if m.Shards() != 4 {
-		t.Fatalf("Shards() = %d want 4", m.Shards())
-	}
-	// Block placement keeps contiguous tids together.
-	want := []int{0, 0, 1, 1, 2, 2, 3, 3}
-	for tid, s := range want {
-		if got := m.ShardOf(tid); got != s {
-			t.Fatalf("ShardOf(%d) = %d want %d", tid, got, s)
-		}
-	}
-	total := 0
-	for s := 0; s < m.Shards(); s++ {
-		members := m.Members(s)
-		total += len(members)
-		for _, tid := range members {
-			if m.ShardOf(tid) != s {
-				t.Fatalf("member %d of shard %d maps to shard %d", tid, s, m.ShardOf(tid))
-			}
-		}
-	}
-	if total != 8 {
-		t.Fatalf("members cover %d tids, want 8", total)
-	}
-}
-
-func TestShardMapStripePlacement(t *testing.T) {
-	m := core.NewShardMap(8, core.ShardSpec{Shards: 3, Placement: core.PlaceStripe})
-	for tid := 0; tid < 8; tid++ {
-		if got := m.ShardOf(tid); got != tid%3 {
-			t.Fatalf("ShardOf(%d) = %d want %d", tid, got, tid%3)
-		}
-	}
-}
-
-func TestShardMapUnevenBlockPlacementIsBalanced(t *testing.T) {
-	m := core.NewShardMap(7, core.ShardSpec{Shards: 3})
-	for s := 0; s < 3; s++ {
-		if l := len(m.Members(s)); l < 2 || l > 3 {
-			t.Fatalf("shard %d has %d members, want 2 or 3", s, l)
-		}
-	}
-}
-
-func TestShardMapClamping(t *testing.T) {
-	// Zero / oversized shard counts clamp to [1, n].
-	if got := core.NewShardMap(4, core.ShardSpec{}).Shards(); got != 1 {
-		t.Fatalf("zero spec: %d shards, want 1", got)
-	}
-	if got := core.NewShardMap(2, core.ShardSpec{Shards: 64}).Shards(); got != 2 {
-		t.Fatalf("oversized: %d shards, want 2", got)
-	}
-	if got := core.NewShardMap(3, core.ShardSpec{Shards: 2}).Spec().Placement; got != core.PlaceBlock {
-		t.Fatalf("default placement = %q want %q", got, core.PlaceBlock)
-	}
-}
-
-func TestParsePlacement(t *testing.T) {
-	for name, want := range map[string]core.ShardPlacement{
-		"": core.PlaceBlock, "block": core.PlaceBlock, "stripe": core.PlaceStripe,
-	} {
-		got, err := core.ParsePlacement(name)
-		if err != nil || got != want {
-			t.Fatalf("ParsePlacement(%q) = %q, %v", name, got, err)
-		}
-	}
-	if _, err := core.ParsePlacement("socket"); err == nil {
-		t.Fatal("ParsePlacement accepted an unknown policy")
-	}
-}
-
 // chainOf builds a detached chain of full blocks holding n*BlockSize records.
 func chainOf(t *testing.T, blocks int) *blockbag.Block[node] {
 	t.Helper()

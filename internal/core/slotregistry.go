@@ -10,8 +10,8 @@ import (
 // capacity of dense thread ids — that is what makes their per-thread state a
 // flat padded array with no indirection on the hot path — and the registry
 // decides which goroutine owns which id: slots are acquired and released at
-// runtime through a lock-free free list, and per-shard occupancy summary
-// words let the schemes' announcement scans skip slots nobody currently owns.
+// runtime through a lock-free free list, and the schemes' announcement scans
+// skip slots nobody currently owns (Occupancy).
 //
 // # Slot states
 //
@@ -69,91 +69,38 @@ type slotState struct {
 	_    [PadBytes]byte
 }
 
-// shardOcc is one shard's occupancy summary word: the number of registry
-// slots in the shard that are currently held, padded onto its own cache
-// lines.
-type shardOcc struct {
-	occ atomic.Int64
-	_   [PadBytes]byte
-}
-
-// freeHead is one shard's free-list head word, padded so neighbouring
-// shards' heads (CASed on every acquire/release in that shard) do not share
-// cache lines. The low 32 bits hold (index+1) of the top slot (0 = empty),
-// the high 32 bits a tag bumped by every successful CAS, which defeats ABA
-// on the Treiber stack.
-type freeHead struct {
-	head atomic.Uint64
-	_    [PadBytes]byte
-}
-
 // SlotRegistry hands out dense thread ids ("slots") in [0, Capacity()) at
 // runtime: Acquire pops a vacant slot from a lock-free free list, Release
 // returns it. All methods are safe for concurrent use. The registry is the
 // mechanism only — the safety half of the release contract (quiescence,
 // drained buffers) is enforced by RecordManager.ReleaseHandle, which is the
 // entry point applications use.
-//
-// # Per-shard free lists
-//
-// The free list is partitioned by shard (one Treiber stack per shard of the
-// attached ShardMap; a single stack when there is none): a slot is pushed to
-// and popped from its home shard's list only, so slots never migrate between
-// lists. Acquire scans the lists in ascending shard order, so low tids are
-// preferred.
 type SlotRegistry struct {
 	capacity int
-	smap     *ShardMap // nil for a registry built on its own
+	slots    []slotState
 
-	// heads is one free-list head per shard (length 1 when smap is nil);
-	// homes maps a slot to its immutable free-list index.
-	heads []freeHead
-	homes []int
-
-	slots  []slotState
-	shards []shardOcc // nil when smap is nil
+	// head is the free list's head word, on its own cache lines. The low 32
+	// bits hold (index+1) of the top slot (0 = empty), the high 32 bits a tag
+	// bumped by every successful CAS, which defeats ABA on the Treiber stack.
+	_    [PadBytes]byte
+	head atomic.Uint64
+	// live counts the held slots, on its own cache lines.
+	_    [PadBytes]byte
+	live atomic.Int64
+	_    [PadBytes]byte
 }
 
-// NewSlotRegistry creates a registry for capacity worker slots. smap, when
-// non-nil, is the reclaimer's shard map; the registry then maintains one
-// occupancy summary word and one free list per shard. All slots start
-// vacant, with each shard's free list ordered ascending, so the first
-// Acquire returns slot 0 — the dense-id habit everything downstream relies
-// on.
-func NewSlotRegistry(capacity int, smap *ShardMap) *SlotRegistry {
+// NewSlotRegistry creates a registry for capacity worker slots. All slots
+// start vacant, with the free list ordered ascending, so the first Acquire
+// returns slot 0 — the dense-id habit everything downstream relies on.
+func NewSlotRegistry(capacity int) *SlotRegistry {
 	if capacity <= 0 {
 		panic("core: NewSlotRegistry requires capacity >= 1")
 	}
-	if smap != nil && smap.Threads() > capacity {
-		// A map member with no slot would never count as live, so the scans
-		// would skip it while it runs.
-		panic(fmt.Sprintf("core: NewSlotRegistry: shard map covers %d threads but capacity is %d", smap.Threads(), capacity))
-	}
-	lists := 1
-	if smap != nil {
-		lists = smap.Shards()
-	}
-	r := &SlotRegistry{
-		capacity: capacity,
-		smap:     smap,
-		heads:    make([]freeHead, lists),
-		homes:    make([]int, capacity),
-		slots:    make([]slotState, capacity),
-	}
-	if smap != nil {
-		for i := 0; i < capacity; i++ {
-			r.homes[i] = smap.ShardOf(i)
-		}
-	}
-	// Build the initial free lists in descending push order so pops come out
-	// ascending within each shard (slot 0 first in shard 0), matching the
-	// dense-id habits of everything downstream (shard placement, NUMA
-	// pinning, test expectations).
+	r := &SlotRegistry{capacity: capacity, slots: make([]slotState, capacity)}
+	// Push in descending order so pops come out ascending.
 	for i := capacity - 1; i >= 0; i-- {
 		r.pushFree(i)
-	}
-	if smap != nil {
-		r.shards = make([]shardOcc, smap.Shards())
 	}
 	return r
 }
@@ -161,12 +108,9 @@ func NewSlotRegistry(capacity int, smap *ShardMap) *SlotRegistry {
 // Capacity returns the number of worker slots the registry manages.
 func (r *SlotRegistry) Capacity() int { return r.capacity }
 
-// Shards returns the number of per-shard free lists (1 without a shard map).
-func (r *SlotRegistry) Shards() int { return len(r.heads) }
-
-// pushFree pushes slot i onto its home shard's free list.
+// pushFree pushes slot i onto the free list.
 func (r *SlotRegistry) pushFree(i int) {
-	h := &r.heads[r.homes[i]].head
+	h := &r.head
 	for {
 		old := h.Load()
 		r.slots[i].next.Store(uint32(old))
@@ -177,11 +121,11 @@ func (r *SlotRegistry) pushFree(i int) {
 	}
 }
 
-// popFree pops a slot from shard list l; ok is false when the list is
-// empty. Lock-free: a CAS failure means another pop or push won, and the
-// tag in the head word rules out ABA against a concurrently recycled slot.
-func (r *SlotRegistry) popFree(l int) (int, bool) {
-	h := &r.heads[l].head
+// popFree pops a slot from the free list; ok is false when it is empty.
+// Lock-free: a CAS failure means another pop or push won, and the tag in the
+// head word rules out ABA against a concurrently recycled slot.
+func (r *SlotRegistry) popFree() (int, bool) {
+	h := &r.head
 	for {
 		old := h.Load()
 		idx := int(uint32(old)) - 1
@@ -196,38 +140,18 @@ func (r *SlotRegistry) popFree(l int) (int, bool) {
 	}
 }
 
-// noteOccupied bumps the occupancy summary of tid's shard.
-func (r *SlotRegistry) noteOccupied(tid int) {
-	if r.shards != nil {
-		r.shards[r.smap.ShardOf(tid)].occ.Add(1)
-	}
-}
-
-// noteVacant drops the occupancy summary of tid's shard.
-func (r *SlotRegistry) noteVacant(tid int) {
-	if r.shards != nil {
-		r.shards[r.smap.ShardOf(tid)].occ.Add(-1)
-	}
-}
-
 // Acquire pops a vacant slot and marks it held, returning its dense tid. ok
-// is false when every slot is held. The occupancy summary is published
-// before Acquire returns, so the slot is visible to scanners before its new
-// owner can announce anything.
-//
-// The multi-list scan is not one atomic snapshot, but it stays
-// linearizable: slots never migrate between lists, so a scan that finds
-// every list empty while a concurrent Release pushes is indistinguishable
-// from the Acquire having run entirely before the Release.
+// is false when every slot is held. Occupancy is published before Acquire
+// returns, so the slot is visible to scanners before its new owner can
+// announce anything.
 func (r *SlotRegistry) Acquire() (int, bool) {
-	for l := range r.heads {
-		if idx, ok := r.popFree(l); ok {
-			r.slots[idx].state.Store(slotHeld)
-			r.noteOccupied(idx)
-			return idx, true
-		}
+	idx, ok := r.popFree()
+	if !ok {
+		return -1, false
 	}
-	return -1, false
+	r.slots[idx].state.Store(slotHeld)
+	r.live.Add(1)
+	return idx, true
 }
 
 // Release marks a held slot vacant and returns it to the free list. It
@@ -241,7 +165,7 @@ func (r *SlotRegistry) Release(tid int) {
 	if !r.slots[tid].state.CompareAndSwap(slotHeld, slotVacant) {
 		panic(fmt.Sprintf("core: SlotRegistry.Release(%d): slot is not held (double release)", tid))
 	}
-	r.noteVacant(tid)
+	r.live.Add(-1)
 	r.pushFree(tid)
 }
 
@@ -250,13 +174,59 @@ func (r *SlotRegistry) Occupied(tid int) bool {
 	return r.slots[tid].state.Load() != slotVacant
 }
 
-// Live returns the number of currently occupied slots (instrumentation).
-func (r *SlotRegistry) Live() int {
-	n := 0
-	for i := range r.slots {
-		if r.slots[i].state.Load() != slotVacant {
-			n++
-		}
+// Live returns the number of currently held slots. It may lag a concurrent
+// Acquire or Release by one transition each.
+func (r *SlotRegistry) Live() int { return int(r.live.Load()) }
+
+// Occupancy is a reclaimer's view of its n thread slots: how many there are
+// and, once a Record Manager has attached its slot registry, which of them
+// are owned. Scan paths treat an unowned slot exactly like one observed
+// quiescent. Without a registry every slot reads as occupied — the
+// behaviour of a scheme driven directly by tid, as the unit tests do.
+type Occupancy struct {
+	n   int
+	reg *SlotRegistry
+}
+
+// NewOccupancy returns the occupancy of n slots with no registry attached.
+func NewOccupancy(n int) *Occupancy {
+	if n <= 0 {
+		panic("core: NewOccupancy requires n >= 1")
 	}
-	return n
+	return &Occupancy{n: n}
+}
+
+// Threads returns the number of slots n.
+func (o *Occupancy) Threads() int { return o.n }
+
+// Attach attaches a slot registry covering at least the n slots. It must be
+// called before concurrent use of the reclaimer (the Record Manager attaches
+// at construction, which precedes any worker goroutine); attaching a second
+// registry — two managers built over one reclaimer — panics, because the
+// second would silently shadow the first's occupancy.
+func (o *Occupancy) Attach(r *SlotRegistry) {
+	if r.Capacity() < o.n {
+		// A slot the registry cannot hand out would read as vacant forever,
+		// so the scans would skip it while a raw caller runs it.
+		panic(fmt.Sprintf("core: Occupancy.Attach: %d slots but registry capacity %d", o.n, r.Capacity()))
+	}
+	if o.reg != nil && o.reg != r {
+		panic("core: Occupancy already has a slot registry attached (one reclaimer cannot serve two Record Managers' slot registries)")
+	}
+	o.reg = r
+}
+
+// Occupied reports whether slot tid is owned; true when no registry is
+// attached.
+func (o *Occupancy) Occupied(tid int) bool { return o.reg == nil || o.reg.Occupied(tid) }
+
+// Live returns the number of owned slots, or -1 when no registry is attached
+// (occupancy unknown: scan everything). A thread that finds Live() <= 1
+// while it holds its own slot is the only occupant, and every other slot is
+// quiescent.
+func (o *Occupancy) Live() int {
+	if o.reg == nil {
+		return -1
+	}
+	return o.reg.Live()
 }

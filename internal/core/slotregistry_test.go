@@ -1,7 +1,7 @@
 package core_test
 
-// Tests for the thread-slot registry: the lock-free free list, the per-shard
-// occupancy summaries, and the Record Manager's acquire/release contract —
+// Tests for the thread-slot registry: the lock-free free list, the occupancy
+// the schemes' scans read, and the Record Manager's acquire/release contract —
 // including the headline regression that releasing a non-quiescent slot
 // panics (the slot-registry sibling of the quiescent-retire contract).
 
@@ -16,7 +16,7 @@ import (
 )
 
 func TestSlotRegistryAcquireRelease(t *testing.T) {
-	r := core.NewSlotRegistry(3, nil)
+	r := core.NewSlotRegistry(3)
 	if r.Capacity() != 3 {
 		t.Fatalf("Capacity = %d want 3", r.Capacity())
 	}
@@ -53,41 +53,31 @@ func TestSlotRegistryAcquireRelease(t *testing.T) {
 	}
 }
 
-func TestSlotRegistryShardOccupancy(t *testing.T) {
-	// 6 worker slots over 2 shards. Block placement: shard 0 = {0,1,2},
-	// shard 1 = {3,4,5}.
-	smap := core.NewShardMap(6, core.ShardSpec{Shards: 2})
-	if !panics(func() { core.NewSlotRegistry(4, smap) }) {
-		t.Fatal("a registry with fewer slots than map members was accepted")
+func TestOccupancy(t *testing.T) {
+	occ := core.NewOccupancy(3)
+	// Without a registry every slot reads as occupied and the count unknown.
+	if occ.Live() != -1 || !occ.Occupied(0) {
+		t.Fatal("registry-less occupancy must report unknown occupancy")
 	}
-	r := core.NewSlotRegistry(6, smap)
-	smap.AttachRegistry(r)
-	for s := 0; s < 2; s++ {
-		if got := smap.ShardLive(s); got != 0 {
-			t.Fatalf("shard %d live = %d want 0", s, got)
-		}
+	if !panics(func() { occ.Attach(core.NewSlotRegistry(2)) }) {
+		t.Fatal("a registry with fewer slots than the occupancy was accepted")
 	}
-	tid, _ := r.Acquire() // slot 0, shard 0
-	if got := smap.ShardLive(0); got != 1 {
-		t.Fatalf("shard 0 live = %d want 1 after acquire", got)
+	r := core.NewSlotRegistry(3)
+	occ.Attach(r)
+	if !panics(func() { occ.Attach(core.NewSlotRegistry(3)) }) {
+		t.Fatal("a second registry was accepted")
 	}
-	if smap.SlotOccupied(1) {
-		t.Fatal("slot 1 occupied before any claim")
+	if occ.Live() != 0 || occ.Occupied(0) {
+		t.Fatal("fresh registry: a slot reads occupied")
 	}
-	for i := 1; i < 4; i++ { // slots 1 and 2 (shard 0), then 3 (shard 1)
-		r.Acquire()
-	}
-	if got := smap.ShardLive(1); got != 1 {
-		t.Fatalf("shard 1 live = %d want 1 with slot 3 held", got)
+	tid, _ := r.Acquire()
+	r.Acquire()
+	if occ.Live() != 2 || !occ.Occupied(tid) || occ.Occupied(2) {
+		t.Fatalf("after two acquires: live %d", occ.Live())
 	}
 	r.Release(tid)
-	if got := smap.ShardLive(0); got != 2 {
-		t.Fatalf("shard 0 live = %d want 2 after release", got)
-	}
-	// A map without a registry reports occupancy unknown/occupied.
-	bare := core.NewShardMap(2, core.ShardSpec{})
-	if bare.ShardLive(0) != -1 || !bare.SlotOccupied(0) {
-		t.Fatal("registry-less map must report unknown occupancy")
+	if occ.Live() != 1 || occ.Occupied(tid) {
+		t.Fatalf("after a release: live %d", occ.Live())
 	}
 }
 
@@ -100,7 +90,7 @@ func TestSlotRegistryConcurrentChurn(t *testing.T) {
 		goroutines = 16
 		iters      = 2000
 	)
-	r := core.NewSlotRegistry(capacity, nil)
+	r := core.NewSlotRegistry(capacity)
 	owners := make([]int32, capacity) // 0 = free, else goroutine id+1
 	var mu sync.Mutex                 // guards owners; the registry is what's under test
 	var wg sync.WaitGroup
@@ -135,22 +125,20 @@ func TestSlotRegistryConcurrentChurn(t *testing.T) {
 	}
 }
 
-// TestShardMapOccupancyUnderChurn hammers acquire/release churn while
-// reader goroutines continuously poll ShardMap.SlotOccupied and ShardLive —
-// the schemes' scan-skip predicates. The
-// summaries may lag individual transitions but must stay within [0,
-// members] per shard, and must be exact once the churn quiesces. Run under
+// TestOccupancyUnderChurn hammers acquire/release churn while reader
+// goroutines continuously poll Occupancy.Occupied and Live — the schemes'
+// scan-skip predicates. Live may lag individual transitions but must stay
+// within [0, capacity], and must be exact once the churn quiesces. Run under
 // -race in CI.
-func TestShardMapOccupancyUnderChurn(t *testing.T) {
+func TestOccupancyUnderChurn(t *testing.T) {
 	const (
 		capacity   = 8
-		shards     = 2
 		goroutines = 4
 		iters      = 2000
 	)
-	smap := core.NewShardMap(capacity, core.ShardSpec{Shards: shards})
-	r := core.NewSlotRegistry(capacity, smap)
-	smap.AttachRegistry(r)
+	occ := core.NewOccupancy(capacity)
+	r := core.NewSlotRegistry(capacity)
+	occ.Attach(r)
 
 	stop := make(chan struct{})
 	var readers sync.WaitGroup
@@ -164,14 +152,12 @@ func TestShardMapOccupancyUnderChurn(t *testing.T) {
 					return
 				default:
 				}
-				for s := 0; s < shards; s++ {
-					if live := smap.ShardLive(s); live < 0 || live > len(smap.Members(s)) {
-						t.Errorf("shard %d live = %d outside [0, %d]", s, live, len(smap.Members(s)))
-						return
-					}
+				if live := occ.Live(); live < 0 || live > capacity {
+					t.Errorf("live = %d outside [0, %d]", live, capacity)
+					return
 				}
 				for tid := 0; tid < capacity; tid++ {
-					smap.SlotOccupied(tid) // either answer is legal mid-churn
+					occ.Occupied(tid) // either answer is legal mid-churn
 				}
 			}
 		}()
@@ -187,7 +173,7 @@ func TestShardMapOccupancyUnderChurn(t *testing.T) {
 				if !ok {
 					continue
 				}
-				if !smap.SlotOccupied(tid) {
+				if !occ.Occupied(tid) {
 					t.Errorf("own slot %d not occupied while held", tid)
 					r.Release(tid)
 					return
@@ -203,14 +189,12 @@ func TestShardMapOccupancyUnderChurn(t *testing.T) {
 		return
 	}
 
-	// Quiesced: the summaries are exact again.
-	for s := 0; s < shards; s++ {
-		if live := smap.ShardLive(s); live != 0 {
-			t.Fatalf("shard %d live = %d after churn quiesced, want 0", s, live)
-		}
+	// Quiesced: the count is exact again.
+	if live := occ.Live(); live != 0 {
+		t.Fatalf("live = %d after churn quiesced, want 0", live)
 	}
 	for tid := 0; tid < capacity; tid++ {
-		if smap.SlotOccupied(tid) {
+		if occ.Occupied(tid) {
 			t.Fatalf("slot %d occupied after every goroutine released", tid)
 		}
 	}

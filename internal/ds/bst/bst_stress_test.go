@@ -1,7 +1,6 @@
 package bst_test
 
 import (
-	"fmt"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -32,13 +31,13 @@ func (w treeWorker) Release()                { w.h.Tree().ReleaseHandle(w.h) }
 // structural property the paper identifies as fundamentally incompatible
 // with HP's reachability proof (a narrow validated-but-stale window
 // remains); the double-free, semantic and structural checks still apply.
-func poisonedTreeFactory(t *testing.T, scheme string, spec core.ShardSpec, batch int) reclaimtest.SetFactory {
+func poisonedTreeFactory(t *testing.T, scheme string, batch int) reclaimtest.SetFactory {
 	return func(n int) reclaimtest.SetUnderTest {
 		type rec = bst.Record[int64]
 		alloc := arena.NewBump[rec](n, 0)
 		pp := reclaimtest.NewPoisonPool[rec, *rec](pool.New[rec](n, alloc))
 		dom := neutralize.NewDomain(n)
-		rcl, err := recordmgr.NewShardedReclaimer[rec](scheme, n, pp, dom, spec)
+		rcl, err := recordmgr.NewReclaimer[rec](scheme, n, pp, dom)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -68,29 +67,20 @@ func poisonedTreeFactory(t *testing.T, scheme string, spec core.ShardSpec, batch
 }
 
 // TestStressAllSchemes runs the poison-sink safety stress under all six
-// reclamation schemes and shard counts 1, 2 and NumCPU.
+// reclamation schemes.
 func TestStressAllSchemes(t *testing.T) {
 	for _, scheme := range recordmgr.Schemes() {
-		for _, shards := range reclaimtest.ShardCounts() {
-			t.Run(fmt.Sprintf("%s/shards=%d", scheme, shards), func(t *testing.T) {
-				factory := poisonedTreeFactory(t, scheme, core.ShardSpec{Shards: shards}, 0)
-				opts := reclaimtest.DefaultSetStressOptions()
-				if shards > 1 {
-					opts.Duration = 80 * time.Millisecond
-				}
-				reclaimtest.StressSet(t, factory, opts)
-			})
-		}
+		t.Run(reclaimtest.StressName(scheme), func(t *testing.T) {
+			reclaimtest.StressSet(t, poisonedTreeFactory(t, scheme, 0), reclaimtest.DefaultSetStressOptions())
+		})
 	}
 }
 
-// TestStressBatchedRetirement runs the stress with deferred-retire batching
-// over two striped domains.
+// TestStressBatchedRetirement runs the stress with deferred-retire batching.
 func TestStressBatchedRetirement(t *testing.T) {
 	for _, scheme := range recordmgr.Schemes() {
 		t.Run(scheme, func(t *testing.T) {
-			spec := core.ShardSpec{Shards: 2, Placement: core.PlaceStripe}
-			factory := poisonedTreeFactory(t, scheme, spec, 64)
+			factory := poisonedTreeFactory(t, scheme, 64)
 			opts := reclaimtest.DefaultSetStressOptions()
 			opts.Duration = 80 * time.Millisecond
 			reclaimtest.StressSet(t, factory, opts)

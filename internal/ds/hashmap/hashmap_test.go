@@ -3,7 +3,6 @@ package hashmap_test
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -347,7 +346,7 @@ func poisonedBatchedMapFactory(batch int, newReclaimer func(n int, sink core.Fre
 // Manager has more worker slots than stress goroutines (MaxThreads-style
 // headroom), exposing the AcquireHandle/ReleaseHandle surface so the churn
 // stress can migrate goroutines across slots.
-func poisonedChurnMapFactory(t *testing.T, scheme string, spec core.ShardSpec) reclaimtest.SetFactory {
+func poisonedChurnMapFactory(t *testing.T, scheme string) reclaimtest.SetFactory {
 	return func(n int) reclaimtest.SetUnderTest {
 		type rec = hashmap.Node[int64]
 		// Two spare slots beyond the goroutine count: releases and acquires
@@ -356,10 +355,7 @@ func poisonedChurnMapFactory(t *testing.T, scheme string, spec core.ShardSpec) r
 		alloc := arena.NewBump[rec](slots, 0)
 		pp := reclaimtest.NewPoisonPool[rec, *rec](pool.New[rec](slots, alloc))
 		dom := neutralize.NewDomain(slots)
-		rcl, err := recordmgr.NewShardedReclaimer[rec](scheme, slots, pp, dom, spec)
-		if err != nil {
-			t.Fatal(err)
-		}
+		rcl := named(t, scheme)(slots, pp, dom)
 		mgr := core.NewRecordManager[rec](alloc, pp, rcl,
 			core.WithRetireBatching(slots, 32))
 		m := hashmap.New[int64](mgr, slots, hashmap.WithInitialBuckets(2), hashmap.WithMaxLoad(2))
@@ -387,53 +383,42 @@ func poisonedChurnMapFactory(t *testing.T, scheme string, spec core.ShardSpec) r
 // TestStressSlotChurn is the slot-churn poison-sink stress of the dynamic
 // thread-slot registry: goroutines continually acquire a slot, work, and
 // release it (which flushes the slot's retire buffer and returns its pool
-// cache), across every scheme and shard counts {1, NumCPU}, with two spare
-// slots so tids genuinely migrate between goroutines. A poisoned read after
+// cache), across every scheme, with two spare slots so tids genuinely migrate
+// between goroutines. A poisoned read after
 // slot reuse, a double free during shutdown draining, a wrong answer on a
 // goroutine-private key, or leftover limbo after Close fails the test. Run
 // under -race in CI.
 func TestStressSlotChurn(t *testing.T) {
-	shardCounts := []int{1, runtime.NumCPU()}
-	if shardCounts[1] == 1 {
-		shardCounts = shardCounts[:1]
-	}
 	for _, scheme := range allSchemes() {
-		for _, shards := range shardCounts {
-			t.Run(fmt.Sprintf("%s/shards=%d", scheme, shards), func(t *testing.T) {
-				spec := core.ShardSpec{Shards: shards}
-				factory := poisonedChurnMapFactory(t, scheme, spec)
-				opts := reclaimtest.DefaultSetStressOptions()
-				opts.Duration = 100 * time.Millisecond
-				opts.OpsPerSlot = 48
-				reclaimtest.StressSetChurn(t, factory, opts)
-			})
+		t.Run(reclaimtest.StressName(scheme), func(t *testing.T) {
+			opts := reclaimtest.DefaultSetStressOptions()
+			opts.Duration = 100 * time.Millisecond
+			opts.OpsPerSlot = 48
+			reclaimtest.StressSetChurn(t, poisonedChurnMapFactory(t, scheme), opts)
+		})
+	}
+}
+
+// named returns the constructor of the named scheme in the shape the poisoned
+// factories take.
+func named(t *testing.T, scheme string) func(n int, sink core.FreeSink[hashmap.Node[int64]], dom *neutralize.Domain) core.Reclaimer[hashmap.Node[int64]] {
+	return func(n int, sink core.FreeSink[hashmap.Node[int64]], dom *neutralize.Domain) core.Reclaimer[hashmap.Node[int64]] {
+		rcl, err := recordmgr.NewReclaimer[hashmap.Node[int64]](scheme, n, sink, dom)
+		if err != nil {
+			t.Fatal(err)
 		}
+		return rcl
 	}
 }
 
 // TestStressAllSchemes runs the poison-sink safety stress under all six
-// reclamation schemes and shard counts 1, 2 and NumCPU: the tentpole claim
-// of this data structure is that every scheme (and every domain
-// partitioning) drops in unchanged.
+// reclamation schemes: the tentpole claim of this data structure is that
+// every scheme drops in unchanged.
 func TestStressAllSchemes(t *testing.T) {
 	for _, scheme := range allSchemes() {
-		for _, shards := range reclaimtest.ShardCounts() {
-			t.Run(fmt.Sprintf("%s/shards=%d", scheme, shards), func(t *testing.T) {
-				spec := core.ShardSpec{Shards: shards}
-				factory := poisonedMapFactory(func(n int, sink core.FreeSink[hashmap.Node[int64]], dom *neutralize.Domain) core.Reclaimer[hashmap.Node[int64]] {
-					rcl, err := recordmgr.NewShardedReclaimer[hashmap.Node[int64]](scheme, n, sink, dom, spec)
-					if err != nil {
-						t.Fatal(err)
-					}
-					return rcl
-				})
-				opts := reclaimtest.DefaultSetStressOptions()
-				if shards > 1 {
-					opts.Duration = 80 * time.Millisecond
-				}
-				reclaimtest.StressSet(t, factory, opts)
-			})
-		}
+		t.Run(reclaimtest.StressName(scheme), func(t *testing.T) {
+			reclaimtest.StressSet(t, poisonedMapFactory(named(t, scheme)), reclaimtest.DefaultSetStressOptions())
+		})
 	}
 }
 
@@ -445,13 +430,7 @@ func TestStressAllSchemes(t *testing.T) {
 func TestStressWaitFreeGet(t *testing.T) {
 	for _, scheme := range []string{recordmgr.SchemeEBR, recordmgr.SchemeQSBR, recordmgr.SchemeDEBRA, recordmgr.SchemeDEBRAPlus} {
 		t.Run(scheme, func(t *testing.T) {
-			factory := poisonedMapFactory(func(n int, sink core.FreeSink[hashmap.Node[int64]], dom *neutralize.Domain) core.Reclaimer[hashmap.Node[int64]] {
-				rcl, err := recordmgr.NewShardedReclaimer[hashmap.Node[int64]](scheme, n, sink, dom, core.ShardSpec{Shards: 1})
-				if err != nil {
-					t.Fatal(err)
-				}
-				return rcl
-			})
+			factory := poisonedMapFactory(named(t, scheme))
 			opts := reclaimtest.DefaultSetStressOptions()
 			opts.InsertPct, opts.DeletePct = 15, 15
 			opts.KeyRange = 128 // few keys: every chain a Get walks is being deleted from
@@ -462,21 +441,12 @@ func TestStressWaitFreeGet(t *testing.T) {
 
 // TestStressBatchedRetirement runs the same poison harness with the Record
 // Manager's deferred-retire batching enabled: one full-block batch size (the
-// O(1) splice path) and one sub-block size (the per-record fallback), each
-// over two sharded domains so the batch hand-off and the shard-local limbo
-// interact.
+// O(1) splice path) and one sub-block size (the per-record fallback).
 func TestStressBatchedRetirement(t *testing.T) {
 	for _, scheme := range allSchemes() {
 		for _, batch := range []int{blockbag.BlockSize, 32} {
 			t.Run(fmt.Sprintf("%s/batch=%d", scheme, batch), func(t *testing.T) {
-				spec := core.ShardSpec{Shards: 2, Placement: core.PlaceStripe}
-				factory := poisonedBatchedMapFactory(batch, func(n int, sink core.FreeSink[hashmap.Node[int64]], dom *neutralize.Domain) core.Reclaimer[hashmap.Node[int64]] {
-					rcl, err := recordmgr.NewShardedReclaimer[hashmap.Node[int64]](scheme, n, sink, dom, spec)
-					if err != nil {
-						t.Fatal(err)
-					}
-					return rcl
-				})
+				factory := poisonedBatchedMapFactory(batch, named(t, scheme))
 				opts := reclaimtest.DefaultSetStressOptions()
 				opts.Duration = 80 * time.Millisecond
 				reclaimtest.StressSet(t, factory, opts)

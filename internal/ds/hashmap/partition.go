@@ -2,8 +2,8 @@ package hashmap
 
 // This file implements the partitioned-namespace wrapper the KV service
 // (internal/kvservice) serves from: N independent Maps, each with its own
-// Record Manager — and therefore its own slot registry and sharded
-// reclamation domains — with keys routed by hash. Partitioning
+// Record Manager — and therefore its own slot registry and reclamation
+// domain — with keys routed by hash. Partitioning
 // multiplies every per-manager resource by N, which is exactly the point: a
 // partition is a reclamation blast radius. A stalled reader in one partition
 // delays grace periods (and memory reuse) for that partition's keys only.
@@ -32,7 +32,7 @@ type Partitioned[V any] struct {
 
 // NewPartitioned creates a map of `partitions` independent partitions.
 // build constructs partition p's Record Manager (called once per partition,
-// so each can be configured — scheme, slot capacity, shards —
+// so each can be configured — scheme, slot capacity, batching —
 // identically or not); threads and opts are passed to each partition's Map
 // exactly as in New.
 func NewPartitioned[V any](partitions int, build func(p int) *Manager[V], threads int, opts ...Option) *Partitioned[V] {

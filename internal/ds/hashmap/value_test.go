@@ -113,7 +113,7 @@ func TestViewNeverSeesFreedRecord(t *testing.T) {
 			type rec = hashmap.Node[[]byte]
 			alloc := arena.NewBump[rec](threads, 0)
 			pp := reclaimtest.NewPoisonPool[rec, *rec](pool.New[rec](threads, alloc))
-			rcl, err := recordmgr.NewShardedReclaimer[rec](scheme, threads, pp, nil, core.ShardSpec{Shards: 1})
+			rcl, err := recordmgr.NewReclaimer[rec](scheme, threads, pp, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,7 +1,6 @@
 package queue_test
 
 import (
-	"fmt"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -29,13 +28,13 @@ func (w queueWorker) Release()               { w.h.Queue().ReleaseHandle(w.h) }
 // neutralization domain is created here so the hook can discard observations
 // made with a signal pending (a doomed DEBRA+ attempt whose results are
 // thrown away).
-func poisonedQueueFactory(t *testing.T, scheme string, spec core.ShardSpec, batch int) reclaimtest.QueueFactory {
+func poisonedQueueFactory(t *testing.T, scheme string, batch int) reclaimtest.QueueFactory {
 	return func(n int) reclaimtest.QueueUnderTest {
 		type rec = queue.Node[int64]
 		alloc := arena.NewBump[rec](n, 0)
 		pp := reclaimtest.NewPoisonPool[rec, *rec](pool.New[rec](n, alloc))
 		dom := neutralize.NewDomain(n)
-		rcl, err := recordmgr.NewShardedReclaimer[rec](scheme, n, pp, dom, spec)
+		rcl, err := recordmgr.NewReclaimer[rec](scheme, n, pp, dom)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -62,32 +61,24 @@ func poisonedQueueFactory(t *testing.T, scheme string, spec core.ShardSpec, batc
 }
 
 // TestStressAllSchemes runs the poison-sink queue stress under all six
-// reclamation schemes and shard counts 1, 2 and NumCPU.
+// reclamation schemes.
 func TestStressAllSchemes(t *testing.T) {
 	for _, scheme := range schemes() {
-		for _, shards := range reclaimtest.ShardCounts() {
-			t.Run(fmt.Sprintf("%s/shards=%d", scheme, shards), func(t *testing.T) {
-				factory := poisonedQueueFactory(t, scheme, core.ShardSpec{Shards: shards}, 0)
-				opts := reclaimtest.DefaultQueueStressOptions()
-				if shards > 1 {
-					opts.Duration = 80 * time.Millisecond
-				}
-				reclaimtest.StressQueue(t, factory, opts)
-			})
-		}
+		t.Run(reclaimtest.StressName(scheme), func(t *testing.T) {
+			reclaimtest.StressQueue(t, poisonedQueueFactory(t, scheme, 0), reclaimtest.DefaultQueueStressOptions())
+		})
 	}
 }
 
 // TestStressBatchedRetirement runs the queue stress with deferred-retire
-// batching over two striped domains. The queue retires one record per
-// dequeue, so a batch parks up to the batch size per thread — the
-// conservation check still balances because parked records are already
-// dequeued (their values were delivered before retirement).
+// batching. The queue retires one record per dequeue, so a batch parks up
+// to the batch size per thread — the conservation check still balances
+// because parked records are already dequeued (their values were delivered
+// before retirement).
 func TestStressBatchedRetirement(t *testing.T) {
 	for _, scheme := range schemes() {
 		t.Run(scheme, func(t *testing.T) {
-			spec := core.ShardSpec{Shards: 2, Placement: core.PlaceStripe}
-			factory := poisonedQueueFactory(t, scheme, spec, 64)
+			factory := poisonedQueueFactory(t, scheme, 64)
 			opts := reclaimtest.DefaultQueueStressOptions()
 			opts.Duration = 80 * time.Millisecond
 			reclaimtest.StressQueue(t, factory, opts)

@@ -1,7 +1,6 @@
 package skiplist_test
 
 import (
-	"fmt"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -39,12 +38,12 @@ func (w listWorker) Release()                { w.h.List().ReleaseHandle(w.h) }
 // successor pointer is frozen, a residual window the paper concedes for
 // HP on structures that traverse retired records; the double-free,
 // conservation and semantic checks still apply there.
-func poisonedListFactory(t *testing.T, scheme string, spec core.ShardSpec, batch int) reclaimtest.SetFactory {
+func poisonedListFactory(t *testing.T, scheme string, batch int) reclaimtest.SetFactory {
 	return func(n int) reclaimtest.SetUnderTest {
 		type rec = skiplist.Node[int64]
 		alloc := arena.NewBump[rec](n, 0)
 		pp := reclaimtest.NewPoisonPool[rec, *rec](pool.New[rec](n, alloc))
-		rcl, err := recordmgr.NewShardedReclaimer[rec](scheme, n, pp, nil, spec)
+		rcl, err := recordmgr.NewReclaimer[rec](scheme, n, pp, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -74,29 +73,20 @@ func poisonedListFactory(t *testing.T, scheme string, spec core.ShardSpec, batch
 }
 
 // TestStressAllSchemes runs the poison-sink safety stress under every
-// supported scheme and shard counts 1, 2 and NumCPU.
+// supported scheme.
 func TestStressAllSchemes(t *testing.T) {
 	for _, scheme := range stressSchemes() {
-		for _, shards := range reclaimtest.ShardCounts() {
-			t.Run(fmt.Sprintf("%s/shards=%d", scheme, shards), func(t *testing.T) {
-				factory := poisonedListFactory(t, scheme, core.ShardSpec{Shards: shards}, 0)
-				opts := reclaimtest.DefaultSetStressOptions()
-				if shards > 1 {
-					opts.Duration = 80 * time.Millisecond
-				}
-				reclaimtest.StressSet(t, factory, opts)
-			})
-		}
+		t.Run(reclaimtest.StressName(scheme), func(t *testing.T) {
+			reclaimtest.StressSet(t, poisonedListFactory(t, scheme, 0), reclaimtest.DefaultSetStressOptions())
+		})
 	}
 }
 
-// TestStressBatchedRetirement runs the stress with deferred-retire batching
-// over two striped domains.
+// TestStressBatchedRetirement runs the stress with deferred-retire batching.
 func TestStressBatchedRetirement(t *testing.T) {
 	for _, scheme := range stressSchemes() {
 		t.Run(scheme, func(t *testing.T) {
-			spec := core.ShardSpec{Shards: 2, Placement: core.PlaceStripe}
-			factory := poisonedListFactory(t, scheme, spec, 64)
+			factory := poisonedListFactory(t, scheme, 64)
 			opts := reclaimtest.DefaultSetStressOptions()
 			opts.Duration = 80 * time.Millisecond
 			reclaimtest.StressSet(t, factory, opts)

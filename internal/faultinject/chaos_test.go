@@ -69,7 +69,7 @@ func chaosMapFactory(t *testing.T, scheme string, seed int64) reclaimtest.SetFac
 				debraplus.WithDomain(dom), debraplus.WithNeutralizationDisabled())
 		} else {
 			var err error
-			rcl, err = recordmgr.NewShardedReclaimer[rec](scheme, n, pp, dom, core.ShardSpec{})
+			rcl, err = recordmgr.NewReclaimer[rec](scheme, n, pp, dom)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -138,9 +138,8 @@ func Probe[T any](m *core.RecordManager[T], plan *Plan, stalls []*Armed, cfg Pro
 	// the scheme's steady-state plateau — limbo a few epochs deep, batching
 	// residue — is measured and subtracted out by the delta.
 	s0 := m.Stats().Unreclaimed
-	runWorkers(all, cfg.OpsPerWorker)
+	res.BaselineOps = runPhase(all, cfg.OpsPerWorker)
 	s1 := m.Stats().Unreclaimed
-	res.BaselineOps = int64(cfg.Workers) * int64(cfg.OpsPerWorker)
 	res.BaselineGrowth = s1 - s0
 	res.BaselineSlope = float64(res.BaselineGrowth) / float64(res.BaselineOps)
 
@@ -166,9 +165,8 @@ func Probe[T any](m *core.RecordManager[T], plan *Plan, stalls []*Armed, cfg Pro
 
 	// Stalled phase: only the live workers run.
 	s2 := m.Stats().Unreclaimed
-	runWorkers(live, cfg.OpsPerWorker)
+	res.StalledOps = runPhase(live, cfg.OpsPerWorker)
 	s3 := m.Stats().Unreclaimed
-	res.StalledOps = int64(len(live)) * int64(cfg.OpsPerWorker)
 	res.StalledGrowth = s3 - s2
 	res.StalledSlope = float64(res.StalledGrowth) / float64(res.StalledOps)
 
@@ -186,6 +184,26 @@ func Probe[T any](m *core.RecordManager[T], plan *Plan, stalls []*Armed, cfg Pro
 	res.MaxUnreclaimed = maxInt64(maxInt64(s0, s1), maxInt64(s2, s3))
 	res.Neutralizations = m.Stats().Reclaimer.Neutralizations - neut0
 	return res
+}
+
+// runPhase runs one measurement phase on hs and returns its operation count:
+// n operations per handle concurrently, then n/8 sequential rounds of one
+// operation per handle. The concurrent run is the load; the rounds let every
+// handle's private limbo catch up before the phase is measured (enough epochs,
+// at the schemes' default pacing, for each bag to rotate out). Without them a
+// handle that finished its run while another was descheduled by the OS
+// mid-operation — itself a stall, and one the baseline must not contain —
+// would leave its whole run parked in its bags, as if every one of its
+// records were leaked.
+func runPhase[T any](hs []*core.ThreadHandle[T], n int) int64 {
+	runWorkers(hs, n)
+	rounds := n / 8
+	for i := 0; i < rounds; i++ {
+		for _, h := range hs {
+			opOnce(h)
+		}
+	}
+	return int64(len(hs)) * int64(n+rounds)
 }
 
 // runWorkers runs n alloc→retire probe operations on each handle concurrently

@@ -17,8 +17,8 @@ type Reclaimer[T any] struct {
 	plan *Plan
 }
 
-// Wrap interposes plan on inner. Identity, properties, counters, the shard
-// map and the retire pin forward to inner untouched — the fault plane is
+// Wrap interposes plan on inner. Identity, properties, counters, the slot
+// occupancy and the retire pin forward to inner untouched — the fault plane is
 // orthogonal to all of them, and bench rows and tests keep seeing the scheme's
 // own name.
 func Wrap[T any](inner core.Reclaimer[T], plan *Plan) *Reclaimer[T] {

@@ -48,7 +48,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/ds/hashmap"
 	"repro/internal/kvwire"
 	"repro/internal/recordmgr"
@@ -96,10 +95,8 @@ type Config struct {
 	// UsePool recycles reclaimed nodes through the record pool (default
 	// false; set it for steady-state serving).
 	UsePool bool
-	// Shards, Placement and RetireBatch configure each partition's Record
-	// Manager exactly as in recordmgr.Config.
-	Shards      int
-	Placement   core.ShardPlacement
+	// RetireBatch configures each partition's Record Manager exactly as in
+	// recordmgr.Config.
 	RetireBatch int
 	// InitialBuckets sizes each partition's bucket table (0 = map default).
 	InitialBuckets int
@@ -260,8 +257,6 @@ func New(cfg Config) (*Server, error) {
 		MaxThreads:  cfg.MaxConns,
 		Allocator:   recordmgr.AllocBump,
 		UsePool:     cfg.UsePool,
-		Shards:      cfg.Shards,
-		Placement:   cfg.Placement,
 		RetireBatch: cfg.RetireBatch,
 	}
 	mgrs := make([]*hashmap.Manager[[]byte], cfg.Partitions)

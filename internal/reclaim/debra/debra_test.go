@@ -15,12 +15,8 @@ func fast() []epoch.Option {
 	return []epoch.Option{epoch.WithCheckThresh(1), epoch.WithIncrThresh(1)}
 }
 
-func sharded(n int, sink core.FreeSink[reclaimtest.Record], spec core.ShardSpec) core.Reclaimer[reclaimtest.Record] {
-	return debra.New(n, sink, append(fast(), epoch.WithShards(spec))...)
-}
-
 func factory(n int, sink core.FreeSink[reclaimtest.Record]) core.Reclaimer[reclaimtest.Record] {
-	return sharded(n, sink, core.ShardSpec{})
+	return debra.New(n, sink, fast()...)
 }
 
 func factoryDefault(n int, sink core.FreeSink[reclaimtest.Record]) core.Reclaimer[reclaimtest.Record] {
@@ -36,19 +32,12 @@ func TestStressDefaultPacing(t *testing.T) {
 	reclaimtest.Stress(t, factoryDefault, reclaimtest.DefaultStressOptions())
 }
 
-// What DEBRA does because it is a sharded, block-bag core.Reclaimer
+// What DEBRA does because it is a block-bag core.Reclaimer
 // (internal/reclaimtest/schemesuite.go).
 func TestNewValidation(t *testing.T)         { reclaimtest.NewValidation(t, factory) }
 func TestQuiescentRetirePanics(t *testing.T) { reclaimtest.QuiescentRetirePanics(t, factory) }
 func TestRetireBlockSplice(t *testing.T)     { reclaimtest.RetireBlockSplice(t, factory) }
 func TestSharesThePoolsBlocks(t *testing.T)  { reclaimtest.SharesThePoolsBlocks(t, factory) }
-func TestShardedStress(t *testing.T)         { reclaimtest.ShardedStress(t, sharded) }
-func TestShardedCrossShardSafety(t *testing.T) {
-	reclaimtest.ShardedCrossShardSafety(t, sharded)
-}
-func TestShardedQuiescentShardDoesNotBlock(t *testing.T) {
-	reclaimtest.ShardedIdleShardDoesNotBlock(t, sharded)
-}
 func TestLimboEmptiesAfterThreeEpochs(t *testing.T) {
 	reclaimtest.LimboEmptiesAfterThreeEpochs(t, factory)
 }

@@ -208,9 +208,7 @@ func (h *handle[T]) LeaveQstate() bool {
 // suspect is the epoch machine's suspicion hook (Figure 6): other is live,
 // inside an operation and behind the epoch. Once the caller's current limbo
 // bag has grown past the suspicion threshold, other is signalled and may be
-// treated as quiescent. Because the hook runs wherever a member fails
-// verification, a thread stalled in ANY shard is eventually signalled by
-// whichever thread is trying to advance, not only by its shard mates.
+// treated as quiescent.
 func (h *handle[T]) suspect(other int) bool {
 	if other == h.Tid || h.Current().LenBlocks() < h.r.cfg.suspectThresholdBlks {
 		return false

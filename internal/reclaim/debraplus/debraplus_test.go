@@ -21,12 +21,8 @@ func fast() []epoch.Option {
 	}
 }
 
-func sharded(n int, sink core.FreeSink[reclaimtest.Record], spec core.ShardSpec) core.Reclaimer[reclaimtest.Record] {
-	return debraplus.New(n, sink, append(fast(), epoch.WithShards(spec))...)
-}
-
 func factory(n int, sink core.FreeSink[reclaimtest.Record]) core.Reclaimer[reclaimtest.Record] {
-	return sharded(n, sink, core.ShardSpec{})
+	return debraplus.New(n, sink, fast()...)
 }
 
 func factoryDefault(n int, sink core.FreeSink[reclaimtest.Record]) core.Reclaimer[reclaimtest.Record] {
@@ -42,18 +38,12 @@ func TestStressDefault(t *testing.T) {
 	reclaimtest.Stress(t, factoryDefault, reclaimtest.DefaultStressOptions())
 }
 
-// What DEBRA+ does because it is a sharded, block-bag core.Reclaimer
-// (internal/reclaimtest/schemesuite.go). ShardedCrossShardSafety is not among
-// them: a thread stalled in another shard is neutralized, not waited for
-// (TestShardedCrossShardNeutralization).
+// What DEBRA+ does because it is a block-bag core.Reclaimer
+// (internal/reclaimtest/schemesuite.go).
 func TestNewValidation(t *testing.T)         { reclaimtest.NewValidation(t, factory) }
 func TestQuiescentRetirePanics(t *testing.T) { reclaimtest.QuiescentRetirePanics(t, factory) }
 func TestRetireBlockSplice(t *testing.T)     { reclaimtest.RetireBlockSplice(t, factory) }
 func TestSharesThePoolsBlocks(t *testing.T)  { reclaimtest.SharesThePoolsBlocks(t, factory) }
-func TestShardedStress(t *testing.T)         { reclaimtest.ShardedStress(t, sharded) }
-func TestShardedIdleShardDoesNotBlock(t *testing.T) {
-	reclaimtest.ShardedIdleShardDoesNotBlock(t, sharded)
-}
 
 // drive runs tid through n operations retiring one fresh record each.
 func drive(r *debraplus.Reclaimer[reclaimtest.Record], tid, n int) {
@@ -85,6 +75,20 @@ func TestNeutralizationUnblocksReclamation(t *testing.T) {
 	}
 	if s.Freed > s.Retired {
 		t.Fatalf("freed %d > retired %d", s.Freed, s.Retired)
+	}
+}
+
+// TestIdleThreadsDoNotBlock: slots that never run an operation are quiescent,
+// so reclamation proceeds without signalling anyone.
+func TestIdleThreadsDoNotBlock(t *testing.T) {
+	sink := reclaimtest.NewRecordingSink()
+	r := debraplus.New(6, sink, fast()...) // threads 1..5 never run
+	drive(r, 0, 2000)
+	if sink.Freed() == 0 {
+		t.Fatal("idle threads blocked reclamation")
+	}
+	if n := r.Stats().Neutralizations; n != 0 {
+		t.Fatalf("%d signals sent to idle threads", n)
 	}
 }
 
@@ -279,39 +283,4 @@ func TestRProtectCapacity(t *testing.T) {
 		}
 	}()
 	r.Handle(0).RProtect(&reclaimtest.Record{ID: 3})
-}
-
-// --- sharded domains ---------------------------------------------------------
-
-// TestShardedCrossShardNeutralization: fault tolerance survives sharding. A
-// thread stalled mid-operation in ANOTHER shard is neutralized by the
-// advancing thread's summary-phase slow path, so reclamation continues.
-func TestShardedCrossShardNeutralization(t *testing.T) {
-	sink := reclaimtest.NewRecordingSink()
-	r := debraplus.New(4, sink, append(fast(), epoch.WithShards(core.ShardSpec{Shards: 2}))...)
-
-	// Thread 3 (shard 1) stalls inside an operation; thread 0 (shard 0)
-	// does all the work.
-	r.Handle(3).LeaveQstate()
-	drive(r, 0, 20*blockbag.BlockSize)
-
-	s := r.Stats()
-	if sink.Freed() == 0 {
-		t.Fatalf("reclamation blocked by a stalled thread in another shard: stats=%+v", s)
-	}
-	if s.Neutralizations == 0 {
-		t.Fatal("expected the cross-shard slow path to send a neutralization signal")
-	}
-	// The stalled thread's next checkpoint delivers the signal.
-	func() {
-		defer func() {
-			if _, ok := neutralize.Recover(recover()); !ok {
-				t.Fatal("stalled thread's checkpoint did not deliver the neutralization")
-			}
-		}()
-		r.Handle(3).Checkpoint()
-	}()
-	if !r.Handle(3).IsQuiescent() {
-		t.Fatal("neutralized thread should be quiescent")
-	}
 }

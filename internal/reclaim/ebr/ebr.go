@@ -2,13 +2,10 @@
 // Fraser and summarised in Section 3 of the paper ("Epochs"), as a policy on
 // internal/reclaim/epoch. It is the baseline DEBRA improves upon, kept for the
 // ablation benchmarks, and it keeps the two costs the paper contrasts DEBRA
-// against: every operation runs a whole verification pass (O(n) in the
-// single-domain configuration against DEBRA's amortised O(1)), and limbo bags
-// are SHARED — one set per shard, one bag per recent epoch, behind a mutex
-// (Fraser's original used per-CPU lists with a lock per list) — and emptied
-// by whichever thread wins the epoch advance. Sharding divides the contention
-// on them by the shard count instead of removing it, which is the knob the
-// ablation measures.
+// against: every operation runs a whole verification pass (O(n) against
+// DEBRA's amortised O(1)), and limbo bags are SHARED — one bag per recent
+// epoch, behind one mutex (Fraser's original used per-CPU lists with a lock
+// per list) — and emptied by whichever thread wins the epoch advance.
 //
 // Classical EBR has no quiescent bit; this one records when a thread is
 // between operations so that a thread which never runs again does not hold
@@ -28,12 +25,10 @@ import (
 // Reclaimer implements core.Reclaimer with classical EBR.
 type Reclaimer[T any] struct {
 	*epoch.Domain[T]
-	shards  []shardBags[T]
 	handles []handle[T]
-}
 
-// shardBags is one shard's limbo, shared by its members under mu.
-type shardBags[T any] struct {
+	// The shared limbo, on cache lines of its own.
+	_     [core.PadBytes]byte
 	mu    sync.Mutex
 	limbo [3]*blockbag.Bag[T] // indexed by retire epoch
 	pool  *blockbag.BlockPool[T]
@@ -43,9 +38,8 @@ type shardBags[T any] struct {
 // handle is one thread slot's view (core.ReclaimerHandle).
 type handle[T any] struct {
 	epoch.Thread[T]
-	r     *Reclaimer[T]
-	shard *shardBags[T]
-	_     [core.PadBytes]byte
+	r *Reclaimer[T]
+	_ [core.PadBytes]byte
 }
 
 // bagOf returns the index of the limbo bag retires at epoch e go to.
@@ -55,19 +49,14 @@ func bagOf(e int64) int { return int(e / epoch.Inc % 3) }
 // records are passed to sink.
 func New[T any](n int, sink core.FreeSink[T], opts ...epoch.Option) *Reclaimer[T] {
 	r := &Reclaimer[T]{Domain: epoch.New("ebr", n, sink, opts), handles: make([]handle[T], n)}
-	r.shards = make([]shardBags[T], r.ShardMap().Shards())
-	for i := range r.shards {
-		s := &r.shards[i]
-		s.pool = blockbag.NewBlockPool[T](blockbag.DefaultBlockPoolCap)
-		for j := range s.limbo {
-			s.limbo[j] = blockbag.New(s.pool)
-		}
+	r.pool = blockbag.NewBlockPool[T](blockbag.DefaultBlockPoolCap)
+	for j := range r.limbo {
+		r.limbo[j] = blockbag.New(r.pool)
 	}
 	for i := range r.handles {
 		h := &r.handles[i]
 		r.Bind(i, &h.Thread)
 		h.r = r
-		h.shard = &r.shards[r.ShardMap().ShardOf(i)]
 	}
 	return r
 }
@@ -100,46 +89,42 @@ func (h *handle[T]) LeaveQstate() bool {
 	return fresh
 }
 
-// reclaim frees bag idx of every shard. It is called ONLY by the thread that
-// just advanced the epoch from e to e+Inc, with idx the bag of e-Inc, and the
-// caller's own still-standing announcement of e is the safety argument: idx
-// is also the bag of e+2·Inc, an epoch that cannot begin until the caller
-// passes through another LeaveQstate, after this drain returns. Concurrent
-// retires therefore land in the other two bags. (A freer that merely
-// re-loaded the epoch would lack this pin and could race a retire into the
-// bag it is draining.) Sweeping ALL shards from the winner also keeps idle
-// shards' garbage bounded, as the single shared bag did.
+// reclaim frees bag idx. It is called ONLY by the thread that just advanced
+// the epoch from e to e+Inc, with idx the bag of e-Inc, and the caller's own
+// still-standing announcement of e is the safety argument: idx is also the
+// bag of e+2·Inc, an epoch that cannot begin until the caller passes through
+// another LeaveQstate, after this drain returns. Concurrent retires therefore
+// land in the other two bags. (A freer that merely re-loaded the epoch would
+// lack this pin and could race a retire into the bag it is draining.)
 func (h *handle[T]) reclaim(idx int) {
-	for si := range h.r.shards {
-		s := &h.r.shards[si]
-		s.mu.Lock()
-		chain := s.limbo[idx].DetachAll()
-		s.mu.Unlock()
-		if chain != nil {
-			// The chain is ours now, but the shard's block pool is not: the
-			// emptied blocks are dropped when the sink takes single records.
-			h.Free(chain, nil)
-		}
+	r := h.r
+	r.mu.Lock()
+	chain := r.limbo[idx].DetachAll()
+	r.mu.Unlock()
+	if chain != nil {
+		// The chain is ours now, but the shared block pool is not: the
+		// emptied blocks are dropped when the sink takes single records.
+		h.Free(chain, nil)
 	}
 }
 
-// Retire implements core.ReclaimerHandle: append to the caller's shard's bag
-// of the current epoch. The caller must be pinned (in an operation, or
-// between PinRetire and UnpinRetire).
+// Retire implements core.ReclaimerHandle: append to the bag of the current
+// epoch. The caller must be pinned (in an operation, or between PinRetire and
+// UnpinRetire).
 func (h *handle[T]) Retire(rec *T) {
 	h.CheckRetire(rec)
-	s := h.shard
+	r := h.r
 	idx := bagOf(h.Epoch())
-	s.mu.Lock()
-	s.limbo[idx].Add(rec)
-	s.mu.Unlock()
+	r.mu.Lock()
+	r.limbo[idx].Add(rec)
+	r.mu.Unlock()
 	h.Retired.Inc()
 }
 
 // RetireBlock implements core.Reclaimer: splice one detached full block into
-// the caller's shard's current bag — one lock acquisition for the whole
-// batch — and give back an empty block from the shard's pool when one is
-// cached. The caller must be pinned as for Retire.
+// the current bag — one lock acquisition for the whole batch — and give back
+// an empty block from the shared pool when one is cached. The caller must be
+// pinned as for Retire.
 func (r *Reclaimer[T]) RetireBlock(tid int, blk *blockbag.Block[T]) *blockbag.Block[T] {
 	if blk == nil {
 		return nil
@@ -147,28 +132,24 @@ func (r *Reclaimer[T]) RetireBlock(tid int, blk *blockbag.Block[T]) *blockbag.Bl
 	h := &r.handles[tid]
 	h.RequirePinned()
 	h.Retired.Add(int64(blk.Len()))
-	s := h.shard
 	idx := bagOf(h.Epoch())
-	s.mu.Lock()
-	s.limbo[idx].AddBlock(blk)
-	spare := s.pool.TryGet()
-	s.mu.Unlock()
+	r.mu.Lock()
+	r.limbo[idx].AddBlock(blk)
+	spare := r.pool.TryGet()
+	r.mu.Unlock()
 	return spare
 }
 
-// DrainLimbo implements core.LimboDrainer: free every record in every
-// shard's bags. Only safe once every thread has quiesced for good — no
-// Retire or RetireBlock can then be running, so the shard pools are the
-// caller's — and tid is charged for the frees.
+// DrainLimbo implements core.LimboDrainer: free every record in the bags.
+// Only safe once every thread has quiesced for good — no Retire or
+// RetireBlock can then be running, so the block pool is the caller's — and
+// tid is charged for the frees.
 func (r *Reclaimer[T]) DrainLimbo(tid int) int64 {
 	r.RequireAllQuiescent()
 	h := &r.handles[tid]
 	var n int64
-	for si := range r.shards {
-		s := &r.shards[si]
-		for _, bag := range s.limbo {
-			n += h.Free(bag.DetachAll(), s.pool)
-		}
+	for _, bag := range r.limbo {
+		n += h.Free(bag.DetachAll(), r.pool)
 	}
 	return n
 }

@@ -5,34 +5,22 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/reclaim/ebr"
-	"repro/internal/reclaim/epoch"
 	"repro/internal/reclaimtest"
 )
 
-func sharded(n int, sink core.FreeSink[reclaimtest.Record], spec core.ShardSpec) core.Reclaimer[reclaimtest.Record] {
-	return ebr.New(n, sink, epoch.WithShards(spec))
-}
-
 func factory(n int, sink core.FreeSink[reclaimtest.Record]) core.Reclaimer[reclaimtest.Record] {
-	return sharded(n, sink, core.ShardSpec{})
+	return ebr.New(n, sink)
 }
 
 func TestConformance(t *testing.T) { reclaimtest.Conformance(t, factory) }
 
 func TestStress(t *testing.T) { reclaimtest.Stress(t, factory, reclaimtest.DefaultStressOptions()) }
 
-// What EBR does because it is a sharded, block-bag core.Reclaimer
+// What EBR does because it is a block-bag core.Reclaimer
 // (internal/reclaimtest/schemesuite.go).
 func TestNewValidation(t *testing.T)         { reclaimtest.NewValidation(t, factory) }
 func TestQuiescentRetirePanics(t *testing.T) { reclaimtest.QuiescentRetirePanics(t, factory) }
 func TestRetireBlockSplice(t *testing.T)     { reclaimtest.RetireBlockSplice(t, factory) }
-func TestShardedStress(t *testing.T)         { reclaimtest.ShardedStress(t, sharded) }
-func TestShardedCrossShardSafety(t *testing.T) {
-	reclaimtest.ShardedCrossShardSafety(t, sharded)
-}
-func TestShardedIdleShardDoesNotBlock(t *testing.T) {
-	reclaimtest.ShardedIdleShardDoesNotBlock(t, sharded)
-}
 func TestLimboEmptiesAfterThreeEpochs(t *testing.T) {
 	reclaimtest.LimboEmptiesAfterThreeEpochs(t, factory)
 }

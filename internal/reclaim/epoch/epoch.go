@@ -4,12 +4,9 @@
 //   - the announcement word: one padded slot per thread holding the epoch
 //     the thread last announced, with bit 0 set while the thread is quiescent;
 //   - verification: a thread may move the epoch from e once every other
-//     thread has been seen quiescent or announcing e. A pass checks the
-//     members of the thread's own shard, publishes the result in the shard's
-//     summary word, then reads the other shards' summaries; a summary that
-//     lags is replaced by a direct scan of that shard's members, which helps
-//     it forward. Vacant slots are quiescent by the release contract and are
-//     never read (or, under debra+, signalled);
+//     thread has been seen quiescent or announcing e. A pass reads the
+//     announcements in slot order. Vacant slots are quiescent by the release
+//     contract and are never read (or, under debra+, signalled);
 //   - the private limbo: three block bags per thread, rotated each time the
 //     thread observes a new epoch, the whole oldest bag going to the free
 //     sink (debra+'s Sweep frees full blocks only and keeps the tails).
@@ -43,7 +40,6 @@ const All = math.MaxInt
 
 // Config is what the options set, normalised by New.
 type Config struct {
-	Shards core.ShardSpec
 	// CheckThresh and IncrThresh pace the incremental scan (debra, debra+).
 	CheckThresh, IncrThresh int64
 	// Policy holds the settings of the one policy package that has its own
@@ -54,12 +50,6 @@ type Config struct {
 // Option configures an epoch scheme.
 type Option func(*Config)
 
-// WithShards partitions verification into sharded domains (core.ShardSpec):
-// a pass covers the thread's own shard and then one summary word per shard,
-// n/s + s reads instead of n, and the reads stay shard-local. With one shard
-// every scheme behaves as its unsharded original.
-func WithShards(spec core.ShardSpec) Option { return func(c *Config) { c.Shards = spec } }
-
 // WithCheckThresh sets how many operations pass between checks of the
 // incremental scan (the paper's CHECK_THRESH, there to space out cross-socket
 // reads).
@@ -69,16 +59,15 @@ func WithCheckThresh(v int) Option { return func(c *Config) { c.CheckThresh = in
 // advance the epoch (the paper's INCR_THRESH).
 func WithIncrThresh(v int) Option { return func(c *Config) { c.IncrThresh = int64(v) } }
 
-// word is an atomic cell on its own cache lines: an announcement (written by
-// its owner, read by every verifier) or a shard summary (written by whoever
-// verifies the shard, read by every verifier).
+// word is an announcement on its own cache lines: written by its owner, read
+// by every verifier.
 type word struct {
 	v atomic.Int64
 	_ [core.PadBytes]byte
 }
 
-// Domain is the shared half of an epoch scheme: the epoch, the announcements
-// and the shard summaries. Scheme objects embed it.
+// Domain is the shared half of an epoch scheme: the epoch and the
+// announcements. Scheme objects embed it.
 type Domain[T any] struct {
 	// Config is the normalised configuration the domain was built with.
 	Config Config
@@ -87,11 +76,10 @@ type Domain[T any] struct {
 	sink      core.FreeSink[T]
 	blockSink core.BlockFreeSink[T] // sink when it takes whole blocks, else nil
 
-	epoch     atomic.Int64
-	smap      *core.ShardMap
-	summaries []word
-	slots     []word
-	threads   []*Thread[T]
+	epoch   atomic.Int64
+	occ     *core.Occupancy
+	slots   []word
+	threads []*Thread[T]
 }
 
 // New builds the domain of scheme name for n threads freeing into sink.
@@ -108,15 +96,13 @@ func New[T any](name string, n int, sink core.FreeSink[T], opts []Option) *Domai
 	}
 	cfg.CheckThresh = max(cfg.CheckThresh, 1)
 	cfg.IncrThresh = max(cfg.IncrThresh, 1)
-	smap := core.NewShardMap(n, cfg.Shards)
 	d := &Domain[T]{
-		Config:    cfg,
-		name:      name,
-		sink:      sink,
-		smap:      smap,
-		summaries: make([]word, smap.Shards()),
-		slots:     make([]word, n),
-		threads:   make([]*Thread[T], n),
+		Config:  cfg,
+		name:    name,
+		sink:    sink,
+		occ:     core.NewOccupancy(n),
+		slots:   make([]word, n),
+		threads: make([]*Thread[T], n),
 	}
 	d.blockSink, _ = sink.(core.BlockFreeSink[T])
 	d.epoch.Store(Inc)
@@ -130,21 +116,17 @@ func New[T any](name string, n int, sink core.FreeSink[T], opts []Option) *Domai
 
 // Bind makes t slot tid's thread. Every slot is bound once, before use.
 func (d *Domain[T]) Bind(tid int, t *Thread[T]) {
-	self := d.smap.ShardOf(tid)
 	t.Tid = tid
 	t.d = d
 	t.ann = &d.slots[tid].v
-	t.self = self
-	t.members = d.smap.Members(self)
-	t.passLen = len(t.members) + len(d.summaries)
 	d.threads[tid] = t
 }
 
 // Name implements core.Reclaimer.
 func (d *Domain[T]) Name() string { return d.name }
 
-// ShardMap implements core.Reclaimer.
-func (d *Domain[T]) ShardMap() *core.ShardMap { return d.smap }
+// Occupancy implements core.Reclaimer.
+func (d *Domain[T]) Occupancy() *core.Occupancy { return d.occ }
 
 // Epoch returns the current epoch (instrumentation).
 func (d *Domain[T]) Epoch() int64 { return d.epoch.Load() }
@@ -190,11 +172,11 @@ func (d *Domain[T]) Stats() core.Stats {
 	return s
 }
 
-// Thread is one slot's half of the machine: its announcement and its place in
-// the verification topology. Scheme handles embed it (through Limbo when the
-// scheme keeps private bags) in a struct that ends in core.PadBytes of
-// padding, because the counters and the embedding policy's cursor are written
-// on every operation.
+// Thread is one slot's half of the machine: its announcement and its
+// counters. Scheme handles embed it (through Limbo when the scheme keeps
+// private bags) in a struct that ends in core.PadBytes of padding, because
+// the counters and the embedding policy's cursor are written on every
+// operation.
 type Thread[T any] struct {
 	NoProtect[T]
 
@@ -208,11 +190,8 @@ type Thread[T any] struct {
 	// that files retires in bags of its own adds to it itself).
 	Retired core.Counter
 
-	d       *Domain[T]
-	ann     *atomic.Int64
-	self    int
-	members []int
-	passLen int
+	d   *Domain[T]
+	ann *atomic.Int64
 
 	freed, scans core.Counter
 }
@@ -274,50 +253,35 @@ func (t *Thread[T]) FreeRecord(rec *T) {
 	t.freed.Inc()
 }
 
-// PassLen is the position at which a verification pass is complete.
-func (t *Thread[T]) PassLen() int { return t.passLen }
+// PassLen is the position at which a verification pass is complete: the
+// number of slots.
+func (t *Thread[T]) PassLen() int { return len(t.d.slots) }
 
-// Verify resumes the thread's verification pass for epoch e at position pos
-// and returns the position reached after at most budget checks, stopping at
-// the first check that fails. Positions below len(members) are the members of
-// the thread's own shard, the rest one shard summary each; reaching PassLen
-// means every thread has been seen quiescent or at e, and counts as one scan.
-// A pass that starts over at 0 every operation and one that keeps its
-// position across operations of the same epoch are both sound: for a fixed e,
-// a thread once seen passing cannot come to hold a reference older than e.
+// Verify resumes the thread's verification pass for epoch e at slot pos and
+// returns the slot reached after at most budget checks, stopping at the first
+// check that fails. Reaching PassLen means every thread has been seen
+// quiescent or at e, and counts as one scan. A pass that starts over at 0
+// every operation and one that keeps its position across operations of the
+// same epoch are both sound: for a fixed e, a thread once seen passing cannot
+// come to hold a reference older than e.
 func (t *Thread[T]) Verify(pos int, e int64, budget int) int {
 	d := t.d
-	nm := len(t.members)
-	if pos < nm {
-		if live := d.smap.ShardLive(t.self); live == 0 || live == 1 {
-			// The thread is its shard's only occupant: the rest are vacant.
-			pos = nm
-		}
-		for ; pos < nm; pos++ {
-			m := t.members[pos]
-			if !d.smap.SlotOccupied(m) {
-				// Skipping vacant slots for free keeps an incremental pass
-				// proportional to the live threads, not the slot capacity.
-				continue
-			}
-			if budget == 0 {
-				return pos
-			}
-			budget--
-			if !t.passes(m, e) {
-				return pos
-			}
-		}
-		if s := &d.summaries[t.self].v; s.Load() != e {
-			s.Store(e)
-		}
+	n := len(d.slots)
+	if live := d.occ.Live(); live == 0 || live == 1 {
+		// The thread is the only occupant: the rest are vacant.
+		pos = n
 	}
-	for ; pos < t.passLen; pos++ {
+	for ; pos < n; pos++ {
+		if !d.occ.Occupied(pos) {
+			// Skipping vacant slots for free keeps an incremental pass
+			// proportional to the live threads, not the slot capacity.
+			continue
+		}
 		if budget == 0 {
 			return pos
 		}
 		budget--
-		if !t.shardAt(pos-nm, e) {
+		if !t.passes(pos, e) {
 			return pos
 		}
 	}
@@ -329,27 +293,6 @@ func (t *Thread[T]) Verify(pos int, e int64, budget int) int {
 func (t *Thread[T]) passes(m int, e int64) bool {
 	a := t.d.slots[m].v.Load()
 	return a&quiescentBit != 0 || a&^quiescentBit == e || (t.Suspect != nil && t.Suspect(m))
-}
-
-// shardAt reports whether shard s is verified at epoch e: its summary says
-// so, or it has no live member, or a direct scan of its members passes — in
-// which cases the summary is helped forward. The scan is the slow path for
-// shards nobody is running in.
-func (t *Thread[T]) shardAt(s int, e int64) bool {
-	d := t.d
-	sum := &d.summaries[s].v
-	if sum.Load() == e {
-		return true
-	}
-	if d.smap.ShardLive(s) != 0 {
-		for _, m := range d.smap.Members(s) {
-			if d.smap.SlotOccupied(m) && !t.passes(m, e) {
-				return false
-			}
-		}
-	}
-	sum.Store(e)
-	return true
 }
 
 // Advance moves the epoch on from e, which the caller has verified, and

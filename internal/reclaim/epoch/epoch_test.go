@@ -20,17 +20,17 @@ type machine struct {
 	sink *reclaimtest.RecordingSink
 }
 
-// newMachine builds the machine over shards shards and leaves exactly the
-// given slots occupied (it acquires all n and releases the rest).
-func newMachine(t *testing.T, n, shards int, occupied ...int) *machine {
+// newMachine builds the machine over n slots and leaves exactly the given
+// slots occupied (it acquires all n and releases the rest).
+func newMachine(t *testing.T, n int, occupied ...int) *machine {
 	t.Helper()
 	m := &machine{sink: reclaimtest.NewRecordingSink(), l: make([]Limbo[rec], n)}
-	m.Bags = NewBags[rec]("test", n, m.sink, []Option{WithShards(core.ShardSpec{Shards: shards})})
+	m.Bags = NewBags[rec]("test", n, m.sink, nil)
 	for i := range m.l {
 		m.BindLimbo(i, &m.l[i])
 	}
-	reg := core.NewSlotRegistry(n, m.smap)
-	m.smap.AttachRegistry(reg)
+	reg := core.NewSlotRegistry(n)
+	m.occ.Attach(reg)
 	keep := make(map[int]bool)
 	for _, tid := range occupied {
 		keep[tid] = true
@@ -52,7 +52,7 @@ func newMachine(t *testing.T, n, shards int, occupied ...int) *machine {
 func (m *machine) stall(tid int, e int64) { m.slots[tid].v.Store(e - Inc) }
 
 func TestVerifySkipsVacantSlots(t *testing.T) {
-	m := newMachine(t, 4, 1, 0, 1)
+	m := newMachine(t, 4, 0, 1)
 	e := m.Epoch()
 	// Slot 2 is vacant; a stale non-quiescent announcement left in it (which
 	// the release contract forbids) shows that vacant slots are not read.
@@ -75,13 +75,13 @@ func TestVerifySkipsVacantSlots(t *testing.T) {
 }
 
 func TestVerifyBudgetCountsLiveMembersOnly(t *testing.T) {
-	m := newMachine(t, 6, 1, 0, 4, 5)
+	m := newMachine(t, 6, 0, 4, 5)
 	e := m.Epoch()
 	v := &m.l[0]
-	// One check per call: members 0, 4 and 5 are live; the vacant 1-3 are
-	// passed over for free on the way to the next live member.
+	// One check per call: slots 0, 4 and 5 are live; the vacant 1-3 are
+	// passed over for free on the way to the next live slot.
 	pos := 0
-	for _, want := range []int{4, 5, 6, 7} {
+	for _, want := range []int{4, 5, 6} {
 		if pos = v.Verify(pos, e, 1); pos != want {
 			t.Fatalf("Verify reached %d, want %d", pos, want)
 		}
@@ -91,51 +91,8 @@ func TestVerifyBudgetCountsLiveMembersOnly(t *testing.T) {
 	}
 }
 
-func TestAllVacantShardVerifiedWithoutReadingIt(t *testing.T) {
-	m := newMachine(t, 4, 2, 0, 1)
-	e := m.Epoch()
-	m.stall(2, e)
-	m.stall(3, e)
-	v := &m.l[0]
-	if got := v.Verify(0, e, All); got != v.PassLen() {
-		t.Fatalf("pass stopped at %d of %d on an all-vacant shard", got, v.PassLen())
-	}
-	if got := m.summaries[1].v.Load(); got != e {
-		t.Fatalf("vacant shard's summary = %d, want it helped forward to %d", got, e)
-	}
-}
-
-func TestLaggingSummaryHelpedForward(t *testing.T) {
-	m := newMachine(t, 4, 2, 0, 1, 2, 3)
-	e := m.Epoch()
-	// Shard 1's members are quiescent and never run, so nobody publishes its
-	// summary: the verifier scans the members directly and publishes for them.
-	v := &m.l[0]
-	if m.summaries[1].v.Load() == e {
-		t.Fatal("summary already current")
-	}
-	if got := v.Verify(0, e, All); got != v.PassLen() {
-		t.Fatalf("pass stopped at %d of %d", got, v.PassLen())
-	}
-	if got := m.summaries[1].v.Load(); got != e {
-		t.Fatalf("lagging summary = %d, want %d", got, e)
-	}
-	// A live member of the lagging shard inside an operation fails the scan.
-	if !v.Advance(e) {
-		t.Fatal("Advance failed after a complete pass")
-	}
-	e += Inc
-	m.stall(3, e)
-	if got := v.Verify(0, e, All); got != len(v.members)+1 {
-		t.Fatalf("pass reached %d, want it stopped at shard 1's summary", got)
-	}
-	if got := m.summaries[1].v.Load(); got == e {
-		t.Fatal("summary published for a shard with a stalled member")
-	}
-}
-
 func TestSuspectHookOnlyOnFailingMembers(t *testing.T) {
-	m := newMachine(t, 3, 1, 0, 1, 2)
+	m := newMachine(t, 3, 0, 1, 2)
 	e := m.Epoch()
 	var asked []int
 	v := &m.l[0]
@@ -150,7 +107,7 @@ func TestSuspectHookOnlyOnFailingMembers(t *testing.T) {
 }
 
 func TestRotationOrder(t *testing.T) {
-	m := newMachine(t, 1, 1, 0)
+	m := newMachine(t, 1, 0)
 	l := &m.l[0]
 	// Fill one block in each of three epochs' bags.
 	var batches [3][]*rec
@@ -187,7 +144,7 @@ func TestRotationOrder(t *testing.T) {
 }
 
 func TestSweepHookChoosesWhatRotationFrees(t *testing.T) {
-	m := newMachine(t, 1, 1, 0)
+	m := newMachine(t, 1, 0)
 	l := &m.l[0]
 	var forced []bool
 	l.Sweep = func(bag *blockbag.Bag[rec], force bool) *blockbag.Block[rec] {
@@ -234,14 +191,14 @@ func TestBlockPoolBorrowing(t *testing.T) {
 		}
 	}
 	// A sink that takes single records: a block pool of the limbo's own.
-	m := newMachine(t, 2, 1, 0, 1)
+	m := newMachine(t, 2, 0, 1)
 	if m.l[0].blockPool == nil || m.l[0].blockPool == m.l[1].blockPool {
 		t.Fatal("limbos over a plain sink must each own a block pool")
 	}
 }
 
 func TestDrainLimboRefusesNonQuiescentSlot(t *testing.T) {
-	m := newMachine(t, 2, 1, 0, 1)
+	m := newMachine(t, 2, 0, 1)
 	m.l[1].Announce(m.Epoch())
 	if !reclaimtest.Panics(func() { m.DrainLimbo(0) }) {
 		t.Fatal("DrainLimbo ran while slot 1 was inside an operation")
@@ -256,7 +213,7 @@ func TestDrainLimboRefusesNonQuiescentSlot(t *testing.T) {
 }
 
 func TestPinKeepsAnnouncedEpoch(t *testing.T) {
-	m := newMachine(t, 2, 1, 0, 1)
+	m := newMachine(t, 2, 0, 1)
 	e := m.Epoch()
 	l := &m.l[0]
 	l.Announce(e)

@@ -44,18 +44,7 @@ type Option func(*config)
 type config struct {
 	slots           int
 	retireThreshold int
-	spec            core.ShardSpec
 }
-
-// WithShards records a sharded-domain spec for instrumentation parity with
-// the epoch schemes. Hazard pointers are already fully distributed — retire
-// bags are per-thread and there is no shared epoch state to shard — and the
-// reclamation scan MUST read every thread's announcement slots regardless of
-// shard (a record is unsafe to free while any thread anywhere protects it),
-// so the spec changes no scan topology here. The shard map does carry the
-// slot registry, through which the scan skips the slot arrays of vacant
-// (unowned, hence announcement-free) threads.
-func WithShards(spec core.ShardSpec) Option { return func(c *config) { c.spec = spec } }
 
 // WithSlots sets the number of hazard pointer slots per thread.
 func WithSlots(k int) Option { return func(c *config) { c.slots = k } }
@@ -70,7 +59,7 @@ func WithRetireThreshold(v int) Option { return func(c *config) { c.retireThresh
 type Reclaimer[T any] struct {
 	sink core.FreeSink[T]
 	cfg  config
-	smap *core.ShardMap
+	occ  *core.Occupancy
 
 	slots   []hpSlots[T]
 	threads []thread[T]
@@ -131,7 +120,7 @@ func New[T any](n int, sink core.FreeSink[T], opts ...Option) *Reclaimer[T] {
 	r := &Reclaimer[T]{
 		sink:    sink,
 		cfg:     cfg,
-		smap:    core.NewShardMap(n, cfg.spec),
+		occ:     core.NewOccupancy(n),
 		slots:   make([]hpSlots[T], n),
 		threads: make([]thread[T], n),
 	}
@@ -294,8 +283,9 @@ func (r *Reclaimer[T]) RetireBlock(tid int, blk *blockbag.Block[T]) *blockbag.Bl
 	return t.blockPool.TryGet()
 }
 
-// ShardMap implements core.Reclaimer (see WithShards: informational only).
-func (r *Reclaimer[T]) ShardMap() *core.ShardMap { return r.smap }
+// Occupancy implements core.Reclaimer: the scan skips the slot arrays of
+// vacant (unowned, hence announcement-free) threads.
+func (r *Reclaimer[T]) Occupancy() *core.Occupancy { return r.occ }
 
 // scanAndFree hashes every announced hazard pointer, frees every record in
 // the caller's retire bag that is not announced, and keeps the announced
@@ -307,7 +297,7 @@ func (r *Reclaimer[T]) scanAndFree(tid int) {
 	set := t.scanSet
 	clear(set)
 	for i := range r.slots {
-		if !r.smap.SlotOccupied(i) {
+		if !r.occ.Occupied(i) {
 			// A vacant slot holds no hazard pointers: release requires
 			// quiescence, which for HP means every slot is nil. A
 			// concurrent acquirer that protects a record after this check

@@ -9,21 +9,10 @@ import (
 	"repro/internal/core"
 )
 
-// Option configures the reclaimer.
-type Option func(*config)
-
-type config struct {
-	spec core.ShardSpec
-}
-
-// WithShards records a sharded-domain spec for instrumentation parity with
-// the epoch schemes; the leaking baseline has no reclamation state to shard.
-func WithShards(spec core.ShardSpec) Option { return func(c *config) { c.spec = spec } }
-
 // Reclaimer is the no-op reclaimer. It is safe (it never frees anything) but
 // leaks every retired record.
 type Reclaimer[T any] struct {
-	smap    *core.ShardMap
+	occ     *core.Occupancy
 	threads []thread
 	handles []handle[T]
 }
@@ -42,15 +31,11 @@ type handle[T any] struct {
 }
 
 // New creates a no-op reclaimer for n threads.
-func New[T any](n int, opts ...Option) *Reclaimer[T] {
+func New[T any](n int) *Reclaimer[T] {
 	if n <= 0 {
 		panic("none: New requires n >= 1")
 	}
-	var cfg config
-	for _, o := range opts {
-		o(&cfg)
-	}
-	r := &Reclaimer[T]{smap: core.NewShardMap(n, cfg.spec), threads: make([]thread, n)}
+	r := &Reclaimer[T]{occ: core.NewOccupancy(n), threads: make([]thread, n)}
 	r.handles = make([]handle[T], n)
 	for i := range r.handles {
 		r.handles[i] = handle[T]{t: &r.threads[i]}
@@ -99,8 +84,8 @@ func (h *handle[T]) IsRProtected(rec *T) bool { return false }
 // Checkpoint implements core.ReclaimerHandle (no-op).
 func (h *handle[T]) Checkpoint() {}
 
-// ShardMap implements core.Reclaimer (informational only).
-func (r *Reclaimer[T]) ShardMap() *core.ShardMap { return r.smap }
+// Occupancy implements core.Reclaimer (nothing here scans it).
+func (r *Reclaimer[T]) Occupancy() *core.Occupancy { return r.occ }
 
 // RetireBlock implements core.Reclaimer: the whole batch is counted and
 // leaked in O(1). The block itself holds leaked records forever, so there is

@@ -5,36 +5,24 @@ import (
 
 	"repro/internal/blockbag"
 	"repro/internal/core"
-	"repro/internal/reclaim/epoch"
 	"repro/internal/reclaim/qsbr"
 	"repro/internal/reclaimtest"
 )
 
-func sharded(n int, sink core.FreeSink[reclaimtest.Record], spec core.ShardSpec) core.Reclaimer[reclaimtest.Record] {
-	return qsbr.New(n, sink, epoch.WithShards(spec))
-}
-
 func factory(n int, sink core.FreeSink[reclaimtest.Record]) core.Reclaimer[reclaimtest.Record] {
-	return sharded(n, sink, core.ShardSpec{})
+	return qsbr.New(n, sink)
 }
 
 func TestConformance(t *testing.T) { reclaimtest.Conformance(t, factory) }
 
 func TestStress(t *testing.T) { reclaimtest.Stress(t, factory, reclaimtest.DefaultStressOptions()) }
 
-// What QSBR does because it is a sharded, block-bag core.Reclaimer
+// What QSBR does because it is a block-bag core.Reclaimer
 // (internal/reclaimtest/schemesuite.go).
 func TestNewValidation(t *testing.T)         { reclaimtest.NewValidation(t, factory) }
 func TestQuiescentRetirePanics(t *testing.T) { reclaimtest.QuiescentRetirePanics(t, factory) }
 func TestRetireBlockSplice(t *testing.T)     { reclaimtest.RetireBlockSplice(t, factory) }
 func TestSharesThePoolsBlocks(t *testing.T)  { reclaimtest.SharesThePoolsBlocks(t, factory) }
-func TestShardedStress(t *testing.T)         { reclaimtest.ShardedStress(t, sharded) }
-func TestShardedCrossShardSafety(t *testing.T) {
-	reclaimtest.ShardedCrossShardSafety(t, sharded)
-}
-func TestShardedOfflineShardDoesNotBlock(t *testing.T) {
-	reclaimtest.ShardedIdleShardDoesNotBlock(t, sharded)
-}
 func TestLimboEmptiesAfterThreeEpochs(t *testing.T) {
 	reclaimtest.LimboEmptiesAfterThreeEpochs(t, factory)
 }

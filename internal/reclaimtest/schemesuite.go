@@ -11,12 +11,8 @@ import (
 
 // This file holds the test bodies every scheme package runs against its own
 // constructor: what a scheme must do because it is a core.Reclaimer over
-// sharded domains and block bags, whichever policy it is. Scheme packages
-// keep tests of their policy only.
-
-// ShardedFactory constructs the reclaimer under test for n threads over the
-// given shard spec (the zero spec is one domain).
-type ShardedFactory func(n int, sink core.FreeSink[Record], spec core.ShardSpec) core.Reclaimer[Record]
+// block bags, whichever policy it is. Scheme packages keep tests of their
+// policy only.
 
 // BlockSink is a core.BlockFreeSink that tells how records arrive: in full
 // blocks, in partial blocks, or one at a time. Single-goroutine use.
@@ -198,53 +194,6 @@ func LimboEmptiesAfterThreeEpochs(t *testing.T, f Factory) {
 			t.Fatalf("k=%d: block sink holds %d records, plain sink %d", k, blocks.Freed(), records.Freed())
 		}
 		blocks.check(t)
-	}
-}
-
-// ShardedCrossShardSafety is the critical sharding property: records retired
-// by a thread of shard 0 are not freed while a thread of shard 1 is inside an
-// operation, even though the fast path of verification is shard-local.
-func ShardedCrossShardSafety(t *testing.T, f ShardedFactory) {
-	t.Helper()
-	sink := NewRecordingSink()
-	r := f(4, sink, core.ShardSpec{Shards: 2})
-	if m := r.ShardMap(); m.ShardOf(0) == m.ShardOf(3) {
-		t.Fatal("tids 0 and 3 should be in different shards")
-	}
-	r.Handle(3).LeaveQstate() // may hold pointers; never quiesces
-	// Several blocks' worth: debra+ frees full blocks only, so the
-	// assertions below are on counts, not on individual records.
-	operate(r, 0, 4*blockbag.BlockSize+400, 4*blockbag.BlockSize)
-	if got := sink.Freed(); got != 0 {
-		t.Fatalf("%d records freed while a thread of another shard was mid-operation", got)
-	}
-	r.Handle(3).EnterQstate()
-	operate(r, 0, 400, 0)
-	if got := sink.Freed(); got < int64(blockbag.BlockSize) {
-		t.Fatalf("only %d records freed after the other shard became quiescent", got)
-	}
-}
-
-// ShardedIdleShardDoesNotBlock checks the lagging-shard slow path: shards
-// whose members never run at all do not stall the epoch.
-func ShardedIdleShardDoesNotBlock(t *testing.T, f ShardedFactory) {
-	t.Helper()
-	sink := NewRecordingSink()
-	r := f(6, sink, core.ShardSpec{Shards: 3})
-	operate(r, 0, 2000, 2000)
-	if sink.Freed() == 0 {
-		t.Fatal("idle shards blocked reclamation")
-	}
-}
-
-// ShardedStress runs the generic reclaimer stress over both placements.
-func ShardedStress(t *testing.T, f ShardedFactory) {
-	for _, placement := range []core.ShardPlacement{core.PlaceBlock, core.PlaceStripe} {
-		t.Run(string(placement), func(t *testing.T) {
-			Stress(t, func(n int, sink core.FreeSink[Record]) core.Reclaimer[Record] {
-				return f(n, sink, core.ShardSpec{Shards: 2, Placement: placement})
-			}, DefaultStressOptions())
-		})
 	}
 }
 

@@ -18,8 +18,8 @@ func TestSuperviseReportsAStall(t *testing.T) {
 	defer close(release)
 	go func() { <-release }() // the stuck worker, visible in the stacks
 	start := time.Now()
-	msg := supervise("TestX/debra+/shards=2", time.Millisecond, 40*time.Millisecond, &stop, cells, make(chan struct{}))
-	if !strings.Contains(msg, "TestX/debra+/shards=2") || !strings.Contains(msg, "goroutine ") {
+	msg := supervise("TestX/debra+", time.Millisecond, 40*time.Millisecond, &stop, cells, make(chan struct{}))
+	if !strings.Contains(msg, "TestX/debra+") || !strings.Contains(msg, "goroutine ") {
 		t.Fatalf("stall report lacks the subtest name or the stacks:\n%.300s", msg)
 	}
 	if !stop.Load() {

@@ -75,14 +75,6 @@ type Config struct {
 	// Domain optionally shares a neutralization domain across managers
 	// (DEBRA+ only).
 	Domain *neutralize.Domain
-	// Shards is the number of sharded reclamation domains the scheme is
-	// partitioned into (0 or 1 = one global domain, the historical
-	// behaviour).
-	Shards int
-	// Placement is the tid→shard placement policy (core.PlaceBlock or
-	// core.PlaceStripe; empty = block). A NUMA-style knob: block keeps
-	// contiguous worker ids in one domain.
-	Placement core.ShardPlacement
 	// RetireBatch enables per-thread deferred retirement with the given
 	// batch size (0 = retire records directly). Batches of
 	// blockbag.BlockSize transfer to the scheme as O(1) block splices.
@@ -133,18 +125,14 @@ func Build[T any](cfg Config) (*core.RecordManager[T], error) {
 		sink = pool.NewDiscard[T]()
 	}
 
-	if _, err := core.ParsePlacement(string(cfg.Placement)); err != nil {
-		return nil, err
-	}
-	spec := core.ShardSpec{Shards: cfg.Shards, Placement: cfg.Placement}
-	rec, err := NewShardedReclaimer[T](cfg.Scheme, workers, sink, cfg.Domain, spec)
+	rec, err := NewReclaimer[T](cfg.Scheme, workers, sink, cfg.Domain)
 	if err != nil {
 		return nil, err
 	}
 	if cfg.FaultPlan != nil {
 		// Interpose the fault plane between the manager and the scheme: the
 		// wrapper forwards the whole extended reclaimer surface (blocks,
-		// retire pins, limbo draining, shard map, per-thread handles), so
+		// retire pins, limbo draining, occupancy, per-thread handles), so
 		// every construction decision below sees the same capabilities.
 		rec = faultinject.Wrap(rec, cfg.FaultPlan)
 	}
@@ -165,28 +153,20 @@ func MustBuild[T any](cfg Config) *core.RecordManager[T] {
 }
 
 // NewReclaimer constructs the named reclamation scheme for n threads with
-// the given free sink as one global domain. domain may be nil (a private one
-// is created for DEBRA+).
-func NewReclaimer[T any](scheme string, n int, sink core.FreeSink[T], domain *neutralize.Domain) (core.Reclaimer[T], error) {
-	return NewShardedReclaimer[T](scheme, n, sink, domain, core.ShardSpec{})
-}
-
-// NewShardedReclaimer constructs the named reclamation scheme for n threads
-// partitioned into the sharded domains described by spec (the zero spec is
-// one global domain). domain may be nil (a private one is created for
+// the given free sink. domain may be nil (a private one is created for
 // DEBRA+).
-func NewShardedReclaimer[T any](scheme string, n int, sink core.FreeSink[T], domain *neutralize.Domain, spec core.ShardSpec) (core.Reclaimer[T], error) {
-	opts := []epoch.Option{epoch.WithShards(spec)}
+func NewReclaimer[T any](scheme string, n int, sink core.FreeSink[T], domain *neutralize.Domain) (core.Reclaimer[T], error) {
 	switch scheme {
 	case SchemeNone, "":
-		return none.New[T](n, none.WithShards(spec)), nil
+		return none.New[T](n), nil
 	case SchemeEBR:
-		return ebr.New[T](n, sink, opts...), nil
+		return ebr.New[T](n, sink), nil
 	case SchemeQSBR:
-		return qsbr.New[T](n, sink, opts...), nil
+		return qsbr.New[T](n, sink), nil
 	case SchemeDEBRA:
-		return debra.New[T](n, sink, opts...), nil
+		return debra.New[T](n, sink), nil
 	case SchemeDEBRAPlus:
+		var opts []epoch.Option
 		if domain != nil {
 			opts = append(opts, debraplus.WithDomain(domain))
 		}
@@ -208,7 +188,7 @@ func NewShardedReclaimer[T any](scheme string, n int, sink core.FreeSink[T], dom
 		}
 		return debraplus.New[T](n, sink, opts...), nil
 	case SchemeHP:
-		return hp.New[T](n, sink, hp.WithShards(spec)), nil
+		return hp.New[T](n, sink), nil
 	default:
 		return nil, fmt.Errorf("recordmgr: unknown scheme %q (supported: %v)", scheme, Schemes())
 	}
