@@ -38,9 +38,9 @@ test:
 race:
 	$(GO) test -race -short ./...
 
-## stress-hashmap: the hash map's bucket-claim, unlink and wait-free-Get tests under -race
+## stress-hashmap: the hash map's bucket-claim, unlink, overwrite and wait-free-Get tests under -race
 stress-hashmap:
-	$(GO) test -race -count=10 -timeout 10m -run 'Claim|Unlink|StressWaitFreeGet' ./internal/ds/hashmap
+	$(GO) test -race -count=10 -timeout 10m -run 'Claim|Unlink|Overwrite|StressWaitFreeGet' ./internal/ds/hashmap
 
 ## stress-kvservice: the service's shared-key value-integrity stress under -race
 stress-kvservice:

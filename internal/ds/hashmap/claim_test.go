@@ -195,8 +195,7 @@ func TestClaimRestartNeutralized(t *testing.T) {
 // unlinkFixture is a one-bucket map, a victim in the middle of its chain, and
 // a visit hook that — once, just before slot 0's mark CAS on the victim —
 // has slot 1 insert a key directly in front of it. The mark then succeeds and
-// the CAS on the predecessor that would have unlinked (or replaced) the
-// victim loses.
+// the CAS on the predecessor that would have unlinked the victim loses.
 func unlinkFixture(t *testing.T, scheme string) (m *Map[int64], hs []*Handle[int64], victim int64, fired *bool) {
 	t.Helper()
 	m, hs = oneBucketMap(t, scheme, 2)
@@ -256,9 +255,10 @@ func TestUnlinkBeforeDeleteReturns(t *testing.T) {
 	}
 }
 
-// TestUnlinkBeforeUpsertReturns: a replacing Upsert whose replace CAS lost
-// (so it degrades to delete + insert) does not return while the old node is
-// still on the list, and leaves the new value.
+// TestUnlinkBeforeUpsertReturns: a replacing Upsert whose unlink CAS lost
+// (the replacement is linked behind the old node, which is still the binding)
+// does not return while the old node is still on the list, and leaves the new
+// value.
 func TestUnlinkBeforeUpsertReturns(t *testing.T) {
 	for _, scheme := range recordmgr.Schemes() {
 		t.Run(scheme, func(t *testing.T) {
@@ -268,13 +268,165 @@ func TestUnlinkBeforeUpsertReturns(t *testing.T) {
 				t.Fatalf("Upsert = %d, %v", prev, replaced)
 			}
 			if !*fired {
-				t.Fatal("the hook never fired: the replace CAS was not made to lose")
+				t.Fatal("the hook never fired: the unlink CAS was not made to lose")
 			}
 			if n := nodeOf(m, victim); n == old || n == nil {
 				t.Fatalf("Upsert returned with the old node linked (%v) or no node at all", n == old)
 			}
 			if v, ok := hs[1].Get(victim); !ok || v != -1 {
 				t.Fatalf("Get after Upsert returned = %d, %v", v, ok)
+			}
+			if m.Len() != m.Count() {
+				t.Fatalf("Len %d, Count %d", m.Len(), m.Count())
+			}
+			if err := m.Validate(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestUnlinkReplacedNodeFirst: an Insert, Delete or Upsert of a key whose
+// replacement is pending (old -> new both linked) unlinks the old node on its
+// way and then acts on the new one, the binding from that unlink on.
+func TestUnlinkReplacedNodeFirst(t *testing.T) {
+	ops := []struct {
+		name string
+		// run applies the operation to the pending pair's key and checks its
+		// result; want is the key's value afterwards, absent if !present.
+		run     func(h *Handle[int64], key int64) bool
+		want    int64
+		present bool
+	}{
+		{"insert", func(h *Handle[int64], key int64) bool { return !h.Insert(key, 7) }, -1, true},
+		{"delete", func(h *Handle[int64], key int64) bool { return h.Delete(key) }, 0, false},
+		{"upsert", func(h *Handle[int64], key int64) bool {
+			prev, replaced := h.Upsert(key, 7)
+			return replaced && prev == -1
+		}, 7, true},
+	}
+	for _, scheme := range recordmgr.Schemes() {
+		for _, op := range ops {
+			t.Run(scheme+"/"+op.name, func(t *testing.T) {
+				m, hs := oneBucketMap(t, scheme, 1)
+				victim := chain(m)[3]
+				old, _ := replaceOnly(m, hs[0], victim, -1)
+				before := m.Stats().Unlinks
+				if !op.run(hs[0], victim) {
+					t.Fatalf("%s of a key with a pending replacement returned the wrong result", op.name)
+				}
+				if linked(m, victim) && nodeOf(m, victim) == old {
+					t.Fatal("old node still linked")
+				}
+				if m.Stats().Unlinks == before {
+					t.Fatal("no unlink counted")
+				}
+				if v, ok := hs[0].Get(victim); ok != op.present || ok && v != op.want {
+					t.Fatalf("Get(%d) = %d, %v; want %d, %v", victim, v, ok, op.want, op.present)
+				}
+				if m.Len() != m.Count() {
+					t.Fatalf("Len %d, Count %d", m.Len(), m.Count())
+				}
+				if err := m.Validate(); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+	}
+}
+
+// TestOverwriteNeverAbsent: an overwrite never passes through absence. The
+// replacing Upsert's unlink CAS is made to lose (unlinkFixture), and from the
+// wedge insert on slot 1 reads the key at every node slot 0 visits — through
+// the lost CAS, the postamble's find and the unlink — and must find the old
+// value or the new one every time.
+func TestOverwriteNeverAbsent(t *testing.T) {
+	for _, scheme := range recordmgr.Schemes() {
+		t.Run(scheme, func(t *testing.T) {
+			m, hs, victim, fired := unlinkFixture(t, scheme)
+			wedge := m.visit
+			reads := 0
+			m.SetVisitHook(func(tid int, n *Node[int64]) {
+				wedge(tid, n)
+				if tid != 0 || !*fired {
+					return
+				}
+				reads++
+				if v, ok := hs[1].Get(victim); !ok || v != victim*10 && v != -1 {
+					t.Errorf("Get(%d) at visit %d of the overwrite = %d, %v", victim, reads, v, ok)
+				}
+			})
+			if prev, replaced := hs[0].Upsert(victim, -1); !replaced || prev != victim*10 {
+				t.Fatalf("Upsert = %d, %v", prev, replaced)
+			}
+			if !*fired || reads < 2 {
+				t.Fatalf("the unlink CAS was not made to lose (fired %v, %d reads after)", *fired, reads)
+			}
+			if v, ok := hs[1].Get(victim); !ok || v != -1 {
+				t.Fatalf("Get after Upsert returned = %d, %v", v, ok)
+			}
+			if m.Len() != m.Count() {
+				t.Fatalf("Len %d, Count %d", m.Len(), m.Count())
+			}
+			if err := m.Validate(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestOverwriteNeverAbsentConcurrent: one key, every scheme. A writer
+// overwrites it with ever larger values (all above the prefill's) and never
+// deletes it, while another
+// handle churns its list neighbour so that the writer's unlink CASes lose
+// often. A reader must find the key at every read, with a value no older
+// than the last one it read.
+func TestOverwriteNeverAbsentConcurrent(t *testing.T) {
+	iters := int64(20000)
+	if testing.Short() {
+		iters = 4000
+	}
+	for _, scheme := range recordmgr.Schemes() {
+		t.Run(scheme, func(t *testing.T) {
+			m, hs := oneBucketMap(t, scheme, 3)
+			keys := chain(m)
+			neighbour, key := keys[2], keys[3]
+			var stop atomic.Bool
+			var wg sync.WaitGroup
+			wg.Add(3)
+			go func() { // writer
+				defer wg.Done()
+				defer stop.Store(true)
+				for v := int64(1000); v < 1000+iters; v++ {
+					hs[0].Upsert(key, v)
+				}
+			}()
+			go func() { // neighbour churn
+				defer wg.Done()
+				for !stop.Load() {
+					hs[1].Delete(neighbour)
+					hs[1].Insert(neighbour, neighbour*10)
+				}
+			}()
+			go func() { // reader
+				defer wg.Done()
+				last := int64(0)
+				for !stop.Load() {
+					v, ok := hs[2].Get(key)
+					if !ok {
+						t.Errorf("Get(%d) found a key that is only ever overwritten absent", key)
+						return
+					}
+					if v < last {
+						t.Errorf("Get(%d) = %d after it read %d", key, v, last)
+						return
+					}
+					last = v
+				}
+			}()
+			wg.Wait()
+			if v, ok := hs[0].Get(key); !ok || v != 999+iters {
+				t.Fatalf("Get(%d) after the writer returned = %d, %v", key, v, ok)
 			}
 			if m.Len() != m.Count() {
 				t.Fatalf("Len %d, Count %d", m.Len(), m.Count())

@@ -53,6 +53,74 @@ func markOnly(m *Map[int64], h *Handle[int64], key int64) {
 	m.count.Add(-1)
 }
 
+// replaceOnly marks key's node with a replacement holding v the way
+// upsertBody does and stops there, as an Upsert that lost its unlink CAS and
+// has not yet made its find pass would. It returns the old node and its
+// replacement.
+func replaceOnly(m *Map[int64], h *Handle[int64], key, v int64) (old, repl *Node[int64]) {
+	old = nodeOf(m, key)
+	repl = h.rm.Allocate()
+	initRegular(repl, v, old.sokey, old.next.Load())
+	old.next.Store(repl)
+	return old, repl
+}
+
+// TestGetOnReplacedNode: the first node of a key is its binding. While a
+// replacement is pending — old -> new both linked — the epoch schemes' Get
+// stops at the old node, returns the old value and leaves the pair in place;
+// under hazard pointers Get runs the helping find, which unlinks the old node
+// and returns the new value. Validate rejects the pair, and accepts the list
+// once a mutating traversal has passed.
+func TestGetOnReplacedNode(t *testing.T) {
+	for _, scheme := range recordmgr.Schemes() {
+		t.Run(scheme, func(t *testing.T) {
+			m, hs := oneBucketMap(t, scheme, 1)
+			victim := chain(m)[3]
+			old, repl := replaceOnly(m, hs[0], victim, -1)
+			if err := m.Validate(); err == nil {
+				t.Fatal("Validate accepted a key with two nodes on the list")
+			}
+
+			before := m.Stats()
+			v, ok := hs[0].Get(victim)
+			after := m.Stats()
+			if m.perRecord {
+				if !ok || v != -1 || after.Unlinks != before.Unlinks+1 || nodeOf(m, victim) != repl {
+					t.Fatalf("hp: Get of a replaced key = %d, %v; unlinks %d -> %d, old still linked %v",
+						v, ok, before.Unlinks, after.Unlinks, nodeOf(m, victim) == old)
+				}
+			} else if !ok || v != victim*10 || after != before || nodeOf(m, victim) != old || old.next.Load() != repl {
+				t.Fatalf("epoch Get of a replaced key = %d, %v; stats %+v -> %+v, pair in place %v",
+					v, ok, before, after, nodeOf(m, victim) == old && old.next.Load() == repl)
+			}
+			for _, k := range chain(m) {
+				if k == victim {
+					continue
+				}
+				if v, ok := hs[0].Get(k); !ok || v != k*10 {
+					t.Fatalf("Get(%d) = %d, %v beside a replaced node", k, v, ok)
+				}
+			}
+			// The next update's find cleans up, and the structure is whole.
+			if hs[0].Insert(victim, 7) {
+				t.Fatal("Insert of a replaced key succeeded")
+			}
+			if nodeOf(m, victim) != repl {
+				t.Fatal("old node still linked after a mutating traversal")
+			}
+			if v, ok := hs[0].Get(victim); !ok || v != -1 {
+				t.Fatalf("Get(%d) after the cleanup = %d, %v", victim, v, ok)
+			}
+			if m.Len() != m.Count() {
+				t.Fatalf("Len %d, Count %d", m.Len(), m.Count())
+			}
+			if err := m.Validate(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
 // TestGetOnMarkedNode: linked means present. A key whose node is marked but
 // still on the list — its Delete has not returned — reads present under the
 // epoch schemes, whose Get is the wait-free walk: it stops at the node, looks

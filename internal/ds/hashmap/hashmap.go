@@ -64,10 +64,15 @@
 // # Linearization
 //
 // A key is in the map exactly while a regular node holding it is on the list
-// — reachable from bucket 0's head — marked or not. At most one node per key
-// is on the list at a time, because an insert's find unlinks a marked node at
-// its position before it reports the position free. The argument is about the
-// list alone and holds under every scheme.
+// — reachable from bucket 0's head — marked or not, and its binding is the
+// first such node. A node is marked in one of two ways, and either freezes
+// its next field: a Delete splices a marker after it, or a replacing Upsert
+// splices the replacement after it (a regular node of the same sokey, which
+// nothing else can be: see replaces). At most two regular nodes per key are
+// on the list, adjacent, the first marked by the second; at quiescence there
+// is one. An insert's find unlinks a marked node at its position before it
+// reports the position free or taken. The argument is about the list alone
+// and holds under every scheme.
 //
 //   - Insert and the insert half of Upsert take effect at the CAS that links
 //     the node. The predecessor is unmarked at that CAS (its next held a
@@ -79,26 +84,38 @@
 //     unlink CAS won, or it runs one more find to the key's position, and a
 //     find that completes has unlinked every marked node it met. So a removal
 //     that has been reported cannot be contradicted by a later read.
-//   - A replacing Upsert marks the old node and swaps the marked pair for the
-//     new node with one CAS on the predecessor: the old binding leaves and
-//     the new one arrives at the same instant. If that CAS loses, the Upsert
-//     is a Delete (complete when the retry's find has unlinked the old node)
-//     followed by an Insert, and a reader may see the key absent in between.
+//   - A replacing Upsert marks the old node with the new one (old -> new ->
+//     successor; the CAS that decides which update owns the old node) and
+//     takes effect when the old node is unlinked, by the Upsert's own CAS on
+//     the predecessor or by any helper's find: at that one CAS the old
+//     binding leaves and the new one, already linked behind it, becomes the
+//     first. It returns only after that, exactly as Delete does, so the key
+//     is never absent and an overwrite that has been reported cannot be
+//     contradicted by a later read.
 //   - Get under the epoch schemes is a walk that never checks a mark. Every
 //     node it reaches was on the list at some moment since the walk began. By
 //     induction: the head always is. If the node the walk stands on is still
 //     linked when its next is read, so is its successor. If it was unlinked
 //     in the meantime, its next froze when it was marked (node -> marker ->
-//     successor), and at the instant before the unlink that successor was on
-//     the list — because a node's successor cannot be unlinked while the node
-//     is marked but linked: unlinking CASes the predecessor's next from the
-//     victim, and the only link to that successor is the marker's next, which
-//     no CAS ever targets. So a Get that returns a node linearizes at a moment
-//     the node was linked, and a Get that passes the key's position between
-//     two nodes linearizes at a moment they were neighbours on the list.
+//     successor, or old -> new), and at the instant before the unlink that
+//     next was on the list. For a marker that is because a node's successor
+//     cannot be unlinked while the node is marked but linked: unlinking
+//     CASes the predecessor's next from the victim, and the only link to that
+//     successor is the marker's next, which no CAS ever targets. A
+//     replacement is itself the next node, on the list through old. The step
+//     after it, old -> new -> s, holds because new.next is not CASed while
+//     old is linked: every find that reaches new has unlinked old on the way,
+//     and every update that finds old marked restarts. So new keeps s, the
+//     successor old had, until old leaves, and a key never has a third node.
+//     A Get that returns a node linearizes at a moment the node was linked;
+//     the walk stops at the first node of its key, which is the binding until
+//     it is unlinked, and never reads that node's next. A Get that passes the
+//     key's position between two nodes linearizes at a moment they were
+//     neighbours on the list.
 //   - Get under hazard pointers is find: it reports a node present only if
-//     it saw it unmarked, hence linked, and unlinks marked nodes itself
-//     before reporting them absent.
+//     it saw it unmarked, hence linked and the binding, and unlinks marked
+//     nodes itself before reporting them absent or stepping to their
+//     replacement.
 //
 // # Value storage
 //
@@ -217,8 +234,8 @@ func newSegment[V any](p int) *segment[V] {
 }
 
 // spareSlot is a per-thread scratch record, padded to keep the single-writer
-// slots off each other's cache lines: the node or marker an Insert, Delete or
-// Upsert pre-allocated and did not publish (the key was present, or absent).
+// slots off each other's cache lines: the node or marker an Insert or Delete
+// pre-allocated and did not publish (the key was present, or absent).
 // The next update of the slot takes it instead of paying Allocate+Deallocate
 // per call. Every update takes before it parks and parks at most one record,
 // so one slot is enough.
@@ -235,7 +252,7 @@ type spareSlot[V any] struct {
 // unlink, resize and dummy splice.
 type threadStats struct {
 	restarts core.Counter // operation restarts (CAS failures, HP validation failures)
-	unlinks  core.Counter // marked pairs physically unlinked by traversals
+	unlinks  core.Counter // marked nodes physically unlinked
 	resizes  core.Counter // successful table doublings
 	dummies  core.Counter // bucket heads spliced into the list
 	_        [core.PadBytes]byte
@@ -564,13 +581,15 @@ func (h *Map[V]) maybeGrow(hd *Handle[V]) {
 // --- Traversal --------------------------------------------------------------
 
 // findPos is a position in the list: curr is the first node at or past the
-// search key (nil at the end of the list), pred its predecessor. Under
-// per-record protection the recorded nodes are protected as flagged.
+// search key (nil at the end of the list), pred its predecessor, and next
+// curr's successor once an update has read it to mark curr (liveNext). Under
+// per-record protection the recorded nodes are protected as flagged, and next
+// whenever it is set.
 type findPos[V any] struct {
-	pred, curr *Node[V]
-	predProt   bool
-	currProt   bool
-	found      bool
+	pred, curr, next *Node[V]
+	predProt         bool
+	currProt         bool
+	found            bool
 }
 
 // releasePos drops the protections recorded in pos.
@@ -584,10 +603,15 @@ func (h *Map[V]) releasePos(hd *Handle[V], pos findPos[V]) {
 	if pos.currProt && pos.curr != nil {
 		hd.rm.Unprotect(pos.curr)
 	}
+	if pos.next != nil {
+		hd.rm.Unprotect(pos.next)
+	}
 }
 
 // find walks the bucket list from start to the position of (sokey, rank),
-// physically unlinking any marked node it passes (Michael's find). ok=false
+// physically unlinking any marked node it passes (Michael's find): a node
+// followed by a marker leaves with its marker, a node followed by its
+// replacement leaves alone and the walk goes on at the replacement. ok=false
 // means a protection validation or an unlink CAS failed and the operation
 // must restart; every protection has been released in that case.
 //
@@ -626,18 +650,35 @@ func (h *Map[V]) find(hd *Handle[V], start *Node[V], sokey uint64, rank int) (fi
 					return pos, false
 				}
 				if pos.pred.next.Load() != curr {
-					// If next is a marker, curr.next froze when curr was
-					// marked, so the validation above cannot prove the
-					// (curr, marker) pair has not already been unlinked and
-					// reclaimed — and telling markers apart would itself
+					// If next is a marker or a replacement, curr.next froze
+					// when curr was marked, so the validation above cannot
+					// prove curr has not already been unlinked and next
+					// reclaimed — and telling marks apart would itself
 					// dereference next. curr still being reachable from the
-					// protected pred proves the pair is not yet retired,
-					// making the announcement in time for any kind of next.
+					// protected pred proves it is not yet retired, nor is
+					// anything its frozen next leads to, making the
+					// announcement in time for any kind of next.
 					h.failFind(hd, pos, curr, next)
 					return pos, false
 				}
 			}
 			h.observe(hd.tid, next)
+			if replaces(curr, next) {
+				// curr was overwritten by next; unlink curr alone. As with a
+				// marker, only the winning CAS retires, and next — the binding
+				// from this CAS on — is protected already and becomes curr.
+				if !pos.pred.next.CompareAndSwap(curr, next) {
+					h.failFind(hd, pos, curr, next)
+					return pos, false
+				}
+				rm.Retire(curr)
+				hd.st.unlinks.Inc()
+				if h.perRecord {
+					rm.Unprotect(curr)
+				}
+				curr = next
+				continue
+			}
 			if next.kind() == kindMarker {
 				// curr is logically deleted; unlink the (curr, marker) pair.
 				// Only the winning CAS retires: curr leaves the list exactly
@@ -800,27 +841,18 @@ func (hd *Handle[V]) deleteHashed(hash uint64) bool {
 	// Quiescent preamble: obtain the marker the body may publish.
 	marker := hd.scratch()
 	for {
-		outcome, unlinkedN, unlinkedM := h.deleteBody(hd, hash, marker)
+		outcome, unlinked := h.deleteBody(hd, hash, marker)
 		switch outcome {
 		case opTrue:
-			// Quiescent postamble. The removal takes effect when the victim
-			// leaves the list, so Delete may not return before that. If our
-			// own unlink CAS won, the pair is unreachable and it is on us to
-			// retire it. Otherwise (the CAS lost, or the body was neutralized
-			// after its mark) one find to the key's position is enough: a
-			// find that completes has unlinked every marked node on its way,
-			// and whoever unlinks the pair retires it.
-			if unlinkedN != nil {
-				hd.rm.Retire(unlinkedN)
-				hd.rm.Retire(unlinkedM)
-				return true
+			// Quiescent postamble. If our own unlink CAS won, the pair is
+			// unreachable and it is on us to retire it.
+			if unlinked != nil {
+				hd.rm.Retire(unlinked)
+				hd.rm.Retire(marker)
+			} else {
+				hd.awaitUnlink(hash)
 			}
-			for {
-				if _, _, done := h.findBody(hd, hash, nil); done {
-					return true
-				}
-				hd.st.restarts.Inc()
-			}
+			return true
 		case opFalse:
 			hd.park(marker)
 			return false
@@ -830,24 +862,34 @@ func (hd *Handle[V]) deleteHashed(hash uint64) bool {
 	}
 }
 
+// awaitUnlink is the quiescent postamble of an update that marked a node but
+// did not unlink it (its own unlink CAS lost, or the body was neutralized
+// after the mark). The update takes effect when the node leaves the list, so
+// it may not return before that, and one find to the key's position is
+// enough: a find that completes has unlinked every marked node on its way,
+// and whoever unlinks the node retires it.
+func (hd *Handle[V]) awaitUnlink(hash uint64) {
+	for {
+		if _, _, done := hd.h.findBody(hd, hash, nil); done {
+			return
+		}
+		hd.st.restarts.Inc()
+	}
+}
+
 // deleteBody is one execution of the delete body. The marker CAS on the
 // victim's next field decides which Delete owns the removal; its result is
-// captured in marked before any further checkpoint, so neutralization
-// recovery never has to guess whether the delete took hold. The removal
-// linearizes at the victim's unlink, which the caller sees through.
-func (h *Map[V]) deleteBody(hd *Handle[V], hash uint64, marker *Node[V]) (outcome int, unlinkedN, unlinkedM *Node[V]) {
+// captured in took before any further checkpoint, so neutralization recovery
+// never has to guess whether the delete took hold. The removal linearizes at
+// the victim's unlink, which the caller sees through; unlinked is the victim
+// when this body's own unlink CAS won.
+func (h *Map[V]) deleteBody(hd *Handle[V], hash uint64, marker *Node[V]) (outcome int, unlinked *Node[V]) {
 	rm := hd.rm
-	marked := false
+	took := opRetry
 	if h.crashRecovery {
 		defer neutralize.OnNeutralized(hd.rm, func(neutralize.Neutralized) {
-			if marked {
-				// The named unlinked pair (set before EnterQstate) rides
-				// out through the named returns.
-				outcome = opTrue
-			} else {
-				outcome = opRetry
-				unlinkedN, unlinkedM = nil, nil
-			}
+			// unlinked (set before EnterQstate) rides the named return.
+			outcome = took
 		})
 	}
 	rm.LeaveQstate()
@@ -855,103 +897,73 @@ func (h *Map[V]) deleteBody(hd *Handle[V], hash uint64, marker *Node[V]) (outcom
 	start, ok := h.startBucket(hd, hash)
 	if !ok {
 		rm.EnterQstate()
-		return opRetry, nil, nil
+		return opRetry, nil
 	}
 	pos, ok := h.find(hd, start, sokey, rankRegular)
 	if !ok {
 		rm.EnterQstate()
-		return opRetry, nil, nil
+		return opRetry, nil
 	}
 	if !pos.found {
 		rm.EnterQstate()
 		h.releasePos(hd, pos)
-		return opFalse, nil, nil
+		return opFalse, nil
 	}
-	n := pos.curr
-	s := n.next.Load()
-	if s != nil {
-		// s must be inspected (is n already marked?) and is dereferenced as
-		// the marker's frozen successor, so protect-and-validate it first.
-		// As in find, validating through n.next alone is not enough when s
-		// is a marker (the field froze at the mark), so n's own continued
-		// reachability from the protected pred completes the proof that s
-		// has not been reclaimed.
-		if h.perRecord {
-			if !rm.Protect(s) {
-				rm.EnterQstate()
-				h.releasePos(hd, pos)
-				return opRetry, nil, nil
-			}
-			if n.next.Load() != s || pos.pred.next.Load() != n {
-				rm.EnterQstate()
-				rm.Unprotect(s)
-				h.releasePos(hd, pos)
-				return opRetry, nil, nil
+	if n := pos.curr; h.liveNext(hd, &pos) {
+		initMarker(marker, pos.next)
+		if n.next.CompareAndSwap(pos.next, marker) {
+			// The removal is ours. Try to unlink the pair ourselves; on
+			// failure the postamble's find will, unless a helper gets there
+			// first (helping is cheap here — unlinking needs no descriptor,
+			// just the pair itself).
+			took = opTrue
+			h.count.Add(-1)
+			if pos.pred.next.CompareAndSwap(n, pos.next) {
+				unlinked = n
+				hd.st.unlinks.Inc()
 			}
 		}
-		h.observe(hd.tid, s)
-		if s.kind() == kindMarker {
-			// Another delete already marked n: this delete linearizes after
-			// that one's unlink and finds the key absent. The retry's find
-			// unlinks the pair and reports not-found.
-			rm.EnterQstate()
-			if h.perRecord {
-				rm.Unprotect(s)
-			}
-			h.releasePos(hd, pos)
-			return opRetry, nil, nil
-		}
-	}
-	initMarker(marker, s)
-	if n.next.CompareAndSwap(s, marker) {
-		// The removal is ours. Try to unlink the pair ourselves; on failure
-		// the postamble's find will, unless a helper gets there first
-		// (helping is cheap here — unlinking needs no descriptor, just the
-		// pair itself).
-		marked = true
-		h.count.Add(-1)
-		if pos.pred.next.CompareAndSwap(n, s) {
-			unlinkedN, unlinkedM = n, marker
-			hd.st.unlinks.Inc()
-		}
-		rm.EnterQstate()
-		if h.perRecord && s != nil {
-			rm.Unprotect(s)
-		}
-		h.releasePos(hd, pos)
-		return opTrue, unlinkedN, unlinkedM
 	}
 	rm.EnterQstate()
-	if h.perRecord && s != nil {
-		rm.Unprotect(s)
-	}
 	h.releasePos(hd, pos)
-	return opRetry, nil, nil
+	return took, unlinked
 }
 
-// Upsert outcomes beyond the shared opRetry/opTrue/opFalse (the body needs
-// to distinguish how far the replace protocol progressed).
-const (
-	// opUpsertInserted: the key was absent and node was spliced in.
-	opUpsertInserted = iota + 16
-	// opUpsertReplaced: the existing node was marked and replaced by node in
-	// the same attempt (the caller retires the unlinked pair).
-	opUpsertReplaced
-	// opUpsertMarkedOnly: the existing node was marked (the removal is ours
-	// and the marker is consumed) but the replace CAS lost; the caller
-	// retries, and the retry's find unlinks the old node before it inserts.
-	opUpsertMarkedOnly
-)
+// liveNext reads the next field of pos.curr, the node an update found at its
+// key, into pos.next, and reports whether the node is unmarked — neither
+// deleted nor replaced — so the update may mark it with a CAS from pos.next.
+// The successor is inspected and becomes the mark's frozen next, so under
+// per-record protection it is protected and validated first; as in find,
+// validating through the node's next alone is not enough once that field has
+// frozen, so the node's continued reachability from the protected pred
+// completes the proof that the successor has not been reclaimed. false means
+// restart: a validation failed, or the node is marked, and the retry's find
+// unlinks it. pos.next is released with pos either way.
+func (h *Map[V]) liveNext(hd *Handle[V], pos *findPos[V]) bool {
+	n := pos.curr
+	s := n.next.Load()
+	if s == nil {
+		return true
+	}
+	if h.perRecord && !hd.rm.Protect(s) {
+		return false
+	}
+	pos.next = s
+	if h.perRecord && (n.next.Load() != s || pos.pred.next.Load() != n) {
+		return false
+	}
+	h.observe(hd.tid, s)
+	return s.kind() != kindMarker && !replaces(n, s)
+}
 
 // Upsert sets key to value: it inserts the key when absent and replaces the
 // existing binding otherwise, returning the previous value and whether the
-// key was present. A replacement marks the current node and then swaps the
-// marked pair for the new node with one CAS on the predecessor, which is where
-// both the removal and the insertion take effect: a concurrent Get reads the
-// old value or the new one. Only when that CAS loses (the predecessor changed)
-// does the replacement fall apart into a Delete — complete when the retry's
-// find has unlinked the old node — followed by an Insert, and only then can a
-// concurrent reader observe the key absent in between.
+// key was present. A replacement marks the current node with the new one —
+// one CAS on the old node's next, which decides which update owns it — and
+// takes effect when the old node is unlinked, by this Upsert or by any
+// traversal that meets the pair. A concurrent Get reads the old value or the
+// new one and never finds the key absent, and Upsert does not return before
+// the old node has left the list.
 func (hd *Handle[V]) Upsert(key int64, value V) (prev V, replaced bool) {
 	return hd.upsertHashed(hashOf(key), value, nil)
 }
@@ -972,69 +984,47 @@ func (hd *Handle[V]) UpsertFunc(key int64, fill func(old V) V) (replaced bool) {
 
 // upsertHashed is Upsert, or UpsertFunc when fill is non-nil (value is then
 // unused).
-func (hd *Handle[V]) upsertHashed(hash uint64, value V, fill func(V) V) (prev V, replaced bool) {
+func (hd *Handle[V]) upsertHashed(hash uint64, value V, fill func(V) V) (V, bool) {
 	h := hd.h
-	// Quiescent preamble: obtain the node the body publishes and the marker
-	// a replacement consumes (obtained again when an attempt consumes it
-	// without finishing; allocation must not happen inside a body that can
-	// be neutralized and re-run), and build the value in the node.
+	// Quiescent preamble: obtain the node the body publishes, as the key's
+	// node or as the old node's replacement, and build the value in it.
 	node := hd.scratch()
 	if fill != nil {
 		value = fill(node.value)
 	}
-	var marker *Node[V]
 	for {
-		if marker == nil {
-			marker = hd.scratch()
-		}
-		outcome, pv, uN, uM := h.upsertBody(hd, hash, value, node, marker)
+		outcome, prev, unlinked := h.upsertBody(hd, hash, value, node)
 		switch outcome {
-		case opUpsertInserted:
-			// prev/replaced may have been set by an earlier attempt that
-			// marked the old node but lost the replace CAS.
-			hd.park(marker)
-			return prev, replaced
-		case opUpsertReplaced:
-			if uN != nil {
-				hd.rm.Retire(uN)
-				hd.rm.Retire(uM)
+		case opFalse:
+			return prev, false
+		case opTrue:
+			// Quiescent postamble, as Delete's: retire the old node if our
+			// own unlink CAS won, else see it unlinked.
+			if unlinked != nil {
+				hd.rm.Retire(unlinked)
+			} else {
+				hd.awaitUnlink(hash)
 			}
-			return pv, true
-		case opUpsertMarkedOnly:
-			prev, replaced = pv, true
-			marker = nil // published as the old node's mark; not reusable
-			hd.st.restarts.Inc()
+			return prev, true
 		default:
 			hd.st.restarts.Inc()
 		}
 	}
 }
 
-// upsertBody is one execution of the upsert body. Two CASes of ours can take
-// hold: the marker CAS (the old binding's removal is ours, captured in
-// marked) and the splice CAS (publication of the new one, captured in
-// published); both locals are set before any further checkpoint so
-// neutralization recovery reconstructs the outcome from local state alone,
-// exactly as in insertBody/deleteBody.
-func (h *Map[V]) upsertBody(hd *Handle[V], hash uint64, value V, node, marker *Node[V]) (outcome int, prevVal V, unlinkedN, unlinkedM *Node[V]) {
+// upsertBody is one execution of the upsert body: opFalse when the key was
+// absent and node was spliced in, opTrue when node marked the key's node as
+// its replacement, unlinked being the old node when this body's own unlink
+// CAS won. Either CAS that decides the outcome is captured in took before any
+// further checkpoint, so neutralization recovery reconstructs the outcome
+// from local state alone, exactly as in insertBody/deleteBody.
+func (h *Map[V]) upsertBody(hd *Handle[V], hash uint64, value V, node *Node[V]) (outcome int, prevVal V, unlinked *Node[V]) {
 	rm := hd.rm
-	published := false
-	marked := false
+	took := opRetry
 	if h.crashRecovery {
 		defer neutralize.OnNeutralized(hd.rm, func(neutralize.Neutralized) {
-			switch {
-			case published && marked:
-				outcome = opUpsertReplaced // unlinked pair rides the named returns
-			case published:
-				outcome = opUpsertInserted
-				unlinkedN, unlinkedM = nil, nil
-			case marked:
-				outcome = opUpsertMarkedOnly
-				unlinkedN, unlinkedM = nil, nil
-			default:
-				outcome = opRetry
-				unlinkedN, unlinkedM = nil, nil
-			}
+			// unlinked (set before EnterQstate) rides the named return.
+			outcome = took
 		})
 	}
 	rm.LeaveQstate()
@@ -1042,90 +1032,38 @@ func (h *Map[V]) upsertBody(hd *Handle[V], hash uint64, value V, node, marker *N
 	start, ok := h.startBucket(hd, hash)
 	if !ok {
 		rm.EnterQstate()
-		return opRetry, prevVal, nil, nil
+		return opRetry, prevVal, nil
 	}
 	pos, ok := h.find(hd, start, sokey, rankRegular)
 	if !ok {
 		rm.EnterQstate()
-		return opRetry, prevVal, nil, nil
+		return opRetry, prevVal, nil
 	}
 	if !pos.found {
 		// Absent: plain insert (cf. insertBody).
 		initRegular(node, value, sokey, pos.curr)
 		if pos.pred.next.CompareAndSwap(pos.curr, node) {
-			published = true
+			took = opFalse
 			h.count.Add(1)
 			h.maybeGrow(hd)
-			rm.EnterQstate()
-			h.releasePos(hd, pos)
-			return opUpsertInserted, prevVal, nil, nil
 		}
-		rm.EnterQstate()
-		h.releasePos(hd, pos)
-		return opRetry, prevVal, nil, nil
-	}
-	// Present: replace. Mark the current node first (cf. deleteBody), then
-	// try to swap the (node, marker) pair for the replacement in one CAS.
-	n := pos.curr
-	s := n.next.Load()
-	if s != nil {
-		if h.perRecord {
-			if !rm.Protect(s) {
-				rm.EnterQstate()
-				h.releasePos(hd, pos)
-				return opRetry, prevVal, nil, nil
-			}
-			if n.next.Load() != s || pos.pred.next.Load() != n {
-				rm.EnterQstate()
-				rm.Unprotect(s)
-				h.releasePos(hd, pos)
-				return opRetry, prevVal, nil, nil
+	} else if n := pos.curr; h.liveNext(hd, &pos) {
+		// Present: node takes n's successor and becomes n's mark. From this
+		// CAS on n is ours to replace; the replacement takes effect at n's
+		// unlink, and the count does not move.
+		prevVal = n.value
+		initRegular(node, value, sokey, pos.next)
+		if n.next.CompareAndSwap(pos.next, node) {
+			took = opTrue
+			if pos.pred.next.CompareAndSwap(n, node) {
+				unlinked = n
+				hd.st.unlinks.Inc()
 			}
 		}
-		h.observe(hd.tid, s)
-		if s.kind() == kindMarker {
-			// A concurrent delete marked n: retry; the next find unlinks the
-			// pair and reports the key absent.
-			rm.EnterQstate()
-			if h.perRecord {
-				rm.Unprotect(s)
-			}
-			h.releasePos(hd, pos)
-			return opRetry, prevVal, nil, nil
-		}
-	}
-	prevVal = n.value
-	initMarker(marker, s)
-	if n.next.CompareAndSwap(s, marker) {
-		// The removal is ours. Replace the pair with the new node: node
-		// takes n's place with n's frozen successor, and this one CAS is
-		// where the old binding leaves and the new one arrives. The count
-		// moves only if the replacement falls apart into a removal.
-		marked = true
-		initRegular(node, value, sokey, s)
-		if pos.pred.next.CompareAndSwap(n, node) {
-			published = true
-			unlinkedN, unlinkedM = n, marker
-			hd.st.unlinks.Inc()
-		} else {
-			h.count.Add(-1)
-		}
-		rm.EnterQstate()
-		if h.perRecord && s != nil {
-			rm.Unprotect(s)
-		}
-		h.releasePos(hd, pos)
-		if published {
-			return opUpsertReplaced, prevVal, unlinkedN, unlinkedM
-		}
-		return opUpsertMarkedOnly, prevVal, nil, nil
 	}
 	rm.EnterQstate()
-	if h.perRecord && s != nil {
-		rm.Unprotect(s)
-	}
 	h.releasePos(hd, pos)
-	return opRetry, prevVal, nil, nil
+	return took, prevVal, unlinked
 }
 
 // Get returns the value associated with key and whether it is present.
@@ -1193,7 +1131,7 @@ func (h *Map[V]) lookupBody(hd *Handle[V], hash uint64, fn func(V)) (val V, foun
 }
 
 // findBody is one find to key's position: Get under per-record protection,
-// and the pass a Delete makes to see its victim unlinked. done=false means
+// and the pass an update makes to see the node it marked unlinked. done=false means
 // restart (a protection validation or an unlink CAS failed, or the attempt
 // was neutralized). fn, when non-nil, sees the value of a found node.
 func (h *Map[V]) findBody(hd *Handle[V], hash uint64, fn func(V)) (val V, found, done bool) {
@@ -1227,20 +1165,22 @@ func (h *Map[V]) findBody(hd *Handle[V], hash uint64, fn func(V)) (val V, found,
 }
 
 // lookup is the read path of the epoch schemes: a wait-free walk from the
-// bucket head to the regular node with the given sokey, or nil. The thread's
-// epoch announcement covers every record reachable since the operation
-// began, including marked, unlinked and retired ones, so the walk follows
-// next pointers straight through them: a marker sorts before every regular
-// position (Node.cmp) and is stepped over (its next is the marked node's
-// frozen successor, and every link leads to a greater position, so the walk
-// still ends), nothing is unlinked, no CAS is issued, and the walk stops at
-// the node that matches without looking past it — a node the walk reaches
-// was on the list at some moment since the walk began, and a key is in the
-// map for as long as its node is on the list (see the package comment). A hop
-// reads sokey and next, and the kind only on a sokey tie. Per-record schemes
-// cannot take this path: a hazard pointer protects one record, validated
-// against the link it was read from, and a link out of a marked node proves
-// nothing about its target.
+// bucket head to the first regular node with the given sokey, or nil. The
+// thread's epoch announcement covers every record reachable since the
+// operation began, including marked, unlinked and retired ones, so the walk
+// follows next pointers straight through them: a marker sorts before every
+// regular position (Node.cmp) and is stepped over (its next is the marked
+// node's frozen successor, and every link leads to a greater position, or
+// from a replaced node to its replacement at the same one, so the walk still
+// ends), nothing is unlinked, no CAS is issued, and the walk stops at the
+// node that matches without looking past it — the first node of its key,
+// which is the binding while a replacement waits behind it. A node the walk
+// reaches was on the list at some moment since the walk began, and a key is
+// in the map for as long as its node is on the list (see the package
+// comment). A hop reads sokey and next, and the kind only on a sokey tie.
+// Per-record schemes cannot take this path: a hazard pointer protects one
+// record, validated against the link it was read from, and a link out of a
+// marked node proves nothing about its target.
 func (h *Map[V]) lookup(hd *Handle[V], start *Node[V], sokey uint64) *Node[V] {
 	rm := hd.rm
 	for curr := start.next.Load(); curr != nil; curr = curr.next.Load() {

@@ -16,11 +16,13 @@ import (
 //
 //	0  kindUnclaimed  a bucket head nobody has entered yet. Zero, because segment
 //	                  memory arrives zeroed and a head is found by arithmetic
-//	1  kindRegular    a key/value node
+//	1  kindRegular    a key/value node. One that follows a regular node of its
+//	                  own sokey is that node's replacement, and marks it as a
+//	                  marker would (replaces)
 //	2  kindDummy      a bucket head that is on the list. Heads are never removed,
 //	                  so traversals keep unprotected references to them: they are
 //	                  the stable re-entry points of every bucket
-//	3  kindMarker     the logical-deletion mark spliced after a deleted node (the
+//	3  kindMarker     the mark spliced after a deleted node — a deletion only (the
 //	                  Harris/CSLM marker-node technique: Go has no pointer mark
 //	                  bits, so the mark is a one-shot successor node that makes a
 //	                  deleted node's next field CAS-incomparable to any plain
@@ -59,8 +61,9 @@ func linkingBy(tid int) uint32 { return kindLinking | uint32(tid)<<slotShift }
 //	 0  sokey  uint64           regular: bit-reversed hash; head: bit-reversed
 //	                            bucket index; marker: 0. The list is sorted by
 //	                            (sokey, rank), a head ranking before a regular node
-//	 8  next   *Node            successor; a marked node's next is its marker, a
-//	                            marker's next the frozen successor
+//	 8  next   *Node            successor; a marked node's next is its marker or
+//	                            its replacement, a marker's next the frozen
+//	                            successor
 //	16  meta   uint32           bits 0-7 kind, bit 8 reclaimtest poison flag,
 //	                            bits 9-31 the claimer's slot while a head is linking
 //	20  value  V                regular: the value; marker: whatever it last held
@@ -184,6 +187,16 @@ func (n *Node[V]) cmp(sokey uint64, rank int) int {
 		return 1
 	}
 	return n.rank() - rank
+}
+
+// replaces reports whether next, read from n's next field, is n's
+// replacement: the regular node a replacing Upsert spliced after n, which
+// marks n as a deletion marker does. Nothing else of n's sokey can follow a
+// regular n (no two keys share a sokey, a head ranks before the regular node
+// it ties with, and a marker is told apart by its kind), so the kinds are
+// read only on a sokey tie.
+func replaces[V any](n, next *Node[V]) bool {
+	return next.sokey == n.sokey && next.kind() == kindRegular && n.kind() == kindRegular
 }
 
 // parentBucket returns the parent of bucket b in the split-order recursive

@@ -224,9 +224,10 @@ func TestPartitionedConcurrent(t *testing.T) {
 
 // TestReleaseHandsBackScratch is the slot-churn check of the parked scratch
 // records, at the level kvservice uses the map (it releases its slots every
-// Burst requests): acquire every partition's slot, run an Insert that finds
-// its key present, a Delete that finds its key absent and an Upsert of an
-// absent key (which leaves its marker unused), release. The release must
+// Burst requests): acquire every partition's slot, run an Upsert of an absent
+// key (which publishes the one record it takes), an Insert that finds its key
+// present and a Delete that finds its key absent (each of which leaves its
+// record unused), release. The release must
 // hand each slot's parked record to its pool: every record handed out is
 // then pooled again, awaiting reclamation, or part of a map — none stranded
 // — the allocators are asked for fresh records only as the maps grow, and
@@ -249,19 +250,19 @@ func TestReleaseHandsBackScratch(t *testing.T) {
 			for cycle := 0; cycle < 32; cycle++ {
 				h.Acquire()
 				key := int64(100 + cycle)
-				if h.Insert(3, 0) || h.Delete(key) {
-					t.Fatal("a failing update succeeded")
-				}
 				if _, existed := h.Upsert(key, key); existed {
 					t.Fatalf("Upsert found absent key %d", key)
+				}
+				if h.Insert(3, 0) || h.Delete(-1) {
+					t.Fatal("a failing update succeeded")
 				}
 				h.Release()
 				st := pm.ManagerStats()
 				if out := st.Pool.Reused + st.Pool.FromAllocator - st.Pool.Freed - st.Unreclaimed; out != inMaps() {
 					t.Fatalf("cycle %d: %d records outside pools and limbo, the maps hold %d: scratch stranded", cycle, out, inMaps())
 				}
-				// Each partition's pool settles at the two records one Upsert
-				// takes, once the keys have routed to it a few times.
+				// Each partition's pool settles at the one record an Insert or
+				// Delete parks, once the keys have routed to it a few times.
 				const settled = 8
 				switch beyond := st.Alloc.Allocated - inMaps(); {
 				case cycle == settled:

@@ -20,6 +20,9 @@ const (
 	stressConns  = 4
 	stressKeys   = 64
 	stressWindow = 16 // requests per pipelined write
+	// stressBand keys above stressKeys are only ever overwritten: PUT and
+	// GET, never DEL.
+	stressBand = 8
 	// valHeader is the self-description at the front of a value: key (8),
 	// writer (4), sequence number (4), length (4), checksum (4).
 	valHeader = 24
@@ -32,7 +35,10 @@ const (
 type valueLog struct {
 	issued [stressConns]atomic.Uint32 // highest sequence number writer w has sent
 	// short[key][n]: a value of n < valHeader bytes was sent for key.
-	short [stressKeys][valHeader]atomic.Bool
+	short [stressKeys + stressBand][valHeader]atomic.Bool
+	// bound[i]: a PUT of band key stressKeys+i has been answered, so the key
+	// is in the map for good.
+	bound [stressBand]atomic.Bool
 }
 
 // TestStressValueIntegrity is the shared-key value-integrity stress of the
@@ -42,8 +48,10 @@ type valueLog struct {
 // from stored bytes — and every GET body must be one whole value some PUT
 // wrote for that key. A value names its key, writer, sequence number and
 // length and carries a checksum; one too short for that is a pattern of its
-// key and length, accepted if some PUT sent that length for that key. debra+
-// joins once ROADMAP item 1 lands.
+// key and length, accepted if some PUT sent that length for that key. A band
+// of further keys is only ever overwritten: once a PUT of one has been
+// answered, every later GET of it must find a value. debra+ joins once ROADMAP
+// item 1 lands.
 func TestStressValueIntegrity(t *testing.T) {
 	windows := 1000
 	if testing.Short() {
@@ -89,14 +97,17 @@ func stressConn(addr net.Addr, w, windows int, log *valueLog) error {
 		batch, val, buf []byte
 		ops             [stressWindow]kvwire.Op
 		keys            [stressWindow]int64
+		bound           [stressWindow]bool // keys[j] is a band key with a PUT answered before this window was sent
 		seq             uint32
 	)
 	for i := 0; i < windows; i++ {
 		batch = batch[:0]
 		for j := range ops {
-			keys[j] = rng.Int63n(stressKeys)
+			keys[j] = rng.Int63n(stressKeys + stressBand)
+			band := keys[j] >= stressKeys
+			bound[j] = band && log.bound[keys[j]-stressKeys].Load()
 			switch r := rng.Intn(10); {
-			case r < 4:
+			case r < 4 || band && r >= 8:
 				seq++
 				n := rng.Intn(1<<rng.Intn(maxValueShift+1) + 1)
 				val = appendValue(val[:0], keys[j], w, seq, n)
@@ -130,7 +141,13 @@ func stressConn(addr net.Addr, w, windows int, log *valueLog) error {
 					return fmt.Errorf("GET %d: %w", keys[j], err)
 				}
 			case op == kvwire.OpGet && resp.Status == kvwire.StatusNotFound:
+				if bound[j] {
+					return fmt.Errorf("GET %d: NOT_FOUND for a key that is only ever overwritten, after a PUT of it was answered", keys[j])
+				}
 			case op != kvwire.OpGet && resp.Status == kvwire.StatusOK && len(resp.Body) == 1:
+				if op == kvwire.OpPut && keys[j] >= stressKeys {
+					log.bound[keys[j]-stressKeys].Store(true)
+				}
 			default:
 				return fmt.Errorf("%v %d: status %v, %d-byte body", op, keys[j], resp.Status, len(resp.Body))
 			}
