@@ -34,9 +34,10 @@ test:
 	$(GO) test ./...
 	$(GO) test -count=5 ./internal/reclaim/... ./internal/pool ./internal/blockbag
 
-## race: test suite under the race detector (short mode, as in CI)
+## race: test suite under the race detector (short mode, as in CI), then the epoch machine, the schemes and their shared suite three times over
 race:
 	$(GO) test -race -short ./...
+	$(GO) test -race -count=3 ./internal/reclaim/... ./internal/reclaimtest
 
 ## stress-hashmap: the hash map's bucket-claim, unlink, overwrite and wait-free-Get tests under -race
 stress-hashmap:

@@ -218,9 +218,10 @@ type FreeSink[T any] interface {
 // BlockFreeSink is an optional optimisation interface: sinks that store
 // records in block bags can accept whole detached blocks in O(1), which is
 // how DEBRA moves the contents of a limbo bag to the pool without touching
-// individual records. A rotation frees the whole oldest bag, so a chain may
-// lead with the bag's partial head block; a scheme never hands a
-// BlockFreeSink single records.
+// individual records. A rotation frees whole every bag tagged two or more
+// epochs before the one the thread announces, so a chain may lead with a
+// bag's partial head block; a scheme never hands a BlockFreeSink single
+// records.
 type BlockFreeSink[T any] interface {
 	FreeSink[T]
 	// FreeBlocks accepts a detached block chain whose first block may be

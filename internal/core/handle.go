@@ -156,8 +156,14 @@ func (h *ThreadHandle[T]) EnterQstate() { h.fast.EnterQstate() }
 // IsQuiescent reports whether the handle's thread is quiescent.
 func (h *ThreadHandle[T]) IsQuiescent() bool { return h.fast.IsQuiescent() }
 
-// Checkpoint delivers a pending neutralization signal, if any (DEBRA+).
-func (h *ThreadHandle[T]) Checkpoint() { h.fast.Checkpoint() }
+// Checkpoint delivers a pending neutralization signal, if any (DEBRA+). A
+// scheme without crash recovery has nothing to deliver, so data structure
+// searches that checkpoint every hop skip the interface call.
+func (h *ThreadHandle[T]) Checkpoint() {
+	if h.crashRecovery {
+		h.fast.Checkpoint()
+	}
+}
 
 // Protect announces that the thread may access rec (ReclaimerHandle.Protect).
 func (h *ThreadHandle[T]) Protect(rec *T) bool { return h.fast.Protect(rec) }

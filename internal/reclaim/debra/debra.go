@@ -77,7 +77,7 @@ func (h *Handle[T]) LeaveQstate() bool {
 	fresh := h.Announce(e)
 	if fresh {
 		h.pos, h.sinceCheck, h.sinceIncr = 0, 0, 0
-		h.Rotate()
+		h.RotateTo(e)
 	}
 	h.sinceCheck++
 	h.sinceIncr++

@@ -42,6 +42,13 @@ func TestLimboEmptiesAfterThreeEpochs(t *testing.T) {
 	reclaimtest.LimboEmptiesAfterThreeEpochs(t, factory)
 }
 
+// With INCR_THRESH 1 a lone thread advances in every LeaveQstate, so every
+// retire reads an epoch past its announcement: the default pacing leaves the
+// first operation of an epoch alone.
+func TestLimboEmptiesAfterTwoEpochs(t *testing.T) {
+	reclaimtest.LimboEmptiesAfterTwoEpochs(t, factoryDefault)
+}
+
 // retireMany drives tid through ops, retiring fresh records, and returns them.
 func retireMany(r *debra.Reclaimer[reclaimtest.Record], tid, n int) []*reclaimtest.Record {
 	recs := make([]*reclaimtest.Record, 0, n)

@@ -159,6 +159,10 @@ func New[T any](n int, sink core.FreeSink[T], opts ...epoch.Option) *Reclaimer[T
 		h.scanSet = make(map[*T]struct{}, n*cfg.maxRProtect)
 		h.Sweep = h.sweep
 		h.Held = h.held
+		// Suspicion can move the epoch past a live announcement, which
+		// breaks the bound filing a retire under the epoch it reads relies
+		// on (epoch.Limbo): every retire waits three rotations.
+		h.Late = true
 		if !cfg.disableNeutralization {
 			h.Suspect = h.suspect
 		}

@@ -7,9 +7,14 @@
 //     thread has been seen quiescent or announcing e. A pass reads the
 //     announcements in slot order. Vacant slots are quiescent by the release
 //     contract and are never read (or, under debra+, signalled);
-//   - the private limbo: three block bags per thread, rotated each time the
-//     thread observes a new epoch, the whole oldest bag going to the free
-//     sink (debra+'s Sweep frees full blocks only and keeps the tails).
+//   - the private limbo: three block bags per thread, tagged by epoch. A
+//     retire files under the epoch it reads, and a rotation to an epoch the
+//     thread announces frees whole every bag tagged two or more epochs
+//     before it, so
+//     a record waits two epochs after its retire, three when the epoch moved
+//     on under the operation before it (debra+ files every retire that way
+//     and rotates one bag per epoch observed, and its Sweep frees full
+//     blocks only and keeps the tails).
 //
 // A policy decides where the pass runs and how much of it runs per
 // operation; docs/ARCHITECTURE.md ("The epoch schemes") has the table.
@@ -227,7 +232,7 @@ func (t *Thread[T]) CheckRetire(rec *T) {
 }
 
 // RequirePinned panics when the thread is quiescent. A retire files records
-// under the epoch it loads (or the bag the thread last rotated to), and only
+// under the epoch it loads, and only
 // the thread's own non-quiescent announcement bounds how far the epoch can
 // move before they land; without it the retire can race the reclamation of
 // the very bag it appends to. Quiescent callers pin first

@@ -106,29 +106,61 @@ func TestSuspectHookOnlyOnFailingMembers(t *testing.T) {
 	}
 }
 
+// tick moves the domain epoch on by one step, as an advance winner would.
+func (m *machine) tick() int64 { return m.epoch.Add(Inc) }
+
+// advance verifies the current epoch over every slot and moves it on.
+func (m *machine) advance(t *testing.T) {
+	t.Helper()
+	e, v := m.Epoch(), &m.l[0]
+	if v.Verify(0, e, All) != v.PassLen() || !v.Advance(e) {
+		t.Fatalf("could not advance from %d", e)
+	}
+}
+
+// begin is slot l's operation boundary as debra and qsbr run it: load the
+// epoch, announce it, rotate the bags to it.
+func begin(l *Limbo[rec]) int64 {
+	e := l.Epoch()
+	l.Announce(e)
+	l.RotateTo(e)
+	return e
+}
+
 func TestRotationOrder(t *testing.T) {
 	m := newMachine(t, 1, 0)
 	l := &m.l[0]
-	// Fill one block in each of three epochs' bags.
-	var batches [3][]*rec
-	for b := range batches {
+	retire := func(b int, batch *[]*rec) {
 		m.PinRetire(0)
 		for i := 0; i < blockbag.BlockSize; i++ {
 			r := &rec{ID: int64(b)}
-			batches[b] = append(batches[b], r)
+			*batch = append(*batch, r)
 			l.Retire(r)
 		}
 		m.UnpinRetire(0)
-		if b < 2 {
-			l.Rotate()
-		}
 	}
+	// One block under each of three epochs: two filed under the epoch the
+	// thread rotated to, the third late, after an advance the thread has
+	// not rotated to.
+	var batches [3][]*rec
+	l.RotateTo(m.Epoch())
+	retire(0, &batches[0])
+	m.tick()
+	l.RotateTo(m.Epoch())
+	retire(1, &batches[1])
+	m.tick()
+	retire(2, &batches[2])
 	if m.sink.Freed() != 0 || m.LimboSize(0) != 3*blockbag.BlockSize {
 		t.Fatalf("freed %d, limbo %d before the bags came round", m.sink.Freed(), m.LimboSize(0))
 	}
-	// Each further rotation frees the oldest batch, and only it.
+	// Each further rotation frees the oldest batch, and only it: the first
+	// is to the epoch the late batch read, which frees the batch two epochs
+	// behind it.
 	for b := range batches {
-		l.Rotate()
+		if b > 0 {
+			m.tick()
+		}
+		l.RotateTo(m.Epoch())
 		if got := m.sink.Freed(); got != int64((b+1)*blockbag.BlockSize) {
 			t.Fatalf("rotation %d: %d records freed", b, got)
 		}
@@ -140,6 +172,114 @@ func TestRotationOrder(t *testing.T) {
 	}
 	if s := m.Stats(); s.Retired != s.Freed || s.Limbo != 0 {
 		t.Fatalf("stats %+v", s)
+	}
+	// Rotating again to the same epoch, or to one the thread skipped to,
+	// frees nothing it must not and everything it may.
+	m.PinRetire(0)
+	l.Retire(&rec{ID: 3})
+	m.UnpinRetire(0)
+	l.RotateTo(m.Epoch())
+	if m.LimboSize(0) != 1 {
+		t.Fatal("a rotation to the epoch the bags are at freed a record")
+	}
+	l.RotateTo(m.tick() + 4*Inc)
+	if m.LimboSize(0) != 0 {
+		t.Fatal("a rotation five epochs on left a record in limbo")
+	}
+}
+
+// TestLateRetireSurvivesSecondAdvance is the safety half of filing a retire
+// under the epoch it reads: a record unlinked after the epoch moved on under
+// the retiring operation may still be in another thread's hands one advance
+// after that, so it must wait as long as its retire is late.
+func TestLateRetireSurvivesSecondAdvance(t *testing.T) {
+	m := newMachine(t, 2, 0, 1)
+	retirer, reader := &m.l[0], &m.l[1]
+	e := begin(retirer)
+	begin(reader)
+	m.advance(t) // the epoch moves on under the retirer's operation
+	begin(reader)
+	r := &rec{ID: 1} // the reader, at e+Inc, reaches r; the retirer unlinks it
+	//lint:allow retirepin the retirer is inside the operation begin announced; the bare machine has no LeaveQstate
+	retirer.Retire(r)
+	retirer.EnterQstate()
+	begin(retirer)
+	retirer.EnterQstate()
+	m.advance(t) // the reader still announces e+Inc, which holds the epoch here
+	if got := begin(retirer); got != e+2*Inc {
+		t.Fatalf("epoch %d, want %d", got, e+2*Inc)
+	}
+	if m.sink.Contains(r) {
+		t.Fatal("a late retire was freed while a thread of the epoch it was unlinked in still runs")
+	}
+	retirer.EnterQstate()
+	reader.EnterQstate()
+	m.advance(t)
+	begin(retirer)
+	if !m.sink.Contains(r) {
+		t.Fatal("a late retire outlived its three epochs")
+	}
+}
+
+// TestStaleAnnouncementRetire: an announcement is published some time after
+// the epoch it carries was loaded, and the epoch may move on in between, so
+// an operation can start epochs after the one the thread rotated to. A record
+// it unlinks is then only bounded by the epoch its retire reads, and waits
+// two epochs after the thread's next rotation, however far that jumps.
+func TestStaleAnnouncementRetire(t *testing.T) {
+	m := newMachine(t, 2, 0, 1)
+	retirer, reader := &m.l[0], &m.l[1]
+	e := begin(retirer)
+	retirer.EnterQstate()
+	stale := retirer.Epoch() // the retirer's next LeaveQstate loads e ...
+	m.advance(t)
+	m.advance(t) // ... and publishes it only now, two epochs on
+	retirer.Announce(stale)
+	retirer.RotateTo(stale)
+	begin(reader) // at e+2·Inc, reaches r
+	r := &rec{ID: 1}
+	//lint:allow retirepin the retirer is inside the operation it announced; the bare machine has no LeaveQstate
+	retirer.Retire(r) // unlinked at e+2·Inc
+	retirer.EnterQstate()
+	m.advance(t) // the reader's announcement of e+2·Inc holds the epoch here
+	if got := begin(retirer); got != e+3*Inc {
+		t.Fatalf("epoch %d, want %d", got, e+3*Inc)
+	}
+	if m.sink.Contains(r) {
+		t.Fatal("a retire under a stale announcement was freed while a thread of the epoch it was unlinked in still runs")
+	}
+	retirer.EnterQstate()
+	reader.EnterQstate()
+	for i := 0; i < 2; i++ {
+		m.advance(t)
+		begin(retirer)
+		retirer.EnterQstate()
+	}
+	if !m.sink.Contains(r) {
+		t.Fatal("not freed two epochs after the rotation that followed its retire")
+	}
+}
+
+// TestLateLimboRotatesOnceAnEpoch: under Late (debra+) a retire waits for
+// three rotations, however far the epoch jumped between them, because the
+// epoch a record was unlinked at is not bounded by the thread's announcement.
+func TestLateLimboRotatesOnceAnEpoch(t *testing.T) {
+	m := newMachine(t, 1, 0)
+	l := &m.l[0]
+	l.Late = true
+	l.RotateTo(m.Epoch())
+	r := &rec{ID: 1}
+	m.PinRetire(0)
+	l.Retire(r)
+	m.UnpinRetire(0)
+	for i := 0; i < 3; i++ {
+		if m.sink.Contains(r) {
+			t.Fatalf("freed after %d rotations", i)
+		}
+		l.RotateTo(m.tick() + 2*Inc) // three epochs on each time
+	}
+	if !m.sink.Contains(r) {
+		t.Fatal("not freed by the third rotation")
 	}
 }
 
@@ -156,6 +296,7 @@ func TestSweepHookChoosesWhatRotationFrees(t *testing.T) {
 	}
 	held := &rec{ID: -1}
 	l.Held = func(r *rec) bool { return r == held }
+	l.RotateTo(m.Epoch())
 	m.PinRetire(0)
 	for i := 0; i < blockbag.BlockSize; i++ {
 		l.Retire(&rec{ID: int64(i)})
@@ -163,7 +304,7 @@ func TestSweepHookChoosesWhatRotationFrees(t *testing.T) {
 	l.Retire(held)
 	m.UnpinRetire(0)
 	for i := 0; i < 6; i++ {
-		l.Rotate()
+		l.RotateTo(m.tick())
 	}
 	if m.sink.Freed() != 0 {
 		t.Fatal("rotation freed records the hook withheld")

@@ -39,13 +39,13 @@ func (b *Bags[T]) BindLimbo(tid int, l *Limbo[T]) {
 	for i := range l.bags {
 		l.bags[i] = blockbag.New(l.blockPool)
 	}
-	l.cur = l.bags[0]
 	b.limbos[tid] = l
 }
 
 // RetireBlock implements core.Reclaimer: splice one detached full block into
-// tid's current bag in O(1) and give back an empty block from the thread's
-// pool when one is cached. The caller must be pinned as for Retire.
+// the bag of the epoch it reads (see Limbo) in O(1) and give back an empty
+// block from the thread's pool when one is cached. The caller must be pinned
+// as for Retire.
 func (b *Bags[T]) RetireBlock(tid int, blk *blockbag.Block[T]) *blockbag.Block[T] {
 	if blk == nil {
 		return nil
@@ -53,7 +53,7 @@ func (b *Bags[T]) RetireBlock(tid int, blk *blockbag.Block[T]) *blockbag.Block[T
 	l := b.limbos[tid]
 	l.RequirePinned()
 	l.Retired.Add(int64(blk.Len()))
-	l.cur.AddBlock(blk)
+	l.bag().AddBlock(blk)
 	return l.blockPool.TryGet()
 }
 
@@ -97,49 +97,106 @@ func (b *Bags[T]) LimboSize(tid int) int {
 	return n
 }
 
-// Limbo is a Thread with a private three-bag limbo: records retired under
-// the epoch the thread last observed go to the current bag, and each newly
-// observed epoch reuses the oldest bag, whose records were retired at least
-// two epochs ago and are all freed then.
+// Limbo is a Thread with a private three-bag limbo. Each record waits under
+// a tag, an epoch no earlier than the one u at which the record became
+// unreachable, and is freed by the first rotation to an epoch at least
+// tag+2·Inc. That is the grace period ebr uses: a thread that can still reach
+// the record began its operation before the unlink, so its announcement a is
+// at most u and it was published at an epoch s at most u; while it stands no
+// thread can verify any epoch but a, so the epoch stays at most
+// max(a+Inc, s) <= u+Inc.
+//
+// The tags are relative to filed, the epoch the thread last rotated to (the
+// policy rotates to every epoch it announces). A retire loads the epoch g,
+// which is at least u because the record was unlinked before the load. When
+// g == filed the record goes to cur, tagged filed. Otherwise it goes to late,
+// whose tag is the epoch of the next rotation: the thread loads that epoch
+// after the retire, so it is at least g. A rotation to E frees prev (tagged
+// filed-Inc), and cur too when E is two or more epochs on; late becomes cur
+// at tag E, and cur, if kept, becomes prev at tag E-Inc. So a record waits
+// two epochs after the one its retire read when that is filed, and three
+// when the epoch had moved on under the operation (a late retire). A rotation
+// never runs inside a retire, which costs one epoch load and one append.
+//
+// A policy under which the epoch can move past a live announcement (debra+'s
+// suspicion) sets Late: the grace period above does not hold for it, so every
+// retire is filed late and a rotation frees one bag however far the epoch
+// jumped, and a record waits for the third epoch the thread observes after
+// the one it last rotated to.
 type Limbo[T any] struct {
 	Thread[T]
 
 	// Sweep, when non-nil, chooses what a rotation frees in place of "the
-	// whole oldest bag": it detaches and returns the full blocks of bag that
-	// may go now (debra+: those behind the records a recovery protection
-	// covers, and nothing until the bag is worth a table scan — unless force
-	// is set, as it is at shutdown). The bag's partial head block stays
-	// behind.
+	// whole bag": it detaches and returns the full blocks of bag that may go
+	// now (debra+: those behind the records a recovery protection covers,
+	// and nothing until the bag is worth a table scan — unless force is set,
+	// as it is at shutdown). The bag's partial head block stays behind.
 	Sweep func(bag *blockbag.Bag[T], force bool) *blockbag.Block[T]
 	// Held, when non-nil, reports whether the last Sweep found rec protected.
 	Held func(rec *T) bool
+	// Late files every retire in the late bag and frees one bag per
+	// rotation.
+	Late bool
 
-	bags      [3]*blockbag.Bag[T]
-	cur       *blockbag.Bag[T]
-	index     int
+	bags      [3]*blockbag.Bag[T] // prev, cur, late
+	filed     int64
 	blockPool *blockbag.BlockPool[T]
 }
 
-// Retire implements core.ReclaimerHandle: add rec to the current bag, O(1).
-// The caller must be pinned (in an operation, or between PinRetire and
-// UnpinRetire).
+// The bags by tag: filed-Inc, filed, and the epoch of the next rotation.
+const (
+	prev = iota
+	cur
+	late
+)
+
+// Retire implements core.ReclaimerHandle: add rec to the bag of the epoch it
+// reads, O(1). The caller must be pinned (in an operation, or between
+// PinRetire and UnpinRetire).
 func (l *Limbo[T]) Retire(rec *T) {
 	l.CheckRetire(rec)
-	l.cur.Add(rec)
+	l.bag().Add(rec)
 	l.Retired.Inc()
 }
 
-// Current returns the bag retires are going to.
-func (l *Limbo[T]) Current() *blockbag.Bag[T] { return l.cur }
+// bag returns the bag a retire files under now.
+func (l *Limbo[T]) bag() *blockbag.Bag[T] {
+	if !l.Late && l.Epoch() == l.filed {
+		return l.bags[cur]
+	}
+	return l.bags[late]
+}
 
-// Rotate makes the oldest bag the current one and frees what it may; the
-// thread calls it once per epoch it observes.
-func (l *Limbo[T]) Rotate() {
-	l.index = (l.index + 1) % len(l.bags)
-	l.cur = l.bags[l.index]
-	// A lone thread observes a new epoch nearly every operation: an empty
-	// chain must cost nothing.
-	if chain := l.freeable(l.cur, false); chain != nil {
+// Current returns the bag retires go to while the epoch stays at the one the
+// thread last rotated to.
+func (l *Limbo[T]) Current() *blockbag.Bag[T] {
+	if l.Late {
+		return l.bags[late]
+	}
+	return l.bags[cur]
+}
+
+// RotateTo moves the bags' tags on to epoch e, which the thread has just
+// loaded and announced, and frees what it may of the bags whose tag is
+// e-2·Inc or earlier (of prev alone, under Late). Rotating to the epoch the
+// thread last rotated to does nothing.
+func (l *Limbo[T]) RotateTo(e int64) {
+	if e == l.filed {
+		return
+	}
+	b := l.bags
+	l.free(b[prev])
+	if !l.Late && e-l.filed >= 2*Inc {
+		l.free(b[cur])
+	}
+	l.filed = e
+	l.bags = [3]*blockbag.Bag[T]{b[cur], b[late], b[prev]}
+}
+
+// free hands what may go of bag to the sink. A lone thread observes a new
+// epoch nearly every operation: an empty bag must cost nothing.
+func (l *Limbo[T]) free(bag *blockbag.Bag[T]) {
+	if chain := l.freeable(bag, false); chain != nil {
 		l.Free(chain, l.blockPool)
 	}
 }

@@ -4,13 +4,13 @@
 // infers quiescence from operation boundaries, QSBR has the application
 // announce its quiescent states; in the Record Manager interface that
 // announcement is EnterQstate, so here QSBR is the epoch scheme whose
-// bookkeeping — the verification pass, the advance, the limbo rotation — runs
-// at the end of an operation instead of the beginning. It keeps DEBRA's
-// private limbo bags but verifies in full at every quiescent state, which puts
-// its per-operation cost between classical EBR's and DEBRA's. Like both it is
-// not fault tolerant: a thread that stops inside an operation halts
-// reclamation for everyone. docs/ARCHITECTURE.md ("The epoch schemes") sets it
-// beside the other three.
+// verification pass and advance run at the end of an operation instead of
+// the beginning (its limbo rotates where it announces, at the beginning, as
+// DEBRA's does). It keeps DEBRA's private limbo bags but verifies in full at
+// every quiescent state, which puts its per-operation cost between classical
+// EBR's and DEBRA's. Like both it is not fault tolerant: a thread that stops
+// inside an operation halts reclamation for everyone. docs/ARCHITECTURE.md
+// ("The epoch schemes") sets it beside the other three.
 package qsbr
 
 import (
@@ -27,11 +27,7 @@ type Reclaimer[T any] struct {
 // handle is one thread slot's view (core.ReclaimerHandle).
 type handle[T any] struct {
 	epoch.Limbo[T]
-	// seen is the grace period the thread last rotated its bags for. The
-	// announcement cannot stand in for it: LeaveQstate may already have
-	// announced the period EnterQstate then observes.
-	seen int64
-	_    [core.PadBytes]byte
+	_ [core.PadBytes]byte
 }
 
 // New creates a QSBR reclaimer for n threads; reclaimed records go to sink.
@@ -61,21 +57,25 @@ func (r *Reclaimer[T]) Props() core.Properties {
 }
 
 // LeaveQstate implements core.ReclaimerHandle: come online for the current
-// grace period.
-func (h *handle[T]) LeaveQstate() bool { return h.Announce(h.Epoch()) }
+// grace period and rotate the bags to it. The announcement cannot tell
+// whether the period is new to the bags: EnterQstate announces the period it
+// observes, and the rotation belongs with the announcement an operation
+// retires under.
+func (h *handle[T]) LeaveQstate() bool {
+	e := h.Epoch()
+	fresh := h.Announce(e)
+	h.RotateTo(e)
+	return fresh
+}
 
 // EnterQstate implements core.ReclaimerHandle: announce a quiescent state, go
-// offline so as not to hold up later periods, try to end the current one, and
-// reclaim the oldest bag once per period observed.
+// offline so as not to hold up later periods, and try to end the current one.
+// The bags rotate at the next LeaveQstate.
 func (h *handle[T]) EnterQstate() {
 	g := h.Epoch()
 	h.Quiesce(g)
 	if h.Verify(0, g, epoch.All) == h.PassLen() {
 		h.Advance(g)
-	}
-	if h.seen != g {
-		h.seen = g
-		h.Rotate()
 	}
 }
 

@@ -26,6 +26,9 @@ func TestSharesThePoolsBlocks(t *testing.T)  { reclaimtest.SharesThePoolsBlocks(
 func TestLimboEmptiesAfterThreeEpochs(t *testing.T) {
 	reclaimtest.LimboEmptiesAfterThreeEpochs(t, factory)
 }
+func TestLimboEmptiesAfterTwoEpochs(t *testing.T) {
+	reclaimtest.LimboEmptiesAfterTwoEpochs(t, factory)
+}
 
 func TestSingleThreadReclaims(t *testing.T) {
 	sink := reclaimtest.NewRecordingSink()

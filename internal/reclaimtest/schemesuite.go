@@ -159,13 +159,55 @@ func RetireBlockSplice(t *testing.T, f Factory) {
 	sink.check(t)
 }
 
-// LimboEmptiesAfterThreeEpochs is the bound a rotation that frees the whole
-// oldest bag gives: whatever the size of the tail, nothing a thread retired is
+// LimboEmptiesAfterTwoEpochs is the bound for a retire filed under the
+// epoch it reads (internal/reclaim/epoch, Limbo): a record retired while the
+// epoch still equals the one the thread announced is freed by the thread's
+// first operation boundary once the epoch has advanced twice more, whatever
+// the size of the tail. The factory must not advance the epoch inside the
+// LeaveQstate that begins the retiring operation (a lone DEBRA thread with
+// INCR_THRESH 1 does, which makes every retire late).
+func LimboEmptiesAfterTwoEpochs(t *testing.T, f Factory) {
+	t.Helper()
+	for _, k := range []int{1, blockbag.BlockSize - 1, blockbag.BlockSize + 1} {
+		blocks, records := &BlockSink{}, NewRecordingSink()
+		for _, sink := range []core.FreeSink[Record]{blocks, records} {
+			r := f(1, sink)
+			h := r.Handle(0)
+			start := r.Stats().EpochAdvances
+			h.LeaveQstate()
+			if r.Stats().EpochAdvances != start {
+				t.Fatalf("k=%d: the epoch advanced inside the retiring operation's LeaveQstate", k)
+			}
+			for i := 0; i < k; i++ {
+				h.Retire(&Record{ID: int64(i)})
+			}
+			h.EnterQstate()
+			for ops := 0; r.Stats().EpochAdvances < start+2; ops++ {
+				if ops == 1000 {
+					t.Fatalf("k=%d: epoch stuck after %d operations: %+v", k, ops, r.Stats())
+				}
+				operate(r, 0, 1, 0)
+			}
+			h.LeaveQstate()
+			if s := r.Stats(); s.Limbo != 0 || s.Freed != int64(k) {
+				t.Fatalf("k=%d, %T: two epochs on, stats %+v", k, sink, s)
+			}
+			h.EnterQstate()
+		}
+		if blocks.Freed() != k || records.Freed() != int64(k) {
+			t.Fatalf("k=%d: block sink holds %d records, plain sink %d", k, blocks.Freed(), records.Freed())
+		}
+		blocks.check(t)
+	}
+}
+
+// LimboEmptiesAfterThreeEpochs is the bound a rotation that frees whole bags
+// gives: whatever the size of the tail, nothing a thread retired is
 // left in limbo once the epoch has advanced three times since its retiring
-// operation began — the two of the grace period, and one because the epoch a
-// retire is filed under may be one behind — and the thread has run an
-// operation since. Records reach a block sink in chains and a plain sink one
-// at a time, all of them.
+// operation began — the two of the grace period, and one because the epoch may
+// have advanced under the operation before the retire (a late retire) — and
+// the thread has run an operation since. Records reach a block sink in chains
+// and a plain sink one at a time, all of them.
 func LimboEmptiesAfterThreeEpochs(t *testing.T, f Factory) {
 	t.Helper()
 	for _, k := range []int{1, blockbag.BlockSize - 1, blockbag.BlockSize + 1} {
