@@ -29,10 +29,11 @@ fmt-check:
 vet-reclaim:
 	$(GO) run ./cmd/reclaimvet ./...
 
-## test: full test suite, then the epoch-sharing scheme packages and the bags and pool they free through five times over
+## test: full test suite, then the epoch-sharing scheme packages, the bags and pool they free through, and the hash map five times over
 test:
 	$(GO) test ./...
 	$(GO) test -count=5 ./internal/reclaim/... ./internal/pool ./internal/blockbag
+	$(GO) test -count=5 ./internal/ds/hashmap
 
 ## race: test suite under the race detector (short mode, as in CI), then the epoch machine, the schemes and their shared suite three times over
 race:

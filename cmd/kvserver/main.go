@@ -48,7 +48,7 @@ import (
 func main() {
 	var (
 		addr        = flag.String("addr", "127.0.0.1:7070", "listen address (host:port)")
-		scheme      = flag.String("scheme", recordmgr.SchemeDEBRA, fmt.Sprintf("reclamation scheme: %v (debra+ is refused until its neutralization is sound)", recordmgr.Schemes()))
+		scheme      = flag.String("scheme", recordmgr.SchemeDEBRA, fmt.Sprintf("reclamation scheme: %v (debra+ is refused: the hash map does not take it)", recordmgr.Schemes()))
 		partitions  = flag.Int("partitions", 1, "independent map namespaces, each with its own Record Manager")
 		maxConns    = flag.Int("maxconns", 8, "worker-slot capacity per partition: connections holding a burst concurrently")
 		burst       = flag.Int("burst", 64, "requests a connection serves per slot hold before releasing")

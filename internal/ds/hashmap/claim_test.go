@@ -5,17 +5,29 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"repro/internal/arena"
-	"repro/internal/core"
-	"repro/internal/neutralize"
-	"repro/internal/pool"
-	"repro/internal/reclaim/debraplus"
 	"repro/internal/reclaimtest"
 	"repro/internal/recordmgr"
 )
 
 // epochSchemes are the schemes whose Get is the wait-free walk.
-var epochSchemes = []string{recordmgr.SchemeEBR, recordmgr.SchemeQSBR, recordmgr.SchemeDEBRA, recordmgr.SchemeDEBRAPlus}
+var epochSchemes = []string{recordmgr.SchemeEBR, recordmgr.SchemeQSBR, recordmgr.SchemeDEBRA}
+
+// allSchemes are the schemes New accepts: every scheme but debra+.
+func allSchemes() []string {
+	var out []string
+	for _, s := range recordmgr.Schemes() {
+		if s != recordmgr.SchemeDEBRAPlus {
+			out = append(out, s)
+		}
+	}
+	return out
+}
+
+// The scheme lists, for the package's external tests.
+var (
+	AllSchemes   = allSchemes
+	EpochSchemes = epochSchemes
+)
 
 func buildMap(t *testing.T, scheme string, threads int, opts ...Option) *Map[int64] {
 	t.Helper()
@@ -47,7 +59,7 @@ func keysOfBucket(b, size uint64, from int64, n int) []int64 {
 // and when slot 2 finally runs an operation it finds its claim and finishes
 // the splice.
 func TestClaimParkedClaimer(t *testing.T) {
-	for _, scheme := range recordmgr.Schemes() {
+	for _, scheme := range allSchemes() {
 		t.Run(scheme, func(t *testing.T) {
 			m := buildMap(t, scheme, 3, WithInitialBuckets(4), WithMaxLoad(1), WithMaxBuckets(16))
 			hs := reclaimtest.AcquireSlots(3, m.AcquireHandle)
@@ -179,19 +191,6 @@ func TestClaimRestartHP(t *testing.T) {
 	})
 }
 
-// TestClaimRestartNeutralized: the claimer is neutralized mid-splice and its
-// recovery re-runs the body.
-func TestClaimRestartNeutralized(t *testing.T) {
-	type rec = Node[int64]
-	const n = 2
-	alloc := arena.NewBump[rec](n, 0)
-	pl := pool.New[rec](n, alloc)
-	dom := neutralize.NewDomain(n)
-	mgr := core.NewRecordManager[rec](alloc, pl, debraplus.New[rec](n, pl, debraplus.WithDomain(dom)))
-	m := New[int64](mgr, n, WithInitialBuckets(2), WithMaxBuckets(2))
-	claimRestart(t, m, reclaimtest.AcquireSlots(n, m.AcquireHandle), func(*Node[int64]) { dom.Signal(0) })
-}
-
 // unlinkFixture is a one-bucket map, a victim in the middle of its chain, and
 // a visit hook that — once, just before slot 0's mark CAS on the victim —
 // has slot 1 insert a key directly in front of it. The mark then succeeds and
@@ -233,7 +232,7 @@ func unlinkFixture(t *testing.T, scheme string) (m *Map[int64], hs []*Handle[int
 // TestUnlinkBeforeDeleteReturns: a Delete whose own unlink CAS lost does not
 // return while its victim is still on the list.
 func TestUnlinkBeforeDeleteReturns(t *testing.T) {
-	for _, scheme := range recordmgr.Schemes() {
+	for _, scheme := range allSchemes() {
 		t.Run(scheme, func(t *testing.T) {
 			m, hs, victim, fired := unlinkFixture(t, scheme)
 			if !hs[0].Delete(victim) {
@@ -260,7 +259,7 @@ func TestUnlinkBeforeDeleteReturns(t *testing.T) {
 // does not return while the old node is still on the list, and leaves the new
 // value.
 func TestUnlinkBeforeUpsertReturns(t *testing.T) {
-	for _, scheme := range recordmgr.Schemes() {
+	for _, scheme := range allSchemes() {
 		t.Run(scheme, func(t *testing.T) {
 			m, hs, victim, fired := unlinkFixture(t, scheme)
 			old := nodeOf(m, victim)
@@ -305,7 +304,7 @@ func TestUnlinkReplacedNodeFirst(t *testing.T) {
 			return replaced && prev == -1
 		}, 7, true},
 	}
-	for _, scheme := range recordmgr.Schemes() {
+	for _, scheme := range allSchemes() {
 		for _, op := range ops {
 			t.Run(scheme+"/"+op.name, func(t *testing.T) {
 				m, hs := oneBucketMap(t, scheme, 1)
@@ -341,7 +340,7 @@ func TestUnlinkReplacedNodeFirst(t *testing.T) {
 // the lost CAS, the postamble's find and the unlink — and must find the old
 // value or the new one every time.
 func TestOverwriteNeverAbsent(t *testing.T) {
-	for _, scheme := range recordmgr.Schemes() {
+	for _, scheme := range allSchemes() {
 		t.Run(scheme, func(t *testing.T) {
 			m, hs, victim, fired := unlinkFixture(t, scheme)
 			wedge := m.visit
@@ -386,7 +385,7 @@ func TestOverwriteNeverAbsentConcurrent(t *testing.T) {
 	if testing.Short() {
 		iters = 4000
 	}
-	for _, scheme := range recordmgr.Schemes() {
+	for _, scheme := range allSchemes() {
 		t.Run(scheme, func(t *testing.T) {
 			m, hs := oneBucketMap(t, scheme, 3)
 			keys := chain(m)

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/reclaimtest"
-	"repro/internal/recordmgr"
 )
 
 // oneBucketMap builds a map that keeps every key in bucket 0's chain, so a
@@ -72,7 +71,7 @@ func replaceOnly(m *Map[int64], h *Handle[int64], key, v int64) (old, repl *Node
 // and returns the new value. Validate rejects the pair, and accepts the list
 // once a mutating traversal has passed.
 func TestGetOnReplacedNode(t *testing.T) {
-	for _, scheme := range recordmgr.Schemes() {
+	for _, scheme := range allSchemes() {
 		t.Run(scheme, func(t *testing.T) {
 			m, hs := oneBucketMap(t, scheme, 1)
 			victim := chain(m)[3]
@@ -128,7 +127,7 @@ func TestGetOnReplacedNode(t *testing.T) {
 // the helping find, which unlinks the pair on its way and so reads absent.
 // Either way the next mutating traversal leaves the list whole.
 func TestGetOnMarkedNode(t *testing.T) {
-	for _, scheme := range recordmgr.Schemes() {
+	for _, scheme := range allSchemes() {
 		t.Run(scheme, func(t *testing.T) {
 			m, hs := oneBucketMap(t, scheme, 1)
 			victim := chain(m)[3]

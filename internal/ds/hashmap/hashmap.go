@@ -4,8 +4,11 @@
 // incremental resizing. It is the first data structure of this module that
 // is not part of the paper's own evaluation, added to demonstrate that the
 // Record Manager generalises beyond the paper's benchmarks: the map is
-// programmed once against core.RecordManager and every reclamation scheme in
-// the module (none, ebr, qsbr, debra, debra+, hp) drops in unchanged.
+// programmed once against core.RecordManager, and none, ebr, qsbr, debra and
+// hp drop in unchanged. New refuses debra+: a neutralized operation keeps
+// running until its next checkpoint, so sound recovery would have to reserve
+// every record the operation may CAS before then (as the BST's does), and
+// the map has no recovery code.
 //
 // Reclamation-relevant structure:
 //
@@ -28,12 +31,6 @@
 //     bucket head straight through marked and retired nodes without a CAS
 //     and stops at the node it was looking for (lookup), which is what an
 //     epoch announcement buys a search.
-//   - Under DEBRA+ (SupportsCrashRecovery) every operation body is wrapped
-//     in a neutralization recovery: allocation happens in a quiescent
-//     preamble, the result of every CAS that takes hold is captured in a
-//     local before any further checkpoint, and recovery inspects only that
-//     local state — it never touches shared records, so it needs no recovery
-//     protections.
 //
 // Resizing is incremental and lock-free: the bucket directory is a two-level
 // table of segments, growing the table publishes the next segment and then
@@ -137,7 +134,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/core"
-	"repro/internal/neutralize"
 )
 
 // maxSegments bounds the segment directory. Segment p holds the buckets
@@ -284,9 +280,8 @@ type Map[V any] struct {
 	handles  []Handle[V]
 
 	// perRecord caches whether the reclaimer needs Protect/validate per
-	// record; crashRecovery caches whether bodies can be neutralized.
-	perRecord     bool
-	crashRecovery bool
+	// record.
+	perRecord bool
 
 	// visit, when non-nil, is called for every node a traversal has made
 	// safe to access (set before concurrent use; see SetVisitHook).
@@ -307,13 +302,17 @@ type Map[V any] struct {
 // New creates an empty map whose records are managed by mgr, for the given
 // number of worker threads. When the manager has more worker slots than
 // threads (recordmgr.Config.MaxThreads), the per-slot tables cover every
-// slot.
+// slot. It panics on a neutralizing reclaimer (DEBRA+; see the package
+// comment).
 func New[V any](mgr *Manager[V], threads int, opts ...Option) *Map[V] {
 	if mgr == nil {
 		panic("hashmap: New requires a RecordManager")
 	}
 	if threads <= 0 {
 		panic("hashmap: New requires threads >= 1")
+	}
+	if mgr.SupportsCrashRecovery() {
+		panic("hashmap: operations have no neutralization recovery, so a neutralizing reclaimer (DEBRA+) cannot be used; use DEBRA or HP")
 	}
 	if ws := mgr.WorkerSlots(); ws > threads {
 		threads = ws
@@ -333,12 +332,11 @@ func New[V any](mgr *Manager[V], threads int, opts ...Option) *Map[V] {
 		cfg.maxBuckets = 1 << (maxSegments - 1)
 	}
 	h := &Map[V]{
-		mgr:           mgr,
-		maxLoad:       cfg.maxLoad,
-		maxBuckets:    cfg.maxBuckets,
-		spares:        make([]spareSlot[V], threads),
-		perRecord:     mgr.NeedsPerRecordProtection(),
-		crashRecovery: mgr.SupportsCrashRecovery(),
+		mgr:        mgr,
+		maxLoad:    cfg.maxLoad,
+		maxBuckets: cfg.maxBuckets,
+		spares:     make([]spareSlot[V], threads),
+		perRecord:  mgr.NeedsPerRecordProtection(),
 	}
 	h.head.meta.Store(kindDummy)
 	for p := 0; 1<<p < cfg.initialBuckets; p++ {
@@ -454,10 +452,7 @@ func (h *Map[V]) Count() int { return int(h.count.Load()) }
 // It exists for the reclaimtest safety harness, which uses it to assert that
 // no traversal ever observes a freed record. It must be set before any
 // concurrent use of the map and costs one predictable branch per visited
-// node when unset. Note for neutralizing schemes (DEBRA+): a visit made
-// while the thread has a neutralization signal pending belongs to a doomed
-// attempt whose observations are discarded, and the hook must account for
-// that (see the scheme's Domain.Pending).
+// node when unset.
 func (h *Map[V]) SetVisitHook(fn func(tid int, n *Node[V])) { h.visit = fn }
 
 func (h *Map[V]) observe(tid int, n *Node[V]) {
@@ -529,7 +524,6 @@ func (h *Map[V]) linkHead(hd *Handle[V], b uint64, d *Node[V]) (*Node[V], bool) 
 				continue
 			}
 		}
-		// No checkpoint between the splice and this store.
 		d.meta.Store(kindDummy)
 		h.releasePos(hd, pos)
 		hd.st.dummies.Inc()
@@ -552,7 +546,7 @@ func (h *Map[V]) startBucket(hd *Handle[V], hash uint64) (*Node[V], bool) {
 // and every insert that sees the load exceeded would otherwise make one and
 // all but the first throw theirs away — and the others do not wait for it:
 // they leave the doubling to a later insert. Touches no records, so it is
-// safe to call at any point of an operation (including recovery).
+// safe to call at any point of an operation.
 func (h *Map[V]) maybeGrow(hd *Handle[V]) {
 	size := h.size.Load()
 	full := h.maxLoad * int64(size)
@@ -633,7 +627,6 @@ func (h *Map[V]) find(hd *Handle[V], start *Node[V], sokey uint64, rank int) (fi
 		}
 	}
 	for {
-		rm.Checkpoint()
 		if curr == nil {
 			return pos, true
 		}
@@ -769,9 +762,7 @@ func (hd *Handle[V]) Insert(key int64, value V) bool {
 // bijection, and the keyed operations below all take the hash alone.
 func (hd *Handle[V]) insertHashed(hash uint64, value V) bool {
 	h := hd.h
-	// Quiescent preamble: obtain the node the body may publish. Allocation
-	// is not re-entrant, so it must not happen inside the body (which can be
-	// neutralized and re-run).
+	// Quiescent preamble: obtain the node the body may publish.
 	node := hd.scratch()
 	for {
 		switch h.insertBody(hd, hash, value, node) {
@@ -786,22 +777,10 @@ func (hd *Handle[V]) insertHashed(hash uint64, value V) bool {
 	}
 }
 
-// insertBody is one execution of the insert body. The linearizing CAS result
-// is captured in published before EnterQstate (which can deliver a pending
-// neutralization), so recovery decides retry-vs-success from local state
-// alone and never touches shared records.
-func (h *Map[V]) insertBody(hd *Handle[V], hash uint64, value V, node *Node[V]) (outcome int) {
+// insertBody is one execution of the insert body; the CAS that links node is
+// the insert's linearization point.
+func (h *Map[V]) insertBody(hd *Handle[V], hash uint64, value V, node *Node[V]) int {
 	rm := hd.rm
-	published := false
-	if h.crashRecovery {
-		defer neutralize.OnNeutralized(hd.rm, func(neutralize.Neutralized) {
-			if published {
-				outcome = opTrue
-			} else {
-				outcome = opRetry
-			}
-		})
-	}
 	rm.LeaveQstate()
 	sokey := regularSoKey(hash)
 	start, ok := h.startBucket(hd, hash)
@@ -821,7 +800,6 @@ func (h *Map[V]) insertBody(hd *Handle[V], hash uint64, value V, node *Node[V]) 
 	}
 	initRegular(node, value, sokey, pos.curr)
 	if pos.pred.next.CompareAndSwap(pos.curr, node) {
-		published = true
 		h.count.Add(1)
 		h.maybeGrow(hd)
 		rm.EnterQstate()
@@ -863,11 +841,10 @@ func (hd *Handle[V]) deleteHashed(hash uint64) bool {
 }
 
 // awaitUnlink is the quiescent postamble of an update that marked a node but
-// did not unlink it (its own unlink CAS lost, or the body was neutralized
-// after the mark). The update takes effect when the node leaves the list, so
-// it may not return before that, and one find to the key's position is
-// enough: a find that completes has unlinked every marked node on its way,
-// and whoever unlinks the node retires it.
+// did not unlink it (its own unlink CAS lost). The update takes effect when
+// the node leaves the list, so it may not return before that, and one find to
+// the key's position is enough: a find that completes has unlinked every
+// marked node on its way, and whoever unlinks the node retires it.
 func (hd *Handle[V]) awaitUnlink(hash uint64) {
 	for {
 		if _, _, done := hd.h.findBody(hd, hash, nil); done {
@@ -878,20 +855,12 @@ func (hd *Handle[V]) awaitUnlink(hash uint64) {
 }
 
 // deleteBody is one execution of the delete body. The marker CAS on the
-// victim's next field decides which Delete owns the removal; its result is
-// captured in took before any further checkpoint, so neutralization recovery
-// never has to guess whether the delete took hold. The removal linearizes at
-// the victim's unlink, which the caller sees through; unlinked is the victim
-// when this body's own unlink CAS won.
+// victim's next field decides which Delete owns the removal. The removal
+// linearizes at the victim's unlink, which the caller sees through; unlinked
+// is the victim when this body's own unlink CAS won.
 func (h *Map[V]) deleteBody(hd *Handle[V], hash uint64, marker *Node[V]) (outcome int, unlinked *Node[V]) {
 	rm := hd.rm
-	took := opRetry
-	if h.crashRecovery {
-		defer neutralize.OnNeutralized(hd.rm, func(neutralize.Neutralized) {
-			// unlinked (set before EnterQstate) rides the named return.
-			outcome = took
-		})
-	}
+	outcome = opRetry
 	rm.LeaveQstate()
 	sokey := regularSoKey(hash)
 	start, ok := h.startBucket(hd, hash)
@@ -916,7 +885,7 @@ func (h *Map[V]) deleteBody(hd *Handle[V], hash uint64, marker *Node[V]) (outcom
 			// failure the postamble's find will, unless a helper gets there
 			// first (helping is cheap here — unlinking needs no descriptor,
 			// just the pair itself).
-			took = opTrue
+			outcome = opTrue
 			h.count.Add(-1)
 			if pos.pred.next.CompareAndSwap(n, pos.next) {
 				unlinked = n
@@ -926,7 +895,7 @@ func (h *Map[V]) deleteBody(hd *Handle[V], hash uint64, marker *Node[V]) (outcom
 	}
 	rm.EnterQstate()
 	h.releasePos(hd, pos)
-	return took, unlinked
+	return outcome, unlinked
 }
 
 // liveNext reads the next field of pos.curr, the node an update found at its
@@ -1015,18 +984,10 @@ func (hd *Handle[V]) upsertHashed(hash uint64, value V, fill func(V) V) (V, bool
 // upsertBody is one execution of the upsert body: opFalse when the key was
 // absent and node was spliced in, opTrue when node marked the key's node as
 // its replacement, unlinked being the old node when this body's own unlink
-// CAS won. Either CAS that decides the outcome is captured in took before any
-// further checkpoint, so neutralization recovery reconstructs the outcome
-// from local state alone, exactly as in insertBody/deleteBody.
+// CAS won.
 func (h *Map[V]) upsertBody(hd *Handle[V], hash uint64, value V, node *Node[V]) (outcome int, prevVal V, unlinked *Node[V]) {
 	rm := hd.rm
-	took := opRetry
-	if h.crashRecovery {
-		defer neutralize.OnNeutralized(hd.rm, func(neutralize.Neutralized) {
-			// unlinked (set before EnterQstate) rides the named return.
-			outcome = took
-		})
-	}
+	outcome = opRetry
 	rm.LeaveQstate()
 	sokey := regularSoKey(hash)
 	start, ok := h.startBucket(hd, hash)
@@ -1043,7 +1004,7 @@ func (h *Map[V]) upsertBody(hd *Handle[V], hash uint64, value V, node *Node[V]) 
 		// Absent: plain insert (cf. insertBody).
 		initRegular(node, value, sokey, pos.curr)
 		if pos.pred.next.CompareAndSwap(pos.curr, node) {
-			took = opFalse
+			outcome = opFalse
 			h.count.Add(1)
 			h.maybeGrow(hd)
 		}
@@ -1054,7 +1015,7 @@ func (h *Map[V]) upsertBody(hd *Handle[V], hash uint64, value V, node *Node[V]) 
 		prevVal = n.value
 		initRegular(node, value, sokey, pos.next)
 		if n.next.CompareAndSwap(pos.next, node) {
-			took = opTrue
+			outcome = opTrue
 			if pos.pred.next.CompareAndSwap(n, node) {
 				unlinked = n
 				hd.st.unlinks.Inc()
@@ -1063,7 +1024,7 @@ func (h *Map[V]) upsertBody(hd *Handle[V], hash uint64, value V, node *Node[V]) 
 	}
 	rm.EnterQstate()
 	h.releasePos(hd, pos)
-	return took, prevVal, unlinked
+	return outcome, prevVal, unlinked
 }
 
 // Get returns the value associated with key and whether it is present.
@@ -1072,9 +1033,8 @@ func (hd *Handle[V]) Get(key int64) (V, bool) { return hd.getHashed(hashOf(key),
 // View calls fn with key's value while the node holding it is still
 // protected, and reports whether the key was present; fn is not called for
 // an absent key. It is the read of a map whose storage UpsertFunc recycles:
-// the value is only valid during the call, so fn copies out what it needs. A
-// neutralized attempt (DEBRA+) is retried, so fn may run more than once per
-// View and must let the last call win.
+// the value is only valid during the call, so fn copies out what it needs.
+// fn runs at most once per View.
 func (hd *Handle[V]) View(key int64, fn func(V)) bool {
 	_, ok := hd.getHashed(hashOf(key), fn)
 	return ok
@@ -1100,26 +1060,18 @@ func (hd *Handle[V]) getHashed(hash uint64, fn func(V)) (V, bool) {
 }
 
 // lookupBody is one attempt of Get under the epoch schemes. done=false means
-// restart (the bucket's first touch lost a CAS, or the attempt was
-// neutralized; read-only recovery is trivially discard-and-retry). It is kept
-// apart from findBody, whose preamble it shares: folded into one function the
-// read path measured 3 % slower on map_read_mostly.
+// restart (the bucket's first touch lost a CAS). It is kept apart from
+// findBody, whose preamble it shares: folded into one function the read path
+// measured 3 % slower on map_read_mostly.
 func (h *Map[V]) lookupBody(hd *Handle[V], hash uint64, fn func(V)) (val V, found, done bool) {
 	rm := hd.rm
-	if h.crashRecovery {
-		defer neutralize.OnNeutralized(hd.rm, func(neutralize.Neutralized) {
-			var zero V
-			val, found, done = zero, false, false
-		})
-	}
 	rm.LeaveQstate()
 	start, ok := h.startBucket(hd, hash)
 	if !ok {
 		rm.EnterQstate()
 		return val, false, false
 	}
-	// Read the value while the node is still safe to access, before
-	// EnterQstate can deliver a neutralization that would invalidate it.
+	// Read the value while the node is still safe to access.
 	if n := h.lookup(hd, start, regularSoKey(hash)); n != nil {
 		val, found = n.value, true
 		if fn != nil {
@@ -1132,16 +1084,10 @@ func (h *Map[V]) lookupBody(hd *Handle[V], hash uint64, fn func(V)) (val V, foun
 
 // findBody is one find to key's position: Get under per-record protection,
 // and the pass an update makes to see the node it marked unlinked. done=false means
-// restart (a protection validation or an unlink CAS failed, or the attempt
-// was neutralized). fn, when non-nil, sees the value of a found node.
+// restart (a protection validation or an unlink CAS failed). fn, when
+// non-nil, sees the value of a found node.
 func (h *Map[V]) findBody(hd *Handle[V], hash uint64, fn func(V)) (val V, found, done bool) {
 	rm := hd.rm
-	if h.crashRecovery {
-		defer neutralize.OnNeutralized(hd.rm, func(neutralize.Neutralized) {
-			var zero V
-			val, found, done = zero, false, false
-		})
-	}
 	rm.LeaveQstate()
 	start, ok := h.startBucket(hd, hash)
 	if !ok {
@@ -1182,9 +1128,7 @@ func (h *Map[V]) findBody(hd *Handle[V], hash uint64, fn func(V)) (val V, found,
 // record, validated against the link it was read from, and a link out of a
 // marked node proves nothing about its target.
 func (h *Map[V]) lookup(hd *Handle[V], start *Node[V], sokey uint64) *Node[V] {
-	rm := hd.rm
 	for curr := start.next.Load(); curr != nil; curr = curr.next.Load() {
-		rm.Checkpoint()
 		h.observe(hd.tid, curr)
 		switch c := curr.cmp(sokey, rankRegular); {
 		case c == 0:

@@ -12,17 +12,13 @@ import (
 	"repro/internal/blockbag"
 	"repro/internal/core"
 	"repro/internal/ds/hashmap"
-	"repro/internal/neutralize"
 	"repro/internal/pool"
-	"repro/internal/raceenabled"
-	"repro/internal/reclaim/debraplus"
-	"repro/internal/reclaim/epoch"
 	"repro/internal/reclaim/hp"
 	"repro/internal/reclaimtest"
 	"repro/internal/recordmgr"
 )
 
-func allSchemes() []string { return recordmgr.Schemes() }
+var allSchemes = hashmap.AllSchemes
 
 // newMap builds a map for the named scheme with a bump allocator and pool.
 func newMap(t testing.TB, scheme string, threads int, opts ...hashmap.Option) *hashmap.Map[int64] {
@@ -299,25 +295,19 @@ func acquireMapWorker(m *hashmap.Map[int64]) func() reclaimtest.Worker {
 
 // poisonedMapFactory builds a map whose pool poisons freed records and whose
 // visit hook counts observations of poisoned records, for the given
-// reclaimer constructor. The neutralization domain is created here and
-// handed to the constructor so the hook can discard observations made with a
-// signal pending: those belong to a doomed DEBRA+ attempt whose results are
-// thrown away, the same discard rule the raw-reclaimer Stress applies (for
-// non-neutralizing schemes Pending is always false and every observation
-// counts).
-func poisonedMapFactory(newReclaimer func(n int, sink core.FreeSink[hashmap.Node[int64]], dom *neutralize.Domain) core.Reclaimer[hashmap.Node[int64]]) reclaimtest.SetFactory {
+// reclaimer constructor.
+func poisonedMapFactory(newReclaimer func(n int, sink core.FreeSink[hashmap.Node[int64]]) core.Reclaimer[hashmap.Node[int64]]) reclaimtest.SetFactory {
 	return poisonedBatchedMapFactory(0, newReclaimer)
 }
 
 // poisonedBatchedMapFactory additionally enables the Record Manager's
 // deferred-retire batching with the given batch size (0 = direct retirement).
-func poisonedBatchedMapFactory(batch int, newReclaimer func(n int, sink core.FreeSink[hashmap.Node[int64]], dom *neutralize.Domain) core.Reclaimer[hashmap.Node[int64]]) reclaimtest.SetFactory {
+func poisonedBatchedMapFactory(batch int, newReclaimer func(n int, sink core.FreeSink[hashmap.Node[int64]]) core.Reclaimer[hashmap.Node[int64]]) reclaimtest.SetFactory {
 	return func(n int) reclaimtest.SetUnderTest {
 		type rec = hashmap.Node[int64]
 		alloc := arena.NewBump[rec](n, 0)
 		pp := reclaimtest.NewPoisonPool[rec, *rec](pool.New[rec](n, alloc))
-		dom := neutralize.NewDomain(n)
-		rcl := newReclaimer(n, pp, dom)
+		rcl := newReclaimer(n, pp)
 		var mopts []core.ManagerOption
 		if batch > 0 {
 			mopts = append(mopts, core.WithRetireBatching(n, batch))
@@ -327,8 +317,8 @@ func poisonedBatchedMapFactory(batch int, newReclaimer func(n int, sink core.Fre
 		// incremental resizing and dummy splicing, not just list churn.
 		m := hashmap.New[int64](mgr, n, hashmap.WithInitialBuckets(2), hashmap.WithMaxLoad(2))
 		var violations atomic.Int64
-		m.SetVisitHook(func(tid int, nd *hashmap.Node[int64]) {
-			if nd.IsPoisoned() && !dom.Pending(tid) {
+		m.SetVisitHook(func(_ int, nd *hashmap.Node[int64]) {
+			if nd.IsPoisoned() {
 				violations.Add(1)
 			}
 		})
@@ -354,14 +344,13 @@ func poisonedChurnMapFactory(t *testing.T, scheme string) reclaimtest.SetFactory
 		slots := n + 2
 		alloc := arena.NewBump[rec](slots, 0)
 		pp := reclaimtest.NewPoisonPool[rec, *rec](pool.New[rec](slots, alloc))
-		dom := neutralize.NewDomain(slots)
-		rcl := named(t, scheme)(slots, pp, dom)
+		rcl := named(t, scheme)(slots, pp)
 		mgr := core.NewRecordManager[rec](alloc, pp, rcl,
 			core.WithRetireBatching(slots, 32))
 		m := hashmap.New[int64](mgr, slots, hashmap.WithInitialBuckets(2), hashmap.WithMaxLoad(2))
 		var violations atomic.Int64
-		m.SetVisitHook(func(tid int, nd *hashmap.Node[int64]) {
-			if nd.IsPoisoned() && !dom.Pending(tid) {
+		m.SetVisitHook(func(_ int, nd *hashmap.Node[int64]) {
+			if nd.IsPoisoned() {
 				violations.Add(1)
 			}
 		})
@@ -401,9 +390,9 @@ func TestStressSlotChurn(t *testing.T) {
 
 // named returns the constructor of the named scheme in the shape the poisoned
 // factories take.
-func named(t *testing.T, scheme string) func(n int, sink core.FreeSink[hashmap.Node[int64]], dom *neutralize.Domain) core.Reclaimer[hashmap.Node[int64]] {
-	return func(n int, sink core.FreeSink[hashmap.Node[int64]], dom *neutralize.Domain) core.Reclaimer[hashmap.Node[int64]] {
-		rcl, err := recordmgr.NewReclaimer[hashmap.Node[int64]](scheme, n, sink, dom)
+func named(t *testing.T, scheme string) func(n int, sink core.FreeSink[hashmap.Node[int64]]) core.Reclaimer[hashmap.Node[int64]] {
+	return func(n int, sink core.FreeSink[hashmap.Node[int64]]) core.Reclaimer[hashmap.Node[int64]] {
+		rcl, err := recordmgr.NewReclaimer[hashmap.Node[int64]](scheme, n, sink, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -411,9 +400,9 @@ func named(t *testing.T, scheme string) func(n int, sink core.FreeSink[hashmap.N
 	}
 }
 
-// TestStressAllSchemes runs the poison-sink safety stress under all six
-// reclamation schemes: the tentpole claim of this data structure is that
-// every scheme drops in unchanged.
+// TestStressAllSchemes runs the poison-sink safety stress under every scheme
+// the map accepts: the claim of this data structure is that each drops in
+// unchanged.
 func TestStressAllSchemes(t *testing.T) {
 	for _, scheme := range allSchemes() {
 		t.Run(reclaimtest.StressName(scheme), func(t *testing.T) {
@@ -428,7 +417,7 @@ func TestStressAllSchemes(t *testing.T) {
 // stream of deletes, and its per-hop visit hook fails the test if any of
 // them was already freed. Small enough for `go test -race -short`.
 func TestStressWaitFreeGet(t *testing.T) {
-	for _, scheme := range []string{recordmgr.SchemeEBR, recordmgr.SchemeQSBR, recordmgr.SchemeDEBRA, recordmgr.SchemeDEBRAPlus} {
+	for _, scheme := range hashmap.EpochSchemes {
 		t.Run(scheme, func(t *testing.T) {
 			factory := poisonedMapFactory(named(t, scheme))
 			opts := reclaimtest.DefaultSetStressOptions()
@@ -455,43 +444,11 @@ func TestStressBatchedRetirement(t *testing.T) {
 	}
 }
 
-// TestStressAggressiveDebraPlus tunes DEBRA+ so epochs advance and
-// neutralization fires as often as possible, exercising the recovery paths
-// (retry-on-neutralize, publish-before-EnterQstate capture) rather than only
-// the happy path.
-func TestStressAggressiveDebraPlus(t *testing.T) {
-	if raceenabled.Enabled {
-		// Forced neutralization is not race-detector clean: a doomed
-		// (signal-pending) operation may read records being re-initialised
-		// after recycling, an artifact of simulating asynchronous signals
-		// cooperatively (see the note in recordmgr.NewReclaimer).
-		t.Skip("skipping forced-neutralization test under the race detector")
-	}
-	type rec = hashmap.Node[int64]
-	var rcl *debraplus.Reclaimer[rec]
-	factory := poisonedMapFactory(func(n int, sink core.FreeSink[rec], dom *neutralize.Domain) core.Reclaimer[rec] {
-		rcl = debraplus.New[rec](n, sink,
-			debraplus.WithDomain(dom),
-			epoch.WithCheckThresh(1),
-			epoch.WithIncrThresh(1),
-			debraplus.WithSuspectThresholdBlocks(1),
-			debraplus.WithScanThresholdBlocks(1),
-		)
-		return rcl
-	})
-	opts := reclaimtest.DefaultSetStressOptions()
-	opts.Duration = 300 * time.Millisecond
-	reclaimtest.StressSet(t, factory, opts)
-	if rcl.Stats().Neutralizations == 0 {
-		t.Log("warning: aggressive DEBRA+ stress saw no neutralizations (timing dependent)")
-	}
-}
-
 // TestStressAggressiveHP shrinks the HP retire threshold so hazard pointer
 // scans (and frees behind unprotected readers) happen constantly.
 func TestStressAggressiveHP(t *testing.T) {
 	type rec = hashmap.Node[int64]
-	factory := poisonedMapFactory(func(n int, sink core.FreeSink[rec], dom *neutralize.Domain) core.Reclaimer[rec] {
+	factory := poisonedMapFactory(func(n int, sink core.FreeSink[rec]) core.Reclaimer[rec] {
 		return hp.New[rec](n, sink, hp.WithRetireThreshold(32))
 	})
 	opts := reclaimtest.DefaultSetStressOptions()
@@ -725,6 +682,10 @@ func TestNewPanics(t *testing.T) {
 	if !panics(func() { hashmap.New(mgr, 0) }) {
 		t.Fatal("New with 0 threads did not panic")
 	}
+	plus := recordmgr.MustBuild[hashmap.Node[int64]](recordmgr.Config{Scheme: recordmgr.SchemeDEBRAPlus, Threads: 1})
+	if !panics(func() { hashmap.New(plus, 1) }) {
+		t.Fatal("New accepted a debra+ manager")
+	}
 }
 
 func panics(fn func()) (p bool) {
@@ -733,8 +694,9 @@ func panics(fn func()) (p bool) {
 	return false
 }
 
-// BenchmarkMapSequential is a quick single-thread sanity benchmark; the real
-// panels live in the repo-level bench_test.go.
+// BenchmarkMapSequential is a quick single-thread sanity benchmark; the
+// map's end-to-end workload is the benchmark's map_read_mostly
+// (benchmark/README.md).
 func BenchmarkMapSequential(b *testing.B) {
 	for _, scheme := range allSchemes() {
 		b.Run(scheme, func(b *testing.B) {

@@ -59,9 +59,9 @@ func TestUpsertFuncFill(t *testing.T) {
 	}
 }
 
-// TestViewSkipsAbsentKeys: View calls fn exactly when the key is present —
-// not for a key never inserted, one that falls between present neighbours,
-// or one deleted.
+// TestViewSkipsAbsentKeys: View calls fn exactly when the key is present, and
+// then once — not for a key never inserted, one that falls between present
+// neighbours, or one deleted.
 func TestViewSkipsAbsentKeys(t *testing.T) {
 	for _, scheme := range allSchemes() {
 		t.Run(scheme, func(t *testing.T) {
@@ -83,8 +83,12 @@ func TestViewSkipsAbsentKeys(t *testing.T) {
 					continue
 				}
 				var got int64
-				if !hd.View(k, func(v int64) { got = v }) || got != k*10 {
+				calls := 0
+				if !hd.View(k, func(v int64) { got = v; calls++ }) || got != k*10 {
 					t.Fatalf("View(%d) = %d, want %d", k, got, k*10)
+				}
+				if calls != 1 {
+					t.Fatalf("View(%d) called fn %d times, want 1", k, calls)
 				}
 			}
 			hd.Delete(4)

@@ -318,7 +318,6 @@ func (hd *Handle[V]) Insert(key int64, value V) bool {
 				// Wait until the concurrent inserter finishes linking, then
 				// report "already present".
 				for !existing.fullyLinked.Load() {
-					rm.Checkpoint()
 				}
 				rm.EnterQstate()
 				rm.Deallocate(node)

@@ -57,10 +57,8 @@ import (
 // the field defaults applied by New.
 type Config struct {
 	// Scheme is the reclamation scheme every partition uses (recordmgr
-	// scheme names; defaults to "debra"). New refuses debra+: a neutralized
-	// operation keeps running until its next checkpoint, and a GET's copy of
-	// a value can then read the []byte header of a node that was freed and
-	// refilled in the meantime.
+	// scheme names; defaults to "debra"). New refuses debra+, which the
+	// hash map does not take (hashmap.New).
 	Scheme string
 	// Partitions is the number of independent map namespaces, each with its
 	// own Record Manager (defaults to 1). Keys route by hash.
@@ -247,7 +245,7 @@ func New(cfg Config) (*Server, error) {
 		return nil, fmt.Errorf("kvservice: AcquireQueue must be >= 1, got %d", cfg.AcquireQueue)
 	}
 	if cfg.Scheme == recordmgr.SchemeDEBRAPlus {
-		return nil, fmt.Errorf("kvservice: scheme %s is refused: neutralization is not sound for stored values", cfg.Scheme)
+		return nil, fmt.Errorf("kvservice: scheme %s is refused: the hash map has no neutralization recovery", cfg.Scheme)
 	}
 	// Build every partition's manager up front so configuration errors
 	// surface as errors rather than panics out of the builder callback.
@@ -707,8 +705,7 @@ func (cs *connState) executeOne(hd *hashmap.Handle[[]byte], req kvwire.Request, 
 	case kvwire.OpGet:
 		local.gets++
 		lo := len(cs.vals)
-		// Truncating to lo first makes a retried (neutralized) read idempotent.
-		if !hd.View(req.Key, func(v []byte) { cs.vals = append(cs.vals[:lo], v...) }) {
+		if !hd.View(req.Key, func(v []byte) { cs.vals = append(cs.vals, v...) }) {
 			return cs.body(kvwire.StatusNotFound)
 		}
 		local.getHits++
@@ -850,16 +847,15 @@ type Snapshot struct {
 // ManagerSnapshot is the reclamation half of a Snapshot, summed over the
 // partitions' Record Managers.
 type ManagerSnapshot struct {
-	Retired         int64 `json:"retired"`
-	Freed           int64 `json:"freed"`
-	Limbo           int64 `json:"limbo"`
-	Unreclaimed     int64 `json:"unreclaimed"`
-	EpochAdvances   int64 `json:"epoch_advances"`
-	Scans           int64 `json:"scans"`
-	Neutralizations int64 `json:"neutralizations"`
-	Allocated       int64 `json:"allocated"`
-	AllocatedBytes  int64 `json:"allocated_bytes"`
-	PoolReused      int64 `json:"pool_reused"`
+	Retired        int64 `json:"retired"`
+	Freed          int64 `json:"freed"`
+	Limbo          int64 `json:"limbo"`
+	Unreclaimed    int64 `json:"unreclaimed"`
+	EpochAdvances  int64 `json:"epoch_advances"`
+	Scans          int64 `json:"scans"`
+	Allocated      int64 `json:"allocated"`
+	AllocatedBytes int64 `json:"allocated_bytes"`
+	PoolReused     int64 `json:"pool_reused"`
 }
 
 // Stats returns the server's statistics document (same content as a STATS
@@ -905,16 +901,15 @@ func (s *Server) snapshotLocked(inline *tally) Snapshot {
 		Batches:      t.batches,
 		WriteErrors:  t.writeErrs,
 		Manager: ManagerSnapshot{
-			Retired:         ms.Reclaimer.Retired,
-			Freed:           ms.Reclaimer.Freed,
-			Limbo:           ms.Reclaimer.Limbo,
-			Unreclaimed:     ms.Unreclaimed,
-			EpochAdvances:   ms.Reclaimer.EpochAdvances,
-			Scans:           ms.Reclaimer.Scans,
-			Neutralizations: ms.Reclaimer.Neutralizations,
-			Allocated:       ms.Alloc.Allocated,
-			AllocatedBytes:  ms.Alloc.AllocatedBytes,
-			PoolReused:      ms.Pool.Reused,
+			Retired:        ms.Reclaimer.Retired,
+			Freed:          ms.Reclaimer.Freed,
+			Limbo:          ms.Reclaimer.Limbo,
+			Unreclaimed:    ms.Unreclaimed,
+			EpochAdvances:  ms.Reclaimer.EpochAdvances,
+			Scans:          ms.Reclaimer.Scans,
+			Allocated:      ms.Alloc.Allocated,
+			AllocatedBytes: ms.Alloc.AllocatedBytes,
+			PoolReused:     ms.Pool.Reused,
 		},
 	}
 }

@@ -50,8 +50,7 @@ type valueLog struct {
 // length and carries a checksum; one too short for that is a pattern of its
 // key and length, accepted if some PUT sent that length for that key. A band
 // of further keys is only ever overwritten: once a PUT of one has been
-// answered, every later GET of it must find a value. debra+ joins once ROADMAP
-// item 1 lands.
+// answered, every later GET of it must find a value.
 func TestStressValueIntegrity(t *testing.T) {
 	windows := 1000
 	if testing.Short() {
