@@ -18,10 +18,8 @@
 package analysistest
 
 import (
-	"fmt"
 	"regexp"
 	"strconv"
-	"strings"
 	"testing"
 
 	"repro/internal/analysis"
@@ -126,13 +124,3 @@ func checkUnit(t *testing.T, u *analysis.Unit, diags []analysis.Diagnostic) {
 // Dir returns the conventional testdata module location for an analyzer
 // test living at internal/analysis/passes/<name>: three levels up.
 func Dir() string { return "../../testdata" }
-
-// Sprint formats diagnostics for debugging golden packages (exported for
-// ad-hoc use in analyzer tests).
-func Sprint(u *analysis.Unit, diags []analysis.Diagnostic) string {
-	var b strings.Builder
-	for _, d := range diags {
-		fmt.Fprintf(&b, "%s: %s: %s\n", u.Fset.Position(d.Pos), d.Analyzer, d.Message)
-	}
-	return b.String()
-}

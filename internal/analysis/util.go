@@ -83,15 +83,6 @@ func NamedOf(t types.Type) *types.Named {
 	return nil
 }
 
-// IsMethodNamed reports whether f is a method called name whose receiver's
-// named type is declared in a package matched by pkgSuffix (PathHasSuffix).
-func IsMethodNamed(f *types.Func, pkgSuffix, recv, name string) bool {
-	if f == nil || f.Name() != name || FuncPkgPath(f) == "" {
-		return false
-	}
-	return PathHasSuffix(FuncPkgPath(f), pkgSuffix) && RecvTypeName(f) == recv
-}
-
 // Terminates reports whether the statement list definitely transfers control
 // away (return, branch, panic, or an if with two terminating arms) — a
 // syntactic approximation, precise enough for the structural dominance walks.

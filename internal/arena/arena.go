@@ -106,9 +106,6 @@ func (b *Bump[T]) Stats() core.AllocStats {
 	return s
 }
 
-// RecordBytes returns the size of one record in bytes.
-func (b *Bump[T]) RecordBytes() int64 { return b.recordBytes }
-
 // Heap is an Allocator that defers to the Go runtime allocator, playing the
 // role of malloc/free in the paper's Experiment 3. Deallocate drops the
 // record (the garbage collector reclaims it once truly unreachable), so

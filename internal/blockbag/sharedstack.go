@@ -18,8 +18,6 @@ import "sync/atomic"
 type SharedStack[T any] struct {
 	top    atomic.Pointer[Block[T]]
 	blocks atomic.Int64 // current number of blocks on the stack
-	pushes atomic.Int64
-	pops   atomic.Int64
 }
 
 // Push adds a detached full block to the shared stack.
@@ -35,7 +33,6 @@ func (s *SharedStack[T]) Push(blk *Block[T]) {
 		blk.next = old
 		if s.top.CompareAndSwap(old, blk) {
 			s.blocks.Add(1)
-			s.pushes.Add(1)
 			return
 		}
 	}
@@ -64,7 +61,6 @@ func (s *SharedStack[T]) PopAll() *Block[T] {
 		n++
 	}
 	s.blocks.Add(-n)
-	s.pops.Add(n)
 	return chain
 }
 
@@ -84,9 +80,3 @@ func (s *SharedStack[T]) Pop() *Block[T] {
 
 // Blocks returns the current number of blocks on the stack.
 func (s *SharedStack[T]) Blocks() int64 { return s.blocks.Load() }
-
-// Pushes returns the total number of blocks ever pushed.
-func (s *SharedStack[T]) Pushes() int64 { return s.pushes.Load() }
-
-// Pops returns the total number of blocks ever popped.
-func (s *SharedStack[T]) Pops() int64 { return s.pops.Load() }

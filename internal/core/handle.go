@@ -51,7 +51,6 @@ type ThreadHandle[T any] struct {
 	alloc  Allocator[T]
 	pinner Reclaimer[T] // the scheme when its retires need a pin, else nil
 
-	perRecord     bool
 	crashRecovery bool
 }
 
@@ -63,7 +62,6 @@ func (m *RecordManager[T]) newHandle(tid int) ThreadHandle[T] {
 		fast:          m.reclaimer.Handle(tid),
 		alloc:         m.alloc,
 		pinner:        m.pinner,
-		perRecord:     m.perRecord,
 		crashRecovery: m.crashRecovery,
 	}
 	if tid < len(m.bufs) {
@@ -140,12 +138,6 @@ func (h *ThreadHandle[T]) Tid() int { return h.tid }
 
 // Manager returns the RecordManager the handle views.
 func (h *ThreadHandle[T]) Manager() *RecordManager[T] { return h.m }
-
-// NeedsPerRecordProtection mirrors RecordManager.NeedsPerRecordProtection.
-func (h *ThreadHandle[T]) NeedsPerRecordProtection() bool { return h.perRecord }
-
-// SupportsCrashRecovery mirrors RecordManager.SupportsCrashRecovery.
-func (h *ThreadHandle[T]) SupportsCrashRecovery() bool { return h.crashRecovery }
 
 // LeaveQstate marks the start of an operation by the handle's thread.
 func (h *ThreadHandle[T]) LeaveQstate() bool { return h.fast.LeaveQstate() }

@@ -49,8 +49,8 @@ func TestThreadHandleBasics(t *testing.T) {
 	if h.Tid() != 1 || h.Manager() != m {
 		t.Fatalf("handle identity wrong: tid=%d", h.Tid())
 	}
-	if h.NeedsPerRecordProtection() || h.SupportsCrashRecovery() {
-		t.Fatal("handle capability caching disagrees with DEBRA")
+	if h.Manager().NeedsPerRecordProtection() || h.Manager().SupportsCrashRecovery() {
+		t.Fatal("manager capabilities disagree with DEBRA")
 	}
 
 	// A full operation through the handle: pin, allocate, retire, unpin.

@@ -70,7 +70,7 @@ func poisonedTreeFactory(t *testing.T, scheme string, batch int) reclaimtest.Set
 // reclamation schemes.
 func TestStressAllSchemes(t *testing.T) {
 	for _, scheme := range recordmgr.Schemes() {
-		t.Run(reclaimtest.StressName(scheme), func(t *testing.T) {
+		t.Run(scheme, func(t *testing.T) {
 			reclaimtest.StressSet(t, poisonedTreeFactory(t, scheme, 0), reclaimtest.DefaultSetStressOptions())
 		})
 	}

@@ -379,7 +379,7 @@ func poisonedChurnMapFactory(t *testing.T, scheme string) reclaimtest.SetFactory
 // under -race in CI.
 func TestStressSlotChurn(t *testing.T) {
 	for _, scheme := range allSchemes() {
-		t.Run(reclaimtest.StressName(scheme), func(t *testing.T) {
+		t.Run(scheme, func(t *testing.T) {
 			opts := reclaimtest.DefaultSetStressOptions()
 			opts.Duration = 100 * time.Millisecond
 			opts.OpsPerSlot = 48
@@ -405,7 +405,7 @@ func named(t *testing.T, scheme string) func(n int, sink core.FreeSink[hashmap.N
 // unchanged.
 func TestStressAllSchemes(t *testing.T) {
 	for _, scheme := range allSchemes() {
-		t.Run(reclaimtest.StressName(scheme), func(t *testing.T) {
+		t.Run(scheme, func(t *testing.T) {
 			reclaimtest.StressSet(t, poisonedMapFactory(named(t, scheme)), reclaimtest.DefaultSetStressOptions())
 		})
 	}

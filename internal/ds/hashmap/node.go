@@ -89,9 +89,6 @@ func (n *Node[V]) Key() int64 { return keyOf(n.sokey) }
 // Value returns the node's value (meaningful for regular nodes only).
 func (n *Node[V]) Value() V { return n.value }
 
-// SplitOrderKey returns the node's split-order key.
-func (n *Node[V]) SplitOrderKey() uint64 { return n.sokey }
-
 func (n *Node[V]) kind() uint32 { return n.meta.Load() & kindMask }
 
 // IsDummy reports whether the node is a bucket sentinel.

@@ -76,7 +76,7 @@ func poisonedListFactory(t *testing.T, scheme string, batch int) reclaimtest.Set
 // supported scheme.
 func TestStressAllSchemes(t *testing.T) {
 	for _, scheme := range stressSchemes() {
-		t.Run(reclaimtest.StressName(scheme), func(t *testing.T) {
+		t.Run(scheme, func(t *testing.T) {
 			reclaimtest.StressSet(t, poisonedListFactory(t, scheme, 0), reclaimtest.DefaultSetStressOptions())
 		})
 	}

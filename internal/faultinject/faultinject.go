@@ -122,9 +122,6 @@ func (a *Armed) Trigger() Trigger { return a.t }
 // Plan.AddDisabled; probes flip them on between measurement phases.
 func (a *Armed) Enable() { a.enabled.Store(true) }
 
-// Disable stops the trigger from firing (crossings are still counted).
-func (a *Armed) Disable() { a.enabled.Store(false) }
-
 // Enabled reports whether the trigger currently fires.
 func (a *Armed) Enabled() bool { return a.enabled.Load() }
 

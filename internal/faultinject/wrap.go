@@ -25,9 +25,6 @@ func Wrap[T any](inner core.Reclaimer[T], plan *Plan) *Reclaimer[T] {
 	return &Reclaimer[T]{Reclaimer: inner, plan: plan}
 }
 
-// Unwrap returns the wrapped scheme.
-func (w *Reclaimer[T]) Unwrap() core.Reclaimer[T] { return w.Reclaimer }
-
 // Plan returns the interposed fault plan.
 func (w *Reclaimer[T]) Plan() *Plan { return w.plan }
 

@@ -1,6 +1,8 @@
 package neutralize
 
 import (
+	"fmt"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -119,4 +121,46 @@ func TestNewDomainValidation(t *testing.T) {
 		}
 	}()
 	NewDomain(0)
+}
+
+// unprotectLog records OnNeutralized's calls to fn and RUnprotectAll in order.
+type unprotectLog struct{ calls []string }
+
+func (l *unprotectLog) RUnprotectAll() { l.calls = append(l.calls, "unprotect") }
+
+func TestOnNeutralized(t *testing.T) {
+	cases := []struct {
+		name      string
+		panicWith any // nil: the body returns normally
+		wantCalls []string
+		rePanics  bool
+	}{
+		{name: "normal return"},
+		{name: "neutralized", panicWith: Neutralized{Tid: 4}, wantCalls: []string{"fn 4", "unprotect"}},
+		{name: "foreign panic", panicWith: "boom", rePanics: true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			log := &unprotectLog{}
+			var rethrown any
+			func() {
+				defer func() { rethrown = recover() }()
+				defer OnNeutralized(log, func(n Neutralized) {
+					log.calls = append(log.calls, fmt.Sprintf("fn %d", n.Tid))
+				})
+				if tc.panicWith != nil {
+					panic(tc.panicWith)
+				}
+			}()
+			if !slices.Equal(log.calls, tc.wantCalls) {
+				t.Fatalf("calls = %q, want %q", log.calls, tc.wantCalls)
+			}
+			if tc.rePanics != (rethrown != nil) {
+				t.Fatalf("re-panicked with %v, want re-panic %v", rethrown, tc.rePanics)
+			}
+			if tc.rePanics && rethrown != tc.panicWith {
+				t.Fatalf("re-panicked with %v, want %v", rethrown, tc.panicWith)
+			}
+		})
+	}
 }

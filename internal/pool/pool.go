@@ -89,18 +89,12 @@ type Option func(*config)
 
 type config struct {
 	maxPrivateBlocks int
-	blockPoolCap     int
 }
 
 // WithMaxPrivateBlocks bounds the number of full blocks kept in each
 // thread's private pool bag before overflow is pushed to the shared bag.
 func WithMaxPrivateBlocks(n int) Option {
 	return func(c *config) { c.maxPrivateBlocks = n }
-}
-
-// WithBlockPoolCap bounds the per-thread cache of empty blocks.
-func WithBlockPoolCap(n int) Option {
-	return func(c *config) { c.blockPoolCap = n }
 }
 
 // New creates a pool for n threads backed by alloc.
@@ -111,7 +105,7 @@ func New[T any](n int, alloc core.Allocator[T], opts ...Option) *Pool[T] {
 	if alloc == nil {
 		panic("pool: New requires an Allocator")
 	}
-	cfg := config{maxPrivateBlocks: DefaultMaxPrivateBlocks, blockPoolCap: blockbag.DefaultBlockPoolCap}
+	cfg := config{maxPrivateBlocks: DefaultMaxPrivateBlocks}
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -121,7 +115,7 @@ func New[T any](n int, alloc core.Allocator[T], opts ...Option) *Pool[T] {
 		maxPrivateBlocks: cfg.maxPrivateBlocks,
 	}
 	for i := range p.threads {
-		bp := blockbag.NewBlockPool[T](cfg.blockPoolCap)
+		bp := blockbag.NewBlockPool[T](blockbag.DefaultBlockPoolCap)
 		p.threads[i].blockPool = bp
 		p.threads[i].bag = blockbag.New(bp)
 	}

@@ -9,12 +9,6 @@ import (
 	"repro/internal/core"
 )
 
-// StressName returns the subtest name of a scheme's data-structure safety
-// stress: the scheme, then "shards=1" for the one reclamation domain every
-// scheme runs on. The suffix is the name these subtests had when the suite
-// also stressed sharded domains, so each keeps its history under one name.
-func StressName(scheme string) string { return scheme + "/shards=1" }
-
 // Worker is one worker of a set under stress: an acquired thread slot with
 // the set's operations bound to it (the data structures' AcquireHandle
 // surface). Implementations are expected to handle their own restarts and

@@ -72,9 +72,6 @@ type Config struct {
 	// UsePool controls whether reclaimed records are reused. When false the
 	// reclaimer's free sink discards records (Experiment 1's configuration).
 	UsePool bool
-	// Domain optionally shares a neutralization domain across managers
-	// (DEBRA+ only).
-	Domain *neutralize.Domain
 	// RetireBatch enables per-thread deferred retirement with the given
 	// batch size (0 = retire records directly). Batches of
 	// blockbag.BlockSize transfer to the scheme as O(1) block splices.
@@ -125,7 +122,7 @@ func Build[T any](cfg Config) (*core.RecordManager[T], error) {
 		sink = pool.NewDiscard[T]()
 	}
 
-	rec, err := NewReclaimer[T](cfg.Scheme, workers, sink, cfg.Domain)
+	rec, err := NewReclaimer[T](cfg.Scheme, workers, sink, nil)
 	if err != nil {
 		return nil, err
 	}
