@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt fmt-check vet-reclaim test race stress-hashmap stress-kvservice fuzz-smoke benchmark benchmark-smoke check
+.PHONY: all build vet fmt fmt-check vet-reclaim test race stress-bst stress-hashmap stress-kvservice fuzz-smoke benchmark benchmark-smoke check
 
 ## all: same as check
 all: check
@@ -39,6 +39,10 @@ test:
 race:
 	$(GO) test -race -short ./...
 	$(GO) test -race -count=3 ./internal/reclaim/... ./internal/reclaimtest
+
+## stress-bst: the BST's concurrent and poison-sink stress tests under -race
+stress-bst:
+	$(GO) test -race -count=5 -timeout 10m -run 'Concurrent|Stress' ./internal/ds/bst
 
 ## stress-hashmap: the hash map's bucket-claim, unlink, overwrite and wait-free-Get tests under -race
 stress-hashmap:

@@ -518,7 +518,7 @@ func TestNoReclamationLeaks(t *testing.T) {
 
 // TestReleaseHandsBackScratch is the slot-churn check of the parked scratch
 // records: a goroutine acquires a slot, runs an Insert that finds its key
-// present (parking the four records it pre-allocated) and a Delete that finds
+// present (parking the three records it pre-allocated) and a Delete that finds
 // its key absent, and releases the slot. The release must hand the parked
 // records to the pool, so the count of records that are neither in the pool
 // nor awaiting reclamation stays at what the tree itself holds, the allocator
@@ -567,6 +567,46 @@ func TestReleaseHandsBackScratch(t *testing.T) {
 				t.Fatalf("after Close: retired %d, freed %d", st.Retired, st.Freed)
 			}
 		})
+	}
+}
+
+// TestUpdateRecordCounts pins the per-update record arithmetic the paper's
+// memory figures rest on: a successful Insert takes three records (new leaf,
+// leaf copy, internal node) and retires the leaf it replaced; a successful
+// Delete takes none and retires the spliced-out parent and the leaf; a
+// failing update takes and retires nothing once the slot has parked its
+// scratch. Descriptors are per slot and never pass through the manager.
+func TestUpdateRecordCounts(t *testing.T) {
+	tree := newTree(t, recordmgr.SchemeDEBRA, 1)
+	mgr := tree.Manager()
+	h := tree.AcquireHandle()
+	defer tree.ReleaseHandle(h)
+	for k := int64(0); k < 64; k += 2 {
+		h.Insert(k, k)
+	}
+	counts := func() (taken, retired int64) {
+		st := mgr.Stats()
+		return st.Pool.Reused + st.Pool.FromAllocator, st.Reclaimer.Retired
+	}
+	check := func(name string, op func() bool, wantOK bool, wantTaken, wantRetired int64) {
+		t.Helper()
+		taken0, retired0 := counts()
+		if got := op(); got != wantOK {
+			t.Fatalf("%s returned %v, want %v", name, got, wantOK)
+		}
+		taken1, retired1 := counts()
+		if taken, retired := taken1-taken0, retired1-retired0; taken != wantTaken || retired != wantRetired {
+			t.Errorf("%s took %d records and retired %d, want %d and %d", name, taken, retired, wantTaken, wantRetired)
+		}
+	}
+	check("successful Insert", func() bool { return h.Insert(11, 11) }, true, 3, 1)
+	check("successful Delete", func() bool { return h.Delete(11) }, true, 0, 2)
+	check("first Insert of a present key", func() bool { return h.Insert(10, 0) }, false, 3, 0)
+	check("Insert of a present key", func() bool { return h.Insert(10, 0) }, false, 0, 0)
+	check("Delete of an absent key", func() bool { return h.Delete(11) }, false, 0, 0)
+	check("successful Insert from parked scratch", func() bool { return h.Insert(13, 13) }, true, 0, 1)
+	if err := tree.Validate(); err != nil {
+		t.Fatal(err)
 	}
 }
 

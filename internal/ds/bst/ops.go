@@ -6,15 +6,10 @@ import "repro/internal/neutralize"
 type attemptOutcome int
 
 const (
-	// attemptRetry: nothing was published; run the body again.
+	// attemptRetry: the attempt did not take effect; run the body again.
 	attemptRetry attemptOutcome = iota
-	// attemptSucceeded: the operation's descriptor was published and the
-	// operation took effect.
+	// attemptSucceeded: the operation was published and took effect.
 	attemptSucceeded
-	// attemptFailedPublished: the descriptor was published but the
-	// operation was backtracked (delete only); the descriptor must be
-	// retired and the operation retried with a fresh one.
-	attemptFailedPublished
 	// attemptKeyAbsent / attemptKeyPresent: the operation completed without
 	// publishing anything because the key was missing (delete) or already
 	// present (insert).
@@ -37,25 +32,18 @@ func (hd Handle[V]) Insert(key int64, value V) bool {
 	newLeaf := hd.scratch()
 	sibling := hd.scratch()
 	internal := hd.scratch()
-	desc := hd.scratch()
 	for {
-		outcome, oldLeaf := t.insertBody(hd, key, value, newLeaf, sibling, internal, desc)
+		outcome, oldLeaf := t.insertBody(hd, key, value, newLeaf, sibling, internal)
 		switch outcome {
 		case attemptSucceeded:
-			// Quiescent postamble: the replaced leaf and, eventually, the
-			// descriptor become garbage. The descriptor stays reachable
-			// through p's update field until a later operation replaces it
-			// (retire-on-replace), so only the leaf is retired here.
-			if oldLeaf != nil {
-				rm.Retire(oldLeaf)
-			}
+			// Quiescent postamble: the replaced leaf is garbage.
+			rm.Retire(oldLeaf)
 			return true
 		case attemptKeyPresent:
 			// Nothing was published; keep the records for the next update.
 			hd.park(newLeaf)
 			hd.park(sibling)
 			hd.park(internal)
-			hd.park(desc)
 			return false
 		default:
 			hd.st.restarts.Inc()
@@ -63,22 +51,33 @@ func (hd Handle[V]) Insert(key int64, value V) bool {
 	}
 }
 
+// nextOp returns the id the slot's next operation attempt that may publish
+// takes.
+func (hd Handle[V]) nextOp() uint64 { return hd.st.desc.id.Load() + seqOne }
+
+// mayHavePublished reports whether the attempt that took id armed its
+// descriptor: its recovery protections were in place and the flag CAS may
+// have run. DEBRA+ recovery asks it.
+func (hd Handle[V]) mayHavePublished(id uint64) bool {
+	return wordOp(hd.st.desc.outcome.Load()) == id
+}
+
 // insertBody is one execution of the insert body (Figure 5's structure). It
 // returns the outcome and, on success, the leaf that was replaced.
 func (t *Tree[V]) insertBody(hd Handle[V], key int64, value V,
-	newLeaf, sibling, internal, desc *Record[V]) (outcome attemptOutcome, oldLeaf *Record[V]) {
-	rm := hd.rm
+	newLeaf, sibling, internal *Record[V]) (outcome attemptOutcome, oldLeaf *Record[V]) {
+	rm, d := hd.rm, &hd.st.desc
+	id := hd.nextOp()
 	if t.crashRecovery {
 		defer func() {
 			if v := recover(); v != nil {
 				if _, ok := neutralize.Recover(v); ok {
-					// Recovery (running quiescent): if we announced the
-					// descriptor we may already have published it, so help
+					// Recovery (running quiescent): if the attempt armed its
+					// descriptor it may already have published it, so carry
 					// it to completion; otherwise simply retry.
 					hd.st.recov.Inc()
-					if rm.IsRProtected(desc) && t.ownerInsert(hd, desc, true) {
-						outcome = attemptSucceeded
-						oldLeaf = desc.infoL()
+					if o := d.load(id); hd.mayHavePublished(id) && t.ownerInsert(hd, &o) {
+						outcome, oldLeaf = attemptSucceeded, o.l
 					} else {
 						outcome = attemptRetry
 					}
@@ -98,12 +97,12 @@ func (t *Tree[V]) insertBody(hd Handle[V], key int64, value V,
 		t.releaseAllProtection(hd, res)
 		return attemptKeyPresent, nil
 	}
-	if res.pupdate != nil && res.pupdate.state != StateClean {
+	if wordState(res.pupdate) != stateClean {
 		// p is flagged or marked by another operation: help it (epoch
 		// schemes) or back off (per-record schemes, which cannot safely
 		// chase another operation's records — the paper's HP compromise).
 		if !t.perRecord {
-			t.help(hd, res.p, res.pupdate)
+			t.help(hd, res.pupdate)
 		}
 		rm.EnterQstate()
 		t.releaseAllProtection(hd, res)
@@ -122,23 +121,17 @@ func (t *Tree[V]) insertBody(hd Handle[V], key int64, value V,
 	} else {
 		left, right = sibling, newLeaf
 	}
-	maxKey := key
-	if res.l.key > maxKey {
-		maxKey = res.l.key
-	}
-	initInternal(internal, maxKey, left, right, &t.initialClean)
-	initIInfo(desc, key, res.p, res.l, internal, res.pupdate)
+	initInternal(internal, max(key, res.l.key), left, right, id|uint64(stateClean))
+	o := op[V]{d: d, id: id, key: key, p: res.p, l: res.l, aux: internal, pupdate: res.pupdate}
+	d.store(&o)
 
 	if t.crashRecovery {
 		rm.RProtect(res.p)
 		rm.RProtect(res.l)
 		rm.RProtect(internal)
-		if info := cellInfo(res.pupdate); info != nil {
-			rm.RProtect(info)
-		}
-		rm.RProtect(desc)
 	}
-	ok := t.ownerInsert(hd, desc, false)
+	d.outcome.Store(id | outcomePending)
+	ok := t.ownerInsert(hd, &o)
 	rm.EnterQstate()
 	if t.crashRecovery {
 		rm.RUnprotectAll()
@@ -151,42 +144,34 @@ func (t *Tree[V]) insertBody(hd Handle[V], key int64, value V,
 }
 
 // ownerInsert is the owner's (idempotent) help procedure for its own
-// insertion descriptor: ensure the parent is flagged with desc and the
-// insertion is carried out. It returns true when the insertion took effect
-// and false when the flag could not be installed (the operation was never
-// published and must be retried). inRecovery suppresses helping other
-// operations, which recovery code must not do because it only holds
-// recovery protections for its own operation's records.
-func (t *Tree[V]) ownerInsert(hd Handle[V], desc *Record[V], inRecovery bool) bool {
-	p := desc.infoP()
+// insertion: ensure p is flagged with o and the insertion is carried out. It
+// returns true when the insertion took effect and false when the flag could
+// not be installed (the operation was never published and must be
+// retried). Either way p no longer holds o's flag when it returns, which is
+// what lets the slot reuse its descriptor.
+func (t *Tree[V]) ownerInsert(hd Handle[V], o *op[V]) bool {
+	flag := o.id | uint64(stateIFlag)
 	for {
-		if desc.outcome.Load() == outcomeSucceeded {
-			return true
-		}
-		cur := p.update.Load()
+		cur := o.p.update.Load()
 		switch cur {
-		case &desc.flagCell:
+		case flag:
 			// Flag already installed (possibly before a neutralization).
-			t.helpInsert(hd, desc)
+			t.helpInsert(o)
 			return true
-		case &desc.cleanCell:
-			// Fully completed (possibly by a helper).
-			return true
-		case desc.pupdate:
-			if p.update.CompareAndSwap(desc.pupdate, &desc.flagCell) {
-				t.retireReplacedInfo(hd, desc.pupdate)
-				t.helpInsert(hd, desc)
+		case o.pupdate:
+			if o.p.update.CompareAndSwap(o.pupdate, flag) {
+				t.helpInsert(o)
 				return true
 			}
 		default:
-			// Our flag is not installed and p's update has moved on. If the
-			// operation had been published and completed, outcome would have
-			// been set before p.update could move past our clean cell.
-			if desc.outcome.Load() == outcomeSucceeded {
+			// Our flag is not installed and never will be. If it had been
+			// installed and removed, the outcome was decided before the
+			// unflag.
+			if o.decided() == outcomeSucceeded {
 				return true
 			}
-			if !t.perRecord && !inRecovery && !t.crashRecovery {
-				t.help(hd, p, cur)
+			if t.ownerHelps() {
+				t.help(hd, cur)
 			}
 			return false
 		}
@@ -195,12 +180,11 @@ func (t *Tree[V]) ownerInsert(hd Handle[V], desc *Record[V], inRecovery bool) bo
 
 // helpInsert completes a published insertion: splice the new internal node
 // in place of the old leaf and unflag the parent. Idempotent; callable by
-// any thread that holds a safe reference to desc.
-func (t *Tree[V]) helpInsert(hd Handle[V], desc *Record[V]) {
-	p := desc.infoP()
-	t.casChild(p, desc.infoL(), desc.infoNewChild(), desc.key)
-	desc.outcome.CompareAndSwap(outcomePending, outcomeSucceeded)
-	p.update.CompareAndSwap(&desc.flagCell, &desc.cleanCell)
+// any thread holding a validated copy of the operation.
+func (t *Tree[V]) helpInsert(o *op[V]) {
+	t.casChild(o.p, o.l, o.aux, o.key)
+	o.decide(outcomeSucceeded)
+	o.p.update.CompareAndSwap(o.id|uint64(stateIFlag), o.id|uint64(stateClean))
 }
 
 // Delete removes key from the set, returning true if it was present.
@@ -209,32 +193,17 @@ func (hd Handle[V]) Delete(key int64) bool {
 		return false
 	}
 	t, rm := hd.t, hd.rm
-	// Quiescent preamble.
-	desc := hd.scratch()
 	for {
-		outcome, removedParent, removedLeaf := t.deleteBody(hd, key, desc)
+		outcome, removedParent, removedLeaf := t.deleteBody(hd, key)
 		switch outcome {
 		case attemptSucceeded:
-			// The spliced-out parent and the removed leaf are garbage; the
-			// descriptor remains referenced by gp's update field and is
-			// retired by whichever operation later replaces that reference.
-			// The two records were captured inside the body, while the
-			// descriptor was still safe to read: once we are quiescent the
-			// descriptor itself may be retired (retire-on-replace) and
-			// recycled by another thread at any moment.
+			// Quiescent postamble: the spliced-out parent and the removed
+			// leaf are garbage.
 			rm.Retire(removedParent)
 			rm.Retire(removedLeaf)
 			return true
 		case attemptKeyAbsent:
-			hd.park(desc)
 			return false
-		case attemptFailedPublished:
-			// The descriptor was flagged into gp and then backtracked; it
-			// stays reachable through gp's update field, so obtain a
-			// fresh descriptor for the next attempt and let
-			// retire-on-replace dispose of this one.
-			desc = hd.scratch()
-			hd.st.restarts.Inc()
 		default:
 			hd.st.restarts.Inc()
 		}
@@ -242,31 +211,21 @@ func (hd Handle[V]) Delete(key int64) bool {
 }
 
 // deleteBody is one execution of the delete body. On success it also returns
-// the spliced-out parent and removed leaf (captured while the descriptor was
-// still safe to read) so the caller can retire them in its quiescent
-// postamble.
-func (t *Tree[V]) deleteBody(hd Handle[V], key int64, desc *Record[V]) (outcome attemptOutcome, removedParent, removedLeaf *Record[V]) {
-	rm := hd.rm
+// the spliced-out parent and removed leaf so the caller can retire them in
+// its quiescent postamble.
+func (t *Tree[V]) deleteBody(hd Handle[V], key int64) (outcome attemptOutcome, removedParent, removedLeaf *Record[V]) {
+	rm, d := hd.rm, &hd.st.desc
+	id := hd.nextOp()
 	if t.crashRecovery {
 		defer func() {
 			if v := recover(); v != nil {
 				if _, ok := neutralize.Recover(v); ok {
 					hd.st.recov.Inc()
-					if rm.IsRProtected(desc) {
-						// The descriptor (and the records it names) are
-						// still recovery-protected here, so reading its
-						// fields is safe until RUnprotectAll below.
-						switch t.ownerDelete(hd, desc, true) {
-						case outcomeSucceeded:
-							outcome = attemptSucceeded
-							removedParent, removedLeaf = desc.infoP(), desc.infoL()
-						case outcomeFailed:
-							outcome = attemptFailedPublished
-						default:
-							outcome = attemptRetry
-						}
-					} else {
-						outcome = attemptRetry
+					outcome = attemptRetry
+					// The records the descriptor names are still
+					// recovery-protected here, until RUnprotectAll below.
+					if o := d.load(id); hd.mayHavePublished(id) && t.ownerDelete(hd, &o) == outcomeSucceeded {
+						outcome, removedParent, removedLeaf = attemptSucceeded, o.p, o.l
 					}
 					rm.RUnprotectAll()
 				}
@@ -284,89 +243,65 @@ func (t *Tree[V]) deleteBody(hd Handle[V], key int64, desc *Record[V]) (outcome 
 		t.releaseAllProtection(hd, res)
 		return attemptKeyAbsent, nil, nil
 	}
-	if res.gpupdate != nil && res.gpupdate.state != StateClean {
-		if !t.perRecord {
-			t.help(hd, res.gp, res.gpupdate)
+	for _, w := range [2]uint64{res.gpupdate, res.pupdate} {
+		if wordState(w) != stateClean {
+			if !t.perRecord {
+				t.help(hd, w)
+			}
+			rm.EnterQstate()
+			t.releaseAllProtection(hd, res)
+			return attemptRetry, nil, nil
 		}
-		rm.EnterQstate()
-		t.releaseAllProtection(hd, res)
-		return attemptRetry, nil, nil
-	}
-	if res.pupdate != nil && res.pupdate.state != StateClean {
-		if !t.perRecord {
-			t.help(hd, res.p, res.pupdate)
-		}
-		rm.EnterQstate()
-		t.releaseAllProtection(hd, res)
-		return attemptRetry, nil, nil
 	}
 
-	initDInfo(desc, key, res.gp, res.p, res.l, res.pupdate, res.gpupdate)
+	o := op[V]{d: d, id: id, key: key, p: res.p, l: res.l, aux: res.gp, pupdate: res.pupdate, gpupdate: res.gpupdate}
+	d.store(&o)
 
 	if t.crashRecovery {
 		rm.RProtect(res.gp)
 		rm.RProtect(res.p)
 		rm.RProtect(res.l)
-		if info := cellInfo(res.pupdate); info != nil {
-			rm.RProtect(info)
-		}
-		if info := cellInfo(res.gpupdate); info != nil {
-			rm.RProtect(info)
-		}
-		rm.RProtect(desc)
 	}
-	result := t.ownerDelete(hd, desc, false)
+	d.outcome.Store(id | outcomePending)
+	result := t.ownerDelete(hd, &o)
 	rm.EnterQstate()
 	if t.crashRecovery {
 		rm.RUnprotectAll()
 	}
 	t.releaseAllProtection(hd, res)
-	switch result {
-	case outcomeSucceeded:
+	if result == outcomeSucceeded {
 		// res.p and res.l were captured by the search while protected.
 		return attemptSucceeded, res.p, res.l
-	case outcomeFailed:
-		return attemptFailedPublished, nil, nil
-	default:
-		return attemptRetry, nil, nil
 	}
+	// Never published, or published and backtracked: either way gp no
+	// longer holds the flag, and the next attempt takes a new seq.
+	return attemptRetry, nil, nil
 }
 
 // ownerDelete is the owner's (idempotent) help procedure for its own
-// deletion descriptor. It returns outcomeSucceeded, outcomeFailed (the
-// descriptor was published and backtracked) or outcomePending (the flag was
-// never installed; nothing was published). inRecovery suppresses helping
-// other operations (see ownerInsert).
-func (t *Tree[V]) ownerDelete(hd Handle[V], desc *Record[V], inRecovery bool) int32 {
-	gp := desc.infoGP()
+// deletion. It returns outcomeSucceeded, outcomeFailed (published and
+// backtracked) or outcomePending (the flag was never installed; nothing was
+// published). Either way gp no longer holds o's flag when it returns.
+func (t *Tree[V]) ownerDelete(hd Handle[V], o *op[V]) uint64 {
+	gp := o.aux
+	flag := o.id | uint64(stateDFlag)
 	for {
-		if o := desc.outcome.Load(); o != outcomePending {
-			return o
-		}
 		cur := gp.update.Load()
 		switch cur {
-		case &desc.flagCell:
-			if t.helpDelete(hd, desc, inRecovery) {
-				return outcomeSucceeded
-			}
-			return outcomeFailed
-		case desc.gpupdate:
-			if gp.update.CompareAndSwap(desc.gpupdate, &desc.flagCell) {
-				t.retireReplacedInfo(hd, desc.gpupdate)
-				if t.helpDelete(hd, desc, inRecovery) {
-					return outcomeSucceeded
-				}
-				return outcomeFailed
+		case flag:
+			return t.helpDelete(hd, o)
+		case o.gpupdate:
+			if gp.update.CompareAndSwap(o.gpupdate, flag) {
+				return t.helpDelete(hd, o)
 			}
 		default:
 			// gp's update moved past our flag (or we never installed it).
-			// If it was installed, its fate was decided (outcome set) before
-			// the unflag, so re-reading outcome disambiguates.
-			if o := desc.outcome.Load(); o != outcomePending {
-				return o
+			// If it was installed, its fate was decided before the unflag.
+			if r := o.decided(); r != outcomePending {
+				return r
 			}
-			if !t.perRecord && !inRecovery && !t.crashRecovery {
-				t.help(hd, gp, cur)
+			if t.ownerHelps() {
+				t.help(hd, cur)
 			}
 			return outcomePending
 		}
@@ -376,51 +311,46 @@ func (t *Tree[V]) ownerDelete(hd Handle[V], desc *Record[V], inRecovery bool) in
 // helpDelete attempts to complete a published deletion (Ellen et al.'s
 // helpDelete): mark the parent, then splice it out; if the parent cannot be
 // marked because a different operation got in the way, back the deletion
-// out by unflagging the grandparent. Returns true when the deletion took
-// effect. inRecovery suppresses helping the obstructing operation.
-func (t *Tree[V]) helpDelete(hd Handle[V], desc *Record[V], inRecovery bool) bool {
-	p := desc.infoP()
-	marked := p.update.CompareAndSwap(desc.pupdate, &desc.markCell)
-	if marked {
-		// We removed the last tree reference to the parent's previous Info.
-		t.retireReplacedInfo(hd, desc.pupdate)
-	}
-	if marked || p.update.Load() == &desc.markCell {
-		t.helpMarked(hd, desc)
-		return true
+// out by unflagging the grandparent. Returns outcomeSucceeded or
+// outcomeFailed.
+func (t *Tree[V]) helpDelete(hd Handle[V], o *op[V]) uint64 {
+	mark := o.id | uint64(stateMark)
+	if o.p.update.CompareAndSwap(o.pupdate, mark) || o.p.update.Load() == mark {
+		t.helpMarked(o)
+		return outcomeSucceeded
 	}
 	// Something else is installed at p: the deletion must back out.
-	desc.outcome.CompareAndSwap(outcomePending, outcomeFailed)
-	if !t.perRecord && !inRecovery && !t.crashRecovery {
-		t.help(hd, p, p.update.Load())
+	o.decide(outcomeFailed)
+	if t.ownerHelps() {
+		t.help(hd, o.p.update.Load())
 	}
-	desc.infoGP().update.CompareAndSwap(&desc.flagCell, &desc.cleanCell)
-	return false
+	o.aux.update.CompareAndSwap(o.id|uint64(stateDFlag), o.id|uint64(stateClean))
+	return outcomeFailed
 }
 
 // helpMarked completes a deletion whose parent has been marked: splice the
 // parent out of the tree (replacing it with the leaf's sibling) and unflag
 // the grandparent. Idempotent.
-func (t *Tree[V]) helpMarked(hd Handle[V], desc *Record[V]) {
-	desc.outcome.CompareAndSwap(outcomePending, outcomeSucceeded)
+func (t *Tree[V]) helpMarked(o *op[V]) {
+	o.decide(outcomeSucceeded)
 	// The sibling of the removed leaf under p. p is marked, so its children
 	// can no longer change and these reads are stable.
-	gp, p := desc.infoGP(), desc.infoP()
-	other := p.right.Load()
-	if other == desc.infoL() {
-		other = p.left.Load()
+	other := o.p.right.Load()
+	if other == o.l {
+		other = o.p.left.Load()
 	}
-	t.casChild(gp, p, other, desc.key)
-	gp.update.CompareAndSwap(&desc.flagCell, &desc.cleanCell)
+	t.casChild(o.aux, o.p, other, o.key)
+	o.aux.update.CompareAndSwap(o.id|uint64(stateDFlag), o.id|uint64(stateClean))
 }
 
-// help completes (or helps along) the operation owning the update cell that
-// was read from node's update field. It is only called by epoch-protected
+// help completes (or helps along) the operation that update word w, read
+// from a node's update field, names. It is only called by epoch-protected
 // threads (the per-record protection path restarts instead of helping, as
 // discussed in the paper; under DEBRA+ helping happens only before the
 // operation announces its own recovery protections).
-func (t *Tree[V]) help(hd Handle[V], node *Record[V], cell *UpdateCell[V]) {
-	if cell == nil || node == nil || cellInfo(cell) == nil {
+func (t *Tree[V]) help(hd Handle[V], w uint64) {
+	s := wordState(w)
+	if s == stateClean {
 		return
 	}
 	// Delivering a pending neutralization signal here (rather than inside
@@ -428,25 +358,28 @@ func (t *Tree[V]) help(hd Handle[V], node *Record[V], cell *UpdateCell[V]) {
 	// and the thread's next shared-memory write as small as the simulation
 	// allows; see internal/neutralize.
 	hd.rm.Checkpoint()
-	// Re-validate that the cell is still installed. By the retire-on-replace
-	// rule an Info record is only retired after its cell has been replaced,
-	// so "still installed" implies the Info has not been retired (and hence
-	// not recycled) and its fields are safe to read. This guards the helper
-	// against descriptors that were reclaimed behind a neutralized reader.
-	if node.update.Load() != cell {
+	o, ok := t.threads[wordSlot(w)].desc.snapshot(w)
+	if !ok {
+		// The slot has moved on, so the operation is finished; the caller
+		// restarts and re-reads the node's word.
 		return
 	}
 	hd.st.helps.Inc()
-	info := cellInfo(cell)
-	switch cell.state {
-	case StateIFlag:
-		t.helpInsert(hd, info)
-	case StateMark:
-		t.helpMarked(hd, info)
-	case StateDFlag:
-		t.helpDelete(hd, info, false)
+	switch s {
+	case stateIFlag:
+		t.helpInsert(&o)
+	case stateMark:
+		t.helpMarked(&o)
+	case stateDFlag:
+		t.helpDelete(hd, &o)
 	}
 }
+
+// ownerHelps reports whether an operation that has published, or helps one
+// that has, may go on to help the operation obstructing it. Per-record
+// schemes never help (see help), and under DEBRA+ the owner holds recovery
+// protections only for its own operation's records.
+func (t *Tree[V]) ownerHelps() bool { return !t.perRecord && !t.crashRecovery }
 
 // casChild installs new in place of old as the child of parent on the side
 // that searchKey routes to. The side is determined by comparing the
@@ -459,13 +392,4 @@ func (t *Tree[V]) casChild(parent, old, new *Record[V], searchKey int64) bool {
 		return parent.left.CompareAndSwap(old, new)
 	}
 	return parent.right.CompareAndSwap(old, new)
-}
-
-// retireReplacedInfo retires the Info record whose clean cell has just been
-// replaced by a successful CAS (the retire-on-replace rule). The initial
-// clean cell has no owning Info and is never retired.
-func (t *Tree[V]) retireReplacedInfo(hd Handle[V], replaced *UpdateCell[V]) {
-	if info := cellInfo(replaced); info != nil {
-		hd.rm.Retire(info)
-	}
 }

@@ -10,60 +10,69 @@
 //
 // # Memory layout
 //
-// All records managed by the tree — internal nodes, leaves and operation
-// descriptors (Info records) — are folded into a single Record type with a
-// kind discriminator, so one Record Manager instance serves the whole tree.
-// A record plays one role at a time, so the descriptor's fields are laid
-// over the node's. Byte map of Record[uint32] and Record[int64], both 128
-// bytes — two cache lines of a 64-byte-aligned slab, never a third:
+// The Record Manager manages the tree's nodes only: internal nodes and
+// leaves share one Record type with a kind discriminator. Byte map of
+// Record[uint32] and Record[int64], both 64 bytes — one cache line of a
+// 64-byte-aligned slab:
 //
-//	off  field     internal node     leaf      IInfo               DInfo
-//	  0  meta      kind | poison     same      same                same
-//	  4  outcome   -                 -         pending/succeeded   pending/succeeded/failed
-//	  8  value     -                 value     -                   -
-//	 16  key       routing key       key       search key          search key
-//	 24  left      left child        nil       p  (leaf's parent)  p
-//	 32  right     right child       nil       l  (the leaf)       l
-//	 40  update    flag/mark/clean   nil       nil                 nil
-//	 48  aux       nil               nil       newChild            gp (grandparent)
-//	 56  pupdate   nil               nil       p's update, as the search saw it
-//	 64  gpupdate  nil               nil       nil                 gp's update, as seen
-//	 72  flagCell  } the three addresses a node's update field can hold while
-//	 88  markCell  } this record is an Info; untouched in the node roles
-//	104  cleanCell }
-//	120  (pad to 128)
+//	off  field   internal node                  leaf
+//	  0  meta    kind | poison                  same
+//	  8  key     routing key                    key
+//	 16  left    left child                     nil
+//	 24  right   right child                    nil
+//	 32  update  update word (state|slot|seq)   0
+//	 40  value   -                              value
+//	 44  (pad to 64; 48 for Record[int64])
 //
-// A search reads kind, key, one child and update of every node on its path:
-// bytes 0-48, all in the record's first line. The second line is touched only
-// by the operation that owns or helps a descriptor. A V wider than 8 bytes
-// grows the record from offset 8.
+// A search reads kind, key, one child and update of every node on its path,
+// and Get the leaf's value: bytes 0-48. A V wider than 8 bytes grows the
+// record past one line.
 //
-// The (state, Info*) pairs that Ellen et al. store in each internal node's
-// update field are represented without pointer tagging (which would hide
-// pointers from Go's garbage collector): every Info record embeds three
-// UpdateCell values — a flag cell, a mark cell and a clean cell — and a
-// node's update field points at one of those cells. Which cell it points at
-// encodes the state; the cell's owner pointer leads back to the Info record.
-// Cells are part of the Info record's allocation, so protecting the Info
-// protects the cells, and the unique cell addresses preserve the
-// ABA-prevention role the original algorithm assigns to the Info pointer.
+// # Update words and descriptors
 //
-// Re-initialising a recycled record stores only what the new role needs and
-// what the old role left set: a cell's owner pointer is written once in the
-// record's life (it only ever names the record itself), and the atomic fields
-// are cleared only when they hold something, because an atomic store is an
-// XCHG and a successful insert initialises four records.
+// Ellen et al. store a (state, Info*) pair in each internal node's update
+// field and allocate an Info record per operation. Go cannot tag a pointer,
+// so this tree follows Brown's "Reuse, don't Recycle" (DISC 2017) instead:
+// every worker slot owns one operation descriptor (threadState.desc), which
+// is never allocated, retired or freed — descriptors are not Record Manager
+// records. An update word packs the state in its low 2 bits, the owning slot
+// in the next 16 and the slot's operation sequence number above them. A slot
+// takes the next seq for each operation attempt that may publish, so a word
+// names one operation attempt for the tree's lifetime. A new internal node
+// starts clean with the id of the insert that creates it (the root with 0),
+// so a record's word never returns to a value it held, even across
+// recycling: the ABA protection the original algorithm gets from Info
+// pointers.
+//
+// The owner writes its descriptor's seq first and the other fields after,
+// then publishes the flag word. A helper that reads a flag or mark word
+// (slot, seq) copies the slot's descriptor fields and then re-reads its seq.
+// If the seq still equals the word's, the copy is that operation's: a field
+// written for a later operation is written after the later seq, so reading
+// it would have made the seq re-read see the later seq. If the seq moved,
+// the operation the word names has finished (a slot starts a new attempt
+// only after its last one unflagged its node or never flagged it), so the
+// helper does not act; its caller re-reads the node's word by restarting.
 //
 // # Reclamation protocol
 //
-// Nodes are retired by the operation that unlinks them (delete retires the
-// spliced-out internal node and the removed leaf; insert retires the leaf it
-// replaces with a copy). Info records are retired by the thread whose CAS
-// removes the last tree-internal reference to them: every successful CAS of
-// an update field from a Clean cell of Info A to a cell of Info B retires A.
-// This "retire on replace" rule is what lets readers validate that a cell
-// they loaded still belongs to a live Info simply by re-reading the update
-// field.
+// Nodes are retired by the operation that unlinks them: a delete retires the
+// spliced-out internal node and the removed leaf, an insert the leaf it
+// replaces with a copy. The owner retires them only after the operation's
+// flag is off the node it flagged, and a delete only after its p is spliced
+// out. A helper reads a flag or mark word from a node it reached while
+// pinned (epoch schemes). A flag word was still on its node at that read,
+// so every retire of the operation comes later. A mark word sits on a p the
+// helper reached, and only a reader pinned since before p's unlink can reach
+// p, so again every retire comes later. Either way each record a validated
+// copy names — p, l, gp, the new internal node — is retired, if at all,
+// after the helper pinned, and is not freed before the helper unpins. The
+// helper's CASes on those records are therefore safe even if the operation
+// has finished meanwhile, and they then fail: no update word recurs, and no
+// child pointer can again name a record the helper's pin keeps from reuse.
+// Per-record schemes (HP) never help: the owner CASes only on records its
+// search protected and validated, and a stale expected word fails rather
+// than ABA.
 package bst
 
 import (
@@ -84,86 +93,146 @@ const (
 	KindInternal
 	// KindLeaf holds a key/value pair.
 	KindLeaf
-	// KindIInfo is an insertion descriptor.
-	KindIInfo
-	// KindDInfo is a deletion descriptor.
-	KindDInfo
 )
 
-// State is the update-field state encoded by which cell of an Info record a
-// node's update field points to.
-type State uint8
+// state is the update-word state of the original algorithm: the low bits
+// of an update word.
+type state uint8
 
 // Update states from the original algorithm.
 const (
-	StateClean State = iota
-	StateIFlag
-	StateDFlag
-	StateMark
+	stateClean state = iota
+	stateIFlag
+	stateDFlag
+	stateMark
 )
 
-// UpdateCell is one of the addresses an internal node's update field can
-// hold. Cells are embedded in Info records (and one process-wide initial
-// cell represents "clean, no operation yet").
-//
-// The owner pointer is atomic because it is the one field a reader must
-// load before it can protect (and only then validate) the owning Info
-// record: that load can race with the re-initialisation of a recycled
-// record, and its value is discarded when the subsequent validation fails.
-// state, by contrast, is only read after validation (or under epoch cover),
-// where the protection scheme's synchronisation already orders it against
-// recycling.
-type UpdateCell[V any] struct {
-	state State
-	info  atomic.Pointer[Record[V]] // owning Info record; nil only for the initial cell
+// Update-word layout: state in bits 0-1, slot in bits 2-17, seq above.
+const (
+	stateBits = 2
+	slotBits  = 16
+	stateMask = 1<<stateBits - 1
+	// maxSlots is the worker-slot capacity a word can name.
+	maxSlots = 1 << slotBits
+	// seqOne is seq 1 in an update word: the step between a slot's
+	// consecutive operation ids.
+	seqOne = 1 << (stateBits + slotBits)
+)
+
+// wordState returns an update word's state.
+func wordState(w uint64) state { return state(w & stateMask) }
+
+// wordOp returns the operation id an update word names: the word with its
+// state bits clear.
+func wordOp(w uint64) uint64 { return w &^ stateMask }
+
+// wordSlot returns the worker slot whose descriptor an update word names.
+func wordSlot(w uint64) int { return int(w>>stateBits) & (maxSlots - 1) }
+
+// Operation outcomes, the low bits of descriptor.outcome.
+const (
+	outcomePending   = 0
+	outcomeSucceeded = 1
+	outcomeFailed    = 2
+)
+
+// descriptor is one worker slot's reusable operation descriptor. The owner
+// writes it (id first) before publishing a flag word; helpers read it
+// concurrently, so every field is atomic. The state of the word that names
+// the descriptor tells a helper the operation's kind.
+type descriptor[V any] struct {
+	// id is the current operation's id (slot and seq, state bits clear).
+	id atomic.Uint64
+	// outcome is an operation id with the outcome in its state bits. The
+	// owner stores id|outcomePending once the attempt's recovery
+	// protections are in place; before that it holds an earlier id, which
+	// is how DEBRA+ recovery tells an attempt that may have published.
+	outcome  atomic.Uint64
+	key      atomic.Int64              // the key the operation searched for
+	p        atomic.Pointer[Record[V]] // the parent of the leaf
+	l        atomic.Pointer[Record[V]] // the leaf the operation applies to
+	aux      atomic.Pointer[Record[V]] // insert: the new internal node; delete: gp
+	pupdate  atomic.Uint64             // p's update word as the search saw it
+	gpupdate atomic.Uint64             // delete: gp's update word as the search saw it
 }
 
-// State returns the update state this cell encodes.
-func (c *UpdateCell[V]) State() State { return c.state }
-
-// Info returns the Info record owning this cell (nil for the initial cell).
-func (c *UpdateCell[V]) Info() *Record[V] { return c.info.Load() }
-
-// set initialises a cell in place (cells cannot be copy-assigned once they
-// contain an atomic pointer). An embedded cell's owner is its record for the
-// record's whole life, so only the first initialisation stores it.
-func (c *UpdateCell[V]) set(state State, info *Record[V]) {
-	c.state = state
-	setPtr(&c.info, info)
+// op is a copy of a descriptor's fields for one operation, the form the
+// help procedures work on.
+type op[V any] struct {
+	d                 *descriptor[V]
+	id                uint64
+	key               int64
+	p, l, aux         *Record[V]
+	pupdate, gpupdate uint64
 }
 
-// Record is the single managed record type of the tree: internal node, leaf
-// or operation descriptor, discriminated by kind. Folding the roles into one
-// type lets a single Record Manager (and therefore a single reclaimer
-// instance with one epoch announcement per operation) manage every
-// allocation the tree makes. The package comment has the byte map.
+// load copies the descriptor's fields for operation id.
+func (d *descriptor[V]) load(id uint64) op[V] {
+	return op[V]{
+		d: d, id: id, key: d.key.Load(),
+		p: d.p.Load(), l: d.l.Load(), aux: d.aux.Load(),
+		pupdate: d.pupdate.Load(), gpupdate: d.gpupdate.Load(),
+	}
+}
+
+// store writes the slot's descriptor for operation o: the id first, so a
+// helper still copying the slot's previous operation sees the id move.
+// Only the owning slot calls it.
+func (d *descriptor[V]) store(o *op[V]) {
+	d.id.Store(o.id)
+	d.key.Store(o.key)
+	d.p.Store(o.p)
+	d.l.Store(o.l)
+	d.aux.Store(o.aux)
+	d.pupdate.Store(o.pupdate)
+	if o.gpupdate != d.gpupdate.Load() { // an insert's is 0: skip the XCHG
+
+		d.gpupdate.Store(o.gpupdate)
+	}
+}
+
+// snapshot copies the fields of the operation update word w names, and
+// reports whether the copy is that operation's: false when the slot has
+// moved on, in which case the operation is finished.
+func (d *descriptor[V]) snapshot(w uint64) (op[V], bool) {
+	o := d.load(wordOp(w))
+	return o, o.current()
+}
+
+// current reports whether o's slot is still on operation o. Read after the
+// fields, it validates the copy.
+func (o *op[V]) current() bool { return o.d.id.Load() == o.id }
+
+// decided returns the operation's outcome, outcomePending while undecided.
+func (o *op[V]) decided() uint64 {
+	if v := o.d.outcome.Load(); wordOp(v) == o.id {
+		return v & stateMask
+	}
+	return outcomePending
+}
+
+// decide records the operation's outcome if it is still undecided.
+func (o *op[V]) decide(outcome uint64) {
+	o.d.outcome.CompareAndSwap(o.id|outcomePending, o.id|outcome)
+}
+
+// Record is the single managed record type of the tree: internal node or
+// leaf, discriminated by kind. Folding the roles into one type lets a
+// single Record Manager (and therefore a single reclaimer instance with one
+// epoch announcement per operation) manage every allocation the tree makes.
+// The package comment has the byte map.
 type Record[V any] struct {
 	// meta holds the kind in bits 0-7 and the reclaimtest poison flag in
 	// bit 8. It is atomic because the test pool wrappers set and clear the
 	// flag; the tree itself only loads it (a plain MOV).
-	meta atomic.Uint32
-	// outcome records whether a published operation succeeded (1) or was
-	// backtracked (2); 0 while undecided. It makes the owner's help
-	// procedure idempotent across neutralization and recovery.
-	outcome atomic.Int32
-	value   V
+	meta   atomic.Uint32
+	key    int64
+	left   atomic.Pointer[Record[V]]
+	right  atomic.Pointer[Record[V]]
+	update atomic.Uint64 // internal nodes: the update word; see the package comment
+	value  V
 
-	key    int64                     // Info: the key the operation searched for
-	left   atomic.Pointer[Record[V]] // Info: p, the parent of the leaf
-	right  atomic.Pointer[Record[V]] // Info: l, the leaf the operation applies to
-	update atomic.Pointer[UpdateCell[V]]
-
-	aux      *Record[V]     // IInfo: the replacement internal node; DInfo: gp, the leaf's grandparent
-	pupdate  *UpdateCell[V] // Info: p's update value observed by the search
-	gpupdate *UpdateCell[V] // DInfo: gp's update value observed by the search
-
-	// The three update-cell addresses this record provides when acting as
-	// an Info record.
-	flagCell  UpdateCell[V]
-	markCell  UpdateCell[V]
-	cleanCell UpdateCell[V]
-
-	_ [8]byte // rounds Record[uint32] and Record[int64] up to two cache lines
+	_ [16]byte // rounds Record[uint32] and Record[int64] up to one cache line
 }
 
 const (
@@ -182,13 +251,6 @@ func (r *Record[V]) Unpoison() { r.meta.And(^poisonBit) }
 // IsPoisoned reports whether the record is currently marked freed.
 func (r *Record[V]) IsPoisoned() bool { return r.meta.Load()&poisonBit != 0 }
 
-// Operation outcomes stored in Record.outcome.
-const (
-	outcomePending   = 0
-	outcomeSucceeded = 1
-	outcomeFailed    = 2
-)
-
 // Kind returns the record's current role.
 func (r *Record[V]) Kind() Kind { return Kind(r.meta.Load() & kindMask) }
 
@@ -200,13 +262,6 @@ func (r *Record[V]) Value() V { return r.value }
 
 // IsLeaf reports whether the record is currently a leaf node.
 func (r *Record[V]) IsLeaf() bool { return r.Kind() == KindLeaf }
-
-// Descriptor views of the overlaid slots.
-
-func (r *Record[V]) infoP() *Record[V]        { return r.left.Load() }
-func (r *Record[V]) infoL() *Record[V]        { return r.right.Load() }
-func (r *Record[V]) infoGP() *Record[V]       { return r.aux }
-func (r *Record[V]) infoNewChild() *Record[V] { return r.aux }
 
 // setKind assigns the role of a record the caller owns exclusively. A record
 // handed out by an allocator or pool is never poisoned, so the whole word is
@@ -226,65 +281,35 @@ func setPtr[T any](p *atomic.Pointer[T], v *T) {
 	}
 }
 
-// setNode fills the slots the node roles share; the descriptor-only slots
-// are cleared so a recycled record does not pin stale references.
-func (r *Record[V]) setNode(key int64, value V, left, right *Record[V], update *UpdateCell[V]) {
+// setNode fills the slots both node roles use.
+func (r *Record[V]) setNode(key int64, value V, left, right *Record[V], update uint64) {
 	r.value = value
 	r.key = key
 	setPtr(&r.left, left)
 	setPtr(&r.right, right)
-	setPtr(&r.update, update)
-	r.aux, r.pupdate, r.gpupdate = nil, nil, nil
+	if r.update.Load() != update {
+		r.update.Store(update)
+	}
 }
 
 // initLeaf (re)initialises a record as a leaf.
 func initLeaf[V any](r *Record[V], key int64, value V) *Record[V] {
 	r.setKind(KindLeaf)
-	r.setNode(key, value, nil, nil, nil)
+	r.setNode(key, value, nil, nil, 0)
 	return r
 }
 
 // initInternal (re)initialises a record as an internal node with the given
-// children and a clean update field. The kind is written last here and first
-// in every other role, so a record says KindInternal only while its child
-// slots hold children. Epoch-covered readers never see a record change role;
-// this keeps a hazard-pointer search that stepped onto a recycled record (the
-// window Tree.search describes) from following a descriptor's p or l as if it
-// were a child.
-func initInternal[V any](r *Record[V], key int64, left, right *Record[V], clean *UpdateCell[V]) *Record[V] {
+// children and clean update word. The kind is written last here and first
+// in the leaf role, so a record says KindInternal only while its child slots
+// hold children. Epoch-covered readers never see a record change role; this
+// keeps a hazard-pointer search that stepped onto a recycled record (the
+// window Tree.search describes) from following a leaf's stale children.
+func initInternal[V any](r *Record[V], key int64, left, right *Record[V], clean uint64) *Record[V] {
 	var zero V
 	r.setNode(key, zero, left, right, clean)
 	r.setKind(KindInternal)
 	return r
-}
-
-// initInfo fills the slots the two descriptor roles share.
-func (r *Record[V]) initInfo(k Kind, flag State, key int64, p, l, aux *Record[V], pupdate, gpupdate *UpdateCell[V]) *Record[V] {
-	var zero V
-	r.setKind(k)
-	if r.outcome.Load() != outcomePending {
-		r.outcome.Store(outcomePending)
-	}
-	r.value = zero
-	r.key = key
-	setPtr(&r.left, p)
-	setPtr(&r.right, l)
-	setPtr(&r.update, nil)
-	r.aux, r.pupdate, r.gpupdate = aux, pupdate, gpupdate
-	r.flagCell.set(flag, r)
-	r.markCell.set(StateMark, r)
-	r.cleanCell.set(StateClean, r)
-	return r
-}
-
-// initIInfo (re)initialises a record as an insertion descriptor.
-func initIInfo[V any](r *Record[V], key int64, p, l, newChild *Record[V], pupdate *UpdateCell[V]) *Record[V] {
-	return r.initInfo(KindIInfo, StateIFlag, key, p, l, newChild, pupdate, nil)
-}
-
-// initDInfo (re)initialises a record as a deletion descriptor.
-func initDInfo[V any](r *Record[V], key int64, gp, p, l *Record[V], pupdate, gpupdate *UpdateCell[V]) *Record[V] {
-	return r.initInfo(KindDInfo, StateDFlag, key, p, l, gp, pupdate, gpupdate)
 }
 
 // Manager is the Record Manager type the tree programs against.

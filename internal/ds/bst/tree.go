@@ -23,10 +23,6 @@ type Tree[V any] struct {
 	mgr  *Manager[V]
 	root *Record[V]
 
-	// initialClean is the shared "clean, no operation" update cell used by
-	// freshly created internal nodes.
-	initialClean UpdateCell[V]
-
 	// perRecord caches whether the reclaimer needs Protect/validate per
 	// record (hazard-pointer style schemes).
 	perRecord bool
@@ -56,21 +52,23 @@ func (t *Tree[V]) observe(tid int, r *Record[V]) {
 	}
 }
 
-// threadState is one worker slot's single-writer state, padded so
-// neighbouring slots do not share cache lines: the data-structure-level
-// counters (core.Counter contract: written only by the owning slot, read
-// racily by Stats) and the slot's parked scratch records.
+// threadState is one worker slot's state, padded so neighbouring slots do
+// not share cache lines: the slot's operation descriptor (written by the
+// slot, read by helpers), the data-structure-level counters (core.Counter
+// contract: written only by the owning slot, read racily by Stats) and the
+// slot's parked scratch records.
 type threadState[V any] struct {
+	desc descriptor[V]
+
 	restarts core.Counter // operation restarts (CAS failures, HP validation failures)
-	helps    core.Counter // help calls on other operations' descriptors
+	helps    core.Counter // help calls on other slots' operations
 	recov    core.Counter // recovery executions after neutralization
 
-	// scratch[:parked] are allocated records an Insert or Delete obtained in
-	// its quiescent preamble and did not publish (the key was present, or
-	// absent). The slot's next update takes them instead of paying
-	// Allocate+Deallocate per call; ReleaseHandle hands them back. An Insert
-	// takes four and a Delete one, and each parks no more than it took.
-	scratch [4]*Record[V]
+	// scratch[:parked] are allocated records an Insert obtained in its
+	// quiescent preamble and did not publish (the key was present). The
+	// slot's next Insert takes them instead of paying Allocate+Deallocate
+	// per call; ReleaseHandle hands them back.
+	scratch [3]*Record[V]
 	parked  int
 
 	_ [core.PadBytes]byte
@@ -88,13 +86,20 @@ func New[V any](mgr *Manager[V]) *Tree[V] {
 	if mgr == nil {
 		panic("bst: New requires a RecordManager")
 	}
+	slots := mgr.WorkerSlots()
+	if slots > maxSlots {
+		panic("bst: New supports at most 65536 worker slots")
+	}
 	t := &Tree[V]{
 		mgr:           mgr,
 		perRecord:     mgr.NeedsPerRecordProtection(),
 		crashRecovery: mgr.SupportsCrashRecovery(),
-		threads:       make([]threadState[V], mgr.WorkerSlots()),
+		threads:       make([]threadState[V], slots),
 	}
-	t.initialClean.set(StateClean, nil)
+	for i := range t.threads {
+		// Seq 0 of every slot: an id no operation uses.
+		t.threads[i].desc.id.Store(uint64(i) << stateBits)
+	}
 	// The initial tree: a root with key Infinity2 whose children are the
 	// two sentinel leaves. These records are never retired, so they come
 	// straight from the allocator (slot 0, before any goroutine holds it).
@@ -102,7 +107,7 @@ func New[V any](mgr *Manager[V]) *Tree[V] {
 	alloc := mgr.Allocator()
 	left := initLeaf(alloc.Allocate(0), Infinity1, zero)
 	right := initLeaf(alloc.Allocate(0), Infinity2, zero)
-	t.root = initInternal(alloc.Allocate(0), Infinity2, left, right, &t.initialClean)
+	t.root = initInternal(alloc.Allocate(0), Infinity2, left, right, 0)
 	return t
 }
 
@@ -184,13 +189,12 @@ func (t *Tree[V]) Stats() Stats {
 }
 
 // searchResult carries the outcome of one tree search: the leaf, its parent
-// and grandparent, the update values observed at the parent and grandparent,
-// and (under per-record protection) which Info records the search protected.
+// and grandparent, and the update words observed at the parent and
+// grandparent.
 type searchResult[V any] struct {
-	gp, p, l           *Record[V]
-	pupdate, gpupdate  *UpdateCell[V]
-	ok                 bool // false: protection validation failed, restart
-	gpInfoP, pInfoProt *Record[V]
+	gp, p, l          *Record[V]
+	pupdate, gpupdate uint64
+	ok                bool // false: protection validation failed, restart
 }
 
 // child returns p's child on the side key routes to.
@@ -202,17 +206,17 @@ func child[V any](p *Record[V], key int64) *Record[V] {
 }
 
 // search descends from the root to the leaf where key belongs, returning the
-// leaf, its parent and grandparent together with the update values read at
+// leaf, its parent and grandparent together with the update words read at
 // the parent and grandparent (the standard Ellen et al. search). Under
 // per-record protection schemes it maintains hazard pointers on gp, p and l,
 // validating each step and reporting ok=false when the caller must restart.
-// It also protects the Info records owning the returned update cells so they
-// can safely be used as CAS expected values and dereferenced.
+// The update words need no protection: they are values, and a word never
+// recurs, so a stale one fails any CAS that expects it.
 func (t *Tree[V]) search(hd Handle[V], key int64) searchResult[V] {
 	rm := hd.rm
 	var res searchResult[V]
 	var gp, p *Record[V]
-	var gpupdate, pupdate *UpdateCell[V]
+	var gpupdate, pupdate uint64
 	l := t.root
 	if t.perRecord {
 		//lint:allow protectorder the root sentinel is never retired, so the announcement needs no re-validation
@@ -231,10 +235,9 @@ func (t *Tree[V]) search(hd Handle[V], key int64) searchResult[V] {
 		l = child(p, key)
 		if l == nil || (t.perRecord && p.Kind() != KindInternal) {
 			// p is no longer the internal node the search stepped onto: it
-			// was recycled as a leaf (nil children) or as a descriptor, whose
-			// p and l share the child slots. Can only happen if protection
-			// failed (the hazard-pointer window described at the p.update
-			// re-check below); restart.
+			// was recycled as a leaf, whose child slots are nil or about to
+			// be. Can only happen if protection failed (the hazard-pointer
+			// window described at the p.update re-check below); restart.
 			res.ok = false
 			t.releaseSearchProtection(hd, gp, p, nil)
 			return res
@@ -255,9 +258,9 @@ func (t *Tree[V]) search(hd Handle[V], key int64) searchResult[V] {
 			if p.update.Load() != pupdate {
 				// A deleted internal node keeps its stale child pointers, so
 				// the check above alone cannot prove l is still reachable.
-				// But removal marks p first (its update field moves to a mark
-				// cell and never moves back), so p's update still holding the
-				// value read before l was loaded proves p was unmarked — and
+				// But removal marks p first (its update word moves to a mark
+				// word and never moves back), so p's update still holding the
+				// word read before l was loaded proves p was unmarked — and
 				// therefore still in the tree — when child(p) == l held,
 				// which makes the protection announcement in time. Restart
 				// when it moved. (This hardens the paper's HP compromise; the
@@ -275,59 +278,7 @@ func (t *Tree[V]) search(hd Handle[V], key int64) searchResult[V] {
 	res.gp, res.p, res.l = gp, p, l
 	res.pupdate, res.gpupdate = pupdate, gpupdate
 	res.ok = true
-	if t.perRecord {
-		// Protect the Info records owning the observed update cells so that
-		// (a) dereferencing their state remains safe and (b) they cannot be
-		// reused while we hold them as CAS expected values. The validation
-		// relies on the retire-on-replace rule: an Info is only retired once
-		// its cell is no longer installed, so "still installed" implies
-		// "not retired when the protection was announced".
-		if !t.protectCellInfo(hd, p, pupdate) {
-			res.ok = false
-			t.releaseSearchProtection(hd, gp, p, l)
-			return res
-		}
-		res.pInfoProt = cellInfo(pupdate)
-		if gp != nil && !t.protectCellInfo(hd, gp, gpupdate) {
-			if res.pInfoProt != nil {
-				rm.Unprotect(res.pInfoProt)
-			}
-			res.ok = false
-			t.releaseSearchProtection(hd, gp, p, l)
-			return res
-		}
-		if gp != nil {
-			res.gpInfoP = cellInfo(gpupdate)
-		}
-	}
 	return res
-}
-
-// cellInfo returns the Info record owning a cell (nil for the initial cell
-// or a nil cell).
-func cellInfo[V any](c *UpdateCell[V]) *Record[V] {
-	if c == nil {
-		return nil
-	}
-	return c.info.Load()
-}
-
-// protectCellInfo announces a hazard pointer to the Info record owning cell
-// (if any) and validates that node's update field still holds the cell.
-func (t *Tree[V]) protectCellInfo(hd Handle[V], node *Record[V], cell *UpdateCell[V]) bool {
-	info := cellInfo(cell)
-	if info == nil {
-		return true
-	}
-	rm := hd.rm
-	if !rm.Protect(info) {
-		return false
-	}
-	if node.update.Load() != cell {
-		rm.Unprotect(info)
-		return false
-	}
-	return true
 }
 
 // releaseSearchProtection drops the sliding hazard pointers held by search.
@@ -347,19 +298,9 @@ func (t *Tree[V]) releaseSearchProtection(hd Handle[V], gp, p, l *Record[V]) {
 	}
 }
 
-// releaseAll drops every protection the operation still holds (cheap: only
-// per-record schemes track any).
+// releaseAllProtection drops every protection the operation still holds
+// (cheap: only per-record schemes track any).
 func (t *Tree[V]) releaseAllProtection(hd Handle[V], res searchResult[V]) {
-	if !t.perRecord {
-		return
-	}
-	rm := hd.rm
-	if res.pInfoProt != nil {
-		rm.Unprotect(res.pInfoProt)
-	}
-	if res.gpInfoP != nil {
-		rm.Unprotect(res.gpInfoP)
-	}
 	t.releaseSearchProtection(hd, res.gp, res.p, res.l)
 }
 

@@ -176,7 +176,13 @@ func TestViewNeverSeesFreedRecord(t *testing.T) {
 					}
 				}(w)
 			}
+			// Run for duration, then on until a record was recycled and a
+			// View ran: a short run under hp and -race can stay below the
+			// scan threshold and check nothing. Give up after 10 s.
 			time.Sleep(duration)
+			for deadline := time.Now().Add(10 * time.Second); (pp.Freed() == 0 || views.Load() == 0) && time.Now().Before(deadline); {
+				time.Sleep(time.Millisecond)
+			}
 			close(stop)
 			wg.Wait()
 			if freed.Load() != 0 || torn.Load() != 0 || pp.DoubleFrees() != 0 {
@@ -185,6 +191,9 @@ func TestViewNeverSeesFreedRecord(t *testing.T) {
 			}
 			if pp.Freed() == 0 {
 				t.Fatal("nothing was freed: the stress did not recycle a record")
+			}
+			if views.Load() == 0 {
+				t.Fatal("no View ran")
 			}
 			if err := m.Validate(); err != nil {
 				t.Fatal(err)

@@ -32,10 +32,10 @@ func Example() {
 			scheme, st.Reclaimer.Retired, st.Reclaimer.Freed, st.Unreclaimed)
 	}
 	// Output:
-	// debra  retired 4999, freed 4999, unreclaimed 0
-	// debra+ retired 4999, freed 4999, unreclaimed 0
-	// ebr    retired 4999, freed 4999, unreclaimed 0
-	// hp     retired 4999, freed 4999, unreclaimed 0
-	// none   retired 4999, freed 0, unreclaimed 4999
-	// qsbr   retired 4999, freed 4999, unreclaimed 0
+	// debra  retired 3000, freed 3000, unreclaimed 0
+	// debra+ retired 3000, freed 3000, unreclaimed 0
+	// ebr    retired 3000, freed 3000, unreclaimed 0
+	// hp     retired 3000, freed 3000, unreclaimed 0
+	// none   retired 3000, freed 0, unreclaimed 3000
+	// qsbr   retired 3000, freed 3000, unreclaimed 0
 }
