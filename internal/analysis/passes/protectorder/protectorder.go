@@ -13,7 +13,11 @@
 //
 //  1. protect-then-validate: after recv.Protect(p), some comparison
 //     mentioning p (the re-validation load, e.g. src.Load() != p) must
-//     appear before the first dereference of p (p.field, p.method());
+//     appear before the first dereference of p (p.field, p.method()). A
+//     structure that links records by index rather than by pointer
+//     resolves p from a word, p = resolve(w) with w a plain identifier of
+//     integer type, and validates the word: there a comparison mentioning
+//     w (src.Load() != w) counts for p;
 //  2. no use after Unprotect: after recv.Unprotect(p), p must not be
 //     dereferenced until it is reassigned or re-Protected. The taint is
 //     control-flow aware: an Unprotect followed by return/continue/break
@@ -28,6 +32,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 
 	"repro/internal/analysis"
 )
@@ -90,11 +95,54 @@ const (
 	eAssign
 )
 
+// wordSources maps each pointer variable assigned from a call on a plain
+// integer-typed identifier (p := resolve(w), p = resolve(w)) to those words:
+// the index-addressed form of "the pointer was loaded from src", under which
+// comparing a fresh load of src against w re-validates p. Flow-insensitive,
+// like the event scan it feeds.
+func wordSources(pass *analysis.Pass, body *ast.BlockStmt) map[*types.Var][]*types.Var {
+	src := map[*types.Var][]*types.Var{}
+	ast.Inspect(body, func(n ast.Node) bool {
+		as, ok := n.(*ast.AssignStmt)
+		if !ok || len(as.Lhs) != 1 || len(as.Rhs) != 1 {
+			return true
+		}
+		id, ok := ast.Unparen(as.Lhs[0]).(*ast.Ident)
+		if !ok {
+			return true
+		}
+		p, _ := pass.Info.Defs[id].(*types.Var)
+		if p == nil {
+			p, _ = pass.Info.Uses[id].(*types.Var)
+		}
+		call, ok := ast.Unparen(as.Rhs[0]).(*ast.CallExpr)
+		if p == nil || !ok || !isPointerish(p.Type()) {
+			return true
+		}
+		for _, arg := range call.Args {
+			aid, ok := ast.Unparen(arg).(*ast.Ident)
+			if !ok {
+				continue
+			}
+			w, _ := pass.Info.Uses[aid].(*types.Var)
+			if w == nil {
+				continue
+			}
+			if b, ok := types.Unalias(w.Type()).Underlying().(*types.Basic); ok && b.Info()&types.IsInteger != 0 {
+				src[p] = append(src[p], w)
+			}
+		}
+		return true
+	})
+	return src
+}
+
 // checkValidation implements check 1 with a lexical event scan: for every
 // Protect(v), look forward for the first dereference of v; if no comparison
-// mentioning v intervenes (and v is not reassigned first), the dereference
-// trusts an unvalidated announcement.
+// mentioning v or a word v was resolved from intervenes (and v is not
+// reassigned first), the dereference trusts an unvalidated announcement.
 func checkValidation(pass *analysis.Pass, body *ast.BlockStmt) {
+	sources := wordSources(pass, body)
 	var events []event
 	protects := map[token.Pos]*ast.CallExpr{}
 	ast.Inspect(body, func(n ast.Node) bool {
@@ -142,6 +190,9 @@ func checkValidation(pass *analysis.Pass, body *ast.BlockStmt) {
 		}
 		validated := false
 		for _, later := range events[i+1:] {
+			if later.kind == eCompare && slices.Contains(sources[e.v], later.v) {
+				break // validated through the word e.v was resolved from
+			}
 			if later.v != e.v {
 				continue
 			}

@@ -96,3 +96,44 @@ func validateSeparately(l *list, h *core.ThreadHandle[node]) int64 {
 	}
 	return n.key
 }
+
+// An index-addressed list: links are words, and a record pointer is resolved
+// from the word it was read as, so the word is what re-validation compares.
+type inode struct {
+	next atomic.Uint64
+	key  int64
+}
+
+type ilist struct {
+	head atomic.Uint64
+	recs []inode
+}
+
+func (l *ilist) at(w uint64) *inode { return &l.recs[w] }
+
+func goodIndexed(l *ilist, h *core.ThreadHandle[inode]) int64 {
+	w := l.head.Load()
+	n := l.at(w)
+	if !h.Protect(n) || l.head.Load() != w {
+		h.Unprotect(n)
+		return 0
+	}
+	return n.key
+}
+
+func badIndexedNoValidate(l *ilist, h *core.ThreadHandle[inode]) int64 {
+	w := l.head.Load()
+	n := l.at(w)
+	h.Protect(n) // want `n is dereferenced at line \d+ without re-validation after Protect`
+	return n.key
+}
+
+func badIndexedOtherWord(l *ilist, h *core.ThreadHandle[inode], other uint64) int64 {
+	w := l.head.Load()
+	n := l.at(w)
+	if !h.Protect(n) || l.head.Load() != other { // want `n is dereferenced at line \d+ without re-validation after Protect`
+		h.Unprotect(n)
+		return 0
+	}
+	return n.key
+}

@@ -147,3 +147,81 @@ func TestHeapPanicsOnZeroThreads(t *testing.T) {
 	}()
 	NewHeap[node](0)
 }
+
+// irec is an Indexed record: it stores the index the allocator gives it.
+type irec struct {
+	idx uint32
+	key int64
+}
+
+func (r *irec) SetIndex(idx uint32) { r.idx = idx }
+
+// TestDirectoryResolvesEveryRecord: every record every thread allocates,
+// across several slabs each, carries a distinct index that resolves back to
+// the record itself, and the directory holds exactly the slabs reserved.
+func TestDirectoryResolvesEveryRecord(t *testing.T) {
+	const (
+		threads = 3
+		perThr  = 2*DefaultSlabRecords + 100
+	)
+	b := NewBump[irec](threads, 0)
+	dir := b.Directory()
+	if dir == nil {
+		t.Fatal("Bump of an Indexed type has no directory")
+	}
+	recs := make([][]*irec, threads)
+	var wg sync.WaitGroup
+	for tid := 0; tid < threads; tid++ {
+		wg.Add(1)
+		go func(tid int) {
+			defer wg.Done()
+			for i := 0; i < perThr; i++ {
+				r := b.Allocate(tid)
+				r.key = int64(tid*perThr + i)
+				recs[tid] = append(recs[tid], r)
+			}
+		}(tid)
+	}
+	wg.Wait()
+	seen := map[uint32]bool{}
+	slabs := dir.Slabs()
+	for tid := range recs {
+		for _, r := range recs[tid] {
+			if seen[r.idx] {
+				t.Fatalf("index %#x handed to two records", r.idx)
+			}
+			seen[r.idx] = true
+			if got := Record(slabs, r.idx); got != r {
+				t.Fatalf("thread %d key %d: index %#x resolves to key %d", tid, r.key, r.idx, got.key)
+			}
+		}
+	}
+	if got, want := len(slabs), threads*3; got != want {
+		t.Fatalf("directory holds %d slabs, want %d", got, want)
+	}
+}
+
+// TestUnindexedHasNoDirectory: a record type that does not store its index
+// is not numbered, whatever its slab size.
+func TestUnindexedHasNoDirectory(t *testing.T) {
+	for _, slab := range []int{0, 8} {
+		b := NewBump[node](1, slab)
+		for i := 0; i < 3*DefaultSlabRecords; i++ {
+			b.Allocate(0)
+		}
+		if b.Directory() != nil {
+			t.Fatalf("slab size %d: Bump[node] keeps a directory", slab)
+		}
+	}
+}
+
+// TestIndexedSlabSize: indices put the slab in their high bits, so an
+// Indexed type takes no slab size but DefaultSlabRecords.
+func TestIndexedSlabSize(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("NewBump accepted an Indexed type with 8-record slabs")
+		}
+	}()
+	NewBump[irec](1, 8)
+}

@@ -44,3 +44,16 @@ func TestSlabAlignment(t *testing.T) {
 		t.Errorf("first record of a default slab at %#x: not 64-byte aligned", addr)
 	}
 }
+
+// TestRecordIsUnindexed: the BST links its records by pointer, so the bump
+// allocator does not number them and keeps no directory of their slabs;
+// Experiment 1's unpooled BST lets the garbage collector have what it frees.
+func TestRecordIsUnindexed(t *testing.T) {
+	alloc := arena.NewBump[Record[int64]](1, 0)
+	for i := 0; i < arena.DefaultSlabRecords+1; i++ {
+		alloc.Allocate(0)
+	}
+	if d := alloc.Directory(); d != nil {
+		t.Fatalf("Bump[Record] keeps a directory of %d slabs", len(d.Slabs()))
+	}
+}

@@ -192,15 +192,15 @@ func TestClaimRestartHP(t *testing.T) {
 }
 
 // unlinkFixture is a one-bucket map, a victim in the middle of its chain, and
-// a visit hook that — once, just before slot 0's mark CAS on the victim —
-// has slot 1 insert a key directly in front of it. The mark then succeeds and
-// the CAS on the predecessor that would have unlinked the victim loses.
+// a visit hook that — once, when slot 0's find reaches the victim, so before
+// its mark CAS — has slot 1 insert a key directly in front of it. The mark
+// then succeeds and the CAS on the predecessor that would have unlinked the
+// victim loses.
 func unlinkFixture(t *testing.T, scheme string) (m *Map[int64], hs []*Handle[int64], victim int64, fired *bool) {
 	t.Helper()
 	m, hs = oneBucketMap(t, scheme, 2)
 	keys := chain(m)
 	pred, n := nodeOf(m, keys[2]), nodeOf(m, keys[3])
-	succ := step(n)
 	// A fresh key whose position falls between the victim's predecessor and
 	// the victim.
 	wedge := int64(100)
@@ -210,15 +210,9 @@ func unlinkFixture(t *testing.T, scheme string) (m *Map[int64], hs []*Handle[int
 			break
 		}
 	}
-	// Slot 0 observes the victim's successor twice on its way to the mark:
-	// as find's next, and again once the update body has validated it.
 	fired = new(bool)
-	seen := 0
 	m.SetVisitHook(func(tid int, v *Node[int64]) {
-		if tid != 0 || *fired || v != succ {
-			return
-		}
-		if seen++; seen < 2 {
+		if tid != 0 || *fired || v != n {
 			return
 		}
 		*fired = true

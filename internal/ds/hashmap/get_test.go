@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/reclaimtest"
+	"repro/internal/recordmgr"
 )
 
 // oneBucketMap builds a map that keeps every key in bucket 0's chain, so a
@@ -34,7 +35,7 @@ func linked(m *Map[int64], key int64) bool {
 
 // nodeOf returns the regular node holding key if it is on the list.
 func nodeOf(m *Map[int64], key int64) *Node[int64] {
-	for n := &m.head; n != nil; n = n.next.Load() {
+	for n := &m.head; n != nil; n = m.node(n.next.Load()) {
 		if n.kind() == kindRegular && n.Key() == key {
 			return n
 		}
@@ -44,11 +45,9 @@ func nodeOf(m *Map[int64], key int64) *Node[int64] {
 
 // markOnly marks key's node the way deleteBody does and stops there, as a
 // deleter that lost its unlink CAS and has not yet made its find pass would.
-func markOnly(m *Map[int64], h *Handle[int64], key int64) {
+func markOnly(m *Map[int64], key int64) {
 	n := nodeOf(m, key)
-	marker := h.rm.Allocate()
-	initMarker(marker, n.next.Load())
-	n.next.Store(marker)
+	n.next.Store(n.next.Load() | markBit)
 	m.count.Add(-1)
 }
 
@@ -60,7 +59,7 @@ func replaceOnly(m *Map[int64], h *Handle[int64], key, v int64) (old, repl *Node
 	old = nodeOf(m, key)
 	repl = h.rm.Allocate()
 	initRegular(repl, v, old.sokey, old.next.Load())
-	old.next.Store(repl)
+	old.next.Store(recLink(repl.index()) | markBit)
 	return old, repl
 }
 
@@ -88,9 +87,9 @@ func TestGetOnReplacedNode(t *testing.T) {
 					t.Fatalf("hp: Get of a replaced key = %d, %v; unlinks %d -> %d, old still linked %v",
 						v, ok, before.Unlinks, after.Unlinks, nodeOf(m, victim) == old)
 				}
-			} else if !ok || v != victim*10 || after != before || nodeOf(m, victim) != old || old.next.Load() != repl {
+			} else if !ok || v != victim*10 || after != before || nodeOf(m, victim) != old || m.node(old.next.Load()) != repl {
 				t.Fatalf("epoch Get of a replaced key = %d, %v; stats %+v -> %+v, pair in place %v",
-					v, ok, before, after, nodeOf(m, victim) == old && old.next.Load() == repl)
+					v, ok, before, after, nodeOf(m, victim) == old && m.node(old.next.Load()) == repl)
 			}
 			for _, k := range chain(m) {
 				if k == victim {
@@ -123,15 +122,15 @@ func TestGetOnReplacedNode(t *testing.T) {
 // TestGetOnMarkedNode: linked means present. A key whose node is marked but
 // still on the list — its Delete has not returned — reads present under the
 // epoch schemes, whose Get is the wait-free walk: it stops at the node, looks
-// no further and leaves the pair where it is. Under hazard pointers Get runs
-// the helping find, which unlinks the pair on its way and so reads absent.
+// no further and leaves the node where it is. Under hazard pointers Get runs
+// the helping find, which unlinks the node on its way and so reads absent.
 // Either way the next mutating traversal leaves the list whole.
 func TestGetOnMarkedNode(t *testing.T) {
 	for _, scheme := range allSchemes() {
 		t.Run(scheme, func(t *testing.T) {
 			m, hs := oneBucketMap(t, scheme, 1)
 			victim := chain(m)[3]
-			markOnly(m, hs[0], victim)
+			markOnly(m, victim)
 
 			before := m.Stats()
 			v, ok := hs[0].Get(victim)
@@ -155,7 +154,7 @@ func TestGetOnMarkedNode(t *testing.T) {
 				t.Fatal("Delete of a marked key succeeded")
 			}
 			if linked(m, victim) {
-				t.Fatal("marked pair still linked after a mutating traversal")
+				t.Fatal("marked node still linked after a mutating traversal")
 			}
 			if _, ok := hs[0].Get(victim); ok {
 				t.Fatal("unlinked key still readable")
@@ -167,10 +166,10 @@ func TestGetOnMarkedNode(t *testing.T) {
 	}
 }
 
-// TestGetCrossesUnlinkedPairs: two neighbours are deleted — marked, unlinked
-// and retired — while a Get stands on the first of them. The walk continues
-// through node, marker, node, marker and reaches the live successor, and the
-// only unlinks counted are the deletes' own.
+// TestGetCrossesUnlinkedPairs: a pair of neighbours is deleted — each marked,
+// unlinked and retired — while a Get stands on the first of them. The walk
+// follows the two frozen links and reaches the live successor, and the only
+// unlinks counted are the deletes' own.
 func TestGetCrossesUnlinkedPairs(t *testing.T) {
 	for _, scheme := range epochSchemes {
 		t.Run(scheme, func(t *testing.T) {
@@ -187,7 +186,7 @@ func TestGetCrossesUnlinkedPairs(t *testing.T) {
 					t.Error("concurrent deletes failed")
 				}
 				if linked(m, a) || linked(m, b) {
-					t.Error("deleted pairs still linked")
+					t.Error("deleted neighbours still linked")
 				}
 			})
 			before := m.Stats().Unlinks
@@ -212,24 +211,91 @@ func TestGetCrossesUnlinkedPairs(t *testing.T) {
 
 // TestPoisonSharesWordWithKind: the reclaimtest Poisonable contract on the
 // folded meta word — the flag reports a double free, clears, and never
-// disturbs the kind stored beside it.
+// disturbs the kind and index stored beside it.
 func TestPoisonSharesWordWithKind(t *testing.T) {
 	var n Node[uint32]
-	initMarker(&n, nil)
-	if n.IsPoisoned() {
-		t.Fatal("fresh node reads poisoned")
+	n.SetIndex(maxIndex)
+	intact := func() bool { return n.kind() == kindRegular && n.index() == maxIndex }
+	if n.IsPoisoned() || !intact() {
+		t.Fatalf("fresh node: poisoned=%v kind %d index %#x", n.IsPoisoned(), n.kind(), n.index())
 	}
 	if n.Poison() {
 		t.Fatal("first Poison reported a double free")
 	}
-	if !n.IsPoisoned() || !n.IsMarker() {
-		t.Fatalf("after Poison: poisoned=%v marker=%v", n.IsPoisoned(), n.IsMarker())
+	if !n.IsPoisoned() || !intact() {
+		t.Fatalf("after Poison: poisoned=%v kind %d index %#x", n.IsPoisoned(), n.kind(), n.index())
 	}
 	if !n.Poison() {
 		t.Fatal("second Poison did not report the double free")
 	}
 	n.Unpoison()
-	if n.IsPoisoned() || !n.IsMarker() {
-		t.Fatalf("after Unpoison: poisoned=%v marker=%v", n.IsPoisoned(), n.IsMarker())
+	if n.IsPoisoned() || !intact() {
+		t.Fatalf("after Unpoison: poisoned=%v kind %d index %#x", n.IsPoisoned(), n.kind(), n.index())
+	}
+}
+
+// TestMarkedWordIsInert: once a Delete has marked its victim n, n's link is
+// frozen. A link CAS that expects n's unmarked successor — the CAS an Insert
+// behind n, a second Delete's mark, or a replacing Upsert's mark would make —
+// fails, and only the mark in the word makes it fail: the same CAS expecting
+// the marked word goes through. The Delete is caught between its mark and
+// its unlink: slot 1 wedges a key in front of n when slot 0's find first
+// reaches n, so slot 0's unlink CAS loses, and the checks run when slot 0's
+// postamble find reaches n again, marked and still linked.
+func TestMarkedWordIsInert(t *testing.T) {
+	for _, scheme := range []string{recordmgr.SchemeDEBRA, recordmgr.SchemeHP} {
+		t.Run(scheme, func(t *testing.T) {
+			m, hs := oneBucketMap(t, scheme, 2)
+			keys := chain(m)
+			pred, n := nodeOf(m, keys[2]), nodeOf(m, keys[3])
+			succ := n.next.Load()
+			wedge := int64(100)
+			for ; ; wedge++ {
+				so := regularSoKey(hashOf(wedge))
+				if pred.cmp(so, rankRegular) < 0 && n.cmp(so, rankRegular) > 0 {
+					break
+				}
+			}
+			other := hs[1].scratch()
+			seen := 0
+			m.SetVisitHook(func(tid int, v *Node[int64]) {
+				if tid != 0 || v != n {
+					return
+				}
+				switch seen++; seen {
+				case 1:
+					if !hs[1].Insert(wedge, wedge*10) {
+						t.Errorf("Insert(%d) in front of the victim failed", wedge)
+					}
+				case 2:
+					marked := succ | markBit
+					if w := n.next.Load(); w != marked {
+						t.Errorf("marked victim's link = %#x, want its successor %#x with the mark", w, succ)
+						return
+					}
+					for _, to := range []uint64{recLink(other.index()), succ | markBit, recLink(other.index()) | markBit} {
+						if n.next.CompareAndSwap(succ, to) {
+							t.Errorf("a CAS expecting the unmarked successor %#x moved the marked link to %#x", succ, to)
+						}
+					}
+					if !n.next.CompareAndSwap(marked, marked) || n.next.Load() != marked {
+						t.Error("the same CAS expecting the marked word failed: something besides the mark is blocking it")
+					}
+				}
+			})
+			if !hs[0].Delete(keys[3]) {
+				t.Fatal("Delete failed")
+			}
+			if seen < 2 {
+				t.Fatalf("slot 0 reached the victim %d times, want the mark caught between two finds", seen)
+			}
+			hs[1].park(other)
+			if linked(m, keys[3]) {
+				t.Fatal("Delete returned with its victim still linked")
+			}
+			if err := m.Validate(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }

@@ -12,21 +12,34 @@
 //
 // Reclamation-relevant structure:
 //
-//   - Key/value nodes and deletion markers are allocated, retired and
-//     recycled through one Record Manager, so retired nodes may be reused
-//     while slow readers still hold references to them: exactly the situation
-//     safe memory reclamation must make survivable.
+//   - Key/value nodes are allocated, retired and recycled through one Record
+//     Manager, so retired nodes may be reused while slow readers still hold
+//     references to them: exactly the situation safe memory reclamation must
+//     make survivable. A Delete retires one record, its victim: nothing else
+//     is allocated to mark it.
+//   - Nodes link by index, not by pointer. A link is one uint64 holding the
+//     successor's 32-bit record index (or a bucket number, for a head) and a
+//     mark bit, CASed as one word, so marking a node and fixing its successor
+//     are one CAS — Harris's mark bit, which a Go pointer has no room for.
+//     An index resolves by arithmetic through the allocator's slab directory
+//     (arena.Directory), so New requires an allocator that numbers the
+//     records (arena.Bump). The directory keeps every slab alive for the
+//     map's lifetime, so New also requires a pool: freed records must come
+//     back as new nodes, not be left to a garbage collector that can no
+//     longer see they are unreachable.
 //   - Bucket heads ("dummies") are not Record Manager records. A head is
 //     never removed, so it is never retired and nothing about it needs a
 //     grace period; it is an element of the bucket directory (bucket 0's is a
 //     field of Map), found by arithmetic, and it is a Node so that the list
-//     runs through it like through any other. Heads are the stable re-entry
-//     points that let a restarted traversal re-enter its bucket without
-//     re-running the whole operation from a global head.
+//     runs through it like through any other. A link to bucket b's head
+//     carries b. Heads are the stable re-entry points that let a restarted
+//     traversal re-enter its bucket without re-running the whole operation
+//     from a global head.
 //   - Under hazard-pointer style schemes (NeedsPerRecordProtection) the
-//     traversal maintains a sliding pred/curr/next window of protections,
-//     validating each announcement against the link it was read from and
-//     restarting the operation when validation fails.
+//     traversal maintains a sliding pred/curr window of protections,
+//     validating each announcement against the link it was resolved from —
+//     the word, mark included — and restarting the operation when
+//     validation fails.
 //   - Under the epoch schemes Get does none of that: it walks from the
 //     bucket head straight through marked and retired nodes without a CAS
 //     and stops at the node it was looking for (lookup), which is what an
@@ -62,19 +75,22 @@
 //
 // A key is in the map exactly while a regular node holding it is on the list
 // — reachable from bucket 0's head — marked or not, and its binding is the
-// first such node. A node is marked in one of two ways, and either freezes
-// its next field: a Delete splices a marker after it, or a replacing Upsert
-// splices the replacement after it (a regular node of the same sokey, which
-// nothing else can be: see replaces). At most two regular nodes per key are
-// on the list, adjacent, the first marked by the second; at quiescence there
-// is one. An insert's find unlinks a marked node at its position before it
-// reports the position free or taken. The argument is about the list alone
-// and holds under every scheme.
+// first such node. A node is marked by setting the mark bit in its link, in
+// one of two ways: a Delete marks the link to its victim's successor, and a
+// replacing Upsert swaps the old node's link for a marked link to the
+// replacement, whose own link is the old successor. A marked link is never
+// changed again: every CAS on a link expects an unmarked word. At most two
+// regular nodes per key are on the list, adjacent, the first marked with a
+// link to the second; at quiescence there is one. Unlinking is the same for
+// both marks: the predecessor's link is swung to the marked node's
+// successor. An insert's find unlinks a marked node at its position before
+// it reports the position free or taken. The argument is about the list
+// alone and holds under every scheme.
 //
 //   - Insert and the insert half of Upsert take effect at the CAS that links
-//     the node. The predecessor is unmarked at that CAS (its next held a
-//     plain successor), and only marked nodes are ever unlinked, so the node
-//     is on the list.
+//     the node. The predecessor is unmarked at that CAS (the CAS expected an
+//     unmarked link), and only marked nodes are ever unlinked, so the node is
+//     on the list.
 //   - Delete marks its victim (the CAS that decides which Delete owns the
 //     removal) and takes effect when the victim is unlinked, by the deleter
 //     or by any helper's find. Delete returns only after that: either its own
@@ -89,24 +105,23 @@
 //     first. It returns only after that, exactly as Delete does, so the key
 //     is never absent and an overwrite that has been reported cannot be
 //     contradicted by a later read.
-//   - Get under the epoch schemes is a walk that never checks a mark. Every
+//   - Get under the epoch schemes is a walk that never reads a mark. Every
 //     node it reaches was on the list at some moment since the walk began. By
 //     induction: the head always is. If the node the walk stands on is still
-//     linked when its next is read, so is its successor. If it was unlinked
-//     in the meantime, its next froze when it was marked (node -> marker ->
-//     successor, or old -> new), and at the instant before the unlink that
-//     next was on the list. For a marker that is because a node's successor
-//     cannot be unlinked while the node is marked but linked: unlinking
-//     CASes the predecessor's next from the victim, and the only link to that
-//     successor is the marker's next, which no CAS ever targets. A
+//     linked when its link is read, so is its successor. If it was unlinked
+//     in the meantime, its link froze when it was marked, and at the instant
+//     before the unlink the node that link names was on the list. For a
+//     deleted node that is because its successor cannot be unlinked while
+//     the node is marked but linked: unlinking the successor would CAS the
+//     marked node's link, and that CAS expects an unmarked word. A
 //     replacement is itself the next node, on the list through old. The step
-//     after it, old -> new -> s, holds because new.next is not CASed while
+//     after it, old -> new -> s, holds because new's link is not CASed while
 //     old is linked: every find that reaches new has unlinked old on the way,
 //     and every update that finds old marked restarts. So new keeps s, the
 //     successor old had, until old leaves, and a key never has a third node.
 //     A Get that returns a node linearizes at a moment the node was linked;
 //     the walk stops at the first node of its key, which is the binding until
-//     it is unlinked, and never reads that node's next. A Get that passes the
+//     it is unlinked, and never reads that node's link. A Get that passes the
 //     key's position between two nodes linearizes at a moment they were
 //     neighbours on the list.
 //   - Get under hazard pointers is find: it reports a node present only if
@@ -133,6 +148,7 @@ import (
 	"math/bits"
 	"sync/atomic"
 
+	"repro/internal/arena"
 	"repro/internal/core"
 )
 
@@ -230,11 +246,10 @@ func newSegment[V any](p int) *segment[V] {
 }
 
 // spareSlot is a per-thread scratch record, padded to keep the single-writer
-// slots off each other's cache lines: the node or marker an Insert or Delete
-// pre-allocated and did not publish (the key was present, or absent).
-// The next update of the slot takes it instead of paying Allocate+Deallocate
-// per call. Every update takes before it parks and parks at most one record,
-// so one slot is enough.
+// slots off each other's cache lines: the node an Insert pre-allocated and
+// did not publish (the key was present). The next Insert or Upsert of the
+// slot takes it instead of paying Allocate+Deallocate per call. Every update
+// takes before it parks and parks at most one record, so one slot is enough.
 type spareSlot[V any] struct {
 	rec *Node[V]
 	_   [core.PadBytes]byte
@@ -268,7 +283,8 @@ type Stats struct {
 // needs no sentinel keys).
 type Map[V any] struct {
 	mgr  *Manager[V]
-	head Node[V] // bucket 0's head: the head of the split-ordered list
+	dir  *arena.Directory[Node[V]] // resolves record links (node)
+	head Node[V]                   // bucket 0's head: the head of the split-ordered list
 
 	size atomic.Uint64 // current bucket count (power of two)
 
@@ -302,8 +318,9 @@ type Map[V any] struct {
 // New creates an empty map whose records are managed by mgr, for the given
 // number of worker threads. When the manager has more worker slots than
 // threads (recordmgr.Config.MaxThreads), the per-slot tables cover every
-// slot. It panics on a neutralizing reclaimer (DEBRA+; see the package
-// comment).
+// slot. It panics on a neutralizing reclaimer (DEBRA+), and on a manager
+// without a pool or whose allocator does not number the records (see the
+// package comment).
 func New[V any](mgr *Manager[V], threads int, opts ...Option) *Map[V] {
 	if mgr == nil {
 		panic("hashmap: New requires a RecordManager")
@@ -313,6 +330,13 @@ func New[V any](mgr *Manager[V], threads int, opts ...Option) *Map[V] {
 	}
 	if mgr.SupportsCrashRecovery() {
 		panic("hashmap: operations have no neutralization recovery, so a neutralizing reclaimer (DEBRA+) cannot be used; use DEBRA or HP")
+	}
+	bump, ok := mgr.Allocator().(*arena.Bump[Node[V]])
+	if !ok {
+		panic("hashmap: New requires an allocator that numbers its records (arena.Bump): links are record indices")
+	}
+	if mgr.Pool() == nil {
+		panic("hashmap: New requires a manager with a pool: the allocator's directory keeps every record alive, so freed records must be recycled")
 	}
 	if ws := mgr.WorkerSlots(); ws > threads {
 		threads = ws
@@ -333,6 +357,7 @@ func New[V any](mgr *Manager[V], threads int, opts ...Option) *Map[V] {
 	}
 	h := &Map[V]{
 		mgr:        mgr,
+		dir:        bump.Directory(),
 		maxLoad:    cfg.maxLoad,
 		maxBuckets: cfg.maxBuckets,
 		spares:     make([]spareSlot[V], threads),
@@ -392,8 +417,8 @@ func (h *Map[V]) bindHandle(rm *core.ThreadHandle[Node[V]]) *Handle[V] {
 // ReleaseHandle returns an acquired slot to the manager's registry. The
 // calling goroutine must be quiescent (every map operation leaves the thread
 // quiescent, so between operations is always legal) and must not use the
-// handle afterwards. The slot's parked scratch record (an unused node or
-// marker), if any, is returned to the pool rather than left for the next
+// handle afterwards. The slot's parked scratch record (an unused node), if
+// any, is returned to the pool rather than left for the next
 // occupant, so a goroutine that comes and goes strands nothing.
 func (h *Map[V]) ReleaseHandle(hd *Handle[V]) {
 	if r := hd.spare.rec; r != nil {
@@ -471,6 +496,33 @@ func (h *Map[V]) headOf(b uint64) *Node[V] {
 	return &h.segments[p].Load().buckets[b-1<<p]
 }
 
+// node resolves link w to the node it names, ignoring the mark: a record
+// through the allocator's directory, a head through the bucket directory,
+// and nil for the end of the list.
+func (h *Map[V]) node(w uint64) *Node[V] {
+	if w&recBit != 0 {
+		n, _ := h.rec(nil, w)
+		return n
+	}
+	if b := w >> refShift; b != 0 {
+		return h.headOf(b)
+	}
+	return nil
+}
+
+// rec resolves record link w through slabs, a snapshot of the directory that
+// a walk keeps from hop to hop, and returns the snapshot to keep: the same
+// one, or the directory loaded again when w names a slab entered since (or
+// slabs is nil). A hop so costs a compare and one load of an 8-byte
+// directory entry.
+func (h *Map[V]) rec(slabs []*Node[V], w uint64) (*Node[V], []*Node[V]) {
+	idx := uint32(w >> refShift)
+	if idx>>arena.SlabShift >= uint32(len(slabs)) {
+		slabs = h.dir.Slabs()
+	}
+	return arena.Record(slabs, idx), slabs
+}
+
 // bucketHead returns the node a traversal of bucket b starts from: the
 // bucket's head once it is on the list, else — while another thread is still
 // splicing it — the head of its nearest linked ancestor. It is called inside
@@ -518,8 +570,8 @@ func (h *Map[V]) linkHead(hd *Handle[V], b uint64, d *Node[V]) (*Node[V], bool) 
 		if !pos.found {
 			// Not on the list, so nobody else reads these fields yet.
 			d.sokey = sokey
-			d.next.Store(pos.curr)
-			if !pos.pred.next.CompareAndSwap(pos.curr, d) {
+			d.next.Store(pos.link)
+			if !pos.pred.next.CompareAndSwap(pos.link, headLink(b)) {
 				h.releasePos(hd, pos)
 				continue
 			}
@@ -575,15 +627,17 @@ func (h *Map[V]) maybeGrow(hd *Handle[V]) {
 // --- Traversal --------------------------------------------------------------
 
 // findPos is a position in the list: curr is the first node at or past the
-// search key (nil at the end of the list), pred its predecessor, and next
-// curr's successor once an update has read it to mark curr (liveNext). Under
-// per-record protection the recorded nodes are protected as flagged, and next
-// whenever it is set.
+// search key (nil at the end of the list), pred its predecessor, link the
+// unmarked link from pred to curr, and next curr's link to its successor,
+// unmarked, as find read it. An update CASes pred from link, or marks curr
+// with a CAS from next, so either fails if the word has moved since. Under
+// per-record protection the recorded nodes are protected as flagged.
 type findPos[V any] struct {
-	pred, curr, next *Node[V]
-	predProt         bool
-	currProt         bool
-	found            bool
+	pred, curr *Node[V]
+	link, next uint64
+	predProt   bool
+	currProt   bool
+	found      bool
 }
 
 // releasePos drops the protections recorded in pos.
@@ -597,142 +651,89 @@ func (h *Map[V]) releasePos(hd *Handle[V], pos findPos[V]) {
 	if pos.currProt && pos.curr != nil {
 		hd.rm.Unprotect(pos.curr)
 	}
-	if pos.next != nil {
-		hd.rm.Unprotect(pos.next)
-	}
 }
 
 // find walks the bucket list from start to the position of (sokey, rank),
-// physically unlinking any marked node it passes (Michael's find): a node
-// followed by a marker leaves with its marker, a node followed by its
-// replacement leaves alone and the walk goes on at the replacement. ok=false
-// means a protection validation or an unlink CAS failed and the operation
-// must restart; every protection has been released in that case.
+// physically unlinking every marked node it passes (Michael's find): a
+// marked node is unlinked by swinging its predecessor's link to the marked
+// node's successor — the node after a deleted one, the replacement of a
+// replaced one — and the walk goes on from there. ok=false means a
+// protection validation or an unlink CAS failed and the operation must
+// restart; every protection has been released in that case.
 //
 // On ok=true the returned position holds: pred protected (unless it is
-// start, which is a dummy and never retired), curr protected (when non-nil),
+// start, which is a head and never retired), curr protected (when non-nil),
 // and found reporting whether curr is the node at (sokey, rank).
 // The caller must eventually releasePos.
 func (h *Map[V]) find(hd *Handle[V], start *Node[V], sokey uint64, rank int) (findPos[V], bool) {
 	rm := hd.rm
 	pos := findPos[V]{pred: start}
-	curr := start.next.Load()
-	if h.perRecord && curr != nil {
-		if !rm.Protect(curr) {
-			return pos, false
-		}
-		if start.next.Load() != curr {
-			rm.Unprotect(curr)
-			return pos, false
-		}
-	}
+	var slabs []*Node[V]
+	link := start.next.Load() // heads are never marked
 	for {
-		if curr == nil {
+		var curr *Node[V]
+		if link&recBit != 0 {
+			curr, slabs = h.rec(slabs, link)
+		} else if curr = h.node(link); curr == nil {
+			pos.link = link
 			return pos, true
 		}
-		h.observe(hd.tid, curr)
-		next := curr.next.Load()
-		if next != nil {
-			if h.perRecord {
-				if !rm.Protect(next) {
-					h.failFind(hd, pos, curr, nil)
-					return pos, false
-				}
-				if curr.next.Load() != next {
-					h.failFind(hd, pos, curr, next)
-					return pos, false
-				}
-				if pos.pred.next.Load() != curr {
-					// If next is a marker or a replacement, curr.next froze
-					// when curr was marked, so the validation above cannot
-					// prove curr has not already been unlinked and next
-					// reclaimed — and telling marks apart would itself
-					// dereference next. curr still being reachable from the
-					// protected pred proves it is not yet retired, nor is
-					// anything its frozen next leads to, making the
-					// announcement in time for any kind of next.
-					h.failFind(hd, pos, curr, next)
-					return pos, false
-				}
+		if h.perRecord {
+			// Protect, then validate against the word curr was resolved
+			// from: pred still holds the unmarked link, so pred is not
+			// marked, hence still on the list, and so is curr — it was not
+			// retired before the announcement became visible.
+			if !rm.Protect(curr) {
+				h.failFind(hd, pos, nil)
+				return pos, false
 			}
-			h.observe(hd.tid, next)
-			if replaces(curr, next) {
-				// curr was overwritten by next; unlink curr alone. As with a
-				// marker, only the winning CAS retires, and next — the binding
-				// from this CAS on — is protected already and becomes curr.
-				if !pos.pred.next.CompareAndSwap(curr, next) {
-					h.failFind(hd, pos, curr, next)
-					return pos, false
-				}
-				rm.Retire(curr)
-				hd.st.unlinks.Inc()
-				if h.perRecord {
-					rm.Unprotect(curr)
-				}
-				curr = next
-				continue
-			}
-			if next.kind() == kindMarker {
-				// curr is logically deleted; unlink the (curr, marker) pair.
-				// Only the winning CAS retires: curr leaves the list exactly
-				// once, and its next field froze at the marker when it was
-				// marked, so the pair cannot be unlinked twice.
-				succ := next.next.Load()
-				if pos.pred.next.CompareAndSwap(curr, succ) {
-					rm.Retire(curr)
-					rm.Retire(next)
-					hd.st.unlinks.Inc()
-					if h.perRecord {
-						rm.Unprotect(curr)
-						rm.Unprotect(next)
-					}
-					curr = succ
-					if h.perRecord && curr != nil {
-						if !rm.Protect(curr) {
-							h.failFind(hd, pos, nil, nil)
-							return pos, false
-						}
-						if pos.pred.next.Load() != curr {
-							h.failFind(hd, pos, curr, nil)
-							return pos, false
-						}
-					}
-					continue
-				}
-				h.failFind(hd, pos, curr, next)
+			if pos.pred.next.Load() != link {
+				h.failFind(hd, pos, curr)
 				return pos, false
 			}
 		}
-		if c := curr.cmp(sokey, rank); c >= 0 {
-			if h.perRecord && next != nil {
-				rm.Unprotect(next)
+		h.observe(hd.tid, curr)
+		next := curr.next.Load()
+		if next&markBit != 0 {
+			// curr is deleted or replaced; unlink it. Only the winning CAS
+			// retires: a marked link never changes, so curr leaves the list
+			// exactly once, and the CAS fails if pred has been marked since.
+			succ := next &^ markBit
+			if !pos.pred.next.CompareAndSwap(link, succ) {
+				h.failFind(hd, pos, curr)
+				return pos, false
 			}
-			pos.curr = curr
+			rm.Retire(curr)
+			hd.st.unlinks.Inc()
+			if h.perRecord {
+				rm.Unprotect(curr)
+			}
+			link = succ
+			continue
+		}
+		if c := curr.cmp(sokey, rank); c >= 0 {
+			pos.curr, pos.link, pos.next = curr, link, next
 			pos.currProt = h.perRecord
 			pos.found = c == 0
 			return pos, true
 		}
-		// Advance the window: curr's protection slides to the pred slot,
-		// next's (acquired above) to the curr slot.
+		// Advance the window: curr's protection slides to the pred slot.
 		if h.perRecord && pos.predProt {
 			rm.Unprotect(pos.pred)
 		}
 		pos.pred = curr
 		pos.predProt = h.perRecord
-		curr = next
+		link = next
 	}
 }
 
 // failFind releases the protections held by an aborted find: the sliding
-// pred plus whichever of curr/next the failing iteration still holds.
-func (h *Map[V]) failFind(hd *Handle[V], pos findPos[V], curr, next *Node[V]) {
+// pred plus curr when the failing iteration holds it.
+func (h *Map[V]) failFind(hd *Handle[V], pos findPos[V], curr *Node[V]) {
 	if !h.perRecord {
 		return
 	}
 	rm := hd.rm
-	if next != nil {
-		rm.Unprotect(next)
-	}
 	if curr != nil {
 		rm.Unprotect(curr)
 	}
@@ -798,8 +799,8 @@ func (h *Map[V]) insertBody(hd *Handle[V], hash uint64, value V, node *Node[V]) 
 		h.releasePos(hd, pos)
 		return opFalse
 	}
-	initRegular(node, value, sokey, pos.curr)
-	if pos.pred.next.CompareAndSwap(pos.curr, node) {
+	initRegular(node, value, sokey, pos.link)
+	if pos.pred.next.CompareAndSwap(pos.link, recLink(node.index())) {
 		h.count.Add(1)
 		h.maybeGrow(hd)
 		rm.EnterQstate()
@@ -816,23 +817,19 @@ func (hd *Handle[V]) Delete(key int64) bool { return hd.deleteHashed(hashOf(key)
 
 func (hd *Handle[V]) deleteHashed(hash uint64) bool {
 	h := hd.h
-	// Quiescent preamble: obtain the marker the body may publish.
-	marker := hd.scratch()
 	for {
-		outcome, unlinked := h.deleteBody(hd, hash, marker)
+		outcome, unlinked := h.deleteBody(hd, hash)
 		switch outcome {
 		case opTrue:
-			// Quiescent postamble. If our own unlink CAS won, the pair is
+			// Quiescent postamble. If our own unlink CAS won, the node is
 			// unreachable and it is on us to retire it.
 			if unlinked != nil {
 				hd.rm.Retire(unlinked)
-				hd.rm.Retire(marker)
 			} else {
 				hd.awaitUnlink(hash)
 			}
 			return true
 		case opFalse:
-			hd.park(marker)
 			return false
 		default:
 			hd.st.restarts.Inc()
@@ -854,11 +851,11 @@ func (hd *Handle[V]) awaitUnlink(hash uint64) {
 	}
 }
 
-// deleteBody is one execution of the delete body. The marker CAS on the
-// victim's next field decides which Delete owns the removal. The removal
-// linearizes at the victim's unlink, which the caller sees through; unlinked
-// is the victim when this body's own unlink CAS won.
-func (h *Map[V]) deleteBody(hd *Handle[V], hash uint64, marker *Node[V]) (outcome int, unlinked *Node[V]) {
+// deleteBody is one execution of the delete body. The CAS that sets the
+// mark on the victim's link decides which Delete owns the removal. The
+// removal linearizes at the victim's unlink, which the caller sees through;
+// unlinked is the victim when this body's own unlink CAS won.
+func (h *Map[V]) deleteBody(hd *Handle[V], hash uint64) (outcome int, unlinked *Node[V]) {
 	rm := hd.rm
 	outcome = opRetry
 	rm.LeaveQstate()
@@ -878,19 +875,17 @@ func (h *Map[V]) deleteBody(hd *Handle[V], hash uint64, marker *Node[V]) (outcom
 		h.releasePos(hd, pos)
 		return opFalse, nil
 	}
-	if n := pos.curr; h.liveNext(hd, &pos) {
-		initMarker(marker, pos.next)
-		if n.next.CompareAndSwap(pos.next, marker) {
-			// The removal is ours. Try to unlink the pair ourselves; on
-			// failure the postamble's find will, unless a helper gets there
-			// first (helping is cheap here — unlinking needs no descriptor,
-			// just the pair itself).
-			outcome = opTrue
-			h.count.Add(-1)
-			if pos.pred.next.CompareAndSwap(n, pos.next) {
-				unlinked = n
-				hd.st.unlinks.Inc()
-			}
+	// The mark CAS expects the unmarked link find read, so it fails if n
+	// has been marked or given a new successor since; the retry's find sees
+	// which.
+	if n := pos.curr; n.next.CompareAndSwap(pos.next, pos.next|markBit) {
+		// The removal is ours. Try to unlink n ourselves; on failure the
+		// postamble's find will, unless a helper gets there first.
+		outcome = opTrue
+		h.count.Add(-1)
+		if pos.pred.next.CompareAndSwap(pos.link, pos.next) {
+			unlinked = n
+			hd.st.unlinks.Inc()
 		}
 	}
 	rm.EnterQstate()
@@ -898,37 +893,10 @@ func (h *Map[V]) deleteBody(hd *Handle[V], hash uint64, marker *Node[V]) (outcom
 	return outcome, unlinked
 }
 
-// liveNext reads the next field of pos.curr, the node an update found at its
-// key, into pos.next, and reports whether the node is unmarked — neither
-// deleted nor replaced — so the update may mark it with a CAS from pos.next.
-// The successor is inspected and becomes the mark's frozen next, so under
-// per-record protection it is protected and validated first; as in find,
-// validating through the node's next alone is not enough once that field has
-// frozen, so the node's continued reachability from the protected pred
-// completes the proof that the successor has not been reclaimed. false means
-// restart: a validation failed, or the node is marked, and the retry's find
-// unlinks it. pos.next is released with pos either way.
-func (h *Map[V]) liveNext(hd *Handle[V], pos *findPos[V]) bool {
-	n := pos.curr
-	s := n.next.Load()
-	if s == nil {
-		return true
-	}
-	if h.perRecord && !hd.rm.Protect(s) {
-		return false
-	}
-	pos.next = s
-	if h.perRecord && (n.next.Load() != s || pos.pred.next.Load() != n) {
-		return false
-	}
-	h.observe(hd.tid, s)
-	return s.kind() != kindMarker && !replaces(n, s)
-}
-
 // Upsert sets key to value: it inserts the key when absent and replaces the
 // existing binding otherwise, returning the previous value and whether the
-// key was present. A replacement marks the current node with the new one —
-// one CAS on the old node's next, which decides which update owns it — and
+// key was present. A replacement marks the current node's link with the new
+// node as its successor — one CAS, which decides which update owns it — and
 // takes effect when the old node is unlinked, by this Upsert or by any
 // traversal that meets the pair. A concurrent Get reads the old value or the
 // new one and never finds the key absent, and Upsert does not return before
@@ -1000,23 +968,26 @@ func (h *Map[V]) upsertBody(hd *Handle[V], hash uint64, value V, node *Node[V]) 
 		rm.EnterQstate()
 		return opRetry, prevVal, nil
 	}
+	self := recLink(node.index())
 	if !pos.found {
 		// Absent: plain insert (cf. insertBody).
-		initRegular(node, value, sokey, pos.curr)
-		if pos.pred.next.CompareAndSwap(pos.curr, node) {
+		initRegular(node, value, sokey, pos.link)
+		if pos.pred.next.CompareAndSwap(pos.link, self) {
 			outcome = opFalse
 			h.count.Add(1)
 			h.maybeGrow(hd)
 		}
-	} else if n := pos.curr; h.liveNext(hd, &pos) {
-		// Present: node takes n's successor and becomes n's mark. From this
-		// CAS on n is ours to replace; the replacement takes effect at n's
-		// unlink, and the count does not move.
+	} else {
+		// Present: node takes n's successor, and n's link becomes a marked
+		// link to node. From this CAS on n is ours to replace; the
+		// replacement takes effect at n's unlink, and the count does not
+		// move.
+		n := pos.curr
 		prevVal = n.value
 		initRegular(node, value, sokey, pos.next)
-		if n.next.CompareAndSwap(pos.next, node) {
+		if n.next.CompareAndSwap(pos.next, self|markBit) {
 			outcome = opTrue
-			if pos.pred.next.CompareAndSwap(n, node) {
+			if pos.pred.next.CompareAndSwap(pos.link, self) {
 				unlinked = n
 				hd.st.unlinks.Inc()
 			}
@@ -1114,21 +1085,34 @@ func (h *Map[V]) findBody(hd *Handle[V], hash uint64, fn func(V)) (val V, found,
 // bucket head to the first regular node with the given sokey, or nil. The
 // thread's epoch announcement covers every record reachable since the
 // operation began, including marked, unlinked and retired ones, so the walk
-// follows next pointers straight through them: a marker sorts before every
-// regular position (Node.cmp) and is stepped over (its next is the marked
-// node's frozen successor, and every link leads to a greater position, or
-// from a replaced node to its replacement at the same one, so the walk still
-// ends), nothing is unlinked, no CAS is issued, and the walk stops at the
-// node that matches without looking past it — the first node of its key,
-// which is the binding while a replacement waits behind it. A node the walk
-// reaches was on the list at some moment since the walk began, and a key is
-// in the map for as long as its node is on the list (see the package
-// comment). A hop reads sokey and next, and the kind only on a sokey tie.
+// follows links straight through them without reading the mark (every link
+// leads to a greater position, or from a replaced node to its replacement
+// at the same one, so the walk ends), nothing is unlinked, no CAS is issued,
+// and the walk stops at the node that matches without looking past it — the
+// first node of its key, which is the binding while a replacement waits
+// behind it. A node the walk reaches was on the list at some moment since
+// the walk began, and a key is in the map for as long as its node is on the
+// list (see the package comment). A hop reads sokey and next, and the kind
+// only on a sokey tie; a record link resolves through the walk's snapshot of
+// the directory (rec), and a link to a head past the key ends the walk
+// unread.
 // Per-record schemes cannot take this path: a hazard pointer protects one
 // record, validated against the link it was read from, and a link out of a
 // marked node proves nothing about its target.
 func (h *Map[V]) lookup(hd *Handle[V], start *Node[V], sokey uint64) *Node[V] {
-	for curr := start.next.Load(); curr != nil; curr = curr.next.Load() {
+	var slabs []*Node[V]
+	for w := start.next.Load(); ; {
+		var curr *Node[V]
+		if w&recBit != 0 {
+			curr, slabs = h.rec(slabs, w)
+		} else if b := w >> refShift; b == 0 || dummySoKey(b) > sokey {
+			// The end of the list, or a head past the key: a head's sokey
+			// is its bucket number reversed, so the walk stops without
+			// loading it.
+			return nil
+		} else {
+			curr = h.headOf(b)
+		}
 		h.observe(hd.tid, curr)
 		switch c := curr.cmp(sokey, rankRegular); {
 		case c == 0:
@@ -1136,8 +1120,8 @@ func (h *Map[V]) lookup(hd *Handle[V], start *Node[V], sokey uint64) *Node[V] {
 		case c > 0:
 			return nil
 		}
+		w = curr.next.Load()
 	}
-	return nil
 }
 
 // Contains reports whether key is in the map.
@@ -1147,15 +1131,6 @@ func (hd *Handle[V]) Contains(key int64) bool {
 }
 
 // --- Quiescent helpers ------------------------------------------------------
-
-// step follows a node's next link, skipping over a deletion marker.
-func step[V any](n *Node[V]) *Node[V] {
-	next := n.next.Load()
-	if next != nil && next.kind() == kindMarker {
-		return next.next.Load()
-	}
-	return next
-}
 
 // Len returns the number of keys by walking the list (quiescent use only;
 // Count is the O(1) counter-based alternative).
@@ -1168,7 +1143,7 @@ func (h *Map[V]) Len() int {
 // ForEach visits every key/value pair (quiescent use only). The order is
 // split-order, not key order.
 func (h *Map[V]) ForEach(fn func(key int64, value V) bool) {
-	for curr := step(&h.head); curr != nil; curr = step(curr) {
+	for curr := h.node(h.head.next.Load()); curr != nil; curr = h.node(curr.next.Load()) {
 		if curr.kind() == kindRegular && !fn(curr.Key(), curr.value) {
 			return
 		}
@@ -1176,15 +1151,20 @@ func (h *Map[V]) ForEach(fn func(key int64, value V) bool) {
 }
 
 // Validate checks the structural invariants (quiescent use only): the list
-// is strictly sorted by (sokey, rank), markers only follow regular nodes, and
-// every head that says it is linked is reachable.
+// is strictly sorted by (sokey, rank), every record link names the record
+// that holds its index, no head is marked, and every head that says it is
+// linked is reachable.
 func (h *Map[V]) Validate() error {
 	// Order along the list.
 	prev := &h.head
 	seen := map[*Node[V]]bool{prev: true}
-	for curr := step(prev); curr != nil; curr = step(curr) {
-		if curr.kind() == kindMarker {
-			return fmt.Errorf("hashmap: marker reachable as a primary node")
+	for w := prev.next.Load(); ; {
+		curr := h.node(w)
+		if curr == nil {
+			break
+		}
+		if w&recBit != 0 && recLink(curr.index()) != w&^markBit {
+			return fmt.Errorf("hashmap: link %#x names a record with index %d", w, curr.index())
 		}
 		if seen[curr] {
 			return fmt.Errorf("hashmap: cycle at sokey %#x", curr.sokey)
@@ -1193,6 +1173,10 @@ func (h *Map[V]) Validate() error {
 		if prev.cmp(curr.sokey, curr.rank()) >= 0 {
 			return fmt.Errorf("hashmap: out of split order: (%#x,%d) before (%#x,%d)",
 				prev.sokey, prev.rank(), curr.sokey, curr.rank())
+		}
+		w = curr.next.Load()
+		if w&markBit != 0 && curr.rank() == rankHead {
+			return fmt.Errorf("hashmap: head at sokey %#x is marked", curr.sokey)
 		}
 		prev = curr
 	}

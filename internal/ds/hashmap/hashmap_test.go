@@ -682,9 +682,70 @@ func TestNewPanics(t *testing.T) {
 	if !panics(func() { hashmap.New(mgr, 0) }) {
 		t.Fatal("New with 0 threads did not panic")
 	}
-	plus := recordmgr.MustBuild[hashmap.Node[int64]](recordmgr.Config{Scheme: recordmgr.SchemeDEBRAPlus, Threads: 1})
+	plus := recordmgr.MustBuild[hashmap.Node[int64]](recordmgr.Config{Scheme: recordmgr.SchemeDEBRAPlus, Threads: 1, UsePool: true})
 	if !panics(func() { hashmap.New(plus, 1) }) {
 		t.Fatal("New accepted a debra+ manager")
+	}
+	// Links are record indices: the allocator must number the records, and
+	// since its directory keeps them all alive, freed ones must be recycled.
+	unpooled := recordmgr.MustBuild[hashmap.Node[int64]](recordmgr.Config{Scheme: recordmgr.SchemeDEBRA, Threads: 1})
+	if !panics(func() { hashmap.New(unpooled, 1) }) {
+		t.Fatal("New accepted a manager without a pool")
+	}
+	heap := recordmgr.MustBuild[hashmap.Node[int64]](recordmgr.Config{
+		Scheme: recordmgr.SchemeDEBRA, Threads: 1, Allocator: recordmgr.AllocHeap, UsePool: true,
+	})
+	if !panics(func() { hashmap.New(heap, 1) }) {
+		t.Fatal("New accepted a heap allocator, which does not number its records")
+	}
+}
+
+// TestDeleteRecordCounts pins the per-update record arithmetic: a Delete
+// that hits takes no record and retires its victim alone (the mark is a bit
+// in the victim's link, not a node); a Delete that misses takes and retires
+// nothing; a replacing Upsert takes the replacement and retires the node it
+// replaced; an Insert of a present key parks what it took, and the next
+// update of the slot takes that.
+func TestDeleteRecordCounts(t *testing.T) {
+	for _, scheme := range []string{recordmgr.SchemeDEBRA, recordmgr.SchemeHP} {
+		t.Run(scheme, func(t *testing.T) {
+			m := newMap(t, scheme, 1)
+			mgr := m.Manager()
+			h := m.AcquireHandle()
+			defer m.ReleaseHandle(h)
+			for k := int64(0); k < 64; k += 2 {
+				h.Insert(k, k)
+			}
+			counts := func() (taken, retired int64) {
+				st := mgr.Stats()
+				return st.Pool.Reused + st.Pool.FromAllocator, st.Reclaimer.Retired
+			}
+			check := func(name string, op func() bool, wantOK bool, wantTaken, wantRetired int64) {
+				t.Helper()
+				taken0, retired0 := counts()
+				if got := op(); got != wantOK {
+					t.Fatalf("%s returned %v, want %v", name, got, wantOK)
+				}
+				taken1, retired1 := counts()
+				if taken, retired := taken1-taken0, retired1-retired0; taken != wantTaken || retired != wantRetired {
+					t.Errorf("%s took %d records and retired %d, want %d and %d", name, taken, retired, wantTaken, wantRetired)
+				}
+			}
+			check("Delete that hits", func() bool { return h.Delete(10) }, true, 0, 1)
+			check("Delete that misses", func() bool { return h.Delete(10) }, false, 0, 0)
+			check("replacing Upsert", func() bool { _, ok := h.Upsert(12, -12); return ok }, true, 1, 1)
+			check("inserting Upsert", func() bool { _, ok := h.Upsert(11, 11); return ok }, false, 1, 0)
+			check("first Insert of a present key", func() bool { return h.Insert(14, 0) }, false, 1, 0)
+			check("Insert of a present key", func() bool { return h.Insert(14, 0) }, false, 0, 0)
+			check("Insert from parked scratch", func() bool { return h.Insert(13, 13) }, true, 0, 0)
+			check("Delete of the replacement", func() bool { return h.Delete(12) }, true, 0, 1)
+			if err := m.Validate(); err != nil {
+				t.Fatal(err)
+			}
+			if m.Len() != m.Count() {
+				t.Fatalf("Len %d, Count %d", m.Len(), m.Count())
+			}
+		})
 	}
 }
 

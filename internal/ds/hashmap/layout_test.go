@@ -36,13 +36,17 @@ func TestNodeLayout(t *testing.T) {
 }
 
 // TestHeadLayout pins what embedding the bucket heads rests on: the memory a
-// segment is made of is zeroed, so zero must read "unclaimed"; and a directory
-// element is a Node and nothing more, so bucket b's head is found by
-// arithmetic and costs the bytes the record does.
+// segment is made of is zeroed, so zero must read "unclaimed", and a zeroed
+// link must be the unmarked end of the list; and a directory element is a
+// Node and nothing more, so bucket b's head is found by arithmetic and costs
+// the bytes the record does.
 func TestHeadLayout(t *testing.T) {
 	var n Node[uint32]
 	if kindUnclaimed != 0 || n.kind() != kindUnclaimed || n.meta.Load() != 0 {
 		t.Errorf("a zeroed Node has kind %d, meta %#x: want unclaimed (0)", n.kind(), n.meta.Load())
+	}
+	if w := n.next.Load(); w != headLink(0) || w&(markBit|recBit) != 0 {
+		t.Errorf("a zeroed Node's link %#x is not the unmarked end of the list", w)
 	}
 	seg := newSegment[uint32](3)
 	if len(seg.buckets) != 8 {
@@ -55,6 +59,18 @@ func TestHeadLayout(t *testing.T) {
 	}
 	if w := linkingBy(1<<22 + 5); w&kindMask != kindLinking || w&poisonBit != 0 || w>>slotShift != 1<<22+5 {
 		t.Errorf("linkingBy: word %#x does not keep kind, poison flag and slot apart", w)
+	}
+	// Link words keep the mark, the record tag and the reference apart: a
+	// record's index survives the tag and the mark, and a head link is never
+	// a record link.
+	for _, idx := range []uint32{0, 1, maxIndex} {
+		w := recLink(idx) | markBit
+		if w&recBit == 0 || uint32(w>>refShift) != idx || w&^markBit != recLink(idx) {
+			t.Errorf("recLink(%#x)|markBit = %#x does not keep mark, tag and index apart", idx, w)
+		}
+	}
+	if w := headLink(1<<39 - 1); w&(recBit|markBit) != 0 || w>>refShift != 1<<39-1 {
+		t.Errorf("headLink of the largest bucket = %#x: tag or mark set, or bucket lost", w)
 	}
 }
 

@@ -7,66 +7,83 @@ import (
 	"repro/internal/core"
 )
 
-// Node kinds, the low byte of Node.meta. A record's kind is assigned before it
-// is published and never changes while the record is reachable, so readers
-// that hold a safe reference (epoch-covered or hazard-protected) see one value
-// for as long as they may look. A bucket head is the exception: it lives in
-// the directory, not in a record, and its word moves once through
-// unclaimed -> linking -> dummy (Map.linkHead).
+// Node kinds, the low two bits of Node.meta. Every record is a regular node,
+// from the slab that numbers it to the end of the allocator's life: the kind
+// is stored with the record's index (SetIndex) and never changes. A bucket
+// head is not a record: it lives in the directory, and its word moves once
+// through unclaimed -> linking -> dummy (Map.linkHead).
 //
 //	0  kindUnclaimed  a bucket head nobody has entered yet. Zero, because segment
 //	                  memory arrives zeroed and a head is found by arithmetic
-//	1  kindRegular    a key/value node. One that follows a regular node of its
-//	                  own sokey is that node's replacement, and marks it as a
-//	                  marker would (replaces)
+//	1  kindRegular    a key/value node: every record
 //	2  kindDummy      a bucket head that is on the list. Heads are never removed,
 //	                  so traversals keep unprotected references to them: they are
 //	                  the stable re-entry points of every bucket
-//	3  kindMarker     the mark spliced after a deleted node — a deletion only (the
-//	                  Harris/CSLM marker-node technique: Go has no pointer mark
-//	                  bits, so the mark is a one-shot successor node that makes a
-//	                  deleted node's next field CAS-incomparable to any plain
-//	                  successor)
-//	4  kindLinking    a bucket head claimed by the worker slot named in bits 9-31,
+//	3  kindLinking    a bucket head claimed by the worker slot named in bits 3-31,
 //	                  which is splicing it (it may already be on the list)
 const (
 	kindUnclaimed uint32 = iota
 	kindRegular
 	kindDummy
-	kindMarker
 	kindLinking
 
 	// kindMask selects the kind from Node.meta; poisonBit is the reclaimtest
-	// freed-mark that shares the word; a linking head carries its claimer's
-	// slot from slotShift up.
-	kindMask  uint32 = 0xff
-	poisonBit uint32 = 1 << 8
-	slotShift        = 9
+	// freed-mark that shares the word. Above them a record carries its index
+	// from idxShift up, and a linking head its claimer's slot from slotShift
+	// up.
+	kindMask  uint32 = 0b11
+	poisonBit uint32 = 1 << 2
+	idxShift         = 3
+	slotShift        = 3
+	// maxIndex is the largest record index meta can hold: 2^29 records, 12
+	// GiB of Node[uint32].
+	maxIndex = 1<<(32-idxShift) - 1
 )
 
 // linkingBy is the meta word of a head claimed by worker slot tid.
 func linkingBy(tid int) uint32 { return kindLinking | uint32(tid)<<slotShift }
 
+// Links. A node names its successor by a link, a uint64 CASed as one word:
+//
+//	bit  0     markBit: the node that holds the link is marked — deleted, or
+//	           replaced by the successor the link names. A marked link is
+//	           never changed again
+//	bit  1     recBit: the successor is a record, and bits 2-33 are its index
+//	           in the allocator's directory (arena.Directory)
+//	bits 2-    without recBit: the bucket number of the successor head, and 0
+//	           for the end of the list (bucket 0's head is nobody's successor)
+//
+// So the zero word is an unmarked link to nothing, which is what a head's
+// next is before it is spliced in.
+const (
+	markBit  uint64 = 1 << 0
+	recBit   uint64 = 1 << 1
+	refShift        = 2
+)
+
+// recLink is the unmarked link to the record with index idx.
+func recLink(idx uint32) uint64 { return uint64(idx)<<refShift | recBit }
+
+// headLink is the unmarked link to bucket b's head.
+func headLink(b uint64) uint64 { return b << refShift }
+
 // Node is the hash map's managed record type, and the element type of the
-// bucket directory. One type covers the three roles (regular, dummy, marker)
-// so a single Record Manager manages every allocation of the structure, as
-// the paper recommends for multi-role structures (fold the types into one
-// record with a kind discriminator), and so a bucket head embedded in the
-// directory is a list node like any other.
+// bucket directory. One type covers both roles (regular and head) so that a
+// bucket head embedded in the directory is a list node like any other.
 //
 // A node stores no user key: its split-order key determines it (keyOf), and
-// a copy would cost a quarter of the record. Byte map of Node[uint32] — 24
-// bytes:
+// a copy would cost a quarter of the record. Nor does it store a pointer: its
+// successor is a link, so Node[uint32] holds none and its slabs are never
+// scanned by the garbage collector. Byte map of Node[uint32] — 24 bytes:
 //
 //	 0  sokey  uint64           regular: bit-reversed hash; head: bit-reversed
-//	                            bucket index; marker: 0. The list is sorted by
-//	                            (sokey, rank), a head ranking before a regular node
-//	 8  next   *Node            successor; a marked node's next is its marker or
-//	                            its replacement, a marker's next the frozen
-//	                            successor
-//	16  meta   uint32           bits 0-7 kind, bit 8 reclaimtest poison flag,
-//	                            bits 9-31 the claimer's slot while a head is linking
-//	20  value  V                regular: the value; marker: whatever it last held
+//	                            bucket index. The list is sorted by (sokey,
+//	                            rank), a head ranking before a regular node
+//	 8  next   uint64           the link to the successor, and the mark bit
+//	16  meta   uint32           bits 0-1 kind, bit 2 reclaimtest poison flag,
+//	                            bits 3-31 a record's index, or the claimer's
+//	                            slot while a head is linking
+//	20  value  V                regular: the value
 //
 // A wider V grows the record from offset 20 (Node[[]byte] is 48 bytes, its
 // value aligned to 24); sokey, next and meta, all a hop reads, stay in the
@@ -75,13 +92,25 @@ func linkingBy(tid int) uint32 { return kindLinking | uint32(tid)<<slotShift }
 // and next, and its meta only on a sokey tie.
 type Node[V any] struct {
 	sokey uint64
-	next  atomic.Pointer[Node[V]]
+	next  atomic.Uint64
 	// meta is atomic because the poison flag is set and cleared by the test
 	// pool wrappers while the kind sits beside it; on the hot path it is only
 	// ever loaded (a plain MOV).
 	meta  atomic.Uint32
 	value V
 }
+
+// SetIndex implements arena.Indexed: it makes the record a regular node
+// with index idx, once, before the allocator hands the record out.
+func (n *Node[V]) SetIndex(idx uint32) {
+	if idx > maxIndex {
+		panic("hashmap: more than 2^29 records in one map")
+	}
+	n.meta.Store(kindRegular | idx<<idxShift)
+}
+
+// index is the record's index, its address in links.
+func (n *Node[V]) index() uint32 { return n.meta.Load() >> idxShift }
 
 // Key returns the node's key (meaningful for regular nodes only).
 func (n *Node[V]) Key() int64 { return keyOf(n.sokey) }
@@ -93,9 +122,6 @@ func (n *Node[V]) kind() uint32 { return n.meta.Load() & kindMask }
 
 // IsDummy reports whether the node is a bucket sentinel.
 func (n *Node[V]) IsDummy() bool { return n.kind() == kindDummy }
-
-// IsMarker reports whether the node is a logical-deletion marker.
-func (n *Node[V]) IsMarker() bool { return n.kind() == kindMarker }
 
 // Poison implements the reclaimtest Poisonable contract: mark the record as
 // freed, reporting whether it already was (a double free). The harness sets
@@ -173,9 +199,7 @@ func (n *Node[V]) rank() int {
 
 // cmp places n against the list position (sokey, rank): negative if n comes
 // before it, zero if n is the node at it, positive if n comes after it. The
-// kind is read only on a sokey tie. A marker, whose sokey is 0 and which
-// ranks as a head, comes before every regular node's position, so a walk
-// looking for one passes markers without telling them apart.
+// kind is read only on a sokey tie.
 func (n *Node[V]) cmp(sokey uint64, rank int) int {
 	switch {
 	case n.sokey < sokey:
@@ -186,46 +210,17 @@ func (n *Node[V]) cmp(sokey uint64, rank int) int {
 	return n.rank() - rank
 }
 
-// replaces reports whether next, read from n's next field, is n's
-// replacement: the regular node a replacing Upsert spliced after n, which
-// marks n as a deletion marker does. Nothing else of n's sokey can follow a
-// regular n (no two keys share a sokey, a head ranks before the regular node
-// it ties with, and a marker is told apart by its kind), so the kinds are
-// read only on a sokey tie.
-func replaces[V any](n, next *Node[V]) bool {
-	return next.sokey == n.sokey && next.kind() == kindRegular && n.kind() == kindRegular
-}
-
 // parentBucket returns the parent of bucket b in the split-order recursive
 // initialisation scheme: b with its most significant set bit cleared.
 func parentBucket(b uint64) uint64 {
 	return b &^ (1 << (bits.Len64(b) - 1))
 }
 
-// setKind assigns the role of a record the caller owns exclusively. The
-// store is skipped when the recycled record already has the kind (an atomic
-// store is an XCHG); a record handed out by an allocator or pool is never
-// poisoned, so the whole word is the kind.
-func (n *Node[V]) setKind(kind uint32) {
-	if n.meta.Load() != kind {
-		n.meta.Store(kind)
-	}
-}
-
-// initRegular (re)initialises a recycled record as a key/value node.
-func initRegular[V any](n *Node[V], value V, sokey uint64, next *Node[V]) {
+// initRegular (re)initialises a recycled record as a key/value node whose
+// successor is next. The record's meta word, its kind and index, was set
+// when its slab was numbered and stays.
+func initRegular[V any](n *Node[V], value V, sokey uint64, next uint64) {
 	n.value = value
 	n.sokey = sokey
-	n.setKind(kindRegular)
-	n.next.Store(next)
-}
-
-// initMarker (re)initialises a recycled record as a deletion marker whose
-// frozen successor is next. The value is left alone: nobody reads a marker's
-// value, and the storage it holds comes back to UpsertFunc's fill when the
-// record is a node again.
-func initMarker[V any](n *Node[V], next *Node[V]) {
-	n.sokey = 0
-	n.setKind(kindMarker)
 	n.next.Store(next)
 }

@@ -79,7 +79,7 @@ func TestHeadTies(t *testing.T) {
 						}
 						d = m.headOf(buckets[i-1])
 					}
-					if present && d.kind() == kindDummy && step(d) != nodeOf(m, k) {
+					if present && d.kind() == kindDummy && m.node(d.next.Load()) != nodeOf(m, k) {
 						t.Fatalf("%s: the node after the head key %d ties with is not its own", stage, k)
 					}
 				}

@@ -90,8 +90,9 @@ type Config struct {
 	// else frees a slot. It bounds only slot tenure: the connection itself,
 	// and any frame in flight, live under ReadTimeout.
 	IdleHold time.Duration
-	// UsePool recycles reclaimed nodes through the record pool (default
-	// false; set it for steady-state serving).
+	// UsePool must be set: the hash map links its records by index, so it
+	// recycles them through the record pool, and New refuses a config
+	// without it.
 	UsePool bool
 	// RetireBatch configures each partition's Record Manager exactly as in
 	// recordmgr.Config.
@@ -246,6 +247,9 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.Scheme == recordmgr.SchemeDEBRAPlus {
 		return nil, fmt.Errorf("kvservice: scheme %s is refused: the hash map has no neutralization recovery", cfg.Scheme)
+	}
+	if !cfg.UsePool {
+		return nil, errors.New("kvservice: UsePool must be set: the hash map recycles its records through the pool (hashmap.New)")
 	}
 	// Build every partition's manager up front so configuration errors
 	// surface as errors rather than panics out of the builder callback.

@@ -116,7 +116,7 @@ func TestServerBasicOps(t *testing.T) {
 }
 
 func TestServerRejectsMalformedAndCloses(t *testing.T) {
-	srv, addr := startServer(t, kvservice.Config{Scheme: recordmgr.SchemeEBR})
+	srv, addr := startServer(t, kvservice.Config{Scheme: recordmgr.SchemeEBR, UsePool: true})
 	defer srv.Close()
 	c := dial(t, addr)
 	// An unknown opcode inside a well-formed frame gets a diagnostic, then
@@ -319,7 +319,7 @@ func TestServerIdleConnDoesNotStarveOthers(t *testing.T) {
 }
 
 func TestServerCloseIdempotentAndStartAfterClose(t *testing.T) {
-	srv, _ := startServer(t, kvservice.Config{})
+	srv, _ := startServer(t, kvservice.Config{UsePool: true})
 	srv.Close()
 	srv.Close() // must not panic or deadlock
 	if _, err := srv.Start("127.0.0.1:0"); err == nil {
@@ -328,22 +328,33 @@ func TestServerCloseIdempotentAndStartAfterClose(t *testing.T) {
 }
 
 func TestServerConfigValidation(t *testing.T) {
-	if _, err := kvservice.New(kvservice.Config{Scheme: "bogus"}); err == nil {
+	if _, err := kvservice.New(kvservice.Config{Scheme: "bogus", UsePool: true}); err == nil {
 		t.Fatal("New accepted an unknown scheme")
 	}
-	if _, err := kvservice.New(kvservice.Config{Scheme: recordmgr.SchemeDEBRAPlus}); err == nil || !strings.Contains(err.Error(), "debra+") {
+	if _, err := kvservice.New(kvservice.Config{Scheme: recordmgr.SchemeDEBRAPlus, UsePool: true}); err == nil || !strings.Contains(err.Error(), "debra+") {
 		t.Fatalf("New accepted debra+, or refused it without naming it: %v", err)
 	}
-	if _, err := kvservice.New(kvservice.Config{Partitions: -1}); err == nil {
+	if _, err := kvservice.New(kvservice.Config{Partitions: -1, UsePool: true}); err == nil {
 		t.Fatal("New accepted negative Partitions")
 	}
-	if _, err := kvservice.New(kvservice.Config{MaxConns: -1}); err == nil {
+	if _, err := kvservice.New(kvservice.Config{MaxConns: -1, UsePool: true}); err == nil {
 		t.Fatal("New accepted negative MaxConns")
 	}
-	if _, err := kvservice.New(kvservice.Config{Burst: -1}); err == nil {
+	if _, err := kvservice.New(kvservice.Config{Burst: -1, UsePool: true}); err == nil {
 		t.Fatal("New accepted negative Burst")
 	}
-	if _, err := kvservice.New(kvservice.Config{IdleHold: -time.Millisecond}); err == nil {
+	if _, err := kvservice.New(kvservice.Config{IdleHold: -time.Millisecond, UsePool: true}); err == nil {
 		t.Fatal("New accepted negative IdleHold")
+	}
+}
+
+// TestServerRequiresPool: the hash map links its records by index and must
+// recycle them, so New refuses a config without UsePool, and says why,
+// rather than letting hashmap.New panic.
+func TestServerRequiresPool(t *testing.T) {
+	for _, scheme := range []string{recordmgr.SchemeDEBRA, recordmgr.SchemeHP} {
+		if _, err := kvservice.New(kvservice.Config{Scheme: scheme}); err == nil || !strings.Contains(err.Error(), "UsePool") {
+			t.Fatalf("%s: New without UsePool = %v, want an error naming UsePool", scheme, err)
+		}
 	}
 }
