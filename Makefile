@@ -44,9 +44,9 @@ race:
 stress-bst:
 	$(GO) test -race -count=5 -timeout 10m -run 'Concurrent|Stress' ./internal/ds/bst
 
-## stress-hashmap: the hash map's bucket-claim, unlink, overwrite, wait-free-Get, record-count and marked-link tests under -race
+## stress-hashmap: the hash map's bucket-claim, head-state, head-tie, unlink, overwrite, wait-free-Get, record-count and marked-link tests under -race
 stress-hashmap:
-	$(GO) test -race -count=10 -timeout 10m -run 'Claim|Unlink|Overwrite|StressWaitFreeGet|RecordCounts|MarkedWordIsInert' ./internal/ds/hashmap
+	$(GO) test -race -count=10 -timeout 10m -run 'Claim|Unlink|Overwrite|StressWaitFreeGet|RecordCounts|MarkedWordIsInert|HeadState|HeadTies' ./internal/ds/hashmap
 
 ## stress-kvservice: the service's shared-key value-integrity stress under -race
 stress-kvservice:

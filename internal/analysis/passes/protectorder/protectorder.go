@@ -96,29 +96,23 @@ const (
 )
 
 // wordSources maps each pointer variable assigned from a call on a plain
-// integer-typed identifier (p := resolve(w), p = resolve(w)) to those words:
-// the index-addressed form of "the pointer was loaded from src", under which
-// comparing a fresh load of src against w re-validates p. Flow-insensitive,
-// like the event scan it feeds.
+// integer-typed identifier (p := resolve(w), p = resolve(w), or p, s =
+// resolve(s, w) for a resolver that also returns state to keep) to those
+// words: the index-addressed form of "the pointer was loaded from src",
+// under which comparing a fresh load of src against w re-validates p.
+// Flow-insensitive, like the event scan it feeds.
 func wordSources(pass *analysis.Pass, body *ast.BlockStmt) map[*types.Var][]*types.Var {
 	src := map[*types.Var][]*types.Var{}
 	ast.Inspect(body, func(n ast.Node) bool {
 		as, ok := n.(*ast.AssignStmt)
-		if !ok || len(as.Lhs) != 1 || len(as.Rhs) != 1 {
+		if !ok || len(as.Rhs) != 1 {
 			return true
 		}
-		id, ok := ast.Unparen(as.Lhs[0]).(*ast.Ident)
+		call, ok := ast.Unparen(as.Rhs[0]).(*ast.CallExpr)
 		if !ok {
 			return true
 		}
-		p, _ := pass.Info.Defs[id].(*types.Var)
-		if p == nil {
-			p, _ = pass.Info.Uses[id].(*types.Var)
-		}
-		call, ok := ast.Unparen(as.Rhs[0]).(*ast.CallExpr)
-		if p == nil || !ok || !isPointerish(p.Type()) {
-			return true
-		}
+		var words []*types.Var
 		for _, arg := range call.Args {
 			aid, ok := ast.Unparen(arg).(*ast.Ident)
 			if !ok {
@@ -129,7 +123,20 @@ func wordSources(pass *analysis.Pass, body *ast.BlockStmt) map[*types.Var][]*typ
 				continue
 			}
 			if b, ok := types.Unalias(w.Type()).Underlying().(*types.Basic); ok && b.Info()&types.IsInteger != 0 {
-				src[p] = append(src[p], w)
+				words = append(words, w)
+			}
+		}
+		for _, lhs := range as.Lhs {
+			id, ok := ast.Unparen(lhs).(*ast.Ident)
+			if !ok {
+				continue
+			}
+			p, _ := pass.Info.Defs[id].(*types.Var)
+			if p == nil {
+				p, _ = pass.Info.Uses[id].(*types.Var)
+			}
+			if p != nil && isPointerish(p.Type()) {
+				src[p] = append(src[p], words...)
 			}
 		}
 		return true

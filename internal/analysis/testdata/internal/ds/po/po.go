@@ -137,3 +137,43 @@ func badIndexedOtherWord(l *ilist, h *core.ThreadHandle[inode], other uint64) in
 	}
 	return n.key
 }
+
+// A walk whose predecessor is a link word — the list head, then a record's
+// link — and whose resolver also returns the slab snapshot it keeps: the
+// record is validated by comparing a fresh load of the predecessor word
+// against the word it was resolved from.
+func (l *ilist) atSnap(snap []inode, w uint64) (*inode, []inode) {
+	if snap == nil {
+		snap = l.recs
+	}
+	return &snap[w], snap
+}
+
+func goodIndexedPredWord(l *ilist, h *core.ThreadHandle[inode]) int64 {
+	pred := &l.head
+	var snap []inode
+	for w := pred.Load(); ; {
+		var n *inode
+		n, snap = l.atSnap(snap, w)
+		if !h.Protect(n) || pred.Load() != w {
+			h.Unprotect(n)
+			return 0
+		}
+		if n.key != 0 {
+			return n.key
+		}
+		pred = &n.next
+		w = pred.Load()
+	}
+}
+
+func badIndexedPredWordOther(l *ilist, h *core.ThreadHandle[inode], other uint64) int64 {
+	pred := &l.head
+	w := pred.Load()
+	n, _ := l.atSnap(nil, w)
+	if !h.Protect(n) || pred.Load() != other { // want `n is dereferenced at line \d+ without re-validation after Protect`
+		h.Unprotect(n)
+		return 0
+	}
+	return n.key
+}

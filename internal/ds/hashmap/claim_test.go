@@ -40,6 +40,10 @@ func buildMap(t *testing.T, scheme string, threads int, opts ...Option) *Map[int
 	return New(mgr, threads, opts...)
 }
 
+// stateOf reads the claim state of head word d: 0 (unclaimed),
+// claimedBy(slot) or headLinked.
+func stateOf(d *atomic.Uint64) uint64 { return d.Load() & headState }
+
 // keysOfBucket returns the first n keys >= from that fall in bucket b of a
 // table of the given size.
 func keysOfBucket(b, size uint64, from int64, n int) []int64 {
@@ -64,10 +68,10 @@ func TestClaimParkedClaimer(t *testing.T) {
 			m := buildMap(t, scheme, 3, WithInitialBuckets(4), WithMaxLoad(1), WithMaxBuckets(16))
 			hs := reclaimtest.AcquireSlots(3, m.AcquireHandle)
 			parked := m.headOf(2)
-			if parked.kind() != kindUnclaimed {
-				t.Fatalf("untouched head has kind %d", parked.kind())
+			if s := stateOf(parked); s != 0 {
+				t.Fatalf("untouched head has state %#x", s)
 			}
-			parked.meta.Store(linkingBy(2))
+			parked.Store(claimedBy(2))
 
 			// Keys whose low hash bits are 10: bucket 2 of 4, and its children
 			// 2|6 of 8 and 2|6|10|14 of 16.
@@ -90,12 +94,12 @@ func TestClaimParkedClaimer(t *testing.T) {
 					t.Fatalf("Delete(%d) behind a parked claimer failed", k)
 				}
 			}
-			if parked.meta.Load() != linkingBy(2) {
-				t.Fatalf("another slot touched the claim: meta %#x", parked.meta.Load())
+			if s := stateOf(parked); s != claimedBy(2) {
+				t.Fatalf("another slot touched the claim: state %#x", s)
 			}
 			children := 0
 			for _, b := range []uint64{6, 10, 14} {
-				if m.headOf(b).kind() == kindDummy {
+				if stateOf(m.headOf(b)) == headLinked {
 					children++
 				}
 			}
@@ -110,9 +114,9 @@ func TestClaimParkedClaimer(t *testing.T) {
 			before := m.Stats().Dummies
 			own := keysOfBucket(2, 16, 0, 1)[0]
 			hs[2].Get(own)
-			if parked.meta.Load() != kindDummy || m.Stats().Dummies != before+1 {
-				t.Fatalf("claimer did not finish its splice: meta %#x, dummies %d -> %d",
-					parked.meta.Load(), before, m.Stats().Dummies)
+			if s := stateOf(parked); s != headLinked || m.Stats().Dummies != before+1 {
+				t.Fatalf("claimer did not finish its splice: state %#x, dummies %d -> %d",
+					s, before, m.Stats().Dummies)
 			}
 			if err := m.Validate(); err != nil {
 				t.Fatalf("after the claimer resumed: %v", err)
@@ -141,16 +145,16 @@ func claimRestart(t *testing.T, m *Map[int64], hs []*Handle[int64], interrupt fu
 		hs[0].Insert(k, k)
 	}
 	head := m.headOf(1)
-	if head.kind() != kindUnclaimed {
+	if stateOf(head) != 0 {
 		t.Fatal("bucket 1 was touched by the prefill")
 	}
 	fired := false
 	m.SetVisitHook(func(tid int, n *Node[int64]) {
-		if tid != 0 || fired || n.kind() != kindRegular {
+		if tid != 0 || fired {
 			return
 		}
-		if head.meta.Load() != linkingBy(0) {
-			t.Errorf("claimer walks with head meta %#x, want its claim", head.meta.Load())
+		if s := stateOf(head); s != claimedBy(0) {
+			t.Errorf("claimer walks with head state %#x, want its claim", s)
 		}
 		fired = true
 		interrupt(n)
@@ -167,9 +171,9 @@ func claimRestart(t *testing.T, m *Map[int64], hs []*Handle[int64], interrupt fu
 	if after.Restarts == before.Restarts {
 		t.Fatal("the interrupted attempt did not restart")
 	}
-	if head.meta.Load() != kindDummy || after.Dummies != before.Dummies+1 {
-		t.Fatalf("restarted claimer abandoned its claim: meta %#x, dummies %d -> %d",
-			head.meta.Load(), before.Dummies, after.Dummies)
+	if s := stateOf(head); s != headLinked || after.Dummies != before.Dummies+1 {
+		t.Fatalf("restarted claimer abandoned its claim: state %#x, dummies %d -> %d",
+			s, before.Dummies, after.Dummies)
 	}
 	if v, ok := hs[0].Get(key); !ok || v != key {
 		t.Fatalf("Get(%d) = %d, %v", key, v, ok)
@@ -191,6 +195,89 @@ func TestClaimRestartHP(t *testing.T) {
 	})
 }
 
+// spliceOnly claims bucket b's head for slot tid and splices it into the
+// list the way linkHead does, and stops there, as a claimer parked between
+// its splice CAS and the CAS that marks the head linked would.
+func spliceOnly(m *Map[int64], b uint64, tid int) *atomic.Uint64 {
+	d, pred := m.headOf(b), &m.head
+	for w := pred.Load(); !atEnd(w); w = pred.Load() {
+		if n := m.record(w); n != nil {
+			if n.sokey >= dummySoKey(b) {
+				break
+			}
+			pred = &n.next
+		} else if c := bucketOf(w); dummySoKey(c) < dummySoKey(b) {
+			pred = m.headOf(c)
+		} else {
+			break
+		}
+	}
+	w := pred.Load()
+	d.Store(w&^headState | claimedBy(tid))
+	pred.Store(headLink(b) | w&headState)
+	return d
+}
+
+// TestLinkCASKeepsHeadState: slot 2 has spliced bucket 2's head but not yet
+// marked it linked. Slot 1, walking in from bucket 0, inserts behind that
+// head, replaces, deletes and re-inserts the key there, and unlinks a marked
+// node behind it — each a CAS on the head's word — and the claim must
+// survive every one. Then the claimer resumes: the head ends up linked, in
+// front of slot 1's key, and Validate passes. A link CAS that wrote a bare
+// link would leave the head unclaimed, and the claimer would walk away from
+// it.
+func TestLinkCASKeepsHeadState(t *testing.T) {
+	for _, scheme := range []string{recordmgr.SchemeDEBRA, recordmgr.SchemeHP} {
+		t.Run(scheme, func(t *testing.T) {
+			m := buildMap(t, scheme, 3, WithInitialBuckets(4), WithMaxBuckets(4))
+			hs := reclaimtest.AcquireSlots(3, m.AcquireHandle)
+			for _, b := range []uint64{0, 1, 3} {
+				for _, k := range keysOfBucket(b, 4, 0, 3) {
+					hs[0].Insert(k, k)
+				}
+			}
+			d := spliceOnly(m, 2, 2)
+			if err := m.Validate(); err != nil {
+				t.Fatalf("with the head spliced and claimed: %v", err)
+			}
+			key := keysOfBucket(2, 4, 0, 1)[0]
+			step := func(name string, op func() bool) {
+				t.Helper()
+				if !op() {
+					t.Fatalf("%s behind the claimed head failed", name)
+				}
+				if s := stateOf(d); s != claimedBy(2) {
+					t.Fatalf("after %s behind the head: state %#x, want the claim %#x", name, s, claimedBy(2))
+				}
+				if err := m.Validate(); err != nil {
+					t.Fatalf("after %s: %v", name, err)
+				}
+			}
+			h := hs[1]
+			step("an insert", func() bool { return h.Insert(key, 1) })
+			step("a replacing upsert", func() bool { _, replaced := h.Upsert(key, 2); return replaced })
+			step("a delete", func() bool { return h.Delete(key) })
+			step("an inserting upsert", func() bool { _, replaced := h.Upsert(key, 3); return !replaced })
+			markOnly(m, key)
+			step("an unlink and insert", func() bool { return h.Insert(key, 4) })
+
+			before := m.Stats().Dummies
+			if v, ok := hs[2].Get(key); !ok || v != 4 {
+				t.Fatalf("the claimer's Get(%d) = %d, %v", key, v, ok)
+			}
+			if s := stateOf(d); s != headLinked || m.Stats().Dummies != before+1 {
+				t.Fatalf("claimer did not finish: state %#x, dummies %d -> %d", s, before, m.Stats().Dummies)
+			}
+			if m.record(d.Load()) != nodeOf(m, key) {
+				t.Fatal("the linked head is not followed by the key inserted behind it")
+			}
+			if err := m.Validate(); err != nil {
+				t.Fatalf("after the claimer resumed: %v", err)
+			}
+		})
+	}
+}
+
 // unlinkFixture is a one-bucket map, a victim in the middle of its chain, and
 // a visit hook that — once, when slot 0's find reaches the victim, so before
 // its mark CAS — has slot 1 insert a key directly in front of it. The mark
@@ -206,7 +293,7 @@ func unlinkFixture(t *testing.T, scheme string) (m *Map[int64], hs []*Handle[int
 	wedge := int64(100)
 	for ; ; wedge++ {
 		so := regularSoKey(hashOf(wedge))
-		if pred.cmp(so, rankRegular) < 0 && n.cmp(so, rankRegular) > 0 {
+		if pred.sokey < so && so < n.sokey {
 			break
 		}
 	}

@@ -35,8 +35,8 @@ func linked(m *Map[int64], key int64) bool {
 
 // nodeOf returns the regular node holding key if it is on the list.
 func nodeOf(m *Map[int64], key int64) *Node[int64] {
-	for n := &m.head; n != nil; n = m.node(n.next.Load()) {
-		if n.kind() == kindRegular && n.Key() == key {
+	for w := m.head.Load(); !atEnd(w); w = m.after(w) {
+		if n := m.record(w); n != nil && n.Key() == key {
 			return n
 		}
 	}
@@ -87,9 +87,9 @@ func TestGetOnReplacedNode(t *testing.T) {
 					t.Fatalf("hp: Get of a replaced key = %d, %v; unlinks %d -> %d, old still linked %v",
 						v, ok, before.Unlinks, after.Unlinks, nodeOf(m, victim) == old)
 				}
-			} else if !ok || v != victim*10 || after != before || nodeOf(m, victim) != old || m.node(old.next.Load()) != repl {
+			} else if !ok || v != victim*10 || after != before || nodeOf(m, victim) != old || m.record(old.next.Load()) != repl {
 				t.Fatalf("epoch Get of a replaced key = %d, %v; stats %+v -> %+v, pair in place %v",
-					v, ok, before, after, nodeOf(m, victim) == old && m.node(old.next.Load()) == repl)
+					v, ok, before, after, nodeOf(m, victim) == old && m.record(old.next.Load()) == repl)
 			}
 			for _, k := range chain(m) {
 				if k == victim {
@@ -178,7 +178,7 @@ func TestGetCrossesUnlinkedPairs(t *testing.T) {
 			a, b, target := keys[2], keys[3], keys[4]
 			fired := false
 			m.SetVisitHook(func(tid int, n *Node[int64]) {
-				if tid != 0 || fired || n.kind() != kindRegular || n.Key() != a {
+				if tid != 0 || fired || n.Key() != a {
 					return
 				}
 				fired = true
@@ -209,28 +209,27 @@ func TestGetCrossesUnlinkedPairs(t *testing.T) {
 	}
 }
 
-// TestPoisonSharesWordWithKind: the reclaimtest Poisonable contract on the
+// TestPoisonSharesWordWithIndex: the reclaimtest Poisonable contract on the
 // folded meta word — the flag reports a double free, clears, and never
-// disturbs the kind and index stored beside it.
-func TestPoisonSharesWordWithKind(t *testing.T) {
+// disturbs the index stored beside it.
+func TestPoisonSharesWordWithIndex(t *testing.T) {
 	var n Node[uint32]
 	n.SetIndex(maxIndex)
-	intact := func() bool { return n.kind() == kindRegular && n.index() == maxIndex }
-	if n.IsPoisoned() || !intact() {
-		t.Fatalf("fresh node: poisoned=%v kind %d index %#x", n.IsPoisoned(), n.kind(), n.index())
+	if n.IsPoisoned() || n.index() != maxIndex {
+		t.Fatalf("fresh node: poisoned=%v index %#x", n.IsPoisoned(), n.index())
 	}
 	if n.Poison() {
 		t.Fatal("first Poison reported a double free")
 	}
-	if !n.IsPoisoned() || !intact() {
-		t.Fatalf("after Poison: poisoned=%v kind %d index %#x", n.IsPoisoned(), n.kind(), n.index())
+	if !n.IsPoisoned() || n.index() != maxIndex {
+		t.Fatalf("after Poison: poisoned=%v index %#x", n.IsPoisoned(), n.index())
 	}
 	if !n.Poison() {
 		t.Fatal("second Poison did not report the double free")
 	}
 	n.Unpoison()
-	if n.IsPoisoned() || !intact() {
-		t.Fatalf("after Unpoison: poisoned=%v kind %d index %#x", n.IsPoisoned(), n.kind(), n.index())
+	if n.IsPoisoned() || n.index() != maxIndex {
+		t.Fatalf("after Unpoison: poisoned=%v index %#x", n.IsPoisoned(), n.index())
 	}
 }
 
@@ -252,7 +251,7 @@ func TestMarkedWordIsInert(t *testing.T) {
 			wedge := int64(100)
 			for ; ; wedge++ {
 				so := regularSoKey(hashOf(wedge))
-				if pred.cmp(so, rankRegular) < 0 && n.cmp(so, rankRegular) > 0 {
+				if pred.sokey < so && so < n.sokey {
 					break
 				}
 			}

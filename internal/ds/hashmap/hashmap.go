@@ -29,10 +29,11 @@
 //     longer see they are unreachable.
 //   - Bucket heads ("dummies") are not Record Manager records. A head is
 //     never removed, so it is never retired and nothing about it needs a
-//     grace period; it is an element of the bucket directory (bucket 0's is a
-//     field of Map), found by arithmetic, and it is a Node so that the list
-//     runs through it like through any other. A link to bucket b's head
-//     carries b. Heads are the stable re-entry points that let a restarted
+//     grace period, nor is it ever protected; it is one link word in the
+//     bucket directory (bucket 0's is a field of Map), found by arithmetic. A
+//     link to bucket b's head carries b, and a traversal places the head by
+//     that number (its sokey is b reversed) without loading anything but the
+//     word. Heads are the stable re-entry points that let a restarted
 //     traversal re-enter its bucket without re-running the whole operation
 //     from a global head.
 //   - Under hazard-pointer style schemes (NeedsPerRecordProtection) the
@@ -50,37 +51,39 @@
 // CASes the bucket count, and a new bucket's head is spliced into the
 // split-ordered list on first access (no node is ever rehashed or moved).
 //
-// A node stores no user key. A regular node's split-order key is its mixed
-// hash bit-reversed, and both steps are bijections, so the sokey is the key
-// (Node.Key inverts it) and no two regular nodes share one. Bucket b's head
-// carries b bit-reversed, which is at most the sokey of every key in the
-// bucket and equal to exactly one: the key whose hash is b. The list is
-// sorted by (sokey, rank), where a head ranks before a regular node, so
-// placing a node against a search target reads its kind only on a sokey tie.
+// A node stores no user key. A node's split-order key is its mixed hash
+// bit-reversed, and both steps are bijections, so the sokey is the key
+// (Node.Key inverts it) and no two nodes share one. Bucket b's head sorts at
+// b bit-reversed, which is at most the sokey of every key in the bucket and
+// equal to exactly one: the key whose hash is b. The list is sorted by
+// (sokey, rank), where a head ranks before a node.
 //
 // # Entering a bucket: the claim protocol
 //
-// A head's meta word starts at zero ("unclaimed": segment memory is zeroed).
-// The first thread to enter the bucket claims the head with one CAS from zero
-// to linking|slot, splices it into the list behind the bucket's parent, and
-// stores kindDummy; from then on entering the bucket is one load. A thread
-// that finds a head claimed by another slot does not wait: it starts from the
-// nearest ancestor that is linked (bucket 0 always is), which is correct
-// because the list is globally split-ordered and costs a longer walk. A
-// claimer whose body restarts finds its slot in the word and resumes; a
-// claimer that never returns costs that bucket the longer walk and blocks
-// nobody (linkHead).
+// A head's word starts at zero ("unclaimed": segment memory is zeroed). The
+// first thread to enter the bucket claims the head with one CAS from zero to
+// claimedBy(slot), splices it into the list behind the bucket's parent, and
+// moves the word's state to headLinked; from then on entering the bucket is
+// one load. The state lives in the top bits of the head's link, and every
+// link CAS keeps those bits (casLink), so a thread that inserts or unlinks
+// behind a spliced head before the claimer has marked it linked leaves the
+// claim in place. A thread that finds a head claimed by another slot does not
+// wait: it starts from the nearest ancestor that is linked (bucket 0 always
+// is), which is correct because the list is globally split-ordered and costs
+// a longer walk. A claimer whose body restarts finds its slot in the word and
+// resumes; a claimer that never returns costs that bucket the longer walk and
+// blocks nobody (linkHead).
 //
 // # Linearization
 //
-// A key is in the map exactly while a regular node holding it is on the list
-// — reachable from bucket 0's head — marked or not, and its binding is the
+// A key is in the map exactly while a node holding it is on the list —
+// reachable from bucket 0's head — marked or not, and its binding is the
 // first such node. A node is marked by setting the mark bit in its link, in
 // one of two ways: a Delete marks the link to its victim's successor, and a
 // replacing Upsert swaps the old node's link for a marked link to the
 // replacement, whose own link is the old successor. A marked link is never
 // changed again: every CAS on a link expects an unmarked word. At most two
-// regular nodes per key are on the list, adjacent, the first marked with a
+// nodes per key are on the list, adjacent, the first marked with a
 // link to the second; at quiescence there is one. Unlinking is the same for
 // both marks: the predecessor's link is swung to the marked node's
 // successor. An insert's find unlinks a marked node at its position before
@@ -162,8 +165,9 @@ const (
 	// DefaultInitialBuckets is the bucket count a map starts with.
 	DefaultInitialBuckets = 8
 	// DefaultMaxLoad is the mean nodes-per-bucket threshold above which the
-	// table doubles (growPatienceShift says how soon).
-	DefaultMaxLoad = 4
+	// table doubles (growPatienceShift says how soon). A bucket costs the
+	// directory one 8-byte word, so chains of two cost 4 bytes per key.
+	DefaultMaxLoad = 2
 	// DefaultMaxBuckets caps table growth.
 	DefaultMaxBuckets = 1 << 26
 )
@@ -234,15 +238,15 @@ func ceilPow2(v uint64) uint64 {
 }
 
 // segment is one block of the bucket directory: the heads of the buckets
-// [2^p, 2^(p+1)), embedded, so entering a bucket is one load of its head and
-// not a load of a slot and then of the dummy it points at. The memory arrives
-// zeroed, which is every head's unclaimed state.
-type segment[V any] struct {
-	buckets []Node[V]
+// [2^p, 2^(p+1)), one link word each, so entering a bucket is one load of its
+// head and not a load of a slot and then of the dummy it points at. The
+// memory arrives zeroed, which is every head's unclaimed state.
+type segment struct {
+	buckets []atomic.Uint64
 }
 
-func newSegment[V any](p int) *segment[V] {
-	return &segment[V]{buckets: make([]Node[V], 1<<p)}
+func newSegment(p int) *segment {
+	return &segment{buckets: make([]atomic.Uint64, 1<<p)}
 }
 
 // spareSlot is a per-thread scratch record, padded to keep the single-writer
@@ -283,15 +287,15 @@ type Stats struct {
 // needs no sentinel keys).
 type Map[V any] struct {
 	mgr  *Manager[V]
-	dir  *arena.Directory[Node[V]] // resolves record links (node)
-	head Node[V]                   // bucket 0's head: the head of the split-ordered list
+	dir  *arena.Directory[Node[V]] // resolves record links (rec)
+	head atomic.Uint64             // bucket 0's head: the head of the split-ordered list
 
 	size atomic.Uint64 // current bucket count (power of two)
 
 	maxLoad    int64
 	maxBuckets uint64
 
-	segments [maxSegments]atomic.Pointer[segment[V]]
+	segments [maxSegments]atomic.Pointer[segment]
 	spares   []spareSlot[V]
 	handles  []Handle[V]
 
@@ -341,6 +345,9 @@ func New[V any](mgr *Manager[V], threads int, opts ...Option) *Map[V] {
 	if ws := mgr.WorkerSlots(); ws > threads {
 		threads = ws
 	}
+	if threads > maxClaimSlot+1 {
+		panic(fmt.Sprintf("hashmap: New supports at most %d worker slots: a head's claim state names its claimer's slot", maxClaimSlot+1))
+	}
 	cfg := config{
 		initialBuckets: DefaultInitialBuckets,
 		maxLoad:        DefaultMaxLoad,
@@ -363,9 +370,9 @@ func New[V any](mgr *Manager[V], threads int, opts ...Option) *Map[V] {
 		spares:     make([]spareSlot[V], threads),
 		perRecord:  mgr.NeedsPerRecordProtection(),
 	}
-	h.head.meta.Store(kindDummy)
+	h.head.Store(headLinked)
 	for p := 0; 1<<p < cfg.initialBuckets; p++ {
-		h.segments[p].Store(newSegment[V](p))
+		h.segments[p].Store(newSegment(p))
 	}
 	h.size.Store(cfg.initialBuckets)
 	h.stats = make([]threadStats, threads)
@@ -491,30 +498,24 @@ func (h *Map[V]) observe(tid int, n *Node[V]) {
 // headOf returns the head of bucket b >= 1, by arithmetic: segment p covers
 // [2^p, 2^(p+1)), and every segment below the table size is published (New,
 // maybeGrow).
-func (h *Map[V]) headOf(b uint64) *Node[V] {
+func (h *Map[V]) headOf(b uint64) *atomic.Uint64 {
 	p := bits.Len64(b) - 1
 	return &h.segments[p].Load().buckets[b-1<<p]
 }
 
-// node resolves link w to the node it names, ignoring the mark: a record
-// through the allocator's directory, a head through the bucket directory,
-// and nil for the end of the list.
-func (h *Map[V]) node(w uint64) *Node[V] {
-	if w&recBit != 0 {
-		n, _ := h.rec(nil, w)
-		return n
-	}
-	if b := w >> refShift; b != 0 {
-		return h.headOf(b)
-	}
-	return nil
-}
+// bucketOf returns the bucket whose head link or word w names, ignoring the
+// mark and the head state: 0 for the end of the list.
+func bucketOf(w uint64) uint64 { return (w &^ headState) >> refShift }
+
+// atEnd reports whether link or head word w names the end of the list.
+func atEnd(w uint64) bool { return w&^(headState|markBit) == 0 }
 
 // rec resolves record link w through slabs, a snapshot of the directory that
 // a walk keeps from hop to hop, and returns the snapshot to keep: the same
 // one, or the directory loaded again when w names a slab entered since (or
 // slabs is nil). A hop so costs a compare and one load of an 8-byte
-// directory entry.
+// directory entry. w may be a head's word: its state bits lie above the
+// index.
 func (h *Map[V]) rec(slabs []*Node[V], w uint64) (*Node[V], []*Node[V]) {
 	idx := uint32(w >> refShift)
 	if idx>>arena.SlabShift >= uint32(len(slabs)) {
@@ -523,17 +524,36 @@ func (h *Map[V]) rec(slabs []*Node[V], w uint64) (*Node[V], []*Node[V]) {
 	return arena.Record(slabs, idx), slabs
 }
 
-// bucketHead returns the node a traversal of bucket b starts from: the
+// record resolves link w to the record it names, ignoring the mark, and nil
+// when w names a head or the end of the list.
+func (h *Map[V]) record(w uint64) *Node[V] {
+	if w&recBit == 0 {
+		return nil
+	}
+	n, _ := h.rec(nil, w)
+	return n
+}
+
+// after returns the word that follows the position link w names, which must
+// not be the end of the list: the record's link, or the head's word.
+func (h *Map[V]) after(w uint64) uint64 {
+	if n := h.record(w); n != nil {
+		return n.next.Load()
+	}
+	return h.headOf(bucketOf(w)).Load()
+}
+
+// bucketHead returns the head a traversal of bucket b starts from: the
 // bucket's head once it is on the list, else — while another thread is still
 // splicing it — the head of its nearest linked ancestor. It is called inside
 // an operation body: the thread is not quiescent, and ok=false propagates a
 // failed find to the body, which restarts.
-func (h *Map[V]) bucketHead(hd *Handle[V], b uint64) (*Node[V], bool) {
+func (h *Map[V]) bucketHead(hd *Handle[V], b uint64) (*atomic.Uint64, bool) {
 	if b == 0 {
 		return &h.head, true
 	}
 	d := h.headOf(b)
-	if d.meta.Load() == kindDummy {
+	if d.Load()&headState == headLinked {
 		return d, true
 	}
 	return h.linkHead(hd, b, d)
@@ -544,48 +564,50 @@ func (h *Map[V]) bucketHead(hd *Handle[V], b uint64) (*Node[V], bool) {
 // way, recursively); everyone else gets the nearest linked ancestor. The
 // splice is idempotent — find reports whether the head is already on the list
 // — which is what lets a claimer whose body restarted resume here.
-func (h *Map[V]) linkHead(hd *Handle[V], b uint64, d *Node[V]) (*Node[V], bool) {
-	mine := linkingBy(hd.tid)
-	m := d.meta.Load()
-	if m == kindUnclaimed {
-		if d.meta.CompareAndSwap(kindUnclaimed, mine) {
-			m = mine
+func (h *Map[V]) linkHead(hd *Handle[V], b uint64, d *atomic.Uint64) (*atomic.Uint64, bool) {
+	mine := claimedBy(hd.tid)
+	s := d.Load() & headState
+	if s == 0 {
+		// Unclaimed, so nobody has written the link either: the word is zero.
+		if d.CompareAndSwap(0, mine) {
+			s = mine
 		} else {
-			m = d.meta.Load()
+			s = d.Load() & headState
 		}
 	}
-	if m == kindDummy {
+	if s == headLinked {
 		return d, true
 	}
 	start, ok := h.bucketHead(hd, parentBucket(b))
-	if !ok || m != mine {
+	if !ok || s != mine {
 		return start, ok
 	}
-	sokey := dummySoKey(b)
 	for {
-		pos, ok := h.find(hd, start, sokey, rankHead)
+		pos, ok := h.find(hd, start, dummySoKey(b), rankHead)
 		if !ok {
 			return nil, false
 		}
 		if !pos.found {
-			// Not on the list, so nobody else reads these fields yet.
-			d.sokey = sokey
-			d.next.Store(pos.link)
-			if !pos.pred.next.CompareAndSwap(pos.link, headLink(b)) {
+			// Not on the list, so nobody else writes the word yet.
+			d.Store(pos.link&^headState | mine)
+			if !casLink(pos.pred, pos.link, headLink(b)) {
 				h.releasePos(hd, pos)
 				continue
 			}
 		}
-		d.meta.Store(kindDummy)
+		// On the list: another thread may CAS the link now, so the state
+		// moves by CAS as well.
+		for w := d.Load(); !d.CompareAndSwap(w, w&^headState|headLinked); w = d.Load() {
+		}
 		h.releasePos(hd, pos)
 		hd.st.dummies.Inc()
 		return d, true
 	}
 }
 
-// startBucket locates the node heading the bucket hash falls in under the
-// current table size.
-func (h *Map[V]) startBucket(hd *Handle[V], hash uint64) (*Node[V], bool) {
+// startBucket locates the head of the bucket hash falls in under the current
+// table size.
+func (h *Map[V]) startBucket(hd *Handle[V], hash uint64) (*atomic.Uint64, bool) {
 	return h.bucketHead(hd, hash&(h.size.Load()-1))
 }
 
@@ -614,7 +636,7 @@ func (h *Map[V]) maybeGrow(hd *Handle[V]) {
 			return
 		}
 		if h.segments[p].Load() == nil {
-			h.segments[p].Store(newSegment[V](p))
+			h.segments[p].Store(newSegment(p))
 		}
 		h.growing.Store(false)
 	}
@@ -626,18 +648,19 @@ func (h *Map[V]) maybeGrow(hd *Handle[V]) {
 
 // --- Traversal --------------------------------------------------------------
 
-// findPos is a position in the list: curr is the first node at or past the
-// search key (nil at the end of the list), pred its predecessor, link the
-// unmarked link from pred to curr, and next curr's link to its successor,
-// unmarked, as find read it. An update CASes pred from link, or marks curr
-// with a CAS from next, so either fails if the word has moved since. Under
-// per-record protection the recorded nodes are protected as flagged.
+// findPos is a position in the list. pred is the link word in front of it —
+// a head, or the link of predRec — and link the word find read there,
+// unmarked, with the head's state when pred is a head. curr is the record at
+// or past the search key, nil when the list ends or a head comes first, and
+// next its link to its successor, unmarked, as find read it. An update CASes
+// pred from link (casLink), or marks curr with a CAS from next, so either
+// fails if the word has moved since. Under per-record protection predRec and
+// curr, when non-nil, are protected.
 type findPos[V any] struct {
-	pred, curr *Node[V]
-	link, next uint64
-	predProt   bool
-	currProt   bool
-	found      bool
+	pred          *atomic.Uint64
+	predRec, curr *Node[V]
+	link, next    uint64
+	found         bool
 }
 
 // releasePos drops the protections recorded in pos.
@@ -645,10 +668,10 @@ func (h *Map[V]) releasePos(hd *Handle[V], pos findPos[V]) {
 	if !h.perRecord {
 		return
 	}
-	if pos.predProt {
-		hd.rm.Unprotect(pos.pred)
+	if pos.predRec != nil {
+		hd.rm.Unprotect(pos.predRec)
 	}
-	if pos.currProt && pos.curr != nil {
+	if pos.curr != nil {
 		hd.rm.Unprotect(pos.curr)
 	}
 }
@@ -657,38 +680,51 @@ func (h *Map[V]) releasePos(hd *Handle[V], pos findPos[V]) {
 // physically unlinking every marked node it passes (Michael's find): a
 // marked node is unlinked by swinging its predecessor's link to the marked
 // node's successor — the node after a deleted one, the replacement of a
-// replaced one — and the walk goes on from there. ok=false means a
-// protection validation or an unlink CAS failed and the operation must
-// restart; every protection has been released in that case.
+// replaced one — and the walk goes on from there. A head it meets is placed
+// by its bucket number and, if it comes first, stepped onto without a
+// protection. ok=false means a protection validation or an unlink CAS failed
+// and the operation must restart; every protection has been released in
+// that case.
 //
-// On ok=true the returned position holds: pred protected (unless it is
-// start, which is a head and never retired), curr protected (when non-nil),
-// and found reporting whether curr is the node at (sokey, rank).
-// The caller must eventually releasePos.
-func (h *Map[V]) find(hd *Handle[V], start *Node[V], sokey uint64, rank int) (findPos[V], bool) {
+// On ok=true the returned position holds: predRec protected (when non-nil),
+// curr protected (when non-nil), and found reporting whether the position is
+// (sokey, rank) — curr, or for a head's position the head after pred. The
+// caller must eventually releasePos.
+func (h *Map[V]) find(hd *Handle[V], start *atomic.Uint64, sokey uint64, rank int) (findPos[V], bool) {
 	rm := hd.rm
 	pos := findPos[V]{pred: start}
 	var slabs []*Node[V]
-	link := start.next.Load() // heads are never marked
+	w := start.Load() // heads are never marked
 	for {
-		var curr *Node[V]
-		if link&recBit != 0 {
-			curr, slabs = h.rec(slabs, link)
-		} else if curr = h.node(link); curr == nil {
-			pos.link = link
-			return pos, true
+		if w&recBit == 0 {
+			b := bucketOf(w)
+			c := cmpPos(dummySoKey(b), rankHead, sokey, rank)
+			if b == 0 || c >= 0 {
+				// The end of the list, or a head at or past the position.
+				pos.link, pos.found = w, b != 0 && c == 0
+				return pos, true
+			}
+			if h.perRecord && pos.predRec != nil {
+				rm.Unprotect(pos.predRec)
+			}
+			pos.pred, pos.predRec = h.headOf(b), nil
+			w = pos.pred.Load()
+			continue
 		}
+		var curr *Node[V]
+		curr, slabs = h.rec(slabs, w)
 		if h.perRecord {
 			// Protect, then validate against the word curr was resolved
 			// from: pred still holds the unmarked link, so pred is not
 			// marked, hence still on the list, and so is curr — it was not
 			// retired before the announcement became visible.
 			if !rm.Protect(curr) {
-				h.failFind(hd, pos, nil)
+				h.releasePos(hd, pos)
 				return pos, false
 			}
-			if pos.pred.next.Load() != link {
-				h.failFind(hd, pos, curr)
+			if pos.pred.Load() != w {
+				pos.curr = curr
+				h.releasePos(hd, pos)
 				return pos, false
 			}
 		}
@@ -698,9 +734,9 @@ func (h *Map[V]) find(hd *Handle[V], start *Node[V], sokey uint64, rank int) (fi
 			// curr is deleted or replaced; unlink it. Only the winning CAS
 			// retires: a marked link never changes, so curr leaves the list
 			// exactly once, and the CAS fails if pred has been marked since.
-			succ := next &^ markBit
-			if !pos.pred.next.CompareAndSwap(link, succ) {
-				h.failFind(hd, pos, curr)
+			if !casLink(pos.pred, w, next&^markBit) {
+				pos.curr = curr
+				h.releasePos(hd, pos)
 				return pos, false
 			}
 			rm.Retire(curr)
@@ -708,37 +744,20 @@ func (h *Map[V]) find(hd *Handle[V], start *Node[V], sokey uint64, rank int) (fi
 			if h.perRecord {
 				rm.Unprotect(curr)
 			}
-			link = succ
+			w = next&^markBit | w&headState
 			continue
 		}
-		if c := curr.cmp(sokey, rank); c >= 0 {
-			pos.curr, pos.link, pos.next = curr, link, next
-			pos.currProt = h.perRecord
+		if c := cmpPos(curr.sokey, rankRegular, sokey, rank); c >= 0 {
+			pos.curr, pos.link, pos.next = curr, w, next
 			pos.found = c == 0
 			return pos, true
 		}
 		// Advance the window: curr's protection slides to the pred slot.
-		if h.perRecord && pos.predProt {
-			rm.Unprotect(pos.pred)
+		if h.perRecord && pos.predRec != nil {
+			rm.Unprotect(pos.predRec)
 		}
-		pos.pred = curr
-		pos.predProt = h.perRecord
-		link = next
-	}
-}
-
-// failFind releases the protections held by an aborted find: the sliding
-// pred plus curr when the failing iteration holds it.
-func (h *Map[V]) failFind(hd *Handle[V], pos findPos[V], curr *Node[V]) {
-	if !h.perRecord {
-		return
-	}
-	rm := hd.rm
-	if curr != nil {
-		rm.Unprotect(curr)
-	}
-	if pos.predProt {
-		rm.Unprotect(pos.pred)
+		pos.pred, pos.predRec = &curr.next, curr
+		w = next
 	}
 }
 
@@ -799,8 +818,8 @@ func (h *Map[V]) insertBody(hd *Handle[V], hash uint64, value V, node *Node[V]) 
 		h.releasePos(hd, pos)
 		return opFalse
 	}
-	initRegular(node, value, sokey, pos.link)
-	if pos.pred.next.CompareAndSwap(pos.link, recLink(node.index())) {
+	initRegular(node, value, sokey, pos.link&^headState)
+	if casLink(pos.pred, pos.link, recLink(node.index())) {
 		h.count.Add(1)
 		h.maybeGrow(hd)
 		rm.EnterQstate()
@@ -883,7 +902,7 @@ func (h *Map[V]) deleteBody(hd *Handle[V], hash uint64) (outcome int, unlinked *
 		// postamble's find will, unless a helper gets there first.
 		outcome = opTrue
 		h.count.Add(-1)
-		if pos.pred.next.CompareAndSwap(pos.link, pos.next) {
+		if casLink(pos.pred, pos.link, pos.next) {
 			unlinked = n
 			hd.st.unlinks.Inc()
 		}
@@ -971,8 +990,8 @@ func (h *Map[V]) upsertBody(hd *Handle[V], hash uint64, value V, node *Node[V]) 
 	self := recLink(node.index())
 	if !pos.found {
 		// Absent: plain insert (cf. insertBody).
-		initRegular(node, value, sokey, pos.link)
-		if pos.pred.next.CompareAndSwap(pos.link, self) {
+		initRegular(node, value, sokey, pos.link&^headState)
+		if casLink(pos.pred, pos.link, self) {
 			outcome = opFalse
 			h.count.Add(1)
 			h.maybeGrow(hd)
@@ -987,7 +1006,7 @@ func (h *Map[V]) upsertBody(hd *Handle[V], hash uint64, value V, node *Node[V]) 
 		initRegular(node, value, sokey, pos.next)
 		if n.next.CompareAndSwap(pos.next, self|markBit) {
 			outcome = opTrue
-			if pos.pred.next.CompareAndSwap(pos.link, self) {
+			if casLink(pos.pred, pos.link, self) {
 				unlinked = n
 				hd.st.unlinks.Inc()
 			}
@@ -1082,42 +1101,40 @@ func (h *Map[V]) findBody(hd *Handle[V], hash uint64, fn func(V)) (val V, found,
 }
 
 // lookup is the read path of the epoch schemes: a wait-free walk from the
-// bucket head to the first regular node with the given sokey, or nil. The
-// thread's epoch announcement covers every record reachable since the
-// operation began, including marked, unlinked and retired ones, so the walk
-// follows links straight through them without reading the mark (every link
-// leads to a greater position, or from a replaced node to its replacement
-// at the same one, so the walk ends), nothing is unlinked, no CAS is issued,
-// and the walk stops at the node that matches without looking past it — the
-// first node of its key, which is the binding while a replacement waits
-// behind it. A node the walk reaches was on the list at some moment since
-// the walk began, and a key is in the map for as long as its node is on the
-// list (see the package comment). A hop reads sokey and next, and the kind
-// only on a sokey tie; a record link resolves through the walk's snapshot of
-// the directory (rec), and a link to a head past the key ends the walk
-// unread.
+// bucket head to the first node with the given sokey, or nil. The thread's
+// epoch announcement covers every record reachable since the operation
+// began, including marked, unlinked and retired ones, so the walk follows
+// links straight through them without reading the mark (every link leads to
+// a greater position, or from a replaced node to its replacement at the same
+// one, so the walk ends), nothing is unlinked, no CAS is issued, and the walk
+// stops at the node that matches without looking past it — the first node
+// of its key, which is the binding while a replacement waits behind it. A
+// node the walk reaches was on the list at some moment since the walk began,
+// and a key is in the map for as long as its node is on the list (see the
+// package comment). A hop reads a node's sokey and next; a record link
+// resolves through the walk's snapshot of the directory (rec), and a head is
+// placed by its bucket number: one past the key ends the walk unread, one
+// before it costs the load of its word.
 // Per-record schemes cannot take this path: a hazard pointer protects one
 // record, validated against the link it was read from, and a link out of a
 // marked node proves nothing about its target.
-func (h *Map[V]) lookup(hd *Handle[V], start *Node[V], sokey uint64) *Node[V] {
+func (h *Map[V]) lookup(hd *Handle[V], start *atomic.Uint64, sokey uint64) *Node[V] {
 	var slabs []*Node[V]
-	for w := start.next.Load(); ; {
-		var curr *Node[V]
-		if w&recBit != 0 {
-			curr, slabs = h.rec(slabs, w)
-		} else if b := w >> refShift; b == 0 || dummySoKey(b) > sokey {
-			// The end of the list, or a head past the key: a head's sokey
-			// is its bucket number reversed, so the walk stops without
-			// loading it.
+	for w := start.Load(); ; {
+		if w&recBit == 0 {
+			if b := bucketOf(w); b != 0 && dummySoKey(b) <= sokey {
+				w = h.headOf(b).Load()
+				continue
+			}
 			return nil
-		} else {
-			curr = h.headOf(b)
 		}
+		var curr *Node[V]
+		curr, slabs = h.rec(slabs, w)
 		h.observe(hd.tid, curr)
-		switch c := curr.cmp(sokey, rankRegular); {
-		case c == 0:
-			return curr
-		case c > 0:
+		if curr.sokey >= sokey {
+			if curr.sokey == sokey {
+				return curr
+			}
 			return nil
 		}
 		w = curr.next.Load()
@@ -1143,8 +1160,8 @@ func (h *Map[V]) Len() int {
 // ForEach visits every key/value pair (quiescent use only). The order is
 // split-order, not key order.
 func (h *Map[V]) ForEach(fn func(key int64, value V) bool) {
-	for curr := h.node(h.head.next.Load()); curr != nil; curr = h.node(curr.next.Load()) {
-		if curr.kind() == kindRegular && !fn(curr.Key(), curr.value) {
+	for w := h.head.Load(); !atEnd(w); w = h.after(w) {
+		if n := h.record(w); n != nil && !fn(n.Key(), n.value) {
 			return
 		}
 	}
@@ -1152,39 +1169,49 @@ func (h *Map[V]) ForEach(fn func(key int64, value V) bool) {
 
 // Validate checks the structural invariants (quiescent use only): the list
 // is strictly sorted by (sokey, rank), every record link names the record
-// that holds its index, no head is marked, and every head that says it is
-// linked is reachable.
+// that holds its index and carries no head state, no head is marked or
+// unclaimed on the list, and every head whose state says linked is
+// reachable.
 func (h *Map[V]) Validate() error {
-	// Order along the list.
-	prev := &h.head
-	seen := map[*Node[V]]bool{prev: true}
-	for w := prev.next.Load(); ; {
-		curr := h.node(w)
-		if curr == nil {
+	size := h.size.Load()
+	s, r := dummySoKey(0), rankHead // bucket 0's head
+	seen := map[uint64]bool{}       // the links walked, unmarked
+	for w := h.head.Load(); ; {
+		if w&markBit != 0 && r == rankHead {
+			return fmt.Errorf("hashmap: head at sokey %#x is marked", s)
+		}
+		if atEnd(w) {
 			break
 		}
-		if w&recBit != 0 && recLink(curr.index()) != w&^markBit {
-			return fmt.Errorf("hashmap: link %#x names a record with index %d", w, curr.index())
+		link := w &^ (headState | markBit)
+		if seen[link] {
+			return fmt.Errorf("hashmap: cycle at link %#x", link)
 		}
-		if seen[curr] {
-			return fmt.Errorf("hashmap: cycle at sokey %#x", curr.sokey)
+		seen[link] = true
+		cs, cr := dummySoKey(bucketOf(link)), rankHead
+		if n := h.record(link); n != nil {
+			if recLink(n.index()) != link {
+				return fmt.Errorf("hashmap: link %#x names a record with index %d", w, n.index())
+			}
+			cs, cr, w = n.sokey, rankRegular, n.next.Load()
+			if w&headState != 0 {
+				return fmt.Errorf("hashmap: record at sokey %#x has head state in its link %#x", cs, w)
+			}
+		} else if b := bucketOf(link); b >= size {
+			return fmt.Errorf("hashmap: link to bucket %d of a %d-bucket table", b, size)
+		} else if w = h.headOf(b).Load(); w&headState == 0 {
+			return fmt.Errorf("hashmap: bucket %d's head is on the list unclaimed", b)
 		}
-		seen[curr] = true
-		if prev.cmp(curr.sokey, curr.rank()) >= 0 {
-			return fmt.Errorf("hashmap: out of split order: (%#x,%d) before (%#x,%d)",
-				prev.sokey, prev.rank(), curr.sokey, curr.rank())
+		if cmpPos(s, r, cs, cr) >= 0 {
+			return fmt.Errorf("hashmap: out of split order: (%#x,%d) before (%#x,%d)", s, r, cs, cr)
 		}
-		w = curr.next.Load()
-		if w&markBit != 0 && curr.rank() == rankHead {
-			return fmt.Errorf("hashmap: head at sokey %#x is marked", curr.sokey)
-		}
-		prev = curr
+		s, r = cs, cr
 	}
-	// Every linked head is on the list. (A head still linking belongs to an
+	// Every linked head is on the list. (A head still claimed belongs to an
 	// operation in flight, or to a claimer that never came back.)
-	for b := uint64(1); b < h.size.Load(); b++ {
-		if d := h.headOf(b); d.kind() == kindDummy && !seen[d] {
-			return fmt.Errorf("hashmap: bucket %d dummy not reachable", b)
+	for b := uint64(1); b < size; b++ {
+		if h.headOf(b).Load()&headState == headLinked && !seen[headLink(b)] {
+			return fmt.Errorf("hashmap: bucket %d's head is linked but not reachable", b)
 		}
 	}
 	return nil

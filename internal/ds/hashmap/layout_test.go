@@ -1,6 +1,8 @@
 package hashmap
 
 import (
+	"fmt"
+	"sync/atomic"
 	"testing"
 	"unsafe"
 
@@ -35,30 +37,50 @@ func TestNodeLayout(t *testing.T) {
 	}
 }
 
-// TestHeadLayout pins what embedding the bucket heads rests on: the memory a
-// segment is made of is zeroed, so zero must read "unclaimed", and a zeroed
-// link must be the unmarked end of the list; and a directory element is a
-// Node and nothing more, so bucket b's head is found by arithmetic and costs
-// the bytes the record does.
+// TestHeadLayout pins what the one-word bucket heads rest on: the memory a
+// segment is made of is zeroed, so the zero word must read unclaimed and as
+// the unmarked end of the list; the head state sits above every link a word
+// can hold, so a link CAS that keeps the state (casLink) never mixes the
+// two; and a directory element is one 8-byte word, so bucket b's head is
+// found by arithmetic and costs 8 bytes.
 func TestHeadLayout(t *testing.T) {
-	var n Node[uint32]
-	if kindUnclaimed != 0 || n.kind() != kindUnclaimed || n.meta.Load() != 0 {
-		t.Errorf("a zeroed Node has kind %d, meta %#x: want unclaimed (0)", n.kind(), n.meta.Load())
+	var zero atomic.Uint64
+	if w := zero.Load(); w&headState != 0 || w&(markBit|recBit) != 0 || !atEnd(w) {
+		t.Errorf("the zero word %#x is not an unclaimed head at the unmarked end of the list", w)
 	}
-	if w := n.next.Load(); w != headLink(0) || w&(markBit|recBit) != 0 {
-		t.Errorf("a zeroed Node's link %#x is not the unmarked end of the list", w)
+	// The largest links of either kind, marked, leave the state bits clear.
+	largestBucket := uint64(1)<<(maxSegments-1) - 1
+	for name, w := range map[string]uint64{
+		"record": recLink(^uint32(0)) | markBit,
+		"bucket": headLink(largestBucket) | markBit,
+	} {
+		if w&headState != 0 {
+			t.Errorf("the largest %s link %#x overlaps the head state %#x", name, w, headState)
+		}
 	}
-	seg := newSegment[uint32](3)
+	if b := bucketOf(headLink(largestBucket) | markBit | claimedBy(maxClaimSlot)); b != largestBucket {
+		t.Errorf("bucketOf a marked, claimed word of the largest bucket = %#x, want %#x", b, largestBucket)
+	}
+	// The states are distinct, nonzero and inside the state bits.
+	states := map[uint64]string{headLinked: "linked"}
+	for _, tid := range []int{0, 1, maxClaimSlot} {
+		s := claimedBy(tid)
+		if s&^headState != 0 || s == 0 || states[s] != "" {
+			t.Errorf("claimedBy(%d) = %#x: outside the state bits, zero, or equal to %q", tid, s, states[s])
+		}
+		states[s] = fmt.Sprint("claimedBy ", tid)
+	}
+	var d atomic.Uint64
+	d.Store(headLink(3) | claimedBy(5))
+	if !casLink(&d, d.Load(), recLink(7)) || d.Load() != recLink(7)|claimedBy(5) {
+		t.Errorf("casLink left %#x, want the new link with the claim kept", d.Load())
+	}
+	seg := newSegment(3)
 	if len(seg.buckets) != 8 {
 		t.Errorf("segment 3 holds %d heads, want 8", len(seg.buckets))
 	}
-	stride := uintptr(unsafe.Pointer(&seg.buckets[1])) - uintptr(unsafe.Pointer(&seg.buckets[0]))
-	if stride != unsafe.Sizeof(n) || unsafe.Sizeof(seg.buckets[0]) != unsafe.Sizeof(n) {
-		t.Errorf("segment element: stride %d, size %d, want Sizeof(Node[uint32]) = %d",
-			stride, unsafe.Sizeof(seg.buckets[0]), unsafe.Sizeof(n))
-	}
-	if w := linkingBy(1<<22 + 5); w&kindMask != kindLinking || w&poisonBit != 0 || w>>slotShift != 1<<22+5 {
-		t.Errorf("linkingBy: word %#x does not keep kind, poison flag and slot apart", w)
+	if stride := uintptr(unsafe.Pointer(&seg.buckets[1])) - uintptr(unsafe.Pointer(&seg.buckets[0])); stride != 8 {
+		t.Errorf("segment stride %d bytes, want 8", stride)
 	}
 	// Link words keep the mark, the record tag and the reference apart: a
 	// record's index survives the tag and the mark, and a head link is never
@@ -69,7 +91,7 @@ func TestHeadLayout(t *testing.T) {
 			t.Errorf("recLink(%#x)|markBit = %#x does not keep mark, tag and index apart", idx, w)
 		}
 	}
-	if w := headLink(1<<39 - 1); w&(recBit|markBit) != 0 || w>>refShift != 1<<39-1 {
+	if w := headLink(largestBucket); w&(recBit|markBit) != 0 || w>>refShift != largestBucket {
 		t.Errorf("headLink of the largest bucket = %#x: tag or mark set, or bucket lost", w)
 	}
 }

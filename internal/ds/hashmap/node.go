@@ -7,58 +7,60 @@ import (
 	"repro/internal/core"
 )
 
-// Node kinds, the low two bits of Node.meta. Every record is a regular node,
-// from the slab that numbers it to the end of the allocator's life: the kind
-// is stored with the record's index (SetIndex) and never changes. A bucket
-// head is not a record: it lives in the directory, and its word moves once
-// through unclaimed -> linking -> dummy (Map.linkHead).
-//
-//	0  kindUnclaimed  a bucket head nobody has entered yet. Zero, because segment
-//	                  memory arrives zeroed and a head is found by arithmetic
-//	1  kindRegular    a key/value node: every record
-//	2  kindDummy      a bucket head that is on the list. Heads are never removed,
-//	                  so traversals keep unprotected references to them: they are
-//	                  the stable re-entry points of every bucket
-//	3  kindLinking    a bucket head claimed by the worker slot named in bits 3-31,
-//	                  which is splicing it (it may already be on the list)
+// Node.meta holds the record's index above the reclaimtest poison flag. It is
+// stored once, when the slab that numbers the record is reserved (SetIndex),
+// and never changes: every record is a key/value node from then on. A bucket
+// head is not a record: it is one link word in the directory (see Links).
 const (
-	kindUnclaimed uint32 = iota
-	kindRegular
-	kindDummy
-	kindLinking
-
-	// kindMask selects the kind from Node.meta; poisonBit is the reclaimtest
-	// freed-mark that shares the word. Above them a record carries its index
-	// from idxShift up, and a linking head its claimer's slot from slotShift
-	// up.
-	kindMask  uint32 = 0b11
-	poisonBit uint32 = 1 << 2
-	idxShift         = 3
-	slotShift        = 3
-	// maxIndex is the largest record index meta can hold: 2^29 records, 12
+	// poisonBit is the reclaimtest freed-mark; the index sits above it.
+	poisonBit uint32 = 1 << 0
+	idxShift         = 1
+	// maxIndex is the largest record index meta can hold: 2^31 records, 48
 	// GiB of Node[uint32].
 	maxIndex = 1<<(32-idxShift) - 1
 )
 
-// linkingBy is the meta word of a head claimed by worker slot tid.
-func linkingBy(tid int) uint32 { return kindLinking | uint32(tid)<<slotShift }
-
 // Links. A node names its successor by a link, a uint64 CASed as one word:
 //
-//	bit  0     markBit: the node that holds the link is marked — deleted, or
-//	           replaced by the successor the link names. A marked link is
-//	           never changed again
-//	bit  1     recBit: the successor is a record, and bits 2-33 are its index
-//	           in the allocator's directory (arena.Directory)
-//	bits 2-    without recBit: the bucket number of the successor head, and 0
-//	           for the end of the list (bucket 0's head is nobody's successor)
+//	bit  0      markBit: the node that holds the link is marked — deleted,
+//	            or replaced by the successor the link names. A marked link
+//	            is never changed again
+//	bit  1      recBit: the successor is a record, and bits 2-33 are its
+//	            index in the allocator's directory (arena.Directory), bits
+//	            34-40 zero
+//	bits 2-40   without recBit: the bucket number of the successor head
+//	            (below 2^39, the largest table), and 0 for the end of the
+//	            list (bucket 0's head is nobody's successor)
+//	bits 41-63  headState in a bucket head's word; zero in a record's link
 //
-// So the zero word is an unmarked link to nothing, which is what a head's
-// next is before it is spliced in.
+// A bucket head is one such word and nothing else: its link to its
+// successor, with its claim state in the top bits, where a record's link
+// keeps zero. The state moves once through unclaimed -> claimed -> linked
+// (Map.linkHead):
+//
+//	0            unclaimed: nobody has entered the bucket. Zero, because
+//	             segment memory arrives zeroed, and so is the link: the
+//	             zero word is an unclaimed head at the unmarked end of the
+//	             list
+//	claimedBy(t) worker slot t claimed the head and is splicing it in (it
+//	             may already be on the list)
+//	headLinked   the head is on the list. Heads are never removed, so
+//	             traversals keep unprotected references to them: they are
+//	             the stable re-entry points of every bucket
+//
+// A head is never marked. Every CAS on a link word keeps the state the word
+// holds (casLink), so an insert or unlink behind a head does not undo a
+// claim; on a record's link that costs nothing.
 const (
 	markBit  uint64 = 1 << 0
 	recBit   uint64 = 1 << 1
 	refShift        = 2
+
+	stateShift        = 41
+	headState  uint64 = (1<<(64-stateShift) - 1) << stateShift
+	headLinked uint64 = 1 << stateShift
+	// maxClaimSlot is the largest worker slot claimedBy can name.
+	maxClaimSlot = 1<<(64-stateShift) - 3
 )
 
 // recLink is the unmarked link to the record with index idx.
@@ -67,61 +69,61 @@ func recLink(idx uint32) uint64 { return uint64(idx)<<refShift | recBit }
 // headLink is the unmarked link to bucket b's head.
 func headLink(b uint64) uint64 { return b << refShift }
 
-// Node is the hash map's managed record type, and the element type of the
-// bucket directory. One type covers both roles (regular and head) so that a
-// bucket head embedded in the directory is a list node like any other.
+// claimedBy is the state of a head that worker slot tid has claimed.
+func claimedBy(tid int) uint64 { return uint64(tid+2) << stateShift }
+
+// casLink swings the link word at pred from old to link, keeping the head
+// state old carries (none, when pred is a record's link).
+func casLink(pred *atomic.Uint64, old, link uint64) bool {
+	return pred.CompareAndSwap(old, link|old&headState)
+}
+
+// Node is the hash map's managed record type: a key/value node of the
+// split-ordered list.
 //
 // A node stores no user key: its split-order key determines it (keyOf), and
 // a copy would cost a quarter of the record. Nor does it store a pointer: its
 // successor is a link, so Node[uint32] holds none and its slabs are never
 // scanned by the garbage collector. Byte map of Node[uint32] — 24 bytes:
 //
-//	 0  sokey  uint64           regular: bit-reversed hash; head: bit-reversed
-//	                            bucket index. The list is sorted by (sokey,
-//	                            rank), a head ranking before a regular node
+//	 0  sokey  uint64           the bit-reversed hash. The list is sorted by
+//	                            (sokey, rank), a head ranking before a node
 //	 8  next   uint64           the link to the successor, and the mark bit
-//	16  meta   uint32           bits 0-1 kind, bit 2 reclaimtest poison flag,
-//	                            bits 3-31 a record's index, or the claimer's
-//	                            slot while a head is linking
-//	20  value  V                regular: the value
+//	16  meta   uint32           bit 0 reclaimtest poison flag, bits 1-31 the
+//	                            record's index
+//	20  value  V                the value
 //
 // A wider V grows the record from offset 20 (Node[[]byte] is 48 bytes, its
-// value aligned to 24); sokey, next and meta, all a hop reads, stay in the
-// first 20. At a stride of 24 bytes, two of every eight slab positions
-// straddle a cache line. The epoch read path (lookup) reads a node's sokey
-// and next, and its meta only on a sokey tie.
+// value aligned to 24); sokey and next, all a hop reads, stay in the first
+// 16. At a stride of 24 bytes, two of every eight slab positions straddle a
+// cache line.
 type Node[V any] struct {
 	sokey uint64
 	next  atomic.Uint64
 	// meta is atomic because the poison flag is set and cleared by the test
-	// pool wrappers while the kind sits beside it; on the hot path it is only
-	// ever loaded (a plain MOV).
+	// pool wrappers while the index sits beside it; on the hot path it is
+	// only ever loaded (a plain MOV).
 	meta  atomic.Uint32
 	value V
 }
 
-// SetIndex implements arena.Indexed: it makes the record a regular node
-// with index idx, once, before the allocator hands the record out.
+// SetIndex implements arena.Indexed: it stores the record's index idx, once,
+// before the allocator hands the record out.
 func (n *Node[V]) SetIndex(idx uint32) {
 	if idx > maxIndex {
-		panic("hashmap: more than 2^29 records in one map")
+		panic("hashmap: more than 2^31 records in one map")
 	}
-	n.meta.Store(kindRegular | idx<<idxShift)
+	n.meta.Store(idx << idxShift)
 }
 
 // index is the record's index, its address in links.
 func (n *Node[V]) index() uint32 { return n.meta.Load() >> idxShift }
 
-// Key returns the node's key (meaningful for regular nodes only).
+// Key returns the node's key.
 func (n *Node[V]) Key() int64 { return keyOf(n.sokey) }
 
-// Value returns the node's value (meaningful for regular nodes only).
+// Value returns the node's value.
 func (n *Node[V]) Value() V { return n.value }
-
-func (n *Node[V]) kind() uint32 { return n.meta.Load() & kindMask }
-
-// IsDummy reports whether the node is a bucket sentinel.
-func (n *Node[V]) IsDummy() bool { return n.kind() == kindDummy }
 
 // Poison implements the reclaimtest Poisonable contract: mark the record as
 // freed, reporting whether it already was (a double free). The harness sets
@@ -181,33 +183,23 @@ func keyOf(sokey uint64) int64 { return int64(unmix64(bits.Reverse64(sokey))) }
 // ordered by rank.
 func dummySoKey(bucket uint64) uint64 { return bits.Reverse64(bucket) }
 
-// Ranks order the two nodes that can share a sokey: bucket b's head, and the
-// regular node whose hash is b.
+// Ranks order the two positions that can share a sokey: bucket b's head,
+// and the node whose hash is b.
 const (
 	rankHead = iota
 	rankRegular
 )
 
-// rank is the node's place among nodes of equal sokey. A head ranks as one
-// whatever stage of its claim it is in.
-func (n *Node[V]) rank() int {
-	if n.kind() == kindRegular {
-		return rankRegular
-	}
-	return rankHead
-}
-
-// cmp places n against the list position (sokey, rank): negative if n comes
-// before it, zero if n is the node at it, positive if n comes after it. The
-// kind is read only on a sokey tie.
-func (n *Node[V]) cmp(sokey uint64, rank int) int {
+// cmpPos places the list position (s, r) against (sokey, rank): negative if
+// it comes before, zero if it is that position, positive if it comes after.
+func cmpPos(s uint64, r int, sokey uint64, rank int) int {
 	switch {
-	case n.sokey < sokey:
+	case s < sokey:
 		return -1
-	case n.sokey > sokey:
+	case s > sokey:
 		return 1
 	}
-	return n.rank() - rank
+	return r - rank
 }
 
 // parentBucket returns the parent of bucket b in the split-order recursive
@@ -217,8 +209,8 @@ func parentBucket(b uint64) uint64 {
 }
 
 // initRegular (re)initialises a recycled record as a key/value node whose
-// successor is next. The record's meta word, its kind and index, was set
-// when its slab was numbered and stays.
+// successor is next. The record's index was set when its slab was numbered
+// and stays.
 func initRegular[V any](n *Node[V], value V, sokey uint64, next uint64) {
 	n.value = value
 	n.sokey = sokey

@@ -79,7 +79,7 @@ func TestHeadTies(t *testing.T) {
 						}
 						d = m.headOf(buckets[i-1])
 					}
-					if present && d.kind() == kindDummy && m.node(d.next.Load()) != nodeOf(m, k) {
+					if present && stateOf(d) == headLinked && m.record(d.Load()) != nodeOf(m, k) {
 						t.Fatalf("%s: the node after the head key %d ties with is not its own", stage, k)
 					}
 				}
@@ -101,7 +101,7 @@ func TestHeadTies(t *testing.T) {
 			}
 			for i, b := range buckets {
 				hd.Get(keys[i+1])
-				if m.headOf(b).kind() != kindDummy {
+				if stateOf(m.headOf(b)) != headLinked {
 					t.Fatalf("head %d not linked after a Get in its bucket", b)
 				}
 			}

@@ -128,7 +128,7 @@ func TestViewNeverSeesFreedRecord(t *testing.T) {
 			var want [threads]int64
 			var last [threads]*rec
 			m.SetVisitHook(func(tid int, n *rec) {
-				if !n.IsDummy() && n.Key() == want[tid] {
+				if n.Key() == want[tid] {
 					last[tid] = n
 				}
 			})
