@@ -21,7 +21,7 @@
 // clients (kvload -pipeline) amortise the per-request syscall cost.
 //
 //	kvserver -addr :7070 -scheme debra -partitions 4 -maxconns 64
-//	kvserver -scheme hp -retirebatch 256
+//	kvserver -scheme hp
 //	kvserver -pprof 127.0.0.1:6060     # live CPU/alloc profiles during load
 //
 // On SIGINT/SIGTERM the server drains connections, closes every partition's
@@ -58,7 +58,6 @@ func main() {
 		writeTO     = flag.Duration("writetimeout", 0, "per-response write deadline: a peer that stops reading is dropped once it expires (0 = library default, 10s)")
 		acquireWait = flag.Duration("acquirewait", 0, "how long a request may wait for a worker slot before the ERR_BUSY fast-fail (0 = library default, 100ms)")
 		reapAfter   = flag.Duration("reapafter", 0, "slow-peer reaper threshold: connections completing no frame within it are closed (0 = library default, 2x readtimeout)")
-		retireBatch = flag.Int("retirebatch", 0, "per-slot deferred-retire batch size (0 = direct retirement)")
 		buckets     = flag.Int("buckets", 0, "initial bucket count per partition (0 = map default)")
 		pprofAddr   = flag.String("pprof", "", "serve net/http/pprof on this address (host:port; empty = disabled)")
 	)
@@ -91,7 +90,6 @@ func main() {
 		AcquireWait:    *acquireWait,
 		ReapAfter:      *reapAfter,
 		UsePool:        true,
-		RetireBatch:    *retireBatch,
 		InitialBuckets: *buckets,
 	})
 	if err != nil {

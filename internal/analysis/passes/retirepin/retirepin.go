@@ -1,22 +1,21 @@
 // Package retirepin is the static form of the PR 3 quiescent-retire panic:
-// a raw scheme-level Retire (ReclaimerHandle.Retire,
-// Reclaimer.RetireBlock, core.RetireChain) issued from a quiescent
+// a raw scheme-level Retire (ReclaimerHandle.Retire) issued from a quiescent
 // context races the epoch advance — the retirer's observed epoch can go
-// arbitrarily stale before its records land in a limbo bag, so an advance
-// winner may free them while the retirer still holds the chain. The runtime
+// arbitrarily stale before its record lands in a limbo bag, so an advance
+// winner may free the bag while the retirer still files into it. The runtime
 // contract makes the epoch schemes panic on an unpinned Retire; this
 // analyzer proves the absence of the panic at build time by requiring every
 // raw retire call site to be dominated by LeaveQstate or PinRetire on all
 // paths from the enclosing function's entry.
 //
-// The auto-pinning wrappers — core.ThreadHandle.Retire/FlushRetired — take
-// the pin themselves when the thread is quiescent and are therefore exempt:
-// calling through them is the recommended fix for any diagnostic this
-// analyzer reports. The dominance walk is structural (statement order,
-// if/else joins, loops that may run zero times), not a full SSA pass: calls
-// reached through function literals inherit the pin state at their creation
-// point, deferred and spawned calls are analysed as unpinned, and an
-// EnterQstate or UnpinRetire kills the dominating pin.
+// The auto-pinning wrapper — core.ThreadHandle.Retire — takes the pin itself
+// when the thread is quiescent and is therefore exempt: calling through it
+// is the recommended fix for any diagnostic this analyzer reports. The
+// dominance walk is structural (statement order, if/else joins, loops that
+// may run zero times), not a full SSA pass: calls reached through function
+// literals inherit the pin state at their creation point, deferred and
+// spawned calls are analysed as unpinned, and an EnterQstate or UnpinRetire
+// kills the dominating pin.
 package retirepin
 
 import (
@@ -28,12 +27,12 @@ import (
 // Analyzer flags raw scheme retires not dominated by a pin.
 var Analyzer = &analysis.Analyzer{
 	Name: "retirepin",
-	Doc:  "raw scheme Retire/RetireBlock must be dominated by LeaveQstate or PinRetire (quiescent-retire contract)",
+	Doc:  "raw scheme Retire must be dominated by LeaveQstate or PinRetire (quiescent-retire contract)",
 	Run:  run,
 }
 
 // retireNames are the flagged entry points into a scheme's retire path.
-var retireNames = map[string]bool{"Retire": true, "RetireBlock": true, "FlushRetired": true, "RetireChain": true}
+var retireNames = map[string]bool{"Retire": true}
 
 // pinNames establish an active announcement; unpinNames withdraw it.
 var (
@@ -41,8 +40,8 @@ var (
 	unpinNames = map[string]bool{"EnterQstate": true, "UnpinRetire": true}
 )
 
-// autoPinRecv is the receiver type whose Retire/FlushRetired pin internally
-// (the wrapper data structures are supposed to use).
+// autoPinRecv is the receiver type whose Retire pins internally (the wrapper
+// data structures are supposed to use).
 var autoPinRecv = map[string]bool{"ThreadHandle": true}
 
 func run(pass *analysis.Pass) error {
@@ -63,8 +62,8 @@ func run(pass *analysis.Pass) error {
 }
 
 // forwarding reports whether fd is itself a retire-path entry point of the
-// reclamation stack (core.RetireChain, the fault plane's handle.Retire
-// forwarding to the scheme's, ThreadHandle.Retire/FlushRetired, ...). Raw
+// reclamation stack (the fault plane's handle.Retire forwarding to the
+// scheme's, ThreadHandle.Retire, ...). Raw
 // retire calls inside such a function are forwarding edges: the pin
 // obligation belongs to the function's own callers, which the analyzer
 // checks at their sites — the same obligation-transfer reasoning handlepair

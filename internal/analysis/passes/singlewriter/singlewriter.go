@@ -8,9 +8,8 @@
 // RMW buys nothing.
 //
 // Two rules, both scoped to the known per-thread carrier structs (thread,
-// threadStats, poolThread, bumpThread, heapThread, retireBuf) in the
-// hot-path packages (internal/{core,pool,arena},
-// internal/reclaim/..., internal/ds/...):
+// threadStats, poolThread, bumpThread, heapThread) in the hot-path packages
+// (internal/{core,pool,arena}, internal/reclaim/..., internal/ds/...):
 //
 //  1. declaration: a field named like a stat counter (retired, freed,
 //     scans, ...) must not be declared with a sync/atomic type;
@@ -42,7 +41,7 @@ var Analyzer = &analysis.Analyzer{
 // carrierNames are the per-thread state structs the discipline covers.
 var carrierNames = map[string]bool{
 	"thread": true, "threadStats": true, "poolThread": true,
-	"bumpThread": true, "heapThread": true, "retireBuf": true,
+	"bumpThread": true, "heapThread": true,
 }
 
 // statNames are the per-thread statistics fields (the old guard's name set).
@@ -51,7 +50,7 @@ var statNames = map[string]bool{
 	"grace": true, "neutralizations": true, "selfNeutralized": true,
 	"reused": true, "fromAllocator": true, "toShared": true,
 	"fromShared": true, "allocated": true, "deallocated": true,
-	"slabs": true, "pending": true, "restarts": true, "unlinks": true, "resizes": true,
+	"slabs": true, "restarts": true, "unlinks": true, "resizes": true,
 	"dummies": true, "helps": true, "recov": true,
 }
 

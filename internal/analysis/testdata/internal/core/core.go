@@ -13,9 +13,6 @@ type Counter struct{ v int64 }
 // Load returns the cell value.
 func (c *Counter) Load() int64 { return c.v }
 
-// Store sets the cell value.
-func (c *Counter) Store(v int64) { c.v = v }
-
 // Inc bumps the cell by one.
 func (c *Counter) Inc() { c.v++ }
 
@@ -23,11 +20,6 @@ func (c *Counter) Inc() { c.v++ }
 // slot's ReclaimerHandle.
 type Reclaimer[T any] interface {
 	Handle(slot int) ReclaimerHandle[T]
-}
-
-// BlockReclaimer is the block-granularity retire interface.
-type BlockReclaimer[T any] interface {
-	RetireBlock(tid int, blk *T)
 }
 
 // RetirePinner is the explicit retire-window pin interface.
@@ -44,13 +36,6 @@ type ReclaimerHandle[T any] interface {
 	Retire(rec *T)
 	Protect(rec *T) bool
 	Unprotect(rec *T)
-}
-
-// RetireChain hands a chain of records to the scheme (raw, requires a pin).
-func RetireChain[T any](r Reclaimer[T], h ReclaimerHandle[T], tid int) {
-	_ = r
-	_ = h
-	_ = tid
 }
 
 // RecordManager owns the worker slots; operations go through the acquired
@@ -73,9 +58,6 @@ type ThreadHandle[T any] struct{ _ int }
 
 // Retire auto-pins before handing the record to the scheme.
 func (h *ThreadHandle[T]) Retire(rec *T) {}
-
-// FlushRetired auto-pins before draining the retire buffer.
-func (h *ThreadHandle[T]) FlushRetired() {}
 
 // LeaveQstate announces the thread as active.
 func (h *ThreadHandle[T]) LeaveQstate() bool { return true }

@@ -15,13 +15,6 @@ type handle struct{ inner core.ReclaimerHandle[rec] }
 // itself a retire-path method).
 func (h *handle) Retire(x *rec) { h.inner.Retire(x) }
 
-// FlushRetired forwards a whole buffer (exempt for the same reason).
-func (h *handle) FlushRetired(xs []*rec) {
-	for _, x := range xs {
-		h.inner.Retire(x)
-	}
-}
-
 // drain is not a retire-path entry point, so its raw retire is still
 // checked.
 func (h *handle) drain(x *rec) {

@@ -57,7 +57,6 @@ func resolvedFromScheme(r core.Reclaimer[node], n *node) {
 
 func autoPinHandle(h *core.ThreadHandle[node], n *node) {
 	h.Retire(n) // auto-pinning wrapper: exempt
-	h.FlushRetired()
 }
 
 func pinnedLoop(h core.ReclaimerHandle[node], ns []*node) {
@@ -80,18 +79,4 @@ func spawnedRetire(h core.ReclaimerHandle[node], n *node) {
 	h.LeaveQstate()
 	go h.Retire(n) // want `raw ReclaimerHandle\.Retire is not dominated`
 	h.EnterQstate()
-}
-
-func rawBlock(b core.BlockReclaimer[node], tid int, blk *node) {
-	b.RetireBlock(tid, blk) // want `raw BlockReclaimer\.RetireBlock is not dominated`
-}
-
-func rawChain(r core.Reclaimer[node], tid int) {
-	core.RetireChain(r, r.Handle(tid), tid) // want `raw RetireChain is not dominated`
-}
-
-func pinnedChain(p core.RetirePinner, r core.Reclaimer[node], tid int) {
-	p.PinRetire(tid)
-	core.RetireChain(r, r.Handle(tid), tid)
-	p.UnpinRetire(tid)
 }

@@ -92,18 +92,6 @@ func NewBlockPool[T any](capacity int) *BlockPool[T] {
 
 // Get returns an empty block, reusing a cached one when possible.
 func (p *BlockPool[T]) Get() *Block[T] {
-	if b := p.TryGet(); b != nil {
-		return b
-	}
-	p.allocated++
-	return &Block[T]{}
-}
-
-// TryGet returns a cached empty block or nil, never allocating. It lets a
-// block consumer hand a spare back to its producer (the Record Manager's
-// batched-retire exchange) without forcing an allocation when the cache is
-// empty.
-func (p *BlockPool[T]) TryGet() *Block[T] {
 	if n := len(p.blocks); n > 0 {
 		b := p.blocks[n-1]
 		p.blocks[n-1] = nil
@@ -111,7 +99,8 @@ func (p *BlockPool[T]) TryGet() *Block[T] {
 		p.recycled++
 		return b
 	}
-	return nil
+	p.allocated++
+	return &Block[T]{}
 }
 
 // Put returns an empty (or emptied) block to the pool; blocks beyond the

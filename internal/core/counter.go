@@ -25,23 +25,20 @@ import "sync/atomic"
 // Padding note: a Counter is a bare 8-byte cell so that the several counters
 // of one thread can share the cache lines that thread already owns. The
 // per-thread aggregates that embed Counters (scheme thread state, pool
-// thread state, retire buffers, ...) carry the [PadBytes] tail that keeps
+// thread state, ...) carry the [PadBytes] tail that keeps
 // NEIGHBOURING threads' counters off each other's cache lines; a standalone
 // per-thread counter array should do the same.
 type Counter struct {
 	v int64
 }
 
-// Add increments the counter by n. Only the owner may call Add (or Store);
-// the plain read of the previous value is what makes this cheaper than an
-// atomic read-modify-write, and it is only sound with a single writer.
+// Add increments the counter by n. Only the owner may call Add: the plain
+// read of the previous value is what makes this cheaper than an atomic
+// read-modify-write, and it is only sound with a single writer.
 func (c *Counter) Add(n int64) { atomic.StoreInt64(&c.v, c.v+n) }
 
 // Inc increments the counter by one (owner only).
 func (c *Counter) Inc() { c.Add(1) }
-
-// Store sets the counter to n (owner only).
-func (c *Counter) Store(n int64) { atomic.StoreInt64(&c.v, n) }
 
 // Load returns the most recently published value. Safe from any goroutine;
 // concurrent with the owner it may lag by in-flight Adds but is never torn.

@@ -19,10 +19,6 @@ func TestCounterSingleWriter(t *testing.T) {
 	if got := c.Load(); got != 40 {
 		t.Fatalf("after Add(-2): %d, want 40", got)
 	}
-	c.Store(7)
-	if got := c.Load(); got != 7 {
-		t.Fatalf("after Store(7): %d, want 7", got)
-	}
 }
 
 // TestCounterReadersRaceWriter is the Stats() contract under -race: one

@@ -4,11 +4,10 @@ package core
 // answer to the observation (Hart et al., and the paper's own O(1)-per-op
 // claim) that reclamation scheme comparisons are dominated by per-operation
 // constants. A goroutine acquires a ThreadHandle for its working lifetime;
-// the handle caches everything a steady-state operation needs — the slot's
-// deferred-retire buffer, its pool fast path, the scheme's per-slot
-// ReclaimerHandle, and whether its retires need a pin — so an operation
-// performs zero slice indexing and at most one interface call per Record
-// Manager primitive.
+// the handle caches everything a steady-state operation needs — its pool
+// fast path, the scheme's per-slot ReclaimerHandle, and whether its retires
+// need a pin — so an operation performs zero slice indexing and at most one
+// interface call per Record Manager primitive.
 
 // PoolHandle is the per-thread fast-path view of a Pool: allocation and free
 // with the thread's private pool bag resolved at construction.
@@ -45,8 +44,6 @@ type ThreadHandle[T any] struct {
 	m   *RecordManager[T]
 
 	fast   ReclaimerHandle[T] // the scheme's per-slot view (never nil)
-	buf    *retireBuf[T]      // deferred-retire buffer; nil when batching is off
-	batch  int64              // buf's flush threshold (the manager's batch size)
 	pool   PoolHandle[T]      // pool fast path; nil when records are not reused
 	alloc  Allocator[T]
 	pinner Reclaimer[T] // the scheme when its retires need a pin, else nil
@@ -63,10 +60,6 @@ func (m *RecordManager[T]) newHandle(tid int) ThreadHandle[T] {
 		alloc:         m.alloc,
 		pinner:        m.pinner,
 		crashRecovery: m.crashRecovery,
-	}
-	if tid < len(m.bufs) {
-		h.buf = &m.bufs[tid]
-		h.batch = int64(m.batch)
 	}
 	if m.pool != nil {
 		if hp, ok := m.pool.(HandledPool[T]); ok {
@@ -114,11 +107,9 @@ func (m *RecordManager[T]) TryAcquireHandle() (*ThreadHandle[T], bool) {
 // is only legal from a quiescent state: EnterQstate has run and, for hazard
 // pointers, every protection is released — violations panic, because a
 // vacant slot is skipped by reclamation scans and an active announcement
-// left behind would be invisible. ReleaseHandle then drains the slot's
-// deferred-retire buffer (FlushRetired, under the scheme's retire pin) and
-// hands the slot's private pool cache back to the shared pool, so a reused
-// slot starts from a fresh, empty state and records freed by the departed
-// goroutine stay reusable by everyone.
+// left behind would be invisible. ReleaseHandle then hands the slot's
+// private pool cache back to the shared pool, so records freed by the
+// departed goroutine stay reusable by everyone.
 func (m *RecordManager[T]) ReleaseHandle(h *ThreadHandle[T]) {
 	if h == nil || h.m != m {
 		panic("core: ReleaseHandle of a handle from a different manager")
@@ -126,7 +117,6 @@ func (m *RecordManager[T]) ReleaseHandle(h *ThreadHandle[T]) {
 	if !h.fast.IsQuiescent() {
 		panic("core: ReleaseHandle from a non-quiescent slot; call EnterQstate (and release protections) first")
 	}
-	h.FlushRetired()
 	if d, ok := m.pool.(ThreadDrainer); ok {
 		d.DrainThread(h.tid)
 	}
@@ -163,17 +153,11 @@ func (h *ThreadHandle[T]) Protect(rec *T) bool { return h.fast.Protect(rec) }
 // Unprotect revokes a Protect.
 func (h *ThreadHandle[T]) Unprotect(rec *T) { h.fast.Unprotect(rec) }
 
-// IsProtected reports whether the thread currently protects rec.
-func (h *ThreadHandle[T]) IsProtected(rec *T) bool { return h.fast.IsProtected(rec) }
-
 // RProtect announces a recovery protection (DEBRA+).
 func (h *ThreadHandle[T]) RProtect(rec *T) { h.fast.RProtect(rec) }
 
 // RUnprotectAll releases all recovery protections held by the thread.
 func (h *ThreadHandle[T]) RUnprotectAll() { h.fast.RUnprotectAll() }
-
-// IsRProtected reports whether the thread holds a recovery protection of rec.
-func (h *ThreadHandle[T]) IsRProtected(rec *T) bool { return h.fast.IsRProtected(rec) }
 
 // Allocate returns a record for the handle's thread, preferring the pool.
 func (h *ThreadHandle[T]) Allocate() *T {
@@ -194,23 +178,13 @@ func (h *ThreadHandle[T]) Deallocate(rec *T) {
 	h.alloc.Deallocate(h.tid, rec)
 }
 
-// Retire hands a removed record to the reclaimer — through the slot's
-// deferred-retire buffer when batching is enabled (a buffer append with no
-// interface call at all), directly otherwise. Unlike the raw scheme Retire
-// (which the epoch schemes reject from a quiescent context), this is safe
-// from any same-thread context: a quiescent caller — a data-structure
+// Retire hands a removed record to the reclaimer. Unlike the raw scheme
+// Retire (which the epoch schemes reject from a quiescent context), this is
+// safe from any same-thread context: a quiescent caller — a data-structure
 // postamble after EnterQstate, a DEBRA+ recovery path — is routed through the
 // scheme's pin-while-retiring entry point so the hand-off happens under an
 // active announcement.
 func (h *ThreadHandle[T]) Retire(rec *T) {
-	if b := h.buf; b != nil {
-		b.bag.Add(rec)
-		b.pending.Inc()
-		if b.pending.Load() >= h.batch {
-			h.FlushRetired()
-		}
-		return
-	}
 	if h.pinner != nil && h.fast.IsQuiescent() {
 		h.pinner.PinRetire(h.tid)
 		h.fast.Retire(rec)
@@ -218,33 +192,4 @@ func (h *ThreadHandle[T]) Retire(rec *T) {
 		return
 	}
 	h.fast.Retire(rec)
-}
-
-// FlushRetired hands every record parked in the slot's deferred-retire
-// buffer to the reclaimer. Full blocks transfer as O(1) splices
-// (Reclaimer.RetireBlock); the partial tail (always fewer than
-// blockbag.BlockSize records) is retired record-at-a-time. A no-op when
-// batching is disabled.
-//
-// Contract: when the thread is quiescent (ReleaseHandle, Close, tests), the
-// hand-off is wrapped in the scheme's pin-while-retiring entry point, because
-// the epoch schemes' retire paths are only safe under an active announcement
-// — a quiescent retirer's observed epoch can go arbitrarily stale before its
-// records land in a limbo bag, racing an advance winner's drain of that very
-// bag (see Reclaimer.PinRetire). When the thread is mid-operation the
-// operation's own pin already covers the hand-off and no extra pin is taken.
-func (h *ThreadHandle[T]) FlushRetired() {
-	b := h.buf
-	if b == nil || b.pending.Load() == 0 {
-		return
-	}
-	if h.pinner != nil && h.fast.IsQuiescent() {
-		h.pinner.PinRetire(h.tid)
-		defer h.pinner.UnpinRetire(h.tid)
-	}
-	if chain := b.bag.DetachAllFullBlocks(); chain != nil {
-		RetireChain(h.m.reclaimer, h.tid, chain, b.pool)
-	}
-	b.bag.Drain(h.fast.Retire)
-	b.pending.Store(0)
 }

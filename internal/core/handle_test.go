@@ -94,63 +94,28 @@ func TestThreadHandleQuiescentRetire(t *testing.T) {
 	}
 }
 
-// TestThreadHandleBatchedRetire: with batching, handle Retires park in the
-// thread's buffer and flush at the batch boundary.
-func TestThreadHandleBatchedRetire(t *testing.T) {
-	const n, batch = 2, 8
-	alloc := arena.NewBump[node](n, 64)
-	pl := pool.New[node](n, alloc)
-	rec := debra.New[node](n, pl, epoch.WithIncrThresh(1))
-	m := core.NewRecordManager[node](alloc, pl, rec, core.WithRetireBatching(n, batch))
-	h := m.AcquireHandle()
-	defer m.ReleaseHandle(h)
-	h.LeaveQstate()
-	for i := 0; i < batch-1; i++ {
-		h.Retire(h.Allocate())
-	}
-	if got := m.Stats().RetirePending; got != batch-1 {
-		t.Fatalf("RetirePending = %d want %d (nothing must reach the scheme yet)", got, batch-1)
-	}
-	if got := m.Stats().Reclaimer.Retired; got != 0 {
-		t.Fatalf("scheme saw %d retires before the batch filled", got)
-	}
-	h.Retire(h.Allocate()) // batch boundary: flush
-	if got := m.Stats().RetirePending; got != 0 {
-		t.Fatalf("RetirePending = %d after the flush", got)
-	}
-	if got := m.Stats().Reclaimer.Retired; got != batch {
-		t.Fatalf("scheme saw %d retires want %d", got, batch)
-	}
-	h.EnterQstate()
-
-	// FlushRetired through the handle from a quiescent context (the
-	// shutdown path) must also work.
-	h.Retire(h.Allocate())
-	h.FlushRetired()
-	if got := m.Stats().RetirePending; got != 0 {
-		t.Fatalf("RetirePending = %d after handle FlushRetired", got)
-	}
-}
-
 // TestThreadHandleHPProtect: the hazard-pointer fast path goes through the
-// cached slot array and agrees with the scheme's own per-slot view.
+// cached slot array the scheme's scan reads: a record the handle protects
+// survives a scan, and the first scan after Unprotect frees it.
 func TestThreadHandleHPProtect(t *testing.T) {
 	const n = 2
-	alloc := arena.NewBump[node](n, 64)
-	pl := pool.New[node](n, alloc)
-	rec := hp.New[node](n, pl, hp.WithSlots(4))
-	m := core.NewRecordManager[node](alloc, pl, rec)
+	sink := reclaimtest.NewRecordingSink()
+	// A threshold of one scans on every retire.
+	r := hp.New[rec](n, sink, hp.WithSlots(4), hp.WithRetireThreshold(1))
+	m := core.NewRecordManager[rec](arena.NewBump[rec](n, 64), nil, r)
 	h := m.AcquireHandle()
 	defer m.ReleaseHandle(h)
-	r := h.Allocate()
-	if !h.Protect(r) {
+	x := h.Allocate()
+	if !h.Protect(x) {
 		t.Fatal("handle Protect failed")
 	}
-	if !h.IsProtected(r) || !rec.Handle(h.Tid()).IsProtected(r) {
-		t.Fatal("IsProtected does not see the handle's announcement")
+	h.Retire(x)
+	if sink.Contains(x) {
+		t.Fatal("a scan freed the record the handle protects")
 	}
-	h.Unprotect(r)
-	if h.IsProtected(r) || rec.Handle(h.Tid()).IsProtected(r) {
+	h.Unprotect(x)
+	h.Retire(h.Allocate())
+	if !sink.Contains(x) {
 		t.Fatal("handle Unprotect did not release the slot")
 	}
 }

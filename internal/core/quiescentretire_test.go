@@ -1,15 +1,15 @@
 package core_test
 
 // Regression tests for the quiescent-retire grace-period hazard: the epoch
-// schemes' Retire/RetireBlock load the current epoch, and only the caller's
+// schemes' Retire loads the current epoch, and only the caller's
 // active announcement bounds how stale that load can be by the time the
 // record lands in a limbo bag. A retire from a quiescent context had no such
 // pin, so a sufficiently delayed hand-off could race the advance winner's
 // bag drain. The fix is two-layered: the raw schemes now panic loudly on an
 // unpinned retire (these tests fail against the pre-fix code, which accepted
-// it silently), and the Record Manager routes quiescent callers — shutdown
-// flushes, data structure postambles, DEBRA+ recovery — through the new
-// pin-while-retiring entry point.
+// it silently), and the Record Manager routes quiescent callers — data
+// structure postambles, DEBRA+ recovery — through the new pin-while-retiring
+// entry point.
 
 import (
 	"sync"
@@ -127,67 +127,20 @@ func TestManagerRetireFromQuiescentContextAutoPins(t *testing.T) {
 	}
 }
 
-// TestFlushRetiredQuiescentPins: the documented FlushRetired contract —
-// safe from quiescent shutdown paths — now actually holds: the hand-off of
-// a parked batch from a quiescent thread goes through the pin and the
-// records are freed exactly once by shutdown draining.
-func TestFlushRetiredQuiescentPins(t *testing.T) {
-	const n = 2
-	for _, name := range []string{"ebr", "qsbr", "debra", "debra+"} {
-		t.Run(name, func(t *testing.T) {
-			sink := reclaimtest.NewPoisonSink()
-			r := epochSchemes(n, sink)[name]
-			alloc := arena.NewBump[rec](n, 0)
-			mgr := core.NewRecordManager[rec](alloc, nil, r, core.WithRetireBatching(n, blockbag.BlockSize))
-			hs := reclaimtest.AcquireSlots(1, mgr.AcquireHandle)
-
-			// Park records from a pinned operation, then quiesce with the
-			// buffer non-empty (batch not reached).
-			hs[0].LeaveQstate()
-			for i := 0; i < blockbag.BlockSize+7; i++ {
-				hs[0].Retire(hs[0].Allocate())
-			}
-			hs[0].EnterQstate()
-			if got := mgr.Stats().RetirePending; got != 7 {
-				t.Fatalf("RetirePending = %d want 7", got)
-			}
-			// The quiescent flush: pre-fix this handed records to the scheme
-			// with no pin (the racy interleaving); now it pins around it.
-			hs[0].FlushRetired()
-			if !hs[0].IsQuiescent() {
-				t.Fatal("thread left non-quiescent by the quiescent flush")
-			}
-			st := mgr.Stats()
-			if st.RetirePending != 0 || st.Reclaimer.Retired != blockbag.BlockSize+7 {
-				t.Fatalf("after flush: pending=%d retired=%d", st.RetirePending, st.Reclaimer.Retired)
-			}
-			mgr.Close()
-			st = mgr.Stats()
-			if st.Reclaimer.Freed != st.Reclaimer.Retired || st.Unreclaimed != 0 {
-				t.Fatalf("after Close: retired=%d freed=%d unreclaimed=%d",
-					st.Reclaimer.Retired, st.Reclaimer.Freed, st.Unreclaimed)
-			}
-			if d := sink.DoubleFrees(); d != 0 {
-				t.Fatalf("%d double frees", d)
-			}
-		})
-	}
-}
-
-// TestQuiescentFlushRacesAdvance closes the loop on the original
-// interleaving: a quiescent-context flusher hands batches over (pinned)
-// while another thread continuously advances the epoch and drains limbo
-// bags. With the pre-fix unpinned hand-off this is the schedule that could
-// land records in the bag being drained; with the pin it must never
-// double-free or lose a record. Run under -race in CI.
-func TestQuiescentFlushRacesAdvance(t *testing.T) {
+// TestQuiescentRetireRacesAdvance closes the loop on the original
+// interleaving: a quiescent thread hands records over through
+// ThreadHandle.Retire (pinned) while another thread continuously advances
+// the epoch and drains limbo bags. With an unpinned hand-off this is the
+// schedule that could land records in the bag being drained; with the pin it
+// must never double-free or lose a record. Run under -race in CI.
+func TestQuiescentRetireRacesAdvance(t *testing.T) {
 	const iters = 400
 	for _, name := range []string{"ebr", "qsbr"} {
 		t.Run(name, func(t *testing.T) {
 			sink := reclaimtest.NewPoisonSink()
 			r := epochSchemes(2, sink)[name]
 			alloc := arena.NewBump[rec](2, 0)
-			mgr := core.NewRecordManager[rec](alloc, nil, r, core.WithRetireBatching(2, 32))
+			mgr := core.NewRecordManager[rec](alloc, nil, r)
 			hs := reclaimtest.AcquireSlots(2, mgr.AcquireHandle)
 
 			var wg sync.WaitGroup
@@ -200,22 +153,27 @@ func TestQuiescentFlushRacesAdvance(t *testing.T) {
 					hs[0].EnterQstate()
 				}
 			}()
-			go func() { // quiescent flusher: tid 1
+			go func() { // quiescent retirer: tid 1
 				defer wg.Done()
 				for i := 0; i < iters; i++ {
 					hs[1].LeaveQstate()
+					hs[1].EnterQstate()
+					// The racy hand-off: retire while quiescent, concurrent
+					// with tid 0's epoch advances.
 					for j := 0; j < 8; j++ {
 						hs[1].Retire(hs[1].Allocate())
 					}
-					hs[1].EnterQstate()
-					// The racy hand-off: flush the partial batch while
-					// quiescent, concurrent with tid 0's epoch advances.
-					hs[1].FlushRetired()
 				}
 			}()
 			wg.Wait()
+			if !hs[1].IsQuiescent() {
+				t.Fatal("thread left non-quiescent by the quiescent retires")
+			}
 			mgr.Close()
 			st := mgr.Stats()
+			if st.Reclaimer.Retired != 50*iters+8*iters {
+				t.Fatalf("retired %d want %d", st.Reclaimer.Retired, 58*iters)
+			}
 			if st.Reclaimer.Freed != st.Reclaimer.Retired {
 				t.Fatalf("retired %d != freed %d after Close", st.Reclaimer.Retired, st.Reclaimer.Freed)
 			}

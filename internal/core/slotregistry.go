@@ -25,9 +25,8 @@ import (
 // # Why skipping a vacant slot is safe
 //
 // A slot only becomes vacant through Release, whose caller (the Record
-// Manager) requires the slot to be quiescent and its retire buffer drained
-// first — so a vacant slot has no active announcement, no hazard pointers
-// and no parked retirements, and treating it as quiescent is not an
+// Manager) requires the slot to be quiescent first — so a vacant slot has no
+// active announcement and no hazard pointers, and treating it as quiescent is not an
 // approximation but the truth. The remaining race — a scanner reads the slot
 // as vacant while another goroutine concurrently acquires it and announces —
 // is exactly the classic quiescent-thread-wakes-during-scan race every epoch
@@ -42,13 +41,10 @@ import (
 // # Why a reused slot cannot inherit a stale announcement
 //
 // Release requires quiescence (the epoch/HP announcement is already
-// withdrawn, enforced with a panic) and drains the slot's deferred-retire
-// buffer under the scheme's retire pin before the slot is pushed onto the
-// free list. The
-// free-list push/pop CAS pair is the happens-before edge to the next
+// withdrawn, enforced with a panic) before the slot is pushed onto the free
+// list. The free-list push/pop CAS pair is the happens-before edge to the next
 // acquirer, so by the time Acquire returns the tid, its last announcement is
-// visibly quiescent and its buffers are empty: the new owner starts from the
-// same state a freshly constructed thread slot has.
+// visibly quiescent: the new owner inherits no announcement from the last.
 
 // Slot states (the values of a slot's state word).
 const (

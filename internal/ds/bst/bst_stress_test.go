@@ -3,7 +3,6 @@ package bst_test
 import (
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/arena"
 	"repro/internal/core"
@@ -31,7 +30,7 @@ func (w treeWorker) Release()                { w.h.Tree().ReleaseHandle(w.h) }
 // structural property the paper identifies as fundamentally incompatible
 // with HP's reachability proof (a narrow validated-but-stale window
 // remains); the double-free, semantic and structural checks still apply.
-func poisonedTreeFactory(t *testing.T, scheme string, batch int) reclaimtest.SetFactory {
+func poisonedTreeFactory(t *testing.T, scheme string) reclaimtest.SetFactory {
 	return func(n int) reclaimtest.SetUnderTest {
 		type rec = bst.Record[int64]
 		alloc := arena.NewBump[rec](n, 0)
@@ -41,11 +40,7 @@ func poisonedTreeFactory(t *testing.T, scheme string, batch int) reclaimtest.Set
 		if err != nil {
 			t.Fatal(err)
 		}
-		var mopts []core.ManagerOption
-		if batch > 0 {
-			mopts = append(mopts, core.WithRetireBatching(n, batch))
-		}
-		mgr := core.NewRecordManager[rec](alloc, pp, rcl, mopts...)
+		mgr := core.NewRecordManager[rec](alloc, pp, rcl)
 		tree := bst.New[int64](mgr)
 		su := reclaimtest.SetUnderTest{
 			AcquireWorker: func() reclaimtest.Worker { return treeWorker{tree.AcquireHandle()} },
@@ -71,19 +66,7 @@ func poisonedTreeFactory(t *testing.T, scheme string, batch int) reclaimtest.Set
 func TestStressAllSchemes(t *testing.T) {
 	for _, scheme := range recordmgr.Schemes() {
 		t.Run(scheme, func(t *testing.T) {
-			reclaimtest.StressSet(t, poisonedTreeFactory(t, scheme, 0), reclaimtest.DefaultSetStressOptions())
-		})
-	}
-}
-
-// TestStressBatchedRetirement runs the stress with deferred-retire batching.
-func TestStressBatchedRetirement(t *testing.T) {
-	for _, scheme := range recordmgr.Schemes() {
-		t.Run(scheme, func(t *testing.T) {
-			factory := poisonedTreeFactory(t, scheme, 64)
-			opts := reclaimtest.DefaultSetStressOptions()
-			opts.Duration = 80 * time.Millisecond
-			reclaimtest.StressSet(t, factory, opts)
+			reclaimtest.StressSet(t, poisonedTreeFactory(t, scheme), reclaimtest.DefaultSetStressOptions())
 		})
 	}
 }

@@ -1,7 +1,6 @@
 package hashmap_test
 
 import (
-	"fmt"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -9,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/arena"
-	"repro/internal/blockbag"
 	"repro/internal/core"
 	"repro/internal/ds/hashmap"
 	"repro/internal/pool"
@@ -297,22 +295,12 @@ func acquireMapWorker(m *hashmap.Map[int64]) func() reclaimtest.Worker {
 // visit hook counts observations of poisoned records, for the given
 // reclaimer constructor.
 func poisonedMapFactory(newReclaimer func(n int, sink core.FreeSink[hashmap.Node[int64]]) core.Reclaimer[hashmap.Node[int64]]) reclaimtest.SetFactory {
-	return poisonedBatchedMapFactory(0, newReclaimer)
-}
-
-// poisonedBatchedMapFactory additionally enables the Record Manager's
-// deferred-retire batching with the given batch size (0 = direct retirement).
-func poisonedBatchedMapFactory(batch int, newReclaimer func(n int, sink core.FreeSink[hashmap.Node[int64]]) core.Reclaimer[hashmap.Node[int64]]) reclaimtest.SetFactory {
 	return func(n int) reclaimtest.SetUnderTest {
 		type rec = hashmap.Node[int64]
 		alloc := arena.NewBump[rec](n, 0)
 		pp := reclaimtest.NewPoisonPool[rec, *rec](pool.New[rec](n, alloc))
 		rcl := newReclaimer(n, pp)
-		var mopts []core.ManagerOption
-		if batch > 0 {
-			mopts = append(mopts, core.WithRetireBatching(n, batch))
-		}
-		mgr := core.NewRecordManager[rec](alloc, pp, rcl, mopts...)
+		mgr := core.NewRecordManager[rec](alloc, pp, rcl)
 		// Start tiny with an aggressive load factor so the stress exercises
 		// incremental resizing and dummy splicing, not just list churn.
 		m := hashmap.New[int64](mgr, n, hashmap.WithInitialBuckets(2), hashmap.WithMaxLoad(2))
@@ -345,8 +333,7 @@ func poisonedChurnMapFactory(t *testing.T, scheme string) reclaimtest.SetFactory
 		alloc := arena.NewBump[rec](slots, 0)
 		pp := reclaimtest.NewPoisonPool[rec, *rec](pool.New[rec](slots, alloc))
 		rcl := named(t, scheme)(slots, pp)
-		mgr := core.NewRecordManager[rec](alloc, pp, rcl,
-			core.WithRetireBatching(slots, 32))
+		mgr := core.NewRecordManager[rec](alloc, pp, rcl)
 		m := hashmap.New[int64](mgr, slots, hashmap.WithInitialBuckets(2), hashmap.WithMaxLoad(2))
 		var violations atomic.Int64
 		m.SetVisitHook(func(_ int, nd *hashmap.Node[int64]) {
@@ -362,8 +349,8 @@ func poisonedChurnMapFactory(t *testing.T, scheme string) reclaimtest.SetFactory
 			Validate:      m.Validate,
 			Close:         mgr.Close,
 			// Every reclaiming scheme must end with Retired == Freed once
-			// Close has flushed and drained; the leaking baseline keeps its
-			// garbage by design.
+			// Close has drained; the leaking baseline keeps its garbage by
+			// design.
 			RequireDrained: scheme != recordmgr.SchemeNone,
 		}
 	}
@@ -371,8 +358,7 @@ func poisonedChurnMapFactory(t *testing.T, scheme string) reclaimtest.SetFactory
 
 // TestStressSlotChurn is the slot-churn poison-sink stress of the dynamic
 // thread-slot registry: goroutines continually acquire a slot, work, and
-// release it (which flushes the slot's retire buffer and returns its pool
-// cache), across every scheme, with two spare slots so tids genuinely migrate
+// release it (which returns its pool cache), across every scheme, with two spare slots so tids genuinely migrate
 // between goroutines. A poisoned read after
 // slot reuse, a double free during shutdown draining, a wrong answer on a
 // goroutine-private key, or leftover limbo after Close fails the test. Run
@@ -425,22 +411,6 @@ func TestStressWaitFreeGet(t *testing.T) {
 			opts.KeyRange = 128 // few keys: every chain a Get walks is being deleted from
 			reclaimtest.StressSet(t, factory, opts)
 		})
-	}
-}
-
-// TestStressBatchedRetirement runs the same poison harness with the Record
-// Manager's deferred-retire batching enabled: one full-block batch size (the
-// O(1) splice path) and one sub-block size (the per-record fallback).
-func TestStressBatchedRetirement(t *testing.T) {
-	for _, scheme := range allSchemes() {
-		for _, batch := range []int{blockbag.BlockSize, 32} {
-			t.Run(fmt.Sprintf("%s/batch=%d", scheme, batch), func(t *testing.T) {
-				factory := poisonedBatchedMapFactory(batch, named(t, scheme))
-				opts := reclaimtest.DefaultSetStressOptions()
-				opts.Duration = 80 * time.Millisecond
-				reclaimtest.StressSet(t, factory, opts)
-			})
-		}
 	}
 }
 

@@ -32,8 +32,7 @@ type Partitioned[V any] struct {
 
 // NewPartitioned creates a map of `partitions` independent partitions.
 // build constructs partition p's Record Manager (called once per partition,
-// so each can be configured — scheme, slot capacity, batching —
-// identically or not); threads and opts are passed to each partition's Map
+// so each can be configured — scheme, slot capacity — identically or not); threads and opts are passed to each partition's Map
 // exactly as in New.
 func NewPartitioned[V any](partitions int, build func(p int) *Manager[V], threads int, opts ...Option) *Partitioned[V] {
 	if partitions < 1 {
@@ -122,7 +121,6 @@ func (pm *Partitioned[V]) ManagerStats() core.ManagerStats {
 		out.Pool.Freed += s.Pool.Freed
 		out.Pool.ToShared += s.Pool.ToShared
 		out.Pool.FromShared += s.Pool.FromShared
-		out.RetirePending += s.RetirePending
 		out.Unreclaimed += s.Unreclaimed
 	}
 	return out

@@ -3,7 +3,6 @@ package skiplist_test
 import (
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/arena"
 	"repro/internal/core"
@@ -38,7 +37,7 @@ func (w listWorker) Release()                { w.h.List().ReleaseHandle(w.h) }
 // successor pointer is frozen, a residual window the paper concedes for
 // HP on structures that traverse retired records; the double-free,
 // conservation and semantic checks still apply there.
-func poisonedListFactory(t *testing.T, scheme string, batch int) reclaimtest.SetFactory {
+func poisonedListFactory(t *testing.T, scheme string) reclaimtest.SetFactory {
 	return func(n int) reclaimtest.SetUnderTest {
 		type rec = skiplist.Node[int64]
 		alloc := arena.NewBump[rec](n, 0)
@@ -47,11 +46,7 @@ func poisonedListFactory(t *testing.T, scheme string, batch int) reclaimtest.Set
 		if err != nil {
 			t.Fatal(err)
 		}
-		var mopts []core.ManagerOption
-		if batch > 0 {
-			mopts = append(mopts, core.WithRetireBatching(n, batch))
-		}
-		mgr := core.NewRecordManager[rec](alloc, pp, rcl, mopts...)
+		mgr := core.NewRecordManager[rec](alloc, pp, rcl)
 		l := skiplist.New[int64](mgr, n)
 		su := reclaimtest.SetUnderTest{
 			AcquireWorker: func() reclaimtest.Worker { return listWorker{l.AcquireHandle()} },
@@ -77,19 +72,7 @@ func poisonedListFactory(t *testing.T, scheme string, batch int) reclaimtest.Set
 func TestStressAllSchemes(t *testing.T) {
 	for _, scheme := range stressSchemes() {
 		t.Run(scheme, func(t *testing.T) {
-			reclaimtest.StressSet(t, poisonedListFactory(t, scheme, 0), reclaimtest.DefaultSetStressOptions())
-		})
-	}
-}
-
-// TestStressBatchedRetirement runs the stress with deferred-retire batching.
-func TestStressBatchedRetirement(t *testing.T) {
-	for _, scheme := range stressSchemes() {
-		t.Run(scheme, func(t *testing.T) {
-			factory := poisonedListFactory(t, scheme, 64)
-			opts := reclaimtest.DefaultSetStressOptions()
-			opts.Duration = 80 * time.Millisecond
-			reclaimtest.StressSet(t, factory, opts)
+			reclaimtest.StressSet(t, poisonedListFactory(t, scheme), reclaimtest.DefaultSetStressOptions())
 		})
 	}
 }

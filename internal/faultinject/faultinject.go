@@ -16,9 +16,8 @@
 //   - Wrap (wrap.go) interposes a Plan on any core.Reclaimer, injecting at
 //     the three operation boundaries that matter for reclamation: right
 //     after LeaveQstate (stalled while pinned, announcement live), right
-//     before EnterQstate (stalled before unpin), and before Retire /
-//     RetireBlock (stalled retirer). recordmgr.Config.FaultPlan threads it
-//     through Build.
+//     before EnterQstate (stalled before unpin), and before Retire (stalled
+//     retirer). recordmgr.Config.FaultPlan threads it through Build.
 //   - Probe (probe.go) measures ManagerStats.Unreclaimed growth with and
 //     without a stalled thread and classifies the scheme as bounded or
 //     unbounded-growth — the paper's Figure-style robustness result as a
@@ -53,7 +52,7 @@ const (
 	// PointBeforeUnpin fires at EnterQstate, before the announcement is
 	// withdrawn: the thread finished its operation but never got to quiesce.
 	PointBeforeUnpin
-	// PointRetire fires before each Retire/RetireBlock hand-off: it stalls
+	// PointRetire fires before each Retire hand-off: it stalls
 	// the thread's retire path itself.
 	PointRetire
 )

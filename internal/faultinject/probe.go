@@ -135,8 +135,8 @@ func Probe[T any](m *core.RecordManager[T], plan *Plan, stalls []*Armed, cfg Pro
 	neut0 := m.Stats().Reclaimer.Neutralizations
 
 	// Baseline phase: every worker (including the future victims) runs, so
-	// the scheme's steady-state plateau — limbo a few epochs deep, batching
-	// residue — is measured and subtracted out by the delta.
+	// the scheme's steady-state plateau — limbo a few epochs deep — is
+	// measured and subtracted out by the delta.
 	s0 := m.Stats().Unreclaimed
 	res.BaselineOps = runPhase(all, cfg.OpsPerWorker)
 	s1 := m.Stats().Unreclaimed

@@ -13,7 +13,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/blockbag"
 	"repro/internal/faultinject"
 	"repro/internal/raceenabled"
 	"repro/internal/recordmgr"
@@ -63,6 +62,15 @@ func TestProbeClassifiesSchemes(t *testing.T) {
 			plan.Close()
 			m.Close()
 
+			// The probe's quiescence recovery (release the victims, join,
+			// Close) leaves nothing behind in a reclaiming scheme.
+			if st := m.Stats(); tc.scheme != recordmgr.SchemeNone && st.Reclaimer.Retired != st.Reclaimer.Freed {
+				t.Fatalf("after Close: Retired=%d Freed=%d; shutdown draining must survive a fault-injected run",
+					st.Reclaimer.Retired, st.Reclaimer.Freed)
+			}
+			if res.BaselineOps == 0 || res.StalledOps == 0 {
+				t.Fatalf("probe phases ran no operations: %+v", res)
+			}
 			if res.Scheme != tc.scheme {
 				t.Fatalf("probe measured scheme %q, want %q", res.Scheme, tc.scheme)
 			}
@@ -84,36 +92,6 @@ func TestProbeClassifiesSchemes(t *testing.T) {
 				t.Fatal("DEBRA+ stayed bounded without neutralizing the stalled thread — the probe did not exercise the mechanism")
 			}
 		})
-	}
-}
-
-// TestProbeSurvivesBatching: the probe's quiescence recovery (release
-// victims, join, Close) must hold with deferred-retire batching interposed,
-// where Unreclaimed spans the scheme's limbo and the retire buffers. The
-// batch is a whole block, so flushes reach the scheme through the wrapper's
-// forwarded RetireBlock.
-func TestProbeSurvivesBatching(t *testing.T) {
-	plan, stalls := faultinject.NewStallPlan([]int{2})
-	m, err := recordmgr.Build[proberec](recordmgr.Config{
-		Scheme:      recordmgr.SchemeDEBRA,
-		Threads:     3,
-		UsePool:     true,
-		RetireBatch: blockbag.BlockSize,
-		FaultPlan:   plan,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := faultinject.Probe(m, plan, stalls, faultinject.ProbeConfig{Workers: 3, OpsPerWorker: 2000})
-	plan.Close()
-	m.Close()
-	st := m.Stats()
-	if st.Reclaimer.Retired != st.Reclaimer.Freed {
-		t.Fatalf("after Close: Retired=%d Freed=%d; shutdown draining must survive a fault-injected run",
-			st.Reclaimer.Retired, st.Reclaimer.Freed)
-	}
-	if res.BaselineOps == 0 || res.StalledOps == 0 {
-		t.Fatalf("probe phases ran no operations: %+v", res)
 	}
 }
 

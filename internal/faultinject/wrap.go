@@ -5,10 +5,7 @@ package faultinject
 // plan's hooks at the three injected boundaries, so every crossing fires
 // exactly once.
 
-import (
-	"repro/internal/blockbag"
-	"repro/internal/core"
-)
+import "repro/internal/core"
 
 // Reclaimer wraps an inner reclamation scheme with a fault Plan. Construct
 // with Wrap.
@@ -32,12 +29,6 @@ func (w *Reclaimer[T]) Plan() *Plan { return w.plan }
 // with the plan's hooks at the three boundaries.
 func (w *Reclaimer[T]) Handle(slot int) core.ReclaimerHandle[T] {
 	return &handle[T]{ReclaimerHandle: w.Reclaimer.Handle(slot), plan: w.plan, tid: slot}
-}
-
-// RetireBlock crosses PointRetire once per block, then forwards.
-func (w *Reclaimer[T]) RetireBlock(tid int, blk *blockbag.Block[T]) *blockbag.Block[T] {
-	w.plan.hook(tid, PointRetire)
-	return w.Reclaimer.RetireBlock(tid, blk)
 }
 
 // DrainLimbo implements core.LimboDrainer: it forwards when the wrapped

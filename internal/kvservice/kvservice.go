@@ -94,9 +94,6 @@ type Config struct {
 	// recycles them through the record pool, and New refuses a config
 	// without it.
 	UsePool bool
-	// RetireBatch configures each partition's Record Manager exactly as in
-	// recordmgr.Config.
-	RetireBatch int
 	// InitialBuckets sizes each partition's bucket table (0 = map default).
 	InitialBuckets int
 
@@ -254,12 +251,10 @@ func New(cfg Config) (*Server, error) {
 	// Build every partition's manager up front so configuration errors
 	// surface as errors rather than panics out of the builder callback.
 	mcfg := recordmgr.Config{
-		Scheme:      cfg.Scheme,
-		Threads:     1,
-		MaxThreads:  cfg.MaxConns,
-		Allocator:   recordmgr.AllocBump,
-		UsePool:     cfg.UsePool,
-		RetireBatch: cfg.RetireBatch,
+		Scheme:    cfg.Scheme,
+		Threads:   cfg.MaxConns,
+		Allocator: recordmgr.AllocBump,
+		UsePool:   cfg.UsePool,
 	}
 	mgrs := make([]*hashmap.Manager[[]byte], cfg.Partitions)
 	for p := range mgrs {

@@ -164,12 +164,11 @@ func TestServerLifecycle(t *testing.T) {
 				return
 			}
 			srv, addr := startServer(t, kvservice.Config{
-				Scheme:      scheme,
-				Partitions:  partitions,
-				MaxConns:    maxConns,
-				Burst:       burst,
-				UsePool:     true,
-				RetireBatch: 16,
+				Scheme:     scheme,
+				Partitions: partitions,
+				MaxConns:   maxConns,
+				Burst:      burst,
+				UsePool:    true,
 			})
 			var wg sync.WaitGroup
 			for w := 0; w < conns; w++ {

@@ -6,9 +6,9 @@
 // The signalled thread delivers the signal at its next checkpoint, enters a
 // quiescent state and jumps (via a typed panic recovered by the operation
 // wrapper) into recovery code. Recovery uses a limited form of hazard
-// pointers — RProtect / RUnprotectAll / IsRProtected — so that a neutralized
-// thread can still help its own announced operation to completion even though
-// other threads have stopped waiting for it.
+// pointers — RProtect / RUnprotectAll — so that a neutralized thread can still
+// help its own announced operation to completion even though other threads
+// have stopped waiting for it.
 //
 // Consequences reproduced here:
 //
@@ -272,17 +272,6 @@ func (h *handle[T]) RProtect(rec *T) {
 
 // RUnprotectAll implements core.ReclaimerHandle.
 func (h *handle[T]) RUnprotectAll() { h.rpCount.Store(0) }
-
-// IsRProtected implements core.ReclaimerHandle.
-func (h *handle[T]) IsRProtected(rec *T) bool {
-	n := int(h.rpCount.Load())
-	for i := 0; i < n; i++ {
-		if h.rpSlots[i].Load() == rec {
-			return true
-		}
-	}
-	return false
-}
 
 // sweep is the epoch machine's rotation hook (Figure 6, rotateAndReclaim):
 // once bag is large enough to amortise a scan of the RProtect table (or

@@ -42,7 +42,6 @@ func TestStressDefault(t *testing.T) {
 // (internal/reclaimtest/schemesuite.go).
 func TestNewValidation(t *testing.T)         { reclaimtest.NewValidation(t, factory) }
 func TestQuiescentRetirePanics(t *testing.T) { reclaimtest.QuiescentRetirePanics(t, factory) }
-func TestRetireBlockSplice(t *testing.T)     { reclaimtest.RetireBlockSplice(t, factory) }
 func TestSharesThePoolsBlocks(t *testing.T)  { reclaimtest.SharesThePoolsBlocks(t, factory) }
 
 // drive runs tid through n operations retiring one fresh record each.
@@ -169,8 +168,8 @@ func TestRProtectPreventsReclamation(t *testing.T) {
 	victim := &reclaimtest.Record{ID: 7}
 	r.Handle(1).LeaveQstate()
 	r.Handle(1).RProtect(victim)
-	if !r.Handle(1).IsRProtected(victim) {
-		t.Fatal("IsRProtected returned false after RProtect")
+	if !debraplus.IsRProtected(r, 1, victim) {
+		t.Fatal("RProtect announced nothing")
 	}
 	// Thread 1 now stalls; thread 0 retires the victim and lots of other
 	// records, neutralizing thread 1 and reclaiming.
@@ -217,7 +216,7 @@ func TestRProtectDeliversPendingSignalAndWithdraws(t *testing.T) {
 	if !neutralized {
 		t.Fatal("RProtect did not deliver the pending signal")
 	}
-	if r.Handle(1).IsRProtected(victim) {
+	if debraplus.IsRProtected(r, 1, victim) {
 		t.Fatal("protection must be withdrawn when RProtect is neutralized")
 	}
 }

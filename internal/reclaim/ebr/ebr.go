@@ -121,29 +121,10 @@ func (h *handle[T]) Retire(rec *T) {
 	h.Retired.Inc()
 }
 
-// RetireBlock implements core.Reclaimer: splice one detached full block into
-// the current bag — one lock acquisition for the whole batch — and give back
-// an empty block from the shared pool when one is cached. The caller must be
-// pinned as for Retire.
-func (r *Reclaimer[T]) RetireBlock(tid int, blk *blockbag.Block[T]) *blockbag.Block[T] {
-	if blk == nil {
-		return nil
-	}
-	h := &r.handles[tid]
-	h.RequirePinned()
-	h.Retired.Add(int64(blk.Len()))
-	idx := bagOf(h.Epoch())
-	r.mu.Lock()
-	r.limbo[idx].AddBlock(blk)
-	spare := r.pool.TryGet()
-	r.mu.Unlock()
-	return spare
-}
-
 // DrainLimbo implements core.LimboDrainer: free every record in the bags.
-// Only safe once every thread has quiesced for good — no Retire or
-// RetireBlock can then be running, so the block pool is the caller's — and
-// tid is charged for the frees.
+// Only safe once every thread has quiesced for good — no Retire can then be
+// running, so the block pool is the caller's — and tid is charged for the
+// frees.
 func (r *Reclaimer[T]) DrainLimbo(tid int) int64 {
 	r.RequireAllQuiescent()
 	h := &r.handles[tid]

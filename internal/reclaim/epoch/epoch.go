@@ -223,21 +223,16 @@ func (t *Thread[T]) EnterQstate() { t.ann.Store(t.ann.Load() | quiescentBit) }
 // IsQuiescent implements core.ReclaimerHandle.
 func (t *Thread[T]) IsQuiescent() bool { return t.ann.Load()&quiescentBit != 0 }
 
-// CheckRetire panics when rec is nil or the thread is not pinned.
+// CheckRetire panics when rec is nil or the thread is quiescent. A retire
+// files records under the epoch it loads, and only the thread's own
+// non-quiescent announcement bounds how far the epoch can move before they
+// land; without it the retire can race the reclamation of the very bag it
+// appends to. Quiescent callers pin first (core.Reclaimer.PinRetire), as
+// core.ThreadHandle does for them.
 func (t *Thread[T]) CheckRetire(rec *T) {
 	if rec == nil {
 		panic(t.d.name + ": Retire(nil)")
 	}
-	t.RequirePinned()
-}
-
-// RequirePinned panics when the thread is quiescent. A retire files records
-// under the epoch it loads, and only
-// the thread's own non-quiescent announcement bounds how far the epoch can
-// move before they land; without it the retire can race the reclamation of
-// the very bag it appends to. Quiescent callers pin first
-// (core.Reclaimer.PinRetire), as core.ThreadHandle does for them.
-func (t *Thread[T]) RequirePinned() {
 	if t.ann.Load()&quiescentBit != 0 {
 		panic(t.d.name + ": Retire from a quiescent context; pin the thread first (PinRetire or LeaveQstate)")
 	}
@@ -304,7 +299,7 @@ func (t *Thread[T]) passes(m int, e int64) bool {
 // reports whether this thread's attempt was the one that did.
 func (t *Thread[T]) Advance(e int64) bool { return t.d.epoch.CompareAndSwap(e, e+Inc) }
 
-// NoProtect is the seven per-record calls of core.ReclaimerHandle for a
+// NoProtect is the five per-record calls of core.ReclaimerHandle for a
 // scheme that protects by epoch: they succeed and do nothing (data structures
 // skip them altogether when Props().PerRecordProtection is false).
 type NoProtect[T any] struct{}
@@ -315,17 +310,11 @@ func (NoProtect[T]) Protect(*T) bool { return true }
 // Unprotect implements core.ReclaimerHandle.
 func (NoProtect[T]) Unprotect(*T) {}
 
-// IsProtected implements core.ReclaimerHandle.
-func (NoProtect[T]) IsProtected(*T) bool { return true }
-
 // RProtect implements core.ReclaimerHandle.
 func (NoProtect[T]) RProtect(*T) {}
 
 // RUnprotectAll implements core.ReclaimerHandle.
 func (NoProtect[T]) RUnprotectAll() {}
-
-// IsRProtected implements core.ReclaimerHandle.
-func (NoProtect[T]) IsRProtected(*T) bool { return false }
 
 // Checkpoint implements core.ReclaimerHandle.
 func (NoProtect[T]) Checkpoint() {}

@@ -42,21 +42,6 @@ func (b *Bags[T]) BindLimbo(tid int, l *Limbo[T]) {
 	b.limbos[tid] = l
 }
 
-// RetireBlock implements core.Reclaimer: splice one detached full block into
-// the bag of the epoch it reads (see Limbo) in O(1) and give back an empty
-// block from the thread's pool when one is cached. The caller must be pinned
-// as for Retire.
-func (b *Bags[T]) RetireBlock(tid int, blk *blockbag.Block[T]) *blockbag.Block[T] {
-	if blk == nil {
-		return nil
-	}
-	l := b.limbos[tid]
-	l.RequirePinned()
-	l.Retired.Add(int64(blk.Len()))
-	l.bag().AddBlock(blk)
-	return l.blockPool.TryGet()
-}
-
 // DrainLimbo implements core.LimboDrainer: free what every thread's bags
 // hold, partial blocks included, except records a Held hook vouches for. Only
 // safe once every thread is quiescent for good and the caller holds a

@@ -85,7 +85,6 @@ type hpSlots[T any] struct {
 
 type thread[T any] struct {
 	retireBag *blockbag.Bag[T]
-	blockPool *blockbag.BlockPool[T]
 	scanSet   map[*T]struct{}
 	keep      []*T // scratch buffer reused across scans
 
@@ -126,8 +125,7 @@ func New[T any](n int, sink core.FreeSink[T], opts ...Option) *Reclaimer[T] {
 	}
 	for i := range r.threads {
 		t := &r.threads[i]
-		t.blockPool = blockbag.NewBlockPool[T](blockbag.DefaultBlockPoolCap)
-		t.retireBag = blockbag.New(t.blockPool)
+		t.retireBag = blockbag.New(blockbag.NewBlockPool[T](blockbag.DefaultBlockPoolCap))
 		t.scanSet = make(map[*T]struct{}, n*cfg.slots)
 		r.slots[i].ptrs = make([]atomic.Pointer[T], cfg.slots)
 	}
@@ -230,24 +228,11 @@ func (h *handle[T]) Unprotect(rec *T) {
 	}
 }
 
-// IsProtected implements core.ReclaimerHandle.
-func (h *handle[T]) IsProtected(rec *T) bool {
-	for i := range h.ptrs {
-		if h.ptrs[i].Load() == rec {
-			return true
-		}
-	}
-	return false
-}
-
 // RProtect implements core.ReclaimerHandle (no crash recovery for HP; no-op).
 func (h *handle[T]) RProtect(rec *T) {}
 
 // RUnprotectAll implements core.ReclaimerHandle (no-op).
 func (h *handle[T]) RUnprotectAll() {}
-
-// IsRProtected implements core.ReclaimerHandle.
-func (h *handle[T]) IsRProtected(rec *T) bool { return false }
 
 // Checkpoint implements core.ReclaimerHandle (no-op).
 func (h *handle[T]) Checkpoint() {}
@@ -264,23 +249,6 @@ func (h *handle[T]) Retire(rec *T) {
 	if t.retireBag.Len() >= h.r.cfg.retireThreshold {
 		h.r.scanAndFree(h.tid)
 	}
-}
-
-// RetireBlock implements core.Reclaimer: splice one detached full block
-// into the caller's retire bag in O(1), run the threshold check once for
-// the whole batch, and return a recycled empty block from the thread's pool
-// in exchange when one is cached.
-func (r *Reclaimer[T]) RetireBlock(tid int, blk *blockbag.Block[T]) *blockbag.Block[T] {
-	if blk == nil {
-		return nil
-	}
-	t := &r.threads[tid]
-	t.retireBag.AddBlock(blk)
-	t.retired.Add(int64(blk.Len()))
-	if t.retireBag.Len() >= r.cfg.retireThreshold {
-		r.scanAndFree(tid)
-	}
-	return t.blockPool.TryGet()
 }
 
 // Occupancy implements core.Reclaimer: the scan skips the slot arrays of

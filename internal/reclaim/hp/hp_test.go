@@ -31,21 +31,21 @@ func TestProtectUnprotect(t *testing.T) {
 	if !r.Handle(0).Protect(a) || !r.Handle(0).Protect(b) {
 		t.Fatal("Protect failed")
 	}
-	if !r.Handle(0).IsProtected(a) || !r.Handle(0).IsProtected(b) {
-		t.Fatal("IsProtected lost an announcement")
+	if !hp.IsProtected(r, 0, a) || !hp.IsProtected(r, 0, b) {
+		t.Fatal("Protect lost an announcement")
 	}
-	if r.Handle(1).IsProtected(a) {
+	if hp.IsProtected(r, 1, a) {
 		t.Fatal("thread 1 reports protection it never acquired")
 	}
 	r.Handle(0).Unprotect(a)
-	if r.Handle(0).IsProtected(a) {
+	if hp.IsProtected(r, 0, a) {
 		t.Fatal("record still protected after Unprotect")
 	}
-	if !r.Handle(0).IsProtected(b) {
+	if !hp.IsProtected(r, 0, b) {
 		t.Fatal("Unprotect removed the wrong announcement")
 	}
 	r.Handle(0).EnterQstate()
-	if r.Handle(0).IsProtected(b) {
+	if hp.IsProtected(r, 0, b) {
 		t.Fatal("EnterQstate must release every hazard pointer")
 	}
 	if !r.Handle(0).IsQuiescent() {

@@ -4,10 +4,7 @@
 // footprint grows without bound.
 package none
 
-import (
-	"repro/internal/blockbag"
-	"repro/internal/core"
-)
+import "repro/internal/core"
 
 // Reclaimer is the no-op reclaimer. It is safe (it never frees anything) but
 // leaks every retired record.
@@ -69,34 +66,17 @@ func (h *handle[T]) Protect(rec *T) bool { return true }
 // Unprotect implements core.ReclaimerHandle (no-op).
 func (h *handle[T]) Unprotect(rec *T) {}
 
-// IsProtected implements core.ReclaimerHandle.
-func (h *handle[T]) IsProtected(rec *T) bool { return true }
-
 // RProtect implements core.ReclaimerHandle (no-op).
 func (h *handle[T]) RProtect(rec *T) {}
 
 // RUnprotectAll implements core.ReclaimerHandle (no-op).
 func (h *handle[T]) RUnprotectAll() {}
 
-// IsRProtected implements core.ReclaimerHandle.
-func (h *handle[T]) IsRProtected(rec *T) bool { return false }
-
 // Checkpoint implements core.ReclaimerHandle (no-op).
 func (h *handle[T]) Checkpoint() {}
 
 // Occupancy implements core.Reclaimer (nothing here scans it).
 func (r *Reclaimer[T]) Occupancy() *core.Occupancy { return r.occ }
-
-// RetireBlock implements core.Reclaimer: the whole batch is counted and
-// leaked in O(1). The block itself holds leaked records forever, so there is
-// no spare to hand back.
-func (r *Reclaimer[T]) RetireBlock(tid int, blk *blockbag.Block[T]) *blockbag.Block[T] {
-	if blk == nil {
-		return nil
-	}
-	r.threads[tid].retired.Add(int64(blk.Len()))
-	return nil
-}
 
 // Name implements core.Reclaimer.
 func (r *Reclaimer[T]) Name() string { return "none" }

@@ -268,15 +268,9 @@ func Conformance(t *testing.T, factory Factory) {
 	if !h.Protect(r1) {
 		t.Fatal("Protect returned false for a live record")
 	}
-	if !h.IsProtected(r1) {
-		t.Fatal("IsProtected returned false right after Protect")
-	}
 	h.Retire(r2)
 	h.Unprotect(r1)
 	h.RProtect(r1)
-	if props.CrashRecovery && !h.IsRProtected(r1) {
-		t.Fatal("IsRProtected returned false right after RProtect on a crash-recovery scheme")
-	}
 	h.RUnprotectAll()
 	h.Checkpoint()
 	h.EnterQstate()

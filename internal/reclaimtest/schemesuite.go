@@ -106,8 +106,8 @@ func NewValidation(t *testing.T, f Factory) {
 	}
 }
 
-// QuiescentRetirePanics: an epoch scheme rejects Retire and RetireBlock from a
-// quiescent thread loudly instead of filing the records under a stale epoch.
+// QuiescentRetirePanics: an epoch scheme rejects Retire from a quiescent
+// thread loudly instead of filing the record under a stale epoch.
 func QuiescentRetirePanics(t *testing.T, f Factory) {
 	t.Helper()
 	r := f(2, NewRecordingSink())
@@ -117,46 +117,6 @@ func QuiescentRetirePanics(t *testing.T, f Factory) {
 	if !Panics(func() { r.Handle(0).Retire(&Record{ID: 1}) }) {
 		t.Fatal("quiescent Retire did not panic")
 	}
-	blk := fullBlock()
-	//lint:allow retirepin deliberate unpinned RetireBlock: asserts the quiescent-retire panic
-	if !Panics(func() { r.RetireBlock(0, blk) }) {
-		t.Fatal("quiescent RetireBlock did not panic")
-	}
-}
-
-// fullBlock returns one detached full block of fresh records.
-func fullBlock() *blockbag.Block[Record] {
-	bag := blockbag.New[Record](nil)
-	for i := 0; i < blockbag.BlockSize; i++ {
-		bag.Add(&Record{ID: int64(i)})
-	}
-	return bag.DetachAllFullBlocks()
-}
-
-// RetireBlockSplice checks the O(1) batched-retire path: a spliced block is
-// counted, waits out the grace period like single retires, and reaches a
-// block sink whole. One record is retired singly beside it, because debra+
-// keeps back the first non-empty block of a bag it sweeps; the other schemes
-// free it in the same chain, as a partial first block.
-func RetireBlockSplice(t *testing.T, f Factory) {
-	t.Helper()
-	sink := &BlockSink{}
-	r := f(1, sink)
-	r.Handle(0).LeaveQstate()
-	r.RetireBlock(0, fullBlock())
-	r.Handle(0).Retire(&Record{ID: -1})
-	r.Handle(0).EnterQstate()
-	if got := r.Stats().Retired; got != int64(blockbag.BlockSize)+1 {
-		t.Fatalf("Retired = %d want %d", got, blockbag.BlockSize+1)
-	}
-	if sink.Freed() != 0 {
-		t.Fatalf("%d records freed right after the splice", sink.Freed())
-	}
-	operate(r, 0, 20, 0)
-	if sink.Full != 1 {
-		t.Fatalf("%d full blocks freed, want the spliced one", sink.Full)
-	}
-	sink.check(t)
 }
 
 // LimboEmptiesAfterTwoEpochs is the bound for a retire filed under the

@@ -211,8 +211,8 @@ func checkSetStress(t *testing.T, su SetUnderTest, semanticFailures, totalOps in
 
 // StressSetChurn is the slot-churn variant of StressSet: every worker
 // goroutine continually acquires a thread slot, performs a bounded burst of
-// operations through it, and releases the slot again (ReleaseHandle flushes
-// the slot's retire buffer and returns its pool cache), so thread slots are
+// operations through it, and releases the slot again (ReleaseHandle returns
+// its pool cache), so thread slots are
 // constantly vacated, skipped by reclamation scans, and reused by other
 // goroutines. The same poison-sink instrumentation as StressSet applies:
 // a freed-record observation, a double free, or a wrong answer on a

@@ -1,7 +1,7 @@
 package recordmgr_test
 
-// Tests for the Record Manager's deterministic shutdown: Close flushes every
-// deferred-retire buffer (pinned) and force-frees the scheme's limbo.
+// Tests for the Record Manager's deterministic shutdown: Close force-frees the
+// scheme's limbo.
 
 import (
 	"sync"
@@ -12,7 +12,7 @@ import (
 )
 
 // TestSyncCloseAlsoDrains: after Close, every retired record has been freed
-// — nothing stranded in deferred-retire buffers or scheme limbo — for every
+// — nothing stranded in scheme limbo — for every
 // reclaiming scheme. The leaking baseline (none) is excluded: it never frees
 // by design.
 func TestSyncCloseAlsoDrains(t *testing.T) {
@@ -24,10 +24,9 @@ func TestSyncCloseAlsoDrains(t *testing.T) {
 		}
 		t.Run(scheme, func(t *testing.T) {
 			mgr, err := recordmgr.Build[node](recordmgr.Config{
-				Scheme:      scheme,
-				Threads:     threads,
-				UsePool:     true,
-				RetireBatch: 64,
+				Scheme:  scheme,
+				Threads: threads,
+				UsePool: true,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -58,10 +57,10 @@ func TestSyncCloseAlsoDrains(t *testing.T) {
 }
 
 // TestCloseIdempotent: Close twice is fine; stats stay consistent. The ten
-// retires stay below the batch, so the first Close is what flushes them.
+// retires stay in limbo, so the first Close is what frees them.
 func TestCloseIdempotent(t *testing.T) {
 	mgr, err := recordmgr.Build[node](recordmgr.Config{
-		Scheme: recordmgr.SchemeEBR, Threads: 1, UsePool: true, RetireBatch: 16,
+		Scheme: recordmgr.SchemeEBR, Threads: 1, UsePool: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -72,8 +71,8 @@ func TestCloseIdempotent(t *testing.T) {
 		hs[0].Retire(hs[0].Allocate())
 	}
 	hs[0].EnterQstate()
-	if got := mgr.Stats().RetirePending; got != 10 {
-		t.Fatalf("RetirePending = %d before Close, want 10", got)
+	if got := mgr.Stats().Unreclaimed; got != 10 {
+		t.Fatalf("Unreclaimed = %d before Close, want 10", got)
 	}
 	mgr.Close()
 	st1 := mgr.Stats()

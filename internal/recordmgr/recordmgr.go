@@ -64,18 +64,13 @@ type Config struct {
 	// AcquireHandle/ReleaseHandle. 0 defaults to Threads. Setting
 	// MaxThreads > Threads gives a churning goroutine population headroom
 	// beyond the nominal worker count; every per-thread component (scheme,
-	// allocator, pool, retire buffers, handles) is sized for MaxThreads
-	// worker slots.
+	// allocator, pool, handles) is sized for MaxThreads worker slots.
 	MaxThreads int
 	// Allocator selects bump or heap allocation; defaults to bump.
 	Allocator AllocatorKind
 	// UsePool controls whether reclaimed records are reused. When false the
 	// reclaimer's free sink discards records (Experiment 1's configuration).
 	UsePool bool
-	// RetireBatch enables per-thread deferred retirement with the given
-	// batch size (0 = retire records directly). Batches of
-	// blockbag.BlockSize transfer to the scheme as O(1) block splices.
-	RetireBatch int
 	// FaultPlan, when non-nil, interposes the deterministic fault plane on
 	// the reclaimer (faultinject.Wrap): the plan's triggers inject stalls
 	// and crashes at the scheme's operation boundaries, per tid, exactly as
@@ -94,9 +89,6 @@ func Build[T any](cfg Config) (*core.RecordManager[T], error) {
 	}
 	if cfg.MaxThreads > 0 && cfg.MaxThreads < cfg.Threads {
 		return nil, fmt.Errorf("recordmgr: MaxThreads (%d) must be >= Threads (%d)", cfg.MaxThreads, cfg.Threads)
-	}
-	if cfg.RetireBatch < 0 {
-		return nil, fmt.Errorf("recordmgr: RetireBatch must be >= 0, got %d", cfg.RetireBatch)
 	}
 	// Worker slots: the slot-registry capacity every per-thread component is
 	// sized for.
@@ -128,16 +120,12 @@ func Build[T any](cfg Config) (*core.RecordManager[T], error) {
 	}
 	if cfg.FaultPlan != nil {
 		// Interpose the fault plane between the manager and the scheme: the
-		// wrapper forwards the whole extended reclaimer surface (blocks,
-		// retire pins, limbo draining, occupancy, per-thread handles), so
-		// every construction decision below sees the same capabilities.
+		// wrapper forwards the whole reclaimer surface (retire pins, limbo
+		// draining, occupancy, per-thread handles), so the manager sees the
+		// same capabilities.
 		rec = faultinject.Wrap(rec, cfg.FaultPlan)
 	}
-	var mopts []core.ManagerOption
-	if cfg.RetireBatch > 0 {
-		mopts = append(mopts, core.WithRetireBatching(workers, cfg.RetireBatch))
-	}
-	return core.NewRecordManager(alloc, p, rec, mopts...), nil
+	return core.NewRecordManager(alloc, p, rec), nil
 }
 
 // MustBuild is Build that panics on error; convenient in examples and tests.

@@ -1,7 +1,6 @@
 package recordmgr_test
 
 import (
-	"fmt"
 	"testing"
 
 	"repro/internal/core"
@@ -93,52 +92,48 @@ func TestBuildErrors(t *testing.T) {
 
 // TestMaxThreadsDynamicBinding: Config.MaxThreads sizes the slot registry
 // (and every per-thread component) beyond the nominal worker count, so
-// goroutines can bind and release slots at runtime across every scheme, with
-// and without retire batching.
+// goroutines can bind and release slots at runtime across every scheme.
 func TestMaxThreadsDynamicBinding(t *testing.T) {
 	for _, scheme := range recordmgr.Schemes() {
-		for _, batch := range []int{0, 16} {
-			t.Run(fmt.Sprintf("%s/batch=%d", scheme, batch), func(t *testing.T) {
-				mgr, err := recordmgr.Build[node](recordmgr.Config{
-					Scheme:      scheme,
-					Threads:     2,
-					MaxThreads:  4,
-					UsePool:     true,
-					RetireBatch: batch,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got := mgr.WorkerSlots(); got != 4 {
-					t.Fatalf("WorkerSlots = %d want 4", got)
-				}
-				handles := make([]*core.ThreadHandle[node], 4)
-				for i := range handles {
-					handles[i] = mgr.AcquireHandle()
-					if tid := handles[i].Tid(); tid < 0 || tid >= 4 {
-						t.Fatalf("acquired tid %d outside the worker-slot range", tid)
-					}
-				}
-				//lint:allow handlepair exhaustion probe: ok is asserted false, so there is no handle to release
-				if _, ok := mgr.TryAcquireHandle(); ok {
-					t.Fatal("TryAcquireHandle succeeded beyond MaxThreads")
-				}
-				for _, h := range handles {
-					h.LeaveQstate()
-					h.Retire(h.Allocate())
-					h.EnterQstate()
-					mgr.ReleaseHandle(h)
-				}
-				mgr.Close()
-				st := mgr.Stats()
-				if st.Reclaimer.Retired != 4 {
-					t.Fatalf("Retired = %d want 4", st.Reclaimer.Retired)
-				}
-				if scheme != recordmgr.SchemeNone && st.Reclaimer.Freed != st.Reclaimer.Retired {
-					t.Fatalf("after Close: retired %d != freed %d", st.Reclaimer.Retired, st.Reclaimer.Freed)
-				}
+		t.Run(scheme, func(t *testing.T) {
+			mgr, err := recordmgr.Build[node](recordmgr.Config{
+				Scheme:     scheme,
+				Threads:    2,
+				MaxThreads: 4,
+				UsePool:    true,
 			})
-		}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := mgr.WorkerSlots(); got != 4 {
+				t.Fatalf("WorkerSlots = %d want 4", got)
+			}
+			handles := make([]*core.ThreadHandle[node], 4)
+			for i := range handles {
+				handles[i] = mgr.AcquireHandle()
+				if tid := handles[i].Tid(); tid < 0 || tid >= 4 {
+					t.Fatalf("acquired tid %d outside the worker-slot range", tid)
+				}
+			}
+			//lint:allow handlepair exhaustion probe: ok is asserted false, so there is no handle to release
+			if _, ok := mgr.TryAcquireHandle(); ok {
+				t.Fatal("TryAcquireHandle succeeded beyond MaxThreads")
+			}
+			for _, h := range handles {
+				h.LeaveQstate()
+				h.Retire(h.Allocate())
+				h.EnterQstate()
+				mgr.ReleaseHandle(h)
+			}
+			mgr.Close()
+			st := mgr.Stats()
+			if st.Reclaimer.Retired != 4 {
+				t.Fatalf("Retired = %d want 4", st.Reclaimer.Retired)
+			}
+			if scheme != recordmgr.SchemeNone && st.Reclaimer.Freed != st.Reclaimer.Retired {
+				t.Fatalf("after Close: retired %d != freed %d", st.Reclaimer.Retired, st.Reclaimer.Freed)
+			}
+		})
 	}
 }
 
