@@ -1,6 +1,6 @@
 // Command reclaimvet is the repository's static-analysis gate: a
-// multichecker running the five reclamation-contract analyzers (retirepin,
-// handlepair, singlewriter, protectorder, exporteddoc) over the named
+// multichecker running the four reclamation-contract analyzers (handlepair,
+// singlewriter, protectorder, exporteddoc) over the named
 // packages. It exits non-zero on any diagnostic, so CI wires it as a
 // hard gate (`make vet-reclaim`); deliberate exceptions are annotated in the
 // source with reasoned `//lint:allow <analyzer> <reason>` markers, which the

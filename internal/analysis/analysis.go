@@ -2,10 +2,10 @@
 // golang.org/x/tools/go/analysis API: analyzers receive a type-checked
 // package (a Pass) and report position-anchored diagnostics. It exists
 // because the repository's safety rests on calling conventions the compiler
-// cannot see — the quiescent-retire contract, the quiescent-release slot
-// contract, hazard-pointer protect-before-dereference, the single-writer
-// core.Counter discipline — and those contracts deserve a build-time proof,
-// not just runtime panics and -race stress. The module vendors no third-party
+// cannot see — the quiescent-release slot contract, hazard-pointer
+// protect-before-dereference, the single-writer core.Counter discipline —
+// and those contracts deserve a build-time proof, not just runtime panics
+// and -race stress. The module vendors no third-party
 // code, so the framework (loader, driver, golden-test runner) is implemented
 // here on the standard library alone: packages are loaded by shelling out to
 // `go list -export` and type-checked against the build cache's export data.

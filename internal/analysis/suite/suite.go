@@ -1,4 +1,4 @@
-// Package suite assembles the repository's full analyzer set — the five
+// Package suite assembles the repository's full analyzer set — the four
 // reclamation-contract checks cmd/reclaimvet runs as one multichecker. The
 // set is defined here (not in the command) so tests and future drivers share
 // a single source of truth for which contracts are statically enforced.
@@ -9,14 +9,12 @@ import (
 	"repro/internal/analysis/passes/exporteddoc"
 	"repro/internal/analysis/passes/handlepair"
 	"repro/internal/analysis/passes/protectorder"
-	"repro/internal/analysis/passes/retirepin"
 	"repro/internal/analysis/passes/singlewriter"
 )
 
 // All returns the full analyzer suite in reporting order.
 func All() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
-		retirepin.Analyzer,
 		handlepair.Analyzer,
 		singlewriter.Analyzer,
 		protectorder.Analyzer,

@@ -16,28 +16,6 @@ func (c *Counter) Load() int64 { return c.v }
 // Inc bumps the cell by one.
 func (c *Counter) Inc() { c.v++ }
 
-// Reclaimer is the scheme object; per-thread operations go through the
-// slot's ReclaimerHandle.
-type Reclaimer[T any] interface {
-	Handle(slot int) ReclaimerHandle[T]
-}
-
-// RetirePinner is the explicit retire-window pin interface.
-type RetirePinner interface {
-	PinRetire(tid int)
-	UnpinRetire(tid int)
-}
-
-// ReclaimerHandle is the per-thread view of a scheme (raw Retire requires a
-// pin).
-type ReclaimerHandle[T any] interface {
-	LeaveQstate() bool
-	EnterQstate()
-	Retire(rec *T)
-	Protect(rec *T) bool
-	Unprotect(rec *T)
-}
-
 // RecordManager owns the worker slots; operations go through the acquired
 // ThreadHandle.
 type RecordManager[T any] struct{ _ int }
@@ -53,10 +31,10 @@ func (m *RecordManager[T]) TryAcquireHandle() (*ThreadHandle[T], bool) {
 // ReleaseHandle returns a worker slot.
 func (m *RecordManager[T]) ReleaseHandle(h *ThreadHandle[T]) {}
 
-// ThreadHandle is the per-thread auto-pinning handle.
+// ThreadHandle is a worker slot's per-thread handle.
 type ThreadHandle[T any] struct{ _ int }
 
-// Retire auto-pins before handing the record to the scheme.
+// Retire hands the record to the scheme.
 func (h *ThreadHandle[T]) Retire(rec *T) {}
 
 // LeaveQstate announces the thread as active.

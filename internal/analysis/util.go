@@ -56,20 +56,6 @@ func FuncPkgPath(f *types.Func) string {
 	return f.Pkg().Path()
 }
 
-// RecvTypeName returns the name of f's receiver's named type ("" for plain
-// functions or unnamed receivers), looking through pointers and generic
-// instantiation.
-func RecvTypeName(f *types.Func) string {
-	sig, ok := f.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return ""
-	}
-	if n := NamedOf(sig.Recv().Type()); n != nil {
-		return n.Obj().Name()
-	}
-	return ""
-}
-
 // NamedOf unwraps t to its origin *types.Named, looking through pointers and
 // aliases; nil when t has no named core.
 func NamedOf(t types.Type) *types.Named {

@@ -20,11 +20,10 @@ import "repro/internal/blockbag"
 // Reclaimer is the safe-memory-reclamation component of a Record Manager: the
 // scheme object, shared by the fixed set of n thread slots it was built for.
 // It carries what is global to the scheme — its identity, its qualitative
-// properties, its counters and its slot occupancy — hands out the per-slot
-// ReclaimerHandle through which every per-thread operation is issued, and
-// offers the retire pin a quiescent slot takes around a Retire
-// (PinRetire/UnpinRetire). All six schemes and the fault plane's wrapper
-// implement all of it; only LimboDrainer is optional.
+// properties, its counters and its slot occupancy — and hands out the
+// per-slot ReclaimerHandle through which every per-thread operation is
+// issued. All six schemes and the fault plane's wrapper implement all of it;
+// only LimboDrainer is optional.
 type Reclaimer[T any] interface {
 	// Name returns a short identifier such as "debra", "debra+", "hp".
 	Name() string
@@ -45,24 +44,6 @@ type Reclaimer[T any] interface {
 	// Record Manager attaches its slot registry and the scans skip vacant
 	// slots.
 	Occupancy() *Occupancy
-
-	// PinRetire marks slot tid as an active (non-quiescent) retirer and
-	// UnpinRetire returns it to quiescence. The epoch schemes' Retire is only
-	// safe while the calling slot is non-quiescent: the thread's
-	// announcement is what bounds how far the epoch can run ahead of the one
-	// a retire observed, and therefore which limbo bag a
-	// concurrent advance winner may drain. A retire from a quiescent context
-	// has no such bound, so those schemes panic on it and offer this pair
-	// instead — an announcement without the scan, rotation or neutralization
-	// side effects of an operation boundary. Schemes with no epoch state
-	// (hazard pointers, the leaking baseline) implement both as no-ops.
-	//
-	// A pair must not be issued inside an operation (between LeaveQstate and
-	// EnterQstate): re-announcing would release the operation's own pin
-	// while it may still hold references. Callers that may be either consult
-	// IsQuiescent first, as ThreadHandle.Retire does.
-	PinRetire(tid int)
-	UnpinRetire(tid int)
 }
 
 // ReclaimerHandle is one thread slot's view of a Reclaimer and the complete
@@ -95,8 +76,11 @@ type ReclaimerHandle[T any] interface {
 
 	// Retire hands the reclaimer a record the thread has removed from the
 	// data structure. The record will be freed (passed to the free sink)
-	// once no thread can be holding a pointer to it. The epoch schemes
-	// require the thread to be pinned (see Reclaimer.PinRetire).
+	// once no thread can be holding a pointer to it. Retire is legal from
+	// any context of the owning thread, inside an operation or quiescent:
+	// an epoch scheme pins a quiescent thread around the hand-off itself,
+	// because only the thread's announcement bounds how far the epoch can
+	// move past the one the retire reads.
 	Retire(rec *T)
 
 	// Protect announces that the thread may access rec. For hazard-pointer

@@ -5,9 +5,9 @@ package core
 // claim) that reclamation scheme comparisons are dominated by per-operation
 // constants. A goroutine acquires a ThreadHandle for its working lifetime;
 // the handle caches everything a steady-state operation needs — its pool
-// fast path, the scheme's per-slot ReclaimerHandle, and whether its retires
-// need a pin — so an operation performs zero slice indexing and at most one
-// interface call per Record Manager primitive.
+// fast path and the scheme's per-slot ReclaimerHandle — so an operation
+// performs zero slice indexing and at most one interface call per Record
+// Manager primitive.
 
 // PoolHandle is the per-thread fast-path view of a Pool: allocation and free
 // with the thread's private pool bag resolved at construction.
@@ -43,10 +43,9 @@ type ThreadHandle[T any] struct {
 	tid int
 	m   *RecordManager[T]
 
-	fast   ReclaimerHandle[T] // the scheme's per-slot view (never nil)
-	pool   PoolHandle[T]      // pool fast path; nil when records are not reused
-	alloc  Allocator[T]
-	pinner Reclaimer[T] // the scheme when its retires need a pin, else nil
+	fast  ReclaimerHandle[T] // the scheme's per-slot view (never nil)
+	pool  PoolHandle[T]      // pool fast path; nil when records are not reused
+	alloc Allocator[T]
 
 	crashRecovery bool
 }
@@ -58,7 +57,6 @@ func (m *RecordManager[T]) newHandle(tid int) ThreadHandle[T] {
 		m:             m,
 		fast:          m.reclaimer.Handle(tid),
 		alloc:         m.alloc,
-		pinner:        m.pinner,
 		crashRecovery: m.crashRecovery,
 	}
 	if m.pool != nil {
@@ -178,18 +176,7 @@ func (h *ThreadHandle[T]) Deallocate(rec *T) {
 	h.alloc.Deallocate(h.tid, rec)
 }
 
-// Retire hands a removed record to the reclaimer. Unlike the raw scheme
-// Retire (which the epoch schemes reject from a quiescent context), this is
-// safe from any same-thread context: a quiescent caller — a data-structure
-// postamble after EnterQstate, a DEBRA+ recovery path — is routed through the
-// scheme's pin-while-retiring entry point so the hand-off happens under an
-// active announcement.
-func (h *ThreadHandle[T]) Retire(rec *T) {
-	if h.pinner != nil && h.fast.IsQuiescent() {
-		h.pinner.PinRetire(h.tid)
-		h.fast.Retire(rec)
-		h.pinner.UnpinRetire(h.tid)
-		return
-	}
-	h.fast.Retire(rec)
-}
+// Retire hands a removed record to the reclaimer. It is legal from any
+// same-thread context: a quiescent caller — a data-structure postamble after
+// EnterQstate, a DEBRA+ recovery path — is pinned by the scheme's own Retire.
+func (h *ThreadHandle[T]) Retire(rec *T) { h.fast.Retire(rec) }

@@ -74,8 +74,8 @@ func TestThreadHandleBasics(t *testing.T) {
 }
 
 // TestThreadHandleQuiescentRetire: a handle Retire from a quiescent context
-// must auto-pin on the epoch schemes rather than panic or corrupt the
-// scheme's bag rotation argument.
+// reaches the scheme's Retire, which pins the thread, rather than panicking
+// or corrupting the scheme's bag rotation argument.
 func TestThreadHandleQuiescentRetire(t *testing.T) {
 	const n = 2
 	alloc := arena.NewBump[node](n, 64)
@@ -84,13 +84,13 @@ func TestThreadHandleQuiescentRetire(t *testing.T) {
 	m := core.NewRecordManager[node](alloc, pl, rec)
 	h := m.AcquireHandle()
 	defer m.ReleaseHandle(h)
-	// Quiescent: no LeaveQstate. The handle must pin around the hand-off.
+	// Quiescent: no LeaveQstate. The scheme pins around the hand-off.
 	h.Retire(h.Allocate())
 	if got := m.Stats().Reclaimer.Retired; got != 1 {
 		t.Fatalf("retired = %d after quiescent handle Retire", got)
 	}
 	if !h.IsQuiescent() {
-		t.Fatal("thread left non-quiescent by the auto-pinned Retire")
+		t.Fatal("thread left non-quiescent by the quiescent Retire")
 	}
 }
 

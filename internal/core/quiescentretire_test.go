@@ -1,15 +1,13 @@
 package core_test
 
 // Regression tests for the quiescent-retire grace-period hazard: the epoch
-// schemes' Retire loads the current epoch, and only the caller's
-// active announcement bounds how stale that load can be by the time the
-// record lands in a limbo bag. A retire from a quiescent context had no such
-// pin, so a sufficiently delayed hand-off could race the advance winner's
-// bag drain. The fix is two-layered: the raw schemes now panic loudly on an
-// unpinned retire (these tests fail against the pre-fix code, which accepted
-// it silently), and the Record Manager routes quiescent callers — data
-// structure postambles, DEBRA+ recovery — through the new pin-while-retiring
-// entry point.
+// schemes' Retire loads the current epoch, and only the caller's active
+// announcement bounds how stale that load can be by the time the record lands
+// in a limbo bag. A retire from a quiescent context has no such announcement
+// of its own, so a delayed hand-off could race the advance winner's bag
+// drain. Each epoch scheme's Retire therefore pins a quiescent thread around
+// the hand-off itself; these tests drive the raw scheme handles and the
+// ThreadHandle that forwards to them.
 
 import (
 	"sync"
@@ -39,23 +37,22 @@ func epochSchemes(n int, sink core.FreeSink[rec]) map[string]core.Reclaimer[rec]
 	}
 }
 
-// TestQuiescentRetirePanics is the headline regression: retiring from a
-// quiescent context without a pin must be rejected loudly. Against the
-// pre-fix retire path (which accepted the unpinned hand-off and let the
-// loaded epoch go stale) this test fails.
-func TestQuiescentRetirePanics(t *testing.T) {
+// TestQuiescentRetire is the headline regression: a raw Retire from a
+// quiescent thread succeeds, leaves the thread quiescent and frees the
+// record only after its grace period.
+func TestQuiescentRetire(t *testing.T) {
 	for _, name := range []string{"ebr", "qsbr", "debra", "debra+"} {
 		t.Run(name, func(t *testing.T) {
-			reclaimtest.QuiescentRetirePanics(t, func(n int, sink core.FreeSink[rec]) core.Reclaimer[rec] {
+			reclaimtest.QuiescentRetire(t, func(n int, sink core.FreeSink[rec]) core.Reclaimer[rec] {
 				return epochSchemes(n, sink)[name]
 			})
 		})
 	}
 }
 
-// TestPinRetireMakesQuiescentRetireSafe exercises the new entry point: a
-// quiescent thread pins, retires, unpins; the records are eventually freed
-// exactly once and quiescence is restored.
+// TestPinRetireMakesQuiescentRetireSafe: a quiescent thread retires several
+// blocks of records through its raw handle, each retire pinning it; the
+// records are eventually freed exactly once and quiescence is restored.
 func TestPinRetireMakesQuiescentRetireSafe(t *testing.T) {
 	const n = 2
 	for _, name := range []string{"ebr", "qsbr", "debra", "debra+"} {
@@ -64,13 +61,11 @@ func TestPinRetireMakesQuiescentRetireSafe(t *testing.T) {
 			r := epochSchemes(n, sink)[name]
 
 			r.Handle(0).EnterQstate()
-			r.PinRetire(0)
 			for i := 0; i < 3*blockbag.BlockSize; i++ {
 				r.Handle(0).Retire(&rec{ID: int64(i)})
 			}
-			r.UnpinRetire(0)
 			if !r.Handle(0).IsQuiescent() {
-				t.Fatal("thread not quiescent after UnpinRetire")
+				t.Fatal("thread not quiescent after its quiescent retires")
 			}
 			// Drive grace periods with ordinary operations until the limbo
 			// drains (DrainLimbo is the shutdown shortcut; here we check the
@@ -87,7 +82,7 @@ func TestPinRetireMakesQuiescentRetireSafe(t *testing.T) {
 			}
 			s := r.Stats()
 			if s.Freed != s.Retired {
-				t.Fatalf("retired %d, freed %d after pin-retire and grace periods", s.Retired, s.Freed)
+				t.Fatalf("retired %d, freed %d after quiescent retires and grace periods", s.Retired, s.Freed)
 			}
 			if int64(len(sink.Records())) != s.Freed {
 				t.Fatalf("sink saw %d frees, stats say %d", len(sink.Records()), s.Freed)
@@ -104,8 +99,8 @@ func TestPinRetireMakesQuiescentRetireSafe(t *testing.T) {
 }
 
 // TestManagerRetireFromQuiescentContextAutoPins: ThreadHandle.Retire works
-// from a quiescent postamble (the hash map and BST rely on it) by routing
-// quiescent callers through the pin.
+// from a quiescent postamble (the hash map and BST rely on it): the scheme's
+// Retire it forwards to pins the thread.
 func TestManagerRetireFromQuiescentContextAutoPins(t *testing.T) {
 	for _, name := range []string{"ebr", "qsbr", "debra", "debra+"} {
 		t.Run(name, func(t *testing.T) {
@@ -116,9 +111,9 @@ func TestManagerRetireFromQuiescentContextAutoPins(t *testing.T) {
 			hs := reclaimtest.AcquireSlots(1, mgr.AcquireHandle)
 
 			hs[0].EnterQstate()
-			hs[0].Retire(hs[0].Allocate()) // must not panic: auto-pinned
+			hs[0].Retire(hs[0].Allocate()) // must not panic: the scheme pins
 			if !hs[0].IsQuiescent() {
-				t.Fatal("thread left non-quiescent by the auto-pinned retire")
+				t.Fatal("thread left non-quiescent by the quiescent retire")
 			}
 			if got := mgr.Stats().Reclaimer.Retired; got != 1 {
 				t.Fatalf("Retired = %d want 1", got)
@@ -128,11 +123,11 @@ func TestManagerRetireFromQuiescentContextAutoPins(t *testing.T) {
 }
 
 // TestQuiescentRetireRacesAdvance closes the loop on the original
-// interleaving: a quiescent thread hands records over through
-// ThreadHandle.Retire (pinned) while another thread continuously advances
-// the epoch and drains limbo bags. With an unpinned hand-off this is the
-// schedule that could land records in the bag being drained; with the pin it
-// must never double-free or lose a record. Run under -race in CI.
+// interleaving: a quiescent thread hands records to its raw scheme handle
+// while another thread continuously advances the epoch and drains limbo
+// bags. With an unpinned hand-off this is the schedule that could land
+// records in the bag being drained; with the scheme's own pin it must never
+// double-free or lose a record. Run under -race in CI.
 func TestQuiescentRetireRacesAdvance(t *testing.T) {
 	const iters = 400
 	for _, name := range []string{"ebr", "qsbr"} {
@@ -155,13 +150,14 @@ func TestQuiescentRetireRacesAdvance(t *testing.T) {
 			}()
 			go func() { // quiescent retirer: tid 1
 				defer wg.Done()
+				raw := r.Handle(hs[1].Tid())
 				for i := 0; i < iters; i++ {
 					hs[1].LeaveQstate()
 					hs[1].EnterQstate()
 					// The racy hand-off: retire while quiescent, concurrent
 					// with tid 0's epoch advances.
 					for j := 0; j < 8; j++ {
-						hs[1].Retire(hs[1].Allocate())
+						raw.Retire(hs[1].Allocate())
 					}
 				}
 			}()

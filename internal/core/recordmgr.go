@@ -25,10 +25,6 @@ type RecordManager[T any] struct {
 	// crashRecovery caches Props().CrashRecovery.
 	crashRecovery bool
 
-	// pinner is the reclaimer when its retires need a pin (nil otherwise);
-	// ThreadHandle.Retire uses its PinRetire/UnpinRetire to make the
-	// hand-off from a quiescent caller safe.
-	pinner Reclaimer[T]
 	// handles is the per-slot handle table AcquireHandle hands out pointers
 	// into, sized to the scheme's participant count. An entry is
 	// re-initialised in place each time the slot registry reuses the slot.
@@ -56,12 +52,6 @@ func NewRecordManager[T any](alloc Allocator[T], pool Pool[T], rec Reclaimer[T])
 		reclaimer:     rec,
 		perRecord:     props.PerRecordProtection,
 		crashRecovery: props.CrashRecovery,
-	}
-	if props.ModPerOperation {
-		// Only the per-operation (epoch) schemes need the quiescent-retire
-		// pin; for HP and the leaking baseline a pin would be a per-retire
-		// tax with nothing to protect (and HP's IsQuiescent is O(slots)).
-		m.pinner = rec
 	}
 	// Build the per-slot handle table for every participant the scheme was
 	// constructed for, so AcquireHandle returns a pointer into this table

@@ -226,10 +226,9 @@ func (pm *Partitioned[V]) AcquireHandle() *PartitionedHandle[V] {
 // h.Release; mirrors the Map-level API shape).
 func (pm *Partitioned[V]) ReleaseHandle(h *PartitionedHandle[V]) { h.Release() }
 
-// Part returns the bound handle for partition p (from PartitionFor). Batch
-// executors that group requests by partition resolve each partition's handle
-// once per batch through this instead of re-routing per request; the handle
-// is only valid while h remains bound.
+// Part returns the bound handle for partition p (from PartitionFor), for a
+// caller that routes a key once and runs several calls on its partition; the
+// handle is only valid while h remains bound.
 func (h *PartitionedHandle[V]) Part(p int) *Handle[V] { return h.hs[p] }
 
 // Get returns the value associated with key and whether it is present.

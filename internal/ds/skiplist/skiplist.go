@@ -423,11 +423,8 @@ func (hd *Handle[V]) Delete(key int64) bool {
 		victim.mu.Unlock()
 		l.unlock(preds, highestLocked)
 		// The victim is unlinked from every level and unreachable for new
-		// searches; hand it to the reclaimer while the operation's epoch pin
-		// still stands. (This used to happen after EnterQstate — a quiescent
-		// retire whose observed epoch nothing pins, which is exactly the
-		// advance-drain race core.Reclaimer.PinRetire describes; the epoch
-		// schemes now reject that ordering.)
+		// searches; hand it to the reclaimer inside the operation, whose
+		// announcement pins the epoch the retire reads.
 		rm.Retire(victim)
 		rm.EnterQstate()
 		return true

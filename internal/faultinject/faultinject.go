@@ -52,8 +52,10 @@ const (
 	// PointBeforeUnpin fires at EnterQstate, before the announcement is
 	// withdrawn: the thread finished its operation but never got to quiesce.
 	PointBeforeUnpin
-	// PointRetire fires before each Retire hand-off: it stalls
-	// the thread's retire path itself.
+	// PointRetire fires before each Retire hand-off, ahead of the pin an
+	// epoch scheme's Retire takes for a quiescent thread: it stalls the
+	// thread's retire path itself, with the announcement the caller
+	// already holds (none, for a quiescent postamble).
 	PointRetire
 )
 

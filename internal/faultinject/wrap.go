@@ -14,16 +14,12 @@ type Reclaimer[T any] struct {
 	plan *Plan
 }
 
-// Wrap interposes plan on inner. Identity, properties, counters, the slot
-// occupancy and the retire pin forward to inner untouched — the fault plane is
-// orthogonal to all of them, and bench rows and tests keep seeing the scheme's
-// own name.
+// Wrap interposes plan on inner. Identity, properties, counters and the slot
+// occupancy forward to inner untouched — the fault plane is orthogonal to all
+// of them, and bench rows and tests keep seeing the scheme's own name.
 func Wrap[T any](inner core.Reclaimer[T], plan *Plan) *Reclaimer[T] {
 	return &Reclaimer[T]{Reclaimer: inner, plan: plan}
 }
-
-// Plan returns the interposed fault plan.
-func (w *Reclaimer[T]) Plan() *Plan { return w.plan }
 
 // Handle returns slot's injecting handle: the scheme's own per-slot handle
 // with the plan's hooks at the three boundaries.
@@ -67,7 +63,9 @@ func (h *handle[T]) EnterQstate() {
 	h.ReclaimerHandle.EnterQstate()
 }
 
-// Retire crosses PointRetire, then forwards.
+// Retire crosses PointRetire, then forwards: a retirer inside an operation
+// stalls with its announcement live, a quiescent one before the scheme's
+// Retire pins it.
 func (h *handle[T]) Retire(rec *T) {
 	h.plan.hook(h.tid, PointRetire)
 	h.ReclaimerHandle.Retire(rec)

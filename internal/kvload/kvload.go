@@ -291,16 +291,6 @@ var errBusy = errors.New("kvload: server busy")
 // operation. Run treats it as a per-connection stop, not a run failure.
 var ErrGaveUp = errors.New("kvload: connection gave up after retries")
 
-// step issues one scheduling unit — a single operation, or a whole pipeline
-// window when Config.Pipeline > 1 — recording latencies relative to intended
-// (the zero time means "now": closed-loop response time).
-func (c *connState) step(cfg Config, intended time.Time) error {
-	if cfg.Pipeline > 1 {
-		return c.stepBatch(cfg, intended)
-	}
-	return c.stepOne(cfg, intended)
-}
-
 // appendOp encodes one randomly drawn operation onto c.req and records its
 // kind (0 GET, 1 PUT, 2 DEL) in c.kinds.
 func (c *connState) appendOp(cfg Config) {
@@ -340,49 +330,16 @@ func (c *connState) countOp(kind int8) {
 	}
 }
 
-// stepOne issues one operation in request/response lockstep.
-func (c *connState) stepOne(cfg Config, intended time.Time) error {
-	c.req = c.req[:0]
-	c.kinds = c.kinds[:0]
-	c.appendOp(cfg)
-	start := time.Now()
-	if intended.IsZero() {
-		intended = start
-	}
-	if cfg.ChaosKillEvery > 0 && c.gen.rng.Intn(cfg.ChaosKillEvery) == 0 {
-		// Self-inflicted crash: the write below fails and the retry path
-		// reconnects, exactly as if the network had cut us off mid-burst.
-		c.chaosKills++
-		c.conn.Close()
-	}
-	if err := c.writeReq(cfg); err != nil {
-		return err
-	}
-	resp, err := c.readResp()
-	if err != nil {
-		return err
-	}
-	if resp.Status == kvwire.StatusBusy {
-		c.busy++
-		return errBusy
-	}
-	if resp.Status == kvwire.StatusErr {
-		return fmt.Errorf("kvload: server error: %s", resp.Body)
-	}
-	c.hist.Record(int64(time.Since(intended)))
-	c.countOp(c.kinds[0])
-	return nil
-}
-
-// stepBatch issues Config.Pipeline operations as one in-flight window: the
-// whole window is encoded into one buffer and sent with a single write, then
-// the responses are matched back strictly in request order. Each completed
-// response records its latency from intended, so queueing behind earlier
-// responses of the same window is charged to the requests that experience
-// it. Requests the server shed with ERR_BUSY are counted but not credited;
-// only a window shed in its entirety surfaces as errBusy (retried with
-// backoff by stepRetry like a lockstep busy).
-func (c *connState) stepBatch(cfg Config, intended time.Time) error {
+// step issues Config.Pipeline operations as one in-flight window (one
+// operation in request/response lockstep at Pipeline 1): the whole window is
+// encoded into one buffer and sent with a single write, then the responses
+// are matched back strictly in request order. Each completed response
+// records its latency from intended (the zero time means "now": closed-loop
+// response time), so queueing behind earlier responses of the same window is
+// charged to the requests that experience it. Requests the server shed with
+// ERR_BUSY are counted but not credited; only a window shed in its entirety
+// surfaces as errBusy, which stepRetry retries with backoff.
+func (c *connState) step(cfg Config, intended time.Time) error {
 	c.req = c.req[:0]
 	c.kinds = c.kinds[:0]
 	for i := 0; i < cfg.Pipeline; i++ {
@@ -393,6 +350,8 @@ func (c *connState) stepBatch(cfg Config, intended time.Time) error {
 		intended = start
 	}
 	if cfg.ChaosKillEvery > 0 && c.gen.rng.Intn(cfg.ChaosKillEvery) == 0 {
+		// Self-inflicted crash: the write below fails and the retry path
+		// reconnects, exactly as if the network had cut us off mid-burst.
 		c.chaosKills++
 		c.conn.Close()
 	}

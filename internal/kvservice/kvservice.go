@@ -5,16 +5,16 @@
 //
 // The request path is batch-oriented: every complete frame already buffered
 // on a connection (up to Config.PipelineDepth) is decoded into one batch,
-// executed under a single slot acquisition with each partition's handle
-// entered once, and answered with a single flushed write — so a pipelining
-// client amortises the per-request syscall and framing cost, and the
-// steady-state GET/PUT path performs no per-request heap allocation (see
-// alloc_test.go for the enforced bounds). The connection's buffers are
-// reused, and so are stored values' bytes: a value lives in an array owned
-// by its map node, a PUT writes into the array the recycled node last held
-// (hashmap UpsertFunc), so the bytes are reused when the scheme frees the
-// node, and a GET copies the value out while the node is still protected
-// (hashmap View). No response body refers to stored bytes.
+// executed in request order under a single slot acquisition, and answered
+// with a single flushed write — so a pipelining client amortises the
+// per-request syscall and framing cost, and the steady-state GET/PUT path
+// performs no per-request heap allocation (see alloc_test.go for the
+// enforced bounds). The connection's buffers are reused, and so are stored
+// values' bytes: a value lives in an array owned by its map node, a PUT
+// writes into the array the recycled node last held (hashmap UpsertFunc), so
+// the bytes are reused when the scheme frees the node, and a GET copies the
+// value out while the node is still protected (hashmap View). No response
+// body refers to stored bytes.
 //
 // The server is the library's deployment story made concrete (the paper
 // pitches epoch-based reclamation exactly at long-running services, where
@@ -397,23 +397,21 @@ func (s *Server) Close() {
 
 // connState is one connection's reusable I/O state: the inbound
 // accumulation buffer the batch decoder drains, the decoded request batch,
-// its execution results, and the staged response bytes. Everything here is
+// its response bodies, and the staged response bytes. Everything here is
 // recycled across batches, which is what makes the steady-state GET/PUT path
 // allocation-free (enforced by the AllocsPerRun tests in alloc_test.go).
 type connState struct {
 	in   []byte // inbound byte accumulator; [r,w) holds unconsumed bytes
 	r, w int
 
-	reqs    []kvwire.Request // decoded batch (values alias in)
-	parts   []int            // reqs[i]'s partition, when grouping
-	results []reqResult      // reqs[i]'s outcome, emitted in request order
+	reqs []kvwire.Request // decoded batch (values alias in)
 
-	vals []byte // the batch's response bodies, which results index
+	vals []byte // the current request's response body, which reqResult indexes
 	out  []byte // staged response bytes, flushed once per batch
 }
 
-// reqResult is one request's outcome, buffered so a partition-grouped batch
-// can execute out of request order but respond in it.
+// reqResult is one request's outcome: its status and where its body sits in
+// vals.
 type reqResult struct {
 	status kvwire.Status
 	lo, hi int // the response body is vals[lo:hi]
@@ -446,15 +444,14 @@ func store(old, v []byte) []byte {
 }
 
 // serveConn runs one connection batch-at-a-time: decode every complete
-// request frame already buffered (up to PipelineDepth), execute the batch
-// under one slot acquisition — entering each partition's handle once, not
-// once per request — and flush every response with a single write. Handles
-// go back to the registries every Burst requests, or sooner when the peer
-// goes quiet mid-burst (IdleHold). Every read and write carries a deadline
-// (ReadTimeout/WriteTimeout), so a dead or wedged peer cannot park this
-// goroutine — or slots it would bind — forever. Clients that do not
-// pipeline see batches of one and exactly the PR 6 request-per-round-trip
-// behaviour.
+// request frame already buffered (up to PipelineDepth), execute the batch in
+// request order under one slot acquisition, and flush every response with a
+// single write. Handles go back to the registries every Burst requests, or
+// sooner when the peer goes quiet mid-burst (IdleHold). Every read and write
+// carries a deadline (ReadTimeout/WriteTimeout), so a dead or wedged peer
+// cannot park this goroutine — or slots it would bind — forever. Clients
+// that do not pipeline see batches of one and exactly the PR 6
+// request-per-round-trip behaviour.
 func (s *Server) serveConn(conn net.Conn, info *connInfo) {
 	defer s.handlers.Done()
 	h := s.pm.NewHandle()
@@ -629,49 +626,13 @@ func (s *Server) fill(conn net.Conn, cs *connState, bound bool, frameStart *time
 	return err
 }
 
-// executeBatch executes cs.reqs under the bound handle and stages every
-// response, in request order, for one flush. Batches of pure data-plane
-// operations (GET/PUT/DEL) on a multi-partition map execute grouped by
-// partition — each partition's handle is resolved once per batch — which
-// reorders execution across partitions but never within one; since a key
-// always routes to the same partition, per-key operation order is exactly
-// request order. Every other batch — a single request, a single partition,
-// or one carrying STATS (whose inline snapshot must see the requests before
-// it) or an unknown opcode — executes in strict request order.
+// executeBatch executes cs.reqs under the bound handle in request order and
+// stages every response for one flush.
 func (s *Server) executeBatch(cs *connState, h *hashmap.PartitionedHandle[[]byte], local *tally) {
-	cs.vals = cs.vals[:0]
-	grouped := s.cfg.Partitions > 1 && len(cs.reqs) > 1
-	for i := 0; grouped && i < len(cs.reqs); i++ {
-		op := cs.reqs[i].Op
-		grouped = op == kvwire.OpGet || op == kvwire.OpPut || op == kvwire.OpDel
-	}
-	if !grouped {
-		for i := range cs.reqs {
-			r := s.execute(h, cs, cs.reqs[i], local)
-			cs.emit(&r)
-		}
-		return
-	}
-	if cap(cs.results) < len(cs.reqs) {
-		cs.results = make([]reqResult, len(cs.reqs))
-	}
-	cs.results = cs.results[:len(cs.reqs)]
-	// Route every request once, then enter each partition exactly once and
-	// run its requests in arrival order.
-	cs.parts = cs.parts[:0]
 	for i := range cs.reqs {
-		cs.parts = append(cs.parts, s.pm.PartitionFor(cs.reqs[i].Key))
-	}
-	for p := 0; p < s.cfg.Partitions; p++ {
-		hd := h.Part(p)
-		for i := range cs.reqs {
-			if cs.parts[i] == p {
-				cs.results[i] = cs.executeOne(hd, cs.reqs[i], local)
-			}
-		}
-	}
-	for i := range cs.results {
-		cs.emit(&cs.results[i])
+		cs.vals = cs.vals[:0]
+		r := s.execute(h, cs, cs.reqs[i], local)
+		cs.emit(&r)
 	}
 }
 

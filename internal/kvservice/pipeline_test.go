@@ -33,8 +33,7 @@ func readResponse(t *testing.T, conn net.Conn, buf []byte) (kvwire.Response, []b
 
 // TestPipelineBatchInOrder writes a window of interdependent requests in one
 // write and checks every response against sequential semantics: per-key
-// operation order is request order even when the server executes the batch
-// grouped by partition.
+// operation order is request order across the map's two partitions.
 func TestPipelineBatchInOrder(t *testing.T) {
 	srv, addr := startServer(t, kvservice.Config{
 		Scheme: recordmgr.SchemeDEBRA, Partitions: 2, UsePool: true,

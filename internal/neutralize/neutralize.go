@@ -57,9 +57,6 @@ func NewDomain(n int) *Domain {
 	return &Domain{slots: make([]slot, n)}
 }
 
-// Threads returns the number of threads in the domain.
-func (d *Domain) Threads() int { return len(d.slots) }
-
 // Signal sends a neutralization signal to target (the analogue of
 // pthread_kill). It never blocks and always succeeds; the return value
 // mirrors pthread_kill's success for symmetry with the paper's pseudocode.

@@ -34,9 +34,9 @@ func TestStressDefaultPacing(t *testing.T) {
 
 // What DEBRA does because it is a block-bag core.Reclaimer
 // (internal/reclaimtest/schemesuite.go).
-func TestNewValidation(t *testing.T)         { reclaimtest.NewValidation(t, factory) }
-func TestQuiescentRetirePanics(t *testing.T) { reclaimtest.QuiescentRetirePanics(t, factory) }
-func TestSharesThePoolsBlocks(t *testing.T)  { reclaimtest.SharesThePoolsBlocks(t, factory) }
+func TestNewValidation(t *testing.T)        { reclaimtest.NewValidation(t, factory) }
+func TestQuiescentRetire(t *testing.T)      { reclaimtest.QuiescentRetire(t, factory) }
+func TestSharesThePoolsBlocks(t *testing.T) { reclaimtest.SharesThePoolsBlocks(t, factory) }
 func TestLimboEmptiesAfterThreeEpochs(t *testing.T) {
 	reclaimtest.LimboEmptiesAfterThreeEpochs(t, factory)
 }

@@ -238,10 +238,11 @@ func (h *handle[T]) EnterQstate() {
 
 // Checkpoint implements core.ReclaimerHandle: deliver a pending signal to a
 // non-quiescent thread. Data structure bodies call this once per search-loop
-// iteration. A pinned retirer (PinRetire … UnpinRetire) contains no
-// checkpoint: it computes nothing from shared records, so there is nothing a
-// neutralization would need to discard, and a signal sent meanwhile is
-// dropped at the owner's next LeaveQstate.
+// iteration. Retire contains no checkpoint, and a quiescent thread's Retire
+// pins it (epoch.BeginRetire) without one: the retire computes nothing from
+// shared records, so there is nothing a neutralization would need to
+// discard, and a signal sent while the pin stands is dropped at the owner's
+// next LeaveQstate.
 func (h *handle[T]) Checkpoint() {
 	if !h.IsQuiescent() && h.r.domain.Pending(h.Tid) {
 		h.deliver()

@@ -109,16 +109,16 @@ func (h *handle[T]) reclaim(idx int) {
 }
 
 // Retire implements core.ReclaimerHandle: append to the bag of the current
-// epoch. The caller must be pinned (in an operation, or between PinRetire and
-// UnpinRetire).
+// epoch, pinning a quiescent thread around the append (epoch.BeginRetire).
 func (h *handle[T]) Retire(rec *T) {
-	h.CheckRetire(rec)
+	a := h.BeginRetire(rec)
 	r := h.r
 	idx := bagOf(h.Epoch())
 	r.mu.Lock()
 	r.limbo[idx].Add(rec)
 	r.mu.Unlock()
 	h.Retired.Inc()
+	h.EndRetire(a)
 }
 
 // DrainLimbo implements core.LimboDrainer: free every record in the bags.

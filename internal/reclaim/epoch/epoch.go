@@ -136,24 +136,6 @@ func (d *Domain[T]) Occupancy() *core.Occupancy { return d.occ }
 // Epoch returns the current epoch (instrumentation).
 func (d *Domain[T]) Epoch() int64 { return d.epoch.Load() }
 
-// PinRetire implements core.Reclaimer: clear the quiescent bit and keep the
-// announced epoch, with none of an operation's verification or rotation. A
-// possibly stale announcement with the bit clear reads as a thread in the
-// middle of an operation, so the epoch moves at most once while the pin
-// stands — the bound a retire needs on how stale the epoch it loads may be.
-func (d *Domain[T]) PinRetire(tid int) {
-	a := &d.slots[tid].v
-	a.Store(a.Load() &^ quiescentBit)
-}
-
-// UnpinRetire implements core.Reclaimer: set the quiescent bit again. The
-// records retired in between wait in limbo for the owner's next operations,
-// or for DrainLimbo.
-func (d *Domain[T]) UnpinRetire(tid int) {
-	a := &d.slots[tid].v
-	a.Store(a.Load() | quiescentBit)
-}
-
 // RequireAllQuiescent panics unless every thread is quiescent, the announced
 // half of DrainLimbo's precondition (references are the caller's contract).
 func (d *Domain[T]) RequireAllQuiescent() {
@@ -223,18 +205,34 @@ func (t *Thread[T]) EnterQstate() { t.ann.Store(t.ann.Load() | quiescentBit) }
 // IsQuiescent implements core.ReclaimerHandle.
 func (t *Thread[T]) IsQuiescent() bool { return t.ann.Load()&quiescentBit != 0 }
 
-// CheckRetire panics when rec is nil or the thread is quiescent. A retire
-// files records under the epoch it loads, and only the thread's own
-// non-quiescent announcement bounds how far the epoch can move before they
-// land; without it the retire can race the reclamation of the very bag it
-// appends to. Quiescent callers pin first (core.Reclaimer.PinRetire), as
-// core.ThreadHandle does for them.
-func (t *Thread[T]) CheckRetire(rec *T) {
+// BeginRetire is the first half of every Retire: it panics when rec is nil,
+// and pins a quiescent thread for the retire. A retire files rec under the
+// epoch it loads, and only the thread's own non-quiescent announcement bounds
+// how far the epoch can move before rec lands; without it the retire could
+// race the reclamation of the very bag it appends to. So a quiescent thread
+// clears its quiescent bit and keeps the epoch it announced, with none of an
+// operation's verification or rotation: a possibly stale announcement with
+// the bit clear reads as a thread in the middle of an operation, and the
+// epoch moves at most once while the pin stands. BeginRetire returns what
+// EndRetire restores: the quiescent announcement, or 0 inside an operation.
+func (t *Thread[T]) BeginRetire(rec *T) int64 {
 	if rec == nil {
 		panic(t.d.name + ": Retire(nil)")
 	}
-	if t.ann.Load()&quiescentBit != 0 {
-		panic(t.d.name + ": Retire from a quiescent context; pin the thread first (PinRetire or LeaveQstate)")
+	a := t.ann.Load()
+	if a&quiescentBit == 0 {
+		return 0
+	}
+	t.ann.Store(a &^ quiescentBit)
+	return a
+}
+
+// EndRetire sets the quiescent bit again when BeginRetire cleared it. The
+// records retired under the pin wait in limbo for the owner's next
+// operations, or for DrainLimbo.
+func (t *Thread[T]) EndRetire(a int64) {
+	if a != 0 {
+		t.ann.Store(a)
 	}
 }
 

@@ -131,13 +131,11 @@ func TestRotationOrder(t *testing.T) {
 	m := newMachine(t, 1, 0)
 	l := &m.l[0]
 	retire := func(b int, batch *[]*rec) {
-		m.PinRetire(0)
 		for i := 0; i < blockbag.BlockSize; i++ {
 			r := &rec{ID: int64(b)}
 			*batch = append(*batch, r)
 			l.Retire(r)
 		}
-		m.UnpinRetire(0)
 	}
 	// One block under each of three epochs: two filed under the epoch the
 	// thread rotated to, the third late, after an advance the thread has
@@ -175,9 +173,7 @@ func TestRotationOrder(t *testing.T) {
 	}
 	// Rotating again to the same epoch, or to one the thread skipped to,
 	// frees nothing it must not and everything it may.
-	m.PinRetire(0)
 	l.Retire(&rec{ID: 3})
-	m.UnpinRetire(0)
 	l.RotateTo(m.Epoch())
 	if m.LimboSize(0) != 1 {
 		t.Fatal("a rotation to the epoch the bags are at freed a record")
@@ -200,7 +196,6 @@ func TestLateRetireSurvivesSecondAdvance(t *testing.T) {
 	m.advance(t) // the epoch moves on under the retirer's operation
 	begin(reader)
 	r := &rec{ID: 1} // the reader, at e+Inc, reaches r; the retirer unlinks it
-	//lint:allow retirepin the retirer is inside the operation begin announced; the bare machine has no LeaveQstate
 	retirer.Retire(r)
 	retirer.EnterQstate()
 	begin(retirer)
@@ -238,7 +233,6 @@ func TestStaleAnnouncementRetire(t *testing.T) {
 	retirer.RotateTo(stale)
 	begin(reader) // at e+2·Inc, reaches r
 	r := &rec{ID: 1}
-	//lint:allow retirepin the retirer is inside the operation it announced; the bare machine has no LeaveQstate
 	retirer.Retire(r) // unlinked at e+2·Inc
 	retirer.EnterQstate()
 	m.advance(t) // the reader's announcement of e+2·Inc holds the epoch here
@@ -269,9 +263,7 @@ func TestLateLimboRotatesOnceAnEpoch(t *testing.T) {
 	l.Late = true
 	l.RotateTo(m.Epoch())
 	r := &rec{ID: 1}
-	m.PinRetire(0)
 	l.Retire(r)
-	m.UnpinRetire(0)
 	for i := 0; i < 3; i++ {
 		if m.sink.Contains(r) {
 			t.Fatalf("freed after %d rotations", i)
@@ -297,12 +289,10 @@ func TestSweepHookChoosesWhatRotationFrees(t *testing.T) {
 	held := &rec{ID: -1}
 	l.Held = func(r *rec) bool { return r == held }
 	l.RotateTo(m.Epoch())
-	m.PinRetire(0)
 	for i := 0; i < blockbag.BlockSize; i++ {
 		l.Retire(&rec{ID: int64(i)})
 	}
 	l.Retire(held)
-	m.UnpinRetire(0)
 	for i := 0; i < 6; i++ {
 		l.RotateTo(m.tick())
 	}
@@ -345,27 +335,37 @@ func TestDrainLimboRefusesNonQuiescentSlot(t *testing.T) {
 		t.Fatal("DrainLimbo ran while slot 1 was inside an operation")
 	}
 	m.l[1].EnterQstate()
-	m.PinRetire(0)
 	m.l[0].Retire(&rec{ID: 1})
-	m.UnpinRetire(0)
 	if got := m.DrainLimbo(0); got != 1 {
 		t.Fatalf("DrainLimbo freed %d, want the partial block's one record", got)
 	}
 }
 
+// TestPinKeepsAnnouncedEpoch: a quiescent thread's retire pins it at the
+// epoch it last announced — a verifier of any other epoch stops at it — and
+// leaves it quiescent at that epoch afterwards.
 func TestPinKeepsAnnouncedEpoch(t *testing.T) {
 	m := newMachine(t, 2, 0, 1)
 	e := m.Epoch()
-	l := &m.l[0]
+	l, v := &m.l[0], &m.l[1]
 	l.Announce(e)
 	l.EnterQstate()
-	m.PinRetire(0)
+	m.advance(t)
+	r := &rec{ID: 1}
+	a := l.BeginRetire(r)
 	if l.IsQuiescent() {
 		t.Fatal("pinned slot reads quiescent")
 	}
-	l.Retire(&rec{ID: 1}) // must not panic
-	m.UnpinRetire(0)
+	if got := v.Verify(0, m.Epoch(), All); got != 0 {
+		t.Fatalf("a pass of the next epoch reached %d past the slot pinned at the previous one", got)
+	}
+	l.EndRetire(a)
 	if !l.IsQuiescent() || l.Announce(e) {
 		t.Fatal("pin and unpin must leave the announced epoch as it was")
+	}
+	l.EnterQstate()
+	l.Retire(r)
+	if !l.IsQuiescent() || m.LimboSize(0) != 1 {
+		t.Fatalf("quiescent Retire: quiescent %v, limbo %d", l.IsQuiescent(), m.LimboSize(0))
 	}
 }

@@ -136,12 +136,12 @@ const (
 )
 
 // Retire implements core.ReclaimerHandle: add rec to the bag of the epoch it
-// reads, O(1). The caller must be pinned (in an operation, or between
-// PinRetire and UnpinRetire).
+// reads, O(1), pinning a quiescent thread around the append (BeginRetire).
 func (l *Limbo[T]) Retire(rec *T) {
-	l.CheckRetire(rec)
+	a := l.BeginRetire(rec)
 	l.bag().Add(rec)
 	l.Retired.Inc()
+	l.EndRetire(a)
 }
 
 // bag returns the bag a retire files under now.

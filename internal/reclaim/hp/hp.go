@@ -299,15 +299,6 @@ func (r *Reclaimer[T]) scanAndFree(tid int) {
 	t.freed.Add(freed)
 }
 
-// PinRetire implements core.Reclaimer (no-op: hazard pointer retire bags
-// are per-thread and the scan consults announcements, not epochs, so a
-// retire needs no pin — the uniform entry point exists so callers can treat
-// every scheme alike).
-func (r *Reclaimer[T]) PinRetire(tid int) {}
-
-// UnpinRetire implements core.Reclaimer (no-op).
-func (r *Reclaimer[T]) UnpinRetire(tid int) {}
-
 // DrainLimbo implements core.LimboDrainer: run a forced scan for every
 // thread's retire bag, regardless of the amortisation threshold, freeing
 // every record that no hazard pointer announces. The retire bags are
@@ -331,9 +322,6 @@ func (r *Reclaimer[T]) DrainLimbo(tid int) int64 {
 	}
 	return total
 }
-
-// Slots returns the per-thread hazard pointer capacity (instrumentation).
-func (r *Reclaimer[T]) Slots() int { return r.cfg.slots }
 
 // Stats implements core.Reclaimer.
 func (r *Reclaimer[T]) Stats() core.Stats {

@@ -84,10 +84,8 @@ func TestProtectedRecordSurvivesScan(t *testing.T) {
 		t.Fatal("Protect failed")
 	}
 	// Thread 0 retires the victim plus enough records to trigger scans.
-	//lint:allow retirepin hp is a membership scheme with no quiescent state; Retire is legal from any context
 	r.Handle(0).Retire(victim)
 	for i := 0; i < 200; i++ {
-		//lint:allow retirepin hp is a membership scheme with no quiescent state; Retire is legal from any context
 		r.Handle(0).Retire(&reclaimtest.Record{ID: int64(i)})
 	}
 	if sink.Freed() == 0 {
@@ -100,7 +98,6 @@ func TestProtectedRecordSurvivesScan(t *testing.T) {
 	// may now free the victim.
 	r.Handle(1).Unprotect(victim)
 	for i := 0; i < 200; i++ {
-		//lint:allow retirepin hp is a membership scheme with no quiescent state; Retire is legal from any context
 		r.Handle(0).Retire(&reclaimtest.Record{ID: int64(1000 + i)})
 	}
 	if !sink.Contains(victim) {
@@ -115,7 +112,6 @@ func TestBoundedGarbage(t *testing.T) {
 	const threshold = 128
 	r := hp.New(2, sink, hp.WithRetireThreshold(threshold))
 	for i := 0; i < 10_000; i++ {
-		//lint:allow retirepin hp is a membership scheme with no quiescent state; Retire is legal from any context
 		r.Handle(0).Retire(&reclaimtest.Record{ID: int64(i)})
 		if limbo := r.Stats().Limbo; limbo > 2*threshold+512 {
 			t.Fatalf("limbo=%d exceeds bound at iteration %d", limbo, i)
@@ -127,7 +123,6 @@ func TestStatsConsistency(t *testing.T) {
 	sink := reclaimtest.NewRecordingSink()
 	r := hp.New(1, sink, hp.WithRetireThreshold(32))
 	for i := 0; i < 500; i++ {
-		//lint:allow retirepin hp is a membership scheme with no quiescent state; Retire is legal from any context
 		r.Handle(0).Retire(&reclaimtest.Record{ID: int64(i)})
 	}
 	s := r.Stats()

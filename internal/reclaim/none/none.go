@@ -94,13 +94,6 @@ func (r *Reclaimer[T]) Props() core.Properties {
 	}
 }
 
-// PinRetire implements core.Reclaimer (no-op: the leaking baseline has no
-// epoch state for a retire to race).
-func (r *Reclaimer[T]) PinRetire(tid int) {}
-
-// UnpinRetire implements core.Reclaimer (no-op).
-func (r *Reclaimer[T]) UnpinRetire(tid int) {}
-
 // Stats implements core.Reclaimer.
 func (r *Reclaimer[T]) Stats() core.Stats {
 	var s core.Stats

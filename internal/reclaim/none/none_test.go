@@ -43,7 +43,6 @@ func TestRetireNilPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	//lint:allow retirepin deliberate Retire(nil): asserts the validation panic; the none scheme has no quiescent state
 	none.New[reclaimtest.Record](1).Handle(0).Retire(nil)
 }
 

@@ -6,6 +6,7 @@ import (
 	"repro/internal/arena"
 	"repro/internal/blockbag"
 	"repro/internal/core"
+	"repro/internal/neutralize"
 	"repro/internal/pool"
 )
 
@@ -91,7 +92,7 @@ func operate(r core.Reclaimer[Record], tid, ops, retires int) {
 }
 
 // NewValidation: the constructor rejects n = 0 and a nil sink, and Retire
-// rejects nil before the pin check matters.
+// rejects nil, from a quiescent thread too.
 func NewValidation(t *testing.T, f Factory) {
 	t.Helper()
 	if !Panics(func() { f(0, NewRecordingSink()) }) {
@@ -100,22 +101,56 @@ func NewValidation(t *testing.T, f Factory) {
 	if !Panics(func() { f(1, nil) }) {
 		t.Fatal("expected panic for nil sink")
 	}
-	//lint:allow retirepin deliberate contract violation: asserts the Retire(nil) panic fires before any pin check matters
 	if !Panics(func() { f(1, NewRecordingSink()).Handle(0).Retire(nil) }) {
 		t.Fatal("expected panic for Retire(nil)")
 	}
 }
 
-// QuiescentRetirePanics: an epoch scheme rejects Retire from a quiescent
-// thread loudly instead of filing the record under a stale epoch.
-func QuiescentRetirePanics(t *testing.T, f Factory) {
+// QuiescentRetire: an epoch scheme's Retire is legal from a quiescent thread
+// — it pins the thread around the hand-off itself — and leaves the thread
+// quiescent. The record still waits out its grace period: it is not freed
+// while a thread that was inside an operation at the retire stays there,
+// however many operations the retirer runs, and it is freed once that
+// thread leaves and the epoch moves on.
+func QuiescentRetire(t *testing.T, f Factory) {
 	t.Helper()
-	r := f(2, NewRecordingSink())
-	// Fresh threads start quiescent; make it explicit anyway.
-	r.Handle(0).EnterQstate()
-	//lint:allow retirepin the unpinned Retire is the point: this test asserts the runtime panic the analyzer proves absent elsewhere
-	if !Panics(func() { r.Handle(0).Retire(&Record{ID: 1}) }) {
-		t.Fatal("quiescent Retire did not panic")
+	sink := NewRecordingSink()
+	r := f(2, sink)
+	retirer, reader := r.Handle(0), r.Handle(1)
+	reader.LeaveQstate() // may still reach x
+	x := &Record{ID: 1}
+	retirer.EnterQstate() // fresh threads start quiescent; make it explicit
+	if Panics(func() { retirer.Retire(x) }) {
+		t.Fatal("Retire from a quiescent thread panicked")
+	}
+	if !retirer.IsQuiescent() {
+		t.Fatal("thread left non-quiescent by a quiescent Retire")
+	}
+	if s := r.Stats(); s.Retired != 1 {
+		t.Fatalf("Retired = %d, want 1", s.Retired)
+	}
+	operate(r, 0, 1000, 0)
+	if sink.Contains(x) {
+		t.Fatal("a quiescent retire was freed while a thread inside an operation could still reach it")
+	}
+	func() {
+		// debra+ may have neutralized the reader meanwhile (it frees only
+		// whole blocks, so the lone record stays); the reader's EnterQstate
+		// then delivers the signal, which its operation wrapper recovers.
+		defer func() { neutralize.Recover(recover()) }()
+		reader.EnterQstate()
+	}()
+	for ops := 0; ops < 1000 && !sink.Contains(x); ops++ {
+		operate(r, 0, 1, 0)
+		operate(r, 1, 1, 0)
+	}
+	// debra+ sweeps a bag only once it is worth a table scan; its shutdown
+	// drain frees the tail.
+	if d, ok := r.(core.LimboDrainer); ok && !sink.Contains(x) && r.Props().CrashRecovery {
+		d.DrainLimbo(0)
+	}
+	if !sink.Contains(x) {
+		t.Fatalf("a quiescent retire was never freed: %+v", r.Stats())
 	}
 }
 

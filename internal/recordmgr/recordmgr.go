@@ -120,9 +120,9 @@ func Build[T any](cfg Config) (*core.RecordManager[T], error) {
 	}
 	if cfg.FaultPlan != nil {
 		// Interpose the fault plane between the manager and the scheme: the
-		// wrapper forwards the whole reclaimer surface (retire pins, limbo
-		// draining, occupancy, per-thread handles), so the manager sees the
-		// same capabilities.
+		// wrapper forwards the whole reclaimer surface (limbo draining,
+		// occupancy, per-thread handles), so the manager sees the same
+		// capabilities.
 		rec = faultinject.Wrap(rec, cfg.FaultPlan)
 	}
 	return core.NewRecordManager(alloc, p, rec), nil
