@@ -138,6 +138,11 @@ func New[T any](pool *BlockPool[T]) *Bag[T] {
 	return &Bag[T]{head: pool.Get(), pool: pool}
 }
 
+// UsePool makes the bag draw its blocks from, and return them to, pool from
+// now on. A bag shared under a lock borrows, for each holder in turn, from
+// the pool the holder owns.
+func (b *Bag[T]) UsePool(pool *BlockPool[T]) { b.pool = pool }
+
 // Len returns the number of records in the bag.
 func (b *Bag[T]) Len() int { return b.size }
 

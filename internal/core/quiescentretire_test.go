@@ -10,7 +10,9 @@ package core_test
 // ThreadHandle that forwards to them.
 
 import (
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/arena"
@@ -123,27 +125,43 @@ func TestManagerRetireFromQuiescentContextAutoPins(t *testing.T) {
 }
 
 // TestQuiescentRetireRacesAdvance closes the loop on the original
-// interleaving: a quiescent thread hands records to its raw scheme handle
-// while another thread continuously advances the epoch and drains limbo
-// bags. With an unpinned hand-off this is the schedule that could land
-// records in the bag being drained; with the scheme's own pin it must never
+// interleaving: a quiescent thread unlinks records from a shared cell and
+// hands them to its raw scheme handle while another thread, inside its
+// operations, reads the cell and advances the epoch between them. Each read
+// holds its operation open until the epoch has moved (or a bound), then
+// checks that the record it loaded was not freed meanwhile; records are
+// never reused, so a premature free stays visible. The run must also never
 // double-free or lose a record. Run under -race in CI.
 func TestQuiescentRetireRacesAdvance(t *testing.T) {
-	const iters = 400
-	for _, name := range []string{"ebr", "qsbr"} {
+	const reads = 2000
+	for _, name := range []string{"ebr", "qsbr", "debra"} {
 		t.Run(name, func(t *testing.T) {
 			sink := reclaimtest.NewPoisonSink()
 			r := epochSchemes(2, sink)[name]
 			alloc := arena.NewBump[rec](2, 0)
 			mgr := core.NewRecordManager[rec](alloc, nil, r)
 			hs := reclaimtest.AcquireSlots(2, mgr.AcquireHandle)
+			var cell atomic.Pointer[rec]
+			cell.Store(hs[1].Allocate())
 
+			var done atomic.Bool
+			var freedUnderRead, swaps atomic.Int64
 			var wg sync.WaitGroup
 			wg.Add(2)
-			go func() { // advancing worker: tid 0
+			go func() { // reader and advancer: tid 0
 				defer wg.Done()
-				for i := 0; i < 50*iters; i++ {
+				defer done.Store(true)
+				for i := 0; i < reads; i++ {
 					hs[0].LeaveQstate()
+					x := cell.Load()
+					e := r.Stats().EpochAdvances
+					for spin := 0; spin < 1000 && r.Stats().EpochAdvances == e; spin++ {
+						runtime.Gosched()
+					}
+					runtime.Gosched() // let the retirer observe the new epoch
+					if sink.Poisoned(x) {
+						freedUnderRead.Add(1)
+					}
 					hs[0].Retire(hs[0].Allocate())
 					hs[0].EnterQstate()
 				}
@@ -151,24 +169,28 @@ func TestQuiescentRetireRacesAdvance(t *testing.T) {
 			go func() { // quiescent retirer: tid 1
 				defer wg.Done()
 				raw := r.Handle(hs[1].Tid())
-				for i := 0; i < iters; i++ {
+				for !done.Load() {
 					hs[1].LeaveQstate()
 					hs[1].EnterQstate()
-					// The racy hand-off: retire while quiescent, concurrent
-					// with tid 0's epoch advances.
+					// The racy hand-off: unlink and retire while quiescent,
+					// concurrent with the reader and the epoch advances.
 					for j := 0; j < 8; j++ {
-						raw.Retire(hs[1].Allocate())
+						raw.Retire(cell.Swap(hs[1].Allocate()))
+						swaps.Add(1)
 					}
 				}
 			}()
 			wg.Wait()
+			if n := freedUnderRead.Load(); n != 0 {
+				t.Fatalf("%d of %d reads found the record they loaded freed inside their operation", n, reads)
+			}
 			if !hs[1].IsQuiescent() {
 				t.Fatal("thread left non-quiescent by the quiescent retires")
 			}
 			mgr.Close()
 			st := mgr.Stats()
-			if st.Reclaimer.Retired != 50*iters+8*iters {
-				t.Fatalf("retired %d want %d", st.Reclaimer.Retired, 58*iters)
+			if want := reads + swaps.Load(); st.Reclaimer.Retired != want {
+				t.Fatalf("retired %d want %d", st.Reclaimer.Retired, want)
 			}
 			if st.Reclaimer.Freed != st.Reclaimer.Retired {
 				t.Fatalf("retired %d != freed %d after Close", st.Reclaimer.Retired, st.Reclaimer.Freed)

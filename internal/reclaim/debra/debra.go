@@ -7,6 +7,12 @@
 // checks one every CHECK_THRESH operations and tries to advance the epoch
 // only after its pass is complete and INCR_THRESH operations have gone by, so
 // LeaveQstate, EnterQstate and Retire each take O(1) steps in the worst case.
+// Figure 4 frees a thread's oldest limbo bag when the thread rotates into a
+// new epoch; here the bag goes as soon as the thread's pass for the epoch it
+// announces completes, which the grace period already allows. So a record
+// waits for one advance past its retiring operation's epoch and then one
+// pass of the retirer's, not also for the advance after that, which
+// INCR_THRESH paces.
 // docs/ARCHITECTURE.md ("The epoch schemes") sets it beside the other three.
 package debra
 
@@ -85,6 +91,9 @@ func (h *Handle[T]) LeaveQstate() bool {
 		h.sinceCheck = 0
 		if h.pos < h.PassLen() {
 			h.pos = h.Verify(h.pos, e, 1)
+			if h.pos == h.PassLen() {
+				h.FreePrev()
+			}
 		}
 		if h.pos == h.PassLen() && h.sinceIncr >= h.incr {
 			h.Advance(e)

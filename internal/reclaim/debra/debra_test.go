@@ -48,6 +48,13 @@ func TestLimboEmptiesAfterTwoEpochs(t *testing.T) {
 	reclaimtest.LimboEmptiesAfterTwoEpochs(t, factoryDefault)
 }
 
+// An advance takes 64 of the retirer's operations, a two-slot pass two.
+func TestLimboEmptiesAfterOneAdvance(t *testing.T) {
+	reclaimtest.LimboEmptiesAfterOneAdvance(t, func(n int, sink core.FreeSink[reclaimtest.Record]) core.Reclaimer[reclaimtest.Record] {
+		return debra.New(n, sink, epoch.WithCheckThresh(1), epoch.WithIncrThresh(64))
+	})
+}
+
 // retireMany drives tid through ops, retiring fresh records, and returns them.
 func retireMany(r *debra.Reclaimer[reclaimtest.Record], tid, n int) []*reclaimtest.Record {
 	recs := make([]*reclaimtest.Record, 0, n)
@@ -81,10 +88,12 @@ func TestSingleThreadReclaims(t *testing.T) {
 	}
 }
 
-// TestRecordNotFreedBeforeTwoEpochs checks the core epoch-safety property:
-// a retired record is not handed to the sink until the epoch has advanced at
-// least twice past its retirement.
-func TestRecordNotFreedBeforeTwoEpochs(t *testing.T) {
+// TestRecordNotFreedWhileReaderInOperation checks the core epoch-safety
+// property: a retired record is not handed to the sink while a thread that
+// was inside an operation at the retire is still there, however many
+// operations the retirer runs; it goes once that thread leaves, the epoch
+// advances and a pass completes.
+func TestRecordNotFreedWhileReaderInOperation(t *testing.T) {
 	sink := reclaimtest.NewRecordingSink()
 	r := debra.New(2, sink, fast()...)
 

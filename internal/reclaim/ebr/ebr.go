@@ -31,15 +31,15 @@ type Reclaimer[T any] struct {
 	_     [core.PadBytes]byte
 	mu    sync.Mutex
 	limbo [3]*blockbag.Bag[T] // indexed by retire epoch
-	pool  *blockbag.BlockPool[T]
 	_     [core.PadBytes]byte
 }
 
 // handle is one thread slot's view (core.ReclaimerHandle).
 type handle[T any] struct {
 	epoch.Thread[T]
-	r *Reclaimer[T]
-	_ [core.PadBytes]byte
+	r      *Reclaimer[T]
+	blocks *blockbag.BlockPool[T] // the slot's own; the shared bags borrow from it
+	_      [core.PadBytes]byte
 }
 
 // bagOf returns the index of the limbo bag retires at epoch e go to.
@@ -49,14 +49,14 @@ func bagOf(e int64) int { return int(e / epoch.Inc % 3) }
 // records are passed to sink.
 func New[T any](n int, sink core.FreeSink[T], opts ...epoch.Option) *Reclaimer[T] {
 	r := &Reclaimer[T]{Domain: epoch.New("ebr", n, sink, opts), handles: make([]handle[T], n)}
-	r.pool = blockbag.NewBlockPool[T](blockbag.DefaultBlockPoolCap)
-	for j := range r.limbo {
-		r.limbo[j] = blockbag.New(r.pool)
-	}
 	for i := range r.handles {
 		h := &r.handles[i]
 		r.Bind(i, &h.Thread)
 		h.r = r
+		h.blocks = r.BlockPool(i)
+	}
+	for j := range r.limbo {
+		r.limbo[j] = blockbag.New(r.handles[0].blocks)
 	}
 	return r
 }
@@ -99,13 +99,21 @@ func (h *handle[T]) LeaveQstate() bool {
 func (h *handle[T]) reclaim(idx int) {
 	r := h.r
 	r.mu.Lock()
-	chain := r.limbo[idx].DetachAll()
+	chain := h.bag(idx).DetachAll()
 	r.mu.Unlock()
 	if chain != nil {
-		// The chain is ours now, but the shared block pool is not: the
-		// emptied blocks are dropped when the sink takes single records.
-		h.Free(chain, nil)
+		h.Free(chain, h.blocks)
 	}
+}
+
+// bag returns shared bag idx drawing its blocks from h's pool, which only
+// h's owner uses; the caller holds r.mu. So a bag's blocks come from the
+// pools of the slots that retire into it, and when the sink lends its block
+// pools (epoch.Domain.BlockPool), from the pool they are emptied into.
+func (h *handle[T]) bag(idx int) *blockbag.Bag[T] {
+	b := h.r.limbo[idx]
+	b.UsePool(h.blocks)
+	return b
 }
 
 // Retire implements core.ReclaimerHandle: append to the bag of the current
@@ -115,7 +123,7 @@ func (h *handle[T]) Retire(rec *T) {
 	r := h.r
 	idx := bagOf(h.Epoch())
 	r.mu.Lock()
-	r.limbo[idx].Add(rec)
+	h.bag(idx).Add(rec)
 	r.mu.Unlock()
 	h.Retired.Inc()
 	h.EndRetire(a)
@@ -123,14 +131,13 @@ func (h *handle[T]) Retire(rec *T) {
 
 // DrainLimbo implements core.LimboDrainer: free every record in the bags.
 // Only safe once every thread has quiesced for good — no Retire can then be
-// running, so the block pool is the caller's — and tid is charged for the
-// frees.
+// running, so the bags are the caller's — and tid is charged for the frees.
 func (r *Reclaimer[T]) DrainLimbo(tid int) int64 {
 	r.RequireAllQuiescent()
 	h := &r.handles[tid]
 	var n int64
-	for _, bag := range r.limbo {
-		n += h.Free(bag.DetachAll(), r.pool)
+	for j := range r.limbo {
+		n += h.Free(h.bag(j).DetachAll(), h.blocks)
 	}
 	return n
 }

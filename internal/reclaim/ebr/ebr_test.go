@@ -18,8 +18,9 @@ func TestStress(t *testing.T) { reclaimtest.Stress(t, factory, reclaimtest.Defau
 
 // What EBR does because it is a block-bag core.Reclaimer
 // (internal/reclaimtest/schemesuite.go).
-func TestNewValidation(t *testing.T)   { reclaimtest.NewValidation(t, factory) }
-func TestQuiescentRetire(t *testing.T) { reclaimtest.QuiescentRetire(t, factory) }
+func TestNewValidation(t *testing.T)        { reclaimtest.NewValidation(t, factory) }
+func TestQuiescentRetire(t *testing.T)      { reclaimtest.QuiescentRetire(t, factory) }
+func TestSharesThePoolsBlocks(t *testing.T) { reclaimtest.SharesThePoolsBlocks(t, factory) }
 func TestLimboEmptiesAfterThreeEpochs(t *testing.T) {
 	reclaimtest.LimboEmptiesAfterThreeEpochs(t, factory)
 }

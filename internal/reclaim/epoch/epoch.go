@@ -8,13 +8,15 @@
 //     announcements in slot order. Vacant slots are quiescent by the release
 //     contract and are never read (or, under debra+, signalled);
 //   - the private limbo: three block bags per thread, tagged by epoch. A
-//     retire files under the epoch it reads, and a rotation to an epoch the
-//     thread announces frees whole every bag tagged two or more epochs
-//     before it, so
-//     a record waits two epochs after its retire, three when the epoch moved
-//     on under the operation before it (debra+ files every retire that way
-//     and rotates one bag per epoch observed, and its Sweep frees full
-//     blocks only and keeps the tails).
+//     retire files under the epoch it reads. A thread that completes a
+//     verification pass for the epoch it announces frees whole the bag
+//     tagged one epoch before it, and a rotation to a new epoch frees every
+//     bag tagged two or more epochs before it. So a record waits for one
+//     advance and a pass after the epoch its operation announced, or two
+//     advances when the epoch moved on under the operation before the
+//     retire (debra+ files every retire that way, frees only by rotating
+//     one bag per epoch observed, and its Sweep frees full blocks only and
+//     keeps the tails).
 //
 // A policy decides where the pass runs and how much of it runs per
 // operation; docs/ARCHITECTURE.md ("The epoch schemes") has the table.

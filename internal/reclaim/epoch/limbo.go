@@ -24,18 +24,24 @@ type blockPoolLender[T any] interface {
 	BlockPool(tid int) *blockbag.BlockPool[T]
 }
 
-// BindLimbo makes l slot tid's thread and limbo. Full blocks travel one way,
-// from a limbo bag to the sink, so when the sink keeps them and lends its
-// block pools the bags draw from the pool their blocks are emptied into; a
-// pool of their own would allocate a block per BlockSize retires for as long
-// as the thread runs while the sink's overflowed and dropped as many.
+// BlockPool returns the block pool slot tid's limbo bags are to draw from;
+// only the owner of tid may use it. Full blocks travel one way, from a limbo
+// bag to the sink, so when the sink keeps them and lends its block pools it
+// is the pool their blocks are emptied into; a pool of the slot's own would
+// allocate a block per BlockSize retires for as long as the thread runs while
+// the sink's overflowed and dropped as many. Otherwise it is a new pool.
+func (d *Domain[T]) BlockPool(tid int) *blockbag.BlockPool[T] {
+	if lender, ok := d.sink.(blockPoolLender[T]); ok && d.blockSink != nil {
+		return lender.BlockPool(tid)
+	}
+	return blockbag.NewBlockPool[T](blockbag.DefaultBlockPoolCap)
+}
+
+// BindLimbo makes l slot tid's thread and limbo, its bags drawing from
+// BlockPool(tid).
 func (b *Bags[T]) BindLimbo(tid int, l *Limbo[T]) {
 	b.Bind(tid, &l.Thread)
-	if lender, ok := b.sink.(blockPoolLender[T]); ok && b.blockSink != nil {
-		l.blockPool = lender.BlockPool(tid)
-	} else {
-		l.blockPool = blockbag.NewBlockPool[T](blockbag.DefaultBlockPoolCap)
-	}
+	l.blockPool = b.BlockPool(tid)
 	for i := range l.bags {
 		l.bags[i] = blockbag.New(l.blockPool)
 	}
@@ -83,31 +89,36 @@ func (b *Bags[T]) LimboSize(tid int) int {
 }
 
 // Limbo is a Thread with a private three-bag limbo. Each record waits under
-// a tag, an epoch no earlier than the one u at which the record became
-// unreachable, and is freed by the first rotation to an epoch at least
-// tag+2·Inc. That is the grace period ebr uses: a thread that can still reach
-// the record began its operation before the unlink, so its announcement a is
-// at most u and it was published at an epoch s at most u; while it stands no
-// thread can verify any epoch but a, so the epoch stays at most
-// max(a+Inc, s) <= u+Inc.
+// a tag, an epoch the thread loaded after the record became unreachable (at
+// epoch u <= tag), and may be freed once some pass has verified epoch
+// tag+Inc: when the thread's own pass for tag+Inc completes, or at its first
+// rotation to an epoch at least tag+2·Inc, which someone verified tag+Inc to
+// install. Epoch tag+Inc was installed after that load, so after the unlink,
+// and so is every pass for it. A thread that can still reach the record began
+// its operation before the unlink, so its announcement is at most u; a pass
+// for tag+Inc stops at its slot until it leaves the operation. A thread seen
+// announcing tag+Inc began its operation after the unlink. This is the grace
+// period ebr and qsbr keep too.
 //
 // The tags are relative to filed, the epoch the thread last rotated to (the
 // policy rotates to every epoch it announces). A retire loads the epoch g,
 // which is at least u because the record was unlinked before the load. When
 // g == filed the record goes to cur, tagged filed. Otherwise it goes to late,
 // whose tag is the epoch of the next rotation: the thread loads that epoch
-// after the retire, so it is at least g. A rotation to E frees prev (tagged
-// filed-Inc), and cur too when E is two or more epochs on; late becomes cur
-// at tag E, and cur, if kept, becomes prev at tag E-Inc. So a record waits
-// two epochs after the one its retire read when that is filed, and three
-// when the epoch had moved on under the operation (a late retire). A rotation
-// never runs inside a retire, which costs one epoch load and one append.
+// after the retire, so it is at least g. FreePrev, called when the thread's
+// pass for filed completes, frees prev (tagged filed-Inc). A rotation to E
+// frees prev, and cur too when E is two or more epochs on; late becomes cur
+// at tag E, and cur, if kept, becomes prev at tag E-Inc. So a record is freed
+// by the thread's first pass that completes once the epoch has advanced past
+// the one its retiring operation announced, or advanced twice when the epoch
+// moved on under the operation (a late retire). A rotation never runs inside
+// a retire, which costs one epoch load and one append.
 //
 // A policy under which the epoch can move past a live announcement (debra+'s
 // suspicion) sets Late: the grace period above does not hold for it, so every
-// retire is filed late and a rotation frees one bag however far the epoch
-// jumped, and a record waits for the third epoch the thread observes after
-// the one it last rotated to.
+// retire is filed late, FreePrev does nothing and a rotation frees one bag
+// however far the epoch jumped, and a record waits for the third epoch the
+// thread observes after the one it last rotated to.
 type Limbo[T any] struct {
 	Thread[T]
 
@@ -176,6 +187,15 @@ func (l *Limbo[T]) RotateTo(e int64) {
 	}
 	l.filed = e
 	l.bags = [3]*blockbag.Bag[T]{b[cur], b[late], b[prev]}
+}
+
+// FreePrev frees the bag tagged filed-Inc. The caller has just completed a
+// verification pass for filed, the epoch it last rotated to and announces;
+// under Late it does nothing.
+func (l *Limbo[T]) FreePrev() {
+	if !l.Late {
+		l.free(l.bags[prev])
+	}
 }
 
 // free hands what may go of bag to the sink. A lone thread observes a new

@@ -16,6 +16,8 @@ func TestConformance(t *testing.T) { reclaimtest.Conformance(t, factory) }
 
 func TestStress(t *testing.T) { reclaimtest.Stress(t, factory, reclaimtest.DefaultStressOptions()) }
 
+func TestSharesThePoolsBlocks(t *testing.T) { reclaimtest.SharesThePoolsBlocks(t, factory) }
+
 func TestNeverFrees(t *testing.T) {
 	sink := reclaimtest.NewRecordingSink()
 	r := none.New[reclaimtest.Record](1)

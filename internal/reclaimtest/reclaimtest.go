@@ -91,6 +91,9 @@ func (s *PoisonSink) Free(tid int, rec *Record) {
 // Freed returns the number of records freed.
 func (s *PoisonSink) Freed() int64 { return s.count.Load() }
 
+// Poisoned reports whether the sink has freed rec.
+func (s *PoisonSink) Poisoned(rec *Record) bool { return rec.poisoned.Load() }
+
 // DoubleFrees returns the number of records freed more than once.
 func (s *PoisonSink) DoubleFrees() int64 { return s.doubleFrees.Load() }
 

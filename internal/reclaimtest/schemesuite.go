@@ -196,6 +196,88 @@ func LimboEmptiesAfterTwoEpochs(t *testing.T, f Factory) {
 	}
 }
 
+// LimboEmptiesAfterOneAdvance is the bound of a policy that frees a thread's
+// prev bag as soon as its verification pass for the epoch it announces
+// completes (epoch.Limbo.FreePrev): a record retired while the epoch still
+// equals the one the retiring operation announced is freed by the retirer's
+// first LeaveQstate that completes a pass (one Stats.Scans) once the epoch
+// has advanced once, and not before. While the other slot stays inside an
+// operation announced at the retire's epoch, no pass for the next epoch
+// completes and nothing is freed. The factory must let a lone operating
+// thread advance the epoch within a few thousand operations, but not twice
+// within the few operations one two-slot pass takes (INCR_THRESH).
+func LimboEmptiesAfterOneAdvance(t *testing.T, f Factory) {
+	t.Helper()
+	for _, k := range []int{1, blockbag.BlockSize - 1, blockbag.BlockSize + 1} {
+		for _, held := range []bool{false, true} {
+			blocks, records := &BlockSink{}, NewRecordingSink()
+			for _, sink := range []core.FreeSink[Record]{blocks, records} {
+				limboEmptiesAfterOneAdvance(t, f(2, sink), k, held)
+			}
+			if blocks.Freed() != k || records.Freed() != int64(k) {
+				t.Fatalf("k=%d: block sink holds %d records, plain sink %d", k, blocks.Freed(), records.Freed())
+			}
+			blocks.check(t)
+		}
+	}
+}
+
+func limboEmptiesAfterOneAdvance(t *testing.T, r core.Reclaimer[Record], k int, held bool) {
+	t.Helper()
+	retirer, other := r.Handle(0), r.Handle(1)
+	start := r.Stats().EpochAdvances
+	retirer.LeaveQstate()
+	if r.Stats().EpochAdvances != start {
+		t.Fatalf("k=%d: the epoch advanced inside the retiring operation's LeaveQstate", k)
+	}
+	for i := 0; i < k; i++ {
+		retirer.Retire(&Record{ID: int64(i)})
+	}
+	retirer.EnterQstate()
+	if held {
+		other.LeaveQstate() // announces the retire's epoch, and stays
+	}
+	for ops := 0; r.Stats().EpochAdvances == start; ops++ {
+		if ops == 1<<12 {
+			t.Fatalf("k=%d: epoch stuck after %d operations: %+v", k, ops, r.Stats())
+		}
+		operate(r, 0, 1, 0)
+		if s := r.Stats(); s.Freed != 0 {
+			t.Fatalf("k=%d, held=%v: %d records freed before the epoch advanced", k, held, s.Freed)
+		}
+	}
+	if held {
+		operate(r, 0, 16, 0)
+		if s := r.Stats(); s.Freed != 0 || s.EpochAdvances != start+1 {
+			t.Fatalf("k=%d: while the other slot stays in its operation, stats %+v (want 0 freed, 1 advance)", k, s)
+		}
+		other.EnterQstate()
+	}
+	scans := r.Stats().Scans
+	for ops := 0; ; ops++ {
+		if ops == 16 {
+			t.Fatalf("k=%d, held=%v: no pass completed in %d operations after the advance: %+v", k, held, ops, r.Stats())
+		}
+		retirer.LeaveQstate()
+		s := r.Stats()
+		if s.EpochAdvances != start+1 {
+			t.Fatalf("k=%d: the epoch advanced again before the pass completed: %+v", k, s)
+		}
+		if s.Scans == scans {
+			if s.Freed != 0 {
+				t.Fatalf("k=%d, held=%v: %d records freed before a pass for the next epoch completed", k, held, s.Freed)
+			}
+			retirer.EnterQstate()
+			continue
+		}
+		if s.Limbo != 0 || s.Freed != int64(k) {
+			t.Fatalf("k=%d, held=%v, %T: the first completed pass one advance on left stats %+v", k, held, r, s)
+		}
+		retirer.EnterQstate()
+		return
+	}
+}
+
 // LimboEmptiesAfterThreeEpochs is the bound a rotation that frees whole bags
 // gives: whatever the size of the tail, nothing a thread retired is
 // left in limbo once the epoch has advanced three times since its retiring
