@@ -35,10 +35,10 @@ test:
 	$(GO) test -count=5 ./internal/reclaim/... ./internal/pool ./internal/blockbag
 	$(GO) test -count=5 ./internal/ds/hashmap
 
-## race: test suite under the race detector (short mode, as in CI), then the epoch machine, the schemes, their shared suite and core (the quiescent-retire race) three times over
+## race: test suite under the race detector (short mode, as in CI), then the epoch machine, the schemes, their shared suite, core (the quiescent-retire race) and the pool and bags every scheme frees through three times over
 race:
 	$(GO) test -race -short ./...
-	$(GO) test -race -count=3 ./internal/reclaim/... ./internal/reclaimtest ./internal/core
+	$(GO) test -race -count=3 ./internal/reclaim/... ./internal/reclaimtest ./internal/core ./internal/pool ./internal/blockbag
 
 ## stress-bst: the BST's concurrent and poison-sink stress tests under -race
 stress-bst:

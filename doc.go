@@ -9,9 +9,9 @@
 // Where to read on:
 //
 //   - docs/ARCHITECTURE.md — the layer map, the epoch schemes, the life of a
-//     request, the two contracts every layer relies on (a retire takes its
-//     own pin, quiescent release), the hot-path cost model and the static
-//     analyzers that enforce the contracts.
+//     request, the two contracts every layer relies on (a retire is tagged
+//     after the unlink, quiescent release), the hot-path cost model and
+//     the static analyzers that enforce the contracts.
 //   - docs/PROTOCOL.md — the KV service's wire protocol.
 //   - docs/OPERATIONS.md — running cmd/kvserver and cmd/kvload, choosing a
 //     scheme, fault tolerance.

@@ -115,6 +115,15 @@ func (p *BlockPool[T]) Put(b *Block[T]) {
 	}
 }
 
+// PutChain returns every block of a detached chain to the pool, as Put does.
+func (p *BlockPool[T]) PutChain(chain *Block[T]) {
+	for chain != nil {
+		next := chain.next
+		p.Put(chain)
+		chain = next
+	}
+}
+
 // Allocated returns the number of blocks this pool ever allocated.
 func (p *BlockPool[T]) Allocated() int64 { return p.allocated }
 

@@ -22,8 +22,7 @@ import "repro/internal/blockbag"
 // It carries what is global to the scheme — its identity, its qualitative
 // properties, its counters and its slot occupancy — and hands out the
 // per-slot ReclaimerHandle through which every per-thread operation is
-// issued. All six schemes and the fault plane's wrapper implement all of it;
-// only LimboDrainer is optional.
+// issued. All six schemes and the fault plane's wrapper implement all of it.
 type Reclaimer[T any] interface {
 	// Name returns a short identifier such as "debra", "debra+", "hp".
 	Name() string
@@ -44,6 +43,17 @@ type Reclaimer[T any] interface {
 	// Record Manager attaches its slot registry and the scans skip vacant
 	// slots.
 	Occupancy() *Occupancy
+
+	// DrainLimbo frees every record still parked in the scheme's limbo
+	// structures and returns the number freed; tid is the dense id charged
+	// for the sink hand-off. It is only safe once every participant has
+	// quiesced for good — the caller must guarantee that no thread holds
+	// references to retired records and that no further operations begin
+	// (the schemes verify the announced quiescence of every thread and panic
+	// loudly when the precondition is violated, but they cannot see
+	// references). Records that are still individually protected (hazard
+	// pointers, DEBRA+ recovery protections) are skipped, not freed.
+	DrainLimbo(tid int) int64
 }
 
 // ReclaimerHandle is one thread slot's view of a Reclaimer and the complete
@@ -111,71 +121,22 @@ type ReclaimerHandle[T any] interface {
 	Checkpoint()
 }
 
-// LimboDrainer is the quiescent-shutdown extension of the Reclaimer
-// contract: DrainLimbo frees every record still parked in the scheme's limbo
-// structures, returning the number freed. It is only safe once every
-// participant has quiesced for good — the caller must guarantee that no
-// thread holds references to retired records and that no further operations
-// begin (the schemes verify the announced quiescence of every thread and
-// panic loudly when the precondition is violated, but they cannot see
-// references). Records that are still individually protected (hazard
-// pointers, DEBRA+ recovery protections) are skipped, not freed.
-type LimboDrainer interface {
-	// DrainLimbo frees the drainable limbo of every thread; tid is the
-	// dense id charged for the sink hand-off.
-	DrainLimbo(tid int) int64
-}
-
-// FreeChain hands every record of a detached block chain to sink — whole
-// blocks when blockSink is non-nil (ownership of the blocks transfers with
-// them), record-at-a-time otherwise, recycling the emptied blocks into pool
-// when one is supplied. Returns the number of records freed. The chain's
-// first block may be partial, as Bag.DetachAll returns a whole limbo bag;
-// every later block is full. This is the shared chain-freeing idiom of the
-// schemes' rotation and drain paths.
-func FreeChain[T any](sink FreeSink[T], blockSink BlockFreeSink[T], pool *blockbag.BlockPool[T], tid int, chain *blockbag.Block[T]) int64 {
-	if chain == nil {
-		return 0
-	}
-	n := int64(blockbag.ChainLen(chain))
-	if blockSink != nil {
-		blockSink.FreeBlocks(tid, chain)
-		return n
-	}
-	for blk := chain; blk != nil; {
-		next := blk.Next()
-		for i := 0; i < blk.Len(); i++ {
-			sink.Free(tid, blk.Record(i))
-		}
-		if pool != nil {
-			pool.Put(blk)
-		}
-		blk = next
-	}
-	return n
-}
-
 // FreeSink receives records that a Reclaimer has determined are safe to
-// free. An object Pool is the usual sink (records get reused); experiment 1
-// of the paper uses a counting sink that discards records to measure
-// reclamation overhead in isolation.
+// free, always as a detached block chain: a scheme moves a limbo bag's
+// contents to the sink whole, without touching individual records. An object
+// Pool is the usual sink (records get reused); experiment 1 of the paper uses
+// a counting sink that discards records to measure reclamation overhead in
+// isolation.
 type FreeSink[T any] interface {
-	// Free hands a single reclaimed record to the sink.
-	Free(tid int, rec *T)
-}
-
-// BlockFreeSink is an optional optimisation interface: sinks that store
-// records in block bags can accept whole detached blocks in O(1), which is
-// how DEBRA moves the contents of a limbo bag to the pool without touching
-// individual records. A rotation frees whole every bag tagged two or more
-// epochs before the one the thread announces, so a chain may lead with a
-// bag's partial head block; a scheme never hands a BlockFreeSink single
-// records.
-type BlockFreeSink[T any] interface {
-	FreeSink[T]
-	// FreeBlocks accepts a detached block chain whose first block may be
-	// partial (or even empty) and whose every other block is full.
+	// FreeBlocks takes ownership of a detached block chain whose first block
+	// may be partial (or even empty) and whose every other block is full, as
+	// Bag.DetachAll returns a whole limbo bag.
 	FreeBlocks(tid int, chain *blockbag.Block[T])
+	// BlockPool returns the block pool the sink empties tid's freed blocks
+	// into. Thread tid's limbo bags draw from it, so blocks circulate
+	// between limbo and sink without being reallocated; only the owner of
+	// tid may use it.
+	BlockPool(tid int) *blockbag.BlockPool[T]
 }
 
 // Allocator is the component that ultimately creates and destroys records.
@@ -195,23 +156,17 @@ type Allocator[T any] interface {
 // pool decides when to fall back to (or unload records onto) the Allocator.
 type Pool[T any] interface {
 	FreeSink[T]
-	// Allocate returns a record for thread tid, reusing a pooled record
-	// when one is available and calling the Allocator otherwise.
-	Allocate(tid int) *T
+	// Handle returns thread tid's fast-path view (owned by tid).
+	Handle(tid int) PoolHandle[T]
+	// DrainThread moves thread tid's privately cached records to the pool's
+	// shared structures (whole blocks; a sub-block tail may remain private),
+	// so records freed by a departed goroutine are reusable by every other
+	// thread instead of stranded until the slot is reacquired. It is called
+	// by the slot's (former) owner, from a quiescent context, as part of
+	// ReleaseHandle.
+	DrainThread(tid int)
 	// Stats returns pool counters.
 	Stats() PoolStats
-}
-
-// ThreadDrainer is the slot-release extension of the Pool contract: pools
-// that keep per-thread private bags can hand a released slot's cached
-// records back to their shared structures, so records freed by a departed
-// goroutine are reusable by every other thread instead of stranded until
-// the slot is reacquired. DrainThread is called by the slot's (former)
-// owner, from a quiescent context, as part of ReleaseHandle.
-type ThreadDrainer interface {
-	// DrainThread moves thread tid's privately cached records to the pool's
-	// shared structures (whole blocks; a sub-block tail may remain private).
-	DrainThread(tid int)
 }
 
 // Stats is a snapshot of a Reclaimer's counters. All values are cumulative

@@ -110,7 +110,7 @@ func TestNewRecordManagerValidation(t *testing.T) {
 func TestRenderFigureTwo(t *testing.T) {
 	props := []core.Properties{
 		none.New[node](1).Props(),
-		debra.New[node](1, pool.NewDiscard[node]()).Props(),
+		debra.New[node](1, pool.NewDiscard[node](1)).Props(),
 	}
 	props = append(props, core.ReferenceProperties()...)
 	out := core.RenderFigureTwo(props)

@@ -18,21 +18,6 @@ type PoolHandle[T any] interface {
 	Free(rec *T)
 }
 
-// HandledPool is implemented by pools that provide per-thread handles.
-type HandledPool[T any] interface {
-	// Handle returns thread tid's fast-path view (owned by tid).
-	Handle(tid int) PoolHandle[T]
-}
-
-// genericPoolHandle adapts any Pool to PoolHandle.
-type genericPoolHandle[T any] struct {
-	pool Pool[T]
-	tid  int
-}
-
-func (g *genericPoolHandle[T]) Allocate() *T { return g.pool.Allocate(g.tid) }
-func (g *genericPoolHandle[T]) Free(rec *T)  { g.pool.Free(g.tid, rec) }
-
 // ThreadHandle is one worker slot's pre-resolved view of a RecordManager and
 // the only way to issue a per-thread operation on it. Obtain one with
 // RecordManager.AcquireHandle for the goroutine's working lifetime — not per
@@ -60,11 +45,7 @@ func (m *RecordManager[T]) newHandle(tid int) ThreadHandle[T] {
 		crashRecovery: m.crashRecovery,
 	}
 	if m.pool != nil {
-		if hp, ok := m.pool.(HandledPool[T]); ok {
-			h.pool = hp.Handle(tid)
-		} else {
-			h.pool = &genericPoolHandle[T]{pool: m.pool, tid: tid}
-		}
+		h.pool = m.pool.Handle(tid)
 	}
 	return h
 }
@@ -115,8 +96,8 @@ func (m *RecordManager[T]) ReleaseHandle(h *ThreadHandle[T]) {
 	if !h.fast.IsQuiescent() {
 		panic("core: ReleaseHandle from a non-quiescent slot; call EnterQstate (and release protections) first")
 	}
-	if d, ok := m.pool.(ThreadDrainer); ok {
-		d.DrainThread(h.tid)
+	if m.pool != nil {
+		m.pool.DrainThread(h.tid)
 	}
 	m.reg.Release(h.tid)
 }

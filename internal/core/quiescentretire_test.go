@@ -79,8 +79,8 @@ func TestPinRetireMakesQuiescentRetireSafe(t *testing.T) {
 				}
 			}
 			// DEBRA+ amortises its scan over large bags; force the tail out.
-			if d, ok := r.(core.LimboDrainer); ok && r.Stats().Freed < r.Stats().Retired {
-				d.DrainLimbo(0)
+			if r.Stats().Freed < r.Stats().Retired {
+				r.DrainLimbo(0)
 			}
 			s := r.Stats()
 			if s.Freed != s.Retired {

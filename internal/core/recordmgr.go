@@ -88,16 +88,14 @@ func (m *RecordManager[T]) Pool() Pool[T] { return m.pool }
 func (m *RecordManager[T]) Reclaimer() Reclaimer[T] { return m.reclaimer }
 
 // Close shuts the Record Manager's reclamation pipeline down
-// deterministically: the scheme's remaining limbo is force-freed when it
-// supports quiescent draining (LimboDrainer) — after which Retired == Freed
-// for every reclaiming scheme. Contract: every worker has quiesced
+// deterministically: the scheme's remaining limbo is force-freed
+// (Reclaimer.DrainLimbo) — after which Retired == Freed for every reclaiming
+// scheme. Contract: every worker has quiesced
 // (EnterQstate) and performs no further operations; the caller has joined
 // the worker goroutines (that join is the happens-before edge under which
 // Close may touch their single-owner limbo bags). Close is idempotent.
 func (m *RecordManager[T]) Close() {
-	if d, ok := m.reclaimer.(LimboDrainer); ok {
-		d.DrainLimbo(0)
-	}
+	m.reclaimer.DrainLimbo(0)
 }
 
 // NeedsPerRecordProtection reports whether the reclaimer requires Protect to

@@ -94,7 +94,6 @@ func (t *Tree[V]) insertBody(hd Handle[V], key int64, value V,
 	}
 	if res.l.key == key {
 		rm.EnterQstate()
-		t.releaseAllProtection(hd, res)
 		return attemptKeyPresent, nil
 	}
 	if wordState(res.pupdate) != stateClean {
@@ -105,7 +104,6 @@ func (t *Tree[V]) insertBody(hd Handle[V], key int64, value V,
 			t.help(hd, res.pupdate)
 		}
 		rm.EnterQstate()
-		t.releaseAllProtection(hd, res)
 		return attemptRetry, nil
 	}
 
@@ -136,7 +134,6 @@ func (t *Tree[V]) insertBody(hd Handle[V], key int64, value V,
 	if t.crashRecovery {
 		rm.RUnprotectAll()
 	}
-	t.releaseAllProtection(hd, res)
 	if ok {
 		return attemptSucceeded, res.l
 	}
@@ -240,7 +237,6 @@ func (t *Tree[V]) deleteBody(hd Handle[V], key int64) (outcome attemptOutcome, r
 	}
 	if res.l.key != key {
 		rm.EnterQstate()
-		t.releaseAllProtection(hd, res)
 		return attemptKeyAbsent, nil, nil
 	}
 	for _, w := range [2]uint64{res.gpupdate, res.pupdate} {
@@ -249,7 +245,6 @@ func (t *Tree[V]) deleteBody(hd Handle[V], key int64) (outcome attemptOutcome, r
 				t.help(hd, w)
 			}
 			rm.EnterQstate()
-			t.releaseAllProtection(hd, res)
 			return attemptRetry, nil, nil
 		}
 	}
@@ -268,7 +263,6 @@ func (t *Tree[V]) deleteBody(hd Handle[V], key int64) (outcome attemptOutcome, r
 	if t.crashRecovery {
 		rm.RUnprotectAll()
 	}
-	t.releaseAllProtection(hd, res)
 	if result == outcomeSucceeded {
 		// res.p and res.l were captured by the search while protected.
 		return attemptSucceeded, res.p, res.l

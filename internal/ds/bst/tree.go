@@ -209,7 +209,9 @@ func child[V any](p *Record[V], key int64) *Record[V] {
 // leaf, its parent and grandparent together with the update words read at
 // the parent and grandparent (the standard Ellen et al. search). Under
 // per-record protection schemes it maintains hazard pointers on gp, p and l,
-// validating each step and reporting ok=false when the caller must restart.
+// validating each step and reporting ok=false when the caller must restart;
+// it returns with its hazard pointers held either way, and the caller's
+// EnterQstate drops them all.
 // The update words need no protection: they are values, and a word never
 // recurs, so a stale one fails any CAS that expects it.
 func (t *Tree[V]) search(hd Handle[V], key int64) searchResult[V] {
@@ -239,20 +241,16 @@ func (t *Tree[V]) search(hd Handle[V], key int64) searchResult[V] {
 			// be. Can only happen if protection failed (the hazard-pointer
 			// window described at the p.update re-check below); restart.
 			res.ok = false
-			t.releaseSearchProtection(hd, gp, p, nil)
 			return res
 		}
 		if t.perRecord {
 			if !rm.Protect(l) {
 				res.ok = false
-				t.releaseSearchProtection(hd, gp, p, nil)
 				return res
 			}
 			if child(p, key) != l {
 				// p's child changed under us: l may already be retired.
-				rm.Unprotect(l)
 				res.ok = false
-				t.releaseSearchProtection(hd, gp, p, nil)
 				return res
 			}
 			if p.update.Load() != pupdate {
@@ -267,9 +265,7 @@ func (t *Tree[V]) search(hd Handle[V], key int64) searchResult[V] {
 				// residual window — stepping through a node that was already
 				// marked when pupdate was read — remains, as the paper
 				// concedes for hazard pointers on this tree.)
-				rm.Unprotect(l)
 				res.ok = false
-				t.releaseSearchProtection(hd, gp, p, nil)
 				return res
 			}
 		}
@@ -279,29 +275,6 @@ func (t *Tree[V]) search(hd Handle[V], key int64) searchResult[V] {
 	res.pupdate, res.gpupdate = pupdate, gpupdate
 	res.ok = true
 	return res
-}
-
-// releaseSearchProtection drops the sliding hazard pointers held by search.
-func (t *Tree[V]) releaseSearchProtection(hd Handle[V], gp, p, l *Record[V]) {
-	if !t.perRecord {
-		return
-	}
-	rm := hd.rm
-	if gp != nil {
-		rm.Unprotect(gp)
-	}
-	if p != nil {
-		rm.Unprotect(p)
-	}
-	if l != nil {
-		rm.Unprotect(l)
-	}
-}
-
-// releaseAllProtection drops every protection the operation still holds
-// (cheap: only per-record schemes track any).
-func (t *Tree[V]) releaseAllProtection(hd Handle[V], res searchResult[V]) {
-	t.releaseSearchProtection(hd, res.gp, res.p, res.l)
 }
 
 // Get returns the value associated with key and whether it is present.
@@ -349,7 +322,6 @@ func (t *Tree[V]) getAttempt(hd Handle[V], key int64) (val V, found, done bool) 
 		val = res.l.value
 	}
 	rm.EnterQstate()
-	t.releaseAllProtection(hd, res)
 	return val, found, true
 }
 

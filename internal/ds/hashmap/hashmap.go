@@ -689,7 +689,9 @@ func (h *Map[V]) releasePos(hd *Handle[V], pos findPos[V]) {
 // On ok=true the returned position holds: predRec protected (when non-nil),
 // curr protected (when non-nil), and found reporting whether the position is
 // (sokey, rank) — curr, or for a head's position the head after pred. The
-// caller must eventually releasePos.
+// caller releases them with releasePos to go on inside its operation, or
+// leaves them to EnterQstate, which drops every hazard pointer the thread
+// holds.
 func (h *Map[V]) find(hd *Handle[V], start *atomic.Uint64, sokey uint64, rank int) (findPos[V], bool) {
 	rm := hd.rm
 	pos := findPos[V]{pred: start}
@@ -815,7 +817,6 @@ func (h *Map[V]) insertBody(hd *Handle[V], hash uint64, value V, node *Node[V]) 
 	}
 	if pos.found {
 		rm.EnterQstate()
-		h.releasePos(hd, pos)
 		return opFalse
 	}
 	initRegular(node, value, sokey, pos.link&^headState)
@@ -823,11 +824,9 @@ func (h *Map[V]) insertBody(hd *Handle[V], hash uint64, value V, node *Node[V]) 
 		h.count.Add(1)
 		h.maybeGrow(hd)
 		rm.EnterQstate()
-		h.releasePos(hd, pos)
 		return opTrue
 	}
 	rm.EnterQstate()
-	h.releasePos(hd, pos)
 	return opRetry
 }
 
@@ -891,7 +890,6 @@ func (h *Map[V]) deleteBody(hd *Handle[V], hash uint64) (outcome int, unlinked *
 	}
 	if !pos.found {
 		rm.EnterQstate()
-		h.releasePos(hd, pos)
 		return opFalse, nil
 	}
 	// The mark CAS expects the unmarked link find read, so it fails if n
@@ -908,7 +906,6 @@ func (h *Map[V]) deleteBody(hd *Handle[V], hash uint64) (outcome int, unlinked *
 		}
 	}
 	rm.EnterQstate()
-	h.releasePos(hd, pos)
 	return outcome, unlinked
 }
 
@@ -1013,7 +1010,6 @@ func (h *Map[V]) upsertBody(hd *Handle[V], hash uint64, value V, node *Node[V]) 
 		}
 	}
 	rm.EnterQstate()
-	h.releasePos(hd, pos)
 	return outcome, prevVal, unlinked
 }
 
@@ -1096,7 +1092,6 @@ func (h *Map[V]) findBody(hd *Handle[V], hash uint64, fn func(V)) (val V, found,
 		}
 	}
 	rm.EnterQstate()
-	h.releasePos(hd, pos)
 	return val, found, true
 }
 

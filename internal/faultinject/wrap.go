@@ -27,16 +27,6 @@ func (w *Reclaimer[T]) Handle(slot int) core.ReclaimerHandle[T] {
 	return &handle[T]{ReclaimerHandle: w.Reclaimer.Handle(slot), plan: w.plan, tid: slot}
 }
 
-// DrainLimbo implements core.LimboDrainer: it forwards when the wrapped
-// scheme has limbo to drain at shutdown (every scheme but the leaking
-// baseline) and reports nothing drainable otherwise.
-func (w *Reclaimer[T]) DrainLimbo(tid int) int64 {
-	if d, ok := w.Reclaimer.(core.LimboDrainer); ok {
-		return d.DrainLimbo(tid)
-	}
-	return 0
-}
-
 // handle is the injecting ReclaimerHandle: the scheme's per-slot handle
 // (embedded, so everything the plan does not touch forwards as is) with hook
 // crossings at the boundaries the plan knows. Neutralization delivery

@@ -20,8 +20,7 @@ import (
 // may hold before overflow blocks are pushed to the shared bag.
 const DefaultMaxPrivateBlocks = 8
 
-// Pool is the standard Record Manager pool. It implements core.Pool,
-// core.FreeSink, core.BlockFreeSink and core.HandledPool.
+// Pool is the standard Record Manager pool (core.Pool).
 type Pool[T any] struct {
 	alloc  core.Allocator[T]
 	shared blockbag.SharedStack[T]
@@ -126,12 +125,12 @@ func New[T any](n int, alloc core.Allocator[T], opts ...Option) *Pool[T] {
 	return p
 }
 
-// Handle implements core.HandledPool: thread tid's fast-path view.
+// Handle implements core.Pool: thread tid's fast-path view.
 func (p *Pool[T]) Handle(tid int) core.PoolHandle[T] { return &p.handles[tid] }
 
-// BlockPool exposes thread tid's block pool so that reclaimers owned by the
-// same thread can share it (blocks then circulate between limbo bags and the
-// pool bag without ever being reallocated).
+// BlockPool implements core.FreeSink: thread tid's block pool, which the
+// reclaimer's bags owned by the same thread share (blocks then circulate
+// between limbo bags and the pool bag without ever being reallocated).
 func (p *Pool[T]) BlockPool(tid int) *blockbag.BlockPool[T] { return p.threads[tid].blockPool }
 
 // Allocate returns a record for thread tid: private pool bag first, then the
@@ -143,7 +142,7 @@ func (p *Pool[T]) Allocate(tid int) *T { return p.handles[tid].Allocate() }
 // its bound.
 func (p *Pool[T]) Free(tid int, rec *T) { p.handles[tid].Free(rec) }
 
-// FreeBlocks accepts a detached block chain (core.BlockFreeSink). Full
+// FreeBlocks implements core.FreeSink: it accepts a detached block chain. Full
 // blocks are spliced into thread tid's private bag whole; a partial first
 // block is merged in with at most BlockSize-1 record moves, and a block it
 // leaves empty goes to the thread's block pool. Spill runs once, after.
@@ -165,7 +164,7 @@ func (p *Pool[T]) FreeBlocks(tid int, chain *blockbag.Block[T]) {
 	p.spill(tid)
 }
 
-// DrainThread implements core.ThreadDrainer: move every full block of thread
+// DrainThread implements core.Pool: move every full block of thread
 // tid's private pool bag onto the shared bag, so records cached by a
 // goroutine releasing its thread slot stay reusable by every other thread.
 // A sub-block tail (at most BlockSize-1 records) remains private for the
@@ -219,29 +218,40 @@ func (p *Pool[T]) SharedBlocks() int64 { return p.shared.Blocks() }
 // Discard is a free sink that drops records, merely counting them. It is the
 // configuration of the paper's Experiment 1: the data structure pays the
 // cost of reclamation but does not enjoy its benefits (no reuse, growing
-// footprint).
+// footprint). The emptied blocks go back to the block pool it lends their
+// thread, so freeing allocates nothing.
 type Discard[T any] struct {
 	// dropped is genuinely multi-writer (any tid frees into the one cell),
 	// so it stays an atomic RMW — Discard is a measurement sink, not a
 	// per-thread hot-path component.
 	dropped atomic.Int64
+	blocks  []*blockbag.BlockPool[T]
 }
 
-// NewDiscard creates a discarding sink.
-func NewDiscard[T any]() *Discard[T] { return &Discard[T]{} }
+// NewDiscard creates a discarding sink for n threads.
+func NewDiscard[T any](n int) *Discard[T] {
+	d := &Discard[T]{blocks: make([]*blockbag.BlockPool[T], n)}
+	for i := range d.blocks {
+		d.blocks[i] = blockbag.NewBlockPool[T](blockbag.DefaultBlockPoolCap)
+	}
+	return d
+}
 
-// Free drops rec.
-func (d *Discard[T]) Free(tid int, rec *T) { d.dropped.Add(1) }
+// FreeBlocks implements core.FreeSink: count the chain's records and keep
+// its blocks.
+func (d *Discard[T]) FreeBlocks(tid int, chain *blockbag.Block[T]) {
+	d.dropped.Add(int64(blockbag.ChainLen(chain)))
+	d.blocks[tid].PutChain(chain)
+}
+
+// BlockPool implements core.FreeSink.
+func (d *Discard[T]) BlockPool(tid int) *blockbag.BlockPool[T] { return d.blocks[tid] }
 
 // Freed returns the number of records dropped.
 func (d *Discard[T]) Freed() int64 { return d.dropped.Load() }
 
 // Compile-time interface checks.
 var (
-	_ core.Pool[int]          = (*Pool[int])(nil)
-	_ core.FreeSink[int]      = (*Pool[int])(nil)
-	_ core.BlockFreeSink[int] = (*Pool[int])(nil)
-	_ core.FreeSink[int]      = (*Discard[int])(nil)
-	_ core.HandledPool[int]   = (*Pool[int])(nil)
-	_ core.ThreadDrainer      = (*Pool[int])(nil)
+	_ core.Pool[int]     = (*Pool[int])(nil)
+	_ core.FreeSink[int] = (*Discard[int])(nil)
 )

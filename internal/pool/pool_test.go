@@ -195,12 +195,24 @@ func TestPoolConcurrentFreeAllocate(t *testing.T) {
 }
 
 func TestDiscardCountsOnly(t *testing.T) {
-	d := NewDiscard[rec]()
-	for i := 0; i < 10; i++ {
-		d.Free(0, &rec{id: i})
+	d := NewDiscard[rec](1)
+	bp := d.BlockPool(0)
+	bag := blockbag.New(bp)
+	for i := 0; i < blockbag.BlockSize+10; i++ {
+		bag.Add(&rec{id: i})
 	}
-	if d.Freed() != 10 {
-		t.Fatalf("Freed=%d want 10", d.Freed())
+	chain := bag.DetachAll()
+	allocated := bp.Allocated()
+	d.FreeBlocks(0, chain)
+	if d.Freed() != blockbag.BlockSize+10 {
+		t.Fatalf("Freed=%d want %d", d.Freed(), blockbag.BlockSize+10)
+	}
+	// The chain's two blocks went back to the lent pool: the next two Gets
+	// reuse them.
+	bp.Get()
+	bp.Get()
+	if bp.Allocated() != allocated {
+		t.Fatalf("Discard kept %d of the chain's blocks", 2-(bp.Allocated()-allocated))
 	}
 }
 

@@ -46,7 +46,7 @@ type Handle[T any] struct {
 }
 
 // New creates a DEBRA reclaimer for n threads. Reclaimed records are given
-// to sink, a whole limbo bag at a time when it implements core.BlockFreeSink.
+// to sink a whole limbo bag at a time.
 func New[T any](n int, sink core.FreeSink[T], opts ...epoch.Option) *Reclaimer[T] {
 	r := &Reclaimer[T]{Bags: epoch.NewBags("debra", n, sink, opts), slots: make([]slot[T], n)}
 	for i := range r.slots {
@@ -102,7 +102,4 @@ func (h *Handle[T]) LeaveQstate() bool {
 	return fresh
 }
 
-var (
-	_ core.Reclaimer[int] = (*Reclaimer[int])(nil)
-	_ core.LimboDrainer   = (*Reclaimer[int])(nil)
-)
+var _ core.Reclaimer[int] = (*Reclaimer[int])(nil)

@@ -204,12 +204,11 @@ func TestIncrThreshDelaysAdvance(t *testing.T) {
 	}
 }
 
-// TestBlockSinkReceivesWholeBlocks verifies the O(1) block transfer path:
-// when the sink supports blocks, a bag filled within one epoch arrives as its
-// full blocks plus one partial block, in one chain, and never as single
-// records.
+// TestBlockSinkReceivesWholeBlocks verifies the O(1) block transfer path: a
+// bag filled within one epoch arrives at the sink as its full blocks plus one
+// partial block, in one chain.
 func TestBlockSinkReceivesWholeBlocks(t *testing.T) {
-	sink := &reclaimtest.BlockSink{}
+	sink := reclaimtest.NewRecordingSink()
 	r := debra.New[reclaimtest.Record](1, sink, fast()...)
 	n := 3*blockbag.BlockSize + 10
 	h := r.Handle(0)
@@ -222,8 +221,8 @@ func TestBlockSinkReceivesWholeBlocks(t *testing.T) {
 		h.LeaveQstate()
 		h.EnterQstate()
 	}
-	if sink.Freed() != n || sink.Chains != 1 || sink.Full != 3 || sink.Partial != 1 || sink.Singles != 0 {
-		t.Fatalf("%d records arrived as %d full and %d partial blocks in %d chains and %d single records",
-			sink.Freed(), sink.Full, sink.Partial, sink.Chains, sink.Singles)
+	if chains, full, partial := sink.Chains(); sink.Freed() != int64(n) || chains != 1 || full != 3 || partial != 1 {
+		t.Fatalf("%d records arrived as %d full and %d partial blocks in %d chains",
+			sink.Freed(), full, partial, chains)
 	}
 }

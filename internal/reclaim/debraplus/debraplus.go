@@ -135,7 +135,7 @@ type handle[T any] struct {
 }
 
 // New creates a DEBRA+ reclaimer for n threads. Reclaimed records are handed
-// to sink (whole blocks when it implements core.BlockFreeSink).
+// to sink in block chains.
 func New[T any](n int, sink core.FreeSink[T], opts ...epoch.Option) *Reclaimer[T] {
 	r := &Reclaimer[T]{Bags: epoch.NewBags("debra+", n, sink, opts), handles: make([]handle[T], n)}
 	cfg := *settings(&r.Config)
@@ -339,7 +339,4 @@ func (r *Reclaimer[T]) TableSweeps() int64 {
 	return n
 }
 
-var (
-	_ core.Reclaimer[int] = (*Reclaimer[int])(nil)
-	_ core.LimboDrainer   = (*Reclaimer[int])(nil)
-)
+var _ core.Reclaimer[int] = (*Reclaimer[int])(nil)

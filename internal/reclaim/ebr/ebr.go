@@ -38,7 +38,7 @@ type Reclaimer[T any] struct {
 type handle[T any] struct {
 	epoch.Thread[T]
 	r      *Reclaimer[T]
-	blocks *blockbag.BlockPool[T] // the slot's own; the shared bags borrow from it
+	blocks *blockbag.BlockPool[T] // lent by the sink; the shared bags borrow from it
 	_      [core.PadBytes]byte
 }
 
@@ -101,15 +101,13 @@ func (h *handle[T]) reclaim(idx int) {
 	r.mu.Lock()
 	chain := h.bag(idx).DetachAll()
 	r.mu.Unlock()
-	if chain != nil {
-		h.Free(chain, h.blocks)
-	}
+	h.Free(chain)
 }
 
 // bag returns shared bag idx drawing its blocks from h's pool, which only
 // h's owner uses; the caller holds r.mu. So a bag's blocks come from the
-// pools of the slots that retire into it, and when the sink lends its block
-// pools (epoch.Domain.BlockPool), from the pool they are emptied into.
+// block pools the sink lends the slots that retire into it
+// (epoch.Domain.BlockPool), which the sink empties freed blocks into.
 func (h *handle[T]) bag(idx int) *blockbag.Bag[T] {
 	b := h.r.limbo[idx]
 	b.UsePool(h.blocks)
@@ -129,7 +127,7 @@ func (h *handle[T]) Retire(rec *T) {
 	h.EndRetire(a)
 }
 
-// DrainLimbo implements core.LimboDrainer: free every record in the bags.
+// DrainLimbo implements core.Reclaimer: free every record in the bags.
 // Only safe once every thread has quiesced for good — no Retire can then be
 // running, so the bags are the caller's — and tid is charged for the frees.
 func (r *Reclaimer[T]) DrainLimbo(tid int) int64 {
@@ -137,12 +135,9 @@ func (r *Reclaimer[T]) DrainLimbo(tid int) int64 {
 	h := &r.handles[tid]
 	var n int64
 	for j := range r.limbo {
-		n += h.Free(h.bag(j).DetachAll(), h.blocks)
+		n += h.Free(h.bag(j).DetachAll())
 	}
 	return n
 }
 
-var (
-	_ core.Reclaimer[int] = (*Reclaimer[int])(nil)
-	_ core.LimboDrainer   = (*Reclaimer[int])(nil)
-)
+var _ core.Reclaimer[int] = (*Reclaimer[int])(nil)

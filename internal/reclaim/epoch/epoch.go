@@ -79,9 +79,8 @@ type Domain[T any] struct {
 	// Config is the normalised configuration the domain was built with.
 	Config Config
 
-	name      string
-	sink      core.FreeSink[T]
-	blockSink core.BlockFreeSink[T] // sink when it takes whole blocks, else nil
+	name string
+	sink core.FreeSink[T]
 
 	epoch   atomic.Int64
 	occ     *core.Occupancy
@@ -111,7 +110,6 @@ func New[T any](name string, n int, sink core.FreeSink[T], opts []Option) *Domai
 		slots:   make([]word, n),
 		threads: make([]*Thread[T], n),
 	}
-	d.blockSink, _ = sink.(core.BlockFreeSink[T])
 	d.epoch.Store(Inc)
 	for i := range d.slots {
 		// Quiescent, at an epoch that never was: the first announcement
@@ -208,15 +206,16 @@ func (t *Thread[T]) EnterQstate() { t.ann.Store(t.ann.Load() | quiescentBit) }
 func (t *Thread[T]) IsQuiescent() bool { return t.ann.Load()&quiescentBit != 0 }
 
 // BeginRetire is the first half of every Retire: it panics when rec is nil,
-// and pins a quiescent thread for the retire. A retire files rec under the
-// epoch it loads, and only the thread's own non-quiescent announcement bounds
-// how far the epoch can move before rec lands; without it the retire could
-// race the reclamation of the very bag it appends to. So a quiescent thread
-// clears its quiescent bit and keeps the epoch it announced, with none of an
-// operation's verification or rotation: a possibly stale announcement with
-// the bit clear reads as a thread in the middle of an operation, and the
-// epoch moves at most once while the pin stands. BeginRetire returns what
-// EndRetire restores: the quiescent announcement, or 0 inside an operation.
+// and pins a quiescent thread for the retire. The pin clears the quiescent
+// bit and keeps the epoch the thread announced, with none of an operation's
+// verification or rotation; BeginRetire returns what EndRetire restores: the
+// quiescent announcement, or 0 inside an operation. Safety does not rest on
+// the pin. A retire files rec under an epoch it loads after rec was unlinked,
+// and a bag goes to the sink only once some pass has verified an epoch after
+// its tag, which no thread that can still reach rec passes (Limbo); the
+// retirer's own announcement bounds none of that. The pin stays until the
+// reclamation monitor (ROADMAP.md), which checks every free against the rule
+// that allowed it, shows whether anything relies on it.
 func (t *Thread[T]) BeginRetire(rec *T) int64 {
 	if rec == nil {
 		panic(t.d.name + ": Retire(nil)")
@@ -238,19 +237,16 @@ func (t *Thread[T]) EndRetire(a int64) {
 	}
 }
 
-// Free hands a detached block chain (core.FreeChain) to the sink and returns
-// the number of records in it; the emptied blocks go to pool when the sink
-// takes records one at a time.
-func (t *Thread[T]) Free(chain *blockbag.Block[T], pool *blockbag.BlockPool[T]) int64 {
-	n := core.FreeChain(t.d.sink, t.d.blockSink, pool, t.Tid, chain)
+// Free hands a detached block chain to the sink and returns the number of
+// records in it.
+func (t *Thread[T]) Free(chain *blockbag.Block[T]) int64 {
+	if chain == nil {
+		return 0
+	}
+	n := int64(blockbag.ChainLen(chain))
+	t.d.sink.FreeBlocks(t.Tid, chain)
 	t.freed.Add(n)
 	return n
-}
-
-// FreeRecord hands one record to the sink.
-func (t *Thread[T]) FreeRecord(rec *T) {
-	t.d.sink.Free(t.Tid, rec)
-	t.freed.Inc()
 }
 
 // PassLen is the position at which a verification pass is complete: the

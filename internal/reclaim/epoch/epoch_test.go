@@ -311,20 +311,22 @@ func TestSweepHookChoosesWhatRotationFrees(t *testing.T) {
 }
 
 func TestBlockPoolBorrowing(t *testing.T) {
-	// A sink that keeps whole blocks and lends its block pools: borrowed.
+	// The limbo bags of slot i draw their blocks from the pool's block pool
+	// for i, the one the pool empties freed blocks into.
 	pl := pool.New[rec](2, arena.NewBump[rec](2, 0))
 	b := NewBags[rec]("test", 2, pl, nil)
 	ls := make([]Limbo[rec], 2)
 	for i := range ls {
+		bp := pl.BlockPool(i)
+		gets := bp.Allocated() + bp.Recycled()
 		b.BindLimbo(i, &ls[i])
-		if ls[i].blockPool != pl.BlockPool(i) {
-			t.Fatalf("limbo %d does not draw from the pool's block pool", i)
+		for j := 0; j < blockbag.BlockSize; j++ {
+			ls[i].Retire(&rec{ID: int64(j)})
 		}
-	}
-	// A sink that takes single records: a block pool of the limbo's own.
-	m := newMachine(t, 2, 0, 1)
-	if m.l[0].blockPool == nil || m.l[0].blockPool == m.l[1].blockPool {
-		t.Fatal("limbos over a plain sink must each own a block pool")
+		// Three head blocks at the bind, and one when the head fills.
+		if got := bp.Allocated() + bp.Recycled() - gets; got != 4 {
+			t.Fatalf("limbo %d took %d blocks from the pool's block pool, want 4", i, got)
+		}
 	}
 }
 

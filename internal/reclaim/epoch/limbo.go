@@ -17,63 +17,59 @@ func NewBags[T any](name string, n int, sink core.FreeSink[T], opts []Option) Ba
 	return Bags[T]{Domain: New(name, n, sink, opts), limbos: make([]*Limbo[T], n)}
 }
 
-// blockPoolLender is a sink that stores records in block bags and lends out
-// the per-thread pool its emptied blocks return to (pool.Pool). Thread tid's
-// pool is only ever used by the owner of tid.
-type blockPoolLender[T any] interface {
-	BlockPool(tid int) *blockbag.BlockPool[T]
-}
-
-// BlockPool returns the block pool slot tid's limbo bags are to draw from;
-// only the owner of tid may use it. Full blocks travel one way, from a limbo
-// bag to the sink, so when the sink keeps them and lends its block pools it
-// is the pool their blocks are emptied into; a pool of the slot's own would
-// allocate a block per BlockSize retires for as long as the thread runs while
-// the sink's overflowed and dropped as many. Otherwise it is a new pool.
-func (d *Domain[T]) BlockPool(tid int) *blockbag.BlockPool[T] {
-	if lender, ok := d.sink.(blockPoolLender[T]); ok && d.blockSink != nil {
-		return lender.BlockPool(tid)
-	}
-	return blockbag.NewBlockPool[T](blockbag.DefaultBlockPoolCap)
-}
+// BlockPool returns the block pool slot tid's bags are to draw from: the
+// one the sink empties tid's freed blocks into. Full blocks travel one way,
+// from a bag to the sink, so a pool of the slot's own would allocate a block
+// per BlockSize retires for as long as the thread runs while the sink's
+// overflowed and dropped as many. Only the owner of tid may use it.
+func (d *Domain[T]) BlockPool(tid int) *blockbag.BlockPool[T] { return d.sink.BlockPool(tid) }
 
 // BindLimbo makes l slot tid's thread and limbo, its bags drawing from
 // BlockPool(tid).
 func (b *Bags[T]) BindLimbo(tid int, l *Limbo[T]) {
 	b.Bind(tid, &l.Thread)
-	l.blockPool = b.BlockPool(tid)
+	bp := b.BlockPool(tid)
 	for i := range l.bags {
-		l.bags[i] = blockbag.New(l.blockPool)
+		l.bags[i] = blockbag.New(bp)
 	}
 	b.limbos[tid] = l
 }
 
-// DrainLimbo implements core.LimboDrainer: free what every thread's bags
-// hold, partial blocks included, except records a Held hook vouches for. Only
-// safe once every thread is quiescent for good and the caller holds a
+// DrainLimbo implements core.Reclaimer: free what every thread's bags hold,
+// partial blocks included, except records a Held hook vouches for. Only safe
+// once every thread is quiescent for good and the caller holds a
 // happens-before edge from their last operation; tid is charged for the frees.
 func (b *Bags[T]) DrainLimbo(tid int) int64 {
 	b.RequireAllQuiescent()
 	by := b.threads[tid]
 	var n int64
+	var rest *blockbag.Bag[T] // what a Sweep left behind that is not held
 	for _, l := range b.limbos {
 		for _, bag := range l.bags {
-			n += by.Free(l.freeable(bag, true), l.blockPool)
+			n += by.Free(l.freeable(bag, true))
+			if bag.Empty() {
+				continue
+			}
 			// Only a Sweep (debra+) leaves records behind: the tails it
 			// keeps and the records it holds.
+			if rest == nil {
+				rest = blockbag.New(b.BlockPool(tid))
+			}
 			var held []*T
 			bag.Drain(func(rec *T) {
 				if l.Held != nil && l.Held(rec) {
 					held = append(held, rec)
-					return
+				} else {
+					rest.Add(rec)
 				}
-				by.FreeRecord(rec)
-				n++
 			})
 			for _, rec := range held {
 				bag.Add(rec)
 			}
 		}
+	}
+	if rest != nil {
+		n += by.Free(rest.DetachAll())
 	}
 	return n
 }
@@ -134,9 +130,8 @@ type Limbo[T any] struct {
 	// rotation.
 	Late bool
 
-	bags      [3]*blockbag.Bag[T] // prev, cur, late
-	filed     int64
-	blockPool *blockbag.BlockPool[T]
+	bags  [3]*blockbag.Bag[T] // prev, cur, late
+	filed int64
 }
 
 // The bags by tag: filed-Inc, filed, and the epoch of the next rotation.
@@ -200,11 +195,7 @@ func (l *Limbo[T]) FreePrev() {
 
 // free hands what may go of bag to the sink. A lone thread observes a new
 // epoch nearly every operation: an empty bag must cost nothing.
-func (l *Limbo[T]) free(bag *blockbag.Bag[T]) {
-	if chain := l.freeable(bag, false); chain != nil {
-		l.Free(chain, l.blockPool)
-	}
-}
+func (l *Limbo[T]) free(bag *blockbag.Bag[T]) { l.Free(l.freeable(bag, false)) }
 
 // freeable detaches the blocks of bag that may be freed now: all of them,
 // partial head included, unless a Sweep chooses.

@@ -85,6 +85,7 @@ type hpSlots[T any] struct {
 
 type thread[T any] struct {
 	retireBag *blockbag.Bag[T]
+	freeBag   *blockbag.Bag[T] // what a scan frees, handed to the sink as one chain
 	scanSet   map[*T]struct{}
 	keep      []*T // scratch buffer reused across scans
 
@@ -125,7 +126,11 @@ func New[T any](n int, sink core.FreeSink[T], opts ...Option) *Reclaimer[T] {
 	}
 	for i := range r.threads {
 		t := &r.threads[i]
-		t.retireBag = blockbag.New(blockbag.NewBlockPool[T](blockbag.DefaultBlockPoolCap))
+		// Both bags draw from the block pool the sink empties the freed
+		// blocks into, so blocks circulate without being reallocated.
+		bp := sink.BlockPool(i)
+		t.retireBag = blockbag.New(bp)
+		t.freeBag = blockbag.New(bp)
 		t.scanSet = make(map[*T]struct{}, n*cfg.slots)
 		r.slots[i].ptrs = make([]atomic.Pointer[T], cfg.slots)
 	}
@@ -256,9 +261,9 @@ func (h *handle[T]) Retire(rec *T) {
 func (r *Reclaimer[T]) Occupancy() *core.Occupancy { return r.occ }
 
 // scanAndFree hashes every announced hazard pointer, frees every record in
-// the caller's retire bag that is not announced, and keeps the announced
-// ones for a later scan. This is Michael's amortised scheme: the scan costs
-// O(R + nk) for R retired records but frees Omega(R - nk) of them.
+// the caller's retire bag that is not announced, in one chain, and keeps the
+// announced ones for a later scan. This is Michael's amortised scheme: the
+// scan costs O(R + nk) for R retired records but frees Omega(R - nk) of them.
 func (r *Reclaimer[T]) scanAndFree(tid int) {
 	t := &r.threads[tid]
 	t.scans.Inc()
@@ -283,23 +288,25 @@ func (r *Reclaimer[T]) scanAndFree(tid int) {
 			}
 		}
 	}
-	freed := int64(0)
 	t.keep = t.keep[:0]
 	t.retireBag.Drain(func(rec *T) {
 		if _, ok := set[rec]; ok {
 			t.keep = append(t.keep, rec)
 			return
 		}
-		r.sink.Free(tid, rec)
-		freed++
+		t.freeBag.Add(rec)
 	})
 	for _, rec := range t.keep {
 		t.retireBag.Add(rec)
 	}
-	t.freed.Add(freed)
+	freed := t.freeBag.Len()
+	if chain := t.freeBag.DetachAll(); chain != nil {
+		r.sink.FreeBlocks(tid, chain)
+	}
+	t.freed.Add(int64(freed))
 }
 
-// DrainLimbo implements core.LimboDrainer: run a forced scan for every
+// DrainLimbo implements core.Reclaimer: run a forced scan for every
 // thread's retire bag, regardless of the amortisation threshold, freeing
 // every record that no hazard pointer announces. The retire bags are
 // single-owner, so this may only run on shutdown paths after the worker
@@ -336,7 +343,4 @@ func (r *Reclaimer[T]) Stats() core.Stats {
 	return s
 }
 
-var (
-	_ core.Reclaimer[int] = (*Reclaimer[int])(nil)
-	_ core.LimboDrainer   = (*Reclaimer[int])(nil)
-)
+var _ core.Reclaimer[int] = (*Reclaimer[int])(nil)

@@ -94,6 +94,9 @@ func (r *Reclaimer[T]) Props() core.Properties {
 	}
 }
 
+// DrainLimbo implements core.Reclaimer: nothing is ever freed.
+func (r *Reclaimer[T]) DrainLimbo(tid int) int64 { return 0 }
+
 // Stats implements core.Reclaimer.
 func (r *Reclaimer[T]) Stats() core.Stats {
 	var s core.Stats

@@ -79,7 +79,4 @@ func (h *handle[T]) EnterQstate() {
 	}
 }
 
-var (
-	_ core.Reclaimer[int] = (*Reclaimer[int])(nil)
-	_ core.LimboDrainer   = (*Reclaimer[int])(nil)
-)
+var _ core.Reclaimer[int] = (*Reclaimer[int])(nil)

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/blockbag"
 	"repro/internal/core"
 	"repro/internal/neutralize"
 )
@@ -29,26 +30,88 @@ type Record struct {
 	pad   [4]int64
 }
 
-// RecordingSink collects every freed record (thread safe).
-type RecordingSink struct {
+// lender lends each thread a block pool, made at its first request (a scheme
+// asks for its threads' at construction), and takes the blocks of the chains
+// freed into a test sink back into it, so freeing allocates nothing. The
+// pools are published copy-on-write: a free takes no lock.
+type lender[T any] struct {
 	mu    sync.Mutex
-	freed []*Record
-	count atomic.Int64
+	pools atomic.Pointer[[]*blockbag.BlockPool[T]]
+}
+
+// BlockPool implements core.FreeSink.
+func (l *lender[T]) BlockPool(tid int) *blockbag.BlockPool[T] {
+	if ps := l.pools.Load(); ps != nil && tid < len(*ps) {
+		return (*ps)[tid]
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	var ps []*blockbag.BlockPool[T]
+	if cur := l.pools.Load(); cur != nil {
+		ps = *cur
+	}
+	if tid >= len(ps) {
+		ps = append(ps[:len(ps):len(ps)], make([]*blockbag.BlockPool[T], tid+1-len(ps))...)
+		for i := range ps {
+			if ps[i] == nil {
+				ps[i] = blockbag.NewBlockPool[T](0)
+			}
+		}
+		l.pools.Store(&ps)
+	}
+	return ps[tid]
+}
+
+// recycle returns chain's blocks to the pool lent to tid.
+func (l *lender[T]) recycle(tid int, chain *blockbag.Block[T]) { l.BlockPool(tid).PutChain(chain) }
+
+// RecordingSink collects every freed record (thread safe) and counts the
+// chains and blocks they arrived in. It panics on a chain that core.FreeSink
+// does not allow: a partial block after the first.
+type RecordingSink struct {
+	lender[Record]
+	mu                    sync.Mutex
+	freed                 []*Record
+	chains, full, partial int
+	count                 atomic.Int64
 }
 
 // NewRecordingSink creates an empty recording sink.
 func NewRecordingSink() *RecordingSink { return &RecordingSink{} }
 
-// Free implements core.FreeSink.
-func (s *RecordingSink) Free(tid int, rec *Record) {
+// FreeBlocks implements core.FreeSink.
+func (s *RecordingSink) FreeBlocks(tid int, chain *blockbag.Block[Record]) {
 	s.mu.Lock()
-	s.freed = append(s.freed, rec)
+	s.chains++
+	for blk := chain; blk != nil; blk = blk.Next() {
+		switch {
+		case blk.Full():
+			s.full++
+		case blk == chain:
+			s.partial++
+		default:
+			s.mu.Unlock()
+			panic("reclaimtest: a partial block after the first of its chain")
+		}
+		for i := 0; i < blk.Len(); i++ {
+			s.freed = append(s.freed, blk.Record(i))
+		}
+	}
 	s.mu.Unlock()
-	s.count.Add(1)
+	s.count.Add(int64(blockbag.ChainLen(chain)))
+	s.recycle(tid, chain)
 }
 
 // Freed returns the number of records freed so far.
 func (s *RecordingSink) Freed() int64 { return s.count.Load() }
+
+// Chains returns the number of chains freed so far and how many full and
+// partial blocks they carried.
+func (s *RecordingSink) Chains() (chains, full, partial int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.chains, s.full, s.partial
+}
 
 // Records returns a snapshot of the freed records.
 func (s *RecordingSink) Records() []*Record {
@@ -73,6 +136,7 @@ func (s *RecordingSink) Contains(rec *Record) bool {
 
 // PoisonSink marks freed records as poisoned and detects double frees.
 type PoisonSink struct {
+	lender[Record]
 	count       atomic.Int64
 	doubleFrees atomic.Int64
 }
@@ -80,12 +144,17 @@ type PoisonSink struct {
 // NewPoisonSink creates a poisoning sink.
 func NewPoisonSink() *PoisonSink { return &PoisonSink{} }
 
-// Free implements core.FreeSink.
-func (s *PoisonSink) Free(tid int, rec *Record) {
-	if rec.poisoned.Swap(true) {
-		s.doubleFrees.Add(1)
+// FreeBlocks implements core.FreeSink.
+func (s *PoisonSink) FreeBlocks(tid int, chain *blockbag.Block[Record]) {
+	for blk := chain; blk != nil; blk = blk.Next() {
+		for i := 0; i < blk.Len(); i++ {
+			if blk.Record(i).poisoned.Swap(true) {
+				s.doubleFrees.Add(1)
+			}
+		}
 	}
-	s.count.Add(1)
+	s.count.Add(int64(blockbag.ChainLen(chain)))
+	s.recycle(tid, chain)
 }
 
 // Freed returns the number of records freed.

@@ -15,62 +15,6 @@ import (
 // block bags, whichever policy it is. Scheme packages keep tests of their
 // policy only.
 
-// BlockSink is a core.BlockFreeSink that tells how records arrive: in full
-// blocks, in partial blocks, or one at a time. Single-goroutine use.
-type BlockSink struct {
-	// Chains counts FreeBlocks calls, Full and Partial the blocks they
-	// carried, and Singles the calls to Free.
-	Chains, Full, Partial, Singles int
-	// Misplaced counts partial blocks that were not the first of their chain,
-	// which core.BlockFreeSink does not allow.
-	Misplaced int
-	freed     map[*Record]bool
-}
-
-// Free implements core.FreeSink.
-func (s *BlockSink) Free(tid int, rec *Record) {
-	s.Singles++
-	s.note(rec)
-}
-
-// FreeBlocks implements core.BlockFreeSink.
-func (s *BlockSink) FreeBlocks(tid int, chain *blockbag.Block[Record]) {
-	s.Chains++
-	for blk := chain; blk != nil; blk = blk.Next() {
-		switch {
-		case blk.Full():
-			s.Full++
-		case blk == chain:
-			s.Partial++
-		default:
-			s.Misplaced++
-		}
-		for i := 0; i < blk.Len(); i++ {
-			s.note(blk.Record(i))
-		}
-	}
-}
-
-// check fails t unless every record arrived as core.BlockFreeSink allows:
-// in chains, a partial block only as a chain's first.
-func (s *BlockSink) check(t *testing.T) {
-	t.Helper()
-	if s.Singles != 0 || s.Misplaced != 0 {
-		t.Fatalf("block sink got %d single records and %d partial blocks not first in their chain",
-			s.Singles, s.Misplaced)
-	}
-}
-
-func (s *BlockSink) note(rec *Record) {
-	if s.freed == nil {
-		s.freed = make(map[*Record]bool)
-	}
-	s.freed[rec] = true
-}
-
-// Freed returns the number of distinct records freed.
-func (s *BlockSink) Freed() int { return len(s.freed) }
-
 // Panics reports whether fn panics.
 func Panics(fn func()) (p bool) {
 	defer func() { p = recover() != nil }()
@@ -146,8 +90,8 @@ func QuiescentRetire(t *testing.T, f Factory) {
 	}
 	// debra+ sweeps a bag only once it is worth a table scan; its shutdown
 	// drain frees the tail.
-	if d, ok := r.(core.LimboDrainer); ok && !sink.Contains(x) && r.Props().CrashRecovery {
-		d.DrainLimbo(0)
+	if !sink.Contains(x) && r.Props().CrashRecovery {
+		r.DrainLimbo(0)
 	}
 	if !sink.Contains(x) {
 		t.Fatalf("a quiescent retire was never freed: %+v", r.Stats())
@@ -164,35 +108,29 @@ func QuiescentRetire(t *testing.T, f Factory) {
 func LimboEmptiesAfterTwoEpochs(t *testing.T, f Factory) {
 	t.Helper()
 	for _, k := range []int{1, blockbag.BlockSize - 1, blockbag.BlockSize + 1} {
-		blocks, records := &BlockSink{}, NewRecordingSink()
-		for _, sink := range []core.FreeSink[Record]{blocks, records} {
-			r := f(1, sink)
-			h := r.Handle(0)
-			start := r.Stats().EpochAdvances
-			h.LeaveQstate()
-			if r.Stats().EpochAdvances != start {
-				t.Fatalf("k=%d: the epoch advanced inside the retiring operation's LeaveQstate", k)
-			}
-			for i := 0; i < k; i++ {
-				h.Retire(&Record{ID: int64(i)})
-			}
-			h.EnterQstate()
-			for ops := 0; r.Stats().EpochAdvances < start+2; ops++ {
-				if ops == 1000 {
-					t.Fatalf("k=%d: epoch stuck after %d operations: %+v", k, ops, r.Stats())
-				}
-				operate(r, 0, 1, 0)
-			}
-			h.LeaveQstate()
-			if s := r.Stats(); s.Limbo != 0 || s.Freed != int64(k) {
-				t.Fatalf("k=%d, %T: two epochs on, stats %+v", k, sink, s)
-			}
-			h.EnterQstate()
+		sink := NewRecordingSink()
+		r := f(1, sink)
+		h := r.Handle(0)
+		start := r.Stats().EpochAdvances
+		h.LeaveQstate()
+		if r.Stats().EpochAdvances != start {
+			t.Fatalf("k=%d: the epoch advanced inside the retiring operation's LeaveQstate", k)
 		}
-		if blocks.Freed() != k || records.Freed() != int64(k) {
-			t.Fatalf("k=%d: block sink holds %d records, plain sink %d", k, blocks.Freed(), records.Freed())
+		for i := 0; i < k; i++ {
+			h.Retire(&Record{ID: int64(i)})
 		}
-		blocks.check(t)
+		h.EnterQstate()
+		for ops := 0; r.Stats().EpochAdvances < start+2; ops++ {
+			if ops == 1000 {
+				t.Fatalf("k=%d: epoch stuck after %d operations: %+v", k, ops, r.Stats())
+			}
+			operate(r, 0, 1, 0)
+		}
+		h.LeaveQstate()
+		if s := r.Stats(); s.Limbo != 0 || s.Freed != int64(k) || sink.Freed() != int64(k) {
+			t.Fatalf("k=%d: two epochs on, stats %+v, sink holds %d records", k, s, sink.Freed())
+		}
+		h.EnterQstate()
 	}
 }
 
@@ -210,14 +148,11 @@ func LimboEmptiesAfterOneAdvance(t *testing.T, f Factory) {
 	t.Helper()
 	for _, k := range []int{1, blockbag.BlockSize - 1, blockbag.BlockSize + 1} {
 		for _, held := range []bool{false, true} {
-			blocks, records := &BlockSink{}, NewRecordingSink()
-			for _, sink := range []core.FreeSink[Record]{blocks, records} {
-				limboEmptiesAfterOneAdvance(t, f(2, sink), k, held)
+			sink := NewRecordingSink()
+			limboEmptiesAfterOneAdvance(t, f(2, sink), k, held)
+			if sink.Freed() != int64(k) {
+				t.Fatalf("k=%d: sink holds %d records", k, sink.Freed())
 			}
-			if blocks.Freed() != k || records.Freed() != int64(k) {
-				t.Fatalf("k=%d: block sink holds %d records, plain sink %d", k, blocks.Freed(), records.Freed())
-			}
-			blocks.check(t)
 		}
 	}
 }
@@ -271,7 +206,7 @@ func limboEmptiesAfterOneAdvance(t *testing.T, r core.Reclaimer[Record], k int, 
 			continue
 		}
 		if s.Limbo != 0 || s.Freed != int64(k) {
-			t.Fatalf("k=%d, held=%v, %T: the first completed pass one advance on left stats %+v", k, held, r, s)
+			t.Fatalf("k=%d, held=%v: the first completed pass one advance on left stats %+v", k, held, s)
 		}
 		retirer.EnterQstate()
 		return
@@ -283,36 +218,30 @@ func limboEmptiesAfterOneAdvance(t *testing.T, r core.Reclaimer[Record], k int, 
 // left in limbo once the epoch has advanced three times since its retiring
 // operation began — the two of the grace period, and one because the epoch may
 // have advanced under the operation before the retire (a late retire) — and
-// the thread has run an operation since. Records reach a block sink in chains
-// and a plain sink one at a time, all of them.
+// the thread has run an operation since. Records reach the sink in chains,
+// all of them.
 func LimboEmptiesAfterThreeEpochs(t *testing.T, f Factory) {
 	t.Helper()
 	for _, k := range []int{1, blockbag.BlockSize - 1, blockbag.BlockSize + 1} {
-		blocks, records := &BlockSink{}, NewRecordingSink()
-		for _, sink := range []core.FreeSink[Record]{blocks, records} {
-			r := f(1, sink)
-			h := r.Handle(0)
-			start := r.Stats().EpochAdvances
-			h.LeaveQstate()
-			for i := 0; i < k; i++ {
-				h.Retire(&Record{ID: int64(i)})
-			}
-			h.EnterQstate()
-			for ops := 0; r.Stats().EpochAdvances < start+3; ops++ {
-				if ops == 1000 {
-					t.Fatalf("k=%d: epoch stuck after %d operations: %+v", k, ops, r.Stats())
-				}
-				operate(r, 0, 1, 0)
+		sink := NewRecordingSink()
+		r := f(1, sink)
+		h := r.Handle(0)
+		start := r.Stats().EpochAdvances
+		h.LeaveQstate()
+		for i := 0; i < k; i++ {
+			h.Retire(&Record{ID: int64(i)})
+		}
+		h.EnterQstate()
+		for ops := 0; r.Stats().EpochAdvances < start+3; ops++ {
+			if ops == 1000 {
+				t.Fatalf("k=%d: epoch stuck after %d operations: %+v", k, ops, r.Stats())
 			}
 			operate(r, 0, 1, 0)
-			if s := r.Stats(); s.Limbo != 0 || s.Freed != int64(k) {
-				t.Fatalf("k=%d, %T: three epochs on, stats %+v", k, sink, s)
-			}
 		}
-		if blocks.Freed() != k || records.Freed() != int64(k) {
-			t.Fatalf("k=%d: block sink holds %d records, plain sink %d", k, blocks.Freed(), records.Freed())
+		operate(r, 0, 1, 0)
+		if s := r.Stats(); s.Limbo != 0 || s.Freed != int64(k) || sink.Freed() != int64(k) {
+			t.Fatalf("k=%d: three epochs on, stats %+v, sink holds %d records", k, s, sink.Freed())
 		}
-		blocks.check(t)
 	}
 }
 

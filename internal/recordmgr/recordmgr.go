@@ -111,7 +111,7 @@ func Build[T any](cfg Config) (*core.RecordManager[T], error) {
 		p = pl
 		sink = pl
 	} else {
-		sink = pool.NewDiscard[T]()
+		sink = pool.NewDiscard[T](workers)
 	}
 
 	rec, err := NewReclaimer[T](cfg.Scheme, workers, sink, nil)
@@ -121,8 +121,7 @@ func Build[T any](cfg Config) (*core.RecordManager[T], error) {
 	if cfg.FaultPlan != nil {
 		// Interpose the fault plane between the manager and the scheme: the
 		// wrapper forwards the whole reclaimer surface (limbo draining,
-		// occupancy, per-thread handles), so the manager sees the same
-		// capabilities.
+		// occupancy) and wraps the per-thread handles.
 		rec = faultinject.Wrap(rec, cfg.FaultPlan)
 	}
 	return core.NewRecordManager(alloc, p, rec), nil
@@ -184,7 +183,7 @@ func NewReclaimer[T any](scheme string, n int, sink core.FreeSink[T], domain *ne
 func Properties() []core.Properties {
 	var out []core.Properties
 	for _, s := range []string{SchemeHP, SchemeEBR, SchemeQSBR, SchemeDEBRA, SchemeDEBRAPlus, SchemeNone} {
-		r, err := NewReclaimer[int](s, 1, pool.NewDiscard[int](), nil)
+		r, err := NewReclaimer[int](s, 1, pool.NewDiscard[int](1), nil)
 		if err != nil {
 			continue
 		}

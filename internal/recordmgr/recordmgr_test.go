@@ -3,6 +3,7 @@ package recordmgr_test
 import (
 	"testing"
 
+	"repro/internal/blockbag"
 	"repro/internal/core"
 	"repro/internal/neutralize"
 	"repro/internal/pool"
@@ -148,7 +149,7 @@ func TestMustBuildPanicsOnError(t *testing.T) {
 
 func TestNewReclaimerSharedDomain(t *testing.T) {
 	dom := neutralize.NewDomain(2)
-	r, err := recordmgr.NewReclaimer[node](recordmgr.SchemeDEBRAPlus, 2, pool.NewDiscard[node](), dom)
+	r, err := recordmgr.NewReclaimer[node](recordmgr.SchemeDEBRAPlus, 2, pool.NewDiscard[node](2), dom)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +159,7 @@ func TestNewReclaimerSharedDomain(t *testing.T) {
 }
 
 func TestDefaultSchemeIsNone(t *testing.T) {
-	r, err := recordmgr.NewReclaimer[node]("", 1, pool.NewDiscard[node](), nil)
+	r, err := recordmgr.NewReclaimer[node]("", 1, pool.NewDiscard[node](1), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,5 +181,39 @@ func TestPropertiesCoversAllSchemesAndReferences(t *testing.T) {
 		if !seen[want] {
 			t.Fatalf("Properties missing scheme %q", want)
 		}
+	}
+}
+
+// TestDiscardRetireAllocatesNothing: Experiment 1's configuration, a scheme
+// freeing into pool.Discard, allocates nothing in a steady retire cycle. The
+// discarding sink keeps the blocks of the chains it drops in the block pools
+// the scheme's bags draw from.
+func TestDiscardRetireAllocatesNothing(t *testing.T) {
+	for _, scheme := range recordmgr.Schemes() {
+		t.Run(scheme, func(t *testing.T) {
+			r, err := recordmgr.NewReclaimer[node](scheme, 1, pool.NewDiscard[node](1), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := r.Handle(0)
+			// A discarded record is never reused, so the cycle retires the
+			// same records again; none is still in limbo by then.
+			recs := make([]node, 8*blockbag.BlockSize)
+			next := 0
+			cycle := func() {
+				for i := 0; i < 4*blockbag.BlockSize; i++ {
+					h.LeaveQstate()
+					h.Retire(&recs[next])
+					h.EnterQstate()
+					next = (next + 1) % len(recs)
+				}
+			}
+			for i := 0; i < 8; i++ {
+				cycle() // fill the limbo bags and the block pools
+			}
+			if n := testing.AllocsPerRun(20, cycle); n != 0 {
+				t.Fatalf("a steady retire cycle into pool.Discard allocates %.1f times per %d records, want 0", n, 4*blockbag.BlockSize)
+			}
+		})
 	}
 }
