@@ -29,11 +29,11 @@ fmt-check:
 vet-reclaim:
 	$(GO) run ./cmd/reclaimvet ./...
 
-## test: full test suite, then the epoch-sharing scheme packages, the bags and pool they free through, and the hash map five times over
+## test: full test suite, then the epoch-sharing scheme packages, the bags and pool they free through, and the hash map and the skip list (whose HP find relies on one hazard slot per record) five times over
 test:
 	$(GO) test ./...
 	$(GO) test -count=5 ./internal/reclaim/... ./internal/pool ./internal/blockbag
-	$(GO) test -count=5 ./internal/ds/hashmap
+	$(GO) test -count=5 ./internal/ds/hashmap ./internal/ds/skiplist
 
 ## race: test suite under the race detector (short mode, as in CI), then the epoch machine, the schemes, their shared suite, core (the quiescent-retire race) and the pool and bags every scheme frees through three times over
 race:

@@ -38,13 +38,13 @@ type ThreadHandle[T any] struct{ _ int }
 func (h *ThreadHandle[T]) Retire(rec *T) {}
 
 // LeaveQstate announces the thread as active.
-func (h *ThreadHandle[T]) LeaveQstate() bool { return true }
+func (h *ThreadHandle[T]) LeaveQstate() {}
 
 // EnterQstate announces the thread as quiescent.
 func (h *ThreadHandle[T]) EnterQstate() {}
 
 // Protect announces a hazard pointer for rec.
-func (h *ThreadHandle[T]) Protect(rec *T) bool { return true }
+func (h *ThreadHandle[T]) Protect(rec *T) {}
 
 // Unprotect withdraws the hazard announcement for rec.
 func (h *ThreadHandle[T]) Unprotect(rec *T) {}

@@ -23,7 +23,8 @@ func good(l *list, h *core.ThreadHandle[node]) int64 {
 		if n == nil {
 			return 0
 		}
-		if !h.Protect(n) || l.head.Load() != n {
+		h.Protect(n)
+		if l.head.Load() != n {
 			h.Unprotect(n)
 			continue
 		}
@@ -45,7 +46,8 @@ func badUseAfterUnprotect(l *list, h *core.ThreadHandle[node]) int64 {
 	if n == nil {
 		return 0
 	}
-	if !h.Protect(n) || l.head.Load() != n {
+	h.Protect(n)
+	if l.head.Load() != n {
 		h.Unprotect(n)
 		return 0
 	}
@@ -59,12 +61,14 @@ func reprotect(l *list, h *core.ThreadHandle[node]) int64 {
 	if n == nil {
 		return 0
 	}
-	if !h.Protect(n) || l.head.Load() != n {
+	h.Protect(n)
+	if l.head.Load() != n {
 		h.Unprotect(n)
 		return 0
 	}
 	h.Unprotect(n)
-	if !h.Protect(n) || l.head.Load() != n {
+	h.Protect(n)
+	if l.head.Load() != n {
 		h.Unprotect(n)
 		return 0
 	}
@@ -73,7 +77,8 @@ func reprotect(l *list, h *core.ThreadHandle[node]) int64 {
 
 func loopRescan(l *list, h *core.ThreadHandle[node], ns []*node) {
 	for _, n := range ns {
-		if !h.Protect(n) || l.head.Load() != n {
+		h.Protect(n)
+		if l.head.Load() != n {
 			h.Unprotect(n)
 			continue
 		}
@@ -87,9 +92,7 @@ func validateSeparately(l *list, h *core.ThreadHandle[node]) int64 {
 	if n == nil {
 		return 0
 	}
-	if !h.Protect(n) {
-		return 0
-	}
+	h.Protect(n)
 	if l.head.Load() != n {
 		h.Unprotect(n)
 		return 0
@@ -114,7 +117,8 @@ func (l *ilist) at(w uint64) *inode { return &l.recs[w] }
 func goodIndexed(l *ilist, h *core.ThreadHandle[inode]) int64 {
 	w := l.head.Load()
 	n := l.at(w)
-	if !h.Protect(n) || l.head.Load() != w {
+	h.Protect(n)
+	if l.head.Load() != w {
 		h.Unprotect(n)
 		return 0
 	}
@@ -131,7 +135,8 @@ func badIndexedNoValidate(l *ilist, h *core.ThreadHandle[inode]) int64 {
 func badIndexedOtherWord(l *ilist, h *core.ThreadHandle[inode], other uint64) int64 {
 	w := l.head.Load()
 	n := l.at(w)
-	if !h.Protect(n) || l.head.Load() != other { // want `n is dereferenced at line \d+ without re-validation after Protect`
+	h.Protect(n) // want `n is dereferenced at line \d+ without re-validation after Protect`
+	if l.head.Load() != other {
 		h.Unprotect(n)
 		return 0
 	}
@@ -155,7 +160,8 @@ func goodIndexedPredWord(l *ilist, h *core.ThreadHandle[inode]) int64 {
 	for w := pred.Load(); ; {
 		var n *inode
 		n, snap = l.atSnap(snap, w)
-		if !h.Protect(n) || pred.Load() != w {
+		h.Protect(n)
+		if pred.Load() != w {
 			h.Unprotect(n)
 			return 0
 		}
@@ -171,7 +177,8 @@ func badIndexedPredWordOther(l *ilist, h *core.ThreadHandle[inode], other uint64
 	pred := &l.head
 	w := pred.Load()
 	n, _ := l.atSnap(nil, w)
-	if !h.Protect(n) || pred.Load() != other { // want `n is dereferenced at line \d+ without re-validation after Protect`
+	h.Protect(n) // want `n is dereferenced at line \d+ without re-validation after Protect`
+	if pred.Load() != other {
 		h.Unprotect(n)
 		return 0
 	}

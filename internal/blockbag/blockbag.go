@@ -282,22 +282,6 @@ func (b *Bag[T]) TakeFullBlock() *Block[T] {
 	return blk
 }
 
-// Drain removes every record from the bag, invoking fn on each. Blocks are
-// returned to the block pool.
-func (b *Bag[T]) Drain(fn func(*T)) int {
-	n := 0
-	for {
-		rec, ok := b.Remove()
-		if !ok {
-			return n
-		}
-		n++
-		if fn != nil {
-			fn(rec)
-		}
-	}
-}
-
 // Contains reports whether rec is present in the bag. O(n); intended for
 // tests and assertions only.
 func (b *Bag[T]) Contains(rec *T) bool {
@@ -311,71 +295,68 @@ func (b *Bag[T]) Contains(rec *T) bool {
 	return false
 }
 
-// Iterator walks the records of a bag and permits in-place swaps, which is
-// how DEBRA+ partitions a limbo bag into RProtected records (moved to the
-// front) and records that are safe to free (full blocks after the partition
-// point are detached wholesale).
-type Iterator[T any] struct {
-	bag *Bag[T]
-	blk *Block[T]
-	idx int
-}
-
-// Begin returns an iterator positioned at the first record of the bag
-// (iteration order is head block first, then each full block).
-func (b *Bag[T]) Begin() Iterator[T] {
-	it := Iterator[T]{bag: b, blk: b.head, idx: 0}
-	it.skipEmpty()
-	return it
-}
-
-// skipEmpty advances past exhausted blocks.
-func (it *Iterator[T]) skipEmpty() {
-	for it.blk != nil && it.idx >= it.blk.n {
-		it.blk = it.blk.next
-		it.idx = 0
-	}
-}
-
-// Done reports whether the iterator has passed the last record.
-func (it *Iterator[T]) Done() bool { return it.blk == nil }
-
-// Get returns the record at the iterator's position.
-func (it *Iterator[T]) Get() *T { return it.blk.recs[it.idx] }
-
-// Set replaces the record at the iterator's position.
-func (it *Iterator[T]) Set(rec *T) { it.blk.recs[it.idx] = rec }
-
-// Next advances the iterator by one record.
-func (it *Iterator[T]) Next() {
-	it.idx++
-	it.skipEmpty()
-}
-
-// Swap exchanges the records at positions it and other. Both iterators must
-// belong to the same bag and must not be Done.
-func (it *Iterator[T]) Swap(other *Iterator[T]) {
-	a, b := it.Get(), other.Get()
-	it.Set(b)
-	other.Set(a)
-}
-
-// DetachFullBlocksAfter removes from the bag every full block that comes
-// strictly after the block the iterator is positioned in, returning the
-// detached chain (or nil). The partial head block and the iterator's own
-// block always stay in the bag, so records at or before the iterator are
-// preserved. If the iterator is Done (it walked past every record), nothing
-// is detached. O(1).
-func (b *Bag[T]) DetachFullBlocksAfter(it Iterator[T]) *Block[T] {
-	if it.Done() {
+// Sift removes from the bag every record keep rejects and returns them as
+// one detached chain shaped as DetachAll returns a bag (the first block
+// partial, every other full), or nil when keep accepts every record; the bag
+// keeps the records keep accepts. The rejected records are compacted in
+// place, in bag order, so a bag of which keep accepts nothing leaves whole
+// with no record moved. Otherwise the compaction ends in a partial block,
+// which is folded into the first block (at most BlockSize-1 records move
+// again, as in Merge), and the blocks it emptied go to the bag's block pool.
+// O(n) calls of keep.
+func (b *Bag[T]) Sift(keep func(*T) bool) *Block[T] {
+	chain := b.DetachAll()
+	if chain == nil {
 		return nil
 	}
-	boundary := it.blk
-	chain := boundary.next
-	boundary.next = nil
-	for blk := chain; blk != nil; blk = blk.next {
-		b.size -= blk.n
+	// w is the block being written and wi its next slot. Every block keeps
+	// the count it arrived with as its capacity, so the write cursor never
+	// passes the read cursor.
+	var prev *Block[T] // w's predecessor
+	w, wi := chain, 0
+	for r := chain; r != nil; r = r.next {
+		for i := 0; i < r.n; i++ {
+			rec := r.recs[i]
+			if keep(rec) {
+				b.Add(rec)
+				continue
+			}
+			if wi == w.n {
+				prev, w, wi = w, w.next, 0
+			}
+			w.recs[wi] = rec
+			wi++
+		}
 	}
+	if wi == 0 {
+		// keep accepted every record.
+		b.pool.PutChain(chain)
+		return nil
+	}
+	rest := w.next
+	for i := wi; i < w.n; i++ {
+		w.recs[i] = nil
+	}
+	w.n, w.next = wi, nil
+	b.pool.PutChain(rest)
+	if w == chain || w.Full() {
+		return chain
+	}
+	// Two partial blocks, the first and w: fold w into the first or top w up
+	// from it.
+	prev.next = nil
+	if chain.n+w.n <= BlockSize {
+		for w.n > 0 {
+			chain.push(w.pop())
+		}
+		b.pool.Put(w)
+		return chain
+	}
+	for !w.Full() {
+		w.push(chain.pop())
+	}
+	w.next = chain.next
+	chain.next = w
 	return chain
 }
 

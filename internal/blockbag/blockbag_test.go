@@ -1,6 +1,7 @@
 package blockbag
 
 import (
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -15,6 +16,14 @@ func mkRecs(n int) []*rec {
 		out[i] = &rec{id: i}
 	}
 	return out
+}
+
+// drain removes every record from b, one Remove at a time, invoking fn on
+// each; the emptied blocks go to the bag's block pool.
+func drain(b *Bag[rec], fn func(*rec)) {
+	for r, ok := b.Remove(); ok; r, ok = b.Remove() {
+		fn(r)
+	}
 }
 
 func TestBagAddRemoveSingle(t *testing.T) {
@@ -99,7 +108,7 @@ func TestBagContentPreservation(t *testing.T) {
 			}
 		}
 		got := map[*rec]bool{}
-		b.Drain(func(r *rec) { got[r] = true })
+		drain(b, func(r *rec) { got[r] = true })
 		if len(got) != len(want) {
 			return false
 		}
@@ -279,97 +288,108 @@ func TestMerge(t *testing.T) {
 		if returned := len(pool.blocks) - cached; c.merge < BlockSize && c.have%BlockSize+c.merge < BlockSize && returned != 1 {
 			t.Fatalf("%+v: %d blocks returned to the pool, want the emptied one", c, returned)
 		}
-		b.Drain(func(r *rec) { delete(want, r) })
+		drain(b, func(r *rec) { delete(want, r) })
 		if len(want) != 0 {
 			t.Fatalf("%+v: %d merged records lost", c, len(want))
 		}
 	}
 }
 
-func TestIteratorVisitsEverything(t *testing.T) {
-	b := New[rec](nil)
-	recs := mkRecs(2*BlockSize + 77)
-	for _, r := range recs {
-		b.Add(r)
-	}
-	seen := map[*rec]bool{}
-	for it := b.Begin(); !it.Done(); it.Next() {
-		if seen[it.Get()] {
-			t.Fatal("iterator visited a record twice")
+// checkChain fails unless chain is shaped as DetachAll returns a bag: no
+// empty block, and every block after the first full.
+func checkChain(t *testing.T, chain *Block[rec], step string) {
+	t.Helper()
+	for blk := chain; blk != nil; blk = blk.next {
+		if blk.n == 0 {
+			t.Fatalf("%s: an empty block travelled in the chain", step)
 		}
-		seen[it.Get()] = true
-	}
-	if len(seen) != len(recs) {
-		t.Fatalf("iterator visited %d records, want %d", len(seen), len(recs))
+		if blk != chain && !blk.Full() {
+			t.Fatalf("%s: a block after the first holds %d records", step, blk.n)
+		}
 	}
 }
 
-func TestIteratorOnEmptyBag(t *testing.T) {
-	b := New[rec](nil)
-	if it := b.Begin(); !it.Done() {
-		t.Fatal("iterator on empty bag is not Done")
-	}
-}
-
-func TestIteratorSwapAndDetach(t *testing.T) {
-	// Simulate DEBRA+'s partition: mark some records as "protected", swap
-	// them to the front, detach full blocks after the partition point, and
-	// check that no protected record was detached.
-	b := New[rec](nil)
-	n := 4*BlockSize + 100
-	recs := mkRecs(n)
-	protected := map[*rec]bool{}
-	for i, r := range recs {
-		b.Add(r)
-		if i%97 == 0 {
-			protected[r] = true
-		}
-	}
-	it1 := b.Begin()
-	it2 := b.Begin()
-	for ; !it1.Done(); it1.Next() {
-		if protected[it1.Get()] {
-			it1.Swap(&it2)
-			it2.Next()
-		}
-	}
-	chain := b.DetachFullBlocksAfter(it2)
-	for blk := chain; blk != nil; blk = blk.Next() {
-		if !blk.Full() {
-			t.Fatalf("detached block with %d records", blk.Len())
-		}
-		for i := 0; i < blk.Len(); i++ {
-			if protected[blk.Record(i)] {
-				t.Fatalf("protected record %d was detached", blk.Record(i).id)
+// Sift leaves in the bag exactly the records keep accepts and returns every
+// other record in one chain, whatever the bag's shape and wherever the kept
+// records sit: none, one, all, a partial head's worth, more than a block's.
+func TestSiftLeavesOnlyKept(t *testing.T) {
+	sizes := []int{0, 1, BlockSize - 1, BlockSize, BlockSize + 1, 2*BlockSize + 7, 4*BlockSize + 100}
+	every := []int{0, 1, 2, 3, 97, 300}
+	for _, n := range sizes {
+		for _, k := range every {
+			step := fmt.Sprintf("n=%d every=%d", n, k)
+			pool := NewBlockPool[rec](64)
+			b := New(pool)
+			kept := map[*rec]bool{}
+			for i, r := range mkRecs(n) {
+				b.Add(r)
+				if k > 0 && i%k == 0 {
+					kept[r] = true
+				}
+			}
+			chain := b.Sift(func(r *rec) bool { return kept[r] })
+			checkChain(t, chain, step)
+			checkShape(t, b, step)
+			if b.Len() != len(kept) {
+				t.Fatalf("%s: bag holds %d records, want the %d kept", step, b.Len(), len(kept))
+			}
+			for r := range kept {
+				if !b.Contains(r) {
+					t.Fatalf("%s: kept record %d left the bag", step, r.id)
+				}
+			}
+			seen := map[*rec]bool{}
+			for blk := chain; blk != nil; blk = blk.next {
+				for i := 0; i < blk.n; i++ {
+					r := blk.recs[i]
+					if kept[r] || seen[r] {
+						t.Fatalf("%s: record %d in the chain is kept or repeated", step, r.id)
+					}
+					seen[r] = true
+				}
+			}
+			if len(seen) != n-len(kept) {
+				t.Fatalf("%s: chain holds %d records, want %d", step, len(seen), n-len(kept))
 			}
 		}
 	}
-	// Every protected record must still be in the bag.
-	for r := range protected {
-		if !b.Contains(r) {
-			t.Fatalf("protected record %d missing from bag", r.id)
-		}
+}
+
+// A bag of which keep accepts nothing leaves whole: its blocks travel as they
+// were, and the block pool gives the bag its new head and takes nothing back.
+func TestSiftKeepingNothingDetachesWhole(t *testing.T) {
+	b := New[rec](nil)
+	recs := mkRecs(3*BlockSize + 5)
+	for _, r := range recs {
+		b.Add(r)
 	}
-	// Total conservation.
-	if got := b.Len() + ChainLen(chain); got != n {
-		t.Fatalf("records lost: bag %d + chain %d = %d, want %d", b.Len(), ChainLen(chain), got, n)
+	head, second := b.head, b.head.next
+	allocated := b.pool.Allocated()
+	chain := b.Sift(func(*rec) bool { return false })
+	if chain != head || chain.next != second || chain.recs[0] != recs[3*BlockSize] {
+		t.Fatal("a bag of unkept records did not leave as its own blocks")
+	}
+	if ChainLen(chain) != len(recs) || !b.Empty() {
+		t.Fatalf("chain holds %d records and the bag %d", ChainLen(chain), b.Len())
+	}
+	if got := b.pool.Allocated() - allocated; got != 1 || len(b.pool.blocks) != 0 {
+		t.Fatalf("Sift took %d blocks (want the bag's new head alone) and pooled %d", got, len(b.pool.blocks))
 	}
 }
 
-func TestDetachAfterDoneIteratorDetachesNothing(t *testing.T) {
+// A bag keep accepts whole stays as it was in content and returns no chain.
+func TestSiftKeepingEverythingDetachesNothing(t *testing.T) {
 	b := New[rec](nil)
 	for _, r := range mkRecs(3 * BlockSize) {
 		b.Add(r)
 	}
-	it := b.Begin()
-	for ; !it.Done(); it.Next() {
-	}
-	if chain := b.DetachFullBlocksAfter(it); chain != nil {
-		t.Fatalf("Done iterator detached %d records", ChainLen(chain))
+	if chain := b.Sift(func(*rec) bool { return true }); chain != nil {
+		t.Fatalf("keeping everything detached %d records", ChainLen(chain))
 	}
 	if b.Len() != 3*BlockSize {
 		t.Fatalf("bag lost records: %d", b.Len())
 	}
+	checkShape(t, b, "kept everything")
 }
 
 func TestBlockPoolRecycles(t *testing.T) {
@@ -410,7 +430,7 @@ func TestBagReducesBlockAllocationsViaPool(t *testing.T) {
 		for _, r := range recs {
 			b.Add(r)
 		}
-		b.Drain(nil)
+		drain(b, func(*rec) {})
 	}
 	if pool.Allocated() > 16 {
 		t.Fatalf("allocated %d blocks across 50 rounds; expected reuse to cap this at <=16", pool.Allocated())

@@ -72,10 +72,8 @@ type Reclaimer[T any] interface {
 type ReclaimerHandle[T any] interface {
 	// LeaveQstate announces that the thread is starting a data structure
 	// operation (leaving its quiescent state). It must be called at the
-	// beginning of every operation. The return value reports whether the
-	// thread observed (and announced) a new epoch, which some callers use
-	// for instrumentation; most ignore it.
-	LeaveQstate() bool
+	// beginning of every operation.
+	LeaveQstate()
 
 	// EnterQstate announces that the thread has finished its operation and
 	// holds no pointers to records of the data structure.
@@ -97,10 +95,8 @@ type ReclaimerHandle[T any] interface {
 	// style schemes this publishes an announcement and issues the required
 	// fence; the caller must afterwards validate that rec is still
 	// reachable (e.g. by re-reading the pointer it was loaded from) and
-	// call Unprotect/restart if not. Epoch-based schemes return true
-	// without doing anything. The bool result is false only when the
-	// scheme itself can already tell the protection failed.
-	Protect(rec *T) bool
+	// call Unprotect/restart if not. Epoch-based schemes do nothing.
+	Protect(rec *T)
 
 	// Unprotect revokes a previous Protect of rec.
 	Unprotect(rec *T)
@@ -178,7 +174,6 @@ type Stats struct {
 	EpochAdvances   int64 // successful epoch CASes (epoch-based schemes)
 	Scans           int64 // completed verification passes (epoch schemes) / hazard pointer scans
 	Neutralizations int64 // signals sent (DEBRA+ only)
-	Restarts        int64 // operations restarted because of the scheme (HP)
 }
 
 // AllocStats is a snapshot of an Allocator's counters.

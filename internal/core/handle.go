@@ -109,7 +109,7 @@ func (h *ThreadHandle[T]) Tid() int { return h.tid }
 func (h *ThreadHandle[T]) Manager() *RecordManager[T] { return h.m }
 
 // LeaveQstate marks the start of an operation by the handle's thread.
-func (h *ThreadHandle[T]) LeaveQstate() bool { return h.fast.LeaveQstate() }
+func (h *ThreadHandle[T]) LeaveQstate() { h.fast.LeaveQstate() }
 
 // EnterQstate marks the end of an operation by the handle's thread.
 func (h *ThreadHandle[T]) EnterQstate() { h.fast.EnterQstate() }
@@ -127,7 +127,7 @@ func (h *ThreadHandle[T]) Checkpoint() {
 }
 
 // Protect announces that the thread may access rec (ReclaimerHandle.Protect).
-func (h *ThreadHandle[T]) Protect(rec *T) bool { return h.fast.Protect(rec) }
+func (h *ThreadHandle[T]) Protect(rec *T) { h.fast.Protect(rec) }
 
 // Unprotect revokes a Protect.
 func (h *ThreadHandle[T]) Unprotect(rec *T) { h.fast.Unprotect(rec) }

@@ -64,14 +64,12 @@ func newAggressiveDebraPlusTree(t testing.TB, threads int) *bst.Tree[int64] {
 func newAggressiveHPTree(t testing.TB, threads int) *bst.Tree[int64] {
 	t.Helper()
 	if raceenabled.Enabled {
-		// The BST's hazard-pointer support is the paper's acknowledged
-		// compromise: a traversal that steps through an already-marked
-		// internal node cannot prove its child is still live, so with an
-		// aggressive retire threshold the detector can observe a doomed
-		// read of a recycled record. The hardened validation in search
-		// closes the other windows; the residual one is inherent (the paper
-		// concedes HP cannot be applied to this tree without modifying the
-		// algorithm, which is DEBRA+'s motivation).
+		// A traversal that stepped through an already-marked internal
+		// node could not prove its child still live, so with an aggressive
+		// retire threshold the detector observed doomed reads of recycled
+		// records. The search now restarts at a marked node instead
+		// (Tree.search); running this stress under the detector again is
+		// open (ROADMAP.md, item 3).
 		t.Skip("skipping aggressive-HP stress under the race detector")
 	}
 	type rec = bst.Record[int64]

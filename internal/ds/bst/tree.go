@@ -211,7 +211,10 @@ func child[V any](p *Record[V], key int64) *Record[V] {
 // per-record protection schemes it maintains hazard pointers on gp, p and l,
 // validating each step and reporting ok=false when the caller must restart;
 // it returns with its hazard pointers held either way, and the caller's
-// EnterQstate drops them all.
+// EnterQstate drops them all. Such a search never steps out of a marked
+// node, so HP on this tree is safe but not lock-free: a deleter stalled
+// between its mark and its unlink blocks every search through that node, as
+// it already blocks the updates there, which back off rather than help.
 // The update words need no protection: they are values, and a word never
 // recurs, so a stale one fails any CAS that expects it.
 func (t *Tree[V]) search(hd Handle[V], key int64) searchResult[V] {
@@ -238,16 +241,19 @@ func (t *Tree[V]) search(hd Handle[V], key int64) searchResult[V] {
 		if l == nil || (t.perRecord && p.Kind() != KindInternal) {
 			// p is no longer the internal node the search stepped onto: it
 			// was recycled as a leaf, whose child slots are nil or about to
-			// be. Can only happen if protection failed (the hazard-pointer
-			// window described at the p.update re-check below); restart.
+			// be. Can only happen if protection failed; restart.
 			res.ok = false
 			return res
 		}
 		if t.perRecord {
-			if !rm.Protect(l) {
+			if wordState(pupdate) == stateMark {
+				// p is being deleted and its child pointers are frozen: l
+				// may be the leaf the delete retires, so no check below
+				// could prove the protection of l in time. Restart.
 				res.ok = false
 				return res
 			}
+			rm.Protect(l)
 			if child(p, key) != l {
 				// p's child changed under us: l may already be retired.
 				res.ok = false
@@ -258,13 +264,10 @@ func (t *Tree[V]) search(hd Handle[V], key int64) searchResult[V] {
 				// the check above alone cannot prove l is still reachable.
 				// But removal marks p first (its update word moves to a mark
 				// word and never moves back), so p's update still holding the
-				// word read before l was loaded proves p was unmarked — and
-				// therefore still in the tree — when child(p) == l held,
-				// which makes the protection announcement in time. Restart
-				// when it moved. (This hardens the paper's HP compromise; the
-				// residual window — stepping through a node that was already
-				// marked when pupdate was read — remains, as the paper
-				// concedes for hazard pointers on this tree.)
+				// unmarked word read before l was loaded proves p was
+				// unmarked — and therefore still in the tree — when
+				// child(p) == l held, which makes the protection announcement
+				// in time. Restart when it moved.
 				res.ok = false
 				return res
 			}

@@ -720,10 +720,7 @@ func (h *Map[V]) find(hd *Handle[V], start *atomic.Uint64, sokey uint64, rank in
 			// from: pred still holds the unmarked link, so pred is not
 			// marked, hence still on the list, and so is curr — it was not
 			// retired before the announcement became visible.
-			if !rm.Protect(curr) {
-				h.releasePos(hd, pos)
-				return pos, false
-			}
+			rm.Protect(curr)
 			if pos.pred.Load() != w {
 				pos.curr = curr
 				h.releasePos(hd, pos)

@@ -112,7 +112,6 @@ func (pm *Partitioned[V]) ManagerStats() core.ManagerStats {
 		out.Reclaimer.Limbo += s.Reclaimer.Limbo
 		out.Reclaimer.EpochAdvances += s.Reclaimer.EpochAdvances
 		out.Reclaimer.Scans += s.Reclaimer.Scans
-		out.Reclaimer.Restarts += s.Reclaimer.Restarts
 		out.Alloc.Allocated += s.Alloc.Allocated
 		out.Alloc.Deallocated += s.Alloc.Deallocated
 		out.Alloc.AllocatedBytes += s.Alloc.AllocatedBytes

@@ -219,9 +219,7 @@ func (l *List[V]) find(hd *Handle[V], key int64, preds, succs *[MaxLevel]*Node[V
 				return -1, false
 			}
 			if l.perRecord {
-				if !rm.Protect(curr) {
-					return -1, false
-				}
+				rm.Protect(curr)
 				if pred.next[level].Load() != curr {
 					// pred's successor changed: curr may already be retired.
 					rm.Unprotect(curr)

@@ -40,10 +40,9 @@ type handle[T any] struct {
 
 // LeaveQstate forwards, then crosses PointPinned: the stall happens with the
 // thread's announcement live, the adversarial timing the paper describes.
-func (h *handle[T]) LeaveQstate() bool {
-	v := h.ReclaimerHandle.LeaveQstate()
+func (h *handle[T]) LeaveQstate() {
+	h.ReclaimerHandle.LeaveQstate()
 	h.plan.hook(h.tid, PointPinned)
-	return v
 }
 
 // EnterQstate crosses PointBeforeUnpin, then forwards: the stall happens

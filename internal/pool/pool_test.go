@@ -97,8 +97,7 @@ func TestPoolFreeBlocks(t *testing.T) {
 	for i := 0; i < n; i++ {
 		bag.Add(&rec{id: i})
 	}
-	it := bag.Begin() // keep the first record, detach full blocks after it
-	chain := bag.DetachFullBlocksAfter(it)
+	chain := bag.DetachAllFullBlocks() // the partial head stays behind
 	if chain == nil {
 		t.Fatal("expected a detached chain")
 	}

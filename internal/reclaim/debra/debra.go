@@ -78,10 +78,9 @@ func (r *Reclaimer[T]) Props() core.Properties {
 }
 
 // LeaveQstate implements core.ReclaimerHandle (Figure 4, leaveQstate).
-func (h *Handle[T]) LeaveQstate() bool {
+func (h *Handle[T]) LeaveQstate() {
 	e := h.Epoch()
-	fresh := h.Announce(e)
-	if fresh {
+	if h.Announce(e) {
 		h.pos, h.sinceCheck, h.sinceIncr = 0, 0, 0
 		h.RotateTo(e)
 	}
@@ -99,7 +98,6 @@ func (h *Handle[T]) LeaveQstate() bool {
 			h.Advance(e)
 		}
 	}
-	return fresh
 }
 
 var _ core.Reclaimer[int] = (*Reclaimer[int])(nil)

@@ -6,9 +6,10 @@
 // The signalled thread delivers the signal at its next checkpoint, enters a
 // quiescent state and jumps (via a typed panic recovered by the operation
 // wrapper) into recovery code. Recovery uses a limited form of hazard
-// pointers — RProtect / RUnprotectAll — so that a neutralized thread can still
-// help its own announced operation to completion even though other threads
-// have stopped waiting for it.
+// pointers — RProtect / RUnprotectAll, announced in a hazard table of its own
+// (hp.Table) — so that a neutralized thread can still help its own announced
+// operation to completion even though other threads have stopped waiting for
+// it.
 //
 // Consequences reproduced here:
 //
@@ -18,10 +19,10 @@
 //     the largest number of records retired by one operation and c is the
 //     suspicion threshold;
 //   - freeing a record costs O(1) expected amortised time: limbo bags are
-//     scanned against the RProtect table only once they hold at least
-//     scanThreshold blocks, protected records are swapped to the front of
-//     the bag, and everything behind them is moved to the pool in whole
-//     blocks.
+//     swept against the RProtect table (hp.Table.Sweep) only once they hold
+//     at least scanThreshold blocks; the sweep hands every record no
+//     protection covers to the pool in one block chain, and the bag keeps
+//     only the protected ones.
 //
 // See the internal/neutralize package documentation for how POSIX signal
 // delivery and siglongjmp are simulated, and for the argument that the
@@ -31,13 +32,12 @@
 package debraplus
 
 import (
-	"sync/atomic"
-
 	"repro/internal/blockbag"
 	"repro/internal/core"
 	"repro/internal/neutralize"
 	"repro/internal/reclaim/debra"
 	"repro/internal/reclaim/epoch"
+	"repro/internal/reclaim/hp"
 )
 
 // Defaults for the DEBRA+ specific thresholds.
@@ -109,21 +109,16 @@ type Reclaimer[T any] struct {
 	epoch.Bags[T]
 	cfg     config
 	domain  *neutralize.Domain
+	table   *hp.Table[T] // the recovery protections
 	handles []handle[T]
 }
 
 // handle is one thread slot's view (core.ReclaimerHandle): DEBRA's, plus the
-// thread's recovery table and the scratch its sweeps reuse.
+// thread's row of the recovery table.
 type handle[T any] struct {
 	debra.Handle[T]
-	r *Reclaimer[T]
-
-	// The recovery-hazard-pointer table: written only by the owner, read by
-	// every thread that sweeps before freeing.
-	rpCount atomic.Int32
-	rpSlots []atomic.Pointer[T]
-
-	scanSet map[*T]struct{} // the protections the last sweep hashed
+	r    *Reclaimer[T]
+	prot *hp.Slots[T]
 
 	// Single-writer counters: neutralizations by the signalling thread,
 	// selfNeutralized by the delivering one, sweeps by the sweeping one.
@@ -151,14 +146,16 @@ func New[T any](n int, sink core.FreeSink[T], opts ...epoch.Option) *Reclaimer[T
 	if r.domain == nil {
 		r.domain = neutralize.NewDomain(n)
 	}
+	// A sweep reads every row, vacant slots' too: nothing clears a
+	// recovery protection but RUnprotectAll, so a released slot may still
+	// hold one.
+	r.table = hp.NewTable[T](n, cfg.maxRProtect, nil)
 	for i := range r.handles {
 		h := &r.handles[i]
 		h.Init(&r.Bags, i)
 		h.r = r
-		h.rpSlots = make([]atomic.Pointer[T], cfg.maxRProtect)
-		h.scanSet = make(map[*T]struct{}, n*cfg.maxRProtect)
+		h.prot = r.table.Slots(i)
 		h.Sweep = h.sweep
-		h.Held = h.held
 		// Suspicion can move the epoch past a live announcement, which
 		// breaks the bound filing a retire under the epoch it reads relies
 		// on (epoch.Limbo): every retire waits three rotations.
@@ -204,9 +201,9 @@ func (h *handle[T]) deliver() {
 // DEBRA's, after signals that arrived while the thread was quiescent are
 // dropped, exactly as the paper's signal handler returns immediately for
 // quiescent threads.
-func (h *handle[T]) LeaveQstate() bool {
+func (h *handle[T]) LeaveQstate() {
 	h.r.domain.Consume(h.Tid)
-	return h.Handle.LeaveQstate()
+	h.Handle.LeaveQstate()
 }
 
 // suspect is the epoch machine's suspicion hook (Figure 6): other is live,
@@ -259,12 +256,9 @@ func (h *handle[T]) RProtect(rec *T) {
 	if rec == nil {
 		return
 	}
-	n := h.rpCount.Load()
-	if int(n) >= len(h.rpSlots) {
+	if !h.prot.Protect(rec) {
 		panic("debra+: RProtect capacity exceeded; raise WithMaxRProtect")
 	}
-	h.rpSlots[n].Store(rec)
-	h.rpCount.Store(n + 1)
 	if h.r.domain.Pending(h.Tid) && !h.IsQuiescent() {
 		h.RUnprotectAll()
 		h.deliver()
@@ -272,45 +266,19 @@ func (h *handle[T]) RProtect(rec *T) {
 }
 
 // RUnprotectAll implements core.ReclaimerHandle.
-func (h *handle[T]) RUnprotectAll() { h.rpCount.Store(0) }
+func (h *handle[T]) RUnprotectAll() { h.prot.Clear() }
 
 // sweep is the epoch machine's rotation hook (Figure 6, rotateAndReclaim):
 // once bag is large enough to amortise a scan of the RProtect table (or
-// force is set), swap the records some thread RProtects to the front and
-// detach the full blocks behind them.
+// force is set), detach every record of bag that no thread RProtects; the
+// bag keeps the protected ones (at a clean shutdown every table is empty and
+// everything drains).
 func (h *handle[T]) sweep(bag *blockbag.Bag[T], force bool) *blockbag.Block[T] {
 	if !force && bag.LenBlocks() < h.r.cfg.scanThresholdBlks {
 		return nil
 	}
 	h.sweeps.Inc()
-	set := h.scanSet
-	clear(set)
-	for i := range h.r.handles {
-		o := &h.r.handles[i]
-		n := min(int(o.rpCount.Load()), len(o.rpSlots))
-		for j := 0; j < n; j++ {
-			if rec := o.rpSlots[j].Load(); rec != nil {
-				set[rec] = struct{}{}
-			}
-		}
-	}
-	it1 := bag.Begin()
-	it2 := bag.Begin()
-	for ; !it1.Done(); it1.Next() {
-		if _, ok := set[it1.Get()]; ok {
-			it1.Swap(&it2)
-			it2.Next()
-		}
-	}
-	return bag.DetachFullBlocksAfter(it2)
-}
-
-// held reports whether the last sweep found rec RProtected; DrainLimbo leaves
-// such records in place (at a clean shutdown every table is empty and
-// everything drains).
-func (h *handle[T]) held(rec *T) bool {
-	_, ok := h.scanSet[rec]
-	return ok
+	return h.r.table.Sweep(h.Tid, bag)
 }
 
 // Stats implements core.Reclaimer.

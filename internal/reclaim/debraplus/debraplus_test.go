@@ -168,7 +168,7 @@ func TestRProtectPreventsReclamation(t *testing.T) {
 	victim := &reclaimtest.Record{ID: 7}
 	r.Handle(1).LeaveQstate()
 	r.Handle(1).RProtect(victim)
-	if !debraplus.IsRProtected(r, 1, victim) {
+	if !debraplus.IsRProtected(r, victim) {
 		t.Fatal("RProtect announced nothing")
 	}
 	// Thread 1 now stalls; thread 0 retires the victim and lots of other
@@ -216,7 +216,7 @@ func TestRProtectDeliversPendingSignalAndWithdraws(t *testing.T) {
 	if !neutralized {
 		t.Fatal("RProtect did not deliver the pending signal")
 	}
-	if debraplus.IsRProtected(r, 1, victim) {
+	if debraplus.IsRProtected(r, victim) {
 		t.Fatal("protection must be withdrawn when RProtect is neutralized")
 	}
 }
@@ -282,4 +282,15 @@ func TestRProtectCapacity(t *testing.T) {
 		}
 	}()
 	r.Handle(0).RProtect(&reclaimtest.Record{ID: 3})
+}
+
+func TestSweepLeavesOnlyProtected(t *testing.T) {
+	reclaimtest.SweepLeavesOnlyProtected(t, factory, func(r core.Reclaimer[reclaimtest.Record]) {
+		// The stalled protector is neutralized, so the epoch moves and slot
+		// 0's rotations sweep its bags.
+		for range 50 {
+			r.Handle(0).LeaveQstate()
+			r.Handle(0).EnterQstate()
+		}
+	})
 }

@@ -1,14 +1,12 @@
 package debraplus
 
-// IsRProtected reports whether slot tid holds a recovery protection of rec:
-// the announcement a sweep of r's RProtect table reads.
-func IsRProtected[T any](r *Reclaimer[T], tid int, rec *T) bool {
-	h := &r.handles[tid]
-	n := int(h.rpCount.Load())
-	for i := 0; i < n; i++ {
-		if h.rpSlots[i].Load() == rec {
-			return true
-		}
-	}
-	return false
+import "repro/internal/blockbag"
+
+// IsRProtected reports whether a sweep of r's RProtect table keeps rec: some
+// thread holds a recovery protection of it.
+func IsRProtected[T any](r *Reclaimer[T], rec *T) bool {
+	bag := blockbag.New[T](nil)
+	bag.Add(rec)
+	r.table.Sweep(0, bag)
+	return !bag.Empty()
 }

@@ -80,13 +80,12 @@ func (r *Reclaimer[T]) Props() core.Properties {
 // LeaveQstate implements core.ReclaimerHandle: announce the current epoch,
 // verify it in full, and on winning the advance empty the bags that are now
 // two epochs old.
-func (h *handle[T]) LeaveQstate() bool {
+func (h *handle[T]) LeaveQstate() {
 	e := h.Epoch()
-	fresh := h.Announce(e)
+	h.Announce(e)
 	if h.Verify(0, e, epoch.All) == h.PassLen() && h.Advance(e) {
 		h.reclaim(bagOf(e - epoch.Inc))
 	}
-	return fresh
 }
 
 // reclaim frees bag idx. It is called ONLY by the thread that just advanced

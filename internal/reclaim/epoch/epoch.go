@@ -15,8 +15,8 @@
 //     advance and a pass after the epoch its operation announced, or two
 //     advances when the epoch moved on under the operation before the
 //     retire (debra+ files every retire that way, frees only by rotating
-//     one bag per epoch observed, and its Sweep frees full blocks only and
-//     keeps the tails).
+//     one bag per epoch observed, and its Sweep frees every record of the
+//     bag that no recovery protection covers).
 //
 // A policy decides where the pass runs and how much of it runs per
 // operation; docs/ARCHITECTURE.md ("The epoch schemes") has the table.
@@ -296,12 +296,12 @@ func (t *Thread[T]) passes(m int, e int64) bool {
 func (t *Thread[T]) Advance(e int64) bool { return t.d.epoch.CompareAndSwap(e, e+Inc) }
 
 // NoProtect is the five per-record calls of core.ReclaimerHandle for a
-// scheme that protects by epoch: they succeed and do nothing (data structures
-// skip them altogether when Props().PerRecordProtection is false).
+// scheme that protects by epoch: they do nothing (data structures skip them
+// altogether when Props().PerRecordProtection is false).
 type NoProtect[T any] struct{}
 
 // Protect implements core.ReclaimerHandle.
-func (NoProtect[T]) Protect(*T) bool { return true }
+func (NoProtect[T]) Protect(*T) {}
 
 // Unprotect implements core.ReclaimerHandle.
 func (NoProtect[T]) Unprotect(*T) {}

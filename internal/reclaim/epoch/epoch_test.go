@@ -286,13 +286,12 @@ func TestSweepHookChoosesWhatRotationFrees(t *testing.T) {
 		}
 		return bag.DetachAllFullBlocks()
 	}
-	held := &rec{ID: -1}
-	l.Held = func(r *rec) bool { return r == held }
+	kept := &rec{ID: -1} // lands in the partial head, which the hook keeps
 	l.RotateTo(m.Epoch())
 	for i := 0; i < blockbag.BlockSize; i++ {
 		l.Retire(&rec{ID: int64(i)})
 	}
-	l.Retire(held)
+	l.Retire(kept)
 	for i := 0; i < 6; i++ {
 		l.RotateTo(m.tick())
 	}
@@ -300,10 +299,10 @@ func TestSweepHookChoosesWhatRotationFrees(t *testing.T) {
 		t.Fatal("rotation freed records the hook withheld")
 	}
 	if got := m.DrainLimbo(0); got != int64(blockbag.BlockSize) {
-		t.Fatalf("DrainLimbo freed %d, want everything but the held record", got)
+		t.Fatalf("DrainLimbo freed %d, want everything the forced hook returned", got)
 	}
-	if m.sink.Contains(held) || m.LimboSize(0) != 1 {
-		t.Fatalf("held record was not left in limbo (size %d)", m.LimboSize(0))
+	if m.sink.Contains(kept) || m.LimboSize(0) != 1 {
+		t.Fatalf("the record the hook kept was not left in limbo (size %d)", m.LimboSize(0))
 	}
 	if !forced[len(forced)-1] || forced[0] {
 		t.Fatalf("force flags %v: only DrainLimbo forces", forced)

@@ -36,40 +36,17 @@ func (b *Bags[T]) BindLimbo(tid int, l *Limbo[T]) {
 }
 
 // DrainLimbo implements core.Reclaimer: free what every thread's bags hold,
-// partial blocks included, except records a Held hook vouches for. Only safe
+// partial blocks included, except records a forced Sweep keeps. Only safe
 // once every thread is quiescent for good and the caller holds a
 // happens-before edge from their last operation; tid is charged for the frees.
 func (b *Bags[T]) DrainLimbo(tid int) int64 {
 	b.RequireAllQuiescent()
 	by := b.threads[tid]
 	var n int64
-	var rest *blockbag.Bag[T] // what a Sweep left behind that is not held
 	for _, l := range b.limbos {
 		for _, bag := range l.bags {
 			n += by.Free(l.freeable(bag, true))
-			if bag.Empty() {
-				continue
-			}
-			// Only a Sweep (debra+) leaves records behind: the tails it
-			// keeps and the records it holds.
-			if rest == nil {
-				rest = blockbag.New(b.BlockPool(tid))
-			}
-			var held []*T
-			bag.Drain(func(rec *T) {
-				if l.Held != nil && l.Held(rec) {
-					held = append(held, rec)
-				} else {
-					rest.Add(rec)
-				}
-			})
-			for _, rec := range held {
-				bag.Add(rec)
-			}
 		}
-	}
-	if rest != nil {
-		n += by.Free(rest.DetachAll())
 	}
 	return n
 }
@@ -119,13 +96,11 @@ type Limbo[T any] struct {
 	Thread[T]
 
 	// Sweep, when non-nil, chooses what a rotation frees in place of "the
-	// whole bag": it detaches and returns the full blocks of bag that may go
-	// now (debra+: those behind the records a recovery protection covers,
-	// and nothing until the bag is worth a table scan — unless force is set,
-	// as it is at shutdown). The bag's partial head block stays behind.
+	// whole bag": it detaches and returns the records of bag that may go now
+	// (debra+: every record no recovery protection covers, and nothing until
+	// the bag is worth a table scan — unless force is set, as it is at
+	// shutdown). What it does not return stays in the bag.
 	Sweep func(bag *blockbag.Bag[T], force bool) *blockbag.Block[T]
-	// Held, when non-nil, reports whether the last Sweep found rec protected.
-	Held func(rec *T) bool
 	// Late files every retire in the late bag and frees one bag per
 	// rotation.
 	Late bool

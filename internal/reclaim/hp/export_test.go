@@ -3,7 +3,7 @@ package hp
 // IsProtected reports whether slot tid's hazard pointers announce rec: the
 // announcement a scan of r reads.
 func IsProtected[T any](r *Reclaimer[T], tid int, rec *T) bool {
-	ptrs := r.handles[tid].ptrs
+	ptrs := r.table.rows[tid].ptrs
 	for i := range ptrs {
 		if ptrs[i].Load() == rec {
 			return true
@@ -11,3 +11,6 @@ func IsProtected[T any](r *Reclaimer[T], tid int, rec *T) bool {
 	}
 	return false
 }
+
+// Scan runs slot tid's scan now, whatever its retire bag holds.
+func Scan[T any](r *Reclaimer[T], tid int) { r.handles[tid].scan() }

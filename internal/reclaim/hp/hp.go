@@ -18,16 +18,18 @@
 // the same caveat: for structures whose searches traverse retired records,
 // restarting on suspicion forfeits lock-freedom).
 //
-// Retired records accumulate in a per-thread bag; once the bag holds
-// retireThreshold records the thread hashes every announced hazard pointer
-// and frees the records that are not announced, giving O(1) expected
+// The announcements live in a hazard Table: k slots per thread, of which the
+// owner reads only the prefix it has used, so a Protect costs the slots in
+// use rather than k. Retired records accumulate in a per-thread bag; once the
+// bag holds retireThreshold records the thread sweeps it against the table
+// (Table.Sweep): it hashes every announced hazard pointer and frees, in one
+// block chain, the records that are not announced, giving O(1) expected
 // amortised cost per retired record and an O(k·n²) bound on unreclaimed
-// garbage.
+// garbage. DEBRA+ (internal/reclaim/debraplus) keeps its recovery
+// protections in a Table of its own and frees through the same sweep.
 package hp
 
 import (
-	"sync/atomic"
-
 	"repro/internal/blockbag"
 	"repro/internal/core"
 )
@@ -57,37 +59,22 @@ func WithRetireThreshold(v int) Option { return func(c *config) { c.retireThresh
 
 // Reclaimer implements core.Reclaimer with hazard pointers.
 type Reclaimer[T any] struct {
-	sink core.FreeSink[T]
-	cfg  config
-	occ  *core.Occupancy
+	sink  core.FreeSink[T]
+	cfg   config
+	occ   *core.Occupancy
+	table *Table[T]
 
-	slots   []hpSlots[T]
-	threads []thread[T]
 	handles []handle[T]
 }
 
-// handle is one thread slot's view (core.ReclaimerHandle): the slot's
-// hazard pointer array and retire state resolved once, so a Protect —
-// hazard pointers' per-record hot path — indexes no per-thread slices.
+// handle is one thread slot's view (core.ReclaimerHandle): the slot's row of
+// the hazard table and its retire bag, resolved once, so a Protect — hazard
+// pointers' per-record hot path — indexes no per-thread slices.
 type handle[T any] struct {
-	r    *Reclaimer[T]
-	t    *thread[T]
-	ptrs []atomic.Pointer[T]
-	tid  int
-}
-
-// hpSlots is one thread's hazard pointer array: single writer (the owner),
-// many readers (threads performing scans).
-type hpSlots[T any] struct {
-	ptrs []atomic.Pointer[T]
-	_    [core.PadBytes]byte
-}
-
-type thread[T any] struct {
+	r         *Reclaimer[T]
+	slots     *Slots[T]
 	retireBag *blockbag.Bag[T]
-	freeBag   *blockbag.Bag[T] // what a scan frees, handed to the sink as one chain
-	scanSet   map[*T]struct{}
-	keep      []*T // scratch buffer reused across scans
+	tid       int
 
 	// Single-writer statistics counters (core.Counter): written by the
 	// owning tid (or the quiescent-shutdown drainer), read racily by Stats.
@@ -117,26 +104,18 @@ func New[T any](n int, sink core.FreeSink[T], opts ...Option) *Reclaimer[T] {
 	if cfg.retireThreshold <= 0 {
 		cfg.retireThreshold = 2*n*cfg.slots + blockbag.BlockSize
 	}
+	occ := core.NewOccupancy(n)
 	r := &Reclaimer[T]{
 		sink:    sink,
 		cfg:     cfg,
-		occ:     core.NewOccupancy(n),
-		slots:   make([]hpSlots[T], n),
-		threads: make([]thread[T], n),
+		occ:     occ,
+		table:   NewTable[T](n, cfg.slots, occ),
+		handles: make([]handle[T], n),
 	}
-	for i := range r.threads {
-		t := &r.threads[i]
-		// Both bags draw from the block pool the sink empties the freed
-		// blocks into, so blocks circulate without being reallocated.
-		bp := sink.BlockPool(i)
-		t.retireBag = blockbag.New(bp)
-		t.freeBag = blockbag.New(bp)
-		t.scanSet = make(map[*T]struct{}, n*cfg.slots)
-		r.slots[i].ptrs = make([]atomic.Pointer[T], cfg.slots)
-	}
-	r.handles = make([]handle[T], n)
 	for i := range r.handles {
-		r.handles[i] = handle[T]{r: r, t: &r.threads[i], ptrs: r.slots[i].ptrs, tid: i}
+		// The retire bag draws from the block pool the sink empties the
+		// freed blocks into, so blocks circulate without being reallocated.
+		r.handles[i] = handle[T]{r: r, slots: r.table.Slots(i), retireBag: blockbag.New(sink.BlockPool(i)), tid: i}
 	}
 	return r
 }
@@ -166,70 +145,29 @@ func (r *Reclaimer[T]) Props() core.Properties {
 }
 
 // LeaveQstate implements core.ReclaimerHandle (nothing to do for HP).
-func (h *handle[T]) LeaveQstate() bool { return false }
+func (h *handle[T]) LeaveQstate() {}
 
 // EnterQstate implements core.ReclaimerHandle: release every hazard pointer
 // held by the thread.
-func (h *handle[T]) EnterQstate() {
-	ptrs := h.ptrs
-	for i := range ptrs {
-		if ptrs[i].Load() != nil {
-			ptrs[i].Store(nil)
-		}
-	}
-}
+func (h *handle[T]) EnterQstate() { h.slots.Clear() }
 
 // IsQuiescent implements core.ReclaimerHandle. Hazard pointers have no notion
 // of quiescence; a thread is "quiescent" when it holds no announcements.
-func (h *handle[T]) IsQuiescent() bool {
-	for i := range h.ptrs {
-		if h.ptrs[i].Load() != nil {
-			return false
-		}
-	}
-	return true
-}
+func (h *handle[T]) IsQuiescent() bool { return h.slots.Empty() }
 
 // Protect implements core.ReclaimerHandle: announce a hazard pointer to rec.
-// The sequentially consistent store doubles as the required memory barrier.
 // The caller must validate reachability afterwards.
-func (h *handle[T]) Protect(rec *T) bool {
-	if rec == nil {
-		return true
-	}
-	ptrs := h.ptrs
-	free := -1
-	for i := range ptrs {
-		switch ptrs[i].Load() {
-		case rec:
-			// Already announced (data structures may legitimately protect a
-			// record they reach through several paths); keep a single slot.
-			return true
-		case nil:
-			if free < 0 {
-				free = i
-			}
-		}
-	}
-	if free < 0 {
+func (h *handle[T]) Protect(rec *T) {
+	if rec != nil && !h.slots.Protect(rec) {
 		panic("hp: out of hazard pointer slots; raise WithSlots")
 	}
-	ptrs[free].Store(rec)
-	return true
 }
 
 // Unprotect implements core.ReclaimerHandle: release the hazard pointer to
 // rec.
 func (h *handle[T]) Unprotect(rec *T) {
-	if rec == nil {
-		return
-	}
-	ptrs := h.ptrs
-	for i := range ptrs {
-		if ptrs[i].Load() == rec {
-			ptrs[i].Store(nil)
-			return
-		}
+	if rec != nil {
+		h.slots.Unprotect(rec)
 	}
 }
 
@@ -248,11 +186,10 @@ func (h *handle[T]) Retire(rec *T) {
 	if rec == nil {
 		panic("hp: Retire(nil)")
 	}
-	t := h.t
-	t.retireBag.Add(rec)
-	t.retired.Inc()
-	if t.retireBag.Len() >= h.r.cfg.retireThreshold {
-		h.r.scanAndFree(h.tid)
+	h.retireBag.Add(rec)
+	h.retired.Inc()
+	if h.retireBag.Len() >= h.r.cfg.retireThreshold {
+		h.scan()
 	}
 }
 
@@ -260,50 +197,20 @@ func (h *handle[T]) Retire(rec *T) {
 // vacant (unowned, hence announcement-free) threads.
 func (r *Reclaimer[T]) Occupancy() *core.Occupancy { return r.occ }
 
-// scanAndFree hashes every announced hazard pointer, frees every record in
-// the caller's retire bag that is not announced, in one chain, and keeps the
-// announced ones for a later scan. This is Michael's amortised scheme: the
-// scan costs O(R + nk) for R retired records but frees Omega(R - nk) of them.
-func (r *Reclaimer[T]) scanAndFree(tid int) {
-	t := &r.threads[tid]
-	t.scans.Inc()
-	set := t.scanSet
-	clear(set)
-	for i := range r.slots {
-		if !r.occ.Occupied(i) {
-			// A vacant slot holds no hazard pointers: release requires
-			// quiescence, which for HP means every slot is nil. A
-			// concurrent acquirer that protects a record after this check
-			// is covered by the protect-validate discipline, exactly like a
-			// thread whose nil slot is read just before it stores: if the
-			// record was already in our retire bag it was unreachable
-			// before the acquire, so the newcomer's validation fails and
-			// it restarts.
-			continue
-		}
-		ptrs := r.slots[i].ptrs
-		for j := range ptrs {
-			if rec := ptrs[j].Load(); rec != nil {
-				set[rec] = struct{}{}
-			}
-		}
+// scan sweeps the thread's retire bag against the hazard table: it frees, in
+// one chain, every record that no hazard pointer announces and keeps the
+// announced ones for a later scan, and returns the number freed. This is
+// Michael's amortised scheme: the scan costs O(R + nk) for R retired records
+// but frees Omega(R - nk) of them.
+func (h *handle[T]) scan() int64 {
+	h.scans.Inc()
+	n := int64(h.retireBag.Len())
+	if chain := h.r.table.Sweep(h.tid, h.retireBag); chain != nil {
+		h.r.sink.FreeBlocks(h.tid, chain)
 	}
-	t.keep = t.keep[:0]
-	t.retireBag.Drain(func(rec *T) {
-		if _, ok := set[rec]; ok {
-			t.keep = append(t.keep, rec)
-			return
-		}
-		t.freeBag.Add(rec)
-	})
-	for _, rec := range t.keep {
-		t.retireBag.Add(rec)
-	}
-	freed := t.freeBag.Len()
-	if chain := t.freeBag.DetachAll(); chain != nil {
-		r.sink.FreeBlocks(tid, chain)
-	}
-	t.freed.Add(int64(freed))
+	n -= int64(h.retireBag.Len())
+	h.freed.Add(n)
+	return n
 }
 
 // DrainLimbo implements core.Reclaimer: run a forced scan for every
@@ -322,10 +229,8 @@ func (r *Reclaimer[T]) DrainLimbo(tid int) int64 {
 		}
 	}
 	var total int64
-	for i := range r.threads {
-		before := r.threads[i].freed.Load()
-		r.scanAndFree(i)
-		total += r.threads[i].freed.Load() - before
+	for i := range r.handles {
+		total += r.handles[i].scan()
 	}
 	return total
 }
@@ -333,8 +238,8 @@ func (r *Reclaimer[T]) DrainLimbo(tid int) int64 {
 // Stats implements core.Reclaimer.
 func (r *Reclaimer[T]) Stats() core.Stats {
 	var s core.Stats
-	for i := range r.threads {
-		t := &r.threads[i]
+	for i := range r.handles {
+		t := &r.handles[i]
 		s.Retired += t.retired.Load()
 		s.Freed += t.freed.Load()
 		s.Scans += t.scans.Load()

@@ -3,6 +3,7 @@ package hp_test
 import (
 	"testing"
 
+	"repro/internal/blockbag"
 	"repro/internal/core"
 	"repro/internal/reclaim/hp"
 	"repro/internal/reclaimtest"
@@ -20,6 +21,12 @@ func TestStress(t *testing.T) { reclaimtest.Stress(t, factory, reclaimtest.Defau
 
 func TestSharesThePoolsBlocks(t *testing.T) { reclaimtest.SharesThePoolsBlocks(t, factory) }
 
+func TestSweepLeavesOnlyProtected(t *testing.T) {
+	reclaimtest.SweepLeavesOnlyProtected(t, factory, func(r core.Reclaimer[reclaimtest.Record]) {
+		hp.Scan(r.(*hp.Reclaimer[reclaimtest.Record]), 0)
+	})
+}
+
 func TestStressDefaultThreshold(t *testing.T) {
 	reclaimtest.Stress(t, func(n int, sink core.FreeSink[reclaimtest.Record]) core.Reclaimer[reclaimtest.Record] {
 		return hp.New(n, sink)
@@ -30,9 +37,8 @@ func TestProtectUnprotect(t *testing.T) {
 	r := hp.New[reclaimtest.Record](2, reclaimtest.NewRecordingSink())
 	a := &reclaimtest.Record{ID: 1}
 	b := &reclaimtest.Record{ID: 2}
-	if !r.Handle(0).Protect(a) || !r.Handle(0).Protect(b) {
-		t.Fatal("Protect failed")
-	}
+	r.Handle(0).Protect(a)
+	r.Handle(0).Protect(b)
 	if !hp.IsProtected(r, 0, a) || !hp.IsProtected(r, 0, b) {
 		t.Fatal("Protect lost an announcement")
 	}
@@ -57,8 +63,9 @@ func TestProtectUnprotect(t *testing.T) {
 
 func TestProtectNilIsNoop(t *testing.T) {
 	r := hp.New[reclaimtest.Record](1, reclaimtest.NewRecordingSink())
-	if !r.Handle(0).Protect(nil) {
-		t.Fatal("Protect(nil) must succeed trivially")
+	r.Handle(0).Protect(nil)
+	if !r.Handle(0).IsQuiescent() {
+		t.Fatal("Protect(nil) announced something")
 	}
 	r.Handle(0).Unprotect(nil)
 }
@@ -82,9 +89,7 @@ func TestProtectedRecordSurvivesScan(t *testing.T) {
 	sink := reclaimtest.NewRecordingSink()
 	r := hp.New(2, sink, hp.WithRetireThreshold(32))
 	victim := &reclaimtest.Record{ID: 99}
-	if !r.Handle(1).Protect(victim) {
-		t.Fatal("Protect failed")
-	}
+	r.Handle(1).Protect(victim)
 	// Thread 0 retires the victim plus enough records to trigger scans.
 	r.Handle(0).Retire(victim)
 	for i := 0; i < 200; i++ {
@@ -143,3 +148,92 @@ func TestStatsConsistency(t *testing.T) {
 }
 
 func TestNewValidation(t *testing.T) { reclaimtest.NewValidation(t, factory) }
+
+// A record protected twice holds one slot, and one Unprotect releases it: the
+// skip list keeps a node it records at several levels protected only while
+// it stays recorded (skiplist.isRecorded).
+func TestProtectKeepsOneSlotPerRecord(t *testing.T) {
+	r := hp.New[reclaimtest.Record](1, reclaimtest.NewRecordingSink(), hp.WithSlots(2))
+	h := r.Handle(0)
+	a, b := &reclaimtest.Record{ID: 1}, &reclaimtest.Record{ID: 2}
+	h.Protect(a)
+	h.Protect(a)
+	h.Protect(b) // would panic if a held both slots
+	h.Unprotect(a)
+	if hp.IsProtected(r, 0, a) || !hp.IsProtected(r, 0, b) {
+		t.Fatal("one Unprotect must release a record protected twice, and only it")
+	}
+	// A released slot below the high-water mark is reused.
+	h.Protect(a)
+	if !hp.IsProtected(r, 0, a) || !hp.IsProtected(r, 0, b) {
+		t.Fatal("re-protect lost an announcement")
+	}
+	h.EnterQstate()
+	if hp.IsProtected(r, 0, a) || hp.IsProtected(r, 0, b) || !h.IsQuiescent() {
+		t.Fatal("EnterQstate must release every hazard pointer")
+	}
+}
+
+// sweepBag returns a bag of n fresh records and the records themselves.
+func sweepBag(n int) (*blockbag.Bag[reclaimtest.Record], []*reclaimtest.Record) {
+	bag := blockbag.New[reclaimtest.Record](nil)
+	recs := make([]*reclaimtest.Record, n)
+	for i := range recs {
+		recs[i] = &reclaimtest.Record{ID: int64(i)}
+		bag.Add(recs[i])
+	}
+	return bag, recs
+}
+
+// The sweep detaches every record no row announces, partial blocks included,
+// and the bag keeps exactly the announced ones, wherever they sit and
+// whichever row announces them.
+func TestTableSweepKeepsOnlyAnnounced(t *testing.T) {
+	tab := hp.NewTable[reclaimtest.Record](2, 48, nil)
+	bag, recs := sweepBag(4*blockbag.BlockSize + 100)
+	announced := map[*reclaimtest.Record]bool{}
+	for i := 0; i < len(recs); i += 97 {
+		if !tab.Slots(i % 2).Protect(recs[i]) {
+			t.Fatal("row full")
+		}
+		announced[recs[i]] = true
+	}
+	chain := tab.Sweep(0, bag)
+	freed := 0
+	for blk := chain; blk != nil; blk = blk.Next() {
+		if blk != chain && !blk.Full() {
+			t.Fatalf("a block after the first holds %d records", blk.Len())
+		}
+		for i := 0; i < blk.Len(); i++ {
+			if announced[blk.Record(i)] {
+				t.Fatalf("announced record %d was detached", blk.Record(i).ID)
+			}
+			freed++
+		}
+	}
+	if bag.Len() != len(announced) || freed != len(recs)-len(announced) {
+		t.Fatalf("bag kept %d and the chain took %d of %d records; %d are announced", bag.Len(), freed, len(recs), len(announced))
+	}
+	for rec := range announced {
+		if !bag.Contains(rec) {
+			t.Fatalf("announced record %d missing from the bag", rec.ID)
+		}
+	}
+}
+
+// A bag whose every record is announced stays whole: the sweep detaches
+// nothing.
+func TestTableSweepOfAnnouncedBagDetachesNothing(t *testing.T) {
+	n := 3 * blockbag.BlockSize
+	tab := hp.NewTable[reclaimtest.Record](1, n, nil)
+	bag, recs := sweepBag(n)
+	for _, rec := range recs {
+		tab.Slots(0).Protect(rec)
+	}
+	if chain := tab.Sweep(0, bag); chain != nil {
+		t.Fatalf("the sweep detached %d announced records", blockbag.ChainLen(chain))
+	}
+	if bag.Len() != n {
+		t.Fatalf("bag lost records: %d", bag.Len())
+	}
+}

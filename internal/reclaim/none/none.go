@@ -44,7 +44,7 @@ func New[T any](n int) *Reclaimer[T] {
 func (r *Reclaimer[T]) Handle(tid int) core.ReclaimerHandle[T] { return &r.handles[tid] }
 
 // LeaveQstate implements core.ReclaimerHandle (no-op).
-func (h *handle[T]) LeaveQstate() bool { return false }
+func (h *handle[T]) LeaveQstate() {}
 
 // EnterQstate implements core.ReclaimerHandle (no-op).
 func (h *handle[T]) EnterQstate() {}
@@ -60,8 +60,8 @@ func (h *handle[T]) Retire(rec *T) {
 	h.t.retired.Inc()
 }
 
-// Protect implements core.ReclaimerHandle (always succeeds).
-func (h *handle[T]) Protect(rec *T) bool { return true }
+// Protect implements core.ReclaimerHandle (no-op).
+func (h *handle[T]) Protect(rec *T) {}
 
 // Unprotect implements core.ReclaimerHandle (no-op).
 func (h *handle[T]) Unprotect(rec *T) {}

@@ -61,11 +61,10 @@ func (r *Reclaimer[T]) Props() core.Properties {
 // whether the period is new to the bags: EnterQstate announces the period it
 // observes, and the rotation belongs with the announcement an operation
 // retires under.
-func (h *handle[T]) LeaveQstate() bool {
+func (h *handle[T]) LeaveQstate() {
 	e := h.Epoch()
-	fresh := h.Announce(e)
+	h.Announce(e)
 	h.RotateTo(e)
-	return fresh
 }
 
 // EnterQstate implements core.ReclaimerHandle: announce a quiescent state, go

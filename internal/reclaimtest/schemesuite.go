@@ -55,14 +55,17 @@ func NewValidation(t *testing.T, f Factory) {
 // quiescent. The record still waits out its grace period: it is not freed
 // while a thread that was inside an operation at the retire stays there,
 // however many operations the retirer runs, and it is freed once that
-// thread leaves and the epoch moves on.
+// thread leaves and the epoch moves on. Under debra+ the reader's reference
+// outlives a neutralization only as a recovery protection, so it RProtects
+// x (a no-op for the other schemes) and releases it when it leaves.
 func QuiescentRetire(t *testing.T, f Factory) {
 	t.Helper()
 	sink := NewRecordingSink()
 	r := f(2, sink)
 	retirer, reader := r.Handle(0), r.Handle(1)
-	reader.LeaveQstate() // may still reach x
 	x := &Record{ID: 1}
+	reader.LeaveQstate() // may still reach x
+	reader.RProtect(x)
 	retirer.EnterQstate() // fresh threads start quiescent; make it explicit
 	if Panics(func() { retirer.Retire(x) }) {
 		t.Fatal("Retire from a quiescent thread panicked")
@@ -78,12 +81,13 @@ func QuiescentRetire(t *testing.T, f Factory) {
 		t.Fatal("a quiescent retire was freed while a thread inside an operation could still reach it")
 	}
 	func() {
-		// debra+ may have neutralized the reader meanwhile (it frees only
-		// whole blocks, so the lone record stays); the reader's EnterQstate
-		// then delivers the signal, which its operation wrapper recovers.
+		// debra+ may have neutralized the reader meanwhile; the reader's
+		// EnterQstate then delivers the signal, which its operation wrapper
+		// recovers.
 		defer func() { neutralize.Recover(recover()) }()
 		reader.EnterQstate()
 	}()
+	reader.RUnprotectAll()
 	for ops := 0; ops < 1000 && !sink.Contains(x); ops++ {
 		operate(r, 0, 1, 0)
 		operate(r, 1, 1, 0)
@@ -241,6 +245,45 @@ func LimboEmptiesAfterThreeEpochs(t *testing.T, f Factory) {
 		operate(r, 0, 1, 0)
 		if s := r.Stats(); s.Limbo != 0 || s.Freed != int64(k) || sink.Freed() != int64(k) {
 			t.Fatalf("k=%d: three epochs on, stats %+v, sink holds %d records", k, s, sink.Freed())
+		}
+	}
+}
+
+// SweepLeavesOnlyProtected: a scheme that frees around per-record
+// protections (hp's scan, debra+'s rotation sweep) frees every retired record
+// no protection covers, partial blocks included, and keeps exactly the
+// protected ones. Slot 1 protects a few records inside an operation, through
+// both Protect and RProtect (each a no-op in the other scheme), and stays
+// there; slot 0 retires them among two full blocks and a partial one, and
+// force makes slot 0 sweep what it retired.
+func SweepLeavesOnlyProtected(t *testing.T, f Factory, force func(r core.Reclaimer[Record])) {
+	t.Helper()
+	sink := NewRecordingSink()
+	r := f(2, sink)
+	retirer, protector := r.Handle(0), r.Handle(1)
+	recs := make([]*Record, 2*blockbag.BlockSize+7)
+	protected := map[*Record]bool{}
+	protector.LeaveQstate()
+	for i := range recs {
+		recs[i] = &Record{ID: int64(i)}
+		if i%100 == 0 {
+			protector.Protect(recs[i])
+			protector.RProtect(recs[i])
+			protected[recs[i]] = true
+		}
+	}
+	retirer.LeaveQstate()
+	for _, rec := range recs {
+		retirer.Retire(rec)
+	}
+	retirer.EnterQstate()
+	force(r)
+	if got := r.Stats().Limbo; got != int64(len(protected)) {
+		t.Fatalf("limbo holds %d records after the sweep, want the %d protected", got, len(protected))
+	}
+	for _, rec := range recs {
+		if sink.Contains(rec) == protected[rec] {
+			t.Fatalf("record %d (protected %v) freed %v", rec.ID, protected[rec], sink.Contains(rec))
 		}
 	}
 }

@@ -8,6 +8,7 @@ package recordmgr_test
 //	go test -bench Micro -run '^$' ./internal/recordmgr/
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/recordmgr"
@@ -41,6 +42,34 @@ func BenchmarkMicroAllocRetire(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				h.LeaveQstate()
 				h.Retire(h.Allocate())
+				h.EnterQstate()
+			}
+		})
+	}
+}
+
+// BenchmarkMicroProtect is hazard pointers' per-record cost: one operation
+// protects k distinct records, unprotects them and quiesces. A protect that
+// reads only the slots in use stays flat in hp.DefaultSlots.
+func BenchmarkMicroProtect(b *testing.B) {
+	for _, k := range []int{1, 2, 4, 8} {
+		b.Run(fmt.Sprintf("%s/k=%d", recordmgr.SchemeHP, k), func(b *testing.B) {
+			mgr := recordmgr.MustBuild[node](recordmgr.Config{Scheme: recordmgr.SchemeHP, Threads: 2, UsePool: true})
+			h := mgr.AcquireHandle()
+			defer mgr.ReleaseHandle(h)
+			recs := make([]*node, k)
+			for i := range recs {
+				recs[i] = h.Allocate()
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				h.LeaveQstate()
+				for _, rec := range recs {
+					h.Protect(rec)
+				}
+				for _, rec := range recs {
+					h.Unprotect(rec)
+				}
 				h.EnterQstate()
 			}
 		})
