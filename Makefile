@@ -63,10 +63,11 @@ fuzz-smoke:
 benchmark:
 	$(GO) run ./benchmark -seed 1
 
-## benchmark-smoke: the benchmark's own tests plus one 2-second workload
+## benchmark-smoke: the benchmark's own tests plus 2-second runs of a read workload and the churning service (model and Retired == Freed checks)
 benchmark-smoke:
 	$(GO) test ./benchmark/
 	$(GO) run ./benchmark -workload map_read_mostly -seed 1 -seconds 2 -trace 0
+	$(GO) run ./benchmark -workload svc_pipelined_churn -seed 1 -seconds 2 -trace 0
 
 ## check: everything CI checks, in one shot
 check: build vet fmt-check vet-reclaim test race

@@ -4,15 +4,23 @@
 // stopped between operations holds nothing back, whole-bag transfers to the
 // free sink — and, the part that is DEBRA's own, an incremental scan. Instead
 // of reading every announcement at the start of every operation, a thread
-// checks one every CHECK_THRESH operations and tries to advance the epoch
-// only after its pass is complete and INCR_THRESH operations have gone by, so
-// LeaveQstate, EnterQstate and Retire each take O(1) steps in the worst case.
+// checks one every CHECK_THRESH operations, so LeaveQstate, EnterQstate and
+// Retire each take O(1) steps in the worst case.
 // Figure 4 frees a thread's oldest limbo bag when the thread rotates into a
 // new epoch; here the bag goes as soon as the thread's pass for the epoch it
 // announces completes, which the grace period already allows. So a record
 // waits for one advance past its retiring operation's epoch and then one
-// pass of the retirer's, not also for the advance after that, which
-// INCR_THRESH paces.
+// pass of the retirer's.
+//
+// Once its pass is complete, a thread tries to advance the epoch when
+// INCR_THRESH operations have gone by since it announced the epoch, as in
+// the paper, or as soon as its current limbo bag holds bagThresh records,
+// whichever comes first. Pacing by operations alone holds INCR_THRESH times
+// a thread's retires per operation in limbo; the bag trigger bounds what a
+// running thread holds by about 2·bagThresh plus the retires of one pass,
+// while a thread that retires little still advances every INCR_THRESH
+// operations. An advance still needs a complete pass, so a thread stalled
+// inside an operation holds the epoch back as before.
 // docs/ARCHITECTURE.md ("The epoch schemes") sets it beside the other three.
 package debra
 
@@ -32,6 +40,13 @@ type slot[T any] struct {
 	Handle[T]
 	_ [core.PadBytes]byte
 }
+
+// bagThresh is the size of the current limbo bag at which a thread whose pass
+// is complete advances the epoch without waiting for INCR_THRESH operations.
+// A smaller value advances the epoch more often, which update-heavy
+// workloads pay for in throughput and tail latency; read-mostly workloads,
+// which retire a few records per INCR_THRESH operations, never reach it.
+const bagThresh = 16
 
 // Handle is one thread slot's view (core.ReclaimerHandle): the epoch
 // machine's private limbo plus the cursor of the incremental scan. debra+
@@ -94,10 +109,17 @@ func (h *Handle[T]) LeaveQstate() {
 				h.FreePrev()
 			}
 		}
-		if h.pos == h.PassLen() && h.sinceIncr >= h.incr {
+		if h.pos == h.PassLen() && (h.sinceIncr >= h.incr || h.bagFull()) {
 			h.Advance(e)
 		}
 	}
 }
+
+// bagFull reports whether the current limbo bag has reached bagThresh. Under
+// Late (debra+) it never has: a rotation there sweeps a bag only once it is
+// worth a table scan and leaves the rest in it, so the current bag's size is
+// not what the thread retired since its last rotation, and the trigger would
+// fire on nearly every completed pass.
+func (h *Handle[T]) bagFull() bool { return !h.Late && h.Current().Len() >= bagThresh }
 
 var _ core.Reclaimer[int] = (*Reclaimer[int])(nil)

@@ -55,6 +55,13 @@ func TestLimboEmptiesAfterOneAdvance(t *testing.T) {
 	})
 }
 
+// At the default pacing a slot retiring one or three records per operation
+// would hold 100 or 300 in limbo; the bag trigger holds it to about
+// 2·bagThresh.
+func TestLimboBoundedByBag(t *testing.T) {
+	reclaimtest.LimboBoundedByBag(t, factoryDefault, 2*debra.BagThresh)
+}
+
 // retireMany drives tid through ops, retiring fresh records, and returns them.
 func retireMany(r *debra.Reclaimer[reclaimtest.Record], tid, n int) []*reclaimtest.Record {
 	recs := make([]*reclaimtest.Record, 0, n)

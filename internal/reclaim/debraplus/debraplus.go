@@ -24,6 +24,18 @@
 //     protection covers to the pool in one block chain, and the bag keeps
 //     only the protected ones.
 //
+// DEBRA's other advance trigger, a current limbo bag of bagThresh records,
+// is off here (epoch.Limbo.Late): a rotation sweeps a bag only once it holds
+// scanThreshold blocks and leaves the rest in it, so the current bag's size
+// is not what the thread retired since its last rotation. With the trigger a
+// running thread advanced the epoch on nearly every completed pass (6,580
+// advances in 21,000 two-slot operations, against 105), and Experiment 2's
+// "DEBRA+ vs None" fell from 0.76–0.83 to 0.61–0.68 (2 cores). A running
+// thread's limbo is bounded by the sweep threshold instead, at about three
+// bags of scanThreshold blocks each (at most 897 records in a two-slot run at
+// the default thresholds), where DEBRA's is about 2·bagThresh plus one pass's
+// retires.
+//
 // See the internal/neutralize package documentation for how POSIX signal
 // delivery and siglongjmp are simulated, and for the argument that the
 // weaker "delivery at the next checkpoint" guarantee preserves safety;

@@ -18,8 +18,13 @@
 //     one bag per epoch observed, and its Sweep frees every record of the
 //     bag that no recovery protection covers).
 //
-// A policy decides where the pass runs and how much of it runs per
-// operation; docs/ARCHITECTURE.md ("The epoch schemes") has the table.
+// A policy decides where the pass runs, how much of it runs per operation
+// and when a thread whose pass is complete tries to advance the epoch.
+// debra tries every INCR_THRESH operations, or sooner once its current limbo
+// bag holds 16 records, so a running debra thread holds about 32 records
+// plus one pass's retires in limbo whatever it retires per operation;
+// debra+ is paced by INCR_THRESH alone. docs/ARCHITECTURE.md ("The epoch
+// schemes") has the table.
 package epoch
 
 import (
@@ -62,8 +67,10 @@ type Option func(*Config)
 // reads).
 func WithCheckThresh(v int) Option { return func(c *Config) { c.CheckThresh = int64(v) } }
 
-// WithIncrThresh sets the minimum number of operations between attempts to
-// advance the epoch (the paper's INCR_THRESH).
+// WithIncrThresh sets the number of operations after announcing an epoch at
+// which a thread whose pass is complete tries to advance it (the paper's
+// INCR_THRESH). debra tries sooner once its current limbo bag is big enough;
+// debra+ waits for INCR_THRESH.
 func WithIncrThresh(v int) Option { return func(c *Config) { c.IncrThresh = int64(v) } }
 
 // word is an announcement on its own cache lines: written by its owner, read

@@ -147,7 +147,9 @@ func LimboEmptiesAfterTwoEpochs(t *testing.T, f Factory) {
 // operation announced at the retire's epoch, no pass for the next epoch
 // completes and nothing is freed. The factory must let a lone operating
 // thread advance the epoch within a few thousand operations, but not twice
-// within the few operations one two-slot pass takes (INCR_THRESH).
+// within the few operations one two-slot pass takes: INCR_THRESH must exceed
+// them, and a limbo bag trigger (debra's bagThresh) may fire on the k records
+// before the advance but not on the empty current bag the advance leaves.
 func LimboEmptiesAfterOneAdvance(t *testing.T, f Factory) {
 	t.Helper()
 	for _, k := range []int{1, blockbag.BlockSize - 1, blockbag.BlockSize + 1} {
@@ -214,6 +216,41 @@ func limboEmptiesAfterOneAdvance(t *testing.T, r core.Reclaimer[Record], k int, 
 		}
 		retirer.EnterQstate()
 		return
+	}
+}
+
+// LimboBoundedByBag is the bound of a policy that advances the epoch once a
+// thread's current limbo bag is big enough, not only every INCR_THRESH
+// operations: a running thread's limbo stays at most bound records whatever
+// it retires per operation. One goroutine drives two slots round-robin at the
+// factory's pacing, each operation retiring one record, then three; after a
+// warm-up, neither slot's LimboSize exceeds bound. Paced by operations alone,
+// a slot holds about INCR_THRESH times its retires per operation.
+func LimboBoundedByBag(t *testing.T, f Factory, bound int) {
+	t.Helper()
+	const warmup, ops = 1000, 20000
+	for _, per := range []int{1, 3} {
+		r := f(2, NewRecordingSink())
+		limbo, ok := r.(interface{ LimboSize(tid int) int })
+		if !ok {
+			t.Fatalf("%s does not report LimboSize", r.Name())
+		}
+		most := 0
+		for i := 0; i < warmup+ops; i++ {
+			tid := i % 2
+			h := r.Handle(tid)
+			h.LeaveQstate()
+			for j := 0; j < per; j++ {
+				h.Retire(&Record{ID: int64(i)})
+			}
+			h.EnterQstate()
+			if i >= warmup {
+				most = max(most, limbo.LimboSize(tid))
+			}
+		}
+		if most > bound {
+			t.Fatalf("%d retires per operation: a slot held %d records in limbo, want at most %d: %+v", per, most, bound, r.Stats())
+		}
 	}
 }
 
